@@ -12,8 +12,8 @@
 //!
 //! `--mode streamed` runs the memory-bounded pipeline
 //! (`gmark::run::run` with `RunOptions::stream` into a `NullSink`:
-//! per-constraint shard files, graph never materialized — peak memory is
-//! the largest single constraint's slot vectors); `--mode materialized`
+//! one ordered pass, graph never materialized — peak memory is the
+//! largest single constraint's slot vectors plus a fixed block budget); `--mode materialized`
 //! runs `gmark::run::run_in_memory` and serializes nothing, as the RSS
 //! contrast row.
 //! `scripts/bench.sh` sweeps node counts 50K → 5M streamed plus

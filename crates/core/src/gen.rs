@@ -24,6 +24,17 @@
 //! memory for that side's vector (and its shuffle) disappears. The fast path
 //! is on by default and measured as an ablation in `gmark-bench`.
 //!
+//! Two ways out of the generator. [`generate_graph`] materializes: every
+//! constraint fills its own builder, the builders are merged in constraint
+//! order, and the CSR is finalized — memory grows with the edge count.
+//! [`generate_streamed`] never holds more than one constraint per worker:
+//! edges are formatted as N-Triples while they are zipped and handed, in
+//! blocks, to a [`gmark_store::OrderedEmitter`] that writes constraints in
+//! ascending order in a single pass — no temporary file, memory bounded
+//! by the largest constraint's slot vectors plus a fixed block budget.
+//! Either way each constraint draws from an RNG stream split off the
+//! master seed by its index, so output never depends on the thread count.
+//!
 //! These entry points are the graph half of the pipeline; the `gmark`
 //! facade crate's `run` module orchestrates them (plan → options → sink)
 //! behind one API and one error type — prefer that surface unless you
@@ -32,7 +43,8 @@
 use crate::schema::{Distribution, GraphConfig};
 use gmark_stats::{DegreeSampler, Prng, Zipf};
 use gmark_store::{
-    EdgeSink, EdgeSpool, ForwardingSink, Graph, GraphBuilder, NodeId, ShardSet, TypePartition,
+    EdgeSink, EdgeSpool, EmitStats, ForwardingSink, Graph, GraphBuilder, NTriplesFormat,
+    NTriplesWriter, NodeId, OrderedEmitter, TypePartition,
 };
 
 /// Options controlling graph generation.
@@ -44,7 +56,7 @@ pub struct GeneratorOptions {
     /// Enables the Gaussian fast path described in the module docs.
     pub gaussian_fast_path: bool,
     /// Number of worker threads for [`generate_graph`] /
-    /// [`generate_streamed`]; constraints are sharded across threads with
+    /// [`generate_streamed`]; constraints are spread across threads with
     /// per-constraint RNG splitting, so the result is identical for any
     /// thread count. `0` means auto-detect via
     /// [`std::thread::available_parallelism`].
@@ -102,6 +114,9 @@ pub struct GenReport {
     pub constraints: Vec<ConstraintReport>,
     /// Total edges emitted.
     pub total_edges: u64,
+    /// Where the output time of a [`generate_streamed`] run went; `None`
+    /// from the entry points that write nothing themselves.
+    pub emit: Option<EmitStats>,
 }
 
 /// Generates all edges for `config`, streaming them into `sink`.
@@ -205,15 +220,15 @@ pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, 
     (root.build_with_threads(threads), report)
 }
 
-/// Options for [`generate_streamed`]: where the N-Triples go and where the
-/// temporary per-constraint shards live.
+/// Options for [`generate_streamed`].
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
     /// Base IRI of the N-Triples output (no trailing slash needed).
     pub base: String,
-    /// Parent directory for the temporary shard files. Pick one on the
-    /// same filesystem as the final output so the concatenation is a plain
-    /// sequential copy. Defaults to [`std::env::temp_dir`].
+    /// Unused: the streamed N-Triples path keeps no temporary files. The
+    /// field stays until these per-crate option structs are collapsed into
+    /// the facade's `RunOptions` (whose `scratch_dir` places the `--store`
+    /// edge spool).
     pub scratch_dir: std::path::PathBuf,
 }
 
@@ -229,25 +244,31 @@ impl Default for StreamOptions {
 /// Generates the graph as N-Triples straight into `out` without ever
 /// materializing it: the memory-bounded counterpart of [`generate_graph`].
 ///
-/// Constraints fan out over `opts.threads` workers (0 = auto-detect), each
-/// writing the edges of the constraints it claims into that constraint's
-/// own shard file ([`ShardSet`]); shards are then concatenated in
-/// ascending constraint order. Peak memory is bounded by the slot vectors
-/// of the largest single constraint (`O(max type size · mean degree)` per
-/// worker), not by the total edge count — this is what makes the paper's
-/// Table 3 scale (10⁹ edges) reachable.
+/// Constraints fan out over `opts.threads` workers (0 = auto-detect). Each
+/// worker formats the edges of the constraint it claimed into blocks and
+/// hands them to an [`OrderedEmitter`], which writes constraint `i`'s
+/// blocks after those of every constraint below `i`: the worker on the
+/// lowest unfinished constraint writes straight through to `out`, the
+/// others park a bounded number of bytes and then wait their turn. One
+/// pass, no temporary file. Peak memory is bounded by the slot vectors of
+/// the largest single constraint (`O(max type size · mean degree)` per
+/// worker) plus a fixed block budget, not by the total edge count — this
+/// is what makes the paper's Table 3 scale (10⁹ edges) reachable.
 ///
 /// Because each constraint draws from an RNG stream split off the master
-/// seed by constraint index, shard bytes are independent of scheduling,
-/// and the output is **byte-identical for every thread count, including
-/// 1** (single-threaded runs skip the temp files and stream constraints in
-/// order directly into `out`, which is the same byte sequence by
-/// construction). Unlike [`generate_graph`]'s serialization, the stream
+/// seed by constraint index, its bytes are independent of scheduling, and
+/// ascending constraint order makes the output **byte-identical for every
+/// thread count, including 1** — one worker is the same code with a head
+/// that never waits. Unlike [`generate_graph`]'s serialization, the stream
 /// preserves generation order and keeps duplicate triples (RDF set
 /// semantics make the data equivalent).
 ///
+/// The first write error stops the run: no further constraint is claimed,
+/// parked workers wake, and the error is returned. Since `out` is written
+/// from worker threads it must be `Send`.
+///
 /// Returns the generation report and the number of triples written.
-pub fn generate_streamed<W: std::io::Write>(
+pub fn generate_streamed<W: std::io::Write + Send>(
     config: &GraphConfig,
     opts: &GeneratorOptions,
     stream: &StreamOptions,
@@ -264,7 +285,7 @@ pub fn generate_streamed<W: std::io::Write>(
 /// are a pure function of `(config, seed)` like everything else — workers
 /// write only the spool files of constraints they claimed, so thread
 /// scheduling never reorders records within a file.
-pub fn generate_streamed_spooled<W: std::io::Write>(
+pub fn generate_streamed_spooled<W: std::io::Write + Send>(
     config: &GraphConfig,
     opts: &GeneratorOptions,
     stream: &StreamOptions,
@@ -274,106 +295,56 @@ pub fn generate_streamed_spooled<W: std::io::Write>(
     generate_streamed_impl(config, opts, stream, out, Some(spool))
 }
 
-fn generate_streamed_impl<W: std::io::Write>(
+fn generate_streamed_impl<W: std::io::Write + Send>(
     config: &GraphConfig,
     opts: &GeneratorOptions,
     stream: &StreamOptions,
     out: &mut W,
     spool: Option<&EdgeSpool>,
 ) -> std::io::Result<(GenReport, u64)> {
-    let names = config.schema.predicate_names();
     let n_constraints = config.schema.constraints().len();
     let threads = opts.effective_threads().max(1).min(n_constraints.max(1));
-    // Encode the predicate alphabet once; every shard writer shares it.
-    let format = std::sync::Arc::new(gmark_store::NTriplesFormat::new(&names, &stream.base));
-    let counts = config.node_counts();
-    let partition = TypePartition::from_counts(&counts);
+    // Encode the predicate alphabet once; every constraint's writer shares it.
+    let format = std::sync::Arc::new(NTriplesFormat::new(
+        &config.schema.predicate_names(),
+        &stream.base,
+    ));
+    let partition = TypePartition::from_counts(&config.node_counts());
     let master = Prng::seed_from_u64(opts.seed);
 
-    if threads <= 1 {
-        // Constraint order equals concat order, so the plain sequential
-        // stream emits the same bytes as the sharded path without touching
-        // disk twice. (This loop is [`generate_into`] with a per-constraint
-        // spool tee spliced in.)
-        let mut writer = gmark_store::NTriplesWriter::with_format(&mut *out, format);
-        let mut report = GenReport::default();
-        for idx in 0..n_constraints {
+    let emitter = OrderedEmitter::new(vec![out], n_constraints);
+    let (per_worker, emit) = emitter.run(
+        threads,
+        |done: &mut Vec<(usize, ConstraintReport, u64)>, idx, lanes| -> std::io::Result<()> {
+            let mut sink = NTriplesWriter::with_format(&mut lanes[0], format.clone());
             let mut rng = master.split(idx as u64);
             let cr = match spool {
-                None => generate_constraint(config, opts, idx, &partition, &mut rng, &mut writer),
+                None => generate_constraint(config, opts, idx, &partition, &mut rng, &mut sink),
                 Some(spool) => {
                     let mut raw = spool.writer(idx)?;
-                    let mut tee = ForwardingSink::new(&mut writer, &mut raw);
+                    let mut tee = ForwardingSink::new(&mut sink, &mut raw);
                     let cr = generate_constraint(config, opts, idx, &partition, &mut rng, &mut tee);
                     raw.finish()?;
                     cr
                 }
             };
-            report.total_edges += cr.edges;
-            report.constraints.push(cr);
-        }
-        let written = writer.finish()?;
-        return Ok((report, written));
-    }
+            done.push((idx, cr, sink.finish()?));
+            Ok(())
+        },
+    )?;
 
-    let shards = ShardSet::create(&stream.scratch_dir, n_constraints)?;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<std::io::Result<Vec<(usize, ConstraintReport, u64)>>> =
-        std::thread::scope(|scope| {
-            let (next, partition, master, shards, format) =
-                (&next, &partition, &master, &shards, &format);
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if idx >= n_constraints {
-                                break;
-                            }
-                            let mut sink = shards.writer(idx, format.clone())?;
-                            let mut rng = master.split(idx as u64);
-                            let cr = match spool {
-                                None => generate_constraint(
-                                    config, opts, idx, partition, &mut rng, &mut sink,
-                                ),
-                                Some(spool) => {
-                                    let mut raw = spool.writer(idx)?;
-                                    let mut tee = ForwardingSink::new(&mut sink, &mut raw);
-                                    let cr = generate_constraint(
-                                        config, opts, idx, partition, &mut rng, &mut tee,
-                                    );
-                                    raw.finish()?;
-                                    cr
-                                }
-                            };
-                            let written = sink.finish()?;
-                            done.push((idx, cr, written));
-                        }
-                        Ok(done)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("streaming generator thread panicked"))
-                .collect()
-        });
-
-    let mut batches = Vec::with_capacity(n_constraints);
-    for result in per_worker {
-        batches.extend(result?);
-    }
+    let mut batches: Vec<_> = per_worker.into_iter().flatten().collect();
     batches.sort_by_key(|(idx, _, _)| *idx);
-    let mut report = GenReport::default();
+    let mut report = GenReport {
+        emit: Some(emit),
+        ..GenReport::default()
+    };
     let mut written = 0u64;
     for (_, cr, w) in batches {
         report.total_edges += cr.edges;
         report.constraints.push(cr);
         written += w;
     }
-    shards.concat_into(out)?;
-    out.flush()?;
     Ok((report, written))
 }
 
@@ -893,6 +864,111 @@ mod tests {
         generate_into(&cfg, &opts, &mut writer);
         writer.finish().unwrap();
         assert_eq!(streamed, direct);
+    }
+
+    #[test]
+    fn streamed_run_reports_where_its_output_time_went() {
+        let cfg = GraphConfig::new(2_000, crate::schema::tests::example_3_3());
+        let mut buf = Vec::new();
+        let (report, _) = generate_streamed(
+            &cfg,
+            &GeneratorOptions::with_seed(12),
+            &StreamOptions::default(),
+            &mut buf,
+        )
+        .unwrap();
+        let emit = report.emit.expect("streamed runs carry output stats");
+        assert_eq!(emit.bytes, buf.len() as u64);
+        assert!(emit.blocks >= 1);
+        let (_, in_memory) = generate_graph(&cfg, &GeneratorOptions::with_seed(12));
+        assert_eq!(in_memory.emit, None, "nothing was written");
+    }
+
+    /// Runs `f` on its own thread; a run that has not returned within a
+    /// minute hangs the emitter and fails the test instead of stalling it.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(value) => value,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("generate_streamed hung"),
+            Err(_) => std::panic::resume_unwind(thread.join().expect_err("sender dropped unsent")),
+        }
+    }
+
+    /// Accepts `room` bytes; then every write fails, or panics.
+    struct FailsAfter {
+        room: usize,
+        panics: bool,
+    }
+
+    impl std::io::Write for FailsAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() <= self.room {
+                self.room -= buf.len();
+                return Ok(buf.len());
+            }
+            assert!(!self.panics, "the output blew up");
+            Err(std::io::Error::new(
+                std::io::ErrorKind::StorageFull,
+                "disk full",
+            ))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn streamed_write_error_fails_fast_at_every_thread_count() {
+        // ≈ 9 MB of N-Triples over four constraints; the output dies in
+        // the first, third and last of them.
+        for threads in [1usize, 2, 8] {
+            for room in [1usize << 20, 5 << 20, 8 << 20] {
+                let err = within_a_minute(move || {
+                    let cfg = GraphConfig::new(50_000, crate::schema::tests::example_3_3());
+                    let opts = GeneratorOptions {
+                        threads,
+                        ..GeneratorOptions::with_seed(12)
+                    };
+                    let mut out = FailsAfter {
+                        room,
+                        panics: false,
+                    };
+                    generate_streamed(&cfg, &opts, &StreamOptions::default(), &mut out).unwrap_err()
+                });
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::StorageFull,
+                    "{threads} threads, {room} bytes of room: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_panic_under_the_writer_unwinds_instead_of_hanging() {
+        for threads in [1usize, 2, 8] {
+            let panic = within_a_minute(move || {
+                std::panic::catch_unwind(|| {
+                    let cfg = GraphConfig::new(50_000, crate::schema::tests::example_3_3());
+                    let opts = GeneratorOptions {
+                        threads,
+                        ..GeneratorOptions::with_seed(12)
+                    };
+                    let mut out = FailsAfter {
+                        room: 5 << 20,
+                        panics: true,
+                    };
+                    let _ = generate_streamed(&cfg, &opts, &StreamOptions::default(), &mut out);
+                })
+                .expect_err("the panic must reach the caller")
+            });
+            let message = panic.downcast_ref::<&str>();
+            assert_eq!(message, Some(&"the output blew up"), "{threads} threads");
+        }
     }
 
     #[test]

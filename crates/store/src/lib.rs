@@ -15,10 +15,11 @@
 //!   ("including N-triples for data"); predicate names are percent-encoded
 //!   on write and decoded on read, so hostile schema alphabets still
 //!   produce valid RDF,
-//! * [`shard`] — per-constraint N-Triples shard files plus the
-//!   ascending-order concatenation that makes the memory-bounded streaming
-//!   pipeline byte-identical at every thread count (the shard format and
-//!   the concatenation invariant are documented on the module),
+//! * [`emit`] — [`OrderedEmitter`], the ordered in-memory hand-off that
+//!   lets many workers write one document: units drain in ascending order,
+//!   which makes both streaming pipelines byte-identical at every thread
+//!   count without a temp file (the protocol, its progress argument and
+//!   its memory bound are documented on the module),
 //! * [`paged`] — the on-disk `gmark-store` binary format ([`StoreWriter`] /
 //!   [`StoreReader`]): the same CSR arrays persisted page-aligned, served by
 //!   positioned reads through a bounded page cache so evaluation runs at
@@ -29,20 +30,20 @@
 
 #![warn(missing_docs)]
 
+pub mod emit;
 pub mod graph;
 pub mod ntriples;
 pub mod paged;
-pub mod shard;
 pub mod sink;
 pub mod view;
 
+pub use emit::{EmitStats, Lane, OrderedEmitter};
 pub use graph::{Csr, Graph, GraphBuilder, TypePartition};
 pub use ntriples::{read_ntriples, NTriplesFormat, NTriplesWriter};
 pub use paged::{
     build_store_from_spool, EdgeSpool, SpoolWriter, StoreError, StoreInfo, StoreMeta, StoreReader,
     StoreWriter, DEFAULT_PAGE_SIZE,
 };
-pub use shard::{ShardSet, ShardWriter, TextShardWriter};
 pub use sink::{CountingSink, EdgeSink, ForwardingSink, VecSink};
 pub use view::{GraphView, Neighbors};
 

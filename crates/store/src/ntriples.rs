@@ -90,17 +90,56 @@ pub fn encode_iri_base(base: &str) -> String {
 }
 
 /// Precomputed IRI fragments for one `(base, predicate names)` pair: the
-/// shared subject/object prefix and the full per-predicate IRIs.
+/// shared subject prefix and, per predicate, everything between the
+/// subject's and the object's node id.
 ///
 /// Encoding the predicate alphabet is O(total name length); done once and
-/// shared (behind an [`Arc`](std::sync::Arc)) across the many short-lived
-/// writers of the sharded streaming pipeline instead of once per shard.
+/// shared (behind an [`Arc`](std::sync::Arc)) across the one writer per
+/// unit of the ordered streaming pipeline.
 #[derive(Debug)]
 pub struct NTriplesFormat {
-    /// `"<base/node/"` — shared prefix of every subject/object IRI.
+    /// `"<base/node/"` — what every line starts with.
     node_prefix: String,
-    /// Full `<base/pred/NAME>` IRI per predicate index.
-    pred_iris: Vec<String>,
+    /// `"> <base/pred/NAME> <base/node/"` per predicate index.
+    pred_infix: Vec<String>,
+}
+
+/// What every line ends with, after the object's node id.
+const LINE_END: &[u8] = b"> .\n";
+
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+static DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends `n` in decimal, two digits per division — what `{n}` renders,
+/// without the `core::fmt` machinery.
+#[inline]
+fn push_decimal(buf: &mut Vec<u8>, mut n: NodeId) {
+    let mut digits = [0u8; 10]; // u32::MAX has ten digits
+    let mut at = digits.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + n as u8;
+    }
+    buf.extend_from_slice(&digits[at..]);
 }
 
 impl NTriplesFormat {
@@ -108,28 +147,50 @@ impl NTriplesFormat {
     /// and predicate alphabet.
     pub fn new(predicate_names: &[String], base: &str) -> Self {
         let base = encode_iri_base(base.trim_end_matches('/'));
+        let node_prefix = format!("<{base}/node/");
         NTriplesFormat {
-            node_prefix: format!("<{base}/node/"),
-            pred_iris: predicate_names
+            pred_infix: predicate_names
                 .iter()
-                .map(|n| format!("<{base}/pred/{}>", encode_segment(n)))
+                .map(|n| format!("> <{base}/pred/{}> {node_prefix}", encode_segment(n)))
                 .collect(),
+            node_prefix,
         }
     }
+
+    /// Appends the line `<base/node/S> <base/pred/NAME> <base/node/T> .\n`
+    /// to `buf`: three precomputed slices and two hand-formatted decimals.
+    /// This is the kernel under every `graph.nt` this workspace writes.
+    #[inline]
+    pub fn push_line(&self, buf: &mut Vec<u8>, src: NodeId, pred: PredIdx, trg: NodeId) {
+        let infix = self.pred_infix[pred].as_bytes();
+        buf.reserve(self.node_prefix.len() + infix.len() + LINE_END.len() + 20);
+        buf.extend_from_slice(self.node_prefix.as_bytes());
+        push_decimal(buf, src);
+        buf.extend_from_slice(infix);
+        push_decimal(buf, trg);
+        buf.extend_from_slice(LINE_END);
+    }
 }
+
+/// Bytes an [`NTriplesWriter`] formats before it hands them to its output
+/// in one `write_all`: large enough that a file sees few, large writes and
+/// a `BufWriter` underneath is bypassed, small enough to stay in cache
+/// between formatting and the copy out.
+const BLOCK_BYTES: usize = 256 * 1024;
 
 /// Streams edges as N-Triples lines:
 /// `<base/node/S> <base/pred/NAME> <base/node/T> .`
 ///
 /// `NAME` is the percent-encoded predicate name; the base is escaped via
-/// [`encode_iri_base`]. The full subject/object prefix and per-predicate
-/// IRIs are precomputed ([`NTriplesFormat`]), keeping the per-edge hot
-/// path to integer formatting plus buffered writes (this writer is what
-/// every streaming shard of [`crate::shard`] runs).
+/// [`encode_iri_base`]. Lines are formatted by [`NTriplesFormat::push_line`]
+/// into an owned 256 KiB block that is written out whole — the
+/// streamed pipeline, the materialised serialiser and the daemon's builds
+/// all go through this writer.
 #[derive(Debug)]
 pub struct NTriplesWriter<W: Write> {
     out: W,
     format: std::sync::Arc<NTriplesFormat>,
+    block: Vec<u8>,
     written: u64,
     error: Option<io::Error>,
 }
@@ -149,25 +210,40 @@ impl<W: Write> NTriplesWriter<W> {
     }
 
     /// Creates a writer over precomputed IRI fragments; the cheap
-    /// constructor when many writers share one format (shard fan-out).
+    /// constructor when many writers share one format (one per unit of
+    /// the ordered pipeline).
     pub fn with_format(out: W, format: std::sync::Arc<NTriplesFormat>) -> Self {
         NTriplesWriter {
             out,
             format,
+            block: Vec::with_capacity(BLOCK_BYTES + 256),
             written: 0,
             error: None,
         }
     }
 
-    /// Number of triples written so far.
+    /// Number of triples accepted so far.
     pub fn written(&self) -> u64 {
         self.written
     }
 
-    /// Finishes writing, flushing the stream and surfacing any deferred
-    /// I/O error (the [`EdgeSink`] interface is infallible, so errors are
-    /// captured and reported here).
+    /// Hands the block to the output. After the first failure the writer
+    /// is dead: [`EdgeSink::edge`] becomes a no-op and
+    /// [`NTriplesWriter::finish`] reports the error.
+    fn flush_block(&mut self) {
+        if let Err(e) = self.out.write_all(&self.block) {
+            self.error = Some(e);
+        }
+        self.block.clear();
+    }
+
+    /// Finishes writing: the last partial block, then a flush of the
+    /// stream, surfacing any deferred I/O error (the [`EdgeSink`]
+    /// interface is infallible, so errors are captured and reported here).
     pub fn finish(mut self) -> io::Result<u64> {
+        if self.error.is_none() && !self.block.is_empty() {
+            self.flush_block();
+        }
         if let Some(e) = self.error.take() {
             return Err(e);
         }
@@ -177,19 +253,15 @@ impl<W: Write> NTriplesWriter<W> {
 }
 
 impl<W: Write> EdgeSink for NTriplesWriter<W> {
+    #[inline]
     fn edge(&mut self, src: NodeId, pred: PredIdx, trg: NodeId) {
         if self.error.is_some() {
             return;
         }
-        let result = writeln!(
-            self.out,
-            "{node}{src}> {pred} {node}{trg}> .",
-            node = self.format.node_prefix,
-            pred = self.format.pred_iris[pred],
-        );
-        match result {
-            Ok(()) => self.written += 1,
-            Err(e) => self.error = Some(e),
+        self.format.push_line(&mut self.block, src, pred, trg);
+        self.written += 1;
+        if self.block.len() >= BLOCK_BYTES {
+            self.flush_block();
         }
     }
 }
@@ -333,6 +405,84 @@ mod tests {
              <http://gmark.example.org/node/3> ."
         );
         assert!(lines.next().is_none());
+    }
+
+    #[test]
+    fn push_line_renders_every_digit_count_like_format() {
+        // 0, 9, 10, 99, 100, … around every power of ten, up to u32::MAX.
+        let mut ids = vec![0u32, u32::MAX, u32::MAX - 1];
+        let mut p = 1u64;
+        while p <= u32::MAX as u64 {
+            for id in [p - 1, p, p + 1] {
+                if let Ok(id) = u32::try_from(id) {
+                    ids.push(id);
+                }
+            }
+            p *= 10;
+        }
+        let names = vec!["has part".to_owned(), "café/µ".to_owned()];
+        let format = NTriplesFormat::new(&names, "http://ex.org/my graphs/");
+        for (i, &src) in ids.iter().enumerate() {
+            let trg = ids[ids.len() - 1 - i];
+            let pred = i % names.len();
+            let mut line = Vec::new();
+            format.push_line(&mut line, src, pred, trg);
+            let name = encode_segment(&names[pred]);
+            assert_eq!(
+                String::from_utf8(line).unwrap(),
+                format!(
+                    "<http://ex.org/my%20graphs/node/{src}> \
+                     <http://ex.org/my%20graphs/pred/{name}> \
+                     <http://ex.org/my%20graphs/node/{trg}> .\n"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn blocks_are_flushed_whole_and_the_tail_on_finish() {
+        /// Records the size of every `write` it receives.
+        struct Sizes(Vec<usize>);
+        impl Write for Sizes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sizes = Sizes(Vec::new());
+        let mut w = NTriplesWriter::new(&mut sizes, names());
+        let lines = 10_000u32; // ≈ 1 MB: several whole blocks and a tail
+        for i in 0..lines {
+            w.edge(i, 0, i);
+        }
+        assert_eq!(w.finish().unwrap(), lines as u64);
+        let (tail, whole) = sizes.0.split_last().unwrap();
+        assert!(whole.len() >= 3, "{:?}", sizes.0);
+        assert!(whole.iter().all(|&n| n >= BLOCK_BYTES), "{:?}", sizes.0);
+        assert!(*tail > 0 && *tail < BLOCK_BYTES + 256, "{:?}", sizes.0);
+    }
+
+    #[test]
+    fn first_write_error_kills_the_writer_and_finish_reports_it() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = NTriplesWriter::new(Full, names());
+        for i in 0..10_000 {
+            w.edge(i, 0, i);
+        }
+        let accepted = w.written();
+        assert!(accepted < 10_000, "edges after the failure are dropped");
+        assert_eq!(w.finish().unwrap_err().kind(), io::ErrorKind::StorageFull);
     }
 
     #[test]

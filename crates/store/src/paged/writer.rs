@@ -9,9 +9,10 @@ use super::{
 use crate::graph::Csr;
 use crate::sink::EdgeSink;
 use crate::{Graph, NodeId, PredIdx};
-use std::fs::File;
+use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buffered writer that tracks the byte position and maintains the
 /// running FNV-1a checksum over everything written through [`Self::put`].
@@ -238,12 +239,15 @@ impl StoreWriter {
     }
 }
 
-/// A scratch directory of per-constraint binary edge files — the store
-/// counterpart of the N-Triples [`ShardSet`](crate::ShardSet). Each record
-/// is 8 bytes: source and target `u32`, little-endian (the predicate is
-/// implied — every schema constraint carries exactly one). Dropped with
-/// its directory; stale directories of dead processes are reaped like
-/// shard scratch.
+/// A scratch directory of per-constraint binary edge files — the one place
+/// the streaming pipeline touches disk besides its artifacts: building
+/// the store sorts each predicate's edges, and an external sort needs
+/// them somewhere. Each record is 8 bytes: source and target `u32`,
+/// little-endian (the predicate is implied — every schema constraint
+/// carries exactly one). The directory is uniquely named (process id +
+/// counter), so concurrent runs can share a scratch parent; it is removed
+/// with the spool, and stale directories of dead processes are reaped
+/// when the next spool is created.
 #[derive(Debug)]
 pub struct EdgeSpool {
     dir: PathBuf,
@@ -254,7 +258,7 @@ impl EdgeSpool {
     /// Creates a fresh spool directory under `parent` for `count`
     /// constraints.
     pub fn create(parent: &Path, count: usize) -> io::Result<EdgeSpool> {
-        let dir = crate::shard::create_unique_scratch(parent, ".gmark-spool-")?;
+        let dir = create_unique_scratch(parent)?;
         Ok(EdgeSpool { dir, count })
     }
 
@@ -311,7 +315,79 @@ impl EdgeSpool {
 
 impl Drop for EdgeSpool {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
+        // Best effort: scratch cleanup must never mask the real error path.
+        let _ = fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn annotate(e: io::Error, what: &str, path: &Path) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
+}
+
+/// What every spool directory's name starts with, before `<pid>-<counter>`.
+const SPOOL_PREFIX: &str = ".gmark-spool-";
+
+/// Creates a uniquely named (process id + counter) spool directory under
+/// `parent`, first reaping stale siblings.
+fn create_unique_scratch(parent: &Path) -> io::Result<PathBuf> {
+    static UNIQUIFIER: AtomicU64 = AtomicU64::new(0);
+    fs::create_dir_all(parent).map_err(|e| annotate(e, "creating scratch parent", parent))?;
+    reap_stale_scratch(parent, std::time::Duration::from_secs(3600));
+    loop {
+        let tag = UNIQUIFIER.fetch_add(1, Ordering::Relaxed);
+        let dir = parent.join(format!("{SPOOL_PREFIX}{}-{tag}", std::process::id()));
+        match fs::create_dir(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(annotate(e, "creating scratch dir", &dir)),
+        }
+    }
+}
+
+/// Removes `.gmark-spool-<pid>-*` directories left by processes that no
+/// longer exist (Drop never runs on SIGKILL / un-unwound Ctrl-C, and an
+/// interrupted Table 3-scale run can leave many GB behind). A directory
+/// is reaped only when *both* hold:
+///
+/// * its pid is dead per procfs (so reaping only happens where `/proc`
+///   exists, and directories of live local pids are never touched), and
+/// * it has not been modified for `min_idle` (an hour in production;
+///   creating a spool file bumps the dir mtime, so an active run keeps
+///   itself fresh).
+///
+/// The pid check is namespace-local: a run in a *different* pid namespace
+/// (container) sharing this scratch parent looks dead from here. The age
+/// guard is what protects such runs — only one idle for over an hour can
+/// be misreaped, and sharing one scratch/output directory between
+/// concurrent runs is already unsupported (they would overwrite each
+/// other's `graph.nt`). Best effort by design.
+fn reap_stale_scratch(parent: &Path, min_idle: std::time::Duration) {
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = fs::read_dir(parent) else {
+        return;
+    };
+    let own_pid = std::process::id();
+    for entry in entries.filter_map(|e| e.ok()) {
+        let name = entry.file_name();
+        let Some(rest) = name.to_str().and_then(|n| n.strip_prefix(SPOOL_PREFIX)) else {
+            continue;
+        };
+        let Some(pid) = rest.split('-').next().and_then(|p| p.parse::<u32>().ok()) else {
+            continue;
+        };
+        let pid_dead = pid != own_pid && !Path::new(&format!("/proc/{pid}")).exists();
+        let idle_long = min_idle.is_zero()
+            || entry
+                .metadata()
+                .and_then(|m| m.modified())
+                .ok()
+                .and_then(|t| t.elapsed().ok())
+                .is_some_and(|age| age >= min_idle);
+        if pid_dead && idle_long {
+            let _ = fs::remove_dir_all(entry.path());
+        }
     }
 }
 
@@ -395,4 +471,58 @@ pub fn build_store_from_spool(
         writer.write_segment(bwd.offsets(), bwd.targets())?;
     }
     writer.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drop_removes_the_spool_dir_and_distinct_spools_do_not_collide() {
+        let (a_path, b_path);
+        {
+            let a = EdgeSpool::create(&std::env::temp_dir(), 1).unwrap();
+            let b = EdgeSpool::create(&std::env::temp_dir(), 1).unwrap();
+            a.writer(0).unwrap().finish().unwrap();
+            (a_path, b_path) = (a.path(0), b.path(0));
+            assert_ne!(a_path, b_path);
+            assert!(a_path.exists());
+        }
+        assert!(!a_path.parent().unwrap().exists(), "dir survives its spool");
+        assert!(!b_path.parent().unwrap().exists(), "dir survives its spool");
+    }
+
+    #[test]
+    fn stale_scratch_of_dead_process_is_reaped() {
+        if !Path::new("/proc/self").exists() {
+            return; // liveness check needs procfs
+        }
+        let parent = std::env::temp_dir().join(format!("gmark-reap-test-{}", std::process::id()));
+        fs::create_dir_all(&parent).unwrap();
+        // No pid this high exists (kernel pid_max tops out well below).
+        let stale = parent.join(".gmark-spool-4294967294-0");
+        fs::create_dir_all(&stale).unwrap();
+        fs::write(stale.join("edges-000000.bin"), b"leftover").unwrap();
+        // Freshly modified: the production age guard must spare it even
+        // though its pid is dead (cross-namespace protection)...
+        let recent_spared = EdgeSpool::create(&parent, 1).unwrap();
+        assert!(stale.exists(), "hour-fresh dir must survive the age guard");
+        // ...but once past the idle threshold it is reaped.
+        reap_stale_scratch(&parent, std::time::Duration::ZERO);
+        assert!(!stale.exists(), "stale dir of a dead pid must be reaped");
+        drop(recent_spared);
+        let _ = fs::remove_dir_all(&parent);
+    }
+
+    #[test]
+    fn live_scratch_is_not_reaped() {
+        let parent = std::env::temp_dir().join(format!("gmark-reap-live-{}", std::process::id()));
+        let a = EdgeSpool::create(&parent, 1).unwrap();
+        a.writer(0).unwrap().finish().unwrap();
+        // A second create in the same parent must leave our (live) dir alone.
+        let _b = EdgeSpool::create(&parent, 1).unwrap();
+        assert!(a.path(0).exists(), "live scratch dir was reaped");
+        drop(a);
+        let _ = fs::remove_dir_all(&parent);
+    }
 }

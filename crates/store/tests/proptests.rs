@@ -116,6 +116,30 @@ proptest! {
     }
 
     #[test]
+    fn push_line_equals_the_format_reference(
+        raw_names in prop::collection::vec("[ -~éµ]{1,8}", 1..4),
+        raw_base in "[ -~é]{0,12}",
+        edges in prop::collection::vec((any::<u32>(), 0usize..4, any::<u32>()), 1..40),
+    ) {
+        // The kernel against what `writeln!` used to render, for hostile
+        // predicate names, a custom (hostile) base and the full id range.
+        let base = format!("http://ex.org/{raw_base}");
+        let format = gmark_store::NTriplesFormat::new(&raw_names, &base);
+        let escaped = gmark_store::ntriples::encode_iri_base(base.trim_end_matches('/'));
+        let mut got = Vec::new();
+        let mut expected = String::new();
+        for &(s, p, t) in &edges {
+            let p = p % raw_names.len();
+            format.push_line(&mut got, s, p, t);
+            let name = gmark_store::ntriples::encode_segment(&raw_names[p]);
+            expected.push_str(&format!(
+                "<{escaped}/node/{s}> <{escaped}/pred/{name}> <{escaped}/node/{t}> .\n"
+            ));
+        }
+        prop_assert_eq!(String::from_utf8(got).unwrap(), expected);
+    }
+
+    #[test]
     fn ntriples_round_trip_arbitrary_edges(
         n in 1u32..30,
         edges in prop::collection::vec((0u32..30, 0usize..2, 0u32..30), 0..80),

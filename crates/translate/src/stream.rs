@@ -12,14 +12,18 @@
 //! * worker threads claim query indices from a shared counter, generate
 //!   query `i` from its own RNG stream (split off the master seed by
 //!   index), render its five documents — rule notation plus SPARQL,
-//!   openCypher, SQL, Datalog — and write them to per-query shards
-//!   ([`gmark_store::ShardSet`], one set per document);
-//! * shards are concatenated in **ascending query index**, reproducing
-//!   byte for byte what a single-threaded run streams directly (the
-//!   1-thread path skips the shard files entirely).
+//!   openCypher, SQL, Datalog — and hand the five texts to one
+//!   [`gmark_store::OrderedEmitter`] with a lane per document;
+//! * the emitter writes query `i`'s texts after those of every query below
+//!   `i`: the worker on the lowest unfinished query writes straight to the
+//!   outputs, the others park their (small) texts in memory, within a
+//!   fixed budget, until the queries before theirs are done. No temporary
+//!   file at any thread count; one worker is the same code with nothing
+//!   ever parked.
 //!
-//! Because shard `(d, i)` is a pure function of `(schema, config, i)`, all
-//! five documents are byte-identical at every thread count — pinned by
+//! Because query `i`'s text in document `d` is a pure function of
+//! `(schema, config, i)`, ascending order makes all five documents
+//! byte-identical at every thread count — pinned by
 //! `tests/workload_determinism.rs` and the CI `cmp` smoke step.
 //!
 //! Per-worker partial [`WorkloadReport`]s and [`DiversitySummary`]s are
@@ -36,7 +40,7 @@ use gmark_core::workload::{
     DiversitySummary, GeneratedQuery, WorkloadConfig, WorkloadContext, WorkloadError,
     WorkloadReport,
 };
-use gmark_store::ShardSet;
+use gmark_store::{EmitStats, OrderedEmitter};
 use std::io::{self, Write};
 use std::path::PathBuf;
 
@@ -79,9 +83,9 @@ pub struct WorkloadStreamOptions {
     /// [`std::thread::available_parallelism`]. Output never depends on
     /// this value.
     pub threads: usize,
-    /// Parent directory for the temporary per-query shard files (used only
-    /// with more than one thread). Pick one on the same filesystem as the
-    /// final outputs so concatenation is a plain sequential copy.
+    /// Unused: the workload pipeline keeps no temporary files. The field
+    /// stays until these per-crate option structs are collapsed into the
+    /// facade's `RunOptions`.
     pub scratch_dir: PathBuf,
 }
 
@@ -108,7 +112,7 @@ pub enum WorkloadStreamError {
         /// The underlying translation error.
         source: TranslateError,
     },
-    /// Writing a shard or an output failed.
+    /// Writing an output failed.
     Io(io::Error),
 }
 
@@ -162,6 +166,8 @@ pub struct StreamSummary {
     /// Worker threads actually used after resolving `0 = auto-detect` and
     /// clamping to the workload size (what the CLI reports).
     pub threads: usize,
+    /// Where the output time went (report and banner only).
+    pub emit: EmitStats,
 }
 
 /// Renders query `i`'s five documents. Each document gets a per-query
@@ -225,119 +231,57 @@ pub fn write_workload<W: Write>(
     Ok(bytes)
 }
 
-/// Per-worker fold state for the parallel path.
+/// What one worker folds over the queries it produced; merged
+/// commutatively, so the totals are scheduling-independent.
 #[derive(Default)]
 struct Partial {
     report: WorkloadReport,
     diversity: DiversitySummary,
-}
-
-impl Partial {
-    fn absorb(&mut self, gq: &GeneratedQuery) {
-        self.report.absorb(gq);
-        self.diversity.add(gq);
-    }
+    bytes: [u64; DOC_COUNT],
 }
 
 /// Generates, translates, and writes a whole workload without holding more
-/// than one query's text in memory per worker (see the module docs). All
-/// five documents are byte-identical for every thread count.
-pub fn stream_workload<W: Write>(
+/// than one query's text in memory per worker, plus the emitter's fixed
+/// parking budget (see the module docs). All five documents are
+/// byte-identical for every thread count. The first failure stops the run
+/// — no further query is claimed, parked workers wake — and the error of
+/// the lowest failing query index is returned. Since the outputs are
+/// written from worker threads they must be `Send`.
+pub fn stream_workload<W: Write + Send>(
     schema: &Schema,
     config: &WorkloadConfig,
     opts: &WorkloadStreamOptions,
     outs: &mut WorkloadOutputs<W>,
 ) -> Result<StreamSummary, WorkloadStreamError> {
     let ctx = WorkloadContext::new(schema, config);
-    let size = config.size;
     let threads = ctx.effective_threads(opts.threads);
-
-    let mut summary = StreamSummary {
+    let emitter = OrderedEmitter::new(outs.as_array_mut().into(), config.size);
+    let (partials, emit) = emitter.run(
         threads,
-        ..StreamSummary::default()
-    };
-    if threads <= 1 {
-        // Query order equals concat order, so the sequential path streams
-        // the same bytes as the sharded path without touching scratch.
-        let destinations = outs.as_array_mut();
-        for i in 0..size {
+        |partial: &mut Partial, i, lanes| -> Result<(), WorkloadStreamError> {
             let gq = ctx.generate(i)?;
             let docs = render_query(i, &gq, schema)?;
             for (d, text) in docs.iter().enumerate() {
-                destinations[d].write_all(text.as_bytes())?;
-                summary.bytes[d] += text.len() as u64;
+                lanes[d].write_all(text.as_bytes())?;
+                partial.bytes[d] += text.len() as u64;
             }
-            summary.report.absorb(&gq);
-            summary.diversity.add(&gq);
-        }
-        for out in destinations {
-            out.flush()?;
-        }
-        return Ok(summary);
-    }
+            partial.report.absorb(&gq);
+            partial.diversity.add(&gq);
+            Ok(())
+        },
+    )?;
 
-    // Parallel path: one shard set per document, one shard per query.
-    let sets: Vec<ShardSet> = (0..DOC_COUNT)
-        .map(|_| ShardSet::create(&opts.scratch_dir, size))
-        .collect::<io::Result<_>>()?;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Result<Partial, (usize, WorkloadStreamError)>> =
-        std::thread::scope(|scope| {
-            let (next, ctx, sets) = (&next, &ctx, &sets);
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut partial = Partial::default();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= size {
-                                break;
-                            }
-                            let gq = ctx.generate(i).map_err(|e| (i, e.into()))?;
-                            let docs = render_query(i, &gq, schema).map_err(|e| (i, e))?;
-                            for (d, text) in docs.iter().enumerate() {
-                                let write = || -> io::Result<()> {
-                                    let mut w = sets[d].text_writer(i)?;
-                                    w.write_str(text)?;
-                                    w.finish()?;
-                                    Ok(())
-                                };
-                                write().map_err(|e| (i, e.into()))?;
-                            }
-                            partial.absorb(&gq);
-                        }
-                        Ok(partial)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("workload streaming worker panicked"))
-                .collect()
-        });
-
-    // Report the lowest failing index (scheduling-independent: every index
-    // below it was claimed earlier and completed by whoever claimed it).
-    let mut first_error: Option<(usize, WorkloadStreamError)> = None;
-    for result in per_worker {
-        match result {
-            Ok(partial) => {
-                summary.report.merge(&partial.report);
-                summary.diversity.merge(&partial.diversity);
-            }
-            Err((i, e)) => {
-                if first_error.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                    first_error = Some((i, e));
-                }
-            }
+    let mut summary = StreamSummary {
+        threads,
+        emit,
+        ..StreamSummary::default()
+    };
+    for partial in partials {
+        summary.report.merge(&partial.report);
+        summary.diversity.merge(&partial.diversity);
+        for (total, bytes) in summary.bytes.iter_mut().zip(partial.bytes) {
+            *total += bytes;
         }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    for (d, out) in outs.as_array_mut().into_iter().enumerate() {
-        summary.bytes[d] = sets[d].concat_into(out)?;
-        out.flush()?;
     }
     Ok(summary)
 }
@@ -476,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn no_scratch_leftovers_after_parallel_run() {
+    fn scratch_dir_is_never_touched() {
         let scratch = std::env::temp_dir().join(format!("gmark-wl-scratch-{}", std::process::id()));
         let schema = usecases::bib();
         let mut outs = outputs();
@@ -485,10 +429,48 @@ mod tests {
             scratch_dir: scratch.clone(),
         };
         stream_workload(&schema, &config(), &opts, &mut outs).expect("streams");
-        let leftovers: Vec<_> = std::fs::read_dir(&scratch)
-            .map(|rd| rd.filter_map(|e| e.ok()).collect())
-            .unwrap_or_default();
-        assert!(leftovers.is_empty(), "leftover shard dirs: {leftovers:?}");
-        let _ = std::fs::remove_dir_all(&scratch);
+        assert!(!scratch.exists(), "the pipeline created {scratch:?}");
+    }
+
+    /// Accepts `room` bytes, then fails every write.
+    struct FailsAfter {
+        room: usize,
+    }
+
+    impl Write for FailsAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.room {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+            }
+            self.room -= buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_output_fails_the_run_with_its_error_at_every_thread_count() {
+        let schema = usecases::bib();
+        for threads in [1usize, 2, 8] {
+            let mut outs = WorkloadOutputs {
+                rules: FailsAfter { room: usize::MAX },
+                sparql: FailsAfter { room: usize::MAX },
+                cypher: FailsAfter { room: 600 },
+                sql: FailsAfter { room: usize::MAX },
+                datalog: FailsAfter { room: usize::MAX },
+            };
+            let opts = WorkloadStreamOptions {
+                threads,
+                ..Default::default()
+            };
+            match stream_workload(&schema, &config(), &opts, &mut outs) {
+                Err(WorkloadStreamError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::StorageFull, "{threads} threads")
+                }
+                other => panic!("{threads} threads: expected the I/O error, got {other:?}"),
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! Parses arguments into a [`RunPlan`] + [`RunOptions`], executes them
 //! through a [`DirSink`], and prints the [`RunSummary`] — human-readable
 //! by default, machine-readable JSON with `--format json`. All
-//! orchestration (which pipeline runs, in which mode, where shard scratch
-//! lives, what the report contains) is owned by the library.
+//! orchestration (which pipeline runs, in which mode, where the store
+//! build's spool lives, what the report contains) is owned by the library.
 //!
 //! Outputs, inside `--output <dir>`:
 //!
@@ -111,9 +111,12 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   0 auto-detects the available parallelism. Every output\n\
                   file is byte-identical at every thread count,\n\
                   including 1.\n\
-  --stream        memory-bounded graph pipeline: stream N-Triples through\n\
-                  per-constraint shard files instead of materializing the\n\
-                  graph. Also byte-identical for every thread count. The\n\
+  --stream        memory-bounded graph pipeline: write each constraint's\n\
+                  N-Triples as they are generated, in constraint order and\n\
+                  in one pass, instead of materializing the graph. No\n\
+                  temporary files (only --stream --store spools edges to\n\
+                  disk); memory is bounded by the largest constraint.\n\
+                  Also byte-identical for every thread count. The\n\
                   streamed serialization keeps generation order and\n\
                   duplicate triples; the default serialization is sorted\n\
                   and deduplicated (same edge set either way). Combinable\n\

@@ -61,6 +61,7 @@
 //! | `generate_streamed(&config, &opts, &stream_opts, &mut out)` | [`run::run`] with [`run::RunOptions::stream`] |
 //! | `generate_workload[_with_threads](&schema, &cfg, ..)` | [`run::run_in_memory`] (workload in [`run::RunArtifacts::workload`]) |
 //! | `stream_workload(&schema, &cfg, &opts, &mut outs)` | [`run::run`] (the five workload artifacts) |
+//! | `gmark_store::{ShardSet, ShardWriter, TextShardWriter}` (removed: no pipeline keeps temp files) | [`store::OrderedEmitter`] — or just [`run::run`] |
 //! | `ConfigError` / `WorkloadError` / `TranslateError` / `EvalError` / `io::Error` juggling | [`run::GmarkError`] |
 //! | scraping `report.txt` | [`run::RunSummary::to_json`] (`--format json`) |
 //! | `EvalContext::new(&graph)` over a `&Graph` only | `EvalContext::new(view)` over a [`store::GraphView`] — `&Graph` still converts via `Into`, and [`store::StoreReader`] plugs in the on-disk paged store |

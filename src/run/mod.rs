@@ -34,10 +34,12 @@
 //! Every byte produced through this API is a pure function of the plan
 //! and the seed: thread count, streaming mode, and sink choice never
 //! change workload bytes, and within one graph serialization mode the
-//! graph bytes are identical at every thread count — **including one**
-//! (this API routes single-threaded default-mode runs through the same
-//! ordered-merge path as parallel runs, closing the historical wart where
-//! `--threads 1` wrote the same edge set with different bytes). Streamed
+//! graph bytes are identical at every thread count — **including one**:
+//! every artifact written by several workers goes through one
+//! [`gmark_store::OrderedEmitter`], which writes numbered units
+//! (constraints, predicates, queries) in ascending order whoever produces
+//! them, and a single worker runs the same code with a head that never
+//! waits. Streamed
 //! and non-streamed graph output remain distinct serializations of the
 //! same data: generation order with duplicates vs. sorted and
 //! deduplicated.
@@ -87,8 +89,9 @@ use gmark_engines::{
     evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalReport, MatrixOptions,
 };
 use gmark_store::{
-    build_store_from_spool, EdgeSink as _, EdgeSpool, Graph, GraphView, NTriplesWriter, StoreError,
-    StoreMeta, StoreReader, StoreWriter, TypePartition, DEFAULT_PAGE_SIZE,
+    build_store_from_spool, EdgeSink as _, EdgeSpool, EmitStats, Graph, GraphView, NTriplesFormat,
+    NTriplesWriter, OrderedEmitter, StoreError, StoreMeta, StoreReader, StoreWriter, TypePartition,
+    DEFAULT_PAGE_SIZE,
 };
 use gmark_translate::{stream_workload, write_workload, WorkloadOutputs};
 use std::fmt::Write as _;
@@ -102,7 +105,9 @@ use std::time::Instant;
 ///
 /// The graph is written as N-Triples (memory-bounded when
 /// [`RunOptions::stream`] is set, materialized-then-serialized otherwise);
-/// the workload streams through the parallel per-query shard pipeline.
+/// the workload streams through the parallel per-query pipeline. Both go
+/// to their artifacts in one ordered pass — the only temporary files a
+/// run ever creates are the edge spool of `stream` + store output.
 /// Returns the [`RunSummary`] after [`Sink::finish`] has run.
 pub fn run<S: Sink + ?Sized>(
     plan: &RunPlan,
@@ -144,7 +149,7 @@ pub fn run<S: Sink + ?Sized>(
         };
         let start = Instant::now();
         let (report, written) = if opts.stream {
-            let stream_opts = opts.stream_options(scratch.clone());
+            let stream_opts = opts.stream_options();
             if plan.outputs.store {
                 // The beyond-RAM path: tee every generated edge into
                 // per-constraint spool files while streaming N-Triples,
@@ -187,24 +192,15 @@ pub fn run<S: Sink + ?Sized>(
             }
         } else {
             // The ordered-merge path at *every* thread count: materialize
-            // (deterministic constraint-order shard merge), then serialize
-            // the built graph — sorted, deduplicated, byte-identical for
+            // (deterministic constraint-order merge), then serialize the
+            // built graph — sorted, deduplicated, byte-identical for
             // T = 1, 2, 8, ….
-            let (graph, report) = generate_graph(&plan.graph, &gen_opts);
+            let (graph, mut report) = generate_graph(&plan.graph, &gen_opts);
             let written = if plan.outputs.graph {
-                let mut writer = NTriplesWriter::with_base(
-                    &mut out,
-                    plan.graph.schema.predicate_names(),
-                    &opts.base_iri,
-                );
-                for pred in 0..graph.predicate_count() {
-                    for (src, trg) in graph.edges(pred) {
-                        writer.edge(src, pred, trg);
-                    }
-                }
-                writer
-                    .finish()
-                    .map_err(|e| GmarkError::io("writing graph.nt", e))?
+                let (written, emit) = write_ntriples(&graph, plan, opts, threads, &mut out)
+                    .map_err(|e| GmarkError::io("writing graph.nt", e))?;
+                report.emit = Some(emit);
+                written
             } else {
                 0
             };
@@ -234,6 +230,8 @@ pub fn run<S: Sink + ?Sized>(
             edges_generated: report.total_edges,
             constraints: report.constraints,
             seconds: start.elapsed().as_secs_f64(),
+            // A store-only run formats into a null writer: nothing to report.
+            emit: report.emit.filter(|_| plan.outputs.graph),
         });
     }
 
@@ -254,7 +252,7 @@ pub fn run<S: Sink + ?Sized>(
             datalog: open(Artifact::Datalog)?,
         };
         let start = Instant::now();
-        let (report, bytes, diversity) = if plan.eval.is_some() {
+        let (report, bytes, diversity, emit) = if plan.eval.is_some() {
             // Evaluation needs the materialized queries anyway: generate
             // once (parallel), render the documents from the materialized
             // workload — byte-identical to the streamed path, which
@@ -264,11 +262,11 @@ pub fn run<S: Sink + ?Sized>(
             let bytes = write_workload(&plan.graph.schema, &w.queries, &mut outs)?;
             let diversity = w.diversity();
             kept_workload = Some(w);
-            (report, bytes, diversity)
+            (report, bytes, diversity, None)
         } else {
-            let stream_opts = opts.workload_stream_options(scratch);
+            let stream_opts = opts.workload_stream_options();
             let s = stream_workload(&plan.graph.schema, &wcfg, &stream_opts, &mut outs)?;
-            (s.report, s.bytes, s.diversity)
+            (s.report, s.bytes, s.diversity, Some(s.emit))
         };
         workload_summary = Some(WorkloadRunSummary {
             seed: wcfg.seed,
@@ -280,6 +278,7 @@ pub fn run<S: Sink + ?Sized>(
             bytes,
             diversity,
             seconds: start.elapsed().as_secs_f64(),
+            emit,
         });
     }
 
@@ -398,6 +397,7 @@ pub fn run_in_memory(plan: &RunPlan, opts: &RunOptions) -> Result<RunArtifacts, 
             edges_generated: report.total_edges,
             constraints: report.constraints,
             seconds: start.elapsed().as_secs_f64(),
+            emit: None,
         });
         graph = Some(g);
     }
@@ -418,6 +418,7 @@ pub fn run_in_memory(plan: &RunPlan, opts: &RunOptions) -> Result<RunArtifacts, 
             bytes: [0; 5],
             diversity: w.diversity(),
             seconds: start.elapsed().as_secs_f64(),
+            emit: None,
         });
         workload = Some(w);
     }
@@ -463,6 +464,36 @@ pub fn run_in_memory(plan: &RunPlan, opts: &RunOptions) -> Result<RunArtifacts, 
             eval: eval_summary,
         },
     })
+}
+
+/// Serializes a built graph as N-Triples, one unit per predicate: workers
+/// format predicates in parallel and the [`OrderedEmitter`] writes them in
+/// predicate order — the bytes one writer looping over the predicates
+/// produces. Returns the number of triples written.
+fn write_ntriples<W: std::io::Write + Send>(
+    graph: &Graph,
+    plan: &RunPlan,
+    opts: &RunOptions,
+    threads: usize,
+    out: &mut W,
+) -> std::io::Result<(u64, EmitStats)> {
+    let format = std::sync::Arc::new(NTriplesFormat::new(
+        &plan.graph.schema.predicate_names(),
+        &opts.base_iri,
+    ));
+    let predicates = graph.predicate_count();
+    let (written, emit) = OrderedEmitter::new(vec![out], predicates).run(
+        threads.clamp(1, predicates.max(1)),
+        |written: &mut u64, pred, lanes| -> std::io::Result<()> {
+            let mut writer = NTriplesWriter::with_format(&mut lanes[0], format.clone());
+            for (src, trg) in graph.edges(pred) {
+                writer.edge(src, pred, trg);
+            }
+            *written += writer.finish()?;
+            Ok(())
+        },
+    )?;
+    Ok((written.iter().sum(), emit))
 }
 
 /// The workload configuration after applying the run options' seed

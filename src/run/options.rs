@@ -28,21 +28,27 @@ pub struct RunOptions {
     /// [`std::thread::available_parallelism`]. Every output is
     /// byte-identical at every thread count.
     pub threads: usize,
-    /// Memory-bounded graph pipeline: stream N-Triples through
-    /// per-constraint shard files instead of materializing the graph.
-    /// Streamed output preserves generation order and keeps duplicate
-    /// triples; non-streamed output is sorted and deduplicated (same edge
-    /// set — RDF set semantics make them equivalent data).
+    /// Memory-bounded graph pipeline: format each constraint's edges as
+    /// N-Triples while they are generated and write them to `graph.nt` in
+    /// constraint order, in one pass, instead of materializing the graph.
+    /// No temporary files; memory is bounded by the largest constraint's
+    /// slot vectors plus a fixed block budget. Streamed output preserves
+    /// generation order and keeps duplicate triples; non-streamed output
+    /// is sorted and deduplicated (same edge set — RDF set semantics make
+    /// them equivalent data).
     pub stream: bool,
     /// The Gaussian fast path of the graph generator (see
     /// [`GeneratorOptions::gaussian_fast_path`]).
     pub gaussian_fast_path: bool,
     /// Base IRI of the N-Triples output (no trailing slash needed).
     pub base_iri: String,
-    /// Scratch directory override for temporary shard files. `None` asks
-    /// the [`Sink`](crate::run::Sink) for one (falling back to
-    /// [`std::env::temp_dir`]), which keeps shards on the output's
-    /// filesystem so concatenation is a plain sequential copy.
+    /// Scratch directory override for the only temporaries a run ever
+    /// creates: the binary edge spool of `stream` + store output (the
+    /// store build is an external sort) and, for sinks without real
+    /// files, the staged store file. `None` asks the
+    /// [`Sink`](crate::run::Sink) for one (falling back to
+    /// [`std::env::temp_dir`]). Runs without a store never touch it — the
+    /// N-Triples and workload paths keep everything in memory.
     pub scratch_dir: Option<PathBuf>,
 }
 
@@ -101,18 +107,18 @@ impl RunOptions {
     }
 
     /// The streaming graph pipeline's option struct.
-    pub(crate) fn stream_options(&self, scratch: PathBuf) -> StreamOptions {
+    pub(crate) fn stream_options(&self) -> StreamOptions {
         StreamOptions {
             base: self.base_iri.clone(),
-            scratch_dir: scratch,
+            ..StreamOptions::default()
         }
     }
 
     /// The streaming workload pipeline's option struct.
-    pub(crate) fn workload_stream_options(&self, scratch: PathBuf) -> WorkloadStreamOptions {
+    pub(crate) fn workload_stream_options(&self) -> WorkloadStreamOptions {
         WorkloadStreamOptions {
             threads: self.threads,
-            scratch_dir: scratch,
+            ..WorkloadStreamOptions::default()
         }
     }
 }

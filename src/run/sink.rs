@@ -122,8 +122,9 @@ pub trait Sink {
     fn open(&mut self, artifact: Artifact) -> io::Result<Box<dyn Write + Send>>;
 
     /// A directory on the same filesystem as the final outputs, for the
-    /// pipeline's temporary shard files. `None` (the default) falls back
-    /// to [`std::env::temp_dir`].
+    /// temporaries of a store build (the streamed pipeline's edge spool;
+    /// nothing else is ever staged on disk). `None` (the default) falls
+    /// back to [`std::env::temp_dir`].
     fn scratch_dir(&self) -> Option<PathBuf> {
         None
     }
@@ -192,9 +193,8 @@ impl Sink for DirSink {
         Ok(Box::new(self.create(artifact)?))
     }
 
-    /// The output directory itself: shard files land on the same
-    /// filesystem, so the final concatenation is a sequential same-device
-    /// copy.
+    /// The output directory itself: the store build's edge spool lands
+    /// on the filesystem the store is written to.
     fn scratch_dir(&self) -> Option<PathBuf> {
         Some(self.dir.clone())
     }

@@ -8,6 +8,7 @@
 
 use gmark_core::gen::ConstraintReport;
 use gmark_core::workload::DiversitySummary;
+use gmark_store::EmitStats;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -55,6 +56,11 @@ pub struct GraphRunSummary {
     pub constraints: Vec<ConstraintReport>,
     /// Wall-clock generation + serialization time.
     pub seconds: f64,
+    /// Where the `graph.nt` output time went: blocks and bytes written,
+    /// seconds inside `write`, seconds workers waited their turn. `None`
+    /// when no N-Triples were written. Report and banner only — never
+    /// serialized to JSON.
+    pub emit: Option<EmitStats>,
 }
 
 /// The on-disk paged store's slice of a [`RunSummary`] (the `--store`
@@ -97,6 +103,10 @@ pub struct WorkloadRunSummary {
     pub diversity: DiversitySummary,
     /// Wall-clock generation + translation time.
     pub seconds: f64,
+    /// Where the five documents' output time went (see
+    /// [`GraphRunSummary::emit`]). `None` when the run rendered them from
+    /// a materialized workload or not at all.
+    pub emit: Option<EmitStats>,
 }
 
 /// The evaluation half of a [`RunSummary`] — the outcome of the
@@ -185,6 +195,9 @@ impl RunSummary {
                     "edges: {} written ({} generated before dedup) in {:.3}s",
                     g.edges_written, g.edges_generated, g.seconds
                 );
+                if let Some(emit) = &g.emit {
+                    let _ = writeln!(rep, "graph output: {emit}");
+                }
                 for (i, cr) in g.constraints.iter().enumerate() {
                     let _ = writeln!(
                         rep,
@@ -221,6 +234,9 @@ impl RunSummary {
                 "cypher degradations: {} concatenation-under-star, {} inverse-under-star",
                 w.cypher_star_concat, w.cypher_star_inverse
             );
+            if let Some(emit) = &w.emit {
+                let _ = writeln!(rep, "workload output: {emit}");
+            }
             let _ = writeln!(rep, "diversity:\n{}", w.diversity);
         }
         if let Some(e) = &self.eval {
@@ -318,6 +334,9 @@ impl std::fmt::Display for RunSummary {
                 if self.threads > 1 { "s" } else { "" },
                 if self.streamed { ", streamed" } else { "" }
             )?;
+            if let Some(emit) = &g.emit {
+                writeln!(f, "graph output: {emit}")?;
+            }
         }
         if let Some(s) = &self.store {
             writeln!(
@@ -338,6 +357,9 @@ impl std::fmt::Display for RunSummary {
                 w.cypher_star_concat,
                 w.cypher_star_inverse,
             )?;
+            if let Some(emit) = &w.emit {
+                writeln!(f, "workload output: {emit}")?;
+            }
         }
         if let Some(e) = &self.eval {
             writeln!(
@@ -632,6 +654,12 @@ mod tests {
                     edges: 10,
                 }],
                 seconds: 0.25,
+                emit: Some(EmitStats {
+                    blocks: 3,
+                    bytes: 34_567,
+                    write_seconds: 0.01,
+                    parked_seconds: 0.02,
+                }),
             }),
             store: Some(StoreRunSummary {
                 bytes: 65_536,
@@ -649,6 +677,7 @@ mod tests {
                 bytes: [10, 20, 30, 40, 50],
                 diversity: DiversitySummary::default(),
                 seconds: 0.1,
+                emit: None,
             }),
             eval: Some(EvalRunSummary {
                 engines: "PGSD".to_owned(),
@@ -714,6 +743,19 @@ mod tests {
                 .render_report()
                 .contains("graph: skipped (--queries-only)"),
             "queries-only anchor line lost"
+        );
+    }
+
+    #[test]
+    fn output_timing_is_in_the_report_and_the_banner_but_never_in_json() {
+        let line = "graph output: 3 blocks, 34567 bytes, 0.010s in write, 0.020s parked";
+        assert!(sample().render_report().contains(line));
+        assert!(sample().to_string().contains(line));
+        assert!(!sample().render_report().contains("workload output:"));
+        let json = sample().to_json();
+        assert!(
+            !json.contains("parked") && !json.contains("blocks"),
+            "{json}"
         );
     }
 

@@ -3,9 +3,10 @@
 //! `--threads 1`, `2`, and `8` on `examples/configs/bib.xml`, and the
 //! library-level stream equals the single-threaded direct stream.
 //!
-//! (Shard bytes are a pure function of `(config, seed, constraint
-//! index)`; concatenation in ascending constraint order makes scheduling
-//! invisible — see `gmark_store::shard` for the invariant.)
+//! (A constraint's bytes are a pure function of `(config, seed, constraint
+//! index)`; writing constraints in ascending order makes scheduling
+//! invisible — see `gmark_store::emit` for the hand-off that does it
+//! without a temporary file.)
 
 use gmark::prelude::*;
 use gmark_core::gen::{generate_streamed, StreamOptions};
@@ -50,19 +51,76 @@ fn cli_streamed_graph_is_byte_identical_at_1_2_8_threads() {
             "graph.nt differs between --threads 1 and --threads {threads}"
         );
     }
-    // No shard scratch directories may survive a successful run.
+    // The output directory holds exactly the artifacts, nothing else —
+    // a streamed run creates no other file, during or after.
     for dir in ["t1", "t2", "t8"] {
-        let leftovers: Vec<_> = std::fs::read_dir(scratch.join(dir))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".gmark-shards"))
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "{dir}: leftover shard dirs {leftovers:?}"
+        assert_eq!(
+            file_names(&scratch.join(dir)),
+            [
+                "graph.nt",
+                "report.txt",
+                "workload.cypher",
+                "workload.datalog",
+                "workload.sparql",
+                "workload.sql",
+                "workload.txt",
+            ],
+            "{dir}"
         );
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// The names in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn streamed_run_without_a_store_never_touches_its_scratch_dir() {
+    // The N-Triples and workload paths keep everything in memory: a
+    // scratch directory that cannot even be created must not matter.
+    use gmark::run::{run, DirSink, RunOptions, RunPlan};
+    let root = std::env::temp_dir().join(format!("gmark-noscratch-{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    // A regular file where the scratch parent would go: `create_dir_all`
+    // below it fails for every user, root included.
+    std::fs::write(root.join("blocker"), b"").unwrap();
+    let plan = RunPlan::builder(gmark::core::usecases::bib())
+        .nodes(3_000)
+        .workload(WorkloadConfig::new(6))
+        .build()
+        .expect("plan builds");
+    let mut opts = RunOptions::with_seed(0xB1B).threads(4).stream(true);
+    opts.scratch_dir = Some(root.join("blocker/scratch"));
+    let mut sink = DirSink::new(root.join("out")).unwrap();
+    let summary = run(&plan, &opts, &mut sink).expect("no scratch is needed without a store");
+    assert!(summary.graph.unwrap().edges_written > 0);
+    assert_eq!(
+        file_names(&root.join("out")),
+        [
+            "graph.nt",
+            "report.txt",
+            "workload.cypher",
+            "workload.datalog",
+            "workload.sparql",
+            "workload.sql",
+            "workload.txt",
+        ]
+    );
+    // With a store the spool legitimately needs the directory.
+    let store_plan = RunPlan::builder(gmark::core::usecases::bib())
+        .nodes(3_000)
+        .store()
+        .build()
+        .expect("plan builds");
+    assert!(run(&store_plan, &opts, &mut sink).is_err());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //!
 //! (Query `i` draws from an RNG stream split off the master seed by query
 //! index, so its five rendered documents are a pure function of
-//! `(schema, config, i)`; concatenating per-query shards in ascending
-//! index order makes scheduling invisible — see `gmark_translate::stream`.)
+//! `(schema, config, i)`; writing queries in ascending index order makes
+//! scheduling invisible — see `gmark_translate::stream`.)
 
 use gmark::prelude::*;
 use std::path::{Path, PathBuf};
@@ -67,24 +67,19 @@ fn cli_workload_documents_are_byte_identical_at_1_2_8_threads() {
             );
         }
     }
-    // --queries-only must not build the graph, and no shard scratch
-    // directories may survive a successful run.
+    // --queries-only must not build the graph, and the output directory
+    // holds exactly the expected artifacts: no temporary file, no
+    // `graph.nt`.
     for dir in ["t1", "t2", "t8"] {
-        let out = scratch.join(dir);
-        assert!(
-            !out.join("graph.nt").exists(),
-            "{dir}: --queries-only wrote graph.nt"
-        );
-        assert!(out.join("report.txt").exists(), "{dir}: report.txt missing");
-        let leftovers: Vec<_> = std::fs::read_dir(&out)
+        let mut names: Vec<String> = std::fs::read_dir(scratch.join(dir))
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".gmark-shards"))
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert!(
-            leftovers.is_empty(),
-            "{dir}: leftover shard dirs {leftovers:?}"
-        );
+        names.sort();
+        let mut expected: Vec<&str> = WORKLOAD_FILES.to_vec();
+        expected.push("report.txt");
+        expected.sort_unstable();
+        assert_eq!(names, expected, "{dir}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
