@@ -34,7 +34,10 @@ fn engines(c: &mut Criterion) {
                 |b| {
                     b.iter(|| {
                         let budget = Budget::default();
-                        black_box(kind.evaluate(&ctx, &gq.query, &budget).map(|a| a.count()))
+                        black_box(
+                            kind.evaluate(&ctx, &gq.query, None, &budget)
+                                .map(|a| a.count()),
+                        )
                     })
                 },
             );

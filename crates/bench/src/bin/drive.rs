@@ -191,7 +191,7 @@ fn drive_inprocess(args: &Args) -> DriveReport {
         let budget = &budget;
         move |idx: usize| {
             engine
-                .evaluate(ctx, queries[idx], budget)
+                .evaluate(ctx, queries[idx], None, budget)
                 .map(|_| ())
                 .map_err(|e| format!("{e:?}"))
         }

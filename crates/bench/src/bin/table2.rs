@@ -15,7 +15,7 @@
 use gmark_bench::{build_graph, HarnessOptions, WorkloadKind};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{Engine, TripleStoreEngine};
+use gmark_engines::{EngineKind, EvalContext};
 use gmark_stats::{log_log_alpha, Summary};
 
 fn main() {
@@ -46,6 +46,10 @@ fn main() {
             .iter()
             .map(|&n| (n, build_graph(&schema, n, opts.seed, opts.threads)))
             .collect();
+        let contexts: Vec<(u64, EvalContext<'_>)> = graphs
+            .iter()
+            .map(|(n, graph)| (*n, EvalContext::new(graph)))
+            .collect();
         for kind in kinds {
             let workload = kind.workload(&schema, opts.seed ^ 0x7ab1e2);
             let mut per_class: std::collections::BTreeMap<SelectivityClass, Summary> =
@@ -54,8 +58,8 @@ fn main() {
                 let Some(target) = gq.target else { continue };
                 let mut observations = Vec::with_capacity(graphs.len());
                 let mut failed = false;
-                for (n, graph) in &graphs {
-                    match TripleStoreEngine.evaluate(graph, &gq.query, &opts.budget()) {
+                for (n, ctx) in &contexts {
+                    match EngineKind::TripleStore.evaluate(ctx, &gq.query, None, &opts.budget()) {
                         Ok(answers) => observations.push((*n, answers.count())),
                         Err(_) => {
                             failed = true;

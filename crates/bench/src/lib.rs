@@ -28,7 +28,9 @@ use gmark::run::{run_in_memory, RunOptions, RunPlan};
 use gmark_core::schema::Schema;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::workload::{QuerySize, Workload, WorkloadConfig};
-use gmark_engines::{Budget, CellBudget, CellOutcome, Engine, EvalCell, EvalError, MatrixOptions};
+use gmark_engines::{
+    Budget, CellBudget, CellOutcome, EngineKind, EvalCell, EvalContext, EvalError, MatrixOptions,
+};
 use gmark_store::Graph;
 use std::time::{Duration, Instant};
 
@@ -287,20 +289,23 @@ pub fn build_graph(schema: &Schema, n: u64, seed: u64, threads: usize) -> Graph 
 
 /// The Section 7.1 measurement protocol: one cold run (discarded), `warm`
 /// warm runs; drop the fastest and slowest warm run and average the rest.
-/// Returns the mean duration and the result count, or the failure.
+/// Returns the mean duration and the result count, or the failure. The
+/// context is the caller's, built once per graph: the cold run pays for
+/// whatever indexes the query touches first, the warm runs time
+/// evaluation only.
 pub fn measure(
-    engine: &dyn Engine,
-    graph: &Graph,
+    engine: EngineKind,
+    ctx: &EvalContext<'_>,
     query: &gmark_core::query::Query,
     budget: &Budget,
     warm: usize,
 ) -> Result<(Duration, u64), EvalError> {
-    let cold = engine.evaluate(graph, query, budget)?;
+    let cold = engine.evaluate(ctx, query, None, budget)?;
     let count = cold.count();
     let mut times = Vec::with_capacity(warm);
     for _ in 0..warm {
         let start = Instant::now();
-        engine.evaluate(graph, query, budget)?;
+        engine.evaluate(ctx, query, None, budget)?;
         times.push(start.elapsed().as_secs_f64());
     }
     let mean = gmark_stats::summary::warm_run_average(&times);
@@ -398,12 +403,12 @@ mod tests {
         let bib = gmark_core::usecases::bib();
         let graph = build_graph(&bib, 500, 3, 2);
         let w = WorkloadKind::Len.workload(&bib, 4);
-        let engine = gmark_engines::TripleStoreEngine;
-        let (d, count) = measure(&engine, &graph, &w.queries[0].query, &Budget::default(), 3)
+        let (engine, ctx) = (EngineKind::TripleStore, EvalContext::new(&graph));
+        let (d, count) = measure(engine, &ctx, &w.queries[0].query, &Budget::default(), 3)
             .expect("small query fits budget");
         assert!(d.as_secs_f64() >= 0.0);
         let direct = engine
-            .evaluate(&graph, &w.queries[0].query, &Budget::default())
+            .evaluate(&ctx, &w.queries[0].query, None, &Budget::default())
             .unwrap();
         assert_eq!(count, direct.count());
     }

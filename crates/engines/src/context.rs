@@ -56,8 +56,10 @@
 //! only for the deterministic failure ([`EvalError::TooLarge`]);
 //! wall-clock timeouts are machine artifacts and are never cached.
 //! Negative entries are authoritative **only for the sorted-kernel path**
-//! ([`EvalContext::expr_relation`], which re-runs the exact computation
-//! the fill ran): probe-style consumers ([`EvalContext::cached_expr`])
+//! ([`EvalContext::expr_relation`], whose cell-time misses run the very
+//! fold the fill ran — it differs only in not admitting the prefixes it
+//! completes — and so charge the same relations, every leaf included, at
+//! the same checks): probe-style consumers ([`EvalContext::cached_expr`])
 //! treat them as misses, because their native strategies — automaton
 //! BFS, seed-driven navigation — never materialize the kernels'
 //! intermediate relations and may legitimately succeed where the fill
@@ -177,6 +179,32 @@ impl ExprCache {
         self.bytes += bytes;
         self.tuples += rel.len() as u64;
         self.map.insert(key, ExprCacheEntry::Hit(Arc::new(rel)));
+    }
+}
+
+/// Where [`EvalContext::fold_path`] looks completed concatenation
+/// prefixes up, and whether it may add the ones it completes — the one
+/// difference between filling the cache and reading it.
+enum Prefixes<'c> {
+    /// Fill time: look up in, and admit into, the cache under construction.
+    Admit(&'c mut ExprCache),
+    /// Cell time: read the frozen cache (if one was filled), never write —
+    /// cells are pure consumers, the determinism invariant.
+    ReadOnly(Option<&'c ExprCache>),
+}
+
+impl Prefixes<'_> {
+    fn get(&self, key: &RegularExpr) -> Option<&ExprCacheEntry> {
+        match self {
+            Prefixes::Admit(cache) => cache.map.get(key),
+            Prefixes::ReadOnly(cache) => cache.and_then(|c| c.map.get(key)),
+        }
+    }
+
+    fn admit(&mut self, key: impl FnOnce() -> RegularExpr, rel: &Relation) {
+        if let Prefixes::Admit(cache) = self {
+            cache.admit(key(), rel.clone());
+        }
     }
 }
 
@@ -332,7 +360,7 @@ impl<'g> EvalContext<'g> {
                 continue;
             }
             let budget = fresh_budget();
-            match self.fill_expr(&mut cache, expr, &budget) {
+            match self.fold_expr(expr, &budget, &mut Prefixes::Admit(&mut cache)) {
                 Ok(rel) => cache.admit(expr.clone(), rel),
                 Err(EvalError::TooLarge(sz)) => {
                     // Deterministic failure under the cap: cache it so no
@@ -349,18 +377,18 @@ impl<'g> EvalContext<'g> {
         let _ = self.expr_cache.set(cache);
     }
 
-    /// Evaluates one expression during fill, reusing and admitting
-    /// concatenation prefixes as it goes.
-    fn fill_expr(
+    /// The one expression fold: disjuncts → union → star, over
+    /// left-folded concatenation paths. `prefixes` is the only thing that
+    /// differs between the pre-clock fill and a cell-time miss.
+    fn fold_expr(
         &self,
-        cache: &mut ExprCache,
         expr: &RegularExpr,
         budget: &Budget,
+        prefixes: &mut Prefixes<'_>,
     ) -> Result<Relation, EvalError> {
-        let n = self.view.node_count();
         let mut acc: Option<Relation> = None;
         for path in &expr.disjuncts {
-            let r = self.fill_path(cache, path, budget)?;
+            let r = self.fold_path(path, budget, prefixes)?;
             acc = Some(match acc {
                 None => r,
                 Some(a) => a.union(&r),
@@ -368,55 +396,56 @@ impl<'g> EvalContext<'g> {
         }
         let base = acc.unwrap_or_default();
         if expr.starred {
-            base.star(n, budget)
+            base.star(self.view.node_count(), budget)
         } else {
             Ok(base)
         }
     }
 
-    /// Left-fold of one concatenation path during fill: jump-starts from
-    /// the longest already-cached prefix, then composes symbol by symbol,
-    /// admitting every newly completed prefix under its canonical
-    /// single-path key.
-    fn fill_path(
+    /// Left-fold of one concatenation path: jump-starts from the longest
+    /// cached prefix, then composes symbol by symbol, offering every newly
+    /// completed prefix to `prefixes` under its canonical single-path key.
+    /// Every relation the fold holds — the leaf included — is charged
+    /// against the tuple cap, whichever mode it runs in.
+    fn fold_path(
         &self,
-        cache: &mut ExprCache,
         path: &PathExpr,
         budget: &Budget,
+        prefixes: &mut Prefixes<'_>,
     ) -> Result<Relation, EvalError> {
         if path.is_empty() {
             return Ok(Relation::identity(self.view.node_count()));
         }
         let syms = &path.0;
         let prefix_key = |k: usize| RegularExpr::path(PathExpr(syms[..k].to_vec()));
-        let mut start = 0usize;
-        let mut acc: Option<Relation> = None;
+        let mut start: Option<(Relation, usize)> = None;
         for k in (1..=syms.len()).rev() {
-            match cache.map.get(&prefix_key(k)) {
+            match prefixes.get(&prefix_key(k)) {
                 Some(ExprCacheEntry::Hit(arc)) => {
                     budget.check_size(arc.len())?;
-                    acc = Some(arc.as_ref().clone());
-                    start = k;
+                    start = Some((arc.as_ref().clone(), k));
                     break;
                 }
                 // The left-fold would blow the cap right here.
-                Some(ExprCacheEntry::TooLarge(sz)) => return Err(EvalError::TooLarge(*sz)),
-                None => {}
+                Some(ExprCacheEntry::TooLarge(sz)) if *sz > budget.max_tuples => {
+                    return Err(EvalError::TooLarge(*sz));
+                }
+                _ => {}
             }
         }
-        let (mut acc, mut i) = match acc {
-            Some(r) => (r, start),
+        let (mut acc, mut i) = match start {
+            Some(cached) => cached,
             None => {
-                let leaf = self.relation(syms[0]).clone();
+                let leaf = self.relation(syms[0]);
                 budget.check_size(leaf.len())?;
-                cache.admit(prefix_key(1), leaf.clone());
-                (leaf, 1)
+                prefixes.admit(|| prefix_key(1), leaf);
+                (leaf.clone(), 1)
             }
         };
         while i < syms.len() {
             acc = acc.compose(self.relation(syms[i]), budget)?;
             i += 1;
-            cache.admit(prefix_key(i), acc.clone());
+            prefixes.admit(|| prefix_key(i), &acc);
         }
         Ok(acc)
     }
@@ -483,60 +512,8 @@ impl<'g> EvalContext<'g> {
                 }
             }
         }
-        let n = self.view.node_count();
-        let mut acc: Option<Relation> = None;
-        for path in &expr.disjuncts {
-            let r = self.read_path_relation(path, budget)?;
-            acc = Some(match acc {
-                None => r,
-                Some(a) => a.union(&r),
-            });
-        }
-        let base = acc.unwrap_or_default();
-        let rel = if expr.starred {
-            base.star(n, budget)?
-        } else {
-            base
-        };
-        Ok(Arc::new(rel))
-    }
-
-    /// Read-only variant of [`EvalContext::fill_path`] for cell-time
-    /// misses: jump-starts from cached prefixes but never mutates the
-    /// cache (cells are pure consumers — the determinism invariant).
-    fn read_path_relation(&self, path: &PathExpr, budget: &Budget) -> Result<Relation, EvalError> {
-        if path.is_empty() {
-            return Ok(Relation::identity(self.view.node_count()));
-        }
-        let syms = &path.0;
-        let mut start = 0usize;
-        let mut acc: Option<Relation> = None;
-        if let Some(cache) = self.expr_cache.get() {
-            for k in (1..=syms.len()).rev() {
-                let key = RegularExpr::path(PathExpr(syms[..k].to_vec()));
-                match cache.map.get(&key) {
-                    Some(ExprCacheEntry::Hit(arc)) => {
-                        budget.check_size(arc.len())?;
-                        acc = Some(arc.as_ref().clone());
-                        start = k;
-                        break;
-                    }
-                    Some(ExprCacheEntry::TooLarge(sz)) if *sz > budget.max_tuples => {
-                        return Err(EvalError::TooLarge(*sz));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let (mut acc, mut i) = match acc {
-            Some(r) => (r, start),
-            None => (self.relation(syms[0]).clone(), 1),
-        };
-        while i < syms.len() {
-            acc = acc.compose(self.relation(syms[i]), budget)?;
-            i += 1;
-        }
-        Ok(acc)
+        let mut frozen = Prefixes::ReadOnly(self.expr_cache.get());
+        self.fold_expr(expr, budget, &mut frozen).map(Arc::new)
     }
 
     /// The exact cardinality of a positively cached expression, if any —
@@ -799,5 +776,45 @@ mod tests {
             rel.as_ref(),
             &Relation::of_expr(&g, &expr, &Budget::default()).unwrap()
         );
+    }
+
+    #[test]
+    fn a_leaf_over_the_cap_is_too_large_with_and_without_the_cache() {
+        // a: 0→1..10, b: 1→20; (x,a,y),(y,b,z) at max_tuples = 5. The `a`
+        // leaf alone holds ten pairs, so P must report too-large whether
+        // the leaf is charged by the fill or by a cell-time fold — the
+        // cache may change wall clock only, never a cell outcome.
+        use crate::{plan_query, EngineKind};
+        use gmark_core::query::{Conjunct, Query, Rule, Var};
+        let mut b = GraphBuilder::new(TypePartition::from_counts(&[21]), 2);
+        for t in 1..=10 {
+            b.edge(0, 0, t);
+        }
+        b.edge(1, 1, 20);
+        let g = b.build();
+        let conjunct = |src: u32, p: usize, trg: u32| Conjunct {
+            src: Var(src),
+            expr: RegularExpr::symbol(Symbol::forward(PredicateId(p))),
+            trg: Var(trg),
+        };
+        let q = Query::single(Rule {
+            head: vec![Var(0), Var(2)],
+            body: vec![conjunct(0, 0, 1), conjunct(1, 1, 2)],
+        })
+        .unwrap();
+        let exprs: Vec<RegularExpr> = q.rules[0].body.iter().map(|c| c.expr.clone()).collect();
+        let tight = || Budget::with_limits(None, 5);
+        for cache_mb in [0, 16] {
+            for planned in [true, false] {
+                let ctx = EvalContext::new(&g);
+                ctx.fill_expr_cache(&exprs, cache_mb, tight);
+                let plan = planned.then(|| plan_query(&ctx, None, &q));
+                let result = EngineKind::Relational.evaluate(&ctx, &q, plan.as_ref(), &tight());
+                assert!(
+                    matches!(result, Err(EvalError::TooLarge(10))),
+                    "cache_mb={cache_mb} planned={planned}: {result:?}"
+                );
+            }
+        }
     }
 }

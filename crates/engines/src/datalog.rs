@@ -4,11 +4,11 @@
 //! The paper's system `D` is "a modern Datalog engine" — the only system
 //! that completed every recursive query of Table 4. This module provides:
 //!
-//! * a small positive-Datalog core ([`Program`], [`semi_naive`]): relations
-//!   of arbitrary arity, rules with repeated variables and constants,
-//!   bottom-up evaluation with delta-driven (semi-naive) iteration and
-//!   on-demand hash indexes on bound-argument patterns;
-//! * [`DatalogEngine`], which translates a UCRPQ into such a program —
+//! * a small positive-Datalog core ([`Program`], [`semi_naive_over`]):
+//!   relations of arbitrary arity, rules with repeated variables and
+//!   constants, bottom-up evaluation with delta-driven (semi-naive)
+//!   iteration and on-demand hash indexes on bound-argument patterns;
+//! * the `D` engine, which translates a UCRPQ into such a program —
 //!   structurally the same translation `gmark-translate::datalog` prints —
 //!   over the EDB `edge_<p>(X, Y)` / `node(X)` and evaluates it.
 //!
@@ -16,8 +16,10 @@
 //! keeps recursive closures incremental — the architectural reason `D`
 //! outlives `P`/`S` on Table 4's quadratic recursive query.
 
+use crate::context::EvalContext;
+use crate::planner::QueryPlan;
 use crate::relations::Relation;
-use crate::{Answers, Budget, Engine, EvalError};
+use crate::{Answers, Budget, EvalError};
 use gmark_core::query::{PathExpr, Query, RegularExpr};
 use gmark_store::{GraphView, NodeId};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -128,20 +130,6 @@ impl Database {
     pub fn total(&self) -> usize {
         self.relations.values().map(|s| s.len()).sum()
     }
-}
-
-/// Runs semi-naive bottom-up evaluation of `program` over `edb`, returning
-/// the database extended with all derivable IDB facts.
-pub fn semi_naive(
-    program: &Program,
-    mut db: Database,
-    budget: &Budget,
-) -> Result<Database, EvalError> {
-    let idb = semi_naive_over(program, &db, budget)?;
-    for (pred, facts) in idb.relations {
-        db.relations.entry(pred).or_default().extend(facts);
-    }
-    Ok(db)
 }
 
 /// Semi-naive evaluation against a **borrowed** extensional database:
@@ -491,36 +479,15 @@ pub fn graph_edb<'g>(graph: impl Into<GraphView<'g>>, program: &mut Program) -> 
     db
 }
 
-/// Translates a UCRPQ into a Datalog program with answer predicate `ans`
-/// (structurally identical to the textual translation in
-/// `gmark-translate::datalog`).
-pub fn program_from_query(query: &Query) -> Program {
-    let mut prog = Program::new();
-    append_query_rules(&mut prog, query);
-    prog
-}
-
-/// Appends a UCRPQ's rules to an existing program — typically a clone of
-/// the shared-context base program whose `node`/`edge_<p>` ids already
-/// match a prebuilt EDB — returning the interned `ans` predicate id.
-/// Predicates already interned (by name) are reused, so the EDB facts and
-/// the query rules agree on ids without rebuilding either.
-pub fn append_query_rules(prog: &mut Program, query: &Query) -> usize {
-    append_query_rules_planned(prog, query, None)
-}
-
-/// Like [`append_query_rules`], but with the `ans` rule bodies ordered by
-/// a [`crate::planner::QueryPlan`] when one is given. Semi-naive
-/// evaluation joins body atoms left to right, so the planner's
-/// selective-first order bounds the intermediate binding sets the same
-/// way it does for the other engines; the auxiliary path/closure rules
-/// are emitted identically in both modes (only the `ans` body atom order
-/// differs), and the answers never change.
-pub fn append_query_rules_planned(
-    prog: &mut Program,
-    query: &Query,
-    plan: Option<&crate::planner::QueryPlan>,
-) -> usize {
+/// Appends a UCRPQ's rules — the translation `gmark-translate::datalog`
+/// prints, answer predicate `ans` — to a clone of the shared-context base
+/// program, whose `node`/`edge_<p>` ids already match the prebuilt EDB,
+/// and returns the interned `ans` predicate id. Semi-naive evaluation
+/// joins body atoms left to right, so the `ans` rule bodies follow the
+/// plan's conjunct order, bounding the intermediate binding sets the same
+/// way it does for the other engines; the auxiliary path/closure rules are
+/// emitted in declaration order whatever the plan.
+fn append_query_rules(prog: &mut Program, query: &Query, plan: &QueryPlan) -> usize {
     let node = prog.predicate("node");
     let ans = prog.predicate("ans");
     let mut fresh = 0usize;
@@ -615,25 +582,19 @@ pub fn append_query_rules_planned(
         pred
     }
 
-    for (ri, rule) in query.rules.iter().enumerate() {
-        // Auxiliary expression predicates are interned in declaration
-        // order regardless of the plan; only the `ans` body atom order
-        // follows it.
+    for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
         let preds: Vec<usize> = rule
             .body
             .iter()
             .map(|c| expr_pred(prog, node, &mut fresh, &c.expr))
             .collect();
-        let order: Vec<usize> = plan
-            .and_then(|p| p.rule_order(ri, rule.body.len()))
-            .map(|o| o.into_iter().map(|(ci, _)| ci).collect())
-            .unwrap_or_else(|| (0..rule.body.len()).collect());
-        let body: Vec<Atom> = order
-            .into_iter()
-            .map(|ci| {
-                let c = &rule.body[ci];
+        let body: Vec<Atom> = rule_plan
+            .steps
+            .iter()
+            .map(|step| {
+                let c = &rule.body[step.conjunct];
                 Atom {
-                    pred: preds[ci],
+                    pred: preds[step.conjunct],
                     args: vec![Term::Var(c.src.0), Term::Var(c.trg.0)],
                 }
             })
@@ -650,56 +611,36 @@ pub fn append_query_rules_planned(
     ans
 }
 
-/// See the module docs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DatalogEngine;
-
-impl Engine for DatalogEngine {
-    fn name(&self) -> &'static str {
-        "D/datalog"
-    }
-
-    fn evaluate_ctx(
-        &self,
-        ctx: &crate::EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &crate::EvalContext<'_>,
-        query: &Query,
-        plan: Option<&crate::planner::QueryPlan>,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        // The per-query program extends a clone of the base program (a
-        // handful of interned names) while the EDB facts — the expensive
-        // part — stay borrowed from the shared context.
-        //
-        // Deliberately NOT a consumer of the shared sub-expression cache:
-        // semi-naive evaluation charges the budget for auxiliary
-        // predicates and raw (pre-dedup) join products that a seeded fact
-        // set would never materialize, so a cache hit could complete a
-        // cell whose uncached evaluation reports too-large — breaking the
-        // cache's outcome-identity contract (see the context module docs).
-        // The closure-heavy cells the cache targets are served here by the
-        // sorted-kernel fast path of [`semi_naive_over`] instead.
-        let (base, edb) = ctx.edb();
-        let mut program = base.clone();
-        let ans = append_query_rules_planned(&mut program, query, plan);
-        let idb = semi_naive_over(&program, edb, budget)?;
-        let tuples: Vec<Vec<NodeId>> = idb.facts(ans).cloned().collect();
-        Ok(Answers::new(query.arity(), tuples))
-    }
+/// Translates the query over a clone of the base program (a handful of
+/// interned names) and runs it semi-naively against the EDB facts — the
+/// expensive part — borrowed from the shared context.
+///
+/// Deliberately NOT a consumer of the shared sub-expression cache:
+/// semi-naive evaluation charges the budget for auxiliary predicates and
+/// raw (pre-dedup) join products that a seeded fact set would never
+/// materialize, so a cache hit could complete a cell whose uncached
+/// evaluation reports too-large — breaking the cache's outcome-identity
+/// contract (see the context module docs). The closure-heavy cells the
+/// cache targets are served here by the sorted-kernel fast path of
+/// [`semi_naive_over`] instead.
+pub(crate) fn evaluate(
+    ctx: &EvalContext<'_>,
+    query: &Query,
+    plan: &QueryPlan,
+    budget: &Budget,
+) -> Result<Answers, EvalError> {
+    let (base, edb) = ctx.edb();
+    let mut program = base.clone();
+    let ans = append_query_rules(&mut program, query, plan);
+    let idb = semi_naive_over(&program, edb, budget)?;
+    let tuples: Vec<Vec<NodeId>> = idb.facts(ans).cloned().collect();
+    Ok(Answers::new(query.arity(), tuples))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::RelationalEngine;
+    use crate::EngineKind;
     use gmark_core::query::{Conjunct, Rule, Symbol, Var};
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
@@ -745,7 +686,7 @@ mod tests {
         for (s, t) in [(0u32, 1u32), (1, 2), (2, 3)] {
             db.insert(edge, vec![s, t]);
         }
-        let db = semi_naive(&prog, db, &Budget::default()).unwrap();
+        let db = semi_naive_over(&prog, &db, &Budget::default()).unwrap();
         assert_eq!(db.count(path), 6); // chain of 4 nodes: 3+2+1 pairs
         let mut facts: Vec<_> = db.facts(path).cloned().collect();
         facts.sort();
@@ -794,7 +735,7 @@ mod tests {
         for (s, t) in [(0u32, 1u32), (1, 1), (2, 2), (0, 3)] {
             db.insert(edge, vec![s, t]);
         }
-        let db = semi_naive(&prog, db, &Budget::default()).unwrap();
+        let db = semi_naive_over(&prog, &db, &Budget::default()).unwrap();
         let mut l: Vec<_> = db.facts(loops).cloned().collect();
         l.sort();
         assert_eq!(l, vec![vec![1], vec![2]]);
@@ -859,7 +800,7 @@ mod tests {
         for i in 0..10u32 {
             db.insert(succ, vec![i, i + 1]);
         }
-        let db = semi_naive(&prog, db, &Budget::default()).unwrap();
+        let db = semi_naive_over(&prog, &db, &Budget::default()).unwrap();
         let evens: FxHashSet<u32> = db.facts(even).map(|f| f[0]).collect();
         let odds: FxHashSet<u32> = db.facts(odd).map(|f| f[0]).collect();
         assert_eq!(evens, (0..=10).filter(|i| i % 2 == 0).collect());
@@ -894,6 +835,10 @@ mod tests {
         .unwrap()
     }
 
+    fn eval(kind: EngineKind, q: &Query, budget: &Budget) -> Result<Answers, EvalError> {
+        kind.evaluate(&EvalContext::new(&graph()), q, None, budget)
+    }
+
     #[test]
     fn ucrpq_agrees_with_relational() {
         use gmark_core::query::PathExpr;
@@ -911,12 +856,8 @@ mod tests {
             ])]),
         ];
         for q in cases {
-            let a = DatalogEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
-            let b = RelationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
+            let a = eval(EngineKind::Datalog, &q, &Budget::default()).unwrap();
+            let b = eval(EngineKind::Relational, &q, &Budget::default()).unwrap();
             assert_eq!(a, b, "mismatch on {q:?}");
         }
     }
@@ -932,9 +873,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = DatalogEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(EngineKind::Datalog, &q, &Budget::default()).unwrap();
         assert!(a.non_empty());
     }
 
@@ -946,6 +885,6 @@ mod tests {
             max_tuples: 5,
             ..Budget::default()
         };
-        assert!(DatalogEngine.evaluate(&graph(), &q, &tight).is_err());
+        assert!(eval(EngineKind::Datalog, &q, &tight).is_err());
     }
 }

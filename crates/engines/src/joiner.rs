@@ -1,33 +1,125 @@
-//! Multiway join of conjunct results over shared variables.
+//! The one join kernel: conjunct results joined over shared variables.
 //!
-//! Every engine that materializes per-conjunct binary relations (the
-//! relational and triple-store engines, and the navigational engine's
-//! binding propagation) funnels through this module: a [`BindingTable`] of
-//! rows over the variables bound so far, extended one conjunct at a time.
-//! Conjunct results arrive as shared [`Relation`]s — sorted `u32` pair
-//! columns, often straight out of the sub-expression cache — so the
-//! extension kernels are search-based, not hash-based: a semi-join is a
-//! binary search per row ([`Relation::contains`]), a forward extension a
-//! sorted-run lookup ([`Relation::targets_of`]), and a backward extension
-//! one sorted `(trg, src)` copy with the same run lookup. No per-conjunct
-//! hash index is ever built.
+//! The three engines that materialize per-conjunct binary relations — `P`
+//! and `S` for a whole rule body at once ([`join_all`]), `G` one
+//! seed-driven conjunct at a time — grow a [`BindingTable`] through the
+//! same [`BindingTable::extend`], and project it through the same rule
+//! loop ([`union_of_rules`]). Conjunct results arrive as shared
+//! [`Relation`]s — sorted `u32` pair columns, often straight out of the
+//! sub-expression cache — so the kernel is search-based, not hash-based: a
+//! semi-join is a binary search per row ([`Relation::contains`]), an
+//! extension a sorted-run lookup ([`Relation::targets_of`]) — against one
+//! reversed copy of the columns when only the target is bound. No
+//! per-conjunct hash index is ever built, and rows live row-major in one
+//! flat vector: extending a table allocates its output once, not once per
+//! row.
 
+use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
-use crate::{Budget, EvalError};
-use gmark_core::query::{Rule, Var};
+use crate::{Answers, Budget, EvalError};
+use gmark_core::query::{Query, Rule, Var};
 use gmark_store::NodeId;
 use std::sync::Arc;
 
-/// Rows over an ordered set of variables.
+/// Rows over an ordered set of variables, stored row-major.
 #[derive(Debug, Clone)]
 pub(crate) struct BindingTable {
+    /// The bound variables, one per column.
     pub vars: Vec<Var>,
-    pub rows: Vec<Vec<NodeId>>,
+    /// `len` rows of `vars.len()` cells each.
+    cells: Vec<NodeId>,
+    /// Row count — kept beside `cells` because the join identity is one
+    /// row of zero columns.
+    len: usize,
 }
 
 impl BindingTable {
-    fn col(&self, v: Var) -> Option<usize> {
+    /// The join identity: no variables, one empty row.
+    pub fn unit() -> BindingTable {
+        BindingTable {
+            vars: Vec::new(),
+            cells: Vec::new(),
+            len: 1,
+        }
+    }
+
+    /// The column of a bound variable.
+    pub fn col(&self, v: Var) -> Option<usize> {
         self.vars.iter().position(|&x| x == v)
+    }
+
+    /// The rows, each `vars.len()` wide.
+    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        let width = self.vars.len();
+        (0..self.len).map(move |r| &self.cells[r * width..(r + 1) * width])
+    }
+
+    fn push(&mut self, row: &[NodeId], new: &[NodeId]) {
+        self.cells.extend_from_slice(row);
+        self.cells.extend_from_slice(new);
+        self.len += 1;
+    }
+
+    /// Joins one conjunct into the table. Which variables are already
+    /// bound picks the arm: both — a semi-join, which can only shrink the
+    /// table; one — each row selects its sorted run of partners; none — a
+    /// Cartesian product (this is also how the first conjunct seeds the
+    /// [`BindingTable::unit`] table). A self-loop conjunct `(?x, r, ?x)`
+    /// keeps only `(v, v)` pairs and binds one column. Every arm that can
+    /// grow the table charges the cumulative row count against the tuple
+    /// cap.
+    pub fn extend(&self, c: &ConjunctPairs, budget: &Budget) -> Result<BindingTable, EvalError> {
+        let mut out = BindingTable {
+            vars: self.vars.clone(),
+            cells: Vec::new(),
+            len: 0,
+        };
+        let (src_col, trg_col) = (self.col(c.src), self.col(c.trg));
+        match (src_col, trg_col) {
+            (Some(sc), Some(tc)) => {
+                for row in self.rows() {
+                    if c.pairs.contains(row[sc], row[tc]) {
+                        out.push(row, &[]);
+                    }
+                }
+            }
+            (Some(col), None) | (None, Some(col)) => {
+                // Backward is forward over the reversed pair columns.
+                let reversed;
+                let (rel, new_var) = if src_col.is_some() {
+                    (&*c.pairs, c.trg)
+                } else {
+                    let pairs = c.pairs.pairs().iter().map(|&(s, t)| (t, s));
+                    reversed = Relation::from_pairs(pairs.collect());
+                    (&reversed, c.src)
+                };
+                out.vars.push(new_var);
+                for row in self.rows() {
+                    for &(_, partner) in rel.targets_of(row[col]) {
+                        out.push(row, &[partner]);
+                    }
+                    budget.check_size(out.len)?;
+                }
+            }
+            (None, None) => {
+                let self_loop = c.src == c.trg;
+                out.vars.push(c.src);
+                if !self_loop {
+                    out.vars.push(c.trg);
+                }
+                for row in self.rows() {
+                    for &(s, t) in c.pairs.pairs() {
+                        if !self_loop {
+                            out.push(row, &[s, t]);
+                        } else if s == t {
+                            out.push(row, &[s]);
+                        }
+                    }
+                    budget.check_size(out.len)?;
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -43,136 +135,34 @@ pub(crate) struct ConjunctPairs {
 
 /// Joins conjuncts in the given order into a table over all body variables.
 pub(crate) fn join_all(
-    conjuncts: Vec<ConjunctPairs>,
+    conjuncts: &[ConjunctPairs],
     budget: &Budget,
 ) -> Result<BindingTable, EvalError> {
-    let mut table: Option<BindingTable> = None;
+    let mut table = BindingTable::unit();
     for c in conjuncts {
         budget.check_time()?;
-        table = Some(match table {
-            None => seed_table(c),
-            Some(t) => extend_table(t, c, budget)?,
-        });
+        table = table.extend(c, budget)?;
     }
-    Ok(table.unwrap_or(BindingTable {
-        vars: Vec::new(),
-        rows: vec![Vec::new()],
-    }))
+    Ok(table)
 }
 
-fn seed_table(c: ConjunctPairs) -> BindingTable {
-    if c.src == c.trg {
-        // Self-loop conjunct: keep only (v, v) pairs, one column.
-        let rows = c
-            .pairs
-            .pairs()
-            .iter()
-            .filter(|&&(s, t)| s == t)
-            .map(|&(s, _)| vec![s])
-            .collect();
-        BindingTable {
-            vars: vec![c.src],
-            rows,
-        }
-    } else {
-        BindingTable {
-            vars: vec![c.src, c.trg],
-            rows: c.pairs.pairs().iter().map(|&(s, t)| vec![s, t]).collect(),
-        }
-    }
-}
-
-fn extend_table(
-    table: BindingTable,
-    c: ConjunctPairs,
+/// The rule loop `P`, `G` and `S` share: the union, over the query's
+/// rules, of each rule's joined table projected onto its head. `table_of`
+/// is the engine — how one rule's conjuncts become a table along the
+/// planned steps. `plan` must fit `query` (the entry point checks).
+pub(crate) fn union_of_rules(
+    query: &Query,
+    plan: &QueryPlan,
     budget: &Budget,
-) -> Result<BindingTable, EvalError> {
-    let src_col = table.col(c.src);
-    let trg_col = table.col(c.trg);
-    let rel = &*c.pairs;
-    match (src_col, trg_col) {
-        (Some(sc), Some(tc)) => {
-            // Binary-search semi-join: keep rows whose (src, trg) pair is
-            // in the sorted conjunct columns.
-            let rows = table
-                .rows
-                .into_iter()
-                .filter(|row| rel.contains(row[sc], row[tc]))
-                .collect();
-            Ok(BindingTable {
-                vars: table.vars,
-                rows,
-            })
-        }
-        (Some(sc), None) => {
-            // Forward extension: each row's source selects its sorted
-            // target run directly off the pair columns.
-            let mut vars = table.vars;
-            vars.push(c.trg);
-            let mut rows = Vec::new();
-            for row in table.rows {
-                let run = rel.targets_of(row[sc]);
-                if run.is_empty() {
-                    continue;
-                }
-                for &(_, t) in run {
-                    let mut r = row.clone();
-                    r.push(t);
-                    rows.push(r);
-                }
-                budget.check_size(rows.len())?;
-            }
-            Ok(BindingTable { vars, rows })
-        }
-        (None, Some(tc)) => {
-            // Backward extension: one sorted (trg, src) copy of the
-            // columns, then the same run lookup per row.
-            let mut rev: Vec<(NodeId, NodeId)> = rel.pairs().iter().map(|&(s, t)| (t, s)).collect();
-            rev.sort_unstable();
-            let mut vars = table.vars;
-            vars.push(c.src);
-            let mut rows = Vec::new();
-            for row in table.rows {
-                let lo = rev.partition_point(|&(t, _)| t < row[tc]);
-                let hi = lo + rev[lo..].partition_point(|&(t, _)| t == row[tc]);
-                if lo == hi {
-                    continue;
-                }
-                for &(_, s) in &rev[lo..hi] {
-                    let mut r = row.clone();
-                    r.push(s);
-                    rows.push(r);
-                }
-                budget.check_size(rows.len())?;
-            }
-            Ok(BindingTable { vars, rows })
-        }
-        (None, None) => {
-            // Disconnected: cartesian product (budgeted).
-            let mut vars = table.vars;
-            let self_loop = c.src == c.trg;
-            vars.push(c.src);
-            if !self_loop {
-                vars.push(c.trg);
-            }
-            let mut rows = Vec::new();
-            for row in &table.rows {
-                for &(s, t) in rel.pairs() {
-                    if self_loop && s != t {
-                        continue;
-                    }
-                    let mut r = row.clone();
-                    r.push(s);
-                    if !self_loop {
-                        r.push(t);
-                    }
-                    rows.push(r);
-                }
-                budget.check_size(rows.len())?;
-            }
-            Ok(BindingTable { vars, rows })
-        }
+    mut table_of: impl FnMut(&Rule, &[ConjunctStep]) -> Result<BindingTable, EvalError>,
+) -> Result<Answers, EvalError> {
+    let mut tuples = Vec::new();
+    for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
+        let table = table_of(rule, &rule_plan.steps)?;
+        tuples.extend(project(&table, rule)?);
+        budget.check_size(tuples.len())?;
     }
+    Ok(Answers::new(query.arity(), tuples))
 }
 
 /// Projects a joined table onto a rule's head (deduplicated by the caller
@@ -184,7 +174,7 @@ fn extend_table(
 /// failed matrix cell, not a process abort.
 pub(crate) fn project(table: &BindingTable, rule: &Rule) -> Result<Vec<Vec<NodeId>>, EvalError> {
     if rule.head.is_empty() {
-        return Ok(if table.rows.is_empty() {
+        return Ok(if table.len == 0 {
             Vec::new()
         } else {
             vec![Vec::new()]
@@ -202,8 +192,7 @@ pub(crate) fn project(table: &BindingTable, rule: &Rule) -> Result<Vec<Vec<NodeI
         })
         .collect::<Result<_, _>>()?;
     Ok(table
-        .rows
-        .iter()
+        .rows()
         .map(|row| cols.iter().map(|&c| row[c]).collect())
         .collect())
 }
@@ -213,6 +202,7 @@ mod tests {
     use super::*;
     use gmark_core::query::{Conjunct, RegularExpr, Symbol};
     use gmark_core::schema::PredicateId;
+    use proptest::prelude::*;
 
     fn cp(src: u32, trg: u32, pairs: Vec<(NodeId, NodeId)>) -> ConjunctPairs {
         ConjunctPairs {
@@ -220,6 +210,12 @@ mod tests {
             trg: Var(trg),
             pairs: Arc::new(Relation::from_pairs(pairs)),
         }
+    }
+
+    fn sorted_rows(table: &BindingTable) -> Vec<Vec<NodeId>> {
+        let mut rows: Vec<Vec<NodeId>> = table.rows().map(<[NodeId]>::to_vec).collect();
+        rows.sort();
+        rows
     }
 
     fn rule_with_head(head: Vec<u32>) -> Rule {
@@ -237,7 +233,7 @@ mod tests {
     #[test]
     fn chain_join() {
         let t = join_all(
-            vec![
+            &[
                 cp(0, 1, vec![(1, 2), (3, 4)]),
                 cp(1, 2, vec![(2, 5), (4, 6), (9, 9)]),
             ],
@@ -245,16 +241,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.vars, vec![Var(0), Var(1), Var(2)]);
-        let mut rows = t.rows.clone();
-        rows.sort();
-        assert_eq!(rows, vec![vec![1, 2, 5], vec![3, 4, 6]]);
+        assert_eq!(sorted_rows(&t), vec![vec![1, 2, 5], vec![3, 4, 6]]);
     }
 
     #[test]
     fn reverse_direction_join() {
         // Second conjunct binds its *target* to an existing var.
         let t = join_all(
-            vec![
+            &[
                 cp(0, 1, vec![(1, 2)]),
                 cp(2, 1, vec![(7, 2), (8, 2), (9, 3)]),
             ],
@@ -262,16 +256,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.vars, vec![Var(0), Var(1), Var(2)]);
-        let mut rows = t.rows.clone();
-        rows.sort();
-        assert_eq!(rows, vec![vec![1, 2, 7], vec![1, 2, 8]]);
+        assert_eq!(sorted_rows(&t), vec![vec![1, 2, 7], vec![1, 2, 8]]);
     }
 
     #[test]
     fn semi_join_filters() {
         // Cycle: third conjunct closes 0 → 2.
         let t = join_all(
-            vec![
+            &[
                 cp(0, 1, vec![(1, 2), (3, 4)]),
                 cp(1, 2, vec![(2, 5), (4, 6)]),
                 cp(0, 2, vec![(1, 5)]),
@@ -279,52 +271,49 @@ mod tests {
             &Budget::default(),
         )
         .unwrap();
-        assert_eq!(t.rows, vec![vec![1, 2, 5]]);
+        assert_eq!(sorted_rows(&t), vec![vec![1, 2, 5]]);
     }
 
     #[test]
     fn self_loop_seed() {
         let t = join_all(
-            vec![cp(0, 0, vec![(1, 1), (2, 3), (4, 4)])],
+            &[cp(0, 0, vec![(1, 1), (2, 3), (4, 4)])],
             &Budget::default(),
         )
         .unwrap();
         assert_eq!(t.vars, vec![Var(0)]);
-        let mut rows = t.rows.clone();
-        rows.sort();
-        assert_eq!(rows, vec![vec![1], vec![4]]);
+        assert_eq!(sorted_rows(&t), vec![vec![1], vec![4]]);
     }
 
     #[test]
     fn cartesian_when_disconnected() {
         let t = join_all(
-            vec![cp(0, 1, vec![(1, 2)]), cp(5, 6, vec![(7, 8), (9, 10)])],
+            &[cp(0, 1, vec![(1, 2)]), cp(5, 6, vec![(7, 8), (9, 10)])],
             &Budget::default(),
         )
         .unwrap();
         assert_eq!(t.vars, vec![Var(0), Var(1), Var(5), Var(6)]);
-        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.rows().count(), 2);
     }
 
     #[test]
     fn projection_and_boolean() {
-        let t = join_all(vec![cp(0, 1, vec![(1, 2), (1, 3)])], &Budget::default()).unwrap();
-        let p = project(&t, &rule_with_head(vec![1, 0])).unwrap();
-        let mut p = p;
+        let t = join_all(&[cp(0, 1, vec![(1, 2), (1, 3)])], &Budget::default()).unwrap();
+        let mut p = project(&t, &rule_with_head(vec![1, 0])).unwrap();
         p.sort();
         assert_eq!(p, vec![vec![2, 1], vec![3, 1]]);
         let b = project(&t, &rule_with_head(vec![])).unwrap();
         assert_eq!(b, vec![Vec::<NodeId>::new()]);
-        let empty = BindingTable {
-            vars: vec![Var(0)],
-            rows: vec![],
-        };
+        let empty = join_all(&[cp(0, 1, vec![])], &Budget::default()).unwrap();
         assert!(project(&empty, &rule_with_head(vec![])).unwrap().is_empty());
+        // No conjuncts at all: the join identity satisfies a Boolean head.
+        let unit = join_all(&[], &Budget::default()).unwrap();
+        assert_eq!(project(&unit, &rule_with_head(vec![])).unwrap().len(), 1);
     }
 
     #[test]
     fn unbound_head_var_is_a_typed_error_not_a_panic() {
-        let t = join_all(vec![cp(0, 1, vec![(1, 2)])], &Budget::default()).unwrap();
+        let t = join_all(&[cp(0, 1, vec![(1, 2)])], &Budget::default()).unwrap();
         let err = project(&t, &rule_with_head(vec![7])).unwrap_err();
         assert!(
             matches!(err, EvalError::Unsupported(ref what) if what.contains("?x7")),
@@ -335,12 +324,9 @@ mod tests {
     #[test]
     fn budget_stops_blowup() {
         let pairs: Vec<(NodeId, NodeId)> = (0..1000).map(|i| (0, i)).collect();
-        let tight = Budget {
-            max_tuples: 100,
-            ..Budget::default()
-        };
+        let tight = Budget::with_limits(None, 100);
         let r = join_all(
-            vec![
+            &[
                 cp(0, 1, vec![(5, 0); 1]),
                 cp(1, 2, pairs.clone()),
                 cp(2, 3, pairs),
@@ -348,5 +334,76 @@ mod tests {
             &tight,
         );
         assert!(matches!(r, Err(EvalError::TooLarge(_))));
+    }
+
+    /// Nested-loop reference join: the variables in first-appearance order
+    /// and, per conjunct joined, the rows of the table so far.
+    fn reference_join(conjuncts: &[ConjunctPairs]) -> (Vec<Var>, Vec<Vec<Vec<NodeId>>>) {
+        let mut vars: Vec<Var> = Vec::new();
+        let mut rows: Vec<Vec<NodeId>> = vec![Vec::new()];
+        let mut steps = Vec::new();
+        for c in conjuncts {
+            let (sc, tc) = (
+                vars.iter().position(|&v| v == c.src),
+                vars.iter().position(|&v| v == c.trg),
+            );
+            let mut next = Vec::new();
+            for row in &rows {
+                for &(s, t) in c.pairs.pairs() {
+                    let agrees = sc.is_none_or(|i| row[i] == s)
+                        && tc.is_none_or(|i| row[i] == t)
+                        && (c.src != c.trg || s == t);
+                    if !agrees {
+                        continue;
+                    }
+                    let mut joined = row.clone();
+                    if sc.is_none() {
+                        joined.push(s);
+                    }
+                    if tc.is_none() && c.trg != c.src {
+                        joined.push(t);
+                    }
+                    next.push(joined);
+                }
+            }
+            for v in [c.src, c.trg] {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            next.sort();
+            steps.push(next.clone());
+            rows = next;
+        }
+        (vars, steps)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Four variables over up to four conjuncts reach every arm —
+        // seed, both bound, source bound, target bound, disconnected —
+        // with self-loop conjuncts and empty relations among them.
+        #[test]
+        fn flat_row_join_matches_a_nested_loop_reference(
+            shape in prop::collection::vec(
+                (0u32..4, 0u32..4, prop::collection::vec((0u32..5, 0u32..5), 0..8)),
+                0..=4,
+            ),
+            cap in prop_oneof![Just(0usize), Just(3usize), Just(12usize), Just(10_000usize)],
+        ) {
+            let conjuncts: Vec<ConjunctPairs> =
+                shape.iter().map(|(s, t, pairs)| cp(*s, *t, pairs.clone())).collect();
+            let (vars, steps) = reference_join(&conjuncts);
+            let joined = join_all(&conjuncts, &Budget::with_limits(None, cap));
+            if steps.iter().any(|rows| rows.len() > cap) {
+                prop_assert!(matches!(joined, Err(EvalError::TooLarge(_))), "{joined:?}");
+            } else {
+                let table = joined.unwrap();
+                prop_assert_eq!(&table.vars, &vars);
+                let expected = steps.last().cloned().unwrap_or_else(|| vec![Vec::new()]);
+                prop_assert_eq!(sorted_rows(&table), expected);
+            }
+        }
     }
 }

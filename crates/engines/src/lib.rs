@@ -2,31 +2,45 @@
 //!
 //! Section 7 of the paper benchmarks four systems: PostgreSQL (`P`), a
 //! SPARQL engine (`S`), a native graph database speaking openCypher (`G`),
-//! and a Datalog engine (`D`). Those systems are commercial/external; this
-//! crate provides four in-repo engines with the same architectural
-//! signatures (see DESIGN.md §4 for the substitution argument):
+//! and a Datalog engine (`D`). Those systems are commercial or external, so
+//! this crate stands four in-repo engines in for them. The substitution
+//! argument: what Section 7 reads off its tables is *architecture* — which
+//! evaluation strategy survives which selectivity class and which
+//! recursion — and each stand-in implements exactly the strategy its
+//! system is named for, on the same graphs, queries and budgets. Absolute
+//! times are therefore not comparable with the paper's; which cells finish,
+//! fail or deviate, and how the strategies rank, are.
 //!
-//! * [`RelationalEngine`] (`P`) — materializes one binary relation per
-//!   conjunct with hash joins and a linear-recursion fixpoint for stars,
+//! The four strategies ([`EngineKind`]):
+//!
+//! * `P` (relational) — **materialise**: one binary relation per conjunct
+//!   by sort-merge composition and a linear-recursion fixpoint for stars,
 //!   like the paper's SQL:1999 translation evaluated bottom-up;
-//! * [`TripleStoreEngine`] (`S`) — per-conjunct automaton (property-path)
-//!   evaluation over sorted indexes, greedy smallest-first conjunct
-//!   ordering, sort-merge joins;
-//! * [`NavigationalEngine`] (`G`) — seed-driven BFS navigation, evaluating
-//!   the *degraded* query an openCypher system would run (inverses and
-//!   concatenations under `*` are dropped per Section 7.1), hence its
-//!   answer sets legitimately differ on such queries;
-//! * [`DatalogEngine`] (`D`) — translates the query to a positive Datalog
-//!   program and runs it on a general-purpose semi-naive engine
-//!   ([`datalog`]), the only engine expected to finish every recursive
-//!   query of Table 4.
+//! * `S` (triple store) — **property paths**: per-conjunct product-automaton
+//!   BFS over the sorted indexes, no intermediate relation per step;
+//! * `G` (navigational) — **navigate**: seed-driven BFS from the bindings
+//!   so far, over the *degraded* query an openCypher system would run
+//!   (inverses and concatenations under `*` are dropped per Section 7.1,
+//!   see [`navigational::degrade_for_cypher`]), hence its answer sets
+//!   legitimately differ on such queries;
+//! * `D` (Datalog) — **semi-naive**: the query translated to a positive
+//!   Datalog program and run on a general-purpose engine ([`datalog`]),
+//!   the only one expected to finish every recursive query of Table 4.
 //!
-//! All engines implement [`Engine`] and are resource-governed by
-//! [`Budget`]: exceeding the time or tuple budget aborts with an error —
-//! reproducing the "failed / manually terminated" entries of the paper's
-//! Tables and figures rather than hanging the harness.
+//! They differ in strategy and share everything else. There is one way to
+//! run a query, [`EngineKind::evaluate`], and it resolves one
+//! [`QueryPlan`] — the caller's, from [`plan_query`], or
+//! [`QueryPlan::declaration_order`] without one — that every engine
+//! follows: no engine orders conjuncts itself. `P`, `S` and `G` join
+//! conjunct results through one kernel on flat rows and project through
+//! one rule loop; one expression fold in [`EvalContext`] serves the
+//! sub-expression cache's fill and `P`'s cell-time misses alike. Every
+//! evaluation is resource-governed by a [`Budget`]: exceeding the time or
+//! tuple budget aborts with an error — reproducing the "failed / manually
+//! terminated" entries of the paper's tables and figures rather than
+//! hanging the harness.
 //!
-//! Engines share one immutable [`EvalContext`] — per-predicate sorted
+//! Engines borrow one immutable [`EvalContext`] — per-predicate sorted
 //! relations, the Datalog EDB, a compiled-NFA cache — built once per graph
 //! instead of re-derived per query, and the [`evaluate_matrix`] harness
 //! fans the (engine × query) cells of a whole workload over worker threads
@@ -42,24 +56,19 @@ mod joiner;
 pub mod matrix;
 pub mod navigational;
 pub mod planner;
-pub mod relational;
+mod relational;
 pub mod relations;
-pub mod triplestore;
+mod triplestore;
 
 pub use automaton::{compile_nfa, eval_rpq, Nfa};
 pub use context::{EvalCacheStats, EvalContext, SymbolStats};
-pub use datalog::DatalogEngine;
 pub use matrix::{
     evaluate_matrix, evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell,
     EvalReport, EvalTotals, MatrixOptions, PlanQuality,
 };
-pub use navigational::NavigationalEngine;
 pub use planner::{plan_query, ConjunctStep, QueryPlan, RulePlan};
-pub use relational::RelationalEngine;
-pub use triplestore::TripleStoreEngine;
 
-use gmark_core::query::Query;
-use gmark_store::{Graph, NodeId};
+use gmark_store::NodeId;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one evaluation.
@@ -196,66 +205,6 @@ impl Answers {
     pub fn non_empty(&self) -> bool {
         !self.tuples.is_empty()
     }
-}
-
-/// A UCRPQ evaluation engine.
-pub trait Engine {
-    /// Short system letter + architecture name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Evaluates `query` against a shared [`EvalContext`] under a resource
-    /// budget, returning the distinct projected tuples. This is the
-    /// per-query hot path: the context's precomputed indexes (sorted
-    /// relations, Datalog EDB, compiled-NFA cache) are borrowed, never
-    /// rebuilt.
-    fn evaluate_ctx(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError>;
-
-    /// Evaluates `query` following a planner-chosen conjunct order (see
-    /// [`planner::plan_query`]). `None` falls back to the engine's legacy
-    /// order, and the default implementation ignores the plan entirely —
-    /// a plan may only change *how* the answer is computed, never *what*
-    /// it is.
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        let _ = plan;
-        self.evaluate_ctx(ctx, query, budget)
-    }
-
-    /// Evaluates `query` on `graph` under a resource budget.
-    ///
-    /// Convenience for one-off evaluations: builds a fresh (lazy)
-    /// [`EvalContext`] per call. Callers evaluating many queries on the
-    /// same graph should build the context once and use
-    /// [`Engine::evaluate_ctx`] (or the [`evaluate_matrix`] harness) so the
-    /// per-predicate indexes are shared.
-    fn evaluate(
-        &self,
-        graph: &Graph,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_ctx(&EvalContext::new(graph), query, budget)
-    }
-}
-
-/// All four engines, boxed, in the paper's P/G/S/D report order.
-pub fn all_engines() -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(RelationalEngine),
-        Box::new(NavigationalEngine),
-        Box::new(TripleStoreEngine),
-        Box::new(DatalogEngine),
-    ]
 }
 
 /// Packs an arity-2 tuple into a `u64` (internal fast path for pair sets).

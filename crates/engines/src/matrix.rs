@@ -19,13 +19,11 @@
 
 use crate::context::EvalContext;
 use crate::planner::{plan_query, QueryPlan};
-use crate::{
-    Answers, Budget, DatalogEngine, Engine, EvalError, NavigationalEngine, RelationalEngine,
-    TripleStoreEngine,
-};
-use gmark_core::query::Query;
+use crate::{datalog, navigational, relational, triplestore, Answers, Budget, EvalError};
+use gmark_core::query::{Conjunct, Query};
 use gmark_core::schema::Schema;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One of the four in-repo engines, named by the paper's system letter.
@@ -62,13 +60,13 @@ impl EngineKind {
         }
     }
 
-    /// Letter + architecture name, matching [`Engine::name`].
+    /// Letter + architecture name.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Relational => RelationalEngine.name(),
-            EngineKind::Navigational => NavigationalEngine.name(),
-            EngineKind::TripleStore => TripleStoreEngine.name(),
-            EngineKind::Datalog => DatalogEngine.name(),
+            EngineKind::Relational => "P/relational",
+            EngineKind::Navigational => "G/navigational",
+            EngineKind::TripleStore => "S/triplestore",
+            EngineKind::Datalog => "D/datalog",
         }
     }
 
@@ -110,34 +108,37 @@ impl EngineKind {
         Ok(engines)
     }
 
-    /// Evaluates one query through this engine against a shared context.
+    /// Evaluates `query` through this engine against a shared context,
+    /// under a resource budget, returning the distinct projected tuples —
+    /// the one way to run a query on an engine. The context's precomputed
+    /// indexes (sorted relations, Datalog EDB, compiled-NFA cache) are
+    /// borrowed, never rebuilt.
+    ///
+    /// `plan` orders the engine's joins ([`plan_query`] makes one; all four
+    /// engines follow the same one). Without a plan — or with one that does
+    /// not fit the query — every engine follows
+    /// [`QueryPlan::declaration_order`]. A plan changes *how* an engine
+    /// evaluates, never *what* it answers.
     pub fn evaluate(
-        self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_with(ctx, query, None, budget)
-    }
-
-    /// Like [`EngineKind::evaluate`], routed through
-    /// [`Engine::evaluate_planned`] so a shared [`QueryPlan`] can order the
-    /// engine's joins. Plans change *how* an engine evaluates, never *what*
-    /// it answers.
-    pub fn evaluate_with(
         self,
         ctx: &EvalContext<'_>,
         query: &Query,
         plan: Option<&QueryPlan>,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
-        match self {
-            EngineKind::Relational => RelationalEngine.evaluate_planned(ctx, query, plan, budget),
-            EngineKind::Navigational => {
-                NavigationalEngine.evaluate_planned(ctx, query, plan, budget)
+        let declared;
+        let plan = match plan {
+            Some(plan) if plan.fits(query) => plan,
+            _ => {
+                declared = QueryPlan::declaration_order(query);
+                &declared
             }
-            EngineKind::TripleStore => TripleStoreEngine.evaluate_planned(ctx, query, plan, budget),
-            EngineKind::Datalog => DatalogEngine.evaluate_planned(ctx, query, plan, budget),
+        };
+        match self {
+            EngineKind::Relational => relational::evaluate(ctx, query, plan, budget),
+            EngineKind::Navigational => navigational::evaluate(ctx, query, plan, budget),
+            EngineKind::TripleStore => triplestore::evaluate(ctx, query, plan, budget),
+            EngineKind::Datalog => datalog::evaluate(ctx, query, plan, budget),
         }
     }
 }
@@ -194,8 +195,8 @@ pub struct MatrixOptions {
     /// query and hand the resulting [`QueryPlan`] to every engine. Plans
     /// are pure functions of `(schema, graph, query)`, so enabling them
     /// preserves the thread-count determinism guarantee; disabling them
-    /// reverts every engine to its historical declaration-order /
-    /// per-engine-heuristic behavior.
+    /// makes every engine follow [`QueryPlan::declaration_order`] — the
+    /// differential reference the planner is tested against.
     pub plan: bool,
     /// Byte budget (MiB) of the cross-cell sub-expression result cache
     /// ([`EvalContext::fill_expr_cache`]); `0` disables it. The cache is
@@ -526,46 +527,29 @@ pub fn evaluate_matrix_with_schema(
         .then(|| queries.iter().map(|q| plan_query(ctx, schema, q)).collect());
     let plans = plans.as_deref();
 
-    let cells: Vec<EvalCell> = if threads <= 1 {
-        (0..cell_count)
-            .map(|ci| run_cell(ctx, queries, engines, budget, options.warm_runs, plans, ci))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, EvalCell)> = std::thread::scope(|scope| {
-            let next = &next;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let ci = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if ci >= cell_count {
-                                break;
-                            }
-                            let cell = run_cell(
-                                ctx,
-                                queries,
-                                engines,
-                                budget,
-                                options.warm_runs,
-                                plans,
-                                ci,
-                            );
-                            out.push((ci, cell));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("matrix worker panicked"))
-                .collect()
-        });
-        indexed.sort_by_key(|(ci, _)| *ci);
-        indexed.into_iter().map(|(_, cell)| cell).collect()
+    // One claim loop; the caller is worker 0.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut out = Vec::new();
+        loop {
+            let ci = next.fetch_add(1, Ordering::Relaxed);
+            if ci >= cell_count {
+                break out;
+            }
+            let cell = run_cell(ctx, queries, engines, budget, options.warm_runs, plans, ci);
+            out.push((ci, cell));
+        }
     };
+    let mut indexed: Vec<(usize, EvalCell)> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let mut indexed = worker();
+        for handle in spawned {
+            indexed.extend(handle.join().expect("matrix worker panicked"));
+        }
+        indexed
+    });
+    indexed.sort_by_key(|(ci, _)| *ci);
+    let cells = indexed.into_iter().map(|(_, cell)| cell).collect();
 
     EvalReport {
         engines: engines.to_vec(),
@@ -597,56 +581,37 @@ fn warm_context(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) {
-    let plan = options.plan;
+    fn conjuncts<'q>(queries: &'q [&'q Query]) -> impl Iterator<Item = &'q Conjunct> + 'q {
+        queries
+            .iter()
+            .flat_map(|query| &query.rules)
+            .flat_map(|rule| &rule.body)
+    }
     if engines.contains(&EngineKind::Datalog) {
         let _ = ctx.edb();
     }
-    if engines.contains(&EngineKind::Relational) {
-        for query in queries {
-            for rule in &query.rules {
-                for conjunct in &rule.body {
-                    for sym in conjunct.expr.symbols() {
-                        let _ = ctx.relation(sym);
-                    }
-                }
-            }
+    let relational = engines.contains(&EngineKind::Relational);
+    for sym in conjuncts(queries).flat_map(|c| c.expr.symbols()) {
+        if relational {
+            let _ = ctx.relation(sym);
+        }
+        if options.plan {
+            // The planner reads per-predicate distinct-endpoint
+            // statistics; plan construction is never billed to a cell.
+            let _ = ctx.symbol_stats(sym);
         }
     }
     if options.cache_mb > 0 {
-        let mut exprs: Vec<gmark_core::query::RegularExpr> = Vec::new();
-        let mut collect = |query: &Query| {
-            for rule in &query.rules {
-                for conjunct in &rule.body {
-                    exprs.push(conjunct.expr.clone());
-                }
-            }
-        };
-        for query in queries {
-            collect(query);
-        }
+        let mut exprs: Vec<_> = conjuncts(queries).map(|c| c.expr.clone()).collect();
         if engines.contains(&EngineKind::Navigational) {
             // The navigational engine evaluates the degraded forms, which
             // differ under stars; cache those shapes too.
             for query in queries {
-                let (degraded, _) = crate::navigational::degrade_for_cypher(query);
-                collect(&degraded);
+                let (degraded, _) = navigational::degrade_for_cypher(query);
+                exprs.extend(conjuncts(&[&degraded]).map(|c| c.expr.clone()));
             }
         }
         ctx.fill_expr_cache(&exprs, options.cache_mb, || budget.start());
-    }
-    if plan {
-        // The planner reads per-predicate distinct-endpoint statistics;
-        // warm them for every mentioned symbol so plan construction is
-        // never billed to a cell.
-        for query in queries {
-            for rule in &query.rules {
-                for conjunct in &rule.body {
-                    for sym in conjunct.expr.symbols() {
-                        let _ = ctx.symbol_stats(sym);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -677,7 +642,7 @@ fn run_cell(
     // Cold run: decides the outcome and the fallback timing.
     let cold_budget = budget.start();
     let started = Instant::now();
-    let result = kind.evaluate_with(ctx, query, plan, &cold_budget);
+    let result = kind.evaluate(ctx, query, plan, &cold_budget);
     let mut seconds = started.elapsed().as_secs_f64();
 
     let outcome = match result {
@@ -688,7 +653,7 @@ fn run_cell(
                 for _ in 0..warm_runs {
                     let warm_budget = budget.start();
                     let t0 = Instant::now();
-                    if kind.evaluate_with(ctx, query, plan, &warm_budget).is_ok() {
+                    if kind.evaluate(ctx, query, plan, &warm_budget).is_ok() {
                         times.push(t0.elapsed().as_secs_f64());
                     }
                 }

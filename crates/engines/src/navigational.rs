@@ -23,16 +23,13 @@
 
 use crate::automaton::eval_rpq_from;
 use crate::context::EvalContext;
-use crate::joiner::{join_all, project, ConjunctPairs};
+use crate::joiner::{union_of_rules, BindingTable, ConjunctPairs};
+use crate::planner::ConjunctStep;
 use crate::relations::Relation;
-use crate::{unpack, Answers, Budget, Engine, EvalError, QueryPlan};
-use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule, Var};
+use crate::{unpack, Answers, Budget, EvalError, QueryPlan};
+use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule};
 use gmark_store::NodeId;
 use std::sync::Arc;
-
-/// See the module docs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NavigationalEngine;
 
 /// Section 7.1's degradation: under a star, keep each disjunct's first
 /// non-inverse symbol (paths reduce to length one; inverse-only paths keep
@@ -93,77 +90,45 @@ fn degrade_expr(expr: &RegularExpr, lossy: &mut bool) -> RegularExpr {
     }
 }
 
-impl Engine for NavigationalEngine {
-    fn name(&self) -> &'static str {
-        "G/navigational"
-    }
-
-    fn evaluate_ctx(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        // Degradation rewrites conjunct *expressions* only — rule and
-        // conjunct positions are preserved, so a plan computed on the
-        // original query orders the degraded one correctly.
-        let (query, _lossy) = degrade_for_cypher(query);
-        let mut tuples = Vec::new();
-        for (ri, rule) in query.rules.iter().enumerate() {
-            let order = match plan.and_then(|p| p.rule_order(ri, rule.body.len())) {
-                Some(order) => order,
-                None => anchor_order(rule)?,
-            };
-            let table = eval_rule(ctx, rule, &order, budget)?;
-            tuples.extend(project(&table, rule)?);
-            budget.check_size(tuples.len())?;
-        }
-        Ok(Answers::new(query.arity(), tuples))
-    }
+/// Evaluates the degraded query by seed-driven navigation along the plan.
+/// Degradation rewrites conjunct *expressions* only — rule and conjunct
+/// positions are preserved, so a plan computed on the original query
+/// orders the degraded one correctly.
+pub(crate) fn evaluate(
+    ctx: &EvalContext<'_>,
+    query: &Query,
+    plan: &QueryPlan,
+    budget: &Budget,
+) -> Result<Answers, EvalError> {
+    let (query, _lossy) = degrade_for_cypher(query);
+    union_of_rules(&query, plan, budget, |rule, steps| {
+        navigate_rule(ctx, rule, steps, budget)
+    })
 }
 
-/// Seed-driven evaluation along a caller-chosen `(conjunct, flip)` order
-/// (the planner's, or the legacy [`anchor_order`]): each conjunct's pairs
-/// are computed by automaton BFS *from the currently bound seeds only*,
-/// flipped conjuncts traversing their reversed expression from the
-/// target side.
-fn eval_rule(
+/// Seed-driven evaluation of one rule along the planned steps: each
+/// conjunct's pairs are computed by automaton BFS *from the currently
+/// bound seeds only* — flipped conjuncts traversing their reversed
+/// expression from the target side — and joined into the running table at
+/// once, so the next conjunct sees tight seeds.
+fn navigate_rule(
     ctx: &EvalContext<'_>,
     rule: &Rule,
-    order: &[(usize, bool)],
+    steps: &[ConjunctStep],
     budget: &Budget,
-) -> Result<crate::joiner::BindingTable, EvalError> {
-    let mut bound: Vec<Var> = Vec::new();
-    let mut materialized = Vec::with_capacity(rule.body.len());
-    let mut table: Option<crate::joiner::BindingTable> = None;
-
-    for &(ci, flip) in order {
+) -> Result<BindingTable, EvalError> {
+    let mut table = BindingTable::unit();
+    for step in steps {
         budget.check_time()?;
-        let c = &rule.body[ci];
-        let from = if flip { c.trg } else { c.src };
+        let c = &rule.body[step.conjunct];
+        let from = if step.flip { c.trg } else { c.src };
         // Seeds: the bound values of `from` if available, else all nodes.
-        let bound_seeds: Option<Vec<NodeId>> = match &table {
-            Some(t) if bound.contains(&from) => {
-                let col = t.vars.iter().position(|&v| v == from).ok_or_else(|| {
-                    EvalError::Internal(format!("bound variable {from} missing from table"))
-                })?;
-                let mut s: Vec<NodeId> = t.rows.iter().map(|r| r[col]).collect();
-                s.sort_unstable();
-                s.dedup();
-                Some(s)
-            }
-            _ => None,
-        };
+        let bound_seeds: Option<Vec<NodeId>> = table.col(from).map(|col| {
+            let mut seeds: Vec<NodeId> = table.rows().map(|row| row[col]).collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            seeds
+        });
         // An unbound forward conjunct is a whole-expression evaluation —
         // exactly the form the shared sub-expression cache holds (BFS
         // from every node produces the full relation, so the hit's
@@ -171,36 +136,22 @@ fn eval_rule(
         // Bound or flipped traversals stay seed-driven BFS: there a
         // cached full relation would be charged where navigation only
         // explores a subset.
-        let pairs: Arc<Relation> = if !flip && bound_seeds.is_none() {
+        let pairs: Arc<Relation> = if !step.flip && bound_seeds.is_none() {
             match ctx.cached_expr(&c.expr, budget)? {
                 Some(hit) => hit,
-                None => navigate(ctx, c, flip, None, budget)?,
+                None => navigate(ctx, c, false, None, budget)?,
             }
         } else {
-            navigate(ctx, c, flip, bound_seeds.as_deref(), budget)?
+            navigate(ctx, c, step.flip, bound_seeds.as_deref(), budget)?
         };
-        materialized.push(ConjunctPairs {
+        let conjunct = ConjunctPairs {
             src: c.src,
             trg: c.trg,
             pairs,
-        });
-        // Incrementally join so the next conjunct sees tight seeds.
-        let t = join_all(std::mem::take(&mut materialized), budget)?;
-        // join_all consumed one conjunct; re-seed the running table.
-        table = Some(match table {
-            None => t,
-            Some(prev) => merge_tables(prev, t, budget)?,
-        });
-        for v in [c.src, c.trg] {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
+        };
+        table = table.extend(&conjunct, budget)?;
     }
-    Ok(table.unwrap_or(crate::joiner::BindingTable {
-        vars: Vec::new(),
-        rows: vec![Vec::new()],
-    }))
+    Ok(table)
 }
 
 /// One conjunct's pairs by automaton BFS from `seeds` (`None` = every
@@ -246,89 +197,11 @@ fn navigate(
     Ok(Arc::new(Relation::from_pairs(pairs)))
 }
 
-/// Joins two binding tables on their shared variables (hash join).
-fn merge_tables(
-    a: crate::joiner::BindingTable,
-    b: crate::joiner::BindingTable,
-    budget: &Budget,
-) -> Result<crate::joiner::BindingTable, EvalError> {
-    use rustc_hash::FxHashMap;
-    let shared: Vec<(usize, usize)> = a
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(ia, va)| b.vars.iter().position(|vb| vb == va).map(|ib| (ia, ib)))
-        .collect();
-    let b_extra: Vec<usize> = (0..b.vars.len())
-        .filter(|ib| !shared.iter().any(|&(_, sb)| sb == *ib))
-        .collect();
-    let mut index: FxHashMap<Vec<NodeId>, Vec<usize>> = FxHashMap::default();
-    for (ri, row) in b.rows.iter().enumerate() {
-        let key: Vec<NodeId> = shared.iter().map(|&(_, ib)| row[ib]).collect();
-        index.entry(key).or_default().push(ri);
-    }
-    let mut vars = a.vars.clone();
-    for &ib in &b_extra {
-        vars.push(b.vars[ib]);
-    }
-    let mut rows = Vec::new();
-    for row in &a.rows {
-        let key: Vec<NodeId> = shared.iter().map(|&(ia, _)| row[ia]).collect();
-        if let Some(matches) = index.get(&key) {
-            for &ri in matches {
-                let mut r = row.clone();
-                for &ib in &b_extra {
-                    r.push(b.rows[ri][ib]);
-                }
-                rows.push(r);
-            }
-            budget.check_size(rows.len())?;
-        }
-    }
-    Ok(crate::joiner::BindingTable { vars, rows })
-}
-
-/// Orders conjuncts so each (after the first) touches an already-bound
-/// variable, flipping traversal direction when only the target is bound.
-/// A broken ordering invariant surfaces as [`EvalError::Internal`] — one
-/// malformed query fails its matrix cell instead of aborting the run.
-fn anchor_order(rule: &Rule) -> Result<Vec<(usize, bool)>, EvalError> {
-    let n = rule.body.len();
-    let mut used = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut bound: Vec<Var> = Vec::new();
-    for _ in 0..n {
-        let pick = (0..n)
-            .filter(|&i| !used[i])
-            .find(|&i| bound.contains(&rule.body[i].src))
-            .map(|i| (i, false))
-            .or_else(|| {
-                (0..n)
-                    .filter(|&i| !used[i])
-                    .find(|&i| bound.contains(&rule.body[i].trg))
-                    .map(|i| (i, true))
-            })
-            .or_else(|| (0..n).find(|&i| !used[i]).map(|i| (i, false)))
-            .ok_or_else(|| {
-                EvalError::Internal("conjunct ordering ran out of unused conjuncts".to_owned())
-            })?;
-        used[pick.0] = true;
-        for v in [rule.body[pick.0].src, rule.body[pick.0].trg] {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        order.push(pick);
-    }
-    Ok(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::RelationalEngine;
-    use crate::Engine;
-    use gmark_core::query::Symbol;
+    use crate::EngineKind;
+    use gmark_core::query::{Symbol, Var};
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
 
@@ -364,6 +237,11 @@ mod tests {
         .unwrap()
     }
 
+    fn eval(kind: EngineKind, q: &Query) -> Answers {
+        kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())
+            .unwrap()
+    }
+
     #[test]
     fn agrees_on_non_degraded_queries() {
         // No inverse/concatenation under stars: answers must match the
@@ -378,12 +256,8 @@ mod tests {
             chain(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]),
         ];
         for q in cases {
-            let a = NavigationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
-            let b = RelationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
+            let a = eval(EngineKind::Navigational, &q);
+            let b = eval(EngineKind::Relational, &q);
             assert_eq!(a, b, "mismatch on {q:?}");
         }
     }
@@ -396,12 +270,8 @@ mod tests {
             sym(0).flipped(),
             sym(0),
         ])])]);
-        let nav = NavigationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
-        let reference = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let nav = eval(EngineKind::Navigational, &q);
+        let reference = eval(EngineKind::Relational, &q);
         assert_ne!(nav, reference, "degradation should be observable here");
     }
 
@@ -446,56 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn anchor_order_flips_when_needed() {
-        // Body: (?x1, a, ?x0), (?x1, b, ?x2) — after the first conjunct
-        // binds x1/x0, the second anchors at x1 forward.
-        let rule = Rule {
-            head: vec![Var(0), Var(2)],
-            body: vec![
-                Conjunct {
-                    src: Var(1),
-                    expr: RegularExpr::symbol(sym(0)),
-                    trg: Var(0),
-                },
-                Conjunct {
-                    src: Var(1),
-                    expr: RegularExpr::symbol(sym(1)),
-                    trg: Var(2),
-                },
-            ],
-        };
-        let order = anchor_order(&rule).unwrap();
-        assert_eq!(order, vec![(0, false), (1, false)]);
-    }
-
-    #[test]
-    fn planned_order_preserves_answers() {
-        // The planner may pick any anchor order; answers must not change,
-        // degraded or not.
-        let cases = vec![
-            chain(vec![
-                RegularExpr::symbol(sym(0)),
-                RegularExpr::symbol(sym(1)),
-            ]),
-            chain(vec![
-                RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]),
-                RegularExpr::symbol(sym(1).flipped()),
-            ]),
-        ];
-        let g = graph();
-        let ctx = crate::EvalContext::new(&g);
-        for q in cases {
-            let plan = crate::planner::plan_query(&ctx, None, &q);
-            let budget = Budget::default();
-            let planned = NavigationalEngine
-                .evaluate_planned(&ctx, &q, Some(&plan), &budget)
-                .unwrap();
-            let unplanned = NavigationalEngine.evaluate_ctx(&ctx, &q, &budget).unwrap();
-            assert_eq!(planned, unplanned, "on {q:?}");
-        }
-    }
-
-    #[test]
     fn boolean_query_works() {
         let q = Query::single(Rule {
             head: vec![],
@@ -506,9 +326,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = NavigationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(EngineKind::Navigational, &q);
         assert!(a.non_empty());
     }
 }

@@ -2,14 +2,11 @@
 //!
 //! gMark's generator knows everything a cost-based optimizer needs — the
 //! schema, per-predicate cardinalities, and the selectivity algebra of
-//! Section 5.2 — yet until this module the four engines ordered joins
-//! greedily or not at all: the relational engine joined conjuncts in
-//! declaration order, the navigational engine anchored at the first
-//! conjunct with a bound source, the triple store picked
-//! smallest-materialized-first, and the Datalog translation emitted rule
-//! bodies verbatim. [`plan_query`] replaces all four ad-hoc orders with
-//! one plan per query, computed **once** in
-//! [`crate::matrix::evaluate_matrix`] and consumed by every engine cell.
+//! Section 5.2. [`plan_query`] turns them into one plan per query,
+//! computed **once** in [`crate::matrix::evaluate_matrix`] and followed by
+//! every engine cell; no engine orders conjuncts on its own. A query
+//! evaluated without a plan follows [`QueryPlan::declaration_order`] —
+//! the same ordering loop with every estimate equal.
 //!
 //! # Statistics inputs
 //!
@@ -104,24 +101,53 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The planned `(conjunct, flip)` order of rule `ri`, validated to be
-    /// a permutation of a `body_len`-conjunct body. `None` when the plan
-    /// does not cover the rule or does not fit it (defensive: a stale or
-    /// mismatched plan makes callers fall back to their legacy order
-    /// instead of evaluating the wrong conjuncts).
-    pub fn rule_order(&self, ri: usize, body_len: usize) -> Option<Vec<(usize, bool)>> {
-        let rp = self.rules.get(ri)?;
-        if rp.steps.len() != body_len {
-            return None;
+    /// The plan of a query nobody planned: [`plan_query`]'s own ordering
+    /// loop run with every estimate equal, so each pick is the
+    /// earliest-declared conjunct sharing a variable with those already
+    /// picked (the earliest-declared of all when none does), flipped when
+    /// only its target is bound. This is what [`crate::EngineKind::evaluate`]
+    /// follows without a plan — `--no-plan`, the differential reference the
+    /// planner is tested against.
+    pub fn declaration_order(query: &Query) -> QueryPlan {
+        const EQUAL: ExprEst = ExprEst {
+            pairs: 1,
+            dsrc: 1,
+            dtrg: 1,
+        };
+        QueryPlan::of_rules(
+            query
+                .rules
+                .iter()
+                .map(|rule| plan_rule(rule, &vec![EQUAL; rule.body.len()], 1))
+                .collect(),
+        )
+    }
+
+    fn of_rules(rules: Vec<RulePlan>) -> QueryPlan {
+        let est_answers = rules
+            .iter()
+            .fold(0u128, |acc, rp| acc.saturating_add(rp.est_rows as u128));
+        QueryPlan {
+            rules,
+            est_answers: clamp_u64(est_answers),
         }
-        let mut seen = vec![false; body_len];
-        for s in &rp.steps {
-            if *seen.get(s.conjunct)? {
-                return None;
-            }
-            seen[s.conjunct] = true;
-        }
-        Some(rp.steps.iter().map(|s| (s.conjunct, s.flip)).collect())
+    }
+
+    /// Whether the plan orders exactly this query: one [`RulePlan`] per
+    /// rule, each a permutation of its rule's body. Checked once, at the
+    /// engine entry point — a stale or mismatched plan is replaced by
+    /// [`QueryPlan::declaration_order`] instead of evaluating the wrong
+    /// conjuncts.
+    pub(crate) fn fits(&self, query: &Query) -> bool {
+        self.rules.len() == query.rules.len()
+            && self.rules.iter().zip(&query.rules).all(|(rp, rule)| {
+                let mut seen = vec![false; rule.body.len()];
+                rp.steps.len() == seen.len()
+                    && rp.steps.iter().all(|s| {
+                        seen.get_mut(s.conjunct)
+                            .is_some_and(|slot| !std::mem::replace(slot, true))
+                    })
+            })
     }
 }
 
@@ -141,27 +167,27 @@ struct ExprEst {
 /// module docs.
 pub fn plan_query(ctx: &EvalContext<'_>, schema: Option<&Schema>, query: &Query) -> QueryPlan {
     let n = ctx.view().node_count() as u128;
-    let rules: Vec<RulePlan> = query
-        .rules
-        .iter()
-        .map(|rule| plan_rule(ctx, schema, rule, n))
-        .collect();
-    let est_answers = rules
-        .iter()
-        .fold(0u128, |acc, rp| acc.saturating_add(rp.est_rows as u128));
-    QueryPlan {
-        rules,
-        est_answers: clamp_u64(est_answers),
-    }
+    QueryPlan::of_rules(
+        query
+            .rules
+            .iter()
+            .map(|rule| {
+                let ests: Vec<ExprEst> = rule
+                    .body
+                    .iter()
+                    .map(|c| expr_est(ctx, schema, &c.expr, n))
+                    .collect();
+                plan_rule(rule, &ests, n)
+            })
+            .collect(),
+    )
 }
 
-fn plan_rule(ctx: &EvalContext<'_>, schema: Option<&Schema>, rule: &Rule, n: u128) -> RulePlan {
+/// The one conjunct-ordering loop of the crate: greedy over the
+/// per-conjunct estimates `ests` (one per body position) on an `n`-node
+/// graph — see the module docs.
+fn plan_rule(rule: &Rule, ests: &[ExprEst], n: u128) -> RulePlan {
     let len = rule.body.len();
-    let ests: Vec<ExprEst> = rule
-        .body
-        .iter()
-        .map(|c| expr_est(ctx, schema, &c.expr, n))
-        .collect();
     let n2 = n.saturating_mul(n).max(1);
 
     let mut used = vec![false; len];
@@ -482,18 +508,66 @@ mod tests {
         assert_eq!(order, vec![1, 0], "smallest conjunct seeds the order");
     }
 
+    fn conjunct(src: u32, p: usize, trg: u32) -> Conjunct {
+        Conjunct {
+            src: Var(src),
+            expr: RegularExpr::symbol(sym(p)),
+            trg: Var(trg),
+        }
+    }
+
     #[test]
-    fn rule_order_accessor_round_trips() {
-        let g = graph();
-        let ctx = EvalContext::new(&g);
-        let q = chain(vec![
+    fn declaration_order_is_connected_first_then_earliest_declared() {
+        // Body: (x0,x1), (x5,x6), (x2,x1), (x1,x3). After the seed, the
+        // disconnected (x5,x6) waits; (x2,x1) is the earliest connected
+        // conjunct and only its target is bound, so it is flipped; then
+        // (x1,x3) forward; the Cartesian component comes last.
+        let q = Query::single(Rule {
+            head: vec![Var(0), Var(6)],
+            body: vec![
+                conjunct(0, 0, 1),
+                conjunct(5, 1, 6),
+                conjunct(2, 0, 1),
+                conjunct(1, 1, 3),
+            ],
+        })
+        .unwrap();
+        let plan = QueryPlan::declaration_order(&q);
+        let order: Vec<(usize, bool)> = plan.rules[0]
+            .steps
+            .iter()
+            .map(|s| (s.conjunct, s.flip))
+            .collect();
+        assert_eq!(order, vec![(0, false), (2, true), (3, false), (1, false)]);
+        assert!(plan.fits(&q));
+        // It reads no statistics: the dense/sparse contrast that reorders
+        // `selective_conjunct_leads_the_order` leaves a chain as declared.
+        let chain = chain(vec![
             RegularExpr::symbol(sym(0)),
             RegularExpr::symbol(sym(1)),
         ]);
-        let plan = plan_query(&ctx, None, &q);
-        let order = plan.rule_order(0, 2).unwrap();
-        assert_eq!(order.len(), 2);
-        assert!(plan.rule_order(1, 2).is_none(), "no such rule");
-        assert!(plan.rule_order(0, 3).is_none(), "wrong body length");
+        let plan = QueryPlan::declaration_order(&chain);
+        let order: Vec<usize> = plan.rules[0].steps.iter().map(|s| s.conjunct).collect();
+        assert_eq!(order, vec![0, 1]);
+    }
+
+    #[test]
+    fn fits_rejects_plans_of_other_queries() {
+        let two = chain(vec![
+            RegularExpr::symbol(sym(0)),
+            RegularExpr::symbol(sym(1)),
+        ]);
+        let one = chain(vec![RegularExpr::symbol(sym(0))]);
+        let g = graph();
+        let ctx = EvalContext::new(&g);
+        let plan = plan_query(&ctx, None, &two);
+        assert!(plan.fits(&two));
+        assert!(!plan.fits(&one), "wrong body length");
+        let mut repeated = plan.clone();
+        repeated.rules[0].steps[1].conjunct = repeated.rules[0].steps[0].conjunct;
+        assert!(!repeated.fits(&two), "a conjunct picked twice");
+        let mut extra_rule = plan.clone();
+        extra_rule.rules.push(plan.rules[0].clone());
+        assert!(!extra_rule.fits(&two), "wrong rule count");
     }
 }

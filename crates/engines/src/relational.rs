@@ -1,11 +1,10 @@
 //! The relational engine (`P`-style: PostgreSQL with recursive views).
 //!
-//! Evaluates exactly the plan the paper's SQL:1999 translation induces:
-//! every conjunct becomes a fully materialized binary relation (scans +
-//! joins + `UNION`s; a `WITH RECURSIVE` linear-recursion fixpoint for
-//! stars), and conjuncts are then hash-joined left-to-right in declaration
-//! order — a straightforward evaluation with no property-path shortcuts
-//! and no join reordering.
+//! Evaluates the plan the paper's SQL:1999 translation induces: every
+//! conjunct becomes a fully materialized binary relation (scans + joins +
+//! `UNION`s; a `WITH RECURSIVE` linear-recursion fixpoint for stars) —
+//! with no property-path shortcuts — and the relations are then joined in
+//! the order of the query plan.
 //!
 //! Profile reproduced from the paper: strong on constant- and
 //! linear-selectivity non-recursive queries (Fig. 12(a)/(b), where "P
@@ -14,68 +13,39 @@
 //! cells of Table 4.
 
 use crate::context::EvalContext;
-use crate::joiner::{join_all, project, ConjunctPairs};
-use crate::{Answers, Budget, Engine, EvalError, QueryPlan};
+use crate::joiner::{join_all, union_of_rules, ConjunctPairs};
+use crate::{Answers, Budget, EvalError, QueryPlan};
 use gmark_core::query::Query;
 
-/// See the module docs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RelationalEngine;
-
-impl Engine for RelationalEngine {
-    fn name(&self) -> &'static str {
-        "P/relational"
-    }
-
-    fn evaluate_ctx(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        let mut tuples = Vec::new();
-        for (ri, rule) in query.rules.iter().enumerate() {
-            // Materialize each conjunct — in the planner's join order
-            // when a plan is given, declaration order otherwise; base
-            // symbol relations are the context's shared sorted indexes.
-            let order: Vec<usize> = plan
-                .and_then(|p| p.rule_order(ri, rule.body.len()))
-                .map(|o| o.into_iter().map(|(ci, _)| ci).collect())
-                .unwrap_or_else(|| (0..rule.body.len()).collect());
-            let mut conjuncts = Vec::with_capacity(rule.body.len());
-            for &ci in &order {
-                let c = &rule.body[ci];
-                // A sub-expression cache hit mounts the shared relation
-                // directly (charged its cardinality check only); a miss
-                // computes through the sorted kernels as before.
-                let rel = ctx.expr_relation(&c.expr, budget)?;
-                conjuncts.push(ConjunctPairs {
-                    src: c.src,
-                    trg: c.trg,
-                    pairs: rel,
-                });
-            }
-            let table = join_all(conjuncts, budget)?;
-            tuples.extend(project(&table, rule)?);
-            budget.check_size(tuples.len())?;
+/// Materializes every conjunct of a rule in plan order — base symbol
+/// relations are the context's shared sorted indexes; a sub-expression
+/// cache hit mounts the shared relation directly (charged its cardinality
+/// check only), a miss computes through the sorted kernels — then joins
+/// them in that order.
+pub(crate) fn evaluate(
+    ctx: &EvalContext<'_>,
+    query: &Query,
+    plan: &QueryPlan,
+    budget: &Budget,
+) -> Result<Answers, EvalError> {
+    union_of_rules(query, plan, budget, |rule, steps| {
+        let mut conjuncts = Vec::with_capacity(steps.len());
+        for step in steps {
+            let c = &rule.body[step.conjunct];
+            conjuncts.push(ConjunctPairs {
+                src: c.src,
+                trg: c.trg,
+                pairs: ctx.expr_relation(&c.expr, budget)?,
+            });
         }
-        Ok(Answers::new(query.arity(), tuples))
-    }
+        join_all(&conjuncts, budget)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineKind;
     use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol, Var};
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
@@ -96,6 +66,10 @@ mod tests {
         b.build()
     }
 
+    fn eval(q: &Query, budget: &Budget) -> Result<Answers, EvalError> {
+        EngineKind::Relational.evaluate(&EvalContext::new(&graph()), q, None, budget)
+    }
+
     #[test]
     fn single_conjunct() {
         let q = Query::single(Rule {
@@ -107,9 +81,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
         assert_eq!(a.tuples, vec![vec![1, 3], vec![2, 3]]);
     }
 
@@ -132,9 +104,7 @@ mod tests {
             ],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
         // a·b pairs: (0,3) via 1, (1,3) via 2, (3,3) via 1.
         assert_eq!(a.tuples, vec![vec![0, 3], vec![1, 3], vec![3, 3]]);
     }
@@ -150,9 +120,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
         let nfa_pairs = crate::automaton::eval_rpq_pairs(
             &graph(),
             &q.rules[0].body[0].expr,
@@ -174,9 +142,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
         assert!(a.non_empty());
         assert_eq!(a.count(), 1);
     }
@@ -192,9 +158,7 @@ mod tests {
             }],
         };
         let q = Query::new(vec![mk(0), mk(1)]).unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
         assert_eq!(a.count(), 6); // 4 a-edges + 2 b-edges, all distinct
     }
 
@@ -213,6 +177,6 @@ mod tests {
             max_tuples: 2,
             ..Budget::default()
         };
-        assert!(RelationalEngine.evaluate(&graph(), &q, &tight).is_err());
+        assert!(eval(&q, &tight).is_err());
     }
 }

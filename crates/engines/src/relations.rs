@@ -14,10 +14,11 @@
 
 use crate::context::EvalContext;
 use crate::{Budget, EvalError};
-use gmark_core::query::{PathExpr, RegularExpr, Symbol};
+use gmark_core::query::{RegularExpr, Symbol};
 use gmark_store::{GraphView, NodeId};
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 thread_local! {
     /// Per-worker scratch arena: the per-source target buffer reused by
@@ -129,7 +130,7 @@ impl Relation {
                 }
                 runs += 1;
                 let s = self.pairs[i].0;
-                let run_end = i + gallop_src(&self.pairs[i..], s + 1, 0);
+                let run_end = i + self.pairs[i..].iter().take_while(|p| p.0 == s).count();
                 targets.clear();
                 let mut cursor = 0usize;
                 for &(_, t) in &self.pairs[i..run_end] {
@@ -234,103 +235,25 @@ impl Relation {
     }
 
     /// Evaluates a whole regular expression by relational algebra:
-    /// concatenation ⇒ compose, disjunction ⇒ union, star ⇒ closure.
-    ///
-    /// Per-symbol relations are collected from the graph on the spot —
-    /// the one-off path. Engines evaluating many queries on one graph use
-    /// [`Relation::of_expr_ctx`], which borrows the shared, build-once
-    /// relations of an [`EvalContext`] instead (and, through
-    /// [`EvalContext::expr_relation`], the cross-cell sub-expression
-    /// cache).
+    /// concatenation ⇒ compose, disjunction ⇒ union, star ⇒ closure — the
+    /// one-off spelling of [`EvalContext::expr_relation`], over a fresh
+    /// context with no sub-expression cache. Engines evaluating many
+    /// queries on one graph share a context instead.
     pub fn of_expr<'g>(
         graph: impl Into<GraphView<'g>>,
         expr: &RegularExpr,
         budget: &Budget,
     ) -> Result<Relation, EvalError> {
-        let graph = graph.into();
-        Relation::of_expr_with(
-            &mut |sym| Relation::of_symbol(graph, sym),
-            graph.node_count(),
-            expr,
-            budget,
-        )
-    }
-
-    /// [`Relation::of_expr`] against a shared [`EvalContext`]: leaf symbol
-    /// relations come from the context's per-`(predicate, direction)`
-    /// cache, so nothing is re-derived from the graph on the per-query
-    /// path.
-    pub fn of_expr_ctx(
-        ctx: &EvalContext<'_>,
-        expr: &RegularExpr,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        Relation::of_expr_with(
-            &mut |sym| ctx.relation(sym).clone(),
-            ctx.view().node_count(),
-            expr,
-            budget,
-        )
-    }
-
-    pub(crate) fn of_expr_with(
-        leaf: &mut dyn FnMut(Symbol) -> Relation,
-        n: NodeId,
-        expr: &RegularExpr,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        let mut union_acc: Option<Relation> = None;
-        for path in &expr.disjuncts {
-            let r = Relation::of_path_with(leaf, n, path, budget)?;
-            union_acc = Some(match union_acc {
-                None => r,
-                Some(acc) => acc.union(&r),
-            });
-        }
-        let base = union_acc.unwrap_or_default();
-        if expr.starred {
-            base.star(n, budget)
-        } else {
-            Ok(base)
-        }
-    }
-
-    /// Evaluates one concatenation path.
-    pub fn of_path<'g>(
-        graph: impl Into<GraphView<'g>>,
-        path: &PathExpr,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        let graph = graph.into();
-        Relation::of_path_with(
-            &mut |sym| Relation::of_symbol(graph, sym),
-            graph.node_count(),
-            path,
-            budget,
-        )
-    }
-
-    pub(crate) fn of_path_with(
-        leaf: &mut dyn FnMut(Symbol) -> Relation,
-        n: NodeId,
-        path: &PathExpr,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        if path.is_empty() {
-            return Ok(Relation::identity(n));
-        }
-        let mut acc = leaf(path.0[0]);
-        for &sym in &path.0[1..] {
-            let next = leaf(sym);
-            acc = acc.compose(&next, budget)?;
-        }
-        Ok(acc)
+        EvalContext::new(graph)
+            .expr_relation(expr, budget)
+            .map(Arc::unwrap_or_clone)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmark_core::query::PathExpr;
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
 
@@ -417,18 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn star_agrees_with_automaton() {
-        let g = chain_graph();
-        let expr = RegularExpr::star(vec![PathExpr(vec![sym(0)])]);
-        let via_rel = Relation::of_expr(&g, &expr, &Budget::default()).unwrap();
-        let via_nfa = crate::automaton::eval_rpq_pairs(&g, &expr, &Budget::default()).unwrap();
-        assert_eq!(via_rel.pairs(), via_nfa.as_slice());
-    }
-
-    #[test]
     fn epsilon_path_is_identity() {
         let g = chain_graph();
-        let r = Relation::of_path(&g, &PathExpr::epsilon(), &Budget::default()).unwrap();
+        let eps = RegularExpr::union(vec![PathExpr::epsilon()]);
+        let r = Relation::of_expr(&g, &eps, &Budget::default()).unwrap();
         assert_eq!(r, Relation::identity(4));
     }
 
@@ -461,9 +376,9 @@ mod tests {
     }
 
     #[test]
-    fn ctx_expr_matches_direct_expr() {
+    fn expr_kernels_agree_with_the_automaton() {
+        // The independent reference: product-automaton BFS.
         let g = chain_graph();
-        let ctx = crate::context::EvalContext::new(&g);
         let exprs = [
             RegularExpr::symbol(sym(0)),
             RegularExpr::symbol(sym(0).flipped()),
@@ -472,11 +387,26 @@ mod tests {
         ];
         for expr in exprs {
             assert_eq!(
-                Relation::of_expr_ctx(&ctx, &expr, &Budget::default()).unwrap(),
-                Relation::of_expr(&g, &expr, &Budget::default()).unwrap(),
+                Relation::of_expr(&g, &expr, &Budget::default())
+                    .unwrap()
+                    .pairs(),
+                crate::automaton::eval_rpq_pairs(&g, &expr, &Budget::default()).unwrap(),
                 "{expr:?}"
             );
         }
+    }
+
+    #[test]
+    fn compose_survives_the_largest_node_id() {
+        // The end of a source run is found by equality, not by searching
+        // for `s + 1`.
+        let a = Relation::from_pairs(vec![(7, 1), (u32::MAX, 1), (u32::MAX, 2)]);
+        let b = Relation::from_pairs(vec![(1, u32::MAX), (2, 0)]);
+        let ab = a.compose(&b, &Budget::default()).unwrap();
+        assert_eq!(
+            ab.pairs(),
+            &[(7, u32::MAX), (u32::MAX, 0), (u32::MAX, u32::MAX)]
+        );
     }
 
     #[test]

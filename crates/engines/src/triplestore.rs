@@ -4,160 +4,68 @@
 //! the product-automaton algorithm over the store's sorted indexes — no
 //! per-step intermediate relations are materialized, which is why this
 //! architecture overtakes the relational engine on large linear and on
-//! quadratic non-recursive workloads (Fig. 12(b)/(c)). Conjuncts are then
-//! combined with a greedy *smallest-relation-first* join order (the
-//! cardinality-driven ordering triple stores favor), subject to
-//! connectivity with the variables already bound.
+//! quadratic non-recursive workloads (Fig. 12(b)/(c)). The conjunct
+//! results are then joined in the order of the query plan.
 //!
 //! On recursive queries the per-source product BFS touches a large part of
 //! `V × Q` per source; with the measurement budgets of Section 7 this
 //! engine finishes only the small instances — Table 4's `S` row.
 
 use crate::context::EvalContext;
-use crate::joiner::{join_all, project, ConjunctPairs};
+use crate::joiner::{join_all, union_of_rules, ConjunctPairs};
 use crate::relations::Relation;
-use crate::{eval_rpq, unpack, Answers, Budget, Engine, EvalError, QueryPlan};
+use crate::{eval_rpq, unpack, Answers, Budget, EvalError, QueryPlan};
 use gmark_core::query::Query;
 use std::sync::Arc;
 
-/// See the module docs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TripleStoreEngine;
-
-impl Engine for TripleStoreEngine {
-    fn name(&self) -> &'static str {
-        "S/triplestore"
-    }
-
-    fn evaluate_ctx(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        let mut tuples = Vec::new();
-        for (ri, rule) in query.rules.iter().enumerate() {
-            // Property-path evaluation per conjunct, with the compiled
-            // automaton memoized in the shared context.
-            let mut materialized: Vec<ConjunctPairs> = Vec::with_capacity(rule.body.len());
-            for c in &rule.body {
-                // A sub-expression cache hit replaces the whole product-BFS
-                // for this conjunct (charged its cardinality check only);
-                // on a miss the property-path algorithm runs as before.
-                let pairs = match ctx.cached_expr(&c.expr, budget)? {
-                    Some(rel) => rel,
-                    None => {
-                        let nfa = ctx.nfa(&c.expr);
-                        let packed = eval_rpq(ctx.view(), &nfa, budget)?;
-                        // eval_rpq yields packed pairs in ascending order,
-                        // so this is a verification pass, not a sort.
-                        Arc::new(Relation::from_pairs(
-                            packed.into_iter().map(unpack).collect(),
-                        ))
-                    }
-                };
-                materialized.push(ConjunctPairs {
-                    src: c.src,
-                    trg: c.trg,
-                    pairs,
-                });
-            }
-            // Join order: the planner's estimate-driven order when a plan
-            // is given, the legacy greedy smallest-materialized-first
-            // order otherwise.
-            let ordered = match plan.and_then(|p| p.rule_order(ri, rule.body.len())) {
-                Some(order) => {
-                    let mut slots: Vec<Option<ConjunctPairs>> =
-                        materialized.into_iter().map(Some).collect();
-                    order
-                        .into_iter()
-                        .map(|(ci, _)| {
-                            slots[ci].take().ok_or_else(|| {
-                                EvalError::Internal("plan order revisited a conjunct".to_owned())
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
+/// Evaluates every conjunct of a rule as a property path, in declaration
+/// order — a sub-expression cache hit replaces the whole product BFS
+/// (charged its cardinality check only); on a miss the automaton, memoized
+/// in the shared context, runs over the graph — then joins the results in
+/// plan order.
+pub(crate) fn evaluate(
+    ctx: &EvalContext<'_>,
+    query: &Query,
+    plan: &QueryPlan,
+    budget: &Budget,
+) -> Result<Answers, EvalError> {
+    union_of_rules(query, plan, budget, |rule, steps| {
+        let mut paths: Vec<Arc<Relation>> = Vec::with_capacity(rule.body.len());
+        for c in &rule.body {
+            paths.push(match ctx.cached_expr(&c.expr, budget)? {
+                Some(rel) => rel,
+                None => {
+                    let packed = eval_rpq(ctx.view(), &ctx.nfa(&c.expr), budget)?;
+                    // eval_rpq yields packed pairs in ascending order, so
+                    // this is a verification pass, not a sort.
+                    Arc::new(Relation::from_pairs(
+                        packed.into_iter().map(unpack).collect(),
+                    ))
                 }
-                None => greedy_order(materialized)?,
-            };
-            let table = join_all(ordered, budget)?;
-            tuples.extend(project(&table, rule)?);
-            budget.check_size(tuples.len())?;
+            });
         }
-        Ok(Answers::new(query.arity(), tuples))
-    }
-}
-
-/// Greedy smallest-relation-first join order: repeatedly pick the
-/// smallest not-yet-joined conjunct that shares a variable with the bound
-/// set. When no remaining conjunct connects (the body has several
-/// variable-disjoint components), the next component is seeded by the
-/// **globally smallest remaining conjunct** — never by declaration
-/// position — and every size tie breaks toward the earliest-declared
-/// conjunct, so the order is a deterministic function of the
-/// (sizes, variables) input alone.
-fn greedy_order(conjuncts: Vec<ConjunctPairs>) -> Result<Vec<ConjunctPairs>, EvalError> {
-    let n = conjuncts.len();
-    let mut slots: Vec<Option<ConjunctPairs>> = conjuncts.into_iter().map(Some).collect();
-    let mut ordered = Vec::with_capacity(n);
-    let mut bound: Vec<gmark_core::query::Var> = Vec::new();
-    for _ in 0..n {
-        let remaining = || {
-            slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| Some((i, s.as_ref()?)))
-        };
-        let idx = remaining()
-            .filter(|(_, c)| bound.contains(&c.src) || bound.contains(&c.trg))
-            .min_by_key(|&(i, c)| (c.pairs.len(), i))
-            .or_else(|| remaining().min_by_key(|&(i, c)| (c.pairs.len(), i)))
-            .map(|(i, _)| i)
-            .ok_or_else(|| {
-                // Unreachable while the loop bound holds; surfaced as a
-                // typed error so a broken invariant fails one cell, not
-                // the whole matrix.
-                EvalError::Internal("conjunct ordering found no candidate".to_owned())
-            })?;
-        let c = slots[idx]
-            .take()
-            .ok_or_else(|| EvalError::Internal("conjunct slot taken twice".to_owned()))?;
-        if !bound.contains(&c.src) {
-            bound.push(c.src);
-        }
-        if !bound.contains(&c.trg) {
-            bound.push(c.trg);
-        }
-        ordered.push(c);
-    }
-    Ok(ordered)
+        let ordered: Vec<ConjunctPairs> = steps
+            .iter()
+            .map(|step| ConjunctPairs {
+                src: rule.body[step.conjunct].src,
+                trg: rule.body[step.conjunct].trg,
+                pairs: Arc::clone(&paths[step.conjunct]),
+            })
+            .collect();
+        join_all(&ordered, budget)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::RelationalEngine;
+    use crate::EngineKind;
     use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol, Var};
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
 
     fn sym(i: usize) -> Symbol {
         Symbol::forward(PredicateId(i))
-    }
-
-    /// An `n`-pair diagonal relation (test sizes for ordering checks).
-    fn diag(n: u32) -> Arc<Relation> {
-        Arc::new(Relation::from_pairs((0..n).map(|i| (i, i)).collect()))
     }
 
     fn graph() -> Graph {
@@ -188,6 +96,11 @@ mod tests {
         .unwrap()
     }
 
+    fn eval(kind: EngineKind, q: &Query) -> Answers {
+        kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())
+            .unwrap()
+    }
+
     #[test]
     fn agrees_with_relational_on_chains() {
         let cases = vec![
@@ -207,105 +120,10 @@ mod tests {
             ]),
         ];
         for q in cases {
-            let a = TripleStoreEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
-            let b = RelationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
+            let a = eval(EngineKind::TripleStore, &q);
+            let b = eval(EngineKind::Relational, &q);
             assert_eq!(a, b, "mismatch on {q:?}");
         }
-    }
-
-    #[test]
-    fn greedy_order_puts_smallest_connected_first() {
-        let c_big = ConjunctPairs {
-            src: Var(0),
-            trg: Var(1),
-            pairs: diag(100),
-        };
-        let c_small = ConjunctPairs {
-            src: Var(1),
-            trg: Var(2),
-            pairs: diag(1),
-        };
-        let c_mid = ConjunctPairs {
-            src: Var(2),
-            trg: Var(3),
-            pairs: diag(10),
-        };
-        let ordered = greedy_order(vec![c_big, c_small, c_mid]).unwrap();
-        assert_eq!(ordered[0].pairs.len(), 1, "smallest seeds the join");
-        // Next must connect to Var(1)/Var(2): both do; mid (10) < big (100).
-        assert_eq!(ordered[1].pairs.len(), 10);
-        assert_eq!(ordered[2].pairs.len(), 100);
-    }
-
-    #[test]
-    fn greedy_order_handles_disconnected_groups_smallest_first() {
-        // Two variable-disjoint components: {x0–x1–x2} and {x10–x11}.
-        // After the first component's seed (size 1) pulls in its size-50
-        // neighbor, nothing connects — the second component must be
-        // seeded by the globally smallest remaining conjunct (size 5),
-        // not whichever happens to sit first in the input.
-        let a_big = ConjunctPairs {
-            src: Var(10),
-            trg: Var(11),
-            pairs: diag(20),
-        };
-        let a_small = ConjunctPairs {
-            src: Var(11),
-            trg: Var(12),
-            pairs: diag(5),
-        };
-        let b_seed = ConjunctPairs {
-            src: Var(0),
-            trg: Var(1),
-            pairs: diag(1),
-        };
-        let b_next = ConjunctPairs {
-            src: Var(1),
-            trg: Var(2),
-            pairs: diag(50),
-        };
-        let ordered = greedy_order(vec![a_big, a_small, b_seed, b_next]).unwrap();
-        let sizes: Vec<usize> = ordered.iter().map(|c| c.pairs.len()).collect();
-        // Component 1: seed (1) then its only neighbor (50). Component 2:
-        // smallest remaining (5), then its connected neighbor (20).
-        assert_eq!(sizes, vec![1, 50, 5, 20]);
-    }
-
-    #[test]
-    fn greedy_order_breaks_ties_by_declaration_index() {
-        // Three disconnected equal-size conjuncts: the order must be
-        // exactly the declaration order (earliest index wins each tie),
-        // independent of any removal bookkeeping.
-        let mk = |v: u32| ConjunctPairs {
-            src: Var(v),
-            trg: Var(v + 1),
-            pairs: diag(2),
-        };
-        let ordered = greedy_order(vec![mk(0), mk(10), mk(20)]).unwrap();
-        let srcs: Vec<Var> = ordered.iter().map(|c| c.src).collect();
-        assert_eq!(srcs, vec![Var(0), Var(10), Var(20)]);
-    }
-
-    #[test]
-    fn planned_order_matches_greedy_answers() {
-        // A plan only changes the join order, never the answers.
-        let q = chain_query(vec![
-            RegularExpr::symbol(sym(0)),
-            RegularExpr::symbol(sym(1)),
-        ]);
-        let g = graph();
-        let ctx = EvalContext::new(&g);
-        let plan = crate::planner::plan_query(&ctx, None, &q);
-        let budget = Budget::default();
-        let planned = TripleStoreEngine
-            .evaluate_planned(&ctx, &q, Some(&plan), &budget)
-            .unwrap();
-        let unplanned = TripleStoreEngine.evaluate_ctx(&ctx, &q, &budget).unwrap();
-        assert_eq!(planned, unplanned);
     }
 
     #[test]
@@ -329,9 +147,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let a = TripleStoreEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(EngineKind::TripleStore, &q);
         assert!(a.non_empty());
     }
 
@@ -354,12 +170,8 @@ mod tests {
             ],
         })
         .unwrap();
-        let a = TripleStoreEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
-        let b = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval(EngineKind::TripleStore, &q);
+        let b = eval(EngineKind::Relational, &q);
         assert_eq!(a, b);
         // Node 0: a→1, b→4 contributes (1,4); node 1: a→2, b→3 → (2,3);
         // node 2: a→0, b→3 → (0,3).

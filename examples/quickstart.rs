@@ -69,9 +69,10 @@ fn main() -> Result<(), GmarkError> {
     // 4. Evaluate each query, printing its class and result count.
     let graph = arts.graph.expect("materialized");
     let workload = arts.workload.expect("materialized");
+    let ctx = EvalContext::new(&graph);
     for gq in &workload.queries {
-        let answers = TripleStoreEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
+        let answers = EngineKind::TripleStore
+            .evaluate(&ctx, &gq.query, None, &Budget::default())
             .expect("within budget");
         println!(
             "  [{}] |Q(G)| = {:<8} {}",

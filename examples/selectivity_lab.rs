@@ -90,8 +90,9 @@ fn main() {
                 .expect("graph generates")
                 .graph
                 .expect("plan generates a graph");
-            let count = TripleStoreEngine
-                .evaluate(&graph, &gq.query, &Budget::default())
+            let ctx = EvalContext::new(&graph);
+            let count = EngineKind::TripleStore
+                .evaluate(&ctx, &gq.query, None, &Budget::default())
                 .map(|a| a.count())
                 .unwrap_or(0);
             observations.push((n, count));

@@ -70,10 +70,11 @@ fn main() -> Result<(), GmarkError> {
 
     // Evaluate on the instance with each engine under a 20 s budget.
     println!("\nengine comparison on the recursive closure:");
-    for engine in all_engines() {
+    let ctx = EvalContext::new(&graph);
+    for engine in EngineKind::ALL {
         let budget = Budget::with_timeout(Duration::from_secs(20));
         let start = std::time::Instant::now();
-        match engine.evaluate(&graph, &closure, &budget) {
+        match engine.evaluate(&ctx, &closure, None, &budget) {
             Ok(answers) => println!(
                 "  {:<16} {:>10} answers in {:>8.2?}",
                 engine.name(),

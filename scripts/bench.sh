@@ -15,15 +15,6 @@
 #     50K -> 5M nodes plus materialized contrast rows, one process per
 #     size so each row's `peak_rss_kb` (VmHWM) is a per-size peak — these
 #     rows pin the memory-bounded streaming claim;
-#   * the `eval_matrix` binary (Section 7 in miniature): the full
-#     (engine x query) evaluation matrix on Bib through the shared
-#     EvalContext harness, one process per (planner regime x thread
-#     count) — planner on vs --no-plan, 1 thread vs auto — into
-#     BENCH_eval.json, plus one --no-eval-cache contrast row. Each row
-#     records cells/s, the timeout/too-large counts, its `"plan"` and
-#     `"cache"` regimes, the cache hit/miss counters, and the run's peak
-#     RSS (VmHWM); the on/off pairs pin the statistics planner's and the
-#     sub-expression cache's effects across PRs.
 #   * the `store_sweep` binary (on-disk paged store): builds a 500K-node
 #     `graph.gstore` through the streamed spool tee (build MB/s), then
 #     evaluates the same workload paged (cold + warm pass) and in-RAM —
@@ -47,20 +38,23 @@
 #     p50/p95/p99/max latency of the measured phase after warmup. The
 #     keepalive/close QPS ratio pins the keep-alive win end to end.
 #
-# Usage: scripts/bench.sh [gen.json] [workload.json] [eval.json]
-#        [store.json] [serve.json] [drive.json]
-#        (defaults: BENCH_gen.json BENCH_workload.json BENCH_eval.json
-#         BENCH_store.json BENCH_serve.json BENCH_drive.json)
+# The evaluation matrix has no section here: `benchmark/run.sh` measures
+# it (`eval-inram`, `eval-paged`, and the `engines.*` metrics under
+# `--trace 1`).
+#
+# Usage: scripts/bench.sh [gen.json] [workload.json] [store.json]
+#        [serve.json] [drive.json]
+#        (defaults: BENCH_gen.json BENCH_workload.json BENCH_store.json
+#         BENCH_serve.json BENCH_drive.json)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_gen.json}"
 wl_out="${2:-BENCH_workload.json}"
-eval_out="${3:-BENCH_eval.json}"
-store_out="${4:-BENCH_store.json}"
-serve_out="${5:-BENCH_serve.json}"
-drive_out="${6:-BENCH_drive.json}"
+store_out="${3:-BENCH_store.json}"
+serve_out="${4:-BENCH_serve.json}"
+drive_out="${5:-BENCH_drive.json}"
 case "$out" in
     /*) ;;
     *) out="$PWD/$out" ;; # cargo runs bench binaries from the package dir
@@ -68,10 +62,6 @@ esac
 case "$wl_out" in
     /*) ;;
     *) wl_out="$PWD/$wl_out" ;;
-esac
-case "$eval_out" in
-    /*) ;;
-    *) eval_out="$PWD/$eval_out" ;;
 esac
 case "$store_out" in
     /*) ;;
@@ -85,7 +75,7 @@ case "$drive_out" in
     /*) ;;
     *) drive_out="$PWD/$drive_out" ;;
 esac
-rm -f "$out" "$wl_out" "$eval_out" "$store_out" "$serve_out" "$drive_out"
+rm -f "$out" "$wl_out" "$store_out" "$serve_out" "$drive_out"
 
 echo "== criterion generation benches (exporting to $out) =="
 GMARK_BENCH_JSON="$out" cargo bench --offline -p gmark-bench --bench generation
@@ -108,25 +98,6 @@ for n in 50000 500000; do
     GMARK_BENCH_JSON="$out" cargo run --offline --release -p gmark-bench \
         --bin scale_sweep -- --nodes "$n" --mode materialized --threads 0
 done
-
-echo "== eval matrix (Section 7 in miniature, exporting to $eval_out) =="
-# One process per (planner regime x thread count): peak_rss_kb rows are
-# per-run VmHWM peaks. 1 thread vs auto-detect pins the parallel evaluation
-# pipeline's trajectory; planner on vs --no-plan pins the statistics
-# planner's effect on the timeout/too-large counts.
-for plan_flag in "" "--no-plan"; do
-    for t in 1 0; do
-        # shellcheck disable=SC2086
-        GMARK_BENCH_JSON="$eval_out" cargo run --offline --release -p gmark-bench \
-            --bin eval_matrix -- --threads "$t" $plan_flag
-    done
-done
-# Cached-regime pair: the same single-threaded planned run with the
-# sub-expression result cache disabled. Against the cache-on row above
-# (whose cache_hits/cache_misses fields record the hit rate), this pair
-# pins the cache's cells/s effect across PRs.
-GMARK_BENCH_JSON="$eval_out" cargo run --offline --release -p gmark-bench \
-    --bin eval_matrix -- --threads 1 --no-eval-cache
 
 echo "== store sweep (paged store build + paged-vs-in-RAM eval, exporting to $store_out) =="
 # One process per mode: the paged rows' peak_rss_kb (VmHWM) measures the
@@ -163,10 +134,9 @@ for transport in keepalive close; do
 done
 
 echo "== baselines written =="
-wc -l "$out" "$wl_out" "$eval_out" "$store_out" "$serve_out" "$drive_out"
+wc -l "$out" "$wl_out" "$store_out" "$serve_out" "$drive_out"
 cat "$out"
 cat "$wl_out"
-cat "$eval_out"
 cat "$store_out"
 cat "$serve_out"
 cat "$drive_out"

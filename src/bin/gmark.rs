@@ -155,9 +155,11 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
   --max-tuples N  per-cell tuple cap for --eval (default 20000000);\n\
                   exceeding it reports the cell as too-large.\n\
   --no-plan       disable the schema-statistics query planner for --eval:\n\
-                  engines fall back to declaration-order / per-engine\n\
-                  heuristic joins and eval.txt drops the est~actual\n\
-                  annotations. Answers never depend on this flag.\n\
+                  every engine follows the same declaration-order plan\n\
+                  (earliest-declared connected conjunct first) and\n\
+                  eval.txt drops the est~actual annotations. Cells may\n\
+                  move between ok and too-large; answers never depend\n\
+                  on this flag.\n\
   --no-eval-cache disable the cross-cell sub-expression result cache for\n\
                   --eval: every cell recomputes its sub-expressions from\n\
                   scratch. Cell outcomes and answer cardinalities never\n\

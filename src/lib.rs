@@ -37,8 +37,9 @@
 //! // Embedding? Materialize instead of serializing, then evaluate.
 //! let arts = gmark::run::run_in_memory(&plan, &RunOptions::with_seed(42))?;
 //! let (graph, workload) = (arts.graph.unwrap(), arts.workload.unwrap());
-//! let answers = RelationalEngine
-//!     .evaluate(&graph, &workload.queries[0].query, &Budget::default())
+//! let ctx = EvalContext::new(&graph); // build once, share across queries
+//! let answers = EngineKind::Relational
+//!     .evaluate(&ctx, &workload.queries[0].query, None, &Budget::default())
 //!     .unwrap();
 //! let _count = answers.count();
 //! # Ok::<(), gmark::run::GmarkError>(())
@@ -65,6 +66,7 @@
 //! | `ConfigError` / `WorkloadError` / `TranslateError` / `EvalError` / `io::Error` juggling | [`run::GmarkError`] |
 //! | scraping `report.txt` | [`run::RunSummary::to_json`] (`--format json`) |
 //! | `EvalContext::new(&graph)` over a `&Graph` only | `EvalContext::new(view)` over a [`store::GraphView`] — `&Graph` still converts via `Into`, and [`store::StoreReader`] plugs in the on-disk paged store |
+//! | `RelationalEngine.evaluate(&graph, &q, &budget)` and the other unit-struct engines behind the `Engine` trait (removed: one entry point) | `EngineKind::Relational.evaluate(&ctx, &q, None, &budget)` with `ctx = EvalContext::new(&graph)`; pass `Some(&plan)` from [`engines::plan_query`] to order the joins; iterate [`engines::EngineKind::ALL`] |
 //!
 //! Evaluation no longer requires a materialized [`store::Graph`]: every
 //! engine reads through [`store::GraphView`], so a paged
@@ -127,10 +129,9 @@ pub mod prelude {
         WorkloadConfig, WorkloadError,
     };
     pub use gmark_engines::{
-        all_engines, evaluate_matrix, evaluate_matrix_with_schema, plan_query, Answers, Budget,
-        CellBudget, CellOutcome, DatalogEngine, Engine, EngineKind, EvalContext, EvalError,
-        EvalReport, MatrixOptions, NavigationalEngine, PlanQuality, QueryPlan, RelationalEngine,
-        TripleStoreEngine,
+        evaluate_matrix, evaluate_matrix_with_schema, plan_query, Answers, Budget, CellBudget,
+        CellOutcome, EngineKind, EvalContext, EvalError, EvalReport, MatrixOptions, PlanQuality,
+        QueryPlan,
     };
     pub use gmark_store::{EdgeSink, Graph, GraphBuilder, NodeId, TypePartition};
 }

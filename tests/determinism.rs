@@ -171,12 +171,14 @@ fn evaluation_is_deterministic() {
     let (workload, _) = generate_workload(&schema, &WorkloadConfig::new(6).with_seed(6))
         .expect("workload generates");
     for gq in &workload.queries {
-        let a = DatalogEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
-            .unwrap();
-        let b = DatalogEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
-            .unwrap();
+        // A fresh context per run: nothing shared but the graph.
+        let run = || {
+            let ctx = EvalContext::new(&graph);
+            EngineKind::Datalog
+                .evaluate(&ctx, &gq.query, None, &Budget::default())
+                .unwrap()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b);
     }
 }

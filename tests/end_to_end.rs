@@ -72,17 +72,18 @@ fn xml_to_graph_to_workload_to_answers() {
 
     // Every query translates to all four syntaxes and evaluates on at
     // least two engines with identical counts.
+    let ctx = EvalContext::new(&graph);
     for gq in &workload.queries {
         let translations = translate_all(&gq.query, schema).expect("translates");
         assert_eq!(translations.len(), 4);
         for (syntax, text) in &translations {
             assert!(!text.trim().is_empty(), "{syntax} produced empty text");
         }
-        let a = RelationalEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
+        let a = EngineKind::Relational
+            .evaluate(&ctx, &gq.query, None, &Budget::default())
             .expect("relational evaluation");
-        let b = TripleStoreEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
+        let b = EngineKind::TripleStore
+            .evaluate(&ctx, &gq.query, None, &Budget::default())
             .expect("triplestore evaluation");
         assert_eq!(a.count(), b.count(), "count mismatch on {:?}", gq.query);
     }

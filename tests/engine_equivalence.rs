@@ -67,6 +67,45 @@ fn arb_chain(preds: usize) -> impl Strategy<Value = Query> {
     })
 }
 
+/// One query on one engine over a fresh context, no plan.
+fn eval(kind: EngineKind, graph: &Graph, query: &Query) -> Answers {
+    kind.evaluate(&EvalContext::new(graph), query, None, &Budget::default())
+        .unwrap()
+}
+
+/// The one planned-vs-unplanned differential: a plan changes the order an
+/// engine evaluates in, never what it answers. For every engine the
+/// statistics plan and the declaration-order plan (`None`) give the same
+/// answers — degraded queries included — and, wherever the openCypher
+/// degradation is not in play, the P reference's.
+fn check_plans_never_change_answers(
+    ctx: &EvalContext<'_>,
+    schema: Option<&Schema>,
+    query: &Query,
+) -> Result<(), TestCaseError> {
+    let budget = Budget::default();
+    let plan = plan_query(ctx, schema, query);
+    let (_, lossy) = gmark::engines::navigational::degrade_for_cypher(query);
+    let reference = EngineKind::Relational
+        .evaluate(ctx, query, None, &budget)
+        .unwrap();
+    for kind in EngineKind::ALL {
+        let planned = kind.evaluate(ctx, query, Some(&plan), &budget).unwrap();
+        let unplanned = kind.evaluate(ctx, query, None, &budget).unwrap();
+        prop_assert_eq!(
+            &planned,
+            &unplanned,
+            "{} planned vs unplanned on {:?}",
+            kind.name(),
+            query
+        );
+        if kind != EngineKind::Navigational || !lossy {
+            prop_assert_eq!(&planned, &reference, "{} vs P on {:?}", kind.name(), query);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -76,10 +115,9 @@ proptest! {
         query in arb_chain(2),
     ) {
         let graph = random_graph(30, 2, 45, seed);
-        let budget = Budget::default();
-        let a = RelationalEngine.evaluate(&graph, &query, &budget).unwrap();
-        let b = TripleStoreEngine.evaluate(&graph, &query, &budget).unwrap();
-        let c = DatalogEngine.evaluate(&graph, &query, &budget).unwrap();
+        let a = eval(EngineKind::Relational, &graph, &query);
+        let b = eval(EngineKind::TripleStore, &graph, &query);
+        let c = eval(EngineKind::Datalog, &graph, &query);
         prop_assert_eq!(&a, &b, "relational vs triplestore");
         prop_assert_eq!(&a, &c, "relational vs datalog");
     }
@@ -93,9 +131,8 @@ proptest! {
             gmark::engines::navigational::degrade_for_cypher(&query);
         prop_assume!(!lossy && degraded == query);
         let graph = random_graph(30, 2, 45, seed);
-        let budget = Budget::default();
-        let a = RelationalEngine.evaluate(&graph, &query, &budget).unwrap();
-        let n = NavigationalEngine.evaluate(&graph, &query, &budget).unwrap();
+        let a = eval(EngineKind::Relational, &graph, &query);
+        let n = eval(EngineKind::Navigational, &graph, &query);
         prop_assert_eq!(a, n);
     }
 
@@ -109,9 +146,8 @@ proptest! {
             body: vec![Conjunct { src: Var(0), expr, trg: Var(1) }],
         }).unwrap();
         let graph = random_graph(20, 2, 25, seed);
-        let budget = Budget::default();
-        let a = RelationalEngine.evaluate(&graph, &query, &budget).unwrap();
-        let c = DatalogEngine.evaluate(&graph, &query, &budget).unwrap();
+        let a = eval(EngineKind::Relational, &graph, &query);
+        let c = eval(EngineKind::Datalog, &graph, &query);
         prop_assert_eq!(a.non_empty(), c.non_empty());
     }
 
@@ -130,12 +166,20 @@ proptest! {
             ],
         }).unwrap();
         let graph = random_graph(20, 2, 25, seed);
-        let budget = Budget::default();
-        let a = RelationalEngine.evaluate(&graph, &query, &budget).unwrap();
-        let b = TripleStoreEngine.evaluate(&graph, &query, &budget).unwrap();
-        let c = DatalogEngine.evaluate(&graph, &query, &budget).unwrap();
+        let a = eval(EngineKind::Relational, &graph, &query);
+        let b = eval(EngineKind::TripleStore, &graph, &query);
+        let c = eval(EngineKind::Datalog, &graph, &query);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &c);
+    }
+
+    #[test]
+    fn plans_never_change_answers_on_random_chains(
+        seed in 0u64..1000,
+        query in arb_chain(2),
+    ) {
+        let graph = random_graph(30, 2, 45, seed);
+        check_plans_never_change_answers(&EvalContext::new(&graph), None, &query)?;
     }
 }
 
@@ -143,8 +187,8 @@ proptest! {
 // non-recursive workloads (no stars ⇒ no Section 7.1 degradation ⇒ even
 // the navigational engine must agree), all engines produce identical
 // sorted answer sets over small generated graphs — through one shared
-// EvalContext per graph, so this also pins that the shared-index path
-// computes the same answers as the paper semantics.
+// EvalContext per graph, with the schema-sharpened statistics plan and
+// without it.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -157,48 +201,21 @@ proptest! {
         wcfg.recursion_probability = 0.0; // non-recursive ⇒ non-degraded
         let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
         let ctx = EvalContext::new(&graph);
-        let budget = Budget::default();
         for gq in &workload.queries {
             prop_assert!(!gq.query.is_recursive());
             let (_, lossy) = gmark::engines::navigational::degrade_for_cypher(&gq.query);
             prop_assert!(!lossy, "non-recursive queries cannot be degraded");
-            let reference = RelationalEngine
-                .evaluate_ctx(&ctx, &gq.query, &budget)
-                .unwrap();
-            // The same cardinalities must come out with the shared
-            // statistics plan ordering every engine's joins and without it
-            // — plans change evaluation order, never answers.
-            let plan = plan_query(&ctx, Some(&schema), &gq.query);
-            for kind in EngineKind::ALL {
-                let answers = kind.evaluate(&ctx, &gq.query, &budget).unwrap();
-                prop_assert_eq!(
-                    &answers,
-                    &reference,
-                    "{} differs on {:?}",
-                    kind.name(),
-                    gq.query
-                );
-                let planned = kind
-                    .evaluate_with(&ctx, &gq.query, Some(&plan), &budget)
-                    .unwrap();
-                prop_assert_eq!(
-                    &planned,
-                    &reference,
-                    "{} planned differs on {:?}",
-                    kind.name(),
-                    gq.query
-                );
-            }
+            check_plans_never_change_answers(&ctx, Some(&schema), &gq.query)?;
         }
     }
 }
 
 #[test]
 fn shared_context_matches_per_call_contexts() {
-    // The shared EvalContext path (one context, many queries/engines)
-    // must produce the same *result* — answers or typed budget failure —
-    // as Engine::evaluate's fresh-context path. The tight tuple cap keeps
-    // heavy recursive cells cheap (they fail identically on both paths).
+    // One context shared by every query and engine must produce the same
+    // *result* — answers or typed budget failure — as a fresh context per
+    // call. The tight tuple cap keeps heavy recursive cells cheap (they
+    // fail identically on both paths).
     let schema = gmark::core::usecases::bib();
     let config = GraphConfig::new(300, schema.clone());
     let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(21));
@@ -209,13 +226,8 @@ fn shared_context_matches_per_call_contexts() {
     let budget = Budget::with_limits(None, 200_000);
     for gq in &workload.queries {
         for kind in EngineKind::ALL {
-            let shared = kind.evaluate(&ctx, &gq.query, &budget);
-            let fresh = match kind {
-                EngineKind::Relational => RelationalEngine.evaluate(&graph, &gq.query, &budget),
-                EngineKind::Navigational => NavigationalEngine.evaluate(&graph, &gq.query, &budget),
-                EngineKind::TripleStore => TripleStoreEngine.evaluate(&graph, &gq.query, &budget),
-                EngineKind::Datalog => DatalogEngine.evaluate(&graph, &gq.query, &budget),
-            };
+            let shared = kind.evaluate(&ctx, &gq.query, None, &budget);
+            let fresh = kind.evaluate(&EvalContext::new(&graph), &gq.query, None, &budget);
             assert_eq!(shared, fresh, "{} on {:?}", kind.name(), gq.query);
         }
     }
@@ -230,15 +242,10 @@ fn engines_agree_on_generated_workloads() {
     let mut wcfg = WorkloadConfig::new(15).with_seed(17);
     wcfg.recursion_probability = 0.3;
     let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
-    let budget = Budget::default();
     for gq in &workload.queries {
-        let a = RelationalEngine
-            .evaluate(&graph, &gq.query, &budget)
-            .unwrap();
-        let b = TripleStoreEngine
-            .evaluate(&graph, &gq.query, &budget)
-            .unwrap();
-        let c = DatalogEngine.evaluate(&graph, &gq.query, &budget).unwrap();
+        let a = eval(EngineKind::Relational, &graph, &gq.query);
+        let b = eval(EngineKind::TripleStore, &graph, &gq.query);
+        let c = eval(EngineKind::Datalog, &graph, &gq.query);
         assert_eq!(a, b, "relational vs triplestore on {:?}", gq.query);
         assert_eq!(a, c, "relational vs datalog on {:?}", gq.query);
     }

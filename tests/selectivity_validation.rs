@@ -15,8 +15,8 @@ fn measure_alpha(schema: &Schema, query: &Query, sizes: &[u64]) -> Option<f64> {
     for &n in sizes {
         let config = GraphConfig::new(n, schema.clone());
         let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(101));
-        let answers = TripleStoreEngine
-            .evaluate(&graph, query, &Budget::default())
+        let answers = EngineKind::TripleStore
+            .evaluate(&EvalContext::new(&graph), query, None, &Budget::default())
             .ok()?;
         observations.push((n, answers.count()));
     }
@@ -105,12 +105,13 @@ fn quadratic_queries_return_more_results_than_constant() {
     let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(7));
     let (workload, _) = generate_workload(&schema, &WorkloadConfig::new(9).with_seed(37))
         .expect("workload generates");
+    let ctx = EvalContext::new(&graph);
     let mean_count = |class: SelectivityClass| -> f64 {
         let counts: Vec<u64> = workload
             .of_class(class)
             .filter_map(|gq| {
-                TripleStoreEngine
-                    .evaluate(&graph, &gq.query, &Budget::default())
+                EngineKind::TripleStore
+                    .evaluate(&ctx, &gq.query, None, &Budget::default())
                     .ok()
                     .map(|a| a.count())
             })
