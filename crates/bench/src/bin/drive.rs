@@ -33,6 +33,7 @@ use gmark::serve::{ServeConfig, Server};
 use gmark_bench::driver::{drive, DriveReport, DriverConfig};
 use gmark_bench::{append_bench_json, build_graph, peak_rss_kb, take_flag_value, WorkloadKind};
 use gmark_engines::{Budget, EngineKind, EvalContext};
+use gmark_stats::JsonWriter;
 use std::net::{SocketAddr, ToSocketAddrs};
 
 const BIB_XML: &str = include_str!("../../../../examples/configs/bib.xml");
@@ -355,34 +356,35 @@ fn main() {
         eprintln!("drive: first error: {e}");
     }
 
-    let rss = peak_rss_kb()
-        .map(|kb| kb.to_string())
-        .unwrap_or_else(|| "null".to_owned());
-    let row = format!(
-        "{{\"bench\":\"drive\",\"scenario\":\"bib\",\"target\":\"{target_name}\",\
-         \"transport\":\"{transport_name}\",\"engine\":\"{}\",\"nodes\":{},\
-         \"distinct\":{},\"requests\":{},\"warmup\":{},\"max_concurrency\":{},\
-         \"zipf_exponent\":{},\"rate\":{},\"qps\":{:.3},\"p50_ms\":{:.3},\
-         \"p95_ms\":{:.3},\"p99_ms\":{:.3},\"max_ms\":{:.3},\"mean_ms\":{:.3},\
-         \"completed\":{},\"errors\":{},\"seconds\":{:.6},\"peak_rss_kb\":{rss}}}",
-        args.engine.letter(),
-        args.nodes,
-        args.driver.distinct,
-        args.driver.requests,
-        args.driver.warmup,
-        args.driver.max_concurrency,
-        args.driver.zipf_exponent,
-        args.driver.rate,
-        report.qps,
-        lat.quantile_micros(0.50) as f64 / 1e3,
-        lat.quantile_micros(0.95) as f64 / 1e3,
-        lat.quantile_micros(0.99) as f64 / 1e3,
-        lat.max_micros as f64 / 1e3,
-        lat.mean_micros() as f64 / 1e3,
-        report.completed,
-        report.errors,
-        report.seconds,
-    );
+    let ms = |micros: u64| micros as f64 / 1e3;
+    let mut row = JsonWriter::new();
+    row.begin_object();
+    row.key("bench").string("drive");
+    row.key("scenario").string("bib");
+    row.key("target").string(target_name);
+    row.key("transport").string(transport_name);
+    row.key("engine")
+        .string(args.engine.letter().encode_utf8(&mut [0; 4]));
+    row.key("nodes").uint(args.nodes);
+    row.key("distinct").uint(args.driver.distinct as u64);
+    row.key("requests").uint(args.driver.requests as u64);
+    row.key("warmup").uint(args.driver.warmup as u64);
+    row.key("max_concurrency")
+        .uint(args.driver.max_concurrency as u64);
+    row.key("zipf_exponent").fixed(args.driver.zipf_exponent, 3);
+    row.key("rate").fixed(args.driver.rate, 3);
+    row.key("qps").fixed(report.qps, 3);
+    row.key("p50_ms").fixed(ms(lat.quantile_micros(0.50)), 3);
+    row.key("p95_ms").fixed(ms(lat.quantile_micros(0.95)), 3);
+    row.key("p99_ms").fixed(ms(lat.quantile_micros(0.99)), 3);
+    row.key("max_ms").fixed(ms(lat.max_micros), 3);
+    row.key("mean_ms").fixed(ms(lat.mean_micros()), 3);
+    row.key("completed").uint(report.completed);
+    row.key("errors").uint(report.errors);
+    row.key("seconds").fixed(report.seconds, 6);
+    row.key("peak_rss_kb").opt_uint(peak_rss_kb());
+    row.end_object();
+    let row = row.finish();
     if let Err(e) = append_bench_json(&row) {
         eprintln!("drive: writing bench row: {e}");
     }

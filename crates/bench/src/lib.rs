@@ -9,7 +9,6 @@
 //! | Fig. 10  | `fig10`  | per-class runtimes: fixed "org"-style vs generated gMark queries on SP |
 //! | Fig. 11  | `fig11`  | measured result counts vs fitted `β·n^α` per class, Bib workloads |
 //! | Fig. 12  | `fig12`  | engine timing grid on non-recursive workloads Len/Dis/Con |
-//! | §6.2     | `querygen_scale` | 1 000-query workload generation + translation time per scenario |
 //!
 //! Every binary accepts `--full` for the paper-scale parameterization
 //! (larger graphs, more sizes); the default is scaled to finish on a
@@ -249,9 +248,8 @@ pub fn take_flag_value(argv: &[String], i: &mut usize, flag: &str) -> Result<Str
 
 /// Peak resident set size of this process in kibibytes, read from Linux
 /// procfs (`VmHWM` in `/proc/self/status`); `None` where that is
-/// unavailable. The scale sweep records this per *process* (one size per
-/// invocation), which is what makes the streamed-vs-materialized memory
-/// comparison in `BENCH_gen.json` meaningful.
+/// unavailable. `drive` records it per *process* (one regime per
+/// invocation), so the rows of `BENCH_drive.json` are per-run peaks.
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -259,8 +257,9 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Appends one line to the `GMARK_BENCH_JSON` export file if that
-/// environment variable is set (the same protocol the criterion stub and
-/// `scripts/bench.sh` use to assemble `BENCH_gen.json`).
+/// environment variable is set (the same protocol the criterion stub
+/// uses; `scripts/bench.sh` points it at `BENCH_gen.json` and
+/// `BENCH_drive.json`).
 pub fn append_bench_json(row: &str) -> std::io::Result<()> {
     if let Ok(path) = std::env::var("GMARK_BENCH_JSON") {
         use std::io::Write as _;

@@ -15,6 +15,7 @@
 //! across PRs, which is what a trajectory scoreboard needs — comparable
 //! numbers, not perfect ones. `max` is tracked exactly.
 
+use crate::json::JsonWriter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -155,16 +156,16 @@ impl HistogramSnapshot {
     /// The standard percentile row as a JSON object fragment:
     /// `{"count":…,"p50_us":…,"p95_us":…,"p99_us":…,"max_us":…,"mean_us":…}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
-             \"max_us\":{},\"mean_us\":{}}}",
-            self.count,
-            self.quantile_micros(0.50),
-            self.quantile_micros(0.95),
-            self.quantile_micros(0.99),
-            self.max_micros,
-            self.mean_micros(),
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("count").uint(self.count);
+        w.key("p50_us").uint(self.quantile_micros(0.50));
+        w.key("p95_us").uint(self.quantile_micros(0.95));
+        w.key("p99_us").uint(self.quantile_micros(0.99));
+        w.key("max_us").uint(self.max_micros);
+        w.key("mean_us").uint(self.mean_micros());
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -212,7 +213,10 @@ mod tests {
         assert_eq!(snap.count, 0);
         assert_eq!(snap.quantile_micros(0.5), 0);
         assert_eq!(snap.mean_micros(), 0);
-        assert_eq!(snap.to_json().matches(":0").count(), 6);
+        assert_eq!(
+            snap.to_json(),
+            r#"{"count":0,"p50_us":0,"p95_us":0,"p99_us":0,"max_us":0,"mean_us":0}"#
+        );
     }
 
     #[test]

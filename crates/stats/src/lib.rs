@@ -12,7 +12,9 @@
 //! * summary statistics ([`summary`]) used to report the `mean ± sd` rows of
 //!   Table 2,
 //! * a lock-free log-bucketed latency [`histogram`] shared by the serving
-//!   path's `/v1/stats` and the `gmark bench drive` traffic driver.
+//!   path's `/v1/stats` and the `gmark bench drive` traffic driver,
+//! * the workspace's one JSON emitter ([`JsonWriter`]) — here because this
+//!   is the only crate below every producer of JSON.
 //!
 //! The `rand_distr` crate is not available offline, so the Gaussian
 //! (Box–Muller) and Zipf (Hörmann–Derflinger rejection-inversion) samplers
@@ -21,12 +23,14 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
+pub mod json;
 pub mod regression;
 pub mod rng;
 pub mod sampler;
 pub mod summary;
 
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
+pub use json::JsonWriter;
 pub use regression::{linear_regression, log_log_alpha, Regression};
 pub use rng::Prng;
 pub use sampler::{DegreeSampler, Gaussian, Uniform, Zipf};

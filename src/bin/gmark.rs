@@ -1,8 +1,12 @@
 //! The gMark command-line tool: a thin client of [`gmark::run`].
 //!
-//! Parses arguments into a [`RunPlan`] + [`RunOptions`], executes them
-//! through a [`DirSink`], and prints the [`RunSummary`] — human-readable
-//! by default, machine-readable JSON with `--format json`. All
+//! Maps the run flags onto the library's one parameter table
+//! ([`RunRequest`], the same one `POST /v1/run` feeds), applies the request
+//! to the configuration's [`RunPlan`], executes it through a [`DirSink`],
+//! and prints the `RunSummary` — human-readable by default,
+//! machine-readable JSON with `--format json`. What the CLI owns is what
+//! only a command line has: `--config`, `--output`, `--format`,
+//! `--verify-store`, the short aliases and the `serve` sub-command. All
 //! orchestration (which pipeline runs, in which mode, where the store
 //! build's spool lives, what the report contains) is owned by the library.
 //!
@@ -19,21 +23,14 @@
 //! * `report.txt` — generation statistics and consistency-check findings,
 //! * `summary.json` — the run summary (with `--format json`).
 //!
-//! ```sh
-//! gmark --config config.xml --output out/ [--seed N] [--nodes N] \
-//!       [--threads T] [--stream] [--store] [--queries-only] \
-//!       [--format text|json] [--eval] [--engines P,G,S,D] \
-//!       [--budget-ms N] [--max-tuples N] [--from-store FILE]
-//! gmark --verify-store out/graph.gstore
-//! ```
+//! `gmark --help` has the synopsis and every flag.
 //!
 //! `--threads` governs every pipeline stage — graph constraints, workload
 //! queries, and the `--eval` matrix fan out over the same number of
 //! workers — and every output file is byte-identical at every thread
 //! count, including 1.
 
-use gmark::engines::EngineKind;
-use gmark::run::{run, DirSink, EvalSpec, GmarkError, RunOptions, RunPlan};
+use gmark::run::{run, DirSink, Door, GmarkError, RunPlan, RunRequest};
 use gmark::serve::{ServeConfig, Server};
 use gmark::store::StoreReader;
 use std::path::{Path, PathBuf};
@@ -53,33 +50,9 @@ enum Format {
 struct Args {
     config: PathBuf,
     output: PathBuf,
-    seed: Option<u64>,
-    nodes: Option<u64>,
-    /// Worker threads; 0 = auto-detect (`available_parallelism`).
-    threads: usize,
-    stream: bool,
-    /// Also write the graph as an on-disk paged store (graph.gstore).
-    store: bool,
-    /// Evaluate against an existing store file instead of generating a
-    /// graph (requires --eval).
-    from_store: Option<PathBuf>,
-    /// Generate the query workload only; skip the graph instance.
-    queries_only: bool,
-    /// Run the generated workload through the evaluation engines.
-    eval: bool,
-    /// Engine selection for `--eval` (report column order).
-    engines: Option<Vec<EngineKind>>,
-    /// Per-cell wall-clock budget in milliseconds (0 = unlimited).
-    budget_ms: Option<u64>,
-    /// Per-cell tuple cap.
-    max_tuples: Option<usize>,
-    /// Disable the schema-statistics query planner for `--eval`.
-    no_plan: bool,
-    /// Disable the cross-cell sub-expression result cache for `--eval`.
-    no_eval_cache: bool,
-    /// Byte budget for the sub-expression cache, in MiB.
-    eval_cache_mb: Option<usize>,
     format: Format,
+    /// Every run flag, through the table both front doors share.
+    request: RunRequest,
 }
 
 /// A fully parsed command line: either a run to execute, or an informational
@@ -193,119 +166,55 @@ the artifact back; GET /v1/run/<id>/summary, /v1/stats, /healthz):\n\
                   (default 1000, minimum 1).\n\
 SIGTERM/SIGINT drain admitted requests, then exit 0.";
 
+/// Takes the value following the flag at `argv[*i]`, naming the flag (not
+/// a positional guess) in the error when the value is missing.
+fn take_value<'a>(argv: &'a [String], i: &mut usize) -> Result<&'a str, String> {
+    let flag = &argv[*i];
+    *i += 1;
+    argv.get(*i)
+        .map(String::as_str)
+        .ok_or_else(|| format!("missing value after {flag}"))
+}
+
+/// Takes the flag's value as a count; `zero` is the complaint for flags
+/// where a zero makes no sense.
+fn take_count<T: std::str::FromStr + Default + PartialEq>(
+    argv: &[String],
+    i: &mut usize,
+    what: &str,
+    zero: Option<&str>,
+) -> Result<T, String> {
+    let flag = &argv[*i];
+    let value = take_value(argv, i)?;
+    let count: T = value
+        .parse()
+        .map_err(|_| format!("{flag}: expected {what}, got {value:?}"))?;
+    match zero {
+        Some(why) if count == T::default() => Err(format!("{flag}: {why}")),
+        _ => Ok(count),
+    }
+}
+
 fn parse_args(argv: &[String]) -> Result<Parsed, String> {
     if argv.first().map(String::as_str) == Some("serve") {
         return parse_serve_args(&argv[1..]);
     }
     let mut config = None;
     let mut output = None;
-    let mut seed = None;
-    let mut nodes = None;
-    let mut threads = 1usize;
-    let mut stream = false;
-    let mut store = false;
-    let mut from_store = None;
-    let mut queries_only = false;
-    let mut eval = false;
-    let mut engines = None;
-    let mut budget_ms = None;
-    let mut max_tuples = None;
-    let mut no_plan = false;
-    let mut no_eval_cache = false;
-    let mut eval_cache_mb = None;
     let mut format = Format::Text;
+    let mut request = RunRequest::new(Door::Cli);
     let mut i = 0;
     while i < argv.len() {
-        // Takes the value following `argv[i]`, naming the flag (not a
-        // positional guess) in the error when the value is missing.
-        let take_value = |i: &mut usize, flag: &str| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {flag}"))
-        };
-        let flag = argv[i].clone();
-        match flag.as_str() {
-            "--config" | "-c" => config = Some(PathBuf::from(take_value(&mut i, &flag)?)),
-            "--output" | "-o" => output = Some(PathBuf::from(take_value(&mut i, &flag)?)),
-            "--seed" => {
-                let v = take_value(&mut i, &flag)?;
-                seed = Some(v.parse().map_err(|_| {
-                    format!("--seed: expected an unsigned 64-bit integer, got {v:?}")
-                })?)
-            }
-            "--nodes" | "-n" => {
-                let v = take_value(&mut i, &flag)?;
-                nodes =
-                    Some(v.parse().map_err(|_| {
-                        format!("{flag}: expected a positive node count, got {v:?}")
-                    })?)
-            }
-            "--threads" => {
-                let v = take_value(&mut i, &flag)?;
-                threads = v.parse().map_err(|_| {
-                    format!(
-                        "--threads: expected a non-negative integer (0 = auto-detect), got {v:?}"
-                    )
-                })?
-            }
-            "--stream" => stream = true,
-            "--store" => store = true,
-            "--from-store" => from_store = Some(PathBuf::from(take_value(&mut i, &flag)?)),
+        match argv[i].as_str() {
+            "--config" | "-c" => config = Some(PathBuf::from(take_value(argv, &mut i)?)),
+            "--output" | "-o" => output = Some(PathBuf::from(take_value(argv, &mut i)?)),
             "--verify-store" => {
                 return Ok(Parsed::VerifyStore(PathBuf::from(take_value(
-                    &mut i, &flag,
+                    argv, &mut i,
                 )?)));
             }
-            "--queries-only" => queries_only = true,
-            "--eval" => eval = true,
-            "--engines" => {
-                let v = take_value(&mut i, &flag)?;
-                engines = Some(EngineKind::parse_list(&v).map_err(|e| format!("--engines: {e}"))?);
-            }
-            "--budget-ms" => {
-                let v = take_value(&mut i, &flag)?;
-                budget_ms = Some(v.parse().map_err(|_| {
-                    format!("--budget-ms: expected a millisecond count (0 = unlimited), got {v:?}")
-                })?)
-            }
-            "--max-tuples" => {
-                let v = take_value(&mut i, &flag)?;
-                let cap: usize = v.parse().map_err(|_| {
-                    format!("--max-tuples: expected a positive tuple cap, got {v:?}")
-                })?;
-                if cap == 0 {
-                    // Unlike --budget-ms, 0 does not mean "unlimited" here
-                    // — it would deterministically fail every non-empty
-                    // cell. Reject it instead of producing useless output.
-                    return Err(
-                        "--max-tuples: the cap must be positive (every non-empty cell \
-                         would report too-large); omit the flag for the default cap"
-                            .to_owned(),
-                    );
-                }
-                max_tuples = Some(cap)
-            }
-            "--no-plan" => no_plan = true,
-            "--no-eval-cache" => no_eval_cache = true,
-            "--eval-cache-mb" => {
-                let v = take_value(&mut i, &flag)?;
-                let mb: usize = v.parse().map_err(|_| {
-                    format!("--eval-cache-mb: expected a cache budget in MiB, got {v:?}")
-                })?;
-                if mb == 0 {
-                    // A zero byte budget would silently behave like
-                    // --no-eval-cache; make the intent explicit instead.
-                    return Err(
-                        "--eval-cache-mb: the budget must be positive; use --no-eval-cache \
-                         to disable the cache"
-                            .to_owned(),
-                    );
-                }
-                eval_cache_mb = Some(mb)
-            }
             "--format" => {
-                format = match take_value(&mut i, &flag)?.as_str() {
+                format = match take_value(argv, &mut i)? {
                     "text" => Format::Text,
                     "json" => Format::Json,
                     other => return Err(format!("--format: expected text|json, got {other:?}")),
@@ -320,69 +229,30 @@ fn parse_args(argv: &[String]) -> Result<Parsed, String> {
             "--help" | "-h" => {
                 return Ok(Parsed::EarlyExit(USAGE.to_owned()));
             }
-            other => return Err(format!("unknown argument: {other}")),
+            // Everything else is a run parameter, or nothing.
+            other => {
+                let spelled = if other == "-n" { "--nodes" } else { other };
+                let param = Door::Cli
+                    .param(spelled)
+                    .ok_or_else(|| format!("unknown argument: {other}"))?;
+                let value = if param.switch {
+                    ""
+                } else {
+                    take_value(argv, &mut i)?
+                };
+                request.set(param.name, value)?;
+            }
         }
         i += 1;
     }
-    if !eval
-        && (engines.is_some()
-            || budget_ms.is_some()
-            || max_tuples.is_some()
-            || no_plan
-            || no_eval_cache
-            || eval_cache_mb.is_some())
-    {
-        return Err(
-            "--engines/--budget-ms/--max-tuples/--no-plan/--no-eval-cache/--eval-cache-mb \
-             require --eval"
-                .to_owned(),
-        );
-    }
-    if no_eval_cache && eval_cache_mb.is_some() {
-        return Err(
-            "--no-eval-cache disables the cache --eval-cache-mb would size; pick one".to_owned(),
-        );
-    }
-    if eval && queries_only {
-        return Err("--eval needs the graph instance; drop --queries-only".to_owned());
-    }
-    if from_store.is_some() && !eval {
-        return Err("--from-store is only consumed by --eval".to_owned());
-    }
-    if from_store.is_some() && (store || stream || queries_only) {
-        return Err(
-            "--from-store replaces graph generation; drop --store/--stream/--queries-only"
-                .to_owned(),
-        );
-    }
-    if store && queries_only {
-        return Err("--queries-only generates no graph to store; drop --store".to_owned());
-    }
-    if eval && stream && !store {
-        return Err(
-            "--eval with --stream needs the on-disk store: add --store (the engines \
-             then page through graph.gstore) or drop --stream"
-                .to_owned(),
-        );
-    }
+    // The rules that need no plan fire here, before the configuration
+    // file is opened, so they are usage errors.
+    request.check()?;
     Ok(Parsed::Run(Box::new(Args {
         config: config.ok_or("--config is required")?,
         output: output.ok_or("--output is required")?,
-        seed,
-        nodes,
-        threads,
-        stream,
-        store,
-        from_store,
-        queries_only,
-        eval,
-        engines,
-        budget_ms,
-        max_tuples,
-        no_plan,
-        no_eval_cache,
-        eval_cache_mb,
         format,
+        request,
     })))
 }
 
@@ -391,76 +261,35 @@ fn parse_serve_args(argv: &[String]) -> Result<Parsed, String> {
     let mut config = ServeConfig::default();
     let mut i = 0;
     while i < argv.len() {
-        let take_value = |i: &mut usize, flag: &str| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {flag}"))
-        };
-        let flag = argv[i].clone();
-        match flag.as_str() {
-            "--addr" => config.addr = take_value(&mut i, &flag)?,
+        let i = &mut i;
+        match argv[*i].as_str() {
+            "--addr" => config.addr = take_value(argv, i)?.to_owned(),
             "--workers" => {
-                let v = take_value(&mut i, &flag)?;
-                let n: usize = v.parse().map_err(|_| {
-                    format!("--workers: expected a positive thread count, got {v:?}")
-                })?;
-                if n == 0 {
-                    return Err("--workers: the pool needs at least one thread".to_owned());
-                }
-                config.workers = n;
+                let zero = Some("the pool needs at least one thread");
+                config.workers = take_count(argv, i, "a positive thread count", zero)?;
             }
             "--cache-mb" => {
-                let v = take_value(&mut i, &flag)?;
-                config.cache_mb = v.parse().map_err(|_| {
-                    format!("--cache-mb: expected a budget in MiB (0 = no retention), got {v:?}")
-                })?;
+                config.cache_mb = take_count(argv, i, "a budget in MiB (0 = no retention)", None)?;
             }
             "--queue-depth" => {
-                let v = take_value(&mut i, &flag)?;
-                let depth: usize = v.parse().map_err(|_| {
-                    format!("--queue-depth: expected a positive queue capacity, got {v:?}")
-                })?;
-                if depth == 0 {
-                    return Err(
-                        "--queue-depth: a zero-capacity queue would reject every request"
-                            .to_owned(),
-                    );
-                }
-                config.queue_depth = depth;
+                let zero = Some("a zero-capacity queue would reject every request");
+                config.queue_depth = take_count(argv, i, "a positive queue capacity", zero)?;
             }
             "--deadline-ms" => {
-                let v = take_value(&mut i, &flag)?;
-                config.deadline_ms = v.parse().map_err(|_| {
-                    format!("--deadline-ms: expected a millisecond count (0 = none), got {v:?}")
-                })?;
+                config.deadline_ms = take_count(argv, i, "a millisecond count (0 = none)", None)?;
             }
             "--keep-alive-ms" => {
-                let v = take_value(&mut i, &flag)?;
-                config.keep_alive_ms = v.parse().map_err(|_| {
-                    format!(
-                        "--keep-alive-ms: expected a millisecond idle window \
-                         (0 = no keep-alive), got {v:?}"
-                    )
-                })?;
+                let what = "a millisecond idle window (0 = no keep-alive)";
+                config.keep_alive_ms = take_count(argv, i, what, None)?;
             }
             "--max-requests-per-conn" => {
-                let v = take_value(&mut i, &flag)?;
-                let n: usize = v.parse().map_err(|_| {
-                    format!("--max-requests-per-conn: expected a positive count, got {v:?}")
-                })?;
-                if n == 0 {
-                    return Err(
-                        "--max-requests-per-conn: a connection must carry at least one request"
-                            .to_owned(),
-                    );
-                }
-                config.max_requests_per_conn = n;
+                let zero = Some("a connection must carry at least one request");
+                config.max_requests_per_conn = take_count(argv, i, "a positive count", zero)?;
             }
             "--help" | "-h" => return Ok(Parsed::EarlyExit(USAGE.to_owned())),
             other => return Err(format!("serve: unknown argument: {other}")),
         }
-        i += 1;
+        *i += 1;
     }
     Ok(Parsed::Serve(config))
 }
@@ -484,63 +313,12 @@ fn serve_daemon(config: ServeConfig) -> Result<(), GmarkError> {
     Ok(())
 }
 
-fn execute(args: &Args) -> Result<(), GmarkError> {
-    // What to generate…
-    let mut plan = RunPlan::from_config_file(&args.config)?;
-    if let Some(n) = args.nodes {
-        plan = plan.with_nodes(n);
-    }
-    if args.queries_only {
-        if plan.workload.is_none() {
-            return Err(GmarkError::Plan(format!(
-                "--queries-only: {} has no <workload> section",
-                args.config.display()
-            )));
-        }
-        plan.outputs.graph = false;
-    }
-    if args.eval {
-        if plan.workload.is_none() {
-            return Err(GmarkError::Plan(format!(
-                "--eval: {} has no <workload> section to evaluate",
-                args.config.display()
-            )));
-        }
-        let mut spec = EvalSpec::default();
-        if let Some(engines) = &args.engines {
-            spec.engines = engines.clone();
-        }
-        if let Some(ms) = args.budget_ms {
-            spec.budget_ms = ms;
-        }
-        if let Some(cap) = args.max_tuples {
-            spec.max_tuples = cap;
-        }
-        spec.plan = !args.no_plan;
-        spec.cache = !args.no_eval_cache;
-        if let Some(mb) = args.eval_cache_mb {
-            spec.cache_mb = mb;
-        }
-        plan.eval = Some(spec);
-    }
-    if args.store {
-        plan.outputs.store = true;
-    }
-    if let Some(path) = &args.from_store {
-        plan.outputs.graph = false;
-        plan.from_store = Some(path.clone());
-    }
-
-    // …how…
-    let opts = RunOptions {
-        seed: args.seed,
-        threads: args.threads,
-        stream: args.stream,
-        ..RunOptions::default()
-    };
-
-    // …and where. The library does the rest. (DirSink::new already
-    // annotates its error with the directory path.)
+fn execute(args: Args) -> Result<(), GmarkError> {
+    // What to generate and how: the configuration's plan with the run
+    // flags applied (an absent --threads means one worker); where: a
+    // directory, whose path DirSink::new's error already names.
+    let plan = RunPlan::from_config_file(&args.config)?;
+    let (plan, opts, _) = args.request.apply(plan, 1)?;
     let mut sink = DirSink::new(&args.output)?.with_summary_json(args.format == Format::Json);
     let summary = run(&plan, &opts, &mut sink)?;
 
@@ -574,38 +352,24 @@ fn verify_store(path: &Path) -> Result<String, GmarkError> {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&argv) {
+    let outcome = match parse_args(&argv) {
         Ok(Parsed::EarlyExit(text)) => {
             println!("{text}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Ok(Parsed::VerifyStore(path)) => match verify_store(&path) {
-            Ok(line) => {
-                println!("{line}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("gmark: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Parsed::Run(args)) => match execute(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("gmark: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Ok(Parsed::Serve(config)) => match serve_daemon(config) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("gmark: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        Ok(Parsed::VerifyStore(path)) => verify_store(&path).map(|line| println!("{line}")),
+        Ok(Parsed::Run(args)) => execute(*args),
+        Ok(Parsed::Serve(config)) => serve_daemon(config),
         Err(e) => {
             eprintln!("gmark: {e}");
             eprintln!("usage: {USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("gmark: {e}");
             ExitCode::FAILURE
         }
     }
@@ -615,310 +379,133 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// Parses a command line given as one whitespace-separated string.
+    fn parse(line: &str) -> Result<Parsed, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&argv)
     }
 
     #[test]
     fn version_and_help_are_early_exits_not_process_exits() {
-        for flags in [&["--version"][..], &["-V"], &["--help"], &["-h"]] {
-            match parse_args(&argv(flags)).expect("parses") {
+        for flag in ["--version", "-V", "--help", "-h"] {
+            match parse(flag).expect("parses") {
                 Parsed::EarlyExit(text) => assert!(!text.is_empty()),
-                other => panic!("{flags:?} should early-exit, got {other:?}"),
+                other => panic!("{flag} should early-exit, got {other:?}"),
             }
         }
     }
 
     #[test]
     fn early_exit_wins_even_mid_command_line() {
-        let parsed = parse_args(&argv(&["--config", "x.xml", "--version"])).expect("parses");
+        let parsed = parse("--config x.xml --version").expect("parses");
         assert!(matches!(parsed, Parsed::EarlyExit(_)));
     }
 
     #[test]
     fn format_flag_parses_and_rejects_garbage() {
-        let parsed = parse_args(&argv(&[
-            "--config", "c.xml", "--output", "o", "--format", "json",
-        ]))
-        .expect("parses");
+        let parsed = parse("--config c.xml --output o --format json").expect("parses");
         match parsed {
             Parsed::Run(args) => assert_eq!(args.format, Format::Json),
             other => panic!("expected a run, got {other:?}"),
         }
-        assert!(parse_args(&argv(&["--format", "yaml"])).is_err());
+        assert!(parse("--format yaml").is_err());
     }
 
     #[test]
     fn missing_required_flags_error() {
-        assert!(parse_args(&argv(&["--output", "o"])).is_err());
-        assert!(parse_args(&argv(&["--config", "c.xml"])).is_err());
-        assert!(parse_args(&argv(&["--bogus"])).is_err());
+        assert!(parse("--output o").is_err());
+        assert!(parse("--config c.xml").is_err());
+        assert!(parse("--bogus").is_err());
     }
+
+    /// The request a command line's run flags add up to.
+    fn run_request(flags: &str) -> Result<RunRequest, String> {
+        match parse(&format!("--config c.xml --output o {flags}"))? {
+            Parsed::Run(args) => Ok(args.request),
+            other => panic!("expected a run, got {other:?}"),
+        }
+    }
+
+    /// The same request, set by table name (`"eval engines=S,D"`).
+    fn request_of(params: &str) -> RunRequest {
+        let mut request = RunRequest::new(Door::Cli);
+        for pair in params.split_whitespace() {
+            let (name, value) = pair.split_once('=').unwrap_or((pair, ""));
+            request.set(name, value).expect("a valid value");
+        }
+        request
+    }
+
+    // The rules themselves are tested once, through both doors, in
+    // `run::request`; these three pin that the CLI's spellings reach the
+    // table and that a violation is caught at parse time.
 
     #[test]
     fn eval_flags_parse_and_enforce_their_preconditions() {
-        let parsed = parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--engines",
-            "S,D",
-            "--budget-ms",
-            "500",
-            "--max-tuples",
-            "1000",
-            "--no-plan",
-        ]))
-        .expect("parses");
-        match parsed {
-            Parsed::Run(args) => {
-                assert!(args.eval);
-                assert_eq!(
-                    args.engines.as_deref(),
-                    Some(&[EngineKind::TripleStore, EngineKind::Datalog][..])
-                );
-                assert_eq!(args.budget_ms, Some(500));
-                assert_eq!(args.max_tuples, Some(1000));
-                assert!(args.no_plan);
-            }
-            other => panic!("expected a run, got {other:?}"),
-        }
-
-        // Eval sub-flags without --eval are rejected.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--engines",
-            "P"
-        ]))
-        .is_err());
-        assert!(parse_args(&argv(&["--config", "c.xml", "--output", "o", "--no-plan"])).is_err());
-        // Conflicting modes are rejected at parse time.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--queries-only"
-        ]))
-        .is_err());
-        // --eval --stream without a store has no graph for the engines…
-        assert!(parse_args(&argv(&[
-            "--config", "c.xml", "--output", "o", "--eval", "--stream"
-        ]))
-        .is_err());
-        // …but adding --store makes it the paged beyond-RAM combination.
-        match parse_args(&argv(&[
-            "--config", "c.xml", "--output", "o", "--eval", "--stream", "--store",
-        ]))
-        .expect("parses")
-        {
-            Parsed::Run(args) => assert!(args.eval && args.stream && args.store),
-            other => panic!("expected a run, got {other:?}"),
-        }
-        // A zero tuple cap would fail every non-empty cell: rejected.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--max-tuples",
-            "0"
-        ]))
-        .is_err());
-        // Garbage engine letters are rejected.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--engines",
-            "P,X"
-        ]))
-        .is_err());
+        let flags =
+            "--eval --engines S,D --budget-ms 500 --max-tuples 1000 --no-plan --seed 7 -n 50";
+        let params = "eval engines=S,D budget_ms=500 max_tuples=1000 no_plan seed=7 nodes=50";
+        assert_eq!(run_request(flags).unwrap(), request_of(params));
+        // Sub-flags without --eval, conflicting modes and bad values are
+        // usage errors.
+        assert!(run_request("--engines P").is_err());
+        assert!(run_request("--eval --queries-only").is_err());
+        assert!(run_request("--eval --max-tuples 0").is_err());
+        assert!(run_request("--eval --engines P,X").is_err());
+        // A switch takes no value; a value flag needs one, once — under
+        // its short alias too.
+        assert!(run_request("-n 200 --nodes 300").is_err());
+        assert!(run_request("--eval true").is_err());
+        assert!(run_request("--eval --budget-ms").is_err());
     }
 
     #[test]
     fn eval_cache_flags_parse_and_enforce_their_preconditions() {
-        match parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--eval-cache-mb",
-            "128",
-        ]))
-        .expect("parses")
-        {
-            Parsed::Run(args) => {
-                assert!(!args.no_eval_cache);
-                assert_eq!(args.eval_cache_mb, Some(128));
-            }
-            other => panic!("expected a run, got {other:?}"),
-        }
-        match parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--no-eval-cache",
-        ]))
-        .expect("parses")
-        {
-            Parsed::Run(args) => {
-                assert!(args.no_eval_cache);
-                assert_eq!(args.eval_cache_mb, None);
-            }
-            other => panic!("expected a run, got {other:?}"),
-        }
-        // Cache flags without --eval are rejected, like the other eval
-        // sub-flags.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--no-eval-cache"
-        ]))
-        .is_err());
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval-cache-mb",
-            "64"
-        ]))
-        .is_err());
-        // Sizing a cache that is simultaneously disabled is contradictory.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--no-eval-cache",
-            "--eval-cache-mb",
-            "64"
-        ]))
-        .is_err());
-        // A zero budget would silently act like --no-eval-cache: rejected.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--eval-cache-mb",
-            "0"
-        ]))
-        .is_err());
+        assert_eq!(
+            run_request("--eval --eval-cache-mb 128 --threads 0").unwrap(),
+            request_of("eval eval_cache_mb=128 threads=0")
+        );
+        assert_eq!(
+            run_request("--eval --no-eval-cache").unwrap(),
+            request_of("eval no_eval_cache")
+        );
+        assert!(run_request("--no-eval-cache").is_err());
+        assert!(run_request("--eval --no-eval-cache --eval-cache-mb 64").is_err());
+        assert!(run_request("--eval --eval-cache-mb 0").is_err());
     }
 
     #[test]
     fn store_flags_parse_and_enforce_their_preconditions() {
         // --verify-store is a standalone mode.
-        match parse_args(&argv(&["--verify-store", "g.gstore"])).expect("parses") {
+        match parse("--verify-store g.gstore").expect("parses") {
             Parsed::VerifyStore(path) => assert_eq!(path, PathBuf::from("g.gstore")),
             other => panic!("expected verify mode, got {other:?}"),
         }
-        assert!(parse_args(&argv(&["--verify-store"])).is_err());
+        assert!(parse("--verify-store").is_err());
 
-        // --from-store needs --eval and replaces generation.
-        match parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--from-store",
-            "g.gstore",
-        ]))
-        .expect("parses")
-        {
-            Parsed::Run(args) => {
-                assert_eq!(args.from_store, Some(PathBuf::from("g.gstore")));
-            }
-            other => panic!("expected a run, got {other:?}"),
-        }
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--from-store",
-            "g.gstore"
-        ]))
-        .is_err());
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--from-store",
-            "g.gstore",
-            "--store"
-        ]))
-        .is_err());
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--eval",
-            "--from-store",
-            "g.gstore",
-            "--stream"
-        ]))
-        .is_err());
-        // --store without a graph to store is rejected.
-        assert!(parse_args(&argv(&[
-            "--config",
-            "c.xml",
-            "--output",
-            "o",
-            "--store",
-            "--queries-only"
-        ]))
-        .is_err());
+        assert_eq!(
+            run_request("--stream --store").unwrap(),
+            request_of("stream store")
+        );
+        assert_eq!(
+            run_request("--eval --from-store g.gstore").unwrap(),
+            request_of("eval from_store=g.gstore")
+        );
+        assert!(run_request("--from-store g.gstore").is_err());
+        assert!(run_request("--eval --from-store g.gstore --store").is_err());
+        assert!(run_request("--store --queries-only").is_err());
     }
 
     #[test]
     fn serve_subcommand_parses_its_flag_set() {
-        match parse_args(&argv(&["serve"])).expect("defaults parse") {
+        match parse("serve").expect("defaults parse") {
             Parsed::Serve(config) => {
                 assert_eq!(config.addr, ServeConfig::default().addr);
                 assert_eq!(config.workers, ServeConfig::default().workers);
             }
             other => panic!("expected Serve, got {other:?}"),
         }
-        match parse_args(&argv(&[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--cache-mb",
-            "32",
-            "--queue-depth",
-            "5",
-            "--deadline-ms",
-            "250",
-            "--keep-alive-ms",
-            "750",
-            "--max-requests-per-conn",
-            "16",
-        ]))
+        match parse("serve --addr 127.0.0.1:0 --workers 2 --cache-mb 32 --queue-depth 5 --deadline-ms 250 --keep-alive-ms 750 --max-requests-per-conn 16")
         .expect("full flag set parses")
         {
             Parsed::Serve(config) => {
@@ -933,7 +520,7 @@ mod tests {
             other => panic!("expected Serve, got {other:?}"),
         }
         // 0 is a legal idle window: it turns keep-alive off.
-        match parse_args(&argv(&["serve", "--keep-alive-ms", "0"])).expect("parses") {
+        match parse("serve --keep-alive-ms 0").expect("parses") {
             Parsed::Serve(config) => assert_eq!(config.keep_alive_ms, 0),
             other => panic!("expected Serve, got {other:?}"),
         }
@@ -941,18 +528,12 @@ mod tests {
 
     #[test]
     fn serve_rejects_degenerate_and_unknown_flags() {
-        assert!(parse_args(&argv(&["serve", "--workers", "0"])).is_err());
-        assert!(parse_args(&argv(&["serve", "--queue-depth", "0"])).is_err());
-        assert!(parse_args(&argv(&["serve", "--max-requests-per-conn", "0"])).is_err());
-        assert!(
-            parse_args(&argv(&["serve", "--addr"])).is_err(),
-            "missing value"
-        );
-        assert!(parse_args(&argv(&["serve", "--config", "c.xml"])).is_err());
+        assert!(parse("serve --workers 0").is_err());
+        assert!(parse("serve --queue-depth 0").is_err());
+        assert!(parse("serve --max-requests-per-conn 0").is_err());
+        assert!(parse("serve --addr").is_err(), "missing value");
+        assert!(parse("serve --config c.xml").is_err());
         // `serve --help` is an early exit like the batch mode's.
-        assert!(matches!(
-            parse_args(&argv(&["serve", "--help"])),
-            Ok(Parsed::EarlyExit(_))
-        ));
+        assert!(matches!(parse("serve --help"), Ok(Parsed::EarlyExit(_))));
     }
 }

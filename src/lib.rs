@@ -15,7 +15,9 @@
 //! streaming), and a [`Sink`](run::Sink) (*where* the bytes go). Every
 //! failure surfaces as one [`GmarkError`](run::GmarkError); every run
 //! returns a JSON-serializable [`RunSummary`](run::RunSummary). The
-//! `gmark` CLI is a thin client of exactly this surface.
+//! `gmark` CLI and the [`serve`] daemon are thin clients of exactly this
+//! surface, and ask for a run through one shared parameter table
+//! ([`RunRequest`](run::RunRequest)).
 //!
 //! ```
 //! use gmark::run::{run, Artifact, MemorySink, RunOptions, RunPlan};
@@ -34,7 +36,7 @@
 //! assert_eq!(summary.workload.as_ref().unwrap().produced, 9);
 //! assert!(!sink.bytes(Artifact::Sparql).unwrap().is_empty());
 //!
-//! // Embedding? Materialize instead of serializing, then evaluate.
+//! // Embedding? The same stages without a sink keep the built values.
 //! let arts = gmark::run::run_in_memory(&plan, &RunOptions::with_seed(42))?;
 //! let (graph, workload) = (arts.graph.unwrap(), arts.workload.unwrap());
 //! let ctx = EvalContext::new(&graph); // build once, share across queries
@@ -57,7 +59,7 @@
 //! | old free-function surface | new pipeline surface |
 //! |---|---|
 //! | `parse_config(&xml)` + hand-rolled orchestration | [`run::RunPlan::from_xml`] / [`run::RunPlan::from_config_file`] + [`run::run`] |
-//! | `generate_graph(&config, &GeneratorOptions { .. })` | [`run::run_in_memory`] (graph in [`run::RunArtifacts::graph`]) |
+//! | `generate_graph(&config, &GeneratorOptions { .. })` | [`run::run_in_memory`] — [`run::run`]'s stages without a sink — (graph in [`run::RunArtifacts::graph`]) |
 //! | `generate_into(&config, &opts, &mut writer)` | [`run::run`] with a custom [`run::Sink`] |
 //! | `generate_streamed(&config, &opts, &stream_opts, &mut out)` | [`run::run`] with [`run::RunOptions::stream`] |
 //! | `generate_workload[_with_threads](&schema, &cfg, ..)` | [`run::run_in_memory`] (workload in [`run::RunArtifacts::workload`]) |

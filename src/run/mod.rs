@@ -23,11 +23,18 @@
 //!   layout), [`MemorySink`] (tests/embedding), [`NullSink`]
 //!   (benchmarks), or your own implementation;
 //! * [`GmarkError`] — every failure of the pipeline behind one type;
-//! * [`RunSummary`] — what happened, serializable to JSON.
+//! * [`RunSummary`] — what happened, serializable to JSON;
+//! * [`RunRequest`] — the one table of run parameters behind both front
+//!   doors (the CLI's flags, `POST /v1/run`'s query string): one value
+//!   parser, one statement of each coupling rule, one function from a
+//!   request and a parsed plan to `(RunPlan, RunOptions)`.
 //!
-//! [`run`] streams artifacts through a sink without materializing them;
-//! [`run_in_memory`] instead returns the built [`Graph`] and [`Workload`]
-//! values for direct use (evaluation engines, experiments).
+//! A run has one body of three stages — graph (+ store), workload,
+//! evaluation — each building its half of the summary in one place.
+//! [`run`] gives them a sink and streams artifacts through it without
+//! materializing them; [`run_in_memory`] is the same stages without a
+//! sink, returning the built [`Graph`] and [`Workload`] values for direct
+//! use (evaluation engines, experiments).
 //!
 //! # Determinism
 //!
@@ -72,21 +79,23 @@
 mod error;
 mod options;
 mod plan;
+mod request;
 mod sink;
 mod summary;
 
 pub use error::GmarkError;
 pub use options::RunOptions;
 pub use plan::{EvalSpec, OutputSelection, RunPlan, RunPlanBuilder};
+pub use request::{Door, Param, RunRequest, PARAMS};
 pub use sink::{Artifact, DirSink, MemorySink, NullSink, Sink};
 pub use summary::{
     EvalCellRow, EvalRunSummary, GraphRunSummary, RunSummary, StoreRunSummary, WorkloadRunSummary,
 };
 
 use gmark_core::gen::{generate_graph, generate_streamed, generate_streamed_spooled};
-use gmark_core::workload::{generate_workload_with_threads, Workload, WorkloadConfig};
+use gmark_core::workload::{generate_workload_with_threads, Workload};
 use gmark_engines::{
-    evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalReport, MatrixOptions,
+    evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalError, EvalReport, MatrixOptions,
 };
 use gmark_store::{
     build_store_from_spool, EdgeSink as _, EdgeSpool, EmitStats, Graph, GraphView, NTriplesFormat,
@@ -114,239 +123,25 @@ pub fn run<S: Sink + ?Sized>(
     opts: &RunOptions,
     sink: &mut S,
 ) -> Result<RunSummary, GmarkError> {
+    validate(plan, opts)?;
+    Ok(run_stages(plan, opts, Some(sink))?.summary)
+}
+
+/// Everything [`run`] checks before any output is opened: the plan's own
+/// consistency, plus the one rule that needs the options too. The request
+/// doors call it as well ([`RunRequest::apply`]), so a library caller, the
+/// CLI and the daemon get the same answer from the same line.
+pub(crate) fn validate(plan: &RunPlan, opts: &RunOptions) -> Result<(), GmarkError> {
     plan.validate()?;
     if plan.eval.is_some() && opts.stream && !plan.outputs.store && plan.from_store.is_none() {
         return Err(GmarkError::Plan(
-            "evaluation of a streamed run needs the on-disk store: add --store to \
-             evaluate through the paged store, or drop --stream for the in-memory \
-             engines"
+            "evaluation of a streamed run needs the on-disk store: add the store output \
+             (--store) to evaluate through the paged store, or drop streaming (--stream) \
+             for the in-memory engines"
                 .to_owned(),
         ));
     }
-    let consistency = consistency_findings(plan);
-    let gen_opts = opts.generator_options();
-    let threads = gen_opts.effective_threads();
-    let scratch = scratch_dir(opts, sink);
-
-    let mut graph_summary = None;
-    let mut store_summary = None;
-    // The materialized graph, kept past serialization when an evaluation
-    // stage will need it.
-    let mut kept_graph: Option<Graph> = None;
-    // Where this run's store file lives, and whether it is a scratch
-    // temporary (sinks without real files get the bytes copied in after
-    // the evaluation stage is done paging through the scratch copy).
-    let mut store_file: Option<(PathBuf, bool)> = None;
-    if plan.outputs.graph || plan.outputs.store {
-        let mut out: Box<dyn std::io::Write + Send> = if plan.outputs.graph {
-            sink.open(Artifact::Graph)
-                .map_err(|e| GmarkError::io("opening graph.nt", e))?
-        } else {
-            // A store-only run executes the same generator — the store is
-            // just another serialization of the same edge stream — but
-            // renders no N-Triples artifact.
-            Box::new(std::io::sink())
-        };
-        let start = Instant::now();
-        let (report, written) = if opts.stream {
-            let stream_opts = opts.stream_options();
-            if plan.outputs.store {
-                // The beyond-RAM path: tee every generated edge into
-                // per-constraint spool files while streaming N-Triples,
-                // then assemble the paged store from the spools. The CSR
-                // canonicalization (sort + dedup per predicate) makes the
-                // store bytes identical to a materialized build at every
-                // thread count.
-                let spool = EdgeSpool::create(&scratch, plan.graph.schema.constraints().len())
-                    .map_err(|e| GmarkError::io("creating store spool", e))?;
-                let generated = generate_streamed_spooled(
-                    &plan.graph,
-                    &gen_opts,
-                    &stream_opts,
-                    &mut out,
-                    &spool,
-                )
-                .map_err(|e| GmarkError::io("streaming graph.nt", e))?;
-                let store_start = Instant::now();
-                let target = store_target(sink, &scratch);
-                let preds: Vec<usize> = plan
-                    .graph
-                    .schema
-                    .constraints()
-                    .iter()
-                    .map(|c| c.predicate.0)
-                    .collect();
-                let info =
-                    build_store_from_spool(&target.0, &store_meta(plan, opts), &spool, &preds)?;
-                store_summary = Some(StoreRunSummary {
-                    bytes: info.bytes,
-                    page_size: info.page_size,
-                    edges: info.edges,
-                    seconds: store_start.elapsed().as_secs_f64(),
-                });
-                store_file = Some(target);
-                generated
-            } else {
-                generate_streamed(&plan.graph, &gen_opts, &stream_opts, &mut out)
-                    .map_err(|e| GmarkError::io("streaming graph.nt", e))?
-            }
-        } else {
-            // The ordered-merge path at *every* thread count: materialize
-            // (deterministic constraint-order merge), then serialize the
-            // built graph — sorted, deduplicated, byte-identical for
-            // T = 1, 2, 8, ….
-            let (graph, mut report) = generate_graph(&plan.graph, &gen_opts);
-            let written = if plan.outputs.graph {
-                let (written, emit) = write_ntriples(&graph, plan, opts, threads, &mut out)
-                    .map_err(|e| GmarkError::io("writing graph.nt", e))?;
-                report.emit = Some(emit);
-                written
-            } else {
-                0
-            };
-            if plan.outputs.store {
-                let store_start = Instant::now();
-                let target = store_target(sink, &scratch);
-                let info = StoreWriter::write_graph(&target.0, &store_meta(plan, opts), &graph)?;
-                store_summary = Some(StoreRunSummary {
-                    bytes: info.bytes,
-                    page_size: info.page_size,
-                    edges: info.edges,
-                    seconds: store_start.elapsed().as_secs_f64(),
-                });
-                store_file = Some(target);
-            }
-            if plan.eval.is_some() {
-                kept_graph = Some(graph);
-            }
-            (report, written)
-        };
-        out.flush()
-            .map_err(|e| GmarkError::io("flushing graph.nt", e))?;
-        graph_summary = Some(GraphRunSummary {
-            nodes_requested: plan.graph.n,
-            nodes_realized: plan.graph.realized_nodes(),
-            edges_written: written,
-            edges_generated: report.total_edges,
-            constraints: report.constraints,
-            seconds: start.elapsed().as_secs_f64(),
-            // A store-only run formats into a null writer: nothing to report.
-            emit: report.emit.filter(|_| plan.outputs.graph),
-        });
-    }
-
-    let mut workload_summary = None;
-    // The materialized workload, kept for the evaluation stage.
-    let mut kept_workload: Option<Workload> = None;
-    if plan.outputs.workload {
-        let wcfg = effective_workload_config(plan, opts);
-        let mut open = |artifact| {
-            sink.open(artifact)
-                .map_err(|e| GmarkError::io(format!("opening {artifact}"), e))
-        };
-        let mut outs = WorkloadOutputs {
-            rules: open(Artifact::Rules)?,
-            sparql: open(Artifact::Sparql)?,
-            cypher: open(Artifact::Cypher)?,
-            sql: open(Artifact::Sql)?,
-            datalog: open(Artifact::Datalog)?,
-        };
-        let start = Instant::now();
-        let (report, bytes, diversity, emit) = if plan.eval.is_some() {
-            // Evaluation needs the materialized queries anyway: generate
-            // once (parallel), render the documents from the materialized
-            // workload — byte-identical to the streamed path, which
-            // funnels through the same per-query renderer.
-            let (w, report) =
-                generate_workload_with_threads(&plan.graph.schema, &wcfg, opts.threads)?;
-            let bytes = write_workload(&plan.graph.schema, &w.queries, &mut outs)?;
-            let diversity = w.diversity();
-            kept_workload = Some(w);
-            (report, bytes, diversity, None)
-        } else {
-            let stream_opts = opts.workload_stream_options();
-            let s = stream_workload(&plan.graph.schema, &wcfg, &stream_opts, &mut outs)?;
-            (s.report, s.bytes, s.diversity, Some(s.emit))
-        };
-        workload_summary = Some(WorkloadRunSummary {
-            seed: wcfg.seed,
-            produced: report.produced,
-            unsatisfied_selectivity: report.unsatisfied_selectivity,
-            relaxations: report.relaxations,
-            cypher_star_concat: report.cypher.star_concat,
-            cypher_star_inverse: report.cypher.star_inverse,
-            bytes,
-            diversity,
-            seconds: start.elapsed().as_secs_f64(),
-            emit,
-        });
-    }
-
-    let mut eval_summary = None;
-    if let Some(spec) = &plan.eval {
-        let workload = kept_workload
-            .take()
-            .expect("validated: eval runs imply a workload");
-        // The engines page through a store whenever no materialized graph
-        // exists: either the one this run just built (streamed --store)
-        // or the one the plan points at (--from-store).
-        let reader = match (&kept_graph, &plan.from_store, &store_file) {
-            (Some(_), _, _) => None,
-            (None, Some(path), _) => Some(open_checked_store(path, plan)?),
-            (None, None, Some((path, _))) => Some(StoreReader::open(path)?),
-            (None, None, None) => unreachable!("validated: eval implies a graph source"),
-        };
-        let view = match (&kept_graph, &reader) {
-            (Some(g), _) => GraphView::from(g),
-            (None, Some(r)) => GraphView::from(r),
-            (None, None) => unreachable!(),
-        };
-        let start = Instant::now();
-        let report = evaluate_stage(spec, &plan.graph.schema, view, &workload, opts.threads);
-        let rendered = render_eval_report(plan, spec, view, &workload, &report);
-        let mut out = sink
-            .open(Artifact::EvalReport)
-            .map_err(|e| GmarkError::io("opening eval.txt", e))?;
-        out.write_all(rendered.as_bytes())
-            .map_err(|e| GmarkError::io("writing eval.txt", e))?;
-        out.flush()
-            .map_err(|e| GmarkError::io("flushing eval.txt", e))?;
-        eval_summary = Some(eval_run_summary(
-            spec,
-            &report,
-            start.elapsed().as_secs_f64(),
-        ));
-    }
-
-    // Sinks without real files receive the finished store bytes now that
-    // the evaluation stage is done paging through the scratch copy.
-    if let Some((path, true)) = &store_file {
-        let mut out = sink
-            .open(Artifact::Store)
-            .map_err(|e| GmarkError::io("opening graph.gstore", e))?;
-        let mut file =
-            File::open(path).map_err(|e| GmarkError::io("reading the scratch store", e))?;
-        std::io::copy(&mut file, &mut out)
-            .map_err(|e| GmarkError::io("writing graph.gstore", e))?;
-        out.flush()
-            .map_err(|e| GmarkError::io("flushing graph.gstore", e))?;
-        let _ = std::fs::remove_file(path);
-    }
-
-    let summary = RunSummary {
-        config: plan.source.clone(),
-        seed: opts.graph_seed(),
-        threads,
-        streamed: opts.stream && (plan.outputs.graph || plan.outputs.store),
-        consistency,
-        graph: graph_summary,
-        store: store_summary,
-        workload: workload_summary,
-        eval: eval_summary,
-    };
-    sink.finish(&summary)
-        .map_err(|e| GmarkError::io("finishing outputs", e))?;
-    Ok(summary)
+    Ok(())
 }
 
 /// The materialized artifacts of [`run_in_memory`].
@@ -369,9 +164,11 @@ pub struct RunArtifacts {
 /// [`Workload`] values instead of serialized artifacts.
 ///
 /// This is the embedding entry point: evaluation engines, experiments,
-/// and tests want the graph itself, not its N-Triples. Generation is
-/// bit-identical to [`run`]'s — same seeds, same RNG streams, any thread
-/// count — only the serialization step is skipped.
+/// and tests want the graph itself, not its N-Triples. It is [`run`]'s
+/// three stages without a sink and with the built values kept —
+/// generation is bit-identical (same seeds, same RNG streams, any thread
+/// count), only the serialization step is skipped; [`RunOptions::stream`]
+/// has nothing to stream into and is ignored.
 pub fn run_in_memory(plan: &RunPlan, opts: &RunOptions) -> Result<RunArtifacts, GmarkError> {
     plan.validate()?;
     if plan.outputs.store || plan.from_store.is_some() {
@@ -381,89 +178,385 @@ pub fn run_in_memory(plan: &RunPlan, opts: &RunOptions) -> Result<RunArtifacts, 
                 .to_owned(),
         ));
     }
+    run_stages(plan, opts, None::<&mut NullSink>)
+}
+
+/// The one body of a run: graph (+ store), workload, evaluation, each
+/// stage building its half of the summary. With a sink every artifact is
+/// serialized into it and only what a later stage needs stays in memory;
+/// without one nothing is rendered and every built value is kept.
+fn run_stages<S: Sink + ?Sized>(
+    plan: &RunPlan,
+    opts: &RunOptions,
+    mut sink: Option<&mut S>,
+) -> Result<RunArtifacts, GmarkError> {
     let consistency = consistency_findings(plan);
-    let gen_opts = opts.generator_options();
-    let threads = gen_opts.effective_threads();
+    let threads = opts.effective_threads();
 
-    let mut graph = None;
-    let mut graph_summary = None;
-    if plan.outputs.graph {
-        let start = Instant::now();
-        let (g, report) = generate_graph(&plan.graph, &gen_opts);
-        graph_summary = Some(GraphRunSummary {
-            nodes_requested: plan.graph.n,
-            nodes_realized: plan.graph.realized_nodes(),
-            edges_written: g.edge_count() as u64,
-            edges_generated: report.total_edges,
-            constraints: report.constraints,
-            seconds: start.elapsed().as_secs_f64(),
-            emit: None,
-        });
-        graph = Some(g);
+    let graph = graph_stage(plan, opts, threads, sink.as_deref_mut())?;
+    let (workload_summary, workload) = workload_stage(plan, opts, sink.as_deref_mut())?;
+    let (eval_summary, eval) = match &plan.eval {
+        Some(spec) => {
+            let workload = workload
+                .as_ref()
+                .expect("validated: eval runs imply a workload");
+            let (summary, report) =
+                eval_stage(plan, spec, opts, &graph, workload, sink.as_deref_mut())?;
+            (Some(summary), Some(report))
+        }
+        None => (None, None),
+    };
+
+    let summary = RunSummary {
+        config: plan.source.clone(),
+        seed: opts.graph_seed(),
+        threads,
+        streamed: sink.is_some() && opts.stream && graph.summary.is_some(),
+        consistency,
+        graph: graph.summary,
+        store: graph.store,
+        workload: workload_summary,
+        eval: eval_summary,
+    };
+    if let Some(sink) = sink {
+        // Sinks without real files receive the finished store bytes now
+        // that the evaluation stage is done paging through the scratch
+        // copy.
+        if let Some((path, true)) = &graph.store_file {
+            let mut out = sink
+                .open(Artifact::Store)
+                .map_err(|e| GmarkError::io("opening graph.gstore", e))?;
+            let mut file =
+                File::open(path).map_err(|e| GmarkError::io("reading the scratch store", e))?;
+            std::io::copy(&mut file, &mut out)
+                .map_err(|e| GmarkError::io("writing graph.gstore", e))?;
+            out.flush()
+                .map_err(|e| GmarkError::io("flushing graph.gstore", e))?;
+            let _ = std::fs::remove_file(path);
+        }
+        sink.finish(&summary)
+            .map_err(|e| GmarkError::io("finishing outputs", e))?;
     }
-
-    let mut workload = None;
-    let mut workload_summary = None;
-    if plan.outputs.workload {
-        let wcfg = effective_workload_config(plan, opts);
-        let start = Instant::now();
-        let (w, report) = generate_workload_with_threads(&plan.graph.schema, &wcfg, opts.threads)?;
-        workload_summary = Some(WorkloadRunSummary {
-            seed: wcfg.seed,
-            produced: report.produced,
-            unsatisfied_selectivity: report.unsatisfied_selectivity,
-            relaxations: report.relaxations,
-            cypher_star_concat: report.cypher.star_concat,
-            cypher_star_inverse: report.cypher.star_inverse,
-            bytes: [0; 5],
-            diversity: w.diversity(),
-            seconds: start.elapsed().as_secs_f64(),
-            emit: None,
-        });
-        workload = Some(w);
-    }
-
-    let mut eval = None;
-    let mut eval_summary = None;
-    if let Some(spec) = &plan.eval {
-        let g = graph
-            .as_ref()
-            .expect("validated: eval runs imply a materialized graph");
-        let w = workload
-            .as_ref()
-            .expect("validated: eval runs imply a workload");
-        let start = Instant::now();
-        let report = evaluate_stage(
-            spec,
-            &plan.graph.schema,
-            GraphView::from(g),
-            w,
-            opts.threads,
-        );
-        eval_summary = Some(eval_run_summary(
-            spec,
-            &report,
-            start.elapsed().as_secs_f64(),
-        ));
-        eval = Some(report);
-    }
-
     Ok(RunArtifacts {
-        graph,
+        graph: graph.graph,
         workload,
         eval,
-        summary: RunSummary {
-            config: plan.source.clone(),
-            seed: opts.graph_seed(),
-            threads,
-            streamed: false,
-            consistency,
-            graph: graph_summary,
-            store: None,
-            workload: workload_summary,
-            eval: eval_summary,
-        },
+        summary,
     })
+}
+
+/// What the graph stage hands the rest of the run.
+#[derive(Default)]
+struct GraphStage {
+    summary: Option<GraphRunSummary>,
+    store: Option<StoreRunSummary>,
+    /// The materialized graph, kept when someone will read it: the
+    /// evaluation stage, or the caller of [`run_in_memory`].
+    graph: Option<Graph>,
+    /// Where this run's store file lives, and whether it is a scratch
+    /// temporary (sinks without real files get the bytes copied in after
+    /// the evaluation stage is done paging through the scratch copy).
+    store_file: Option<(PathBuf, bool)>,
+}
+
+/// Where a run with a sink puts the graph stage's bytes.
+struct GraphOutputs {
+    /// `graph.nt` — or a null writer for a store-only run, which executes
+    /// the same generator (the store is just another serialization of the
+    /// same edge stream) but renders no N-Triples artifact.
+    ntriples: Box<dyn std::io::Write + Send>,
+    /// Home of the edge spool and of a staged store file.
+    scratch: PathBuf,
+    /// The store file and whether it is a scratch temporary, when the
+    /// plan has a store output.
+    store_file: Option<(PathBuf, bool)>,
+}
+
+/// Stage one: generate the graph and serialize it — as N-Triples, as the
+/// paged store, as both, or (without a sink) not at all.
+fn graph_stage<S: Sink + ?Sized>(
+    plan: &RunPlan,
+    opts: &RunOptions,
+    threads: usize,
+    sink: Option<&mut S>,
+) -> Result<GraphStage, GmarkError> {
+    let mut stage = GraphStage::default();
+    if !(plan.outputs.graph || plan.outputs.store) {
+        return Ok(stage);
+    }
+    let gen_opts = opts.generator_options();
+    let mut outputs = match sink {
+        Some(sink) => {
+            let scratch = scratch_dir(opts, sink);
+            Some(GraphOutputs {
+                store_file: plan.outputs.store.then(|| store_target(sink, &scratch)),
+                scratch,
+                ntriples: if plan.outputs.graph {
+                    sink.open(Artifact::Graph)
+                        .map_err(|e| GmarkError::io("opening graph.nt", e))?
+                } else {
+                    Box::new(std::io::sink())
+                },
+            })
+        }
+        None => None,
+    };
+    let start = Instant::now();
+    let mut store = None;
+    let (report, written) = match &mut outputs {
+        Some(outputs) if opts.stream => {
+            let stream_opts = opts.stream_options();
+            let out = &mut outputs.ntriples;
+            match &outputs.store_file {
+                // The beyond-RAM path: tee every generated edge into
+                // per-constraint spool files while streaming N-Triples,
+                // then assemble the paged store from the spools. The CSR
+                // canonicalization (sort + dedup per predicate) makes the
+                // store bytes identical to a materialized build at every
+                // thread count.
+                Some((target, _)) => {
+                    let constraints = plan.graph.schema.constraints();
+                    let spool = EdgeSpool::create(&outputs.scratch, constraints.len())
+                        .map_err(|e| GmarkError::io("creating store spool", e))?;
+                    let generated = generate_streamed_spooled(
+                        &plan.graph,
+                        &gen_opts,
+                        &stream_opts,
+                        out,
+                        &spool,
+                    )
+                    .map_err(|e| GmarkError::io("streaming graph.nt", e))?;
+                    let store_start = Instant::now();
+                    let preds: Vec<usize> = constraints.iter().map(|c| c.predicate.0).collect();
+                    let info =
+                        build_store_from_spool(target, &store_meta(plan, opts), &spool, &preds)?;
+                    store = Some((info, store_start.elapsed().as_secs_f64()));
+                    generated
+                }
+                None => generate_streamed(&plan.graph, &gen_opts, &stream_opts, out)
+                    .map_err(|e| GmarkError::io("streaming graph.nt", e))?,
+            }
+        }
+        _ => {
+            // The ordered-merge path at *every* thread count: materialize
+            // (deterministic constraint-order merge), then serialize the
+            // built graph — sorted, deduplicated, byte-identical for
+            // T = 1, 2, 8, ….
+            let (graph, mut report) = generate_graph(&plan.graph, &gen_opts);
+            let written = match &mut outputs {
+                Some(outputs) if plan.outputs.graph => {
+                    let (written, emit) =
+                        write_ntriples(&graph, plan, opts, threads, &mut outputs.ntriples)
+                            .map_err(|e| GmarkError::io("writing graph.nt", e))?;
+                    report.emit = Some(emit);
+                    written
+                }
+                Some(_) => 0,
+                None => graph.edge_count() as u64,
+            };
+            if let Some((target, _)) = outputs.as_ref().and_then(|o| o.store_file.as_ref()) {
+                let store_start = Instant::now();
+                let info = StoreWriter::write_graph(target, &store_meta(plan, opts), &graph)?;
+                store = Some((info, store_start.elapsed().as_secs_f64()));
+            }
+            if outputs.is_none() || plan.eval.is_some() {
+                stage.graph = Some(graph);
+            }
+            (report, written)
+        }
+    };
+    if let Some(outputs) = &mut outputs {
+        outputs
+            .ntriples
+            .flush()
+            .map_err(|e| GmarkError::io("flushing graph.nt", e))?;
+    }
+    stage.summary = Some(GraphRunSummary {
+        nodes_requested: plan.graph.n,
+        nodes_realized: plan.graph.realized_nodes(),
+        edges_written: written,
+        edges_generated: report.total_edges,
+        constraints: report.constraints,
+        seconds: start.elapsed().as_secs_f64(),
+        // A store-only run formats into a null writer: nothing to report.
+        emit: report.emit.filter(|_| plan.outputs.graph),
+    });
+    stage.store = store.map(|(info, seconds)| StoreRunSummary {
+        bytes: info.bytes,
+        page_size: info.page_size,
+        edges: info.edges,
+        seconds,
+    });
+    stage.store_file = outputs.and_then(|o| o.store_file);
+    Ok(stage)
+}
+
+/// Stage two: generate the workload and render its five documents. The
+/// queries are materialized only when someone will read them — the
+/// evaluation stage, or the caller of [`run_in_memory`]; otherwise they
+/// stream straight through the per-query pipeline into the sink.
+fn workload_stage<S: Sink + ?Sized>(
+    plan: &RunPlan,
+    opts: &RunOptions,
+    sink: Option<&mut S>,
+) -> Result<(Option<WorkloadRunSummary>, Option<Workload>), GmarkError> {
+    if !plan.outputs.workload {
+        return Ok((None, None));
+    }
+    let mut wcfg = plan.workload.clone().expect("validated: workload present");
+    if let Some(seed) = opts.seed {
+        wcfg.seed = seed;
+    }
+    let mut outs = match sink {
+        Some(sink) => {
+            let mut open = |artifact| {
+                sink.open(artifact)
+                    .map_err(|e| GmarkError::io(format!("opening {artifact}"), e))
+            };
+            Some(WorkloadOutputs {
+                rules: open(Artifact::Rules)?,
+                sparql: open(Artifact::Sparql)?,
+                cypher: open(Artifact::Cypher)?,
+                sql: open(Artifact::Sql)?,
+                datalog: open(Artifact::Datalog)?,
+            })
+        }
+        None => None,
+    };
+    let start = Instant::now();
+    let mut kept = None;
+    let (report, bytes, diversity, emit) = match &mut outs {
+        Some(outs) if plan.eval.is_none() => {
+            let stream_opts = opts.workload_stream_options();
+            let s = stream_workload(&plan.graph.schema, &wcfg, &stream_opts, outs)?;
+            (s.report, s.bytes, s.diversity, Some(s.emit))
+        }
+        outs => {
+            // Generate once (parallel); with a sink, render the documents
+            // from the materialized workload — byte-identical to the
+            // streamed path, which funnels through the same per-query
+            // renderer.
+            let (w, report) =
+                generate_workload_with_threads(&plan.graph.schema, &wcfg, opts.threads)?;
+            let bytes = match outs {
+                Some(outs) => write_workload(&plan.graph.schema, &w.queries, outs)?,
+                None => [0; 5],
+            };
+            let diversity = w.diversity();
+            kept = Some(w);
+            (report, bytes, diversity, None)
+        }
+    };
+    let summary = WorkloadRunSummary {
+        seed: wcfg.seed,
+        produced: report.produced,
+        unsatisfied_selectivity: report.unsatisfied_selectivity,
+        relaxations: report.relaxations,
+        cypher_star_concat: report.cypher.star_concat,
+        cypher_star_inverse: report.cypher.star_inverse,
+        bytes,
+        diversity,
+        seconds: start.elapsed().as_secs_f64(),
+        emit,
+    };
+    Ok((Some(summary), kept))
+}
+
+/// Stage three: run the workload through the engines — one shared
+/// [`EvalContext`] over the graph view (in-memory CSR or paged store, the
+/// engines cannot tell), every (query × engine) cell through the parallel
+/// harness — and, with a sink, render `eval.txt`; without one nothing
+/// pays for text it would discard.
+fn eval_stage<S: Sink + ?Sized>(
+    plan: &RunPlan,
+    spec: &EvalSpec,
+    opts: &RunOptions,
+    graph: &GraphStage,
+    workload: &Workload,
+    sink: Option<&mut S>,
+) -> Result<(EvalRunSummary, EvalReport), GmarkError> {
+    // The engines page through a store whenever no materialized graph
+    // exists: either the one this run just built (streamed --store) or
+    // the one the plan points at (--from-store).
+    let reader = match (&graph.graph, &plan.from_store, &graph.store_file) {
+        (Some(_), _, _) => None,
+        (None, Some(path), _) => Some(open_checked_store(path, plan)?),
+        (None, None, Some((path, _))) => Some(StoreReader::open(path)?),
+        (None, None, None) => unreachable!("validated: eval implies a graph source"),
+    };
+    let view = match (&graph.graph, &reader) {
+        (Some(g), _) => GraphView::from(g),
+        (None, Some(r)) => GraphView::from(r),
+        (None, None) => unreachable!(),
+    };
+    let start = Instant::now();
+    let ctx = EvalContext::new(view);
+    let queries: Vec<&gmark_core::query::Query> =
+        workload.queries.iter().map(|gq| &gq.query).collect();
+    let report = evaluate_matrix_with_schema(
+        &ctx,
+        Some(&plan.graph.schema),
+        &queries,
+        &spec.engines,
+        &spec.cell_budget(),
+        &MatrixOptions {
+            threads: opts.threads,
+            warm_runs: 0,
+            plan: spec.plan,
+            cache_mb: if spec.cache { spec.cache_mb } else { 0 },
+        },
+    );
+    if let Some(sink) = sink {
+        let rendered = render_eval_report(plan, spec, view, workload, &report);
+        let mut out = sink
+            .open(Artifact::EvalReport)
+            .map_err(|e| GmarkError::io("opening eval.txt", e))?;
+        out.write_all(rendered.as_bytes())
+            .map_err(|e| GmarkError::io("writing eval.txt", e))?;
+        out.flush()
+            .map_err(|e| GmarkError::io("flushing eval.txt", e))?;
+    }
+    // The summary's digest: deterministic rows plus the stage wall time
+    // (report/banner only).
+    let totals = report.totals();
+    let rows = report
+        .cells
+        .iter()
+        .map(|cell| EvalCellRow {
+            query: cell.query,
+            engine: cell.engine.letter(),
+            outcome: match &cell.outcome {
+                CellOutcome::Answers { .. } => "ok",
+                CellOutcome::Failed(EvalError::Timeout) => "timeout",
+                CellOutcome::Failed(EvalError::TooLarge(_)) => "too-large",
+                CellOutcome::Failed(EvalError::Unsupported(_)) => "unsupported",
+                CellOutcome::Failed(EvalError::Internal(_)) => "error",
+            }
+            .to_owned(),
+            count: match &cell.outcome {
+                CellOutcome::Answers { count, .. } => Some(*count),
+                CellOutcome::Failed(_) => None,
+            },
+            estimate: cell.estimate,
+        })
+        .collect();
+    let summary = EvalRunSummary {
+        engines: spec.letters(),
+        budget_ms: spec.budget_ms,
+        max_tuples: spec.max_tuples,
+        plan: spec.plan,
+        cache: report.cache,
+        queries: report.queries,
+        cells: report.cells.len(),
+        ok: totals.ok,
+        timeout: totals.timeout,
+        too_large: totals.too_large,
+        unsupported: totals.unsupported,
+        internal: totals.internal,
+        rows,
+        seconds: start.elapsed().as_secs_f64(),
+    };
+    Ok((summary, report))
 }
 
 /// Serializes a built graph as N-Triples, one unit per predicate: workers
@@ -494,17 +587,6 @@ fn write_ntriples<W: std::io::Write + Send>(
         },
     )?;
     Ok((written.iter().sum(), emit))
-}
-
-/// The workload configuration after applying the run options' seed
-/// override — shared by the document-streaming, in-memory, and evaluation
-/// stages so they always describe the same queries.
-fn effective_workload_config(plan: &RunPlan, opts: &RunOptions) -> WorkloadConfig {
-    let mut wcfg = plan.workload.clone().expect("validated: workload present");
-    if let Some(seed) = opts.seed {
-        wcfg.seed = seed;
-    }
-    wcfg
 }
 
 /// The store header metadata for one plan + option set: everything a
@@ -554,36 +636,6 @@ fn open_checked_store(path: &Path, plan: &RunPlan) -> Result<StoreReader, GmarkE
         .into());
     }
     Ok(reader)
-}
-
-/// Runs the evaluation matrix for a plan's [`EvalSpec`]: one shared
-/// [`EvalContext`] over the graph view — in-memory CSR or paged store,
-/// the engines cannot tell — every (query × engine) cell through the
-/// parallel harness. Rendering is separate ([`render_eval_report`]) so
-/// the in-memory path pays nothing for text it would discard.
-fn evaluate_stage(
-    spec: &EvalSpec,
-    schema: &gmark_core::schema::Schema,
-    view: GraphView<'_>,
-    workload: &Workload,
-    threads: usize,
-) -> EvalReport {
-    let ctx = EvalContext::new(view);
-    let queries: Vec<&gmark_core::query::Query> =
-        workload.queries.iter().map(|gq| &gq.query).collect();
-    evaluate_matrix_with_schema(
-        &ctx,
-        Some(schema),
-        &queries,
-        &spec.engines,
-        &spec.cell_budget(),
-        &MatrixOptions {
-            threads,
-            warm_runs: 0,
-            plan: spec.plan,
-            cache_mb: if spec.cache { spec.cache_mb } else { 0 },
-        },
-    )
 }
 
 /// Renders the deterministic `eval.txt` artifact: a header (config,
@@ -655,50 +707,6 @@ fn render_eval_report(
     rendered
 }
 
-/// Digests an [`EvalReport`] into the summary's deterministic rows plus
-/// the stage wall time (report/banner only).
-fn eval_run_summary(spec: &EvalSpec, report: &EvalReport, seconds: f64) -> EvalRunSummary {
-    let totals = report.totals();
-    let rows = report
-        .cells
-        .iter()
-        .map(|cell| EvalCellRow {
-            query: cell.query,
-            engine: cell.engine.letter(),
-            outcome: match &cell.outcome {
-                CellOutcome::Answers { .. } => "ok".to_owned(),
-                CellOutcome::Failed(e) => match e {
-                    gmark_engines::EvalError::Timeout => "timeout".to_owned(),
-                    gmark_engines::EvalError::TooLarge(_) => "too-large".to_owned(),
-                    gmark_engines::EvalError::Unsupported(_) => "unsupported".to_owned(),
-                    gmark_engines::EvalError::Internal(_) => "error".to_owned(),
-                },
-            },
-            count: match &cell.outcome {
-                CellOutcome::Answers { count, .. } => Some(*count),
-                CellOutcome::Failed(_) => None,
-            },
-            estimate: cell.estimate,
-        })
-        .collect();
-    EvalRunSummary {
-        engines: spec.letters(),
-        budget_ms: spec.budget_ms,
-        max_tuples: spec.max_tuples,
-        plan: spec.plan,
-        cache: report.cache,
-        queries: report.queries,
-        cells: report.cells.len(),
-        ok: totals.ok,
-        timeout: totals.timeout,
-        too_large: totals.too_large,
-        unsupported: totals.unsupported,
-        internal: totals.internal,
-        rows,
-        seconds,
-    }
-}
-
 /// The Section 4 consistency check, rendered for the report (never fatal).
 fn consistency_findings(plan: &RunPlan) -> Vec<String> {
     plan.graph
@@ -731,28 +739,38 @@ mod tests {
             .unwrap()
     }
 
+    /// The plan the evaluation tests share — Bib, 300 nodes, 3 queries, the
+    /// deterministic regime (no clock, a 200 000-tuple cap) — with each
+    /// test's own additions.
+    fn eval_plan(shape: impl FnOnce(RunPlanBuilder) -> RunPlanBuilder) -> RunPlan {
+        let spec = EvalSpec {
+            budget_ms: 0,
+            max_tuples: 200_000,
+            ..EvalSpec::default()
+        };
+        let builder = RunPlan::builder(usecases::bib())
+            .nodes(300)
+            .workload(WorkloadConfig::new(3));
+        shape(builder.eval(spec)).build().unwrap()
+    }
+
+    /// One artifact of one run through a [`MemorySink`].
+    fn artifact_of(plan: &RunPlan, opts: RunOptions, artifact: Artifact) -> Vec<u8> {
+        let mut sink = MemorySink::new();
+        run(plan, &opts, &mut sink).unwrap();
+        sink.bytes(artifact).unwrap()
+    }
+
     #[test]
     fn default_mode_graph_bytes_are_identical_at_every_thread_count_including_one() {
-        let plan = plan();
-        let baseline = {
-            let mut sink = MemorySink::new();
-            run(&plan, &RunOptions::with_seed(11).threads(1), &mut sink).unwrap();
-            sink.bytes(Artifact::Graph).unwrap()
+        let graph = |threads| {
+            let opts = RunOptions::with_seed(11).threads(threads);
+            artifact_of(&plan(), opts, Artifact::Graph)
         };
+        let baseline = graph(1);
         assert!(!baseline.is_empty());
         for threads in [2usize, 8] {
-            let mut sink = MemorySink::new();
-            run(
-                &plan,
-                &RunOptions::with_seed(11).threads(threads),
-                &mut sink,
-            )
-            .unwrap();
-            assert_eq!(
-                sink.bytes(Artifact::Graph).unwrap(),
-                baseline,
-                "graph bytes differ between 1 and {threads} threads"
-            );
+            assert_eq!(graph(threads), baseline, "1 vs {threads} threads");
         }
     }
 
@@ -781,37 +799,52 @@ mod tests {
 
     #[test]
     fn in_memory_run_matches_streamed_edge_counts() {
-        let plan = plan();
-        let opts = RunOptions::with_seed(5).threads(2);
-        let mem = run_in_memory(&plan, &opts).unwrap();
-        let mut sink = MemorySink::new();
-        let streamed = run(&plan, &opts, &mut sink).unwrap();
-        assert_eq!(
-            mem.summary.graph.as_ref().unwrap().edges_generated,
-            streamed.graph.as_ref().unwrap().edges_generated
-        );
-        assert_eq!(
-            mem.summary.workload.as_ref().unwrap().produced,
-            streamed.workload.as_ref().unwrap().produced
-        );
-        assert!(mem.graph.unwrap().edge_count() > 0);
-        assert_eq!(mem.workload.unwrap().queries.len(), 5);
+        // One body, with and without a sink: everything but the clock,
+        // the rendered documents' byte counts and the output timing must
+        // come out equal — edge counts, workload counters, eval rows.
+        let plan = eval_plan(|plan| plan);
+        fn comparable(mut summary: RunSummary) -> String {
+            let graph = summary.graph.as_mut().unwrap();
+            (graph.seconds, graph.emit) = (0.0, None);
+            let workload = summary.workload.as_mut().unwrap();
+            (workload.seconds, workload.emit, workload.bytes) = (0.0, None, [0; 5]);
+            summary.eval.as_mut().unwrap().seconds = 0.0;
+            format!("{summary:?}")
+        }
+        for threads in [1usize, 2] {
+            let opts = RunOptions::with_seed(7).threads(threads);
+            let through_sink = run(&plan, &opts, &mut MemorySink::new()).unwrap();
+            assert!(through_sink.workload.as_ref().unwrap().bytes[0] > 0);
+            let mem = run_in_memory(&plan, &opts).unwrap();
+            assert_eq!(mem.summary.workload.as_ref().unwrap().bytes, [0; 5]);
+            assert!(mem.summary.graph.as_ref().unwrap().emit.is_none());
+            assert!(mem.graph.unwrap().edge_count() > 0);
+            assert_eq!(mem.workload.unwrap().queries.len(), 3);
+            assert_eq!(mem.eval.unwrap().cells.len(), 12);
+            assert_eq!(
+                comparable(mem.summary),
+                comparable(through_sink),
+                "threads={threads}"
+            );
+        }
+        // `stream` has nothing to stream into without a sink.
+        let graph_only = RunPlan::builder(usecases::bib())
+            .nodes(200)
+            .build()
+            .unwrap();
+        let arts = run_in_memory(&graph_only, &RunOptions::with_seed(1).stream(true)).unwrap();
+        assert!(!arts.summary.streamed && arts.graph.is_some());
     }
 
     #[test]
     fn eval_stage_writes_report_and_summary_rows() {
-        let plan = RunPlan::builder(usecases::bib())
-            .nodes(300)
-            .workload(WorkloadConfig::new(3))
-            .eval(EvalSpec {
-                budget_ms: 0, // deterministic regime
-                max_tuples: 200_000,
-                ..EvalSpec::default()
-            })
-            .build()
-            .unwrap();
         let mut sink = MemorySink::new();
-        let summary = run(&plan, &RunOptions::with_seed(7), &mut sink).unwrap();
+        let summary = run(
+            &eval_plan(|plan| plan),
+            &RunOptions::with_seed(7),
+            &mut sink,
+        )
+        .unwrap();
         let eval = summary.eval.as_ref().expect("eval stage ran");
         assert_eq!(eval.queries, 3);
         assert_eq!(eval.cells, 12);
@@ -824,11 +857,6 @@ mod tests {
         assert!(text.starts_with("gMark evaluation report"), "{text}");
         assert!(text.contains("engines: P/relational"), "{text}");
         assert!(text.contains("class="), "per-query metadata: {text}");
-        // In-memory runs produce the same deterministic digest.
-        let arts = run_in_memory(&plan, &RunOptions::with_seed(7)).unwrap();
-        let mem_eval = arts.summary.eval.as_ref().unwrap();
-        assert_eq!(mem_eval.rows, eval.rows);
-        assert_eq!(arts.eval.as_ref().unwrap().cells.len(), 12);
     }
 
     #[test]
@@ -876,22 +904,12 @@ mod tests {
         // …and the streamed (spooled) pipeline must reproduce it byte for
         // byte at every thread count, as must a parallel materialized run.
         for threads in [1usize, 2, 8] {
-            let mut sink = MemorySink::new();
-            run(
-                &plan,
-                &RunOptions::with_seed(11).threads(threads).stream(true),
-                &mut sink,
-            )
-            .unwrap();
-            assert_eq!(
-                sink.bytes(Artifact::Store).unwrap(),
-                baseline,
-                "streamed store bytes differ at {threads} threads"
-            );
+            let opts = RunOptions::with_seed(11).threads(threads).stream(true);
+            let streamed = artifact_of(&plan, opts, Artifact::Store);
+            assert_eq!(streamed, baseline, "streamed store at {threads} threads");
         }
-        let mut sink = MemorySink::new();
-        run(&plan, &RunOptions::with_seed(11).threads(4), &mut sink).unwrap();
-        assert_eq!(sink.bytes(Artifact::Store).unwrap(), baseline);
+        let opts = RunOptions::with_seed(11).threads(4);
+        assert_eq!(artifact_of(&plan, opts, Artifact::Store), baseline);
     }
 
     /// The `"eval":…` suffix of `summary.json` — the byte-compared object
@@ -904,31 +922,19 @@ mod tests {
 
     #[test]
     fn paged_evaluation_is_byte_identical_to_in_memory() {
-        let spec = EvalSpec {
-            budget_ms: 0, // deterministic regime
-            max_tuples: 200_000,
-            ..EvalSpec::default()
-        };
-        let in_memory_plan = RunPlan::builder(usecases::bib())
-            .nodes(300)
-            .workload(WorkloadConfig::new(3))
-            .eval(spec.clone())
-            .build()
-            .unwrap();
         let (baseline_eval, baseline_json) = {
             let mut sink = MemorySink::new();
-            run(&in_memory_plan, &RunOptions::with_seed(7), &mut sink).unwrap();
+            run(
+                &eval_plan(|plan| plan),
+                &RunOptions::with_seed(7),
+                &mut sink,
+            )
+            .unwrap();
             (sink.bytes(Artifact::EvalReport).unwrap(), eval_json(&sink))
         };
         // Streamed + store: the engines page through the store file and
         // must produce the same eval.txt and `eval` summary object.
-        let paged_plan = RunPlan::builder(usecases::bib())
-            .nodes(300)
-            .workload(WorkloadConfig::new(3))
-            .store()
-            .eval(spec)
-            .build()
-            .unwrap();
+        let paged_plan = eval_plan(RunPlanBuilder::store);
         for threads in [1usize, 2, 8] {
             let mut sink = MemorySink::new();
             let summary = run(
@@ -953,11 +959,6 @@ mod tests {
 
     #[test]
     fn from_store_reproduces_the_in_memory_eval_report() {
-        let spec = EvalSpec {
-            budget_ms: 0,
-            max_tuples: 200_000,
-            ..EvalSpec::default()
-        };
         // Build a store on disk with a DirSink (the in-place write path).
         let dir =
             std::env::temp_dir().join(format!("gmark-from-store-test-{}", std::process::id()));
@@ -971,24 +972,9 @@ mod tests {
         let store_path = dir.join("graph.gstore");
         assert!(store_path.exists(), "DirSink writes the store in place");
 
-        let baseline = {
-            let plan = RunPlan::builder(usecases::bib())
-                .nodes(300)
-                .workload(WorkloadConfig::new(3))
-                .eval(spec.clone())
-                .build()
-                .unwrap();
-            let mut sink = MemorySink::new();
-            run(&plan, &RunOptions::with_seed(7), &mut sink).unwrap();
-            sink.bytes(Artifact::EvalReport).unwrap()
-        };
-        let plan = RunPlan::builder(usecases::bib())
-            .nodes(300)
-            .workload(WorkloadConfig::new(3))
-            .eval(spec.clone())
-            .from_store(&store_path)
-            .build()
-            .unwrap();
+        let opts = RunOptions::with_seed(7);
+        let baseline = artifact_of(&eval_plan(|plan| plan), opts, Artifact::EvalReport);
+        let plan = eval_plan(|plan| plan.from_store(&store_path));
         let mut sink = MemorySink::new();
         let summary = run(&plan, &RunOptions::with_seed(7), &mut sink).unwrap();
         assert!(summary.graph.is_none(), "no graph was generated");
@@ -997,13 +983,8 @@ mod tests {
 
         // A store from a different schema is refused before any engine
         // runs.
-        let mismatched = RunPlan::builder(usecases::lsn())
-            .nodes(300)
-            .workload(WorkloadConfig::new(3))
-            .eval(spec)
-            .from_store(&store_path)
-            .build()
-            .unwrap();
+        let mut mismatched = plan.clone();
+        mismatched.graph.schema = usecases::lsn();
         let err = run(
             &mismatched,
             &RunOptions::with_seed(7),

@@ -15,7 +15,7 @@
 //! by `tests/plan_equivalence.rs`.
 
 use super::error::GmarkError;
-use gmark_config::parse_config;
+use gmark_config::{parse_config, ParsedConfig};
 use gmark_core::schema::{GraphConfig, Schema};
 use gmark_core::workload::WorkloadConfig;
 use gmark_engines::{CellBudget, EngineKind};
@@ -155,19 +155,7 @@ impl RunPlan {
     /// A document without a `<workload>` section yields a graph-only plan
     /// (no workload output requested), mirroring [`RunPlanBuilder::build`].
     pub fn from_xml(xml: &str) -> Result<RunPlan, GmarkError> {
-        let parsed = parse_config(xml)?;
-        Ok(RunPlan {
-            outputs: OutputSelection {
-                graph: true,
-                workload: parsed.workload.is_some(),
-                store: false,
-            },
-            graph: parsed.graph,
-            workload: parsed.workload,
-            eval: None,
-            from_store: None,
-            source: None,
-        })
+        Ok(RunPlan::from_parsed(parse_config(xml)?, None))
     }
 
     /// A plan from an XML configuration file.
@@ -176,7 +164,11 @@ impl RunPlan {
         let xml = std::fs::read_to_string(path)
             .map_err(|e| GmarkError::io(format!("reading {}", path.display()), e))?;
         let parsed = parse_config(&xml).map_err(|e| GmarkError::config_in(path, e))?;
-        Ok(RunPlan {
+        Ok(RunPlan::from_parsed(parsed, Some(path.to_path_buf())))
+    }
+
+    fn from_parsed(parsed: ParsedConfig, source: Option<PathBuf>) -> RunPlan {
+        RunPlan {
             outputs: OutputSelection {
                 graph: true,
                 workload: parsed.workload.is_some(),
@@ -186,8 +178,8 @@ impl RunPlan {
             workload: parsed.workload,
             eval: None,
             from_store: None,
-            source: Some(path.to_path_buf()),
-        })
+            source,
+        }
     }
 
     /// Starts a fluent builder over a scenario schema.
@@ -393,6 +385,13 @@ mod tests {
     use super::*;
     use gmark_core::usecases;
 
+    /// A Bib builder with a two-query workload and the default eval stage.
+    fn evaluating() -> RunPlanBuilder {
+        RunPlan::builder(usecases::bib())
+            .workload(WorkloadConfig::new(2))
+            .eval(EvalSpec::default())
+    }
+
     #[test]
     fn builder_defaults_produce_a_graph_only_plan() {
         let plan = RunPlan::builder(usecases::bib())
@@ -469,58 +468,34 @@ mod tests {
 
     #[test]
     fn eval_requires_graph_and_workload() {
-        // Eval without a workload: rejected.
-        let err = RunPlan::builder(usecases::bib())
-            .eval(EvalSpec::default())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GmarkError::Plan(_)), "{err}");
-
-        // Eval on a queries-only plan: rejected (no graph to evaluate on).
-        let err = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .queries_only()
-            .eval(EvalSpec::default())
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GmarkError::Plan(_)), "{err}");
-
-        // Eval with an empty engine selection: rejected.
-        let err = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .eval(EvalSpec {
+        let rejected = [
+            // Eval without a workload.
+            RunPlan::builder(usecases::bib()).eval(EvalSpec::default()),
+            // Eval on a queries-only plan: no graph to evaluate on.
+            evaluating().queries_only(),
+            // An empty engine selection.
+            evaluating().eval(EvalSpec {
                 engines: Vec::new(),
                 ..EvalSpec::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GmarkError::Plan(_)), "{err}");
-
-        // A zero tuple cap: rejected (it would fail every non-empty cell).
-        let err = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .eval(EvalSpec {
+            }),
+            // A zero tuple cap would fail every non-empty cell.
+            evaluating().eval(EvalSpec {
                 max_tuples: 0,
                 ..EvalSpec::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GmarkError::Plan(_)), "{err}");
-
-        // A zero cache budget: rejected (disable with `cache` instead).
-        let err = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .eval(EvalSpec {
+            }),
+            // A zero cache budget: disable with `cache` instead.
+            evaluating().eval(EvalSpec {
                 cache_mb: 0,
                 ..EvalSpec::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, GmarkError::Plan(_)), "{err}");
+            }),
+        ];
+        for (i, builder) in rejected.into_iter().enumerate() {
+            let err = builder.build().unwrap_err();
+            assert!(matches!(err, GmarkError::Plan(_)), "case {i}: {err}");
+        }
 
         // ...but a disabled cache with the (unused) default budget is fine.
-        let plan = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
+        let plan = evaluating()
             .eval(EvalSpec {
                 cache: false,
                 ..EvalSpec::default()
@@ -530,11 +505,7 @@ mod tests {
         assert!(!plan.eval.as_ref().unwrap().cache);
 
         // The well-formed combination builds.
-        let plan = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .eval(EvalSpec::default())
-            .build()
-            .unwrap();
+        let plan = evaluating().build().unwrap();
         assert_eq!(plan.eval.as_ref().unwrap().letters(), "PGSD");
         assert!(plan.eval.as_ref().unwrap().cache);
     }
@@ -551,30 +522,19 @@ mod tests {
         plan.validate().unwrap();
 
         // from_store without an eval stage: rejected (nothing would read it).
-        let err = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .from_store("g.gstore")
-            .build()
-            .unwrap_err();
+        let mut plan = evaluating().from_store("g.gstore").build().unwrap();
+        plan.eval = None;
+        let err = plan.validate().unwrap_err();
         assert!(matches!(err, GmarkError::Plan(_)), "{err}");
 
         // from_store combined with generation outputs: rejected.
-        let mut plan = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .eval(EvalSpec::default())
-            .build()
-            .unwrap();
+        let mut plan = evaluating().build().unwrap();
         plan.from_store = Some("g.gstore".into());
         let err = plan.validate().unwrap_err();
         assert!(matches!(err, GmarkError::Plan(_)), "{err}");
 
         // The well-formed from_store evaluation plan builds.
-        let plan = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .eval(EvalSpec::default())
-            .from_store("g.gstore")
-            .build()
-            .unwrap();
+        let plan = evaluating().from_store("g.gstore").build().unwrap();
         assert!(!plan.outputs.graph);
         assert_eq!(
             plan.from_store.as_deref(),
@@ -582,12 +542,7 @@ mod tests {
         );
 
         // Store output + eval (the beyond-RAM combination) builds too.
-        let plan = RunPlan::builder(usecases::bib())
-            .workload(gmark_core::workload::WorkloadConfig::new(2))
-            .store()
-            .eval(EvalSpec::default())
-            .build()
-            .unwrap();
+        let plan = evaluating().store().build().unwrap();
         assert!(plan.outputs.store);
     }
 

@@ -3,12 +3,15 @@
 //! One [`RunSummary`] captures everything `report.txt` and the CLI banner
 //! used to print — what was generated, with which seed, how long it took,
 //! what the consistency check found — and serializes it to JSON
-//! ([`RunSummary::to_json`], hand-rolled: no serde offline) so harnesses
-//! like `scripts/bench.sh` stop scraping the human-readable report.
+//! ([`RunSummary::to_json`], through the workspace's one
+//! [`JsonWriter`]: no serde offline) so harnesses stop scraping the
+//! human-readable report.
 
 use gmark_core::gen::ConstraintReport;
 use gmark_core::workload::DiversitySummary;
+use gmark_stats::JsonWriter;
 use gmark_store::EmitStats;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -262,61 +265,28 @@ impl RunSummary {
     /// trailing newline). `--format json` writes this to `summary.json`
     /// and stdout.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        push_key(&mut out, "gmark_version");
-        push_str(&mut out, env!("CARGO_PKG_VERSION"));
-        out.push(',');
-        push_key(&mut out, "config");
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("gmark_version").string(env!("CARGO_PKG_VERSION"));
+        w.key("config");
         match &self.config {
-            Some(p) => push_str(&mut out, &p.display().to_string()),
-            None => out.push_str("null"),
+            Some(p) => w.string(&p.display().to_string()),
+            None => w.null(),
+        };
+        w.key("seed").uint(self.seed);
+        w.key("threads").uint(self.threads as u64);
+        w.key("streamed").bool(self.streamed);
+        w.key("consistency").begin_array();
+        for issue in &self.consistency {
+            w.string(issue);
         }
-        out.push(',');
-        push_key(&mut out, "seed");
-        let _ = write!(out, "{}", self.seed);
-        out.push(',');
-        push_key(&mut out, "threads");
-        let _ = write!(out, "{}", self.threads);
-        out.push(',');
-        push_key(&mut out, "streamed");
-        let _ = write!(out, "{}", self.streamed);
-        out.push(',');
-        push_key(&mut out, "consistency");
-        out.push('[');
-        for (i, issue) in self.consistency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str(&mut out, issue);
-        }
-        out.push(']');
-        out.push(',');
-        push_key(&mut out, "graph");
-        match &self.graph {
-            Some(g) => g.write_json(&mut out),
-            None => out.push_str("null"),
-        }
-        out.push(',');
-        push_key(&mut out, "store");
-        match &self.store {
-            Some(s) => s.write_json(&mut out),
-            None => out.push_str("null"),
-        }
-        out.push(',');
-        push_key(&mut out, "workload");
-        match &self.workload {
-            Some(w) => w.write_json(&mut out),
-            None => out.push_str("null"),
-        }
-        out.push(',');
-        push_key(&mut out, "eval");
-        match &self.eval {
-            Some(e) => e.write_json(&mut out),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
+        w.end_array();
+        write_half(&mut w, "graph", &self.graph, write_graph_json);
+        write_half(&mut w, "store", &self.store, write_store_json);
+        write_half(&mut w, "workload", &self.workload, write_workload_json);
+        write_half(&mut w, "eval", &self.eval, write_eval_json);
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -381,255 +351,132 @@ impl std::fmt::Display for RunSummary {
     }
 }
 
-impl GraphRunSummary {
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        push_key(out, "nodes_requested");
-        let _ = write!(out, "{}", self.nodes_requested);
-        out.push(',');
-        push_key(out, "nodes_realized");
-        let _ = write!(out, "{}", self.nodes_realized);
-        out.push(',');
-        push_key(out, "edges_written");
-        let _ = write!(out, "{}", self.edges_written);
-        out.push(',');
-        push_key(out, "edges_generated");
-        let _ = write!(out, "{}", self.edges_generated);
-        out.push(',');
-        push_key(out, "seconds");
-        let _ = write!(out, "{:.6}", self.seconds);
-        out.push(',');
-        push_key(out, "constraints");
-        out.push('[');
-        for (i, cr) in self.constraints.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"src_slots\":{},\"trg_slots\":{},\"edges\":{}}}",
-                cr.src_slots, cr.trg_slots, cr.edges
-            );
+/// One optional half of the summary: its object, or `null` when the plan
+/// skipped it.
+fn write_half<T>(w: &mut JsonWriter, key: &str, half: &Option<T>, write: fn(&T, &mut JsonWriter)) {
+    w.key(key);
+    match half {
+        Some(half) => write(half, w),
+        None => {
+            w.null();
         }
-        out.push(']');
-        out.push('}');
     }
 }
 
-impl StoreRunSummary {
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        push_key(out, "bytes");
-        let _ = write!(out, "{}", self.bytes);
-        out.push(',');
-        push_key(out, "page_size");
-        let _ = write!(out, "{}", self.page_size);
-        out.push(',');
-        push_key(out, "edges");
-        let _ = write!(out, "{}", self.edges);
-        out.push(',');
-        push_key(out, "seconds");
-        let _ = write!(out, "{:.6}", self.seconds);
-        out.push('}');
+/// A `{name: count, …}` object of per-category counters.
+fn write_counts<K: ToString>(w: &mut JsonWriter, key: &str, counts: &BTreeMap<K, usize>) {
+    w.key(key).begin_object();
+    for (name, n) in counts {
+        w.key(&name.to_string()).uint(*n as u64);
     }
+    w.end_object();
 }
 
-impl WorkloadRunSummary {
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        push_key(out, "seed");
-        let _ = write!(out, "{}", self.seed);
-        out.push(',');
-        push_key(out, "produced");
-        let _ = write!(out, "{}", self.produced);
-        out.push(',');
-        push_key(out, "unsatisfied_selectivity");
-        let _ = write!(out, "{}", self.unsatisfied_selectivity);
-        out.push(',');
-        push_key(out, "relaxations");
-        let _ = write!(out, "{}", self.relaxations);
-        out.push(',');
-        push_key(out, "cypher_degradations");
-        let _ = write!(
-            out,
-            "{{\"star_concat\":{},\"star_inverse\":{}}}",
-            self.cypher_star_concat, self.cypher_star_inverse
-        );
-        out.push(',');
-        push_key(out, "bytes");
-        let _ = write!(
-            out,
-            "{{\"rules\":{},\"sparql\":{},\"cypher\":{},\"sql\":{},\"datalog\":{}}}",
-            self.bytes[0], self.bytes[1], self.bytes[2], self.bytes[3], self.bytes[4]
-        );
-        out.push(',');
-        push_key(out, "seconds");
-        let _ = write!(out, "{:.6}", self.seconds);
-        out.push(',');
-        push_key(out, "diversity");
-        write_diversity_json(&self.diversity, out);
-        out.push('}');
+fn write_graph_json(g: &GraphRunSummary, w: &mut JsonWriter) {
+    w.begin_object();
+    w.key("nodes_requested").uint(g.nodes_requested);
+    w.key("nodes_realized").uint(g.nodes_realized);
+    w.key("edges_written").uint(g.edges_written);
+    w.key("edges_generated").uint(g.edges_generated);
+    w.key("seconds").fixed(g.seconds, 6);
+    w.key("constraints").begin_array();
+    for cr in &g.constraints {
+        w.begin_object();
+        w.key("src_slots").uint(cr.src_slots);
+        w.key("trg_slots").uint(cr.trg_slots);
+        w.key("edges").uint(cr.edges);
+        w.end_object();
     }
+    w.end_array();
+    w.end_object();
 }
 
-impl EvalRunSummary {
-    /// Serializes the deterministic evaluation fields. The stage's wall
-    /// time is intentionally absent: the `eval` JSON object is a pure
-    /// function of the plan and seed (see the struct docs).
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        push_key(out, "engines");
-        push_str(out, &self.engines);
-        out.push(',');
-        push_key(out, "budget_ms");
-        let _ = write!(out, "{}", self.budget_ms);
-        out.push(',');
-        push_key(out, "max_tuples");
-        let _ = write!(out, "{}", self.max_tuples);
-        out.push(',');
-        push_key(out, "plan");
-        out.push_str(if self.plan { "true" } else { "false" });
-        out.push(',');
-        push_key(out, "cache");
-        match &self.cache {
-            Some(c) => {
-                let _ = write!(
-                    out,
-                    "{{\"enabled\":true,\"budget_mb\":{},\"entries\":{},\"tuples\":{},\
-                     \"fills\":{},\"hits\":{},\"misses\":{},\"rejected\":{}}}",
-                    c.budget_mb, c.entries, c.tuples, c.fills, c.hits, c.misses, c.rejected
-                );
-            }
-            None => out.push_str("{\"enabled\":false}"),
-        }
-        out.push(',');
-        push_key(out, "queries");
-        let _ = write!(out, "{}", self.queries);
-        out.push(',');
-        push_key(out, "cells");
-        let _ = write!(out, "{}", self.cells);
-        out.push(',');
-        push_key(out, "outcomes");
-        let _ = write!(
-            out,
-            "{{\"ok\":{},\"timeout\":{},\"too_large\":{},\"unsupported\":{},\"error\":{}}}",
-            self.ok, self.timeout, self.too_large, self.unsupported, self.internal
-        );
-        out.push(',');
-        push_key(out, "rows");
-        out.push('[');
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"query\":{},\"engine\":\"{}\",\"outcome\":",
-                row.query, row.engine
-            );
-            push_str(out, &row.outcome);
-            out.push_str(",\"count\":");
-            match row.count {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"estimate\":");
-            match row.estimate {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out.push('}');
-    }
+fn write_store_json(s: &StoreRunSummary, w: &mut JsonWriter) {
+    w.begin_object();
+    w.key("bytes").uint(s.bytes);
+    w.key("page_size").uint(u64::from(s.page_size));
+    w.key("edges").uint(s.edges);
+    w.key("seconds").fixed(s.seconds, 6);
+    w.end_object();
 }
 
-fn write_diversity_json(d: &DiversitySummary, out: &mut String) {
-    out.push('{');
-    push_key(out, "total");
-    let _ = write!(out, "{}", d.total);
-    out.push(',');
-    push_key(out, "recursive");
-    let _ = write!(out, "{}", d.recursive);
-    out.push(',');
-    push_key(out, "by_shape");
-    out.push('{');
-    for (i, (shape, n)) in d.by_shape.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str(out, &shape.to_string());
-        out.push(':');
-        let _ = write!(out, "{n}");
+fn write_workload_json(wl: &WorkloadRunSummary, w: &mut JsonWriter) {
+    w.begin_object();
+    w.key("seed").uint(wl.seed);
+    w.key("produced").uint(wl.produced as u64);
+    w.key("unsatisfied_selectivity")
+        .uint(wl.unsatisfied_selectivity as u64);
+    w.key("relaxations").uint(u64::from(wl.relaxations));
+    w.key("cypher_degradations").begin_object();
+    w.key("star_concat").uint(wl.cypher_star_concat);
+    w.key("star_inverse").uint(wl.cypher_star_inverse);
+    w.end_object();
+    w.key("bytes").begin_object();
+    for (name, bytes) in ["rules", "sparql", "cypher", "sql", "datalog"]
+        .iter()
+        .zip(wl.bytes)
+    {
+        w.key(name).uint(bytes);
     }
-    out.push('}');
-    out.push(',');
-    push_key(out, "by_class");
-    out.push('{');
-    for (i, (class, n)) in d.by_class.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str(out, &class.to_string());
-        out.push(':');
-        let _ = write!(out, "{n}");
-    }
-    out.push('}');
-    out.push(',');
-    push_key(out, "by_arity");
-    out.push('{');
-    for (i, (arity, n)) in d.by_arity.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str(out, &arity.to_string());
-        out.push(':');
-        let _ = write!(out, "{n}");
-    }
-    out.push('}');
-    out.push(',');
-    push_key(out, "max_rules");
-    let _ = write!(out, "{}", d.max_rules);
-    out.push(',');
-    push_key(out, "max_conjuncts");
-    let _ = write!(out, "{}", d.max_conjuncts);
-    out.push(',');
-    push_key(out, "max_disjuncts");
-    let _ = write!(out, "{}", d.max_disjuncts);
-    out.push(',');
-    push_key(out, "max_path_length");
-    let _ = write!(out, "{}", d.max_path_length);
-    out.push('}');
+    w.end_object();
+    w.key("seconds").fixed(wl.seconds, 6);
+    let d = &wl.diversity;
+    w.key("diversity").begin_object();
+    w.key("total").uint(d.total as u64);
+    w.key("recursive").uint(d.recursive as u64);
+    write_counts(w, "by_shape", &d.by_shape);
+    write_counts(w, "by_class", &d.by_class);
+    write_counts(w, "by_arity", &d.by_arity);
+    w.key("max_rules").uint(d.max_rules as u64);
+    w.key("max_conjuncts").uint(d.max_conjuncts as u64);
+    w.key("max_disjuncts").uint(d.max_disjuncts as u64);
+    w.key("max_path_length").uint(d.max_path_length as u64);
+    w.end_object();
+    w.end_object();
 }
 
-/// Appends `"key":` to `out`.
-fn push_key(out: &mut String, key: &str) {
-    push_str(out, key);
-    out.push(':');
-}
-
-/// Appends a JSON string literal (RFC 8259 escaping).
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// The deterministic evaluation fields. The stage's wall time is
+/// intentionally absent: the `eval` JSON object is a pure function of the
+/// plan and seed (see [`EvalRunSummary`]).
+fn write_eval_json(e: &EvalRunSummary, w: &mut JsonWriter) {
+    w.begin_object();
+    w.key("engines").string(&e.engines);
+    w.key("budget_ms").uint(e.budget_ms);
+    w.key("max_tuples").uint(e.max_tuples as u64);
+    w.key("plan").bool(e.plan);
+    w.key("cache").begin_object();
+    w.key("enabled").bool(e.cache.is_some());
+    if let Some(c) = &e.cache {
+        w.key("budget_mb").uint(c.budget_mb as u64);
+        w.key("entries").uint(c.entries as u64);
+        w.key("tuples").uint(c.tuples);
+        w.key("fills").uint(c.fills);
+        w.key("hits").uint(c.hits);
+        w.key("misses").uint(c.misses);
+        w.key("rejected").uint(c.rejected);
     }
-    out.push('"');
+    w.end_object();
+    w.key("queries").uint(e.queries as u64);
+    w.key("cells").uint(e.cells as u64);
+    w.key("outcomes").begin_object();
+    w.key("ok").uint(e.ok as u64);
+    w.key("timeout").uint(e.timeout as u64);
+    w.key("too_large").uint(e.too_large as u64);
+    w.key("unsupported").uint(e.unsupported as u64);
+    w.key("error").uint(e.internal as u64);
+    w.end_object();
+    w.key("rows").begin_array();
+    for row in &e.rows {
+        w.begin_object();
+        w.key("query").uint(row.query as u64);
+        w.key("engine").string(row.engine.encode_utf8(&mut [0; 4]));
+        w.key("outcome").string(&row.outcome);
+        w.key("count").opt_uint(row.count);
+        w.key("estimate").opt_uint(row.estimate);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
 }
 
 #[cfg(test)]
@@ -768,15 +615,8 @@ mod tests {
         assert!(json.contains("\"plan\":true"), "{json}");
         assert!(json.contains("\"estimate\":10"), "{json}");
         assert!(json.contains("something \\\"quoted\\\""), "{json}");
-        // Balanced braces/brackets (cheap structural sanity; full parsing
-        // is covered by the CLI integration test via python -m json.tool
-        // in CI).
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "{json}");
+        // And it is JSON: the workspace's reader takes it whole.
+        crate::serve::json::parse(&json).expect("summary.json parses");
     }
 
     #[test]

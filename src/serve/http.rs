@@ -11,12 +11,12 @@
 //! HTTP/1.0 clients); the per-connection request loop lives in the
 //! routes layer, which decides per response whether the connection
 //! stays open and tells [`write_response`]/[`write_chunked`] what
-//! `Connection:` header to emit. Two clients live at the bottom:
-//! one-shot [`fetch`] (`Connection: close`, reads to EOF — tolerant of
-//! early error responses) and the reusable [`Client`], which frames
-//! responses exactly so the same TCP connection can carry many requests;
-//! the integration tests and bench drivers use both, curl fills the
-//! same role in CI.
+//! `Connection:` header to emit. One client lives at the bottom: the
+//! reusable [`Client`] frames responses exactly so the same TCP
+//! connection can carry many requests, and one-shot [`fetch`] is that
+//! client used once with `Connection: close` (tolerant of a response
+//! that arrives before the request is fully sent); the integration tests
+//! and bench drivers use both, curl fills the same role in CI.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -62,12 +62,16 @@ impl Request {
 
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
+}
+
+/// Case-insensitive lookup in a list of headers with lowercased names.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
 }
 
 /// Why a request could not be read. [`HttpError::status`] maps each case
@@ -256,6 +260,15 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
+    let framing = format!("Content-Length: {}", body.len());
+    stream.write_all(response_head(status, headers, &framing, keep_alive).as_bytes())?;
+    stream.write_all(body)?;
+    stream.flush()
+}
+
+/// The status line, the caller's headers, how the body is framed, and
+/// whether the connection stays open.
+fn response_head(status: u16, headers: &[(&str, &str)], framing: &str, keep_alive: bool) -> String {
     let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
     for (name, value) in headers {
         head.push_str(name);
@@ -263,19 +276,13 @@ pub fn write_response(
         head.push_str(value);
         head.push_str("\r\n");
     }
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
-    head.push_str(connection_header(keep_alive));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-fn connection_header(keep_alive: bool) -> &'static str {
-    if keep_alive {
-        "Connection: keep-alive\r\n\r\n"
+    head.push_str(framing);
+    head.push_str(if keep_alive {
+        "\r\nConnection: keep-alive\r\n\r\n"
     } else {
-        "Connection: close\r\n\r\n"
-    }
+        "\r\nConnection: close\r\n\r\n"
+    });
+    head
 }
 
 /// Writes one `Transfer-Encoding: chunked` response and flushes: the
@@ -289,15 +296,7 @@ pub fn write_chunked(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("Transfer-Encoding: chunked\r\n");
-    head.push_str(connection_header(keep_alive));
+    let head = response_head(status, headers, "Transfer-Encoding: chunked", keep_alive);
     stream.write_all(head.as_bytes())?;
     for chunk in body.chunks(CHUNK_BYTES) {
         write!(stream, "{:x}\r\n", chunk.len())?;
@@ -372,11 +371,7 @@ pub struct ClientResponse {
 impl ClientResponse {
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Whether the server announced it will close the connection after
@@ -388,116 +383,45 @@ impl ClientResponse {
     }
 }
 
-/// A minimal blocking HTTP/1.1 client for one request: what the
-/// integration tests and the `serve_sweep` bench driver speak to the
-/// server (curl fills the same role in CI). De-chunks chunked responses;
-/// otherwise reads to `Content-Length` (or connection close).
+/// One request on a connection of its own: connect, send with
+/// `Connection: close`, read one framed response. What the integration
+/// tests and the benchmark harness speak to the server (curl fills the
+/// same role in CI).
+///
+/// A server may answer before reading the whole request (a 429 from
+/// admission control does exactly that), so a write failure is reported
+/// only if no response can be read afterwards.
 pub fn fetch(
     addr: impl ToSocketAddrs,
     method: &str,
     path_and_query: &str,
     body: &[u8],
 ) -> io::Result<ClientResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(120)))?;
-    let _ = stream.set_nodelay(true);
-    let head = format!(
-        "{method} {path_and_query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    // A server may answer before reading the whole request (a 429 from
-    // admission control does exactly that) — a write failure is only
-    // fatal if no response can be read afterwards.
-    let wrote = stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush());
-
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 16 * 1024];
-    let read_outcome = loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break Ok(()),
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            // A reset after the response bytes arrived still counts —
-            // keep what we have if it parses.
-            Err(e) => break Err(e),
-        }
-    };
-    if raw.is_empty() {
-        wrote?;
-        read_outcome?;
-    }
-    parse_client_response(&raw)
-}
-
-/// Parses a response head (status line + headers, without the blank
-/// line) into `(status, lowercased headers)`.
-fn parse_response_head(head: &[u8]) -> io::Result<(u16, Vec<(String, String)>)> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("response: {what}"));
-    let head = std::str::from_utf8(head).map_err(|_| bad("head not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty head"))?;
-    let status: u16 = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("no status code"))?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-        }
-    }
-    Ok((status, headers))
-}
-
-fn parse_client_response(raw: &[u8]) -> io::Result<ClientResponse> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("response: {what}"));
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("no head terminator"))?;
-    let (status, headers) = parse_response_head(&raw[..head_end])?;
-    let payload = &raw[head_end + 4..];
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        dechunk(payload).ok_or_else(|| bad("bad chunked framing"))?
-    } else {
-        payload.to_vec()
-    };
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-    })
+    let mut client = Client::connect(addr)?;
+    let wrote = client.send(method, path_and_query, body, "Connection: close\r\n");
+    client.read_response().map_err(|e| wrote.err().unwrap_or(e))
 }
 
 /// A reusable HTTP/1.1 client: one TCP connection, many requests.
 ///
-/// Where [`fetch`] sends `Connection: close` and reads to EOF, this
-/// client leaves the connection open and frames each response exactly
-/// (by `Content-Length`, or chunk by chunk) so the next request can ride
-/// the same socket — the client half of the server's keep-alive fast
-/// path. The integration tests' keep-alive pins and the `drive` /
-/// `serve_sweep` bench drivers use it. After a response announcing
-/// `Connection: close` ([`ClientResponse::close_after`]) the holder must
-/// reconnect.
-pub struct Client {
-    stream: TcpStream,
+/// Each response is framed exactly (by `Content-Length`, chunk by chunk,
+/// or — with neither — by the close of the connection) so the next
+/// request can ride the same socket: the client half of the server's
+/// keep-alive fast path. The integration tests' keep-alive pins and the
+/// `drive` bench driver use it; [`fetch`] is the same reader used once.
+/// After a response announcing `Connection: close`
+/// ([`ClientResponse::close_after`]) the holder must reconnect.
+pub struct Client<S = TcpStream> {
+    stream: S,
     /// Socket bytes read but not yet consumed by response framing.
     buf: Vec<u8>,
 }
 
 impl Client {
-    /// Connects, with the same generous timeouts as [`fetch`].
-    /// `TCP_NODELAY` is set: a request/response protocol writing small
-    /// frames on a reused connection would otherwise trip over Nagle +
-    /// delayed-ACK stalls (~40 ms per request).
+    /// Connects, with generous timeouts. `TCP_NODELAY` is set: a
+    /// request/response protocol writing small frames on a reused
+    /// connection would otherwise trip over Nagle + delayed-ACK stalls
+    /// (~40 ms per request).
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
@@ -518,54 +442,63 @@ impl Client {
         path_and_query: &str,
         body: &[u8],
     ) -> io::Result<ClientResponse> {
+        self.send(method, path_and_query, body, "")?;
+        self.read_response()
+    }
+
+    fn send(
+        &mut self,
+        method: &str,
+        path_and_query: &str,
+        body: &[u8],
+        extra_headers: &str,
+    ) -> io::Result<()> {
         let head = format!(
-            "{method} {path_and_query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n\r\n",
+            "{method} {path_and_query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n\
+             {extra_headers}\r\n",
             body.len()
         );
         self.stream.write_all(head.as_bytes())?;
         self.stream.write_all(body)?;
-        self.stream.flush()?;
+        self.stream.flush()
+    }
+}
 
-        // Head: buffer until the blank line.
-        let head_end = loop {
-            if let Some(p) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break p;
-            }
-            self.fill()?;
-        };
-        let head: Vec<u8> = self.buf.drain(..head_end + 4).collect();
-        let (status, headers) = parse_response_head(&head[..head_end])?;
+fn invalid(what: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("response: {what}"))
+}
 
-        let chunked = headers
-            .iter()
-            .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-        let body = if chunked {
-            let mut out = Vec::new();
-            loop {
-                let size_line = self.take_line()?;
-                let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("response: bad chunk size {size_line:?}"),
-                    )
-                })?;
-                // Chunk payload plus its trailing CRLF (the zero chunk
-                // has an empty payload, so this consumes the final one).
-                let mut chunk = self.take(size + 2)?;
-                if size == 0 {
-                    break;
-                }
-                chunk.truncate(size);
-                out.append(&mut chunk);
-            }
-            out
-        } else {
-            let length = headers
-                .iter()
-                .find(|(k, _)| k == "content-length")
-                .and_then(|(_, v)| v.parse::<usize>().ok())
-                .unwrap_or(0);
+impl<S: Read> Client<S> {
+    /// Reads one response off the connection: head, then the body as the
+    /// head frames it.
+    fn read_response(&mut self) -> io::Result<ClientResponse> {
+        let head = self.take_until(b"\r\n\r\n")?;
+        let head = std::str::from_utf8(&head).map_err(|_| invalid("head not UTF-8"))?;
+        let mut lines = head.split("\r\n");
+        let status: u16 = lines
+            .next()
+            .and_then(|status_line| status_line.split_ascii_whitespace().nth(1))
+            .and_then(|code| code.parse().ok())
+            .ok_or_else(|| invalid("no status code"))?;
+        let headers: Vec<(String, String)> = lines
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_owned()))
+            .collect();
+        let header = |name| find_header(&headers, name);
+
+        let body = if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
+        {
+            self.dechunk()?
+        } else if let Some(length) = header("content-length") {
+            let length = length
+                .parse()
+                .map_err(|_| invalid(format_args!("bad Content-Length {length:?}")))?;
             self.take(length)?
+        } else {
+            // Neither framing: the body runs to the close of the
+            // connection.
+            while self.fill()? {}
+            std::mem::take(&mut self.buf)
         };
         Ok(ClientResponse {
             status,
@@ -574,58 +507,68 @@ impl Client {
         })
     }
 
-    /// Reads more socket bytes into the buffer; EOF is an error here
-    /// because framing said more bytes must come.
-    fn fill(&mut self) -> io::Result<()> {
+    /// Reassembles a chunked body: the one de-chunker.
+    fn dechunk(&mut self) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        loop {
+            let size_line = String::from_utf8(self.take_until(b"\r\n")?)
+                .map_err(|_| invalid("chunk size not UTF-8"))?;
+            let size = usize::from_str_radix(size_line.trim(), 16)
+                .map_err(|_| invalid(format_args!("bad chunk size {size_line:?}")))?;
+            // Chunk payload plus its trailing CRLF (the zero chunk has an
+            // empty payload, so this consumes the final one). The size is
+            // the peer's: `ffffffffffffffff` must not wrap.
+            let framed = size
+                .checked_add(2)
+                .ok_or_else(|| invalid(format_args!("chunk size {size_line:?} overflows")))?;
+            let mut chunk = self.take(framed)?;
+            if size == 0 {
+                return Ok(out);
+            }
+            chunk.truncate(size);
+            out.append(&mut chunk);
+        }
+    }
+
+    /// Reads more socket bytes into the buffer; `false` at EOF.
+    fn fill(&mut self) -> io::Result<bool> {
         let mut chunk = [0u8; 16 * 1024];
         let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(n > 0)
+    }
+
+    /// [`Client::fill`] where framing said more bytes must come.
+    fn fill_more(&mut self) -> io::Result<()> {
+        let closed = || {
+            io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-response",
-            ));
-        }
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(())
+            )
+        };
+        self.fill()?.then_some(()).ok_or_else(closed)
     }
 
     /// Consumes exactly `n` bytes off the front of the stream.
     fn take(&mut self, n: usize) -> io::Result<Vec<u8>> {
         while self.buf.len() < n {
-            self.fill()?;
+            self.fill_more()?;
         }
         Ok(self.buf.drain(..n).collect())
     }
 
-    /// Consumes one CRLF-terminated line (without the terminator).
-    fn take_line(&mut self) -> io::Result<String> {
-        let end = loop {
-            if let Some(p) = self.buf.windows(2).position(|w| w == b"\r\n") {
+    /// Consumes the stream up to and including `end`, returning what came
+    /// before it.
+    fn take_until(&mut self, end: &[u8]) -> io::Result<Vec<u8>> {
+        let at = loop {
+            if let Some(p) = self.buf.windows(end.len()).position(|w| w == end) {
                 break p;
             }
-            self.fill()?;
+            self.fill_more()?;
         };
-        let line: Vec<u8> = self.buf.drain(..end + 2).collect();
-        String::from_utf8(line[..end].to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response line not UTF-8"))
-    }
-}
-
-fn dechunk(mut payload: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = payload.windows(2).position(|w| w == b"\r\n")?;
-        let size_text = std::str::from_utf8(&payload[..line_end]).ok()?;
-        let size = usize::from_str_radix(size_text.trim(), 16).ok()?;
-        payload = &payload[line_end + 2..];
-        if size == 0 {
-            return Some(out);
-        }
-        if payload.len() < size + 2 {
-            return None;
-        }
-        out.extend_from_slice(&payload[..size]);
-        payload = &payload[size + 2..];
+        let mut taken: Vec<u8> = self.buf.drain(..at + end.len()).collect();
+        taken.truncate(at);
+        Ok(taken)
     }
 }
 
@@ -641,25 +584,55 @@ mod tests {
         assert_eq!(percent_decode("%3Cxml%3E"), "<xml>");
     }
 
+    /// A client over canned bytes: the framing code without a socket.
+    fn over(raw: &[u8]) -> Client<&[u8]> {
+        Client {
+            stream: raw,
+            buf: Vec::new(),
+        }
+    }
+
     #[test]
     fn dechunking_reassembles_the_payload() {
         let framed = b"3\r\nabc\r\n4\r\ndefg\r\n0\r\n\r\n";
-        assert_eq!(dechunk(framed).unwrap(), b"abcdefg");
-        assert_eq!(dechunk(b"0\r\n\r\n").unwrap(), b"");
-        assert!(dechunk(b"5\r\nab\r\n").is_none(), "truncated chunk");
+        assert_eq!(over(framed).dechunk().unwrap(), b"abcdefg");
+        assert_eq!(over(b"0\r\n\r\n").dechunk().unwrap(), b"");
+        assert!(over(b"5\r\nab\r\n").dechunk().is_err(), "truncated chunk");
+        assert!(over(b"zz\r\nab\r\n").dechunk().is_err(), "bad size");
+        // A size whose `+ 2` would wrap is refused, not allocated.
+        let err = over(b"ffffffffffffffff\r\nab\r\n").dechunk().unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        assert!(
+            over(b"fffffffffffffff0\r\nab\r\n").dechunk().is_err(),
+            "a huge chunk that never arrives"
+        );
     }
 
     #[test]
     fn client_response_parser_reads_status_headers_and_body() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nhi".to_vec();
-        let resp = parse_client_response(&raw).unwrap();
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nhi";
+        let resp = over(raw).read_response().unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("content-type"), Some("text/plain"));
         assert_eq!(resp.body, b"hi");
 
-        let chunked =
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n".to_vec();
-        assert_eq!(parse_client_response(&chunked).unwrap().body, b"hi");
+        // Two framed responses back to back stay apart.
+        let two = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n\
+                    HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
+        let mut client = over(two);
+        assert_eq!(client.read_response().unwrap().body, b"hi");
+        assert_eq!(client.read_response().unwrap().status, 404);
+        assert!(client.read_response().is_err(), "nothing left");
+
+        // Neither Content-Length nor chunking: the body runs to EOF.
+        let unframed = b"HTTP/1.0 200 OK\r\nConnection: close\r\n\r\nall of this";
+        let resp = over(unframed).read_response().unwrap();
+        assert!(resp.close_after());
+        assert_eq!(resp.body, b"all of this");
+
+        // A body shorter than its Content-Length is an error, not a
+        // truncated success.
+        let short = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhi";
+        assert!(over(short).read_response().is_err());
     }
 }

@@ -3,10 +3,11 @@
 //! The server accepts either a raw schema XML body or a small JSON
 //! object (`{"schema_xml": "...", "nodes": 100, ...}`) mirroring the
 //! fields a `RunSummary` reports. Parsing that object needs a JSON
-//! *reader*, and the workspace has none (every producer hand-formats
-//! its JSON), so this is the smallest recursive-descent parser that
-//! covers the dialect: all JSON value shapes, UTF-16 escapes included,
-//! with a depth cap instead of arbitrary-recursion trust.
+//! *reader* — the counterpart of the workspace's one emitter,
+//! [`gmark_stats::JsonWriter`] — so this is the smallest
+//! recursive-descent parser that covers the dialect: all JSON value
+//! shapes, UTF-16 escapes included, with a depth cap instead of
+//! arbitrary-recursion trust.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +71,7 @@ const MAX_DEPTH: usize = 32;
 /// Parses one JSON document. Trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -83,6 +85,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes: every delimiter the grammar looks at is ASCII.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -182,18 +186,21 @@ impl Parser<'_> {
                         }
                     }
                 }
+                b if b < 0x20 => {
+                    return Err(format!("raw control char {b:#x} in string"));
+                }
                 _ => {
-                    // Re-sync to a char boundary: strings are UTF-8, so
-                    // step back and take the whole scalar at once.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "string is not UTF-8".to_owned())?;
-                    let ch = rest.chars().next().unwrap();
-                    if (ch as u32) < 0x20 {
-                        return Err(format!("raw control char {:#x} in string", ch as u32));
+                    // Copy the whole unescaped run in one slice. It ends
+                    // at an ASCII delimiter, and `text` is a `&str`, so
+                    // both ends are char boundaries.
+                    let start = self.pos - 1;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
                     }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -282,6 +289,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmark_stats::JsonWriter;
 
     #[test]
     fn parses_the_run_body_dialect() {
@@ -322,12 +330,110 @@ mod tests {
             "01x",
             "{\"a\": 1} trailing",
             "nul",
+            // Raw control characters, lone surrogates, unknown escapes.
+            "\"a\nb\"",
+            "\"a\u{1f}\"",
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\x""#,
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
         // The depth cap rejects pathological nesting.
         let deep = "[".repeat(64) + &"]".repeat(64);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // One 1 MiB string value, the shape of a `{"schema_xml": …}` body.
+        // Re-validating the rest of the input per character made this
+        // quadratic (≈ 16 s in a release build, far longer in a test
+        // build); a hang must fail, not stall.
+        let value = "é<generator attr='x'/>".repeat(48 * 1024);
+        assert!(value.len() >= 1 << 20);
+        let body = format!("{{\"schema_xml\": \"{value}\"}}");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(parse(&body));
+        });
+        let doc = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("parsing 1 MiB took more than 10 s")
+            .expect("the body parses");
+        assert_eq!(doc.get("schema_xml").and_then(Json::as_str), Some(&*value));
+    }
+
+    /// Builds a value from a tape of random numbers, writing it with the
+    /// workspace's emitter while recording what the reader must return.
+    fn write_value(tape: &mut std::slice::Iter<'_, u32>, depth: usize, w: &mut JsonWriter) -> Json {
+        // Weighted towards the characters an emitter gets wrong.
+        fn string(tape: &mut std::slice::Iter<'_, u32>) -> String {
+            let len = tape.next().map_or(0, |n| n % 12);
+            tape.take(len as usize)
+                .map(|&n| match n % 8 {
+                    0 => '"',
+                    1 => '\\',
+                    2 => char::from_u32(n % 0x20).expect("a control character"),
+                    3 => char::from_u32(0x1_0000 + n % 0xF_0000).expect("a non-BMP scalar"),
+                    4 => char::from_u32(0x80 + n % 0xD000).expect("a BMP scalar"),
+                    _ => char::from_u32(0x20 + n % 0x5F).expect("printable ASCII"),
+                })
+                .collect()
+        }
+        let pick = tape.next().copied().unwrap_or(0);
+        match (pick % 5, depth < 4) {
+            (0, true) => {
+                w.begin_array();
+                let items = (0..pick / 5 % 4).map(|_| write_value(tape, depth + 1, w));
+                let items = items.collect();
+                w.end_array();
+                Json::Arr(items)
+            }
+            (1, true) => {
+                w.begin_object();
+                let members = (0..pick / 5 % 4).map(|_| {
+                    let key = string(tape);
+                    w.key(&key);
+                    (key, write_value(tape, depth + 1, w))
+                });
+                let members = members.collect();
+                w.end_object();
+                Json::Obj(members)
+            }
+            (2, _) => {
+                w.opt_uint(Some(u64::from(pick)).filter(|n| n % 2 == 0));
+                if pick % 2 == 0 {
+                    Json::Num(f64::from(pick))
+                } else {
+                    Json::Null
+                }
+            }
+            (3, _) => {
+                // Quarters are exact in binary and in two decimals.
+                let x = f64::from(pick % 4096) / 4.0;
+                w.fixed(x, 2);
+                Json::Num(x)
+            }
+            _ => {
+                let s = string(tape);
+                w.string(&s);
+                Json::Str(s)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn what_the_writer_writes_the_reader_reads_back(
+            tape in proptest::collection::vec(proptest::any::<u32>(), 0..200)
+        ) {
+            let mut w = JsonWriter::new();
+            let written = write_value(&mut tape.iter(), 0, &mut w);
+            let text = w.finish();
+            proptest::prop_assert_eq!(parse(&text), Ok(written), "{}", text);
+        }
     }
 
     #[test]

@@ -39,7 +39,6 @@ mod routes;
 use admission::Admission;
 use cache::{Snapshot, SnapshotCache};
 use gmark_stats::LatencyHistogram;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -260,18 +259,12 @@ fn accept_loop(shared: &ServerShared, listener: TcpListener) {
 /// the 429 before the client reads it. The drain is bounded by a short
 /// read timeout, so a stalled client cannot pin the acceptor.
 fn reject_connection(mut stream: std::net::TcpStream) {
+    let headers = [
+        ("Retry-After", "1"),
+        ("Content-Type", "text/plain; charset=utf-8"),
+    ];
     let body = b"gmark: saturated, retry later\n";
-    let _ = stream.write_all(
-        format!(
-            "HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\n\
-             Content-Type: text/plain; charset=utf-8\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        )
-        .as_bytes(),
-    );
-    let _ = stream.write_all(body);
-    let _ = stream.flush();
+    let _ = http::write_response(&mut stream, 429, &headers, body, false);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut sink = [0u8; 4096];
@@ -319,6 +312,16 @@ mod tests {
 
     const BIB_XML: &str = include_str!("../../examples/configs/bib.xml");
 
+    /// A daemon on a free port.
+    fn start(workers: usize) -> Server {
+        Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers,
+            ..ServeConfig::default()
+        })
+        .expect("binds")
+    }
+
     fn post_run(addr: SocketAddr, query: &str) -> http::ClientResponse {
         http::fetch(addr, "POST", &format!("/v1/run{query}"), BIB_XML.as_bytes())
             .expect("request round-trips")
@@ -326,13 +329,7 @@ mod tests {
 
     #[test]
     fn serves_health_stats_and_a_run_end_to_end() {
-        let server = Server::start(ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: 2,
-            cache_mb: 64,
-            ..ServeConfig::default()
-        })
-        .expect("binds");
+        let server = start(2);
         let addr = server.local_addr();
 
         let health = http::fetch(addr, "GET", "/healthz", b"").unwrap();
@@ -365,25 +362,19 @@ mod tests {
 
     #[test]
     fn rejects_bad_plans_params_and_routes() {
-        let server = Server::start(ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: 1,
-            ..ServeConfig::default()
-        })
-        .expect("binds");
+        let server = start(1);
         let addr = server.local_addr();
 
+        // What is this door's own; the run parameters' rules are tested
+        // through both doors in `run::request`, and one of them here
+        // shows a rejected request is a 400.
         let cases: &[(&str, &str, &[u8], u16)] = &[
             ("POST", "/v1/run", b"not xml or json", 400),
             ("POST", "/v1/run", b"", 400),
             ("POST", "/v1/run?typo=1", BIB_XML.as_bytes(), 400),
             ("POST", "/v1/run?from_store=x", BIB_XML.as_bytes(), 400),
-            (
-                "POST",
-                "/v1/run?eval=1&queries_only=1",
-                BIB_XML.as_bytes(),
-                400,
-            ),
+            ("POST", "/v1/run?config=", BIB_XML.as_bytes(), 400),
+            ("POST", "/v1/run?deadline_ms=soon", BIB_XML.as_bytes(), 400),
             ("POST", "/v1/run?budget_ms=5", BIB_XML.as_bytes(), 400),
             ("POST", "/v1/run?artifact=nope.bin", BIB_XML.as_bytes(), 400),
             ("GET", "/v1/run/unknown/summary", b"", 404),
@@ -400,10 +391,14 @@ mod tests {
             addr,
             "POST",
             "/v1/run?seed=3&artifact=summary.json",
-            format!(
-                "{{\"schema_xml\": {}, \"nodes\": 40}}",
-                json_string(BIB_XML)
-            )
+            {
+                let mut body = gmark_stats::JsonWriter::new();
+                body.begin_object();
+                body.key("schema_xml").string(BIB_XML);
+                body.key("nodes").uint(40);
+                body.end_object();
+                body.finish()
+            }
             .as_bytes(),
         )
         .unwrap();
@@ -420,12 +415,7 @@ mod tests {
 
     #[test]
     fn artifact_selector_reaches_every_produced_artifact() {
-        let server = Server::start(ServeConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: 1,
-            ..ServeConfig::default()
-        })
-        .expect("binds");
+        let server = start(1);
         let addr = server.local_addr();
 
         for artifact in ["workload.txt", "workload.sparql", "report.txt"] {
@@ -446,24 +436,5 @@ mod tests {
         assert!(text.contains(Artifact::Rules.file_name()), "{text}");
 
         server.shutdown();
-    }
-
-    /// Minimal JSON string quoting for the test body.
-    fn json_string(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
     }
 }

@@ -11,22 +11,26 @@
 //! `POST /v1/run` is the CLI's `gmark --config … --output …` re-expressed
 //! over HTTP: the body carries the plan (raw schema XML, or the JSON
 //! dialect `{"schema_xml": …}`), the query string carries the flags, and
-//! the selected artifact streams back chunked. The handler mirrors the
-//! CLI's flag-coupling rules exactly, so a plan the CLI rejects gets the
-//! same complaint as a 400 here. Two deliberate differences: the server
-//! never takes a filesystem path from a client (`--from-store` has no
-//! HTTP spelling; `config=` is recorded as a label, never opened), and
-//! `threads`/`deadline_ms` are execution knobs that stay **out** of the
-//! snapshot key — they never change artifact bytes, so requests
-//! differing only there share one snapshot.
+//! the selected artifact streams back chunked. The query parameters *are*
+//! the CLI's flags: both doors feed the one parameter table of
+//! [`crate::run::RunRequest`], so a request the CLI rejects gets the same
+//! complaint as a 400 here — a parameter given twice included. What this
+//! door owns is what only HTTP has: `artifact` (a view selector),
+//! `deadline_ms` (admission bookkeeping), and `config=` (a label recorded
+//! in the summary, never opened). Two deliberate differences from the
+//! CLI: the server never takes a filesystem path from a client
+//! (`from_store` is refused), and an absent `threads` means auto-detect.
+//! `threads`/`deadline_ms`/`artifact` stay **out** of the snapshot key —
+//! they never change artifact bytes, so requests differing only there
+//! share one snapshot.
 
 use super::admission::Job;
 use super::cache::{fnv1a, Snapshot, FNV_OFFSET};
 use super::http::{self, Request};
 use super::json::{self, Json};
 use super::{ServerShared, SUMMARY_LOG_CAP};
-use crate::run::{run, Artifact, EvalSpec, MemorySink, RunOptions, RunPlan};
-use gmark_engines::EngineKind;
+use crate::run::{run, Artifact, Door, MemorySink, RunOptions, RunPlan, RunRequest};
+use gmark_stats::JsonWriter;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,14 +94,8 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
                 run_route(shared, enqueued_at, &request, &mut stream, keep_alive)
             }
             ("GET", "/healthz") => {
-                respond(
-                    &mut stream,
-                    200,
-                    "text/plain; charset=utf-8",
-                    b"ok\n",
-                    keep_alive,
-                );
-                Ok(())
+                let text = "text/plain; charset=utf-8";
+                respond(&mut stream, 200, text, b"ok\n", keep_alive)
             }
             ("GET", "/v1/stats") => {
                 let body = stats_json(shared);
@@ -107,8 +105,7 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
                     "application/json",
                     body.as_bytes(),
                     keep_alive,
-                );
-                Ok(())
+                )
             }
             ("GET", path) => {
                 if let Some(id) = path
@@ -181,7 +178,8 @@ fn respond(
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
-) {
+) -> Result<(), Reject> {
+    // A client that went away is not this request's failure to report.
     let _ = http::write_response(
         stream,
         status,
@@ -189,6 +187,7 @@ fn respond(
         body,
         keep_alive,
     );
+    Ok(())
 }
 
 /// `GET /v1/run/<id>/summary` — the stored summary of a finished run.
@@ -215,8 +214,7 @@ fn summary_route(
     let body = snapshot
         .artifact(Artifact::Summary)
         .expect("every snapshot carries summary.json");
-    respond(stream, 200, "application/json", body, keep_alive);
-    Ok(())
+    respond(stream, 200, "application/json", body, keep_alive)
 }
 
 /// `POST /v1/run` — validate, get-or-build the snapshot, stream the
@@ -234,7 +232,9 @@ fn run_route(
     // admission bookkeeping only — it never reaches the plan, so it can
     // never change artifact bytes.
     let deadline_ms = match request.query_param("deadline_ms") {
-        Some(v) => parse_num::<u64>(v, "deadline_ms")?,
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| bad(format!("deadline_ms: invalid value {v:?}")))?,
         None => shared.config.deadline_ms,
     };
     if deadline_ms > 0 && enqueued.elapsed() > Duration::from_millis(deadline_ms) {
@@ -245,11 +245,7 @@ fn run_route(
         ));
     }
 
-    let parsed = parse_run_request(request)?;
-    let key = parsed.snapshot_key(&request.body);
-
-    let plan = parsed.plan;
-    let opts = parsed.opts;
+    let (plan, opts, key) = parse_run_request(request)?;
     let build_started = std::time::Instant::now();
     let (result, hit) = shared.cache.get_or_build(key, move || {
         let mut sink = MemorySink::new();
@@ -294,192 +290,43 @@ fn run_route(
 }
 
 /// Everything parsed out of one `POST /v1/run` request: the plan, the
-/// execution options, and the canonical byte-affecting key material.
-struct ParsedRun {
-    plan: RunPlan,
-    opts: RunOptions,
-    /// The canonical spelling of every byte-affecting input besides the
-    /// body itself; hashed (never compared) so its exact format is free
-    /// to evolve.
-    key_material: String,
-}
-
-impl ParsedRun {
-    fn snapshot_key(&self, body: &[u8]) -> u64 {
-        fnv1a(self.key_material.as_bytes(), fnv1a(body, FNV_OFFSET))
-    }
-}
-
-fn parse_run_request(request: &Request) -> Result<ParsedRun, Reject> {
-    // Reject unknown parameters outright: a typoed `sede=7` silently
-    // producing default-seed bytes would be a determinism trap.
-    const KNOWN: &[&str] = &[
-        "seed",
-        "nodes",
-        "threads",
-        "stream",
-        "store",
-        "queries_only",
-        "eval",
-        "engines",
-        "budget_ms",
-        "max_tuples",
-        "no_plan",
-        "no_eval_cache",
-        "eval_cache_mb",
-        "artifact",
-        "deadline_ms",
-        "config",
-    ];
-    for (k, _) in &request.query {
-        if !KNOWN.contains(&k.as_str()) {
-            if k == "from_store" {
+/// execution options, and the snapshot key — FNV-1a over the body and the
+/// canonical spelling of every other byte-affecting input.
+fn parse_run_request(request: &Request) -> Result<(RunPlan, RunOptions, u64), Reject> {
+    let mut plan = plan_from_body(&request.body)?;
+    let mut run_request = RunRequest::new(Door::Http);
+    for (name, value) in &request.query {
+        match name.as_str() {
+            // This door's own parameters: read where they are used.
+            "artifact" | "deadline_ms" => {}
+            // `config=` labels the summary's `config` field with the path
+            // the client read its schema from, closing the served-vs-CLI
+            // summary divergence. It is a *label*: the server never opens
+            // it (the schema always comes from the body), but it changes
+            // summary.json and report.txt bytes, so it is part of the
+            // snapshot-key material through the plan.
+            "config" => {
+                if value.is_empty() {
+                    return Err(bad("config: expected a non-empty path label"));
+                }
+                plan.source = Some(std::path::PathBuf::from(value));
+            }
+            "from_store" => {
                 return Err(bad(
                     "from_store is not available over HTTP: the server does not read \
                      client-named filesystem paths",
                 ));
             }
-            return Err(bad(format!("unknown query parameter {k:?}")));
+            // Everything else is a run parameter, or refused: a typoed
+            // `sede=7` silently producing default-seed bytes would be a
+            // determinism trap.
+            _ => run_request.set(name, value).map_err(bad)?,
         }
     }
-
-    let mut plan = plan_from_body(&request.body)?;
-
-    // `config=` labels the summary's `config` field with the path the
-    // client read its schema from, closing the served-vs-CLI summary
-    // divergence. It is a *label*: the server never opens it (the schema
-    // always comes from the body), but it changes summary.json and
-    // report.txt bytes, so it joins the snapshot key below.
-    let config = request.query_param("config");
-    if let Some(label) = config {
-        if label.is_empty() {
-            return Err(bad("config: expected a non-empty path label"));
-        }
-        plan.source = Some(std::path::PathBuf::from(label));
-    }
-
-    let nodes = opt_num::<u64>(request, "nodes")?;
-    let seed = opt_num::<u64>(request, "seed")?;
-    let threads = opt_num::<usize>(request, "threads")?.unwrap_or(0);
-    let stream = flag(request, "stream")?;
-    let store = flag(request, "store")?;
-    let queries_only = flag(request, "queries_only")?;
-    let eval = flag(request, "eval")?;
-    let no_plan = flag(request, "no_plan")?;
-    let no_eval_cache = flag(request, "no_eval_cache")?;
-    let engines = match request.query_param("engines") {
-        Some(list) => Some(EngineKind::parse_list(list).map_err(bad)?),
-        None => None,
-    };
-    let budget_ms = opt_num::<u64>(request, "budget_ms")?;
-    let max_tuples = opt_num::<usize>(request, "max_tuples")?;
-    let eval_cache_mb = opt_num::<usize>(request, "eval_cache_mb")?;
-
-    // The CLI's flag-coupling rules, verbatim (same messages, minus the
-    // leading dashes of the flag spellings).
-    let eval_only = engines.is_some()
-        || budget_ms.is_some()
-        || max_tuples.is_some()
-        || no_plan
-        || no_eval_cache
-        || eval_cache_mb.is_some();
-    if eval_only && !eval {
-        return Err(bad(
-            "engines/budget_ms/max_tuples/no_plan/no_eval_cache/eval_cache_mb require eval",
-        ));
-    }
-    if no_eval_cache && eval_cache_mb.is_some() {
-        return Err(bad(
-            "no_eval_cache disables the cache eval_cache_mb would size; pick one",
-        ));
-    }
-    if eval && queries_only {
-        return Err(bad("eval needs the graph instance; drop queries_only"));
-    }
-    if store && queries_only {
-        return Err(bad("queries_only generates no graph to store; drop store"));
-    }
-    if eval && stream && !store {
-        return Err(bad(
-            "eval with stream needs the on-disk store: add store (the engines then \
-             page through graph.gstore) or drop stream",
-        ));
-    }
-
-    if let Some(n) = nodes {
-        plan = plan.with_nodes(n);
-    }
-    if queries_only {
-        if plan.workload.is_none() {
-            return Err(bad("queries_only: the schema has no <workload> section"));
-        }
-        plan.outputs.graph = false;
-    }
-    if eval {
-        if plan.workload.is_none() {
-            return Err(bad(
-                "eval: the schema has no <workload> section to evaluate",
-            ));
-        }
-        let mut spec = EvalSpec::default();
-        if let Some(engines) = &engines {
-            spec.engines = engines.clone();
-        }
-        if let Some(ms) = budget_ms {
-            spec.budget_ms = ms;
-        }
-        if let Some(cap) = max_tuples {
-            spec.max_tuples = cap;
-        }
-        spec.plan = !no_plan;
-        spec.cache = !no_eval_cache;
-        if let Some(mb) = eval_cache_mb {
-            spec.cache_mb = mb;
-        }
-        plan.eval = Some(spec);
-    }
-    if store {
-        plan.outputs.store = true;
-    }
-    plan.validate().map_err(|e| bad(e.to_string()))?;
-
-    let opts = RunOptions {
-        seed,
-        threads,
-        stream,
-        ..RunOptions::default()
-    };
-
-    // Canonical key material: every byte-affecting input, in one fixed
-    // spelling. `threads` is deliberately absent (outputs are
-    // byte-identical at every thread count — the pipeline's contract),
-    // as are `artifact` (a view selector) and `deadline_ms` (admission
-    // bookkeeping).
-    let eval_key = plan
-        .eval
-        .as_ref()
-        .map(|s| {
-            format!(
-                "{}:{}:{}:{}:{}:{}",
-                s.letters(),
-                s.budget_ms,
-                s.max_tuples,
-                s.plan,
-                s.cache,
-                s.cache_mb
-            )
-        })
-        .unwrap_or_else(|| "off".to_owned());
-    let key_material = format!(
-        "seed={seed:?};nodes={nodes:?};stream={stream};store={store};\
-         queries_only={queries_only};eval={eval_key};config={config:?}",
-    );
-
-    Ok(ParsedRun {
-        plan,
-        opts,
-        key_material,
-    })
+    // An absent `threads` means auto-detect here.
+    let (plan, opts, key_material) = run_request.apply(plan, 0).map_err(|e| bad(e.to_string()))?;
+    let key = fnv1a(key_material.as_bytes(), fnv1a(&request.body, FNV_OFFSET));
+    Ok((plan, opts, key))
 }
 
 /// The plan from the request body: raw schema XML, or the JSON dialect.
@@ -559,48 +406,34 @@ fn content_type(artifact: Artifact) -> &'static str {
 fn stats_json(shared: &ServerShared) -> String {
     let cache = shared.cache.stats();
     let admission = shared.admission.stats();
-    format!(
-        "{{\"cache\":{{\"hits\":{},\"builds\":{},\"evictions\":{},\"entries\":{},\
-         \"bytes\":{},\"budget_bytes\":{}}},\"admission\":{{\"admitted\":{},\
-         \"rejected\":{},\"expired\":{},\"queue_depth\":{},\"queue_capacity\":{}}},\
-         \"latency\":{{\"queue_wait\":{},\"build\":{},\"stream\":{}}},\
-         \"workers\":{}}}\n",
-        cache.hits,
-        cache.builds,
-        cache.evictions,
-        cache.entries,
-        cache.bytes,
-        cache.budget_bytes,
-        admission.admitted,
-        admission.rejected,
-        admission.expired,
-        admission.queue_depth,
-        admission.queue_capacity,
-        shared.latency.queue_wait.snapshot().to_json(),
-        shared.latency.build.snapshot().to_json(),
-        shared.latency.stream.snapshot().to_json(),
-        shared.config.workers,
-    )
-}
-
-fn flag(request: &Request, name: &str) -> Result<bool, Reject> {
-    match request.query_param(name) {
-        None => Ok(false),
-        Some("" | "1" | "true") => Ok(true),
-        Some("0" | "false") => Ok(false),
-        Some(other) => Err(bad(format!("{name}: expected a boolean, got {other:?}"))),
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("cache").begin_object();
+    w.key("hits").uint(cache.hits);
+    w.key("builds").uint(cache.builds);
+    w.key("evictions").uint(cache.evictions);
+    w.key("entries").uint(cache.entries as u64);
+    w.key("bytes").uint(cache.bytes as u64);
+    w.key("budget_bytes").uint(cache.budget_bytes as u64);
+    w.end_object();
+    w.key("admission").begin_object();
+    w.key("admitted").uint(admission.admitted);
+    w.key("rejected").uint(admission.rejected);
+    w.key("expired").uint(admission.expired);
+    w.key("queue_depth").uint(admission.queue_depth as u64);
+    w.key("queue_capacity")
+        .uint(admission.queue_capacity as u64);
+    w.end_object();
+    w.key("latency").begin_object();
+    for (name, histogram) in [
+        ("queue_wait", &shared.latency.queue_wait),
+        ("build", &shared.latency.build),
+        ("stream", &shared.latency.stream),
+    ] {
+        w.key(name).raw(&histogram.snapshot().to_json());
     }
-}
-
-fn opt_num<T: std::str::FromStr>(request: &Request, name: &str) -> Result<Option<T>, Reject> {
-    request
-        .query_param(name)
-        .map(|v| parse_num(v, name))
-        .transpose()
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> Result<T, Reject> {
-    value
-        .parse()
-        .map_err(|_| bad(format!("{name}: invalid value {value:?}")))
+    w.end_object();
+    w.key("workers").uint(shared.config.workers as u64);
+    w.end_object();
+    w.finish() + "\n"
 }

@@ -39,18 +39,23 @@ fn help_exits_zero_and_documents_every_flag() {
         let out = gmark(&[flag]);
         assert!(out.status.success(), "{flag} must exit 0");
         let stdout = String::from_utf8(out.stdout).unwrap();
-        for documented in [
-            "--threads",
-            "--stream",
-            "--queries-only",
-            "--format",
-            "--eval",
-            "--engines",
-            "--budget-ms",
-            "--max-tuples",
-            "--version",
-        ] {
-            assert!(stdout.contains(documented), "{flag}: {documented} missing");
+        // Every run parameter of the table both doors share, in the CLI's
+        // spelling, then the CLI's own flags: a parameter added to the
+        // table without a `--help` entry fails here.
+        let run_flags = gmark::run::PARAMS
+            .iter()
+            .map(|param| gmark::run::Door::Cli.spell(param.name));
+        let own = ["--config", "--output", "--format", "--verify-store"];
+        let own = own.into_iter().chain(["--version"]).map(str::to_owned);
+        // Whole flags only: `--eval-cache-mb` does not document `--eval`.
+        let mentioned: std::collections::BTreeSet<&str> = stdout
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for documented in run_flags.chain(own) {
+            assert!(
+                mentioned.contains(documented.as_str()),
+                "{flag}: {documented} missing"
+            );
         }
     }
 }
@@ -76,11 +81,24 @@ fn early_exit_flags_win_even_with_other_arguments_present() {
 
 #[test]
 fn unknown_and_malformed_arguments_fail_with_usage() {
-    for bad in [&["--bogus"][..], &["--format", "yaml"], &["--seed", "x"]] {
+    // The last: a run flag given twice is refused, not last-wins.
+    let twice = &["--nodes", "200", "--nodes", "300"][..];
+    for bad in [
+        &["--bogus"][..],
+        &["--format", "yaml"],
+        &["--seed", "x"],
+        twice,
+    ] {
         let out = gmark(bad);
-        assert!(!out.status.success(), "{bad:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{bad:?} must fail");
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("usage:"), "{bad:?}: no usage in {stderr:?}");
+        if bad == twice {
+            assert!(
+                stderr.starts_with("gmark: --nodes: given twice\n"),
+                "{stderr}"
+            );
+        }
     }
 }
 

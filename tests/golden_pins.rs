@@ -11,6 +11,12 @@
 //! the report — cell outcomes, counts, estimates and the cache header's
 //! fill/hit/miss counters — must come out byte for byte at 1, 2 and 8
 //! threads, in RAM and from a store, with the cache on and off.
+//!
+//! The `summary.json` pins were recorded from the commit before the facade
+//! was collapsed to one request table, one run body and one JSON writer
+//! (PR 22's parent), with the stage `"seconds"` values and the thread count
+//! masked ([`masked_summary`]): every optional half — graph, store,
+//! workload, eval — is seen both present and `null`.
 
 use gmark::prelude::*;
 use gmark::store::paged::Fnv64;
@@ -40,6 +46,25 @@ const CLI_EVAL: [(u64, u64); 2] = [(1838, 0xb696_1014_7e7e_bc09), (1755, 0x4e05_
 /// on and off.
 const MIXED_EVAL: [(u64, u64); 2] = [(3831, 0x177b_f538_b9b1_6e59), (3748, 0xf343_3c17_beaf_aa25)];
 
+/// Masked `summary.json` of the first test's `--store` runs: `--stream`,
+/// then the default mode (graph + store + workload, `"eval":null`).
+const STORE_SUMMARY: [(u64, u64); 2] =
+    [(1061, 0x530d_c879_64df_f389), (1062, 0xd92b_63e6_9458_99dc)];
+/// Masked `summary.json` of `--queries-only` (`"graph":null`,
+/// `"store":null`, `"eval":null`).
+const QUERIES_ONLY_SUMMARY: (u64, u64) = (693, 0x16f6_69ca_59d5_5ddf);
+/// Masked `summary.json` of the [`CLI_EVAL`] runs, `[cache on, off]` ×
+/// `[in RAM, --from-store]` (the latter with `"graph":null`).
+const CLI_EVAL_SUMMARY: [[(u64, u64); 2]; 2] = [
+    [(4460, 0x233d_188d_77d0_2b27), (4175, 0x9e61_a918_9ed0_0ac7)],
+    [(4409, 0xed92_9842_18b8_d33b), (4124, 0xe9a9_ead0_fb9a_761b)],
+];
+/// Masked `summary.json` of the [`MIXED_EVAL`] runs, same layout.
+const MIXED_EVAL_SUMMARY: [[(u64, u64); 2]; 2] = [
+    [(9325, 0x1153_798a_4465_a100), (9040, 0xaed2_daed_c6e7_1f52)],
+    [(9313, 0xc918_a0f9_3ce9_d905), (9028, 0x68a9_0ab9_0ebb_deab)],
+];
+
 fn fingerprint_bytes(bytes: &[u8]) -> (u64, u64) {
     let mut hash = Fnv64::new();
     hash.update(bytes);
@@ -49,6 +74,36 @@ fn fingerprint_bytes(bytes: &[u8]) -> (u64, u64) {
 fn fingerprint(path: &Path) -> (u64, u64) {
     let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     fingerprint_bytes(&bytes)
+}
+
+/// `summary.json` with what legitimately differs between two runs of one
+/// plan masked: every stage's `"seconds"` value, and the thread count —
+/// which must be the one the run was given.
+fn masked_summary(json: &[u8], threads: usize) -> Vec<u8> {
+    let json = std::str::from_utf8(json).expect("summary.json is UTF-8");
+    let threads_field = format!("\"threads\":{threads},");
+    assert!(json.contains(&threads_field), "{threads_field} in {json}");
+    let json = json.replacen(&threads_field, "\"threads\":T,", 1);
+    let mut masked = String::with_capacity(json.len());
+    let mut rest = json.as_str();
+    while let Some(at) = rest.find("\"seconds\":") {
+        let value = at + "\"seconds\":".len();
+        masked.push_str(&rest[..value]);
+        masked.push('S');
+        rest = rest[value..].trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+    }
+    masked.push_str(rest);
+    masked.into_bytes()
+}
+
+fn summary_fingerprint(json: &[u8], threads: usize) -> (u64, u64) {
+    fingerprint_bytes(&masked_summary(json, threads))
+}
+
+/// The fingerprint of the `summary.json` a `--format json` run left in `out`.
+fn summary_in(out: &Path, threads: &str) -> (u64, u64) {
+    let json = std::fs::read(out.join("summary.json")).expect("summary.json");
+    summary_fingerprint(&json, threads.parse().expect("a thread count"))
 }
 
 /// Runs the CLI on `examples/configs/bib.xml` at seed 42, from the
@@ -71,7 +126,7 @@ fn parent_commit_artifacts_are_reproduced_at_1_2_8_threads_in_both_modes() {
     for stream in [true, false] {
         for threads in ["1", "2", "8"] {
             let out = scratch.join(format!("{}-t{threads}", if stream { "s" } else { "d" }));
-            let mut flags = vec!["--store", "--threads", threads];
+            let mut flags = vec!["--store", "--threads", threads, "--format", "json"];
             if stream {
                 flags.push("--stream");
             }
@@ -91,7 +146,15 @@ fn parent_commit_artifacts_are_reproduced_at_1_2_8_threads_in_both_modes() {
             for (file, len, hash) in WORKLOAD_PINS {
                 assert_eq!(fingerprint(&out.join(file)), (len, hash), "{file} {what}");
             }
+            let pin = STORE_SUMMARY[usize::from(!stream)];
+            assert_eq!(summary_in(&out, threads), pin, "summary.json {what}");
         }
+    }
+    for threads in ["1", "2", "8"] {
+        let out = scratch.join("q");
+        let flags = ["--queries-only", "--threads", threads, "--format", "json"];
+        gmark(&out, &flags);
+        assert_eq!(summary_in(&out, threads), QUERIES_ONLY_SUMMARY, "{flags:?}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
@@ -108,6 +171,7 @@ fn parent_commit_cli_eval_report_is_reproduced_in_every_regime() {
             for from_store in [false, true] {
                 let mut flags = vec!["--nodes", "250", "--eval", "--budget-ms", "0"];
                 flags.extend(["--max-tuples", "100000", "--threads", threads]);
+                flags.extend(["--format", "json"]);
                 if !cache {
                     flags.push("--no-eval-cache");
                 }
@@ -117,6 +181,8 @@ fn parent_commit_cli_eval_report_is_reproduced_in_every_regime() {
                 let out = scratch.join("run");
                 gmark(&out, &flags);
                 assert_eq!(fingerprint(&out.join("eval.txt")), pin, "{flags:?}");
+                let pin = CLI_EVAL_SUMMARY[usize::from(!cache)][usize::from(from_store)];
+                assert_eq!(summary_in(&out, threads), pin, "summary.json {flags:?}");
             }
         }
     }
@@ -177,6 +243,13 @@ fn parent_commit_mixed_eval_report_is_reproduced_in_every_regime() {
                     fingerprint_bytes(&report),
                     pin,
                     "threads={threads} cache={cache} from_store={}",
+                    from_store.is_some()
+                );
+                let summary = sink.bytes(Artifact::Summary).expect("a summary");
+                assert_eq!(
+                    summary_fingerprint(&summary, threads),
+                    MIXED_EVAL_SUMMARY[usize::from(!cache)][usize::from(from_store.is_some())],
+                    "summary.json threads={threads} cache={cache} from_store={}",
                     from_store.is_some()
                 );
             }

@@ -53,6 +53,43 @@ fn reference_artifact(query_nodes: u64, seed: u64, artifact: Artifact) -> Vec<u8
     sink.bytes(artifact).expect("reference artifact present")
 }
 
+/// `/v1/stats` of a fresh daemon, byte for byte as recorded from the
+/// commit before the stats body moved onto the shared JSON writer (PR 22's
+/// parent): key order, nesting, the histogram rows and the trailing
+/// newline. The request itself is the one admitted so far.
+#[test]
+fn stats_of_a_fresh_daemon_are_pinned_byte_for_byte() {
+    let server = start(2, 64, 64);
+    let stats = fetch(server.local_addr(), "GET", "/v1/stats", b"").unwrap();
+    assert_eq!(stats.header("content-type"), Some("application/json"));
+    let empty = r#"{"count":0,"p50_us":0,"p95_us":0,"p99_us":0,"max_us":0,"mean_us":0}"#;
+    assert_eq!(
+        String::from_utf8(stats.body).unwrap(),
+        format!(
+            "{{\"cache\":{{\"hits\":0,\"builds\":0,\"evictions\":0,\"entries\":0,\"bytes\":0,\
+             \"budget_bytes\":67108864}},\"admission\":{{\"admitted\":1,\"rejected\":0,\
+             \"expired\":0,\"queue_depth\":0,\"queue_capacity\":64}},\"latency\":{{\
+             \"queue_wait\":{empty},\"build\":{empty},\"stream\":{empty}}},\"workers\":2}}\n"
+        )
+    );
+    server.shutdown();
+}
+
+/// A run parameter given twice is refused at both doors, so
+/// `?nodes=200&nodes=300` cannot silently run (and cache) as `?nodes=200`.
+#[test]
+fn a_repeated_run_parameter_is_a_400_not_first_wins() {
+    let server = start(1, 64, 64);
+    let resp = post_run(server.local_addr(), "?nodes=200&nodes=300");
+    assert_eq!(resp.status, 400);
+    assert_eq!(resp.body, b"gmark: nodes: given twice\n");
+    assert_eq!(
+        post_run(server.local_addr(), "?stream=0&stream=1").status,
+        400
+    );
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_identical_plans_build_once_and_stream_identical_bytes() {
     let server = start(4, 64, 64);
