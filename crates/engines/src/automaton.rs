@@ -12,12 +12,14 @@
 //!
 //! [`eval_rpq`] evaluates a compiled NFA over the graph by BFS on the
 //! product `G × NFA` from every source node — the textbook RPQ algorithm
-//! (`O(|V| · |E| · |Q|)`) that SPARQL property-path engines implement.
+//! (`O(|V| · |E| · |Q|)`) that SPARQL property-path engines implement — or
+//! from a set of seeds only, and hands the result over as a [`Relation`],
+//! the representation every join downstream consumes.
 
-use crate::{pack, unpack, Budget, EvalError};
+use crate::relations::Relation;
+use crate::{Budget, EvalError};
 use gmark_core::query::{RegularExpr, Symbol};
 use gmark_store::{GraphView, NodeId};
-use rustc_hash::FxHashSet;
 
 /// An ε-free NFA over `Σ±`.
 #[derive(Debug, Clone)]
@@ -105,48 +107,53 @@ pub fn compile_nfa(expr: &RegularExpr) -> Nfa {
     }
 }
 
-/// Evaluates the binary RPQ `{(u, v) | u ⟶_L v}` for the NFA's language
-/// `L`, returning sorted distinct pairs packed as `(u << 32) | v`.
-/// `graph` accepts either `&Graph` or `&StoreReader` (anything that
-/// coerces into a [`GraphView`]).
+/// Evaluates the binary RPQ `{(u, v) | u ∈ seeds, u ⟶_L v}` for the NFA's
+/// language `L` by one BFS over the product graph per seed — `seeds: None`
+/// is every node, the whole relation (`S`'s per-conjunct evaluation); a
+/// slice is the navigational engine's seed-driven primitive. With `flip`
+/// the pairs come out as `(v, u)`: a conjunct traversed from its target
+/// side lands in the conjunct's own orientation. `graph` accepts either
+/// `&Graph` or `&StoreReader` (anything that coerces into a [`GraphView`]).
+///
+/// The tuple cap is charged after every seed on the pairs emitted so far
+/// (before deduplication; the ε pair of a seed included).
 pub fn eval_rpq<'g>(
     graph: impl Into<GraphView<'g>>,
     nfa: &Nfa,
+    seeds: Option<&[NodeId]>,
+    flip: bool,
     budget: &Budget,
-) -> Result<Vec<u64>, EvalError> {
+) -> Result<Relation, EvalError> {
     let graph = graph.into();
-    let n = graph.node_count() as usize;
+    let n = graph.node_count();
     let states = nfa.len();
-    let mut out: Vec<u64> = Vec::new();
+    let seed_count = seeds.map_or(n as usize, <[NodeId]>::len);
+    let mut out: Vec<(NodeId, NodeId)> = Vec::new();
+    let pair = |src: NodeId, w: NodeId| if flip { (w, src) } else { (src, w) };
 
-    // Zero-length acceptance contributes the full diagonal.
-    if nfa.accepts_epsilon() {
-        budget.check_size(n)?;
-        out.reserve(n);
-        for v in 0..n as NodeId {
-            out.push(pack(v, v));
-        }
-    }
-
-    // Per-source BFS over the product graph. `seen` is reused across
-    // sources with a generation stamp to avoid reallocation.
-    let mut seen = vec![u32::MAX; n * states];
+    // `seen` is reused across seeds, stamped with the seed's position, to
+    // avoid clearing or reallocating it.
+    let mut seen = vec![u32::MAX; n as usize * states];
     let mut queue: Vec<(NodeId, u32)> = Vec::new();
-    for src in 0..n as NodeId {
-        if src % 1024 == 0 {
+    for si in 0..seed_count {
+        if si % 256 == 0 {
             budget.check_time()?;
         }
-        // Skip sources that cannot make a first move. `degree` reads only
+        let src = seeds.map_or(si as NodeId, |s| s[si]);
+        let stamp = si as u32;
+        if nfa.accepts_epsilon() {
+            out.push(pair(src, src));
+        }
+        // Skip seeds that cannot make a first move. `degree` reads only
         // offset words — on the paged variant no target page is fetched.
         let can_move = nfa.transitions[nfa.start as usize]
             .iter()
             .any(|&(sym, _)| graph.degree(sym.predicate.0, src, sym.inverse) > 0);
-        if !can_move {
-            continue;
-        }
         queue.clear();
-        queue.push((src, nfa.start));
-        seen[src as usize * states + nfa.start as usize] = src;
+        if can_move {
+            queue.push((src, nfa.start));
+            seen[src as usize * states + nfa.start as usize] = stamp;
+        }
         let mut qi = 0;
         while qi < queue.len() {
             let (v, q) = queue[qi];
@@ -154,73 +161,10 @@ pub fn eval_rpq<'g>(
             for &(sym, q2) in &nfa.transitions[q as usize] {
                 for &w in &graph.neighbors(sym.predicate.0, v, sym.inverse) {
                     let slot = w as usize * states + q2 as usize;
-                    if seen[slot] != src {
-                        seen[slot] = src;
+                    if seen[slot] != stamp {
+                        seen[slot] = stamp;
                         if nfa.accepting[q2 as usize] && !(nfa.accepts_epsilon() && w == src) {
-                            out.push(pack(src, w));
-                        }
-                        queue.push((w, q2));
-                    }
-                }
-            }
-            if queue.len() > n * states {
-                // Defensive: cannot happen (each product state enqueued
-                // once), but keep the budget honest on huge graphs.
-                budget.check_size(queue.len())?;
-            }
-        }
-        budget.check_size(out.len())?;
-    }
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
-}
-
-/// Convenience: evaluates and unpacks.
-pub fn eval_rpq_pairs<'g>(
-    graph: impl Into<GraphView<'g>>,
-    expr: &RegularExpr,
-    budget: &Budget,
-) -> Result<Vec<(NodeId, NodeId)>, EvalError> {
-    let nfa = compile_nfa(expr);
-    Ok(eval_rpq(graph, &nfa, budget)?
-        .into_iter()
-        .map(unpack)
-        .collect())
-}
-
-/// Seed-driven variant: computes `{(u, v) | u ∈ seeds, u ⟶_L v}` only for
-/// the given sources (the navigational engines' primitive).
-pub fn eval_rpq_from<'g>(
-    graph: impl Into<GraphView<'g>>,
-    nfa: &Nfa,
-    seeds: &[NodeId],
-    budget: &Budget,
-) -> Result<Vec<u64>, EvalError> {
-    let graph = graph.into();
-    let mut out: Vec<u64> = Vec::new();
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let mut queue: Vec<(NodeId, u32)> = Vec::new();
-    for (si, &src) in seeds.iter().enumerate() {
-        if si % 256 == 0 {
-            budget.check_time()?;
-        }
-        if nfa.accepts_epsilon() {
-            out.push(pack(src, src));
-        }
-        seen.clear();
-        queue.clear();
-        queue.push((src, nfa.start));
-        seen.insert(pack(src, nfa.start));
-        let mut qi = 0;
-        while qi < queue.len() {
-            let (v, q) = queue[qi];
-            qi += 1;
-            for &(sym, q2) in &nfa.transitions[q as usize] {
-                for &w in &graph.neighbors(sym.predicate.0, v, sym.inverse) {
-                    if seen.insert(pack(w, q2)) {
-                        if nfa.accepting[q2 as usize] && !(nfa.accepts_epsilon() && w == src) {
-                            out.push(pack(src, w));
+                            out.push(pair(src, w));
                         }
                         queue.push((w, q2));
                     }
@@ -229,37 +173,19 @@ pub fn eval_rpq_from<'g>(
         }
         budget.check_size(out.len())?;
     }
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
+    Ok(Relation::from_pairs(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{graph4 as graph, sym};
     use gmark_core::query::PathExpr;
-    use gmark_core::schema::PredicateId;
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
-
-    /// A small two-label graph:
-    /// a-edges: 0→1, 1→2, 2→0 (a 3-cycle), 3→1; b-edges: 1→3, 2→3.
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[4]), 2);
-        for (s, t) in [(0, 1), (1, 2), (2, 0), (3, 1)] {
-            b.edge(s, 0, t);
-        }
-        for (s, t) in [(1, 3), (2, 3)] {
-            b.edge(s, 1, t);
-        }
-        b.build()
-    }
 
     fn pairs(expr: &RegularExpr) -> Vec<(NodeId, NodeId)> {
-        eval_rpq_pairs(&graph(), expr, &Budget::default()).unwrap()
+        let nfa = compile_nfa(expr);
+        let rel = eval_rpq(&graph(), &nfa, None, false, &Budget::default()).unwrap();
+        rel.into_pairs()
     }
 
     #[test]
@@ -347,12 +273,31 @@ mod tests {
         let expr = RegularExpr::star(vec![PathExpr(vec![sym(0)])]);
         let nfa = compile_nfa(&expr);
         let g = graph();
-        let full = eval_rpq(&g, &nfa, &Budget::default()).unwrap();
-        let seeded = eval_rpq_from(&g, &nfa, &[0, 1, 2, 3], &Budget::default()).unwrap();
-        assert_eq!(full, seeded);
-        let only3 = eval_rpq_from(&g, &nfa, &[3], &Budget::default()).unwrap();
-        assert!(only3.iter().all(|&p| unpack(p).0 == 3));
-        assert_eq!(only3.len(), 4);
+        let run = |seeds, flip| eval_rpq(&g, &nfa, seeds, flip, &Budget::default()).unwrap();
+        let full = run(None, false);
+        assert_eq!(run(Some(&[0, 1, 2, 3]), false), full);
+        // Seeds need not ascend; 3 cannot be reached, so it is the only
+        // source of its four pairs — the ε pair among them.
+        assert_eq!(run(Some(&[3, 0]), false).len(), 4 + 3);
+        let only3 = run(Some(&[3]), false);
+        assert_eq!(only3.pairs(), &[(3, 0), (3, 1), (3, 2), (3, 3)]);
+        assert_eq!(
+            run(Some(&[3]), true).pairs(),
+            &[(0, 3), (1, 3), (2, 3), (3, 3)]
+        );
+        let swapped = full.pairs().iter().map(|&(s, t)| (t, s)).collect();
+        assert_eq!(run(None, true), Relation::from_pairs(swapped));
+    }
+
+    #[test]
+    fn every_seed_is_charged_its_epsilon_pair() {
+        // b*: nodes 0 and 3 have no outgoing b-edge, so they are skipped
+        // by the first-move test — after their ε pair was emitted and
+        // charged: 4 ε pairs + (1,3), (2,3) = 6.
+        let nfa = compile_nfa(&RegularExpr::star(vec![PathExpr(vec![sym(1)])]));
+        let run = |cap| eval_rpq(&graph(), &nfa, None, false, &Budget::with_limits(None, cap));
+        assert_eq!(run(6).unwrap().len(), 6);
+        assert_eq!(run(5), Err(EvalError::TooLarge(6)));
     }
 
     #[test]
@@ -362,7 +307,7 @@ mod tests {
             max_tuples: 3,
             ..Budget::default()
         };
-        let err = eval_rpq_pairs(&graph(), &expr, &budget).unwrap_err();
+        let err = eval_rpq(&graph(), &compile_nfa(&expr), None, false, &budget).unwrap_err();
         assert!(matches!(err, EvalError::TooLarge(_)));
     }
 

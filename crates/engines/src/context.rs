@@ -2,21 +2,18 @@
 //!
 //! Before this module existed, every engine re-derived its own view of the
 //! graph *per query*: the relational engine collected and sorted one edge
-//! list per symbol occurrence, the Datalog engine rebuilt the whole EDB
-//! (`node(v)`, `edge_<p>(s, t)`) from scratch, and the automaton engines
-//! recompiled NFAs for expressions they had already seen. An
-//! [`EvalContext`] computes each of these **at most once per graph** and
-//! lends them to all four engines — the "one context, many query backends"
-//! shape of a server, and the schema-wide precomputation that
-//! schema-based query optimisation exploits:
+//! list per symbol occurrence, the Datalog engine rebuilt its whole EDB
+//! from scratch, and the automaton engines recompiled NFAs for expressions
+//! they had already seen. An [`EvalContext`] computes each of these **at
+//! most once per graph** and lends them to all four engines — the "one
+//! context, many query backends" shape of a server, and the schema-wide
+//! precomputation that schema-based query optimisation exploits:
 //!
 //! * [`EvalContext::relation`] — the sorted, deduplicated binary relation
 //!   of a `Σ±` symbol (forward or inverse), built lazily per
-//!   `(predicate, direction)` and shared by reference;
-//! * [`EvalContext::edb`] — the Datalog extensional database plus the base
-//!   program interning `node` and every `edge_<p>`, built lazily once;
-//!   per-query programs extend a clone of the (tiny) base program while
-//!   borrowing the (large) fact database;
+//!   `(predicate, direction)` and shared by reference. These relations
+//!   *are* the Datalog EDB — `edge_<p>` is the forward relation of `p` —
+//!   so [`EvalContext::edb`] only warms them all and counts their facts;
 //! * [`EvalContext::nfa`] — a memoized [`compile_nfa`], keyed by the
 //!   regular expression;
 //! * [`EvalContext::cardinality`] — per-predicate edge counts (an O(1)
@@ -65,19 +62,16 @@
 //! intermediate relations and may legitimately succeed where the fill
 //! blew the cap.
 //!
-//! The Datalog engine deliberately consumes no cache at all: semi-naive
-//! evaluation charges its budget for auxiliary predicates and raw
-//! pre-dedup join products, charges a fact-seeded cached result would
-//! skip — so a hit could flip a too-large cell to ok, violating the
-//! outcome-identity contract above. Its closure-heavy cells get their
-//! speedup from the sorted-kernel fast path inside the semi-naive delta
-//! loop instead ([`crate::datalog::semi_naive_over`]).
+//! The Datalog engine deliberately consumes no cache at all (rule (e) of
+//! the [`crate::datalog`] budget rule): a hit could flip a too-large cell
+//! to ok, violating the outcome-identity contract above. Its closure-heavy
+//! cells compose the relations the delta loop already holds instead.
 
 use crate::automaton::{compile_nfa, Nfa};
-use crate::datalog::{graph_edb, Database, Program};
 use crate::relations::Relation;
 use crate::{Budget, EvalError};
 use gmark_core::query::{PathExpr, RegularExpr, Symbol};
+use gmark_core::schema::PredicateId;
 use gmark_store::GraphView;
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,8 +92,6 @@ pub struct EvalContext<'g> {
     fwd: Vec<OnceLock<Relation>>,
     /// Lazy inverse relation per predicate.
     bwd: Vec<OnceLock<Relation>>,
-    /// Lazy Datalog base program (`node`, `edge_<p>`) and EDB facts.
-    edb: OnceLock<(Program, Database)>,
     /// Memoized compiled automata, keyed by expression.
     nfas: Mutex<FxHashMap<RegularExpr, Arc<Nfa>>>,
     /// Lazy per-predicate `(distinct sources, distinct targets)` counts.
@@ -258,7 +250,7 @@ pub struct SymbolStats {
 impl<'g> EvalContext<'g> {
     /// Wraps a graph view (either `&Graph` or `&StoreReader` coerces).
     /// Cheap: every index is initialized lazily on first use, so a context
-    /// built for one triple-store query never pays for the Datalog EDB.
+    /// built for one query never pays for relations it does not mention.
     pub fn new(view: impl Into<GraphView<'g>>) -> EvalContext<'g> {
         let view = view.into();
         let preds = view.predicate_count();
@@ -266,7 +258,6 @@ impl<'g> EvalContext<'g> {
             view,
             fwd: (0..preds).map(|_| OnceLock::new()).collect(),
             bwd: (0..preds).map(|_| OnceLock::new()).collect(),
-            edb: OnceLock::new(),
             nfas: Mutex::new(FxHashMap::default()),
             stats: (0..preds).map(|_| OnceLock::new()).collect(),
             expr_cache: OnceLock::new(),
@@ -551,50 +542,36 @@ impl<'g> EvalContext<'g> {
         self.expr_cache.get().map(|c| c.cap)
     }
 
-    /// The Datalog base program (`node` + one `edge_<p>` per predicate,
-    /// interned in predicate order) and the extensional database over it,
-    /// built on first use. Per-query programs start from a clone of the
-    /// base program — so their `edge_<p>` ids line up with the shared
-    /// facts — and evaluate against the borrowed EDB via
-    /// [`crate::datalog::semi_naive_over`].
-    pub fn edb(&self) -> (&Program, &Database) {
-        let (program, db) = self.edb.get_or_init(|| {
-            let mut program = Program::new();
-            let db = graph_edb(self.view, &mut program);
-            (program, db)
-        });
-        (program, db)
+    /// The Datalog EDB: warms the forward relation of every predicate —
+    /// `edge_<p>`, which inverse symbols read through the backward relation
+    /// of the same edges — and returns the fact count, `node(v)` per node
+    /// plus the distinct `p`-edges of every predicate: the `|EDB|` of the
+    /// Datalog engine's per-round size check.
+    pub fn edb(&self) -> usize {
+        let edges = |p| self.relation(Symbol::forward(PredicateId(p))).len();
+        self.view.node_count() as usize + (0..self.fwd.len()).map(edges).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmark_core::schema::PredicateId;
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[4]), 2);
-        for (s, t) in [(0, 1), (1, 2), (2, 0), (3, 1)] {
-            b.edge(s, 0, t);
-        }
-        for (s, t) in [(1, 3), (2, 3)] {
-            b.edge(s, 1, t);
-        }
-        b.build()
-    }
+    use crate::fixtures::{graph4 as graph, sym};
+    use gmark_store::{EdgeSink, GraphBuilder, TypePartition};
 
     #[test]
     fn relations_are_shared_not_rebuilt() {
         let g = graph();
         let ctx = EvalContext::new(&g);
-        let sym = Symbol::forward(PredicateId(0));
-        let first = ctx.relation(sym) as *const Relation;
-        let second = ctx.relation(sym) as *const Relation;
+        let first = ctx.relation(sym(0)) as *const Relation;
+        let second = ctx.relation(sym(0)) as *const Relation;
         assert_eq!(first, second, "same OnceLock slot must be returned");
-        assert_eq!(ctx.relation(sym).pairs(), &[(0, 1), (1, 2), (2, 0), (3, 1)]);
         assert_eq!(
-            ctx.relation(sym.flipped()).pairs(),
+            ctx.relation(sym(0)).pairs(),
+            &[(0, 1), (1, 2), (2, 0), (3, 1)]
+        );
+        assert_eq!(
+            ctx.relation(sym(0).flipped()).pairs(),
             &[(0, 2), (1, 0), (1, 3), (2, 1)]
         );
     }
@@ -613,7 +590,7 @@ mod tests {
         let ctx = EvalContext::new(&g);
         // Predicate 0: edges (0,1),(1,2),(2,0),(3,1) — four distinct
         // sources, three distinct targets {0,1,2}.
-        let a = ctx.symbol_stats(Symbol::forward(PredicateId(0)));
+        let a = ctx.symbol_stats(sym(0));
         assert_eq!(
             a,
             SymbolStats {
@@ -623,12 +600,12 @@ mod tests {
             }
         );
         // The inverse symbol sees the same counts, swapped.
-        let a_inv = ctx.symbol_stats(Symbol::forward(PredicateId(0)).flipped());
+        let a_inv = ctx.symbol_stats(sym(0).flipped());
         assert_eq!(a_inv.distinct_src, 3);
         assert_eq!(a_inv.distinct_trg, 4);
         assert_eq!(a_inv.edges, 4);
         // Predicate 1: (1,3),(2,3) — two sources, one target.
-        let b = ctx.symbol_stats(Symbol::forward(PredicateId(1)));
+        let b = ctx.symbol_stats(sym(1));
         assert_eq!(
             b,
             SymbolStats {
@@ -643,7 +620,7 @@ mod tests {
     fn nfa_cache_returns_the_same_automaton() {
         let g = graph();
         let ctx = EvalContext::new(&g);
-        let expr = RegularExpr::symbol(Symbol::forward(PredicateId(0)));
+        let expr = RegularExpr::symbol(sym(0));
         let a = ctx.nfa(&expr);
         let b = ctx.nfa(&expr);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
@@ -652,15 +629,20 @@ mod tests {
 
     #[test]
     fn edb_is_built_once_and_covers_the_graph() {
-        let g = graph();
+        // A parallel a-edge 0→1 is one EDB fact.
+        let mut b = GraphBuilder::new(TypePartition::from_counts(&[4]), 2);
+        for (s, p, t) in [(0, 0, 1), (0, 0, 1), (1, 0, 2), (1, 1, 3)] {
+            b.edge(s, p, t);
+        }
+        let g = b.build();
         let ctx = EvalContext::new(&g);
-        let (program, db) = ctx.edb();
-        let node = program.predicate_id("node").expect("node interned");
-        let e0 = program.predicate_id("edge_0").expect("edge_0 interned");
-        assert_eq!(db.count(node), 4);
-        assert_eq!(db.count(e0), 4);
-        let (again, _) = ctx.edb();
-        assert_eq!(again as *const Program, program as *const Program);
+        let a = ctx.relation(sym(0)) as *const Relation;
+        assert_eq!(ctx.edb(), 4 + 2 + 1);
+        assert_eq!(ctx.edb(), 7, "a second call counts the same relations");
+        assert_eq!(ctx.relation(sym(0)) as *const Relation, a);
+        // Every forward slot is warm afterwards, no backward one.
+        assert!(ctx.fwd.iter().all(|slot| slot.get().is_some()));
+        assert!(ctx.bwd.iter().all(|slot| slot.get().is_none()));
     }
 
     #[test]
@@ -670,10 +652,7 @@ mod tests {
     }
 
     fn two_step_expr() -> RegularExpr {
-        RegularExpr::path(PathExpr(vec![
-            Symbol::forward(PredicateId(0)),
-            Symbol::forward(PredicateId(1)),
-        ]))
+        RegularExpr::path(PathExpr(vec![sym(0), sym(1)]))
     }
 
     #[test]
@@ -688,12 +667,9 @@ mod tests {
         assert_eq!(hit.as_ref(), &direct);
         // The length-1 prefix was admitted under its canonical key, which
         // is exactly what `RegularExpr::symbol` builds.
-        let prefix = RegularExpr::symbol(Symbol::forward(PredicateId(0)));
+        let prefix = RegularExpr::symbol(sym(0));
         let prefix_hit = ctx.cached_expr(&prefix, &budget).unwrap().expect("hit");
-        assert_eq!(
-            prefix_hit.as_ref(),
-            ctx.relation(Symbol::forward(PredicateId(0)))
-        );
+        assert_eq!(prefix_hit.as_ref(), ctx.relation(sym(0)));
         let stats = ctx.expr_cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses), (2, 0));
         // The two admitted entries were built during fill — the probe
@@ -794,7 +770,7 @@ mod tests {
         let g = b.build();
         let conjunct = |src: u32, p: usize, trg: u32| Conjunct {
             src: Var(src),
-            expr: RegularExpr::symbol(Symbol::forward(PredicateId(p))),
+            expr: RegularExpr::symbol(sym(p)),
             trg: Var(trg),
         };
         let q = Query::single(Rule {

@@ -1,25 +1,25 @@
-//! The one join kernel: conjunct results joined over shared variables.
+//! The one join kernel: binary relations joined over shared variables.
 //!
-//! The three engines that materialize per-conjunct binary relations — `P`
-//! and `S` for a whole rule body at once ([`join_all`]), `G` one
-//! seed-driven conjunct at a time — grow a [`BindingTable`] through the
-//! same [`BindingTable::extend`], and project it through the same rule
-//! loop ([`union_of_rules`]). Conjunct results arrive as shared
-//! [`Relation`]s — sorted `u32` pair columns, often straight out of the
-//! sub-expression cache — so the kernel is search-based, not hash-based: a
-//! semi-join is a binary search per row ([`Relation::contains`]), an
-//! extension a sorted-run lookup ([`Relation::targets_of`]) — against one
-//! reversed copy of the columns when only the target is bound. No
-//! per-conjunct hash index is ever built, and rows live row-major in one
-//! flat vector: extending a table allocates its output once, not once per
-//! row.
+//! All four engines grow a [`BindingTable`] through the same
+//! [`BindingTable::extend`] and read their heads off it through the same
+//! [`project`]: `P` and `S` join a whole rule body at once ([`join_all`]),
+//! `G` one seed-driven conjunct at a time, `D` the body of every Datalog
+//! rule, with a delta substituted at one position. `P`, `G` and `S` also
+//! share the rule loop ([`union_of_rules`]); `D` has its own fixpoint.
+//! Conjunct results arrive as borrowed [`Relation`]s — sorted `u32` pair
+//! columns, often straight out of the sub-expression cache — so the kernel
+//! is search-based, not hash-based: a semi-join is a binary search per row
+//! ([`Relation::contains`]), an extension a sorted-run lookup
+//! ([`Relation::targets_of`]) — against one reversed copy of the columns
+//! when only the target is bound. No per-conjunct hash index is ever
+//! built, and rows live row-major in one flat vector: extending a table
+//! allocates its output once, not once per row.
 
 use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError};
 use gmark_core::query::{Query, Rule, Var};
 use gmark_store::NodeId;
-use std::sync::Arc;
 
 /// Rows over an ordered set of variables, stored row-major.
 #[derive(Debug, Clone)]
@@ -68,7 +68,11 @@ impl BindingTable {
     /// keeps only `(v, v)` pairs and binds one column. Every arm that can
     /// grow the table charges the cumulative row count against the tuple
     /// cap.
-    pub fn extend(&self, c: &ConjunctPairs, budget: &Budget) -> Result<BindingTable, EvalError> {
+    pub fn extend(
+        &self,
+        c: &ConjunctPairs<'_>,
+        budget: &Budget,
+    ) -> Result<BindingTable, EvalError> {
         let mut out = BindingTable {
             vars: self.vars.clone(),
             cells: Vec::new(),
@@ -87,7 +91,7 @@ impl BindingTable {
                 // Backward is forward over the reversed pair columns.
                 let reversed;
                 let (rel, new_var) = if src_col.is_some() {
-                    (&*c.pairs, c.trg)
+                    (c.pairs, c.trg)
                 } else {
                     let pairs = c.pairs.pairs().iter().map(|&(s, t)| (t, s));
                     reversed = Relation::from_pairs(pairs.collect());
@@ -124,18 +128,18 @@ impl BindingTable {
 }
 
 /// One conjunct's materialized relation, tagged with its variables. The
-/// `Arc` makes a sub-expression cache hit free to mount here — no copy of
-/// the pair columns.
+/// relation is borrowed, so a context relation, a sub-expression cache hit
+/// or a Datalog predicate mounts here without a copy of the pair columns.
 #[derive(Debug)]
-pub(crate) struct ConjunctPairs {
+pub(crate) struct ConjunctPairs<'r> {
     pub src: Var,
     pub trg: Var,
-    pub pairs: Arc<Relation>,
+    pub pairs: &'r Relation,
 }
 
 /// Joins conjuncts in the given order into a table over all body variables.
 pub(crate) fn join_all(
-    conjuncts: &[ConjunctPairs],
+    conjuncts: &[ConjunctPairs<'_>],
     budget: &Budget,
 ) -> Result<BindingTable, EvalError> {
     let mut table = BindingTable::unit();
@@ -147,41 +151,39 @@ pub(crate) fn join_all(
 }
 
 /// The rule loop `P`, `G` and `S` share: the union, over the query's
-/// rules, of each rule's joined table projected onto its head. `table_of`
-/// is the engine — how one rule's conjuncts become a table along the
-/// planned steps. `plan` must fit `query` (the entry point checks).
+/// rules, of each rule's joined table projected onto its head, charging
+/// the cumulative raw projected row count after every rule. `table_of` is
+/// the engine — how one rule's conjuncts become a table along the planned
+/// steps. `plan` must fit `query` (the entry point checks).
 pub(crate) fn union_of_rules(
     query: &Query,
     plan: &QueryPlan,
     budget: &Budget,
     mut table_of: impl FnMut(&Rule, &[ConjunctStep]) -> Result<BindingTable, EvalError>,
 ) -> Result<Answers, EvalError> {
-    let mut tuples = Vec::new();
+    let (mut len, mut cells) = (0, Vec::new());
     for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
         let table = table_of(rule, &rule_plan.steps)?;
-        tuples.extend(project(&table, rule)?);
-        budget.check_size(tuples.len())?;
+        len += project(&table, &rule.head, &mut cells)?;
+        budget.check_size(len)?;
     }
-    Ok(Answers::new(query.arity(), tuples))
+    Ok(Answers::from_rows(query.arity(), len, cells))
 }
 
-/// Projects a joined table onto a rule's head (deduplicated by the caller
-/// through [`crate::Answers::new`]). A Boolean head yields one empty tuple
-/// iff any row exists.
+/// The one head projection: appends the table's rows, projected onto
+/// `head`, to the row-major `out` and returns how many rows that was
+/// (deduplication is [`Answers::from_rows`]' job). A Boolean head appends
+/// no cells and counts one row iff any row exists.
 ///
 /// A head variable that never appears in the body violates rule safety;
 /// it surfaces as a typed [`EvalError`] — one malformed query becomes a
 /// failed matrix cell, not a process abort.
-pub(crate) fn project(table: &BindingTable, rule: &Rule) -> Result<Vec<Vec<NodeId>>, EvalError> {
-    if rule.head.is_empty() {
-        return Ok(if table.len == 0 {
-            Vec::new()
-        } else {
-            vec![Vec::new()]
-        });
-    }
-    let cols: Vec<usize> = rule
-        .head
+pub(crate) fn project(
+    table: &BindingTable,
+    head: &[Var],
+    out: &mut Vec<NodeId>,
+) -> Result<usize, EvalError> {
+    let cols: Vec<usize> = head
         .iter()
         .map(|v| {
             table.col(*v).ok_or_else(|| {
@@ -191,25 +193,42 @@ pub(crate) fn project(table: &BindingTable, rule: &Rule) -> Result<Vec<Vec<NodeI
             })
         })
         .collect::<Result<_, _>>()?;
-    Ok(table
-        .rows()
-        .map(|row| cols.iter().map(|&c| row[c]).collect())
-        .collect())
+    if cols.is_empty() {
+        return Ok(usize::from(table.len > 0));
+    }
+    out.reserve(table.len * cols.len());
+    for row in table.rows() {
+        out.extend(cols.iter().map(|&c| row[c]));
+    }
+    Ok(table.len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmark_core::query::{Conjunct, RegularExpr, Symbol};
-    use gmark_core::schema::PredicateId;
     use proptest::prelude::*;
 
-    fn cp(src: u32, trg: u32, pairs: Vec<(NodeId, NodeId)>) -> ConjunctPairs {
-        ConjunctPairs {
-            src: Var(src),
-            trg: Var(trg),
-            pairs: Arc::new(Relation::from_pairs(pairs)),
+    /// A test conjunct owns its relation; [`ConjunctPairs`] borrows it.
+    type Owned = (u32, u32, Relation);
+
+    fn cp(src: u32, trg: u32, pairs: Vec<(NodeId, NodeId)>) -> Owned {
+        (src, trg, Relation::from_pairs(pairs))
+    }
+
+    fn borrowed(owned: &[Owned]) -> Vec<ConjunctPairs<'_>> {
+        let mut conjuncts = Vec::new();
+        for (src, trg, pairs) in owned {
+            conjuncts.push(ConjunctPairs {
+                src: Var(*src),
+                trg: Var(*trg),
+                pairs,
+            });
         }
+        conjuncts
+    }
+
+    fn join(owned: &[Owned], budget: &Budget) -> Result<BindingTable, EvalError> {
+        join_all(&borrowed(owned), budget)
     }
 
     fn sorted_rows(table: &BindingTable) -> Vec<Vec<NodeId>> {
@@ -218,21 +237,17 @@ mod tests {
         rows
     }
 
-    fn rule_with_head(head: Vec<u32>) -> Rule {
-        // Body content is irrelevant for projection tests beyond var names.
-        Rule {
-            head: head.into_iter().map(Var).collect(),
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::symbol(Symbol::forward(PredicateId(0))),
-                trg: Var(1),
-            }],
-        }
+    /// The rows `project` appends for `head`, and the count it returns.
+    fn projected(table: &BindingTable, head: &[u32]) -> (usize, Vec<NodeId>) {
+        let head: Vec<Var> = head.iter().copied().map(Var).collect();
+        let mut cells = Vec::new();
+        let len = project(table, &head, &mut cells).unwrap();
+        (len, cells)
     }
 
     #[test]
     fn chain_join() {
-        let t = join_all(
+        let t = join(
             &[
                 cp(0, 1, vec![(1, 2), (3, 4)]),
                 cp(1, 2, vec![(2, 5), (4, 6), (9, 9)]),
@@ -247,7 +262,7 @@ mod tests {
     #[test]
     fn reverse_direction_join() {
         // Second conjunct binds its *target* to an existing var.
-        let t = join_all(
+        let t = join(
             &[
                 cp(0, 1, vec![(1, 2)]),
                 cp(2, 1, vec![(7, 2), (8, 2), (9, 3)]),
@@ -262,7 +277,7 @@ mod tests {
     #[test]
     fn semi_join_filters() {
         // Cycle: third conjunct closes 0 → 2.
-        let t = join_all(
+        let t = join(
             &[
                 cp(0, 1, vec![(1, 2), (3, 4)]),
                 cp(1, 2, vec![(2, 5), (4, 6)]),
@@ -276,7 +291,7 @@ mod tests {
 
     #[test]
     fn self_loop_seed() {
-        let t = join_all(
+        let t = join(
             &[cp(0, 0, vec![(1, 1), (2, 3), (4, 4)])],
             &Budget::default(),
         )
@@ -287,7 +302,7 @@ mod tests {
 
     #[test]
     fn cartesian_when_disconnected() {
-        let t = join_all(
+        let t = join(
             &[cp(0, 1, vec![(1, 2)]), cp(5, 6, vec![(7, 8), (9, 10)])],
             &Budget::default(),
         )
@@ -298,23 +313,23 @@ mod tests {
 
     #[test]
     fn projection_and_boolean() {
-        let t = join_all(&[cp(0, 1, vec![(1, 2), (1, 3)])], &Budget::default()).unwrap();
-        let mut p = project(&t, &rule_with_head(vec![1, 0])).unwrap();
-        p.sort();
-        assert_eq!(p, vec![vec![2, 1], vec![3, 1]]);
-        let b = project(&t, &rule_with_head(vec![])).unwrap();
-        assert_eq!(b, vec![Vec::<NodeId>::new()]);
-        let empty = join_all(&[cp(0, 1, vec![])], &Budget::default()).unwrap();
-        assert!(project(&empty, &rule_with_head(vec![])).unwrap().is_empty());
+        let t = join(&[cp(0, 1, vec![(1, 2), (1, 3)])], &Budget::default()).unwrap();
+        assert_eq!(projected(&t, &[1, 0]), (2, vec![2, 1, 3, 1]));
+        // A repeated head variable repeats its column.
+        assert_eq!(projected(&t, &[0, 0]), (2, vec![1, 1, 1, 1]));
+        // A Boolean head: one row of no cells iff any row exists.
+        assert_eq!(projected(&t, &[]), (1, vec![]));
+        let empty = join(&[cp(0, 1, vec![])], &Budget::default()).unwrap();
+        assert_eq!(projected(&empty, &[]), (0, vec![]));
         // No conjuncts at all: the join identity satisfies a Boolean head.
-        let unit = join_all(&[], &Budget::default()).unwrap();
-        assert_eq!(project(&unit, &rule_with_head(vec![])).unwrap().len(), 1);
+        let unit = join(&[], &Budget::default()).unwrap();
+        assert_eq!(projected(&unit, &[]), (1, vec![]));
     }
 
     #[test]
     fn unbound_head_var_is_a_typed_error_not_a_panic() {
-        let t = join_all(&[cp(0, 1, vec![(1, 2)])], &Budget::default()).unwrap();
-        let err = project(&t, &rule_with_head(vec![7])).unwrap_err();
+        let t = join(&[cp(0, 1, vec![(1, 2)])], &Budget::default()).unwrap();
+        let err = project(&t, &[Var(7)], &mut Vec::new()).unwrap_err();
         assert!(
             matches!(err, EvalError::Unsupported(ref what) if what.contains("?x7")),
             "{err:?}"
@@ -325,7 +340,7 @@ mod tests {
     fn budget_stops_blowup() {
         let pairs: Vec<(NodeId, NodeId)> = (0..1000).map(|i| (0, i)).collect();
         let tight = Budget::with_limits(None, 100);
-        let r = join_all(
+        let r = join(
             &[
                 cp(0, 1, vec![(5, 0); 1]),
                 cp(1, 2, pairs.clone()),
@@ -338,7 +353,7 @@ mod tests {
 
     /// Nested-loop reference join: the variables in first-appearance order
     /// and, per conjunct joined, the rows of the table so far.
-    fn reference_join(conjuncts: &[ConjunctPairs]) -> (Vec<Var>, Vec<Vec<Vec<NodeId>>>) {
+    fn reference_join(conjuncts: &[ConjunctPairs<'_>]) -> (Vec<Var>, Vec<Vec<Vec<NodeId>>>) {
         let mut vars: Vec<Var> = Vec::new();
         let mut rows: Vec<Vec<NodeId>> = vec![Vec::new()];
         let mut steps = Vec::new();
@@ -392,8 +407,9 @@ mod tests {
             ),
             cap in prop_oneof![Just(0usize), Just(3usize), Just(12usize), Just(10_000usize)],
         ) {
-            let conjuncts: Vec<ConjunctPairs> =
+            let owned: Vec<Owned> =
                 shape.iter().map(|(s, t, pairs)| cp(*s, *t, pairs.clone())).collect();
+            let conjuncts = borrowed(&owned);
             let (vars, steps) = reference_join(&conjuncts);
             let joined = join_all(&conjuncts, &Budget::with_limits(None, cap));
             if steps.iter().any(|rows| rows.len() > cap) {

@@ -24,16 +24,21 @@
 //!   see [`navigational::degrade_for_cypher`]), hence its answer sets
 //!   legitimately differ on such queries;
 //! * `D` (Datalog) — **semi-naive**: the query translated to a positive
-//!   Datalog program and run on a general-purpose engine ([`datalog`]),
+//!   Datalog program (unary and binary body atoms, any recursion) and run
+//!   bottom-up, delta-driven, over all its rules at once ([`datalog`]) —
 //!   the only one expected to finish every recursive query of Table 4.
 //!
 //! They differ in strategy and share everything else. There is one way to
 //! run a query, [`EngineKind::evaluate`], and it resolves one
 //! [`QueryPlan`] — the caller's, from [`plan_query`], or
 //! [`QueryPlan::declaration_order`] without one — that every engine
-//! follows: no engine orders conjuncts itself. `P`, `S` and `G` join
-//! conjunct results through one kernel on flat rows and project through
-//! one rule loop; one expression fold in [`EvalContext`] serves the
+//! follows: no engine orders conjuncts itself. There is one tuple
+//! representation from the EDB to the answers — binary relations are
+//! [`relations::Relation`]s (sorted `u32` pair columns), wider tuples flat
+//! row-major rows — so all four join through one kernel and read their
+//! heads off it through one projection into one flat [`Answers`] buffer;
+//! `P`, `S` and `G` also share the rule loop around them, `D` runs its
+//! fixpoint instead. One expression fold in [`EvalContext`] serves the
 //! sub-expression cache's fill and `P`'s cell-time misses alike. Every
 //! evaluation is resource-governed by a [`Budget`]: exceeding the time or
 //! tuple budget aborts with an error — reproducing the "failed / manually
@@ -41,8 +46,9 @@
 //! hanging the harness.
 //!
 //! Engines borrow one immutable [`EvalContext`] — per-predicate sorted
-//! relations, the Datalog EDB, a compiled-NFA cache — built once per graph
-//! instead of re-derived per query, and the [`evaluate_matrix`] harness
+//! relations (which are the Datalog EDB too), symbol statistics, a
+//! compiled-NFA cache — built once per graph instead of re-derived per
+//! query, and the [`evaluate_matrix`] harness
 //! fans the (engine × query) cells of a whole workload over worker threads
 //! with a fresh per-cell [`Budget`], reassembling a deterministic
 //! [`EvalReport`].
@@ -52,6 +58,8 @@
 pub mod automaton;
 pub mod context;
 pub mod datalog;
+#[cfg(test)]
+mod fixtures;
 mod joiner;
 pub mod matrix;
 pub mod navigational;
@@ -69,6 +77,7 @@ pub use matrix::{
 pub use planner::{plan_query, ConjunctStep, QueryPlan, RulePlan};
 
 use gmark_store::NodeId;
+use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one evaluation.
@@ -179,44 +188,87 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A set of distinct answer tuples.
+/// A set of distinct answer tuples: one row-major buffer, sorted
+/// lexicographically and deduplicated, so two engines' answers compare
+/// with `==`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answers {
-    /// The query arity (tuple width).
-    pub arity: usize,
-    /// Distinct tuples, sorted lexicographically for stable comparison.
-    pub tuples: Vec<Vec<NodeId>>,
+    arity: usize,
+    /// Row count — kept beside `cells` because a Boolean query has arity 0
+    /// and one or zero rows.
+    len: usize,
+    cells: Vec<NodeId>,
 }
 
 impl Answers {
-    /// Builds an answer set, sorting and deduplicating.
-    pub fn new(arity: usize, mut tuples: Vec<Vec<NodeId>>) -> Answers {
-        tuples.sort_unstable();
-        tuples.dedup();
-        Answers { arity, tuples }
+    /// Builds an answer set from `len` row-major rows of `arity` cells,
+    /// sorting and deduplicating.
+    pub(crate) fn from_rows(arity: usize, len: usize, cells: Vec<NodeId>) -> Answers {
+        debug_assert_eq!(cells.len(), len * arity);
+        let row = |r: usize| &cells[r * arity..(r + 1) * arity];
+        let mut order: Vec<usize> = (0..len).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        let mut sorted = Vec::with_capacity(order.len() * arity);
+        for &r in &order {
+            sorted.extend_from_slice(row(r));
+        }
+        Answers {
+            arity,
+            len: order.len(),
+            cells: sorted,
+        }
+    }
+
+    /// Set union: a linear merge of two sorted answer sets of one arity.
+    pub(crate) fn union(&self, other: &Answers) -> Answers {
+        debug_assert_eq!(self.arity, other.arity);
+        let mut cells = Vec::with_capacity(self.cells.len() + other.cells.len());
+        let mut len = 0;
+        let (mut a, mut b) = (self.rows().peekable(), other.rows().peekable());
+        loop {
+            let row = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => match x.cmp(y) {
+                    Ordering::Less => a.next(),
+                    Ordering::Greater => b.next(),
+                    Ordering::Equal => {
+                        b.next();
+                        a.next()
+                    }
+                },
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            let Some(row) = row else { break };
+            cells.extend_from_slice(row);
+            len += 1;
+        }
+        Answers {
+            arity: self.arity,
+            len,
+            cells,
+        }
+    }
+
+    /// The query arity (tuple width).
+    pub fn arity(&self) -> usize {
+        self.arity
     }
 
     /// The `count(distinct(?v))` measurement of Section 7.1.
     pub fn count(&self) -> u64 {
-        self.tuples.len() as u64
+        self.len as u64
     }
 
     /// For Boolean queries: whether the body was satisfiable.
     pub fn non_empty(&self) -> bool {
-        !self.tuples.is_empty()
+        self.len > 0
     }
-}
 
-/// Packs an arity-2 tuple into a `u64` (internal fast path for pair sets).
-#[inline]
-pub(crate) fn pack(a: NodeId, b: NodeId) -> u64 {
-    ((a as u64) << 32) | b as u64
-}
-
-/// Inverse of [`pack`].
-#[inline]
-pub(crate) fn unpack(p: u64) -> (NodeId, NodeId) {
-    ((p >> 32) as NodeId, p as NodeId)
+    /// The distinct tuples in ascending order, each `arity` wide.
+    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        (0..self.len).map(move |r| &self.cells[r * self.arity..(r + 1) * self.arity])
+    }
 }
 
 #[cfg(test)]
@@ -224,18 +276,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pack_round_trip() {
-        for (a, b) in [(0, 0), (1, 2), (u32::MAX, 7), (123_456, u32::MAX)] {
-            assert_eq!(unpack(pack(a, b)), (a, b));
-        }
+    fn answers_dedup_and_sort() {
+        let a = Answers::from_rows(2, 4, vec![3, 4, 1, 2, 3, 4, 1, 0]);
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[1, 0], [1, 2], [3, 4]]);
+        assert_eq!((a.arity(), a.count(), a.non_empty()), (2, 3, true));
+        // Equality is on the set, not on the order or multiplicity derived.
+        assert_eq!(a, Answers::from_rows(2, 3, vec![1, 2, 1, 0, 3, 4]));
+        assert_ne!(a, Answers::from_rows(2, 2, vec![1, 2, 3, 4]));
+        assert_ne!(a, Answers::from_rows(3, 2, vec![1, 0, 1, 2, 3, 4]));
     }
 
     #[test]
-    fn answers_dedup_and_sort() {
-        let a = Answers::new(2, vec![vec![3, 4], vec![1, 2], vec![3, 4]]);
-        assert_eq!(a.tuples, vec![vec![1, 2], vec![3, 4]]);
-        assert_eq!(a.count(), 2);
-        assert!(a.non_empty());
+    fn boolean_answers_hold_one_row_or_none() {
+        let (yes, no) = (
+            Answers::from_rows(0, 3, Vec::new()),
+            Answers::from_rows(0, 0, Vec::new()),
+        );
+        assert_eq!((yes.count(), yes.non_empty()), (1, true));
+        assert_eq!((no.count(), no.non_empty()), (0, false));
+        assert_eq!(yes.rows().collect::<Vec<_>>(), [[0u32; 0]]);
+        assert_ne!(yes, no);
+        assert_eq!(no.union(&yes), yes);
+        assert_eq!(yes.union(&yes), yes);
+        assert_eq!(no.union(&no), no);
+    }
+
+    #[test]
+    fn answers_union_merges_sorted_rows() {
+        let a = Answers::from_rows(2, 2, vec![1, 2, 5, 0]);
+        let b = Answers::from_rows(2, 3, vec![0, 9, 5, 0, 7, 7]);
+        let both = Answers::from_rows(2, 4, vec![0, 9, 1, 2, 5, 0, 7, 7]);
+        assert_eq!(a.union(&b), both);
+        assert_eq!(b.union(&a), both);
     }
 
     #[test]

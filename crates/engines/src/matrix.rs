@@ -111,8 +111,8 @@ impl EngineKind {
     /// Evaluates `query` through this engine against a shared context,
     /// under a resource budget, returning the distinct projected tuples —
     /// the one way to run a query on an engine. The context's precomputed
-    /// indexes (sorted relations, Datalog EDB, compiled-NFA cache) are
-    /// borrowed, never rebuilt.
+    /// indexes (sorted relations, compiled-NFA cache) are borrowed, never
+    /// rebuilt.
     ///
     /// `plan` orders the engine's joins ([`plan_query`] makes one; all four
     /// engines follow the same one). Without a plan — or with one that does
@@ -126,6 +126,11 @@ impl EngineKind {
         plan: Option<&QueryPlan>,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
+        if query.rules.iter().any(|rule| rule.arity() != query.arity()) {
+            return Err(EvalError::Unsupported(
+                "the rules of a query must agree on the head arity".to_owned(),
+            ));
+        }
         let declared;
         let plan = match plan {
             Some(plan) if plan.fits(query) => plan,
@@ -561,8 +566,9 @@ pub fn evaluate_matrix_with_schema(
 
 /// Initializes the context's shared indexes the selected engines will
 /// need **before any cell clock starts**. Without this, whichever cell
-/// touches a lazy slot first (the Datalog EDB, a symbol relation) is
-/// billed for one-time context construction — inflating its timing and,
+/// touches a lazy slot first (a symbol relation, forward for the Datalog
+/// EDB or in the direction a query mentions) is billed for one-time
+/// context construction — inflating its timing and,
 /// under a finite per-cell deadline, making its outcome depend on
 /// scheduling. Warming is idempotent; only the symbols the workload
 /// actually mentions are materialized, and unselected engines' indexes
@@ -587,12 +593,13 @@ fn warm_context(
             .flat_map(|query| &query.rules)
             .flat_map(|rule| &rule.body)
     }
-    if engines.contains(&EngineKind::Datalog) {
+    let datalog = engines.contains(&EngineKind::Datalog);
+    if datalog {
         let _ = ctx.edb();
     }
-    let relational = engines.contains(&EngineKind::Relational);
+    let joins_relations = datalog || engines.contains(&EngineKind::Relational);
     for sym in conjuncts(queries).flat_map(|c| c.expr.symbols()) {
-        if relational {
+        if joins_relations {
             let _ = ctx.relation(sym);
         }
         if options.plan {
@@ -662,7 +669,7 @@ fn run_cell(
                 }
             }
             CellOutcome::Answers {
-                arity: answers.arity,
+                arity: answers.arity(),
                 count: answers.count(),
             }
         }
@@ -680,41 +687,8 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol, Var};
-    use gmark_core::schema::PredicateId;
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
-
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[5]), 2);
-        for (s, t) in [(0, 1), (1, 2), (2, 0), (3, 1), (4, 2)] {
-            b.edge(s, 0, t);
-        }
-        for (s, t) in [(1, 3), (2, 3), (0, 4)] {
-            b.edge(s, 1, t);
-        }
-        b.build()
-    }
-
-    fn chain(exprs: Vec<RegularExpr>) -> Query {
-        let n = exprs.len() as u32;
-        Query::single(Rule {
-            head: vec![Var(0), Var(n)],
-            body: exprs
-                .into_iter()
-                .enumerate()
-                .map(|(i, expr)| Conjunct {
-                    src: Var(i as u32),
-                    expr,
-                    trg: Var(i as u32 + 1),
-                })
-                .collect(),
-        })
-        .unwrap()
-    }
+    use crate::fixtures::{chain, graph5 as graph, sym};
+    use gmark_core::query::{PathExpr, RegularExpr, Var};
 
     fn queries() -> Vec<Query> {
         vec![
@@ -866,6 +840,43 @@ mod tests {
         );
         assert_eq!(a.render(), b.render());
         assert!(a.totals().too_large > 0, "{:?}", a.totals());
+    }
+
+    #[test]
+    fn a_malformed_head_is_an_unsupported_cell_on_every_engine() {
+        // `Query.rules` is public, so a head variable the body never binds,
+        // or two rules of different arity, reach the engines unvalidated.
+        let mut unsafe_head = chain(vec![RegularExpr::symbol(sym(0))]);
+        unsafe_head.rules[0].head = vec![Var(7)];
+        let mut two_arities = chain(vec![RegularExpr::symbol(sym(0))]);
+        let mut narrower = two_arities.rules[0].clone();
+        narrower.head.pop();
+        two_arities.rules.push(narrower);
+        let g = graph();
+        let ctx = EvalContext::new(&g);
+        for (q, needle) in [(&unsafe_head, "?x7"), (&two_arities, "arity")] {
+            for kind in EngineKind::ALL {
+                let result = kind.evaluate(&ctx, q, None, &Budget::default());
+                assert!(
+                    matches!(result, Err(EvalError::Unsupported(ref what)) if what.contains(needle)),
+                    "{kind}: {result:?}"
+                );
+            }
+        }
+        let options = MatrixOptions {
+            threads: 2,
+            ..MatrixOptions::default()
+        };
+        let report = evaluate_matrix(
+            &ctx,
+            &[&unsafe_head, &two_arities],
+            &EngineKind::ALL,
+            &CellBudget::default(),
+            &options,
+        );
+        let labels: Vec<String> = report.cells.iter().map(EvalCell::label).collect();
+        assert_eq!(labels, ["unsupported"; 8]);
+        assert_eq!(report.totals().unsupported, 8);
     }
 
     #[test]

@@ -21,19 +21,20 @@
 //! emits `*0..` so this engine keeps ε — the degradation above is the only
 //! semantic difference retained, keeping the comparison interpretable.
 
-use crate::automaton::eval_rpq_from;
+use crate::automaton::eval_rpq;
 use crate::context::EvalContext;
 use crate::joiner::{union_of_rules, BindingTable, ConjunctPairs};
 use crate::planner::ConjunctStep;
 use crate::relations::Relation;
-use crate::{unpack, Answers, Budget, EvalError, QueryPlan};
+use crate::{Answers, Budget, EvalError, QueryPlan};
 use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule};
 use gmark_store::NodeId;
 use std::sync::Arc;
 
 /// Section 7.1's degradation: under a star, keep each disjunct's first
 /// non-inverse symbol (paths reduce to length one; inverse-only paths keep
-/// their first symbol with the inversion dropped).
+/// their first symbol with the inversion dropped). Only expressions are
+/// rewritten, so the result is as well-formed as the input was.
 pub fn degrade_for_cypher(query: &Query) -> (Query, bool) {
     let mut lossy = false;
     let rules = query
@@ -52,10 +53,7 @@ pub fn degrade_for_cypher(query: &Query) -> (Query, bool) {
                 .collect(),
         })
         .collect();
-    (
-        Query::new(rules).expect("degradation preserves well-formedness"),
-        lossy,
-    )
+    (Query { rules }, lossy)
 }
 
 fn degrade_expr(expr: &RegularExpr, lossy: &mut bool) -> RegularExpr {
@@ -147,7 +145,7 @@ fn navigate_rule(
         let conjunct = ConjunctPairs {
             src: c.src,
             trg: c.trg,
-            pairs,
+            pairs: &pairs,
         };
         table = table.extend(&conjunct, budget)?;
     }
@@ -164,7 +162,6 @@ fn navigate(
     seeds: Option<&[NodeId]>,
     budget: &Budget,
 ) -> Result<Arc<Relation>, EvalError> {
-    let graph = ctx.view();
     let expr = if flip {
         RegularExpr {
             disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
@@ -174,68 +171,15 @@ fn navigate(
         c.expr.clone()
     };
     let nfa = ctx.nfa(&expr);
-    let all: Vec<NodeId>;
-    let seeds = match seeds {
-        Some(s) => s,
-        None => {
-            all = (0..graph.node_count()).collect();
-            &all
-        }
-    };
-    let packed = eval_rpq_from(graph, &nfa, seeds, budget)?;
-    let pairs: Vec<(NodeId, NodeId)> = if flip {
-        packed
-            .into_iter()
-            .map(|p| {
-                let (a, b) = unpack(p);
-                (b, a)
-            })
-            .collect()
-    } else {
-        packed.into_iter().map(unpack).collect()
-    };
-    Ok(Arc::new(Relation::from_pairs(pairs)))
+    Ok(Arc::new(eval_rpq(ctx.view(), &nfa, seeds, flip, budget)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{chain, graph5 as graph, sym};
     use crate::EngineKind;
-    use gmark_core::query::{Symbol, Var};
-    use gmark_core::schema::PredicateId;
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
-
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[5]), 2);
-        for (s, t) in [(0, 1), (1, 2), (2, 0), (3, 1), (4, 2)] {
-            b.edge(s, 0, t);
-        }
-        for (s, t) in [(1, 3), (2, 3), (0, 4)] {
-            b.edge(s, 1, t);
-        }
-        b.build()
-    }
-
-    fn chain(exprs: Vec<RegularExpr>) -> Query {
-        let n = exprs.len() as u32;
-        Query::single(Rule {
-            head: vec![Var(0), Var(n)],
-            body: exprs
-                .into_iter()
-                .enumerate()
-                .map(|(i, expr)| Conjunct {
-                    src: Var(i as u32),
-                    expr,
-                    trg: Var(i as u32 + 1),
-                })
-                .collect(),
-        })
-        .unwrap()
-    }
+    use gmark_core::query::Var;
 
     fn eval(kind: EngineKind, q: &Query) -> Answers {
         kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())

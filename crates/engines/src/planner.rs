@@ -353,13 +353,9 @@ fn clamp_u64(v: u128) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{chain, sym};
     use gmark_core::query::Conjunct;
-    use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
 
     /// Predicate 0 is dense (8 edges), predicate 1 sparse (2 edges).
     fn graph() -> Graph {
@@ -380,23 +376,6 @@ mod tests {
             b.edge(s, 1, t);
         }
         b.build()
-    }
-
-    fn chain(exprs: Vec<RegularExpr>) -> Query {
-        let n = exprs.len() as u32;
-        Query::single(Rule {
-            head: vec![Var(0), Var(n)],
-            body: exprs
-                .into_iter()
-                .enumerate()
-                .map(|(i, expr)| Conjunct {
-                    src: Var(i as u32),
-                    expr,
-                    trg: Var(i as u32 + 1),
-                })
-                .collect(),
-        })
-        .unwrap()
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::context::EvalContext;
 use crate::joiner::{join_all, union_of_rules, ConjunctPairs};
-use crate::{Answers, Budget, EvalError, QueryPlan};
+use crate::{Answers, Budget, ConjunctStep, EvalError, QueryPlan};
 use gmark_core::query::Query;
 
 /// Materializes every conjunct of a rule in plan order — base symbol
@@ -29,15 +29,20 @@ pub(crate) fn evaluate(
     budget: &Budget,
 ) -> Result<Answers, EvalError> {
     union_of_rules(query, plan, budget, |rule, steps| {
-        let mut conjuncts = Vec::with_capacity(steps.len());
-        for step in steps {
-            let c = &rule.body[step.conjunct];
-            conjuncts.push(ConjunctPairs {
-                src: c.src,
-                trg: c.trg,
-                pairs: ctx.expr_relation(&c.expr, budget)?,
-            });
-        }
+        let conjunct = |step: &ConjunctStep| &rule.body[step.conjunct];
+        let relations = steps
+            .iter()
+            .map(|step| ctx.expr_relation(&conjunct(step).expr, budget))
+            .collect::<Result<Vec<_>, _>>()?;
+        let conjuncts: Vec<ConjunctPairs<'_>> = steps
+            .iter()
+            .zip(&relations)
+            .map(|(step, pairs)| ConjunctPairs {
+                src: conjunct(step).src,
+                trg: conjunct(step).trg,
+                pairs,
+            })
+            .collect();
         join_all(&conjuncts, budget)
     })
 }
@@ -45,26 +50,9 @@ pub(crate) fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EngineKind;
-    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol, Var};
-    use gmark_core::schema::PredicateId;
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
-
-    /// a: 0→1, 1→2, 2→0, 3→1;  b: 1→3, 2→3.
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[4]), 2);
-        for (s, t) in [(0, 1), (1, 2), (2, 0), (3, 1)] {
-            b.edge(s, 0, t);
-        }
-        for (s, t) in [(1, 3), (2, 3)] {
-            b.edge(s, 1, t);
-        }
-        b.build()
-    }
+    use crate::fixtures::{graph4 as graph, sym};
+    use crate::{eval_rpq, EngineKind};
+    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Var};
 
     fn eval(q: &Query, budget: &Budget) -> Result<Answers, EvalError> {
         EngineKind::Relational.evaluate(&EvalContext::new(&graph()), q, None, budget)
@@ -82,7 +70,7 @@ mod tests {
         })
         .unwrap();
         let a = eval(&q, &Budget::default()).unwrap();
-        assert_eq!(a.tuples, vec![vec![1, 3], vec![2, 3]]);
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[1, 3], [2, 3]]);
     }
 
     #[test]
@@ -106,7 +94,7 @@ mod tests {
         .unwrap();
         let a = eval(&q, &Budget::default()).unwrap();
         // a·b pairs: (0,3) via 1, (1,3) via 2, (3,3) via 1.
-        assert_eq!(a.tuples, vec![vec![0, 3], vec![1, 3], vec![3, 3]]);
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[0, 3], [1, 3], [3, 3]]);
     }
 
     #[test]
@@ -121,14 +109,10 @@ mod tests {
         })
         .unwrap();
         let a = eval(&q, &Budget::default()).unwrap();
-        let nfa_pairs = crate::automaton::eval_rpq_pairs(
-            &graph(),
-            &q.rules[0].body[0].expr,
-            &Budget::default(),
-        )
-        .unwrap();
-        let expected: Vec<Vec<_>> = nfa_pairs.into_iter().map(|(s, t)| vec![s, t]).collect();
-        assert_eq!(a.tuples, expected);
+        let nfa = crate::compile_nfa(&q.rules[0].body[0].expr);
+        let bfs = eval_rpq(&graph(), &nfa, None, false, &Budget::default()).unwrap();
+        let expected: Vec<[_; 2]> = bfs.pairs().iter().map(|&(s, t)| [s, t]).collect();
+        assert_eq!(a.rows().collect::<Vec<_>>(), expected);
     }
 
     #[test]

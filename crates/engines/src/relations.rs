@@ -253,13 +253,9 @@ impl Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::sym;
     use gmark_core::query::PathExpr;
-    use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
 
     fn chain_graph() -> Graph {
         // a-edges: 0→1→2→3 (a path).
@@ -386,11 +382,10 @@ mod tests {
             RegularExpr::union(vec![PathExpr(vec![sym(0), sym(0)]), PathExpr::epsilon()]),
         ];
         for expr in exprs {
+            let nfa = crate::compile_nfa(&expr);
             assert_eq!(
-                Relation::of_expr(&g, &expr, &Budget::default())
-                    .unwrap()
-                    .pairs(),
-                crate::automaton::eval_rpq_pairs(&g, &expr, &Budget::default()).unwrap(),
+                Relation::of_expr(&g, &expr, &Budget::default()).unwrap(),
+                crate::eval_rpq(&g, &nfa, None, false, &Budget::default()).unwrap(),
                 "{expr:?}"
             );
         }

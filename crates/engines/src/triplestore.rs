@@ -14,7 +14,7 @@
 use crate::context::EvalContext;
 use crate::joiner::{join_all, union_of_rules, ConjunctPairs};
 use crate::relations::Relation;
-use crate::{eval_rpq, unpack, Answers, Budget, EvalError, QueryPlan};
+use crate::{eval_rpq, Answers, Budget, EvalError, QueryPlan};
 use gmark_core::query::Query;
 use std::sync::Arc;
 
@@ -34,22 +34,21 @@ pub(crate) fn evaluate(
         for c in &rule.body {
             paths.push(match ctx.cached_expr(&c.expr, budget)? {
                 Some(rel) => rel,
-                None => {
-                    let packed = eval_rpq(ctx.view(), &ctx.nfa(&c.expr), budget)?;
-                    // eval_rpq yields packed pairs in ascending order, so
-                    // this is a verification pass, not a sort.
-                    Arc::new(Relation::from_pairs(
-                        packed.into_iter().map(unpack).collect(),
-                    ))
-                }
+                None => Arc::new(eval_rpq(
+                    ctx.view(),
+                    &ctx.nfa(&c.expr),
+                    None,
+                    false,
+                    budget,
+                )?),
             });
         }
-        let ordered: Vec<ConjunctPairs> = steps
+        let ordered: Vec<ConjunctPairs<'_>> = steps
             .iter()
             .map(|step| ConjunctPairs {
                 src: rule.body[step.conjunct].src,
                 trg: rule.body[step.conjunct].trg,
-                pairs: Arc::clone(&paths[step.conjunct]),
+                pairs: &paths[step.conjunct],
             })
             .collect();
         join_all(&ordered, budget)
@@ -59,42 +58,9 @@ pub(crate) fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{chain, graph5 as graph, sym};
     use crate::EngineKind;
-    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol, Var};
-    use gmark_core::schema::PredicateId;
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
-
-    fn sym(i: usize) -> Symbol {
-        Symbol::forward(PredicateId(i))
-    }
-
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[5]), 2);
-        for (s, t) in [(0, 1), (1, 2), (2, 0), (3, 1), (4, 2)] {
-            b.edge(s, 0, t);
-        }
-        for (s, t) in [(1, 3), (2, 3), (0, 4)] {
-            b.edge(s, 1, t);
-        }
-        b.build()
-    }
-
-    fn chain_query(exprs: Vec<RegularExpr>) -> Query {
-        let n = exprs.len() as u32;
-        Query::single(Rule {
-            head: vec![Var(0), Var(n)],
-            body: exprs
-                .into_iter()
-                .enumerate()
-                .map(|(i, expr)| Conjunct {
-                    src: Var(i as u32),
-                    expr,
-                    trg: Var(i as u32 + 1),
-                })
-                .collect(),
-        })
-        .unwrap()
-    }
+    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Var};
 
     fn eval(kind: EngineKind, q: &Query) -> Answers {
         kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())
@@ -104,17 +70,17 @@ mod tests {
     #[test]
     fn agrees_with_relational_on_chains() {
         let cases = vec![
-            chain_query(vec![RegularExpr::symbol(sym(0))]),
-            chain_query(vec![
+            chain(vec![RegularExpr::symbol(sym(0))]),
+            chain(vec![
                 RegularExpr::symbol(sym(0)),
                 RegularExpr::symbol(sym(1)),
             ]),
-            chain_query(vec![
+            chain(vec![
                 RegularExpr::union(vec![PathExpr(vec![sym(0)]), PathExpr(vec![sym(1)])]),
                 RegularExpr::symbol(sym(0).flipped()),
             ]),
-            chain_query(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]),
-            chain_query(vec![
+            chain(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]),
+            chain(vec![
                 RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1).flipped()])]),
                 RegularExpr::symbol(sym(1)),
             ]),
@@ -175,6 +141,6 @@ mod tests {
         assert_eq!(a, b);
         // Node 0: a→1, b→4 contributes (1,4); node 1: a→2, b→3 → (2,3);
         // node 2: a→0, b→3 → (0,3).
-        assert_eq!(a.tuples, vec![vec![0, 3], vec![1, 4], vec![2, 3]]);
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[0, 3], [1, 4], [2, 3]]);
     }
 }

@@ -10,7 +10,9 @@
 //! kernel and one expression fold (PR 18's parent): with the planner on,
 //! the report — cell outcomes, counts, estimates and the cache header's
 //! fill/hit/miss counters — must come out byte for byte at 1, 2 and 8
-//! threads, in RAM and from a store, with the cache on and off.
+//! threads, in RAM and from a store, with the cache on and off. The
+//! `D`-column pins at two tighter caps were recorded from the commit before
+//! the Datalog engine moved onto that join kernel (PR 23's parent).
 //!
 //! The `summary.json` pins were recorded from the commit before the facade
 //! was collapsed to one request table, one run body and one JSON writer
@@ -45,6 +47,15 @@ const CLI_EVAL: [(u64, u64); 2] = [(1838, 0xb696_1014_7e7e_bc09), (1755, 0x4e05_
 /// `eval.txt` of the programmatic mixed-shape plan ([`mixed_plan`]), cache
 /// on and off.
 const MIXED_EVAL: [(u64, u64); 2] = [(3831, 0x177b_f538_b9b1_6e59), (3748, 0xf343_3c17_beaf_aa25)];
+
+/// `(cap, eval.txt)` of [`mixed_plan`] narrowed to the `D` column at two
+/// tuple caps that split it (19 ok / 11 too-large, 24 ok / 6 too-large),
+/// recorded from the commit before `D` moved onto the shared join kernel
+/// (PR 23's parent): every too-large cell is a budget-rule decision.
+const MIXED_EVAL_D: [(usize, (u64, u64)); 2] = [
+    (2_000, (2569, 0xf23b_6636_54c8_f9a2)),
+    (10_000, (2570, 0xb88b_e565_e882_9ea1)),
+];
 
 /// Masked `summary.json` of the first test's `--store` runs: `--stream`,
 /// then the default mode (graph + store + workload, `"eval":null`).
@@ -256,4 +267,25 @@ fn parent_commit_mixed_eval_report_is_reproduced_in_every_regime() {
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn parent_commit_datalog_column_is_reproduced_at_tight_caps() {
+    for (cap, pin) in MIXED_EVAL_D {
+        for threads in [1, 2, 8] {
+            let mut plan = mixed_plan(true, None);
+            let eval = plan.eval.as_mut().expect("the mixed plan evaluates");
+            eval.engines = vec![EngineKind::Datalog];
+            eval.max_tuples = cap;
+            let mut sink = MemorySink::new();
+            run(&plan, &RunOptions::with_seed(2).threads(threads), &mut sink)
+                .expect("the mixed plan runs");
+            let report = sink.bytes(Artifact::EvalReport).expect("an eval report");
+            assert_eq!(
+                fingerprint_bytes(&report),
+                pin,
+                "cap={cap} threads={threads}"
+            );
+        }
+    }
 }
