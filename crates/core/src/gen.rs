@@ -24,16 +24,19 @@
 //! memory for that side's vector (and its shuffle) disappears. The fast path
 //! is on by default and measured as an ablation in `gmark-bench`.
 //!
-//! Two ways out of the generator. [`generate_graph`] materializes: every
-//! constraint fills its own builder, the builders are merged in constraint
-//! order, and the CSR is finalized — memory grows with the edge count.
-//! [`generate_streamed`] never holds more than one constraint per worker:
-//! edges are formatted as N-Triples while they are zipped and handed, in
-//! blocks, to a [`gmark_store::OrderedEmitter`] that writes constraints in
-//! ascending order in a single pass — no temporary file, memory bounded
-//! by the largest constraint's slot vectors plus a fixed block budget.
-//! Either way each constraint draws from an RNG stream split off the
-//! master seed by its index, so output never depends on the thread count.
+//! Two ways out of the generator, each one [`gmark_store::emit`] fan-out
+//! over the constraints. [`generate_graph`] materializes: an
+//! [`ordered_map`] gives every constraint its own builder, the builders
+//! are absorbed in constraint order, and the CSR is finalized — memory
+//! grows with the edge count. [`generate_streamed`] never holds more than
+//! one constraint per worker: edges are formatted as N-Triples while they
+//! are zipped and handed, in blocks, to an [`OrderedEmitter`] that writes
+//! constraints in ascending order in a single pass — no temporary file,
+//! memory bounded by the largest constraint's slot vectors plus a fixed
+//! block budget. Either way constraint `i` draws from an RNG stream split
+//! off the master seed by `i` and lands in constraint order, so output
+//! never depends on the thread count (the argument is made once, in
+//! [`gmark_store::emit`]).
 //!
 //! These entry points are the graph half of the pipeline; the `gmark`
 //! facade crate's `run` module orchestrates them (plan → options → sink)
@@ -43,8 +46,8 @@
 use crate::schema::{Distribution, GraphConfig};
 use gmark_stats::{DegreeSampler, Prng, Zipf};
 use gmark_store::{
-    EdgeSink, EdgeSpool, EmitStats, ForwardingSink, Graph, GraphBuilder, NTriplesFormat,
-    NTriplesWriter, NodeId, OrderedEmitter, TypePartition,
+    ordered_map, EdgeSink, EdgeSpool, EmitStats, ForwardingSink, Graph, GraphBuilder,
+    NTriplesFormat, NTriplesWriter, NodeId, OrderedEmitter, TypePartition,
 };
 
 /// Options controlling graph generation.
@@ -58,8 +61,8 @@ pub struct GeneratorOptions {
     /// Number of worker threads for [`generate_graph`] /
     /// [`generate_streamed`]; constraints are spread across threads with
     /// per-constraint RNG splitting, so the result is identical for any
-    /// thread count. `0` means auto-detect via
-    /// [`std::thread::available_parallelism`].
+    /// thread count. `0` means every available core
+    /// ([`gmark_store::resolve_threads`]).
     pub threads: usize,
 }
 
@@ -79,19 +82,6 @@ impl GeneratorOptions {
         GeneratorOptions {
             seed,
             ..Default::default()
-        }
-    }
-
-    /// Resolves the configured thread count: `0` auto-detects via
-    /// [`std::thread::available_parallelism`] (falling back to 1 when the
-    /// parallelism is unknown). Output never depends on this value.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
         }
     }
 }
@@ -141,83 +131,32 @@ pub fn generate_into<S: EdgeSink>(
     report
 }
 
-/// Generates a full in-memory [`Graph`] (optionally in parallel).
+/// Generates a full in-memory [`Graph`] on `opts.threads` workers.
 ///
-/// With `opts.threads > 1` the pipeline is parallel end to end: edge
-/// generation fans constraints out over worker threads (each constraint
-/// draws from an RNG split keyed by its index, so assignment order is
-/// irrelevant), the per-constraint shards are then merged in ascending
-/// constraint order — reproducing the exact builder state of a sequential
-/// run — and CSR finalization fans `(predicate, direction)` items out over
-/// the same number of workers. The resulting graph and report are
+/// Two [`ordered_map`] stages: every constraint fills its own builder,
+/// the builders are absorbed in constraint order — the per-predicate edge
+/// lists one builder fed constraint by constraint would hold — and the
+/// CSR is finalized one `(predicate, direction)` unit at a time
+/// ([`GraphBuilder::build_with_threads`]). The graph and report are
 /// bit-identical for every thread count.
 pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, GenReport) {
-    let counts = config.node_counts();
-    let partition = TypePartition::from_counts(&counts);
+    let partition = TypePartition::from_counts(&config.node_counts());
     let pred_count = config.schema.predicate_count();
-    let n_constraints = config.schema.constraints().len();
-    let threads = opts.effective_threads().max(1);
-    let gen_threads = threads.min(n_constraints.max(1));
-
-    if threads <= 1 {
-        let mut builder = GraphBuilder::new(partition, pred_count);
-        let report = generate_into(config, opts, &mut builder);
-        return (builder.build(), report);
-    }
-
-    // Phase 1 — parallel edge generation. Workers claim constraints from a
-    // shared counter (dynamic load balance: constraint costs are skewed by
-    // type sizes) and keep one builder per constraint so the merge below
-    // can replay them in declaration order.
     let master = Prng::seed_from_u64(opts.seed);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut batches: Vec<(usize, GraphBuilder, ConstraintReport)> = std::thread::scope(|scope| {
-        let (next, partition, master) = (&next, &partition, &master);
-        let handles: Vec<_> = (0..gen_threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= n_constraints {
-                            break;
-                        }
-                        let mut rng = master.split(idx as u64);
-                        let mut builder = GraphBuilder::new(partition.clone(), pred_count);
-                        let cr = generate_constraint(
-                            config,
-                            opts,
-                            idx,
-                            partition,
-                            &mut rng,
-                            &mut builder,
-                        );
-                        out.push((idx, builder, cr));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("generator thread panicked"))
-            .collect()
+    let shards = ordered_map(opts.threads, config.schema.constraints().len(), |idx| {
+        let mut builder = GraphBuilder::new(partition.clone(), pred_count);
+        let mut rng = master.split(idx as u64);
+        let cr = generate_constraint(config, opts, idx, &partition, &mut rng, &mut builder);
+        (builder, cr)
     });
-
-    // Phase 2 — deterministic merge: absorb shards in constraint order so
-    // the root builder's per-predicate edge lists are byte-identical to a
-    // sequential run's.
-    batches.sort_by_key(|(idx, _, _)| *idx);
     let mut root = GraphBuilder::new(partition, pred_count);
     let mut report = GenReport::default();
-    for (_, shard, cr) in batches {
+    for (shard, cr) in shards {
         root.absorb(shard);
         report.total_edges += cr.edges;
         report.constraints.push(cr);
     }
-
-    // Phase 3 — CSR finalization on worker threads.
-    (root.build_with_threads(threads), report)
+    (root.build_with_threads(opts.threads), report)
 }
 
 /// Options for [`generate_streamed`].
@@ -244,7 +183,7 @@ impl Default for StreamOptions {
 /// Generates the graph as N-Triples straight into `out` without ever
 /// materializing it: the memory-bounded counterpart of [`generate_graph`].
 ///
-/// Constraints fan out over `opts.threads` workers (0 = auto-detect). Each
+/// Constraints fan out over `opts.threads` workers (0 = every core). Each
 /// worker formats the edges of the constraint it claimed into blocks and
 /// hands them to an [`OrderedEmitter`], which writes constraint `i`'s
 /// blocks after those of every constraint below `i`: the worker on the
@@ -255,12 +194,9 @@ impl Default for StreamOptions {
 /// worker) plus a fixed block budget, not by the total edge count — this
 /// is what makes the paper's Table 3 scale (10⁹ edges) reachable.
 ///
-/// Because each constraint draws from an RNG stream split off the master
-/// seed by constraint index, its bytes are independent of scheduling, and
-/// ascending constraint order makes the output **byte-identical for every
-/// thread count, including 1** — one worker is the same code with a head
-/// that never waits. Unlike [`generate_graph`]'s serialization, the stream
-/// preserves generation order and keeps duplicate triples (RDF set
+/// The output is **byte-identical for every thread count, including 1**
+/// (see the module docs). Unlike [`generate_graph`]'s serialization, the
+/// stream preserves generation order and keeps duplicate triples (RDF set
 /// semantics make the data equivalent).
 ///
 /// The first write error stops the run: no further constraint is claimed,
@@ -303,7 +239,6 @@ fn generate_streamed_impl<W: std::io::Write + Send>(
     spool: Option<&EdgeSpool>,
 ) -> std::io::Result<(GenReport, u64)> {
     let n_constraints = config.schema.constraints().len();
-    let threads = opts.effective_threads().max(1).min(n_constraints.max(1));
     // Encode the predicate alphabet once; every constraint's writer shares it.
     let format = std::sync::Arc::new(NTriplesFormat::new(
         &config.schema.predicate_names(),
@@ -314,7 +249,7 @@ fn generate_streamed_impl<W: std::io::Write + Send>(
 
     let emitter = OrderedEmitter::new(vec![out], n_constraints);
     let (per_worker, emit) = emitter.run(
-        threads,
+        opts.threads,
         |done: &mut Vec<(usize, ConstraintReport, u64)>, idx, lanes| -> std::io::Result<()> {
             let mut sink = NTriplesWriter::with_format(&mut lanes[0], format.clone());
             let mut rng = master.split(idx as u64);
@@ -977,7 +912,6 @@ mod tests {
             threads: 0,
             ..Default::default()
         };
-        assert!(opts.effective_threads() >= 1);
         let cfg = GraphConfig::new(
             300,
             two_type_schema(Distribution::uniform(1, 2), Distribution::uniform(1, 2)),

@@ -12,9 +12,14 @@
 //!   `G_S` has a path from `u` to `v` of length within `[l_min, l_max]`
 //!   (the query-size path-length interval). One `G_sel` edge therefore
 //!   stands for one instantiable conjunct placeholder.
-//! * **`nb_path` sampling** — `nb_path(n, i)` counts the accepted paths of
-//!   length `i` starting at `n`; paths are then drawn uniformly by walking
-//!   with draws weighted by the remaining counts (Section 5.2.4).
+//! * **`nb_path` sampling** — one count table and one weighted walk for
+//!   all three graphs (`PathCounts`): `nb_path(x, l)` counts the paths of
+//!   exactly `l` steps from `x` into a target node or set, and a path is
+//!   then drawn step by step, each step weighted by the number of paths it
+//!   leaves, which makes every path equally likely (Section 5.2.4). `G_S`
+//!   draws the label paths of a spine conjunct, the type graph those of
+//!   branches and star loops, `G_sel` the typing of a whole chain
+//!   ([`ChainSampler`]).
 
 use crate::query::Symbol;
 use crate::schema::{PredicateId, Schema, TypeId};
@@ -84,13 +89,96 @@ fn triple_index(t: SelTriple) -> usize {
         .expect("normalized triples are always canonical")
 }
 
+/// One step out of a node: the node it leads to. `G_S` and the type graph
+/// step along labelled moves, `G_sel` along bare edges.
+pub(crate) trait Step: Copy {
+    fn next(self) -> usize;
+}
+
+impl Step for usize {
+    fn next(self) -> usize {
+        self
+    }
+}
+
+impl Step for (Symbol, usize) {
+    fn next(self) -> usize {
+        self.1
+    }
+}
+
+impl Step for (Symbol, TypeId) {
+    fn next(self) -> usize {
+        self.1 .0
+    }
+}
+
+/// The `nb_path` table of Section 5.2.4 over one graph's adjacency lists
+/// `adj[x]`: `get(l, x)` is the number of paths of exactly `l` steps from
+/// `x` into a target set (an `f64`: counts can be huge).
+#[derive(Debug)]
+pub(crate) struct PathCounts(Vec<Vec<f64>>);
+
+impl PathCounts {
+    /// Counts the paths of every length up to `max_len` into `targets`.
+    pub(crate) fn new<S: Step>(
+        adj: &[Vec<S>],
+        targets: impl IntoIterator<Item = usize>,
+        max_len: usize,
+    ) -> PathCounts {
+        let mut counts = vec![vec![0.0; adj.len()]; max_len + 1];
+        for t in targets {
+            counts[0][t] = 1.0;
+        }
+        for l in 1..=max_len {
+            let (shorter, this) = counts.split_at_mut(l);
+            for (count, steps) in this[0].iter_mut().zip(adj) {
+                for step in steps {
+                    *count += shorter[l - 1][step.next()];
+                }
+            }
+        }
+        PathCounts(counts)
+    }
+
+    /// The number of paths of exactly `len` steps from `x`.
+    pub(crate) fn get(&self, len: usize, x: usize) -> f64 {
+        self.0[len][x]
+    }
+
+    /// Draws one path of exactly `len` steps from `from` into the targets,
+    /// uniformly: each step is weighted by the number of paths it leaves,
+    /// in `adj[at]` order. Returns the steps taken, or `None` — before any
+    /// draw — when there is no such path. `adj` must be the adjacency the
+    /// table was counted on.
+    pub(crate) fn walk<S: Step>(
+        &self,
+        adj: &[Vec<S>],
+        rng: &mut Prng,
+        from: usize,
+        len: usize,
+    ) -> Option<Vec<S>> {
+        if self.0[len][from] <= 0.0 {
+            return None;
+        }
+        let mut path = Vec::with_capacity(len);
+        let mut at = from;
+        for remaining in (0..len).rev() {
+            let steps = &adj[at];
+            let weights: Vec<f64> = steps.iter().map(|s| self.0[remaining][s.next()]).collect();
+            let step = steps[rng.choose_weighted(&weights)?];
+            path.push(step);
+            at = step.next();
+        }
+        Some(path)
+    }
+}
+
 /// The schema graph `G_S` (Section 5.2.3 (a), illustrated in Fig. 8).
 #[derive(Debug, Clone)]
 pub struct SchemaGraph {
-    type_count: usize,
     valid: Vec<bool>,
-    adj: Vec<Vec<(Symbol, usize)>>,
-    radj: Vec<Vec<(Symbol, usize)>>,
+    pub(crate) adj: Vec<Vec<(Symbol, usize)>>,
 }
 
 impl SchemaGraph {
@@ -109,7 +197,6 @@ impl SchemaGraph {
             }
         }
         let mut adj: Vec<Vec<(Symbol, usize)>> = vec![Vec::new(); n];
-        let mut radj: Vec<Vec<(Symbol, usize)>> = vec![Vec::new(); n];
         // All symbols of Σ±.
         let symbols: Vec<Symbol> = (0..schema.predicate_count())
             .flat_map(|p| {
@@ -132,18 +219,12 @@ impl SchemaGraph {
                             let v = t2.0 * TRIPLES_PER_TYPE + triple_index(tr2);
                             debug_assert!(valid[v], "concat lands on a valid node");
                             adj[u].push((sym, v));
-                            radj[v].push((sym, u));
                         }
                     }
                 }
             }
         }
-        SchemaGraph {
-            type_count: schema.type_count(),
-            valid,
-            adj,
-            radj,
-        }
+        SchemaGraph { valid, adj }
     }
 
     /// Number of node slots (`|Θ| × 8`; not all are valid).
@@ -176,26 +257,9 @@ impl SchemaGraph {
         canonical_triples()[n.0 % TRIPLES_PER_TYPE]
     }
 
-    /// The identity node `(T, (Type(T), =, Type(T)))` — where every
-    /// selectivity-typed walk begins ("a node with selectivity triple
-    /// (?, =, ?)", Section 5.2.4).
-    pub fn identity_node(&self, schema: &Schema, t: TypeId) -> GsNodeId {
-        self.node(t, SelTriple::identity(Card::of(schema, t)))
-    }
-
     /// Labeled successors of a node.
     pub fn successors(&self, n: GsNodeId) -> &[(Symbol, usize)] {
         &self.adj[n.0]
-    }
-
-    /// Labeled predecessors of a node.
-    pub fn predecessors(&self, n: GsNodeId) -> &[(Symbol, usize)] {
-        &self.radj[n.0]
-    }
-
-    /// Number of types.
-    pub fn type_count(&self) -> usize {
-        self.type_count
     }
 
     /// All valid node ids.
@@ -230,56 +294,6 @@ impl SchemaGraph {
         }
         dist
     }
-
-    /// `counts[l][x]` = number of `G_S` paths of length `l` from node `x`
-    /// to `target` (as `f64`, for weighted sampling; counts can be huge).
-    pub fn path_counts_to(&self, target: GsNodeId, max_len: usize) -> Vec<Vec<f64>> {
-        let n = self.len();
-        let mut counts = vec![vec![0.0; n]; max_len + 1];
-        counts[0][target.0] = 1.0;
-        for l in 1..=max_len {
-            for u in 0..n {
-                if !self.valid[u] {
-                    continue;
-                }
-                let mut c = 0.0;
-                for &(_, v) in &self.adj[u] {
-                    c += counts[l - 1][v];
-                }
-                counts[l][u] = c;
-            }
-        }
-        counts
-    }
-
-    /// Samples, uniformly at random, a label path of exactly `len` symbols
-    /// from `u` to `v` in `G_S`, using precomputed [`Self::path_counts_to`]
-    /// for `v`. Returns `None` if no such path exists.
-    pub fn sample_path(
-        &self,
-        rng: &mut Prng,
-        u: GsNodeId,
-        len: usize,
-        counts_to_v: &[Vec<f64>],
-    ) -> Option<Vec<Symbol>> {
-        if counts_to_v[len][u.0] <= 0.0 {
-            return None;
-        }
-        let mut path = Vec::with_capacity(len);
-        let mut at = u.0;
-        for remaining in (1..=len).rev() {
-            let succs = &self.adj[at];
-            let weights: Vec<f64> = succs
-                .iter()
-                .map(|&(_, v)| counts_to_v[remaining - 1][v])
-                .collect();
-            let pick = rng.choose_weighted(&weights)?;
-            let (sym, v) = succs[pick];
-            path.push(sym);
-            at = v;
-        }
-        Some(path)
-    }
 }
 
 /// The selectivity graph `G_sel` (Section 5.2.3 (c), illustrated in Fig. 9):
@@ -287,7 +301,7 @@ impl SchemaGraph {
 /// contains a path from `u` to `v` of length within `[l_min, l_max]`.
 #[derive(Debug, Clone)]
 pub struct SelectivityGraph {
-    adj: Vec<Vec<usize>>,
+    pub(crate) adj: Vec<Vec<usize>>,
     lmin: usize,
     lmax: usize,
 }
@@ -357,11 +371,11 @@ impl SelectivityGraph {
 /// `nb_path(n, i)` counts the `G_sel` paths of length `i` from `n` ending in
 /// a node whose triple belongs to the `target` class. A chain typing of `c`
 /// conjuncts is a `G_sel` path of length `c` starting from an identity node
-/// (`(?, =, ?)`), drawn uniformly by weighting each step with the remaining
-/// path counts — the "two-step algorithm" of the paper.
+/// (`(?, =, ?)`): the start is drawn weighted by its path count, the rest
+/// is the counted walk — the "two-step algorithm" of the paper.
 #[derive(Debug)]
 pub struct ChainSampler {
-    nb_path: Vec<Vec<f64>>,
+    nb_path: PathCounts,
     starts: Vec<usize>,
 }
 
@@ -373,44 +387,29 @@ impl ChainSampler {
         target: SelectivityClass,
         max_conjuncts: usize,
     ) -> ChainSampler {
-        let n = gs.len();
-        let mut nb_path = vec![vec![0.0; n]; max_conjuncts + 1];
-        #[allow(clippy::needless_range_loop)]
-        for u in 0..n {
-            if gs.is_valid(GsNodeId(u))
-                && SelectivityClass::of_triple(gs.triple_of(GsNodeId(u))) == target
-            {
-                nb_path[0][u] = 1.0;
-            }
-        }
-        for l in 1..=max_conjuncts {
-            for u in 0..n {
-                if !gs.is_valid(GsNodeId(u)) {
-                    continue;
-                }
-                let mut c = 0.0;
-                for &v in gsel.successors(GsNodeId(u)) {
-                    c += nb_path[l - 1][v];
-                }
-                nb_path[l][u] = c;
-            }
-        }
+        let of_class = gs
+            .valid_nodes()
+            .filter(|&u| SelectivityClass::of_triple(gs.triple_of(u)) == target)
+            .map(|u| u.0);
         // Start nodes: identity triples (op =), per the paper "a node with
         // selectivity triple (?, =, ?)".
-        let starts = (0..n)
+        let starts = gs
+            .valid_nodes()
             .filter(|&u| {
-                gs.is_valid(GsNodeId(u)) && {
-                    let t = gs.triple_of(GsNodeId(u));
-                    t.op == SelOp::Eq && t.left == t.right
-                }
+                let t = gs.triple_of(u);
+                t.op == SelOp::Eq && t.left == t.right
             })
+            .map(|u| u.0)
             .collect();
-        ChainSampler { nb_path, starts }
+        ChainSampler {
+            nb_path: PathCounts::new(&gsel.adj, of_class, max_conjuncts),
+            starts,
+        }
     }
 
     /// Number of admissible typings of length `len` (0 means infeasible).
     pub fn feasible(&self, len: usize) -> f64 {
-        self.starts.iter().map(|&s| self.nb_path[len][s]).sum()
+        self.starts.iter().map(|&s| self.nb_path.get(len, s)).sum()
     }
 
     /// Draws a uniformly random admissible typing: `len + 1` `G_S` nodes,
@@ -421,22 +420,14 @@ impl ChainSampler {
         rng: &mut Prng,
         len: usize,
     ) -> Option<Vec<GsNodeId>> {
-        let weights: Vec<f64> = self.starts.iter().map(|&s| self.nb_path[len][s]).collect();
+        let weights: Vec<f64> = self
+            .starts
+            .iter()
+            .map(|&s| self.nb_path.get(len, s))
+            .collect();
         let start = self.starts[rng.choose_weighted(&weights)?];
-        let mut nodes = Vec::with_capacity(len + 1);
-        nodes.push(GsNodeId(start));
-        let mut at = start;
-        for remaining in (1..=len).rev() {
-            let succs = gsel.successors(GsNodeId(at));
-            let w: Vec<f64> = succs
-                .iter()
-                .map(|&v| self.nb_path[remaining - 1][v])
-                .collect();
-            let pick = rng.choose_weighted(&w)?;
-            at = succs[pick];
-            nodes.push(GsNodeId(at));
-        }
-        Some(nodes)
+        let steps = self.nb_path.walk(&gsel.adj, rng, start, len)?;
+        Some(std::iter::once(start).chain(steps).map(GsNodeId).collect())
     }
 }
 
@@ -447,7 +438,7 @@ impl ChainSampler {
 /// queries to instances that Section 5 emphasizes.
 #[derive(Debug, Clone)]
 pub struct TypeGraph {
-    adj: Vec<Vec<(Symbol, TypeId)>>,
+    pub(crate) adj: Vec<Vec<(Symbol, TypeId)>>,
 }
 
 impl TypeGraph {
@@ -495,58 +486,6 @@ impl TypeGraph {
             at = next;
         }
         Some((path, at))
-    }
-
-    /// `counts[l][t]` = number of type-level paths of length `l` from `t`
-    /// to `target` (for sampling disjuncts that must share an end type, and
-    /// starred-conjunct loops `T → T`).
-    pub fn path_counts_to(&self, target: TypeId, max_len: usize) -> Vec<Vec<f64>> {
-        let n = self.adj.len();
-        let mut counts = vec![vec![0.0; n]; max_len + 1];
-        counts[0][target.0] = 1.0;
-        for l in 1..=max_len {
-            for t in 0..n {
-                let mut c = 0.0;
-                for &(_, next) in &self.adj[t] {
-                    c += counts[l - 1][next.0];
-                }
-                counts[l][t] = c;
-            }
-        }
-        counts
-    }
-
-    /// Samples a uniformly random label path of exactly `len` symbols from
-    /// `from` to the target of `counts_to` (see [`Self::path_counts_to`]).
-    pub fn sample_path(
-        &self,
-        rng: &mut Prng,
-        from: TypeId,
-        len: usize,
-        counts_to: &[Vec<f64>],
-    ) -> Option<Vec<Symbol>> {
-        if counts_to[len][from.0] <= 0.0 {
-            return None;
-        }
-        let mut path = Vec::with_capacity(len);
-        let mut at = from;
-        for remaining in (1..=len).rev() {
-            let succs = &self.adj[at.0];
-            let weights: Vec<f64> = succs
-                .iter()
-                .map(|&(_, next)| counts_to[remaining - 1][next.0])
-                .collect();
-            let pick = rng.choose_weighted(&weights)?;
-            let (sym, next) = succs[pick];
-            path.push(sym);
-            at = next;
-        }
-        Some(path)
-    }
-
-    /// Number of types.
-    pub fn type_count(&self) -> usize {
-        self.adj.len()
     }
 }
 
@@ -756,36 +695,28 @@ mod tests {
         let (t1, t2, _) = ids();
         let from = gs.node(t1, SelTriple::new(Card::Many, SelOp::Eq, Card::Many));
         let to = gs.node(t2, SelTriple::new(Card::Many, SelOp::Cross, Card::Many));
-        let counts = gs.path_counts_to(to, 4);
-        assert!(counts[3][from.0] > 0.0, "b·b·b⁻ is a length-3 witness");
+        let counts = PathCounts::new(&gs.adj, [to.0], 4);
+        assert!(counts.get(3, from.0) > 0.0, "b·b·b⁻ is a length-3 witness");
+        assert_eq!(counts.get(1, from.0), 0.0, "nothing shorter reaches it");
         let mut rng = Prng::seed_from_u64(7);
         for _ in 0..20 {
-            let path = gs.sample_path(&mut rng, from, 3, &counts).expect("exists");
-            assert_eq!(path.len(), 3);
-            // A label may lead to several G_S successors (the same symbol
-            // can reach different types), so walk the *set* of possible
-            // nodes; the target must be among the final possibilities.
-            let mut frontier = vec![from.0];
-            for sym in &path {
-                let mut next: Vec<usize> = frontier
-                    .iter()
-                    .flat_map(|&u| {
-                        gs.successors(GsNodeId(u))
-                            .iter()
-                            .filter(|&&(s, _)| s == *sym)
-                            .map(|&(_, v)| v)
-                    })
-                    .collect();
-                next.sort_unstable();
-                next.dedup();
-                assert!(!next.is_empty(), "sampled symbol must be a valid move");
-                frontier = next;
+            let steps = counts.walk(&gs.adj, &mut rng, from.0, 3).expect("exists");
+            assert_eq!(steps.len(), 3);
+            // Every step is a G_S move out of the node before it, and the
+            // walk ends at the target.
+            let mut at = from.0;
+            for step in steps {
+                assert!(gs.successors(GsNodeId(at)).contains(&step));
+                at = step.1;
             }
-            assert!(
-                frontier.contains(&to.0),
-                "target reachable via sampled labels"
-            );
+            assert_eq!(at, to.0, "the walk ends in the target set");
         }
+        // The same walk on the type graph: T2 loops back to itself via b·b⁻.
+        let tg = TypeGraph::build(&schema);
+        let loops = PathCounts::new(&tg.adj, [t2.0], 2);
+        assert!(loops.get(2, t2.0) > 0.0);
+        let steps = loops.walk(&tg.adj, &mut rng, t2.0, 2).expect("a loop");
+        assert_eq!(steps.last().map(|&(_, t)| t), Some(t2));
     }
 
     #[test]
@@ -795,9 +726,11 @@ mod tests {
         let (t1, t2, _) = ids();
         let from = gs.node(t1, SelTriple::new(Card::Many, SelOp::Eq, Card::Many));
         let to = gs.node(t2, SelTriple::new(Card::Many, SelOp::Cross, Card::Many));
-        let counts = gs.path_counts_to(to, 2);
+        let counts = PathCounts::new(&gs.adj, [to.0], 2);
         let mut rng = Prng::seed_from_u64(8);
-        assert!(gs.sample_path(&mut rng, from, 1, &counts).is_none());
+        let before = rng.clone();
+        assert!(counts.walk(&gs.adj, &mut rng, from.0, 1).is_none());
+        assert_eq!(rng, before, "an infeasible walk draws nothing");
     }
 
     #[test]

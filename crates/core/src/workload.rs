@@ -23,24 +23,27 @@
 //!
 //! # Parallel pipeline
 //!
-//! Workload generation mirrors the graph pipeline's architecture
-//! ([`crate::gen::generate_graph`]): the shared selectivity context —
-//! schema graph `G_S`, type graph, and the per-(relaxation, class)
-//! `G_sel`/`ChainSampler` tables — is built **once** as an immutable
-//! [`WorkloadContext`] snapshot; worker threads then claim query indices
-//! from a shared counter and draw from per-query RNG streams split off the
-//! master seed by query index ([`gmark_stats::Prng::split2`], domain-
-//! separated from the graph generator's constraint streams). Query `i` is
-//! therefore a pure function of `(schema, config, i)`, so the assembled
-//! [`Workload`] and [`WorkloadReport`] are bit-identical at every thread
-//! count — `generate_workload_with_threads(.., 1)`, `2`, and `8` agree
-//! exactly, and `tests/workload_determinism.rs` pins the guarantee.
+//! The shared selectivity context — schema graph `G_S`, type graph, and per
+//! relaxation level one `G_sel` with a `ChainSampler` per class — is built
+//! **once** as an immutable [`WorkloadContext`]. Query `i` then draws from
+//! an RNG stream split off the master seed by `i`
+//! ([`gmark_stats::Prng::split2`], domain-separated from the graph
+//! generator's constraint streams), so it is a pure function of
+//! `(schema, config, i)`. [`WorkloadContext::generate_all`] hands the
+//! indices to [`gmark_store::ordered_map`], the streaming pipeline in
+//! `gmark-translate` to an `OrderedEmitter`; both put the queries back in
+//! index order, which makes the workload bit-identical at every thread
+//! count (the argument is made once, in [`gmark_store::emit`]) —
+//! `tests/workload_determinism.rs` pins it.
 
-use crate::query::{Conjunct, PathExpr, Query, QueryError, RegularExpr, Rule, Var};
+use crate::query::{Conjunct, PathExpr, Query, QueryError, RegularExpr, Rule, Symbol, Var};
 use crate::schema::{Schema, TypeId};
-use crate::selectivity::graph::{ChainSampler, GsNodeId, SchemaGraph, SelectivityGraph, TypeGraph};
+use crate::selectivity::graph::{
+    ChainSampler, GsNodeId, PathCounts, SchemaGraph, SelectivityGraph, Step, TypeGraph,
+};
 use crate::selectivity::{Estimator, SelectivityClass};
 use gmark_stats::Prng;
+use gmark_store::ordered_map;
 
 /// Query shapes supported by gMark (Section 3.3): chain, star, cycle, and
 /// star-chain. The non-chain shapes are built from chains, exactly as
@@ -435,11 +438,8 @@ const MAX_RELAX: usize = 4;
 /// same child stream.
 const RNG_DOMAIN_WORKLOAD: u64 = 0x574B_4C44; // "WKLD"
 
-/// Generates a query workload from a schema (Fig. 6), single-threaded.
-///
-/// Equivalent to [`generate_workload_with_threads`] with one thread (any
-/// thread count produces bit-identical output; this entry point just skips
-/// the worker machinery).
+/// Generates a query workload from a schema (Fig. 6), single-threaded:
+/// [`generate_workload_with_threads`] with one thread.
 pub fn generate_workload(
     schema: &Schema,
     config: &WorkloadConfig,
@@ -448,11 +448,8 @@ pub fn generate_workload(
 }
 
 /// Generates a query workload on `threads` worker threads (Fig. 6, the
-/// parallel pipeline of the module docs). `0` auto-detects via
-/// [`std::thread::available_parallelism`]. Output is **bit-identical for
-/// every thread count**: each query draws from an RNG stream split off the
-/// master seed by query index, and results are assembled in ascending
-/// index order.
+/// parallel pipeline of the module docs; `0` = every core). Output is
+/// **bit-identical for every thread count**.
 pub fn generate_workload_with_threads(
     schema: &Schema,
     config: &WorkloadConfig,
@@ -462,52 +459,47 @@ pub fn generate_workload_with_threads(
 }
 
 /// The immutable shared snapshot of the workload pipeline: schema graph
-/// `G_S`, type graph, and the `G_sel`/`ChainSampler` tables per
-/// (relaxation level, selectivity class) — built once, then read
-/// concurrently by worker threads ([`WorkloadContext::generate`] takes
-/// `&self`).
+/// `G_S`, type graph, and per relaxation level `G_sel` with its
+/// `ChainSampler`s — built once, then read concurrently by worker threads
+/// ([`WorkloadContext::generate`] takes `&self`).
 pub struct WorkloadContext<'a> {
     schema: &'a Schema,
     config: &'a WorkloadConfig,
     master: Prng,
     gs: SchemaGraph,
     type_graph: TypeGraph,
-    /// `G_sel` + `ChainSampler` per (relaxation level, selectivity class).
-    samplers: Vec<Vec<(SelectivityGraph, ChainSampler)>>,
+    /// Per relaxation level: `G_sel` and one `ChainSampler` per class, in
+    /// [`SelectivityClass::ALL`] order.
+    levels: Vec<(SelectivityGraph, Vec<ChainSampler>)>,
 }
 
 impl<'a> WorkloadContext<'a> {
     /// Builds the shared selectivity context for `(schema, config)`.
     pub fn new(schema: &'a Schema, config: &'a WorkloadConfig) -> Self {
         let gs = SchemaGraph::build(schema);
-        let type_graph = TypeGraph::build(schema);
-        let (lmin, lmax) = config.query_size.length;
-        let lmin = lmin.max(1);
-        let lmax = lmax.max(lmin);
         let max_conj = config.query_size.conjuncts.1.max(1);
-        let mut samplers = Vec::new();
-        if !config.selectivities.is_empty() {
-            for relax in 0..=MAX_RELAX {
-                let level_lmin = if relax == 0 { lmin } else { 1 };
-                let level_lmax = lmax + relax;
-                let gsel = SelectivityGraph::build(&gs, level_lmin, level_lmax);
-                let per_class: Vec<(SelectivityGraph, ChainSampler)> = SelectivityClass::ALL
-                    .iter()
-                    .map(|&class| {
-                        let sampler = ChainSampler::new(&gs, &gsel, class, max_conj);
-                        (gsel.clone(), sampler)
-                    })
-                    .collect();
-                samplers.push(per_class);
-            }
-        }
+        let levels = if config.selectivities.is_empty() {
+            Vec::new()
+        } else {
+            (0..=MAX_RELAX)
+                .map(|relax| {
+                    let (lmin, lmax) = effective_lengths(config.query_size.length, relax);
+                    let gsel = SelectivityGraph::build(&gs, lmin, lmax);
+                    let samplers = SelectivityClass::ALL
+                        .iter()
+                        .map(|&class| ChainSampler::new(&gs, &gsel, class, max_conj))
+                        .collect();
+                    (gsel, samplers)
+                })
+                .collect()
+        };
         WorkloadContext {
             schema,
             config,
             master: Prng::seed_from_u64(config.seed),
+            type_graph: TypeGraph::build(schema),
             gs,
-            type_graph,
-            samplers,
+            levels,
         }
     }
 
@@ -535,69 +527,16 @@ impl<'a> WorkloadContext<'a> {
             .map_err(|source| WorkloadError { index: i, source })
     }
 
-    /// Resolves a thread-count knob (`0` = auto-detect) against the
-    /// workload size: never more workers than queries, never fewer than 1.
-    /// The single authority for this policy — the streaming pipeline in
-    /// `gmark-translate` resolves its worker count through here too.
-    pub fn effective_threads(&self, threads: usize) -> usize {
-        let t = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        };
-        t.clamp(1, self.config.size.max(1))
-    }
-
     /// Generates the whole workload on `threads` workers (see
-    /// [`generate_workload_with_threads`]).
+    /// [`generate_workload_with_threads`]). Collected in index order, so
+    /// the error reported is the lowest failing index's.
     pub fn generate_all(
         &self,
         threads: usize,
     ) -> Result<(Workload, WorkloadReport), WorkloadError> {
-        let size = self.config.size;
-        let threads = self.effective_threads(threads);
-        let mut queries: Vec<GeneratedQuery> = Vec::with_capacity(size);
-        if threads <= 1 {
-            for i in 0..size {
-                queries.push(self.generate(i)?);
-            }
-        } else {
-            // Workers claim query indices from a shared counter (dynamic
-            // load balance: per-query cost varies with relaxation retries)
-            // and results are re-assembled in ascending index order, which
-            // also makes the reported error — the lowest failing index —
-            // independent of scheduling.
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let mut batches: Vec<(usize, Result<GeneratedQuery, WorkloadError>)> =
-                std::thread::scope(|scope| {
-                    let next = &next;
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    if i >= size {
-                                        break;
-                                    }
-                                    out.push((i, self.generate(i)));
-                                }
-                                out
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("workload worker panicked"))
-                        .collect()
-                });
-            batches.sort_by_key(|(i, _)| *i);
-            for (_, result) in batches {
-                queries.push(result?);
-            }
-        }
+        let queries = ordered_map(threads, self.config.size, |i| self.generate(i))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         let mut report = WorkloadReport::default();
         for gq in &queries {
             report.absorb(gq);
@@ -704,12 +643,12 @@ impl<'a> WorkloadContext<'a> {
         let spine_starred: Vec<bool> = skeleton.spine.iter().map(|&(ci, _)| starred[ci]).collect();
         let walk_len = spine_starred.iter().filter(|&&s| !s).count();
 
-        for relax in 0..self.samplers.len() {
-            let class_idx = SelectivityClass::ALL
-                .iter()
-                .position(|&cl| cl == target)
-                .unwrap();
-            let (gsel, sampler) = &self.samplers[relax][class_idx];
+        let class = SelectivityClass::ALL
+            .iter()
+            .position(|&cl| cl == target)
+            .expect("ALL lists every class");
+        for (relax, (gsel, samplers)) in self.levels.iter().enumerate() {
+            let sampler = &samplers[class];
             if walk_len == 0 {
                 // All spine conjuncts starred: the chain class is the
                 // identity — only achievable for the Linear/Constant
@@ -718,7 +657,7 @@ impl<'a> WorkloadContext<'a> {
                 let node = self.identity_node_of_class(target)?;
                 let nodes = vec![node; skeleton.spine.len() + 1];
                 if let Some(rule) =
-                    self.build_rule_from_typing(rng, skeleton, starred, &nodes, gsel, relax)
+                    self.build_rule_from_typing(rng, skeleton, starred, &nodes, relax)
                 {
                     return Some((rule, relax as u32));
                 }
@@ -750,8 +689,7 @@ impl<'a> WorkloadContext<'a> {
                         nodes.push(walk[w]);
                     }
                 }
-                let Some(rule) =
-                    self.build_rule_from_typing(rng, skeleton, starred, &nodes, gsel, relax)
+                let Some(rule) = self.build_rule_from_typing(rng, skeleton, starred, &nodes, relax)
                 else {
                     continue;
                 };
@@ -792,112 +730,59 @@ impl<'a> WorkloadContext<'a> {
         skeleton: &Skeleton,
         starred: &[bool],
         nodes: &[GsNodeId],
-        gsel: &SelectivityGraph,
         relax: usize,
     ) -> Option<Rule> {
-        let (lmin, lmax) = effective_lengths(self.config.query_size.length, relax);
-        let (dmin, dmax) = self.config.query_size.disjuncts;
+        let lens = effective_lengths(self.config.query_size.length, relax);
         let mut exprs: Vec<Option<RegularExpr>> = vec![None; skeleton.conjuncts.len()];
         let mut var_types: Vec<Option<TypeId>> = vec![None; skeleton.var_count];
 
         // Spine conjuncts.
         for (pos, &(ci, reversed)) in skeleton.spine.iter().enumerate() {
             let (u, v) = (nodes[pos], nodes[pos + 1]);
-            let (src_var, trg_var) = skeleton.conjuncts[ci];
-            let (from_var, to_var) = if reversed {
-                (trg_var, src_var)
-            } else {
-                (src_var, trg_var)
-            };
+            let (from_var, to_var) = skeleton.traversed(ci, reversed);
             var_types[from_var as usize] = Some(self.gs.type_of(u));
             var_types[to_var as usize] = Some(self.gs.type_of(v));
-            let d = rng.range_inclusive(dmin.max(1) as u64, dmax.max(1) as u64) as usize;
+            let d = self.disjunct_count(rng);
             let expr = if starred[ci] {
                 // Identity transition: loops on the node's type.
-                self.star_loop_expr(rng, self.gs.type_of(u), d, lmin, lmax)?
+                self.star_loop_expr(rng, self.gs.type_of(u), d, lens)?
             } else {
-                self.gs_path_expr(rng, u, v, d, lmin, lmax)?
+                let paths = draw_disjuncts(rng, &self.gs.adj, (u.0, v.0), lens, d, vec![]);
+                (!paths.is_empty()).then(|| RegularExpr::union(paths))?
             };
             // Orient the expression with the conjunct's declared direction.
             exprs[ci] = Some(if reversed { reverse_expr(&expr) } else { expr });
         }
-        let _ = gsel; // typing already validated against G_sel
 
         // Branch conjuncts (star/star-chain arms): type-graph walks anchored
         // at a variable whose type is already known.
         for &(ci, reversed) in &skeleton.branches {
-            let (src_var, trg_var) = skeleton.conjuncts[ci];
-            let (anchor, other) = if reversed {
-                (trg_var, src_var)
-            } else {
-                (src_var, trg_var)
-            };
+            let (anchor, other) = skeleton.traversed(ci, reversed);
             let anchor_type = var_types[anchor as usize]?;
-            let d = rng.range_inclusive(dmin.max(1) as u64, dmax.max(1) as u64) as usize;
+            let d = self.disjunct_count(rng);
             let expr = if starred[ci] {
-                self.star_loop_expr(rng, anchor_type, d, lmin, lmax)
-                    .or_else(|| {
-                        // No loop at this type: degrade to a non-recursive walk.
-                        self.walk_expr(rng, anchor_type, d, lmin, lmax)
-                            .map(|(e, _)| e)
-                    })?
+                self.star_loop_expr(rng, anchor_type, d, lens).or_else(|| {
+                    // No loop at this type: degrade to a non-recursive walk.
+                    self.walk_expr(rng, anchor_type, d, lens).map(|(e, _)| e)
+                })?
             } else {
-                let (e, end) = self.walk_expr(rng, anchor_type, d, lmin, lmax)?;
+                let (e, end) = self.walk_expr(rng, anchor_type, d, lens)?;
                 var_types[other as usize] = Some(end);
                 e
             };
             exprs[ci] = Some(if reversed { reverse_expr(&expr) } else { expr });
         }
 
-        let body: Vec<Conjunct> = skeleton
-            .conjuncts
-            .iter()
-            .zip(exprs)
-            .map(|(&(s, t), e)| {
-                Some(Conjunct {
-                    src: Var(s),
-                    expr: e?,
-                    trg: Var(t),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
         Some(Rule {
             head: vec![Var(skeleton.endpoints.0), Var(skeleton.endpoints.1)],
-            body,
+            body: skeleton.body(exprs)?,
         })
     }
 
-    /// A (possibly multi-disjunct) expression of `G_S` paths `u → v` with
-    /// lengths in `[lmin, lmax]`.
-    fn gs_path_expr(
-        &self,
-        rng: &mut Prng,
-        u: GsNodeId,
-        v: GsNodeId,
-        disjuncts: usize,
-        lmin: usize,
-        lmax: usize,
-    ) -> Option<RegularExpr> {
-        let counts = self.gs.path_counts_to(v, lmax);
-        let weights: Vec<f64> = (0..=lmax)
-            .map(|l| if l >= lmin { counts[l][u.0] } else { 0.0 })
-            .collect();
-        let mut paths: Vec<PathExpr> = Vec::with_capacity(disjuncts);
-        // Prefer distinct disjuncts; the schema may only admit fewer
-        // distinct paths than requested, so retries are bounded.
-        let mut attempts = 0;
-        while paths.len() < disjuncts && attempts < disjuncts * 6 {
-            attempts += 1;
-            let l = rng.choose_weighted(&weights)?;
-            let path = PathExpr(self.gs.sample_path(rng, u, l, &counts)?);
-            if !paths.contains(&path) {
-                paths.push(path);
-            }
-        }
-        if paths.is_empty() {
-            return None;
-        }
-        Some(RegularExpr::union(paths))
+    /// The disjunct count of one conjunct, drawn from `[d_min, d_max]`.
+    fn disjunct_count(&self, rng: &mut Prng) -> usize {
+        let (dmin, dmax) = self.config.query_size.disjuncts;
+        rng.range_inclusive(dmin.max(1) as u64, dmax.max(1) as u64) as usize
     }
 
     /// A starred expression of type-level loops `T → T`.
@@ -906,62 +791,28 @@ impl<'a> WorkloadContext<'a> {
         rng: &mut Prng,
         t: TypeId,
         disjuncts: usize,
-        lmin: usize,
-        lmax: usize,
+        lens: (usize, usize),
     ) -> Option<RegularExpr> {
-        let counts = self.type_graph.path_counts_to(t, lmax);
-        let weights: Vec<f64> = (0..=lmax)
-            .map(|l| if l >= lmin { counts[l][t.0] } else { 0.0 })
-            .collect();
-        let mut paths: Vec<PathExpr> = Vec::with_capacity(disjuncts);
-        let mut attempts = 0;
-        while paths.len() < disjuncts && attempts < disjuncts * 6 {
-            attempts += 1;
-            let l = rng.choose_weighted(&weights)?;
-            let path = PathExpr(self.type_graph.sample_path(rng, t, l, &counts)?);
-            if !paths.contains(&path) {
-                paths.push(path);
-            }
-        }
-        if paths.is_empty() {
-            return None;
-        }
-        Some(RegularExpr::star(paths))
+        let adj = &self.type_graph.adj;
+        let paths = draw_disjuncts(rng, adj, (t.0, t.0), lens, disjuncts, vec![]);
+        (!paths.is_empty()).then(|| RegularExpr::star(paths))
     }
 
-    /// A walk-based expression from `from`; all disjuncts share the end
-    /// type. Returns the expression and the end type.
+    /// A walk-based expression from `from`: one uniform random walk, then
+    /// further disjuncts drawn to share its end type. Returns the
+    /// expression and the end type.
     fn walk_expr(
         &self,
         rng: &mut Prng,
         from: TypeId,
         disjuncts: usize,
-        lmin: usize,
-        lmax: usize,
+        lens: (usize, usize),
     ) -> Option<(RegularExpr, TypeId)> {
-        let l0 = rng.range_inclusive(lmin.max(1) as u64, lmax.max(1) as u64) as usize;
+        let l0 = rng.range_inclusive(lens.0.max(1) as u64, lens.1.max(1) as u64) as usize;
         let (first, end) = self.type_graph.random_walk(rng, from, l0)?;
-        let mut paths = vec![PathExpr(first)];
-        if disjuncts > 1 {
-            let counts = self.type_graph.path_counts_to(end, lmax);
-            let weights: Vec<f64> = (0..=lmax)
-                .map(|l| if l >= lmin { counts[l][from.0] } else { 0.0 })
-                .collect();
-            let mut attempts = 0;
-            while paths.len() < disjuncts && attempts < disjuncts * 6 {
-                attempts += 1;
-                if let Some(l) = rng.choose_weighted(&weights) {
-                    if let Some(p) = self.type_graph.sample_path(rng, from, l, &counts) {
-                        let p = PathExpr(p);
-                        if !paths.contains(&p) {
-                            paths.push(p);
-                        }
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
+        let adj = &self.type_graph.adj;
+        let first = vec![PathExpr(first)];
+        let paths = draw_disjuncts(rng, adj, (from.0, end.0), lens, disjuncts, first);
         Some((RegularExpr::union(paths), end))
     }
 
@@ -974,9 +825,7 @@ impl<'a> WorkloadContext<'a> {
         starred: &[bool],
         arity: usize,
     ) -> Rule {
-        let (lmin, lmax) = self.config.query_size.length;
-        let (lmin, lmax) = (lmin.max(1), lmax.max(lmin.max(1)));
-        let (dmin, dmax) = self.config.query_size.disjuncts;
+        let lens = effective_lengths(self.config.query_size.length, 0);
         let mut var_types: Vec<Option<TypeId>> = vec![None; skeleton.var_count];
         // Start type: one that has outgoing moves.
         let start_types: Vec<TypeId> = (0..self.schema.type_count())
@@ -984,19 +833,9 @@ impl<'a> WorkloadContext<'a> {
             .filter(|&t| !self.type_graph.successors(t).is_empty())
             .collect();
 
-        let mut exprs: Vec<RegularExpr> = Vec::with_capacity(skeleton.conjuncts.len());
-        for (order_idx, &(ci, reversed)) in skeleton
-            .spine
-            .iter()
-            .chain(skeleton.branches.iter())
-            .enumerate()
-        {
-            let (src_var, trg_var) = skeleton.conjuncts[ci];
-            let (anchor, other) = if reversed {
-                (trg_var, src_var)
-            } else {
-                (src_var, trg_var)
-            };
+        let mut exprs: Vec<Option<RegularExpr>> = vec![None; skeleton.conjuncts.len()];
+        for &(ci, reversed) in skeleton.spine.iter().chain(&skeleton.branches) {
+            let (anchor, other) = skeleton.traversed(ci, reversed);
             let anchor_type = var_types[anchor as usize].unwrap_or_else(|| {
                 if start_types.is_empty() {
                     TypeId(0)
@@ -1005,9 +844,9 @@ impl<'a> WorkloadContext<'a> {
                 }
             });
             var_types[anchor as usize] = Some(anchor_type);
-            let d = rng.range_inclusive(dmin.max(1) as u64, dmax.max(1) as u64) as usize;
+            let d = self.disjunct_count(rng);
             let expr = if starred[ci] {
-                self.star_loop_expr(rng, anchor_type, d, lmin, lmax)
+                self.star_loop_expr(rng, anchor_type, d, lens)
                     .unwrap_or_else(|| {
                         // No loops at this type: fall back to a single symbol
                         // star if any move exists, else an ε-star.
@@ -1020,7 +859,7 @@ impl<'a> WorkloadContext<'a> {
                         }
                     })
             } else {
-                match self.walk_expr(rng, anchor_type, d, lmin, lmax) {
+                match self.walk_expr(rng, anchor_type, d, lens) {
                     Some((e, end)) => {
                         var_types[other as usize] = Some(end);
                         e
@@ -1032,31 +871,11 @@ impl<'a> WorkloadContext<'a> {
                     }
                 }
             };
-            let expr = if reversed { reverse_expr(&expr) } else { expr };
-            // Maintain positional alignment via index ordering.
-            let _ = order_idx;
-            exprs.push(expr);
+            exprs[ci] = Some(if reversed { reverse_expr(&expr) } else { expr });
         }
-        // Reorder expressions back to conjunct order.
-        let mut by_conjunct: Vec<Option<RegularExpr>> = vec![None; skeleton.conjuncts.len()];
-        for (slot, &(ci, _)) in skeleton
-            .spine
-            .iter()
-            .chain(skeleton.branches.iter())
-            .enumerate()
-        {
-            by_conjunct[ci] = Some(exprs[slot].clone());
-        }
-        let body: Vec<Conjunct> = skeleton
-            .conjuncts
-            .iter()
-            .zip(by_conjunct)
-            .map(|(&(s, t), e)| Conjunct {
-                src: Var(s),
-                expr: e.expect("all conjuncts visited"),
-                trg: Var(t),
-            })
-            .collect();
+        let body = skeleton
+            .body(exprs)
+            .expect("every conjunct is on the spine or a branch");
 
         // Projection: endpoints first (binary default), then random extras.
         let mut head = Vec::with_capacity(arity);
@@ -1075,6 +894,50 @@ impl<'a> WorkloadContext<'a> {
         }
         Rule { head, body }
     }
+}
+
+/// Tops `paths` up to `wanted` distinct label paths `from → to` in `G_S`
+/// or the type graph: a length in `[lmin, lmax]` weighted by how many
+/// paths it has, then the counted walk of that length — every admissible
+/// path equally likely (Section 5.2.4). At most `6 × wanted` draws, since
+/// the schema may admit fewer distinct paths.
+fn draw_disjuncts<N>(
+    rng: &mut Prng,
+    adj: &[Vec<(Symbol, N)>],
+    (from, to): (usize, usize),
+    (lmin, lmax): (usize, usize),
+    wanted: usize,
+    mut paths: Vec<PathExpr>,
+) -> Vec<PathExpr>
+where
+    (Symbol, N): Step,
+{
+    if paths.len() >= wanted {
+        return paths;
+    }
+    let counts = PathCounts::new(adj, [to], lmax);
+    let weights: Vec<f64> = (0..=lmax)
+        .map(|l| if l >= lmin { counts.get(l, from) } else { 0.0 })
+        .collect();
+    let mut attempts = 0;
+    while paths.len() < wanted && attempts < wanted * 6 {
+        attempts += 1;
+        // No admissible length now means none ever: the weights are fixed.
+        let Some(len) = rng.choose_weighted(&weights) else {
+            break;
+        };
+        // A length drawn with positive weight always has a walk: every
+        // step moves to a node with a positive count left, so the walk
+        // never dead-ends — skipping here and giving up cannot differ.
+        let Some(steps) = counts.walk(adj, rng, from, len) else {
+            continue;
+        };
+        let path = PathExpr(steps.into_iter().map(|(sym, _)| sym).collect());
+        if !paths.contains(&path) {
+            paths.push(path);
+        }
+    }
+    paths
 }
 
 fn effective_lengths(base: (usize, usize), relax: usize) -> (usize, usize) {
@@ -1105,6 +968,35 @@ struct Skeleton {
     /// `(conjunct index, reversed?)`, anchored at an already-typed variable.
     branches: Vec<(usize, bool)>,
     endpoints: (u32, u32),
+}
+
+impl Skeleton {
+    /// Conjunct `ci`'s variables in traversal order: `(src, trg)`, swapped
+    /// when `reversed`.
+    fn traversed(&self, ci: usize, reversed: bool) -> (u32, u32) {
+        let (src, trg) = self.conjuncts[ci];
+        if reversed {
+            (trg, src)
+        } else {
+            (src, trg)
+        }
+    }
+
+    /// The rule body once every conjunct has its expression; `None` if one
+    /// is missing.
+    fn body(&self, exprs: Vec<Option<RegularExpr>>) -> Option<Vec<Conjunct>> {
+        self.conjuncts
+            .iter()
+            .zip(exprs)
+            .map(|(&(s, t), expr)| {
+                Some(Conjunct {
+                    src: Var(s),
+                    expr: expr?,
+                    trg: Var(t),
+                })
+            })
+            .collect()
+    }
 }
 
 /// Builds the shape skeletons of Section 5.1: cycles are two chains sharing

@@ -2,28 +2,28 @@
 //! Section 7 experiment, fanned over worker threads, reassembled into a
 //! deterministic report.
 //!
-//! [`evaluate_matrix`] is to evaluation what the parallel generators are
-//! to the graph and workload stages: worker threads claim cell indices
-//! from a shared counter, each cell evaluates one query on one engine
-//! under a **fresh per-cell [`Budget`]** (late cells are not charged for
-//! early ones), and the results are reassembled in ascending
-//! `(query index, engine position)` order. Because every engine is a
-//! deterministic function of `(graph, query, budget caps)`, the resulting
+//! [`evaluate_matrix`] runs the cells through the same fan-out as the
+//! graph and workload stages, [`gmark_store::ordered_map`]: each cell
+//! evaluates one query on one engine under a **fresh per-cell [`Budget`]**
+//! (late cells are not charged for early ones) and comes back in
+//! ascending `(query index, engine position)` order. Every engine is a
+//! deterministic function of `(graph, query, budget caps)`, so the
 //! [`EvalReport`] — answer-set cardinalities and failure outcomes — is
-//! **bit-identical at every thread count** whenever cell outcomes do not
-//! depend on the wall clock: with no time limit, with a generous limit no
-//! cell approaches, or with an already-expired one (the regimes the
-//! determinism tests pin). Wall-clock measurements are still taken per
-//! cell, but they live outside the deterministic rendering — see
-//! [`EvalCell::time_bucket`] and [`EvalReport::render_times`].
+//! **bit-identical at every thread count** (the argument is made once, in
+//! [`gmark_store::emit`]) whenever cell outcomes do not depend on the wall
+//! clock: with no time limit, with a generous limit no cell approaches, or
+//! with an already-expired one (the regimes the determinism tests pin).
+//! Wall-clock measurements are still taken per cell, but they live outside
+//! the deterministic rendering — see [`EvalCell::time_bucket`] and
+//! [`EvalReport::render_times`].
 
 use crate::context::EvalContext;
 use crate::planner::{plan_query, QueryPlan};
 use crate::{datalog, navigational, relational, triplestore, Answers, Budget, EvalError};
 use gmark_core::query::{Conjunct, Query};
 use gmark_core::schema::Schema;
+use gmark_store::ordered_map;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One of the four in-repo engines, named by the paper's system letter.
@@ -126,6 +126,9 @@ impl EngineKind {
         plan: Option<&QueryPlan>,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
+        if query.rules.is_empty() {
+            return Err(EvalError::Unsupported("a query has no rule".to_owned()));
+        }
         if query.rules.iter().any(|rule| rule.arity() != query.arity()) {
             return Err(EvalError::Unsupported(
                 "the rules of a query must agree on the head arity".to_owned(),
@@ -187,8 +190,8 @@ impl CellBudget {
 /// Execution knobs of [`evaluate_matrix`].
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixOptions {
-    /// Worker threads; `0` auto-detects via
-    /// [`std::thread::available_parallelism`]. The report's deterministic
+    /// Worker threads; `0` means every core
+    /// ([`gmark_store::resolve_threads`]). The report's deterministic
     /// content never depends on this value.
     pub threads: usize,
     /// Extra timing runs per successful cell, following the Section 7.1
@@ -490,12 +493,11 @@ impl EvalReport {
 
 /// Evaluates every (query × engine) cell of a workload, in parallel.
 ///
-/// Worker threads claim cell indices from a shared counter; each cell gets
-/// a fresh budget from `budget` ([`CellBudget::start`]) and runs
-/// [`EngineKind::evaluate`] against the shared context (optionally
-/// repeated `warm_runs` times for the Section 7.1 timing protocol).
-/// Results are reassembled in ascending `(query index, engine position)`
-/// order, so the report layout is independent of scheduling.
+/// One [`ordered_map`] unit per cell: each gets a fresh budget from
+/// `budget` ([`CellBudget::start`]) and runs [`EngineKind::evaluate`]
+/// against the shared context (optionally repeated `warm_runs` times for
+/// the Section 7.1 timing protocol); cells come back in ascending
+/// `(query index, engine position)` order whatever the scheduling.
 pub fn evaluate_matrix(
     ctx: &EvalContext<'_>,
     queries: &[&Query],
@@ -519,8 +521,6 @@ pub fn evaluate_matrix_with_schema(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) -> EvalReport {
-    let cell_count = queries.len() * engines.len();
-    let threads = resolve_threads(options.threads).min(cell_count.max(1));
     warm_context(ctx, queries, engines, budget, options);
 
     // One plan per query, shared by every engine column. Planning happens
@@ -532,29 +532,9 @@ pub fn evaluate_matrix_with_schema(
         .then(|| queries.iter().map(|q| plan_query(ctx, schema, q)).collect());
     let plans = plans.as_deref();
 
-    // One claim loop; the caller is worker 0.
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut out = Vec::new();
-        loop {
-            let ci = next.fetch_add(1, Ordering::Relaxed);
-            if ci >= cell_count {
-                break out;
-            }
-            let cell = run_cell(ctx, queries, engines, budget, options.warm_runs, plans, ci);
-            out.push((ci, cell));
-        }
-    };
-    let mut indexed: Vec<(usize, EvalCell)> = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-        let mut indexed = worker();
-        for handle in spawned {
-            indexed.extend(handle.join().expect("matrix worker panicked"));
-        }
-        indexed
+    let cells = ordered_map(options.threads, queries.len() * engines.len(), |ci| {
+        run_cell(ctx, queries, engines, budget, options.warm_runs, plans, ci)
     });
-    indexed.sort_by_key(|(ci, _)| *ci);
-    let cells = indexed.into_iter().map(|(_, cell)| cell).collect();
 
     EvalReport {
         engines: engines.to_vec(),
@@ -619,16 +599,6 @@ fn warm_context(
             }
         }
         ctx.fill_expr_cache(&exprs, options.cache_mb, || budget.start());
-    }
-}
-
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
     }
 }
 
@@ -845,16 +815,23 @@ mod tests {
     #[test]
     fn a_malformed_head_is_an_unsupported_cell_on_every_engine() {
         // `Query.rules` is public, so a head variable the body never binds,
-        // or two rules of different arity, reach the engines unvalidated.
+        // two rules of different arity, or no rule at all reach the engines
+        // unvalidated.
         let mut unsafe_head = chain(vec![RegularExpr::symbol(sym(0))]);
         unsafe_head.rules[0].head = vec![Var(7)];
         let mut two_arities = chain(vec![RegularExpr::symbol(sym(0))]);
         let mut narrower = two_arities.rules[0].clone();
         narrower.head.pop();
         two_arities.rules.push(narrower);
+        let no_rules = Query { rules: vec![] };
         let g = graph();
         let ctx = EvalContext::new(&g);
-        for (q, needle) in [(&unsafe_head, "?x7"), (&two_arities, "arity")] {
+        let cases = [
+            (&unsafe_head, "?x7"),
+            (&two_arities, "arity"),
+            (&no_rules, "no rule"),
+        ];
+        for (q, needle) in cases {
             for kind in EngineKind::ALL {
                 let result = kind.evaluate(&ctx, q, None, &Budget::default());
                 assert!(
@@ -869,14 +846,14 @@ mod tests {
         };
         let report = evaluate_matrix(
             &ctx,
-            &[&unsafe_head, &two_arities],
+            &[&unsafe_head, &two_arities, &no_rules],
             &EngineKind::ALL,
             &CellBudget::default(),
             &options,
         );
         let labels: Vec<String> = report.cells.iter().map(EvalCell::label).collect();
-        assert_eq!(labels, ["unsupported"; 8]);
-        assert_eq!(report.totals().unsupported, 8);
+        assert_eq!(labels, ["unsupported"; 12]);
+        assert_eq!(report.totals().unsupported, 12);
     }
 
     #[test]

@@ -1,14 +1,29 @@
-//! Ordered in-memory hand-off: many workers, one byte sequence.
+//! The one fan-out of the workspace: many workers, numbered units, one
+//! ordered result.
 //!
-//! Both streaming pipelines split their output into numbered *units* — the
-//! graph into schema constraints (or predicates), the workload into
-//! queries — whose bytes are a pure function of `(inputs, seed, unit)`:
+//! Every parallel stage splits its work into numbered *units* — schema
+//! constraints, `(predicate, direction)` CSR items, queries, evaluation
+//! cells — whose result is a pure function of `(inputs, seed, unit)`:
 //! every unit draws from an RNG stream split off the master seed by its
-//! index. Writing the units in **ascending order** therefore produces the
-//! same document at every thread count. [`OrderedEmitter`] does that in
-//! one pass, without temp files:
+//! index, or draws nothing. Workers claim units off one atomic counter in
+//! ascending order, and the results are put back **in unit order**, so
+//! which worker ran a unit, and when, cannot show in the output: it is the
+//! same at every thread count, one included. That argument is made here,
+//! once, for two primitives on one spawn/join core:
 //!
-//! * workers claim units off an atomic counter, in ascending order;
+//! * [`ordered_map`] — ordered *values*: `map(i)` for every unit, returned
+//!   as a `Vec` in index order;
+//! * [`OrderedEmitter`] — ordered *bytes*: units write blocks to shared
+//!   outputs, and the emitter writes them in unit order, in one pass,
+//!   without temp files.
+//!
+//! [`resolve_threads`] is the one thread-count policy (`0` = every
+//! available core, never more workers than units). The caller is always
+//! worker 0, so one thread spawns nothing; a worker's panic is resumed on
+//! the caller with its own payload once the other workers have stopped.
+//!
+//! The emitter, step by step:
+//!
 //! * the *head* is the lowest unit not yet finished. Its owner's blocks go
 //!   straight through to the output;
 //! * a worker that is ahead of the head *parks* its blocks in memory, up
@@ -38,6 +53,68 @@ use std::time::Instant;
 /// of them. A constant on purpose: the output is one sequential stream, so
 /// a larger budget buys no throughput, only a larger footprint.
 const PARK_BUDGET: usize = 2 << 20;
+
+/// Resolves a requested worker count for `units` units of work: `0` means
+/// every available core ([`std::thread::available_parallelism`], 1 when
+/// unknown), and the result is clamped to `1..=units.max(1)` — a worker
+/// past the last unit would only spawn and exit.
+pub fn resolve_threads(requested: usize, units: usize) -> usize {
+    let threads = match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    threads.clamp(1, units.max(1))
+}
+
+/// Runs `worker(k)` for every `k < threads` — `threads - 1` scoped threads
+/// plus the caller as worker 0 — and returns the results in worker order.
+/// A worker's panic is resumed on the caller with its own payload once
+/// every other worker has returned.
+fn fan_out<T: Send>(threads: usize, worker: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let worker = &worker;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads.max(1))
+            .map(|k| scope.spawn(move || worker(k)))
+            .collect();
+        // A panic here — worker 0's or one resumed below — leaves `scope`
+        // to join the remaining workers before it propagates.
+        let mut results = vec![worker(0)];
+        for handle in spawned {
+            match handle.join() {
+                Ok(result) => results.push(result),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        results
+    })
+}
+
+/// `map(i)` for every unit `i < units`, on `threads` workers as resolved
+/// by [`resolve_threads`], returned in index order. Workers claim units in
+/// ascending order off a shared counter, which balances units of uneven
+/// cost; whenever `map` is a pure function of its unit the result is the
+/// same at every thread count (see the module docs).
+pub fn ordered_map<T: Send>(
+    threads: usize,
+    units: usize,
+    map: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let per_worker = fan_out(resolve_threads(threads, units), |_| {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter publishes nothing but itself.
+            let unit = next.fetch_add(1, Ordering::Relaxed);
+            if unit >= units {
+                break done;
+            }
+            done.push((unit, map(unit)));
+        }
+    });
+    let mut indexed: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
+    indexed.sort_unstable_by_key(|&(unit, _)| unit);
+    indexed.into_iter().map(|(_, value)| value).collect()
+}
 
 /// Where the time of one ordered stage went — the numbers that tell a
 /// formatting-bound run from a write-bound one.
@@ -289,9 +366,10 @@ impl<W: Write> OrderedEmitter<W> {
         Ok(())
     }
 
-    /// Runs `work` once per unit on `threads` workers (the caller is one
-    /// of them) and returns each worker's folded state — in no particular
-    /// order — with the stage's [`EmitStats`], after flushing the outputs.
+    /// Runs `work` once per unit on `threads` workers as resolved by
+    /// [`resolve_threads`] (the caller is one of them) and returns each
+    /// worker's folded state — in no particular order — with the stage's
+    /// [`EmitStats`], after flushing the outputs.
     ///
     /// `work(state, unit, lanes)` produces unit `unit`, writing its bytes
     /// to `lanes` and folding whatever it wants to keep into its worker's
@@ -334,17 +412,7 @@ impl<W: Write> OrderedEmitter<W> {
             }
             (state, None)
         };
-        let results = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..threads.max(1)).map(|_| scope.spawn(worker)).collect();
-            let mut results = vec![worker()];
-            for handle in spawned {
-                match handle.join() {
-                    Ok(result) => results.push(result),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            results
-        });
+        let results = fan_out(resolve_threads(threads, self.units), |_| worker());
 
         let State {
             mut outs,
@@ -407,6 +475,65 @@ mod tests {
 
     fn unit_text(unit: usize) -> String {
         format!("unit {unit};").repeat(unit % 4)
+    }
+
+    #[test]
+    fn thread_counts_resolve_to_at_least_one_and_at_most_the_units() {
+        assert!(resolve_threads(0, 1000) >= 1, "0 = every available core");
+        assert_eq!(resolve_threads(0, 1), 1);
+        assert_eq!(resolve_threads(8, 3), 3, "no more workers than units");
+        assert_eq!(resolve_threads(8, 0), 1, "no units: the caller alone");
+        assert_eq!(resolve_threads(2, usize::MAX), 2);
+    }
+
+    #[test]
+    fn ordered_map_returns_index_order_under_skewed_costs() {
+        // Early units are the slow ones, so later units finish first on
+        // every other worker.
+        let expected: Vec<usize> = (0..64).map(|i| i * i).collect();
+        for threads in [1, 2, 8] {
+            let squares = ordered_map(threads, 64, |i| {
+                if i < 4 {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                i * i
+            });
+            assert_eq!(squares, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn zero_units_spawn_nothing_and_extra_threads_stay_idle() {
+        let caller = std::thread::current().id();
+        assert_eq!(
+            fan_out(resolve_threads(8, 0), |_| std::thread::current().id()),
+            [caller]
+        );
+        assert!(ordered_map(8, 0, |_| -> () { unreachable!() }).is_empty());
+        assert_eq!(fan_out(resolve_threads(8, 3), |k| k), [0, 1, 2]);
+        assert_eq!(ordered_map(8, 3, |i| i + 10), [10, 11, 12]);
+    }
+
+    #[test]
+    fn a_panic_in_a_unit_reaches_the_caller_with_its_own_payload() {
+        for threads in [1usize, 4] {
+            let panic = within_a_minute(move || {
+                std::panic::catch_unwind(|| {
+                    ordered_map(threads, 16, |i| {
+                        if i == 5 {
+                            panic!("unit 5 blew up");
+                        }
+                        i
+                    })
+                })
+                .unwrap_err()
+            });
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"unit 5 blew up"),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -492,12 +619,12 @@ mod tests {
                 assert_eq!(stats.parked_seconds, 0.0, "a lone worker never waits");
             }
         }
-        // No units at all.
+        // No units at all: the caller alone, nothing spawned.
         let mut out = Vec::new();
         let (folded, stats) = OrderedEmitter::new(vec![&mut out], 0)
             .run(4, |_: &mut (), _, _| -> io::Result<()> { unreachable!() })
             .unwrap();
-        assert_eq!((folded.len(), stats), (4, EmitStats::default()));
+        assert_eq!((folded.len(), stats), (1, EmitStats::default()));
         assert!(out.is_empty());
     }
 

@@ -399,30 +399,17 @@ impl Graph {
 pub struct GraphBuilder {
     partition: TypePartition,
     edges: Vec<Vec<(NodeId, NodeId)>>,
-    dedup: bool,
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph with the given type partition and
     /// predicate count. Parallel `(src, pred, trg)` duplicates are collapsed
-    /// by default (see [`GraphBuilder::keep_parallel_edges`]).
+    /// when the graph is built.
     pub fn new(partition: TypePartition, predicate_count: usize) -> Self {
         GraphBuilder {
             partition,
             edges: (0..predicate_count).map(|_| Vec::new()).collect(),
-            dedup: true,
         }
-    }
-
-    /// Keeps parallel edges instead of deduplicating them.
-    pub fn keep_parallel_edges(mut self) -> Self {
-        self.dedup = false;
-        self
-    }
-
-    /// Number of edges accumulated so far.
-    pub fn pending_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
     }
 
     /// Merges the edges accumulated by another builder.
@@ -439,7 +426,13 @@ impl GraphBuilder {
             "predicate count mismatch"
         );
         for (mine, theirs) in self.edges.iter_mut().zip(other.edges) {
-            mine.extend(theirs);
+            // A predicate's first shard is moved, not copied: most
+            // predicates come from one constraint.
+            if mine.is_empty() {
+                *mine = theirs;
+            } else {
+                mine.extend(theirs);
+            }
         }
     }
 
@@ -448,73 +441,26 @@ impl GraphBuilder {
         self.build_with_threads(1)
     }
 
-    /// Finalizes into CSR form, fanning the per-predicate forward/backward
-    /// CSR construction out over `threads` worker threads.
+    /// Finalizes into CSR form on `threads` workers (`0` = every core).
     ///
-    /// Each `(predicate, direction)` pair is an independent work item —
-    /// its CSR depends only on that predicate's accumulated edge list — so
-    /// workers claim items from a shared counter and the results are placed
-    /// by index. The output is identical for every thread count.
+    /// One [`ordered_map`](crate::ordered_map) unit per `(predicate,
+    /// direction)`: its CSR depends only on that predicate's accumulated
+    /// edge list, so the graph is identical for every thread count.
     pub fn build_with_threads(self, threads: usize) -> Graph {
         let n = self.partition.node_count();
-        let dedup = self.dedup;
         let pred_count = self.edges.len();
-        // One item per (predicate, direction); no point spawning more
-        // workers than items.
-        let threads = threads.max(1).min((pred_count * 2).max(1));
-        if threads <= 1 || pred_count == 0 {
-            let mut fwd = Vec::with_capacity(pred_count);
-            let mut bwd = Vec::with_capacity(pred_count);
-            for pairs in &self.edges {
-                fwd.push(Csr::from_edges(n, pairs, dedup));
+        let csrs = crate::ordered_map(threads, pred_count * 2, |item| {
+            let pairs = &self.edges[item / 2];
+            if item.is_multiple_of(2) {
+                Csr::from_edges(n, pairs, true)
+            } else {
                 let flipped: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(s, t)| (t, s)).collect();
-                bwd.push(Csr::from_edges(n, &flipped, dedup));
+                Csr::from_edges(n, &flipped, true)
             }
-            let edge_count = fwd.iter().map(Csr::edge_count).sum();
-            return Graph {
-                partition: self.partition,
-                fwd,
-                bwd,
-                edge_count,
-            };
-        }
-
-        let edges = &self.edges;
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut finalized: Vec<(usize, Csr)> = std::thread::scope(|scope| {
-            let next = &next;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let item = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if item >= pred_count * 2 {
-                                break;
-                            }
-                            let pred = item / 2;
-                            let csr = if item.is_multiple_of(2) {
-                                Csr::from_edges(n, &edges[pred], dedup)
-                            } else {
-                                let flipped: Vec<(NodeId, NodeId)> =
-                                    edges[pred].iter().map(|&(s, t)| (t, s)).collect();
-                                Csr::from_edges(n, &flipped, dedup)
-                            };
-                            out.push((item, csr));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("CSR finalization worker panicked"))
-                .collect()
         });
-        finalized.sort_by_key(|(item, _)| *item);
         let mut fwd = Vec::with_capacity(pred_count);
         let mut bwd = Vec::with_capacity(pred_count);
-        for (item, csr) in finalized {
+        for (item, csr) in csrs.into_iter().enumerate() {
             if item.is_multiple_of(2) {
                 fwd.push(csr);
             } else {

@@ -15,11 +15,13 @@
 //!   ("including N-triples for data"); predicate names are percent-encoded
 //!   on write and decoded on read, so hostile schema alphabets still
 //!   produce valid RDF,
-//! * [`emit`] — [`OrderedEmitter`], the ordered in-memory hand-off that
-//!   lets many workers write one document: units drain in ascending order,
-//!   which makes both streaming pipelines byte-identical at every thread
-//!   count without a temp file (the protocol, its progress argument and
-//!   its memory bound are documented on the module),
+//! * [`emit`] — the one fan-out every parallel stage goes through:
+//!   [`ordered_map`] (ordered values) and [`OrderedEmitter`] (ordered
+//!   bytes: many workers write one document, units drain in ascending
+//!   order, without a temp file) on one spawn/join core, with one
+//!   thread-count policy, [`resolve_threads`]. The determinism argument,
+//!   the emitter's progress argument and its memory bound are documented
+//!   on the module,
 //! * [`paged`] — the on-disk `gmark-store` binary format ([`StoreWriter`] /
 //!   [`StoreReader`]): the same CSR arrays persisted page-aligned, served by
 //!   positioned reads through a bounded page cache so evaluation runs at
@@ -37,7 +39,7 @@ pub mod paged;
 pub mod sink;
 pub mod view;
 
-pub use emit::{EmitStats, Lane, OrderedEmitter};
+pub use emit::{ordered_map, resolve_threads, EmitStats, Lane, OrderedEmitter};
 pub use graph::{Csr, Graph, GraphBuilder, TypePartition};
 pub use ntriples::{read_ntriples, NTriplesFormat, NTriplesWriter};
 pub use paged::{

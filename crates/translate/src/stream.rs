@@ -9,25 +9,20 @@
 //!
 //! * the shared selectivity context is built once as an immutable
 //!   [`WorkloadContext`] snapshot;
-//! * worker threads claim query indices from a shared counter, generate
-//!   query `i` from its own RNG stream (split off the master seed by
-//!   index), render its five documents — rule notation plus SPARQL,
-//!   openCypher, SQL, Datalog — and hand the five texts to one
-//!   [`gmark_store::OrderedEmitter`] with a lane per document;
-//! * the emitter writes query `i`'s texts after those of every query below
-//!   `i`: the worker on the lowest unfinished query writes straight to the
-//!   outputs, the others park their (small) texts in memory, within a
-//!   fixed budget, until the queries before theirs are done. No temporary
-//!   file at any thread count; one worker is the same code with nothing
-//!   ever parked.
+//! * workers claim query indices in ascending order, generate query `i`,
+//!   render its five documents — rule notation plus SPARQL, openCypher,
+//!   SQL, Datalog — and hand the five texts to one
+//!   [`gmark_store::OrderedEmitter`] with a lane per document, which
+//!   writes query `i`'s texts after those of every query below `i`, in
+//!   one pass, without a temporary file.
 //!
-//! Because query `i`'s text in document `d` is a pure function of
-//! `(schema, config, i)`, ascending order makes all five documents
-//! byte-identical at every thread count — pinned by
-//! `tests/workload_determinism.rs` and the CI `cmp` smoke step.
-//!
-//! Per-worker partial [`WorkloadReport`]s and [`DiversitySummary`]s are
-//! merged commutatively, so the summary is scheduling-independent too.
+//! Query `i`'s text in document `d` is a pure function of
+//! `(schema, config, i)`, so all five documents are byte-identical at
+//! every thread count — the argument is made once, at the fan-out
+//! ([`gmark_store::emit`]), and pinned by `tests/workload_determinism.rs`
+//! and the CI `cmp` smoke step. Per-worker partial [`WorkloadReport`]s
+//! and [`DiversitySummary`]s are merged commutatively, so the summary is
+//! scheduling-independent too.
 //!
 //! This module is the workload half of the pipeline; the `gmark` facade
 //! crate's `run` module orchestrates it (plan → options → sink) behind
@@ -40,7 +35,7 @@ use gmark_core::workload::{
     DiversitySummary, GeneratedQuery, WorkloadConfig, WorkloadContext, WorkloadError,
     WorkloadReport,
 };
-use gmark_store::{EmitStats, OrderedEmitter};
+use gmark_store::{resolve_threads, EmitStats, OrderedEmitter};
 use std::io::{self, Write};
 use std::path::PathBuf;
 
@@ -79,9 +74,8 @@ impl<W: Write> WorkloadOutputs<W> {
 /// Options for [`stream_workload`].
 #[derive(Debug, Clone)]
 pub struct WorkloadStreamOptions {
-    /// Worker threads; `0` auto-detects via
-    /// [`std::thread::available_parallelism`]. Output never depends on
-    /// this value.
+    /// Worker threads; `0` means every core ([`resolve_threads`]).
+    /// Output never depends on this value.
     pub threads: usize,
     /// Unused: the workload pipeline keeps no temporary files. The field
     /// stays until these per-crate option structs are collapsed into the
@@ -254,7 +248,7 @@ pub fn stream_workload<W: Write + Send>(
     outs: &mut WorkloadOutputs<W>,
 ) -> Result<StreamSummary, WorkloadStreamError> {
     let ctx = WorkloadContext::new(schema, config);
-    let threads = ctx.effective_threads(opts.threads);
+    let threads = resolve_threads(opts.threads, config.size);
     let emitter = OrderedEmitter::new(outs.as_array_mut().into(), config.size);
     let (partials, emit) = emitter.run(
         threads,

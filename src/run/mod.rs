@@ -193,7 +193,7 @@ fn run_stages<S: Sink + ?Sized>(
     let consistency = consistency_findings(plan);
     let threads = opts.effective_threads();
 
-    let graph = graph_stage(plan, opts, threads, sink.as_deref_mut())?;
+    let graph = graph_stage(plan, opts, sink.as_deref_mut())?;
     let (workload_summary, workload) = workload_stage(plan, opts, sink.as_deref_mut())?;
     let (eval_summary, eval) = match &plan.eval {
         Some(spec) => {
@@ -277,7 +277,6 @@ struct GraphOutputs {
 fn graph_stage<S: Sink + ?Sized>(
     plan: &RunPlan,
     opts: &RunOptions,
-    threads: usize,
     sink: Option<&mut S>,
 ) -> Result<GraphStage, GmarkError> {
     let mut stage = GraphStage::default();
@@ -345,9 +344,8 @@ fn graph_stage<S: Sink + ?Sized>(
             let (graph, mut report) = generate_graph(&plan.graph, &gen_opts);
             let written = match &mut outputs {
                 Some(outputs) if plan.outputs.graph => {
-                    let (written, emit) =
-                        write_ntriples(&graph, plan, opts, threads, &mut outputs.ntriples)
-                            .map_err(|e| GmarkError::io("writing graph.nt", e))?;
+                    let (written, emit) = write_ntriples(&graph, plan, opts, &mut outputs.ntriples)
+                        .map_err(|e| GmarkError::io("writing graph.nt", e))?;
                     report.emit = Some(emit);
                     written
                 }
@@ -567,7 +565,6 @@ fn write_ntriples<W: std::io::Write + Send>(
     graph: &Graph,
     plan: &RunPlan,
     opts: &RunOptions,
-    threads: usize,
     out: &mut W,
 ) -> std::io::Result<(u64, EmitStats)> {
     let format = std::sync::Arc::new(NTriplesFormat::new(
@@ -576,7 +573,7 @@ fn write_ntriples<W: std::io::Write + Send>(
     ));
     let predicates = graph.predicate_count();
     let (written, emit) = OrderedEmitter::new(vec![out], predicates).run(
-        threads.clamp(1, predicates.max(1)),
+        opts.threads,
         |written: &mut u64, pred, lanes| -> std::io::Result<()> {
             let mut writer = NTriplesWriter::with_format(&mut lanes[0], format.clone());
             for (src, trg) in graph.edges(pred) {

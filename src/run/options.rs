@@ -23,10 +23,9 @@ pub struct RunOptions {
     /// seed (e.g. from the XML `seed` attribute) for the queries.
     /// `Some(s)` pins both pipelines to `s`.
     pub seed: Option<u64>,
-    /// Worker threads for both pipelines (graph constraints and workload
-    /// queries). `0` auto-detects via
-    /// [`std::thread::available_parallelism`]. Every output is
-    /// byte-identical at every thread count.
+    /// Worker threads for every stage (graph constraints, CSR items,
+    /// workload queries, evaluation cells). `0` means every available core.
+    /// Every output is byte-identical at every thread count.
     pub threads: usize,
     /// Memory-bounded graph pipeline: format each constraint's edges as
     /// N-Triples while they are generated and write them to `graph.nt` in
@@ -92,9 +91,11 @@ impl RunOptions {
         self.seed.unwrap_or(GeneratorOptions::default().seed)
     }
 
-    /// Resolves `0 = auto-detect` exactly like the per-crate options do.
+    /// The thread count a run reports: `0` resolved to every available
+    /// core ([`gmark_store::resolve_threads`]); each stage then uses at
+    /// most one worker per unit of its own work.
     pub fn effective_threads(&self) -> usize {
-        self.generator_options().effective_threads()
+        gmark_store::resolve_threads(self.threads, usize::MAX)
     }
 
     /// The graph generator's option struct derived from these options.

@@ -36,9 +36,11 @@ pub mod http;
 pub mod json;
 mod routes;
 
+use crate::run::Artifact;
 use admission::Admission;
 use cache::{Snapshot, SnapshotCache};
 use gmark_stats::LatencyHistogram;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -107,13 +109,44 @@ pub(crate) struct ServeLatency {
     pub(crate) stream: LatencyHistogram,
 }
 
+/// The log behind `GET /v1/run/<id>/summary`: run id → that run's
+/// `summary.json` bytes, newest last, bounded to [`SUMMARY_LOG_CAP`]. It
+/// holds the few KiB of each summary, never the snapshot, so an evicted
+/// snapshot's artifacts are freed as `--cache-mb` says.
+#[derive(Default)]
+pub(crate) struct SummaryLog(Mutex<VecDeque<(String, Arc<[u8]>)>>);
+
+impl SummaryLog {
+    /// Logs the summary of `snapshot` under `run_id`, dropping the oldest
+    /// run past the cap.
+    pub(crate) fn record(&self, run_id: String, snapshot: &Snapshot) {
+        // MemorySink::finish always renders the summary, so every snapshot
+        // has this artifact.
+        let summary = snapshot
+            .artifact(Artifact::Summary)
+            .expect("every snapshot carries summary.json");
+        let mut log = self.0.lock().expect("no summary-log holder panics");
+        log.push_back((run_id, Arc::from(summary)));
+        if log.len() > SUMMARY_LOG_CAP {
+            log.pop_front();
+        }
+    }
+
+    /// The summary bytes of `run_id`, while it is among the logged runs.
+    pub(crate) fn get(&self, run_id: &str) -> Option<Arc<[u8]>> {
+        let log = self.0.lock().expect("no summary-log holder panics");
+        log.iter()
+            .find(|(id, _)| id == run_id)
+            .map(|(_, summary)| Arc::clone(summary))
+    }
+}
+
 /// Everything the acceptor, the workers, and the routes share.
 pub(crate) struct ServerShared {
     pub(crate) config: ServeConfig,
     pub(crate) cache: SnapshotCache,
     pub(crate) admission: Admission,
-    /// run-id → snapshot, newest last, bounded to [`SUMMARY_LOG_CAP`].
-    pub(crate) summaries: Mutex<std::collections::VecDeque<(String, Arc<Snapshot>)>>,
+    pub(crate) summaries: SummaryLog,
     pub(crate) run_seq: AtomicU64,
     pub(crate) latency: ServeLatency,
     stop: AtomicBool,
@@ -149,7 +182,7 @@ impl Server {
         let shared = Arc::new(ServerShared {
             cache: SnapshotCache::new(config.cache_mb),
             admission: Admission::new(config.queue_depth),
-            summaries: Mutex::new(std::collections::VecDeque::new()),
+            summaries: SummaryLog::default(),
             run_seq: AtomicU64::new(0),
             latency: ServeLatency::default(),
             stop: AtomicBool::new(false),
@@ -308,7 +341,6 @@ pub fn request_shutdown_on_signals() -> &'static AtomicBool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::Artifact;
 
     const BIB_XML: &str = include_str!("../../examples/configs/bib.xml");
 
@@ -358,6 +390,27 @@ mod tests {
         assert!(text.contains("\"hits\":1"), "{text}");
 
         server.shutdown();
+    }
+
+    #[test]
+    fn the_summary_log_keeps_no_snapshot_alive() {
+        let log = SummaryLog::default();
+        let snapshot = Arc::new(Snapshot::new(vec![
+            (Artifact::Graph, vec![b'x'; 1 << 20]),
+            (Artifact::Summary, b"{\"seed\":1}\n".to_vec()),
+        ]));
+        let weak = Arc::downgrade(&snapshot);
+        log.record("run-0".to_owned(), &snapshot);
+        drop(snapshot);
+        assert!(weak.upgrade().is_none(), "the log pinned the snapshot");
+        assert_eq!(log.get("run-0").as_deref(), Some(&b"{\"seed\":1}\n"[..]));
+        // Bounded: the oldest run ages out first.
+        let small = Snapshot::new(vec![(Artifact::Summary, b"{}".to_vec())]);
+        for i in 1..=SUMMARY_LOG_CAP {
+            log.record(format!("run-{i}"), &small);
+        }
+        assert!(log.get("run-0").is_none());
+        assert!(log.get("run-1").is_some());
     }
 
     #[test]

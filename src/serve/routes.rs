@@ -197,24 +197,13 @@ fn summary_route(
     stream: &mut std::net::TcpStream,
     keep_alive: bool,
 ) -> Result<(), Reject> {
-    let snapshot = {
-        let log = shared.summaries.lock().unwrap();
-        log.iter()
-            .find(|(run_id, _)| run_id == id)
-            .map(|(_, s)| Arc::clone(s))
-    };
-    let snapshot = snapshot.ok_or_else(|| {
+    let summary = shared.summaries.get(id).ok_or_else(|| {
         (
             404,
             format!("unknown run id {id:?} (the server remembers the last {SUMMARY_LOG_CAP} runs)"),
         )
     })?;
-    // MemorySink::finish always renders the summary, so every snapshot
-    // has this artifact.
-    let body = snapshot
-        .artifact(Artifact::Summary)
-        .expect("every snapshot carries summary.json");
-    respond(stream, 200, "application/json", body, keep_alive)
+    respond(stream, 200, "application/json", &summary, keep_alive)
 }
 
 /// `POST /v1/run` — validate, get-or-build the snapshot, stream the
@@ -263,13 +252,7 @@ fn run_route(
     // summary the moment the response head arrives.
     let seq = shared.run_seq.fetch_add(1, Ordering::Relaxed);
     let run_id = format!("{key:016x}-{seq}");
-    {
-        let mut log = shared.summaries.lock().unwrap();
-        log.push_back((run_id.clone(), Arc::clone(&snapshot)));
-        while log.len() > SUMMARY_LOG_CAP {
-            log.pop_front();
-        }
-    }
+    shared.summaries.record(run_id.clone(), &snapshot);
 
     let artifact = select_artifact(request, &snapshot)?;
     let body = snapshot

@@ -57,6 +57,53 @@ const MIXED_EVAL_D: [(usize, (u64, u64)); 2] = [
     (10_000, (2570, 0xb88b_e565_e882_9ea1)),
 ];
 
+/// `(use case, [(length, FNV-1a); 5])` of the five workload documents of
+/// [`every_branch_workload`], in document order (rules, SPARQL, openCypher,
+/// SQL, Datalog), recorded from the commit before the workload generator's
+/// fan-out and path draws were each folded into one (PR 25's parent).
+const USECASE_WORKLOAD_PINS: [(&str, [(u64, u64); 5]); 4] = [
+    (
+        "bib",
+        [
+            (14_114, 0xb4c8_0921_53f7_3fc0),
+            (15_413, 0xffc5_fb9a_3e18_2580),
+            (55_681, 0xe6c1_d4ee_f5bb_968d),
+            (84_596, 0x3a07_aeec_a6a0_2e4d),
+            (28_774, 0x177b_451e_ba92_18a2),
+        ],
+    ),
+    (
+        "lsn",
+        [
+            (18_892, 0xc40a_a5f7_09e1_89b5),
+            (20_118, 0x1dff_d017_3d4a_253d),
+            (78_264, 0x63d9_2b2b_f3c1_956b),
+            (122_018, 0xb185_a54c_eeda_7879),
+            (39_546, 0x567b_858d_61ba_815e),
+        ],
+    ),
+    (
+        "sp",
+        [
+            (16_473, 0xd0cb_bee1_bee4_d3ef),
+            (17_716, 0x9e64_4181_b784_2a28),
+            (75_262, 0x0300_740b_4002_ffd5),
+            (114_151, 0x2e06_2152_946d_8b94),
+            (36_360, 0x65d1_8128_b54a_6ecc),
+        ],
+    ),
+    (
+        "wd",
+        [
+            (17_644, 0x5fd2_40af_8245_eb5b),
+            (18_868, 0x1e0e_eb32_b92f_e420),
+            (72_822, 0x0f6a_cde6_4fe4_a077),
+            (112_789, 0x3213_fa9c_b30f_4272),
+            (36_415, 0xdcfd_fe2b_c045_6a7a),
+        ],
+    ),
+];
+
 /// Masked `summary.json` of the first test's `--store` runs: `--stream`,
 /// then the default mode (graph + store + workload, `"eval":null`).
 const STORE_SUMMARY: [(u64, u64); 2] =
@@ -267,6 +314,72 @@ fn parent_commit_mixed_eval_report_is_reproduced_in_every_regime() {
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// A workload that reaches every branch of the query generator: all four
+/// shapes (star and cycle branches, star-chain arms), arities 0–3 (the
+/// unconstrained path beside the selectivity-typed one), every class,
+/// recursion 0.5 with up to three disjuncts (multi-disjunct star loops),
+/// and up to two rules. At least two conjuncts: a one-conjunct star-chain
+/// rule has two variables, cannot project three, and a second rule of
+/// arity 3 then fails the whole workload (`MixedArity`, query 3).
+fn every_branch_workload() -> WorkloadConfig {
+    let mut workload = WorkloadConfig::new(40).with_seed(42);
+    workload.arity = vec![0, 1, 2, 3];
+    workload.shapes = Shape::ALL.to_vec();
+    workload.selectivities = SelectivityClass::ALL.to_vec();
+    workload.recursion_probability = 0.5;
+    workload.rules = (1, 2);
+    workload.query_size = QuerySize {
+        conjuncts: (2, 4),
+        disjuncts: (1, 3),
+        length: (1, 3),
+    };
+    workload
+}
+
+#[test]
+fn parent_commit_workloads_are_reproduced_for_every_use_case() {
+    use gmark::translate::{write_workload, WorkloadOutputs};
+    const DOCUMENTS: [Artifact; 5] = [
+        Artifact::Rules,
+        Artifact::Sparql,
+        Artifact::Cypher,
+        Artifact::Sql,
+        Artifact::Datalog,
+    ];
+    let config = every_branch_workload();
+    for (name, pins) in USECASE_WORKLOAD_PINS {
+        let schema = gmark::core::usecases::by_name(name).expect("a built-in use case");
+        let plan = RunPlan::builder(schema.clone())
+            .workload(config.clone())
+            .queries_only()
+            .build()
+            .expect("the workload plan is valid");
+        for threads in [1, 2, 8] {
+            // The streamed pipeline, through the facade.
+            let mut sink = MemorySink::new();
+            run(&plan, &RunOptions::default().threads(threads), &mut sink)
+                .expect("the workload streams");
+            let streamed =
+                DOCUMENTS.map(|doc| fingerprint_bytes(&sink.bytes(doc).expect("a document")));
+            assert_eq!(streamed, pins, "{name} streamed, threads={threads}");
+            // The materialised pipeline: generate, then render.
+            let (workload, _) = generate_workload_with_threads(&schema, &config, threads)
+                .expect("the workload generates");
+            let mut outs = WorkloadOutputs {
+                rules: Vec::new(),
+                sparql: Vec::new(),
+                cypher: Vec::new(),
+                sql: Vec::new(),
+                datalog: Vec::new(),
+            };
+            write_workload(&schema, &workload.queries, &mut outs).expect("the workload renders");
+            let rendered = [outs.rules, outs.sparql, outs.cypher, outs.sql, outs.datalog]
+                .map(|doc| fingerprint_bytes(&doc));
+            assert_eq!(rendered, pins, "{name} materialised, threads={threads}");
+        }
+    }
 }
 
 #[test]

@@ -200,6 +200,26 @@ fn thread_count_and_cache_state_never_change_response_bytes() {
     server.shutdown();
 }
 
+/// With `--cache-mb 0` no snapshot outlives its request; the summary log
+/// keeps the summary bytes alone, so the run id still resolves — to exactly
+/// the body `artifact=summary.json` returned.
+#[test]
+fn a_run_summary_outlives_its_evicted_snapshot() {
+    let server = start(1, 64, 0);
+    let addr = server.local_addr();
+    let run = post_run(addr, "?nodes=60&seed=4&artifact=summary.json");
+    assert_eq!(run.status, 200);
+    let stats = fetch(addr, "GET", "/v1/stats", b"").unwrap();
+    let text = String::from_utf8(stats.body).unwrap();
+    assert!(text.contains("\"entries\":0,\"bytes\":0"), "{text}");
+    let id = run.header("x-gmark-run-id").unwrap();
+    let logged = fetch(addr, "GET", &format!("/v1/run/{id}/summary"), b"").unwrap();
+    assert_eq!(logged.status, 200);
+    assert_eq!(logged.header("content-type"), Some("application/json"));
+    assert_eq!(logged.body, run.body);
+    server.shutdown();
+}
+
 #[test]
 fn saturation_answers_429_with_retry_after_and_still_serves_some() {
     // One worker, a one-deep queue, and slow builds: with six plans in
