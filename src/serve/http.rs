@@ -5,32 +5,63 @@
 //! only (no chunked *uploads*), capped head and body sizes, and two
 //! response shapes — fixed `Content-Length` or `Transfer-Encoding:
 //! chunked` (how artifact bytes stream back without knowing their size
-//! up front, and without buffering the socket write). Connections are
-//! persistent by default (HTTP/1.1 keep-alive semantics: reuse unless
-//! the client sends `Connection: close`, honor `keep-alive` from
-//! HTTP/1.0 clients); the per-connection request loop lives in the
-//! routes layer, which decides per response whether the connection
-//! stays open and tells [`write_response`]/[`write_chunked`] what
-//! `Connection:` header to emit. One client lives at the bottom: the
-//! reusable [`Client`] frames responses exactly so the same TCP
-//! connection can carry many requests, and one-shot [`fetch`] is that
-//! client used once with `Connection: close` (tolerant of a response
-//! that arrives before the request is fully sent); the integration tests
-//! and bench drivers use both, curl fills the same role in CI.
+//! up front). Request framing is strict: the head ends at the first
+//! blank line (`\r\n\r\n`, or a bare `\n\n`) within [`MAX_HEAD_BYTES`];
+//! `Content-Length` is plain digits, given once or always alike; and a
+//! request carrying `Transfer-Encoding` is refused, so no request can be
+//! framed two ways.
+//!
+//! Every connection is one buffered [`Conn`]: the socket plus the bytes
+//! read off it but not yet consumed. A request head normally arrives in
+//! one `read` of up to 16 KiB, with its body (and any pipelined next
+//! request) in the same read; what a request leaves in the buffer is
+//! where the next one starts. On the server side every read waits at
+//! most a 100 ms socket slice and the waits run against one deadline —
+//! the idle window between requests, then 30 s for the head and body of
+//! a request together — so a client that trickles bytes holds a worker
+//! for at most that long. Each response is framed into one buffer and
+//! leaves in one `write`; a chunked body past one 64 KiB chunk costs one
+//! write per chunk.
+//!
+//! Connections are persistent by default (HTTP/1.1 keep-alive semantics:
+//! reuse unless the client sends `Connection: close`, honor `keep-alive`
+//! from HTTP/1.0 clients); the per-connection request loop lives in the
+//! routes layer, which decides per response whether the connection stays
+//! open and tells [`write_response`]/[`write_chunked`] what `Connection:`
+//! header to emit. The same buffered reader is the client: a [`Client`]
+//! frames responses exactly so the same TCP connection can carry many
+//! requests, and one-shot [`fetch`] is that client used once with
+//! `Connection: close` (tolerant of a response that arrives before the
+//! request is fully sent); the integration tests and bench drivers use
+//! both, curl fills the same role in CI.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Largest accepted request head (request line + headers).
+/// Largest accepted request head (request line + headers + the blank
+/// line ending them).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// Chunk size of chunked responses.
 const CHUNK_BYTES: usize = 64 * 1024;
+/// Framing around the chunks of one write: a size line, the chunk's
+/// CRLF, and the terminating zero chunk.
+const CHUNK_FRAMING: usize = 16;
+/// Bytes asked for by one `read`.
+const READ_BYTES: usize = 16 * 1024;
+/// How long one `read` on a server connection waits before the read loop
+/// looks at its deadline (and, while idle, at the stop flag) again.
+const READ_SLICE: Duration = Duration::from_millis(100);
+/// How long the head and body of one request may take to arrive,
+/// together.
+pub(crate) const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
+/// Where a request head ends: the first blank line, either spelling.
+const HEAD_ENDS: [&[u8]; 2] = [b"\r\n\r\n", b"\n\n"];
 
 /// One parsed request: method, split target, lowercased headers, body.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Request {
     /// The request method (`GET`, `POST`, …), uppercased as received.
     pub method: String,
@@ -78,7 +109,8 @@ fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a st
 /// to the response the server writes before closing the connection.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The socket failed (client went away, timeout): nothing to answer.
+    /// The socket failed (client went away, request deadline passed):
+    /// nothing to answer.
     Io(io::Error),
     /// The client closed the connection cleanly before sending any
     /// byte of a next request — the normal end of a kept-alive
@@ -132,104 +164,38 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Reads and parses one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    // Read until the blank line ending the head, never past the cap.
-    let mut head = Vec::with_capacity(1024);
-    let mut byte = [0u8; 1];
-    let head_end = loop {
-        if head.len() >= MAX_HEAD_BYTES {
-            return Err(HttpError::HeadTooLarge);
-        }
-        let n = stream.read(&mut byte)?;
-        if n == 0 {
-            // EOF before the first byte is a clean keep-alive close;
-            // EOF inside a head is a fault.
-            return Err(if head.is_empty() {
-                HttpError::Closed
-            } else {
-                HttpError::Malformed("connection closed mid-head".into())
-            });
-        }
-        head.push(byte[0]);
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
-            break head.len();
-        }
-    };
-    let head_text = std::str::from_utf8(&head[..head_end])
-        .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
-    let mut lines = head_text.split("\r\n").flat_map(|l| l.split('\n'));
-
-    let request_line = lines
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty head".into()))?;
-    let mut parts = request_line.split_ascii_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("no method".into()))?
-        .to_ascii_uppercase();
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("no request target".into()))?;
-    let http10 = match parts.next() {
-        Some(v) if v.starts_with("HTTP/1.") => v == "HTTP/1.0",
-        _ => return Err(HttpError::Malformed("not an HTTP/1.x request".into())),
-    };
-
-    let (raw_path, raw_query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let path = percent_decode(raw_path);
-    let query = raw_query
-        .split('&')
-        .filter(|pair| !pair.is_empty())
-        .map(|pair| match pair.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(pair), String::new()),
-        })
-        .collect();
-
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("header without colon: {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+/// How many body bytes the request's head declares. One framing only:
+/// `Transfer-Encoding` is refused (chunked uploads are unsupported, and
+/// a request framed two ways is how requests are smuggled past a proxy
+/// that reads the other one), and `Content-Length` must be plain digits
+/// — `usize::from_str` alone would take `+5` — with any repeat agreeing.
+fn content_length(request: &Request) -> Result<usize, HttpError> {
+    if request.header("transfer-encoding").is_some() {
+        return Err(HttpError::Malformed(
+            "Transfer-Encoding is not supported; send the body with Content-Length".into(),
+        ));
     }
-
-    let mut request = Request {
-        method,
-        path,
-        query,
-        headers,
-        body: Vec::new(),
-        keep_alive: false,
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(name, _)| name == "content-length")
+        .map(|(_, value)| value.as_str());
+    let Some(length) = lengths.next() else {
+        return match request.method.as_str() {
+            "POST" | "PUT" => Err(HttpError::LengthRequired),
+            _ => Ok(0),
+        };
     };
-    request.keep_alive = match request.header("connection") {
-        Some(v) if v.eq_ignore_ascii_case("close") => false,
-        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-        _ => !http10,
-    };
-
-    let content_length = match request.header("content-length") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad Content-Length {v:?}")))?,
-        None if request.method == "POST" || request.method == "PUT" => {
-            return Err(HttpError::LengthRequired);
-        }
-        None => 0,
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::BodyTooLarge(content_length));
+    if lengths.any(|other| other != length) {
+        return Err(HttpError::Malformed(
+            "conflicting Content-Length headers".into(),
+        ));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    Ok(Request { body, ..request })
+    let bad = || HttpError::Malformed(format!("bad Content-Length {length:?}"));
+    if length.is_empty() || !length.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad());
+    }
+    length.parse().map_err(|_| bad())
 }
 
 /// The standard reason phrase of the statuses this server emits.
@@ -249,21 +215,22 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one fixed-length response and flushes. `keep_alive` picks the
-/// `Connection:` header — the caller (the per-connection request loop)
-/// owns the decision and must actually close the stream when it says
-/// `close`.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Writes one fixed-length response, head and body in one `write`, and
+/// flushes. `keep_alive` picks the `Connection:` header — the caller (the
+/// per-connection request loop) owns the decision and must actually
+/// close the stream when it says `close`.
+pub fn write_response<W: Write + ?Sized>(
+    out: &mut W,
     status: u16,
     headers: &[(&str, &str)],
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
     let framing = format!("Content-Length: {}", body.len());
-    stream.write_all(response_head(status, headers, &framing, keep_alive).as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    let mut message = response_head(status, headers, &framing, keep_alive).into_bytes();
+    message.extend_from_slice(body);
+    out.write_all(&message)?;
+    out.flush()
 }
 
 /// The status line, the caller's headers, how the body is framed, and
@@ -289,35 +256,45 @@ fn response_head(status: u16, headers: &[(&str, &str)], framing: &str, keep_aliv
 /// artifact-streaming shape of `POST /v1/run`. The payload bytes the
 /// client reassembles are exactly `body` — chunking is framing, not
 /// content — so artifact responses stay byte-identical to the CLI files.
-pub fn write_chunked(
-    stream: &mut TcpStream,
+///
+/// Each chunk is framed into one buffer with everything before it that
+/// has not gone out yet: a body of at most one chunk leaves with its
+/// head and terminator in one `write`, a larger one in one per chunk.
+pub fn write_chunked<W: Write + ?Sized>(
+    out: &mut W,
     status: u16,
     headers: &[(&str, &str)],
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
     let head = response_head(status, headers, "Transfer-Encoding: chunked", keep_alive);
-    stream.write_all(head.as_bytes())?;
-    for chunk in body.chunks(CHUNK_BYTES) {
-        write!(stream, "{:x}\r\n", chunk.len())?;
-        stream.write_all(chunk)?;
-        stream.write_all(b"\r\n")?;
+    let mut frame = head.into_bytes();
+    frame.reserve(body.len().min(CHUNK_BYTES) + CHUNK_FRAMING);
+    for (i, chunk) in body.chunks(CHUNK_BYTES).enumerate() {
+        if i > 0 {
+            out.write_all(&frame)?;
+            frame.clear();
+        }
+        write!(frame, "{:x}\r\n", chunk.len())?;
+        frame.extend_from_slice(chunk);
+        frame.extend_from_slice(b"\r\n");
     }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    frame.extend_from_slice(b"0\r\n\r\n");
+    out.write_all(&frame)?;
+    out.flush()
 }
 
 /// A plain-text error response body (`gmark: <message>`), mirroring the
 /// CLI's stderr shape.
-pub fn write_error(
-    stream: &mut TcpStream,
+pub fn write_error<W: Write + ?Sized>(
+    out: &mut W,
     status: u16,
     message: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
     let body = format!("gmark: {message}\n");
     write_response(
-        stream,
+        out,
         status,
         &[("Content-Type", "text/plain; charset=utf-8")],
         body.as_bytes(),
@@ -402,6 +379,23 @@ pub fn fetch(
     client.read_response().map_err(|e| wrote.err().unwrap_or(e))
 }
 
+/// One buffered HTTP/1.1 connection: the stream plus the bytes read off
+/// it but not yet consumed — the rest of a response, a pipelined next
+/// request. The one reader for both directions: the server reads
+/// requests through it, a [`Client`] reads responses, and since it is
+/// generic over `S: Read` the framing runs over canned bytes as well as
+/// sockets.
+pub struct Conn<S = TcpStream> {
+    stream: S,
+    /// Bytes read but not yet consumed by framing.
+    buf: Vec<u8>,
+    /// Set on server connections: the instant the current wait for bytes
+    /// gives up, with `TimedOut`. Their socket reads time out every
+    /// 100 ms and are retried until then; without a deadline a read
+    /// timeout is an error at once.
+    deadline: Option<Instant>,
+}
+
 /// A reusable HTTP/1.1 client: one TCP connection, many requests.
 ///
 /// Each response is framed exactly (by `Content-Length`, chunk by chunk,
@@ -411,13 +405,9 @@ pub fn fetch(
 /// `drive` bench driver use it; [`fetch`] is the same reader used once.
 /// After a response announcing `Connection: close`
 /// ([`ClientResponse::close_after`]) the holder must reconnect.
-pub struct Client<S = TcpStream> {
-    stream: S,
-    /// Socket bytes read but not yet consumed by response framing.
-    buf: Vec<u8>,
-}
+pub type Client = Conn<TcpStream>;
 
-impl Client {
+impl Conn<TcpStream> {
     /// Connects, with generous timeouts. `TCP_NODELAY` is set: a
     /// request/response protocol writing small frames on a reused
     /// connection would otherwise trip over Nagle + delayed-ACK stalls
@@ -427,10 +417,15 @@ impl Client {
         stream.set_read_timeout(Some(Duration::from_secs(120)))?;
         stream.set_write_timeout(Some(Duration::from_secs(120)))?;
         let _ = stream.set_nodelay(true);
-        Ok(Client {
-            stream,
-            buf: Vec::new(),
-        })
+        Ok(Conn::new(stream))
+    }
+
+    /// An accepted connection, set up for the server's read loop: each
+    /// `read` waits at most one slice, so a deadline (or the stop flag,
+    /// while idle) is looked at again every 100 ms.
+    pub(crate) fn server(stream: TcpStream) -> io::Result<Conn> {
+        stream.set_read_timeout(Some(READ_SLICE))?;
+        Ok(Conn::new(stream))
     }
 
     /// Sends one request and reads exactly one framed response, leaving
@@ -468,11 +463,29 @@ fn invalid(what: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("response: {what}"))
 }
 
-impl<S: Read> Client<S> {
+impl<S> Conn<S> {
+    /// A connection over `stream` with nothing buffered yet.
+    pub fn new(stream: S) -> Conn<S> {
+        Conn {
+            stream,
+            buf: Vec::new(),
+            deadline: None,
+        }
+    }
+
+    /// The stream, for writing responses.
+    pub(crate) fn get_mut(&mut self) -> &mut S {
+        &mut self.stream
+    }
+}
+
+impl<S: Read> Conn<S> {
     /// Reads one response off the connection: head, then the body as the
     /// head frames it.
-    fn read_response(&mut self) -> io::Result<ClientResponse> {
-        let head = self.take_until(b"\r\n\r\n")?;
+    pub fn read_response(&mut self) -> io::Result<ClientResponse> {
+        let head = self
+            .take_until(&[b"\r\n\r\n"], MAX_HEAD_BYTES)?
+            .ok_or_else(|| invalid(format_args!("head exceeds {MAX_HEAD_BYTES} bytes")))?;
         let head = std::str::from_utf8(&head).map_err(|_| invalid("head not UTF-8"))?;
         let mut lines = head.split("\r\n");
         let status: u16 = lines
@@ -511,8 +524,11 @@ impl<S: Read> Client<S> {
     fn dechunk(&mut self) -> io::Result<Vec<u8>> {
         let mut out = Vec::new();
         loop {
-            let size_line = String::from_utf8(self.take_until(b"\r\n")?)
-                .map_err(|_| invalid("chunk size not UTF-8"))?;
+            let size_line = self
+                .take_until(&[b"\r\n"], MAX_HEAD_BYTES)?
+                .ok_or_else(|| invalid("chunk size line too long"))?;
+            let size_line =
+                String::from_utf8(size_line).map_err(|_| invalid("chunk size not UTF-8"))?;
             let size = usize::from_str_radix(size_line.trim(), 16)
                 .map_err(|_| invalid(format_args!("bad chunk size {size_line:?}")))?;
             // Chunk payload plus its trailing CRLF (the zero chunk has an
@@ -530,20 +546,150 @@ impl<S: Read> Client<S> {
         }
     }
 
-    /// Reads more socket bytes into the buffer; `false` at EOF.
-    fn fill(&mut self) -> io::Result<bool> {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n > 0)
+    /// Reads and parses one request. Bytes already buffered — a request
+    /// pipelined behind the last one, a body that arrived with its head —
+    /// are used first; bytes past this request's body stay buffered for
+    /// the next. The head and body share one `deadline`: a client that
+    /// has not sent the whole request by then gets `Io` with `TimedOut`,
+    /// however steadily it trickles bytes.
+    pub(crate) fn read_request(&mut self, deadline: Instant) -> Result<Request, HttpError> {
+        self.deadline = Some(deadline);
+        // EOF before the first byte is a clean keep-alive close; EOF
+        // inside a head is a fault.
+        if self.buf.is_empty() && !self.fill()? {
+            return Err(HttpError::Closed);
+        }
+        let head = match self.take_until(&HEAD_ENDS, MAX_HEAD_BYTES) {
+            Ok(Some(head)) => head,
+            Ok(None) => return Err(HttpError::HeadTooLarge),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                return Err(HttpError::Malformed("connection closed mid-head".into()));
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let head_text = std::str::from_utf8(&head)
+            .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
+        let mut lines = head_text.split("\r\n").flat_map(|l| l.split('\n'));
+
+        let request_line = lines
+            .next()
+            .ok_or_else(|| HttpError::Malformed("empty head".into()))?;
+        let mut parts = request_line.split_ascii_whitespace();
+        let method = parts
+            .next()
+            .ok_or_else(|| HttpError::Malformed("no method".into()))?
+            .to_ascii_uppercase();
+        let target = parts
+            .next()
+            .ok_or_else(|| HttpError::Malformed("no request target".into()))?;
+        let http10 = match parts.next() {
+            Some(v) if v.starts_with("HTTP/1.") => v == "HTTP/1.0",
+            _ => return Err(HttpError::Malformed("not an HTTP/1.x request".into())),
+        };
+
+        let (raw_path, raw_query) = match target.split_once('?') {
+            Some((p, q)) => (p, q),
+            None => (target, ""),
+        };
+        let path = percent_decode(raw_path);
+        let query = raw_query
+            .split('&')
+            .filter(|pair| !pair.is_empty())
+            .map(|pair| match pair.split_once('=') {
+                Some((k, v)) => (percent_decode(k), percent_decode(v)),
+                None => (percent_decode(pair), String::new()),
+            })
+            .collect();
+
+        let mut headers = Vec::new();
+        for line in lines {
+            if line.is_empty() {
+                continue;
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| HttpError::Malformed(format!("header without colon: {line:?}")))?;
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        }
+
+        let mut request = Request {
+            method,
+            path,
+            query,
+            headers,
+            body: Vec::new(),
+            keep_alive: false,
+        };
+        request.keep_alive = match request.header("connection") {
+            Some(v) if v.eq_ignore_ascii_case("close") => false,
+            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
+            _ => !http10,
+        };
+
+        let content_length = content_length(&request)?;
+        if content_length > MAX_BODY_BYTES {
+            return Err(HttpError::BodyTooLarge(content_length));
+        }
+        let body = self.take(content_length)?;
+        Ok(Request { body, ..request })
     }
 
-    /// [`Client::fill`] where framing said more bytes must come.
+    /// Waits up to `idle` for the next request to begin: `true` once a
+    /// byte of it is buffered — at once for a pipelined one — and `false`
+    /// when the client closed, the window ran out, the socket failed, or
+    /// `stopping` said so (asked before every read slice).
+    pub(crate) fn await_request(&mut self, idle: Duration, stopping: impl Fn() -> bool) -> bool {
+        self.deadline = Some(Instant::now() + idle);
+        !self.buf.is_empty() || matches!(self.fill_or(&stopping), Ok(true))
+    }
+
+    /// Reads more bytes into the buffer; `false` at EOF.
+    fn fill(&mut self) -> io::Result<bool> {
+        self.fill_or(&|| false)
+    }
+
+    /// The read loop under every wait: one `read` of up to 16 KiB into
+    /// the buffer, `Ok(false)` at EOF. With a deadline, a read that timed
+    /// out its socket slice is retried until the deadline passes
+    /// (`TimedOut`), and `give_up` is asked before each read — `true`
+    /// ends the wait like an EOF.
+    fn fill_or(&mut self, give_up: &dyn Fn() -> bool) -> io::Result<bool> {
+        let start = self.buf.len();
+        self.buf.resize(start + READ_BYTES, 0);
+        let read = loop {
+            if self
+                .deadline
+                .is_some_and(|deadline| Instant::now() >= deadline)
+            {
+                break Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "deadline passed waiting for the peer",
+                ));
+            }
+            if give_up() {
+                break Ok(0);
+            }
+            match self.stream.read(&mut self.buf[start..]) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if self.deadline.is_some()
+                        && matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) => {}
+                other => break other,
+            }
+        };
+        self.buf.truncate(start + *read.as_ref().unwrap_or(&0));
+        read.map(|n| n > 0)
+    }
+
+    /// [`Conn::fill`] where framing said more bytes must come.
     fn fill_more(&mut self) -> io::Result<()> {
         let closed = || {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
+                "connection closed mid-message",
             )
         };
         self.fill()?.then_some(()).ok_or_else(closed)
@@ -557,24 +703,41 @@ impl<S: Read> Client<S> {
         Ok(self.buf.drain(..n).collect())
     }
 
-    /// Consumes the stream up to and including `end`, returning what came
-    /// before it.
-    fn take_until(&mut self, end: &[u8]) -> io::Result<Vec<u8>> {
-        let at = loop {
-            if let Some(p) = self.buf.windows(end.len()).position(|w| w == end) {
-                break p;
+    /// Consumes the stream through the earliest of `ends`, returning what
+    /// came before it — or `None` once `cap` bytes have arrived without
+    /// one ending inside them (the delimiter counts toward the cap).
+    fn take_until(&mut self, ends: &[&[u8]], cap: usize) -> io::Result<Option<Vec<u8>>> {
+        let longest = ends.iter().map(|end| end.len()).max().unwrap_or(1);
+        // Where a delimiter may still start: the scan resumes there after
+        // each read, so a head trickled in byte by byte costs linear time.
+        let mut from = 0;
+        loop {
+            let window = &self.buf[..self.buf.len().min(cap)];
+            let found = ends
+                .iter()
+                .filter_map(|end| {
+                    let at = from + window[from..].windows(end.len()).position(|w| w == *end)?;
+                    Some((at + end.len(), at))
+                })
+                .min();
+            if let Some((through, at)) = found {
+                let mut taken: Vec<u8> = self.buf.drain(..through).collect();
+                taken.truncate(at);
+                return Ok(Some(taken));
             }
+            if self.buf.len() >= cap {
+                return Ok(None);
+            }
+            from = window.len().saturating_sub(longest - 1);
             self.fill_more()?;
-        };
-        let mut taken: Vec<u8> = self.buf.drain(..at + end.len()).collect();
-        taken.truncate(at);
-        Ok(taken)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn percent_decoding_handles_escapes_and_plus() {
@@ -584,26 +747,28 @@ mod tests {
         assert_eq!(percent_decode("%3Cxml%3E"), "<xml>");
     }
 
-    /// A client over canned bytes: the framing code without a socket.
-    fn over(raw: &[u8]) -> Client<&[u8]> {
-        Client {
-            stream: raw,
-            buf: Vec::new(),
-        }
-    }
-
     #[test]
     fn dechunking_reassembles_the_payload() {
         let framed = b"3\r\nabc\r\n4\r\ndefg\r\n0\r\n\r\n";
-        assert_eq!(over(framed).dechunk().unwrap(), b"abcdefg");
-        assert_eq!(over(b"0\r\n\r\n").dechunk().unwrap(), b"");
-        assert!(over(b"5\r\nab\r\n").dechunk().is_err(), "truncated chunk");
-        assert!(over(b"zz\r\nab\r\n").dechunk().is_err(), "bad size");
+        assert_eq!(Conn::new(&framed[..]).dechunk().unwrap(), b"abcdefg");
+        assert_eq!(Conn::new(&b"0\r\n\r\n"[..]).dechunk().unwrap(), b"");
+        assert!(
+            Conn::new(&b"5\r\nab\r\n"[..]).dechunk().is_err(),
+            "truncated chunk"
+        );
+        assert!(
+            Conn::new(&b"zz\r\nab\r\n"[..]).dechunk().is_err(),
+            "bad size"
+        );
         // A size whose `+ 2` would wrap is refused, not allocated.
-        let err = over(b"ffffffffffffffff\r\nab\r\n").dechunk().unwrap_err();
+        let err = Conn::new(&b"ffffffffffffffff\r\nab\r\n"[..])
+            .dechunk()
+            .unwrap_err();
         assert!(err.to_string().contains("overflows"), "{err}");
         assert!(
-            over(b"fffffffffffffff0\r\nab\r\n").dechunk().is_err(),
+            Conn::new(&b"fffffffffffffff0\r\nab\r\n"[..])
+                .dechunk()
+                .is_err(),
             "a huge chunk that never arrives"
         );
     }
@@ -611,7 +776,7 @@ mod tests {
     #[test]
     fn client_response_parser_reads_status_headers_and_body() {
         let raw = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nhi";
-        let resp = over(raw).read_response().unwrap();
+        let resp = Conn::new(&raw[..]).read_response().unwrap();
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("content-type"), Some("text/plain"));
         assert_eq!(resp.body, b"hi");
@@ -619,20 +784,246 @@ mod tests {
         // Two framed responses back to back stay apart.
         let two = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n\
                     HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
-        let mut client = over(two);
+        let mut client = Conn::new(&two[..]);
         assert_eq!(client.read_response().unwrap().body, b"hi");
         assert_eq!(client.read_response().unwrap().status, 404);
         assert!(client.read_response().is_err(), "nothing left");
 
         // Neither Content-Length nor chunking: the body runs to EOF.
         let unframed = b"HTTP/1.0 200 OK\r\nConnection: close\r\n\r\nall of this";
-        let resp = over(unframed).read_response().unwrap();
+        let resp = Conn::new(&unframed[..]).read_response().unwrap();
         assert!(resp.close_after());
         assert_eq!(resp.body, b"all of this");
 
         // A body shorter than its Content-Length is an error, not a
         // truncated success.
         let short = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhi";
-        assert!(over(short).read_response().is_err());
+        assert!(Conn::new(&short[..]).read_response().is_err());
+    }
+
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(60)
+    }
+
+    /// Reads one request off canned bytes.
+    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+        Conn::new(raw).read_request(far())
+    }
+
+    /// Canned bytes handed out at most `most` per `read`, counting the
+    /// reads.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        most: usize,
+        reads: usize,
+    }
+
+    impl<'a> CountingReader<'a> {
+        fn new(bytes: &'a [u8], most: usize) -> CountingReader<'a> {
+            CountingReader {
+                bytes,
+                most,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let most = out.len().min(self.most);
+            self.bytes.read(&mut out[..most])
+        }
+    }
+
+    #[test]
+    fn a_request_head_and_its_body_arrive_in_one_read() {
+        let raw = b"POST /v1/run?nodes=2000&seed=3&threads=1&artifact=summary.json&config=\
+                    examples/configs/bib.xml HTTP/1.1\r\nHost: gmark\r\nContent-Length: 5\r\n\
+                    \r\n<xml>";
+        let mut conn = Conn::new(CountingReader::new(raw, usize::MAX));
+        let request = conn.read_request(far()).unwrap();
+        assert_eq!(request.body, b"<xml>", "body bytes from the head's read");
+        assert_eq!(request.query_param("seed"), Some("3"));
+        assert_eq!(conn.stream.reads, 1);
+        assert!(matches!(conn.read_request(far()), Err(HttpError::Closed)));
+    }
+
+    #[test]
+    fn pipelined_requests_parse_alike_however_the_bytes_split() {
+        let raw: &[u8] = b"POST /v1/run?nodes=5&seed=1 HTTP/1.1\r\nHost: a\r\n\
+                           Content-Length: 5\r\n\r\nhello\
+                           GET /healthz HTTP/1.0\nConnection: keep-alive\n\n";
+        fn read_all(stream: impl Read) -> (Request, Request) {
+            let mut conn = Conn::new(stream);
+            let first = conn.read_request(far()).expect("first request");
+            let second = conn.read_request(far()).expect("second request");
+            assert!(matches!(conn.read_request(far()), Err(HttpError::Closed)));
+            (first, second)
+        }
+        let whole = read_all(raw);
+        assert_eq!(whole.0.body, b"hello");
+        assert_eq!(
+            (whole.1.path.as_str(), whole.1.keep_alive),
+            ("/healthz", true)
+        );
+        for split in 0..=raw.len() {
+            let parts = (&raw[..split]).chain(&raw[split..]);
+            assert_eq!(read_all(parts), whole, "split at byte {split}");
+        }
+        let trickle = CountingReader::new(raw, 1);
+        assert_eq!(read_all(trickle), whole, "one byte per read");
+    }
+
+    #[test]
+    fn hostile_framing_gets_a_typed_outcome() {
+        // A head of exactly the cap (blank line included) is accepted, even
+        // with the next request already behind it; one byte more is a 431.
+        let head_of = |len: usize| {
+            let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            head
+        };
+        let mut exact = head_of(MAX_HEAD_BYTES);
+        exact.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+        let mut conn = Conn::new(&exact[..]);
+        assert_eq!(conn.read_request(far()).unwrap().path, "/");
+        assert_eq!(conn.read_request(far()).unwrap().path, "/next");
+        let over = parse(&head_of(MAX_HEAD_BYTES + 1)).unwrap_err();
+        assert_eq!(over.status(), 431, "{over}");
+
+        // A bare-LF head parses.
+        let bare = parse(b"GET /healthz?x=1 HTTP/1.1\nHost: a\n\n").unwrap();
+        assert_eq!(bare.query_param("x"), Some("1"));
+        assert_eq!(bare.header("host"), Some("a"));
+
+        // EOF before the first byte, mid-head, mid-body.
+        assert!(matches!(parse(b""), Err(HttpError::Closed)));
+        assert_eq!(parse(b"GET / HT").unwrap_err().status(), 400);
+        let mid_body = parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+        assert!(matches!(mid_body, Err(HttpError::Io(_))), "{mid_body:?}");
+    }
+
+    #[test]
+    fn request_framing_refuses_ambiguous_lengths() {
+        // (headers after the request line, expected status: 0 = parsed)
+        let cases: &[(&str, u16)] = &[
+            ("Content-Length: 5", 0),
+            ("Content-Length: 5\r\nContent-Length: 5", 0),
+            ("Content-Length: +5", 400),
+            ("Content-Length: -5", 400),
+            ("Content-Length: 0x5", 400),
+            ("Content-Length: 5 5", 400),
+            ("Content-Length:", 400),
+            ("Content-Length: 99999999999999999999999", 400),
+            ("Content-Length: 5\r\nContent-Length: 6", 400),
+            ("Content-Length: 6\r\ncontent-length: 5", 400),
+            ("Transfer-Encoding: chunked\r\nContent-Length: 5", 400),
+            ("Transfer-Encoding: chunked", 400),
+            ("Content-Length: 9000000", 413),
+            ("Host: a", 411),
+        ];
+        for (headers, expected) in cases {
+            let raw = format!("POST /v1/run HTTP/1.1\r\n{headers}\r\n\r\nhello");
+            let status = match parse(raw.as_bytes()) {
+                Ok(request) => {
+                    assert_eq!(request.body, b"hello", "{headers:?}");
+                    0
+                }
+                Err(e) => {
+                    if headers.starts_with("Transfer-Encoding") {
+                        assert!(e.to_string().contains("Transfer-Encoding"), "{e}");
+                    }
+                    e.status()
+                }
+            };
+            assert_eq!(status, *expected, "{headers:?}");
+        }
+    }
+
+    #[test]
+    fn a_request_trickled_past_its_deadline_times_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        // One head byte every 10 ms, never a blank line, for at most 3 s.
+        let dribbler = std::thread::spawn(move || {
+            let started = Instant::now();
+            let head = b"GET / HTTP/1.1\r\nX-Slow: "
+                .iter()
+                .chain([b'a'].iter().cycle());
+            for byte in head {
+                if started.elapsed() > Duration::from_secs(3) || client.write_all(&[*byte]).is_err()
+                {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let mut conn = Conn::server(accepted).unwrap();
+        let started = Instant::now();
+        let outcome = conn.read_request(Instant::now() + Duration::from_millis(300));
+        let waited = started.elapsed();
+        drop(conn);
+        dribbler.join().unwrap();
+        match outcome {
+            Err(HttpError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}"),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+        assert!(
+            waited < Duration::from_secs(2),
+            "held the reader {waited:?}"
+        );
+    }
+
+    /// Counts the `write` calls a writer sees, keeping the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write_per_chunk() {
+        let mut out = CountingWriter::default();
+        write_chunked(&mut out, 200, &[("X-A", "b")], b"abc", true).unwrap();
+        assert_eq!(
+            out.bytes,
+            b"HTTP/1.1 200 OK\r\nX-A: b\r\nTransfer-Encoding: chunked\r\n\
+              Connection: keep-alive\r\n\r\n3\r\nabc\r\n0\r\n\r\n"
+        );
+        assert_eq!(out.writes, 1);
+
+        let mut out = CountingWriter::default();
+        write_response(&mut out, 404, &[("X-A", "b")], b"gone", false).unwrap();
+        assert_eq!(
+            out.bytes,
+            b"HTTP/1.1 404 Not Found\r\nX-A: b\r\nContent-Length: 4\r\n\
+              Connection: close\r\n\r\ngone"
+        );
+        assert_eq!(out.writes, 1);
+
+        // (body bytes, most writes allowed)
+        for (len, most) in [(0, 1), (CHUNK_BYTES, 1), (200 * 1024, 5)] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut out = CountingWriter::default();
+            write_chunked(&mut out, 200, &[], &body, true).unwrap();
+            assert!(out.writes <= most, "{len} bytes took {} writes", out.writes);
+            let resp = Conn::new(&out.bytes[..]).read_response().unwrap();
+            assert_eq!(resp.body, body, "{len} bytes round-trip");
+        }
     }
 }

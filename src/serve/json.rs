@@ -102,12 +102,12 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn lookahead(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
+        if self.lookahead() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -119,7 +119,7 @@ impl Parser<'_> {
         if depth > MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH}"));
         }
-        match self.peek() {
+        match self.lookahead() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
@@ -143,7 +143,7 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
+        while let Some(b) = self.lookahead() {
             if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
                 self.pos += 1;
             } else {
@@ -161,14 +161,14 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let b = self
-                .peek()
+                .lookahead()
                 .ok_or_else(|| "unterminated string".to_owned())?;
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
                 b'\\' => {
                     let esc = self
-                        .peek()
+                        .lookahead()
                         .ok_or_else(|| "unterminated escape".to_owned())?;
                     self.pos += 1;
                     match esc {
@@ -195,7 +195,7 @@ impl Parser<'_> {
                     // both ends are char boundaries.
                     let start = self.pos - 1;
                     while self
-                        .peek()
+                        .lookahead()
                         .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
                     {
                         self.pos += 1;
@@ -238,7 +238,7 @@ impl Parser<'_> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.lookahead() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
@@ -246,7 +246,7 @@ impl Parser<'_> {
             self.skip_ws();
             items.push(self.value(depth + 1)?);
             self.skip_ws();
-            match self.peek() {
+            match self.lookahead() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
@@ -261,7 +261,7 @@ impl Parser<'_> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.lookahead() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Obj(members));
         }
@@ -274,7 +274,7 @@ impl Parser<'_> {
             let value = self.value(depth + 1)?;
             members.push((key, value));
             self.skip_ws();
-            match self.peek() {
+            match self.lookahead() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;

@@ -258,13 +258,13 @@ fn accept_loop(shared: &ServerShared, listener: TcpListener) {
                     // either way, admission is closed.
                     return;
                 }
-                // Socket timeouts: a stalled client costs one worker at
-                // most the timeout, not forever. TCP_NODELAY because the
-                // response writer emits small frames (chunk headers,
-                // response heads) back to back — without it, follow-up
-                // requests on kept-alive connections stall ~40 ms in
-                // Nagle + delayed-ACK handshakes.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+                // A write timeout: a client that stops reading costs one
+                // worker at most that, not forever (reads are bounded by
+                // the connection's own deadlines, `http::Conn`).
+                // TCP_NODELAY because a response is one write and the
+                // next request must not wait on it — without it,
+                // follow-up requests on kept-alive connections stall
+                // ~40 ms in Nagle + delayed-ACK handshakes.
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(120)));
                 let _ = stream.set_nodelay(true);
                 if let Err(rejected) = shared.admission.try_enqueue(stream) {

@@ -4,9 +4,11 @@
 //! One admitted connection is served in a loop (HTTP/1.1 keep-alive):
 //! read a request, answer it, and — unless the client asked to close,
 //! the idle window or per-connection cap ran out, shutdown began, or
-//! other connections are waiting in the queue — wait for the next one on
-//! the same socket. Every follow-up request is admission-accounted
-//! individually, so `/v1/stats` counts requests, not connections.
+//! other connections are waiting in the queue — take the next one off
+//! the same connection: at once when it was pipelined behind the last,
+//! else after waiting for it. Every follow-up request is
+//! admission-accounted individually, so `/v1/stats` counts requests, not
+//! connections.
 //!
 //! `POST /v1/run` is the CLI's `gmark --config … --output …` re-expressed
 //! over HTTP: the body carries the plan (raw schema XML, or the JSON
@@ -33,7 +35,7 @@ use crate::run::{run, Artifact, Door, MemorySink, RunOptions, RunPlan, RunReques
 use gmark_stats::JsonWriter;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A handler-level failure: the status and message of the error response.
 type Reject = (u16, String);
@@ -45,10 +47,10 @@ fn bad(msg: impl Into<String>) -> Reject {
 /// Serves requests off one admitted connection until it should close:
 /// the keep-alive request loop.
 pub(crate) fn handle(shared: &ServerShared, job: Job) {
-    let Job {
-        mut stream,
-        enqueued,
-    } = job;
+    let Job { stream, enqueued } = job;
+    let Ok(mut conn) = http::Conn::server(stream) else {
+        return;
+    };
     let idle = Duration::from_millis(shared.config.keep_alive_ms);
     let cap = shared.config.max_requests_per_conn.max(1);
     // The first request rode through the admission queue; follow-ups are
@@ -59,20 +61,20 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
     loop {
         let enqueued_at = match enqueued.take() {
             Some(t) => t,
-            None => match await_next_request(shared, &mut stream, idle) {
-                Some(arrived) => {
-                    shared.admission.note_keep_alive_request();
-                    arrived
-                }
-                None => return,
-            },
+            // A pipelined request already buffered is served at once;
+            // otherwise wait out the idle window for the next one.
+            None if conn.await_request(idle, || shared.stopping()) => {
+                shared.admission.note_keep_alive_request();
+                Instant::now()
+            }
+            None => return,
         };
-        let request = match http::read_request(&mut stream) {
+        let request = match conn.read_request(Instant::now() + http::REQUEST_TIMEOUT) {
             Ok(request) => request,
             Err(e) => {
                 let status = e.status();
                 if status != 0 {
-                    let _ = http::write_error(&mut stream, status, &e.to_string(), false);
+                    let _ = http::write_error(conn.get_mut(), status, &e.to_string(), false);
                 }
                 return;
             }
@@ -89,30 +91,23 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
             && !shared.stopping()
             && shared.admission.queue_depth() == 0;
 
+        let stream = conn.get_mut();
         let result = match (request.method.as_str(), request.path.as_str()) {
-            ("POST", "/v1/run") => {
-                run_route(shared, enqueued_at, &request, &mut stream, keep_alive)
-            }
+            ("POST", "/v1/run") => run_route(shared, enqueued_at, &request, stream, keep_alive),
             ("GET", "/healthz") => {
                 let text = "text/plain; charset=utf-8";
-                respond(&mut stream, 200, text, b"ok\n", keep_alive)
+                respond(stream, 200, text, b"ok\n", keep_alive)
             }
             ("GET", "/v1/stats") => {
                 let body = stats_json(shared);
-                respond(
-                    &mut stream,
-                    200,
-                    "application/json",
-                    body.as_bytes(),
-                    keep_alive,
-                )
+                respond(stream, 200, "application/json", body.as_bytes(), keep_alive)
             }
             ("GET", path) => {
                 if let Some(id) = path
                     .strip_prefix("/v1/run/")
                     .and_then(|rest| rest.strip_suffix("/summary"))
                 {
-                    summary_route(shared, id, &mut stream, keep_alive)
+                    summary_route(shared, id, stream, keep_alive)
                 } else {
                     Err((404, format!("no such resource: {path}")))
                 }
@@ -124,50 +119,10 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
         };
 
         if let Err((status, message)) = result {
-            let _ = http::write_error(&mut stream, status, &message, keep_alive);
+            let _ = http::write_error(stream, status, &message, keep_alive);
         }
         if !keep_alive {
             return;
-        }
-    }
-}
-
-/// Waits for the first byte of the next request on a kept-alive
-/// connection: short timeout slices so shutdown is noticed within
-/// ~100 ms, bounded by the idle window. Returns the arrival instant, or
-/// `None` when the client closed, the window expired, the socket
-/// failed, or the server is stopping.
-fn await_next_request(
-    shared: &ServerShared,
-    stream: &mut std::net::TcpStream,
-    idle: Duration,
-) -> Option<std::time::Instant> {
-    const SLICE: Duration = Duration::from_millis(100);
-    let started = std::time::Instant::now();
-    let mut probe = [0u8; 1];
-    loop {
-        if shared.stopping() || started.elapsed() >= idle {
-            return None;
-        }
-        let _ = stream.set_read_timeout(Some(SLICE.min(idle)));
-        match stream.peek(&mut probe) {
-            Ok(0) => return None, // clean client close
-            Ok(_) => {
-                // Restore the acceptor's working timeout for the head
-                // read — a client that sends one byte and stalls costs
-                // at most that, as before.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                return Some(std::time::Instant::now());
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return None,
         }
     }
 }
@@ -210,7 +165,7 @@ fn summary_route(
 /// artifact.
 fn run_route(
     shared: &ServerShared,
-    enqueued: std::time::Instant,
+    enqueued: Instant,
     request: &Request,
     stream: &mut std::net::TcpStream,
     keep_alive: bool,
@@ -235,7 +190,7 @@ fn run_route(
     }
 
     let (plan, opts, key) = parse_run_request(request)?;
-    let build_started = std::time::Instant::now();
+    let build_started = Instant::now();
     let (result, hit) = shared.cache.get_or_build(key, move || {
         let mut sink = MemorySink::new();
         match run(&plan, &opts, &mut sink) {
@@ -266,7 +221,7 @@ fn run_route(
         ("X-Gmark-Snapshot-Key", key_hex.as_str()),
         ("X-Gmark-Artifact", artifact.file_name()),
     ];
-    let stream_started = std::time::Instant::now();
+    let stream_started = Instant::now();
     let _ = http::write_chunked(stream, 200, &headers, body, keep_alive);
     shared.latency.stream.record(stream_started.elapsed());
     Ok(())

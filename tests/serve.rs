@@ -9,9 +9,10 @@
 //! service wrapper around that invariant.
 
 use gmark::run::{run, Artifact, MemorySink, RunOptions, RunPlan};
-use gmark::serve::http::{fetch, Client, ClientResponse};
+use gmark::serve::http::{fetch, Client, ClientResponse, Conn};
 use gmark::serve::{ServeConfig, Server};
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 const BIB_XML: &str = include_str!("../examples/configs/bib.xml");
@@ -324,6 +325,54 @@ fn keep_alive_requests_are_byte_identical_to_one_per_connection() {
     // The run route fed the latency histograms.
     assert!(text.contains("\"latency\":"), "{text}");
     assert!(!text.contains("\"queue_wait\":{\"count\":0"), "{text}");
+
+    server.shutdown();
+}
+
+/// Two requests sent in one `write` come back as two responses, in order,
+/// each carrying the bytes the same request gets on its own connection.
+#[test]
+fn pipelined_requests_are_answered_in_order_with_sequential_bytes() {
+    let server = start(1, 64, 64);
+    let addr = server.local_addr();
+    let queries = [
+        "?nodes=60&seed=1&artifact=graph.nt",
+        "?nodes=90&seed=2&artifact=workload.txt",
+    ];
+    let sequential: Vec<ClientResponse> = queries.iter().map(|q| post_run(addr, q)).collect();
+
+    let mut wire = Vec::new();
+    for query in queries {
+        wire.extend_from_slice(
+            format!(
+                "POST /v1/run{query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n\r\n",
+                BIB_XML.len()
+            )
+            .as_bytes(),
+        );
+        wire.extend_from_slice(BIB_XML.as_bytes());
+    }
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(120)))
+        .unwrap();
+    stream.write_all(&wire).expect("both requests sent at once");
+    let mut conn = Conn::new(stream);
+    for (query, reference) in queries.iter().zip(&sequential) {
+        let resp = conn.read_response().expect("pipelined response");
+        assert_eq!(resp.status, 200, "{query}");
+        assert!(!resp.close_after(), "{query}");
+        assert_eq!(resp.header("x-gmark-cache"), Some("hit"), "{query}");
+        assert_eq!(
+            resp.header("x-gmark-artifact"),
+            reference.header("x-gmark-artifact")
+        );
+        assert_eq!(resp.body, reference.body, "{query}");
+    }
+    assert_eq!(
+        sequential[0].body,
+        reference_artifact(60, 1, Artifact::Graph)
+    );
 
     server.shutdown();
 }
