@@ -10,6 +10,11 @@
 //! * [`gen`] — the linear-time heuristic graph generator of Fig. 5;
 //! * [`query`] — the UCRPQ query model of Section 3.3 (rules, conjuncts,
 //!   disjuncts, outermost-star regular expressions);
+//! * [`datalog`] and [`cypher`] — one structured translation per target
+//!   language that needs one: the Datalog program, as data, and Section
+//!   7.1's openCypher degradation. A language's text writer and the engine
+//!   that stands in for its system both read that one value, so the text
+//!   says what the engine evaluates;
 //! * [`selectivity`] — the schema-driven selectivity estimation machinery of
 //!   Section 5.2: the class algebra (Table 1, Fig. 7), the schema graph
 //!   `G_S`, distance matrix, selectivity graph `G_sel`, and the `nb_path`
@@ -24,6 +29,8 @@
 
 #![warn(missing_docs)]
 
+pub mod cypher;
+pub mod datalog;
 pub mod extract;
 pub mod gen;
 pub mod query;
@@ -33,6 +40,7 @@ pub mod selectivity;
 pub mod usecases;
 pub mod workload;
 
+pub use cypher::{CypherCounts, CypherDegradations};
 pub use gen::{
     generate_graph, generate_into, generate_streamed, generate_streamed_spooled, GenReport,
     GeneratorOptions, StreamOptions,
@@ -44,6 +52,6 @@ pub use schema::{
 };
 pub use selectivity::{Card, SelOp, SelTriple, SelectivityClass};
 pub use workload::{
-    cypher_degradations, generate_workload, generate_workload_with_threads, CypherDegradations,
-    QuerySize, Shape, Workload, WorkloadConfig, WorkloadContext, WorkloadError, WorkloadReport,
+    generate_workload, generate_workload_with_threads, QuerySize, Shape, Workload, WorkloadConfig,
+    WorkloadContext, WorkloadError, WorkloadReport,
 };

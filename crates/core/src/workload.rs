@@ -36,6 +36,7 @@
 //! count (the argument is made once, in [`gmark_store::emit`]) —
 //! `tests/workload_determinism.rs` pins it.
 
+use crate::cypher::{degrade, CypherCounts};
 use crate::query::{Conjunct, PathExpr, Query, QueryError, RegularExpr, Rule, Symbol, Var};
 use crate::schema::{Schema, TypeId};
 use crate::selectivity::graph::{
@@ -223,54 +224,6 @@ impl std::error::Error for WorkloadError {
     }
 }
 
-/// How often a query would be *degraded* by the openCypher translator
-/// (Section 7.1): openCypher's variable-length patterns support neither
-/// concatenation nor inverse traversal under a Kleene star, so the
-/// translator keeps the first usable symbol. These counters make the loss
-/// visible as data (the translator additionally marks each occurrence with
-/// a `// LOSSY:` comment).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CypherDegradations {
-    /// Starred disjunct paths of length > 1 (concatenation under `*`
-    /// reduced to a single symbol).
-    pub star_concat: u64,
-    /// Starred disjunct paths containing an inverse symbol (inversion
-    /// dropped under `*`).
-    pub star_inverse: u64,
-}
-
-impl CypherDegradations {
-    /// Whether any degradation would occur.
-    pub fn any(&self) -> bool {
-        self.star_concat > 0 || self.star_inverse > 0
-    }
-}
-
-/// Counts the openCypher degradations of Section 7.1 for one query: one
-/// `star_concat` per starred disjunct path longer than one symbol, one
-/// `star_inverse` per starred disjunct path containing an inverse symbol.
-/// These conditions mirror `gmark_translate::cypher` exactly (a test there
-/// pins the agreement against the emitted `// LOSSY:` notes).
-pub fn cypher_degradations(query: &Query) -> CypherDegradations {
-    let mut d = CypherDegradations::default();
-    for rule in &query.rules {
-        for c in &rule.body {
-            if !c.expr.starred {
-                continue;
-            }
-            for p in &c.expr.disjuncts {
-                if p.len() > 1 {
-                    d.star_concat += 1;
-                }
-                if p.0.iter().any(|s| s.inverse) {
-                    d.star_inverse += 1;
-                }
-            }
-        }
-    }
-    d
-}
-
 /// A generated workload.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -399,7 +352,7 @@ pub struct WorkloadReport {
     /// Total relaxation steps applied across the workload.
     pub relaxations: u32,
     /// openCypher degradations (Section 7.1) summed over the workload.
-    pub cypher: CypherDegradations,
+    pub cypher: CypherCounts,
 }
 
 impl WorkloadReport {
@@ -413,9 +366,7 @@ impl WorkloadReport {
             self.unsatisfied_selectivity += 1;
         }
         self.relaxations += gq.relaxations;
-        let d = cypher_degradations(&gq.query);
-        self.cypher.star_concat += d.star_concat;
-        self.cypher.star_inverse += d.star_inverse;
+        self.cypher.add(&degrade(&gq.query).1);
     }
 
     /// Merges another report in (see [`WorkloadReport::absorb`]).

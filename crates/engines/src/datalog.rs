@@ -5,8 +5,9 @@
 //! that completed every recursive query of Table 4. The stand-in evaluates
 //! the fragment the translation needs: positive Datalog whose body atoms
 //! are unary (`node(X)`) or binary, with any recursion — linear,
-//! non-linear, mutual. The program is structurally the one
-//! `gmark-translate::datalog` prints.
+//! non-linear, mutual. The program is [`Program::from_query`]'s, the one
+//! `gmark-translate::datalog` prints, with each `ans` body in the plan's
+//! conjunct order.
 //!
 //! What `D` shares with the other engines is the data and the kernel:
 //! every predicate is a [`Relation`] — an `edge` atom mounts the context's
@@ -45,83 +46,20 @@
 
 use crate::context::EvalContext;
 use crate::joiner::{join_all, project, ConjunctPairs};
-use crate::planner::{ConjunctStep, QueryPlan};
+use crate::planner::QueryPlan;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError};
-use gmark_core::query::{PathExpr, Query, RegularExpr, Symbol, Var};
+use gmark_core::datalog::{Atom, DlRule, Head, Pred, Program};
+use gmark_core::query::{Query, QueryError};
 
-/// What a body atom ranges over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pred {
-    /// `node(X)`: the identity relation.
-    Node,
-    /// `edge_<p>(X, Y)`, or `edge_<p>(Y, X)` for an inverse symbol: the
-    /// context's relation of the symbol.
-    Edge(Symbol),
-    /// The `i`-th derived binary predicate.
-    Idb(usize),
-}
-
-/// A body atom `pred(src, trg)`; `node(X)` is `(Node, X, X)`.
-#[derive(Debug, Clone, Copy)]
-struct Atom {
-    pred: Pred,
-    src: Var,
-    trg: Var,
-}
-
-fn atom(pred: Pred, src: Var, trg: Var) -> Atom {
-    Atom { pred, src, trg }
-}
-
-/// What a rule derives: a binary IDB predicate, or `ans` — the only
-/// predicate wider (or narrower) than two, which never occurs in a body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Head {
-    Idb(usize),
-    Ans,
-}
-
-/// A Datalog rule `head(args) :- body`.
-#[derive(Debug, Clone)]
-struct DlRule {
-    head: Head,
-    args: Vec<Var>,
-    body: Vec<Atom>,
-}
-
-/// A positive Datalog program over `idb` binary IDB predicates and `ans`.
-#[derive(Debug, Clone, Default)]
-struct Program {
-    idb: usize,
-    rules: Vec<DlRule>,
-}
-
-impl Program {
-    /// A fresh binary IDB predicate.
-    fn predicate(&mut self) -> usize {
-        self.idb += 1;
-        self.idb - 1
-    }
-
-    /// Adds `head(x, y) :- body`.
-    fn rule(&mut self, head: usize, (x, y): (Var, Var), body: Vec<Atom>) {
-        self.rules.push(DlRule {
-            head: Head::Idb(head),
-            args: vec![x, y],
-            body,
-        });
-    }
-
-    /// Whether `pred` is complete after round 0: extensional, or defined
-    /// only by rules with IDB-free bodies (the `<p>_step` predicates of
-    /// closure translations).
-    fn stable_after_round0(&self, pred: Pred) -> bool {
-        let Pred::Idb(p) = pred else { return true };
-        let extensional = |r: &DlRule| r.body.iter().all(|a| !matches!(a.pred, Pred::Idb(_)));
-        let mut defining = self.rules.iter().filter(|r| r.head == Head::Idb(p));
-        defining.all(extensional)
-    }
+/// Whether `pred` is complete after round 0: extensional, or defined only
+/// by rules with IDB-free bodies (the step predicates of closure
+/// translations).
+fn stable_after_round0(program: &Program, pred: Pred) -> bool {
+    let Pred::Idb(p) = pred else { return true };
+    let extensional = |r: &DlRule| r.body.iter().all(|a| !matches!(a.pred, Pred::Idb(_)));
+    let mut defining = program.rules.iter().filter(|r| r.head == Head::Idb(p));
+    defining.all(extensional)
 }
 
 /// Recognizes the canonical linear-recursion shape
@@ -239,7 +177,7 @@ fn semi_naive(
     let composes: Vec<Option<Pred>> = program
         .rules
         .iter()
-        .map(|r| linear_recursion_step(r).filter(|&s| program.stable_after_round0(s)))
+        .map(|r| linear_recursion_step(r).filter(|&s| stable_after_round0(program, s)))
         .collect();
 
     // Round 0: every rule on everything derived so far.
@@ -275,80 +213,21 @@ fn semi_naive(
     Ok((fx.full, fx.answers))
 }
 
-/// A UCRPQ's rules — the translation `gmark-translate::datalog` prints,
-/// answer predicate `ans`. Bodies are joined left to right, so the `ans`
-/// rule bodies follow the plan's conjunct order, bounding the intermediate
-/// binding sets the same way it does for the other engines; the auxiliary
-/// path/closure rules are emitted in declaration order whatever the plan.
-fn translate(query: &Query, plan: &QueryPlan) -> Program {
-    const X: Var = Var(0);
-    const Y: Var = Var(1);
-    const Z: Var = Var(2);
-
-    /// `head(X, Y)` as one path expression; intermediates from `Z` up.
-    fn path_rule(prog: &mut Program, head: usize, path: &PathExpr) {
-        if path.is_empty() {
-            return prog.rule(head, (X, X), vec![atom(Pred::Node, X, X)]);
-        }
-        let hop = |i: usize| match i {
-            0 => X,
-            i if i == path.len() => Y,
-            i => Var(i as u32 + 1),
-        };
-        let edge = |(i, sym): (usize, &Symbol)| atom(Pred::Edge(*sym), hop(i), hop(i + 1));
-        let body = path.0.iter().enumerate().map(edge).collect();
-        prog.rule(head, (X, Y), body);
-    }
-
-    /// The predicate of one conjunct's expression.
-    fn expr_pred(prog: &mut Program, expr: &RegularExpr) -> usize {
-        let pred = prog.predicate();
-        if !expr.starred {
-            for d in &expr.disjuncts {
-                path_rule(prog, pred, d);
-            }
-            return pred;
-        }
-        let step = prog.predicate();
-        for d in &expr.disjuncts {
-            path_rule(prog, step, d);
-        }
-        // p(X, X) :- node(X).  p(X, Y) :- p(X, Z), step(Z, Y).
-        prog.rule(pred, (X, X), vec![atom(Pred::Node, X, X)]);
-        let closure = vec![atom(Pred::Idb(pred), X, Z), atom(Pred::Idb(step), Z, Y)];
-        prog.rule(pred, (X, Y), closure);
-        pred
-    }
-
-    let mut prog = Program::default();
-    for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
-        let preds: Vec<usize> = rule
-            .body
-            .iter()
-            .map(|c| expr_pred(&mut prog, &c.expr))
-            .collect();
-        let conjunct = |step: &ConjunctStep| {
-            let c = &rule.body[step.conjunct];
-            atom(Pred::Idb(preds[step.conjunct]), c.src, c.trg)
-        };
-        prog.rules.push(DlRule {
-            head: Head::Ans,
-            args: rule.head.clone(),
-            body: rule_plan.steps.iter().map(conjunct).collect(),
-        });
-    }
-    prog
-}
-
-/// Translates the query and runs the program against the relations of the
-/// shared context.
+/// Translates the query, each `ans` body in the plan's conjunct order, and
+/// runs the program against the relations of the shared context. A head
+/// variable no conjunct binds is [`EvalError::Unsupported`].
 pub(crate) fn evaluate(
     ctx: &EvalContext<'_>,
     query: &Query,
     plan: &QueryPlan,
     budget: &Budget,
 ) -> Result<Answers, EvalError> {
-    let program = translate(query, plan);
+    let orders = plan
+        .rules
+        .iter()
+        .map(|r| r.steps.iter().map(|s| s.conjunct));
+    let program = Program::from_query(query, orders)
+        .map_err(|v| EvalError::Unsupported(QueryError::UnsafeHeadVar(v).to_string()))?;
     Ok(semi_naive(ctx, &program, query.arity(), budget)?.1)
 }
 
@@ -357,7 +236,8 @@ mod tests {
     use super::*;
     use crate::fixtures::{chain, graph5 as graph, sym};
     use crate::EngineKind;
-    use gmark_core::query::{Conjunct, Rule};
+    use gmark_core::datalog::atom;
+    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Var};
     use gmark_store::{EdgeSink, GraphBuilder, TypePartition};
 
     const X: Var = Var(0);
@@ -412,7 +292,7 @@ mod tests {
         prog.rule(0, (X, Y), vec![atom(path, X, Z), atom(path, Z, Y)]);
         // The step is the recursive predicate itself: never stable.
         assert_eq!(linear_recursion_step(&prog.rules[1]), Some(path));
-        assert!(!prog.stable_after_round0(path));
+        assert!(!stable_after_round0(&prog, path));
         assert_eq!(run(&prog), [a_plus()]);
     }
 
@@ -467,7 +347,7 @@ mod tests {
         let g = graph();
         let ctx = EvalContext::new(&g);
         let q = chain(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]);
-        let program = translate(&q, &QueryPlan::declaration_order(&q));
+        let program = Program::from_query(&q, [[0]]).unwrap();
         // 13 EDB facts; step = a (5), p = a* (17), ans = a* (17).
         let k = final_size(&ctx, &program, 2);
         assert_eq!(k, 13 + 5 + 17 + 17);
@@ -538,6 +418,18 @@ mod tests {
         .unwrap();
         let a = eval(EngineKind::Datalog, &q, &Budget::default()).unwrap();
         assert!(a.non_empty());
+    }
+
+    #[test]
+    fn an_unbound_head_variable_is_unsupported() {
+        // Hand-built, bypassing `Query::new`'s safety check.
+        let mut q = chain(vec![RegularExpr::symbol(sym(0))]);
+        q.rules[0].head.push(Var(7));
+        let err = eval(EngineKind::Datalog, &q, &Budget::default()).unwrap_err();
+        assert!(
+            matches!(err, EvalError::Unsupported(ref what) if what.contains("?x7")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * `G` (navigational) — **navigate**: seed-driven BFS from the bindings
 //!   so far, over the *degraded* query an openCypher system would run
 //!   (inverses and concatenations under `*` are dropped per Section 7.1,
-//!   see [`navigational::degrade_for_cypher`]), hence its answer sets
+//!   see [`gmark_core::cypher::degrade`]), hence its answer sets
 //!   legitimately differ on such queries;
 //! * `D` (Datalog) — **semi-naive**: the query translated to a positive
 //!   Datalog program (unary and binary body atoms, any recursion) and run

@@ -594,7 +594,7 @@ fn warm_context(
             // The navigational engine evaluates the degraded forms, which
             // differ under stars; cache those shapes too.
             for query in queries {
-                let (degraded, _) = navigational::degrade_for_cypher(query);
+                let (degraded, _) = gmark_core::cypher::degrade(query);
                 exprs.extend(conjuncts(&[&degraded]).map(|c| c.expr.clone()));
             }
         }

@@ -7,10 +7,11 @@
 //!    neither inverses nor concatenations under a Kleene star, so such
 //!    queries run in a weakened form — "the corresponding openCypher query
 //!    has only the non-inverse symbol and/or the first symbol in a
-//!    concatenation of symbols" (Section 7.1). This engine evaluates that
-//!    degraded query, so its answers on recursive queries legitimately
-//!    differ from the other engines — the reason the paper reports `G`
-//!    returning empty/deviating results in Table 4.
+//!    concatenation of symbols" (Section 7.1). This engine evaluates
+//!    [`gmark_core::cypher::degrade`]'s query — the one
+//!    `gmark-translate::cypher` writes — so its answers on recursive
+//!    queries legitimately differ from the other engines: the reason the
+//!    paper reports `G` returning empty/deviating results in Table 4.
 //! 2. **Seed-driven navigation.** Evaluation expands bindings conjunct by
 //!    conjunct from already-bound variables (pattern matching by
 //!    traversal), rather than materializing whole relations. Starting
@@ -27,66 +28,13 @@ use crate::joiner::{union_of_rules, BindingTable, ConjunctPairs};
 use crate::planner::ConjunctStep;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError, QueryPlan};
+use gmark_core::cypher::degrade;
 use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule};
 use gmark_store::NodeId;
 use std::sync::Arc;
 
-/// Section 7.1's degradation: under a star, keep each disjunct's first
-/// non-inverse symbol (paths reduce to length one; inverse-only paths keep
-/// their first symbol with the inversion dropped). Only expressions are
-/// rewritten, so the result is as well-formed as the input was.
-pub fn degrade_for_cypher(query: &Query) -> (Query, bool) {
-    let mut lossy = false;
-    let rules = query
-        .rules
-        .iter()
-        .map(|r| Rule {
-            head: r.head.clone(),
-            body: r
-                .body
-                .iter()
-                .map(|c| Conjunct {
-                    src: c.src,
-                    trg: c.trg,
-                    expr: degrade_expr(&c.expr, &mut lossy),
-                })
-                .collect(),
-        })
-        .collect();
-    (Query { rules }, lossy)
-}
-
-fn degrade_expr(expr: &RegularExpr, lossy: &mut bool) -> RegularExpr {
-    if !expr.starred {
-        return expr.clone();
-    }
-    let mut disjuncts = Vec::new();
-    for p in &expr.disjuncts {
-        if p.is_empty() {
-            continue;
-        }
-        let degraded = if let Some(sym) = p.0.iter().find(|s| !s.inverse) {
-            if p.len() > 1 || p.0.iter().any(|s| s.inverse) {
-                *lossy = true;
-            }
-            PathExpr(vec![*sym])
-        } else {
-            *lossy = true;
-            PathExpr(vec![p.0[0].flipped()]) // drop the inversion
-        };
-        if !disjuncts.contains(&degraded) {
-            disjuncts.push(degraded);
-        }
-    }
-    if disjuncts.is_empty() {
-        // Only ε disjuncts: the star is the identity.
-        disjuncts.push(PathExpr::epsilon());
-    }
-    RegularExpr {
-        disjuncts,
-        starred: true,
-    }
-}
+/// The frozen benchmark harness imports the degradation by this path.
+pub use gmark_core::cypher::degrade as degrade_for_cypher;
 
 /// Evaluates the degraded query by seed-driven navigation along the plan.
 /// Degradation rewrites conjunct *expressions* only — rule and conjunct
@@ -98,7 +46,7 @@ pub(crate) fn evaluate(
     plan: &QueryPlan,
     budget: &Budget,
 ) -> Result<Answers, EvalError> {
-    let (query, _lossy) = degrade_for_cypher(query);
+    let (query, _) = degrade(query);
     union_of_rules(&query, plan, budget, |rule, steps| {
         navigate_rule(ctx, rule, steps, budget)
     })
@@ -220,42 +168,13 @@ mod tests {
     }
 
     #[test]
-    fn degrade_marks_lossiness() {
-        let clean = chain(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]);
-        let (dq, lossy) = degrade_for_cypher(&clean);
-        assert!(!lossy);
-        assert_eq!(dq, clean);
-
-        let dirty = chain(vec![RegularExpr::star(vec![PathExpr(vec![
-            sym(0),
-            sym(1),
-        ])])]);
-        let (dq, lossy) = degrade_for_cypher(&dirty);
-        assert!(lossy);
-        assert_eq!(
-            dq.rules[0].body[0].expr,
-            RegularExpr::star(vec![PathExpr(vec![sym(0)])])
-        );
-
-        let inverse_only = chain(vec![RegularExpr::star(vec![PathExpr(vec![
-            sym(1).flipped()
-        ])])]);
-        let (dq, lossy) = degrade_for_cypher(&inverse_only);
-        assert!(lossy);
-        assert_eq!(
-            dq.rules[0].body[0].expr,
-            RegularExpr::star(vec![PathExpr(vec![sym(1)])])
-        );
-    }
-
-    #[test]
     fn non_starred_expressions_untouched() {
         let q = chain(vec![RegularExpr::union(vec![
             PathExpr(vec![sym(0), sym(1).flipped()]),
             PathExpr(vec![sym(1)]),
         ])]);
-        let (dq, lossy) = degrade_for_cypher(&q);
-        assert!(!lossy);
+        let (dq, lost) = degrade(&q);
+        assert!(lost.losses.is_empty());
         assert_eq!(dq, q);
     }
 

@@ -2,19 +2,21 @@
 //!
 //! openCypher's pattern language is strictly weaker than UCRPQ
 //! (Section 7.1): variable-length relationship patterns (`[:a*0..]`)
-//! support neither inverse traversal nor concatenations. The paper handles
-//! this by degrading such queries — "the corresponding openCypher query has
-//! only the non-inverse symbol and/or the first symbol in a concatenation
-//! of symbols, respectively" — and we do exactly the same, marking every
-//! degradation with a `// LOSSY:` comment so benchmark harnesses can detect
-//! approximated queries (the reason system `G` "often has answer sets
-//! that differ from … the other languages").
+//! support neither inverse traversal nor concatenations. The paper degrades
+//! such queries — "the corresponding openCypher query has only the
+//! non-inverse symbol and/or the first symbol in a concatenation of
+//! symbols, respectively". This writer prints the query
+//! [`gmark_core::cypher::degrade`] leaves — the one the in-repo `G` engine
+//! evaluates — and one `// LOSSY:` comment per loss it reports, so
+//! benchmark harnesses can detect approximated queries (the reason system
+//! `G` "often has answer sets that differ from … the other languages").
 //!
 //! Non-starred conjuncts translate faithfully: concatenations become paths
 //! through anonymous nodes, single-symbol disjunctions become relationship
 //! alternations `[:a|b]`, and multi-path disjunctions expand into a
 //! `UNION` over the (capped) cross product of disjunct choices.
 
+use gmark_core::cypher::degrade;
 use gmark_core::query::{PathExpr, Query, RegularExpr, Rule, Symbol};
 use gmark_core::schema::Schema;
 use std::fmt::Write;
@@ -25,9 +27,12 @@ const MAX_EXPANSION: usize = 64;
 
 /// Translates a UCRPQ into openCypher.
 pub fn translate(query: &Query, schema: &Schema) -> String {
+    let (degraded, lost) = degrade(query);
     let mut notes = Vec::new();
     let mut blocks = Vec::new();
-    for rule in &query.rules {
+    for (r, rule) in degraded.rules.iter().enumerate() {
+        let star_losses = lost.losses.iter().filter(|(at, _)| *at == r);
+        notes.extend(star_losses.map(|(_, loss)| loss.to_string()));
         blocks.extend(rule_blocks(rule, schema, &mut notes));
     }
     let mut out = String::new();
@@ -44,8 +49,7 @@ fn rule_blocks(rule: &Rule, schema: &Schema, notes: &mut Vec<String>) -> Vec<Str
     // Per conjunct: list of pattern alternatives.
     let mut per_conjunct: Vec<Vec<String>> = Vec::with_capacity(rule.body.len());
     for c in &rule.body {
-        let alternatives = conjunct_patterns(c.src.0, &c.expr, c.trg.0, schema, notes);
-        per_conjunct.push(alternatives);
+        per_conjunct.push(conjunct_patterns(c.src.0, &c.expr, c.trg.0, schema));
     }
     // Cross product of alternatives, capped.
     let mut combos: Vec<Vec<usize>> = vec![Vec::new()];
@@ -87,44 +91,21 @@ fn rule_blocks(rule: &Rule, schema: &Schema, notes: &mut Vec<String>) -> Vec<Str
         .collect()
 }
 
-/// Pattern alternatives for one conjunct.
-fn conjunct_patterns(
-    src: u32,
-    expr: &RegularExpr,
-    trg: u32,
-    schema: &Schema,
-    notes: &mut Vec<String>,
-) -> Vec<String> {
-    if expr.starred {
-        // Degrade each disjunct to one forward symbol (paper's rule), then
-        // merge into a single variable-length alternation.
-        let mut labels = Vec::new();
-        for p in &expr.disjuncts {
-            if let Some(label) = degrade_path(p, schema, notes) {
-                if !labels.contains(&label) {
-                    labels.push(label);
-                }
-            }
-        }
-        if labels.is_empty() {
-            notes.push("starred conjunct had no usable symbol; pattern dropped to ε".into());
-            return vec![format!("(x{src})-[*0..0]->(x{trg})")];
-        }
-        return vec![format!("(x{src})-[:{}*0..]->(x{trg})", labels.join("|"))];
-    }
-    // Non-starred: single-symbol disjuncts of the same direction can merge
-    // into an alternation; everything else becomes separate alternatives.
-    let all_single_forward = expr
+/// Pattern alternatives for one conjunct of a degraded query. A degraded
+/// star holds distinct forward symbols — or the lone ε, `*0..0` — and, like
+/// a disjunction of several forward symbols, becomes one alternation.
+fn conjunct_patterns(src: u32, expr: &RegularExpr, trg: u32, schema: &Schema) -> Vec<String> {
+    let single_forward = expr
         .disjuncts
         .iter()
         .all(|p| p.len() == 1 && !p.0[0].inverse);
-    if all_single_forward && expr.disjuncts.len() > 1 {
+    if single_forward && (expr.starred || expr.disjuncts.len() > 1) {
         let labels: Vec<&str> = expr
-            .disjuncts
-            .iter()
-            .map(|p| schema.predicate_name(p.0[0].predicate))
+            .symbols()
+            .map(|s| schema.predicate_name(s.predicate))
             .collect();
-        return vec![format!("(x{src})-[:{}]->(x{trg})", labels.join("|"))];
+        let star = if expr.starred { "*0.." } else { "" };
+        return vec![format!("(x{src})-[:{}{star}]->(x{trg})", labels.join("|"))];
     }
     expr.disjuncts
         .iter()
@@ -157,29 +138,6 @@ fn segment(s: Symbol, schema: &Schema) -> String {
     } else {
         format!("-[:{name}]->")
     }
-}
-
-/// Section 7.1's degradation for symbols under a star: keep the first
-/// non-inverse symbol of the path (or the first symbol's label when all are
-/// inverse, dropping the inversion).
-fn degrade_path(p: &PathExpr, schema: &Schema, notes: &mut Vec<String>) -> Option<String> {
-    if p.is_empty() {
-        return None;
-    }
-    if p.len() > 1 {
-        notes.push(format!(
-            "concatenation of {} symbols under * reduced to its first usable symbol",
-            p.len()
-        ));
-    }
-    if let Some(sym) = p.0.iter().find(|s| !s.inverse) {
-        if p.0.iter().any(|s| s.inverse) {
-            notes.push("inverse symbol under * dropped".into());
-        }
-        return Some(schema.predicate_name(sym.predicate).to_owned());
-    }
-    notes.push("inverse-only path under * degraded to forward traversal".into());
-    Some(schema.predicate_name(p.0[0].predicate).to_owned())
 }
 
 #[cfg(test)]
@@ -302,48 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn degradation_counters_match_lossy_notes() {
-        // `gmark_core::workload::cypher_degradations` promises to count
-        // exactly the degradations this translator flags: one star_concat
-        // per "concatenation … under *" note, one star_inverse per
-        // "inverse …" note. Pin the agreement on a recursion-heavy
-        // generated workload.
-        use gmark_core::usecases;
-        use gmark_core::workload::{cypher_degradations, generate_workload, WorkloadConfig};
-        let schema = usecases::bib();
-        let mut cfg = WorkloadConfig::new(40).with_seed(0xC1FE);
-        cfg.recursion_probability = 0.6;
-        cfg.query_size.length = (1, 3);
-        cfg.query_size.disjuncts = (1, 2);
-        let (workload, report) = generate_workload(&schema, &cfg).unwrap();
-        let mut concat_notes = 0u64;
-        let mut inverse_notes = 0u64;
-        let mut counted = gmark_core::workload::CypherDegradations::default();
-        for gq in &workload.queries {
-            let text = translate(&gq.query, &schema);
-            concat_notes += text
-                .lines()
-                .filter(|l| l.starts_with("// LOSSY: concatenation"))
-                .count() as u64;
-            inverse_notes += text
-                .lines()
-                .filter(|l| l.starts_with("// LOSSY: inverse"))
-                .count() as u64;
-            let d = cypher_degradations(&gq.query);
-            counted.star_concat += d.star_concat;
-            counted.star_inverse += d.star_inverse;
-        }
-        assert_eq!(counted.star_concat, concat_notes, "concat counters drift");
-        assert_eq!(
-            counted.star_inverse, inverse_notes,
-            "inverse counters drift"
+    fn epsilon_star_is_exact() {
+        // ε* is the identity, `*0..0` in openCypher: no note.
+        let s = translate(
+            &single(RegularExpr::star(vec![PathExpr::epsilon()])),
+            &schema(),
         );
-        // The WorkloadReport aggregates the same counters.
-        assert_eq!(report.cypher, counted);
-        assert!(
-            workload.queries.iter().any(|gq| gq.query.is_recursive()),
-            "test workload should exercise stars"
-        );
+        assert_eq!(s, "MATCH (x0)-[*0..0]->(x1)\nRETURN DISTINCT x0, x1\n");
     }
 
     #[test]

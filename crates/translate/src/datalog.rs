@@ -1,108 +1,62 @@
-//! Datalog translation.
-//!
-//! UCRPQs are "expressible in modern Datalog-like query languages"
-//! (Section 2); the translation is the classical one. The EDB consists of
-//! `edge_<label>(X, Y)` facts plus `node(X)`; each conjunct's regular
-//! expression compiles to IDB predicates:
-//!
-//! * a path (concatenation) becomes one rule chaining fresh variables,
-//! * a disjunction becomes several rules with the same head,
-//! * a Kleene star becomes the linear recursion
-//!   `p(X, X) :- node(X). p(X, Y) :- p(X, Z), step(Z, Y).`
-//!
-//! The same program shape is consumed by the in-repo semi-naive Datalog
-//! engine (`gmark-engines`), keeping the textual output and the executable
-//! semantics aligned.
+//! Datalog translation: the [`gmark_core::datalog::Program`] the in-repo
+//! `D` engine evaluates, rendered as text, with the `ans` bodies in
+//! declaration order (`D` joins them in its plan's order). Names: the EDB
+//! is `node(X)` and `edge_<label>(X, Y)` (`edge_<label>(Y, X)` for an
+//! inverse symbol), IDB predicate `i` is `p<i>`, an auxiliary rule ranges
+//! over `X`, `Y`, `Z` and the path intermediates `Z1`, `Z2`, …, and an
+//! `ans` rule over the query's variables `X<n>`.
 
-use gmark_core::query::{PathExpr, Query, Symbol};
+use crate::TranslateError;
+use gmark_core::datalog::{Atom, Head, Pred, Program};
+use gmark_core::query::{Query, Var};
 use gmark_core::schema::Schema;
 use std::fmt::Write;
 
-fn edge_atom(s: Symbol, from: &str, to: &str, schema: &Schema) -> String {
-    let name = schema.predicate_name(s.predicate);
-    if s.inverse {
-        format!("edge_{name}({to}, {from})")
-    } else {
-        format!("edge_{name}({from}, {to})")
-    }
-}
-
-/// Emits rules defining `head_name(X, Y)` as one path; returns the rule text.
-fn path_rules(head_name: &str, p: &PathExpr, schema: &Schema) -> String {
-    if p.is_empty() {
-        return format!("{head_name}(X, X) :- node(X).\n");
-    }
-    let mut body = Vec::with_capacity(p.len());
-    for (i, sym) in p.0.iter().enumerate() {
-        let from = if i == 0 {
-            "X".to_owned()
-        } else {
-            format!("Z{i}")
-        };
-        let to = if i + 1 == p.len() {
-            "Y".to_owned()
-        } else {
-            format!("Z{}", i + 1)
-        };
-        body.push(edge_atom(*sym, &from, &to, schema));
-    }
-    format!("{head_name}(X, Y) :- {}.\n", body.join(", "))
-}
-
 /// Translates a UCRPQ into a Datalog program with answer predicate `ans`.
-pub fn translate(query: &Query, schema: &Schema) -> String {
+///
+/// Fails with [`TranslateError::UnboundHeadVar`] on a head variable that no
+/// conjunct binds: the rule would not be range-restricted.
+pub fn translate(query: &Query, schema: &Schema) -> Result<String, TranslateError> {
+    let declared = query.rules.iter().map(|r| 0..r.body.len());
+    let program = Program::from_query(query, declared)
+        .map_err(|v| TranslateError::UnboundHeadVar { var: v.0 })?;
     let mut out = String::new();
-    let mut fresh = 0usize;
-    for rule in &query.rules {
-        let mut body_atoms = Vec::with_capacity(rule.body.len());
-        let mut definitions = String::new();
-        for c in &rule.body {
-            // A single non-starred, single-symbol disjunct inlines directly.
-            if !c.expr.starred && c.expr.disjuncts.len() == 1 && c.expr.disjuncts[0].len() == 1 {
-                let sym = c.expr.disjuncts[0].0[0];
-                body_atoms.push(edge_atom(
-                    sym,
-                    &format!("X{}", c.src.0),
-                    &format!("X{}", c.trg.0),
-                    schema,
-                ));
-                continue;
-            }
-            let p_name = format!("p{fresh}");
-            fresh += 1;
-            if c.expr.starred {
-                let step = format!("{p_name}_step");
-                for d in &c.expr.disjuncts {
-                    definitions.push_str(&path_rules(&step, d, schema));
-                }
-                let _ = writeln!(definitions, "{p_name}(X, X) :- node(X).");
-                let _ = writeln!(
-                    definitions,
-                    "{p_name}(X, Y) :- {p_name}(X, Z), {step}(Z, Y)."
-                );
-            } else {
-                for d in &c.expr.disjuncts {
-                    definitions.push_str(&path_rules(&p_name, d, schema));
-                }
-            }
-            body_atoms.push(format!("{p_name}(X{}, X{})", c.src.0, c.trg.0));
-        }
-        out.push_str(&definitions);
-        let head = if rule.head.is_empty() {
-            "ans()".to_owned()
-        } else {
-            let vars: Vec<String> = rule.head.iter().map(|v| format!("X{}", v.0)).collect();
-            format!("ans({})", vars.join(", "))
+    for rule in &program.rules {
+        let var = |v: Var| match (rule.head, v.0) {
+            (Head::Ans, n) => format!("X{n}"),
+            (_, 0) => "X".to_owned(),
+            (_, 1) => "Y".to_owned(),
+            (_, 2) => "Z".to_owned(),
+            (_, n) => format!("Z{}", n - 2),
         };
-        let _ = writeln!(out, "{head} :- {}.", body_atoms.join(", "));
+        let atom = |a: &Atom| match a.pred {
+            Pred::Node => format!("node({})", var(a.src)),
+            Pred::Edge(s) => {
+                let (from, to) = if s.inverse {
+                    (a.trg, a.src)
+                } else {
+                    (a.src, a.trg)
+                };
+                let name = schema.predicate_name(s.predicate);
+                format!("edge_{name}({}, {})", var(from), var(to))
+            }
+            Pred::Idb(p) => format!("p{p}({}, {})", var(a.src), var(a.trg)),
+        };
+        let head = match rule.head {
+            Head::Idb(p) => format!("p{p}"),
+            Head::Ans => "ans".to_owned(),
+        };
+        let args: Vec<String> = rule.args.iter().map(|&v| var(v)).collect();
+        let body: Vec<String> = rule.body.iter().map(atom).collect();
+        let _ = writeln!(out, "{head}({}) :- {}.", args.join(", "), body.join(", "));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmark_core::query::{Conjunct, RegularExpr, Rule, Var};
+    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol};
     use gmark_core::schema::{Occurrence, PredicateId, SchemaBuilder};
 
     fn schema() -> Schema {
@@ -117,48 +71,39 @@ mod tests {
         Symbol::forward(PredicateId(i))
     }
 
-    #[test]
-    fn single_edge_inlines() {
+    /// The text of `head <- (?x0, expr, ?x1)`.
+    fn text(head: Vec<Var>, expr: RegularExpr) -> String {
         let q = Query::single(Rule {
-            head: vec![Var(0), Var(1)],
+            head,
             body: vec![Conjunct {
                 src: Var(0),
-                expr: RegularExpr::symbol(sym(0)),
+                expr,
                 trg: Var(1),
             }],
         })
         .unwrap();
-        let s = translate(&q, &schema());
-        assert_eq!(s, "ans(X0, X1) :- edge_a(X0, X1).\n");
+        translate(&q, &schema()).unwrap()
+    }
+
+    fn binary(expr: RegularExpr) -> String {
+        text(vec![Var(0), Var(1)], expr)
+    }
+
+    #[test]
+    fn single_edge_gets_its_own_predicate() {
+        let s = binary(RegularExpr::symbol(sym(0)));
+        assert_eq!(s, "p0(X, Y) :- edge_a(X, Y).\nans(X0, X1) :- p0(X0, X1).\n");
     }
 
     #[test]
     fn inverse_swaps_arguments() {
-        let q = Query::single(Rule {
-            head: vec![Var(0), Var(1)],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::symbol(sym(1).flipped()),
-                trg: Var(1),
-            }],
-        })
-        .unwrap();
-        let s = translate(&q, &schema());
-        assert_eq!(s, "ans(X0, X1) :- edge_b(X1, X0).\n");
+        let s = binary(RegularExpr::symbol(sym(1).flipped()));
+        assert_eq!(s, "p0(X, Y) :- edge_b(Y, X).\nans(X0, X1) :- p0(X0, X1).\n");
     }
 
     #[test]
     fn concatenation_chains_variables() {
-        let q = Query::single(Rule {
-            head: vec![Var(0), Var(1)],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::path(PathExpr(vec![sym(0), sym(1)])),
-                trg: Var(1),
-            }],
-        })
-        .unwrap();
-        let s = translate(&q, &schema());
+        let s = binary(RegularExpr::path(PathExpr(vec![sym(0), sym(1)])));
         assert!(
             s.contains("p0(X, Y) :- edge_a(X, Z1), edge_b(Z1, Y)."),
             "{s}"
@@ -168,68 +113,34 @@ mod tests {
 
     #[test]
     fn disjunction_multiplies_rules() {
-        let q = Query::single(Rule {
-            head: vec![Var(0), Var(1)],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::union(vec![PathExpr(vec![sym(0)]), PathExpr(vec![sym(1)])]),
-                trg: Var(1),
-            }],
-        })
-        .unwrap();
-        let s = translate(&q, &schema());
+        let s = binary(RegularExpr::union(vec![
+            PathExpr(vec![sym(0)]),
+            PathExpr(vec![sym(1)]),
+        ]));
         assert!(s.contains("p0(X, Y) :- edge_a(X, Y)."), "{s}");
         assert!(s.contains("p0(X, Y) :- edge_b(X, Y)."), "{s}");
     }
 
     #[test]
     fn star_emits_linear_recursion() {
-        let q = Query::single(Rule {
-            head: vec![Var(0), Var(1)],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]),
-                trg: Var(1),
-            }],
-        })
-        .unwrap();
-        let s = translate(&q, &schema());
-        assert!(
-            s.contains("p0_step(X, Y) :- edge_a(X, Z1), edge_b(Z1, Y)."),
-            "{s}"
-        );
-        assert!(s.contains("p0(X, X) :- node(X)."), "{s}");
-        assert!(s.contains("p0(X, Y) :- p0(X, Z), p0_step(Z, Y)."), "{s}");
+        let s = binary(RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]));
+        let expected = "p1(X, Y) :- edge_a(X, Z1), edge_b(Z1, Y).\n\
+                        p0(X, X) :- node(X).\n\
+                        p0(X, Y) :- p0(X, Z), p1(Z, Y).\n\
+                        ans(X0, X1) :- p0(X0, X1).\n";
+        assert_eq!(s, expected);
     }
 
     #[test]
     fn epsilon_path() {
-        let q = Query::single(Rule {
-            head: vec![Var(0), Var(1)],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::path(PathExpr::epsilon()),
-                trg: Var(1),
-            }],
-        })
-        .unwrap();
-        let s = translate(&q, &schema());
+        let s = binary(RegularExpr::path(PathExpr::epsilon()));
         assert!(s.contains("p0(X, X) :- node(X)."), "{s}");
     }
 
     #[test]
     fn boolean_head() {
-        let q = Query::single(Rule {
-            head: vec![],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::symbol(sym(0)),
-                trg: Var(1),
-            }],
-        })
-        .unwrap();
-        let s = translate(&q, &schema());
-        assert!(s.contains("ans() :- edge_a(X0, X1)."), "{s}");
+        let s = text(vec![], RegularExpr::symbol(sym(0)));
+        assert!(s.contains("ans() :- p0(X0, X1)."), "{s}");
     }
 
     #[test]
@@ -243,8 +154,26 @@ mod tests {
             }],
         };
         let q = Query::new(vec![mk(0), mk(1)]).unwrap();
-        let s = translate(&q, &schema());
-        assert!(s.contains("ans(X0, X1) :- edge_a(X0, X1)."), "{s}");
-        assert!(s.contains("ans(X0, X1) :- edge_b(X0, X1)."), "{s}");
+        let s = translate(&q, &schema()).unwrap();
+        assert!(s.contains("ans(X0, X1) :- p0(X0, X1)."), "{s}");
+        assert!(s.contains("ans(X0, X1) :- p1(X0, X1)."), "{s}");
+        assert!(s.contains("p1(X, Y) :- edge_b(X, Y)."), "{s}");
+    }
+
+    #[test]
+    fn an_unbound_head_variable_is_an_error_not_an_unsafe_rule() {
+        // Hand-built, bypassing `Query::new`'s safety check.
+        let q = Query {
+            rules: vec![Rule {
+                head: vec![Var(0), Var(7)],
+                body: vec![Conjunct {
+                    src: Var(0),
+                    expr: RegularExpr::symbol(sym(0)),
+                    trg: Var(1),
+                }],
+            }],
+        };
+        let err = translate(&q, &schema()).unwrap_err();
+        assert_eq!(err, TranslateError::UnboundHeadVar { var: 7 });
     }
 }

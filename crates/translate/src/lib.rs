@@ -8,14 +8,15 @@
 //!   DISTINCT` / `ASK`, `UNION` across rules;
 //! * [`cypher`] — openCypher `MATCH` patterns. As Section 7.1 documents,
 //!   openCypher cannot express inverses or concatenations under a Kleene
-//!   star; the translator applies exactly the paper's degradation (keep the
-//!   non-inverse symbol / the first symbol of a concatenation) and flags it
+//!   star; the translator writes the query `gmark_core::cypher::degrade`
+//!   leaves (the one the in-repo `G` engine evaluates) and flags each loss
 //!   in a comment;
 //! * [`sql`] — SQL:1999 over an `edge(src, label, trg)` table, with one
 //!   `WITH RECURSIVE` CTE per starred conjunct using the standard linear
 //!   recursion, per the paper's footnote 4;
 //! * [`datalog`] — positive Datalog rules over `edge_<label>/2` and
-//!   `node/1` EDB predicates (also consumed by the in-repo Datalog engine).
+//!   `node/1` EDB predicates, rendered from the program `D` evaluates
+//!   (`gmark_core::datalog::Program`).
 //!
 //! All translators are deterministic; generated text depends only on the
 //! query and schema.
@@ -42,7 +43,8 @@ use gmark_core::schema::Schema;
 /// workload pipeline) instead of panicking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslateError {
-    /// A head variable that no body conjunct binds (SQL projection).
+    /// A head variable that no body conjunct binds (the SQL projection,
+    /// the Datalog `ans` head).
     UnboundHeadVar {
         /// The unbound variable's number.
         var: u32,
@@ -109,7 +111,7 @@ pub fn translate(query: &Query, schema: &Schema, syntax: Syntax) -> Result<Strin
         Syntax::Sparql => Ok(sparql::translate(query, schema)),
         Syntax::Cypher => Ok(cypher::translate(query, schema)),
         Syntax::Sql => sql::translate(query, schema),
-        Syntax::Datalog => Ok(datalog::translate(query, schema)),
+        Syntax::Datalog => datalog::translate(query, schema),
     }
 }
 
@@ -174,7 +176,7 @@ mod tests {
 
     #[test]
     fn unbound_head_var_is_an_error_not_a_panic() {
-        // Bypass Query::new's safety check to exercise the SQL error path.
+        // Bypass Query::new's safety check to exercise the error paths.
         let q = Query {
             rules: vec![Rule {
                 head: vec![Var(7)],
@@ -185,8 +187,10 @@ mod tests {
                 }],
             }],
         };
-        let err = translate(&q, &schema(), Syntax::Sql).unwrap_err();
-        assert_eq!(err, TranslateError::UnboundHeadVar { var: 7 });
-        assert!(err.to_string().contains("?x7"), "{err}");
+        for syntax in [Syntax::Sql, Syntax::Datalog] {
+            let err = translate(&q, &schema(), syntax).unwrap_err();
+            assert_eq!(err, TranslateError::UnboundHeadVar { var: 7 });
+            assert!(err.to_string().contains("?x7"), "{err}");
+        }
     }
 }
