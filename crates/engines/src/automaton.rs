@@ -135,6 +135,9 @@ pub fn eval_rpq<'g>(
     // avoid clearing or reallocating it.
     let mut seen = vec![u32::MAX; n as usize * states];
     let mut queue: Vec<(NodeId, u32)> = Vec::new();
+    // Paged targets are decoded into this one buffer; in RAM it stays
+    // empty and `neighbors` borrows the CSR.
+    let mut buf: Vec<NodeId> = Vec::new();
     for si in 0..seed_count {
         if si % 256 == 0 {
             budget.check_time()?;
@@ -144,22 +147,17 @@ pub fn eval_rpq<'g>(
         if nfa.accepts_epsilon() {
             out.push(pair(src, src));
         }
-        // Skip seeds that cannot make a first move. `degree` reads only
-        // offset words — on the paged variant no target page is fetched.
-        let can_move = nfa.transitions[nfa.start as usize]
-            .iter()
-            .any(|&(sym, _)| graph.degree(sym.predicate.0, src, sym.inverse) > 0);
+        // A seed with no first move costs one offset lookup per start
+        // transition: an empty neighbor list reads no target page.
         queue.clear();
-        if can_move {
-            queue.push((src, nfa.start));
-            seen[src as usize * states + nfa.start as usize] = stamp;
-        }
+        queue.push((src, nfa.start));
+        seen[src as usize * states + nfa.start as usize] = stamp;
         let mut qi = 0;
         while qi < queue.len() {
             let (v, q) = queue[qi];
             qi += 1;
             for &(sym, q2) in &nfa.transitions[q as usize] {
-                for &w in &graph.neighbors(sym.predicate.0, v, sym.inverse) {
+                for &w in graph.neighbors(sym.predicate.0, v, sym.inverse, &mut buf) {
                     let slot = w as usize * states + q2 as usize;
                     if seen[slot] != stamp {
                         seen[slot] = stamp;

@@ -14,7 +14,8 @@
 //! relation of its symbol, in the symbol's own direction; `node(X)` is the
 //! identity relation joined as the self-loop `(X, id, X)`; an IDB predicate
 //! grows by sorted difference and union — a rule body is joined left to
-//! right by `join_all`, and heads are read off by `project`. What it
+//! right by `join_all`, storing only the columns the head and the later
+//! atoms read, and heads are read off by `project`. What it
 //! does not share is the strategy: auxiliary predicates per conjunct, and a
 //! delta-driven fixpoint over all rules at once, which re-derives each fact
 //! at most once per rule and body position — the architectural reason `D`
@@ -121,7 +122,7 @@ impl Fixpoint<'_, '_> {
             },
         };
         let body: Vec<ConjunctPairs<'_>> = rule.body.iter().enumerate().map(mount).collect();
-        let table = join_all(&body, self.budget)?;
+        let table = join_all(&body, &rule.args, self.budget)?;
         let mut cells = Vec::new();
         let len = project(&table, &rule.args, &mut cells)?;
         if len == 0 {

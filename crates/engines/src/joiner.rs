@@ -12,8 +12,22 @@
 //! ([`Relation::contains`]), an extension a sorted-run lookup
 //! ([`Relation::targets_of`]) — against one reversed copy of the columns
 //! when only the target is bound. No per-conjunct hash index is ever
-//! built, and rows live row-major in one flat vector: extending a table
-//! allocates its output once, not once per row.
+//! built.
+//!
+//! # Live columns
+//!
+//! A row carries only what is still needed. Each step receives its *live*
+//! variables — the head, plus every variable of a later step — and
+//! [`BindingTable::extend`] copies only those columns into its output; a
+//! newly bound variable nobody reads is not stored at all. Every arm
+//! still emits one output row per match, dead columns or not, so every
+//! row count is what it would be with every column kept: each
+//! `check_size` sees the same number, each `TooLarge(n)` carries the same
+//! `n`, and [`project`] reads the same multiset of head tuples. Dropping
+//! a column never merges two rows — rows are only ever deduplicated by
+//! [`Answers::from_rows`], after the head is read. A dropped column is
+//! never needed again: a later step reads only its own variables, which
+//! are live, and the head is live throughout.
 
 use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
@@ -21,10 +35,11 @@ use crate::{Answers, Budget, EvalError};
 use gmark_core::query::{Query, Rule, Var};
 use gmark_store::NodeId;
 
-/// Rows over an ordered set of variables, stored row-major.
+/// Rows over an ordered set of variables, stored row-major in one flat
+/// vector.
 #[derive(Debug, Clone)]
 pub(crate) struct BindingTable {
-    /// The bound variables, one per column.
+    /// The stored variables, one per column: the live ones bound so far.
     pub vars: Vec<Var>,
     /// `len` rows of `vars.len()` cells each.
     cells: Vec<NodeId>,
@@ -43,7 +58,8 @@ impl BindingTable {
         }
     }
 
-    /// The column of a bound variable.
+    /// The column of a stored variable: `None` if it is unbound, or bound
+    /// but dead and dropped.
     pub fn col(&self, v: Var) -> Option<usize> {
         self.vars.iter().position(|&x| x == v)
     }
@@ -54,14 +70,16 @@ impl BindingTable {
         (0..self.len).map(move |r| &self.cells[r * width..(r + 1) * width])
     }
 
-    fn push(&mut self, row: &[NodeId], new: &[NodeId]) {
-        self.cells.extend_from_slice(row);
+    /// Appends one output row: the `keep` columns of `row`, then `new`.
+    fn push(&mut self, row: &[NodeId], keep: &[usize], new: &[NodeId]) {
+        self.cells.extend(keep.iter().map(|&c| row[c]));
         self.cells.extend_from_slice(new);
         self.len += 1;
     }
 
-    /// Joins one conjunct into the table. Which variables are already
-    /// bound picks the arm: both — a semi-join, which can only shrink the
+    /// Joins one conjunct into the table, storing only the `live`
+    /// variables (see the module docs). Which variables are already bound
+    /// picks the arm: both — a semi-join, which can only shrink the
     /// table; one — each row selects its sorted run of partners; none — a
     /// Cartesian product (this is also how the first conjunct seeds the
     /// [`BindingTable::unit`] table). A self-loop conjunct `(?x, r, ?x)`
@@ -71,10 +89,15 @@ impl BindingTable {
     pub fn extend(
         &self,
         c: &ConjunctPairs<'_>,
+        live: &[Var],
         budget: &Budget,
     ) -> Result<BindingTable, EvalError> {
+        let is_live = |v: &Var| live.contains(v);
+        let keep: Vec<usize> = (0..self.vars.len())
+            .filter(|&i| is_live(&self.vars[i]))
+            .collect();
         let mut out = BindingTable {
-            vars: self.vars.clone(),
+            vars: keep.iter().map(|&i| self.vars[i]).collect(),
             cells: Vec::new(),
             len: 0,
         };
@@ -83,7 +106,7 @@ impl BindingTable {
             (Some(sc), Some(tc)) => {
                 for row in self.rows() {
                     if c.pairs.contains(row[sc], row[tc]) {
-                        out.push(row, &[]);
+                        out.push(row, &keep, &[]);
                     }
                 }
             }
@@ -97,26 +120,33 @@ impl BindingTable {
                     reversed = Relation::from_pairs(pairs.collect());
                     (&reversed, c.src)
                 };
-                out.vars.push(new_var);
+                let new_live = is_live(&new_var);
+                if new_live {
+                    out.vars.push(new_var);
+                }
+                let stored = usize::from(new_live);
                 for row in self.rows() {
                     for &(_, partner) in rel.targets_of(row[col]) {
-                        out.push(row, &[partner]);
+                        out.push(row, &keep, &[partner][..stored]);
                     }
                     budget.check_size(out.len)?;
                 }
             }
             (None, None) => {
                 let self_loop = c.src == c.trg;
-                out.vars.push(c.src);
-                if !self_loop {
+                let (src_live, trg_live) = (is_live(&c.src), !self_loop && is_live(&c.trg));
+                if src_live {
+                    out.vars.push(c.src);
+                }
+                if trg_live {
                     out.vars.push(c.trg);
                 }
+                // The stored part of each `[s, t]`: both, one or neither.
+                let stored = usize::from(!src_live)..1 + usize::from(trg_live);
                 for row in self.rows() {
                     for &(s, t) in c.pairs.pairs() {
-                        if !self_loop {
-                            out.push(row, &[s, t]);
-                        } else if s == t {
-                            out.push(row, &[s]);
+                        if !self_loop || s == t {
+                            out.push(row, &keep, &[s, t][stored.clone()]);
                         }
                     }
                     budget.check_size(out.len)?;
@@ -137,17 +167,30 @@ pub(crate) struct ConjunctPairs<'r> {
     pub pairs: &'r Relation,
 }
 
-/// Joins conjuncts in the given order into a table over all body variables.
+/// Joins conjuncts in the given order into a table over the `head`
+/// variables the body binds, each step storing only its live columns.
 pub(crate) fn join_all(
     conjuncts: &[ConjunctPairs<'_>],
+    head: &[Var],
     budget: &Budget,
 ) -> Result<BindingTable, EvalError> {
     let mut table = BindingTable::unit();
-    for c in conjuncts {
+    for (i, c) in conjuncts.iter().enumerate() {
         budget.check_time()?;
-        table = table.extend(c, budget)?;
+        let later = conjuncts[i + 1..].iter().map(|c| (c.src, c.trg));
+        table = table.extend(c, &live_after(head, later), budget)?;
     }
     Ok(table)
+}
+
+/// The variables a step must store: the head, plus both variables of
+/// every later step.
+pub(crate) fn live_after(head: &[Var], later: impl Iterator<Item = (Var, Var)>) -> Vec<Var> {
+    let mut live = head.to_vec();
+    for (src, trg) in later {
+        live.extend([src, trg]);
+    }
+    live
 }
 
 /// The rule loop `P`, `G` and `S` share: the union, over the query's
@@ -227,8 +270,22 @@ mod tests {
         conjuncts
     }
 
+    /// Every variable of the conjuncts, in first-appearance order: the head
+    /// under which no column is dead.
+    fn every_var(conjuncts: &[ConjunctPairs<'_>]) -> Vec<Var> {
+        let mut vars = Vec::new();
+        for v in conjuncts.iter().flat_map(|c| [c.src, c.trg]) {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        vars
+    }
+
+    /// Joins keeping every column.
     fn join(owned: &[Owned], budget: &Budget) -> Result<BindingTable, EvalError> {
-        join_all(&borrowed(owned), budget)
+        let conjuncts = borrowed(owned);
+        join_all(&conjuncts, &every_var(&conjuncts), budget)
     }
 
     fn sorted_rows(table: &BindingTable) -> Vec<Vec<NodeId>> {
@@ -399,6 +456,8 @@ mod tests {
         // Four variables over up to four conjuncts reach every arm —
         // seed, both bound, source bound, target bound, disconnected —
         // with self-loop conjuncts and empty relations among them.
+        // A random head drawn from the body variables makes some columns
+        // dead: the rows carried shrink, their number must not.
         #[test]
         fn flat_row_join_matches_a_nested_loop_reference(
             shape in prop::collection::vec(
@@ -406,12 +465,24 @@ mod tests {
                 0..=4,
             ),
             cap in prop_oneof![Just(0usize), Just(3usize), Just(12usize), Just(10_000usize)],
+            picks in prop::collection::vec(0usize..4, 0..=3),
         ) {
             let owned: Vec<Owned> =
                 shape.iter().map(|(s, t, pairs)| cp(*s, *t, pairs.clone())).collect();
             let conjuncts = borrowed(&owned);
             let (vars, steps) = reference_join(&conjuncts);
-            let joined = join_all(&conjuncts, &Budget::with_limits(None, cap));
+            let head: Vec<Var> = if vars.is_empty() {
+                Vec::new()
+            } else {
+                picks.iter().map(|&i| vars[i % vars.len()]).collect()
+            };
+            let capped = Budget::with_limits(None, cap);
+            let joined = join_all(&conjuncts, &vars, &capped);
+            // The same cap trips at the same count whatever is live.
+            prop_assert_eq!(
+                join_all(&conjuncts, &head, &capped).map(|t| t.len),
+                joined.as_ref().map(|t| t.len).map_err(Clone::clone)
+            );
             if steps.iter().any(|rows| rows.len() > cap) {
                 prop_assert!(matches!(joined, Err(EvalError::TooLarge(_))), "{joined:?}");
             } else {
@@ -419,6 +490,33 @@ mod tests {
                 prop_assert_eq!(&table.vars, &vars);
                 let expected = steps.last().cloned().unwrap_or_else(|| vec![Vec::new()]);
                 prop_assert_eq!(sorted_rows(&table), expected);
+            }
+
+            // Step by step under the drawn head, uncapped: the reference's
+            // row count after every step, and only live columns stored.
+            let mut table = BindingTable::unit();
+            for (i, c) in conjuncts.iter().enumerate() {
+                let later = conjuncts[i + 1..].iter().map(|c| (c.src, c.trg));
+                let live = live_after(&head, later);
+                table = table.extend(c, &live, &Budget::default()).unwrap();
+                prop_assert_eq!(table.len, steps[i].len(), "rows after step {}", i);
+                prop_assert!(table.vars.iter().all(|v| live.contains(v)));
+            }
+            // The head projection, with multiplicity, is the reference's.
+            let rows = steps.last().cloned().unwrap_or_else(|| vec![Vec::new()]);
+            let at = |v: &Var| vars.iter().position(|x| x == v).unwrap();
+            let mut expected: Vec<Vec<NodeId>> =
+                rows.iter().map(|row| head.iter().map(|v| row[at(v)]).collect()).collect();
+            let (len, cells) = projected(&table, &head.iter().map(|v| v.0).collect::<Vec<_>>());
+            if head.is_empty() {
+                prop_assert_eq!(len, usize::from(!rows.is_empty()));
+            } else {
+                let mut got: Vec<Vec<NodeId>> =
+                    cells.chunks_exact(head.len()).map(<[NodeId]>::to_vec).collect();
+                got.sort();
+                expected.sort();
+                prop_assert_eq!(len, rows.len());
+                prop_assert_eq!(got, expected);
             }
         }
     }

@@ -190,7 +190,7 @@ impl std::error::Error for EvalError {}
 
 /// A set of distinct answer tuples: one row-major buffer, sorted
 /// lexicographically and deduplicated, so two engines' answers compare
-/// with `==`.
+/// with `==`. Only `Answers::from_rows` builds one from raw rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answers {
     arity: usize,
@@ -202,21 +202,39 @@ pub struct Answers {
 
 impl Answers {
     /// Builds an answer set from `len` row-major rows of `arity` cells,
-    /// sorting and deduplicating.
+    /// sorting and deduplicating. A row of at most two cells fits one
+    /// machine word, so it is packed into a `u64` key (`row[0] << 32 |
+    /// row[1]`, whose order is the rows' lexicographic order), the
+    /// projected cells are freed, and the keys are sorted, deduplicated
+    /// and unpacked. Wider rows — no generated benchmark query has them,
+    /// but configs may ask — sort an index with a row comparator.
     pub(crate) fn from_rows(arity: usize, len: usize, cells: Vec<NodeId>) -> Answers {
         debug_assert_eq!(cells.len(), len * arity);
         let row = |r: usize| &cells[r * arity..(r + 1) * arity];
-        let mut order: Vec<usize> = (0..len).collect();
-        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-        order.dedup_by(|a, b| row(*a) == row(*b));
-        let mut sorted = Vec::with_capacity(order.len() * arity);
-        for &r in &order {
-            sorted.extend_from_slice(row(r));
-        }
-        Answers {
-            arity,
-            len: order.len(),
-            cells: sorted,
+        if arity <= 2 {
+            let pack = |row: &[NodeId]| row.iter().fold(0, |k, &c| k << 32 | u64::from(c));
+            let mut keys: Vec<u64> = (0..len).map(|r| pack(row(r))).collect();
+            drop(cells);
+            keys.sort_unstable();
+            keys.dedup();
+            let mut sorted = Vec::with_capacity(keys.len() * arity);
+            for &k in &keys {
+                sorted.extend((0..arity).rev().map(|i| (k >> (32 * i)) as NodeId));
+            }
+            Answers {
+                arity,
+                len: keys.len(),
+                cells: sorted,
+            }
+        } else {
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            order.dedup_by(|a, b| row(*a) == row(*b));
+            Answers {
+                arity,
+                len: order.len(),
+                cells: order.iter().flat_map(|&r| row(r)).copied().collect(),
+            }
         }
     }
 
@@ -274,6 +292,8 @@ impl Answers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn answers_dedup_and_sort() {
@@ -299,6 +319,31 @@ mod tests {
         assert_eq!(no.union(&yes), yes);
         assert_eq!(yes.union(&yes), yes);
         assert_eq!(no.union(&no), no);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Arities 0..=4 cross the packed/comparator split; cells drawn
+        // from {0, 1, 2, u32::MAX} repeat rows and would let a high
+        // column bleed into the low one if packing were wrong.
+        #[test]
+        fn packed_keys_order_like_the_row_comparator(
+            arity in 0usize..=4,
+            picks in prop::collection::vec(0usize..4, 0..40),
+        ) {
+            const VALUES: [NodeId; 4] = [0, 1, 2, u32::MAX];
+            let cells: Vec<NodeId> = picks.iter().map(|&i| VALUES[i]).collect();
+            let len = cells.len().checked_div(arity).unwrap_or(picks.len());
+            let cells = cells[..len * arity].to_vec();
+            let reference: BTreeSet<Vec<NodeId>> = (0..len)
+                .map(|r| cells[r * arity..(r + 1) * arity].to_vec())
+                .collect();
+            let answers = Answers::from_rows(arity, len, cells);
+            prop_assert_eq!(answers.count(), reference.len() as u64);
+            let rows: Vec<Vec<NodeId>> = answers.rows().map(<[NodeId]>::to_vec).collect();
+            prop_assert_eq!(rows, reference.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

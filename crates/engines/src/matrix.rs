@@ -942,6 +942,75 @@ mod tests {
     }
 
     #[test]
+    fn a_one_page_store_renders_the_in_ram_report_at_every_thread_count() {
+        use gmark_store::paged::{StoreMeta, StoreReader, StoreWriter};
+        use gmark_store::{EdgeSink, GraphBuilder, TypePartition};
+        // 40 nodes on 64-byte pages: every segment spans several pages,
+        // and a one-page cache evicts on nearly every lookup, with the
+        // worker threads sharing it.
+        let mut b = GraphBuilder::new(TypePartition::from_counts(&[40]), 2);
+        for s in 0..40u32 {
+            for k in 0..s % 4 {
+                b.edge(s, 0, (s * 7 + k * 13 + 1) % 40);
+            }
+            b.edge(s, 1, (s * s + 3) % 40);
+        }
+        let g = b.build();
+        let dir = std::env::temp_dir().join(format!("gmark-engines-paged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.gstore");
+        let meta = StoreMeta {
+            seed: 1,
+            schema_hash: 0,
+            page_size: 64,
+            predicate_names: vec!["a".into(), "b".into()],
+            partition: g.partition().clone(),
+        };
+        StoreWriter::write_graph(&path, &meta, &g).unwrap();
+        let reader = StoreReader::open_with_cache(&path, 1).unwrap();
+
+        let mut qs = queries();
+        qs.extend([
+            chain(vec![
+                RegularExpr::symbol(sym(1).flipped()),
+                RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]),
+            ]),
+            chain(vec![
+                RegularExpr::union(vec![PathExpr(vec![sym(0)]), PathExpr(vec![sym(1)])]),
+                RegularExpr::symbol(sym(0).flipped()),
+                RegularExpr::symbol(sym(1)),
+            ]),
+            chain(vec![RegularExpr::star(vec![PathExpr(vec![
+                sym(0),
+                sym(0).flipped(),
+            ])])]),
+        ]);
+        let q_refs: Vec<&Query> = qs.iter().collect();
+        // A cap some cells exceed, so failures are compared too.
+        let budget = CellBudget {
+            timeout: None,
+            max_tuples: 400,
+        };
+        let run = |ctx: &EvalContext<'_>, threads| {
+            let options = MatrixOptions {
+                threads,
+                ..MatrixOptions::default()
+            };
+            evaluate_matrix(ctx, &q_refs, &EngineKind::ALL, &budget, &options).render()
+        };
+        let in_ram = run(&EvalContext::new(&g), 1);
+        assert!(
+            in_ram.contains("too-large") && in_ram.contains('~'),
+            "{in_ram}"
+        );
+        for threads in [1, 2, 4] {
+            let paged = run(&EvalContext::new(&reader), threads);
+            assert_eq!(paged, in_ram, "{threads} threads");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn time_buckets_cover_the_decades() {
         assert_eq!(time_bucket(Duration::from_micros(10)), "<1ms");
         assert_eq!(time_bucket(Duration::from_millis(5)), "1-10ms");

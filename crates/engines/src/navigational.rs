@@ -24,7 +24,7 @@
 
 use crate::automaton::eval_rpq;
 use crate::context::EvalContext;
-use crate::joiner::{union_of_rules, BindingTable, ConjunctPairs};
+use crate::joiner::{live_after, union_of_rules, BindingTable, ConjunctPairs};
 use crate::planner::ConjunctStep;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError, QueryPlan};
@@ -56,7 +56,8 @@ pub(crate) fn evaluate(
 /// conjunct's pairs are computed by automaton BFS *from the currently
 /// bound seeds only* — flipped conjuncts traversing their reversed
 /// expression from the target side — and joined into the running table at
-/// once, so the next conjunct sees tight seeds.
+/// once, so the next conjunct sees tight seeds. Each step stores only the
+/// head and the variables of the steps after it, as `join_all` does.
 fn navigate_rule(
     ctx: &EvalContext<'_>,
     rule: &Rule,
@@ -64,9 +65,11 @@ fn navigate_rule(
     budget: &Budget,
 ) -> Result<BindingTable, EvalError> {
     let mut table = BindingTable::unit();
-    for step in steps {
+    for (i, step) in steps.iter().enumerate() {
         budget.check_time()?;
         let c = &rule.body[step.conjunct];
+        let later = steps[i + 1..].iter().map(|s| &rule.body[s.conjunct]);
+        let live = live_after(&rule.head, later.map(|c| (c.src, c.trg)));
         let from = if step.flip { c.trg } else { c.src };
         // Seeds: the bound values of `from` if available, else all nodes.
         let bound_seeds: Option<Vec<NodeId>> = table.col(from).map(|col| {
@@ -95,7 +98,7 @@ fn navigate_rule(
             trg: c.trg,
             pairs: &pairs,
         };
-        table = table.extend(&conjunct, budget)?;
+        table = table.extend(&conjunct, &live, budget)?;
     }
     Ok(table)
 }

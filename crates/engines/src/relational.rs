@@ -43,7 +43,7 @@ pub(crate) fn evaluate(
                 pairs,
             })
             .collect();
-        join_all(&conjuncts, budget)
+        join_all(&conjuncts, &rule.head, budget)
     })
 }
 

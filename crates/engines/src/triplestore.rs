@@ -51,7 +51,7 @@ pub(crate) fn evaluate(
                 pairs: &paths[step.conjunct],
             })
             .collect();
-        join_all(&ordered, budget)
+        join_all(&ordered, &rule.head, budget)
     })
 }
 

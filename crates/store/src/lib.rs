@@ -25,10 +25,12 @@
 //! * [`paged`] — the on-disk `gmark-store` binary format ([`StoreWriter`] /
 //!   [`StoreReader`]): the same CSR arrays persisted page-aligned, served by
 //!   positioned reads through a bounded page cache so evaluation runs at
-//!   beyond-RAM scale,
+//!   beyond-RAM scale; a point lookup takes the cache lock once and
+//!   decodes into a caller's buffer ([`StoreReader::neighbors_into`]),
 //! * [`view`] — [`GraphView`], the common read interface the evaluation
 //!   engines use so one code path serves both [`Graph`] and
-//!   [`StoreReader`].
+//!   [`StoreReader`]: `GraphView::neighbors` borrows the CSR slice in RAM
+//!   and fills the caller's buffer when paged.
 
 #![warn(missing_docs)]
 
@@ -47,7 +49,7 @@ pub use paged::{
     StoreWriter, DEFAULT_PAGE_SIZE,
 };
 pub use sink::{CountingSink, EdgeSink, ForwardingSink, VecSink};
-pub use view::{GraphView, Neighbors};
+pub use view::GraphView;
 
 /// Node identifier. `u32` bounds graphs at ~4.29 B nodes, comfortably above
 /// the paper's largest instance (100 M nodes, Table 3).

@@ -30,13 +30,14 @@ const SCAN_CHUNK: usize = 32 * 1024;
 /// [`StoreReader::open`] validates framing and bounds (magic, version,
 /// footer, directory, segment positions) without reading the data pages;
 /// [`StoreReader::verify`] additionally checks the checksum and the
-/// offset arrays. Point lookups ([`StoreReader::neighbors`],
+/// offset arrays. Point lookups ([`StoreReader::neighbors_into`],
 /// [`StoreReader::degree`], [`StoreReader::has_edge`]) go through a small
 /// CLOCK page cache; bulk scans ([`StoreReader::pairs`],
 /// [`StoreReader::distinct_endpoints`]) stream with private buffers.
 ///
 /// The reader is `Sync`: the page cache sits behind a mutex, so one
-/// reader can serve every worker thread of the evaluation matrix.
+/// reader can serve every worker thread of the evaluation matrix. Each
+/// point lookup takes that mutex once and allocates nothing.
 #[derive(Debug)]
 pub struct StoreReader {
     file: File,
@@ -427,26 +428,40 @@ impl StoreReader {
         &self.segments[pred * 2 + inverse as usize]
     }
 
-    /// Sorted neighbor list of `v` along `pred`, forward or backward — the
-    /// paged counterpart of [`Graph::neighbors`](crate::Graph::neighbors).
+    /// Replaces the contents of `out` with the sorted neighbor list of `v`
+    /// along `pred`, forward or backward — the paged counterpart of
+    /// [`Graph::neighbors`](crate::Graph::neighbors). One lock acquisition
+    /// and no allocation beyond growing `out`: the targets are decoded
+    /// straight from the cached pages into the caller's buffer.
+    pub fn neighbors_into(
+        &self,
+        pred: PredIdx,
+        v: NodeId,
+        inverse: bool,
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), StoreError> {
+        out.clear();
+        self.lookup(pred, v, inverse, Some(out)).map(drop)
+    }
+
+    /// [`StoreReader::neighbors_into`] into a fresh `Vec`. Kept for the
+    /// benchmark harness (`benchmark/src/workloads/eval.rs`), which calls
+    /// it by this name; evaluation uses the buffer-reusing form.
     pub fn neighbors(
         &self,
         pred: PredIdx,
         v: NodeId,
         inverse: bool,
     ) -> Result<Vec<NodeId>, StoreError> {
-        let (lo, hi) = self.bounds(pred, v, inverse)?;
-        let seg = self.segment(pred, inverse);
-        let mut out = vec![0 as NodeId; (hi - lo) as usize];
-        self.read_u32s_cached(seg.targets_pos + lo * 4, &mut out)?;
+        let mut out = Vec::new();
+        self.neighbors_into(pred, v, inverse, &mut out)?;
         Ok(out)
     }
 
-    /// Degree of `v` along `pred` (two offset words through the cache; no
-    /// target bytes are touched).
+    /// Degree of `v` along `pred`: two offset words through the cache, one
+    /// lock acquisition, no target bytes touched and nothing allocated.
     pub fn degree(&self, pred: PredIdx, v: NodeId, inverse: bool) -> Result<usize, StoreError> {
-        let (lo, hi) = self.bounds(pred, v, inverse)?;
-        Ok((hi - lo) as usize)
+        self.lookup(pred, v, inverse, None)
     }
 
     /// Whether the edge `v --pred--> w` exists (binary search over the
@@ -455,15 +470,29 @@ impl StoreReader {
         Ok(self.neighbors(pred, v, false)?.binary_search(&w).is_ok())
     }
 
-    /// The `(offsets[v], offsets[v+1])` pair of a segment, bounds-checked
-    /// against the segment's edge count.
-    fn bounds(&self, pred: PredIdx, v: NodeId, inverse: bool) -> Result<(u64, u64), StoreError> {
+    /// The one cached point lookup. Under a single lock acquisition it
+    /// copies `offsets[v]` and `offsets[v + 1]` into a stack array (the
+    /// pair may straddle two pages), bounds-checks them against the
+    /// segment, and — when `targets` is given — appends the decoded
+    /// targets to it. Returns the degree.
+    fn lookup(
+        &self,
+        pred: PredIdx,
+        v: NodeId,
+        inverse: bool,
+        targets: Option<&mut Vec<NodeId>>,
+    ) -> Result<usize, StoreError> {
         debug_assert!(v < self.node_count, "node {v} out of range");
         let seg = self.segment(pred, inverse);
         let pos = seg.offsets_pos + v as u64 * 8;
-        let mut words = [0u64; 2];
-        self.read_u64s_cached(pos, &mut words)?;
-        let (lo, hi) = (words[0], words[1]);
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut words = [0u8; 16];
+        let mut filled = 0;
+        self.visit_cached(&mut cache, pos, 16, |bytes| {
+            words[filled..filled + bytes.len()].copy_from_slice(bytes);
+            filled += bytes.len();
+        })?;
+        let (lo, hi) = (read_u64(&words, 0), read_u64(&words, 8));
         if lo > hi || hi > seg.edge_count {
             return Err(StoreError::corrupt(
                 &self.path,
@@ -471,7 +500,38 @@ impl StoreReader {
                 Some(pos / self.page_size),
             ));
         }
-        Ok((lo, hi))
+        if let Some(out) = targets {
+            out.reserve((hi - lo) as usize);
+            let (start, len) = (seg.targets_pos + lo * 4, (hi - lo) * 4);
+            self.visit_cached(&mut cache, start, len, |bytes| {
+                let ids = bytes.chunks_exact(4);
+                out.extend(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))));
+            })?;
+        }
+        Ok((hi - lo) as usize)
+    }
+
+    /// Hands `f` the `len` bytes at `pos` as borrowed slices of cached
+    /// pages, one per page they span, in file order. Pages are a multiple
+    /// of 8 bytes and segments page-aligned, so no offset word or target
+    /// id is ever split between two slices.
+    fn visit_cached(
+        &self,
+        cache: &mut PageCache,
+        mut pos: u64,
+        len: u64,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), StoreError> {
+        let ps = self.page_size;
+        let end = pos + len;
+        while pos < end {
+            let in_page = pos % ps;
+            let n = (end - pos).min(ps - in_page);
+            let slot = cache.slot_for(&self.file, &self.path, pos / ps, ps, self.file_len)?;
+            f(&cache.slots[slot].data[in_page as usize..(in_page + n) as usize]);
+            pos += n;
+        }
+        Ok(())
     }
 
     /// Iterates the `(source, target)` pairs of one `Σ±` symbol in
@@ -545,43 +605,6 @@ impl StoreReader {
         pread(&self.file, &self.path, pos, &mut bytes, "reading targets")?;
         for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
             *o = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-        }
-        Ok(())
-    }
-
-    /// Cache-backed read of little-endian u64s.
-    fn read_u64s_cached(&self, pos: u64, out: &mut [u64]) -> Result<(), StoreError> {
-        let mut bytes = vec![0u8; out.len() * 8];
-        self.read_cached(pos, &mut bytes)?;
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-            *o = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        }
-        Ok(())
-    }
-
-    /// Cache-backed read of little-endian u32s.
-    fn read_u32s_cached(&self, pos: u64, out: &mut [NodeId]) -> Result<(), StoreError> {
-        let mut bytes = vec![0u8; out.len() * 4];
-        self.read_cached(pos, &mut bytes)?;
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            *o = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-        }
-        Ok(())
-    }
-
-    /// Reads `dst.len()` bytes at `pos` through the page cache.
-    fn read_cached(&self, mut pos: u64, dst: &mut [u8]) -> Result<(), StoreError> {
-        let ps = self.page_size;
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut off = 0usize;
-        while off < dst.len() {
-            let page = pos / ps;
-            let in_page = (pos % ps) as usize;
-            let n = (dst.len() - off).min(ps as usize - in_page);
-            let slot = cache.slot_for(&self.file, &self.path, page, ps, self.file_len)?;
-            dst[off..off + n].copy_from_slice(&cache.slots[slot].data[in_page..in_page + n]);
-            off += n;
-            pos += n as u64;
         }
         Ok(())
     }
@@ -876,6 +899,47 @@ mod tests {
         for v in 0..g.node_count() {
             assert_eq!(r.neighbors(0, v, false).unwrap(), g.neighbors(0, v, false));
             assert_eq!(r.neighbors(1, v, true).unwrap(), g.neighbors(1, v, true));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn neighbors_into_matches_the_csr_across_pages_and_evictions() {
+        use crate::sink::EdgeSink;
+        // 24 nodes on 64-byte pages: offsets pairs of nodes 7, 15 and 23
+        // (v * 8 % 64 == 56) straddle two pages, and the longer target
+        // lists span several.
+        let mut b = GraphBuilder::new(crate::TypePartition::from_counts(&[24]), 1);
+        for s in 0..24u32 {
+            for k in 0..1 + (s % 4) * 9 {
+                b.edge(s, 0, (s * 11 + k * 5) % 24);
+            }
+        }
+        let g = b.build();
+        let dir = std::env::temp_dir().join(format!("gstore-into-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.gstore");
+        let mut meta = meta_for(&g);
+        meta.predicate_names.truncate(1);
+        StoreWriter::write_graph(&path, &meta, &g).unwrap();
+        let straddling: Vec<NodeId> = (0..24).filter(|v| v * 8 % 64 == 56).collect();
+        assert_eq!(straddling, [7, 15, 23]);
+        assert!(straddling
+            .iter()
+            .all(|&v| !g.neighbors(0, v, false).is_empty()));
+        // The default cache and a one-page cache, where every lookup
+        // evicts; one buffer, non-empty from the start, for every lookup.
+        for cache_pages in [DEFAULT_CACHE_PAGES, 1] {
+            let r = StoreReader::open_with_cache(&path, cache_pages).unwrap();
+            let mut buf = vec![9, 9, 9];
+            for inverse in [false, true] {
+                for v in 0..g.node_count() {
+                    r.neighbors_into(0, v, inverse, &mut buf).unwrap();
+                    assert_eq!(buf, g.neighbors(0, v, inverse), "node {v} {inverse}");
+                    let degree = r.degree(0, v, inverse).unwrap();
+                    assert_eq!(degree, g.neighbors(0, v, inverse).len());
+                }
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

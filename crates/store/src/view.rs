@@ -39,37 +39,6 @@ impl<'g> From<&'g StoreReader> for GraphView<'g> {
     }
 }
 
-/// A neighbor list that is either borrowed from the in-memory CSR or
-/// fetched from store pages. Dereferences to `&[NodeId]` either way.
-#[derive(Debug)]
-pub enum Neighbors<'g> {
-    /// A slice of the in-memory targets array.
-    Borrowed(&'g [NodeId]),
-    /// Targets copied out of store pages.
-    Owned(Vec<NodeId>),
-}
-
-impl std::ops::Deref for Neighbors<'_> {
-    type Target = [NodeId];
-
-    #[inline]
-    fn deref(&self) -> &[NodeId] {
-        match self {
-            Neighbors::Borrowed(s) => s,
-            Neighbors::Owned(v) => v,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Neighbors<'_> {
-    type Item = &'a NodeId;
-    type IntoIter = std::slice::Iter<'a, NodeId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// `(source, target)` iterator over one `Σ±` symbol of either variant.
 #[derive(Debug)]
 pub enum Pairs<'g> {
@@ -145,20 +114,33 @@ impl<'g> GraphView<'g> {
     }
 
     /// Sorted neighbors of `v` along `pred`, forward (`a`) or backward
-    /// (`a⁻`).
+    /// (`a⁻`). In RAM this borrows the CSR slice and leaves `buf` alone;
+    /// paged, it decodes the targets into `buf`
+    /// ([`StoreReader::neighbors_into`]) and borrows that. A caller that
+    /// reuses one `buf` across lookups allocates only while `buf` grows.
     ///
     /// # Panics
     ///
     /// Paged variant: on I/O failure or offsets that escaped open-time
     /// validation (the error message names the store file and page).
     #[inline]
-    pub fn neighbors(&self, pred: PredIdx, v: NodeId, inverse: bool) -> Neighbors<'g> {
+    pub fn neighbors<'b>(
+        &self,
+        pred: PredIdx,
+        v: NodeId,
+        inverse: bool,
+        buf: &'b mut Vec<NodeId>,
+    ) -> &'b [NodeId]
+    where
+        'g: 'b,
+    {
         match self {
-            GraphView::InMemory(g) => Neighbors::Borrowed(g.neighbors(pred, v, inverse)),
-            GraphView::Paged(r) => Neighbors::Owned(
-                r.neighbors(pred, v, inverse)
-                    .unwrap_or_else(|e| panic!("paged neighbor read failed: {e}")),
-            ),
+            GraphView::InMemory(g) => g.neighbors(pred, v, inverse),
+            GraphView::Paged(r) => {
+                r.neighbors_into(pred, v, inverse, buf)
+                    .unwrap_or_else(|e| panic!("paged neighbor read failed: {e}"));
+                buf
+            }
         }
     }
 

@@ -245,6 +245,8 @@ fn check_store_matches_graph(
     ensure(r.predicate_names() == names.as_slice(), || {
         format!("names {:?} != {:?}", r.predicate_names(), names)
     })?;
+    // One buffer for every lookup: `neighbors_into` must replace, not append.
+    let mut buf = Vec::new();
     for pred in 0..names.len() {
         ensure(r.edge_count_for(pred) == g.edge_count_for(pred), || {
             format!("edge_count_for({pred})")
@@ -254,6 +256,11 @@ fn check_store_matches_graph(
                 let paged = r.neighbors(pred, v, inverse).map_err(|e| e.to_string())?;
                 ensure(paged == g.neighbors(pred, v, inverse), || {
                     format!("neighbors pred {pred} inverse {inverse} node {v}")
+                })?;
+                r.neighbors_into(pred, v, inverse, &mut buf)
+                    .map_err(|e| e.to_string())?;
+                ensure(buf == paged, || {
+                    format!("neighbors_into pred {pred} inverse {inverse} node {v}")
                 })?;
                 let deg = r.degree(pred, v, inverse).map_err(|e| e.to_string())?;
                 ensure(deg == g.neighbors(pred, v, inverse).len(), || {
