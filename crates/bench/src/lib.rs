@@ -15,9 +15,11 @@
 //! laptop. EXPERIMENTS.md records paper-vs-measured for every artifact.
 //!
 //! This library holds what the binaries share: the Section 6.2 workload
-//! definitions (Len / Dis / Con / Rec), the Section 7.1 measurement
-//! protocol (cold run discarded, warm runs averaged after dropping the
-//! fastest and slowest), small table-printing helpers, and the
+//! definitions (Len / Dis / Con / Rec), the budgets and warm-run count of
+//! the Section 7.1 measurement protocol (which
+//! [`MatrixOptions::warm_runs`] runs: cold run discarded, warm runs
+//! averaged after dropping the fastest and slowest), small table-printing
+//! helpers, and the
 //! open/closed-loop traffic driver ([`driver`]) behind `gmark bench
 //! drive`.
 
@@ -27,11 +29,9 @@ use gmark::run::{run_in_memory, RunOptions, RunPlan};
 use gmark_core::schema::Schema;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::workload::{QuerySize, Workload, WorkloadConfig};
-use gmark_engines::{
-    Budget, CellBudget, CellOutcome, EngineKind, EvalCell, EvalContext, EvalError, MatrixOptions,
-};
+use gmark_engines::{Budget, CellBudget, CellOutcome, EvalCell, MatrixOptions};
 use gmark_store::Graph;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The four stress-test workload families of Section 6.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,45 +286,12 @@ pub fn build_graph(schema: &Schema, n: u64, seed: u64, threads: usize) -> Graph 
         .expect("graph plans materialize a graph")
 }
 
-/// The Section 7.1 measurement protocol: one cold run (discarded), `warm`
-/// warm runs; drop the fastest and slowest warm run and average the rest.
-/// Returns the mean duration and the result count, or the failure. The
-/// context is the caller's, built once per graph: the cold run pays for
-/// whatever indexes the query touches first, the warm runs time
-/// evaluation only.
-pub fn measure(
-    engine: EngineKind,
-    ctx: &EvalContext<'_>,
-    query: &gmark_core::query::Query,
-    budget: &Budget,
-    warm: usize,
-) -> Result<(Duration, u64), EvalError> {
-    let cold = engine.evaluate(ctx, query, None, budget)?;
-    let count = cold.count();
-    let mut times = Vec::with_capacity(warm);
-    for _ in 0..warm {
-        let start = Instant::now();
-        engine.evaluate(ctx, query, None, budget)?;
-        times.push(start.elapsed().as_secs_f64());
-    }
-    let mean = gmark_stats::summary::warm_run_average(&times);
-    Ok((Duration::from_secs_f64(mean), count))
-}
-
 /// Formats a duration like the paper's Table 3 (`1m28.725s` / `0m0.057s`).
 pub fn fmt_minutes(d: Duration) -> String {
     let total = d.as_secs_f64();
     let minutes = (total / 60.0).floor() as u64;
     let seconds = total - minutes as f64 * 60.0;
     format!("{minutes}m{seconds:.3}s")
-}
-
-/// Formats seconds with millisecond resolution for grid cells.
-pub fn fmt_cell(result: &Result<(Duration, u64), EvalError>) -> String {
-    match result {
-        Ok((d, _)) => format!("{:.3}s", d.as_secs_f64()),
-        Err(_) => "-".to_owned(),
-    }
 }
 
 /// Formats one evaluation-matrix cell like the paper's grids: warm-run
@@ -397,26 +364,43 @@ mod tests {
         }
     }
 
+    /// The Section 7.1 protocol runs through the matrix: warm runs change
+    /// the timing, never the count a cell reports.
     #[test]
     fn measure_protocol_runs() {
         let bib = gmark_core::usecases::bib();
         let graph = build_graph(&bib, 500, 3, 2);
         let w = WorkloadKind::Len.workload(&bib, 4);
-        let (engine, ctx) = (EngineKind::TripleStore, EvalContext::new(&graph));
-        let (d, count) = measure(engine, &ctx, &w.queries[0].query, &Budget::default(), 3)
-            .expect("small query fits budget");
-        assert!(d.as_secs_f64() >= 0.0);
-        let direct = engine
-            .evaluate(&ctx, &w.queries[0].query, None, &Budget::default())
-            .unwrap();
-        assert_eq!(count, direct.count());
+        let ctx = gmark_engines::EvalContext::new(&graph);
+        let engine = gmark_engines::EngineKind::TripleStore;
+        let opts = HarnessOptions {
+            full: false,
+            seed: 1,
+            threads: 2,
+        };
+        let options = opts.matrix_options();
+        assert_eq!(options.warm_runs, 3);
+        let query = &w.queries[0].query;
+        let report = gmark_engines::evaluate_matrix(
+            &ctx,
+            &[query],
+            &[engine],
+            &CellBudget::default(),
+            &options,
+        );
+        let cell = &report.cells[0];
+        assert!(cell.seconds >= 0.0);
+        let direct = engine.evaluate(&ctx, query, None, &Budget::default());
+        match &cell.outcome {
+            CellOutcome::Answers { count, .. } => assert_eq!(*count, direct.unwrap().count()),
+            CellOutcome::Failed(e) => panic!("a small query fits the budget: {e}"),
+        }
     }
 
     #[test]
     fn duration_formatting() {
         assert_eq!(fmt_minutes(Duration::from_millis(57)), "0m0.057s");
         assert_eq!(fmt_minutes(Duration::from_secs_f64(88.725)), "1m28.725s");
-        assert_eq!(fmt_cell(&Err(gmark_engines::EvalError::Timeout)), "-");
     }
 
     #[test]

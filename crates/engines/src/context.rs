@@ -16,12 +16,10 @@
 //!   so [`EvalContext::edb`] only warms them all and counts their facts;
 //! * [`EvalContext::nfa`] — a memoized [`compile_nfa`], keyed by the
 //!   regular expression;
-//! * [`EvalContext::cardinality`] — per-predicate edge counts (an O(1)
-//!   read off the CSR), the convenience input for cardinality-driven
-//!   planning in harness code;
-//! * [`EvalContext::symbol_stats`] — distinct-source/distinct-target
-//!   counts per `(predicate, direction)`, the planner's selectivity
-//!   input, computed once off the CSR degree arrays and shared.
+//! * [`EvalContext::symbol_stats`] — edge and distinct-source/
+//!   distinct-target counts per `(predicate, direction)`, the planner's
+//!   cardinality and selectivity input, computed once off the CSR degree
+//!   arrays and shared.
 //!
 //! The context is `Sync`: lazy slots are [`OnceLock`]s whose values are
 //! pure functions of the graph, and the NFA cache is a mutex around a
@@ -137,13 +135,10 @@ struct ExprCache {
     /// builds — without this figure a fully pre-filled run reports a
     /// meaningless 100% hit rate.
     fills: u64,
-    /// The tuple cap the fill ran under ([`ExprCacheEntry::TooLarge`]
-    /// entries are only meaningful relative to it).
-    cap: usize,
 }
 
 impl ExprCache {
-    fn new(budget_mb: usize, cap: usize) -> ExprCache {
+    fn new(budget_mb: usize) -> ExprCache {
         ExprCache {
             map: FxHashMap::default(),
             budget_mb,
@@ -151,7 +146,6 @@ impl ExprCache {
             tuples: 0,
             rejected: 0,
             fills: 0,
-            cap,
         }
     }
 
@@ -272,13 +266,6 @@ impl<'g> EvalContext<'g> {
         self.view
     }
 
-    /// Number of `pred`-labeled edges (the planner's cardinality input;
-    /// an O(1) read off the forward CSR or the store directory).
-    #[inline]
-    pub fn cardinality(&self, pred: usize) -> usize {
-        self.view.edge_count_for(pred)
-    }
-
     /// The sorted binary relation of one `Σ±` symbol, computed on first
     /// use for its `(predicate, direction)` slot and shared afterwards.
     pub fn relation(&self, sym: Symbol) -> &Relation {
@@ -345,7 +332,7 @@ impl<'g> EvalContext<'g> {
         if budget_mb == 0 || self.expr_cache.get().is_some() {
             return;
         }
-        let mut cache = ExprCache::new(budget_mb, fresh_budget().max_tuples);
+        let mut cache = ExprCache::new(budget_mb);
         for expr in exprs {
             if cache.map.contains_key(expr) {
                 continue;
@@ -535,13 +522,6 @@ impl<'g> EvalContext<'g> {
         })
     }
 
-    /// The tuple cap the cache fill ran under (test hook for the budget
-    /// rule).
-    #[doc(hidden)]
-    pub fn expr_cache_cap(&self) -> Option<usize> {
-        self.expr_cache.get().map(|c| c.cap)
-    }
-
     /// The Datalog EDB: warms the forward relation of every predicate —
     /// `edge_<p>`, which inverse symbols read through the backward relation
     /// of the same edges — and returns the fact count, `node(v)` per node
@@ -580,8 +560,8 @@ mod tests {
     fn cardinalities_match_the_graph() {
         let g = graph();
         let ctx = EvalContext::new(&g);
-        assert_eq!(ctx.cardinality(0), 4);
-        assert_eq!(ctx.cardinality(1), 2);
+        assert_eq!(ctx.symbol_stats(sym(0)).edges, 4);
+        assert_eq!(ctx.symbol_stats(sym(1).flipped()).edges, 2);
     }
 
     #[test]

@@ -106,14 +106,6 @@ impl Budget {
         }
     }
 
-    /// A budget with a timeout and a tuple cap.
-    pub fn new(timeout: Duration, max_tuples: usize) -> Self {
-        Budget {
-            deadline: Some(Instant::now() + timeout),
-            max_tuples,
-        }
-    }
-
     /// A budget with an optional timeout (starting now) and a tuple cap:
     /// `None` means no wall-clock deadline at all — the fully deterministic
     /// regime the evaluation-determinism tests pin.

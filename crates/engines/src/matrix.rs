@@ -13,9 +13,8 @@
 //! [`gmark_store::emit`]) whenever cell outcomes do not depend on the wall
 //! clock: with no time limit, with a generous limit no cell approaches, or
 //! with an already-expired one (the regimes the determinism tests pin).
-//! Wall-clock measurements are still taken per cell, but they live outside
-//! the deterministic rendering — see [`EvalCell::time_bucket`] and
-//! [`EvalReport::render_times`].
+//! Wall-clock measurements are still taken per cell ([`EvalCell::seconds`]),
+//! but they live outside the deterministic rendering.
 
 use crate::context::EvalContext;
 use crate::planner::{plan_query, QueryPlan};
@@ -246,11 +245,6 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
-    /// Whether the cell completed.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, CellOutcome::Answers { .. })
-    }
-
     /// The deterministic cell label for reports: the tuple count, or a
     /// short failure word.
     pub fn label(&self) -> String {
@@ -280,8 +274,7 @@ pub struct EvalCell {
     pub estimate: Option<u64>,
     /// Measured wall time (warm-run mean when warm runs were requested).
     /// Nondeterministic by nature — it never enters
-    /// [`EvalReport::render`]; use [`EvalCell::time_bucket`] for the
-    /// coarse, human-oriented view.
+    /// [`EvalReport::render`].
     pub seconds: f64,
 }
 
@@ -294,27 +287,6 @@ impl EvalCell {
             (CellOutcome::Answers { count, .. }, Some(est)) => format!("{est}~{count}"),
             _ => self.outcome.label(),
         }
-    }
-
-    /// The cell's wall time bucketed into decades — a deterministic
-    /// *function* of the measured time (the measurement itself still
-    /// varies run to run, which is why buckets appear only in
-    /// [`EvalReport::render_times`], outside the byte-compared report).
-    pub fn time_bucket(&self) -> &'static str {
-        time_bucket(Duration::from_secs_f64(self.seconds.max(0.0)))
-    }
-}
-
-/// Maps a duration to its decade bucket. Total over all durations.
-pub fn time_bucket(d: Duration) -> &'static str {
-    let micros = d.as_micros();
-    match micros {
-        0..1_000 => "<1ms",
-        1_000..10_000 => "1-10ms",
-        10_000..100_000 => "10-100ms",
-        100_000..1_000_000 => "0.1-1s",
-        1_000_000..10_000_000 => "1-10s",
-        _ => ">=10s",
     }
 }
 
@@ -461,33 +433,6 @@ impl EvalReport {
             }
         }
         Some(q)
-    }
-
-    /// Renders the measured wall times as decade buckets (failures show
-    /// their outcome label). Informative, **not** part of the determinism
-    /// contract — keep it out of byte-compared artifacts.
-    pub fn render_times(&self) -> String {
-        const W: usize = 12;
-        let mut out = String::new();
-        let _ = write!(out, "{:<8}", "query");
-        for kind in &self.engines {
-            let _ = write!(out, " {:>W$}", kind.letter());
-        }
-        out.push('\n');
-        for q in 0..self.queries {
-            let _ = write!(out, "{:<8}", format!("q{q}"));
-            for e in 0..self.engines.len() {
-                let cell = &self.cells[q * self.engines.len() + e];
-                let shown = if cell.outcome.is_ok() {
-                    cell.time_bucket().to_owned()
-                } else {
-                    cell.outcome.label()
-                };
-                let _ = write!(out, " {shown:>W$}");
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -900,8 +845,6 @@ mod tests {
         assert!(text.contains('~'), "{text}");
         let last = text.lines().last().unwrap();
         assert!(last.starts_with("plan: "), "{text}");
-        let times = report.render_times();
-        assert!(times.contains("ms") || times.contains('s'), "{times}");
     }
 
     #[test]
@@ -1008,15 +951,5 @@ mod tests {
             assert_eq!(paged, in_ram, "{threads} threads");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn time_buckets_cover_the_decades() {
-        assert_eq!(time_bucket(Duration::from_micros(10)), "<1ms");
-        assert_eq!(time_bucket(Duration::from_millis(5)), "1-10ms");
-        assert_eq!(time_bucket(Duration::from_millis(50)), "10-100ms");
-        assert_eq!(time_bucket(Duration::from_millis(500)), "0.1-1s");
-        assert_eq!(time_bucket(Duration::from_secs(5)), "1-10s");
-        assert_eq!(time_bucket(Duration::from_secs(500)), ">=10s");
     }
 }

@@ -30,9 +30,8 @@ const SCAN_CHUNK: usize = 32 * 1024;
 /// [`StoreReader::open`] validates framing and bounds (magic, version,
 /// footer, directory, segment positions) without reading the data pages;
 /// [`StoreReader::verify`] additionally checks the checksum and the
-/// offset arrays. Point lookups ([`StoreReader::neighbors_into`],
-/// [`StoreReader::degree`], [`StoreReader::has_edge`]) go through a small
-/// CLOCK page cache; bulk scans ([`StoreReader::pairs`],
+/// offset arrays. Point lookups ([`StoreReader::neighbors_into`]) go
+/// through a small CLOCK page cache; bulk scans ([`StoreReader::pairs`],
 /// [`StoreReader::distinct_endpoints`]) stream with private buffers.
 ///
 /// The reader is `Sync`: the page cache sits behind a mutex, so one
@@ -441,7 +440,7 @@ impl StoreReader {
         out: &mut Vec<NodeId>,
     ) -> Result<(), StoreError> {
         out.clear();
-        self.lookup(pred, v, inverse, Some(out)).map(drop)
+        self.lookup(pred, v, inverse, out)
     }
 
     /// [`StoreReader::neighbors_into`] into a fresh `Vec`. Kept for the
@@ -458,30 +457,17 @@ impl StoreReader {
         Ok(out)
     }
 
-    /// Degree of `v` along `pred`: two offset words through the cache, one
-    /// lock acquisition, no target bytes touched and nothing allocated.
-    pub fn degree(&self, pred: PredIdx, v: NodeId, inverse: bool) -> Result<usize, StoreError> {
-        self.lookup(pred, v, inverse, None)
-    }
-
-    /// Whether the edge `v --pred--> w` exists (binary search over the
-    /// fetched neighbor list).
-    pub fn has_edge(&self, pred: PredIdx, v: NodeId, w: NodeId) -> Result<bool, StoreError> {
-        Ok(self.neighbors(pred, v, false)?.binary_search(&w).is_ok())
-    }
-
     /// The one cached point lookup. Under a single lock acquisition it
     /// copies `offsets[v]` and `offsets[v + 1]` into a stack array (the
     /// pair may straddle two pages), bounds-checks them against the
-    /// segment, and — when `targets` is given — appends the decoded
-    /// targets to it. Returns the degree.
+    /// segment, and appends the decoded targets to `out`.
     fn lookup(
         &self,
         pred: PredIdx,
         v: NodeId,
         inverse: bool,
-        targets: Option<&mut Vec<NodeId>>,
-    ) -> Result<usize, StoreError> {
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), StoreError> {
         debug_assert!(v < self.node_count, "node {v} out of range");
         let seg = self.segment(pred, inverse);
         let pos = seg.offsets_pos + v as u64 * 8;
@@ -500,15 +486,12 @@ impl StoreReader {
                 Some(pos / self.page_size),
             ));
         }
-        if let Some(out) = targets {
-            out.reserve((hi - lo) as usize);
-            let (start, len) = (seg.targets_pos + lo * 4, (hi - lo) * 4);
-            self.visit_cached(&mut cache, start, len, |bytes| {
-                let ids = bytes.chunks_exact(4);
-                out.extend(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))));
-            })?;
-        }
-        Ok((hi - lo) as usize)
+        out.reserve((hi - lo) as usize);
+        let (start, len) = (seg.targets_pos + lo * 4, (hi - lo) * 4);
+        self.visit_cached(&mut cache, start, len, |bytes| {
+            let ids = bytes.chunks_exact(4);
+            out.extend(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))));
+        })
     }
 
     /// Hands `f` the `len` bytes at `pos` as borrowed slices of cached
@@ -867,19 +850,10 @@ mod tests {
                         g.neighbors(pred, v, inverse),
                         "pred {pred} inverse {inverse} node {v}"
                     );
-                    assert_eq!(
-                        r.degree(pred, v, inverse).unwrap(),
-                        g.neighbors(pred, v, inverse).len()
-                    );
                 }
                 let paged: Vec<_> = r.pairs(pred, inverse).collect();
                 let in_ram: Vec<_> = g.pairs(pred, inverse).collect();
                 assert_eq!(paged, in_ram, "pred {pred} inverse {inverse}");
-            }
-            for v in 0..g.node_count() {
-                for w in 0..g.node_count() {
-                    assert_eq!(r.has_edge(pred, v, w).unwrap(), g.has_edge(pred, v, w));
-                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -936,8 +910,6 @@ mod tests {
                 for v in 0..g.node_count() {
                     r.neighbors_into(0, v, inverse, &mut buf).unwrap();
                     assert_eq!(buf, g.neighbors(0, v, inverse), "node {v} {inverse}");
-                    let degree = r.degree(0, v, inverse).unwrap();
-                    assert_eq!(degree, g.neighbors(0, v, inverse).len());
                 }
             }
         }

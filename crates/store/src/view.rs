@@ -11,7 +11,7 @@
 //! every engine loop.
 
 use crate::paged::StoreReader;
-use crate::{Graph, NodeId, PredIdx, TypePartition};
+use crate::{Graph, NodeId, PredIdx};
 
 /// A borrowed, `Copy` view over graph topology — either the in-memory
 /// CSR or a paged on-disk store.
@@ -104,15 +104,6 @@ impl<'g> GraphView<'g> {
         }
     }
 
-    /// The node-type partition.
-    #[inline]
-    pub fn partition(&self) -> &'g TypePartition {
-        match self {
-            GraphView::InMemory(g) => g.partition(),
-            GraphView::Paged(r) => r.partition(),
-        }
-    }
-
     /// Sorted neighbors of `v` along `pred`, forward (`a`) or backward
     /// (`a⁻`). In RAM this borrows the CSR slice and leaves `buf` alone;
     /// paged, it decodes the targets into `buf`
@@ -141,29 +132,6 @@ impl<'g> GraphView<'g> {
                     .unwrap_or_else(|e| panic!("paged neighbor read failed: {e}"));
                 buf
             }
-        }
-    }
-
-    /// Degree of `v` along `pred` — cheaper than `neighbors(..).len()`
-    /// on the paged variant (no target pages are read).
-    #[inline]
-    pub fn degree(&self, pred: PredIdx, v: NodeId, inverse: bool) -> usize {
-        match self {
-            GraphView::InMemory(g) => g.neighbors(pred, v, inverse).len(),
-            GraphView::Paged(r) => r
-                .degree(pred, v, inverse)
-                .unwrap_or_else(|e| panic!("paged degree read failed: {e}")),
-        }
-    }
-
-    /// Whether the edge `v --pred--> w` exists.
-    #[inline]
-    pub fn has_edge(&self, pred: PredIdx, v: NodeId, w: NodeId) -> bool {
-        match self {
-            GraphView::InMemory(g) => g.has_edge(pred, v, w),
-            GraphView::Paged(r) => r
-                .has_edge(pred, v, w)
-                .unwrap_or_else(|e| panic!("paged edge lookup failed: {e}")),
         }
     }
 

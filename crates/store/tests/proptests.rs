@@ -262,24 +262,12 @@ fn check_store_matches_graph(
                 ensure(buf == paged, || {
                     format!("neighbors_into pred {pred} inverse {inverse} node {v}")
                 })?;
-                let deg = r.degree(pred, v, inverse).map_err(|e| e.to_string())?;
-                ensure(deg == g.neighbors(pred, v, inverse).len(), || {
-                    format!("degree pred {pred} inverse {inverse} node {v}")
-                })?;
             }
             let paged: Vec<_> = r.pairs(pred, inverse).collect();
             let in_ram: Vec<_> = g.pairs(pred, inverse).collect();
             ensure(paged == in_ram, || {
                 format!("pairs pred {pred} inverse {inverse}")
             })?;
-        }
-        for v in 0..n {
-            for w in 0..n {
-                let paged = r.has_edge(pred, v, w).map_err(|e| e.to_string())?;
-                ensure(paged == g.has_edge(pred, v, w), || {
-                    format!("has_edge({pred}, {v}, {w})")
-                })?;
-            }
         }
     }
     // The last predicate never received an edge.

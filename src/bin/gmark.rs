@@ -77,8 +77,7 @@ const USAGE: &str = "gmark --config <file.xml> --output <dir> [--seed N] [--node
 [--no-eval-cache] [--eval-cache-mb N] [--from-store FILE]\n\
 gmark --verify-store <file.gstore>\n\
 gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
-[--queue-depth N] [--deadline-ms N] [--keep-alive-ms N] \
-[--max-requests-per-conn N]\n\n\
+[--queue-depth N] [--deadline-ms N] [--keep-alive-ms N]\n\n\
   --threads T     worker threads for EVERY pipeline stage (graph\n\
                   constraints, workload queries, and the --eval matrix);\n\
                   0 auto-detects the available parallelism. Every output\n\
@@ -145,8 +144,9 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   written to summary.json in the output directory).\n\
   --version       print the version and exit.\n\n\
 serve mode (benchmark-as-a-service daemon; POST /v1/run a schema XML\n\
-or {\"schema_xml\": …} body with CLI-shaped query parameters, stream\n\
-the artifact back; GET /v1/run/<id>/summary, /v1/stats, /healthz):\n\
+body with CLI-shaped query parameters plus artifact, deadline_ms and\n\
+config, each given once, and one artifact streams back; GET /v1/stats,\n\
+/healthz):\n\
   --addr A        listen address (default 127.0.0.1:7878; port 0 picks\n\
                   a free port and prints it).\n\
   --workers N     worker threads draining the accept queue (default 4).\n\
@@ -160,10 +160,9 @@ the artifact back; GET /v1/run/<id>/summary, /v1/stats, /healthz):\n\
   --keep-alive-ms N  idle window for HTTP/1.1 keep-alive: how long a\n\
                   worker waits for the next request on a persistent\n\
                   connection before closing it (default 5000;\n\
-                  0 disables keep-alive, every response closes).\n\
-  --max-requests-per-conn N  requests served per connection before the\n\
-                  server closes it and returns the worker to the queue\n\
-                  (default 1000, minimum 1).\n\
+                  0 disables keep-alive, every response closes). A\n\
+                  queued connection takes the worker after the next\n\
+                  response.\n\
 SIGTERM/SIGINT drain admitted requests, then exit 0.";
 
 /// Takes the value following the flag at `argv[*i]`, naming the flag (not
@@ -281,10 +280,6 @@ fn parse_serve_args(argv: &[String]) -> Result<Parsed, String> {
             "--keep-alive-ms" => {
                 let what = "a millisecond idle window (0 = no keep-alive)";
                 config.keep_alive_ms = take_count(argv, i, what, None)?;
-            }
-            "--max-requests-per-conn" => {
-                let zero = Some("a connection must carry at least one request");
-                config.max_requests_per_conn = take_count(argv, i, "a positive count", zero)?;
             }
             "--help" | "-h" => return Ok(Parsed::EarlyExit(USAGE.to_owned())),
             other => return Err(format!("serve: unknown argument: {other}")),
@@ -505,7 +500,7 @@ mod tests {
             }
             other => panic!("expected Serve, got {other:?}"),
         }
-        match parse("serve --addr 127.0.0.1:0 --workers 2 --cache-mb 32 --queue-depth 5 --deadline-ms 250 --keep-alive-ms 750 --max-requests-per-conn 16")
+        match parse("serve --addr 127.0.0.1:0 --workers 2 --cache-mb 32 --queue-depth 5 --deadline-ms 250 --keep-alive-ms 750")
         .expect("full flag set parses")
         {
             Parsed::Serve(config) => {
@@ -515,7 +510,6 @@ mod tests {
                 assert_eq!(config.queue_depth, 5);
                 assert_eq!(config.deadline_ms, 250);
                 assert_eq!(config.keep_alive_ms, 750);
-                assert_eq!(config.max_requests_per_conn, 16);
             }
             other => panic!("expected Serve, got {other:?}"),
         }
@@ -530,7 +524,6 @@ mod tests {
     fn serve_rejects_degenerate_and_unknown_flags() {
         assert!(parse("serve --workers 0").is_err());
         assert!(parse("serve --queue-depth 0").is_err());
-        assert!(parse("serve --max-requests-per-conn 0").is_err());
         assert!(parse("serve --addr").is_err(), "missing value");
         assert!(parse("serve --config c.xml").is_err());
         // `serve --help` is an early exit like the batch mode's.

@@ -248,21 +248,6 @@ impl SnapshotCache {
     }
 }
 
-/// FNV-1a, the workspace's standing choice for cheap stable hashing.
-/// Snapshot keys fold the plan bytes and the canonical option string
-/// through this, so equal requests collide on purpose.
-pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// The FNV-1a offset basis, the conventional starting seed.
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,13 +340,5 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         let (_, hit) = cache.get_or_build(1, || snap(10));
         assert!(!hit, "zero budget: every request rebuilds");
-    }
-
-    #[test]
-    fn fnv1a_is_stable_and_input_sensitive() {
-        let a = fnv1a(b"plan-a", FNV_OFFSET);
-        assert_eq!(a, fnv1a(b"plan-a", FNV_OFFSET), "deterministic");
-        assert_ne!(a, fnv1a(b"plan-b", FNV_OFFSET));
-        assert_ne!(a, fnv1a(b"plan-a", a), "seed chains");
     }
 }

@@ -77,20 +77,12 @@ pub struct Request {
     /// Whether the client wants the connection kept open afterwards:
     /// HTTP/1.1 defaults to yes unless `Connection: close`, HTTP/1.0 to
     /// no unless `Connection: keep-alive`. The server may still close
-    /// (cap reached, shutdown, idle) — this is the client's side of the
-    /// negotiation only.
+    /// (another connection queued, shutdown, idle) — this is the client's
+    /// side of the negotiation only.
     pub keep_alive: bool,
 }
 
 impl Request {
-    /// The first query parameter with this name, if any.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// The first header with this (case-insensitive) name, if any.
     pub fn header(&self, name: &str) -> Option<&str> {
         find_header(&self.headers, name)
@@ -844,7 +836,7 @@ mod tests {
         let mut conn = Conn::new(CountingReader::new(raw, usize::MAX));
         let request = conn.read_request(far()).unwrap();
         assert_eq!(request.body, b"<xml>", "body bytes from the head's read");
-        assert_eq!(request.query_param("seed"), Some("3"));
+        assert_eq!(request.query[1], ("seed".to_owned(), "3".to_owned()));
         assert_eq!(conn.stream.reads, 1);
         assert!(matches!(conn.read_request(far()), Err(HttpError::Closed)));
     }
@@ -895,7 +887,7 @@ mod tests {
 
         // A bare-LF head parses.
         let bare = parse(b"GET /healthz?x=1 HTTP/1.1\nHost: a\n\n").unwrap();
-        assert_eq!(bare.query_param("x"), Some("1"));
+        assert_eq!(bare.query, [("x".to_owned(), "1".to_owned())]);
         assert_eq!(bare.header("host"), Some("a"));
 
         // EOF before the first byte, mid-head, mid-body.

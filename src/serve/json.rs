@@ -1,13 +1,12 @@
-//! A minimal JSON reader for the `POST /v1/run` body dialect.
+//! A minimal JSON reader: the counterpart of the workspace's one
+//! emitter, [`gmark_stats::JsonWriter`].
 //!
-//! The server accepts either a raw schema XML body or a small JSON
-//! object (`{"schema_xml": "...", "nodes": 100, ...}`) mirroring the
-//! fields a `RunSummary` reports. Parsing that object needs a JSON
-//! *reader* — the counterpart of the workspace's one emitter,
-//! [`gmark_stats::JsonWriter`] — so this is the smallest
-//! recursive-descent parser that covers the dialect: all JSON value
-//! shapes, UTF-16 escapes included, with a depth cap instead of
-//! arbitrary-recursion trust.
+//! No route reads JSON — `POST /v1/run` takes the schema XML. The reader
+//! serves the tests and tooling that read back what the pipeline and the
+//! daemon write (`summary.json`, `GET /v1/stats`, the benchmark
+//! harness's own files). It is the smallest recursive-descent parser
+//! that covers those documents: all JSON value shapes, UTF-16 escapes
+//! included, with a depth cap instead of arbitrary-recursion trust.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,14 +15,14 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, held as `f64` (the dialect's numbers are small
-    /// counts and seeds, well inside `f64`'s exact-integer range).
+    /// Any JSON number, held as `f64` (the documents' numbers are counts,
+    /// seeds and timings, well inside `f64`'s exact-integer range).
     Num(f64),
     /// A string literal, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in arrival order (the dialect has no duplicate keys).
+    /// An object, in arrival order (the documents have no duplicate keys).
     Obj(Vec<(String, Json)>),
 }
 
@@ -64,8 +63,8 @@ impl Json {
     }
 }
 
-/// Nesting depth cap: the dialect is flat, so anything deeper than this
-/// is garbage (or an attack), not a plan.
+/// Nesting depth cap: the documents are shallow, so anything deeper than
+/// this is garbage (or an attack).
 const MAX_DEPTH: usize = 32;
 
 /// Parses one JSON document. Trailing non-whitespace is an error.
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn a_long_string_parses_in_linear_time() {
-        // One 1 MiB string value, the shape of a `{"schema_xml": …}` body.
+        // One 1 MiB string value: a schema XML embedded in a document.
         // Re-validating the rest of the input per character made this
         // quadratic (≈ 16 s in a release build, far longer in a test
         // build); a hang must fail, not stall.

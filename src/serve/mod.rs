@@ -1,9 +1,10 @@
 //! `gmark serve` — the benchmark-as-a-service daemon.
 //!
 //! One process turns the batch pipeline into a long-running service:
-//! clients `POST /v1/run` a plan (schema XML or the JSON dialect) plus
-//! CLI-shaped query parameters, and the selected artifact streams back
-//! with chunked transfer encoding. The server rests on three guarantees:
+//! clients `POST /v1/run` a schema XML body plus CLI-shaped query
+//! parameters, and the selected artifact streams back with chunked
+//! transfer encoding. The server is a snapshot cache in front of
+//! [`run`](crate::run::run), resting on three guarantees:
 //!
 //! * **Byte determinism.** A response's payload is a pure function of
 //!   the plan and its byte-affecting options — never of worker count,
@@ -20,10 +21,9 @@
 //! Connections are persistent (HTTP/1.1 keep-alive): a worker serves
 //! requests off one connection in a loop — each one individually
 //! admission-accounted — until the client closes, the idle window
-//! (`--keep-alive-ms`) or per-connection request cap
-//! (`--max-requests-per-conn`) runs out, another connection is waiting
-//! in the queue, or shutdown begins. Per-request queue-wait / build /
-//! stream latency histograms are surfaced through `GET /v1/stats`.
+//! (`--keep-alive-ms`) runs out, another connection is waiting in the
+//! queue, or shutdown begins. Per-request queue-wait / build / stream
+//! latency histograms are surfaced through `GET /v1/stats`.
 //!
 //! Shutdown is graceful: [`Server::shutdown`] (the CLI wires it to
 //! SIGTERM) stops accepting, drains every admitted request — a
@@ -36,20 +36,14 @@ pub mod http;
 pub mod json;
 mod routes;
 
-use crate::run::Artifact;
 use admission::Admission;
-use cache::{Snapshot, SnapshotCache};
+use cache::SnapshotCache;
 use gmark_stats::LatencyHistogram;
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How many finished run ids `GET /v1/run/<id>/summary` can still
-/// resolve; older ids age out of the bounded log.
-pub const SUMMARY_LOG_CAP: usize = 1024;
 
 /// How the daemon listens and how much it holds: the `gmark serve`
 /// flag set.
@@ -75,11 +69,6 @@ pub struct ServeConfig {
     /// before closing it. `0` disables keep-alive entirely (every
     /// response closes, the pre-PR-10 behavior).
     pub keep_alive_ms: u64,
-    /// Cap on requests served per connection (`--max-requests-per-conn`):
-    /// after this many the response says `Connection: close` and the
-    /// worker returns to the queue, bounding how long one client can
-    /// monopolize a worker. Treated as at least 1.
-    pub max_requests_per_conn: usize,
 }
 
 impl Default for ServeConfig {
@@ -91,7 +80,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             deadline_ms: 0,
             keep_alive_ms: 5_000,
-            max_requests_per_conn: 1_000,
         }
     }
 }
@@ -109,45 +97,11 @@ pub(crate) struct ServeLatency {
     pub(crate) stream: LatencyHistogram,
 }
 
-/// The log behind `GET /v1/run/<id>/summary`: run id → that run's
-/// `summary.json` bytes, newest last, bounded to [`SUMMARY_LOG_CAP`]. It
-/// holds the few KiB of each summary, never the snapshot, so an evicted
-/// snapshot's artifacts are freed as `--cache-mb` says.
-#[derive(Default)]
-pub(crate) struct SummaryLog(Mutex<VecDeque<(String, Arc<[u8]>)>>);
-
-impl SummaryLog {
-    /// Logs the summary of `snapshot` under `run_id`, dropping the oldest
-    /// run past the cap.
-    pub(crate) fn record(&self, run_id: String, snapshot: &Snapshot) {
-        // MemorySink::finish always renders the summary, so every snapshot
-        // has this artifact.
-        let summary = snapshot
-            .artifact(Artifact::Summary)
-            .expect("every snapshot carries summary.json");
-        let mut log = self.0.lock().expect("no summary-log holder panics");
-        log.push_back((run_id, Arc::from(summary)));
-        if log.len() > SUMMARY_LOG_CAP {
-            log.pop_front();
-        }
-    }
-
-    /// The summary bytes of `run_id`, while it is among the logged runs.
-    pub(crate) fn get(&self, run_id: &str) -> Option<Arc<[u8]>> {
-        let log = self.0.lock().expect("no summary-log holder panics");
-        log.iter()
-            .find(|(id, _)| id == run_id)
-            .map(|(_, summary)| Arc::clone(summary))
-    }
-}
-
 /// Everything the acceptor, the workers, and the routes share.
 pub(crate) struct ServerShared {
     pub(crate) config: ServeConfig,
     pub(crate) cache: SnapshotCache,
     pub(crate) admission: Admission,
-    pub(crate) summaries: SummaryLog,
-    pub(crate) run_seq: AtomicU64,
     pub(crate) latency: ServeLatency,
     stop: AtomicBool,
 }
@@ -182,8 +136,6 @@ impl Server {
         let shared = Arc::new(ServerShared {
             cache: SnapshotCache::new(config.cache_mb),
             admission: Admission::new(config.queue_depth),
-            summaries: SummaryLog::default(),
-            run_seq: AtomicU64::new(0),
             latency: ServeLatency::default(),
             stop: AtomicBool::new(false),
             config,
@@ -341,6 +293,7 @@ pub fn request_shutdown_on_signals() -> &'static AtomicBool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Artifact;
 
     const BIB_XML: &str = include_str!("../../examples/configs/bib.xml");
 
@@ -378,39 +331,19 @@ mod tests {
         assert_eq!(again.header("x-gmark-cache"), Some("hit"));
         assert_eq!(again.body, run.body);
 
-        // The summary is retrievable by run id and is valid JSON-ish.
-        let id = run.header("x-gmark-run-id").unwrap().to_owned();
-        let summary = http::fetch(addr, "GET", &format!("/v1/run/{id}/summary"), b"").unwrap();
-        assert_eq!(summary.status, 200);
-        assert!(summary.body.starts_with(b"{"));
+        // The same plan's summary is one more view of the same snapshot.
+        let summary = post_run(addr, "?nodes=50&seed=7&artifact=summary.json");
+        assert_eq!(summary.header("x-gmark-cache"), Some("hit"));
+        assert_eq!(summary.header("content-type"), Some("application/json"));
+        let text = String::from_utf8(summary.body).unwrap();
+        assert!(json::parse(&text).is_ok(), "{text}");
 
         let stats = http::fetch(addr, "GET", "/v1/stats", b"").unwrap();
         let text = String::from_utf8(stats.body).unwrap();
         assert!(text.contains("\"builds\":1"), "{text}");
-        assert!(text.contains("\"hits\":1"), "{text}");
+        assert!(text.contains("\"hits\":2"), "{text}");
 
         server.shutdown();
-    }
-
-    #[test]
-    fn the_summary_log_keeps_no_snapshot_alive() {
-        let log = SummaryLog::default();
-        let snapshot = Arc::new(Snapshot::new(vec![
-            (Artifact::Graph, vec![b'x'; 1 << 20]),
-            (Artifact::Summary, b"{\"seed\":1}\n".to_vec()),
-        ]));
-        let weak = Arc::downgrade(&snapshot);
-        log.record("run-0".to_owned(), &snapshot);
-        drop(snapshot);
-        assert!(weak.upgrade().is_none(), "the log pinned the snapshot");
-        assert_eq!(log.get("run-0").as_deref(), Some(&b"{\"seed\":1}\n"[..]));
-        // Bounded: the oldest run ages out first.
-        let small = Snapshot::new(vec![(Artifact::Summary, b"{}".to_vec())]);
-        for i in 1..=SUMMARY_LOG_CAP {
-            log.record(format!("run-{i}"), &small);
-        }
-        assert!(log.get("run-0").is_none());
-        assert!(log.get("run-1").is_some());
     }
 
     #[test]
@@ -421,15 +354,35 @@ mod tests {
         // What is this door's own; the run parameters' rules are tested
         // through both doors in `run::request`, and one of them here
         // shows a rejected request is a 400.
+        let xml = BIB_XML.as_bytes();
+        let json_body = {
+            let mut body = gmark_stats::JsonWriter::new();
+            body.begin_object();
+            body.key("xml").string(BIB_XML);
+            body.key("nodes").uint(40);
+            body.end_object();
+            body.finish()
+        };
         let cases: &[(&str, &str, &[u8], u16)] = &[
-            ("POST", "/v1/run", b"not xml or json", 400),
+            ("POST", "/v1/run", b"not xml", 400),
             ("POST", "/v1/run", b"", 400),
-            ("POST", "/v1/run?typo=1", BIB_XML.as_bytes(), 400),
-            ("POST", "/v1/run?from_store=x", BIB_XML.as_bytes(), 400),
-            ("POST", "/v1/run?config=", BIB_XML.as_bytes(), 400),
-            ("POST", "/v1/run?deadline_ms=soon", BIB_XML.as_bytes(), 400),
-            ("POST", "/v1/run?budget_ms=5", BIB_XML.as_bytes(), 400),
-            ("POST", "/v1/run?artifact=nope.bin", BIB_XML.as_bytes(), 400),
+            // The body is the schema XML and nothing else.
+            ("POST", "/v1/run?seed=3", json_body.as_bytes(), 400),
+            ("POST", "/v1/run?typo=1", xml, 400),
+            ("POST", "/v1/run?from_store=x", xml, 400),
+            ("POST", "/v1/run?config=", xml, 400),
+            ("POST", "/v1/run?deadline_ms=soon", xml, 400),
+            ("POST", "/v1/run?budget_ms=5", xml, 400),
+            ("POST", "/v1/run?artifact=nope.bin", xml, 400),
+            // The door's own parameters are given once, like the rest.
+            (
+                "POST",
+                "/v1/run?artifact=graph.nt&artifact=summary.json",
+                xml,
+                400,
+            ),
+            ("POST", "/v1/run?deadline_ms=1&deadline_ms=2", xml, 400),
+            ("POST", "/v1/run?config=a&config=b", xml, 400),
             ("GET", "/v1/run/unknown/summary", b"", 404),
             ("GET", "/nope", b"", 404),
             ("POST", "/healthz", b"x", 405),
@@ -438,30 +391,12 @@ mod tests {
             let resp = http::fetch(addr, method, path, body).unwrap();
             assert_eq!(resp.status, *expected, "{method} {path}");
         }
-
-        // JSON dialect body with a node override works.
-        let resp = http::fetch(
-            addr,
-            "POST",
-            "/v1/run?seed=3&artifact=summary.json",
-            {
-                let mut body = gmark_stats::JsonWriter::new();
-                body.begin_object();
-                body.key("schema_xml").string(BIB_XML);
-                body.key("nodes").uint(40);
-                body.end_object();
-                body.finish()
-            }
-            .as_bytes(),
-        )
-        .unwrap();
-        assert_eq!(
-            resp.status,
-            200,
-            "{:?}",
-            String::from_utf8_lossy(&resp.body)
-        );
-        assert!(resp.body.starts_with(b"{"));
+        let twice = post_run(addr, "?nodes=40&artifact=graph.nt&artifact=graph.nt");
+        assert_eq!(twice.body, b"gmark: artifact: given twice\n");
+        // No refused request reached the cache.
+        let stats = http::fetch(addr, "GET", "/v1/stats", b"").unwrap();
+        let text = String::from_utf8(stats.body).unwrap();
+        assert!(text.contains("\"builds\":0"), "{text}");
 
         server.shutdown();
     }

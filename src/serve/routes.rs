@@ -3,37 +3,35 @@
 //!
 //! One admitted connection is served in a loop (HTTP/1.1 keep-alive):
 //! read a request, answer it, and — unless the client asked to close,
-//! the idle window or per-connection cap ran out, shutdown began, or
-//! other connections are waiting in the queue — take the next one off
-//! the same connection: at once when it was pipelined behind the last,
-//! else after waiting for it. Every follow-up request is
-//! admission-accounted individually, so `/v1/stats` counts requests, not
-//! connections.
+//! the idle window ran out, shutdown began, or other connections are
+//! waiting in the queue — take the next one off the same connection: at
+//! once when it was pipelined behind the last, else after waiting for
+//! it. Every follow-up request is admission-accounted individually, so
+//! `/v1/stats` counts requests, not connections.
 //!
 //! `POST /v1/run` is the CLI's `gmark --config … --output …` re-expressed
-//! over HTTP: the body carries the plan (raw schema XML, or the JSON
-//! dialect `{"schema_xml": …}`), the query string carries the flags, and
-//! the selected artifact streams back chunked. The query parameters *are*
-//! the CLI's flags: both doors feed the one parameter table of
-//! [`crate::run::RunRequest`], so a request the CLI rejects gets the same
-//! complaint as a 400 here — a parameter given twice included. What this
-//! door owns is what only HTTP has: `artifact` (a view selector),
-//! `deadline_ms` (admission bookkeeping), and `config=` (a label recorded
-//! in the summary, never opened). Two deliberate differences from the
-//! CLI: the server never takes a filesystem path from a client
-//! (`from_store` is refused), and an absent `threads` means auto-detect.
-//! `threads`/`deadline_ms`/`artifact` stay **out** of the snapshot key —
-//! they never change artifact bytes, so requests differing only there
-//! share one snapshot.
+//! over HTTP: the body is the schema XML, the query string carries the
+//! flags, and the selected artifact streams back chunked. The query
+//! parameters *are* the CLI's flags: both doors feed the one parameter
+//! table of [`crate::run::RunRequest`], so a request the CLI rejects gets
+//! the same complaint as a 400 here. What this door owns is what only
+//! HTTP has: `artifact` (a view selector), `deadline_ms` (admission
+//! bookkeeping), and `config` (a label recorded in the summary, never
+//! opened). Every parameter, the door's own included, may be given once.
+//! Two deliberate differences from the CLI: the server never takes a
+//! filesystem path from a client (`from_store` is refused), and an absent
+//! `threads` means auto-detect. `threads`/`deadline_ms`/`artifact` stay
+//! **out** of the snapshot key — they never change artifact bytes, so
+//! requests differing only there share one snapshot.
 
 use super::admission::Job;
-use super::cache::{fnv1a, Snapshot, FNV_OFFSET};
+use super::cache::Snapshot;
 use super::http::{self, Request};
-use super::json::{self, Json};
-use super::{ServerShared, SUMMARY_LOG_CAP};
-use crate::run::{run, Artifact, Door, MemorySink, RunOptions, RunPlan, RunRequest};
+use super::ServerShared;
+use crate::run::{run, Artifact, Door, MemorySink, RunPlan, RunRequest};
+use crate::store::paged::Fnv64;
 use gmark_stats::JsonWriter;
-use std::sync::atomic::Ordering;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,11 +50,9 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
         return;
     };
     let idle = Duration::from_millis(shared.config.keep_alive_ms);
-    let cap = shared.config.max_requests_per_conn.max(1);
     // The first request rode through the admission queue; follow-ups are
     // stamped on arrival (their queue wait is the worker's read, ~0).
     let mut enqueued = Some(enqueued);
-    let mut served = 0usize;
 
     loop {
         let enqueued_at = match enqueued.take() {
@@ -79,15 +75,13 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
                 return;
             }
         };
-        served += 1;
         // Keep the connection unless: the client said close, keep-alive
-        // is disabled, the cap is reached, shutdown began (finish this
-        // request, then close — the drain contract), or other
-        // connections are waiting in the queue (yield the worker rather
-        // than let one client starve the line).
+        // is disabled, shutdown began (finish this request, then close —
+        // the drain contract), or other connections are waiting in the
+        // queue (yield the worker rather than let one client starve the
+        // line).
         let keep_alive = request.keep_alive
             && shared.config.keep_alive_ms > 0
-            && served < cap
             && !shared.stopping()
             && shared.admission.queue_depth() == 0;
 
@@ -102,16 +96,7 @@ pub(crate) fn handle(shared: &ServerShared, job: Job) {
                 let body = stats_json(shared);
                 respond(stream, 200, "application/json", body.as_bytes(), keep_alive)
             }
-            ("GET", path) => {
-                if let Some(id) = path
-                    .strip_prefix("/v1/run/")
-                    .and_then(|rest| rest.strip_suffix("/summary"))
-                {
-                    summary_route(shared, id, stream, keep_alive)
-                } else {
-                    Err((404, format!("no such resource: {path}")))
-                }
-            }
+            ("GET", path) => Err((404, format!("no such resource: {path}"))),
             ("POST" | "PUT" | "DELETE", path) => {
                 Err((405, format!("method not allowed on {path}")))
             }
@@ -145,22 +130,6 @@ fn respond(
     Ok(())
 }
 
-/// `GET /v1/run/<id>/summary` — the stored summary of a finished run.
-fn summary_route(
-    shared: &ServerShared,
-    id: &str,
-    stream: &mut std::net::TcpStream,
-    keep_alive: bool,
-) -> Result<(), Reject> {
-    let summary = shared.summaries.get(id).ok_or_else(|| {
-        (
-            404,
-            format!("unknown run id {id:?} (the server remembers the last {SUMMARY_LOG_CAP} runs)"),
-        )
-    })?;
-    respond(stream, 200, "application/json", &summary, keep_alive)
-}
-
 /// `POST /v1/run` — validate, get-or-build the snapshot, stream the
 /// artifact.
 fn run_route(
@@ -171,16 +140,12 @@ fn run_route(
     keep_alive: bool,
 ) -> Result<(), Reject> {
     shared.latency.queue_wait.record(enqueued.elapsed());
-    // Deadline first: a request that waited out its budget in the queue
-    // is answered 503 without burning a build on it. The deadline is
-    // admission bookkeeping only — it never reaches the plan, so it can
-    // never change artifact bytes.
-    let deadline_ms = match request.query_param("deadline_ms") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| bad(format!("deadline_ms: invalid value {v:?}")))?,
-        None => shared.config.deadline_ms,
-    };
+    let query = RunQuery::parse(&request.query)?;
+    // Deadline before the body: a request that waited out its budget in
+    // the queue is answered 503 without burning a build on it. The
+    // deadline is admission bookkeeping only — it never reaches the plan,
+    // so it can never change artifact bytes.
+    let deadline_ms = query.deadline_ms.unwrap_or(shared.config.deadline_ms);
     if deadline_ms > 0 && enqueued.elapsed() > Duration::from_millis(deadline_ms) {
         shared.admission.note_expired();
         return Err((
@@ -189,7 +154,21 @@ fn run_route(
         ));
     }
 
-    let (plan, opts, key) = parse_run_request(request)?;
+    let mut plan = plan_from_body(&request.body)?;
+    // `config` labels the summary's `config` field with the path the
+    // client read its schema from, so served and CLI summaries agree. The
+    // server never opens it, but it changes summary.json and report.txt
+    // bytes, so it reaches the snapshot key through the plan.
+    plan.source = query.config;
+    // An absent `threads` means auto-detect here.
+    let (plan, opts, key_material) = query.run.apply(plan, 0).map_err(|e| bad(e.to_string()))?;
+    // The snapshot key: FNV-1a over the body, then the canonical spelling
+    // of every other byte-affecting input.
+    let mut hash = Fnv64::new();
+    hash.update(&request.body);
+    hash.update(key_material.as_bytes());
+    let key = hash.finish();
+
     let build_started = Instant::now();
     let (result, hit) = shared.cache.get_or_build(key, move || {
         let mut sink = MemorySink::new();
@@ -203,20 +182,13 @@ fn run_route(
     }
     let snapshot = result.map_err(|e| (500, format!("run failed: {e}")))?;
 
-    // Register the run id before streaming, so a client can fetch the
-    // summary the moment the response head arrives.
-    let seq = shared.run_seq.fetch_add(1, Ordering::Relaxed);
-    let run_id = format!("{key:016x}-{seq}");
-    shared.summaries.record(run_id.clone(), &snapshot);
-
-    let artifact = select_artifact(request, &snapshot)?;
+    let artifact = select_artifact(query.artifact, &snapshot)?;
     let body = snapshot
         .artifact(artifact)
         .expect("select_artifact verified presence");
     let key_hex = format!("{key:016x}");
     let headers = [
         ("Content-Type", content_type(artifact)),
-        ("X-Gmark-Run-Id", run_id.as_str()),
         ("X-Gmark-Cache", if hit { "hit" } else { "build" }),
         ("X-Gmark-Snapshot-Key", key_hex.as_str()),
         ("X-Gmark-Artifact", artifact.file_name()),
@@ -227,97 +199,90 @@ fn run_route(
     Ok(())
 }
 
-/// Everything parsed out of one `POST /v1/run` request: the plan, the
-/// execution options, and the snapshot key — FNV-1a over the body and the
-/// canonical spelling of every other byte-affecting input.
-fn parse_run_request(request: &Request) -> Result<(RunPlan, RunOptions, u64), Reject> {
-    let mut plan = plan_from_body(&request.body)?;
-    let mut run_request = RunRequest::new(Door::Http);
-    for (name, value) in &request.query {
-        match name.as_str() {
-            // This door's own parameters: read where they are used.
-            "artifact" | "deadline_ms" => {}
-            // `config=` labels the summary's `config` field with the path
-            // the client read its schema from, closing the served-vs-CLI
-            // summary divergence. It is a *label*: the server never opens
-            // it (the schema always comes from the body), but it changes
-            // summary.json and report.txt bytes, so it is part of the
-            // snapshot-key material through the plan.
-            "config" => {
-                if value.is_empty() {
-                    return Err(bad("config: expected a non-empty path label"));
-                }
-                plan.source = Some(std::path::PathBuf::from(value));
-            }
-            "from_store" => {
-                return Err(bad(
-                    "from_store is not available over HTTP: the server does not read \
-                     client-named filesystem paths",
-                ));
-            }
-            // Everything else is a run parameter, or refused: a typoed
-            // `sede=7` silently producing default-seed bytes would be a
-            // determinism trap.
-            _ => run_request.set(name, value).map_err(bad)?,
-        }
-    }
-    // An absent `threads` means auto-detect here.
-    let (plan, opts, key_material) = run_request.apply(plan, 0).map_err(|e| bad(e.to_string()))?;
-    let key = fnv1a(key_material.as_bytes(), fnv1a(&request.body, FNV_OFFSET));
-    Ok((plan, opts, key))
+/// One `POST /v1/run` query string, read in one pass: the run parameters
+/// and the three this door owns, each of which may be given once.
+struct RunQuery {
+    run: RunRequest,
+    artifact: Option<Artifact>,
+    deadline_ms: Option<u64>,
+    config: Option<PathBuf>,
 }
 
-/// The plan from the request body: raw schema XML, or the JSON dialect.
+impl RunQuery {
+    fn parse(query: &[(String, String)]) -> Result<RunQuery, Reject> {
+        let mut parsed = RunQuery {
+            run: RunRequest::new(Door::Http),
+            artifact: None,
+            deadline_ms: None,
+            config: None,
+        };
+        for (name, value) in query {
+            match name.as_str() {
+                "artifact" => {
+                    let artifact = Artifact::from_file_name(value).ok_or_else(|| {
+                        bad(format!(
+                            "unknown artifact {value:?} (one of: {})",
+                            Artifact::ALL.map(|a| a.file_name()).join(", ")
+                        ))
+                    })?;
+                    once(&mut parsed.artifact, name, artifact)?;
+                }
+                "deadline_ms" => {
+                    let ms = value
+                        .parse()
+                        .map_err(|_| bad(format!("deadline_ms: invalid value {value:?}")))?;
+                    once(&mut parsed.deadline_ms, name, ms)?;
+                }
+                "config" => {
+                    if value.is_empty() {
+                        return Err(bad("config: expected a non-empty path label"));
+                    }
+                    once(&mut parsed.config, name, PathBuf::from(value))?;
+                }
+                "from_store" => {
+                    return Err(bad(
+                        "from_store is not available over HTTP: the server does not read \
+                         client-named filesystem paths",
+                    ));
+                }
+                // Everything else is a run parameter, or refused: a typoed
+                // `sede=7` silently producing default-seed bytes would be a
+                // determinism trap.
+                _ => parsed.run.set(name, value).map_err(bad)?,
+            }
+        }
+        Ok(parsed)
+    }
+}
+
+/// Fills a door parameter's slot, refusing a second value the way
+/// [`RunRequest::set`] refuses a repeated run parameter.
+fn once<T>(slot: &mut Option<T>, name: &str, value: T) -> Result<(), Reject> {
+    match slot.replace(value) {
+        Some(_) => Err(bad(format!("{name}: given twice"))),
+        None => Ok(()),
+    }
+}
+
+/// The plan from the request body, which is the schema XML.
 fn plan_from_body(body: &[u8]) -> Result<RunPlan, Reject> {
     let text = std::str::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
-    let trimmed = text.trim_start();
-    if trimmed.is_empty() {
-        return Err(bad(
-            "empty body: POST the schema XML, or {\"schema_xml\": \"...\"}",
-        ));
+    if !text.trim_start().starts_with('<') {
+        return Err(bad("the body must be the schema XML"));
     }
-    if trimmed.starts_with('<') {
-        return RunPlan::from_xml(text).map_err(|e| bad(e.to_string()));
-    }
-    let doc = json::parse(text).map_err(|e| bad(format!("body JSON: {e}")))?;
-    let xml = doc
-        .get("schema_xml")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("body JSON must carry a \"schema_xml\" string"))?;
-    let mut plan = RunPlan::from_xml(xml).map_err(|e| bad(e.to_string()))?;
-    if let Some(value) = doc.get("nodes") {
-        let n = value
-            .as_u64()
-            .ok_or_else(|| bad("body JSON \"nodes\" must be a non-negative integer"))?;
-        plan = plan.with_nodes(n);
-    }
-    // The JSON spelling of the `config=` label (the query parameter wins
-    // when both are present). Part of the body, so already in the key.
-    if let Some(value) = doc.get("config") {
-        let label = value
-            .as_str()
-            .ok_or_else(|| bad("body JSON \"config\" must be a string"))?;
-        plan.source = Some(std::path::PathBuf::from(label));
-    }
-    Ok(plan)
+    RunPlan::from_xml(text).map_err(|e| bad(e.to_string()))
 }
 
 /// The artifact the client asked for, defaulting to the "main" artifact
 /// of the plan shape: the graph when generated, else the workload, else
 /// the summary.
-fn select_artifact(request: &Request, snapshot: &Snapshot) -> Result<Artifact, Reject> {
-    let artifact = match request.query_param("artifact") {
-        Some(name) => Artifact::from_file_name(name).ok_or_else(|| {
-            bad(format!(
-                "unknown artifact {name:?} (one of: {})",
-                Artifact::ALL.map(|a| a.file_name()).join(", ")
-            ))
-        })?,
-        None => [Artifact::Graph, Artifact::Rules, Artifact::Summary]
+fn select_artifact(asked: Option<Artifact>, snapshot: &Snapshot) -> Result<Artifact, Reject> {
+    let artifact = asked.unwrap_or_else(|| {
+        [Artifact::Graph, Artifact::Rules, Artifact::Summary]
             .into_iter()
             .find(|a| snapshot.artifact(*a).is_some())
-            .unwrap_or(Artifact::Summary),
-    };
+            .unwrap_or(Artifact::Summary)
+    });
     if snapshot.artifact(artifact).is_none() {
         let available: Vec<&str> = snapshot.artifacts().map(|a| a.file_name()).collect();
         return Err((

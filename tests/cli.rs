@@ -81,22 +81,29 @@ fn early_exit_flags_win_even_with_other_arguments_present() {
 
 #[test]
 fn unknown_and_malformed_arguments_fail_with_usage() {
-    // The last: a run flag given twice is refused, not last-wins.
+    // A run flag given twice is refused, not last-wins; the daemon has no
+    // per-connection request cap to set.
     let twice = &["--nodes", "200", "--nodes", "300"][..];
+    let no_cap = &["serve", "--max-requests-per-conn", "2"][..];
     for bad in [
         &["--bogus"][..],
         &["--format", "yaml"],
         &["--seed", "x"],
         twice,
+        no_cap,
     ] {
         let out = gmark(bad);
         assert_eq!(out.status.code(), Some(1), "{bad:?} must fail");
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("usage:"), "{bad:?}: no usage in {stderr:?}");
+        let first_line = stderr.lines().next().unwrap_or_default();
         if bad == twice {
-            assert!(
-                stderr.starts_with("gmark: --nodes: given twice\n"),
-                "{stderr}"
+            assert_eq!(first_line, "gmark: --nodes: given twice");
+        }
+        if bad == no_cap {
+            assert_eq!(
+                first_line,
+                "gmark: serve: unknown argument: --max-requests-per-conn"
             );
         }
     }

@@ -188,36 +188,42 @@ fn thread_count_and_cache_state_never_change_response_bytes() {
     assert_eq!(warm.body, cold.body);
     assert_eq!(other_threads.body, cold.body);
 
-    // Run ids are distinct per request even when the snapshot is shared,
-    // and each resolves to the same summary bytes.
-    let id_cold = cold.header("x-gmark-run-id").unwrap();
-    let id_warm = warm.header("x-gmark-run-id").unwrap();
-    assert_ne!(id_cold, id_warm);
-    let s1 = fetch(addr, "GET", &format!("/v1/run/{id_cold}/summary"), b"").unwrap();
-    let s2 = fetch(addr, "GET", &format!("/v1/run/{id_warm}/summary"), b"").unwrap();
-    assert_eq!((s1.status, s2.status), (200, 200));
-    assert_eq!(s1.body, s2.body, "shared snapshot, shared summary bytes");
+    // The summary of a shared snapshot is shared too: every thread count
+    // reads the same bytes.
+    let summary = |threads: usize| {
+        let query = format!("?nodes=70&seed=3&threads={threads}&artifact=summary.json");
+        post_run(addr, &query).body
+    };
+    let one = summary(1);
+    assert!(one.starts_with(b"{"));
+    assert_eq!(one, summary(4), "shared snapshot, shared summary bytes");
 
     server.shutdown();
 }
 
-/// With `--cache-mb 0` no snapshot outlives its request; the summary log
-/// keeps the summary bytes alone, so the run id still resolves — to exactly
-/// the body `artifact=summary.json` returned.
+/// The snapshot key is FNV-1a over the body and then the canonical option
+/// string: these values were recorded before the key moved onto the
+/// store's `Fnv64`, and a byte-affecting input moves the key while an
+/// execution-only one does not.
 #[test]
-fn a_run_summary_outlives_its_evicted_snapshot() {
-    let server = start(1, 64, 0);
+fn snapshot_keys_are_pinned_and_track_only_byte_affecting_inputs() {
+    let server = start(1, 64, 64);
     let addr = server.local_addr();
-    let run = post_run(addr, "?nodes=60&seed=4&artifact=summary.json");
-    assert_eq!(run.status, 200);
-    let stats = fetch(addr, "GET", "/v1/stats", b"").unwrap();
-    let text = String::from_utf8(stats.body).unwrap();
-    assert!(text.contains("\"entries\":0,\"bytes\":0"), "{text}");
-    let id = run.header("x-gmark-run-id").unwrap();
-    let logged = fetch(addr, "GET", &format!("/v1/run/{id}/summary"), b"").unwrap();
-    assert_eq!(logged.status, 200);
-    assert_eq!(logged.header("content-type"), Some("application/json"));
-    assert_eq!(logged.body, run.body);
+    let key = |query: &str| {
+        let resp = post_run(addr, query);
+        assert_eq!(resp.status, 200, "{query}");
+        resp.header("x-gmark-snapshot-key").unwrap().to_owned()
+    };
+    assert_eq!(key("?nodes=250&seed=7"), "c907eeee587a74a9");
+    assert_eq!(
+        key("?nodes=250&seed=7&config=examples/configs/bib.xml&artifact=summary.json"),
+        "4f0ec139392cca32"
+    );
+    assert_eq!(
+        key("?seed=7&threads=2&nodes=250&artifact=report.txt"),
+        "c907eeee587a74a9"
+    );
+    assert_ne!(key("?nodes=250&seed=8"), "c907eeee587a74a9");
     server.shutdown();
 }
 
@@ -409,29 +415,44 @@ fn idle_keep_alive_connections_are_closed_after_the_window() {
     server.shutdown();
 }
 
+/// A kept-alive connection yields its worker to a queued one: with one
+/// worker busy on connection A and connection B waiting in the queue, A's
+/// next response announces the close, and B is served next.
 #[test]
-fn per_connection_request_cap_closes_after_the_limit() {
-    let server = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 1,
-        max_requests_per_conn: 2,
-        ..ServeConfig::default()
-    })
-    .expect("server binds a free port");
+fn a_queued_connection_takes_the_worker_after_the_next_response() {
+    let server = start(1, 64, 64);
     let addr = server.local_addr();
 
-    let mut client = Client::connect(addr).expect("connects");
-    let first = client.request("GET", "/healthz", b"").expect("first");
-    assert!(!first.close_after(), "below the cap: keep-alive");
-    let second = client.request("GET", "/healthz", b"").expect("second");
-    assert!(
-        second.close_after(),
-        "the cap-reaching response must announce the close"
-    );
-    assert!(
-        client.request("GET", "/healthz", b"").is_err(),
-        "the server hung up after the cap"
-    );
+    let mut a = Client::connect(addr).expect("A connects");
+    let first = a
+        .request("GET", "/healthz", b"")
+        .expect("A's first request");
+    assert!(!first.close_after(), "nobody waiting: keep-alive");
+
+    // B connects and sends while the only worker waits on A.
+    let mut b = TcpStream::connect(addr).expect("B connects");
+    b.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    b.write_all(b"GET /healthz HTTP/1.1\r\nHost: gmark\r\n\r\n")
+        .expect("B's request sent");
+
+    // A asks until the acceptor has queued B; the stats in that response
+    // show B waiting, and the response closes A.
+    let mut closing = None;
+    for _ in 0..250 {
+        let resp = a.request("GET", "/v1/stats", b"").expect("A's request");
+        if resp.close_after() {
+            closing = Some(resp);
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let closing = closing.expect("A's response must announce the close once B is queued");
+    let text = String::from_utf8(closing.body).unwrap();
+    assert!(text.contains("\"queue_depth\":1"), "{text}");
+
+    let resp = Conn::new(b).read_response().expect("B is answered");
+    assert_eq!((resp.status, resp.body.as_slice()), (200, &b"ok\n"[..]));
 
     server.shutdown();
 }
