@@ -106,8 +106,8 @@ impl QueryPlan {
     /// earliest-declared conjunct sharing a variable with those already
     /// picked (the earliest-declared of all when none does), flipped when
     /// only its target is bound. This is what [`crate::EngineKind::evaluate`]
-    /// follows without a plan — `--no-plan`, the differential reference the
-    /// planner is tested against.
+    /// follows without a plan — `MatrixOptions { plan: false, .. }`, the
+    /// differential reference the planner is tested against.
     pub fn declaration_order(query: &Query) -> QueryPlan {
         const EQUAL: ExprEst = ExprEst {
             pairs: 1,

@@ -73,8 +73,7 @@ enum Parsed {
 
 const USAGE: &str = "gmark --config <file.xml> --output <dir> [--seed N] [--nodes N] \
 [--threads T] [--stream] [--store] [--queries-only] [--format text|json] \
-[--eval] [--engines P,G,S,D] [--budget-ms N] [--max-tuples N] [--no-plan] \
-[--no-eval-cache] [--eval-cache-mb N] [--from-store FILE]\n\
+[--eval] [--engines P,G,S,D] [--budget-ms N] [--max-tuples N] [--from-store FILE]\n\
 gmark --verify-store <file.gstore>\n\
 gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
 [--queue-depth N] [--deadline-ms N] [--keep-alive-ms N]\n\n\
@@ -126,19 +125,6 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   outcomes machine-independent.\n\
   --max-tuples N  per-cell tuple cap for --eval (default 20000000);\n\
                   exceeding it reports the cell as too-large.\n\
-  --no-plan       disable the schema-statistics query planner for --eval:\n\
-                  every engine follows the same declaration-order plan\n\
-                  (earliest-declared connected conjunct first) and\n\
-                  eval.txt drops the est~actual annotations. Cells may\n\
-                  move between ok and too-large; answers never depend\n\
-                  on this flag.\n\
-  --no-eval-cache disable the cross-cell sub-expression result cache for\n\
-                  --eval: every cell recomputes its sub-expressions from\n\
-                  scratch. Cell outcomes and answer cardinalities never\n\
-                  depend on this flag; only wall-clock time does.\n\
-  --eval-cache-mb N  byte budget for the sub-expression cache in MiB\n\
-                  (default 64). Must be positive; use --no-eval-cache to\n\
-                  turn the cache off entirely.\n\
   --format F      what to print on stdout: 'text' (default, human-readable\n\
                   banner) or 'json' (the machine-readable RunSummary, also\n\
                   written to summary.json in the output directory).\n\
@@ -437,9 +423,8 @@ mod tests {
 
     #[test]
     fn eval_flags_parse_and_enforce_their_preconditions() {
-        let flags =
-            "--eval --engines S,D --budget-ms 500 --max-tuples 1000 --no-plan --seed 7 -n 50";
-        let params = "eval engines=S,D budget_ms=500 max_tuples=1000 no_plan seed=7 nodes=50";
+        let flags = "--eval --engines S,D --budget-ms 500 --max-tuples 1000 --seed 7 -n 50";
+        let params = "eval engines=S,D budget_ms=500 max_tuples=1000 seed=7 nodes=50";
         assert_eq!(run_request(flags).unwrap(), request_of(params));
         // Sub-flags without --eval, conflicting modes and bad values are
         // usage errors.
@@ -456,17 +441,16 @@ mod tests {
 
     #[test]
     fn eval_cache_flags_parse_and_enforce_their_preconditions() {
+        // The planner and the cache take no flags: `--eval` runs both, and
+        // the stage's remaining knobs are the per-cell budget's. Zero is
+        // a setting for the clock (no limit), a usage error for the cap.
         assert_eq!(
-            run_request("--eval --eval-cache-mb 128 --threads 0").unwrap(),
-            request_of("eval eval_cache_mb=128 threads=0")
+            run_request("--eval --budget-ms 0 --threads 0").unwrap(),
+            request_of("eval budget_ms=0 threads=0")
         );
-        assert_eq!(
-            run_request("--eval --no-eval-cache").unwrap(),
-            request_of("eval no_eval_cache")
-        );
-        assert!(run_request("--no-eval-cache").is_err());
-        assert!(run_request("--eval --no-eval-cache --eval-cache-mb 64").is_err());
-        assert!(run_request("--eval --eval-cache-mb 0").is_err());
+        assert!(run_request("--budget-ms 0").is_err());
+        assert!(run_request("--eval --budget-ms 0 --budget-ms 5").is_err());
+        assert!(run_request("--eval --max-tuples 0").is_err());
     }
 
     #[test]

@@ -491,21 +491,20 @@ fn eval_stage<S: Sink + ?Sized>(
     let ctx = EvalContext::new(view);
     let queries: Vec<&gmark_core::query::Query> =
         workload.queries.iter().map(|gq| &gq.query).collect();
+    let options = MatrixOptions {
+        threads: opts.threads,
+        ..MatrixOptions::default()
+    };
     let report = evaluate_matrix_with_schema(
         &ctx,
         Some(&plan.graph.schema),
         &queries,
         &spec.engines,
         &spec.cell_budget(),
-        &MatrixOptions {
-            threads: opts.threads,
-            warm_runs: 0,
-            plan: spec.plan,
-            cache_mb: if spec.cache { spec.cache_mb } else { 0 },
-        },
+        &options,
     );
     if let Some(sink) = sink {
-        let rendered = render_eval_report(plan, spec, view, workload, &report);
+        let rendered = render_eval_report(plan, spec, options.plan, view, workload, &report);
         let mut out = sink
             .open(Artifact::EvalReport)
             .map_err(|e| GmarkError::io("opening eval.txt", e))?;
@@ -542,7 +541,7 @@ fn eval_stage<S: Sink + ?Sized>(
         engines: spec.letters(),
         budget_ms: spec.budget_ms,
         max_tuples: spec.max_tuples,
-        plan: spec.plan,
+        plan: options.plan,
         cache: report.cache,
         queries: report.queries,
         cells: report.cells.len(),
@@ -643,6 +642,7 @@ fn open_checked_store(path: &Path, plan: &RunPlan) -> Result<StoreReader, GmarkE
 fn render_eval_report(
     plan: &RunPlan,
     spec: &EvalSpec,
+    planned: bool,
     view: GraphView<'_>,
     workload: &Workload,
     report: &EvalReport,
@@ -675,11 +675,7 @@ fn render_eval_report(
         },
         spec.max_tuples
     );
-    let _ = writeln!(
-        rendered,
-        "planner: {}",
-        if spec.plan { "on" } else { "off" }
-    );
+    let _ = writeln!(rendered, "planner: {}", if planned { "on" } else { "off" });
     match &report.cache {
         Some(stats) => {
             let _ = writeln!(

@@ -60,7 +60,10 @@ impl Default for OutputSelection {
 /// CLI's `--eval`), it turns one run into the full
 /// generate → translate → **evaluate** loop, producing
 /// [`Artifact::EvalReport`](crate::run::Artifact) and the `eval` rows of
-/// the [`RunSummary`](crate::run::RunSummary).
+/// the [`RunSummary`](crate::run::RunSummary). The planner and the
+/// sub-expression cache are always on
+/// ([`MatrixOptions::default`](gmark_engines::MatrixOptions)); their
+/// on/off differentials are library-level tests, not run parameters.
 #[derive(Debug, Clone)]
 pub struct EvalSpec {
     /// Engine columns, in report order (the CLI's `--engines P,G,S,D`).
@@ -71,34 +74,16 @@ pub struct EvalSpec {
     pub budget_ms: u64,
     /// Maximum tuples any intermediate or final result may hold per cell.
     pub max_tuples: usize,
-    /// Whether the schema-statistics planner orders every engine's joins
-    /// (the default). The CLI's `--no-plan` clears it; answers never
-    /// depend on this flag, only evaluation cost and the est~actual
-    /// annotations in the report.
-    pub plan: bool,
-    /// Whether the cross-cell sub-expression result cache is filled
-    /// during warm-up and consumed by the engines (the default). The
-    /// CLI's `--no-eval-cache` clears it; cache contents are a pure
-    /// function of graph and query set, so answers never depend on this
-    /// flag.
-    pub cache: bool,
-    /// Admission byte budget of the sub-expression cache in MiB (the
-    /// CLI's `--eval-cache-mb`). Must be positive; use
-    /// [`EvalSpec::cache`] to disable caching.
-    pub cache_mb: usize,
 }
 
 impl Default for EvalSpec {
-    /// All four engines, a 10-second per-cell budget, the default
-    /// laptop-scale tuple cap, and the planner enabled.
+    /// All four engines, a 10-second per-cell budget and the default
+    /// laptop-scale tuple cap.
     fn default() -> Self {
         EvalSpec {
             engines: EngineKind::ALL.to_vec(),
             budget_ms: 10_000,
             max_tuples: 20_000_000,
-            plan: true,
-            cache: true,
-            cache_mb: gmark_engines::MatrixOptions::DEFAULT_CACHE_MB,
         }
     }
 }
@@ -254,13 +239,6 @@ impl RunPlan {
                 return Err(GmarkError::Plan(
                     "evaluation max_tuples must be positive (a zero cap fails every \
                      non-empty cell)"
-                        .to_owned(),
-                ));
-            }
-            if spec.cache_mb == 0 {
-                return Err(GmarkError::Plan(
-                    "eval cache_mb must be positive; disable the cache with \
-                     cache = false (--no-eval-cache) instead"
                         .to_owned(),
                 ));
             }
@@ -483,31 +461,15 @@ mod tests {
                 max_tuples: 0,
                 ..EvalSpec::default()
             }),
-            // A zero cache budget: disable with `cache` instead.
-            evaluating().eval(EvalSpec {
-                cache_mb: 0,
-                ..EvalSpec::default()
-            }),
         ];
         for (i, builder) in rejected.into_iter().enumerate() {
             let err = builder.build().unwrap_err();
             assert!(matches!(err, GmarkError::Plan(_)), "case {i}: {err}");
         }
 
-        // ...but a disabled cache with the (unused) default budget is fine.
-        let plan = evaluating()
-            .eval(EvalSpec {
-                cache: false,
-                ..EvalSpec::default()
-            })
-            .build()
-            .unwrap();
-        assert!(!plan.eval.as_ref().unwrap().cache);
-
         // The well-formed combination builds.
         let plan = evaluating().build().unwrap();
         assert_eq!(plan.eval.as_ref().unwrap().letters(), "PGSD");
-        assert!(plan.eval.as_ref().unwrap().cache);
     }
 
     #[test]

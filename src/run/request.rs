@@ -21,10 +21,10 @@ use std::path::PathBuf;
 /// are spelled, on the way in ([`Door::param`]) and in messages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Door {
-    /// `--eval-cache-mb 64`: dashes, two leading.
+    /// `--max-tuples 5`: dashes, two leading.
     #[default]
     Cli,
-    /// `eval_cache_mb=64`: the table's own spelling.
+    /// `max_tuples=5`: the table's own spelling.
     Http,
 }
 
@@ -68,10 +68,10 @@ pub struct Param {
     pub switch: bool,
 }
 
-/// Every run parameter: the thirteen both doors take, plus `from_store`,
-/// which only the CLI accepts (the daemon opens no client-named path).
+/// Every run parameter: the ten both doors take, plus `from_store`, which
+/// only the CLI accepts (the daemon opens no client-named path).
 #[rustfmt::skip]
-pub static PARAMS: [Param; 14] = [
+pub static PARAMS: [Param; 11] = [
     Param { name: "seed", switch: false },
     Param { name: "nodes", switch: false },
     Param { name: "threads", switch: false },
@@ -82,9 +82,6 @@ pub static PARAMS: [Param; 14] = [
     Param { name: "engines", switch: false },
     Param { name: "budget_ms", switch: false },
     Param { name: "max_tuples", switch: false },
-    Param { name: "no_plan", switch: true },
-    Param { name: "no_eval_cache", switch: true },
-    Param { name: "eval_cache_mb", switch: false },
     Param { name: "from_store", switch: false },
 ];
 
@@ -102,14 +99,6 @@ fn number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("expected {what}, got {value:?}"))
-}
-
-/// A count where zero is a mistake, not a setting; `zero` says why.
-fn positive(value: &str, what: &str, door: Door, zero: &str) -> Result<usize, String> {
-    match number(value, what)? {
-        0 => Err(door.say(zero)),
-        n => Ok(n),
-    }
 }
 
 fn boolean(value: &str) -> Result<bool, String> {
@@ -134,9 +123,6 @@ pub struct RunRequest {
     engines: Option<Vec<EngineKind>>,
     budget_ms: Option<u64>,
     max_tuples: Option<usize>,
-    no_plan: Option<bool>,
-    no_eval_cache: Option<bool>,
-    eval_cache_mb: Option<usize>,
     from_store: Option<PathBuf>,
 }
 
@@ -173,17 +159,11 @@ impl RunRequest {
             ),
             // Unlike budget_ms, 0 does not mean "unlimited" here.
             "max_tuples" => {
-                let zero = "the cap must be positive: 0 would fail every non-empty cell";
-                let cap = positive(value, "a tuple cap", door, zero);
+                let cap = number(value, "a tuple cap").and_then(|cap| match cap {
+                    0 => Err("the cap must be positive: 0 would fail every non-empty cell".into()),
+                    n => Ok(n),
+                });
                 put(&mut self.max_tuples, cap)
-            }
-            "no_plan" => put(&mut self.no_plan, boolean(value)),
-            "no_eval_cache" => put(&mut self.no_eval_cache, boolean(value)),
-            // A zero budget would silently behave like no_eval_cache.
-            "eval_cache_mb" => {
-                let zero = "the budget must be positive; {no_eval_cache} turns the cache off";
-                let mb = positive(value, "a cache budget in MiB", door, zero);
-                put(&mut self.eval_cache_mb, mb)
             }
             "from_store" => put(&mut self.from_store, Ok(PathBuf::from(value))),
             _ => return Err(format!("unknown run parameter {name:?}")),
@@ -199,17 +179,9 @@ impl RunRequest {
         let on = |switch: Option<bool>| switch == Some(true);
         let eval = on(self.eval);
         let broken = if !eval
-            && (self.engines.is_some()
-                || self.budget_ms.is_some()
-                || self.max_tuples.is_some()
-                || on(self.no_plan)
-                || on(self.no_eval_cache)
-                || self.eval_cache_mb.is_some())
+            && (self.engines.is_some() || self.budget_ms.is_some() || self.max_tuples.is_some())
         {
-            "{engines}/{budget_ms}/{max_tuples}/{no_plan}/{no_eval_cache}/{eval_cache_mb} \
-             require {eval}"
-        } else if on(self.no_eval_cache) && self.eval_cache_mb.is_some() {
-            "{no_eval_cache} disables the cache {eval_cache_mb} would size; pick one"
+            "{engines}/{budget_ms}/{max_tuples} require {eval}"
         } else if eval && on(self.queries_only) {
             "{eval} needs the graph instance; drop {queries_only}"
         } else if self.from_store.is_some() && !eval {
@@ -266,9 +238,6 @@ impl RunRequest {
                 engines: self.engines.unwrap_or(defaults.engines),
                 budget_ms: self.budget_ms.unwrap_or(defaults.budget_ms),
                 max_tuples: self.max_tuples.unwrap_or(defaults.max_tuples),
-                plan: !on(self.no_plan),
-                cache: !on(self.no_eval_cache),
-                cache_mb: self.eval_cache_mb.unwrap_or(defaults.cache_mb),
             });
         }
         if store {
@@ -288,15 +257,7 @@ impl RunRequest {
 
         // Hashed, never compared, so the exact format is free to evolve.
         let eval_key = match &plan.eval {
-            Some(s) => format!(
-                "{}:{}:{}:{}:{}:{}",
-                s.letters(),
-                s.budget_ms,
-                s.max_tuples,
-                s.plan,
-                s.cache,
-                s.cache_mb
-            ),
+            Some(s) => format!("{}:{}:{}", s.letters(), s.budget_ms, s.max_tuples),
             None => "off".to_owned(),
         };
         let key_material = format!(
@@ -360,18 +321,14 @@ mod tests {
             shape += &format!(" t={}", opts.threads);
         }
         if let Some(s) = &plan.eval {
-            let (engines, cap) = (s.letters(), s.max_tuples);
-            shape += &format!(
-                " eval={engines}:{}:{cap}:{}:{}:{}",
-                s.budget_ms, s.plan, s.cache, s.cache_mb
-            );
+            shape += &format!(" eval={}:{}:{}", s.letters(), s.budget_ms, s.max_tuples);
         }
         Ok((shape, key))
     }
 
     #[test]
     fn both_doors_accept_and_reject_the_same_parameter_sets() {
-        const EVAL: &str = "eval=PGSD:10000:20000000:true:true:64";
+        const EVAL: &str = "eval=PGSD:10000:20000000";
         // `Ok(shape)` of the accepted plan (`EVAL` stands for the default
         // evaluation stage), or `Err(fragment)` of both doors' message.
         let cases: &[(&str, Result<&str, &str>)] = &[
@@ -388,12 +345,8 @@ mod tests {
             // The evaluation stage and its sub-parameters.
             ("eval", Ok("graph+workload EVAL")),
             (
-                "eval engines=S,D budget_ms=0 max_tuples=1000 no_plan eval_cache_mb=128",
-                Ok("graph+workload eval=SD:0:1000:false:true:128"),
-            ),
-            (
-                "eval no_eval_cache",
-                Ok("graph+workload eval=PGSD:10000:20000000:true:false:64"),
+                "eval engines=S,D budget_ms=0 max_tuples=1000",
+                Ok("graph+workload eval=SD:0:1000"),
             ),
             (
                 "eval stream store",
@@ -401,7 +354,7 @@ mod tests {
             ),
             ("eval from_store=g.gstore", Ok("workload+from-store EVAL")),
             // A switch that is off asks for nothing.
-            ("no_plan=0 no_eval_cache=false", Ok("graph+workload")),
+            ("eval=0 queries_only=false", Ok("graph+workload")),
             // Value and range checks.
             ("seed=x", Err("expected an unsigned 64-bit integer")),
             ("seed=-1", Err("expected an unsigned 64-bit integer")),
@@ -413,8 +366,6 @@ mod tests {
             ("eval budget_ms=soon", Err("expected milliseconds")),
             ("eval max_tuples=0", Err("the cap must be positive")),
             ("eval max_tuples=lots", Err("expected a tuple cap")),
-            ("eval eval_cache_mb=0", Err("the budget must be positive")),
-            ("eval eval_cache_mb=x", Err("expected a cache budget")),
             // A parameter may be given once — switches included, whatever
             // the values.
             ("nodes=200 nodes=300", Err("nodes: given twice")),
@@ -425,10 +376,6 @@ mod tests {
             ("engines=P", Err("require")),
             ("budget_ms=5", Err("require")),
             ("max_tuples=5", Err("require")),
-            ("no_plan", Err("require")),
-            ("no_eval_cache", Err("require")),
-            ("eval_cache_mb=64", Err("require")),
-            ("eval no_eval_cache eval_cache_mb=64", Err("would size")),
             ("eval queries_only", Err("graph instance; drop")),
             ("from_store=g.gstore", Err("only consumed by")),
             ("eval from_store=g store", Err("replaces graph generation")),
@@ -474,13 +421,13 @@ mod tests {
     fn messages_come_out_in_the_doors_spelling() {
         let mut cli = RunRequest::new(Door::Cli);
         assert_eq!(
-            cli.set("eval_cache_mb", "0").unwrap_err(),
-            "--eval-cache-mb: the budget must be positive; --no-eval-cache turns the cache off"
+            cli.set("max_tuples", "0").unwrap_err(),
+            "--max-tuples: the cap must be positive: 0 would fail every non-empty cell"
         );
-        let http = drive(Door::Http, "eval no_eval_cache eval_cache_mb=8").unwrap_err();
-        assert!(
-            http.contains("no_eval_cache disables the cache eval_cache_mb"),
-            "{http}"
+        let http = drive(Door::Http, "budget_ms=5").unwrap_err();
+        assert_eq!(
+            http,
+            "invalid plan: engines/budget_ms/max_tuples require eval"
         );
     }
 
@@ -534,6 +481,6 @@ mod tests {
         ];
         let keys: std::collections::BTreeSet<String> = distinct.iter().map(|p| key(p)).collect();
         assert_eq!(keys.len(), distinct.len(), "{keys:?}");
-        assert_ne!(key("eval"), key("eval no_plan"));
+        assert_ne!(key("eval"), key("eval max_tuples=5"));
     }
 }

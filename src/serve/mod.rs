@@ -369,6 +369,8 @@ mod tests {
             // The body is the schema XML and nothing else.
             ("POST", "/v1/run?seed=3", json_body.as_bytes(), 400),
             ("POST", "/v1/run?typo=1", xml, 400),
+            // The planner and the evaluation cache have no switches.
+            ("POST", "/v1/run?eval&no_plan", xml, 400),
             ("POST", "/v1/run?from_store=x", xml, 400),
             ("POST", "/v1/run?config=", xml, 400),
             ("POST", "/v1/run?deadline_ms=soon", xml, 400),
@@ -393,6 +395,11 @@ mod tests {
         }
         let twice = post_run(addr, "?nodes=40&artifact=graph.nt&artifact=graph.nt");
         assert_eq!(twice.body, b"gmark: artifact: given twice\n");
+        let no_switch = post_run(addr, "?eval&no_plan");
+        assert_eq!(
+            no_switch.body,
+            b"gmark: unknown run parameter \"no_plan\"\n"
+        );
         // No refused request reached the cache.
         let stats = http::fetch(addr, "GET", "/v1/stats", b"").unwrap();
         let text = String::from_utf8(stats.body).unwrap();

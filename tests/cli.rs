@@ -47,7 +47,7 @@ fn help_exits_zero_and_documents_every_flag() {
             .map(|param| gmark::run::Door::Cli.spell(param.name));
         let own = ["--config", "--output", "--format", "--verify-store"];
         let own = own.into_iter().chain(["--version"]).map(str::to_owned);
-        // Whole flags only: `--eval-cache-mb` does not document `--eval`.
+        // Whole flags only: `--verify-store` does not document `--store`.
         let mentioned: std::collections::BTreeSet<&str> = stdout
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
             .collect();
@@ -82,16 +82,25 @@ fn early_exit_flags_win_even_with_other_arguments_present() {
 #[test]
 fn unknown_and_malformed_arguments_fail_with_usage() {
     // A run flag given twice is refused, not last-wins; the daemon has no
-    // per-connection request cap to set.
+    // per-connection request cap to set; the planner and the evaluation
+    // cache have no switches, they are always on.
     let twice = &["--nodes", "200", "--nodes", "300"][..];
     let no_cap = &["serve", "--max-requests-per-conn", "2"][..];
+    let no_switch = [
+        &["--no-plan"][..],
+        &["--no-eval-cache"],
+        &["--eval-cache-mb", "8"],
+    ];
     for bad in [
         &["--bogus"][..],
         &["--format", "yaml"],
         &["--seed", "x"],
         twice,
         no_cap,
-    ] {
+    ]
+    .into_iter()
+    .chain(no_switch)
+    {
         let out = gmark(bad);
         assert_eq!(out.status.code(), Some(1), "{bad:?} must fail");
         let stderr = String::from_utf8(out.stderr).unwrap();
@@ -105,6 +114,9 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
                 first_line,
                 "gmark: serve: unknown argument: --max-requests-per-conn"
             );
+        }
+        if no_switch.contains(&bad) {
+            assert_eq!(first_line, format!("gmark: unknown argument: {}", bad[0]));
         }
     }
 }

@@ -12,8 +12,14 @@
 //! reorder joins), so `plan: false` isolates the cache's contract that
 //! outcomes themselves never shift. The generated-workload test then
 //! covers the planned regime, where answers still may not move.
+//!
+//! The run pipeline always evaluates with the planner and the cache on;
+//! the tests at the end hold the two controls (`plan: false`,
+//! `cache_mb: 0`) to the same determinism contract on the instance the
+//! pipeline's own tests evaluate, in RAM and through a paged store.
 
 use gmark::prelude::*;
+use gmark::store::{GraphView, StoreMeta, StoreReader, StoreWriter};
 use proptest::prelude::*;
 
 /// A deterministic random graph over `n` nodes and `preds` labels.
@@ -212,4 +218,142 @@ proptest! {
         let (cached, plain) = matrix_pair(&graph, Some(&schema), &queries, 100_000, true);
         assert_cells_match(&cached, &plain)?;
     }
+}
+
+/// `examples/configs/bib.xml` at 250 nodes with its 12-query workload,
+/// graph and queries at seed 11.
+fn bib_instance() -> (Schema, Graph, Workload) {
+    let config = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/configs/bib.xml");
+    let plan = RunPlan::from_config_file(config)
+        .expect("bib.xml parses")
+        .with_nodes(250);
+    let arts = run_in_memory(&plan, &RunOptions::with_seed(11)).expect("the instance generates");
+    let graph = arts.graph.expect("a graph");
+    let workload = arts.workload.expect("a workload");
+    (plan.graph.schema, graph, workload)
+}
+
+/// One matrix on a fresh context: every engine, no clock, a 100 000-tuple
+/// cap.
+fn bib_matrix(
+    view: GraphView<'_>,
+    schema: &Schema,
+    queries: &[&Query],
+    options: MatrixOptions,
+) -> EvalReport {
+    let budget = CellBudget {
+        timeout: None,
+        max_tuples: 100_000,
+    };
+    let ctx = EvalContext::new(view);
+    evaluate_matrix_with_schema(
+        &ctx,
+        Some(schema),
+        queries,
+        &EngineKind::ALL,
+        &budget,
+        &options,
+    )
+}
+
+fn queries_of(workload: &Workload) -> Vec<&Query> {
+    workload.queries.iter().map(|gq| &gq.query).collect()
+}
+
+#[test]
+fn each_control_renders_one_report_at_every_thread_count_in_ram_and_paged() {
+    let (schema, graph, workload) = bib_instance();
+    let queries = queries_of(&workload);
+    let dir = std::env::temp_dir().join(format!("gmark-eval-controls-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a writable temp dir");
+    let path = dir.join("g.gstore");
+    let meta = StoreMeta {
+        seed: 11,
+        schema_hash: schema.schema_hash(),
+        page_size: 256,
+        predicate_names: schema.predicate_names(),
+        partition: graph.partition().clone(),
+    };
+    StoreWriter::write_graph(&path, &meta, &graph).expect("the store writes");
+    // One cached page, shared by every worker: nearly every lookup evicts.
+    let reader = StoreReader::open_with_cache(&path, 1).expect("the store opens");
+
+    let unplanned = MatrixOptions {
+        plan: false,
+        ..MatrixOptions::default()
+    };
+    let uncached = MatrixOptions {
+        cache_mb: 0,
+        ..MatrixOptions::default()
+    };
+    for control in [unplanned, uncached] {
+        let base = bib_matrix(GraphView::from(&graph), &schema, &queries, control);
+        assert_eq!(base.plan_quality().is_some(), control.plan, "{control:?}");
+        assert_eq!(base.cache.is_some(), control.cache_mb > 0, "{control:?}");
+        let text = base.render();
+        assert!(text.contains("too-large"), "the cap must bite: {text}");
+        for threads in [1, 2, 8] {
+            let options = MatrixOptions { threads, ..control };
+            for view in [GraphView::from(&graph), GraphView::from(&reader)] {
+                let report = bib_matrix(view, &schema, &queries, options);
+                assert_eq!(report.render(), text, "{options:?}");
+                assert_eq!(report.cache, base.cache, "{options:?}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn without_the_planner_cache_on_and_off_render_identically() {
+    let (schema, graph, workload) = bib_instance();
+    let queries = queries_of(&workload);
+    let cached = MatrixOptions {
+        threads: 2,
+        plan: false,
+        ..MatrixOptions::default()
+    };
+    let uncached = MatrixOptions {
+        cache_mb: 0,
+        ..cached
+    };
+    let on = bib_matrix(GraphView::from(&graph), &schema, &queries, cached);
+    let off = bib_matrix(GraphView::from(&graph), &schema, &queries, uncached);
+    let stats = on.cache.expect("the cache was on");
+    assert!(stats.hits > 0, "{stats:?}");
+    assert!(off.cache.is_none());
+    assert_eq!(on.render(), off.render());
+}
+
+#[test]
+fn planner_never_changes_answer_cardinalities() {
+    // Plans reorder joins, so the evaluation *cost* differs — which cells
+    // exhaust the tuple cap may differ too — but any cell that completes
+    // with and without a plan must report the same answer cardinality.
+    let (schema, graph, workload) = bib_instance();
+    let queries = queries_of(&workload);
+    let planned = MatrixOptions {
+        threads: 2,
+        ..MatrixOptions::default()
+    };
+    let unplanned = MatrixOptions {
+        plan: false,
+        ..planned
+    };
+    let on = bib_matrix(GraphView::from(&graph), &schema, &queries, planned);
+    let off = bib_matrix(GraphView::from(&graph), &schema, &queries, unplanned);
+    assert_eq!(on.cells.len(), off.cells.len());
+    let mut compared = 0;
+    for (a, b) in on.cells.iter().zip(&off.cells) {
+        assert_eq!((a.query, a.engine), (b.query, b.engine));
+        assert!(a.estimate.is_some(), "planned cells carry the estimate");
+        assert!(b.estimate.is_none(), "unplanned cells carry none");
+        if let (CellOutcome::Answers { count: x, .. }, CellOutcome::Answers { count: y, .. }) =
+            (&a.outcome, &b.outcome)
+        {
+            assert_eq!(x, y, "q{} {} cardinality changed", a.query, a.engine);
+            compared += 1;
+        }
+    }
+    assert!(compared > 0, "no cell completed in both regimes");
 }

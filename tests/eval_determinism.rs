@@ -73,12 +73,13 @@ fn library_eval_report_is_byte_identical_across_thread_counts() {
         base_text.contains("class="),
         "per-query metadata missing: {base_text}"
     );
-    // The default regime is planner-on: the report says so, ok cells carry
-    // the est~actual annotation, and the plan-quality totals close it.
+    // A run is always planned: the report and the summary say so, ok cells
+    // carry the est~actual annotation, and the plan-quality totals close it.
     assert!(base_text.contains("planner: on"), "{base_text}");
+    assert!(base_json.contains("\"plan\":true"), "{base_json}");
     assert!(base_text.contains('~'), "{base_text}");
     assert!(base_text.contains("\nplan: "), "{base_text}");
-    // …and cache-on: the header names the budget and hit counters, and the
+    // …and cached: the header names the budget and hit counters, and the
     // summary's eval object records them — so this whole test pins that
     // the cache's contents (and therefore its stats) are byte-identical at
     // every thread count, not just the cells.
@@ -92,118 +93,6 @@ fn library_eval_report_is_byte_identical_across_thread_counts() {
         assert_eq!(report, base_report, "eval.txt differs at {threads} threads");
         assert_eq!(json, base_json, "summary eval differs at {threads} threads");
     }
-}
-
-#[test]
-fn planner_off_eval_report_is_byte_identical_across_thread_counts() {
-    let mut plan = eval_plan();
-    plan.eval.as_mut().expect("eval spec set").plan = false;
-    let run_at = |threads: usize| {
-        let mut sink = MemorySink::new();
-        run(
-            &plan,
-            &RunOptions::with_seed(11).threads(threads),
-            &mut sink,
-        )
-        .expect("pipeline runs");
-        (
-            sink.bytes(Artifact::EvalReport).expect("eval.txt written"),
-            eval_json_section(&sink.bytes(Artifact::Summary).expect("summary rendered")),
-        )
-    };
-    let (base_report, base_json) = run_at(1);
-    let base_text = String::from_utf8(base_report.clone()).unwrap();
-    assert!(base_text.contains("planner: off"), "{base_text}");
-    assert!(!base_text.contains('~'), "{base_text}");
-    assert!(base_json.contains("\"plan\":false"), "{base_json}");
-    for threads in [2usize, 8] {
-        let (report, json) = run_at(threads);
-        assert_eq!(report, base_report, "eval.txt differs at {threads} threads");
-        assert_eq!(json, base_json, "summary eval differs at {threads} threads");
-    }
-}
-
-#[test]
-fn cache_off_changes_only_the_cache_header_and_stats() {
-    // With planning off (so the planner cannot consult cached exact
-    // cardinalities and reorder joins), disabling the cache may change
-    // nothing in the artifacts except the lines that *describe* the cache:
-    // the `cache:` header of eval.txt and the `"cache"` object of the
-    // summary. Every cell line must be byte-identical.
-    let mut plan_on = eval_plan();
-    plan_on.eval.as_mut().expect("eval spec set").plan = false;
-    let mut plan_off = eval_plan();
-    {
-        let spec = plan_off.eval.as_mut().expect("eval spec set");
-        spec.plan = false;
-        spec.cache = false;
-    }
-    let opts = RunOptions::with_seed(11).threads(2);
-    let arts_of = |plan: &RunPlan| {
-        let mut sink = MemorySink::new();
-        run(plan, &opts, &mut sink).expect("pipeline runs");
-        (
-            String::from_utf8(sink.bytes(Artifact::EvalReport).expect("eval.txt written"))
-                .expect("eval.txt is UTF-8"),
-            eval_json_section(&sink.bytes(Artifact::Summary).expect("summary rendered")),
-        )
-    };
-    let (on_txt, on_json) = arts_of(&plan_on);
-    let (off_txt, off_json) = arts_of(&plan_off);
-    assert!(on_txt.contains("\ncache: on ("), "{on_txt}");
-    assert!(off_txt.contains("\ncache: off"), "{off_txt}");
-    let strip = |text: &str| {
-        text.lines()
-            .filter(|l| !l.starts_with("cache: "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&on_txt), strip(&off_txt), "a cell line moved");
-    assert!(on_json.contains("\"cache\":{\"enabled\":true"), "{on_json}");
-    assert!(
-        off_json.contains("\"cache\":{\"enabled\":false}"),
-        "{off_json}"
-    );
-    let scrub = |json: &str| {
-        let start = json.find("\"cache\":").expect("summary has a cache key");
-        let end = start + json[start..].find('}').expect("cache object closes") + 1;
-        format!("{}{}", &json[..start], &json[end..])
-    };
-    assert_eq!(scrub(&on_json), scrub(&off_json), "an eval row moved");
-}
-
-#[test]
-fn planner_never_changes_answer_cardinalities() {
-    // `--no-plan` vs the default: plans reorder joins, so the evaluation
-    // *cost* differs — which cells exhaust the tuple cap may differ too —
-    // but any cell that completes in both regimes must report the same
-    // answer cardinality.
-    let planned = eval_plan();
-    let mut unplanned = eval_plan();
-    unplanned.eval.as_mut().expect("eval spec set").plan = false;
-    let opts = RunOptions::with_seed(11).threads(2);
-    let rows_of = |plan: &RunPlan| {
-        run_in_memory(plan, &opts)
-            .expect("pipeline runs")
-            .summary
-            .eval
-            .expect("eval ran")
-            .rows
-    };
-    let on = rows_of(&planned);
-    let off = rows_of(&unplanned);
-    assert_eq!(on.len(), off.len());
-    let mut compared = 0;
-    for (a, b) in on.iter().zip(&off) {
-        assert_eq!((a.query, a.engine), (b.query, b.engine));
-        assert!(a.estimate.is_some(), "planner-on rows carry the estimate");
-        assert!(b.estimate.is_none(), "planner-off rows carry none");
-        if let (Some(ca), Some(cb)) = (a.count, b.count) {
-            assert_eq!(ca, cb, "q{} {} cardinality changed", a.query, a.engine);
-            compared += 1;
-        }
-    }
-    assert!(compared > 0, "no cell completed in both regimes");
 }
 
 #[test]

@@ -7,12 +7,12 @@
 //!
 //! The `eval.txt` pins were recorded from the commit before the evaluation
 //! crate was collapsed to one entry point, one ordering loop, one join
-//! kernel and one expression fold (PR 18's parent): with the planner on,
-//! the report — cell outcomes, counts, estimates and the cache header's
-//! fill/hit/miss counters — must come out byte for byte at 1, 2 and 8
-//! threads, in RAM and from a store, with the cache on and off. The
-//! `D`-column pins at two tighter caps were recorded from the commit before
-//! the Datalog engine moved onto that join kernel (PR 23's parent).
+//! kernel and one expression fold (PR 18's parent): the report — cell
+//! outcomes, counts, estimates and the cache header's fill/hit/miss
+//! counters — must come out byte for byte at 1, 2 and 8 threads, in RAM
+//! and from a store. The `D`-column pins at two tighter caps were recorded
+//! from the commit before the Datalog engine moved onto that join kernel
+//! (PR 23's parent).
 //!
 //! The `summary.json` pins were recorded from the commit before the facade
 //! was collapsed to one request table, one run body and one JSON writer
@@ -51,11 +51,10 @@ const STORE: (u64, u64) = (811_232, 0xd07b_2b48_fe35_2594);
 
 /// `eval.txt` of `--config examples/configs/bib.xml --nodes 250 --seed 42
 /// --eval --budget-ms 0 --max-tuples 100000` (45 ok / 3 too-large, G
-/// degraded on three rows), cache on and `--no-eval-cache`.
-const CLI_EVAL: [(u64, u64); 2] = [(1838, 0xb696_1014_7e7e_bc09), (1755, 0x4e05_9220_4f69_6f0a)];
-/// `eval.txt` of the programmatic mixed-shape plan ([`mixed_plan`]), cache
-/// on and off.
-const MIXED_EVAL: [(u64, u64); 2] = [(3831, 0x177b_f538_b9b1_6e59), (3748, 0xf343_3c17_beaf_aa25)];
+/// degraded on three rows).
+const CLI_EVAL: (u64, u64) = (1838, 0xb696_1014_7e7e_bc09);
+/// `eval.txt` of the programmatic mixed-shape plan ([`mixed_plan`]).
+const MIXED_EVAL: (u64, u64) = (3831, 0x177b_f538_b9b1_6e59);
 
 /// `(cap, eval.txt)` of [`mixed_plan`] narrowed to the `D` column at two
 /// tuple caps that split it (19 ok / 11 too-large, 24 ok / 6 too-large),
@@ -123,17 +122,13 @@ const STORE_SUMMARY: [(u64, u64); 2] =
 /// Masked `summary.json` of `--queries-only` (`"graph":null`,
 /// `"store":null`, `"eval":null`).
 const QUERIES_ONLY_SUMMARY: (u64, u64) = (693, 0xb832_873b_bfb1_80a8);
-/// Masked `summary.json` of the [`CLI_EVAL`] runs, `[cache on, off]` ×
-/// `[in RAM, --from-store]` (the latter with `"graph":null`).
-const CLI_EVAL_SUMMARY: [[(u64, u64); 2]; 2] = [
-    [(4460, 0x68d3_5b4a_ac42_2c38), (4175, 0x98a0_074e_2866_4ad8)],
-    [(4409, 0x4c99_80e4_2649_03b6), (4124, 0xe3b5_0855_d700_bd16)],
-];
+/// Masked `summary.json` of the [`CLI_EVAL`] runs, `[in RAM,
+/// --from-store]` (the latter with `"graph":null`).
+const CLI_EVAL_SUMMARY: [(u64, u64); 2] =
+    [(4460, 0x68d3_5b4a_ac42_2c38), (4175, 0x98a0_074e_2866_4ad8)];
 /// Masked `summary.json` of the [`MIXED_EVAL`] runs, same layout.
-const MIXED_EVAL_SUMMARY: [[(u64, u64); 2]; 2] = [
-    [(9325, 0xfaef_8cd3_3987_dd9b), (9040, 0x8a50_4e34_e27a_a7e1)],
-    [(9313, 0x283d_56f3_6f16_7f22), (9028, 0xf935_91b3_ad02_d304)],
-];
+const MIXED_EVAL_SUMMARY: [(u64, u64); 2] =
+    [(9325, 0xfaef_8cd3_3987_dd9b), (9040, 0x8a50_4e34_e27a_a7e1)];
 
 fn fingerprint_bytes(bytes: &[u8]) -> (u64, u64) {
     let mut hash = Fnv64::new();
@@ -237,23 +232,18 @@ fn parent_commit_cli_eval_report_is_reproduced_in_every_regime() {
     let store = scratch.join("store/graph.gstore");
     let store = store.to_str().expect("a UTF-8 temp dir");
     for threads in ["1", "2", "8"] {
-        for (cache, pin) in [(true, CLI_EVAL[0]), (false, CLI_EVAL[1])] {
-            for from_store in [false, true] {
-                let mut flags = vec!["--nodes", "250", "--eval", "--budget-ms", "0"];
-                flags.extend(["--max-tuples", "100000", "--threads", threads]);
-                flags.extend(["--format", "json"]);
-                if !cache {
-                    flags.push("--no-eval-cache");
-                }
-                if from_store {
-                    flags.extend(["--from-store", store]);
-                }
-                let out = scratch.join("run");
-                gmark(&out, &flags);
-                assert_eq!(fingerprint(&out.join("eval.txt")), pin, "{flags:?}");
-                let pin = CLI_EVAL_SUMMARY[usize::from(!cache)][usize::from(from_store)];
-                assert_eq!(summary_in(&out, threads), pin, "summary.json {flags:?}");
+        for from_store in [false, true] {
+            let mut flags = vec!["--nodes", "250", "--eval", "--budget-ms", "0"];
+            flags.extend(["--max-tuples", "100000", "--threads", threads]);
+            flags.extend(["--format", "json"]);
+            if from_store {
+                flags.extend(["--from-store", store]);
             }
+            let out = scratch.join("run");
+            gmark(&out, &flags);
+            assert_eq!(fingerprint(&out.join("eval.txt")), CLI_EVAL, "{flags:?}");
+            let pin = CLI_EVAL_SUMMARY[usize::from(from_store)];
+            assert_eq!(summary_in(&out, threads), pin, "summary.json {flags:?}");
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
@@ -262,7 +252,7 @@ fn parent_commit_cli_eval_report_is_reproduced_in_every_regime() {
 /// The shape of the benchmark's `eval-inram` instance at a test's size:
 /// Bib, 30 queries of every shape and selectivity class, recursion 0.4,
 /// 2–4 conjuncts, 1–2 disjuncts, all four engines, no clock.
-fn mixed_plan(cache: bool, from_store: Option<&Path>) -> RunPlan {
+fn mixed_plan(from_store: Option<&Path>) -> RunPlan {
     let mut workload = WorkloadConfig::new(30);
     workload.shapes = Shape::ALL.to_vec();
     workload.selectivities = SelectivityClass::ALL.to_vec();
@@ -278,7 +268,6 @@ fn mixed_plan(cache: bool, from_store: Option<&Path>) -> RunPlan {
         .eval(EvalSpec {
             budget_ms: 0,
             max_tuples: 100_000,
-            cache,
             ..EvalSpec::default()
         });
     match from_store {
@@ -302,27 +291,20 @@ fn parent_commit_mixed_eval_report_is_reproduced_in_every_regime() {
     run(&store_plan, &RunOptions::with_seed(2), &mut dir).expect("the store builds");
     let store = scratch.join("graph.gstore");
     for threads in [1, 2, 8] {
-        for (cache, pin) in [(true, MIXED_EVAL[0]), (false, MIXED_EVAL[1])] {
-            for from_store in [None, Some(store.as_path())] {
-                let plan = mixed_plan(cache, from_store);
-                let mut sink = MemorySink::new();
-                run(&plan, &RunOptions::with_seed(2).threads(threads), &mut sink)
-                    .expect("the mixed plan runs");
-                let report = sink.bytes(Artifact::EvalReport).expect("an eval report");
-                assert_eq!(
-                    fingerprint_bytes(&report),
-                    pin,
-                    "threads={threads} cache={cache} from_store={}",
-                    from_store.is_some()
-                );
-                let summary = sink.bytes(Artifact::Summary).expect("a summary");
-                assert_eq!(
-                    summary_fingerprint(&summary, threads),
-                    MIXED_EVAL_SUMMARY[usize::from(!cache)][usize::from(from_store.is_some())],
-                    "summary.json threads={threads} cache={cache} from_store={}",
-                    from_store.is_some()
-                );
-            }
+        for from_store in [None, Some(store.as_path())] {
+            let plan = mixed_plan(from_store);
+            let mut sink = MemorySink::new();
+            run(&plan, &RunOptions::with_seed(2).threads(threads), &mut sink)
+                .expect("the mixed plan runs");
+            let report = sink.bytes(Artifact::EvalReport).expect("an eval report");
+            let what = format!("threads={threads} from_store={}", from_store.is_some());
+            assert_eq!(fingerprint_bytes(&report), MIXED_EVAL, "{what}");
+            let summary = sink.bytes(Artifact::Summary).expect("a summary");
+            assert_eq!(
+                summary_fingerprint(&summary, threads),
+                MIXED_EVAL_SUMMARY[usize::from(from_store.is_some())],
+                "summary.json {what}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
@@ -398,7 +380,7 @@ fn parent_commit_workloads_are_reproduced_for_every_use_case() {
 fn parent_commit_datalog_column_is_reproduced_at_tight_caps() {
     for (cap, pin) in MIXED_EVAL_D {
         for threads in [1, 2, 8] {
-            let mut plan = mixed_plan(true, None);
+            let mut plan = mixed_plan(None);
             let eval = plan.eval.as_mut().expect("the mixed plan evaluates");
             eval.engines = vec![EngineKind::Datalog];
             eval.max_tuples = cap;
