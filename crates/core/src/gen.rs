@@ -136,7 +136,7 @@ pub fn generate_into<S: EdgeSink>(
 /// Two [`ordered_map`] stages: every constraint fills its own builder,
 /// the builders are absorbed in constraint order — the per-predicate edge
 /// lists one builder fed constraint by constraint would hold — and the
-/// CSR is finalized one `(predicate, direction)` unit at a time
+/// CSR is finalized one predicate at a time, forward then transposed
 /// ([`GraphBuilder::build_with_threads`]). The graph and report are
 /// bit-identical for every thread count.
 pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, GenReport) {
@@ -652,6 +652,40 @@ mod tests {
             max as f64 > 10.0 * mean,
             "power law should create hubs: max {max}, mean {mean}"
         );
+    }
+
+    #[test]
+    fn csr_offsets_span_only_the_endpoint_types() {
+        // A memory pin on structure rather than on a bench number: each
+        // CSR holds at most one offset per node of the id hull of its
+        // side's endpoint types, plus one — never one per graph node.
+        let cfg = GraphConfig::new(20_000, crate::usecases::bib());
+        let (g, _) = generate_graph(&cfg, &GeneratorOptions::with_seed(31));
+        let partition = g.partition();
+        let hull = |pred: usize, types: &dyn Fn(&EdgeConstraint) -> usize| -> usize {
+            let ranges = cfg
+                .schema
+                .constraints()
+                .iter()
+                .filter(|c| c.predicate.0 == pred);
+            let (lo, hi) = ranges
+                .map(|c| partition.range(types(c)))
+                .fold((NodeId::MAX, 0), |(lo, hi), r| {
+                    (lo.min(r.start), hi.max(r.end))
+                });
+            hi.saturating_sub(lo) as usize
+        };
+        let (mut held, mut bound) = (0, 0);
+        for pred in 0..g.predicate_count() {
+            held += g.forward(pred).offsets().len() + g.backward(pred).offsets().len();
+            bound += hull(pred, &|c| c.source.0) + 1 + hull(pred, &|c| c.target.0) + 1;
+        }
+        assert_eq!(g.predicate_count(), 4, "Bib has 8 CSRs");
+        assert!(
+            held <= bound,
+            "{held} offset entries, endpoint-type hulls allow {bound}"
+        );
+        assert!(bound < 4 * g.node_count() as usize, "the pin must bite");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ordered result.
 //!
 //! Every parallel stage splits its work into numbered *units* — schema
-//! constraints, `(predicate, direction)` CSR items, queries, evaluation
+//! constraints, per-predicate CSR builds and transposes, queries, evaluation
 //! cells — whose result is a pure function of `(inputs, seed, unit)`:
 //! every unit draws from an RNG stream split off the master seed by its
 //! index, or draws nothing. Workers claim units off one atomic counter in

@@ -2,89 +2,131 @@
 
 use crate::sink::EdgeSink;
 use crate::{NodeId, PredIdx};
+use std::sync::Mutex;
 
-/// Compressed sparse row adjacency: `neighbors(v) = targets[offsets[v] .. offsets[v+1]]`.
+/// Compressed sparse row adjacency over the *hull* of the nodes that have
+/// neighbors: for `v` in `[base(), base() + offsets().len() - 1)`,
+/// `neighbors(v) = targets[offsets[v - base] .. offsets[v - base + 1]]`,
+/// and every node outside the hull has no neighbors.
 ///
-/// Neighbor lists are sorted, enabling binary-search membership tests and
-/// merge joins in the engines crate.
+/// In gMark a predicate's sources (and targets) are a few node types, each
+/// a contiguous id range, so the hull is usually a fraction of the graph
+/// and offsets for every node would be the largest array it holds. The
+/// hull is taken from the edges themselves; no schema is consulted.
+///
+/// Neighbor lists are sorted and duplicate-free, enabling binary-search
+/// membership tests and merge joins in the engines crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
+    base: NodeId,
     offsets: Vec<u64>,
     targets: Vec<NodeId>,
 }
 
+/// `(lowest key, span)` of the smallest id range holding every key; `(0, 0)`
+/// when there are none.
+fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
+    let (lo, hi) = keys.fold((NodeId::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
+    if lo > hi {
+        (0, 0)
+    } else {
+        (lo, (hi - lo) as usize + 1)
+    }
+}
+
+/// Counting sort of `len` `(key, value)` pairs whose keys lie in `[base,
+/// base + span)`: the values grouped by key, each group in input order.
+fn group_by_key(
+    base: NodeId,
+    span: usize,
+    len: usize,
+    pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
+) -> Csr {
+    let mut offsets = vec![0u64; span + 1];
+    for (k, _) in pairs.clone() {
+        offsets[(k - base) as usize + 1] += 1;
+    }
+    for i in 0..span {
+        offsets[i + 1] += offsets[i];
+    }
+    // The offsets are the cursors: after the scatter, `offsets[i]` is where
+    // group `i` ends — where group `i + 1` starts.
+    let mut targets = vec![0 as NodeId; len];
+    for (k, v) in pairs {
+        let cursor = &mut offsets[(k - base) as usize];
+        targets[*cursor as usize] = v;
+        *cursor += 1;
+    }
+    offsets.copy_within(0..span, 1);
+    offsets[0] = 0;
+    Csr {
+        base,
+        offsets,
+        targets,
+    }
+}
+
 impl Csr {
-    /// Builds a CSR over `node_count` nodes from an unsorted edge list.
+    /// Builds the CSR of an unsorted edge list over `node_count` nodes.
+    /// Parallel edges (identical `(src, trg)` pairs) are collapsed.
     ///
-    /// When `dedup` is set, parallel edges (identical `(src, trg)` pairs)
-    /// are collapsed.
-    pub fn from_edges(node_count: NodeId, edges: &[(NodeId, NodeId)], dedup: bool) -> Self {
-        let n = node_count as usize;
-        let mut counts = vec![0u64; n + 1];
-        for &(s, _) in edges {
-            counts[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut targets = vec![0 as NodeId; edges.len()];
-        let mut cursor = counts.clone();
-        for &(s, t) in edges {
-            let slot = cursor[s as usize];
-            targets[slot as usize] = t;
-            cursor[s as usize] += 1;
-        }
-        let mut csr = Csr {
-            offsets: counts,
-            targets,
-        };
-        csr.sort_segments();
-        if dedup {
-            csr.dedup_segments();
-        }
+    /// Panics if a source is not below `node_count`.
+    pub fn from_edges(node_count: NodeId, edges: &[(NodeId, NodeId)]) -> Self {
+        let (base, span) = key_hull(edges.iter().map(|&(s, _)| s));
+        assert!(
+            u64::from(base) + span as u64 <= u64::from(node_count),
+            "edge source beyond node_count {node_count}"
+        );
+        debug_assert!(edges.iter().all(|&(_, t)| t < node_count));
+        let mut csr = group_by_key(base, span, edges.len(), edges.iter().copied());
+        csr.sort_and_dedup();
         csr
     }
 
-    fn sort_segments(&mut self) {
-        for v in 0..self.node_count() {
-            let (lo, hi) = self.bounds(v as NodeId);
-            self.targets[lo..hi].sort_unstable();
-        }
-    }
-
-    fn dedup_segments(&mut self) {
-        let n = self.node_count();
-        let mut new_targets = Vec::with_capacity(self.targets.len());
-        let mut new_offsets = Vec::with_capacity(n + 1);
-        new_offsets.push(0u64);
-        for v in 0..n {
-            let (lo, hi) = self.bounds(v as NodeId);
-            let seg = &self.targets[lo..hi];
-            let mut prev: Option<NodeId> = None;
-            for &t in seg {
-                if prev != Some(t) {
-                    new_targets.push(t);
-                    prev = Some(t);
+    /// Sorts every neighbor list and compacts out repeats in place. No
+    /// list becomes empty, so the hull stays as it is.
+    fn sort_and_dedup(&mut self) {
+        let mut kept = 0;
+        let mut start = 0;
+        for i in 0..self.offsets.len() - 1 {
+            let end = self.offsets[i + 1] as usize;
+            self.targets[start..end].sort_unstable();
+            let first = kept;
+            for r in start..end {
+                let t = self.targets[r];
+                if kept == first || self.targets[kept - 1] != t {
+                    self.targets[kept] = t;
+                    kept += 1;
                 }
             }
-            new_offsets.push(new_targets.len() as u64);
+            self.offsets[i + 1] = kept as u64;
+            start = end;
         }
-        self.offsets = new_offsets;
-        self.targets = new_targets;
+        self.targets.truncate(kept);
+        self.targets.shrink_to_fit();
+    }
+
+    /// The transpose: `u` is a neighbor of `w` in it exactly when `w` is a
+    /// neighbor of `u` here — the backward index of a forward one.
+    ///
+    /// One counting sort, no flipped copy: scanning sources in ascending
+    /// order leaves every list sorted, and duplicate-free lists here leave
+    /// it duplicate-free, so it equals [`Csr::from_edges`] of the flipped
+    /// pairs.
+    pub fn transpose(&self) -> Csr {
+        let (base, span) = key_hull(self.targets.iter().copied());
+        let flipped = self.iter_edges().map(|(s, t)| (t, s));
+        group_by_key(base, span, self.targets.len(), flipped)
     }
 
     #[inline]
     fn bounds(&self, v: NodeId) -> (usize, usize) {
-        (
-            self.offsets[v as usize] as usize,
-            self.offsets[v as usize + 1] as usize,
-        )
-    }
-
-    /// Number of nodes covered by this adjacency structure.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        let i = v.wrapping_sub(self.base) as usize;
+        if i < self.offsets.len() - 1 {
+            (self.offsets[i] as usize, self.offsets[i + 1] as usize)
+        } else {
+            (0, 0)
+        }
     }
 
     /// Total number of stored edges.
@@ -93,7 +135,7 @@ impl Csr {
         self.targets.len()
     }
 
-    /// Sorted neighbor list of `v`.
+    /// Sorted neighbor list of `v`; empty outside the hull.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let (lo, hi) = self.bounds(v);
@@ -113,11 +155,22 @@ impl Csr {
         self.neighbors(v).binary_search(&w).is_ok()
     }
 
-    /// The raw offset array: `node_count() + 1` monotone entries with
-    /// `neighbors(v) = targets()[offsets()[v] as usize .. offsets()[v+1] as usize]`.
+    /// The first node of the hull (see [`Csr::offsets`]); 0 when there are
+    /// no edges.
+    #[inline]
+    pub fn base(&self) -> NodeId {
+        self.base
+    }
+
+    /// The raw offset array over the hull: `span + 1` monotone entries,
+    /// starting at 0, for the `span` nodes from [`Csr::base`] on — the
+    /// lowest through the highest node with a neighbor — with
+    /// `neighbors(base + i) = targets()[offsets()[i] as usize ..
+    /// offsets()[i + 1] as usize]`. Nodes outside the hull have no entry;
+    /// a CSR without edges has the single entry 0.
     ///
-    /// Exposed for bulk consumers — the on-disk store writer serializes
-    /// both arrays verbatim, and endpoint statistics scan offsets without
+    /// Exposed for bulk consumers — the on-disk store writer expands it to
+    /// one entry per node, and endpoint statistics scan offsets without
     /// touching targets.
     #[inline]
     pub fn offsets(&self) -> &[u64] {
@@ -133,12 +186,12 @@ impl Csr {
     /// Iterates all `(source, target)` pairs in source order.
     pub fn iter_edges(&self) -> CsrEdges<'_> {
         CsrEdges {
+            base: self.base,
             offsets: &self.offsets,
             targets: &self.targets,
             e: 0,
             v: 0,
-            hi: 0,
-            primed: false,
+            hi: self.offsets.get(1).copied().unwrap_or(0),
         }
     }
 }
@@ -149,12 +202,13 @@ impl Csr {
 /// in an enum without boxing.
 #[derive(Debug, Clone)]
 pub struct CsrEdges<'a> {
+    base: NodeId,
     offsets: &'a [u64],
     targets: &'a [NodeId],
     e: usize,
-    v: NodeId,
+    /// The current source's position in the hull.
+    v: usize,
     hi: u64,
-    primed: bool,
 }
 
 impl Iterator for CsrEdges<'_> {
@@ -165,17 +219,13 @@ impl Iterator for CsrEdges<'_> {
         if self.e >= self.targets.len() {
             return None;
         }
-        if !self.primed {
-            self.hi = self.offsets[1];
-            self.primed = true;
-        }
         while self.e as u64 >= self.hi {
             self.v += 1;
-            self.hi = self.offsets[self.v as usize + 1];
+            self.hi = self.offsets[self.v + 1];
         }
         let t = self.targets[self.e];
         self.e += 1;
-        Some((self.v, t))
+        Some((self.base + self.v as NodeId, t))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -443,33 +493,24 @@ impl GraphBuilder {
 
     /// Finalizes into CSR form on `threads` workers (`0` = every core).
     ///
-    /// One [`ordered_map`](crate::ordered_map) unit per `(predicate,
-    /// direction)`: its CSR depends only on that predicate's accumulated
-    /// edge list, so the graph is identical for every thread count.
+    /// Two [`ordered_map`](crate::ordered_map) passes of one unit per
+    /// predicate: the first builds each forward CSR and frees its edge list
+    /// as soon as it is consumed, the second transposes each forward CSR
+    /// into its backward one. Every unit depends only on its own
+    /// predicate, so the graph is identical for every thread count.
     pub fn build_with_threads(self, threads: usize) -> Graph {
-        let n = self.partition.node_count();
-        let pred_count = self.edges.len();
-        let csrs = crate::ordered_map(threads, pred_count * 2, |item| {
-            let pairs = &self.edges[item / 2];
-            if item.is_multiple_of(2) {
-                Csr::from_edges(n, pairs, true)
-            } else {
-                let flipped: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(s, t)| (t, s)).collect();
-                Csr::from_edges(n, &flipped, true)
-            }
+        let GraphBuilder { partition, edges } = self;
+        let n = partition.node_count();
+        let slots: Vec<Mutex<Vec<(NodeId, NodeId)>>> = edges.into_iter().map(Mutex::new).collect();
+        let fwd = crate::ordered_map(threads, slots.len(), |pred| {
+            let edges =
+                std::mem::take(&mut *slots[pred].lock().expect("no unit panics holding its slot"));
+            Csr::from_edges(n, &edges)
         });
-        let mut fwd = Vec::with_capacity(pred_count);
-        let mut bwd = Vec::with_capacity(pred_count);
-        for (item, csr) in csrs.into_iter().enumerate() {
-            if item.is_multiple_of(2) {
-                fwd.push(csr);
-            } else {
-                bwd.push(csr);
-            }
-        }
+        let bwd = crate::ordered_map(threads, fwd.len(), |pred| fwd[pred].transpose());
         let edge_count = fwd.iter().map(Csr::edge_count).sum();
         Graph {
-            partition: self.partition,
+            partition,
             fwd,
             bwd,
             edge_count,
@@ -521,26 +562,45 @@ mod tests {
 
     #[test]
     fn csr_neighbors_are_sorted() {
-        let csr = Csr::from_edges(4, &[(0, 3), (0, 1), (0, 2), (2, 0)], false);
-        assert_eq!(csr.neighbors(0), &[1, 2, 3]);
-        assert_eq!(csr.neighbors(1), &[] as &[NodeId]);
-        assert_eq!(csr.neighbors(2), &[0]);
+        let csr = Csr::from_edges(9, &[(3, 8), (3, 1), (3, 2), (5, 0)]);
+        assert_eq!(csr.neighbors(3), &[1, 2, 8]);
+        assert_eq!(csr.neighbors(4), &[] as &[NodeId]);
+        assert_eq!(csr.neighbors(5), &[0]);
         assert_eq!(csr.edge_count(), 4);
+        // Offsets span the sources 3..=5 only; the rest read as empty.
+        assert_eq!((csr.base(), csr.offsets()), (3, &[0, 3, 3, 4][..]));
+        for v in [0, 2, 6, 8, NodeId::MAX] {
+            assert_eq!(csr.degree(v), 0, "node {v}");
+        }
     }
 
     #[test]
     fn csr_dedup() {
-        let csr = Csr::from_edges(2, &[(0, 1), (0, 1), (0, 1), (1, 0)], true);
-        assert_eq!(csr.neighbors(0), &[1]);
-        assert_eq!(csr.edge_count(), 2);
-        let keep = Csr::from_edges(2, &[(0, 1), (0, 1)], false);
-        assert_eq!(keep.edge_count(), 2);
-        assert_eq!(keep.neighbors(0), &[1, 1]);
+        let csr = Csr::from_edges(4, &[(2, 3), (1, 3), (2, 3), (2, 3), (2, 0), (1, 3)]);
+        assert_eq!(csr.neighbors(1), &[3]);
+        assert_eq!(csr.neighbors(2), &[0, 3]);
+        assert_eq!(csr.edge_count(), 3);
+        assert_eq!(csr.targets().len(), 3, "repeats are compacted out");
+        assert_eq!(csr.offsets(), &[0, 1, 3]);
+    }
+
+    #[test]
+    fn csr_transpose_is_the_flipped_build() {
+        let edges = [(4, 7), (2, 7), (4, 5), (2, 6), (3, 7)];
+        let csr = Csr::from_edges(8, &edges);
+        let flipped: Vec<_> = edges.iter().map(|&(s, t)| (t, s)).collect();
+        let t = csr.transpose();
+        assert_eq!(t, Csr::from_edges(8, &flipped));
+        assert_eq!((t.base(), t.offsets()), (5, &[0, 1, 2, 5][..]));
+        assert_eq!(t.neighbors(7), &[2, 3, 4]);
+        let empty = Csr::from_edges(8, &[]);
+        assert_eq!((empty.base(), empty.offsets()), (0, &[0][..]));
+        assert_eq!(empty.transpose(), empty);
     }
 
     #[test]
     fn csr_contains() {
-        let csr = Csr::from_edges(3, &[(0, 2), (1, 0)], true);
+        let csr = Csr::from_edges(3, &[(0, 2), (1, 0)]);
         assert!(csr.contains(0, 2));
         assert!(!csr.contains(0, 1));
         assert!(!csr.contains(2, 0));
@@ -602,33 +662,45 @@ mod tests {
 
     #[test]
     fn threaded_finalization_matches_sequential() {
-        // A few predicates with irregular edge lists, including duplicates.
-        let part = TypePartition::from_counts(&[8]);
+        // Types 0..8, 8..14 and 14..24. Predicate 0 runs inside type 0,
+        // predicate 1 from the interior type 1 to the last type, predicate
+        // 2 within type 1, and predicate 3 has no edges; all carry
+        // duplicates.
+        let part = TypePartition::from_counts(&[8, 6, 10]);
+        let mut lists: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); 4];
+        for i in 0..300u32 {
+            lists[0].push((i % 8, (i * 7 + 3) % 8));
+            lists[1].push((8 + i % 6, 14 + (i * 3) % 10));
+            lists[2].push((9 + i % 4, 8 + (i * 3) % 5));
+        }
         let build_input = || {
-            let mut b = GraphBuilder::new(part.clone(), 3);
-            for i in 0..200u32 {
-                b.edge(i % 8, (i % 3) as usize, (i * 7 + 3) % 8);
+            let mut b = GraphBuilder::new(part.clone(), lists.len());
+            for (pred, list) in lists.iter().enumerate() {
+                for &(s, t) in list {
+                    b.edge(s, pred, t);
+                }
             }
-            b.edge(1, 2, 1);
-            b.edge(1, 2, 1);
             b
         };
-        let sequential = build_input().build();
-        for threads in [2, 3, 8, 32] {
-            let parallel = build_input().build_with_threads(threads);
-            assert_eq!(parallel.partition(), sequential.partition());
-            for pred in 0..3 {
+        for threads in [1, 2, 3, 8] {
+            let g = build_input().build_with_threads(threads);
+            assert_eq!(g.partition(), &part);
+            for (pred, list) in lists.iter().enumerate() {
+                let flipped: Vec<_> = list.iter().map(|&(s, t)| (t, s)).collect();
                 assert_eq!(
-                    parallel.forward(pred),
-                    sequential.forward(pred),
+                    g.forward(pred),
+                    &Csr::from_edges(24, list),
                     "forward CSR, pred {pred}, {threads} threads"
                 );
                 assert_eq!(
-                    parallel.backward(pred),
-                    sequential.backward(pred),
+                    g.backward(pred),
+                    &Csr::from_edges(24, &flipped),
                     "backward CSR, pred {pred}, {threads} threads"
                 );
             }
+            assert_eq!(g.forward(1).base(), 8, "{threads} threads");
+            assert_eq!(g.backward(1).offsets().len(), 11, "{threads} threads");
+            assert_eq!(g.forward(3).offsets(), &[0], "{threads} threads");
         }
     }
 

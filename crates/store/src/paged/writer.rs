@@ -130,22 +130,28 @@ impl StoreWriter {
         })
     }
 
-    /// Writes the next `(predicate, direction)` CSR segment: the raw
-    /// offsets array followed by the raw targets array, both page-aligned.
-    /// Segments must arrive in predicate order, forward before backward.
-    pub fn write_segment(&mut self, offsets: &[u64], targets: &[NodeId]) -> Result<(), StoreError> {
+    /// Writes the next `(predicate, direction)` CSR segment: its offsets
+    /// followed by its targets, both page-aligned. Segments must arrive in
+    /// predicate order, forward before backward.
+    ///
+    /// The file keeps the v1 layout of `node_count + 1` offsets, so the
+    /// CSR's hull offsets ([`Csr::offsets`]) are expanded as they stream
+    /// out: 0 for every node below the hull, the edge count for every node
+    /// past it.
+    pub fn write_segment(&mut self, csr: &Csr) -> Result<(), StoreError> {
         assert!(
             self.segments.len() < self.predicate_count * 2,
             "more segments than 2 x predicate count"
         );
+        let (hull, targets) = (csr.offsets(), csr.targets());
+        let below = csr.base() as usize;
+        let Some(above) = (self.node_count as usize + 1).checked_sub(below + hull.len()) else {
+            panic!("CSR hull runs past node_count {}", self.node_count);
+        };
+        let edges = targets.len() as u64;
         assert_eq!(
-            offsets.len(),
-            self.node_count as usize + 1,
-            "offsets array must have node_count + 1 entries"
-        );
-        assert_eq!(
-            offsets.last().copied(),
-            Some(targets.len() as u64),
+            hull.last().copied(),
+            Some(edges),
             "last offset must equal the targets length"
         );
         let page_size = self.page_size;
@@ -155,14 +161,19 @@ impl StoreWriter {
 
         let offsets_pos = out.pos;
         debug_assert_eq!(offsets_pos % page_size, 0);
-        let mut buf = Vec::with_capacity(8 * 4096);
-        for chunk in offsets.chunks(4096) {
-            buf.clear();
-            for &o in chunk {
-                buf.extend_from_slice(&o.to_le_bytes());
+        let offsets = std::iter::repeat_n(0, below)
+            .chain(hull.iter().copied())
+            .chain(std::iter::repeat_n(edges, above));
+        const BLOCK: usize = 8 * 4096;
+        let mut buf = Vec::with_capacity(BLOCK);
+        for o in offsets {
+            buf.extend_from_slice(&o.to_le_bytes());
+            if buf.len() == BLOCK {
+                out.put(&buf).map_err(io_err)?;
+                buf.clear();
             }
-            out.put(&buf).map_err(io_err)?;
         }
+        out.put(&buf).map_err(io_err)?;
         out.pad_to_page(page_size).map_err(io_err)?;
 
         let targets_pos = out.pos;
@@ -178,7 +189,7 @@ impl StoreWriter {
         self.segments.push(SegmentMeta {
             offsets_pos,
             targets_pos,
-            edge_count: targets.len() as u64,
+            edge_count: edges,
         });
         Ok(())
     }
@@ -230,10 +241,8 @@ impl StoreWriter {
         assert_eq!(graph.node_count(), meta.partition.node_count());
         let mut writer = StoreWriter::create(path, meta)?;
         for pred in 0..graph.predicate_count() {
-            let fwd = graph.forward(pred);
-            writer.write_segment(fwd.offsets(), fwd.targets())?;
-            let bwd = graph.backward(pred);
-            writer.write_segment(bwd.offsets(), bwd.targets())?;
+            writer.write_segment(graph.forward(pred))?;
+            writer.write_segment(graph.backward(pred))?;
         }
         writer.finish()
     }
@@ -433,11 +442,11 @@ impl EdgeSink for SpoolWriter {
 ///
 /// For each predicate, the edges of its constraints are gathered in
 /// **ascending constraint order** (the same order the in-memory builder
-/// absorbs shards in), the forward and backward CSRs are built with
-/// deduplication — canonical sorted form, so the bytes equal the
-/// materialized path's regardless of generation order — written, and
-/// dropped. Peak memory is bounded by the largest single predicate, not
-/// the total edge count.
+/// absorbs shards in), the deduplicated forward CSR is built and its
+/// transpose taken — canonical sorted form, so the bytes equal the
+/// materialized path's regardless of generation order — and both are
+/// written and dropped. Peak memory is bounded by the largest single
+/// predicate, not the total edge count.
 ///
 /// `pred_of_constraint` maps each spool index to its schema predicate.
 pub fn build_store_from_spool(
@@ -461,14 +470,9 @@ pub fn build_store_from_spool(
                 .read_into(idx, &mut edges)
                 .map_err(|e| StoreError::io("reading edge spool", path, e))?;
         }
-        let fwd = Csr::from_edges(n, &edges, true);
-        writer.write_segment(fwd.offsets(), fwd.targets())?;
-        drop(fwd);
-        for e in edges.iter_mut() {
-            *e = (e.1, e.0);
-        }
-        let bwd = Csr::from_edges(n, &edges, true);
-        writer.write_segment(bwd.offsets(), bwd.targets())?;
+        let fwd = Csr::from_edges(n, &edges);
+        writer.write_segment(&fwd)?;
+        writer.write_segment(&fwd.transpose())?;
     }
     writer.finish()
 }

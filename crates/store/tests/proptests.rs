@@ -1,6 +1,7 @@
 //! Property-based tests for the graph store: CSR construction agrees with
-//! a naive adjacency model, the type partition is self-consistent, and the
-//! paged [`StoreReader`] is observationally equivalent to the in-RAM CSR.
+//! a naive adjacency model, on the hull of its sources as everywhere else,
+//! the type partition is self-consistent, and the paged [`StoreReader`] is
+//! observationally equivalent to the in-RAM CSR.
 
 use gmark_store::{
     Csr, EdgeSink, GraphBuilder, NodeId, StoreMeta, StoreReader, StoreWriter, TypePartition,
@@ -16,7 +17,7 @@ proptest! {
     ) {
         let edges: Vec<(NodeId, NodeId)> =
             edges.into_iter().map(|(s, t)| (s % n, t % n)).collect();
-        let csr = Csr::from_edges(n, &edges, true);
+        let csr = Csr::from_edges(n, &edges);
         let mut naive: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
         for &(s, t) in &edges {
             naive.entry(s).or_default().insert(t);
@@ -35,14 +36,31 @@ proptest! {
     }
 
     #[test]
-    fn csr_without_dedup_preserves_multiplicity(
-        n in 1u32..20,
-        edges in prop::collection::vec((0u32..20, 0u32..20), 0..100),
+    fn hull_csr_matches_a_btreeset_reference(
+        n in 0u32..40,
+        src_range in (0u32..40, 0u32..40),
+        trg_range in (0u32..40, 0u32..40),
+        raw in prop::collection::vec((any::<u32>(), any::<u32>(), 1usize..4), 0..120),
+        lone in (any::<bool>(), any::<bool>()),
     ) {
-        let edges: Vec<(NodeId, NodeId)> =
-            edges.into_iter().map(|(s, t)| (s % n, t % n)).collect();
-        let csr = Csr::from_edges(n, &edges, false);
-        prop_assert_eq!(csr.edge_count(), edges.len());
+        // Sources and targets confined to sub-ranges, every pair repeated
+        // up to three times, and optionally lone edges at both ends.
+        let mut edges = Vec::new();
+        if n > 0 {
+            let (src, trg) = (confined(n, src_range), confined(n, trg_range));
+            for &(x, y, reps) in &raw {
+                edges.extend(std::iter::repeat_n((src(x), trg(y)), reps));
+            }
+            if lone.0 {
+                edges.push((0, n - 1));
+            }
+            if lone.1 {
+                edges.push((n - 1, 0));
+            }
+        }
+        if let Err(what) = check_hull_csr(n, &edges) {
+            return Err(TestCaseError::fail(what));
+        }
     }
 
     #[test]
@@ -177,32 +195,104 @@ proptest! {
         counts in prop::collection::vec(1u64..12, 1..4),
         raw_names in prop::collection::vec("[a-z%/ 0-9]{1,6}", 1..4),
         edges in prop::collection::vec((0u32..30, 0usize..8, 0u32..30), 0..120),
+        ranges in prop::collection::vec(((0u32..30, 0u32..30), (0u32..30, 0u32..30)), 8),
         seed in any::<u64>(),
     ) {
         // The body lives in a plain fn: the proptest! macro's expansion
         // depth scales with statement count and blows the recursion limit.
-        if let Err(what) = check_store_matches_graph(&counts, &raw_names, &edges, seed) {
+        if let Err(what) = check_store_matches_graph(&counts, &raw_names, &edges, &ranges, seed) {
             return Err(TestCaseError::fail(what));
         }
     }
 }
 
+type Ends = (NodeId, NodeId);
+
+/// Maps any value into the sub-range of `0..n` (`n > 0`) that `range`'s
+/// two ends, taken modulo `n`, delimit.
+fn confined(n: NodeId, range: Ends) -> impl Fn(NodeId) -> NodeId {
+    let (a, b) = (range.0 % n, range.1 % n);
+    let (lo, hi) = (a.min(b), a.max(b));
+    move |x| lo + x % (hi - lo + 1)
+}
+
+fn ensure(ok: bool, what: impl Fn() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what())
+    }
+}
+
+/// `(base, span + 1)`: where the hull of `keys` starts and how many
+/// offsets it takes.
+fn hull_of(keys: impl Iterator<Item = NodeId> + Clone) -> (NodeId, usize) {
+    match (keys.clone().min(), keys.max()) {
+        (Some(lo), Some(hi)) => (lo, (hi - lo) as usize + 2),
+        _ => (0, 1),
+    }
+}
+
+/// Compares the CSR of `edges` over `n` nodes, and its transpose, with a
+/// `BTreeSet` of the distinct pairs. Returns the first divergence.
+fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
+    let csr = Csr::from_edges(n, edges);
+    let reference: BTreeSet<(NodeId, NodeId)> = edges.iter().copied().collect();
+    let succ = |v: NodeId| -> Vec<NodeId> {
+        reference
+            .range((v, 0)..=(v, NodeId::MAX))
+            .map(|&(_, t)| t)
+            .collect()
+    };
+    for v in 0..n + 2 {
+        let expected = succ(v);
+        ensure(csr.neighbors(v) == expected.as_slice(), || {
+            format!("neighbors({v})")
+        })?;
+        ensure(csr.degree(v) == expected.len(), || format!("degree({v})"))?;
+        for w in 0..n {
+            ensure(csr.contains(v, w) == expected.contains(&w), || {
+                format!("contains({v}, {w})")
+            })?;
+        }
+    }
+    ensure(csr.edge_count() == reference.len(), || "edge_count".into())?;
+    ensure(csr.iter_edges().eq(reference.iter().copied()), || {
+        "iter_edges".into()
+    })?;
+    let (base, entries) = hull_of(reference.iter().map(|&(s, _)| s));
+    ensure((csr.base(), csr.offsets().len()) == (base, entries), || {
+        format!(
+            "hull {:?} != {:?}",
+            (csr.base(), csr.offsets().len()),
+            (base, entries)
+        )
+    })?;
+    let flipped: Vec<_> = edges.iter().map(|&(s, t)| (t, s)).collect();
+    let transposed = csr.transpose();
+    ensure(transposed == Csr::from_edges(n, &flipped), || {
+        "transpose".into()
+    })?;
+    let (base, entries) = hull_of(reference.iter().map(|&(_, t)| t));
+    ensure(
+        (transposed.base(), transposed.offsets().len()) == (base, entries),
+        || "transpose hull".into(),
+    )
+}
+
 /// Builds the same graph in RAM and on disk, then compares every
 /// observable: neighbors, degree, has_edge, and pairs in both directions
 /// for every predicate. Returns a description of the first divergence.
+///
+/// Predicate `p`'s sources and targets are confined to the sub-ranges
+/// `ranges[p]`, so most segments cover an interior run of nodes.
 fn check_store_matches_graph(
     counts: &[u64],
     raw_names: &[String],
     edges: &[(NodeId, usize, NodeId)],
+    ranges: &[(Ends, Ends)],
     seed: u64,
 ) -> Result<(), String> {
-    fn ensure(ok: bool, what: impl Fn() -> String) -> Result<(), String> {
-        if ok {
-            Ok(())
-        } else {
-            Err(what())
-        }
-    }
     // One predicate beyond the edge range guarantees an always-empty
     // segment; the rest may or may not receive edges.
     let mut names: Vec<String> = raw_names
@@ -215,7 +305,9 @@ fn check_store_matches_graph(
     let n = partition.node_count();
     let mut b = GraphBuilder::new(partition.clone(), names.len());
     for &(s, p, t) in edges {
-        b.edge(s % n, p % (names.len() - 1), t % n);
+        let p = p % (names.len() - 1);
+        let (src, trg) = (confined(n, ranges[p].0), confined(n, ranges[p].1));
+        b.edge(src(s), p, trg(t));
     }
     let g = b.build();
 
