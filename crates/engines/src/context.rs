@@ -40,14 +40,24 @@
 //! timeout/too-large cells.
 //!
 //! Determinism is by construction, not by luck: the cache is filled
-//! **exactly once, single-threaded, before any cell clock starts** (the
-//! same warm-up phase that builds symbol relations), and matrix cells
-//! are strictly read-only consumers. Contents are therefore a pure
-//! function of `(graph, fill expression list, tuple cap, byte budget)`,
-//! and no cell outcome can depend on hit order or thread schedule. The
-//! budget rule for a hit is equally fixed: a hit charges the cached
-//! *cardinality check* only — `Budget::check_size(len)` — never wall
-//! time (see [`EvalContext::cached_expr`]). Failed fills are cached
+//! **exactly once, before any cell clock starts** (the same warm-up
+//! phase that builds symbol relations), and matrix cells are strictly
+//! read-only consumers. The fill has two passes. A parallel *resolve*
+//! pass computes every relation the fill can need — each candidate and
+//! every concatenation prefix of its paths — once, into a frozen memo of
+//! [`OnceLock`] slots: a prefix composes its one-shorter prefix with a
+//! symbol, a union or star combines its disjunct paths, and a worker
+//! that needs a slot another worker is filling waits for it (slots
+//! depend only on strictly smaller keys, so nothing can deadlock). A
+//! sequential *admit* pass then replays the candidates in enumeration
+//! order, taking every relation from the memo and admitting it under
+//! the byte budget exactly as a one-thread fill would. Every kernel is a
+//! pure function of its inputs, so contents are a pure function of
+//! `(graph, fill expression list, tuple cap, byte budget)` at every
+//! thread count, and no cell outcome can depend on hit order or thread
+//! schedule. The budget rule for a hit is equally fixed: a hit charges
+//! the cached *cardinality check* only — `Budget::check_size(len)` —
+//! never wall time (see [`EvalContext::cached_expr`]). Failed fills are cached
 //! only for the deterministic failure ([`EvalError::TooLarge`]);
 //! wall-clock timeouts are machine artifacts and are never cached.
 //! Negative entries are authoritative **only for the sorted-kernel path**
@@ -70,8 +80,8 @@ use crate::relations::Relation;
 use crate::{Budget, EvalError};
 use gmark_core::query::{PathExpr, RegularExpr, Symbol};
 use gmark_core::schema::PredicateId;
-use gmark_store::GraphView;
-use rustc_hash::FxHashMap;
+use gmark_store::{ordered_map, resolve_threads, GraphView};
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -86,10 +96,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Debug)]
 pub struct EvalContext<'g> {
     view: GraphView<'g>,
-    /// Lazy forward relation per predicate.
-    fwd: Vec<OnceLock<Relation>>,
+    /// Lazy forward relation per predicate, shared by `Arc` with the
+    /// sub-expression cache's single-symbol entries.
+    fwd: Vec<OnceLock<Arc<Relation>>>,
     /// Lazy inverse relation per predicate.
-    bwd: Vec<OnceLock<Relation>>,
+    bwd: Vec<OnceLock<Arc<Relation>>>,
     /// Memoized compiled automata, keyed by expression.
     nfas: Mutex<FxHashMap<RegularExpr, Arc<Nfa>>>,
     /// Lazy per-predicate `(distinct sources, distinct targets)` counts.
@@ -105,7 +116,7 @@ pub struct EvalContext<'g> {
 }
 
 /// One immutable entry of the sub-expression cache.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 enum ExprCacheEntry {
     /// The materialized relation, shared by `Arc` with every consumer.
     Hit(Arc<Relation>),
@@ -152,7 +163,7 @@ impl ExprCache {
     /// Admits a computed relation under the byte budget; duplicates are
     /// ignored, over-budget relations counted as rejected. Deterministic:
     /// admission depends only on the (deterministic) fill order.
-    fn admit(&mut self, key: RegularExpr, rel: Relation) {
+    fn admit(&mut self, key: RegularExpr, rel: Arc<Relation>) {
         if self.map.contains_key(&key) {
             return;
         }
@@ -164,7 +175,31 @@ impl ExprCache {
         }
         self.bytes += bytes;
         self.tuples += rel.len() as u64;
-        self.map.insert(key, ExprCacheEntry::Hit(Arc::new(rel)));
+        self.map.insert(key, ExprCacheEntry::Hit(rel));
+    }
+}
+
+/// Every relation a fill can need, each computed at most once: one slot
+/// per candidate and per concatenation prefix (the empty one included)
+/// of its disjunct paths, keyed like the cache. The key set is fixed
+/// before the fill starts — slots only initialize — and the memo is
+/// dropped when the fill returns; admitted entries share its `Arc`s.
+struct Memo(FxHashMap<RegularExpr, OnceLock<Result<Arc<Relation>, EvalError>>>);
+
+impl Memo {
+    fn new(exprs: &[RegularExpr]) -> Memo {
+        let mut slots = FxHashMap::default();
+        for expr in exprs {
+            for path in &expr.disjuncts {
+                for k in 0..=path.0.len() {
+                    slots
+                        .entry(RegularExpr::path(PathExpr(path.0[..k].to_vec())))
+                        .or_default();
+                }
+            }
+            slots.entry(expr.clone()).or_default();
+        }
+        Memo(slots)
     }
 }
 
@@ -172,8 +207,9 @@ impl ExprCache {
 /// prefixes up, and whether it may add the ones it completes — the one
 /// difference between filling the cache and reading it.
 enum Prefixes<'c> {
-    /// Fill time: look up in, and admit into, the cache under construction.
-    Admit(&'c mut ExprCache),
+    /// Fill time: look up in, and admit into, the cache under
+    /// construction, taking every composed relation from the memo.
+    Admit(&'c mut ExprCache, &'c Memo),
     /// Cell time: read the frozen cache (if one was filled), never write —
     /// cells are pure consumers, the determinism invariant.
     ReadOnly(Option<&'c ExprCache>),
@@ -182,14 +218,14 @@ enum Prefixes<'c> {
 impl Prefixes<'_> {
     fn get(&self, key: &RegularExpr) -> Option<&ExprCacheEntry> {
         match self {
-            Prefixes::Admit(cache) => cache.map.get(key),
+            Prefixes::Admit(cache, _) => cache.map.get(key),
             Prefixes::ReadOnly(cache) => cache.and_then(|c| c.map.get(key)),
         }
     }
 
-    fn admit(&mut self, key: impl FnOnce() -> RegularExpr, rel: &Relation) {
-        if let Prefixes::Admit(cache) = self {
-            cache.admit(key(), rel.clone());
+    fn admit(&mut self, key: impl FnOnce() -> RegularExpr, rel: &Arc<Relation>) {
+        if let Prefixes::Admit(cache, _) = self {
+            cache.admit(key(), Arc::clone(rel));
         }
     }
 }
@@ -269,12 +305,17 @@ impl<'g> EvalContext<'g> {
     /// The sorted binary relation of one `Σ±` symbol, computed on first
     /// use for its `(predicate, direction)` slot and shared afterwards.
     pub fn relation(&self, sym: Symbol) -> &Relation {
+        self.symbol_relation(sym)
+    }
+
+    /// [`EvalContext::relation`] as the slot's shared `Arc`.
+    fn symbol_relation(&self, sym: Symbol) -> &Arc<Relation> {
         let slot = if sym.inverse {
             &self.bwd[sym.predicate.0]
         } else {
             &self.fwd[sym.predicate.0]
         };
-        slot.get_or_init(|| Relation::of_symbol(self.view, sym))
+        slot.get_or_init(|| Arc::new(Relation::of_symbol(self.view, sym)))
     }
 
     /// The distinct-endpoint statistics of one `Σ±` symbol, computed on
@@ -311,10 +352,10 @@ impl<'g> EvalContext<'g> {
         nfa
     }
 
-    /// Fills the sub-expression result cache, once. Must be called from
-    /// exactly one thread **before** any matrix cell runs (the harness
-    /// does this in its warm-up phase); later calls are no-ops, so the
-    /// cache never mutates under concurrent readers.
+    /// Fills the sub-expression result cache, once, on one thread. Must be
+    /// called **before** any matrix cell runs (the harness does this in
+    /// its warm-up phase); later calls are no-ops, so the cache never
+    /// mutates under concurrent readers.
     ///
     /// `exprs` is the deterministic enumeration of candidate
     /// sub-expressions (the harness walks queries in order); each is
@@ -325,12 +366,42 @@ impl<'g> EvalContext<'g> {
     /// [`RegularExpr::path`] form. `budget_mb` bounds admitted pair-column
     /// bytes; `0` disables the cache entirely (nothing is even frozen, so
     /// [`EvalContext::cached_expr`] stays on its no-cache fast path).
-    pub fn fill_expr_cache<F>(&self, exprs: &[RegularExpr], budget_mb: usize, mut fresh_budget: F)
+    ///
+    /// The matrix harness fills on its worker threads instead: every
+    /// relation is resolved once in parallel, then admitted in `exprs`
+    /// order, so the frozen cache is the same at every thread count (see
+    /// the module docs).
+    pub fn fill_expr_cache<F>(&self, exprs: &[RegularExpr], budget_mb: usize, fresh_budget: F)
     where
-        F: FnMut() -> Budget,
+        F: Fn() -> Budget + Sync,
+    {
+        self.fill_expr_cache_on(1, exprs, budget_mb, fresh_budget);
+    }
+
+    /// [`EvalContext::fill_expr_cache`] on `threads` workers: a parallel
+    /// resolve pass over the distinct candidates, then the admission
+    /// replay in enumeration order. One worker skips the resolve pass —
+    /// the replay resolves each relation when it first reads it.
+    pub(crate) fn fill_expr_cache_on<F>(
+        &self,
+        threads: usize,
+        exprs: &[RegularExpr],
+        budget_mb: usize,
+        fresh_budget: F,
+    ) where
+        F: Fn() -> Budget + Sync,
     {
         if budget_mb == 0 || self.expr_cache.get().is_some() {
             return;
+        }
+        let memo = Memo::new(exprs);
+        let mut seen = FxHashSet::default();
+        let distinct: Vec<&RegularExpr> = exprs.iter().filter(|e| seen.insert(*e)).collect();
+        if resolve_threads(threads, distinct.len()) > 1 {
+            ordered_map(threads, distinct.len(), |i| {
+                // Failures are memoized too; the replay reads them back.
+                let _ = self.resolve(&memo, distinct[i], &fresh_budget());
+            });
         }
         let mut cache = ExprCache::new(budget_mb);
         for expr in exprs {
@@ -338,7 +409,7 @@ impl<'g> EvalContext<'g> {
                 continue;
             }
             let budget = fresh_budget();
-            match self.fold_expr(expr, &budget, &mut Prefixes::Admit(&mut cache)) {
+            match self.fold_expr(expr, &budget, &mut Prefixes::Admit(&mut cache, &memo)) {
                 Ok(rel) => cache.admit(expr.clone(), rel),
                 Err(EvalError::TooLarge(sz)) => {
                     // Deterministic failure under the cap: cache it so no
@@ -355,33 +426,92 @@ impl<'g> EvalContext<'g> {
         let _ = self.expr_cache.set(cache);
     }
 
+    /// The memoized relation of one memo key, computed by whichever worker
+    /// asks first (the others wait on its slot), by the very kernels the
+    /// fold runs: a one-symbol path is the symbol relation under a size
+    /// check, a longer one its one-shorter prefix composed with the last
+    /// symbol, anything else [`EvalContext::union_star`] of its disjunct
+    /// paths. A slot waits only on strictly smaller keys, so no cycle of
+    /// waiting workers can form.
+    fn resolve(
+        &self,
+        memo: &Memo,
+        key: &RegularExpr,
+        budget: &Budget,
+    ) -> Result<Arc<Relation>, EvalError> {
+        let slot = memo
+            .0
+            .get(key)
+            .expect("the memo holds every key a fill reads");
+        slot.get_or_init(|| match key.disjuncts.as_slice() {
+            [path] if !key.starred => match path.0.split_last() {
+                None => Ok(Arc::new(Relation::identity(self.view.node_count()))),
+                Some((&last, [])) => {
+                    let leaf = self.symbol_relation(last);
+                    budget.check_size(leaf.len())?;
+                    Ok(Arc::clone(leaf))
+                }
+                Some((&last, init)) => {
+                    let prefix = RegularExpr::path(PathExpr(init.to_vec()));
+                    let prefix = self.resolve(memo, &prefix, budget)?;
+                    prefix.compose(self.relation(last), budget).map(Arc::new)
+                }
+            },
+            _ => self.union_star(key, budget, |path| {
+                self.resolve(memo, &RegularExpr::path(path.clone()), budget)
+            }),
+        })
+        .clone()
+    }
+
     /// The one expression fold: disjuncts → union → star, over
     /// left-folded concatenation paths. `prefixes` is the only thing that
-    /// differs between the pre-clock fill and a cell-time miss.
+    /// differs between the pre-clock fill and a cell-time miss: the fill
+    /// folds every path for the prefixes it admits, and takes the union
+    /// and star from the memo.
     fn fold_expr(
         &self,
         expr: &RegularExpr,
         budget: &Budget,
         prefixes: &mut Prefixes<'_>,
-    ) -> Result<Relation, EvalError> {
-        let mut acc: Option<Relation> = None;
-        for path in &expr.disjuncts {
-            let r = self.fold_path(path, budget, prefixes)?;
+    ) -> Result<Arc<Relation>, EvalError> {
+        if let Prefixes::Admit(_, memo) = prefixes {
+            let memo: &Memo = memo;
+            for path in &expr.disjuncts {
+                self.fold_path(path, budget, prefixes)?;
+            }
+            return self.resolve(memo, expr, budget);
+        }
+        self.union_star(expr, budget, |path| self.fold_path(path, budget, prefixes))
+    }
+
+    /// Unions the disjuncts' relations, each from `path` in order (the
+    /// first error wins), then closes under the star if there is one.
+    fn union_star(
+        &self,
+        expr: &RegularExpr,
+        budget: &Budget,
+        mut path: impl FnMut(&PathExpr) -> Result<Arc<Relation>, EvalError>,
+    ) -> Result<Arc<Relation>, EvalError> {
+        let mut acc: Option<Arc<Relation>> = None;
+        for p in &expr.disjuncts {
+            let r = path(p)?;
             acc = Some(match acc {
                 None => r,
-                Some(a) => a.union(&r),
+                Some(a) => Arc::new(a.union(&r)),
             });
         }
         let base = acc.unwrap_or_default();
         if expr.starred {
-            base.star(self.view.node_count(), budget)
+            base.star(self.view.node_count(), budget).map(Arc::new)
         } else {
             Ok(base)
         }
     }
 
     /// Left-fold of one concatenation path: jump-starts from the longest
-    /// cached prefix, then composes symbol by symbol, offering every newly
+    /// cached prefix, then composes symbol by symbol (at fill time: reads
+    /// each composed prefix from the memo), offering every newly
     /// completed prefix to `prefixes` under its canonical single-path key.
     /// Every relation the fold holds — the leaf included — is charged
     /// against the tuple cap, whichever mode it runs in.
@@ -390,18 +520,18 @@ impl<'g> EvalContext<'g> {
         path: &PathExpr,
         budget: &Budget,
         prefixes: &mut Prefixes<'_>,
-    ) -> Result<Relation, EvalError> {
+    ) -> Result<Arc<Relation>, EvalError> {
         if path.is_empty() {
-            return Ok(Relation::identity(self.view.node_count()));
+            return Ok(Arc::new(Relation::identity(self.view.node_count())));
         }
         let syms = &path.0;
         let prefix_key = |k: usize| RegularExpr::path(PathExpr(syms[..k].to_vec()));
-        let mut start: Option<(Relation, usize)> = None;
+        let mut start: Option<(Arc<Relation>, usize)> = None;
         for k in (1..=syms.len()).rev() {
             match prefixes.get(&prefix_key(k)) {
                 Some(ExprCacheEntry::Hit(arc)) => {
                     budget.check_size(arc.len())?;
-                    start = Some((arc.as_ref().clone(), k));
+                    start = Some((Arc::clone(arc), k));
                     break;
                 }
                 // The left-fold would blow the cap right here.
@@ -414,14 +544,17 @@ impl<'g> EvalContext<'g> {
         let (mut acc, mut i) = match start {
             Some(cached) => cached,
             None => {
-                let leaf = self.relation(syms[0]);
+                let leaf = self.symbol_relation(syms[0]);
                 budget.check_size(leaf.len())?;
                 prefixes.admit(|| prefix_key(1), leaf);
-                (leaf.clone(), 1)
+                (Arc::clone(leaf), 1)
             }
         };
         while i < syms.len() {
-            acc = acc.compose(self.relation(syms[i]), budget)?;
+            acc = match prefixes {
+                Prefixes::Admit(_, memo) => self.resolve(memo, &prefix_key(i + 1), budget)?,
+                Prefixes::ReadOnly(_) => Arc::new(acc.compose(self.relation(syms[i]), budget)?),
+            };
             i += 1;
             prefixes.admit(|| prefix_key(i), &acc);
         }
@@ -491,7 +624,7 @@ impl<'g> EvalContext<'g> {
             }
         }
         let mut frozen = Prefixes::ReadOnly(self.expr_cache.get());
-        self.fold_expr(expr, budget, &mut frozen).map(Arc::new)
+        self.fold_expr(expr, budget, &mut frozen)
     }
 
     /// The exact cardinality of a positively cached expression, if any —
@@ -772,5 +905,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_parallel_fill_freezes_what_the_one_thread_fill_freezes() {
+        // Generated recursive Bib workloads, in RAM and through a one-page
+        // store. A tight cap leaves negative entries; a 1 MiB byte budget
+        // rejects admissions, so the admission order shows in the map.
+        use crate::matrix::fill_candidates;
+        use crate::EngineKind;
+        use gmark_core::{generate_graph, generate_workload, usecases};
+        use gmark_core::{GeneratorOptions, GraphConfig, WorkloadConfig};
+        use gmark_store::paged::{StoreMeta, StoreReader, StoreWriter};
+
+        let schema = usecases::bib();
+        let dir = std::env::temp_dir().join(format!("gmark-engines-fill-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut too_large, mut rejected) = (false, false);
+        for seed in [7u64, 9] {
+            let config = GraphConfig::new(1_500, schema.clone());
+            let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
+            let mut wcfg = WorkloadConfig::new(12).with_seed(seed);
+            wcfg.recursion_probability = 0.5;
+            let (workload, _) = generate_workload(&schema, &wcfg).expect("the workload generates");
+            let queries: Vec<_> = workload.queries.iter().map(|gq| &gq.query).collect();
+            let exprs = fill_candidates(&queries, &EngineKind::ALL);
+            let path = dir.join(format!("{seed}.gstore"));
+            let meta = StoreMeta {
+                seed,
+                schema_hash: schema.schema_hash(),
+                page_size: 256,
+                predicate_names: schema.predicate_names(),
+                partition: graph.partition().clone(),
+            };
+            StoreWriter::write_graph(&path, &meta, &graph).unwrap();
+            let reader = StoreReader::open_with_cache(&path, 1).unwrap();
+            for view in [GraphView::from(&graph), GraphView::from(&reader)] {
+                for (max_tuples, budget_mb) in [(20_000, 64), (200_000, 1)] {
+                    let budget = || Budget::with_limits(None, max_tuples);
+                    let lazy = EvalContext::new(view);
+                    lazy.fill_expr_cache(&exprs, budget_mb, budget);
+                    let want = lazy.expr_cache.get().unwrap();
+                    too_large |= want
+                        .map
+                        .values()
+                        .any(|e| matches!(e, ExprCacheEntry::TooLarge(_)));
+                    rejected |= want.rejected > 0;
+                    for threads in [2, 3, 8] {
+                        let ctx = EvalContext::new(view);
+                        ctx.fill_expr_cache_on(threads, &exprs, budget_mb, budget);
+                        let got = ctx.expr_cache.get().unwrap();
+                        let case = format!(
+                            "seed {seed}, cap {max_tuples}, {budget_mb} MiB, {threads} threads"
+                        );
+                        assert!(got.map == want.map, "{case}: the frozen maps differ");
+                        assert_eq!(ctx.expr_cache_stats(), lazy.expr_cache_stats(), "{case}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(too_large, "no fill left a negative entry");
+        assert!(rejected, "no fill rejected an admission");
     }
 }

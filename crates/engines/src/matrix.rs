@@ -19,7 +19,7 @@
 use crate::context::EvalContext;
 use crate::planner::{plan_query, QueryPlan};
 use crate::{datalog, navigational, relational, triplestore, Answers, Budget, EvalError};
-use gmark_core::query::{Conjunct, Query};
+use gmark_core::query::{Conjunct, Query, RegularExpr};
 use gmark_core::schema::Schema;
 use gmark_store::ordered_map;
 use std::fmt::Write as _;
@@ -207,8 +207,9 @@ pub struct MatrixOptions {
     pub plan: bool,
     /// Byte budget (MiB) of the cross-cell sub-expression result cache
     /// ([`EvalContext::fill_expr_cache`]); `0` disables it. The cache is
-    /// filled single-threaded during warm-up — before any cell clock
-    /// starts — and cells only read it, so enabling it preserves the
+    /// filled during warm-up — before any cell clock starts — by resolving
+    /// every candidate once on the worker threads and admitting them in
+    /// enumeration order; cells only read it, so enabling it preserves the
     /// thread-count determinism guarantee (see the context module docs).
     pub cache_mb: usize,
 }
@@ -500,11 +501,10 @@ pub fn evaluate_matrix_with_schema(
 /// stay lazy.
 ///
 /// When `options.cache_mb > 0` this is also where the sub-expression
-/// result cache is filled — single-threaded, deterministic enumeration
-/// (queries in order, rule by rule, conjunct by conjunct, then the
-/// cypher-degraded forms if the navigational engine is selected), one
-/// fresh cell budget per entry. Cells only ever read the cache, so its
-/// contents are fixed before the first cell clock starts.
+/// result cache is filled on `options.threads` workers, over the
+/// candidates of [`fill_candidates`], one fresh cell budget per entry.
+/// Cells only ever read the cache, so its contents are fixed before the
+/// first cell clock starts.
 fn warm_context(
     ctx: &EvalContext<'_>,
     queries: &[&Query],
@@ -512,12 +512,6 @@ fn warm_context(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) {
-    fn conjuncts<'q>(queries: &'q [&'q Query]) -> impl Iterator<Item = &'q Conjunct> + 'q {
-        queries
-            .iter()
-            .flat_map(|query| &query.rules)
-            .flat_map(|rule| &rule.body)
-    }
     let datalog = engines.contains(&EngineKind::Datalog);
     if datalog {
         let _ = ctx.edb();
@@ -534,17 +528,32 @@ fn warm_context(
         }
     }
     if options.cache_mb > 0 {
-        let mut exprs: Vec<_> = conjuncts(queries).map(|c| c.expr.clone()).collect();
-        if engines.contains(&EngineKind::Navigational) {
-            // The navigational engine evaluates the degraded forms, which
-            // differ under stars; cache those shapes too.
-            for query in queries {
-                let (degraded, _) = gmark_core::cypher::degrade(query);
-                exprs.extend(conjuncts(&[&degraded]).map(|c| c.expr.clone()));
-            }
-        }
-        ctx.fill_expr_cache(&exprs, options.cache_mb, || budget.start());
+        let exprs = fill_candidates(queries, engines);
+        ctx.fill_expr_cache_on(options.threads, &exprs, options.cache_mb, || budget.start());
     }
+}
+
+fn conjuncts<'q>(queries: &'q [&'q Query]) -> impl Iterator<Item = &'q Conjunct> + 'q {
+    queries
+        .iter()
+        .flat_map(|query| &query.rules)
+        .flat_map(|rule| &rule.body)
+}
+
+/// The deterministic enumeration of sub-expression cache candidates:
+/// queries in order, rule by rule, conjunct by conjunct, then the
+/// cypher-degraded forms if the navigational engine is selected.
+pub(crate) fn fill_candidates(queries: &[&Query], engines: &[EngineKind]) -> Vec<RegularExpr> {
+    let mut exprs: Vec<_> = conjuncts(queries).map(|c| c.expr.clone()).collect();
+    if engines.contains(&EngineKind::Navigational) {
+        // The navigational engine evaluates the degraded forms, which
+        // differ under stars; cache those shapes too.
+        for query in queries {
+            let (degraded, _) = gmark_core::cypher::degrade(query);
+            exprs.extend(conjuncts(&[&degraded]).map(|c| c.expr.clone()));
+        }
+    }
+    exprs
 }
 
 fn run_cell(

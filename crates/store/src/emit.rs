@@ -2,8 +2,9 @@
 //! ordered result.
 //!
 //! Every parallel stage splits its work into numbered *units* — schema
-//! constraints, per-predicate CSR builds and transposes, queries, evaluation
-//! cells — whose result is a pure function of `(inputs, seed, unit)`:
+//! constraints, per-predicate CSR builds and transposes, queries, the
+//! sub-expression cache fill's distinct candidates, evaluation cells —
+//! whose result is a pure function of `(inputs, seed, unit)`:
 //! every unit draws from an RNG stream split off the master seed by its
 //! index, or draws nothing. Workers claim units off one atomic counter in
 //! ascending order, and the results are put back **in unit order**, so

@@ -14,9 +14,11 @@
 //! covers the planned regime, where answers still may not move.
 //!
 //! The run pipeline always evaluates with the planner and the cache on;
-//! the tests at the end hold the two controls (`plan: false`,
-//! `cache_mb: 0`) to the same determinism contract on the instance the
-//! pipeline's own tests evaluate, in RAM and through a paged store.
+//! the tests at the end hold that configuration and the two controls
+//! (`plan: false`, `cache_mb: 0`) to the same determinism contract on the
+//! instance the pipeline's own tests evaluate, in RAM and through a paged
+//! store — cache contents and counters included, which the fill resolves
+//! on every worker.
 
 use gmark::prelude::*;
 use gmark::store::{GraphView, StoreMeta, StoreReader, StoreWriter};
@@ -286,7 +288,7 @@ fn each_control_renders_one_report_at_every_thread_count_in_ram_and_paged() {
         cache_mb: 0,
         ..MatrixOptions::default()
     };
-    for control in [unplanned, uncached] {
+    for control in [MatrixOptions::default(), unplanned, uncached] {
         let base = bib_matrix(GraphView::from(&graph), &schema, &queries, control);
         assert_eq!(base.plan_quality().is_some(), control.plan, "{control:?}");
         assert_eq!(base.cache.is_some(), control.cache_mb > 0, "{control:?}");
