@@ -79,9 +79,11 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
 [--queue-depth N] [--deadline-ms N] [--keep-alive-ms N]\n\n\
   --threads T     worker threads for EVERY pipeline stage (graph\n\
                   constraints, workload queries, and the --eval matrix);\n\
-                  0 auto-detects the available parallelism. Every output\n\
-                  file is byte-identical at every thread count,\n\
-                  including 1.\n\
+                  0 auto-detects the available parallelism. With\n\
+                  --store, graph.nt and graph.gstore are written side by\n\
+                  side: the store takes one worker, graph.nt the other\n\
+                  T-1. Every output file is byte-identical at every\n\
+                  thread count, including 1.\n\
   --stream        memory-bounded graph pipeline: write each constraint's\n\
                   N-Triples as they are generated, in constraint order and\n\
                   in one pass, instead of materializing the graph. No\n\
@@ -98,7 +100,9 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   engines can page through without materializing the\n\
                   graph. Store bytes are identical at every thread count\n\
                   and in both pipelines; with --stream the whole\n\
-                  generate-and-evaluate loop runs beyond-RAM.\n\
+                  generate-and-evaluate loop runs beyond-RAM. Without\n\
+                  --stream, from two threads up, the store is written\n\
+                  while graph.nt is.\n\
   --from-store F  evaluate against an existing graph.gstore instead of\n\
                   generating a graph (requires --eval; the config must\n\
                   describe the same schema the store was built from).\n\

@@ -98,9 +98,9 @@ use gmark_engines::{
     evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalError, EvalReport, MatrixOptions,
 };
 use gmark_store::{
-    build_store_from_spool, EdgeSink as _, EdgeSpool, EmitStats, Graph, GraphView, NTriplesFormat,
-    NTriplesWriter, OrderedEmitter, StoreError, StoreMeta, StoreReader, StoreWriter, TypePartition,
-    DEFAULT_PAGE_SIZE,
+    build_store_from_spool, ordered_map, EdgeSink as _, EdgeSpool, EmitStats, Graph, GraphView,
+    NTriplesFormat, NTriplesWriter, OrderedEmitter, StoreError, StoreInfo, StoreMeta, StoreReader,
+    StoreWriter, TypePartition, DEFAULT_PAGE_SIZE,
 };
 use gmark_translate::{stream_workload, write_workload, WorkloadOutputs};
 use std::fmt::Write as _;
@@ -108,6 +108,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Executes a plan, streaming every artifact through the sink.
@@ -193,7 +194,7 @@ fn run_stages<S: Sink + ?Sized>(
     let consistency = consistency_findings(plan);
     let threads = opts.effective_threads();
 
-    let graph = graph_stage(plan, opts, sink.as_deref_mut())?;
+    let mut graph = graph_stage(plan, opts, sink.as_deref_mut())?;
     let (workload_summary, workload) = workload_stage(plan, opts, sink.as_deref_mut())?;
     let (eval_summary, eval) = match &plan.eval {
         Some(spec) => {
@@ -221,18 +222,17 @@ fn run_stages<S: Sink + ?Sized>(
     if let Some(sink) = sink {
         // Sinks without real files receive the finished store bytes now
         // that the evaluation stage is done paging through the scratch
-        // copy.
-        if let Some((path, true)) = &graph.store_file {
+        // copy, which is deleted when `file` drops.
+        if let Some(file) = graph.store_file.take().filter(|f| f.temporary) {
             let mut out = sink
                 .open(Artifact::Store)
                 .map_err(|e| GmarkError::io("opening graph.gstore", e))?;
-            let mut file =
-                File::open(path).map_err(|e| GmarkError::io("reading the scratch store", e))?;
-            std::io::copy(&mut file, &mut out)
+            let mut scratch = File::open(&file.path)
+                .map_err(|e| GmarkError::io("reading the scratch store", e))?;
+            std::io::copy(&mut scratch, &mut out)
                 .map_err(|e| GmarkError::io("writing graph.gstore", e))?;
             out.flush()
                 .map_err(|e| GmarkError::io("flushing graph.gstore", e))?;
-            let _ = std::fs::remove_file(path);
         }
         sink.finish(&summary)
             .map_err(|e| GmarkError::io("finishing outputs", e))?;
@@ -253,10 +253,25 @@ struct GraphStage {
     /// The materialized graph, kept when someone will read it: the
     /// evaluation stage, or the caller of [`run_in_memory`].
     graph: Option<Graph>,
-    /// Where this run's store file lives, and whether it is a scratch
-    /// temporary (sinks without real files get the bytes copied in after
-    /// the evaluation stage is done paging through the scratch copy).
-    store_file: Option<(PathBuf, bool)>,
+    /// Where this run's store file lives.
+    store_file: Option<StoreFile>,
+}
+
+/// This run's store file. A scratch temporary — the sink has no real file
+/// for the store, and gets the bytes copied in after the evaluation stage
+/// is done paging through them — is deleted when this drops, so a run
+/// that fails at any point leaves none behind.
+struct StoreFile {
+    path: PathBuf,
+    temporary: bool,
+}
+
+impl Drop for StoreFile {
+    fn drop(&mut self) {
+        if self.temporary {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
 }
 
 /// Where a run with a sink puts the graph stage's bytes.
@@ -267,9 +282,8 @@ struct GraphOutputs {
     ntriples: Box<dyn std::io::Write + Send>,
     /// Home of the edge spool and of a staged store file.
     scratch: PathBuf,
-    /// The store file and whether it is a scratch temporary, when the
-    /// plan has a store output.
-    store_file: Option<(PathBuf, bool)>,
+    /// The store file, when the plan has a store output.
+    store_file: Option<StoreFile>,
 }
 
 /// Stage one: generate the graph and serialize it — as N-Triples, as the
@@ -313,7 +327,7 @@ fn graph_stage<S: Sink + ?Sized>(
                 // canonicalization (sort + dedup per predicate) makes the
                 // store bytes identical to a materialized build at every
                 // thread count.
-                Some((target, _)) => {
+                Some(StoreFile { path: target, .. }) => {
                     let constraints = plan.graph.schema.constraints();
                     let spool = EdgeSpool::create(&outputs.scratch, constraints.len())
                         .map_err(|e| GmarkError::io("creating store spool", e))?;
@@ -343,20 +357,14 @@ fn graph_stage<S: Sink + ?Sized>(
             // T = 1, 2, 8, ….
             let (graph, mut report) = generate_graph(&plan.graph, &gen_opts);
             let written = match &mut outputs {
-                Some(outputs) if plan.outputs.graph => {
-                    let (written, emit) = write_ntriples(&graph, plan, opts, &mut outputs.ntriples)
-                        .map_err(|e| GmarkError::io("writing graph.nt", e))?;
-                    report.emit = Some(emit);
-                    written
+                Some(outputs) => {
+                    let serialized = serialize_graph(&graph, plan, opts, outputs)?;
+                    report.emit = serialized.emit;
+                    store = serialized.store;
+                    serialized.written
                 }
-                Some(_) => 0,
                 None => graph.edge_count() as u64,
             };
-            if let Some((target, _)) = outputs.as_ref().and_then(|o| o.store_file.as_ref()) {
-                let store_start = Instant::now();
-                let info = StoreWriter::write_graph(target, &store_meta(plan, opts), &graph)?;
-                store = Some((info, store_start.elapsed().as_secs_f64()));
-            }
             if outputs.is_none() || plan.eval.is_some() {
                 stage.graph = Some(graph);
             }
@@ -479,7 +487,7 @@ fn eval_stage<S: Sink + ?Sized>(
     let reader = match (&graph.graph, &plan.from_store, &graph.store_file) {
         (Some(_), _, _) => None,
         (None, Some(path), _) => Some(open_checked_store(path, plan)?),
-        (None, None, Some((path, _))) => Some(StoreReader::open(path)?),
+        (None, None, Some(file)) => Some(StoreReader::open(&file.path)?),
         (None, None, None) => unreachable!("validated: eval implies a graph source"),
     };
     let view = match (&graph.graph, &reader) {
@@ -556,14 +564,91 @@ fn eval_stage<S: Sink + ?Sized>(
     Ok((summary, report))
 }
 
-/// Serializes a built graph as N-Triples, one unit per predicate: workers
-/// format predicates in parallel and the [`OrderedEmitter`] writes them in
-/// predicate order — the bytes one writer looping over the predicates
-/// produces. Returns the number of triples written.
+/// What [`serialize_graph`] wrote.
+#[derive(Default)]
+struct Serialized {
+    /// Triples written to `graph.nt`.
+    written: u64,
+    emit: Option<EmitStats>,
+    /// The store written and the seconds it took.
+    store: Option<(StoreInfo, f64)>,
+}
+
+/// One serialization of a built graph.
+#[derive(Clone, Copy)]
+enum Serialization<'a> {
+    NTriples,
+    Store(&'a Path),
+}
+
+/// Writes a built graph to the plan's outputs — `graph.nt`, the store, or
+/// both. The two are independent functions of the same `&Graph`, so they
+/// are the units of one [`ordered_map`]: at one thread both run on the
+/// caller, N-Triples first; from two up they run side by side, the store
+/// writer on one of the `T` workers and the N-Triples emitter on the
+/// other `T − 1`, so the run still uses exactly `T` threads. If both
+/// fail, `graph.nt`'s error is the one reported.
+fn serialize_graph(
+    graph: &Graph,
+    plan: &RunPlan,
+    opts: &RunOptions,
+    outputs: &mut GraphOutputs,
+) -> Result<Serialized, GmarkError> {
+    let mut units = Vec::with_capacity(2);
+    if plan.outputs.graph {
+        units.push(Serialization::NTriples);
+    }
+    if let Some(file) = &outputs.store_file {
+        units.push(Serialization::Store(&file.path));
+    }
+    let ntriples_threads = match units.len() {
+        2 => (opts.effective_threads() - 1).max(1),
+        _ => opts.threads,
+    };
+    let ntriples = Mutex::new(&mut outputs.ntriples);
+    let done = ordered_map(opts.threads, units.len(), |unit| -> Result<_, GmarkError> {
+        Ok(match units[unit] {
+            Serialization::NTriples => {
+                let mut out = ntriples.lock().expect("one unit takes the lock, once");
+                let (written, emit) =
+                    write_ntriples(graph, plan, opts, ntriples_threads, &mut **out)
+                        .map_err(|e| GmarkError::io("writing graph.nt", e))?;
+                Serialized {
+                    written,
+                    emit: Some(emit),
+                    store: None,
+                }
+            }
+            Serialization::Store(target) => {
+                let start = Instant::now();
+                let info = StoreWriter::write_graph(target, &store_meta(plan, opts), graph)?;
+                Serialized {
+                    store: Some((info, start.elapsed().as_secs_f64())),
+                    ..Serialized::default()
+                }
+            }
+        })
+    });
+    let mut all = Serialized::default();
+    for one in done {
+        let one = one?;
+        all.written += one.written;
+        all.emit = all.emit.or(one.emit);
+        all.store = all.store.or(one.store);
+    }
+    Ok(all)
+}
+
+/// Serializes a built graph as N-Triples on `threads` workers, one unit
+/// per predicate: workers format predicates in parallel and the
+/// [`OrderedEmitter`] writes them in predicate order — the bytes one
+/// writer looping over the predicates produces. Returns the number of
+/// triples written.
 fn write_ntriples<W: std::io::Write + Send>(
     graph: &Graph,
     plan: &RunPlan,
     opts: &RunOptions,
+    threads: usize,
     out: &mut W,
 ) -> std::io::Result<(u64, EmitStats)> {
     let format = std::sync::Arc::new(NTriplesFormat::new(
@@ -572,7 +657,7 @@ fn write_ntriples<W: std::io::Write + Send>(
     ));
     let predicates = graph.predicate_count();
     let (written, emit) = OrderedEmitter::new(vec![out], predicates).run(
-        opts.threads,
+        threads,
         |written: &mut u64, pred, lanes| -> std::io::Result<()> {
             let mut writer = NTriplesWriter::with_format(&mut lanes[0], format.clone());
             for (src, trg) in graph.edges(pred) {
@@ -603,17 +688,20 @@ fn store_meta(plan: &RunPlan, opts: &RunOptions) -> StoreMeta {
 /// Resolves where this run's store file is written: the sink's real path
 /// when it offers one ([`Sink::local_path`]), else a uniquely named
 /// scratch temporary whose bytes are copied into the sink once the run no
-/// longer needs the file. The flag is "temporary".
-fn store_target<S: Sink + ?Sized>(sink: &S, scratch: &Path) -> (PathBuf, bool) {
+/// longer needs the file.
+fn store_target<S: Sink + ?Sized>(sink: &S, scratch: &Path) -> StoreFile {
     match sink.local_path(Artifact::Store) {
-        Some(path) => (path, false),
+        Some(path) => StoreFile {
+            path,
+            temporary: false,
+        },
         None => {
             static NEXT: AtomicU64 = AtomicU64::new(0);
             let n = NEXT.fetch_add(1, Ordering::Relaxed);
-            (
-                scratch.join(format!(".gmark-store-{}-{n}.tmp", std::process::id())),
-                true,
-            )
+            StoreFile {
+                path: scratch.join(format!(".gmark-store-{}-{n}.tmp", std::process::id())),
+                temporary: true,
+            }
         }
     }
 }
@@ -903,6 +991,130 @@ mod tests {
         }
         let opts = RunOptions::with_seed(11).threads(4);
         assert_eq!(artifact_of(&plan, opts, Artifact::Store), baseline);
+    }
+
+    #[test]
+    fn graph_and_store_bytes_are_identical_at_every_thread_count_and_sink() {
+        // From two threads up the two serializations of one built graph
+        // run side by side; neither may show in the other's bytes.
+        let plan = RunPlan::builder(usecases::bib())
+            .nodes(400)
+            .store()
+            .build()
+            .unwrap();
+        let opts = |threads| RunOptions::with_seed(11).threads(threads);
+        // A MemorySink gets the store through a scratch file and a copy…
+        let through_memory = |threads| {
+            let mut sink = MemorySink::new();
+            run(&plan, &opts(threads), &mut sink).unwrap();
+            let graph = sink.bytes(Artifact::Graph).unwrap();
+            (graph, sink.bytes(Artifact::Store).unwrap())
+        };
+        // …a DirSink has it written in place.
+        let dir = std::env::temp_dir().join(format!("gmark-side-by-side-{}", std::process::id()));
+        let through_dir = |threads| {
+            let out = dir.join(format!("t{threads}"));
+            run(&plan, &opts(threads), &mut DirSink::new(&out).unwrap()).unwrap();
+            let graph = std::fs::read(out.join("graph.nt")).unwrap();
+            (graph, std::fs::read(out.join("graph.gstore")).unwrap())
+        };
+        let baseline = through_memory(1);
+        assert!(!baseline.0.is_empty() && !baseline.1.is_empty());
+        for threads in [1usize, 2, 3, 8] {
+            let (graph, store) = through_memory(threads);
+            assert!(
+                graph == baseline.0,
+                "MemorySink graph.nt at {threads} threads"
+            );
+            assert!(
+                store == baseline.1,
+                "MemorySink graph.gstore at {threads} threads"
+            );
+            let (graph, store) = through_dir(threads);
+            assert!(graph == baseline.0, "DirSink graph.nt at {threads} threads");
+            assert!(
+                store == baseline.1,
+                "DirSink graph.gstore at {threads} threads"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A sink whose `graph.nt` refuses every write past its first `limit`
+    /// bytes. The other artifacts go nowhere; a store lands in `scratch`
+    /// as a temporary.
+    struct FailingGraphSink {
+        limit: usize,
+        scratch: PathBuf,
+    }
+
+    struct FailAfter(usize);
+
+    impl std::io::Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 = self
+                .0
+                .checked_sub(buf.len())
+                .ok_or_else(|| std::io::Error::other("graph.nt device full"))?;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Sink for FailingGraphSink {
+        fn open(&mut self, artifact: Artifact) -> std::io::Result<Box<dyn std::io::Write + Send>> {
+            Ok(match artifact {
+                Artifact::Graph => Box::new(FailAfter(self.limit)),
+                _ => Box::new(std::io::sink()),
+            })
+        }
+
+        fn scratch_dir(&self) -> Option<PathBuf> {
+            Some(self.scratch.clone())
+        }
+    }
+
+    #[test]
+    fn a_failing_graph_nt_fails_the_run_and_leaves_no_scratch_store() {
+        let scratch = std::env::temp_dir().join(format!("gmark-failing-nt-{}", std::process::id()));
+        std::fs::create_dir_all(&scratch).unwrap();
+        let plan = RunPlan::builder(usecases::bib())
+            .nodes(2_000)
+            .store()
+            .build()
+            .unwrap();
+        for threads in [1usize, 2, 8] {
+            let (plan, scratch_dir) = (plan.clone(), scratch.clone());
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut sink = FailingGraphSink {
+                    limit: 4096,
+                    scratch: scratch_dir,
+                };
+                let opts = RunOptions::with_seed(11).threads(threads);
+                let _ = tx.send(run(&plan, &opts, &mut sink).map(|_| ()));
+            });
+            let result = rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .unwrap_or_else(|_| panic!("the run hangs at {threads} threads"));
+            match result {
+                Err(GmarkError::Io { context, source }) => {
+                    assert_eq!(context, "writing graph.nt", "{threads} threads");
+                    assert!(source.to_string().contains("device full"), "{source}");
+                }
+                other => panic!("{threads} threads: expected graph.nt's error, got {other:?}"),
+            }
+            let left: Vec<_> = std::fs::read_dir(&scratch)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name())
+                .filter(|name| name.to_string_lossy().starts_with(".gmark-store-"))
+                .collect();
+            assert!(left.is_empty(), "{threads} threads left {left:?}");
+        }
+        let _ = std::fs::remove_dir_all(&scratch);
     }
 
     /// The `"eval":…` suffix of `summary.json` — the byte-compared object

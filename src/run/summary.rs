@@ -57,7 +57,10 @@ pub struct GraphRunSummary {
     pub edges_generated: u64,
     /// Per-constraint generation outcomes, in declaration order.
     pub constraints: Vec<ConstraintReport>,
-    /// Wall-clock generation + serialization time.
+    /// Wall-clock generation + serialization time. A materialized run
+    /// with a store writes `graph.nt` and the store side by side, so this
+    /// covers both, and [`StoreRunSummary::seconds`] overlaps it rather
+    /// than adding to it.
     pub seconds: f64,
     /// Where the `graph.nt` output time went: blocks and bytes written,
     /// seconds inside `write`, seconds workers waited their turn. `None`
@@ -77,7 +80,10 @@ pub struct StoreRunSummary {
     pub page_size: u32,
     /// Deduplicated edges recorded in the store.
     pub edges: u64,
-    /// Wall-clock store build time (report/banner only).
+    /// Wall-clock store build time (report/banner only). Part of
+    /// [`GraphRunSummary::seconds`], not in addition to it: a materialized
+    /// run writes the store while it writes `graph.nt`, a streamed one
+    /// builds it from the spool after streaming ends.
     pub seconds: f64,
 }
 
