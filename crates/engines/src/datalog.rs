@@ -174,7 +174,8 @@ fn semi_naive(
         answers_grew: false,
     };
     // Rule (d): against a stable step, the delta of a linear recursion is
-    // one sorted compose — the kernel `P`'s closure runs.
+    // one sorted compose. These rounds are `D`'s own: `P`'s closures
+    // (`Relation::star`) traverse per source and never compose.
     let composes: Vec<Option<Pred>> = program
         .rules
         .iter()

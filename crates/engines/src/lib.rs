@@ -14,7 +14,8 @@
 //! The four strategies ([`EngineKind`]):
 //!
 //! * `P` (relational) — **materialise**: one binary relation per conjunct
-//!   by sort-merge composition and a linear-recursion fixpoint for stars,
+//!   by sort-merge composition and, for stars, the whole closure by one
+//!   reachability traversal per source,
 //!   like the paper's SQL:1999 translation evaluated bottom-up;
 //! * `S` (triple store) — **property paths**: per-conjunct product-automaton
 //!   BFS over the sorted indexes, no intermediate relation per step;

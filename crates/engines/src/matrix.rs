@@ -13,8 +13,10 @@
 //! [`gmark_store::emit`]) whenever cell outcomes do not depend on the wall
 //! clock: with no time limit, with a generous limit no cell approaches, or
 //! with an already-expired one (the regimes the determinism tests pin).
-//! Wall-clock measurements are still taken per cell ([`EvalCell::seconds`]),
-//! but they live outside the deterministic rendering.
+//! Wall-clock measurements are still taken per cell ([`EvalCell::seconds`])
+//! and for the cache fill and the cells as wholes
+//! ([`EvalReport::fill_seconds`], [`EvalReport::cells_seconds`]), but they
+//! live outside the deterministic rendering.
 
 use crate::context::EvalContext;
 use crate::planner::{plan_query, QueryPlan};
@@ -337,6 +339,13 @@ pub struct EvalReport {
     /// was enabled for this run (`None` with `cache_mb: 0`). Deterministic
     /// at every thread count — see [`crate::context::EvalCacheStats`].
     pub cache: Option<crate::context::EvalCacheStats>,
+    /// Wall seconds spent filling the sub-expression cache (`0` without
+    /// one). Not part of [`EvalReport::render`].
+    pub fill_seconds: f64,
+    /// Wall seconds spent evaluating the cells, all workers together from
+    /// the first claim to the last return. Not part of
+    /// [`EvalReport::render`].
+    pub cells_seconds: f64,
 }
 
 impl EvalReport {
@@ -467,7 +476,7 @@ pub fn evaluate_matrix_with_schema(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) -> EvalReport {
-    warm_context(ctx, queries, engines, budget, options);
+    let fill_seconds = warm_context(ctx, queries, engines, budget, options);
 
     // One plan per query, shared by every engine column. Planning happens
     // before any cell clock starts (it is context warm-up work, not query
@@ -478,15 +487,19 @@ pub fn evaluate_matrix_with_schema(
         .then(|| queries.iter().map(|q| plan_query(ctx, schema, q)).collect());
     let plans = plans.as_deref();
 
+    let started = Instant::now();
     let cells = ordered_map(options.threads, queries.len() * engines.len(), |ci| {
         run_cell(ctx, queries, engines, budget, options.warm_runs, plans, ci)
     });
+    let cells_seconds = started.elapsed().as_secs_f64();
 
     EvalReport {
         engines: engines.to_vec(),
         queries: queries.len(),
         cells,
         cache: ctx.expr_cache_stats(),
+        fill_seconds,
+        cells_seconds,
     }
 }
 
@@ -504,14 +517,14 @@ pub fn evaluate_matrix_with_schema(
 /// result cache is filled on `options.threads` workers, over the
 /// candidates of [`fill_candidates`], one fresh cell budget per entry.
 /// Cells only ever read the cache, so its contents are fixed before the
-/// first cell clock starts.
+/// first cell clock starts. Returns the fill's wall seconds.
 fn warm_context(
     ctx: &EvalContext<'_>,
     queries: &[&Query],
     engines: &[EngineKind],
     budget: &CellBudget,
     options: &MatrixOptions,
-) {
+) -> f64 {
     let datalog = engines.contains(&EngineKind::Datalog);
     if datalog {
         let _ = ctx.edb();
@@ -527,10 +540,13 @@ fn warm_context(
             let _ = ctx.symbol_stats(sym);
         }
     }
-    if options.cache_mb > 0 {
-        let exprs = fill_candidates(queries, engines);
-        ctx.fill_expr_cache_on(options.threads, &exprs, options.cache_mb, || budget.start());
+    if options.cache_mb == 0 {
+        return 0.0;
     }
+    let started = Instant::now();
+    let exprs = fill_candidates(queries, engines);
+    ctx.fill_expr_cache_on(options.threads, &exprs, options.cache_mb, || budget.start());
+    started.elapsed().as_secs_f64()
 }
 
 fn conjuncts<'q>(queries: &'q [&'q Query]) -> impl Iterator<Item = &'q Conjunct> + 'q {

@@ -2,7 +2,8 @@
 //!
 //! Evaluates the plan the paper's SQL:1999 translation induces: every
 //! conjunct becomes a fully materialized binary relation (scans + joins +
-//! `UNION`s; a `WITH RECURSIVE` linear-recursion fixpoint for stars) —
+//! `UNION`s; for a star, the whole closure the `WITH RECURSIVE` CTE
+//! defines, materialized by one reachability traversal per source) —
 //! with no property-path shortcuts — and the relations are then joined in
 //! the order of the query plan.
 //!

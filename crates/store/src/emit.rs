@@ -54,12 +54,17 @@ use std::time::Instant;
 
 /// Bytes that units ahead of the head may hold in memory, summed over all
 /// of them. A constant on purpose, so memory never scales with the
-/// document. It is not what stops `graph.nt` from scaling: there one
-/// predicate is one unit, and one predicate dominates (Bib's `authors`
-/// carries 62 % of the edges), so the document waits on that one unit
-/// whatever the budget. On Bib at 2 M nodes (2-vCPU box), formatting
-/// `graph.nt` into a null writer took 0.09–0.11 s on one worker and
-/// 0.10–0.11 s on two.
+/// document. Whether it is what stops a document from scaling depends on
+/// what a unit is. In the materialised `graph.nt` emitter one predicate
+/// is one unit, and one predicate dominates (Bib's `authors` carries
+/// 62 % of the edges), so the document waits on that one unit whatever
+/// the budget: on Bib at 2 M nodes (2-vCPU box), formatting `graph.nt`
+/// into a null writer took 0.09–0.11 s on one worker and 0.10–0.11 s on
+/// two. In a `--stream` run one constraint is one unit, and a worker off
+/// the head unit parks once it is this budget ahead: on Bib at 2 M nodes
+/// (2-vCPU box, 3 runs each), the graph stage took 0.26–0.36 s at
+/// `--threads 1` with nothing parked and 0.26–0.33 s at `--threads 2`
+/// with 0.22–0.29 s parked.
 const PARK_BUDGET: usize = 2 << 20;
 
 /// Resolves a requested worker count for `units` units of work: `0` means

@@ -560,6 +560,8 @@ fn eval_stage<S: Sink + ?Sized>(
         internal: totals.internal,
         rows,
         seconds: start.elapsed().as_secs_f64(),
+        fill_seconds: report.fill_seconds,
+        cells_seconds: report.cells_seconds,
     };
     Ok((summary, report))
 }
@@ -889,7 +891,8 @@ mod tests {
             (graph.seconds, graph.emit) = (0.0, None);
             let workload = summary.workload.as_mut().unwrap();
             (workload.seconds, workload.emit, workload.bytes) = (0.0, None, [0; 5]);
-            summary.eval.as_mut().unwrap().seconds = 0.0;
+            let eval = summary.eval.as_mut().unwrap();
+            (eval.seconds, eval.fill_seconds, eval.cells_seconds) = (0.0, 0.0, 0.0);
             format!("{summary:?}")
         }
         for threads in [1usize, 2] {

@@ -160,6 +160,11 @@ pub struct EvalRunSummary {
     pub rows: Vec<EvalCellRow>,
     /// Stage wall time (report/banner only — not serialized to JSON).
     pub seconds: f64,
+    /// Of [`EvalRunSummary::seconds`], the sub-expression cache fill
+    /// (report only).
+    pub fill_seconds: f64,
+    /// Of [`EvalRunSummary::seconds`], the cell matrix (report only).
+    pub cells_seconds: f64,
 }
 
 /// One deterministic cell row of an [`EvalRunSummary`].
@@ -251,12 +256,15 @@ impl RunSummary {
         if let Some(e) = &self.eval {
             let _ = writeln!(
                 rep,
-                "evaluation: {} queries x {} engines ({}) = {} cells in {:.3}s",
+                "evaluation: {} queries x {} engines ({}) = {} cells in {:.3}s \
+                 ({:.3}s cache fill, {:.3}s cells)",
                 e.queries,
                 e.engines.len(),
                 e.engines,
                 e.cells,
-                e.seconds
+                e.seconds,
+                e.fill_seconds,
+                e.cells_seconds
             );
             let _ = writeln!(
                 rep,
@@ -571,6 +579,8 @@ mod tests {
                     },
                 ],
                 seconds: 0.5,
+                fill_seconds: 0.125,
+                cells_seconds: 0.25,
             }),
         }
     }
@@ -692,6 +702,10 @@ mod tests {
         // The report keeps the timing (it is not byte-compared).
         let rep = sample().render_report();
         assert!(rep.contains("evaluation: 2 queries x 4 engines"), "{rep}");
+        assert!(
+            rep.contains("8 cells in 0.500s (0.125s cache fill, 0.250s cells)"),
+            "{rep}"
+        );
         assert!(rep.contains("1 timeout"), "{rep}");
     }
 }
