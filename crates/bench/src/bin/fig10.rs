@@ -6,7 +6,7 @@
 //! three gMark-generated queries "of the same shape, size and selectivity"
 //! on the SP encoding, and shows both sets exhibit the same asymptotic
 //! runtime behavior per class. SP²Bench's binaries are not available
-//! offline (DESIGN.md §4), so the "org" series here is a set of three
+//! offline, so the "org" series here is a set of three
 //! *hand-written, fixed* queries that mirror the published SP²Bench
 //! queries' access patterns on the SP schema, while the "gMark" series is
 //! drawn from the generated workload — the comparison the figure makes.

@@ -6,7 +6,7 @@
 //! generator writes a file; neither retains the graph in RAM), and WD is
 //! expected to dominate through sheer edge volume.
 //!
-//! Default sweep stops at 10M nodes (DESIGN.md §4: hardware substitution);
+//! Default sweep stops at 10M nodes, to fit a laptop's memory and time;
 //! pass `--full` for the paper's 100M column. With `--threads N` the run
 //! exercises the parallel pipeline instead: constraints are generated and
 //! the per-predicate CSRs finalized on `N` worker threads (the graph is

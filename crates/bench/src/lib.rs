@@ -12,18 +12,15 @@
 //!
 //! Every binary accepts `--full` for the paper-scale parameterization
 //! (larger graphs, more sizes); the default is scaled to finish on a
-//! laptop. EXPERIMENTS.md records paper-vs-measured for every artifact.
+//! laptop. The README's "Experiments and benchmarks" section lists the
+//! commands.
 //!
 //! This library holds what the binaries share: the Section 6.2 workload
 //! definitions (Len / Dis / Con / Rec), the budgets and warm-run count of
 //! the Section 7.1 measurement protocol (which
 //! [`MatrixOptions::warm_runs`] runs: cold run discarded, warm runs
-//! averaged after dropping the fastest and slowest), small table-printing
-//! helpers, and the
-//! open/closed-loop traffic driver ([`driver`]) behind `gmark bench
-//! drive`.
-
-pub mod driver;
+//! averaged after dropping the fastest and slowest), and small
+//! table-printing helpers.
 
 use gmark::run::{run_in_memory, RunOptions, RunPlan};
 use gmark_core::schema::Schema;
@@ -138,31 +135,35 @@ pub struct HarnessOptions {
 
 impl HarnessOptions {
     /// Parses `--full`, `--seed N`, and `--threads N` from the process
-    /// arguments.
+    /// arguments; on a malformed command line, prints the error and exits
+    /// with status 2.
     pub fn from_args() -> HarnessOptions {
+        HarnessOptions::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("usage: [--full] [--seed N] [--threads N]");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `--full`, `--seed N`, and `--threads N` (arguments after the
+    /// program name). A missing or malformed value and an unknown argument
+    /// are errors, not silently ignored.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<HarnessOptions, String> {
         let mut opts = HarnessOptions {
             full: false,
             seed: 0x9A9E_2017,
             threads: 1,
         };
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            match a.as_str() {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--full" => opts.full = true,
-                "--seed" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.seed = v;
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.threads = v;
-                    }
-                }
-                _ => {}
+                "--seed" => opts.seed = flag_value(&mut args, "--seed")?,
+                "--threads" => opts.threads = flag_value(&mut args, "--threads")?,
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The graph sizes of the selectivity experiments (Sections 6.2/7:
@@ -236,40 +237,17 @@ impl HarnessOptions {
     }
 }
 
-/// Takes the value following `argv[*i]` (the occurrence of `flag`),
-/// advancing `*i`; names the flag in the error when the value is missing.
-/// The shared primitive for the bench binaries' argv mini-parsers.
-pub fn take_flag_value(argv: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    argv.get(*i)
-        .cloned()
-        .ok_or_else(|| format!("missing value after {flag}"))
-}
-
-/// Peak resident set size of this process in kibibytes, read from Linux
-/// procfs (`VmHWM` in `/proc/self/status`); `None` where that is
-/// unavailable. `drive` records it per *process* (one regime per
-/// invocation), so the rows of `BENCH_drive.json` are per-run peaks.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Appends one line to the `GMARK_BENCH_JSON` export file if that
-/// environment variable is set (the same protocol the criterion stub
-/// uses; `scripts/bench.sh` points it at `BENCH_gen.json` and
-/// `BENCH_drive.json`).
-pub fn append_bench_json(row: &str) -> std::io::Result<()> {
-    if let Ok(path) = std::env::var("GMARK_BENCH_JSON") {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        writeln!(f, "{row}")?;
-    }
-    Ok(())
+/// Takes and parses the value after `flag`, naming the flag in the error.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let value = args
+        .next()
+        .ok_or_else(|| format!("missing value after {flag}"))?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
 /// Generates a graph for an experiment (shared seed discipline), through
@@ -401,6 +379,34 @@ mod tests {
     fn duration_formatting() {
         assert_eq!(fmt_minutes(Duration::from_millis(57)), "0m0.057s");
         assert_eq!(fmt_minutes(Duration::from_secs_f64(88.725)), "1m28.725s");
+    }
+
+    fn parse(line: &[&str]) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse(line.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn harness_options_parse_a_good_line() {
+        let o = parse(&["--threads", "4", "--full", "--seed", "7"]).unwrap();
+        assert!(o.full);
+        assert_eq!((o.seed, o.threads), (7, 4));
+        let d = parse(&[]).unwrap();
+        assert!(!d.full);
+        assert_eq!((d.seed, d.threads), (0x9A9E_2017, 1));
+    }
+
+    /// A bad value, a missing value and an unknown flag are errors, never
+    /// a silent fall-back to the default.
+    #[test]
+    fn harness_options_reject_a_malformed_line() {
+        for (line, error) in [
+            (&["--threads", "x"][..], "invalid value `x` for --threads"),
+            (&["--seed", "-1"], "invalid value `-1` for --seed"),
+            (&["--full", "--seed"], "missing value after --seed"),
+            (&["--thread", "2"], "unknown argument `--thread`"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), error, "{line:?}");
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! sampling with an edge budget of `n_T · μ` — Gaussian degrees concentrate
 //! around `μ`, so the matching distribution is nearly identical while the
 //! memory for that side's vector (and its shuffle) disappears. The fast path
-//! is on by default and measured as an ablation in `gmark-bench`.
+//! is on by default; [`GeneratorOptions::gaussian_fast_path`] turns it off.
 //!
 //! Two ways out of the generator, each one [`gmark_store::emit`] fan-out
 //! over the constraints. [`generate_graph`] materializes: an

@@ -12,10 +12,10 @@
 //!   more edges than Bib instances of the same node count, which dominates
 //!   its generation time in Table 3.
 //!
-//! As DESIGN.md documents, these encodings capture each benchmark's key
-//! characteristics (node types, edge labels, associations, degree
-//! distributions); features gMark deliberately does not support (subtyping,
-//! hard-coded correlations) are not encoded, exactly as in the paper.
+//! These encodings capture each benchmark's key characteristics (node
+//! types, edge labels, associations, degree distributions); features gMark
+//! deliberately does not support (subtyping, hard-coded correlations) are
+//! not encoded, exactly as in the paper.
 
 use crate::schema::{Distribution, Occurrence, Schema, SchemaBuilder};
 

@@ -1,10 +1,10 @@
 //! A concurrent log-bucketed latency histogram.
 //!
-//! Built for the serving path and the `gmark bench drive` traffic
-//! driver, which both need tail percentiles (p50/p95/p99/max) from many
-//! threads without a lock on the record path. The design is the standard
-//! log-linear compromise: values are microseconds, bucket `i` covers
-//! `[2^(i-1), 2^i)` µs, and each bucket is one relaxed [`AtomicU64`].
+//! Built for the serving path, which needs tail percentiles
+//! (p50/p95/p99/max) from many threads without a lock on the record path.
+//! The design is the standard log-linear compromise: values are
+//! microseconds, bucket `i` covers `[2^(i-1), 2^i)` µs, and each bucket is
+//! one relaxed [`AtomicU64`].
 //! Recording is a single `fetch_add` plus a `fetch_max`; reading takes a
 //! point-in-time snapshot and reconstructs quantiles from the bucket
 //! boundaries.
@@ -82,8 +82,7 @@ impl LatencyHistogram {
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Folds another histogram into this one (used to combine per-worker
-    /// histograms after a drive run).
+    /// Folds another histogram into this one.
     pub fn merge(&self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
             let n = theirs.load(Ordering::Relaxed);

@@ -11,8 +11,8 @@
 //!   recover the selectivity exponent `α` from `|Q(G)| = β·|G|^α`,
 //! * summary statistics ([`summary`]) used to report the `mean ± sd` rows of
 //!   Table 2,
-//! * a lock-free log-bucketed latency [`histogram`] shared by the serving
-//!   path's `/v1/stats` and the `gmark bench drive` traffic driver,
+//! * a lock-free log-bucketed latency [`histogram`] behind the serving
+//!   path's `/v1/stats`,
 //! * the workspace's one JSON emitter ([`JsonWriter`]) — here because this
 //!   is the only crate below every producer of JSON.
 //!

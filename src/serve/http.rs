@@ -32,8 +32,8 @@
 //! frames responses exactly so the same TCP connection can carry many
 //! requests, and one-shot [`fetch`] is that client used once with
 //! `Connection: close` (tolerant of a response that arrives before the
-//! request is fully sent); the integration tests and bench drivers use
-//! both, curl fills the same role in CI.
+//! request is fully sent); the integration tests use both, and curl fills
+//! the same role in CI.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -393,8 +393,8 @@ pub struct Conn<S = TcpStream> {
 /// Each response is framed exactly (by `Content-Length`, chunk by chunk,
 /// or — with neither — by the close of the connection) so the next
 /// request can ride the same socket: the client half of the server's
-/// keep-alive fast path. The integration tests' keep-alive pins and the
-/// `drive` bench driver use it; [`fetch`] is the same reader used once.
+/// keep-alive fast path. The integration tests' keep-alive pins use it;
+/// [`fetch`] is the same reader used once.
 /// After a response announcing `Connection: close`
 /// ([`ClientResponse::close_after`]) the holder must reconnect.
 pub type Client = Conn<TcpStream>;

@@ -85,8 +85,7 @@ impl Default for ServeConfig {
 }
 
 /// Per-request latency histograms fed by the run route and surfaced in
-/// `GET /v1/stats` — the serve side of the drive scoreboard, in the same
-/// log-bucketed [`LatencyHistogram`] the traffic driver uses.
+/// `GET /v1/stats`, each a log-bucketed [`LatencyHistogram`].
 #[derive(Default)]
 pub(crate) struct ServeLatency {
     /// Admission (or keep-alive arrival) to handler start.

@@ -328,9 +328,14 @@ fn keep_alive_requests_are_byte_identical_to_one_per_connection() {
         text.contains("\"admitted\":7"),
         "per-request admission accounting: {text}"
     );
-    // The run route fed the latency histograms.
+    // The run route fed every latency histogram: each plan built once,
+    // every run streamed its artifact back.
     assert!(text.contains("\"latency\":"), "{text}");
-    assert!(!text.contains("\"queue_wait\":{\"count\":0"), "{text}");
+    for histogram in ["queue_wait", "build", "stream"] {
+        let count = format!("\"{histogram}\":{{\"count\":");
+        assert!(text.contains(&count), "{text}");
+        assert!(!text.contains(&format!("{count}0")), "{text}");
+    }
 
     server.shutdown();
 }
