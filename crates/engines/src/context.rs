@@ -1,13 +1,10 @@
 //! The shared, immutable evaluation context.
 //!
-//! Before this module existed, every engine re-derived its own view of the
-//! graph *per query*: the relational engine collected and sorted one edge
-//! list per symbol occurrence, the Datalog engine rebuilt its whole EDB
-//! from scratch, and the automaton engines recompiled NFAs for expressions
-//! they had already seen. An [`EvalContext`] computes each of these **at
-//! most once per graph** and lends them to all four engines — the "one
-//! context, many query backends" shape of a server, and the schema-wide
-//! precomputation that schema-based query optimisation exploits:
+//! An [`EvalContext`] computes what every engine would otherwise re-derive
+//! from the graph per query **at most once per graph** and lends it to all
+//! four engines — the "one context, many query backends" shape of a
+//! server, and the schema-wide precomputation that schema-based query
+//! optimisation exploits:
 //!
 //! * [`EvalContext::relation`] — the sorted, deduplicated binary relation
 //!   of a `Σ±` symbol (forward or inverse), built lazily per
@@ -39,36 +36,33 @@
 //! unions, and above all `p*` closures, which dominate the
 //! timeout/too-large cells.
 //!
+//! One evaluator turns an expression into a relation, for the fill and
+//! for every cell-time miss of [`EvalContext::expr_relation`] alike: it
+//! looks each key up in the frozen cache (when its caller reads one),
+//! then computes it into a memo of [`OnceLock`] slots, one per expression
+//! and per concatenation prefix of its paths. A cached prefix thus
+//! jump-starts every longer path.
+//!
 //! Determinism is by construction, not by luck: the cache is filled
-//! **exactly once, before any cell clock starts** (the same warm-up
-//! phase that builds symbol relations), and matrix cells are strictly
-//! read-only consumers. The fill has two passes. A parallel *resolve*
-//! pass computes every relation the fill can need — each candidate and
-//! every concatenation prefix of its paths — once, into a frozen memo of
-//! [`OnceLock`] slots: a prefix composes its one-shorter prefix with a
-//! symbol, a union or star combines its disjunct paths, and a worker
-//! that needs a slot another worker is filling waits for it (slots
-//! depend only on strictly smaller keys, so nothing can deadlock). A
-//! sequential *admit* pass then replays the candidates in enumeration
-//! order, taking every relation from the memo and admitting it under
-//! the byte budget exactly as a one-thread fill would. Every kernel is a
-//! pure function of its inputs, so contents are a pure function of
-//! `(graph, fill expression list, tuple cap, byte budget)` at every
-//! thread count, and no cell outcome can depend on hit order or thread
-//! schedule. The budget rule for a hit is equally fixed: a hit charges
-//! the cached *cardinality check* only — `Budget::check_size(len)` —
-//! never wall time (see [`EvalContext::cached_expr`]). Failed fills are cached
-//! only for the deterministic failure ([`EvalError::TooLarge`]);
-//! wall-clock timeouts are machine artifacts and are never cached.
-//! Negative entries are authoritative **only for the sorted-kernel path**
-//! ([`EvalContext::expr_relation`], whose cell-time misses run the very
-//! fold the fill ran — it differs only in not admitting the prefixes it
-//! completes — and so charge the same relations, every leaf included, at
-//! the same checks): probe-style consumers ([`EvalContext::cached_expr`])
-//! treat them as misses, because their native strategies — automaton
-//! BFS, seed-driven navigation — never materialize the kernels'
-//! intermediate relations and may legitimately succeed where the fill
-//! blew the cap.
+//! **exactly once, before any cell clock starts**, and matrix cells are
+//! strictly read-only consumers. A parallel *resolve* pass computes every
+//! candidate into the memo (a worker that needs a slot another is filling
+//! waits; slots depend only on strictly smaller keys, so nothing
+//! deadlocks). A sequential *admit* pass then replays the candidates in
+//! enumeration order and admits each one and its prefixes under the byte
+//! budget, exactly as a one-thread fill would. Every kernel is pure, so
+//! contents are a pure function of `(graph, fill expression list, tuple
+//! cap, byte budget)` at every thread count. A hit charges the cached
+//! *cardinality check* only — `Budget::check_size(len)` — never wall time
+//! (see [`EvalContext::cached_expr`]). Failed fills are cached only for
+//! the deterministic failure ([`EvalError::TooLarge`]), never for a
+//! timeout. Negative entries are authoritative **only for the
+//! sorted-kernel path** ([`EvalContext::expr_relation`], whose misses run
+//! the fill's evaluator and so fail at the same checks): probe-style
+//! consumers ([`EvalContext::cached_expr`]) treat them as misses, because
+//! their native strategies — automaton BFS, seed-driven navigation —
+//! never materialize the kernels' intermediate relations and may
+//! legitimately succeed where the fill blew the cap.
 //!
 //! The Datalog engine deliberately consumes no cache at all (rule (e) of
 //! the [`crate::datalog`] budget rule): a hit could flip a too-large cell
@@ -82,6 +76,7 @@ use gmark_core::query::{PathExpr, RegularExpr, Symbol};
 use gmark_core::schema::PredicateId;
 use gmark_store::{ordered_map, resolve_threads, GraphView};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -121,11 +116,9 @@ enum ExprCacheEntry {
     /// The materialized relation, shared by `Arc` with every consumer.
     Hit(Arc<Relation>),
     /// Filling this expression deterministically exceeded the tuple cap,
-    /// with the recorded size of the first over-cap check. Served as a
-    /// fast [`EvalError::TooLarge`] to *kernel-path* consumers
-    /// ([`EvalContext::expr_relation`]) whose own cap is below that size
-    /// — the same kernels would fail at the same check. Probe-style
-    /// consumers treat it as a miss (see the module docs).
+    /// with the recorded size of the first over-cap check: an error for
+    /// the kernel path under a lower cap, a miss for probe-style consumers
+    /// (see the module docs).
     TooLarge(usize),
 }
 
@@ -177,14 +170,35 @@ impl ExprCache {
         self.tuples += rel.len() as u64;
         self.map.insert(key, ExprCacheEntry::Hit(rel));
     }
+
+    /// An entry as the kernel path reads it: a hit under its cardinality
+    /// check, or a negative entry over the caller's cap as its recorded
+    /// error. `None` is a key to compute.
+    fn serve(&self, key: &RegularExpr, budget: &Budget) -> Option<Resolved> {
+        match *self.map.get(key)? {
+            ExprCacheEntry::Hit(ref rel) => {
+                Some(budget.check_size(rel.len()).map(|()| Arc::clone(rel)))
+            }
+            ExprCacheEntry::TooLarge(sz) => {
+                (sz > budget.max_tuples).then_some(Err(EvalError::TooLarge(sz)))
+            }
+        }
+    }
 }
 
-/// Every relation a fill can need, each computed at most once: one slot
-/// per candidate and per concatenation prefix (the empty one included)
-/// of its disjunct paths, keyed like the cache. The key set is fixed
-/// before the fill starts — slots only initialize — and the memo is
-/// dropped when the fill returns; admitted entries share its `Arc`s.
-struct Memo(FxHashMap<RegularExpr, OnceLock<Result<Arc<Relation>, EvalError>>>);
+/// Every relation one evaluation can need, each computed at most once:
+/// one slot per expression and per [`prefix`] (the empty one included) of
+/// its disjunct paths. The key set is fixed when the memo is built, and
+/// admitted entries share its `Arc`s.
+struct Memo(FxHashMap<RegularExpr, OnceLock<Resolved>>);
+
+/// What evaluating one expression gives.
+type Resolved = Result<Arc<Relation>, EvalError>;
+
+/// The cache key of a path's first `k` symbols.
+fn prefix(path: &PathExpr, k: usize) -> RegularExpr {
+    RegularExpr::path(PathExpr(path.0[..k].to_vec()))
+}
 
 impl Memo {
     fn new(exprs: &[RegularExpr]) -> Memo {
@@ -192,41 +206,12 @@ impl Memo {
         for expr in exprs {
             for path in &expr.disjuncts {
                 for k in 0..=path.0.len() {
-                    slots
-                        .entry(RegularExpr::path(PathExpr(path.0[..k].to_vec())))
-                        .or_default();
+                    slots.entry(prefix(path, k)).or_default();
                 }
             }
             slots.entry(expr.clone()).or_default();
         }
         Memo(slots)
-    }
-}
-
-/// Where [`EvalContext::fold_path`] looks completed concatenation
-/// prefixes up, and whether it may add the ones it completes — the one
-/// difference between filling the cache and reading it.
-enum Prefixes<'c> {
-    /// Fill time: look up in, and admit into, the cache under
-    /// construction, taking every composed relation from the memo.
-    Admit(&'c mut ExprCache, &'c Memo),
-    /// Cell time: read the frozen cache (if one was filled), never write —
-    /// cells are pure consumers, the determinism invariant.
-    ReadOnly(Option<&'c ExprCache>),
-}
-
-impl Prefixes<'_> {
-    fn get(&self, key: &RegularExpr) -> Option<&ExprCacheEntry> {
-        match self {
-            Prefixes::Admit(cache, _) => cache.map.get(key),
-            Prefixes::ReadOnly(cache) => cache.and_then(|c| c.map.get(key)),
-        }
-    }
-
-    fn admit(&mut self, key: impl FnOnce() -> RegularExpr, rel: &Arc<Relation>) {
-        if let Prefixes::Admit(cache, _) = self {
-            cache.admit(key(), Arc::clone(rel));
-        }
     }
 }
 
@@ -366,11 +351,6 @@ impl<'g> EvalContext<'g> {
     /// [`RegularExpr::path`] form. `budget_mb` bounds admitted pair-column
     /// bytes; `0` disables the cache entirely (nothing is even frozen, so
     /// [`EvalContext::cached_expr`] stays on its no-cache fast path).
-    ///
-    /// The matrix harness fills on its worker threads instead: every
-    /// relation is resolved once in parallel, then admitted in `exprs`
-    /// order, so the frozen cache is the same at every thread count (see
-    /// the module docs).
     pub fn fill_expr_cache<F>(&self, exprs: &[RegularExpr], budget_mb: usize, fresh_budget: F)
     where
         F: Fn() -> Budget + Sync,
@@ -400,7 +380,7 @@ impl<'g> EvalContext<'g> {
         if resolve_threads(threads, distinct.len()) > 1 {
             ordered_map(threads, distinct.len(), |i| {
                 // Failures are memoized too; the replay reads them back.
-                let _ = self.resolve(&memo, distinct[i], &fresh_budget());
+                let _ = self.resolve(&memo, None, distinct[i], &fresh_budget());
             });
         }
         let mut cache = ExprCache::new(budget_mb);
@@ -408,8 +388,7 @@ impl<'g> EvalContext<'g> {
             if cache.map.contains_key(expr) {
                 continue;
             }
-            let budget = fresh_budget();
-            match self.fold_expr(expr, &budget, &mut Prefixes::Admit(&mut cache, &memo)) {
+            match self.admit_expr(&mut cache, &memo, expr, &fresh_budget()) {
                 Ok(rel) => cache.admit(expr.clone(), rel),
                 Err(EvalError::TooLarge(sz)) => {
                     // Deterministic failure under the cap: cache it so no
@@ -426,23 +405,52 @@ impl<'g> EvalContext<'g> {
         let _ = self.expr_cache.set(cache);
     }
 
-    /// The memoized relation of one memo key, computed by whichever worker
-    /// asks first (the others wait on its slot), by the very kernels the
-    /// fold runs: a one-symbol path is the symbol relation under a size
-    /// check, a longer one its one-shorter prefix composed with the last
-    /// symbol, anything else [`EvalContext::union_star`] of its disjunct
-    /// paths. A slot waits only on strictly smaller keys, so no cycle of
-    /// waiting workers can form.
+    /// One step of the admission replay: the relation of a fill candidate,
+    /// admitting the concatenation prefixes of its disjunct paths on the
+    /// way. Each path starts from its longest prefix already in `cache` —
+    /// a negative entry over the cap is the error — and every longer
+    /// prefix is resolved and admitted in order. Shorter prefixes are not
+    /// offered again, so one the byte budget rejected is counted once.
+    fn admit_expr(
+        &self,
+        cache: &mut ExprCache,
+        memo: &Memo,
+        expr: &RegularExpr,
+        budget: &Budget,
+    ) -> Resolved {
+        for path in &expr.disjuncts {
+            let longest = (1..=path.0.len()).rev().find_map(|k| {
+                cache
+                    .serve(&prefix(path, k), budget)
+                    .map(|served| served.map(|_| k))
+            });
+            let start = longest.transpose()?.unwrap_or(0);
+            for k in start + 1..=path.0.len() {
+                let rel = self.resolve(memo, None, &prefix(path, k), budget)?;
+                cache.admit(prefix(path, k), rel);
+            }
+        }
+        self.resolve(memo, None, expr, budget)
+    }
+
+    /// The relation of one memo key: served from `frozen` if it holds the
+    /// key ([`ExprCache::serve`]), else computed into its memo slot by
+    /// whichever worker asks first. A one-symbol path is the symbol
+    /// relation under a size check, a longer one its one-shorter prefix
+    /// composed with the last symbol, anything else the union of its
+    /// disjunct paths, starred if the key is. A slot waits only on strictly
+    /// smaller keys, so no cycle of waiting workers can form.
     fn resolve(
         &self,
         memo: &Memo,
+        frozen: Option<&ExprCache>,
         key: &RegularExpr,
         budget: &Budget,
-    ) -> Result<Arc<Relation>, EvalError> {
-        let slot = memo
-            .0
-            .get(key)
-            .expect("the memo holds every key a fill reads");
+    ) -> Resolved {
+        if let Some(served) = frozen.and_then(|cache| cache.serve(key, budget)) {
+            return served;
+        }
+        let slot = memo.0.get(key).expect("a memo holds every key it is asked");
         slot.get_or_init(|| match key.disjuncts.as_slice() {
             [path] if !key.starred => match path.0.split_last() {
                 None => Ok(Arc::new(Relation::identity(self.view.node_count()))),
@@ -452,113 +460,28 @@ impl<'g> EvalContext<'g> {
                     Ok(Arc::clone(leaf))
                 }
                 Some((&last, init)) => {
-                    let prefix = RegularExpr::path(PathExpr(init.to_vec()));
-                    let prefix = self.resolve(memo, &prefix, budget)?;
-                    prefix.compose(self.relation(last), budget).map(Arc::new)
+                    let init = self.resolve(memo, frozen, &prefix(path, init.len()), budget)?;
+                    init.compose(self.relation(last), budget).map(Arc::new)
                 }
             },
-            _ => self.union_star(key, budget, |path| {
-                self.resolve(memo, &RegularExpr::path(path.clone()), budget)
-            }),
+            disjuncts => {
+                let mut acc: Option<Arc<Relation>> = None;
+                for path in disjuncts {
+                    let r = self.resolve(memo, frozen, &RegularExpr::path(path.clone()), budget)?;
+                    acc = Some(match acc {
+                        None => r,
+                        Some(a) => Arc::new(a.union(&r)),
+                    });
+                }
+                let base = acc.unwrap_or_default();
+                if key.starred {
+                    base.star(self.view.node_count(), budget).map(Arc::new)
+                } else {
+                    Ok(base)
+                }
+            }
         })
         .clone()
-    }
-
-    /// The one expression fold: disjuncts → union → star, over
-    /// left-folded concatenation paths. `prefixes` is the only thing that
-    /// differs between the pre-clock fill and a cell-time miss: the fill
-    /// folds every path for the prefixes it admits, and takes the union
-    /// and star from the memo.
-    fn fold_expr(
-        &self,
-        expr: &RegularExpr,
-        budget: &Budget,
-        prefixes: &mut Prefixes<'_>,
-    ) -> Result<Arc<Relation>, EvalError> {
-        if let Prefixes::Admit(_, memo) = prefixes {
-            let memo: &Memo = memo;
-            for path in &expr.disjuncts {
-                self.fold_path(path, budget, prefixes)?;
-            }
-            return self.resolve(memo, expr, budget);
-        }
-        self.union_star(expr, budget, |path| self.fold_path(path, budget, prefixes))
-    }
-
-    /// Unions the disjuncts' relations, each from `path` in order (the
-    /// first error wins), then closes under the star if there is one.
-    fn union_star(
-        &self,
-        expr: &RegularExpr,
-        budget: &Budget,
-        mut path: impl FnMut(&PathExpr) -> Result<Arc<Relation>, EvalError>,
-    ) -> Result<Arc<Relation>, EvalError> {
-        let mut acc: Option<Arc<Relation>> = None;
-        for p in &expr.disjuncts {
-            let r = path(p)?;
-            acc = Some(match acc {
-                None => r,
-                Some(a) => Arc::new(a.union(&r)),
-            });
-        }
-        let base = acc.unwrap_or_default();
-        if expr.starred {
-            base.star(self.view.node_count(), budget).map(Arc::new)
-        } else {
-            Ok(base)
-        }
-    }
-
-    /// Left-fold of one concatenation path: jump-starts from the longest
-    /// cached prefix, then composes symbol by symbol (at fill time: reads
-    /// each composed prefix from the memo), offering every newly
-    /// completed prefix to `prefixes` under its canonical single-path key.
-    /// Every relation the fold holds — the leaf included — is charged
-    /// against the tuple cap, whichever mode it runs in.
-    fn fold_path(
-        &self,
-        path: &PathExpr,
-        budget: &Budget,
-        prefixes: &mut Prefixes<'_>,
-    ) -> Result<Arc<Relation>, EvalError> {
-        if path.is_empty() {
-            return Ok(Arc::new(Relation::identity(self.view.node_count())));
-        }
-        let syms = &path.0;
-        let prefix_key = |k: usize| RegularExpr::path(PathExpr(syms[..k].to_vec()));
-        let mut start: Option<(Arc<Relation>, usize)> = None;
-        for k in (1..=syms.len()).rev() {
-            match prefixes.get(&prefix_key(k)) {
-                Some(ExprCacheEntry::Hit(arc)) => {
-                    budget.check_size(arc.len())?;
-                    start = Some((Arc::clone(arc), k));
-                    break;
-                }
-                // The left-fold would blow the cap right here.
-                Some(ExprCacheEntry::TooLarge(sz)) if *sz > budget.max_tuples => {
-                    return Err(EvalError::TooLarge(*sz));
-                }
-                _ => {}
-            }
-        }
-        let (mut acc, mut i) = match start {
-            Some(cached) => cached,
-            None => {
-                let leaf = self.symbol_relation(syms[0]);
-                budget.check_size(leaf.len())?;
-                prefixes.admit(|| prefix_key(1), leaf);
-                (Arc::clone(leaf), 1)
-            }
-        };
-        while i < syms.len() {
-            acc = match prefixes {
-                Prefixes::Admit(_, memo) => self.resolve(memo, &prefix_key(i + 1), budget)?,
-                Prefixes::ReadOnly(_) => Arc::new(acc.compose(self.relation(syms[i]), budget)?),
-            };
-            i += 1;
-            prefixes.admit(|| prefix_key(i), &acc);
-        }
-        Ok(acc)
     }
 
     /// Probes the sub-expression cache for a whole expression. The two
@@ -600,14 +523,16 @@ impl<'g> EvalContext<'g> {
     }
 
     /// The relation of a whole expression: a cache hit when possible,
-    /// otherwise computed by the sorted-kernel relational path — with
-    /// cached concatenation prefixes jump-starting each path's left
-    /// fold. This is the `P`-style engine's per-conjunct entry point.
+    /// otherwise computed by the sorted-kernel relational path — the
+    /// evaluator the fill ran, reading the frozen cache, so a cached
+    /// concatenation prefix jump-starts each longer path. This is the
+    /// `P`-style engine's per-conjunct entry point.
     ///
     /// A negative cache entry whose recorded blow-up exceeds the
     /// caller's cap is authoritative here (`Err(TooLarge)` without
-    /// recomputing): this method runs the exact kernel computation the
-    /// fill ran, so it would fail at the same check.
+    /// recomputing), for the whole expression and for every prefix the
+    /// evaluator reaches: it runs the exact kernel computation the fill
+    /// ran, so it would fail at the same check.
     pub fn expr_relation(
         &self,
         expr: &RegularExpr,
@@ -616,15 +541,8 @@ impl<'g> EvalContext<'g> {
         if let Some(hit) = self.cached_expr(expr, budget)? {
             return Ok(hit);
         }
-        if let Some(cache) = self.expr_cache.get() {
-            if let Some(ExprCacheEntry::TooLarge(sz)) = cache.map.get(expr) {
-                if *sz > budget.max_tuples {
-                    return Err(EvalError::TooLarge(*sz));
-                }
-            }
-        }
-        let mut frozen = Prefixes::ReadOnly(self.expr_cache.get());
-        self.fold_expr(expr, budget, &mut frozen)
+        let memo = Memo::new(slice::from_ref(expr));
+        self.resolve(&memo, self.expr_cache.get(), expr, budget)
     }
 
     /// The exact cardinality of a positively cached expression, if any —
@@ -776,8 +694,8 @@ mod tests {
         ctx.fill_expr_cache(std::slice::from_ref(&expr), 16, Budget::default);
         let budget = Budget::default();
         let hit = ctx.cached_expr(&expr, &budget).unwrap().expect("hit");
-        let direct = Relation::of_expr(&g, &expr, &budget).unwrap();
-        assert_eq!(hit.as_ref(), &direct);
+        let direct = EvalContext::new(&g).expr_relation(&expr, &budget).unwrap();
+        assert_eq!(hit, direct);
         // The length-1 prefix was admitted under its canonical key, which
         // is exactly what `RegularExpr::symbol` builds.
         let prefix = RegularExpr::symbol(sym(0));
@@ -844,10 +762,8 @@ mod tests {
         );
         assert_eq!(ctx.cached_expr(&expr, &Budget::default()).unwrap(), None);
         let rel = ctx.expr_relation(&expr, &Budget::default()).unwrap();
-        assert_eq!(
-            rel.as_ref(),
-            &Relation::of_expr(&g, &expr, &Budget::default()).unwrap()
-        );
+        let uncached = EvalContext::new(&g).expr_relation(&expr, &Budget::default());
+        assert_eq!(rel, uncached.unwrap());
     }
 
     #[test]
@@ -861,10 +777,8 @@ mod tests {
         // With the cache off, probes keep the counters untouched and
         // expr_relation computes directly.
         let rel = ctx.expr_relation(&expr, &Budget::default()).unwrap();
-        assert_eq!(
-            rel.as_ref(),
-            &Relation::of_expr(&g, &expr, &Budget::default()).unwrap()
-        );
+        let uncached = EvalContext::new(&g).expr_relation(&expr, &Budget::default());
+        assert_eq!(rel, uncached.unwrap());
     }
 
     #[test]
@@ -908,10 +822,39 @@ mod tests {
     }
 
     #[test]
+    fn the_replay_does_not_retry_a_prefix_below_a_cached_one() {
+        // a: all 400 × 400 pairs, 1.22 MiB — over a 1 MiB budget; b: 0→1;
+        // c: 1→2. Filling a·b rejects `a` and admits the 400 pairs of a·b.
+        // a·b·c then starts from the cached a·b, so `a` is not offered,
+        // and rejected, a second time.
+        let mut b = GraphBuilder::new(TypePartition::from_counts(&[400]), 3);
+        for s in 0..400 {
+            for t in 0..400 {
+                b.edge(s, 0, t);
+            }
+        }
+        b.edge(0, 1, 1);
+        b.edge(1, 2, 2);
+        let g = b.build();
+        let path = |len: usize| RegularExpr::path(PathExpr((0..len).map(sym).collect()));
+        let ctx = EvalContext::new(&g);
+        ctx.fill_expr_cache(&[path(2), path(3)], 1, Budget::default);
+        let stats = ctx.expr_cache_stats().unwrap();
+        assert_eq!(
+            (stats.entries, stats.rejected, stats.fills),
+            (2, 1, 3),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
     fn a_parallel_fill_freezes_what_the_one_thread_fill_freezes() {
         // Generated recursive Bib workloads, in RAM and through a one-page
         // store. A tight cap leaves negative entries; a 1 MiB byte budget
         // rejects admissions, so the admission order shows in the map.
+        // Each fill also carries the one-thread fill's `(entries, tuples,
+        // bytes, rejected, fills)` as recorded when the admission replay
+        // still ran its own fold, so the replay itself is pinned too.
         use crate::matrix::fill_candidates;
         use crate::EngineKind;
         use gmark_core::{generate_graph, generate_workload, usecases};
@@ -922,7 +865,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gmark-engines-fill-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (mut too_large, mut rejected) = (false, false);
-        for seed in [7u64, 9] {
+        let recorded = [
+            (
+                7u64,
+                [
+                    (20_000, 64, (28, 45_389, 363_112, 0, 28)),
+                    (200_000, 1, (26, 129_888, 1_039_104, 8, 34)),
+                ],
+            ),
+            (
+                9,
+                [
+                    (20_000, 64, (30, 27_582, 220_656, 0, 30)),
+                    (200_000, 1, (29, 118_361, 946_888, 4, 33)),
+                ],
+            ),
+        ];
+        for (seed, fills) in recorded {
             let config = GraphConfig::new(1_500, schema.clone());
             let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
             let mut wcfg = WorkloadConfig::new(12).with_seed(seed);
@@ -941,11 +900,17 @@ mod tests {
             StoreWriter::write_graph(&path, &meta, &graph).unwrap();
             let reader = StoreReader::open_with_cache(&path, 1).unwrap();
             for view in [GraphView::from(&graph), GraphView::from(&reader)] {
-                for (max_tuples, budget_mb) in [(20_000, 64), (200_000, 1)] {
+                for (max_tuples, budget_mb, stats) in fills {
                     let budget = || Budget::with_limits(None, max_tuples);
                     let lazy = EvalContext::new(view);
                     lazy.fill_expr_cache(&exprs, budget_mb, budget);
                     let want = lazy.expr_cache.get().unwrap();
+                    let s = lazy.expr_cache_stats().unwrap();
+                    assert_eq!(
+                        (s.entries, s.tuples, s.bytes, s.rejected, s.fills),
+                        stats,
+                        "seed {seed}, cap {max_tuples}, {budget_mb} MiB, one thread"
+                    );
                     too_large |= want
                         .map
                         .values()

@@ -39,8 +39,9 @@
 //! row-major rows — so all four join through one kernel and read their
 //! heads off it through one projection into one flat [`Answers`] buffer;
 //! `P`, `S` and `G` also share the rule loop around them, `D` runs its
-//! fixpoint instead. One expression fold in [`EvalContext`] serves the
-//! sub-expression cache's fill and `P`'s cell-time misses alike. Every
+//! fixpoint instead. One memoized expression evaluator in [`EvalContext`]
+//! serves the sub-expression cache's fill and `P`'s cell-time misses
+//! alike. Every
 //! evaluation is resource-governed by a [`Budget`]: exceeding the time or
 //! tuple budget aborts with an error — reproducing the "failed / manually
 //! terminated" entries of the paper's tables and figures rather than

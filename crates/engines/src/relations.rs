@@ -13,13 +13,11 @@
 //! arena (`thread_local`) so its inner loop allocates nothing in steady
 //! state.
 
-use crate::context::EvalContext;
 use crate::{Budget, EvalError};
-use gmark_core::query::{RegularExpr, Symbol};
+use gmark_core::query::Symbol;
 use gmark_store::{GraphView, NodeId};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 thread_local! {
     /// Per-worker scratch arena: the per-source target buffer reused by
@@ -268,28 +266,14 @@ impl Relation {
         }
         Ok(Relation { pairs: out })
     }
-
-    /// Evaluates a whole regular expression by relational algebra:
-    /// concatenation ⇒ compose, disjunction ⇒ union, star ⇒ closure — the
-    /// one-off spelling of [`EvalContext::expr_relation`], over a fresh
-    /// context with no sub-expression cache. Engines evaluating many
-    /// queries on one graph share a context instead.
-    pub fn of_expr<'g>(
-        graph: impl Into<GraphView<'g>>,
-        expr: &RegularExpr,
-        budget: &Budget,
-    ) -> Result<Relation, EvalError> {
-        EvalContext::new(graph)
-            .expr_relation(expr, budget)
-            .map(Arc::unwrap_or_clone)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::EvalContext;
     use crate::fixtures::sym;
-    use gmark_core::query::PathExpr;
+    use gmark_core::query::{PathExpr, RegularExpr};
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
 
     fn chain_graph() -> Graph {
@@ -374,16 +358,19 @@ mod tests {
     fn epsilon_path_is_identity() {
         let g = chain_graph();
         let eps = RegularExpr::union(vec![PathExpr::epsilon()]);
-        let r = Relation::of_expr(&g, &eps, &Budget::default()).unwrap();
-        assert_eq!(r, Relation::identity(4));
+        let r = EvalContext::new(&g).expr_relation(&eps, &Budget::default());
+        assert_eq!(*r.unwrap(), Relation::identity(4));
     }
 
     #[test]
     fn expr_disjunction() {
         let g = chain_graph();
         let expr = RegularExpr::union(vec![PathExpr(vec![sym(0)]), PathExpr(vec![sym(0), sym(0)])]);
-        let r = Relation::of_expr(&g, &expr, &Budget::default()).unwrap();
-        assert_eq!(r.pairs(), &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
+        let r = EvalContext::new(&g).expr_relation(&expr, &Budget::default());
+        assert_eq!(
+            r.unwrap().pairs(),
+            &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+        );
     }
 
     #[test]
@@ -419,7 +406,9 @@ mod tests {
         for expr in exprs {
             let nfa = crate::compile_nfa(&expr);
             assert_eq!(
-                Relation::of_expr(&g, &expr, &Budget::default()).unwrap(),
+                *EvalContext::new(&g)
+                    .expr_relation(&expr, &Budget::default())
+                    .unwrap(),
                 crate::eval_rpq(&g, &nfa, None, false, &Budget::default()).unwrap(),
                 "{expr:?}"
             );

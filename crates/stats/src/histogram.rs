@@ -82,22 +82,6 @@ impl LatencyHistogram {
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_micros
-            .fetch_add(other.sum_micros.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_micros
-            .fetch_max(other.max_micros.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Recorded samples so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -216,20 +200,6 @@ mod tests {
             snap.to_json(),
             r#"{"count":0,"p50_us":0,"p95_us":0,"p99_us":0,"max_us":0,"mean_us":0}"#
         );
-    }
-
-    #[test]
-    fn merge_accumulates_counts_and_max() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(1_000));
-        b.record(Duration::from_micros(20));
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.max_micros, 1_000);
-        assert_eq!(snap.sum_micros, 1_030);
     }
 
     #[test]

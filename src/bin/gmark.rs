@@ -184,30 +184,40 @@ fn take_count<T: std::str::FromStr + Default + PartialEq>(
     }
 }
 
+/// Fills one of the CLI's own flags, refusing a second value the way
+/// [`RunRequest::set`] refuses a repeated run parameter.
+fn once<T>(slot: &mut Option<T>, flag: &str, value: T) -> Result<(), String> {
+    match slot.replace(value) {
+        Some(_) => Err(format!("{flag}: given twice")),
+        None => Ok(()),
+    }
+}
+
 fn parse_args(argv: &[String]) -> Result<Parsed, String> {
     if argv.first().map(String::as_str) == Some("serve") {
         return parse_serve_args(&argv[1..]);
     }
     let mut config = None;
     let mut output = None;
-    let mut format = Format::Text;
+    let mut format = None;
     let mut request = RunRequest::new(Door::Cli);
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--config" | "-c" => config = Some(PathBuf::from(take_value(argv, &mut i)?)),
-            "--output" | "-o" => output = Some(PathBuf::from(take_value(argv, &mut i)?)),
+            "--config" | "-c" => once(&mut config, "--config", take_value(argv, &mut i)?.into())?,
+            "--output" | "-o" => once(&mut output, "--output", take_value(argv, &mut i)?.into())?,
             "--verify-store" => {
                 return Ok(Parsed::VerifyStore(PathBuf::from(take_value(
                     argv, &mut i,
                 )?)));
             }
             "--format" => {
-                format = match take_value(argv, &mut i)? {
+                let value = match take_value(argv, &mut i)? {
                     "text" => Format::Text,
                     "json" => Format::Json,
                     other => return Err(format!("--format: expected text|json, got {other:?}")),
-                }
+                };
+                once(&mut format, "--format", value)?;
             }
             "--version" | "-V" => {
                 return Ok(Parsed::EarlyExit(format!(
@@ -240,7 +250,7 @@ fn parse_args(argv: &[String]) -> Result<Parsed, String> {
     Ok(Parsed::Run(Box::new(Args {
         config: config.ok_or("--config is required")?,
         output: output.ok_or("--output is required")?,
-        format,
+        format: format.unwrap_or(Format::Text),
         request,
     })))
 }

@@ -81,10 +81,16 @@ fn early_exit_flags_win_even_with_other_arguments_present() {
 
 #[test]
 fn unknown_and_malformed_arguments_fail_with_usage() {
-    // A run flag given twice is refused, not last-wins; the daemon has no
-    // per-connection request cap to set; the planner and the evaluation
-    // cache have no switches, they are always on.
-    let twice = &["--nodes", "200", "--nodes", "300"][..];
+    // A flag given twice is refused, not last-wins, whether it is a run
+    // parameter or one of the CLI's own; the daemon has no per-connection
+    // request cap to set; the planner and the evaluation cache have no
+    // switches, they are always on.
+    let twice = [
+        (&["--nodes", "200", "--nodes", "300"][..], "--nodes"),
+        (&["--config", "/nonexistent.xml", "-c", "a.xml"], "--config"),
+        (&["-o", "a", "--output", "b"], "--output"),
+        (&["--format", "json", "--format", "text"], "--format"),
+    ];
     let no_cap = &["serve", "--max-requests-per-conn", "2"][..];
     let no_switch = [
         &["--no-plan"][..],
@@ -95,10 +101,10 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
         &["--bogus"][..],
         &["--format", "yaml"],
         &["--seed", "x"],
-        twice,
         no_cap,
     ]
     .into_iter()
+    .chain(twice.map(|(bad, _)| bad))
     .chain(no_switch)
     {
         let out = gmark(bad);
@@ -106,8 +112,8 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("usage:"), "{bad:?}: no usage in {stderr:?}");
         let first_line = stderr.lines().next().unwrap_or_default();
-        if bad == twice {
-            assert_eq!(first_line, "gmark: --nodes: given twice");
+        if let Some((_, flag)) = twice.iter().find(|(args, _)| *args == bad) {
+            assert_eq!(first_line, format!("gmark: {flag}: given twice"));
         }
         if bad == no_cap {
             assert_eq!(

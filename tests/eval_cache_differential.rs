@@ -23,6 +23,8 @@
 use gmark::prelude::*;
 use gmark::store::{GraphView, StoreMeta, StoreReader, StoreWriter};
 use proptest::prelude::*;
+use std::mem::discriminant;
+use std::ops::RangeInclusive;
 
 /// A deterministic random graph over `n` nodes and `preds` labels.
 fn random_graph(n: u32, preds: usize, edges_per_pred: usize, seed: u64) -> Graph {
@@ -38,9 +40,9 @@ fn random_graph(n: u32, preds: usize, edges_per_pred: usize, seed: u64) -> Graph
     b.build()
 }
 
-/// Strategy: a random path of up to 3 symbols over `preds` labels.
-fn arb_path(preds: usize) -> impl Strategy<Value = PathExpr> {
-    prop::collection::vec((0..preds, any::<bool>()), 1..=3).prop_map(|syms| {
+/// Strategy: a random path of `len` symbols over `preds` labels.
+fn arb_path(preds: usize, len: RangeInclusive<usize>) -> impl Strategy<Value = PathExpr> {
+    prop::collection::vec((0..preds, any::<bool>()), len).prop_map(|syms| {
         PathExpr(
             syms.into_iter()
                 .map(|(p, inv)| {
@@ -60,7 +62,10 @@ fn arb_path(preds: usize) -> impl Strategy<Value = PathExpr> {
 /// the starred draws are the recursive shapes the cache caches hardest
 /// (transitive closures are its headline hit).
 fn arb_expr(preds: usize) -> impl Strategy<Value = RegularExpr> {
-    (prop::collection::vec(arb_path(preds), 1..=2), any::<bool>())
+    (
+        prop::collection::vec(arb_path(preds, 1..=3), 1..=2),
+        any::<bool>(),
+    )
         .prop_map(|(disjuncts, starred)| RegularExpr { disjuncts, starred })
 }
 
@@ -199,6 +204,46 @@ proptest! {
         let queries = [&q1, &q2];
         let (cached, plain) = matrix_pair(&graph, None, &queries, cap, false);
         assert_cells_match(&cached, &plain)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // A cell-time miss that starts from a cached prefix. The fill admits
+    // only the proper prefixes of the probed expression's paths, at cap
+    // `c1`, so the probe at `c2 ≥ c1` misses, and its evaluation starts
+    // from the longest cached prefix of each path — or fails at once on a
+    // negative entry over `c2` — and composes the rest itself. It must
+    // answer as a context with no cache does: the same relation, or an
+    // error of the same kind.
+    #[test]
+    fn a_miss_from_a_cached_prefix_matches_an_uncached_evaluation(
+        seed in 0u64..1000,
+        paths in prop::collection::vec(arb_path(2, 2..=4), 1..=2),
+        starred in any::<bool>(),
+        c1 in prop_oneof![Just(10usize), Just(30usize), Just(100usize), Just(400usize)],
+        headroom in prop_oneof![Just(0usize), Just(50usize), Just(1_000usize)],
+        edges_per_pred in prop_oneof![Just(12usize), Just(45usize)],
+    ) {
+        let graph = random_graph(30, 2, edges_per_pred, seed);
+        let prefixes: Vec<RegularExpr> = paths
+            .iter()
+            .flat_map(|path| (1..path.0.len()).map(|k| RegularExpr::path(PathExpr(path.0[..k].to_vec()))))
+            .collect();
+        let expr = RegularExpr { disjuncts: paths, starred };
+        let c2 = Budget::with_limits(None, c1 + headroom);
+        let ctx = EvalContext::new(&graph);
+        ctx.fill_expr_cache(&prefixes, 64, || Budget::with_limits(None, c1));
+        let got = ctx.expr_relation(&expr, &c2);
+        let want = EvalContext::new(&graph).expr_relation(&expr, &c2);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => prop_assert_eq!(g, w),
+            (Err(g), Err(w)) => prop_assert_eq!(discriminant(g), discriminant(w), "{:?} vs {:?}", g, w),
+            _ => prop_assert!(false, "cached {:?} vs uncached {:?}", got, want),
+        }
+        let stats = ctx.expr_cache_stats().expect("the cache was filled");
+        prop_assert_eq!((stats.hits, stats.misses), (0, 1));
     }
 }
 
