@@ -231,8 +231,17 @@ pub fn parse_config(input: &str) -> Result<ParsedConfig, ConfigError> {
     Ok(ParsedConfig { graph, workload })
 }
 
+/// A `min`/`max` pair; an inverted one is refused here, so no sampler
+/// downstream is ever handed an empty range.
 fn parse_range(e: &Element) -> Result<(usize, usize), ConfigError> {
-    Ok((attr_num(e, "min")?, attr_num(e, "max")?))
+    let (min, max) = (attr_num(e, "min")?, attr_num(e, "max")?);
+    if min > max {
+        return Err(invalid(&format!(
+            "<{}> range: min {min} > max {max}",
+            e.name
+        )));
+    }
+    Ok((min, max))
 }
 
 fn parse_workload(w: &Element) -> Result<WorkloadConfig, ConfigError> {
@@ -526,5 +535,20 @@ mod tests {
             parse_config(bad_sel),
             Err(ConfigError::Invalid(_))
         ));
+        // An inverted range would reach a sampler as an empty interval.
+        for element in ["rules", "conjuncts", "disjuncts", "length"] {
+            let inverted = bad_sel.replace(
+                "<selectivity>cubic</selectivity>",
+                &format!(r#"<{element} min="4" max="2"/>"#),
+            );
+            match parse_config(&inverted) {
+                Err(ConfigError::Invalid(msg)) => {
+                    assert_eq!(msg, format!("<{element}> range: min 4 > max 2"));
+                }
+                other => panic!("<{element}>: expected invalid, got {other:?}"),
+            }
+            let equal = inverted.replace(r#"min="4""#, r#"min="2""#);
+            assert!(parse_config(&equal).is_ok(), "<{element}> min = max");
+        }
     }
 }

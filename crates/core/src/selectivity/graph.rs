@@ -302,8 +302,6 @@ impl SchemaGraph {
 #[derive(Debug, Clone)]
 pub struct SelectivityGraph {
     pub(crate) adj: Vec<Vec<usize>>,
-    lmin: usize,
-    lmax: usize,
 }
 
 impl SelectivityGraph {
@@ -347,7 +345,7 @@ impl SelectivityGraph {
                 .filter_map(|(v, &r)| r.then_some(v))
                 .collect();
         }
-        SelectivityGraph { adj, lmin, lmax }
+        SelectivityGraph { adj }
     }
 
     /// `G_sel` successors of a node.
@@ -358,11 +356,6 @@ impl SelectivityGraph {
     /// Whether the edge `u → v` exists.
     pub fn has_edge(&self, u: GsNodeId, v: GsNodeId) -> bool {
         self.adj[u.0].binary_search(&v.0).is_ok()
-    }
-
-    /// The path-length interval this graph was built for.
-    pub fn length_interval(&self) -> (usize, usize) {
-        (self.lmin, self.lmax)
     }
 }
 

@@ -29,12 +29,11 @@
 //! of a scenario overlap heavily in sub-expressions: the same
 //! `authoredBy⁻` closure shows up in a dozen conjuncts across the
 //! matrix. The context therefore carries a bounded **sub-expression
-//! result cache** ([`EvalContext::fill_expr_cache`] /
-//! [`EvalContext::cached_expr`]): materialized [`Relation`]s keyed by
-//! the canonical [`RegularExpr`] form of a sub-expression — single
-//! symbols, concatenation prefixes (`RegularExpr::path` of the prefix),
-//! unions, and above all `p*` closures, which dominate the
-//! timeout/too-large cells.
+//! result cache** ([`EvalContext::fill_expr_cache`]): materialized
+//! [`Relation`]s keyed by the canonical [`RegularExpr`] form of a
+//! sub-expression — single symbols, concatenation prefixes
+//! (`RegularExpr::path` of the prefix), unions, and above all `p*`
+//! closures, which dominate the timeout/too-large cells.
 //!
 //! One evaluator turns an expression into a relation, for the fill and
 //! for every cell-time miss of [`EvalContext::expr_relation`] alike: it
@@ -53,16 +52,17 @@
 //! budget, exactly as a one-thread fill would. Every kernel is pure, so
 //! contents are a pure function of `(graph, fill expression list, tuple
 //! cap, byte budget)` at every thread count. A hit charges the cached
-//! *cardinality check* only — `Budget::check_size(len)` — never wall time
-//! (see [`EvalContext::cached_expr`]). Failed fills are cached only for
-//! the deterministic failure ([`EvalError::TooLarge`]), never for a
-//! timeout. Negative entries are authoritative **only for the
-//! sorted-kernel path** ([`EvalContext::expr_relation`], whose misses run
-//! the fill's evaluator and so fail at the same checks): probe-style
-//! consumers ([`EvalContext::cached_expr`]) treat them as misses, because
-//! their native strategies — automaton BFS, seed-driven navigation —
-//! never materialize the kernels' intermediate relations and may
-//! legitimately succeed where the fill blew the cap.
+//! *cardinality check* only — `Budget::check_size(len)` — never wall
+//! time. Failed fills are cached only for the deterministic failure
+//! ([`EvalError::TooLarge`]), never for a timeout.
+//!
+//! `P`, `S` and `G` read a conjunct the same way: one counted probe of the
+//! whole expression, and on a miss the engine's own kernel. A negative
+//! entry is a miss to the probe: `S`'s automaton BFS and `G`'s navigation
+//! never materialize the kernels' intermediates, so they may succeed where
+//! the fill blew the cap. `P`'s kernel is the fill's evaluator
+//! ([`EvalContext::expr_relation`]) and fails at the same checks, so to it
+//! a negative entry over its cap is the answer.
 //!
 //! The Datalog engine deliberately consumes no cache at all (rule (e) of
 //! the [`crate::datalog`] budget rule): a hit could flip a too-large cell
@@ -350,7 +350,7 @@ impl<'g> EvalContext<'g> {
     /// on the way are admitted too, keyed by their canonical
     /// [`RegularExpr::path`] form. `budget_mb` bounds admitted pair-column
     /// bytes; `0` disables the cache entirely (nothing is even frozen, so
-    /// [`EvalContext::cached_expr`] stays on its no-cache fast path).
+    /// every probe is an uncounted miss).
     pub fn fill_expr_cache<F>(&self, exprs: &[RegularExpr], budget_mb: usize, fresh_budget: F)
     where
         F: Fn() -> Budget + Sync,
@@ -491,17 +491,14 @@ impl<'g> EvalContext<'g> {
     ///   [`Budget::check_size`] on the cached cardinality (the check any
     ///   computation of the result would have ended with) and **no wall
     ///   time**;
-    /// * `Ok(None)` — miss (or cache disabled): compute as before.
-    ///   Negative entries also land here: a probe caller's native
-    ///   evaluation strategy is not the fill's kernel path, so a fill
-    ///   blow-up does not prove *its* recomputation fails (only
-    ///   [`EvalContext::expr_relation`] treats negatives as
-    ///   authoritative).
+    /// * `Ok(None)` — miss (or cache disabled). Negative entries also land
+    ///   here: only `P`'s kernel treats them as authoritative (see the
+    ///   module docs).
     ///
     /// An `Err(TooLarge)` is the hit's own cardinality check failing —
     /// the caller's cap is below the cached result size, exactly as
     /// finishing the computation would have ended.
-    pub fn cached_expr(
+    pub(crate) fn cached_expr(
         &self,
         expr: &RegularExpr,
         budget: &Budget,
@@ -522,27 +519,37 @@ impl<'g> EvalContext<'g> {
         }
     }
 
-    /// The relation of a whole expression: a cache hit when possible,
-    /// otherwise computed by the sorted-kernel relational path — the
-    /// evaluator the fill ran, reading the frozen cache, so a cached
-    /// concatenation prefix jump-starts each longer path. This is the
-    /// `P`-style engine's per-conjunct entry point.
-    ///
-    /// A negative cache entry whose recorded blow-up exceeds the
-    /// caller's cap is authoritative here (`Err(TooLarge)` without
-    /// recomputing), for the whole expression and for every prefix the
-    /// evaluator reaches: it runs the exact kernel computation the fill
-    /// ran, so it would fail at the same check.
+    /// One conjunct's relation, the way `P`, `S` and `G` all read it: a
+    /// cache hit when the probe finds one, otherwise `miss()` — the
+    /// engine's own kernel.
+    pub(crate) fn conjunct_relation(
+        &self,
+        expr: &RegularExpr,
+        budget: &Budget,
+        miss: impl FnOnce() -> Resolved,
+    ) -> Resolved {
+        match self.cached_expr(expr, budget)? {
+            Some(hit) => Ok(hit),
+            None => miss(),
+        }
+    }
+
+    /// `P`'s miss kernel: the fill's evaluator over the frozen cache, so a
+    /// cached prefix jump-starts each longer path and a negative entry
+    /// over the caller's cap, for the expression or a prefix, is the error.
+    pub(crate) fn kernel_relation(&self, expr: &RegularExpr, budget: &Budget) -> Resolved {
+        let memo = Memo::new(slice::from_ref(expr));
+        self.resolve(&memo, self.expr_cache.get(), expr, budget)
+    }
+
+    /// The relation of a whole expression, read as `P` reads a conjunct: a
+    /// cache hit, else the sorted-kernel evaluator the fill ran.
     pub fn expr_relation(
         &self,
         expr: &RegularExpr,
         budget: &Budget,
     ) -> Result<Arc<Relation>, EvalError> {
-        if let Some(hit) = self.cached_expr(expr, budget)? {
-            return Ok(hit);
-        }
-        let memo = Memo::new(slice::from_ref(expr));
-        self.resolve(&memo, self.expr_cache.get(), expr, budget)
+        self.conjunct_relation(expr, budget, || self.kernel_relation(expr, budget))
     }
 
     /// The exact cardinality of a positively cached expression, if any —

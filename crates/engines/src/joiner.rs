@@ -2,10 +2,12 @@
 //!
 //! All four engines grow a [`BindingTable`] through the same
 //! [`BindingTable::extend`] and read their heads off it through the same
-//! [`project`]: `P` and `S` join a whole rule body at once ([`join_all`]),
-//! `G` one seed-driven conjunct at a time, `D` the body of every Datalog
-//! rule, with a delta substituted at one position. `P`, `G` and `S` also
-//! share the rule loop ([`union_of_rules`]); `D` has its own fixpoint.
+//! [`project`]: `P` and `S` join a whole rule body at once
+//! ([`join_materialized`], one body for both, differing only in the kernel
+//! a cache miss runs), `G` one seed-driven conjunct at a time, `D` the body
+//! of every Datalog rule, with a delta substituted at one position. `P`,
+//! `G` and `S` also share the rule loop ([`union_of_rules`]); `D` has its
+//! own fixpoint.
 //! Conjunct results arrive as borrowed [`Relation`]s — sorted `u32` pair
 //! columns, often straight out of the sub-expression cache — so the kernel
 //! is search-based, not hash-based: a semi-join is a binary search per row
@@ -29,11 +31,13 @@
 //! never needed again: a later step reads only its own variables, which
 //! are live, and the head is live throughout.
 
+use crate::context::EvalContext;
 use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError};
-use gmark_core::query::{Query, Rule, Var};
+use gmark_core::query::{Query, RegularExpr, Rule, Var};
 use gmark_store::NodeId;
+use std::sync::Arc;
 
 /// Rows over an ordered set of variables, stored row-major in one flat
 /// vector.
@@ -181,6 +185,38 @@ pub(crate) fn join_all(
         table = table.extend(c, &live_after(head, later), budget)?;
     }
     Ok(table)
+}
+
+/// The body `P` and `S` share, differing only in `kernel`: each conjunct
+/// of a rule read in plan order through [`EvalContext::conjunct_relation`]
+/// (a miss runs `kernel`), then all joined in that order.
+pub(crate) fn join_materialized(
+    ctx: &EvalContext<'_>,
+    query: &Query,
+    plan: &QueryPlan,
+    budget: &Budget,
+    kernel: impl Fn(&RegularExpr) -> Result<Arc<Relation>, EvalError>,
+) -> Result<Answers, EvalError> {
+    union_of_rules(query, plan, budget, |rule, steps| {
+        let conjunct = |step: &ConjunctStep| &rule.body[step.conjunct];
+        let relations = steps
+            .iter()
+            .map(|step| {
+                let expr = &conjunct(step).expr;
+                ctx.conjunct_relation(expr, budget, || kernel(expr))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let conjuncts: Vec<ConjunctPairs<'_>> = steps
+            .iter()
+            .zip(&relations)
+            .map(|(step, pairs)| ConjunctPairs {
+                src: conjunct(step).src,
+                trg: conjunct(step).trg,
+                pairs,
+            })
+            .collect();
+        join_all(&conjuncts, &rule.head, budget)
+    })
 }
 
 /// The variables a step must store: the head, plus both variables of
@@ -519,5 +555,215 @@ mod tests {
                 prop_assert_eq!(got, expected);
             }
         }
+    }
+}
+
+/// `P` through [`join_materialized`].
+#[cfg(test)]
+mod relational_tests {
+    use super::*;
+    use crate::fixtures::{graph4 as graph, sym};
+    use crate::{eval_rpq, EngineKind};
+    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Var};
+
+    fn eval(q: &Query, budget: &Budget) -> Result<Answers, EvalError> {
+        EngineKind::Relational.evaluate(&EvalContext::new(&graph()), q, None, budget)
+    }
+
+    #[test]
+    fn single_conjunct() {
+        let q = Query::single(Rule {
+            head: vec![Var(0), Var(1)],
+            body: vec![Conjunct {
+                src: Var(0),
+                expr: RegularExpr::symbol(sym(1)),
+                trg: Var(1),
+            }],
+        })
+        .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[1, 3], [2, 3]]);
+    }
+
+    #[test]
+    fn two_conjunct_chain() {
+        // (?x, a, ?y), (?y, b, ?z) projected on (x, z).
+        let q = Query::single(Rule {
+            head: vec![Var(0), Var(2)],
+            body: vec![
+                Conjunct {
+                    src: Var(0),
+                    expr: RegularExpr::symbol(sym(0)),
+                    trg: Var(1),
+                },
+                Conjunct {
+                    src: Var(1),
+                    expr: RegularExpr::symbol(sym(1)),
+                    trg: Var(2),
+                },
+            ],
+        })
+        .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
+        // a·b pairs: (0,3) via 1, (1,3) via 2, (3,3) via 1.
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[0, 3], [1, 3], [3, 3]]);
+    }
+
+    #[test]
+    fn recursive_conjunct() {
+        let q = Query::single(Rule {
+            head: vec![Var(0), Var(1)],
+            body: vec![Conjunct {
+                src: Var(0),
+                expr: RegularExpr::star(vec![PathExpr(vec![sym(0)])]),
+                trg: Var(1),
+            }],
+        })
+        .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
+        let nfa = crate::compile_nfa(&q.rules[0].body[0].expr);
+        let bfs = eval_rpq(&graph(), &nfa, None, false, &Budget::default()).unwrap();
+        let expected: Vec<[_; 2]> = bfs.pairs().iter().map(|&(s, t)| [s, t]).collect();
+        assert_eq!(a.rows().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn boolean_query() {
+        let q = Query::single(Rule {
+            head: vec![],
+            body: vec![Conjunct {
+                src: Var(0),
+                expr: RegularExpr::symbol(sym(0)),
+                trg: Var(1),
+            }],
+        })
+        .unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
+        assert!(a.non_empty());
+        assert_eq!(a.count(), 1);
+    }
+
+    #[test]
+    fn union_of_rules() {
+        let mk = |p: usize| Rule {
+            head: vec![Var(0), Var(1)],
+            body: vec![Conjunct {
+                src: Var(0),
+                expr: RegularExpr::symbol(sym(p)),
+                trg: Var(1),
+            }],
+        };
+        let q = Query::new(vec![mk(0), mk(1)]).unwrap();
+        let a = eval(&q, &Budget::default()).unwrap();
+        assert_eq!(a.count(), 6); // 4 a-edges + 2 b-edges, all distinct
+    }
+
+    #[test]
+    fn budget_propagates() {
+        let q = Query::single(Rule {
+            head: vec![Var(0), Var(1)],
+            body: vec![Conjunct {
+                src: Var(0),
+                expr: RegularExpr::star(vec![PathExpr(vec![sym(0)])]),
+                trg: Var(1),
+            }],
+        })
+        .unwrap();
+        let tight = Budget {
+            max_tuples: 2,
+            ..Budget::default()
+        };
+        assert!(eval(&q, &tight).is_err());
+    }
+}
+
+/// `S` through [`join_materialized`], against `P`.
+#[cfg(test)]
+mod triplestore_tests {
+    use super::*;
+    use crate::fixtures::{chain, graph5 as graph, sym};
+    use crate::EngineKind;
+    use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Var};
+
+    fn eval(kind: EngineKind, q: &Query) -> Answers {
+        kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())
+            .unwrap()
+    }
+
+    #[test]
+    fn agrees_with_relational_on_chains() {
+        let cases = vec![
+            chain(vec![RegularExpr::symbol(sym(0))]),
+            chain(vec![
+                RegularExpr::symbol(sym(0)),
+                RegularExpr::symbol(sym(1)),
+            ]),
+            chain(vec![
+                RegularExpr::union(vec![PathExpr(vec![sym(0)]), PathExpr(vec![sym(1)])]),
+                RegularExpr::symbol(sym(0).flipped()),
+            ]),
+            chain(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]),
+            chain(vec![
+                RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1).flipped()])]),
+                RegularExpr::symbol(sym(1)),
+            ]),
+        ];
+        for q in cases {
+            let a = eval(EngineKind::TripleStore, &q);
+            let b = eval(EngineKind::Relational, &q);
+            assert_eq!(a, b, "mismatch on {q:?}");
+        }
+    }
+
+    #[test]
+    fn boolean_and_union_queries() {
+        let q = Query::new(vec![
+            Rule {
+                head: vec![],
+                body: vec![Conjunct {
+                    src: Var(0),
+                    expr: RegularExpr::symbol(sym(1)),
+                    trg: Var(1),
+                }],
+            },
+            Rule {
+                head: vec![],
+                body: vec![Conjunct {
+                    src: Var(0),
+                    expr: RegularExpr::symbol(sym(0)),
+                    trg: Var(1),
+                }],
+            },
+        ])
+        .unwrap();
+        let a = eval(EngineKind::TripleStore, &q);
+        assert!(a.non_empty());
+    }
+
+    #[test]
+    fn star_shaped_query() {
+        // (?c, a, ?x), (?c, b, ?y): center variable joins both.
+        let q = Query::single(Rule {
+            head: vec![Var(1), Var(2)],
+            body: vec![
+                Conjunct {
+                    src: Var(0),
+                    expr: RegularExpr::symbol(sym(0)),
+                    trg: Var(1),
+                },
+                Conjunct {
+                    src: Var(0),
+                    expr: RegularExpr::symbol(sym(1)),
+                    trg: Var(2),
+                },
+            ],
+        })
+        .unwrap();
+        let a = eval(EngineKind::TripleStore, &q);
+        let b = eval(EngineKind::Relational, &q);
+        assert_eq!(a, b);
+        // Node 0: a→1, b→4 contributes (1,4); node 1: a→2, b→3 → (2,3);
+        // node 2: a→0, b→3 → (0,3).
+        assert_eq!(a.rows().collect::<Vec<_>>(), [[0, 3], [1, 4], [2, 3]]);
     }
 }

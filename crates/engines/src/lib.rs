@@ -17,8 +17,9 @@
 //!   by sort-merge composition and, for stars, the whole closure by one
 //!   reachability traversal per source,
 //!   like the paper's SQL:1999 translation evaluated bottom-up;
-//! * `S` (triple store) — **property paths**: per-conjunct product-automaton
-//!   BFS over the sorted indexes, no intermediate relation per step;
+//! * `S` (triple store) — **property paths**: on a cache miss,
+//!   product-automaton BFS over the sorted indexes, no intermediate
+//!   relation per step; on a hit, exactly `P`'s code;
 //! * `G` (navigational) — **navigate**: seed-driven BFS from the bindings
 //!   so far, over the *degraded* query an openCypher system would run
 //!   (inverses and concatenations under `*` are dropped per Section 7.1,
@@ -37,11 +38,11 @@
 //! representation from the EDB to the answers — binary relations are
 //! [`relations::Relation`]s (sorted `u32` pair columns), wider tuples flat
 //! row-major rows — so all four join through one kernel and read their
-//! heads off it through one projection into one flat [`Answers`] buffer;
-//! `P`, `S` and `G` also share the rule loop around them, `D` runs its
-//! fixpoint instead. One memoized expression evaluator in [`EvalContext`]
-//! serves the sub-expression cache's fill and `P`'s cell-time misses
-//! alike. Every
+//! heads off it through one projection into one flat [`Answers`] buffer.
+//! `P`, `S` and `G` also share the rule loop around them and one cache
+//! probe per conjunct, a miss running the engine's own kernel; `P` and `S`
+//! share one rule body too. `D` runs its fixpoint instead. One memoized expression evaluator in [`EvalContext`] serves
+//! the sub-expression cache's fill and `P`'s cell-time misses alike. Every
 //! evaluation is resource-governed by a [`Budget`]: exceeding the time or
 //! tuple budget aborts with an error — reproducing the "failed / manually
 //! terminated" entries of the paper's tables and figures rather than
@@ -66,9 +67,7 @@ mod joiner;
 pub mod matrix;
 pub mod navigational;
 pub mod planner;
-mod relational;
 pub mod relations;
-mod triplestore;
 
 pub use automaton::{compile_nfa, eval_rpq, Nfa};
 pub use context::{EvalCacheStats, EvalContext, SymbolStats};

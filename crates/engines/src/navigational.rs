@@ -86,10 +86,7 @@ fn navigate_rule(
         // cached full relation would be charged where navigation only
         // explores a subset.
         let pairs: Arc<Relation> = if !step.flip && bound_seeds.is_none() {
-            match ctx.cached_expr(&c.expr, budget)? {
-                Some(hit) => hit,
-                None => navigate(ctx, c, false, None, budget)?,
-            }
+            ctx.conjunct_relation(&c.expr, budget, || navigate(ctx, c, false, None, budget))?
         } else {
             navigate(ctx, c, step.flip, bound_seeds.as_deref(), budget)?
         };

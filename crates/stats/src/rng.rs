@@ -101,12 +101,6 @@ impl Prng {
         result
     }
 
-    /// Returns the next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64_unit(&mut self) -> f64 {

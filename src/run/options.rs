@@ -36,9 +36,6 @@ pub struct RunOptions {
     /// is sorted and deduplicated (same edge set — RDF set semantics make
     /// them equivalent data).
     pub stream: bool,
-    /// The Gaussian fast path of the graph generator (see
-    /// [`GeneratorOptions::gaussian_fast_path`]).
-    pub gaussian_fast_path: bool,
     /// Base IRI of the N-Triples output (no trailing slash needed).
     pub base_iri: String,
     /// Scratch directory override for the only temporaries a run ever
@@ -58,7 +55,6 @@ impl Default for RunOptions {
             seed: None,
             threads: defaults.threads,
             stream: false,
-            gaussian_fast_path: defaults.gaussian_fast_path,
             base_iri: StreamOptions::default().base,
             scratch_dir: None,
         }
@@ -102,8 +98,8 @@ impl RunOptions {
     pub(crate) fn generator_options(&self) -> GeneratorOptions {
         GeneratorOptions {
             seed: self.graph_seed(),
-            gaussian_fast_path: self.gaussian_fast_path,
             threads: self.threads,
+            ..GeneratorOptions::default()
         }
     }
 
@@ -134,7 +130,6 @@ mod tests {
         let gen = GeneratorOptions::default();
         assert_eq!(opts.graph_seed(), gen.seed);
         assert_eq!(opts.threads, gen.threads);
-        assert_eq!(opts.gaussian_fast_path, gen.gaussian_fast_path);
         assert_eq!(opts.base_iri, StreamOptions::default().base);
     }
 

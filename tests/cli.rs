@@ -299,3 +299,32 @@ fn queries_only_without_workload_section_is_a_plan_error() {
     assert!(stderr.contains("no <workload> section"), "{stderr}");
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+#[test]
+fn an_inverted_workload_range_is_a_config_error_not_a_panic() {
+    let scratch = std::env::temp_dir().join(format!("gmark-invrange-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let bib = std::fs::read_to_string(repo_path("examples/configs/bib.xml")).unwrap();
+    let inverted = bib.replace(
+        r#"<conjuncts min="1" max="3"/>"#,
+        r#"<conjuncts min="3" max="2"/>"#,
+    );
+    assert_ne!(inverted, bib, "bib.xml no longer has the conjuncts range");
+    let config = scratch.join("inverted.xml");
+    std::fs::write(&config, inverted).unwrap();
+    let out = gmark(&[
+        "--config",
+        config.to_str().unwrap(),
+        "--output",
+        scratch.join("out").to_str().unwrap(),
+        "--queries-only",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("<conjuncts> range: min 3 > max 2"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&scratch);
+}
