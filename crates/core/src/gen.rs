@@ -38,6 +38,11 @@
 //! never depends on the thread count (the argument is made once, in
 //! [`gmark_store::emit`]).
 //!
+//! Because each constraint's edges are a pure function of (config, seed,
+//! `i`), they can be drawn twice: [`generate_store`], the streamed
+//! pipeline's paged store, regenerates one predicate at a time rather than
+//! keeping the edges [`generate_streamed`] already wrote.
+//!
 //! These entry points are the graph half of the pipeline; the `gmark`
 //! facade crate's `run` module orchestrates them (plan → options → sink)
 //! behind one API and one error type — prefer that surface unless you
@@ -46,9 +51,10 @@
 use crate::schema::{Distribution, GraphConfig};
 use gmark_stats::{DegreeSampler, Prng, Zipf};
 use gmark_store::{
-    ordered_map, EdgeSink, EdgeSpool, EmitStats, ForwardingSink, Graph, GraphBuilder,
-    NTriplesFormat, NTriplesWriter, NodeId, OrderedEmitter, TypePartition,
+    ordered_map, Csr, EdgeSink, EmitStats, Graph, GraphBuilder, NTriplesFormat, NTriplesWriter,
+    NodeId, OrderedEmitter, PredIdx, StoreError, StoreInfo, StoreMeta, StoreWriter, TypePartition,
 };
+use std::path::Path;
 
 /// Options controlling graph generation.
 #[derive(Debug, Clone)]
@@ -164,10 +170,9 @@ pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, 
 pub struct StreamOptions {
     /// Base IRI of the N-Triples output (no trailing slash needed).
     pub base: String,
-    /// Unused: the streamed N-Triples path keeps no temporary files. The
-    /// field stays until these per-crate option structs are collapsed into
-    /// the facade's `RunOptions` (whose `scratch_dir` places the `--store`
-    /// edge spool).
+    /// Unused: the streamed path keeps no temporary files, N-Triples or
+    /// store. The field stays until these per-crate option structs are
+    /// collapsed into the facade's `RunOptions`.
     pub scratch_dir: std::path::PathBuf,
 }
 
@@ -210,34 +215,6 @@ pub fn generate_streamed<W: std::io::Write + Send>(
     stream: &StreamOptions,
     out: &mut W,
 ) -> std::io::Result<(GenReport, u64)> {
-    generate_streamed_impl(config, opts, stream, out, None)
-}
-
-/// [`generate_streamed`] with a second output: every edge is also teed,
-/// as raw `(src, trg)` records, into the per-constraint [`EdgeSpool`] that
-/// feeds the on-disk store builder
-/// ([`gmark_store::build_store_from_spool`]). The N-Triples bytes written
-/// to `out` are identical to a plain streamed run, and the spool contents
-/// are a pure function of `(config, seed)` like everything else — workers
-/// write only the spool files of constraints they claimed, so thread
-/// scheduling never reorders records within a file.
-pub fn generate_streamed_spooled<W: std::io::Write + Send>(
-    config: &GraphConfig,
-    opts: &GeneratorOptions,
-    stream: &StreamOptions,
-    out: &mut W,
-    spool: &EdgeSpool,
-) -> std::io::Result<(GenReport, u64)> {
-    generate_streamed_impl(config, opts, stream, out, Some(spool))
-}
-
-fn generate_streamed_impl<W: std::io::Write + Send>(
-    config: &GraphConfig,
-    opts: &GeneratorOptions,
-    stream: &StreamOptions,
-    out: &mut W,
-    spool: Option<&EdgeSpool>,
-) -> std::io::Result<(GenReport, u64)> {
     let n_constraints = config.schema.constraints().len();
     // Encode the predicate alphabet once; every constraint's writer shares it.
     let format = std::sync::Arc::new(NTriplesFormat::new(
@@ -253,16 +230,7 @@ fn generate_streamed_impl<W: std::io::Write + Send>(
         |done: &mut Vec<(usize, ConstraintReport, u64)>, idx, lanes| -> std::io::Result<()> {
             let mut sink = NTriplesWriter::with_format(&mut lanes[0], format.clone());
             let mut rng = master.split(idx as u64);
-            let cr = match spool {
-                None => generate_constraint(config, opts, idx, &partition, &mut rng, &mut sink),
-                Some(spool) => {
-                    let mut raw = spool.writer(idx)?;
-                    let mut tee = ForwardingSink::new(&mut sink, &mut raw);
-                    let cr = generate_constraint(config, opts, idx, &partition, &mut rng, &mut tee);
-                    raw.finish()?;
-                    cr
-                }
-            };
+            let cr = generate_constraint(config, opts, idx, &partition, &mut rng, &mut sink);
             done.push((idx, cr, sink.finish()?));
             Ok(())
         },
@@ -281,6 +249,54 @@ fn generate_streamed_impl<W: std::io::Write + Send>(
         written += w;
     }
     Ok((report, written))
+}
+
+/// Writes the paged store of the graph [`generate_streamed`] streams,
+/// holding one predicate at a time instead of the whole graph.
+///
+/// Constraint `i` draws from `master.split(i)` wherever it runs, so its
+/// edges can be generated again: for each predicate, the edges of its
+/// constraints are regenerated in ascending constraint order, the
+/// deduplicated forward CSR is built and its transpose taken — the
+/// canonical sorted form, so the bytes equal those
+/// [`StoreWriter::write_graph`] writes for [`generate_graph`]'s graph — and
+/// both are written and dropped. One thread; the bytes never depend on
+/// `opts.threads`. Peak memory
+/// is bounded by the largest predicate, not the total edge count.
+/// `meta.partition` must be `config`'s partition and
+/// `meta.predicate_names` its alphabet.
+pub fn generate_store(
+    config: &GraphConfig,
+    opts: &GeneratorOptions,
+    path: &Path,
+    meta: &StoreMeta,
+) -> Result<StoreInfo, StoreError> {
+    let partition = TypePartition::from_counts(&config.node_counts());
+    let master = Prng::seed_from_u64(opts.seed);
+    let constraints = config.schema.constraints();
+    let mut writer = StoreWriter::create(path, meta)?;
+    let mut edges = PairSink(Vec::new());
+    for pred in 0..config.schema.predicate_count() {
+        edges.0.clear();
+        for idx in (0..constraints.len()).filter(|&i| constraints[i].predicate.0 == pred) {
+            let mut rng = master.split(idx as u64);
+            generate_constraint(config, opts, idx, &partition, &mut rng, &mut edges);
+        }
+        let fwd = Csr::from_edges(partition.node_count(), &edges.0);
+        writer.write_segment(&fwd)?;
+        writer.write_segment(&fwd.transpose())?;
+    }
+    writer.finish()
+}
+
+/// Collects the `(src, trg)` pairs of one predicate's edges.
+struct PairSink(Vec<(NodeId, NodeId)>);
+
+impl EdgeSink for PairSink {
+    #[inline]
+    fn edge(&mut self, src: NodeId, _pred: PredIdx, trg: NodeId) {
+        self.0.push((src, trg));
+    }
 }
 
 /// How one side of a constraint contributes edge endpoints.

@@ -190,23 +190,6 @@ impl Prng {
     }
 }
 
-/// Fills a byte slice from the stream (the `rand`-style primitive; kept
-/// crate-local so the workspace builds without the `rand` ecosystem).
-impl Prng {
-    /// Fills `dst` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, dst: &mut [u8]) {
-        let mut chunks = dst.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,13 +347,5 @@ mod tests {
         }
         let ratio = counts[1] as f64 / counts[0] as f64;
         assert!((2.6..3.4).contains(&ratio), "ratio {ratio} should be ~3");
-    }
-
-    #[test]
-    fn fill_bytes_works() {
-        let mut rng = Prng::seed_from_u64(41);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -44,11 +44,8 @@ pub mod view;
 pub use emit::{ordered_map, resolve_threads, EmitStats, Lane, OrderedEmitter};
 pub use graph::{Csr, Graph, GraphBuilder, TypePartition};
 pub use ntriples::{read_ntriples, NTriplesFormat, NTriplesWriter};
-pub use paged::{
-    build_store_from_spool, EdgeSpool, SpoolWriter, StoreError, StoreInfo, StoreMeta, StoreReader,
-    StoreWriter, DEFAULT_PAGE_SIZE,
-};
-pub use sink::{CountingSink, EdgeSink, ForwardingSink, VecSink};
+pub use paged::{StoreError, StoreInfo, StoreMeta, StoreReader, StoreWriter, DEFAULT_PAGE_SIZE};
+pub use sink::{CountingSink, EdgeSink, VecSink};
 pub use view::GraphView;
 
 /// Node identifier. `u32` bounds graphs at ~4.29 B nodes, comfortably above

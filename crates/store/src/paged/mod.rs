@@ -32,15 +32,18 @@
 //!
 //! Store bytes are a pure function of `(config, seed)`: the segments
 //! serialize the canonical (sorted, deduplicated) CSR arrays, which are
-//! independent of generation order, so the materialized and streamed build
-//! paths — at any thread count — produce byte-identical files. CI `cmp`s
-//! them, and `tests/store_paged.rs` pins the guarantee at 1/2/8 threads.
+//! independent of generation order, so the materialized build and the
+//! streamed one — which generates each predicate's edges a second time,
+//! one predicate at a time (`gmark_core::gen::generate_store`) — produce
+//! byte-identical files at any thread count. CI `cmp`s them, and the
+//! facade's `run` tests pin the guarantee at 1/2/8 threads on every use
+//! case.
 
 mod reader;
 mod writer;
 
 pub use reader::{StorePairs, StoreReader};
-pub use writer::{build_store_from_spool, EdgeSpool, SpoolWriter, StoreWriter};
+pub use writer::StoreWriter;
 
 use crate::TypePartition;
 use std::io;

@@ -63,30 +63,6 @@ impl EdgeSink for VecSink {
     }
 }
 
-/// Fans one edge stream out to two sinks (e.g. build a graph *and* count).
-#[derive(Debug)]
-pub struct ForwardingSink<'a, A: EdgeSink, B: EdgeSink> {
-    /// First downstream sink.
-    pub first: &'a mut A,
-    /// Second downstream sink.
-    pub second: &'a mut B,
-}
-
-impl<'a, A: EdgeSink, B: EdgeSink> ForwardingSink<'a, A, B> {
-    /// Creates a tee over two sinks.
-    pub fn new(first: &'a mut A, second: &'a mut B) -> Self {
-        ForwardingSink { first, second }
-    }
-}
-
-impl<A: EdgeSink, B: EdgeSink> EdgeSink for ForwardingSink<'_, A, B> {
-    #[inline]
-    fn edge(&mut self, src: NodeId, pred: PredIdx, trg: NodeId) {
-        self.first.edge(src, pred, trg);
-        self.second.edge(src, pred, trg);
-    }
-}
-
 impl<S: EdgeSink + ?Sized> EdgeSink for &mut S {
     #[inline]
     fn edge(&mut self, src: NodeId, pred: PredIdx, trg: NodeId) {
@@ -115,19 +91,6 @@ mod tests {
         v.edge(5, 1, 6);
         v.edge(7, 0, 8);
         assert_eq!(v.triples, vec![(5, 1, 6), (7, 0, 8)]);
-    }
-
-    #[test]
-    fn forwarding_sink_tees() {
-        let mut count = CountingSink::new(1);
-        let mut vec = VecSink::default();
-        {
-            let mut tee = ForwardingSink::new(&mut count, &mut vec);
-            tee.edge(1, 0, 2);
-            tee.edge(3, 0, 4);
-        }
-        assert_eq!(count.total(), 2);
-        assert_eq!(vec.triples.len(), 2);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! machine-readable JSON with `--format json`. What the CLI owns is what
 //! only a command line has: `--config`, `--output`, `--format`,
 //! `--verify-store`, the short aliases and the `serve` sub-command. All
-//! orchestration (which pipeline runs, in which mode, where the store
-//! build's spool lives, what the report contains) is owned by the library.
+//! orchestration (which pipeline runs, in which mode, how the store is
+//! built, what the report contains) is owned by the library.
 //!
 //! Outputs, inside `--output <dir>`:
 //!
@@ -87,8 +87,10 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
   --stream        memory-bounded graph pipeline: write each constraint's\n\
                   N-Triples as they are generated, in constraint order and\n\
                   in one pass, instead of materializing the graph. No\n\
-                  temporary files (only --stream --store spools edges to\n\
-                  disk); memory is bounded by the largest constraint.\n\
+                  temporary files; memory is bounded by the largest\n\
+                  constraint (with --store, the store is built after\n\
+                  graph.nt by generating each predicate's edges again,\n\
+                  one predicate in memory at a time).\n\
                   Also byte-identical for every thread count. The\n\
                   streamed serialization keeps generation order and\n\
                   duplicate triples; the default serialization is sorted\n\

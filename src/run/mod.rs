@@ -92,15 +92,15 @@ pub use summary::{
     EvalCellRow, EvalRunSummary, GraphRunSummary, RunSummary, StoreRunSummary, WorkloadRunSummary,
 };
 
-use gmark_core::gen::{generate_graph, generate_streamed, generate_streamed_spooled};
+use gmark_core::gen::{generate_graph, generate_store, generate_streamed};
 use gmark_core::workload::{generate_workload_with_threads, Workload};
 use gmark_engines::{
     evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalError, EvalReport, MatrixOptions,
 };
 use gmark_store::{
-    build_store_from_spool, ordered_map, EdgeSink as _, EdgeSpool, EmitStats, Graph, GraphView,
-    NTriplesFormat, NTriplesWriter, OrderedEmitter, StoreError, StoreInfo, StoreMeta, StoreReader,
-    StoreWriter, TypePartition, DEFAULT_PAGE_SIZE,
+    ordered_map, EdgeSink as _, EmitStats, Graph, GraphView, NTriplesFormat, NTriplesWriter,
+    OrderedEmitter, StoreError, StoreInfo, StoreMeta, StoreReader, StoreWriter, TypePartition,
+    DEFAULT_PAGE_SIZE,
 };
 use gmark_translate::{stream_workload, write_workload, WorkloadOutputs};
 use std::fmt::Write as _;
@@ -116,8 +116,9 @@ use std::time::Instant;
 /// The graph is written as N-Triples (memory-bounded when
 /// [`RunOptions::stream`] is set, materialized-then-serialized otherwise);
 /// the workload streams through the parallel per-query pipeline. Both go
-/// to their artifacts in one ordered pass — the only temporary files a
-/// run ever creates are the edge spool of `stream` + store output.
+/// to their artifacts in one ordered pass — the only temporary file a run
+/// ever creates is the staged store of a sink without real files
+/// ([`RunOptions::scratch_dir`]).
 /// Returns the [`RunSummary`] after [`Sink::finish`] has run.
 pub fn run<S: Sink + ?Sized>(
     plan: &RunPlan,
@@ -280,8 +281,6 @@ struct GraphOutputs {
     /// the same generator (the store is just another serialization of the
     /// same edge stream) but renders no N-Triples artifact.
     ntriples: Box<dyn std::io::Write + Send>,
-    /// Home of the edge spool and of a staged store file.
-    scratch: PathBuf,
     /// The store file, when the plan has a store output.
     store_file: Option<StoreFile>,
 }
@@ -299,56 +298,39 @@ fn graph_stage<S: Sink + ?Sized>(
     }
     let gen_opts = opts.generator_options();
     let mut outputs = match sink {
-        Some(sink) => {
-            let scratch = scratch_dir(opts, sink);
-            Some(GraphOutputs {
-                store_file: plan.outputs.store.then(|| store_target(sink, &scratch)),
-                scratch,
-                ntriples: if plan.outputs.graph {
-                    sink.open(Artifact::Graph)
-                        .map_err(|e| GmarkError::io("opening graph.nt", e))?
-                } else {
-                    Box::new(std::io::sink())
-                },
-            })
-        }
+        Some(sink) => Some(GraphOutputs {
+            store_file: plan.outputs.store.then(|| store_target(sink, opts)),
+            ntriples: if plan.outputs.graph {
+                sink.open(Artifact::Graph)
+                    .map_err(|e| GmarkError::io("opening graph.nt", e))?
+            } else {
+                Box::new(std::io::sink())
+            },
+        }),
         None => None,
     };
     let start = Instant::now();
     let mut store = None;
     let (report, written) = match &mut outputs {
         Some(outputs) if opts.stream => {
-            let stream_opts = opts.stream_options();
-            let out = &mut outputs.ntriples;
-            match &outputs.store_file {
-                // The beyond-RAM path: tee every generated edge into
-                // per-constraint spool files while streaming N-Triples,
-                // then assemble the paged store from the spools. The CSR
-                // canonicalization (sort + dedup per predicate) makes the
-                // store bytes identical to a materialized build at every
-                // thread count.
-                Some(StoreFile { path: target, .. }) => {
-                    let constraints = plan.graph.schema.constraints();
-                    let spool = EdgeSpool::create(&outputs.scratch, constraints.len())
-                        .map_err(|e| GmarkError::io("creating store spool", e))?;
-                    let generated = generate_streamed_spooled(
-                        &plan.graph,
-                        &gen_opts,
-                        &stream_opts,
-                        out,
-                        &spool,
-                    )
-                    .map_err(|e| GmarkError::io("streaming graph.nt", e))?;
-                    let store_start = Instant::now();
-                    let preds: Vec<usize> = constraints.iter().map(|c| c.predicate.0).collect();
-                    let info =
-                        build_store_from_spool(target, &store_meta(plan, opts), &spool, &preds)?;
-                    store = Some((info, store_start.elapsed().as_secs_f64()));
-                    generated
-                }
-                None => generate_streamed(&plan.graph, &gen_opts, &stream_opts, out)
-                    .map_err(|e| GmarkError::io("streaming graph.nt", e))?,
+            let generated = generate_streamed(
+                &plan.graph,
+                &gen_opts,
+                &opts.stream_options(),
+                &mut outputs.ntriples,
+            )
+            .map_err(|e| GmarkError::io("streaming graph.nt", e))?;
+            // The beyond-RAM path: once graph.nt is written, generate the
+            // edges again one predicate at a time into the paged store.
+            // The CSR canonicalization (sort + dedup per predicate) makes
+            // the store bytes identical to a materialized build at every
+            // thread count.
+            if let Some(StoreFile { path, .. }) = &outputs.store_file {
+                let store_start = Instant::now();
+                let info = generate_store(&plan.graph, &gen_opts, path, &store_meta(plan, opts))?;
+                store = Some((info, store_start.elapsed().as_secs_f64()));
             }
+            generated
         }
         _ => {
             // The ordered-merge path at *every* thread count: materialize
@@ -689,9 +671,10 @@ fn store_meta(plan: &RunPlan, opts: &RunOptions) -> StoreMeta {
 
 /// Resolves where this run's store file is written: the sink's real path
 /// when it offers one ([`Sink::local_path`]), else a uniquely named
-/// scratch temporary whose bytes are copied into the sink once the run no
-/// longer needs the file.
-fn store_target<S: Sink + ?Sized>(sink: &S, scratch: &Path) -> StoreFile {
+/// temporary in [`RunOptions::scratch_dir`] (default
+/// [`std::env::temp_dir`]) whose bytes are copied into the sink once the
+/// run no longer needs the file.
+fn store_target<S: Sink + ?Sized>(sink: &S, opts: &RunOptions) -> StoreFile {
     match sink.local_path(Artifact::Store) {
         Some(path) => StoreFile {
             path,
@@ -701,7 +684,11 @@ fn store_target<S: Sink + ?Sized>(sink: &S, scratch: &Path) -> StoreFile {
             static NEXT: AtomicU64 = AtomicU64::new(0);
             let n = NEXT.fetch_add(1, Ordering::Relaxed);
             StoreFile {
-                path: scratch.join(format!(".gmark-store-{}-{n}.tmp", std::process::id())),
+                path: opts
+                    .scratch_dir
+                    .clone()
+                    .unwrap_or_else(std::env::temp_dir)
+                    .join(format!(".gmark-store-{}-{n}.tmp", std::process::id())),
                 temporary: true,
             }
         }
@@ -797,15 +784,6 @@ fn consistency_findings(plan: &RunPlan) -> Vec<String> {
         .iter()
         .map(|issue| format!("{issue:?}"))
         .collect()
-}
-
-/// Scratch-directory resolution: explicit override, else the sink's
-/// preference, else the system temp dir.
-fn scratch_dir<S: Sink + ?Sized>(opts: &RunOptions, sink: &S) -> PathBuf {
-    opts.scratch_dir
-        .clone()
-        .or_else(|| sink.scratch_dir())
-        .unwrap_or_else(std::env::temp_dir)
 }
 
 #[cfg(test)]
@@ -970,30 +948,36 @@ mod tests {
 
     #[test]
     fn store_bytes_are_identical_across_thread_counts_and_pipelines() {
-        let plan = RunPlan::builder(usecases::bib())
-            .nodes(400)
-            .store()
-            .build()
-            .unwrap();
-        // Materialized T=1 is the baseline…
-        let baseline = {
-            let mut sink = MemorySink::new();
-            let summary = run(&plan, &RunOptions::with_seed(11).threads(1), &mut sink).unwrap();
-            let s = summary.store.as_ref().expect("store summary present");
-            let bytes = sink.bytes(Artifact::Store).unwrap();
-            assert_eq!(bytes.len() as u64, s.bytes);
-            assert!(s.edges > 0);
-            bytes
-        };
-        // …and the streamed (spooled) pipeline must reproduce it byte for
-        // byte at every thread count, as must a parallel materialized run.
-        for threads in [1usize, 2, 8] {
-            let opts = RunOptions::with_seed(11).threads(threads).stream(true);
-            let streamed = artifact_of(&plan, opts, Artifact::Store);
-            assert_eq!(streamed, baseline, "streamed store at {threads} threads");
+        // Every use case: LSN has predicates with more than one constraint.
+        for (name, schema) in usecases::all() {
+            let plan = RunPlan::builder(schema).nodes(400).store().build().unwrap();
+            // Materialized T=1 is the baseline…
+            let baseline = {
+                let mut sink = MemorySink::new();
+                let summary = run(&plan, &RunOptions::with_seed(11).threads(1), &mut sink).unwrap();
+                let s = summary.store.as_ref().expect("store summary present");
+                let bytes = sink.bytes(Artifact::Store).unwrap();
+                assert_eq!(bytes.len() as u64, s.bytes, "{name}");
+                assert!(s.edges > 0, "{name}");
+                bytes
+            };
+            // …and the streamed (regenerating) pipeline must reproduce it
+            // byte for byte at every thread count, as must a parallel
+            // materialized run.
+            for threads in [1usize, 2, 8] {
+                let opts = RunOptions::with_seed(11).threads(threads).stream(true);
+                let streamed = artifact_of(&plan, opts, Artifact::Store);
+                assert!(
+                    streamed == baseline,
+                    "{name}: streamed store at {threads} threads"
+                );
+            }
+            let opts = RunOptions::with_seed(11).threads(4);
+            assert!(
+                artifact_of(&plan, opts, Artifact::Store) == baseline,
+                "{name}"
+            );
         }
-        let opts = RunOptions::with_seed(11).threads(4);
-        assert_eq!(artifact_of(&plan, opts, Artifact::Store), baseline);
     }
 
     #[test]
@@ -1044,11 +1028,10 @@ mod tests {
     }
 
     /// A sink whose `graph.nt` refuses every write past its first `limit`
-    /// bytes. The other artifacts go nowhere; a store lands in `scratch`
-    /// as a temporary.
+    /// bytes. The other artifacts go nowhere; a store is staged as a
+    /// temporary in [`RunOptions::scratch_dir`].
     struct FailingGraphSink {
         limit: usize,
-        scratch: PathBuf,
     }
 
     struct FailAfter(usize);
@@ -1074,10 +1057,6 @@ mod tests {
                 _ => Box::new(std::io::sink()),
             })
         }
-
-        fn scratch_dir(&self) -> Option<PathBuf> {
-            Some(self.scratch.clone())
-        }
     }
 
     #[test]
@@ -1093,11 +1072,9 @@ mod tests {
             let (plan, scratch_dir) = (plan.clone(), scratch.clone());
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
-                let mut sink = FailingGraphSink {
-                    limit: 4096,
-                    scratch: scratch_dir,
-                };
-                let opts = RunOptions::with_seed(11).threads(threads);
+                let mut sink = FailingGraphSink { limit: 4096 };
+                let mut opts = RunOptions::with_seed(11).threads(threads);
+                opts.scratch_dir = Some(scratch_dir);
                 let _ = tx.send(run(&plan, &opts, &mut sink).map(|_| ()));
             });
             let result = rx

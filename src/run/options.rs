@@ -38,13 +38,13 @@ pub struct RunOptions {
     pub stream: bool,
     /// Base IRI of the N-Triples output (no trailing slash needed).
     pub base_iri: String,
-    /// Scratch directory override for the only temporaries a run ever
-    /// creates: the binary edge spool of `stream` + store output (the
-    /// store build is an external sort) and, for sinks without real
-    /// files, the staged store file. `None` asks the
-    /// [`Sink`](crate::run::Sink) for one (falling back to
-    /// [`std::env::temp_dir`]). Runs without a store never touch it — the
-    /// N-Triples and workload paths keep everything in memory.
+    /// Where a store run stages its store file when the
+    /// [`Sink`](crate::run::Sink) has no real file for it
+    /// ([`Sink::local_path`](crate::run::Sink::local_path) is `None`): the
+    /// only temporary a run ever creates. `None` means
+    /// [`std::env::temp_dir`]. Runs without a store, and sinks with real
+    /// files, never touch it — the N-Triples, store and workload paths
+    /// keep everything else in memory.
     pub scratch_dir: Option<PathBuf>,
 }
 

@@ -190,8 +190,8 @@ impl RunRequest {
             && (on(self.store) || on(self.stream) || on(self.queries_only))
         {
             "{from_store} replaces graph generation; drop {store}/{stream}/{queries_only}"
-        } else if on(self.store) && on(self.queries_only) {
-            "{queries_only} generates no graph to store; drop {store}"
+        } else if (on(self.store) || on(self.stream)) && on(self.queries_only) {
+            "{queries_only} generates no graph to stream or store; drop {stream}/{store}"
         } else {
             return Ok(());
         };
@@ -381,6 +381,8 @@ mod tests {
             ("eval from_store=g store", Err("replaces graph generation")),
             ("eval from_store=g stream", Err("replaces graph generation")),
             ("store queries_only", Err("generates no graph")),
+            ("stream queries_only", Err("generates no graph to stream")),
+            ("stream=0 queries_only", Ok("workload")),
             // Rules that need the plan: a `<workload>` to generate from.
             (
                 "-workload queries_only",

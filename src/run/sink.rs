@@ -121,14 +121,6 @@ pub trait Sink {
     /// [`Sink::finish`] by sinks that want them.
     fn open(&mut self, artifact: Artifact) -> io::Result<Box<dyn Write + Send>>;
 
-    /// A directory on the same filesystem as the final outputs, for the
-    /// temporaries of a store build (the streamed pipeline's edge spool;
-    /// nothing else is ever staged on disk). `None` (the default) falls
-    /// back to [`std::env::temp_dir`].
-    fn scratch_dir(&self) -> Option<PathBuf> {
-        None
-    }
-
     /// A stable on-disk path for one artifact, when the sink can offer
     /// one. The paged store ([`Artifact::Store`]) is written with
     /// positioned file I/O and read back by the evaluation stage, so the
@@ -191,12 +183,6 @@ impl DirSink {
 impl Sink for DirSink {
     fn open(&mut self, artifact: Artifact) -> io::Result<Box<dyn Write + Send>> {
         Ok(Box::new(self.create(artifact)?))
-    }
-
-    /// The output directory itself: the store build's edge spool lands
-    /// on the filesystem the store is written to.
-    fn scratch_dir(&self) -> Option<PathBuf> {
-        Some(self.dir.clone())
     }
 
     /// Every artifact has a real file here — the store is written in

@@ -83,7 +83,8 @@ pub struct StoreRunSummary {
     /// Wall-clock store build time (report/banner only). Part of
     /// [`GraphRunSummary::seconds`], not in addition to it: a materialized
     /// run writes the store while it writes `graph.nt`, a streamed one
-    /// builds it from the spool after streaming ends.
+    /// generates the edges again after streaming ends and builds the store
+    /// one predicate at a time.
     pub seconds: f64,
 }
 

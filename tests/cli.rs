@@ -92,6 +92,8 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
         (&["--format", "json", "--format", "text"], "--format"),
     ];
     let no_cap = &["serve", "--max-requests-per-conn", "2"][..];
+    // A queries-only run has no graph for --stream to stream.
+    let nothing_to_stream = &["--stream", "--queries-only"][..];
     let no_switch = [
         &["--no-plan"][..],
         &["--no-eval-cache"],
@@ -102,6 +104,7 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
         &["--format", "yaml"],
         &["--seed", "x"],
         no_cap,
+        nothing_to_stream,
     ]
     .into_iter()
     .chain(twice.map(|(bad, _)| bad))
@@ -119,6 +122,12 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
             assert_eq!(
                 first_line,
                 "gmark: serve: unknown argument: --max-requests-per-conn"
+            );
+        }
+        if bad == nothing_to_stream {
+            assert!(
+                first_line.contains("--queries-only generates no graph to stream or store"),
+                "{first_line}"
             );
         }
         if no_switch.contains(&bad) {

@@ -83,8 +83,9 @@ fn file_names(dir: &Path) -> Vec<String> {
 
 #[test]
 fn streamed_run_without_a_store_never_touches_its_scratch_dir() {
-    // The N-Triples and workload paths keep everything in memory: a
-    // scratch directory that cannot even be created must not matter.
+    // The N-Triples and workload paths keep everything in memory, and a
+    // DirSink's store is written in place: a scratch directory that
+    // cannot even be created must not matter.
     use gmark::run::{run, DirSink, RunOptions, RunPlan};
     let root = std::env::temp_dir().join(format!("gmark-noscratch-{}", std::process::id()));
     std::fs::create_dir_all(&root).unwrap();
@@ -113,13 +114,18 @@ fn streamed_run_without_a_store_never_touches_its_scratch_dir() {
             "workload.txt",
         ]
     );
-    // With a store the spool legitimately needs the directory.
+    // A store is built by generating the edges again and written in
+    // place: the directory still does not matter.
     let store_plan = RunPlan::builder(gmark::core::usecases::bib())
         .nodes(3_000)
         .store()
         .build()
         .expect("plan builds");
-    assert!(run(&store_plan, &opts, &mut sink).is_err());
+    let summary = run(&store_plan, &opts, &mut sink).expect("a store needs no scratch either");
+    assert!(summary.store.unwrap().edges > 0);
+    assert!(root.join("out/graph.gstore").is_file());
+    let names = file_names(&root.join("out"));
+    assert!(!names.iter().any(|n| n.starts_with(".gmark")), "{names:?}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
