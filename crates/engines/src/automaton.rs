@@ -14,12 +14,16 @@
 //! product `G × NFA` from every source node — the textbook RPQ algorithm
 //! (`O(|V| · |E| · |Q|)`) that SPARQL property-path engines implement — or
 //! from a set of seeds only, and hands the result over as a [`Relation`],
-//! the representation every join downstream consumes.
+//! the representation every join downstream consumes. Each move reads its
+//! adjacency from the context's symbol relations ([`EvalContext::relation`]),
+//! the same sorted pairs the other engines join, so the BFS never touches
+//! the graph view itself.
 
+use crate::context::EvalContext;
 use crate::relations::Relation;
 use crate::{Budget, EvalError};
 use gmark_core::query::{RegularExpr, Symbol};
-use gmark_store::{GraphView, NodeId};
+use gmark_store::NodeId;
 
 /// An ε-free NFA over `Σ±`.
 #[derive(Debug, Clone)]
@@ -112,32 +116,39 @@ pub fn compile_nfa(expr: &RegularExpr) -> Nfa {
 /// is every node, the whole relation (`S`'s per-conjunct evaluation); a
 /// slice is the navigational engine's seed-driven primitive. With `flip`
 /// the pairs come out as `(v, u)`: a conjunct traversed from its target
-/// side lands in the conjunct's own orientation. `graph` accepts either
-/// `&Graph` or `&StoreReader` (anything that coerces into a [`GraphView`]).
+/// side lands in the conjunct's own orientation. A transition on symbol
+/// `a` moves along `ctx.relation(a)`, built on first use if the harness
+/// has not warmed it.
 ///
 /// The tuple cap is charged after every seed on the pairs emitted so far
 /// (before deduplication; the ε pair of a seed included).
-pub fn eval_rpq<'g>(
-    graph: impl Into<GraphView<'g>>,
+pub fn eval_rpq(
+    ctx: &EvalContext<'_>,
     nfa: &Nfa,
     seeds: Option<&[NodeId]>,
     flip: bool,
     budget: &Budget,
 ) -> Result<Relation, EvalError> {
-    let graph = graph.into();
-    let n = graph.node_count();
+    let n = ctx.view().node_count();
     let states = nfa.len();
     let seed_count = seeds.map_or(n as usize, <[NodeId]>::len);
     let mut out: Vec<(NodeId, NodeId)> = Vec::new();
     let pair = |src: NodeId, w: NodeId| if flip { (w, src) } else { (src, w) };
+    // Each transition's relation, looked up once per call.
+    let moves: Vec<Vec<(&Relation, u32)>> = nfa
+        .transitions
+        .iter()
+        .map(|ts| {
+            ts.iter()
+                .map(|&(sym, q2)| (ctx.relation(sym), q2))
+                .collect()
+        })
+        .collect();
 
     // `seen` is reused across seeds, stamped with the seed's position, to
     // avoid clearing or reallocating it.
     let mut seen = vec![u32::MAX; n as usize * states];
     let mut queue: Vec<(NodeId, u32)> = Vec::new();
-    // Paged targets are decoded into this one buffer; in RAM it stays
-    // empty and `neighbors` borrows the CSR.
-    let mut buf: Vec<NodeId> = Vec::new();
     for si in 0..seed_count {
         if si % 256 == 0 {
             budget.check_time()?;
@@ -147,8 +158,6 @@ pub fn eval_rpq<'g>(
         if nfa.accepts_epsilon() {
             out.push(pair(src, src));
         }
-        // A seed with no first move costs one offset lookup per start
-        // transition: an empty neighbor list reads no target page.
         queue.clear();
         queue.push((src, nfa.start));
         seen[src as usize * states + nfa.start as usize] = stamp;
@@ -156,8 +165,8 @@ pub fn eval_rpq<'g>(
         while qi < queue.len() {
             let (v, q) = queue[qi];
             qi += 1;
-            for &(sym, q2) in &nfa.transitions[q as usize] {
-                for &w in graph.neighbors(sym.predicate.0, v, sym.inverse, &mut buf) {
+            for &(rel, q2) in &moves[q as usize] {
+                for &(_, w) in rel.targets_of(v) {
                     let slot = w as usize * states + q2 as usize;
                     if seen[slot] != stamp {
                         seen[slot] = stamp;
@@ -182,7 +191,8 @@ mod tests {
 
     fn pairs(expr: &RegularExpr) -> Vec<(NodeId, NodeId)> {
         let nfa = compile_nfa(expr);
-        let rel = eval_rpq(&graph(), &nfa, None, false, &Budget::default()).unwrap();
+        let g = graph();
+        let rel = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default()).unwrap();
         rel.into_pairs()
     }
 
@@ -271,7 +281,8 @@ mod tests {
         let expr = RegularExpr::star(vec![PathExpr(vec![sym(0)])]);
         let nfa = compile_nfa(&expr);
         let g = graph();
-        let run = |seeds, flip| eval_rpq(&g, &nfa, seeds, flip, &Budget::default()).unwrap();
+        let ctx = EvalContext::new(&g);
+        let run = |seeds, flip| eval_rpq(&ctx, &nfa, seeds, flip, &Budget::default()).unwrap();
         let full = run(None, false);
         assert_eq!(run(Some(&[0, 1, 2, 3]), false), full);
         // Seeds need not ascend; 3 cannot be reached, so it is the only
@@ -293,7 +304,9 @@ mod tests {
         // by the first-move test — after their ε pair was emitted and
         // charged: 4 ε pairs + (1,3), (2,3) = 6.
         let nfa = compile_nfa(&RegularExpr::star(vec![PathExpr(vec![sym(1)])]));
-        let run = |cap| eval_rpq(&graph(), &nfa, None, false, &Budget::with_limits(None, cap));
+        let g = graph();
+        let ctx = EvalContext::new(&g);
+        let run = |cap| eval_rpq(&ctx, &nfa, None, false, &Budget::with_limits(None, cap));
         assert_eq!(run(6).unwrap().len(), 6);
         assert_eq!(run(5), Err(EvalError::TooLarge(6)));
     }
@@ -305,7 +318,9 @@ mod tests {
             max_tuples: 3,
             ..Budget::default()
         };
-        let err = eval_rpq(&graph(), &compile_nfa(&expr), None, false, &budget).unwrap_err();
+        let g = graph();
+        let nfa = compile_nfa(&expr);
+        let err = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &budget).unwrap_err();
         assert!(matches!(err, EvalError::TooLarge(_)));
     }
 

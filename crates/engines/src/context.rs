@@ -8,9 +8,12 @@
 //!
 //! * [`EvalContext::relation`] — the sorted, deduplicated binary relation
 //!   of a `Σ±` symbol (forward or inverse), built lazily per
-//!   `(predicate, direction)` and shared by reference. These relations
-//!   *are* the Datalog EDB — `edge_<p>` is the forward relation of `p` —
-//!   so [`EvalContext::edb`] only warms them all and counts their facts;
+//!   `(predicate, direction)` by one scan of the view and shared by
+//!   reference. They are the only adjacency any engine reads: `P` joins
+//!   them, the automaton BFS of `S` and `G` takes its moves from them, and
+//!   they *are* the Datalog EDB — `edge_<p>` is the forward relation of
+//!   `p` — so [`EvalContext::edb`] only warms them all and counts their
+//!   facts;
 //! * [`EvalContext::nfa`] — a memoized [`compile_nfa`], keyed by the
 //!   regular expression;
 //! * [`EvalContext::symbol_stats`] — edge and distinct-source/
@@ -905,7 +908,7 @@ mod tests {
                 partition: graph.partition().clone(),
             };
             StoreWriter::write_graph(&path, &meta, &graph).unwrap();
-            let reader = StoreReader::open_with_cache(&path, 1).unwrap();
+            let reader = StoreReader::open(&path).unwrap();
             for view in [GraphView::from(&graph), GraphView::from(&reader)] {
                 for (max_tuples, budget_mb, stats) in fills {
                     let budget = || Budget::with_limits(None, max_tuples);

@@ -622,7 +622,8 @@ mod relational_tests {
         .unwrap();
         let a = eval(&q, &Budget::default()).unwrap();
         let nfa = crate::compile_nfa(&q.rules[0].body[0].expr);
-        let bfs = eval_rpq(&graph(), &nfa, None, false, &Budget::default()).unwrap();
+        let g = graph();
+        let bfs = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default()).unwrap();
         let expected: Vec<[_; 2]> = bfs.pairs().iter().map(|&(s, t)| [s, t]).collect();
         assert_eq!(a.rows().collect::<Vec<_>>(), expected);
     }

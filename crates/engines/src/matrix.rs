@@ -173,7 +173,7 @@ impl EngineKind {
             }
             EngineKind::Navigational => navigational::evaluate(ctx, query, plan, budget),
             EngineKind::TripleStore => join_materialized(ctx, query, plan, budget, |e| {
-                eval_rpq(ctx.view(), &ctx.nfa(e), None, false, budget).map(Arc::new)
+                eval_rpq(ctx, &ctx.nfa(e), None, false, budget).map(Arc::new)
             }),
             EngineKind::Datalog => datalog::evaluate(ctx, query, plan, budget),
         }
@@ -531,18 +531,19 @@ pub fn evaluate_matrix_with_schema(
     }
 }
 
-/// Initializes the context's shared indexes the selected engines will
-/// need **before any cell clock starts**. Without this, whichever cell
-/// touches a lazy slot first (a symbol relation, forward for the Datalog
-/// EDB or in the direction a query mentions) is billed for one-time
-/// context construction — inflating its timing and,
+/// Initializes the context's shared indexes **before any cell clock
+/// starts**. Without this, whichever cell touches a lazy slot first is
+/// billed for one-time context construction — inflating its timing and,
 /// under a finite per-cell deadline, making its outcome depend on
-/// scheduling. Warming is idempotent; only the symbols the workload
-/// actually mentions are materialized, and unselected engines' indexes
-/// stay lazy.
+/// scheduling. Every engine reads adjacency from the symbol relations, so
+/// both directions of every predicate a conjunct mentions are built for
+/// every engine selection (a flipped or degraded conjunct may walk the
+/// other one); `D` also gets its EDB, and a planned run the planner's
+/// statistics. Warming is idempotent.
 ///
-/// When `options.cache_mb > 0` this is also where the sub-expression
-/// result cache is filled on `options.threads` workers, over the
+/// When `options.cache_mb > 0` and a selected engine reads the
+/// sub-expression result cache — every engine but `D` does — this is also
+/// where the cache is filled on `options.threads` workers, over the
 /// candidates of [`fill_candidates`], one fresh cell budget per entry.
 /// Cells only ever read the cache, so its contents are fixed before the
 /// first cell clock starts. Returns the fill's wall seconds.
@@ -553,22 +554,18 @@ fn warm_context(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) -> f64 {
-    let datalog = engines.contains(&EngineKind::Datalog);
-    if datalog {
+    if engines.contains(&EngineKind::Datalog) {
         let _ = ctx.edb();
     }
-    let joins_relations = datalog || engines.contains(&EngineKind::Relational);
     for sym in conjuncts(queries).flat_map(|c| c.expr.symbols()) {
-        if joins_relations {
-            let _ = ctx.relation(sym);
-        }
+        let _ = ctx.relation(sym);
+        let _ = ctx.relation(sym.flipped());
         if options.plan {
-            // The planner reads per-predicate distinct-endpoint
-            // statistics; plan construction is never billed to a cell.
             let _ = ctx.symbol_stats(sym);
         }
     }
-    if options.cache_mb == 0 {
+    let reads_cache = engines.iter().any(|&k| k != EngineKind::Datalog);
+    if options.cache_mb == 0 || !reads_cache {
         return 0.0;
     }
     let started = Instant::now();
@@ -996,9 +993,7 @@ mod tests {
     fn a_one_page_store_renders_the_in_ram_report_at_every_thread_count() {
         use gmark_store::paged::{StoreMeta, StoreReader, StoreWriter};
         use gmark_store::{EdgeSink, GraphBuilder, TypePartition};
-        // 40 nodes on 64-byte pages: every segment spans several pages,
-        // and a one-page cache evicts on nearly every lookup, with the
-        // worker threads sharing it.
+        // 40 nodes on 64-byte pages: every segment spans several pages.
         let mut b = GraphBuilder::new(TypePartition::from_counts(&[40]), 2);
         for s in 0..40u32 {
             for k in 0..s % 4 {
@@ -1018,7 +1013,7 @@ mod tests {
             partition: g.partition().clone(),
         };
         StoreWriter::write_graph(&path, &meta, &g).unwrap();
-        let reader = StoreReader::open_with_cache(&path, 1).unwrap();
+        let reader = StoreReader::open(&path).unwrap();
 
         let mut qs = queries();
         qs.extend([

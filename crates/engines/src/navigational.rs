@@ -119,7 +119,7 @@ fn navigate(
         c.expr.clone()
     };
     let nfa = ctx.nfa(&expr);
-    Ok(Arc::new(eval_rpq(ctx.view(), &nfa, seeds, flip, budget)?))
+    Ok(Arc::new(eval_rpq(ctx, &nfa, seeds, flip, budget)?))
 }
 
 #[cfg(test)]

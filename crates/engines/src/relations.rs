@@ -200,11 +200,13 @@ impl Relation {
     }
 
     /// The contiguous run of pairs whose source is `s` (their targets,
-    /// sorted): the binary-search semi-join primitive.
+    /// sorted): the binary-search semi-join primitive. One binary search
+    /// finds the run; its end is found by walking it, which the caller
+    /// does anyway.
     pub fn targets_of(&self, s: NodeId) -> &[(NodeId, NodeId)] {
         let lo = self.pairs.partition_point(|&(ps, _)| ps < s);
-        let hi = lo + self.pairs[lo..].partition_point(|&(ps, _)| ps == s);
-        &self.pairs[lo..hi]
+        let len = self.pairs[lo..].iter().take_while(|p| p.0 == s).count();
+        &self.pairs[lo..lo + len]
     }
 
     /// Reflexive-transitive closure `self*` over the nodes `0..n`: one
@@ -409,7 +411,8 @@ mod tests {
                 *EvalContext::new(&g)
                     .expr_relation(&expr, &Budget::default())
                     .unwrap(),
-                crate::eval_rpq(&g, &nfa, None, false, &Budget::default()).unwrap(),
+                crate::eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default())
+                    .unwrap(),
                 "{expr:?}"
             );
         }

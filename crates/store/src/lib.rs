@@ -23,14 +23,15 @@
 //!   the emitter's progress argument and its memory bound are documented
 //!   on the module,
 //! * [`paged`] — the on-disk `gmark-store` binary format ([`StoreWriter`] /
-//!   [`StoreReader`]): the same CSR arrays persisted page-aligned, served by
-//!   positioned reads through a bounded page cache so evaluation runs at
-//!   beyond-RAM scale; a point lookup takes the cache lock once and
-//!   decodes into a caller's buffer ([`StoreReader::neighbors_into`]),
-//! * [`view`] — [`GraphView`], the common read interface the evaluation
-//!   engines use so one code path serves both [`Graph`] and
-//!   [`StoreReader`]: `GraphView::neighbors` borrows the CSR slice in RAM
-//!   and fills the caller's buffer when paged.
+//!   [`StoreReader`]): the same CSR arrays persisted page-aligned and read
+//!   back by positioned reads — sequential scans for evaluation, and an
+//!   uncached point lookup ([`StoreReader::neighbors`]) for everything
+//!   else. Evaluation from a store holds every symbol relation a query
+//!   mentions in RAM, so its memory grows with those relations, not with
+//!   a cache size,
+//! * [`view`] — [`GraphView`], the common read interface over [`Graph`]
+//!   and [`StoreReader`]: counts, `pairs` scans and endpoint statistics,
+//!   from which the evaluation context builds its symbol relations.
 
 #![warn(missing_docs)]
 

@@ -1,28 +1,20 @@
-//! Paged store reading: cheap structural validation at open time, point
-//! lookups through a pinned-page cache, sequential scans with private
-//! buffers, and a full-file integrity check ([`StoreReader::verify`]).
+//! Paged store reading: cheap structural validation at open time,
+//! sequential scans with private buffers, uncached point lookups, and a
+//! full-file integrity check ([`StoreReader::verify`]).
 
 use super::{
     Fnv64, SegmentMeta, StoreError, StoreInfo, END_MAGIC, FIXED_HEADER_LEN, FOOTER_LEN, MAGIC,
     VERSION,
 };
 use crate::{NodeId, PredIdx, TypePartition};
-use rustc_hash::FxHashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
-/// Default page-cache capacity: 1024 pages = 8 MiB at the default page
-/// size — evaluation memory is bounded by this, not by the edge count.
-pub const DEFAULT_CACHE_PAGES: usize = 1024;
-
-/// Entries per chunk for sequential offset/target scans (private buffers,
-/// deliberately bypassing the page cache so scans don't evict hot pages).
+/// Entries per chunk for sequential offset/target scans (private buffers).
 /// 32Ki entries = 256 KiB of offsets per read: segment-granular readahead
 /// that amortizes the syscall over far more pairs than a store page would,
-/// which is what makes full-relation `pairs` scans cheap relative to the
-/// pointwise cache path.
+/// which is what makes full-relation `pairs` scans cheap.
 const SCAN_CHUNK: usize = 32 * 1024;
 
 /// Serves CSR queries straight from a store file via positioned reads.
@@ -30,13 +22,14 @@ const SCAN_CHUNK: usize = 32 * 1024;
 /// [`StoreReader::open`] validates framing and bounds (magic, version,
 /// footer, directory, segment positions) without reading the data pages;
 /// [`StoreReader::verify`] additionally checks the checksum and the
-/// offset arrays. Point lookups ([`StoreReader::neighbors_into`]) go
-/// through a small CLOCK page cache; bulk scans ([`StoreReader::pairs`],
-/// [`StoreReader::distinct_endpoints`]) stream with private buffers.
+/// offset arrays. Evaluation reads the store only through the bulk scans
+/// ([`StoreReader::pairs`], [`StoreReader::distinct_endpoints`]), which
+/// stream with private buffers; the engines then hold each symbol
+/// relation they mention in RAM. [`StoreReader::neighbors`] is an
+/// uncached point lookup for callers outside evaluation.
 ///
-/// The reader is `Sync`: the page cache sits behind a mutex, so one
-/// reader can serve every worker thread of the evaluation matrix. Each
-/// point lookup takes that mutex once and allocates nothing.
+/// The reader holds no mutable state, so one reader serves every worker
+/// thread of the evaluation matrix.
 #[derive(Debug)]
 pub struct StoreReader {
     file: File,
@@ -51,17 +44,11 @@ pub struct StoreReader {
     partition: TypePartition,
     total_edges: u64,
     segments: Vec<SegmentMeta>,
-    cache: Mutex<PageCache>,
 }
 
 impl StoreReader {
-    /// Opens a store with the default cache size.
+    /// Opens a store, checking its framing and bounds.
     pub fn open(path: &Path) -> Result<StoreReader, StoreError> {
-        Self::open_with_cache(path, DEFAULT_CACHE_PAGES)
-    }
-
-    /// Opens a store, capping the page cache at `cache_pages` pages.
-    pub fn open_with_cache(path: &Path, cache_pages: usize) -> Result<StoreReader, StoreError> {
         let file = File::open(path).map_err(|e| StoreError::io("opening store", path, e))?;
         let file_len = file
             .metadata()
@@ -266,7 +253,6 @@ impl StoreReader {
             partition,
             total_edges,
             segments,
-            cache: Mutex::new(PageCache::new(page_size as usize, cache_pages.max(1))),
         })
     }
 
@@ -427,58 +413,24 @@ impl StoreReader {
         &self.segments[pred * 2 + inverse as usize]
     }
 
-    /// Replaces the contents of `out` with the sorted neighbor list of `v`
-    /// along `pred`, forward or backward — the paged counterpart of
-    /// [`Graph::neighbors`](crate::Graph::neighbors). One lock acquisition
-    /// and no allocation beyond growing `out`: the targets are decoded
-    /// straight from the cached pages into the caller's buffer.
-    pub fn neighbors_into(
-        &self,
-        pred: PredIdx,
-        v: NodeId,
-        inverse: bool,
-        out: &mut Vec<NodeId>,
-    ) -> Result<(), StoreError> {
-        out.clear();
-        self.lookup(pred, v, inverse, out)
-    }
-
-    /// [`StoreReader::neighbors_into`] into a fresh `Vec`. Kept for the
-    /// benchmark harness (`benchmark/src/workloads/eval.rs`), which calls
-    /// it by this name; evaluation uses the buffer-reusing form.
+    /// The sorted neighbor list of `v` along `pred`, forward or backward —
+    /// the paged counterpart of [`Graph::neighbors`](crate::Graph::neighbors).
+    /// Two positioned reads and no cache: `offsets[v]` and `offsets[v + 1]`,
+    /// checked to be monotone and inside the segment, then the targets
+    /// they bound. Offsets that fail the check are
+    /// [`StoreError::Corrupt`], naming the page that holds them.
     pub fn neighbors(
         &self,
         pred: PredIdx,
         v: NodeId,
         inverse: bool,
     ) -> Result<Vec<NodeId>, StoreError> {
-        let mut out = Vec::new();
-        self.neighbors_into(pred, v, inverse, &mut out)?;
-        Ok(out)
-    }
-
-    /// The one cached point lookup. Under a single lock acquisition it
-    /// copies `offsets[v]` and `offsets[v + 1]` into a stack array (the
-    /// pair may straddle two pages), bounds-checks them against the
-    /// segment, and appends the decoded targets to `out`.
-    fn lookup(
-        &self,
-        pred: PredIdx,
-        v: NodeId,
-        inverse: bool,
-        out: &mut Vec<NodeId>,
-    ) -> Result<(), StoreError> {
         debug_assert!(v < self.node_count, "node {v} out of range");
         let seg = self.segment(pred, inverse);
         let pos = seg.offsets_pos + v as u64 * 8;
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut words = [0u8; 16];
-        let mut filled = 0;
-        self.visit_cached(&mut cache, pos, 16, |bytes| {
-            words[filled..filled + bytes.len()].copy_from_slice(bytes);
-            filled += bytes.len();
-        })?;
-        let (lo, hi) = (read_u64(&words, 0), read_u64(&words, 8));
+        let mut bounds = [0u64; 2];
+        self.read_u64s(pos, &mut bounds)?;
+        let [lo, hi] = bounds;
         if lo > hi || hi > seg.edge_count {
             return Err(StoreError::corrupt(
                 &self.path,
@@ -486,41 +438,15 @@ impl StoreReader {
                 Some(pos / self.page_size),
             ));
         }
-        out.reserve((hi - lo) as usize);
-        let (start, len) = (seg.targets_pos + lo * 4, (hi - lo) * 4);
-        self.visit_cached(&mut cache, start, len, |bytes| {
-            let ids = bytes.chunks_exact(4);
-            out.extend(ids.map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))));
-        })
-    }
-
-    /// Hands `f` the `len` bytes at `pos` as borrowed slices of cached
-    /// pages, one per page they span, in file order. Pages are a multiple
-    /// of 8 bytes and segments page-aligned, so no offset word or target
-    /// id is ever split between two slices.
-    fn visit_cached(
-        &self,
-        cache: &mut PageCache,
-        mut pos: u64,
-        len: u64,
-        mut f: impl FnMut(&[u8]),
-    ) -> Result<(), StoreError> {
-        let ps = self.page_size;
-        let end = pos + len;
-        while pos < end {
-            let in_page = pos % ps;
-            let n = (end - pos).min(ps - in_page);
-            let slot = cache.slot_for(&self.file, &self.path, pos / ps, ps, self.file_len)?;
-            f(&cache.slots[slot].data[in_page as usize..(in_page + n) as usize]);
-            pos += n;
-        }
-        Ok(())
+        let mut out = vec![0; (hi - lo) as usize];
+        self.read_u32s(seg.targets_pos + lo * 4, &mut out)?;
+        Ok(out)
     }
 
     /// Iterates the `(source, target)` pairs of one `Σ±` symbol in
     /// lexicographic order — the paged counterpart of
     /// [`Graph::pairs`](crate::Graph::pairs). The scan streams both arrays
-    /// sequentially with private buffers, bypassing the page cache.
+    /// sequentially with private buffers.
     ///
     /// # Panics
     ///
@@ -572,7 +498,7 @@ impl StoreReader {
         Ok((out[0], out[1]))
     }
 
-    /// Uncached positioned read of little-endian u64s.
+    /// Positioned read of little-endian u64s.
     fn read_u64s(&self, pos: u64, out: &mut [u64]) -> Result<(), StoreError> {
         let mut bytes = vec![0u8; out.len() * 8];
         pread(&self.file, &self.path, pos, &mut bytes, "reading offsets")?;
@@ -582,7 +508,7 @@ impl StoreReader {
         Ok(())
     }
 
-    /// Uncached positioned read of little-endian u32s.
+    /// Positioned read of little-endian u32s.
     fn read_u32s(&self, pos: u64, out: &mut [NodeId]) -> Result<(), StoreError> {
         let mut bytes = vec![0u8; out.len() * 4];
         pread(&self.file, &self.path, pos, &mut bytes, "reading targets")?;
@@ -590,103 +516,6 @@ impl StoreReader {
             *o = u32::from_le_bytes(c.try_into().expect("4 bytes"));
         }
         Ok(())
-    }
-}
-
-/// Fixed-capacity pinned-page cache with CLOCK (second-chance) eviction.
-/// Small by design: correctness never depends on it, only the number of
-/// `pread` syscalls does.
-///
-/// The predecessor kept a per-slot timestamp and evicted with a full
-/// `min_by_key` sweep — O(capacity) per miss, which at 1024 slots made
-/// every *warm* miss pay a scan the cold fill-up phase never did, so a
-/// warm matrix pass could measure slower than a cold one. CLOCK keeps the
-/// hit path at one hash probe plus a flag store and makes eviction O(1)
-/// amortized: the hand sweeps at most one lap over the referenced bits.
-#[derive(Debug)]
-struct PageCache {
-    map: FxHashMap<u64, usize>,
-    slots: Vec<Slot>,
-    /// The CLOCK hand: next slot considered for eviction.
-    hand: usize,
-    cap: usize,
-    page_size: usize,
-}
-
-#[derive(Debug)]
-struct Slot {
-    page: u64,
-    /// Second-chance bit: set on hit, cleared as the hand passes.
-    referenced: bool,
-    data: Box<[u8]>,
-}
-
-impl PageCache {
-    fn new(page_size: usize, cap: usize) -> PageCache {
-        PageCache {
-            map: FxHashMap::default(),
-            slots: Vec::new(),
-            hand: 0,
-            cap,
-            page_size,
-        }
-    }
-
-    fn slot_for(
-        &mut self,
-        file: &File,
-        path: &Path,
-        page: u64,
-        ps: u64,
-        file_len: u64,
-    ) -> Result<usize, StoreError> {
-        if let Some(&i) = self.map.get(&page) {
-            self.slots[i].referenced = true;
-            return Ok(i);
-        }
-        let start = page * ps;
-        let len = (file_len.saturating_sub(start)).min(ps) as usize;
-        if len == 0 {
-            return Err(StoreError::corrupt(
-                path,
-                format!("read beyond end of file (page {page})"),
-                Some(page),
-            ));
-        }
-        debug_assert!(len <= self.page_size);
-        let mut data = vec![0u8; len];
-        pread(file, path, start, &mut data, "reading page")?;
-        let i = if self.slots.len() < self.cap {
-            self.slots.push(Slot {
-                page,
-                referenced: true,
-                data: data.into_boxed_slice(),
-            });
-            self.slots.len() - 1
-        } else {
-            // Second chance: a referenced slot survives one lap with its
-            // bit cleared; the first unreferenced slot under the hand is
-            // the victim. Terminates within two laps since every slot the
-            // hand passes loses its bit.
-            let i = loop {
-                let h = self.hand;
-                self.hand = (self.hand + 1) % self.cap;
-                if self.slots[h].referenced {
-                    self.slots[h].referenced = false;
-                } else {
-                    break h;
-                }
-            };
-            self.map.remove(&self.slots[i].page);
-            self.slots[i] = Slot {
-                page,
-                referenced: true,
-                data: data.into_boxed_slice(),
-            };
-            i
-        };
-        self.map.insert(page, i);
-        Ok(i)
     }
 }
 
@@ -860,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn default_page_size_and_tiny_cache_round_trip() {
+    fn default_page_size_round_trip() {
         let dir = std::env::temp_dir().join(format!("gstore-dp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.gstore");
@@ -868,8 +697,7 @@ mod tests {
         let mut meta = meta_for(&g);
         meta.page_size = DEFAULT_PAGE_SIZE;
         StoreWriter::write_graph(&path, &meta, &g).unwrap();
-        // A one-page cache forces constant eviction; results must not change.
-        let r = StoreReader::open_with_cache(&path, 1).unwrap();
+        let r = StoreReader::open(&path).unwrap();
         for v in 0..g.node_count() {
             assert_eq!(r.neighbors(0, v, false).unwrap(), g.neighbors(0, v, false));
             assert_eq!(r.neighbors(1, v, true).unwrap(), g.neighbors(1, v, true));
@@ -878,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_into_matches_the_csr_across_pages_and_evictions() {
+    fn neighbors_matches_the_csr_across_pages() {
         use crate::sink::EdgeSink;
         // 24 nodes on 64-byte pages: offsets pairs of nodes 7, 15 and 23
         // (v * 8 % 64 == 56) straddle two pages, and the longer target
@@ -890,7 +718,7 @@ mod tests {
             }
         }
         let g = b.build();
-        let dir = std::env::temp_dir().join(format!("gstore-into-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("gstore-nb-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.gstore");
         let mut meta = meta_for(&g);
@@ -901,18 +729,56 @@ mod tests {
         assert!(straddling
             .iter()
             .all(|&v| !g.neighbors(0, v, false).is_empty()));
-        // The default cache and a one-page cache, where every lookup
-        // evicts; one buffer, non-empty from the start, for every lookup.
-        for cache_pages in [DEFAULT_CACHE_PAGES, 1] {
-            let r = StoreReader::open_with_cache(&path, cache_pages).unwrap();
-            let mut buf = vec![9, 9, 9];
-            for inverse in [false, true] {
-                for v in 0..g.node_count() {
-                    r.neighbors_into(0, v, inverse, &mut buf).unwrap();
-                    assert_eq!(buf, g.neighbors(0, v, inverse), "node {v} {inverse}");
-                }
+        let r = StoreReader::open(&path).unwrap();
+        for inverse in [false, true] {
+            for v in 0..g.node_count() {
+                let got = r.neighbors(0, v, inverse).unwrap();
+                assert_eq!(got, g.neighbors(0, v, inverse), "node {v} {inverse}");
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_monotone_offsets_open_but_fail_the_lookup_with_their_page() {
+        let dir = std::env::temp_dir().join(format!("gstore-nm-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.gstore");
+        let g = tiny_graph();
+        StoreWriter::write_graph(&path, &meta_for(&g), &g).unwrap();
+        // Node 1 has one forward `authors` edge: offsets[1] = 2 and
+        // offsets[2] = 3. Swapping the two words leaves node 1 with
+        // lo = 3 > hi = 2, which `open` does not read.
+        let pos = StoreReader::open(&path)
+            .unwrap()
+            .segment(0, false)
+            .offsets_pos
+            + 8;
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = pos as usize;
+        assert_eq!(read_u64(&bytes, at), 2);
+        assert_eq!(read_u64(&bytes, at + 8), 3);
+        let (lo, hi) = bytes[at..at + 16].split_at_mut(8);
+        lo.swap_with_slice(hi);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let r = StoreReader::open(&path).expect("open reads no offsets");
+        match r.neighbors(0, 1, false) {
+            Err(StoreError::Corrupt { page, what, .. }) => {
+                assert_eq!(page, Some(pos / 64), "{what}");
+                assert!(what.contains("node 1"), "{what}");
+            }
+            other => panic!("expected a corrupt-store error, got {other:?}"),
+        }
+        let shown = r.neighbors(0, 1, false).unwrap_err().to_string();
+        assert!(shown.contains(&format!("page {}", pos / 64)), "{shown}");
+        // The untouched inverse direction still reads, and the full check
+        // finds the same page.
+        assert_eq!(r.neighbors(0, 3, true).unwrap(), g.neighbors(0, 3, true));
+        assert!(matches!(
+            r.verify(),
+            Err(StoreError::Corrupt { page: Some(p), .. }) if p == (pos + 8) / 64
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

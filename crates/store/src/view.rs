@@ -1,14 +1,17 @@
 //! [`GraphView`]: one read interface over the in-memory CSR
 //! [`Graph`] and the on-disk paged [`StoreReader`].
 //!
-//! Every consumer of graph topology — the four evaluation engines, the
-//! planner's statistics, the run pipeline — goes through this enum, so
-//! the same query code serves both a fully materialized graph and a
-//! beyond-RAM store file. The facade is infallible like `&Graph` always
-//! was: the paged variant validates structure when the store is opened,
-//! and a post-validation I/O failure (disk yanked mid-query) panics with
-//! the store's error message rather than threading `Result` through
-//! every engine loop.
+//! Every consumer of graph topology — the evaluation context's symbol
+//! relations, the planner's statistics, the run pipeline — goes through
+//! this enum, so the same query code serves both a fully materialized
+//! graph and a store file. The view offers counts, sequential `pairs`
+//! scans and the per-predicate endpoint statistics; it has no point
+//! lookup, because the engines read adjacency from the sorted relations
+//! those scans build. The facade is infallible like `&Graph` always was:
+//! the paged variant validates structure when the store is opened, and a
+//! post-validation I/O failure (disk yanked mid-scan) panics with the
+//! store's error message rather than threading `Result` through every
+//! consumer.
 
 use crate::paged::StoreReader;
 use crate::{Graph, NodeId, PredIdx};
@@ -16,9 +19,8 @@ use crate::{Graph, NodeId, PredIdx};
 /// A borrowed, `Copy` view over graph topology — either the in-memory
 /// CSR or a paged on-disk store.
 ///
-/// Engine entry points accept `impl Into<GraphView<'g>>`, so existing
-/// `&Graph` call sites keep compiling while `&StoreReader` slots in for
-/// beyond-RAM evaluation.
+/// `EvalContext::new` accepts `impl Into<GraphView<'g>>`, so `&Graph` and
+/// `&StoreReader` both slot in.
 #[derive(Debug, Clone, Copy)]
 pub enum GraphView<'g> {
     /// The fully materialized CSR graph.
@@ -101,37 +103,6 @@ impl<'g> GraphView<'g> {
         match self {
             GraphView::InMemory(g) => g.edge_count_for(pred),
             GraphView::Paged(r) => r.edge_count_for(pred),
-        }
-    }
-
-    /// Sorted neighbors of `v` along `pred`, forward (`a`) or backward
-    /// (`a⁻`). In RAM this borrows the CSR slice and leaves `buf` alone;
-    /// paged, it decodes the targets into `buf`
-    /// ([`StoreReader::neighbors_into`]) and borrows that. A caller that
-    /// reuses one `buf` across lookups allocates only while `buf` grows.
-    ///
-    /// # Panics
-    ///
-    /// Paged variant: on I/O failure or offsets that escaped open-time
-    /// validation (the error message names the store file and page).
-    #[inline]
-    pub fn neighbors<'b>(
-        &self,
-        pred: PredIdx,
-        v: NodeId,
-        inverse: bool,
-        buf: &'b mut Vec<NodeId>,
-    ) -> &'b [NodeId]
-    where
-        'g: 'b,
-    {
-        match self {
-            GraphView::InMemory(g) => g.neighbors(pred, v, inverse),
-            GraphView::Paged(r) => {
-                r.neighbors_into(pred, v, inverse, buf)
-                    .unwrap_or_else(|e| panic!("paged neighbor read failed: {e}"));
-                buf
-            }
         }
     }
 

@@ -14,8 +14,8 @@
 //!
 //! * `graph.nt` — the instance as N-Triples,
 //! * `graph.gstore` — the instance as an on-disk paged store (with
-//!   `--store`); combined with `--stream`, evaluation pages through this
-//!   file instead of an in-memory graph,
+//!   `--store`); combined with `--stream`, evaluation reads this file
+//!   instead of an in-memory graph,
 //! * `workload.txt` — the queries in the paper's rule notation,
 //! * `workload.sparql` / `.cypher` / `.sql` / `.datalog` — the four
 //!   concrete syntaxes,
@@ -96,15 +96,15 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   duplicate triples; the default serialization is sorted\n\
                   and deduplicated (same edge set either way). Combinable\n\
                   with --eval only alongside --store (the engines then\n\
-                  page through the store instead of an in-memory graph).\n\
+                  read the store instead of an in-memory graph).\n\
   --store         also write the graph as an on-disk paged store\n\
                   (graph.gstore): a checksummed binary CSR the evaluation\n\
-                  engines can page through without materializing the\n\
-                  graph. Store bytes are identical at every thread count\n\
-                  and in both pipelines; with --stream the whole\n\
-                  generate-and-evaluate loop runs beyond-RAM. Without\n\
-                  --stream, from two threads up, the store is written\n\
-                  while graph.nt is.\n\
+                  engines can read without materializing the graph.\n\
+                  Store bytes are identical at every thread count and in\n\
+                  both pipelines; with --stream --eval the graph's CSR\n\
+                  never exists in RAM, but every relation a query\n\
+                  mentions does. Without --stream, from two threads up,\n\
+                  the store is written while graph.nt is.\n\
   --from-store F  evaluate against an existing graph.gstore instead of\n\
                   generating a graph (requires --eval; the config must\n\
                   describe the same schema the store was built from).\n\

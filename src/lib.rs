@@ -70,11 +70,12 @@
 //! | `EvalContext::new(&graph)` over a `&Graph` only | `EvalContext::new(view)` over a [`store::GraphView`] — `&Graph` still converts via `Into`, and [`store::StoreReader`] plugs in the on-disk paged store |
 //! | `RelationalEngine.evaluate(&graph, &q, &budget)` and the other unit-struct engines behind the `Engine` trait (removed: one entry point) | `EngineKind::Relational.evaluate(&ctx, &q, None, &budget)` with `ctx = EvalContext::new(&graph)`; pass `Some(&plan)` from [`engines::plan_query`] to order the joins; iterate [`engines::EngineKind::ALL`] |
 //!
-//! Evaluation no longer requires a materialized [`store::Graph`]: every
-//! engine reads through [`store::GraphView`], so a paged
+//! Evaluation no longer requires a materialized [`store::Graph`]: the
+//! evaluation context reads through [`store::GraphView`], so a paged
 //! [`store::StoreReader`] (`--store` / `--from-store` on the CLI,
 //! [`run::RunPlan`]'s `store` output + `from_store` input in the API)
-//! evaluates beyond-RAM instances through the identical code path.
+//! evaluates through the identical code path, holding in RAM only the
+//! symbol relations the queries mention.
 //!
 //! ## Workspace layout
 //!

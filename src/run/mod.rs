@@ -320,7 +320,7 @@ fn graph_stage<S: Sink + ?Sized>(
                 &mut outputs.ntriples,
             )
             .map_err(|e| GmarkError::io("streaming graph.nt", e))?;
-            // The beyond-RAM path: once graph.nt is written, generate the
+            // No CSR in RAM: once graph.nt is written, generate the
             // edges again one predicate at a time into the paged store.
             // The CSR canonicalization (sort + dedup per predicate) makes
             // the store bytes identical to a materialized build at every
@@ -463,7 +463,7 @@ fn eval_stage<S: Sink + ?Sized>(
     workload: &Workload,
     sink: Option<&mut S>,
 ) -> Result<(EvalRunSummary, EvalReport), GmarkError> {
-    // The engines page through a store whenever no materialized graph
+    // The engines read a store whenever no materialized graph
     // exists: either the one this run just built (streamed --store) or
     // the one the plan points at (--from-store).
     let reader = match (&graph.graph, &plan.from_store, &graph.store_file) {
@@ -1117,7 +1117,7 @@ mod tests {
             .unwrap();
             (sink.bytes(Artifact::EvalReport).unwrap(), eval_json(&sink))
         };
-        // Streamed + store: the engines page through the store file and
+        // Streamed + store: the engines read the store file and
         // must produce the same eval.txt and `eval` summary object.
         let paged_plan = eval_plan(RunPlanBuilder::store);
         for threads in [1usize, 2, 8] {

@@ -37,9 +37,9 @@ pub struct OutputSelection {
     /// ([`Artifact::Store`](crate::run::Artifact), the CLI's `--store`).
     /// Store bytes are a pure function of the configuration and seed —
     /// identical at every thread count and in both the materialized and
-    /// streamed pipelines. Combined with streaming, this is the
-    /// beyond-RAM path: the evaluation stage pages through the store
-    /// instead of an in-memory graph.
+    /// streamed pipelines. Combined with streaming, the graph's CSR is
+    /// never materialized: the evaluation stage scans the store instead
+    /// of an in-memory graph.
     pub store: bool,
 }
 
@@ -123,7 +123,7 @@ pub struct RunPlan {
     pub eval: Option<EvalSpec>,
     /// Evaluate against an existing on-disk store (the CLI's
     /// `--from-store`) instead of generating a graph: the evaluation
-    /// stage pages through this file via
+    /// stage scans this file via
     /// [`StoreReader`](gmark_store::StoreReader). Requires an [`EvalSpec`]
     /// and replaces graph generation (graph and store outputs must be
     /// off). The store's recorded schema hash must match the plan's
@@ -503,7 +503,7 @@ mod tests {
             Some(std::path::Path::new("g.gstore"))
         );
 
-        // Store output + eval (the beyond-RAM combination) builds too.
+        // Store output + eval (the streamed-store combination) builds too.
         let plan = evaluating().store().build().unwrap();
         assert!(plan.outputs.store);
     }

@@ -26,8 +26,8 @@ pub enum Artifact {
     /// The graph instance as N-Triples (`graph.nt`).
     Graph,
     /// The graph instance as an on-disk paged store (`graph.gstore`):
-    /// the binary CSR format the evaluation engines can page through
-    /// without materializing the graph (see [`gmark_store::StoreReader`]).
+    /// the binary CSR format the evaluation engines can read without
+    /// materializing the graph (see [`gmark_store::StoreReader`]).
     Store,
     /// The workload in the paper's rule notation (`workload.txt`).
     Rules,

@@ -18,7 +18,8 @@
 //! (`plan: false`, `cache_mb: 0`) to the same determinism contract on the
 //! instance the pipeline's own tests evaluate, in RAM and through a paged
 //! store — cache contents and counters included, which the fill resolves
-//! on every worker.
+//! on every worker. One more input selects only `G` and `S` with the cache
+//! off, so nothing but their automaton BFS reads adjacency.
 
 use gmark::prelude::*;
 use gmark::store::{GraphView, StoreMeta, StoreReader, StoreWriter};
@@ -280,12 +281,13 @@ fn bib_instance() -> (Schema, Graph, Workload) {
     (plan.graph.schema, graph, workload)
 }
 
-/// One matrix on a fresh context: every engine, no clock, a 100 000-tuple
-/// cap.
+/// One matrix on a fresh context: the given engines, no clock, a
+/// 100 000-tuple cap.
 fn bib_matrix(
     view: GraphView<'_>,
     schema: &Schema,
     queries: &[&Query],
+    engines: &[EngineKind],
     options: MatrixOptions,
 ) -> EvalReport {
     let budget = CellBudget {
@@ -293,14 +295,7 @@ fn bib_matrix(
         max_tuples: 100_000,
     };
     let ctx = EvalContext::new(view);
-    evaluate_matrix_with_schema(
-        &ctx,
-        Some(schema),
-        queries,
-        &EngineKind::ALL,
-        &budget,
-        &options,
-    )
+    evaluate_matrix_with_schema(&ctx, Some(schema), queries, engines, &budget, &options)
 }
 
 fn queries_of(workload: &Workload) -> Vec<&Query> {
@@ -322,8 +317,7 @@ fn each_control_renders_one_report_at_every_thread_count_in_ram_and_paged() {
         partition: graph.partition().clone(),
     };
     StoreWriter::write_graph(&path, &meta, &graph).expect("the store writes");
-    // One cached page, shared by every worker: nearly every lookup evicts.
-    let reader = StoreReader::open_with_cache(&path, 1).expect("the store opens");
+    let reader = StoreReader::open(&path).expect("the store opens");
 
     let unplanned = MatrixOptions {
         plan: false,
@@ -333,8 +327,15 @@ fn each_control_renders_one_report_at_every_thread_count_in_ram_and_paged() {
         cache_mb: 0,
         ..MatrixOptions::default()
     };
-    for control in [MatrixOptions::default(), unplanned, uncached] {
-        let base = bib_matrix(GraphView::from(&graph), &schema, &queries, control);
+    let all = EngineKind::ALL.as_slice();
+    let navigating = [EngineKind::Navigational, EngineKind::TripleStore];
+    for (control, engines) in [
+        (MatrixOptions::default(), all),
+        (unplanned, all),
+        (uncached, all),
+        (uncached, navigating.as_slice()),
+    ] {
+        let base = bib_matrix(GraphView::from(&graph), &schema, &queries, engines, control);
         assert_eq!(base.plan_quality().is_some(), control.plan, "{control:?}");
         assert_eq!(base.cache.is_some(), control.cache_mb > 0, "{control:?}");
         let text = base.render();
@@ -342,7 +343,7 @@ fn each_control_renders_one_report_at_every_thread_count_in_ram_and_paged() {
         for threads in [1, 2, 8] {
             let options = MatrixOptions { threads, ..control };
             for view in [GraphView::from(&graph), GraphView::from(&reader)] {
-                let report = bib_matrix(view, &schema, &queries, options);
+                let report = bib_matrix(view, &schema, &queries, engines, options);
                 assert_eq!(report.render(), text, "{options:?}");
                 assert_eq!(report.cache, base.cache, "{options:?}");
             }
@@ -364,8 +365,20 @@ fn without_the_planner_cache_on_and_off_render_identically() {
         cache_mb: 0,
         ..cached
     };
-    let on = bib_matrix(GraphView::from(&graph), &schema, &queries, cached);
-    let off = bib_matrix(GraphView::from(&graph), &schema, &queries, uncached);
+    let on = bib_matrix(
+        GraphView::from(&graph),
+        &schema,
+        &queries,
+        &EngineKind::ALL,
+        cached,
+    );
+    let off = bib_matrix(
+        GraphView::from(&graph),
+        &schema,
+        &queries,
+        &EngineKind::ALL,
+        uncached,
+    );
     let stats = on.cache.expect("the cache was on");
     assert!(stats.hits > 0, "{stats:?}");
     assert!(off.cache.is_none());
@@ -387,8 +400,20 @@ fn planner_never_changes_answer_cardinalities() {
         plan: false,
         ..planned
     };
-    let on = bib_matrix(GraphView::from(&graph), &schema, &queries, planned);
-    let off = bib_matrix(GraphView::from(&graph), &schema, &queries, unplanned);
+    let on = bib_matrix(
+        GraphView::from(&graph),
+        &schema,
+        &queries,
+        &EngineKind::ALL,
+        planned,
+    );
+    let off = bib_matrix(
+        GraphView::from(&graph),
+        &schema,
+        &queries,
+        &EngineKind::ALL,
+        unplanned,
+    );
     assert_eq!(on.cells.len(), off.cells.len());
     let mut compared = 0;
     for (a, b) in on.cells.iter().zip(&off.cells) {
