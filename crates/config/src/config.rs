@@ -40,7 +40,7 @@
 //! `<indistribution type="nonspecified"/>` or simply omitted.
 
 use crate::xml::{parse, Element, XmlError};
-use gmark_core::schema::{Distribution, GraphConfig, Occurrence, SchemaBuilder};
+use gmark_core::schema::{Distribution, GraphConfig, Occurrence, SchemaBuilder, SchemaError};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::workload::{QuerySize, Shape, WorkloadConfig};
 
@@ -63,6 +63,8 @@ pub enum ConfigError {
     Missing(String),
     /// A value failed to parse or validate.
     Invalid(String),
+    /// The document describes a schema [`SchemaBuilder::build`] refuses.
+    Schema(SchemaError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -71,6 +73,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Xml(e) => write!(f, "{e}"),
             ConfigError::Missing(what) => write!(f, "missing {what}"),
             ConfigError::Invalid(what) => write!(f, "invalid {what}"),
+            ConfigError::Schema(e) => write!(f, "invalid schema: {e}"),
         }
     }
 }
@@ -200,7 +203,7 @@ pub fn parse_config(input: &str) -> Result<ParsedConfig, ConfigError> {
             ));
         }
     }
-    let schema_probe = b.build().map_err(|e| invalid(&format!("schema: {e}")))?;
+    let schema_probe = b.build().map_err(ConfigError::Schema)?;
     // Rebuild with constraints resolved against the probe's name tables.
     let mut b = SchemaBuilder::new();
     for t in schema_probe.types() {
@@ -224,7 +227,7 @@ pub fn parse_config(input: &str) -> Result<ParsedConfig, ConfigError> {
             .ok_or_else(|| invalid(&format!("unknown target type {target:?}")))?;
         b.edge(s, p, t, din, dout);
     }
-    let schema = b.build().map_err(|e| invalid(&format!("schema: {e}")))?;
+    let schema = b.build().map_err(ConfigError::Schema)?;
     let graph = GraphConfig::new(n, schema);
 
     let workload = root.first("workload").map(parse_workload).transpose()?;
@@ -497,6 +500,22 @@ mod tests {
             parse_config(bad_root),
             Err(ConfigError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn a_predicate_name_outside_the_rule_is_a_schema_error() {
+        let doc = r#"
+          <generator><graph>
+            <nodes>10</nodes>
+            <types><type name="a" proportion="1.0"/></types>
+            <predicates><predicate name="auth ors&apos;x"/></predicates>
+          </graph></generator>"#;
+        match parse_config(doc) {
+            Err(ConfigError::Schema(SchemaError::InvalidPredicateName(name))) => {
+                assert_eq!(name, "auth ors'x")
+            }
+            other => panic!("expected a schema error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -24,19 +24,26 @@
 //! memory for that side's vector (and its shuffle) disappears. The fast path
 //! is on by default; [`GeneratorOptions::gaussian_fast_path`] turns it off.
 //!
-//! Two ways out of the generator, each one [`gmark_store::emit`] fan-out
-//! over the constraints. [`generate_graph`] materializes: an
-//! [`ordered_map`] gives every constraint its own builder, the builders
-//! are absorbed in constraint order, and the CSR is finalized — memory
-//! grows with the edge count. [`generate_streamed`] never holds more than
-//! one constraint per worker: edges are formatted as N-Triples while they
-//! are zipped and handed, in blocks, to an [`OrderedEmitter`] that writes
-//! constraints in ascending order in a single pass — no temporary file,
-//! memory bounded by the largest constraint's slot vectors plus a fixed
-//! block budget. Either way constraint `i` draws from an RNG stream split
-//! off the master seed by `i` and lands in constraint order, so output
-//! never depends on the thread count (the argument is made once, in
-//! [`gmark_store::emit`]).
+//! Each constraint is generated in two steps: a *setup* — steps 1 and 2,
+//! the slot totals and vectors and their shuffles, leaving the RNG at the
+//! zip's first draw — and a *draw* that zips the next `k` pairs (step 3).
+//! Every entry point runs the one draw loop; they differ only in how many
+//! pairs one call draws.
+//!
+//! Two ways out of the generator, each one [`gmark_store::emit`] fan-out.
+//! [`generate_graph`] materializes: an [`ordered_map`] gives every
+//! constraint its own builder and draws it whole, the builders are
+//! absorbed in constraint order, and the CSR is finalized — memory grows
+//! with the edge count. [`generate_streamed`] never holds the graph: its
+//! emitter's units are fixed-size blocks of one constraint's pairs, drawn
+//! in order under a lock and formatted as N-Triples in parallel, while
+//! idle workers set up the constraints ahead. An [`OrderedEmitter`] writes
+//! the blocks in ascending order in a single pass — no temporary file,
+//! memory bounded by one set-up constraint's slot vectors per worker plus
+//! a block of pairs per worker and a fixed parked budget. Either way
+//! constraint `i` draws from an RNG stream split off the master seed by
+//! `i` and lands in constraint order, so output never depends on the
+//! thread count (the argument is made once, in [`gmark_store::emit`]).
 //!
 //! Because each constraint's edges are a pure function of (config, seed,
 //! `i`), they can be drawn twice: [`generate_store`], the streamed
@@ -51,8 +58,9 @@
 use crate::schema::{Distribution, GraphConfig};
 use gmark_stats::{DegreeSampler, Prng, Zipf};
 use gmark_store::{
-    ordered_map, Csr, EdgeSink, EmitStats, Graph, GraphBuilder, NTriplesFormat, NTriplesWriter,
-    NodeId, OrderedEmitter, PredIdx, StoreError, StoreInfo, StoreMeta, StoreWriter, TypePartition,
+    ordered_map, resolve_threads, Csr, EdgeSink, EmitStats, Graph, GraphBuilder, Group, Grouped,
+    NTriplesFormat, NTriplesWriter, NodeId, OrderedEmitter, PredIdx, StoreError, StoreInfo,
+    StoreMeta, StoreWriter, TypePartition,
 };
 use std::path::Path;
 
@@ -65,9 +73,9 @@ pub struct GeneratorOptions {
     /// Enables the Gaussian fast path described in the module docs.
     pub gaussian_fast_path: bool,
     /// Number of worker threads for [`generate_graph`] /
-    /// [`generate_streamed`]; constraints are spread across threads with
-    /// per-constraint RNG splitting, so the result is identical for any
-    /// thread count. `0` means every available core
+    /// [`generate_streamed`]; constraints (or blocks of their edges) are
+    /// spread across threads with per-constraint RNG splitting, so the
+    /// result is identical for any thread count. `0` means every available core
     /// ([`gmark_store::resolve_threads`]).
     pub threads: usize,
 }
@@ -128,9 +136,8 @@ pub fn generate_into<S: EdgeSink>(
     let partition = TypePartition::from_counts(&counts);
     let master = Prng::seed_from_u64(opts.seed);
     let mut report = GenReport::default();
-    for (idx, _) in config.schema.constraints().iter().enumerate() {
-        let mut rng = master.split(idx as u64);
-        let cr = generate_constraint(config, opts, idx, &partition, &mut rng, sink);
+    for idx in 0..config.schema.constraints().len() {
+        let cr = generate_constraint(config, opts, idx, &partition, &master, sink);
         report.total_edges += cr.edges;
         report.constraints.push(cr);
     }
@@ -151,8 +158,7 @@ pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, 
     let master = Prng::seed_from_u64(opts.seed);
     let shards = ordered_map(opts.threads, config.schema.constraints().len(), |idx| {
         let mut builder = GraphBuilder::new(partition.clone(), pred_count);
-        let mut rng = master.split(idx as u64);
-        let cr = generate_constraint(config, opts, idx, &partition, &mut rng, &mut builder);
+        let cr = generate_constraint(config, opts, idx, &partition, &master, &mut builder);
         (builder, cr)
     });
     let mut root = GraphBuilder::new(partition, pred_count);
@@ -185,26 +191,37 @@ impl Default for StreamOptions {
     }
 }
 
+/// Pairs per unit of [`generate_streamed`]'s emitter: about 1 MB of
+/// N-Triples, so a block behind the head parks whole.
+const BLOCK_PAIRS: u64 = 8192;
+
 /// Generates the graph as N-Triples straight into `out` without ever
 /// materializing it: the memory-bounded counterpart of [`generate_graph`].
 ///
-/// Constraints fan out over `opts.threads` workers (0 = every core). Each
-/// worker formats the edges of the constraint it claimed into blocks and
-/// hands them to an [`OrderedEmitter`], which writes constraint `i`'s
-/// blocks after those of every constraint below `i`: the worker on the
-/// lowest unfinished constraint writes straight through to `out`, the
-/// others park a bounded number of bytes and then wait their turn. One
-/// pass, no temporary file. Peak memory is bounded by the slot vectors of
-/// the largest single constraint (`O(max type size · mean degree)` per
-/// worker) plus a fixed block budget, not by the total edge count — this
-/// is what makes the paper's Table 3 scale (10⁹ edges) reachable.
+/// The units of the [`OrderedEmitter`] are fixed-size blocks of one
+/// constraint's pairs, numbered in (constraint, block) order as they are
+/// handed out ([`Grouped`]). On `opts.threads` workers (0 = every core),
+/// a worker sets up the next constraint — its slot vectors, drawn and
+/// shuffled — while fewer than one per worker are set up; otherwise it
+/// draws the next block's pairs from the lowest unfinished constraint,
+/// under the claim lock since the constraint's RNG is sequential, and
+/// formats them outside it. The emitter writes block `i` after every
+/// block below `i`: the worker on the head writes straight through to
+/// `out`, the others park a bounded number of bytes and then wait their
+/// turn. One pass, no temporary file. Peak memory is bounded by the slot
+/// vectors of at most one set-up constraint per worker
+/// (`O(max type size · mean degree)` each), plus one block of pairs and
+/// one 256 KiB write buffer per worker and the emitter's fixed parked
+/// budget — not by the total edge count. This is what makes the paper's
+/// Table 3 scale (10⁹ edges) reachable.
 ///
-/// The output is **byte-identical for every thread count, including 1**
-/// (see the module docs). Unlike [`generate_graph`]'s serialization, the
-/// stream preserves generation order and keeps duplicate triples (RDF set
+/// The output is **byte-identical for every thread count, including 1**,
+/// and equals [`generate_into`] feeding one [`NTriplesWriter`] (see the
+/// module docs). Unlike [`generate_graph`]'s serialization, the stream
+/// preserves generation order and keeps duplicate triples (RDF set
 /// semantics make the data equivalent).
 ///
-/// The first write error stops the run: no further constraint is claimed,
+/// The first write error stops the run: no further block is claimed,
 /// parked workers wake, and the error is returned. Since `out` is written
 /// from worker threads it must be `Send`.
 ///
@@ -216,39 +233,67 @@ pub fn generate_streamed<W: std::io::Write + Send>(
     out: &mut W,
 ) -> std::io::Result<(GenReport, u64)> {
     let n_constraints = config.schema.constraints().len();
-    // Encode the predicate alphabet once; every constraint's writer shares it.
+    // Encode the predicate alphabet once; every block's writer shares it.
     let format = std::sync::Arc::new(NTriplesFormat::new(
         &config.schema.predicate_names(),
         &stream.base,
     ));
     let partition = TypePartition::from_counts(&config.node_counts());
     let master = Prng::seed_from_u64(opts.seed);
+    // The block count is known only once every constraint is set up.
+    let threads = resolve_threads(opts.threads, usize::MAX);
 
-    let emitter = OrderedEmitter::new(vec![out], n_constraints);
-    let (per_worker, emit) = emitter.run(
-        opts.threads,
-        |done: &mut Vec<(usize, ConstraintReport, u64)>, idx, lanes| -> std::io::Result<()> {
+    let reports = std::sync::Mutex::new(vec![None; n_constraints]);
+    let blocks = Grouped::new(n_constraints, threads, |idx| {
+        let pairs = ConstraintPairs::setup(config, opts, idx, &partition, &master);
+        reports.lock().expect("held only to record a report")[idx] = Some(pairs.report.clone());
+        pairs
+    });
+    let (written, emit) = OrderedEmitter::with_claims(vec![out], blocks).run(
+        threads,
+        |written: &mut u64, block: Block, lanes| -> std::io::Result<()> {
             let mut sink = NTriplesWriter::with_format(&mut lanes[0], format.clone());
-            let mut rng = master.split(idx as u64);
-            let cr = generate_constraint(config, opts, idx, &partition, &mut rng, &mut sink);
-            done.push((idx, cr, sink.finish()?));
+            for (src, trg) in block.pairs {
+                sink.edge(src, block.pred, trg);
+            }
+            *written += sink.finish()?;
             Ok(())
         },
     )?;
 
-    let mut batches: Vec<_> = per_worker.into_iter().flatten().collect();
-    batches.sort_by_key(|(idx, _, _)| *idx);
     let mut report = GenReport {
         emit: Some(emit),
         ..GenReport::default()
     };
-    let mut written = 0u64;
-    for (_, cr, w) in batches {
+    for cr in reports.into_inner().expect("held only to record a report") {
+        let cr = cr.expect("every constraint is set up by a run that succeeds");
         report.total_edges += cr.edges;
         report.constraints.push(cr);
-        written += w;
     }
-    Ok((report, written))
+    Ok((report, written.iter().sum()))
+}
+
+/// One unit of [`generate_streamed`]: up to [`BLOCK_PAIRS`] pairs of one
+/// constraint, in generation order.
+struct Block {
+    pred: PredIdx,
+    pairs: Vec<(NodeId, NodeId)>,
+}
+
+impl Group for ConstraintPairs {
+    type Unit = Block;
+
+    fn cut(&mut self) -> Option<Block> {
+        if self.remaining() == 0 {
+            return None;
+        }
+        let mut block = PairSink(Vec::with_capacity(BLOCK_PAIRS as usize));
+        self.draw(BLOCK_PAIRS, &mut block);
+        Some(Block {
+            pred: self.pred,
+            pairs: block.0,
+        })
+    }
 }
 
 /// Writes the paged store of the graph [`generate_streamed`] streams,
@@ -279,8 +324,7 @@ pub fn generate_store(
     for pred in 0..config.schema.predicate_count() {
         edges.0.clear();
         for idx in (0..constraints.len()).filter(|&i| constraints[i].predicate.0 == pred) {
-            let mut rng = master.split(idx as u64);
-            generate_constraint(config, opts, idx, &partition, &mut rng, &mut edges);
+            generate_constraint(config, opts, idx, &partition, &master, &mut edges);
         }
         let fwd = Csr::from_edges(partition.node_count(), &edges.0);
         writer.write_segment(&fwd)?;
@@ -317,28 +361,112 @@ impl SidePlan {
     }
 }
 
+/// Generates constraint `idx` whole into `sink`: its setup, then every
+/// pair.
 fn generate_constraint<S: EdgeSink>(
     config: &GraphConfig,
     opts: &GeneratorOptions,
     idx: usize,
     partition: &TypePartition,
-    rng: &mut Prng,
+    master: &Prng,
     sink: &mut S,
 ) -> ConstraintReport {
-    let c = &config.schema.constraints()[idx];
-    let n_src = partition.count(c.source.0) as u64;
-    let n_trg = partition.count(c.target.0) as u64;
-    if n_src == 0 || n_trg == 0 {
-        return ConstraintReport {
-            src_slots: 0,
-            trg_slots: 0,
-            edges: 0,
-        };
-    }
-    let pred = c.predicate.0;
-    let src_base = partition.range(c.source.0).start;
-    let trg_base = partition.range(c.target.0).start;
+    let mut pairs = ConstraintPairs::setup(config, opts, idx, partition, master);
+    pairs.draw(u64::MAX, sink);
+    pairs.report
+}
 
+/// One constraint between its two steps: set up — phases 1–3 done, both
+/// slot vectors shuffled, the RNG positioned at the zip's first draw — and
+/// drawn, `k` pairs at a time, in the order a single pass would emit them.
+struct ConstraintPairs {
+    rng: Prng,
+    src_plan: SidePlan,
+    trg_plan: SidePlan,
+    n_src: u64,
+    n_trg: u64,
+    src_base: NodeId,
+    trg_base: NodeId,
+    pred: PredIdx,
+    /// Pairs drawn so far.
+    drawn: u64,
+    report: ConstraintReport,
+}
+
+impl ConstraintPairs {
+    /// Runs phases 1–3 and the shuffles of constraint `idx` on the RNG
+    /// stream `master.split(idx)`.
+    fn setup(
+        config: &GraphConfig,
+        opts: &GeneratorOptions,
+        idx: usize,
+        partition: &TypePartition,
+        master: &Prng,
+    ) -> ConstraintPairs {
+        let mut rng = master.split(idx as u64);
+        let c = &config.schema.constraints()[idx];
+        let n_src = partition.count(c.source.0) as u64;
+        let n_trg = partition.count(c.target.0) as u64;
+        let (src_plan, trg_plan) = if n_src == 0 || n_trg == 0 {
+            (SidePlan::UniformDraws(0), SidePlan::UniformDraws(0))
+        } else {
+            side_plans(config, opts, idx, n_src, n_trg, &mut rng)
+        };
+        let report = ConstraintReport {
+            src_slots: src_plan.total(),
+            trg_slots: trg_plan.total(),
+            edges: src_plan.total().min(trg_plan.total()),
+        };
+        ConstraintPairs {
+            rng,
+            src_plan,
+            trg_plan,
+            n_src,
+            n_trg,
+            src_base: partition.range(c.source.0).start,
+            trg_base: partition.range(c.target.0).start,
+            pred: c.predicate.0,
+            drawn: 0,
+            report,
+        }
+    }
+
+    /// Pairs not drawn yet.
+    fn remaining(&self) -> u64 {
+        self.report.edges - self.drawn
+    }
+
+    /// Emits the next `k` pairs (fewer at the end) into `sink`.
+    fn draw<S: EdgeSink>(&mut self, k: u64, sink: &mut S) {
+        let (start, end) = (self.drawn, self.drawn + k.min(self.remaining()));
+        let (n_src, n_trg, pred) = (self.n_src, self.n_trg, self.pred);
+        let rng = &mut self.rng;
+        for i in start as usize..end as usize {
+            let s = match &self.src_plan {
+                SidePlan::Slots(v) => v[i],
+                SidePlan::UniformDraws(_) => rng.below(n_src) as NodeId,
+            };
+            let t = match &self.trg_plan {
+                SidePlan::Slots(v) => v[i],
+                SidePlan::UniformDraws(_) => rng.below(n_trg) as NodeId,
+            };
+            sink.edge(self.src_base + s, pred, self.trg_base + t);
+        }
+        self.drawn = end;
+    }
+}
+
+/// Phases 1–3 and the shuffles of constraint `idx`, whose endpoint types
+/// hold `n_src` and `n_trg` nodes (both non-zero): the two sides' plans.
+fn side_plans(
+    config: &GraphConfig,
+    opts: &GeneratorOptions,
+    idx: usize,
+    n_src: u64,
+    n_trg: u64,
+    rng: &mut Prng,
+) -> (SidePlan, SidePlan) {
+    let c = &config.schema.constraints()[idx];
     // Phase 1 — the non-Zipf sides fix their slot totals independently:
     // uniform/Gaussian sides draw per-node degrees (Fig. 5 lines 3–6); a
     // Gaussian side under the fast path contributes its expected total with
@@ -446,37 +574,22 @@ fn generate_constraint<S: EdgeSink>(
     let trg_total = trg_total.expect("resolved above");
 
     // Phase 4 — Fig. 5 lines 7–9: shuffle, zip, truncate to the minimum.
-    let mut src_plan = match src_slots {
+    // The shuffles happen here, the zip in [`ConstraintPairs::draw`].
+    let src_plan = match src_slots {
         Some(mut v) => {
             rng.shuffle(&mut v);
             SidePlan::Slots(v)
         }
         None => SidePlan::UniformDraws(src_total),
     };
-    let mut trg_plan = match trg_slots {
+    let trg_plan = match trg_slots {
         Some(mut v) => {
             rng.shuffle(&mut v);
             SidePlan::Slots(v)
         }
         None => SidePlan::UniformDraws(trg_total),
     };
-    let edges = src_plan.total().min(trg_plan.total());
-    for i in 0..edges as usize {
-        let s = match &mut src_plan {
-            SidePlan::Slots(v) => v[i],
-            SidePlan::UniformDraws(_) => rng.below(n_src) as NodeId,
-        };
-        let t = match &mut trg_plan {
-            SidePlan::Slots(v) => v[i],
-            SidePlan::UniformDraws(_) => rng.below(n_trg) as NodeId,
-        };
-        sink.edge(src_base + s, pred, trg_base + t);
-    }
-    ConstraintReport {
-        src_slots: src_total,
-        trg_slots: trg_total,
-        edges,
-    }
+    (src_plan, trg_plan)
 }
 
 /// Lines 3–6 of Fig. 5: node `j` (within its type) appears `draw(D)` times.
@@ -849,6 +962,82 @@ mod tests {
         generate_into(&cfg, &opts, &mut writer);
         writer.finish().unwrap();
         assert_eq!(streamed, direct);
+    }
+
+    /// Constraints of exactly one block, two blocks, no pair at all (a
+    /// `none` macro, and an empty source type), one block and one pair.
+    fn block_boundary_schema() -> Schema {
+        let mut b = SchemaBuilder::new();
+        let s = b.node_type("s", Occurrence::Fixed(1000));
+        let t = b.node_type("t", Occurrence::Fixed(700));
+        let empty = b.node_type("empty", Occurrence::Fixed(0));
+        let budgets = [
+            Some(BLOCK_PAIRS),
+            Some(2 * BLOCK_PAIRS),
+            None,
+            Some(BLOCK_PAIRS + 1),
+        ];
+        for (i, budget) in budgets.into_iter().enumerate() {
+            let p = b.predicate(&format!("p{i}"), budget.map(Occurrence::Fixed));
+            match budget {
+                Some(_) => b.edge(
+                    s,
+                    p,
+                    t,
+                    Distribution::NonSpecified,
+                    Distribution::NonSpecified,
+                ),
+                None => b.constraint(EdgeConstraint::none(s, p, t)),
+            };
+        }
+        let q = b.predicate("q", None);
+        b.edge(
+            empty,
+            q,
+            t,
+            Distribution::uniform(1, 1),
+            Distribution::uniform(1, 1),
+        );
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn streamed_equals_one_writer_at_every_block_boundary_and_thread_count() {
+        let mut configs = vec![GraphConfig::new(1_700, block_boundary_schema())];
+        for (_, schema) in crate::usecases::all() {
+            configs.push(GraphConfig::new(30_000, schema));
+        }
+        let mut sizes = Vec::new();
+        for cfg in &configs {
+            let opts = GeneratorOptions::with_seed(17);
+            let mut reference = Vec::new();
+            let mut writer = NTriplesWriter::new(&mut reference, cfg.schema.predicate_names());
+            generate_into(cfg, &opts, &mut writer);
+            writer.finish().unwrap();
+            let (_, materialised) = generate_graph(cfg, &opts);
+            sizes.extend(materialised.constraints.iter().map(|c| c.edges));
+            for threads in [1usize, 2, 3, 8] {
+                let opts = GeneratorOptions {
+                    threads,
+                    ..opts.clone()
+                };
+                let mut streamed = Vec::new();
+                let (report, written) =
+                    generate_streamed(cfg, &opts, &StreamOptions::default(), &mut streamed)
+                        .unwrap();
+                assert!(streamed == reference, "{threads} threads: bytes differ");
+                assert_eq!(report.constraints, materialised.constraints);
+                assert_eq!(report.total_edges, materialised.total_edges);
+                assert_eq!(written, materialised.total_edges);
+            }
+        }
+        // The sizes the test must cover: a block boundary inside a
+        // constraint, exactly at its end, one pair past it, and no pair.
+        let b = BLOCK_PAIRS;
+        assert!(sizes.iter().any(|&e| e > b && e % b > 1), "{sizes:?}");
+        assert!(sizes.iter().any(|&e| e > 0 && e % b == 0), "{sizes:?}");
+        assert!(sizes.iter().any(|&e| e > b && e % b == 1), "{sizes:?}");
+        assert!(sizes.contains(&0), "{sizes:?}");
     }
 
     #[test]

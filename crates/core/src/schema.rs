@@ -432,6 +432,8 @@ pub enum SchemaError {
     InvalidProportion(String),
     /// A distribution has invalid parameters.
     InvalidDistribution(String),
+    /// A predicate name does not match `[A-Za-z_][A-Za-z0-9_]*`.
+    InvalidPredicateName(String),
 }
 
 impl fmt::Display for SchemaError {
@@ -441,11 +443,27 @@ impl fmt::Display for SchemaError {
             SchemaError::UnknownReference(n) => write!(f, "unknown reference: {n}"),
             SchemaError::InvalidProportion(m) => write!(f, "invalid proportion: {m}"),
             SchemaError::InvalidDistribution(m) => write!(f, "invalid distribution: {m}"),
+            SchemaError::InvalidPredicateName(n) => write!(
+                f,
+                "invalid predicate name {n:?}: a name must match [A-Za-z_][A-Za-z0-9_]*"
+            ),
         }
     }
 }
 
 impl std::error::Error for SchemaError {}
+
+/// The one rule for predicate names, `[A-Za-z_][A-Za-z0-9_]*`: every
+/// translator writes a name verbatim — a SPARQL prefixed name, an SQL
+/// string literal, a Cypher relationship type, a Datalog relation — and
+/// this rule is what makes that safe in all four.
+fn is_predicate_name(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    bytes
+        .next()
+        .is_some_and(|b| b.is_ascii_alphabetic() || b == b'_')
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_')
+}
 
 /// Fluent builder for [`Schema`].
 ///
@@ -530,6 +548,9 @@ impl SchemaBuilder {
                     return Err(SchemaError::DuplicateName(n.clone()));
                 }
             }
+        }
+        if let Some(n) = self.predicate_names.iter().find(|n| !is_predicate_name(n)) {
+            return Err(SchemaError::InvalidPredicateName(n.clone()));
         }
         // Occurrence sanity.
         let check_occ = |o: &Occurrence, what: &str| -> Result<(), SchemaError> {
@@ -672,6 +693,30 @@ pub(crate) mod tests {
         b.node_type("x", Occurrence::Fixed(1));
         b.node_type("x", Occurrence::Fixed(1));
         assert!(matches!(b.build(), Err(SchemaError::DuplicateName(_))));
+    }
+
+    #[test]
+    fn predicate_names_follow_one_rule() {
+        for good in ["authors", "_p", "P9", "has_part"] {
+            assert!(is_predicate_name(good), "{good}");
+        }
+        for bad in ["", "auth ors'x", "9p", "has-part", "p:q", "naïve", "a\"b"] {
+            assert!(!is_predicate_name(bad), "{bad}");
+            let mut b = SchemaBuilder::new();
+            b.node_type("t", Occurrence::Proportion(1.0));
+            b.predicate("fine", None);
+            b.predicate(bad, None);
+            assert_eq!(
+                b.build().unwrap_err(),
+                SchemaError::InvalidPredicateName(bad.to_owned())
+            );
+        }
+        for (_, schema) in crate::usecases::all() {
+            assert!(schema
+                .predicate_names()
+                .iter()
+                .all(|n| is_predicate_name(n)));
+        }
     }
 
     #[test]

@@ -2,23 +2,32 @@
 //! ordered result.
 //!
 //! Every parallel stage splits its work into numbered *units* — schema
-//! constraints, per-predicate CSR builds and transposes, a built graph's
-//! two serializations (`graph.nt`, whose own emitter's units are its
-//! predicates, beside the store), queries, the sub-expression cache
-//! fill's distinct candidates, evaluation cells — whose result is a pure
-//! function of `(inputs, seed, unit)`:
-//! every unit draws from an RNG stream split off the master seed by its
-//! index, or draws nothing. Workers claim units off one atomic counter in
-//! ascending order, and the results are put back **in unit order**, so
-//! which worker ran a unit, and when, cannot show in the output: it is the
-//! same at every thread count, one included. That argument is made here,
-//! once, for two primitives on one spawn/join core:
+//! constraints, blocks of a constraint's edges, per-predicate CSR builds
+//! and transposes, a built graph's two serializations (`graph.nt`, whose
+//! own emitter's units are its predicates, beside the store), queries,
+//! the sub-expression cache fill's distinct candidates, evaluation cells
+//! — whose result is a pure function of `(inputs, seed, unit)`: every
+//! unit draws from an RNG stream split off the master seed by its index,
+//! draws its part of such a stream in unit order, or draws nothing.
+//! Workers claim units in ascending order, and the results are put back
+//! **in unit order**, so which worker ran a unit, and when, cannot show
+//! in the output: it is the same at every thread count, one included.
+//! That argument is made here, once, for two primitives on one
+//! spawn/join core:
 //!
 //! * [`ordered_map`] — ordered *values*: `map(i)` for every unit, returned
 //!   as a `Vec` in index order;
 //! * [`OrderedEmitter`] — ordered *bytes*: units write blocks to shared
 //!   outputs, and the emitter writes them in unit order, in one pass,
 //!   without temp files.
+//!
+//! An emitter's units come from a [`ClaimSource`]. Where the unit count
+//! is known up front the source is a [`Counter`]; where it is known only
+//! once the work is under way — the blocks of a constraint exist once the
+//! constraint is set up — it is [`Grouped`], which sets up a bounded
+//! number of groups ahead and cuts their units off in order. Either way a
+//! unit's number is fixed when it is handed out, ascending and without
+//! gaps, so the argument above holds unchanged.
 //!
 //! [`resolve_threads`] is the one thread-count policy (`0` = every
 //! available core, never more workers than units). The caller is always
@@ -32,12 +41,18 @@
 //! * a worker that is ahead of the head *parks* its blocks in memory, up
 //!   to a fixed budget (2 MiB) summed over all units, and past that waits
 //!   until its unit becomes the head;
-//! * when the head finishes, the units behind it drain in order: every
-//!   finished one is written whole, and the first unfinished one becomes
-//!   the head with whatever it had parked already written.
+//! * when the head finishes, its owner drains the units behind it in
+//!   order: every finished one is written whole, and the first unfinished
+//!   one becomes the head with whatever it had parked — also while the
+//!   drain lasts — already written.
 //!
-//! **Progress**: the head's owner never waits on the emitter — it writes
-//! or returns — and every other worker waits only for the head to move.
+//! Whoever writes — the head's owner or the drain — is the one worker
+//! allowed to, so it writes outside the emitter's lock, and the others
+//! park meanwhile instead of queueing behind the write.
+//!
+//! **Progress**: a drain never waits on the emitter; the head's owner
+//! waits at most for the drain ahead of it, and every other worker waits
+//! only for the head to move.
 //! **Memory**: what units hold beyond their own working set is the parked
 //! bytes, bounded by a constant; nothing scales with the document.
 //! **Failure**: the first write error, failed unit or panicking worker
@@ -54,17 +69,13 @@ use std::time::Instant;
 
 /// Bytes that units ahead of the head may hold in memory, summed over all
 /// of them. A constant on purpose, so memory never scales with the
-/// document. Whether it is what stops a document from scaling depends on
-/// what a unit is. In the materialised `graph.nt` emitter one predicate
-/// is one unit, and one predicate dominates (Bib's `authors` carries
-/// 62 % of the edges), so the document waits on that one unit whatever
-/// the budget: on Bib at 2 M nodes (2-vCPU box), formatting `graph.nt`
-/// into a null writer took 0.09–0.11 s on one worker and 0.10–0.11 s on
-/// two. In a `--stream` run one constraint is one unit, and a worker off
-/// the head unit parks once it is this budget ahead: on Bib at 2 M nodes
-/// (2-vCPU box, 3 runs each), the graph stage took 0.26–0.36 s at
-/// `--threads 1` with nothing parked and 0.26–0.33 s at `--threads 2`
-/// with 0.22–0.29 s parked.
+/// document. It lets a worker off the head run ahead by about one unit
+/// when units are small next to it: a `--stream` run's units are blocks
+/// of one constraint's edges (`gmark_core::gen`, about 1 MB of N-Triples
+/// each), so a worker on the unit behind the head formats it whole and
+/// parks it, and the head's owner writes it out when it gets there. Where
+/// one unit dwarfs the budget — the materialised `graph.nt`, one unit per
+/// predicate — the worker behind parks the first 2 MiB and then waits.
 const PARK_BUDGET: usize = 2 << 20;
 
 /// Resolves a requested worker count for `units` units of work: `0` means
@@ -112,21 +123,215 @@ pub fn ordered_map<T: Send>(
     units: usize,
     map: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let next = AtomicUsize::new(0);
+    let next = Counter::new(units);
     let per_worker = fan_out(resolve_threads(threads, units), |_| {
         let mut done = Vec::new();
-        loop {
-            // Relaxed: the counter publishes nothing but itself.
-            let unit = next.fetch_add(1, Ordering::Relaxed);
-            if unit >= units {
-                break done;
-            }
+        while let Some((unit, _)) = next.claim() {
             done.push((unit, map(unit)));
         }
+        done
     });
     let mut indexed: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
     indexed.sort_unstable_by_key(|&(unit, _)| unit);
     indexed.into_iter().map(|(_, value)| value).collect()
+}
+
+/// Hands out a run's units: each claim is the next unit number — ascending
+/// from 0, without gaps, whichever worker asks — with what a worker needs
+/// to produce that unit. Numbering at hand-out is what lets a source learn
+/// its unit count as it goes.
+pub trait ClaimSource: Sync {
+    /// What a unit's worker receives besides the unit's number.
+    type Claim: Send;
+
+    /// An upper bound on the units this source will hand out; a run
+    /// starts no more workers than this.
+    fn max_units(&self) -> usize;
+
+    /// The next unit, or `None` once there is none left.
+    fn claim(&self) -> Option<(usize, Self::Claim)>;
+}
+
+/// The claim source of a known unit count: units `0..units`, each claim
+/// carrying its own number.
+#[derive(Debug)]
+pub struct Counter {
+    next: AtomicUsize,
+    units: usize,
+}
+
+impl Counter {
+    /// A counter over `units` units.
+    pub fn new(units: usize) -> Self {
+        Counter {
+            next: AtomicUsize::new(0),
+            units,
+        }
+    }
+}
+
+impl ClaimSource for Counter {
+    type Claim = usize;
+
+    fn max_units(&self) -> usize {
+        self.units
+    }
+
+    fn claim(&self) -> Option<(usize, usize)> {
+        // Relaxed: the counter publishes nothing but itself.
+        let unit = self.next.fetch_add(1, Ordering::Relaxed);
+        (unit < self.units).then_some((unit, unit))
+    }
+}
+
+/// One group of a [`Grouped`] source, set up and ready to be cut into
+/// units.
+pub trait Group: Send {
+    /// What one unit carries to its worker.
+    type Unit: Send;
+
+    /// Cuts off the group's next unit; `None` once the group is exhausted.
+    /// Runs under the source's lock, so cuts happen one at a time and in
+    /// unit order: keep it cheap.
+    fn cut(&mut self) -> Option<Self::Unit>;
+}
+
+/// A claim source over `groups` groups whose unit counts are known only
+/// once each group is set up. Units are cut from the lowest unexhausted
+/// group, in group order, and numbered as they are handed out.
+///
+/// A worker that asks for a unit while fewer than `ahead` groups are set
+/// up (or being set up) and not yet exhausted sets up the next group
+/// first, outside the lock, so setups run beside the cutting and
+/// formatting of earlier groups' units while memory holds at most `ahead`
+/// set-up groups. A worker that can neither set up nor cut waits for the
+/// setup of the lowest group, which another worker is running. A panic in
+/// a setup or a cut stops the source: every waiter wakes and every later
+/// claim gets `None`.
+pub struct Grouped<G, S> {
+    groups: usize,
+    ahead: usize,
+    setup: S,
+    state: Mutex<Staging<G>>,
+    /// Signalled when a setup lands, a group is exhausted, or the source
+    /// fails.
+    changed: Condvar,
+}
+
+struct Staging<G> {
+    next_unit: usize,
+    /// The next group to set up.
+    next_group: usize,
+    /// The group units are cut from: the lowest not yet exhausted.
+    head: usize,
+    /// Groups set up or being set up, not yet exhausted.
+    live: usize,
+    /// Set-up groups by index.
+    ready: BTreeMap<usize, G>,
+    failed: bool,
+}
+
+impl<G: Group, S: Fn(usize) -> G + Sync> Grouped<G, S> {
+    /// A source over groups `0..groups`, `setup(g)` making group `g`, with
+    /// at most `ahead` groups (at least one) set up at once.
+    pub fn new(groups: usize, ahead: usize, setup: S) -> Self {
+        Grouped {
+            groups,
+            ahead: ahead.max(1),
+            setup,
+            state: Mutex::new(Staging {
+                next_unit: 0,
+                next_group: 0,
+                head: 0,
+                live: 0,
+                ready: BTreeMap::new(),
+                failed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+}
+
+impl<G, S> Grouped<G, S> {
+    /// A poisoned lock means a cut panicked: the source has failed.
+    fn recover<'a>(
+        &self,
+        guard: LockResult<MutexGuard<'a, Staging<G>>>,
+    ) -> MutexGuard<'a, Staging<G>> {
+        guard.unwrap_or_else(|poisoned| {
+            let mut st = poisoned.into_inner();
+            st.failed = true;
+            st
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Staging<G>> {
+        self.recover(self.state.lock())
+    }
+}
+
+/// Fails the source when a claim unwinds, so a panicking setup or cut
+/// wakes the workers waiting for it.
+struct FailOnPanic<'a, G, S>(&'a Grouped<G, S>);
+
+impl<G, S> Drop for FailOnPanic<'_, G, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().failed = true;
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+impl<G: Group, S: Fn(usize) -> G + Sync> ClaimSource for Grouped<G, S> {
+    type Claim = G::Unit;
+
+    /// Unknown until the last group is set up; zero when there are none.
+    fn max_units(&self) -> usize {
+        if self.groups == 0 {
+            0
+        } else {
+            usize::MAX
+        }
+    }
+
+    fn claim(&self) -> Option<(usize, G::Unit)> {
+        let _wake_the_others = FailOnPanic(self);
+        let mut st = self.lock();
+        loop {
+            if st.failed {
+                return None;
+            }
+            if st.next_group < self.groups && st.live < self.ahead {
+                let group = st.next_group;
+                st.next_group += 1;
+                st.live += 1;
+                drop(st);
+                let ready = (self.setup)(group);
+                st = self.lock();
+                st.ready.insert(group, ready);
+                self.changed.notify_all();
+                continue;
+            }
+            let head = st.head;
+            if head == self.groups {
+                return None;
+            }
+            let Some(group) = st.ready.get_mut(&head) else {
+                st = self.recover(self.changed.wait(st));
+                continue;
+            };
+            if let Some(unit) = group.cut() {
+                let number = st.next_unit;
+                st.next_unit += 1;
+                return Some((number, unit));
+            }
+            st.ready.remove(&head);
+            st.head += 1;
+            st.live -= 1;
+            self.changed.notify_all();
+        }
+    }
 }
 
 /// Where the time of one ordered stage went — the numbers that tell a
@@ -169,9 +374,13 @@ struct Parked {
 }
 
 struct State<W> {
+    /// Empty while a worker writes to them outside the lock.
     outs: Vec<W>,
     /// The lowest unit not yet finished.
     head: usize,
+    /// A finished head's owner is writing out the parked units behind it:
+    /// until it is done, the new head's owner parks too.
+    draining: bool,
     parked: BTreeMap<usize, Parked>,
     parked_bytes: usize,
     /// The first write error, with the unit whose block it refused.
@@ -181,23 +390,24 @@ struct State<W> {
 
 /// Writes the blocks of numbered units to `outs` in ascending unit order,
 /// whichever worker produces them and whenever (see the module docs).
+/// The units come from a [`ClaimSource`] `C`: a [`Counter`] for
+/// [`OrderedEmitter::new`]'s fixed count.
 ///
 /// A unit may write to several outputs (*lanes*): the workload pipeline
 /// renders each query into five documents.
-pub struct OrderedEmitter<W> {
+pub struct OrderedEmitter<W, C = Counter> {
     state: Mutex<State<W>>,
     /// Signalled when the head moves and when the emitter is cancelled.
     turn: Condvar,
-    next: AtomicUsize,
+    claims: C,
     cancelled: AtomicBool,
-    units: usize,
     lanes: usize,
 }
 
 /// One output of the unit a worker is on; everything written to it lands
 /// in that output after the bytes of every lower unit.
-pub struct Lane<'a, W> {
-    emitter: &'a OrderedEmitter<W>,
+pub struct Lane<'a, W, C> {
+    emitter: &'a OrderedEmitter<W, C>,
     unit: usize,
     lane: usize,
     /// A write was refused: whatever the unit reports from here on is a
@@ -205,7 +415,7 @@ pub struct Lane<'a, W> {
     cut: bool,
 }
 
-impl<W: Write> Write for Lane<'_, W> {
+impl<W: Write, C> Write for Lane<'_, W, C> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self.emitter.emit(self.unit, self.lane, buf) {
             Ok(()) => Ok(buf.len()),
@@ -226,9 +436,9 @@ impl<W: Write> Write for Lane<'_, W> {
 
 /// Cancels the emitter when its worker unwinds, so a panic anywhere in a
 /// unit wakes the workers parked behind it.
-struct CancelOnPanic<'a, W>(&'a OrderedEmitter<W>);
+struct CancelOnPanic<'a, W, C>(&'a OrderedEmitter<W, C>);
 
-impl<W> Drop for CancelOnPanic<'_, W> {
+impl<W, C> Drop for CancelOnPanic<'_, W, C> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.cancel();
@@ -239,20 +449,28 @@ impl<W> Drop for CancelOnPanic<'_, W> {
 impl<W> OrderedEmitter<W> {
     /// An emitter for `units` units writing to `outs`, one per lane.
     pub fn new(outs: Vec<W>, units: usize) -> Self {
+        Self::with_claims(outs, Counter::new(units))
+    }
+}
+
+impl<W, C> OrderedEmitter<W, C> {
+    /// An emitter for the units `claims` hands out, writing to `outs`, one
+    /// per lane.
+    pub fn with_claims(outs: Vec<W>, claims: C) -> Self {
         OrderedEmitter {
             lanes: outs.len(),
             state: Mutex::new(State {
                 outs,
                 head: 0,
+                draining: false,
                 parked: BTreeMap::new(),
                 parked_bytes: 0,
                 failure: None,
                 stats: EmitStats::default(),
             }),
             turn: Condvar::new(),
-            next: AtomicUsize::new(0),
+            claims,
             cancelled: AtomicBool::new(false),
-            units,
         }
     }
 
@@ -284,42 +502,55 @@ impl<W> OrderedEmitter<W> {
 
     /// The next unit, in ascending order; `None` once all are claimed or
     /// the emitter is cancelled.
-    fn claim(&self) -> Option<usize> {
+    fn claim(&self) -> Option<(usize, C::Claim)>
+    where
+        C: ClaimSource,
+    {
         if self.is_cancelled() {
             return None;
         }
-        // Relaxed: the counter publishes nothing but itself.
-        let unit = self.next.fetch_add(1, Ordering::Relaxed);
-        (unit < self.units).then_some(unit)
+        self.claims.claim()
     }
 }
 
-impl<W: Write> OrderedEmitter<W> {
-    /// Writes one block to its output. Called with the lock held, by the
-    /// head's owner or by whoever drains a parked unit.
-    fn write(
-        &self,
-        st: &mut State<W>,
+impl<W: Write, C> OrderedEmitter<W, C> {
+    /// Writes blocks of `unit` — `(lane, bytes)` — to their outputs. The
+    /// caller holds the turn: it owns the head, or drains the parked units
+    /// behind a head it just finished, so no other worker writes until it
+    /// gives the turn up. That makes the outputs its to check out of the
+    /// state for the duration, and the lock free for workers parking
+    /// meanwhile. Returns the lock re-taken.
+    fn write<'a, 'b>(
+        &'a self,
+        mut st: MutexGuard<'a, State<W>>,
         unit: usize,
-        lane: usize,
-        bytes: &[u8],
-    ) -> Result<(), Cancelled> {
+        blocks: impl IntoIterator<Item = (usize, &'b [u8])>,
+    ) -> Result<MutexGuard<'a, State<W>>, Cancelled> {
+        let mut outs = std::mem::take(&mut st.outs);
+        drop(st);
         let since = Instant::now();
-        let result = st.outs[lane].write_all(bytes);
-        st.stats.write_seconds += since.elapsed().as_secs_f64();
-        match result {
-            Ok(()) => {
-                st.stats.blocks += 1;
-                st.stats.bytes += bytes.len() as u64;
-                Ok(())
+        let (mut count, mut bytes, mut result) = (0, 0, Ok(()));
+        for (lane, block) in blocks {
+            result = outs[lane].write_all(block);
+            if result.is_err() {
+                break;
             }
-            Err(e) => {
-                st.failure.get_or_insert((unit, e));
-                self.cancelled.store(true, Ordering::SeqCst);
-                self.turn.notify_all();
-                Err(Cancelled)
-            }
+            count += 1;
+            bytes += block.len() as u64;
         }
+        let seconds = since.elapsed().as_secs_f64();
+        let mut st = self.lock();
+        st.outs = outs;
+        st.stats.write_seconds += seconds;
+        st.stats.blocks += count;
+        st.stats.bytes += bytes;
+        if let Err(e) = result {
+            st.failure.get_or_insert((unit, e));
+            self.cancelled.store(true, Ordering::SeqCst);
+            self.turn.notify_all();
+            return Err(Cancelled);
+        }
+        Ok(st)
     }
 
     /// Hands over one block of `unit`: written through when the unit is
@@ -334,8 +565,8 @@ impl<W: Write> OrderedEmitter<W> {
             if self.is_cancelled() {
                 return Err(Cancelled);
             }
-            if unit == st.head {
-                return self.write(&mut st, unit, lane, bytes);
+            if unit == st.head && !st.draining {
+                return self.write(st, unit, [(lane, bytes)]).map(drop);
             }
             if st.parked_bytes + bytes.len() <= PARK_BUDGET {
                 st.parked_bytes += bytes.len();
@@ -351,30 +582,35 @@ impl<W: Write> OrderedEmitter<W> {
 
     /// Marks `unit` done. When it was the head, the head moves on: parked
     /// units behind it are written in order, up to and including the
-    /// parked part of the first unfinished one — the new head.
+    /// parked part of the first unfinished one — the new head — and
+    /// whatever that one parks while this drain lasts.
     fn finish(&self, unit: usize) -> Result<(), Cancelled> {
         let mut st = self.lock();
         if self.is_cancelled() {
             return Err(Cancelled);
         }
-        if unit != st.head {
+        if unit != st.head || st.draining {
             st.parked.entry(unit).or_default().finished = true;
             return Ok(());
         }
+        st.draining = true;
+        st.head += 1;
         loop {
-            st.head += 1;
             let head = st.head;
             let Some(parked) = st.parked.remove(&head) else {
                 break;
             };
-            for (lane, block) in &parked.blocks {
-                st.parked_bytes -= block.len();
-                self.write(&mut st, head, *lane, block)?;
-            }
-            if !parked.finished {
-                break;
+            let blocks = parked
+                .blocks
+                .iter()
+                .map(|(lane, block)| (*lane, &block[..]));
+            st = self.write(st, head, blocks)?;
+            st.parked_bytes -= parked.blocks.iter().map(|(_, b)| b.len()).sum::<usize>();
+            if parked.finished {
+                st.head += 1;
             }
         }
+        st.draining = false;
         self.turn.notify_all();
         Ok(())
     }
@@ -384,8 +620,9 @@ impl<W: Write> OrderedEmitter<W> {
     /// worker's folded state — in no particular order — with the stage's
     /// [`EmitStats`], after flushing the outputs.
     ///
-    /// `work(state, unit, lanes)` produces unit `unit`, writing its bytes
-    /// to `lanes` and folding whatever it wants to keep into its worker's
+    /// `work(state, claim, lanes)` produces the unit it was handed (for a
+    /// [`Counter`], `claim` is the unit's number), writing its bytes to
+    /// `lanes` and folding whatever it wants to keep into its worker's
     /// `state`. If any unit fails, the error of the **lowest** failed unit
     /// is returned, whatever the scheduling: units are claimed in
     /// ascending order and a claimed unit always runs to its own verdict,
@@ -396,15 +633,16 @@ impl<W: Write> OrderedEmitter<W> {
     pub fn run<S, E, F>(self, threads: usize, work: F) -> Result<(Vec<S>, EmitStats), E>
     where
         W: Send,
+        C: ClaimSource,
         S: Default + Send,
         E: From<io::Error> + Send,
-        F: Fn(&mut S, usize, &mut [Lane<'_, W>]) -> Result<(), E> + Sync,
+        F: Fn(&mut S, C::Claim, &mut [Lane<'_, W, C>]) -> Result<(), E> + Sync,
     {
         let worker = || -> (S, Option<(usize, E)>) {
             let _wake_the_others = CancelOnPanic(&self);
             let mut state = S::default();
-            while let Some(unit) = self.claim() {
-                let mut lanes: Vec<Lane<'_, W>> = (0..self.lanes)
+            while let Some((unit, claim)) = self.claim() {
+                let mut lanes: Vec<Lane<'_, W, C>> = (0..self.lanes)
                     .map(|lane| Lane {
                         emitter: &self,
                         unit,
@@ -412,7 +650,7 @@ impl<W: Write> OrderedEmitter<W> {
                         cut: false,
                     })
                     .collect();
-                let result = work(&mut state, unit, &mut lanes);
+                let result = work(&mut state, claim, &mut lanes);
                 let cut = lanes.iter().any(|lane| lane.cut);
                 match result {
                     Ok(()) if !cut && self.finish(unit).is_ok() => {}
@@ -425,7 +663,9 @@ impl<W: Write> OrderedEmitter<W> {
             }
             (state, None)
         };
-        let results = fan_out(resolve_threads(threads, self.units), |_| worker());
+        let results = fan_out(resolve_threads(threads, self.claims.max_units()), |_| {
+            worker()
+        });
 
         let State {
             mut outs,
@@ -827,5 +1067,163 @@ mod tests {
             .unwrap_err()
         });
         assert_eq!(panic.downcast_ref::<&str>(), Some(&"the output blew up"));
+    }
+
+    /// Group `group` of a [`Grouped`] test source: `len` units, each
+    /// carrying `(group, k)`.
+    struct Countdown {
+        group: usize,
+        len: usize,
+        next: usize,
+    }
+
+    impl Group for Countdown {
+        type Unit = (usize, usize);
+
+        fn cut(&mut self) -> Option<(usize, usize)> {
+            if self.next == self.len {
+                return None;
+            }
+            self.next += 1;
+            Some((self.group, self.next - 1))
+        }
+    }
+
+    fn countdown(group: usize, len: usize) -> Countdown {
+        Countdown {
+            group,
+            len,
+            next: 0,
+        }
+    }
+
+    #[test]
+    fn units_of_a_grouped_source_come_out_in_order_under_skewed_costs() {
+        // Group g holds g % 5 units, so every fifth group is empty; early
+        // groups are slow to set up and their units slow to produce.
+        let len = |g: usize| g % 5;
+        let expected: String = (0..40)
+            .flat_map(|g| (0..len(g)).map(move |k| format!("{g}.{k};")))
+            .collect();
+        for threads in [1usize, 2, 3, 8] {
+            let mut out = Vec::new();
+            let source = Grouped::new(40, threads, |g| {
+                if g < 3 {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                countdown(g, len(g))
+            });
+            let (folded, stats) = OrderedEmitter::with_claims(vec![&mut out], source)
+                .run(
+                    threads,
+                    |units: &mut usize, (g, k), lanes| -> io::Result<()> {
+                        if g < 4 {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        *units += 1;
+                        lanes[0].write_all(format!("{g}.{k};").as_bytes())
+                    },
+                )
+                .unwrap();
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                expected,
+                "{threads} threads"
+            );
+            assert_eq!(folded.len(), threads);
+            assert_eq!(folded.iter().sum::<usize>(), (0..40).map(len).sum());
+            assert_eq!(stats.bytes, expected.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_grouped_source_with_no_units_runs_nothing() {
+        for groups in [0usize, 6] {
+            let mut out = Vec::new();
+            let source = Grouped::new(groups, 4, |g| countdown(g, 0));
+            let (folded, stats) = OrderedEmitter::with_claims(vec![&mut out], source)
+                .run(4, |_: &mut (), _, _| -> io::Result<()> { unreachable!() })
+                .unwrap();
+            assert_eq!(stats, EmitStats::default(), "{groups} groups");
+            assert!(out.is_empty());
+            let expected_workers = if groups == 0 { 1 } else { 4 };
+            assert_eq!(folded.len(), expected_workers, "{groups} groups");
+        }
+    }
+
+    #[test]
+    fn the_lowest_failed_unit_of_a_grouped_source_is_reported_at_every_thread_count() {
+        for threads in [1usize, 2, 3, 8] {
+            let err = within_a_minute(move || {
+                let source = Grouped::new(12, threads, |g| countdown(g, 3));
+                OrderedEmitter::with_claims(vec![Vec::new()], source)
+                    .run(threads, |_: &mut (), (g, k), lanes| -> io::Result<()> {
+                        match (g, k) {
+                            // Unit (2, 1) fails only once (7, 0), handed out
+                            // after it, has failed and cancelled the run.
+                            (2, 1) => {
+                                let emitter = lanes[0].emitter;
+                                while threads > 1 && !emitter.is_cancelled() {
+                                    std::thread::yield_now();
+                                }
+                                Err(io::Error::other("unit (2, 1)"))
+                            }
+                            (7, 0) => Err(io::Error::other("unit (7, 0)")),
+                            _ => lanes[0].write_all(b"fine"),
+                        }
+                    })
+                    .unwrap_err()
+            });
+            assert_eq!(err.to_string(), "unit (2, 1)", "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_panicking_setup_or_cut_wakes_the_waiting_workers_and_is_resumed() {
+        /// A group that panics when cut, or a fine one.
+        struct Fragile(Option<Countdown>);
+        impl Group for Fragile {
+            type Unit = (usize, usize);
+            fn cut(&mut self) -> Option<(usize, usize)> {
+                match &mut self.0 {
+                    Some(group) => group.cut(),
+                    None => panic!("cut blew up"),
+                }
+            }
+        }
+        for (stage, message) in [("setup", "setup blew up"), ("cut", "cut blew up")] {
+            for threads in [1usize, 2, 8] {
+                let panic = within_a_minute(move || {
+                    std::panic::catch_unwind(|| {
+                        // At most two groups set up at once: while group 1
+                        // is (slowly) being set up, the workers past the
+                        // second wait for it.
+                        let source = Grouped::new(6, 2, |g| {
+                            if g != 1 {
+                                return Fragile(Some(countdown(g, 4)));
+                            }
+                            std::thread::sleep(Duration::from_millis(50));
+                            if stage == "setup" {
+                                panic!("setup blew up");
+                            }
+                            Fragile(None)
+                        });
+                        OrderedEmitter::with_claims(vec![Vec::new()], source).run(
+                            threads,
+                            |_: &mut (), (g, k), lanes| -> io::Result<()> {
+                                lanes[0].write_all(format!("{g}.{k};").as_bytes())
+                            },
+                        )
+                    })
+                    .map(drop)
+                    .unwrap_err()
+                });
+                assert_eq!(
+                    panic.downcast_ref::<&str>(),
+                    Some(&message),
+                    "{stage}, {threads} threads"
+                );
+            }
+        }
     }
 }

@@ -42,7 +42,10 @@ pub mod paged;
 pub mod sink;
 pub mod view;
 
-pub use emit::{ordered_map, resolve_threads, EmitStats, Lane, OrderedEmitter};
+pub use emit::{
+    ordered_map, resolve_threads, ClaimSource, Counter, EmitStats, Group, Grouped, Lane,
+    OrderedEmitter,
+};
 pub use graph::{Csr, Graph, GraphBuilder, TypePartition};
 pub use ntriples::{read_ntriples, NTriplesFormat, NTriplesWriter};
 pub use paged::{StoreError, StoreInfo, StoreMeta, StoreReader, StoreWriter, DEFAULT_PAGE_SIZE};

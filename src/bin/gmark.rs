@@ -84,13 +84,15 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   side: the store takes one worker, graph.nt the other\n\
                   T-1. Every output file is byte-identical at every\n\
                   thread count, including 1.\n\
-  --stream        memory-bounded graph pipeline: write each constraint's\n\
-                  N-Triples as they are generated, in constraint order and\n\
-                  in one pass, instead of materializing the graph. No\n\
-                  temporary files; memory is bounded by the largest\n\
-                  constraint (with --store, the store is built after\n\
-                  graph.nt by generating each predicate's edges again,\n\
-                  one predicate in memory at a time).\n\
+  --stream        memory-bounded graph pipeline: write the N-Triples as\n\
+                  the edges are generated, in constraint order and in one\n\
+                  pass, instead of materializing the graph; the workers\n\
+                  format blocks of 8192 edges in parallel and set up the\n\
+                  next constraints ahead. No temporary files; memory is\n\
+                  bounded by one set-up constraint per worker thread\n\
+                  plus a few MiB of blocks (with --store, the store is\n\
+                  built after graph.nt by generating each predicate's\n\
+                  edges again, one predicate in memory at a time).\n\
                   Also byte-identical for every thread count. The\n\
                   streamed serialization keeps generation order and\n\
                   duplicate triples; the default serialization is sorted\n\

@@ -43,10 +43,10 @@
 //! change workload bytes, and within one graph serialization mode the
 //! graph bytes are identical at every thread count — **including one**:
 //! every artifact written by several workers goes through one
-//! [`gmark_store::OrderedEmitter`], which writes numbered units
-//! (constraints, predicates, queries) in ascending order whoever produces
-//! them, and a single worker runs the same code with a head that never
-//! waits. Streamed
+//! [`gmark_store::OrderedEmitter`], which writes numbered units (blocks
+//! of constraints' edges, predicates, queries) in ascending order
+//! whoever produces them, and a single worker runs the same code with a
+//! head that never waits. Streamed
 //! and non-streamed graph output remain distinct serializations of the
 //! same data: generation order with duplicates vs. sorted and
 //! deduplicated.

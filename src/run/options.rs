@@ -27,11 +27,12 @@ pub struct RunOptions {
     /// workload queries, evaluation cells). `0` means every available core.
     /// Every output is byte-identical at every thread count.
     pub threads: usize,
-    /// Memory-bounded graph pipeline: format each constraint's edges as
-    /// N-Triples while they are generated and write them to `graph.nt` in
-    /// constraint order, in one pass, instead of materializing the graph.
-    /// No temporary files; memory is bounded by the largest constraint's
-    /// slot vectors plus a fixed block budget. Streamed output preserves
+    /// Memory-bounded graph pipeline: format the edges as N-Triples while
+    /// they are generated, in blocks of one constraint's edges, and write
+    /// them to `graph.nt` in generation order, in one pass, instead of
+    /// materializing the graph. No temporary files; memory is bounded by
+    /// one set-up constraint's slot vectors per worker plus a fixed block
+    /// budget. Streamed output preserves
     /// generation order and keeps duplicate triples; non-streamed output
     /// is sorted and deduplicated (same edge set — RDF set semantics make
     /// them equivalent data).

@@ -337,3 +337,39 @@ fn an_inverted_workload_range_is_a_config_error_not_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+#[test]
+fn a_predicate_name_outside_the_name_rule_is_a_config_error() {
+    // Every translator writes predicate names verbatim; this one would be
+    // an unterminated SQL literal and no SPARQL prefixed name.
+    let scratch = std::env::temp_dir().join(format!("gmark-badname-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let bib = std::fs::read_to_string(repo_path("examples/configs/bib.xml")).unwrap();
+    let renamed = bib.replace(r#""authors""#, r#""auth ors&apos;x""#);
+    assert_ne!(renamed, bib, "bib.xml no longer has the predicate authors");
+    let config = scratch.join("renamed.xml");
+    std::fs::write(&config, renamed).unwrap();
+    let output = scratch.join("out");
+    let out = gmark(&[
+        "--config",
+        config.to_str().unwrap(),
+        "--output",
+        output.to_str().unwrap(),
+        "--nodes",
+        "100",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains(
+            r#"invalid predicate name "auth ors'x": a name must match [A-Za-z_][A-Za-z0-9_]*"#
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        !output.join("workload.sql").exists(),
+        "nothing is translated"
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
+}

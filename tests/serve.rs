@@ -493,3 +493,33 @@ fn shutdown_drains_admitted_requests_before_returning() {
         "listener must be gone after shutdown"
     );
 }
+
+/// The daemon parses its body through the same schema builder as the CLI,
+/// so a predicate name outside `[A-Za-z_][A-Za-z0-9_]*` is a 400 naming
+/// the offender, and nothing is built.
+#[test]
+fn a_predicate_name_outside_the_name_rule_is_a_400() {
+    let server = start(1, 64, 64);
+    let renamed = BIB_XML.replace(r#""authors""#, r#""auth ors&apos;x""#);
+    assert_ne!(
+        renamed, BIB_XML,
+        "bib.xml no longer has the predicate authors"
+    );
+    let resp = fetch(
+        server.local_addr(),
+        "POST",
+        "/v1/run?nodes=40&artifact=workload.sql",
+        renamed.as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8(resp.body).unwrap();
+    assert!(
+        body.contains(r#"invalid predicate name "auth ors'x""#),
+        "{body}"
+    );
+    let stats = fetch(server.local_addr(), "GET", "/v1/stats", b"").unwrap();
+    let text = String::from_utf8(stats.body).unwrap();
+    assert!(text.contains("\"builds\":0"), "{text}");
+    server.shutdown();
+}
