@@ -16,8 +16,10 @@
 //! from a set of seeds only, and hands the result over as a [`Relation`],
 //! the representation every join downstream consumes. Each move reads its
 //! adjacency from the context's symbol relations ([`EvalContext::relation`]),
-//! the same sorted pairs the other engines join, so the BFS never touches
-//! the graph view itself.
+//! the same sorted pairs the other engines join: a node's successors are
+//! its source run, read out of the relation's run index in O(1)
+//! ([`Relation::targets_of`]), so the BFS never touches the graph view
+//! itself.
 
 use crate::context::EvalContext;
 use crate::relations::Relation;

@@ -50,9 +50,12 @@
 //! strictly read-only consumers. A parallel *resolve* pass computes every
 //! candidate into the memo (a worker that needs a slot another is filling
 //! waits; slots depend only on strictly smaller keys, so nothing
-//! deadlocks). A sequential *admit* pass then replays the candidates in
-//! enumeration order and admits each one and its prefixes under the byte
-//! budget, exactly as a one-thread fill would. Every kernel is pure, so
+//! deadlocks) and records each candidate's exact length for the planner
+//! ([`EvalContext::exact_expr_len`]) — whether or not it is admitted
+//! later, and whether or not any cache is kept. A sequential *admit* pass
+//! then replays the candidates in enumeration order and admits each one
+//! and its prefixes under the byte budget, exactly as a one-thread fill
+//! would. Every kernel is pure, so
 //! contents are a pure function of `(graph, fill expression list, tuple
 //! cap, byte budget)` at every thread count. A hit charges the cached
 //! *cardinality check* only — `Budget::check_size(len)` — never wall
@@ -77,7 +80,7 @@ use crate::relations::Relation;
 use crate::{Budget, EvalError};
 use gmark_core::query::{PathExpr, RegularExpr, Symbol};
 use gmark_core::schema::PredicateId;
-use gmark_store::{ordered_map, resolve_threads, GraphView};
+use gmark_store::{ordered_map, GraphView};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,6 +110,10 @@ pub struct EvalContext<'g> {
     /// [`EvalContext::fill_expr_cache`] and read-only afterwards (see the
     /// module docs for the determinism argument).
     expr_cache: OnceLock<ExprCache>,
+    /// The exact length of every fill candidate that fits the tuple cap,
+    /// set by the same fill whatever its byte budget: the planner's exact
+    /// cardinalities ([`EvalContext::exact_expr_len`]).
+    expr_lens: OnceLock<FxHashMap<RegularExpr, u64>>,
     /// Top-level cache probes that found an entry.
     cache_hits: AtomicU64,
     /// Top-level cache probes that found nothing.
@@ -279,6 +286,7 @@ impl<'g> EvalContext<'g> {
             nfas: Mutex::new(FxHashMap::default()),
             stats: (0..preds).map(|_| OnceLock::new()).collect(),
             expr_cache: OnceLock::new(),
+            expr_lens: OnceLock::new(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
         }
@@ -354,6 +362,12 @@ impl<'g> EvalContext<'g> {
     /// [`RegularExpr::path`] form. `budget_mb` bounds admitted pair-column
     /// bytes; `0` disables the cache entirely (nothing is even frozen, so
     /// every probe is an uncounted miss).
+    ///
+    /// Whatever the byte budget, the fill also records the exact length of
+    /// every candidate that fits the tuple cap — admitted, rejected for
+    /// bytes, or, at `budget_mb == 0`, dropped once counted — so the
+    /// planner's exact cardinalities are a function of the graph, the
+    /// candidates and the cap alone.
     pub fn fill_expr_cache<F>(&self, exprs: &[RegularExpr], budget_mb: usize, fresh_budget: F)
     where
         F: Fn() -> Budget + Sync,
@@ -362,9 +376,8 @@ impl<'g> EvalContext<'g> {
     }
 
     /// [`EvalContext::fill_expr_cache`] on `threads` workers: a parallel
-    /// resolve pass over the distinct candidates, then the admission
-    /// replay in enumeration order. One worker skips the resolve pass —
-    /// the replay resolves each relation when it first reads it.
+    /// resolve pass over the distinct candidates, which records their
+    /// lengths, then the admission replay in enumeration order.
     pub(crate) fn fill_expr_cache_on<F>(
         &self,
         threads: usize,
@@ -374,17 +387,23 @@ impl<'g> EvalContext<'g> {
     ) where
         F: Fn() -> Budget + Sync,
     {
-        if budget_mb == 0 || self.expr_cache.get().is_some() {
+        if self.expr_lens.get().is_some() {
             return;
         }
         let memo = Memo::new(exprs);
         let mut seen = FxHashSet::default();
         let distinct: Vec<&RegularExpr> = exprs.iter().filter(|e| seen.insert(*e)).collect();
-        if resolve_threads(threads, distinct.len()) > 1 {
-            ordered_map(threads, distinct.len(), |i| {
-                // Failures are memoized too; the replay reads them back.
-                let _ = self.resolve(&memo, None, distinct[i], &fresh_budget());
-            });
+        // Failures are memoized too; the replay reads them back.
+        let resolved = ordered_map(threads, distinct.len(), |i| {
+            self.resolve(&memo, None, distinct[i], &fresh_budget())
+        });
+        let lens = distinct.iter().zip(&resolved).filter_map(|(&expr, rel)| {
+            let len = rel.as_ref().ok()?.len() as u64;
+            Some((expr.clone(), len))
+        });
+        let _ = self.expr_lens.set(lens.collect());
+        if budget_mb == 0 {
+            return;
         }
         let mut cache = ExprCache::new(budget_mb);
         for expr in exprs {
@@ -555,15 +574,14 @@ impl<'g> EvalContext<'g> {
         self.conjunct_relation(expr, budget, || self.kernel_relation(expr, budget))
     }
 
-    /// The exact cardinality of a positively cached expression, if any —
-    /// the planner's short-circuit: a cached sub-expression needs no
-    /// statistical estimate. Does not touch the hit/miss counters
-    /// (planning is warm-up work, not cell evaluation).
-    pub fn cached_expr_len(&self, expr: &RegularExpr) -> Option<u64> {
-        match self.expr_cache.get()?.map.get(expr)? {
-            ExprCacheEntry::Hit(arc) => Some(arc.len() as u64),
-            ExprCacheEntry::TooLarge(_) => None,
-        }
+    /// The exact cardinality of a fill candidate that fit the tuple cap,
+    /// if the fill ran — the planner's short-circuit: a counted
+    /// sub-expression needs no statistical estimate. It does not depend
+    /// on the byte budget or on which engines read the cache, and it
+    /// touches no hit/miss counter (planning is warm-up work, not cell
+    /// evaluation).
+    pub fn exact_expr_len(&self, expr: &RegularExpr) -> Option<u64> {
+        self.expr_lens.get()?.get(expr).copied()
     }
 
     /// Contents and hit accounting of the sub-expression cache; `None`
@@ -732,7 +750,7 @@ mod tests {
         let ctx = EvalContext::new(&g);
         let expr = two_step_expr();
         ctx.fill_expr_cache(std::slice::from_ref(&expr), 16, Budget::default);
-        let len = ctx.cached_expr_len(&expr).expect("cached") as usize;
+        let len = ctx.exact_expr_len(&expr).expect("cached") as usize;
         assert!(len > 0);
         let expired = Budget::with_limits(Some(std::time::Duration::ZERO), usize::MAX);
         assert!(ctx.cached_expr(&expr, &expired).unwrap().is_some());

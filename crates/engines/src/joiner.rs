@@ -10,10 +10,12 @@
 //! own fixpoint.
 //! Conjunct results arrive as borrowed [`Relation`]s — sorted `u32` pair
 //! columns, often straight out of the sub-expression cache — so the kernel
-//! is search-based, not hash-based: a semi-join is a binary search per row
-//! ([`Relation::contains`]), an extension a sorted-run lookup
-//! ([`Relation::targets_of`]) — against one reversed copy of the columns
-//! when only the target is bound. No per-conjunct hash index is ever
+//! reads each relation's run index, not a hash table: an extension takes a
+//! row's partners as one source run ([`Relation::targets_of`], O(1)), a
+//! semi-join looks up the run and binary-searches inside it
+//! ([`Relation::contains`]). When only the target is bound, the runs are
+//! those of the transposed relation ([`Relation::transpose`], a counting
+//! scatter that comes with its index). No per-conjunct hash index is ever
 //! built.
 //!
 //! # Live columns
@@ -115,13 +117,12 @@ impl BindingTable {
                 }
             }
             (Some(col), None) | (None, Some(col)) => {
-                // Backward is forward over the reversed pair columns.
+                // Backward is forward over the transposed relation.
                 let reversed;
                 let (rel, new_var) = if src_col.is_some() {
                     (c.pairs, c.trg)
                 } else {
-                    let pairs = c.pairs.pairs().iter().map(|&(s, t)| (t, s));
-                    reversed = Relation::from_pairs(pairs.collect());
+                    reversed = c.pairs.transpose();
                     (&reversed, c.src)
                 };
                 let new_live = is_live(&new_var);

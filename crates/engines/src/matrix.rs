@@ -367,8 +367,9 @@ pub struct EvalReport {
     /// was enabled for this run (`None` with `cache_mb: 0`). Deterministic
     /// at every thread count — see [`crate::context::EvalCacheStats`].
     pub cache: Option<crate::context::EvalCacheStats>,
-    /// Wall seconds spent filling the sub-expression cache (`0` without
-    /// one). Not part of [`EvalReport::render`].
+    /// Wall seconds spent filling the sub-expression cache, or only
+    /// counting its candidates for the planner when no selected engine
+    /// reads it (`0` with neither). Not part of [`EvalReport::render`].
     pub fill_seconds: f64,
     /// Wall seconds spent evaluating the cells, all workers together from
     /// the first claim to the last return. Not part of
@@ -541,12 +542,15 @@ pub fn evaluate_matrix_with_schema(
 /// other one); `D` also gets its EDB, and a planned run the planner's
 /// statistics. Warming is idempotent.
 ///
-/// When `options.cache_mb > 0` and a selected engine reads the
-/// sub-expression result cache — every engine but `D` does — this is also
-/// where the cache is filled on `options.threads` workers, over the
-/// candidates of [`fill_candidates`], one fresh cell budget per entry.
-/// Cells only ever read the cache, so its contents are fixed before the
-/// first cell clock starts. Returns the fill's wall seconds.
+/// This is also where the sub-expression result cache is filled on
+/// `options.threads` workers, over the candidates of [`fill_candidates`],
+/// one fresh cell budget per entry, when `options.cache_mb > 0` and a
+/// selected engine reads it — every engine but `D` does. Cells only ever
+/// read the cache, so its contents are fixed before the first cell clock
+/// starts. A planned run fills even when nothing reads the cache: the
+/// fill counts every candidate for the planner and then drops what it
+/// would not admit, so each plan, and with it each cell's outcome, is the
+/// same whichever engines are selected. Returns the fill's wall seconds.
 fn warm_context(
     ctx: &EvalContext<'_>,
     queries: &[&Query],
@@ -565,12 +569,13 @@ fn warm_context(
         }
     }
     let reads_cache = engines.iter().any(|&k| k != EngineKind::Datalog);
-    if options.cache_mb == 0 || !reads_cache {
+    let cache_mb = if reads_cache { options.cache_mb } else { 0 };
+    if cache_mb == 0 && !options.plan {
         return 0.0;
     }
     let started = Instant::now();
     let exprs = fill_candidates(queries, engines);
-    ctx.fill_expr_cache_on(options.threads, &exprs, options.cache_mb, || budget.start());
+    ctx.fill_expr_cache_on(options.threads, &exprs, cache_mb, || budget.start());
     started.elapsed().as_secs_f64()
 }
 

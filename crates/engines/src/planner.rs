@@ -263,20 +263,22 @@ fn plan_rule(rule: &Rule, ests: &[ExprEst], n: u128) -> RulePlan {
 /// Estimate of one regular expression: disjuncts are summed, a star is
 /// classified (schema) or capped (graph-only) — see the module docs.
 ///
-/// When the expression sits in the sub-expression result cache, the
-/// statistical model is short-circuited with the **exact** cardinality
-/// ([`EvalContext::cached_expr_len`]): the cache is filled during the
-/// same warm-up phase, before any plan is computed, so this stays a pure
-/// function of `(graph, fill list, query)` and plans remain
-/// thread-count-invariant. Distinct-endpoint counts keep their capped
-/// statistical estimates (the cache does not record them).
+/// When the cache fill counted the expression, the statistical model is
+/// short-circuited with the **exact** cardinality
+/// ([`EvalContext::exact_expr_len`]): the fill runs during the same
+/// warm-up phase, before any plan is computed, and counts every
+/// conjunct's expression under the tuple cap whatever the engine
+/// selection or byte budget, so this stays a pure function of `(graph,
+/// query, cap)` and plans remain thread-count-invariant. Distinct-endpoint
+/// counts keep their capped statistical estimates (the fill does not
+/// record them).
 fn expr_est(
     ctx: &EvalContext<'_>,
     schema: Option<&Schema>,
     expr: &RegularExpr,
     n: u128,
 ) -> ExprEst {
-    if let Some(exact) = ctx.cached_expr_len(expr) {
+    if let Some(exact) = ctx.exact_expr_len(expr) {
         let exact = exact as u128;
         return ExprEst {
             pairs: exact,

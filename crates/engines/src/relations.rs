@@ -2,22 +2,37 @@
 //! (`P`-style) engine and of its Kleene-star closures.
 //!
 //! A [`Relation`] is a sorted, deduplicated set of compact `u32` node
-//! pairs — the SQL translation's `(s, t)` CTEs made concrete. The kernels
-//! never hash and never re-sort whole results: composition walks the
-//! left side source-run by source-run with a galloping cursor into the
-//! right side (output is emitted already sorted), union and difference
-//! are linear merges of sorted inputs, and the star materializes the same
-//! closure the paper's footnote-4 linear recursion defines by one
-//! traversal per source, each source's targets sorted as it is emitted.
-//! Composition's per-source target buffers live in a per-worker scratch
-//! arena (`thread_local`) so its inner loop allocates nothing in steady
-//! state.
+//! pairs — the SQL translation's `(s, t)` CTEs made concrete — plus one
+//! lazily built *run index*: `u32` run starts over the source hull, so
+//! the pairs of any source are found in O(1) ([`Relation::targets_of`]).
+//! Every kernel that looks up a source's run reads it there: the BFS moves
+//! of `S` and `G`, the join arms every engine shares, composition's right
+//! side and the star's traversals. The kernels never hash and never
+//! re-sort whole results: composition walks the left side source-run by
+//! source-run and appends each run's deduplicated targets (output is
+//! emitted already sorted), union and difference are linear merges of
+//! sorted inputs, transposition is a counting scatter, and the star
+//! materializes the same closure the paper's footnote-4 linear recursion
+//! defines by one traversal per source, each source's targets sorted as it
+//! is emitted. Composition's per-source target buffers live in a
+//! per-worker scratch arena (`thread_local`) so its inner loop allocates
+//! nothing in steady state.
+//!
+//! The index is built on the first probe, through a [`OnceLock`], so a
+//! relation nothing probes — most Datalog deltas, union and difference
+//! outputs — never pays for it. It is not part of the value: equality,
+//! [`Clone`] and [`Relation::heap_bytes`] read the pairs alone, so what
+//! the sub-expression cache admits cannot depend on which thread probed a
+//! relation first.
 
 use crate::{Budget, EvalError};
 use gmark_core::query::Symbol;
 use gmark_store::{GraphView, NodeId};
 use std::cell::RefCell;
 use std::cmp::Ordering;
+use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-worker scratch arena: the per-source target buffer reused by
@@ -26,34 +41,119 @@ thread_local! {
     static SCRATCH: RefCell<Vec<NodeId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Galloping (exponential + binary) search: the first index `>= lo` whose
-/// source is `>= t`. Precondition: every entry before `lo` has source
-/// `< t` — callers walk `t` in ascending order and feed the previous
-/// result back in, so each run lookup is `O(log gap)`, not `O(log n)`.
-fn gallop_src(pairs: &[(NodeId, NodeId)], t: NodeId, mut lo: usize) -> usize {
-    let mut step = 1usize;
-    let mut hi = lo;
-    while hi < pairs.len() && pairs[hi].0 < t {
-        lo = hi + 1;
-        hi += step;
-        step <<= 1;
-    }
-    let hi = hi.min(pairs.len());
-    lo + pairs[lo..hi].partition_point(|&(s, _)| s < t)
+/// Where each key's run of pairs starts: `starts[k]..starts[k + 1]` are the
+/// pairs whose key lies in slot `k`, the `2^shift` ids from
+/// `base + (k << shift)` on. `shift` is 0 — one slot per id of the hull,
+/// so a slot *is* a run — unless the hull is more than twice as wide as
+/// the relation is long (sparse ids, up to `u32::MAX`). Then slots widen
+/// until the index is no larger than the pair column, and a lookup ends
+/// with a binary search inside one slot.
+#[derive(Debug)]
+struct RunIndex {
+    base: NodeId,
+    shift: u32,
+    starts: Vec<u32>,
 }
 
-/// A sorted, deduplicated set of node pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+impl RunIndex {
+    /// Indexes `len` pairs by `keys`, one key per pair in pair order, over
+    /// the keys' hull `lo..=hi`: one counting pass, then prefix sums.
+    fn count(keys: impl Iterator<Item = NodeId>, lo: NodeId, hi: NodeId, len: usize) -> RunIndex {
+        assert!(
+            u32::try_from(len).is_ok(),
+            "a run index addresses fewer than 2^32 pairs"
+        );
+        let span = u64::from(hi - lo);
+        let max_slots = (2 * len as u64).max(1);
+        let mut shift = 0;
+        while (span >> shift) + 1 > max_slots {
+            shift += 1;
+        }
+        let mut index = RunIndex {
+            base: lo,
+            shift,
+            starts: vec![0; (span >> shift) as usize + 2],
+        };
+        for key in keys {
+            let k = index.slot(key);
+            index.starts[k + 1] += 1;
+        }
+        for k in 1..index.starts.len() {
+            index.starts[k] += index.starts[k - 1];
+        }
+        index
+    }
+
+    /// The slot of a key inside the hull.
+    fn slot(&self, key: NodeId) -> usize {
+        ((key - self.base) >> self.shift) as usize
+    }
+
+    /// The range of `pairs`, the indexed relation's, whose key is `s`.
+    fn run(&self, pairs: &[(NodeId, NodeId)], s: NodeId) -> Range<usize> {
+        let Some(off) = s.checked_sub(self.base) else {
+            return 0..0;
+        };
+        let k = (off >> self.shift) as usize;
+        if k + 1 >= self.starts.len() {
+            return 0..0;
+        }
+        let (lo, hi) = (self.starts[k] as usize, self.starts[k + 1] as usize);
+        if self.shift == 0 {
+            return lo..hi;
+        }
+        let slot = &pairs[lo..hi];
+        lo + slot.partition_point(|p| p.0 < s)..lo + slot.partition_point(|p| p.0 <= s)
+    }
+}
+
+/// A sorted, deduplicated set of node pairs, with its run index (see the
+/// module docs).
+#[derive(Default)]
 pub struct Relation {
     pairs: Vec<(NodeId, NodeId)>,
+    /// The run index over the sources, built on the first probe.
+    index: OnceLock<RunIndex>,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.pairs == other.pairs
+    }
+}
+
+impl Eq for Relation {}
+
+impl Clone for Relation {
+    /// Clones the pairs; the clone builds its own index when first probed.
+    fn clone(&self) -> Relation {
+        Relation::sorted(self.pairs.clone())
+    }
+}
+
+impl fmt::Debug for Relation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relation")
+            .field("pairs", &self.pairs)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Relation {
+    /// Wraps pairs that are already sorted and deduplicated.
+    fn sorted(pairs: Vec<(NodeId, NodeId)>) -> Relation {
+        debug_assert!(pairs.is_sorted());
+        Relation {
+            pairs,
+            index: OnceLock::new(),
+        }
+    }
+
     /// Builds from arbitrary pairs (sorts + dedups).
     pub fn from_pairs(mut pairs: Vec<(NodeId, NodeId)>) -> Relation {
         pairs.sort_unstable();
         pairs.dedup();
-        Relation { pairs }
+        Relation::sorted(pairs)
     }
 
     /// The relation of one `Σ±` symbol: all `a`-edges, flipped for `a⁻`.
@@ -65,9 +165,8 @@ impl Relation {
     pub fn of_symbol<'g>(graph: impl Into<GraphView<'g>>, sym: Symbol) -> Relation {
         let mut pairs: Vec<(NodeId, NodeId)> =
             graph.into().pairs(sym.predicate.0, sym.inverse).collect();
-        debug_assert!(pairs.is_sorted());
         pairs.dedup();
-        Relation { pairs }
+        Relation::sorted(pairs)
     }
 
     /// Consumes the relation, yielding its sorted pairs.
@@ -77,9 +176,7 @@ impl Relation {
 
     /// The identity relation over all `n` nodes (the ε relation).
     pub fn identity(n: NodeId) -> Relation {
-        Relation {
-            pairs: (0..n).map(|v| (v, v)).collect(),
-        }
+        Relation::sorted((0..n).map(|v| (v, v)).collect())
     }
 
     /// Number of pairs.
@@ -98,21 +195,33 @@ impl Relation {
     }
 
     /// Approximate heap footprint of the pair columns, in bytes (the unit
-    /// the sub-expression cache's admission budget is accounted in).
+    /// the sub-expression cache's admission budget is accounted in). The
+    /// run index is left out: it exists once something probed the
+    /// relation, and admission must not depend on which cell did first.
     pub fn heap_bytes(&self) -> usize {
         self.pairs.len() * std::mem::size_of::<(NodeId, NodeId)>()
     }
 
-    /// Sort-merge composition `self ; other` = `{(s, u) | (s, t) ∈ self,
-    /// (t, u) ∈ other}`.
+    /// The run index, built on the first call.
+    fn index(&self) -> &RunIndex {
+        self.index.get_or_init(|| {
+            let (lo, hi) = match (self.pairs.first(), self.pairs.last()) {
+                (Some(first), Some(last)) => (first.0, last.0),
+                _ => (0, 0),
+            };
+            RunIndex::count(self.pairs.iter().map(|p| p.0), lo, hi, self.pairs.len())
+        })
+    }
+
+    /// Composition `self ; other` = `{(s, u) | (s, t) ∈ self, (t, u) ∈
+    /// other}`.
     ///
-    /// Walks `self` one source run at a time: the run's targets are
-    /// ascending, so the matching runs of `other` are found with a
-    /// forward-only galloping cursor. The run's result targets are
-    /// deduplicated in the per-worker scratch buffer and appended — the
-    /// output is sorted by construction, so no final re-sort (and no hash
-    /// set) is ever paid. The tuple budget is charged on the *deduplicated*
-    /// output, not the raw match count.
+    /// Walks `self` one source run at a time and reads the run of each of
+    /// its targets `t` out of `other`'s run index. The run's result
+    /// targets are deduplicated in the per-worker scratch buffer and
+    /// appended — the output is sorted by construction, so no final
+    /// re-sort (and no hash set) is ever paid. The tuple budget is charged
+    /// on the *deduplicated* output, not the raw match count.
     pub fn compose(&self, other: &Relation, budget: &Budget) -> Result<Relation, EvalError> {
         if self.pairs.is_empty() || other.pairs.is_empty() {
             return Ok(Relation::default());
@@ -120,35 +229,50 @@ impl Relation {
         SCRATCH.with(|cell| {
             let targets = &mut *cell.borrow_mut();
             let mut out: Vec<(NodeId, NodeId)> = Vec::new();
-            let o = &other.pairs[..];
-            let mut i = 0usize;
-            let mut runs = 0usize;
-            while i < self.pairs.len() {
+            for (runs, run) in self.pairs.chunk_by(|a, b| a.0 == b.0).enumerate() {
                 if runs.is_multiple_of(1024) {
                     budget.check_time()?;
                 }
-                runs += 1;
-                let s = self.pairs[i].0;
-                let run_end = i + self.pairs[i..].iter().take_while(|p| p.0 == s).count();
                 targets.clear();
-                let mut cursor = 0usize;
-                for &(_, t) in &self.pairs[i..run_end] {
-                    let lo = gallop_src(o, t, cursor);
-                    let mut j = lo;
-                    while j < o.len() && o[j].0 == t {
-                        targets.push(o[j].1);
-                        j += 1;
-                    }
-                    cursor = lo;
+                for &(_, t) in run {
+                    targets.extend(other.targets_of(t).iter().map(|&(_, u)| u));
                 }
                 targets.sort_unstable();
                 targets.dedup();
                 budget.check_size(out.len() + targets.len())?;
-                out.extend(targets.iter().map(|&u| (s, u)));
-                i = run_end;
+                out.extend(targets.iter().map(|&u| (run[0].0, u)));
             }
-            Ok(Relation { pairs: out })
+            Ok(Relation::sorted(out))
         })
+    }
+
+    /// The converse `{(t, s) | (s, t) ∈ self}`, without a sort: a counting
+    /// pass over the targets, then a scatter in source order, which leaves
+    /// each target's sources ascending. The counts are the converse's run
+    /// index, so it comes built.
+    pub(crate) fn transpose(&self) -> Relation {
+        let targets = || self.pairs.iter().map(|p| p.1);
+        let (Some(lo), Some(hi)) = (targets().min(), targets().max()) else {
+            return Relation::default();
+        };
+        let index = RunIndex::count(targets(), lo, hi, self.pairs.len());
+        let mut next = index.starts.clone();
+        let mut pairs = vec![(0, 0); self.pairs.len()];
+        for &(s, t) in &self.pairs {
+            let at = &mut next[index.slot(t)];
+            pairs[*at as usize] = (t, s);
+            *at += 1;
+        }
+        if index.shift > 0 {
+            // A wide slot holds several targets, each run ascending.
+            for w in index.starts.windows(2) {
+                pairs[w[0] as usize..w[1] as usize].sort_unstable();
+            }
+        }
+        Relation {
+            pairs,
+            index: OnceLock::from(index),
+        }
     }
 
     /// Union: a linear merge of two sorted inputs (no re-sort).
@@ -175,7 +299,7 @@ impl Relation {
         }
         pairs.extend_from_slice(&a[i..]);
         pairs.extend_from_slice(&b[j..]);
-        Relation { pairs }
+        Relation::sorted(pairs)
     }
 
     /// Set difference `self \ other`: a linear merge of sorted inputs.
@@ -191,31 +315,27 @@ impl Relation {
                 pairs.push(p);
             }
         }
-        Relation { pairs }
+        Relation::sorted(pairs)
     }
 
-    /// Whether the relation contains `(s, t)` (binary search).
+    /// Whether the relation contains `(s, t)`: the run of `s` out of the
+    /// index, then a binary search inside it — the semi-join primitive.
     pub fn contains(&self, s: NodeId, t: NodeId) -> bool {
-        self.pairs.binary_search(&(s, t)).is_ok()
+        self.targets_of(s).binary_search(&(s, t)).is_ok()
     }
 
     /// The contiguous run of pairs whose source is `s` (their targets,
-    /// sorted): the binary-search semi-join primitive. One binary search
-    /// finds the run; its end is found by walking it, which the caller
-    /// does anyway.
+    /// sorted), read out of the run index in O(1).
     pub fn targets_of(&self, s: NodeId) -> &[(NodeId, NodeId)] {
-        let lo = self.pairs.partition_point(|&(ps, _)| ps < s);
-        let len = self.pairs[lo..].iter().take_while(|p| p.0 == s).count();
-        &self.pairs[lo..lo + len]
+        &self.pairs[self.index().run(&self.pairs, s)]
     }
 
     /// Reflexive-transitive closure `self*` over the nodes `0..n`: one
-    /// breadth-first traversal per source over a CSR of `self`'s own
-    /// sorted pairs (offsets by source), with one stamp array shared by
-    /// every traversal. Source `s` emits `(s, s)` and every node reached
-    /// in one or more steps, its targets sorted, so the output is sorted
-    /// and deduplicated by construction — no rounds, no hash set, no
-    /// whole-result re-sort.
+    /// breadth-first traversal per source over `self`'s own source runs,
+    /// with one stamp array shared by every traversal. Source `s` emits
+    /// `(s, s)` and every node reached in one or more steps, its targets
+    /// sorted, so the output is sorted and deduplicated by construction —
+    /// no rounds, no hash set, no whole-result re-sort.
     ///
     /// Precondition: every endpoint of `self` is below `n` (callers pass
     /// the graph's node count).
@@ -232,19 +352,11 @@ impl Relation {
             self.pairs.iter().all(|&(s, t)| s < n && t < n),
             "star over {n} nodes given an endpoint >= {n}"
         );
-        let n = n as usize;
-        let mut offsets = vec![0usize; n + 1];
-        for &(s, _) in &self.pairs {
-            offsets[s as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
         // `stamp[v] == s + 1` marks `v` reached from `s`.
-        let mut stamp: Vec<NodeId> = vec![0; n];
+        let mut stamp: Vec<NodeId> = vec![0; n as usize];
         let mut reached: Vec<NodeId> = Vec::new();
         let mut out: Vec<(NodeId, NodeId)> = Vec::new();
-        for s in 0..n as NodeId {
+        for s in 0..n {
             if s.is_multiple_of(256) {
                 budget.check_time()?;
             }
@@ -253,9 +365,9 @@ impl Relation {
             stamp[s as usize] = s + 1;
             let mut head = 0usize;
             while head < reached.len() {
-                let u = reached[head] as usize;
+                let u = reached[head];
                 head += 1;
-                for &(_, v) in &self.pairs[offsets[u]..offsets[u + 1]] {
+                for &(_, v) in self.targets_of(u) {
                     if stamp[v as usize] != s + 1 {
                         stamp[v as usize] = s + 1;
                         reached.push(v);
@@ -266,7 +378,7 @@ impl Relation {
             budget.check_size(out.len() + reached.len())?;
             out.extend(reached.iter().map(|&t| (s, t)));
         }
-        Ok(Relation { pairs: out })
+        Ok(Relation::sorted(out))
     }
 }
 
@@ -276,7 +388,10 @@ mod tests {
     use crate::context::EvalContext;
     use crate::fixtures::sym;
     use gmark_core::query::{PathExpr, RegularExpr};
-    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
+    use gmark_store::{ordered_map, EdgeSink, Graph, GraphBuilder, TypePartition};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
 
     fn chain_graph() -> Graph {
         // a-edges: 0→1→2→3 (a path).
@@ -439,17 +554,117 @@ mod tests {
         assert!(b.compose(&a, &Budget::default()).unwrap().is_empty());
     }
 
-    #[test]
-    fn gallop_agrees_with_partition_point() {
-        let pairs: Vec<(NodeId, NodeId)> = vec![(0, 0), (0, 1), (2, 0), (2, 5), (7, 1), (9, 9)];
-        for t in 0..=10u32 {
-            let expected = pairs.partition_point(|&(s, _)| s < t);
-            // From every valid starting hint at or before the answer.
-            for lo in 0..=expected {
-                if pairs[..lo].iter().any(|&(s, _)| s >= t) {
-                    continue; // precondition violated, skip
+    /// Sorted relations of the shapes the run index must get right: empty,
+    /// one pair, a single source, dense ids from 0 (some hulls twice as
+    /// wide as the pair count, so slots of two or four ids), and sparse
+    /// sources spread over about 2^20 ids (wide slots).
+    fn relations() -> impl Strategy<Value = Relation> {
+        use prop::collection::vec;
+        const WIDE: u32 = 1 << 20;
+        prop_oneof![
+            Just(Relation::default()),
+            (0..WIDE, 0..WIDE).prop_map(|p| Relation::from_pairs(vec![p])),
+            (0u32..24, vec(0u32..24, 1..12))
+                .prop_map(|(s, ts)| Relation::from_pairs(ts.iter().map(|&t| (s, t)).collect())),
+            vec((0u32..24, 0u32..24), 1..80).prop_map(Relation::from_pairs),
+            vec((0u32..200, 0u32..24), 1..80).prop_map(Relation::from_pairs),
+            vec((0..WIDE, 0..WIDE), 1..60).prop_map(Relation::from_pairs),
+        ]
+    }
+
+    /// The pairs of `r` with source `s`: a filtering scan.
+    fn scan(r: &Relation, s: NodeId) -> Vec<(NodeId, NodeId)> {
+        r.pairs().iter().copied().filter(|p| p.0 == s).collect()
+    }
+
+    /// Ids worth probing: every endpoint and its neighbours, the ends of
+    /// the id space, and a few drawn ones.
+    fn probes(r: &Relation, extra: &[NodeId]) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = vec![0, 1, u32::MAX];
+        for &(s, t) in r.pairs() {
+            ids.extend([s, t, s.saturating_sub(1), s.saturating_add(1)]);
+        }
+        ids.extend_from_slice(extra);
+        ids
+    }
+
+    /// `r*` over `0..n` as a fixpoint of filtering scans.
+    fn reference_star(r: &Relation, n: NodeId) -> Vec<(NodeId, NodeId)> {
+        let mut reach: BTreeSet<(NodeId, NodeId)> = (0..n).map(|v| (v, v)).collect();
+        loop {
+            let step: Vec<(NodeId, NodeId)> = reach
+                .iter()
+                .flat_map(|&(s, m)| scan(r, m).into_iter().map(move |(_, t)| (s, t)))
+                .collect();
+            let before = reach.len();
+            reach.extend(step);
+            if reach.len() == before {
+                return reach.into_iter().collect();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn run_index_kernels_match_plain_references(
+            r in relations(),
+            q in relations(),
+            extra in prop::collection::vec(0u32..1 << 21, 0..8),
+        ) {
+            let ids = probes(&r, &extra);
+            for &s in &ids {
+                prop_assert_eq!(r.targets_of(s), &scan(&r, s)[..], "targets_of({})", s);
+                for t in [0, 1, s, s.wrapping_add(1)] {
+                    prop_assert_eq!(r.contains(s, t), r.pairs().contains(&(s, t)));
                 }
-                assert_eq!(gallop_src(&pairs, t, lo), expected, "t={t} lo={lo}");
+            }
+            for &(s, t) in r.pairs() {
+                prop_assert!(r.contains(s, t));
+            }
+
+            // The converse: the sorted flip, its built index included.
+            let flipped: Vec<(NodeId, NodeId)> = r.pairs().iter().map(|&(s, t)| (t, s)).collect();
+            let converse = r.transpose();
+            prop_assert_eq!(&converse, &Relation::from_pairs(flipped));
+            for &t in &ids {
+                prop_assert_eq!(converse.targets_of(t), &scan(&converse, t)[..]);
+            }
+
+            // Composition with a random side, with the converse (which
+            // always meets) and with itself: a scan per pair, then a sort.
+            for other in [&q, &converse, &r] {
+                let mut expected = Vec::new();
+                for &(s, m) in r.pairs() {
+                    expected.extend(scan(other, m).into_iter().map(|(_, u)| (s, u)));
+                }
+                let composed = r.compose(other, &Budget::default()).unwrap();
+                prop_assert_eq!(composed, Relation::from_pairs(expected));
+            }
+
+            // The star, over relations small enough for the reference.
+            let top = r.pairs().iter().map(|&(s, t)| s.max(t)).max().unwrap_or(0);
+            if top < 200 {
+                let n = top + 2;
+                let star = r.star(n, &Budget::default()).unwrap();
+                prop_assert_eq!(star.pairs(), &reference_star(&r, n)[..]);
+            }
+
+            // Equality, and a clone, read the pairs, not whether an index
+            // was built.
+            let (cold, warm) = (Relation::from_pairs(r.pairs().to_vec()), r.clone());
+            let _ = warm.targets_of(0);
+            prop_assert_eq!(&cold, &warm);
+            prop_assert_eq!(&warm, &cold);
+            prop_assert_eq!(cold.heap_bytes(), warm.heap_bytes());
+
+            // One shared relation, its index built by whichever of four
+            // workers probes first.
+            let shared = Arc::new(Relation::from_pairs(r.pairs().to_vec()));
+            let runs = ordered_map(4, ids.len(), |i| shared.targets_of(ids[i]).to_vec());
+            for (&s, run) in ids.iter().zip(&runs) {
+                prop_assert_eq!(run, &scan(&r, s));
             }
         }
     }

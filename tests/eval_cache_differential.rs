@@ -7,11 +7,13 @@
 //! disabled, even when tuple caps make cells fail. These tests run the
 //! whole evaluation matrix both ways and compare cell by cell.
 //!
-//! Planning is disabled in the property tests: the planner legitimately
-//! *reads* the cache (exact cardinalities replace estimates, which can
-//! reorder joins), so `plan: false` isolates the cache's contract that
-//! outcomes themselves never shift. The generated-workload test then
-//! covers the planned regime, where answers still may not move.
+//! Planning is disabled in the property tests, so `plan: false` isolates
+//! the cache's contract that outcomes themselves never shift. The
+//! planner's exact cardinalities come from the fill's counts, which do not
+//! depend on the byte budget; `tests/selection_invariance.rs` holds the
+//! planned regime to identical cells at `cache_mb` 0, 1 and 64. The
+//! generated-workload test here covers the planned regime too, where
+//! answers may not move.
 //!
 //! The run pipeline always evaluates with the planner and the cache on;
 //! the tests at the end hold that configuration and the two controls
