@@ -27,7 +27,9 @@
 //! of the engine's contract:
 //!
 //! * (a) within a body, the raw (pre-dedup) row count after each atom,
-//!   checked after every input row — what `BindingTable::extend` charges;
+//!   checked after every input row — what `BindingTable::extend` charges,
+//!   counting an atom's rows before it writes any, so an atom over the cap
+//!   fails with the same count and derives nothing;
 //! * (b) every delta round starts with the clock and with
 //!   `|EDB| + |IDB|` — `|EDB|` is [`EvalContext::edb`], nodes plus the
 //!   distinct edges of *every* predicate, `|IDB|` every derived fact, `ans`
@@ -124,7 +126,7 @@ impl Fixpoint<'_, '_> {
         let body: Vec<ConjunctPairs<'_>> = rule.body.iter().enumerate().map(mount).collect();
         let table = join_all(&body, &rule.args, self.budget)?;
         let mut cells = Vec::new();
-        let len = project(&table, &rule.args, &mut cells)?;
+        let len = project(&table, &rule.args, &mut cells, |_| Ok(()))?;
         if len == 0 {
             return Ok(());
         }

@@ -32,6 +32,16 @@
 //! [`Answers::from_rows`], after the head is read. A dropped column is
 //! never needed again: a later step reads only its own variables, which
 //! are live, and the head is live throughout.
+//!
+//! A step that can grow the table counts its rows before it writes one.
+//! A bound arm adds up each input row's run length (O(1) from the run
+//! index), the Cartesian arm adds the relation's length, after the
+//! self-loop filter, once per input row, and the running total is charged
+//! after every input row: the charges a row-at-a-time loop makes. A step
+//! over the cap so fails with the same `TooLarge(n)` without writing a
+//! row, and a step that fits writes into one buffer reserved at its exact
+//! size. [`union_of_rules`] likewise charges a rule's projected rows
+//! before [`project`] copies them.
 
 use crate::context::EvalContext;
 use crate::planner::{ConjunctStep, QueryPlan};
@@ -76,11 +86,36 @@ impl BindingTable {
         (0..self.len).map(move |r| &self.cells[r * width..(r + 1) * width])
     }
 
+    /// An empty table over `vars` with room for `rows` rows.
+    fn with_capacity(vars: Vec<Var>, rows: usize) -> BindingTable {
+        BindingTable {
+            cells: Vec::with_capacity(rows * vars.len()),
+            vars,
+            len: 0,
+        }
+    }
+
     /// Appends one output row: the `keep` columns of `row`, then `new`.
     fn push(&mut self, row: &[NodeId], keep: &[usize], new: &[NodeId]) {
         self.cells.extend(keep.iter().map(|&c| row[c]));
         self.cells.extend_from_slice(new);
         self.len += 1;
+    }
+
+    /// The output row count of a step in which input row `row` yields
+    /// `yields(row)` rows, charging the running total against the tuple
+    /// cap after every input row.
+    fn count_output(
+        &self,
+        budget: &Budget,
+        yields: impl Fn(&[NodeId]) -> usize,
+    ) -> Result<usize, EvalError> {
+        let mut total = 0;
+        for row in self.rows() {
+            total += yields(row);
+            budget.check_size(total)?;
+        }
+        Ok(total)
     }
 
     /// Joins one conjunct into the table, storing only the `live`
@@ -89,9 +124,13 @@ impl BindingTable {
     /// table; one — each row selects its sorted run of partners; none — a
     /// Cartesian product (this is also how the first conjunct seeds the
     /// [`BindingTable::unit`] table). A self-loop conjunct `(?x, r, ?x)`
-    /// keeps only `(v, v)` pairs and binds one column. Every arm that can
-    /// grow the table charges the cumulative row count against the tuple
-    /// cap.
+    /// keeps only `(v, v)` pairs and binds one column.
+    ///
+    /// Every arm that can grow the table counts its output before it
+    /// writes a row, charging the cumulative row count against the tuple
+    /// cap after every input row: a step over the cap fails with the
+    /// first total that exceeds it and writes nothing, and a step that
+    /// fits writes into one buffer of its exact size.
     pub fn extend(
         &self,
         c: &ConjunctPairs<'_>,
@@ -102,63 +141,68 @@ impl BindingTable {
         let keep: Vec<usize> = (0..self.vars.len())
             .filter(|&i| is_live(&self.vars[i]))
             .collect();
-        let mut out = BindingTable {
-            vars: keep.iter().map(|&i| self.vars[i]).collect(),
-            cells: Vec::new(),
-            len: 0,
-        };
+        let mut vars: Vec<Var> = keep.iter().map(|&i| self.vars[i]).collect();
         let (src_col, trg_col) = (self.col(c.src), self.col(c.trg));
-        match (src_col, trg_col) {
+        Ok(match (src_col, trg_col) {
             (Some(sc), Some(tc)) => {
+                let mut out = BindingTable::with_capacity(vars, 0);
                 for row in self.rows() {
                     if c.pairs.contains(row[sc], row[tc]) {
                         out.push(row, &keep, &[]);
                     }
                 }
+                out
             }
             (Some(col), None) | (None, Some(col)) => {
-                // Backward is forward over the transposed relation.
-                let reversed;
-                let (rel, new_var) = if src_col.is_some() {
-                    (c.pairs, c.trg)
-                } else {
-                    reversed = c.pairs.transpose();
-                    (&reversed, c.src)
-                };
+                let new_var = if src_col.is_some() { c.trg } else { c.src };
                 let new_live = is_live(&new_var);
                 if new_live {
-                    out.vars.push(new_var);
+                    vars.push(new_var);
                 }
+                if self.len == 0 {
+                    return Ok(BindingTable::with_capacity(vars, 0));
+                }
+                // Backward is forward over the transposed relation.
+                let reversed;
+                let rel = if src_col.is_some() {
+                    c.pairs
+                } else {
+                    reversed = c.pairs.transpose();
+                    &reversed
+                };
+                let len = self.count_output(budget, |row| rel.targets_of(row[col]).len())?;
+                let mut out = BindingTable::with_capacity(vars, len);
                 let stored = usize::from(new_live);
                 for row in self.rows() {
                     for &(_, partner) in rel.targets_of(row[col]) {
                         out.push(row, &keep, &[partner][..stored]);
                     }
-                    budget.check_size(out.len)?;
                 }
+                out
             }
             (None, None) => {
                 let self_loop = c.src == c.trg;
                 let (src_live, trg_live) = (is_live(&c.src), !self_loop && is_live(&c.trg));
                 if src_live {
-                    out.vars.push(c.src);
+                    vars.push(c.src);
                 }
                 if trg_live {
-                    out.vars.push(c.trg);
+                    vars.push(c.trg);
                 }
+                let matches = || c.pairs.pairs().iter().filter(|(s, t)| !self_loop || s == t);
+                let per_row = matches().count();
+                let len = self.count_output(budget, |_| per_row)?;
+                let mut out = BindingTable::with_capacity(vars, len);
                 // The stored part of each `[s, t]`: both, one or neither.
                 let stored = usize::from(!src_live)..1 + usize::from(trg_live);
                 for row in self.rows() {
-                    for &(s, t) in c.pairs.pairs() {
-                        if !self_loop || s == t {
-                            out.push(row, &keep, &[s, t][stored.clone()]);
-                        }
+                    for &(s, t) in matches() {
+                        out.push(row, &keep, &[s, t][stored.clone()]);
                     }
-                    budget.check_size(out.len)?;
                 }
+                out
             }
-        }
-        Ok(out)
+        })
     }
 }
 
@@ -232,7 +276,8 @@ pub(crate) fn live_after(head: &[Var], later: impl Iterator<Item = (Var, Var)>) 
 
 /// The rule loop `P`, `G` and `S` share: the union, over the query's
 /// rules, of each rule's joined table projected onto its head, charging
-/// the cumulative raw projected row count after every rule. `table_of` is
+/// the cumulative raw projected row count after every rule, before that
+/// rule's rows are copied. `table_of` is
 /// the engine — how one rule's conjuncts become a table along the planned
 /// steps. `plan` must fit `query` (the entry point checks).
 pub(crate) fn union_of_rules(
@@ -244,16 +289,20 @@ pub(crate) fn union_of_rules(
     let (mut len, mut cells) = (0, Vec::new());
     for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
         let table = table_of(rule, &rule_plan.steps)?;
-        len += project(&table, &rule.head, &mut cells)?;
-        budget.check_size(len)?;
+        project(&table, &rule.head, &mut cells, |rows| {
+            len += rows;
+            budget.check_size(len)
+        })?;
     }
     Ok(Answers::from_rows(query.arity(), len, cells))
 }
 
 /// The one head projection: appends the table's rows, projected onto
 /// `head`, to the row-major `out` and returns how many rows that was
-/// (deduplication is [`Answers::from_rows`]' job). A Boolean head appends
-/// no cells and counts one row iff any row exists.
+/// (deduplication is [`Answers::from_rows`]' job). `charge` is handed
+/// that count before any row is copied, and an error from it is returned
+/// with `out` untouched. A Boolean head appends no cells and counts one
+/// row iff any row exists.
 ///
 /// A head variable that never appears in the body violates rule safety;
 /// it surfaces as a typed [`EvalError`] — one malformed query becomes a
@@ -262,6 +311,7 @@ pub(crate) fn project(
     table: &BindingTable,
     head: &[Var],
     out: &mut Vec<NodeId>,
+    charge: impl FnOnce(usize) -> Result<(), EvalError>,
 ) -> Result<usize, EvalError> {
     let cols: Vec<usize> = head
         .iter()
@@ -274,8 +324,10 @@ pub(crate) fn project(
         })
         .collect::<Result<_, _>>()?;
     if cols.is_empty() {
-        return Ok(usize::from(table.len > 0));
+        let len = usize::from(table.len > 0);
+        return charge(len).map(|()| len);
     }
+    charge(table.len)?;
     out.reserve(table.len * cols.len());
     for row in table.rows() {
         out.extend(cols.iter().map(|&c| row[c]));
@@ -335,7 +387,7 @@ mod tests {
     fn projected(table: &BindingTable, head: &[u32]) -> (usize, Vec<NodeId>) {
         let head: Vec<Var> = head.iter().copied().map(Var).collect();
         let mut cells = Vec::new();
-        let len = project(table, &head, &mut cells).unwrap();
+        let len = project(table, &head, &mut cells, |_| Ok(())).unwrap();
         (len, cells)
     }
 
@@ -423,7 +475,7 @@ mod tests {
     #[test]
     fn unbound_head_var_is_a_typed_error_not_a_panic() {
         let t = join(&[cp(0, 1, vec![(1, 2)])], &Budget::default()).unwrap();
-        let err = project(&t, &[Var(7)], &mut Vec::new()).unwrap_err();
+        let err = project(&t, &[Var(7)], &mut Vec::new(), |_| Ok(())).unwrap_err();
         assert!(
             matches!(err, EvalError::Unsupported(ref what) if what.contains("?x7")),
             "{err:?}"
@@ -485,6 +537,83 @@ mod tests {
             rows = next;
         }
         (vars, steps)
+    }
+
+    /// The reference for [`BindingTable::extend`], one row at a time:
+    /// each input row's matches are pushed onto a growing buffer, and the
+    /// running row count is charged after every input row.
+    fn extend_row_at_a_time(
+        table: &BindingTable,
+        c: &ConjunctPairs<'_>,
+        live: &[Var],
+        budget: &Budget,
+    ) -> Result<BindingTable, EvalError> {
+        let is_live = |v: &Var| live.contains(v);
+        let keep: Vec<usize> = (0..table.vars.len())
+            .filter(|&i| is_live(&table.vars[i]))
+            .collect();
+        let mut out = BindingTable {
+            vars: keep.iter().map(|&i| table.vars[i]).collect(),
+            cells: Vec::new(),
+            len: 0,
+        };
+        let (src_col, trg_col) = (table.col(c.src), table.col(c.trg));
+        match (src_col, trg_col) {
+            (Some(sc), Some(tc)) => {
+                for row in table.rows() {
+                    if c.pairs.contains(row[sc], row[tc]) {
+                        out.push(row, &keep, &[]);
+                    }
+                }
+            }
+            (Some(col), None) | (None, Some(col)) => {
+                let reversed;
+                let (rel, new_var) = if src_col.is_some() {
+                    (c.pairs, c.trg)
+                } else {
+                    reversed = c.pairs.transpose();
+                    (&reversed, c.src)
+                };
+                let new_live = is_live(&new_var);
+                if new_live {
+                    out.vars.push(new_var);
+                }
+                let stored = usize::from(new_live);
+                for row in table.rows() {
+                    for &(_, partner) in rel.targets_of(row[col]) {
+                        out.push(row, &keep, &[partner][..stored]);
+                    }
+                    budget.check_size(out.len)?;
+                }
+            }
+            (None, None) => {
+                let self_loop = c.src == c.trg;
+                let (src_live, trg_live) = (is_live(&c.src), !self_loop && is_live(&c.trg));
+                if src_live {
+                    out.vars.push(c.src);
+                }
+                if trg_live {
+                    out.vars.push(c.trg);
+                }
+                let stored = usize::from(!src_live)..1 + usize::from(trg_live);
+                for row in table.rows() {
+                    for &(s, t) in c.pairs.pairs() {
+                        if !self_loop || s == t {
+                            out.push(row, &keep, &[s, t][stored.clone()]);
+                        }
+                    }
+                    budget.check_size(out.len)?;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// A table's stored variables, row count and cells, in order.
+    type Parts = (Vec<Var>, usize, Vec<NodeId>);
+
+    fn parts(table: Result<BindingTable, EvalError>) -> Result<Parts, EvalError> {
+        table.map(|t| (t.vars, t.len, t.cells))
     }
 
     proptest! {
@@ -554,6 +683,43 @@ mod tests {
                 expected.sort();
                 prop_assert_eq!(len, rows.len());
                 prop_assert_eq!(got, expected);
+            }
+        }
+        // A random table of 0–3 columns against one random conjunct over
+        // five variables reaches every arm of `extend`: semi-join (a
+        // self-loop among them), source bound, target bound, Cartesian
+        // (the unit table too) and a self-loop seed. At every cap from 0
+        // to one past the step's output, the counted kernel must give the
+        // reference's table row for row, or its `TooLarge(n)`.
+        #[test]
+        fn counted_extend_matches_the_row_at_a_time_reference(
+            columns in prop::collection::btree_set(0u32..5, 0..=3),
+            rotate in 0usize..3,
+            rows in prop::collection::vec(prop::collection::vec(0u32..6, 3), 0..=40),
+            (src, trg) in (0u32..5, 0u32..5),
+            pairs in prop::collection::vec((0u32..6, 0u32..6), 0..12),
+            live in prop::collection::btree_set(0u32..5, 0..=5),
+        ) {
+            let mut vars: Vec<Var> = columns.into_iter().map(Var).collect();
+            let width = vars.len();
+            vars.rotate_left(rotate.min(width));
+            let table = BindingTable {
+                cells: rows.iter().flat_map(|row| row[..width].to_vec()).collect(),
+                len: rows.len(),
+                vars,
+            };
+            let relation = Relation::from_pairs(pairs);
+            let c = ConjunctPairs { src: Var(src), trg: Var(trg), pairs: &relation };
+            let live: Vec<Var> = live.into_iter().map(Var).collect();
+            let uncapped = Budget::with_limits(None, usize::MAX);
+            let total = extend_row_at_a_time(&table, &c, &live, &uncapped).unwrap().len;
+            for cap in 0..=total + 1 {
+                let budget = Budget::with_limits(None, cap);
+                prop_assert_eq!(
+                    parts(table.extend(&c, &live, &budget)),
+                    parts(extend_row_at_a_time(&table, &c, &live, &budget)),
+                    "cap {} of {}", cap, total
+                );
             }
         }
     }

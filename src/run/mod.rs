@@ -527,6 +527,10 @@ fn eval_stage<S: Sink + ?Sized>(
             estimate: cell.estimate,
         })
         .collect();
+    let cell_seconds = |of: fn(&CellOutcome) -> bool| -> f64 {
+        let cells = report.cells.iter().filter(|cell| of(&cell.outcome));
+        cells.map(|cell| cell.seconds).sum()
+    };
     let summary = EvalRunSummary {
         engines: spec.letters(),
         budget_ms: spec.budget_ms,
@@ -544,6 +548,10 @@ fn eval_stage<S: Sink + ?Sized>(
         seconds: start.elapsed().as_secs_f64(),
         fill_seconds: report.fill_seconds,
         cells_seconds: report.cells_seconds,
+        ok_seconds: cell_seconds(|o| matches!(o, CellOutcome::Answers { .. })),
+        too_large_seconds: cell_seconds(|o| {
+            matches!(o, CellOutcome::Failed(EvalError::TooLarge(_)))
+        }),
     };
     Ok((summary, report))
 }
@@ -871,6 +879,7 @@ mod tests {
             (workload.seconds, workload.emit, workload.bytes) = (0.0, None, [0; 5]);
             let eval = summary.eval.as_mut().unwrap();
             (eval.seconds, eval.fill_seconds, eval.cells_seconds) = (0.0, 0.0, 0.0);
+            (eval.ok_seconds, eval.too_large_seconds) = (0.0, 0.0);
             format!("{summary:?}")
         }
         for threads in [1usize, 2] {

@@ -166,6 +166,12 @@ pub struct EvalRunSummary {
     pub fill_seconds: f64,
     /// Of [`EvalRunSummary::seconds`], the cell matrix (report only).
     pub cells_seconds: f64,
+    /// The summed wall time of the cells that completed (report only).
+    /// Cells run on `threads` workers, so these cell-seconds can add up to
+    /// more than [`EvalRunSummary::cells_seconds`].
+    pub ok_seconds: f64,
+    /// The summed wall time of the cells over the tuple cap (report only).
+    pub too_large_seconds: f64,
 }
 
 /// One deterministic cell row of an [`EvalRunSummary`].
@@ -258,14 +264,16 @@ impl RunSummary {
             let _ = writeln!(
                 rep,
                 "evaluation: {} queries x {} engines ({}) = {} cells in {:.3}s \
-                 ({:.3}s cache fill, {:.3}s cells)",
+                 ({:.3}s cache fill, {:.3}s cells: {:.3}s ok, {:.3}s too-large cell-seconds)",
                 e.queries,
                 e.engines.len(),
                 e.engines,
                 e.cells,
                 e.seconds,
                 e.fill_seconds,
-                e.cells_seconds
+                e.cells_seconds,
+                e.ok_seconds,
+                e.too_large_seconds
             );
             let _ = writeln!(
                 rep,
@@ -582,6 +590,8 @@ mod tests {
                 seconds: 0.5,
                 fill_seconds: 0.125,
                 cells_seconds: 0.25,
+                ok_seconds: 0.375,
+                too_large_seconds: 0.07,
             }),
         }
     }
@@ -704,7 +714,10 @@ mod tests {
         let rep = sample().render_report();
         assert!(rep.contains("evaluation: 2 queries x 4 engines"), "{rep}");
         assert!(
-            rep.contains("8 cells in 0.500s (0.125s cache fill, 0.250s cells)"),
+            rep.contains(
+                "8 cells in 0.500s (0.125s cache fill, 0.250s cells: \
+                 0.375s ok, 0.070s too-large cell-seconds)"
+            ),
             "{rep}"
         );
         assert!(rep.contains("1 timeout"), "{rep}");

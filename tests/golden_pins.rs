@@ -86,6 +86,18 @@ const MIXED_EVAL_D: [(usize, (u64, u64)); 2] = [
     (10_000, (2488, 0x45d8_ef4f_5ff0_3a18)),
 ];
 
+/// `(seed, (length, FNV-1a))` of every cell outcome's `{:?}`, one line per
+/// cell in report order, of the `P,G,S,D` matrix on
+/// `examples/configs/bib-mixed.xml` at 2 000 nodes under a 50 000-tuple
+/// cap, the instance of `tests/selection_invariance.rs`. Unlike `eval.txt`
+/// and `summary.json`, which print only `too-large`, this pins the `n` of
+/// every `TooLarge(n)`. Recorded from the commit before a join step
+/// counted its output rows before writing any of them.
+const MIXED_OUTCOMES: [(u64, (u64, u64)); 2] = [
+    (6, (3588, 0xe017_1ac0_8648_935b)),
+    (8, (3585, 0x07e6_bdd2_367e_d90b)),
+];
+
 /// `(use case, [(length, FNV-1a); 5])` of the five workload documents of
 /// [`every_branch_workload`], in document order (rules, SPARQL, openCypher,
 /// SQL, Datalog), recorded from the commit before the workload generator's
@@ -413,6 +425,49 @@ fn parent_commit_datalog_column_is_reproduced_at_tight_caps() {
                 fingerprint_bytes(&report),
                 pin,
                 "cap={cap} threads={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn parent_commit_cell_outcomes_are_reproduced_with_every_too_large_count() {
+    let config = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/configs/bib-mixed.xml");
+    let plan = RunPlan::from_config_file(config)
+        .expect("bib-mixed.xml parses")
+        .with_nodes(2000);
+    let budget = CellBudget {
+        timeout: None,
+        max_tuples: 50_000,
+    };
+    for (seed, pin) in MIXED_OUTCOMES {
+        let arts = run_in_memory(&plan, &RunOptions::with_seed(seed)).expect("the instance runs");
+        let graph = arts.graph.expect("a graph");
+        let workload = arts.workload.expect("a workload");
+        let queries: Vec<&Query> = workload.queries.iter().map(|gq| &gq.query).collect();
+        for threads in [1, 4] {
+            let options = MatrixOptions {
+                threads,
+                ..MatrixOptions::default()
+            };
+            let ctx = EvalContext::new(&graph);
+            let report = evaluate_matrix_with_schema(
+                &ctx,
+                Some(&plan.graph.schema),
+                &queries,
+                &EngineKind::ALL,
+                &budget,
+                &options,
+            );
+            let outcomes: String = report
+                .cells
+                .iter()
+                .map(|cell| format!("{:?}\n", cell.outcome))
+                .collect();
+            assert_eq!(
+                fingerprint_bytes(outcomes.as_bytes()),
+                pin,
+                "seed={seed} threads={threads}"
             );
         }
     }
