@@ -18,8 +18,8 @@
 //!   regular expression;
 //! * [`EvalContext::symbol_stats`] — edge and distinct-source/
 //!   distinct-target counts per `(predicate, direction)`, the planner's
-//!   cardinality and selectivity input, computed once off the CSR degree
-//!   arrays and shared.
+//!   cardinality and selectivity input, counted once off the predicate's
+//!   two symbol relations and shared.
 //!
 //! The context is `Sync`: lazy slots are [`OnceLock`]s whose values are
 //! pure functions of the graph, and the NFA cache is a mutex around a
@@ -31,8 +31,8 @@
 //! gMark workloads are generated from a small schema, so the 30 queries
 //! of a scenario overlap heavily in sub-expressions: the same
 //! `authoredBy⁻` closure shows up in a dozen conjuncts across the
-//! matrix. The context therefore carries a bounded **sub-expression
-//! result cache** ([`EvalContext::fill_expr_cache`]): materialized
+//! matrix. The context therefore carries a **sub-expression result
+//! cache** ([`EvalContext::fill_expr_cache`]): materialized
 //! [`Relation`]s keyed by the canonical [`RegularExpr`] form of a
 //! sub-expression — single symbols, concatenation prefixes
 //! (`RegularExpr::path` of the prefix), unions, and above all `p*`
@@ -51,16 +51,18 @@
 //! candidate into the memo (a worker that needs a slot another is filling
 //! waits; slots depend only on strictly smaller keys, so nothing
 //! deadlocks) and records each candidate's exact length for the planner
-//! ([`EvalContext::exact_expr_len`]) — whether or not it is admitted
-//! later, and whether or not any cache is kept. A sequential *admit* pass
-//! then replays the candidates in enumeration order and admits each one
-//! and its prefixes under the byte budget, exactly as a one-thread fill
-//! would. Every kernel is pure, so
-//! contents are a pure function of `(graph, fill expression list, tuple
-//! cap, byte budget)` at every thread count. A hit charges the cached
-//! *cardinality check* only — `Budget::check_size(len)` — never wall
-//! time. Failed fills are cached only for the deterministic failure
-//! ([`EvalError::TooLarge`]), never for a timeout.
+//! ([`EvalContext::exact_expr_len`]), whether or not any cache is kept.
+//! The memo then *is* the cache: every slot the pass resolved is frozen
+//! as an entry. Every kernel is pure, so contents are a pure function of
+//! `(graph, fill expression list, tuple cap)` at every thread count. A
+//! hit charges the cached *cardinality check* only —
+//! `Budget::check_size(len)` — never wall time. Failed slots are kept
+//! only for the deterministic failure ([`EvalError::TooLarge`]), as
+//! negative entries, never for a timeout.
+//!
+//! What bounds the cache's memory is the tuple cap, per relation: the fill
+//! holds every candidate and every prefix at once, each at most
+//! `max_tuples` pairs, and keeps them all. There is no byte budget.
 //!
 //! `P`, `S` and `G` read a conjunct the same way: one counted probe of the
 //! whole expression, and on a miss the engine's own kernel. A negative
@@ -106,13 +108,13 @@ pub struct EvalContext<'g> {
     nfas: Mutex<FxHashMap<RegularExpr, Arc<Nfa>>>,
     /// Lazy per-predicate `(distinct sources, distinct targets)` counts.
     stats: Vec<OnceLock<(usize, usize)>>,
-    /// The sub-expression result cache, set once by
-    /// [`EvalContext::fill_expr_cache`] and read-only afterwards (see the
-    /// module docs for the determinism argument).
+    /// The sub-expression result cache: the memo of
+    /// [`EvalContext::fill_expr_cache`], frozen once and read-only
+    /// afterwards (see the module docs for the determinism argument).
     expr_cache: OnceLock<ExprCache>,
     /// The exact length of every fill candidate that fits the tuple cap,
-    /// set by the same fill whatever its byte budget: the planner's exact
-    /// cardinalities ([`EvalContext::exact_expr_len`]).
+    /// set by the same fill whether or not it keeps a cache: the planner's
+    /// exact cardinalities ([`EvalContext::exact_expr_len`]).
     expr_lens: OnceLock<FxHashMap<RegularExpr, u64>>,
     /// Top-level cache probes that found an entry.
     cache_hits: AtomicU64,
@@ -132,53 +134,45 @@ enum ExprCacheEntry {
     TooLarge(usize),
 }
 
-/// The filled cache: a frozen map plus its fill-time accounting.
+/// The filled cache: the fill's memo, frozen, plus its fill-time accounting.
 #[derive(Debug)]
 struct ExprCache {
     map: FxHashMap<RegularExpr, ExprCacheEntry>,
-    /// Admission byte budget (`budget_mb` MiB) and what is used of it.
-    budget_mb: usize,
-    bytes: usize,
     /// Sum of cached relation cardinalities.
     tuples: u64,
-    /// Relations computed during fill but not admitted because the byte
-    /// budget was exhausted.
-    rejected: u64,
-    /// Relations computed during the pre-clock fill (admitted, rejected,
-    /// or negatively cached). The hit/miss probe counters never see these
-    /// builds — without this figure a fully pre-filled run reports a
-    /// meaningless 100% hit rate.
+    /// Memo slots the pre-clock fill resolved: every entry, plus the
+    /// timed-out slots it did not keep. The hit/miss probe counters never
+    /// see these builds — without this figure a fully pre-filled run
+    /// reports a meaningless 100% hit rate.
     fills: u64,
 }
 
 impl ExprCache {
-    fn new(budget_mb: usize) -> ExprCache {
-        ExprCache {
+    /// Keeps every slot the fill resolved: a relation as a hit, a
+    /// too-large failure as a negative entry. A timeout is a machine
+    /// artifact, never kept.
+    fn freeze(memo: Memo) -> ExprCache {
+        let mut cache = ExprCache {
             map: FxHashMap::default(),
-            budget_mb,
-            bytes: 0,
             tuples: 0,
-            rejected: 0,
             fills: 0,
+        };
+        for (key, slot) in memo.0 {
+            let Some(resolved) = slot.into_inner() else {
+                continue;
+            };
+            cache.fills += 1;
+            let entry = match resolved {
+                Ok(rel) => {
+                    cache.tuples += rel.len() as u64;
+                    ExprCacheEntry::Hit(rel)
+                }
+                Err(EvalError::TooLarge(sz)) => ExprCacheEntry::TooLarge(sz),
+                Err(_) => continue,
+            };
+            cache.map.insert(key, entry);
         }
-    }
-
-    /// Admits a computed relation under the byte budget; duplicates are
-    /// ignored, over-budget relations counted as rejected. Deterministic:
-    /// admission depends only on the (deterministic) fill order.
-    fn admit(&mut self, key: RegularExpr, rel: Arc<Relation>) {
-        if self.map.contains_key(&key) {
-            return;
-        }
-        self.fills += 1;
-        let bytes = rel.heap_bytes();
-        if self.bytes + bytes > self.budget_mb * 1024 * 1024 {
-            self.rejected += 1;
-            return;
-        }
-        self.bytes += bytes;
-        self.tuples += rel.len() as u64;
-        self.map.insert(key, ExprCacheEntry::Hit(rel));
+        cache
     }
 
     /// An entry as the kernel path reads it: a hit under its cardinality
@@ -198,8 +192,8 @@ impl ExprCache {
 
 /// Every relation one evaluation can need, each computed at most once:
 /// one slot per expression and per [`prefix`] (the empty one included) of
-/// its disjunct paths. The key set is fixed when the memo is built, and
-/// admitted entries share its `Arc`s.
+/// its disjunct paths. The key set is fixed when the memo is built; the
+/// fill freezes the slots it resolved as the cache ([`ExprCache::freeze`]).
 struct Memo(FxHashMap<RegularExpr, OnceLock<Resolved>>);
 
 /// What evaluating one expression gives.
@@ -231,25 +225,20 @@ impl Memo {
 /// are sums of per-cell counts that do not depend on thread schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalCacheStats {
-    /// Admission budget in MiB.
-    pub budget_mb: usize,
     /// Entries in the cache (including negative too-large entries).
     pub entries: usize,
     /// Sum of cached relation cardinalities.
     pub tuples: u64,
-    /// Bytes used by cached pair columns.
-    pub bytes: usize,
     /// Top-level probes that found an entry.
     pub hits: u64,
     /// Top-level probes that found nothing.
     pub misses: u64,
-    /// Fill-time admissions skipped because the byte budget was full.
-    pub rejected: u64,
-    /// Relations computed during the pre-clock fill (admitted, rejected,
-    /// or negatively cached). These builds happen before any cell's clock
-    /// starts, so the hit/miss probe counters never see them — a hit rate
-    /// that ignores fills reads 100% on a fully pre-filled run. Honest
-    /// rates divide hits by `hits + misses + fills`.
+    /// Relations computed during the pre-clock fill: every entry, plus any
+    /// timed-out computation, which is not kept. These builds happen
+    /// before any cell's clock starts, so the hit/miss probe counters
+    /// never see them — a hit rate that ignores fills reads 100% on a
+    /// fully pre-filled run. Honest rates divide hits by
+    /// `hits + misses + fills`.
     pub fills: u64,
 }
 
@@ -314,13 +303,17 @@ impl<'g> EvalContext<'g> {
         slot.get_or_init(|| Arc::new(Relation::of_symbol(self.view, sym)))
     }
 
-    /// The distinct-endpoint statistics of one `Σ±` symbol, computed on
-    /// first use for its predicate (one offsets sweep, no target pages)
-    /// and shared by both directions — the inverse symbol returns the same
-    /// counts with source and target swapped.
+    /// The distinct-endpoint statistics of one `Σ±` symbol, counted on
+    /// first use for its predicate as the source runs of its forward and
+    /// backward relations, and shared by both directions — the inverse
+    /// symbol returns the same counts with source and target swapped.
     pub fn symbol_stats(&self, sym: Symbol) -> SymbolStats {
         let p = sym.predicate.0;
-        let &(src, trg) = self.stats[p].get_or_init(|| self.view.distinct_endpoints(p));
+        let &(src, trg) = self.stats[p].get_or_init(|| {
+            let runs = |s: Symbol| self.relation(s).pairs().chunk_by(|a, b| a.0 == b.0).count();
+            let fwd = Symbol::forward(sym.predicate);
+            (runs(fwd), runs(fwd.flipped()))
+        });
         let edges = self.view.edge_count_for(p);
         if sym.inverse {
             SymbolStats {
@@ -357,17 +350,17 @@ impl<'g> EvalContext<'g> {
     /// sub-expressions (the harness walks queries in order); each is
     /// evaluated under a fresh budget from `fresh_budget` (the same
     /// recipe as a matrix cell, so nothing enters the cache that a cell
-    /// could not have computed itself). Concatenation prefixes discovered
-    /// on the way are admitted too, keyed by their canonical
-    /// [`RegularExpr::path`] form. `budget_mb` bounds admitted pair-column
-    /// bytes; `0` disables the cache entirely (nothing is even frozen, so
-    /// every probe is an uncounted miss).
+    /// could not have computed itself). Concatenation prefixes computed on
+    /// the way are kept too, keyed by their canonical
+    /// [`RegularExpr::path`] form. `budget_mb` is an on/off switch: `0`
+    /// keeps no cache (nothing is even frozen, so every probe is an
+    /// uncounted miss), any other value keeps every relation the fill
+    /// computed.
     ///
-    /// Whatever the byte budget, the fill also records the exact length of
-    /// every candidate that fits the tuple cap — admitted, rejected for
-    /// bytes, or, at `budget_mb == 0`, dropped once counted — so the
-    /// planner's exact cardinalities are a function of the graph, the
-    /// candidates and the cap alone.
+    /// Either way, the fill also records the exact length of every
+    /// candidate that fits the tuple cap, so the planner's exact
+    /// cardinalities are a function of the graph, the candidates and the
+    /// cap alone.
     pub fn fill_expr_cache<F>(&self, exprs: &[RegularExpr], budget_mb: usize, fresh_budget: F)
     where
         F: Fn() -> Budget + Sync,
@@ -375,9 +368,9 @@ impl<'g> EvalContext<'g> {
         self.fill_expr_cache_on(1, exprs, budget_mb, fresh_budget);
     }
 
-    /// [`EvalContext::fill_expr_cache`] on `threads` workers: a parallel
-    /// resolve pass over the distinct candidates, which records their
-    /// lengths, then the admission replay in enumeration order.
+    /// [`EvalContext::fill_expr_cache`] on `threads` workers: one parallel
+    /// resolve pass over the distinct candidates into a shared memo, which
+    /// then becomes the frozen cache.
     pub(crate) fn fill_expr_cache_on<F>(
         &self,
         threads: usize,
@@ -393,7 +386,6 @@ impl<'g> EvalContext<'g> {
         let memo = Memo::new(exprs);
         let mut seen = FxHashSet::default();
         let distinct: Vec<&RegularExpr> = exprs.iter().filter(|e| seen.insert(*e)).collect();
-        // Failures are memoized too; the replay reads them back.
         let resolved = ordered_map(threads, distinct.len(), |i| {
             self.resolve(&memo, None, distinct[i], &fresh_budget())
         });
@@ -402,57 +394,9 @@ impl<'g> EvalContext<'g> {
             Some((expr.clone(), len))
         });
         let _ = self.expr_lens.set(lens.collect());
-        if budget_mb == 0 {
-            return;
+        if budget_mb > 0 {
+            let _ = self.expr_cache.set(ExprCache::freeze(memo));
         }
-        let mut cache = ExprCache::new(budget_mb);
-        for expr in exprs {
-            if cache.map.contains_key(expr) {
-                continue;
-            }
-            match self.admit_expr(&mut cache, &memo, expr, &fresh_budget()) {
-                Ok(rel) => cache.admit(expr.clone(), rel),
-                Err(EvalError::TooLarge(sz)) => {
-                    // Deterministic failure under the cap: cache it so no
-                    // cell re-derives the blow-up four times. The doomed
-                    // computation still ran once — it counts as a fill.
-                    cache.fills += 1;
-                    cache.map.insert(expr.clone(), ExprCacheEntry::TooLarge(sz));
-                }
-                // Timeouts (and anything else wall-clock-shaped) are
-                // machine artifacts — never cached.
-                Err(_) => {}
-            }
-        }
-        let _ = self.expr_cache.set(cache);
-    }
-
-    /// One step of the admission replay: the relation of a fill candidate,
-    /// admitting the concatenation prefixes of its disjunct paths on the
-    /// way. Each path starts from its longest prefix already in `cache` —
-    /// a negative entry over the cap is the error — and every longer
-    /// prefix is resolved and admitted in order. Shorter prefixes are not
-    /// offered again, so one the byte budget rejected is counted once.
-    fn admit_expr(
-        &self,
-        cache: &mut ExprCache,
-        memo: &Memo,
-        expr: &RegularExpr,
-        budget: &Budget,
-    ) -> Resolved {
-        for path in &expr.disjuncts {
-            let longest = (1..=path.0.len()).rev().find_map(|k| {
-                cache
-                    .serve(&prefix(path, k), budget)
-                    .map(|served| served.map(|_| k))
-            });
-            let start = longest.transpose()?.unwrap_or(0);
-            for k in start + 1..=path.0.len() {
-                let rel = self.resolve(memo, None, &prefix(path, k), budget)?;
-                cache.admit(prefix(path, k), rel);
-            }
-        }
-        self.resolve(memo, None, expr, budget)
     }
 
     /// The relation of one memo key: served from `frozen` if it holds the
@@ -577,7 +521,7 @@ impl<'g> EvalContext<'g> {
     /// The exact cardinality of a fill candidate that fit the tuple cap,
     /// if the fill ran — the planner's short-circuit: a counted
     /// sub-expression needs no statistical estimate. It does not depend
-    /// on the byte budget or on which engines read the cache, and it
+    /// on whether a cache is kept or on which engines read it, and it
     /// touches no hit/miss counter (planning is warm-up work, not cell
     /// evaluation).
     pub fn exact_expr_len(&self, expr: &RegularExpr) -> Option<u64> {
@@ -590,13 +534,10 @@ impl<'g> EvalContext<'g> {
     pub fn expr_cache_stats(&self) -> Option<EvalCacheStats> {
         let cache = self.expr_cache.get()?;
         Some(EvalCacheStats {
-            budget_mb: cache.budget_mb,
             entries: cache.map.len(),
             tuples: cache.tuples,
-            bytes: cache.bytes,
             hits: self.cache_hits.load(Ordering::Relaxed),
             misses: self.cache_misses.load(Ordering::Relaxed),
-            rejected: cache.rejected,
             fills: cache.fills,
         })
     }
@@ -724,18 +665,16 @@ mod tests {
         let hit = ctx.cached_expr(&expr, &budget).unwrap().expect("hit");
         let direct = EvalContext::new(&g).expr_relation(&expr, &budget).unwrap();
         assert_eq!(hit, direct);
-        // The length-1 prefix was admitted under its canonical key, which
+        // The length-1 prefix was kept under its canonical key, which
         // is exactly what `RegularExpr::symbol` builds.
         let prefix = RegularExpr::symbol(sym(0));
         let prefix_hit = ctx.cached_expr(&prefix, &budget).unwrap().expect("hit");
         assert_eq!(prefix_hit.as_ref(), ctx.relation(sym(0)));
         let stats = ctx.expr_cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses), (2, 0));
-        // The two admitted entries were built during fill — the probe
-        // counters above never saw them, but `fills` did.
-        assert_eq!(stats.fills, 2, "{stats:?}");
-        assert!(stats.entries >= 2, "{stats:?}");
-        assert_eq!(stats.bytes, stats.tuples as usize * 8);
+        // The two entries were built during fill — the probe counters
+        // above never saw them, but `fills` did.
+        assert_eq!((stats.entries, stats.fills), (2, 2), "{stats:?}");
         // A second fill is a no-op: the cache froze at first fill.
         ctx.fill_expr_cache(&[prefix], 1, Budget::default);
         assert_eq!(ctx.expr_cache_stats().unwrap().entries, stats.entries);
@@ -850,73 +789,79 @@ mod tests {
     }
 
     #[test]
-    fn the_replay_does_not_retry_a_prefix_below_a_cached_one() {
-        // a: all 400 × 400 pairs, 1.22 MiB — over a 1 MiB budget; b: 0→1;
-        // c: 1→2. Filling a·b rejects `a` and admits the 400 pairs of a·b.
-        // a·b·c then starts from the cached a·b, so `a` is not offered,
-        // and rejected, a second time.
-        let mut b = GraphBuilder::new(TypePartition::from_counts(&[400]), 3);
-        for s in 0..400 {
-            for t in 0..400 {
-                b.edge(s, 0, t);
-            }
+    fn a_negative_prefix_entry_is_the_uncached_error() {
+        // a: 0→1, 0→2; b: 1→0..9, 2→10..19; c: 0→0. Under a 10-tuple cap
+        // a·b (20 pairs) blows up, so filling the candidate a·b·c freezes
+        // a negative entry for the prefix a·b, which no query names. P
+        // reads it for a·b and fails exactly as a context without a cache
+        // fails computing a·b.
+        let mut b = GraphBuilder::new(TypePartition::from_counts(&[20]), 3);
+        for (s, p, t) in [(0, 0, 1), (0, 0, 2), (0, 2, 0)] {
+            b.edge(s, p, t);
         }
-        b.edge(0, 1, 1);
-        b.edge(1, 2, 2);
+        for t in 0..20 {
+            b.edge(1 + t / 10, 1, t);
+        }
         let g = b.build();
         let path = |len: usize| RegularExpr::path(PathExpr((0..len).map(sym).collect()));
+        let cap = || Budget::with_limits(None, 10);
         let ctx = EvalContext::new(&g);
-        ctx.fill_expr_cache(&[path(2), path(3)], 1, Budget::default);
-        let stats = ctx.expr_cache_stats().unwrap();
-        assert_eq!(
-            (stats.entries, stats.rejected, stats.fills),
-            (2, 1, 3),
-            "{stats:?}"
-        );
+        ctx.fill_expr_cache(&[path(3)], 64, cap);
+        let frozen = &ctx.expr_cache.get().unwrap().map;
+        assert_eq!(frozen.get(&path(2)), Some(&ExprCacheEntry::TooLarge(20)));
+        let uncached = EvalContext::new(&g).expr_relation(&path(2), &cap());
+        assert_eq!(uncached, Err(EvalError::TooLarge(20)));
+        assert_eq!(ctx.expr_relation(&path(2), &cap()), uncached);
+    }
+
+    /// A generated recursive Bib instance of 1 500 nodes and its fill
+    /// candidates: twelve queries, recursion 0.5, the workload at `seed`.
+    fn bib_fill(seed: u64) -> (gmark_store::Graph, Vec<RegularExpr>) {
+        use crate::matrix::fill_candidates;
+        use crate::EngineKind;
+        use gmark_core::{generate_graph, generate_workload, usecases};
+        use gmark_core::{GeneratorOptions, GraphConfig, WorkloadConfig};
+
+        let schema = usecases::bib();
+        let config = GraphConfig::new(1_500, schema.clone());
+        let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
+        let mut wcfg = WorkloadConfig::new(12).with_seed(seed);
+        wcfg.recursion_probability = 0.5;
+        let (workload, _) = generate_workload(&schema, &wcfg).expect("the workload generates");
+        let queries: Vec<_> = workload.queries.iter().map(|gq| &gq.query).collect();
+        (graph, fill_candidates(&queries, &EngineKind::ALL))
     }
 
     #[test]
     fn a_parallel_fill_freezes_what_the_one_thread_fill_freezes() {
         // Generated recursive Bib workloads, in RAM and through a one-page
-        // store. A tight cap leaves negative entries; a 1 MiB byte budget
-        // rejects admissions, so the admission order shows in the map.
-        // Each fill also carries the one-thread fill's `(entries, tuples,
-        // bytes, rejected, fills)` as recorded when the admission replay
-        // still ran its own fold, so the replay itself is pinned too.
-        use crate::matrix::fill_candidates;
-        use crate::EngineKind;
-        use gmark_core::{generate_graph, generate_workload, usecases};
-        use gmark_core::{GeneratorOptions, GraphConfig, WorkloadConfig};
+        // store. A tight cap leaves negative entries. Each fill also
+        // carries the one-thread fill's `(entries, tuples, fills)`.
+        use gmark_core::usecases;
         use gmark_store::paged::{StoreMeta, StoreReader, StoreWriter};
 
         let schema = usecases::bib();
         let dir = std::env::temp_dir().join(format!("gmark-engines-fill-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (mut too_large, mut rejected) = (false, false);
+        let mut too_large = false;
         let recorded = [
             (
                 7u64,
                 [
-                    (20_000, 64, (28, 45_389, 363_112, 0, 28)),
-                    (200_000, 1, (26, 129_888, 1_039_104, 8, 34)),
+                    (20_000, 64, (29, 45_389, 29)),
+                    (200_000, 1, (29, 148_674, 29)),
                 ],
             ),
             (
                 9,
                 [
-                    (20_000, 64, (30, 27_582, 220_656, 0, 30)),
-                    (200_000, 1, (29, 118_361, 946_888, 4, 33)),
+                    (20_000, 64, (30, 27_582, 30)),
+                    (200_000, 1, (30, 155_641, 30)),
                 ],
             ),
         ];
         for (seed, fills) in recorded {
-            let config = GraphConfig::new(1_500, schema.clone());
-            let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
-            let mut wcfg = WorkloadConfig::new(12).with_seed(seed);
-            wcfg.recursion_probability = 0.5;
-            let (workload, _) = generate_workload(&schema, &wcfg).expect("the workload generates");
-            let queries: Vec<_> = workload.queries.iter().map(|gq| &gq.query).collect();
-            let exprs = fill_candidates(&queries, &EngineKind::ALL);
+            let (graph, exprs) = bib_fill(seed);
             let path = dir.join(format!("{seed}.gstore"));
             let meta = StoreMeta {
                 seed,
@@ -935,7 +880,7 @@ mod tests {
                     let want = lazy.expr_cache.get().unwrap();
                     let s = lazy.expr_cache_stats().unwrap();
                     assert_eq!(
-                        (s.entries, s.tuples, s.bytes, s.rejected, s.fills),
+                        (s.entries, s.tuples, s.fills),
                         stats,
                         "seed {seed}, cap {max_tuples}, {budget_mb} MiB, one thread"
                     );
@@ -943,7 +888,6 @@ mod tests {
                         .map
                         .values()
                         .any(|e| matches!(e, ExprCacheEntry::TooLarge(_)));
-                    rejected |= want.rejected > 0;
                     for threads in [2, 3, 8] {
                         let ctx = EvalContext::new(view);
                         ctx.fill_expr_cache_on(threads, &exprs, budget_mb, budget);
@@ -959,6 +903,22 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
         assert!(too_large, "no fill left a negative entry");
-        assert!(rejected, "no fill rejected an admission");
+    }
+
+    #[test]
+    fn a_one_mib_fill_freezes_what_a_64_mib_fill_freezes() {
+        // `cache_mb` is an on/off switch: no value bounds what is kept.
+        for seed in [7, 9] {
+            let (graph, exprs) = bib_fill(seed);
+            for max_tuples in [20_000, 200_000] {
+                let budget = || Budget::with_limits(None, max_tuples);
+                let [small, large] = [1, 64].map(|budget_mb| {
+                    let ctx = EvalContext::new(&graph);
+                    ctx.fill_expr_cache(&exprs, budget_mb, budget);
+                    ctx.expr_cache.into_inner().unwrap().map
+                });
+                assert!(small == large, "seed {seed}, cap {max_tuples}");
+            }
+        }
     }
 }

@@ -235,17 +235,19 @@ pub struct MatrixOptions {
     /// makes every engine follow [`QueryPlan::declaration_order`] — the
     /// differential reference the planner is tested against.
     pub plan: bool,
-    /// Byte budget (MiB) of the cross-cell sub-expression result cache
-    /// ([`EvalContext::fill_expr_cache`]); `0` disables it. The cache is
-    /// filled during warm-up — before any cell clock starts — by resolving
-    /// every candidate once on the worker threads and admitting them in
-    /// enumeration order; cells only read it, so enabling it preserves the
-    /// thread-count determinism guarantee (see the context module docs).
+    /// Whether to keep the cross-cell sub-expression result cache
+    /// ([`EvalContext::fill_expr_cache`]): `0` keeps none, any other value
+    /// keeps it. The value is not a size bound; the tuple cap bounds each
+    /// cached relation (see the context module docs). The cache is filled
+    /// during warm-up — before any cell clock starts — by resolving every
+    /// candidate once on the worker threads; cells only read it, so
+    /// enabling it preserves the thread-count determinism guarantee.
     pub cache_mb: usize,
 }
 
 impl MatrixOptions {
-    /// Default cache budget: 64 MiB of pair columns.
+    /// The default [`MatrixOptions::cache_mb`]: nonzero, so the cache is
+    /// kept. Only whether it is `0` matters.
     pub const DEFAULT_CACHE_MB: usize = 64;
 }
 
@@ -548,8 +550,8 @@ pub fn evaluate_matrix_with_schema(
 /// selected engine reads it — every engine but `D` does. Cells only ever
 /// read the cache, so its contents are fixed before the first cell clock
 /// starts. A planned run fills even when nothing reads the cache: the
-/// fill counts every candidate for the planner and then drops what it
-/// would not admit, so each plan, and with it each cell's outcome, is the
+/// fill counts every candidate for the planner and then drops the memo,
+/// so each plan, and with it each cell's outcome, is the
 /// same whichever engines are selected. Returns the fill's wall seconds.
 fn warm_context(
     ctx: &EvalContext<'_>,
@@ -946,7 +948,8 @@ mod tests {
         // cap — while `S`'s product BFS never does and finds the 40 pairs
         // (x_i, y). Answer-equality tests cannot tell the kernels apart;
         // this cap can, with the cache off and with it on (where both
-        // probes miss: a·a⁻·b is a negative entry, `a` its one hit).
+        // probes miss: a·a⁻·b and its prefix a·a⁻ are negative entries,
+        // `a` the one hit).
         use gmark_store::{EdgeSink, GraphBuilder, TypePartition};
         let (hub, y) = (40, 41);
         let mut b = GraphBuilder::new(TypePartition::from_counts(&[42]), 2);
@@ -990,7 +993,7 @@ mod tests {
                 "cache_mb={cache_mb}"
             );
             let cache = report.cache.map(|s| (s.entries, s.hits, s.misses));
-            assert_eq!(cache, (cache_mb > 0).then_some((2, 0, 2)));
+            assert_eq!(cache, (cache_mb > 0).then_some((3, 0, 2)));
         }
     }
 

@@ -268,9 +268,9 @@ fn plan_rule(rule: &Rule, ests: &[ExprEst], n: u128) -> RulePlan {
 /// ([`EvalContext::exact_expr_len`]): the fill runs during the same
 /// warm-up phase, before any plan is computed, and counts every
 /// conjunct's expression under the tuple cap whatever the engine
-/// selection or byte budget, so this stays a pure function of `(graph,
-/// query, cap)` and plans remain thread-count-invariant. Distinct-endpoint
-/// counts keep their capped statistical estimates (the fill does not
+/// selection and whether a cache is kept, so this stays a pure function
+/// of `(graph, query, cap)` and plans remain thread-count-invariant.
+/// Distinct-endpoint counts keep their capped statistical estimates (the fill does not
 /// record them).
 fn expr_est(
     ctx: &EvalContext<'_>,

@@ -20,10 +20,9 @@
 //!
 //! The index is built on the first probe, through a [`OnceLock`], so a
 //! relation nothing probes — most Datalog deltas, union and difference
-//! outputs — never pays for it. It is not part of the value: equality,
-//! [`Clone`] and [`Relation::heap_bytes`] read the pairs alone, so what
-//! the sub-expression cache admits cannot depend on which thread probed a
-//! relation first.
+//! outputs — never pays for it. It is not part of the value: equality
+//! and [`Clone`] read the pairs alone, so what the sub-expression cache
+//! holds cannot depend on which thread probed a relation first.
 
 use crate::{Budget, EvalError};
 use gmark_core::query::Symbol;
@@ -192,14 +191,6 @@ impl Relation {
     /// The pairs, sorted.
     pub fn pairs(&self) -> &[(NodeId, NodeId)] {
         &self.pairs
-    }
-
-    /// Approximate heap footprint of the pair columns, in bytes (the unit
-    /// the sub-expression cache's admission budget is accounted in). The
-    /// run index is left out: it exists once something probed the
-    /// relation, and admission must not depend on which cell did first.
-    pub fn heap_bytes(&self) -> usize {
-        self.pairs.len() * std::mem::size_of::<(NodeId, NodeId)>()
     }
 
     /// The run index, built on the first call.
@@ -657,7 +648,6 @@ mod tests {
             let _ = warm.targets_of(0);
             prop_assert_eq!(&cold, &warm);
             prop_assert_eq!(&warm, &cold);
-            prop_assert_eq!(cold.heap_bytes(), warm.heap_bytes());
 
             // One shared relation, its index built by whichever of four
             // workers probes first.

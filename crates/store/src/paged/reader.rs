@@ -22,10 +22,9 @@ const SCAN_CHUNK: usize = 32 * 1024;
 /// [`StoreReader::open`] validates framing and bounds (magic, version,
 /// footer, directory, segment positions) without reading the data pages;
 /// [`StoreReader::verify`] additionally checks the checksum and the
-/// offset arrays. Evaluation reads the store only through the bulk scans
-/// ([`StoreReader::pairs`], [`StoreReader::distinct_endpoints`]), which
-/// stream with private buffers; the engines then hold each symbol
-/// relation they mention in RAM. [`StoreReader::neighbors`] is an
+/// offset arrays. Evaluation reads the store only through the bulk scan
+/// [`StoreReader::pairs`], which streams with private buffers; the
+/// engines then hold each symbol relation they mention in RAM. [`StoreReader::neighbors`] is an
 /// uncached point lookup for callers outside evaluation.
 ///
 /// The reader holds no mutable state, so one reader serves every worker
@@ -467,35 +466,6 @@ impl StoreReader {
             tgt_start: u64::MAX,
             primed: false,
         }
-    }
-
-    /// `(distinct sources, distinct targets)` of one predicate's forward
-    /// relation: a sequential scan over both offset arrays counting nodes
-    /// with non-zero degree — never touching target pages. This is the
-    /// bulk statistic behind the planner's `SymbolStats`.
-    pub fn distinct_endpoints(&self, pred: PredIdx) -> Result<(usize, usize), StoreError> {
-        let mut out = [0usize; 2];
-        let mut buf = vec![0u64; SCAN_CHUNK];
-        for (dir, slot) in out.iter_mut().enumerate() {
-            let seg = self.segment(pred, dir == 1);
-            let n_plus_1 = self.node_count as u64 + 1;
-            let mut prev = 0u64;
-            let mut idx = 0u64;
-            let mut distinct = 0usize;
-            while idx < n_plus_1 {
-                let take = ((n_plus_1 - idx) as usize).min(SCAN_CHUNK);
-                self.read_u64s(seg.offsets_pos + idx * 8, &mut buf[..take])?;
-                for &o in &buf[..take] {
-                    if o > prev {
-                        distinct += 1;
-                    }
-                    prev = o;
-                }
-                idx += take as u64;
-            }
-            *slot = distinct;
-        }
-        Ok((out[0], out[1]))
     }
 
     /// Positioned read of little-endian u64s.

@@ -4,9 +4,8 @@
 //! Every consumer of graph topology — the evaluation context's symbol
 //! relations, the planner's statistics, the run pipeline — goes through
 //! this enum, so the same query code serves both a fully materialized
-//! graph and a store file. The view offers counts, sequential `pairs`
-//! scans and the per-predicate endpoint statistics; it has no point
-//! lookup, because the engines read adjacency from the sorted relations
+//! graph and a store file. The view offers counts and sequential `pairs`
+//! scans; it has no point lookup, because the engines read adjacency from the sorted relations
 //! those scans build. The facade is infallible like `&Graph` always was:
 //! the paged variant validates structure when the store is opened, and a
 //! post-validation I/O failure (disk yanked mid-scan) panics with the
@@ -116,34 +115,6 @@ impl<'g> GraphView<'g> {
                 g.forward(pred).iter_edges()
             }),
             GraphView::Paged(r) => Pairs::Paged(r.pairs(pred, inverse)),
-        }
-    }
-
-    /// `(distinct sources, distinct targets)` of one predicate — the bulk
-    /// statistic behind the planner's `SymbolStats`, computed from the
-    /// offset arrays alone on both variants.
-    pub fn distinct_endpoints(&self, pred: PredIdx) -> (usize, usize) {
-        match self {
-            GraphView::InMemory(g) => {
-                let distinct = |offsets: &[u64]| {
-                    let mut prev = 0u64;
-                    let mut n = 0usize;
-                    for &o in offsets {
-                        if o > prev {
-                            n += 1;
-                        }
-                        prev = o;
-                    }
-                    n
-                };
-                (
-                    distinct(g.forward(pred).offsets()),
-                    distinct(g.backward(pred).offsets()),
-                )
-            }
-            GraphView::Paged(r) => r
-                .distinct_endpoints(pred)
-                .unwrap_or_else(|e| panic!("paged statistics read failed: {e}")),
         }
     }
 }

@@ -765,15 +765,8 @@ fn render_eval_report(
         Some(stats) => {
             let _ = writeln!(
                 rendered,
-                "cache: on ({} MiB budget, {} entries, {} tuples, \
-                 {} fills, {} hits / {} misses, {} rejected)",
-                stats.budget_mb,
-                stats.entries,
-                stats.tuples,
-                stats.fills,
-                stats.hits,
-                stats.misses,
-                stats.rejected
+                "cache: on ({} entries, {} tuples, {} fills, {} hits / {} misses)",
+                stats.entries, stats.tuples, stats.fills, stats.hits, stats.misses
             );
         }
         None => {

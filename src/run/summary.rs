@@ -470,13 +470,11 @@ fn write_eval_json(e: &EvalRunSummary, w: &mut JsonWriter) {
     w.key("cache").begin_object();
     w.key("enabled").bool(e.cache.is_some());
     if let Some(c) = &e.cache {
-        w.key("budget_mb").uint(c.budget_mb as u64);
         w.key("entries").uint(c.entries as u64);
         w.key("tuples").uint(c.tuples);
         w.key("fills").uint(c.fills);
         w.key("hits").uint(c.hits);
         w.key("misses").uint(c.misses);
-        w.key("rejected").uint(c.rejected);
     }
     w.end_object();
     w.key("queries").uint(e.queries as u64);
@@ -555,13 +553,10 @@ mod tests {
                 max_tuples: 1_000_000,
                 plan: true,
                 cache: Some(gmark_engines::EvalCacheStats {
-                    budget_mb: 64,
                     entries: 5,
                     tuples: 1000,
-                    bytes: 8000,
                     hits: 9,
                     misses: 3,
-                    rejected: 1,
                     fills: 4,
                 }),
                 queries: 2,
@@ -681,9 +676,8 @@ mod tests {
         let json = sample().to_json();
         assert!(
             json.contains(
-                "\"plan\":true,\"cache\":{\"enabled\":true,\"budget_mb\":64,\
-                 \"entries\":5,\"tuples\":1000,\"fills\":4,\"hits\":9,\"misses\":3,\
-                 \"rejected\":1}"
+                "\"plan\":true,\"cache\":{\"enabled\":true,\"entries\":5,\
+                 \"tuples\":1000,\"fills\":4,\"hits\":9,\"misses\":3}"
             ),
             "{json}"
         );

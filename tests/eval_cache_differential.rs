@@ -10,8 +10,8 @@
 //! Planning is disabled in the property tests, so `plan: false` isolates
 //! the cache's contract that outcomes themselves never shift. The
 //! planner's exact cardinalities come from the fill's counts, which do not
-//! depend on the byte budget; `tests/selection_invariance.rs` holds the
-//! planned regime to identical cells at `cache_mb` 0, 1 and 64. The
+//! depend on whether a cache is kept; `tests/selection_invariance.rs`
+//! holds the planned regime to identical cells at `cache_mb` 0, 1 and 64. The
 //! generated-workload test here covers the planned regime too, where
 //! answers may not move.
 //!
@@ -213,7 +213,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // A cell-time miss that starts from a cached prefix. The fill admits
+    // A cell-time miss that starts from a cached prefix. The fill keeps
     // only the proper prefixes of the probed expression's paths, at cap
     // `c1`, so the probe at `c2 ≥ c1` misses, and its evaluation starts
     // from the longest cached prefix of each path — or fails at once on a
