@@ -177,7 +177,8 @@ fn semi_naive(
     };
     // Rule (d): against a stable step, the delta of a linear recursion is
     // one sorted compose. These rounds are `D`'s own: `P`'s closures
-    // (`Relation::star`) traverse per source and never compose.
+    // (`Relation::star`) condense the relation into its strongly connected
+    // components and never compose.
     let composes: Vec<Option<Pred>> = program
         .rules
         .iter()

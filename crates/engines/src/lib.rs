@@ -14,8 +14,9 @@
 //! The four strategies ([`EngineKind`]):
 //!
 //! * `P` (relational) — **materialise**: one binary relation per conjunct
-//!   by sort-merge composition and, for stars, the whole closure by one
-//!   reachability traversal per source,
+//!   by sort-merge composition and, for stars, the whole closure, counted
+//!   once per strongly connected component and written only when it fits
+//!   the tuple cap ([`relations::Relation::star`]),
 //!   like the paper's SQL:1999 translation evaluated bottom-up;
 //! * `S` (triple store) — **property paths**: on a cache miss,
 //!   product-automaton BFS over the sorted indexes, no intermediate

@@ -39,8 +39,10 @@ pub enum EngineKind {
     /// Evaluates the plan the paper's SQL:1999 translation induces: every
     /// conjunct becomes a fully materialized binary relation (scans +
     /// joins + `UNION`s; for a star, the whole closure the `WITH
-    /// RECURSIVE` CTE defines, materialized by one reachability traversal
-    /// per source) — with no property-path shortcuts — and the relations
+    /// RECURSIVE` CTE defines, counted once per strongly connected
+    /// component and materialized only when it fits the tuple cap; see
+    /// [`Relation::star`](crate::relations::Relation::star)) — with no
+    /// property-path shortcuts — and the relations
     /// are then joined in the order of the query plan.
     ///
     /// Profile reproduced from the paper: strong on constant- and

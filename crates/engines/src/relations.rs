@@ -7,16 +7,19 @@
 //! the pairs of any source are found in O(1) ([`Relation::targets_of`]).
 //! Every kernel that looks up a source's run reads it there: the BFS moves
 //! of `S` and `G`, the join arms every engine shares, composition's right
-//! side and the star's traversals. The kernels never hash and never
+//! side and the star's condensation. The kernels never hash and never
 //! re-sort whole results: composition walks the left side source-run by
 //! source-run and appends each run's deduplicated targets (output is
 //! emitted already sorted), union and difference are linear merges of
 //! sorted inputs, transposition is a counting scatter, and the star
 //! materializes the same closure the paper's footnote-4 linear recursion
-//! defines by one traversal per source, each source's targets sorted as it
-//! is emitted. Composition's per-source target buffers live in a
-//! per-worker scratch arena (`thread_local`) so its inner loop allocates
-//! nothing in steady state.
+//! defines in three passes: it condenses the relation into its strongly
+//! connected components (Tarjan's algorithm, without recursion), counts
+//! each component's reach set once, charging the tuple cap source by
+//! source, and only then writes a closure that fits, each component's
+//! sorted reach set copied once per member source. Composition's
+//! per-source target buffers live in a per-worker scratch arena
+//! (`thread_local`) so its inner loop allocates nothing in steady state.
 //!
 //! The index is built on the first probe, through a [`OnceLock`], so a
 //! relation nothing probes — most Datalog deltas, union and difference
@@ -321,55 +324,255 @@ impl Relation {
         &self.pairs[self.index().run(&self.pairs, s)]
     }
 
-    /// Reflexive-transitive closure `self*` over the nodes `0..n`: one
-    /// breadth-first traversal per source over `self`'s own source runs,
-    /// with one stamp array shared by every traversal. Source `s` emits
-    /// `(s, s)` and every node reached in one or more steps, its targets
-    /// sorted, so the output is sorted and deduplicated by construction —
-    /// no rounds, no hash set, no whole-result re-sort.
+    /// Reflexive-transitive closure `self*` over the nodes `0..n`, in
+    /// three passes:
+    ///
+    /// 1. **Condense.** Tarjan's algorithm, run iteratively over the run
+    ///    index, splits the nodes into strongly connected components;
+    ///    the condensation keeps one node per component and the
+    ///    deduplicated edges between components.
+    /// 2. **Count.** Sources are taken in id order. The first source of
+    ///    each component counts the component's reach set once, by a BFS
+    ///    over the condensation that weighs each component by its node
+    ///    count. The running total is charged after every source.
+    /// 3. **Write.** Only a closure that fits the cap gets here. Each
+    ///    component's reach set is gathered and sorted once, then copied
+    ///    as the targets of every member source into one output vector of
+    ///    the exact length. The output is sorted and deduplicated by
+    ///    construction: no rounds, no hash set, no whole-result re-sort.
     ///
     /// Precondition: every endpoint of `self` is below `n` (callers pass
     /// the graph's node count).
     ///
-    /// The budget sees the clock every 256 sources and the cumulative
-    /// output after each source. Every charge is a prefix of the closure,
-    /// so the call succeeds exactly when the whole closure fits the tuple
-    /// cap; over it, `TooLarge` carries the length of the first prefix
-    /// past the cap. On quadratic-selectivity closures that is the point:
-    /// materializing the full result is why the `P`-style engine blows its
-    /// budget on the paper's hardest recursive queries (Table 4).
+    /// The budget sees the clock every 256 nodes Tarjan visits, every 256
+    /// sources counted and every 256 components written, and the
+    /// cumulative count after each source. Every charge is a prefix of the
+    /// closure in source order, so the call succeeds exactly when the
+    /// whole closure fits the tuple cap; over it, `TooLarge` carries the
+    /// length of the first prefix past the cap, having written nothing.
+    /// Those are the charges a BFS per source makes as it writes each
+    /// source's targets, so `P`'s outcome, and the `n` of its
+    /// `TooLarge(n)`, is what one traversal per source gives. On
+    /// quadratic-selectivity closures that failure is the point:
+    /// materializing the full result is why the `P`-style engine blows
+    /// its budget on the paper's hardest recursive queries (Table 4).
     pub fn star(&self, n: NodeId, budget: &Budget) -> Result<Relation, EvalError> {
         debug_assert!(
             self.pairs.iter().all(|&(s, t)| s < n && t < n),
             "star over {n} nodes given an endpoint >= {n}"
         );
-        // `stamp[v] == s + 1` marks `v` reached from `s`.
-        let mut stamp: Vec<NodeId> = vec![0; n as usize];
-        let mut reached: Vec<NodeId> = Vec::new();
-        let mut out: Vec<(NodeId, NodeId)> = Vec::new();
+        let dag = Condensation::of(self, n, budget)?;
+        let mut walk = Walk::new(dag.len());
+        // `reach[c]`: nodes reachable from component `c`; 0 until counted
+        // (a component reaches at least itself).
+        let mut reach: Vec<usize> = vec![0; dag.len()];
+        // `starts[s]`: where source `s`'s targets begin in the output.
+        let mut starts: Vec<usize> = Vec::with_capacity(n as usize);
+        let mut total = 0usize;
         for s in 0..n {
             if s.is_multiple_of(256) {
                 budget.check_time()?;
             }
-            reached.clear();
-            reached.push(s);
-            stamp[s as usize] = s + 1;
-            let mut head = 0usize;
-            while head < reached.len() {
-                let u = reached[head];
-                head += 1;
-                for &(_, v) in self.targets_of(u) {
-                    if stamp[v as usize] != s + 1 {
-                        stamp[v as usize] = s + 1;
-                        reached.push(v);
+            let c = dag.comp[s as usize] as usize;
+            if reach[c] == 0 {
+                let reached = walk.from(&dag, c).iter();
+                reach[c] = reached.map(|&d| dag.members(d as usize).len()).sum();
+            }
+            starts.push(total);
+            total += reach[c];
+            budget.check_size(total)?;
+        }
+
+        let mut out: Vec<(NodeId, NodeId)> = vec![(0, 0); total];
+        let mut targets: Vec<NodeId> = Vec::new();
+        // Fresh stamps: counting stamped every component it walked from.
+        let mut walk = Walk::new(dag.len());
+        for c in 0..dag.len() {
+            if c.is_multiple_of(256) {
+                budget.check_time()?;
+            }
+            targets.clear();
+            for &d in walk.from(&dag, c) {
+                targets.extend_from_slice(dag.members(d as usize));
+            }
+            targets.sort_unstable();
+            for &s in dag.members(c) {
+                let at = starts[s as usize];
+                for (slot, &t) in out[at..at + targets.len()].iter_mut().zip(&targets) {
+                    *slot = (s, t);
+                }
+            }
+        }
+        Ok(Relation::sorted(out))
+    }
+}
+
+/// The condensation of a relation over the nodes `0..n`: its strongly
+/// connected components, numbered in the order Tarjan's algorithm
+/// completes them (so every edge between components runs from a higher
+/// number to a lower one), with their members and the deduplicated edges
+/// between them.
+struct Condensation {
+    /// The component of each node.
+    comp: Vec<u32>,
+    /// The nodes, grouped by component: component `c`'s members are
+    /// `members[member_starts[c]..member_starts[c + 1]]`.
+    members: Vec<NodeId>,
+    member_starts: Vec<u32>,
+    /// The components each component has an edge to, itself excluded,
+    /// each once: `succ[succ_starts[c]..succ_starts[c + 1]]`.
+    succ: Vec<u32>,
+    succ_starts: Vec<u32>,
+}
+
+impl Condensation {
+    /// Tarjan's algorithm with an explicit stack of DFS frames, so a path
+    /// of any length recurses nowhere. The budget sees the clock every
+    /// 256 nodes visited.
+    fn of(r: &Relation, n: NodeId, budget: &Budget) -> Result<Condensation, EvalError> {
+        const UNSEEN: u32 = u32::MAX;
+        let len = n as usize;
+        // `order[v]`: v's DFS preorder number; `low[v]`: the least
+        // preorder number v reaches among the nodes still on `stack`.
+        let mut order = vec![UNSEEN; len];
+        let mut low = vec![0u32; len];
+        let mut comp = vec![UNSEEN; len];
+        let mut stack: Vec<NodeId> = Vec::new();
+        // One frame per node on the DFS path: the node and how many of its
+        // edges it has followed.
+        let mut frames: Vec<(NodeId, usize)> = Vec::new();
+        let mut members: Vec<NodeId> = Vec::with_capacity(len);
+        let mut member_starts: Vec<u32> = vec![0];
+        let mut visited = 0u32;
+        for root in 0..n {
+            if order[root as usize] != UNSEEN {
+                continue;
+            }
+            let mut next = Some(root);
+            loop {
+                if let Some(v) = next.take() {
+                    if visited.is_multiple_of(256) {
+                        budget.check_time()?;
+                    }
+                    order[v as usize] = visited;
+                    low[v as usize] = visited;
+                    visited += 1;
+                    stack.push(v);
+                    frames.push((v, 0));
+                }
+                let Some((v, followed)) = frames.last_mut() else {
+                    break;
+                };
+                let v = *v;
+                if let Some(&(_, w)) = r.targets_of(v).get(*followed) {
+                    *followed += 1;
+                    if order[w as usize] == UNSEEN {
+                        next = Some(w);
+                    } else if comp[w as usize] == UNSEEN {
+                        // `w` is still on the stack: a back or cross edge
+                        // inside the component being built.
+                        low[v as usize] = low[v as usize].min(order[w as usize]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if let Some(&(u, _)) = frames.last() {
+                    low[u as usize] = low[u as usize].min(low[v as usize]);
+                }
+                if low[v as usize] == order[v as usize] {
+                    let c = (member_starts.len() - 1) as u32;
+                    loop {
+                        let w = stack.pop().expect("v is on the stack");
+                        comp[w as usize] = c;
+                        members.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    member_starts.push(members.len() as u32);
+                }
+            }
+        }
+
+        // Reuse `low` as the per-component mark: `mark[d] == c` once `c`'s
+        // edge to `d` is listed.
+        let components = member_starts.len() - 1;
+        let mut mark = low;
+        mark.truncate(components);
+        mark.fill(UNSEEN);
+        let mut succ: Vec<u32> = Vec::new();
+        let mut succ_starts: Vec<u32> = vec![0];
+        for (c, run) in member_starts.windows(2).enumerate() {
+            for &v in &members[run[0] as usize..run[1] as usize] {
+                for &(_, w) in r.targets_of(v) {
+                    let d = comp[w as usize];
+                    if d as usize != c && mark[d as usize] != c as u32 {
+                        mark[d as usize] = c as u32;
+                        succ.push(d);
                     }
                 }
             }
-            reached.sort_unstable();
-            budget.check_size(out.len() + reached.len())?;
-            out.extend(reached.iter().map(|&t| (s, t)));
+            succ_starts.push(succ.len() as u32);
         }
-        Ok(Relation::sorted(out))
+        Ok(Condensation {
+            comp,
+            members,
+            member_starts,
+            succ,
+            succ_starts,
+        })
+    }
+
+    /// Number of components.
+    fn len(&self) -> usize {
+        self.member_starts.len() - 1
+    }
+
+    /// The nodes of component `c`.
+    fn members(&self, c: usize) -> &[NodeId] {
+        &self.members[self.member_starts[c] as usize..self.member_starts[c + 1] as usize]
+    }
+
+    /// The components component `c` has an edge to.
+    fn succ(&self, c: usize) -> &[u32] {
+        &self.succ[self.succ_starts[c] as usize..self.succ_starts[c + 1] as usize]
+    }
+}
+
+/// A BFS over a [`Condensation`], its stamp array shared by every walk.
+struct Walk {
+    /// `stamp[d] == c + 1` marks `d` reached from `c`.
+    stamp: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl Walk {
+    fn new(components: usize) -> Walk {
+        Walk {
+            stamp: vec![0; components],
+            queue: Vec::new(),
+        }
+    }
+
+    /// The components reachable from `c`, `c` first. Walks from each
+    /// component at most once.
+    fn from(&mut self, dag: &Condensation, c: usize) -> &[u32] {
+        let mark = c as u32 + 1;
+        self.queue.clear();
+        self.queue.push(c as u32);
+        self.stamp[c] = mark;
+        let mut head = 0;
+        while head < self.queue.len() {
+            let d = self.queue[head] as usize;
+            head += 1;
+            for &e in dag.succ(d) {
+                if self.stamp[e as usize] != mark {
+                    self.stamp[e as usize] = mark;
+                    self.queue.push(e);
+                }
+            }
+        }
+        &self.queue
     }
 }
 
@@ -479,6 +682,22 @@ mod tests {
             r.unwrap().pairs(),
             &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
         );
+    }
+
+    #[test]
+    fn condensation_merges_each_cycle_into_one_component() {
+        // A ring 0 → 1 → 2 → 0 with two edges out of it to 3, and an
+        // isolated 4.
+        let r = Relation::from_pairs(vec![(0, 1), (1, 2), (2, 0), (1, 3), (2, 3)]);
+        let dag = Condensation::of(&r, 5, &Budget::default()).unwrap();
+        assert_eq!(dag.len(), 3);
+        let ring = dag.comp[0] as usize;
+        let mut members = dag.members(ring).to_vec();
+        members.sort_unstable();
+        assert_eq!(members, [0, 1, 2]);
+        // Two edges into 3, one edge between components; 3 is a sink.
+        assert_eq!(dag.succ(ring), &[dag.comp[3]]);
+        assert!(dag.succ(dag.comp[3] as usize).is_empty());
     }
 
     #[test]
@@ -595,6 +814,103 @@ mod tests {
         }
     }
 
+    /// The reference for [`Relation::star`], one BFS per source: each
+    /// source's targets are sorted and written as they are reached, and
+    /// the running output is charged after every source.
+    fn star_per_source(r: &Relation, n: NodeId, budget: &Budget) -> Result<Relation, EvalError> {
+        // `stamp[v] == s + 1` marks `v` reached from `s`.
+        let mut stamp: Vec<NodeId> = vec![0; n as usize];
+        let mut reached: Vec<NodeId> = Vec::new();
+        let mut out: Vec<(NodeId, NodeId)> = Vec::new();
+        for s in 0..n {
+            if s.is_multiple_of(256) {
+                budget.check_time()?;
+            }
+            reached.clear();
+            reached.push(s);
+            stamp[s as usize] = s + 1;
+            let mut head = 0usize;
+            while head < reached.len() {
+                let u = reached[head];
+                head += 1;
+                for &(_, v) in r.targets_of(u) {
+                    if stamp[v as usize] != s + 1 {
+                        stamp[v as usize] = s + 1;
+                        reached.push(v);
+                    }
+                }
+            }
+            reached.sort_unstable();
+            budget.check_size(out.len() + reached.len())?;
+            out.extend(reached.iter().map(|&t| (s, t)));
+        }
+        Ok(Relation::sorted(out))
+    }
+
+    /// Appends a path from `from` through `hops` fresh nodes, ending at
+    /// `to` when given.
+    fn path(
+        pairs: &mut Vec<(NodeId, NodeId)>,
+        fresh: &mut impl Iterator<Item = NodeId>,
+        from: NodeId,
+        hops: usize,
+        to: Option<NodeId>,
+    ) {
+        let mut at = from;
+        for v in fresh.take(hops).chain(to) {
+            pairs.push((at, v));
+            at = v;
+        }
+    }
+
+    /// Relations of the shapes a condensation must get right: one to four
+    /// cycles (a one-node cycle is a self-loop), each joined to the
+    /// previous one by a chain running either way, a tail into the first
+    /// and a tail out of the last. Ids are scattered over `0..41` by an
+    /// affine bijection, so components are not id ranges.
+    fn cycles_and_chains() -> impl Strategy<Value = Relation> {
+        use prop::collection::vec;
+        (
+            vec((1usize..5, 0usize..4, any::<bool>()), 1..5),
+            (0usize..4, 0usize..4),
+            (1u32..41, 0u32..41),
+        )
+            .prop_map(|(cycles, (tail_in, tail_out), (a, b))| {
+                let mut fresh = (0u32..41).map(move |k| (a * k + b) % 41);
+                let mut pairs = Vec::new();
+                let (mut first, mut last) = (None, None);
+                for (len, hops, forward) in cycles {
+                    let ring: Vec<NodeId> = fresh.by_ref().take(len).collect();
+                    for (i, &v) in ring.iter().enumerate() {
+                        pairs.push((v, ring[(i + 1) % len]));
+                    }
+                    match last {
+                        Some(prev) if forward => {
+                            path(&mut pairs, &mut fresh, prev, hops, Some(ring[0]));
+                        }
+                        Some(prev) => {
+                            path(&mut pairs, &mut fresh, ring[0], hops, Some(prev));
+                        }
+                        None => first = Some(ring[0]),
+                    }
+                    last = Some(ring[len - 1]);
+                }
+                if tail_in > 0 {
+                    let start = fresh.next().unwrap();
+                    path(&mut pairs, &mut fresh, start, tail_in - 1, first);
+                }
+                path(&mut pairs, &mut fresh, last.unwrap(), tail_out, None);
+                Relation::from_pairs(pairs)
+            })
+    }
+
+    /// The closure's node count: one past the largest endpoint, and one
+    /// isolated node more; `None` when that is too many for the references.
+    fn star_nodes(r: &Relation) -> Option<NodeId> {
+        let top = r.pairs().iter().map(|&(s, t)| s.max(t)).max().unwrap_or(0);
+        (top < 200).then_some(top + 2)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -634,12 +950,11 @@ mod tests {
                 prop_assert_eq!(composed, Relation::from_pairs(expected));
             }
 
-            // The star, over relations small enough for the reference.
-            let top = r.pairs().iter().map(|&(s, t)| s.max(t)).max().unwrap_or(0);
-            if top < 200 {
-                let n = top + 2;
+            // The star, over relations small enough for the references.
+            if let Some(n) = star_nodes(&r) {
                 let star = r.star(n, &Budget::default()).unwrap();
                 prop_assert_eq!(star.pairs(), &reference_star(&r, n)[..]);
+                prop_assert_eq!(&star, &star_per_source(&r, n, &Budget::default()).unwrap());
             }
 
             // Equality, and a clone, read the pairs, not whether an index
@@ -655,6 +970,27 @@ mod tests {
             let runs = ordered_map(4, ids.len(), |i| shared.targets_of(ids[i]).to_vec());
             for (&s, run) in ids.iter().zip(&runs) {
                 prop_assert_eq!(run, &scan(&r, s));
+            }
+        }
+
+        // At every cap from 0 to one past the closure, the condensed star
+        // must give the per-source reference's pairs, or its
+        // `TooLarge(n)`. Component shapes are drawn two times in three.
+        #[test]
+        fn star_matches_the_per_source_reference_at_every_cap(
+            r in prop_oneof![relations(), cycles_and_chains(), cycles_and_chains()],
+        ) {
+            let n = star_nodes(&r);
+            prop_assume!(n.is_some());
+            let n = n.unwrap();
+            let total = star_per_source(&r, n, &Budget::default()).unwrap().len();
+            for cap in 0..=total + 1 {
+                let budget = Budget::with_limits(None, cap);
+                prop_assert_eq!(
+                    r.star(n, &budget),
+                    star_per_source(&r, n, &budget),
+                    "cap {} of {}", cap, total
+                );
             }
         }
     }

@@ -216,6 +216,7 @@ fn run_stages<S: Sink + ?Sized>(
         streamed: sink.is_some() && opts.stream && graph.summary.is_some(),
         consistency,
         graph: graph.summary,
+        from_store: plan.from_store.clone(),
         store: graph.store,
         workload: workload_summary,
         eval: eval_summary,

@@ -33,6 +33,10 @@ pub struct RunSummary {
     pub consistency: Vec<String>,
     /// Graph-instance outcome; `None` when the plan skipped the graph.
     pub graph: Option<GraphRunSummary>,
+    /// The store the evaluation stage read its graph from, when the plan
+    /// evaluated an existing store instead of generating a graph (report
+    /// only — not serialized to JSON).
+    pub from_store: Option<PathBuf>,
     /// On-disk paged store outcome; `None` when the plan had no store
     /// output. (Evaluating an existing store via `from_store` does not
     /// set this — nothing was written.)
@@ -227,9 +231,14 @@ impl RunSummary {
                     );
                 }
             }
-            None => {
-                let _ = writeln!(rep, "graph: skipped (--queries-only)");
-            }
+            None => match &self.from_store {
+                Some(path) => {
+                    let _ = writeln!(rep, "graph: read from store {}", path.display());
+                }
+                None => {
+                    let _ = writeln!(rep, "graph: skipped (--queries-only)");
+                }
+            },
         }
         if let Some(s) = &self.store {
             let _ = writeln!(
@@ -529,6 +538,7 @@ mod tests {
                     parked_seconds: 0.02,
                 }),
             }),
+            from_store: None,
             store: Some(StoreRunSummary {
                 bytes: 65_536,
                 page_size: 8192,
@@ -612,6 +622,20 @@ mod tests {
                 .render_report()
                 .contains("graph: skipped (--queries-only)"),
             "queries-only anchor line lost"
+        );
+
+        let mut read = skipped.clone();
+        read.from_store = Some(PathBuf::from("stores/graph.gstore"));
+        let rep = read.render_report();
+        assert!(
+            rep.contains("graph: read from store stores/graph.gstore"),
+            "{rep}"
+        );
+        assert!(!rep.contains("--queries-only"), "{rep}");
+        assert_eq!(
+            read.to_json(),
+            skipped.to_json(),
+            "the store path is report only"
         );
     }
 

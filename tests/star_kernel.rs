@@ -4,9 +4,12 @@
 //!
 //! Inputs are seeded random relations over at most 40 nodes, drawn so the
 //! set covers self-loops, cycles, isolated nodes, the empty relation and a
-//! node count above the largest endpoint. The budget half pins the
-//! exact-cap edge: a closure of `k` pairs succeeds under a cap of `k` and
-//! is too large under `k - 1`.
+//! node count above the largest endpoint, plus hand-built shapes of
+//! strongly connected components: joined cycles, tails, a diamond of
+//! singletons. The budget half pins the exact-cap edge: a closure of `k`
+//! pairs succeeds under a cap of `k` and is too large under `k - 1`. A
+//! 300 000-node path pins the `TooLarge(n)` a long chain of singleton
+//! components trips, and that condensing it needs no recursion.
 
 use gmark::engines::relations::Relation;
 use gmark::engines::{Budget, EvalError};
@@ -77,6 +80,28 @@ fn cases() -> Vec<(NodeId, Relation)> {
         (3, Relation::from_pairs(vec![(1, 1)])),
         (4, Relation::from_pairs(vec![(0, 1), (1, 2), (2, 0)])),
         (40, Relation::from_pairs(vec![(0, 1), (1, 2), (2, 3)])),
+        // Two cycles joined by a bridge.
+        (
+            9,
+            Relation::from_pairs(vec![(4, 1), (1, 7), (7, 4), (7, 0), (0, 8), (8, 2), (2, 0)]),
+        ),
+        // A cycle with an in-tail and an out-tail.
+        (
+            9,
+            Relation::from_pairs(vec![(8, 6), (6, 3), (3, 5), (5, 1), (1, 3), (5, 0), (0, 7)]),
+        ),
+        // A diamond DAG of singleton components.
+        (
+            5,
+            Relation::from_pairs(vec![(3, 1), (3, 4), (1, 0), (4, 0), (0, 2)]),
+        ),
+        // Self-loops only.
+        (6, Relation::from_pairs(vec![(0, 0), (2, 2), (5, 5)])),
+        // `n` far above the largest endpoint.
+        (
+            300,
+            Relation::from_pairs(vec![(0, 1), (1, 0), (1, 2), (3, 2)]),
+        ),
     ];
     cases.extend((0..300).map(random_case));
     cases
@@ -110,4 +135,16 @@ fn star_is_ok_exactly_when_the_closure_fits_the_cap() {
             r.pairs()
         );
     }
+}
+
+/// A 300 000-node path condenses without recursion, on the default test
+/// stack, and trips the cap where a traversal per source does: source `s`
+/// reaches `300 000 - s` nodes, so the seventh source takes the running
+/// total from 1 799 985 to 2 099 979.
+#[test]
+fn a_long_path_trips_the_cap_after_seven_sources() {
+    const N: NodeId = 300_000;
+    let path = Relation::from_pairs((1..N).map(|v| (v - 1, v)).collect());
+    let capped = Budget::with_limits(None, 2_000_000);
+    assert_eq!(path.star(N, &capped), Err(EvalError::TooLarge(2_099_979)));
 }
