@@ -16,10 +16,10 @@
 //! from a set of seeds only, and hands the result over as a [`Relation`],
 //! the representation every join downstream consumes. Each move reads its
 //! adjacency from the context's symbol relations ([`EvalContext::relation`]),
-//! the same sorted pairs the other engines join: a node's successors are
-//! its source run, read out of the relation's run index in O(1)
-//! ([`Relation::targets_of`]), so the BFS never touches the graph view
-//! itself.
+//! the same relations the other engines join: a node's successors are
+//! its source run, read out of the relation's CSR in O(1)
+//! ([`gmark_store::Csr::neighbors`]), so the BFS never touches the graph
+//! view itself.
 
 use crate::context::EvalContext;
 use crate::relations::Relation;
@@ -168,7 +168,7 @@ pub fn eval_rpq(
             let (v, q) = queue[qi];
             qi += 1;
             for &(rel, q2) in &moves[q as usize] {
-                for &(_, w) in rel.targets_of(v) {
+                for &w in rel.neighbors(v) {
                     let slot = w as usize * states + q2 as usize;
                     if seen[slot] != stamp {
                         seen[slot] = stamp;
@@ -195,7 +195,7 @@ mod tests {
         let nfa = compile_nfa(expr);
         let g = graph();
         let rel = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default()).unwrap();
-        rel.into_pairs()
+        crate::fixtures::pairs(&rel)
     }
 
     #[test]
@@ -289,14 +289,17 @@ mod tests {
         assert_eq!(run(Some(&[0, 1, 2, 3]), false), full);
         // Seeds need not ascend; 3 cannot be reached, so it is the only
         // source of its four pairs — the ε pair among them.
-        assert_eq!(run(Some(&[3, 0]), false).len(), 4 + 3);
+        assert_eq!(run(Some(&[3, 0]), false).edge_count(), 4 + 3);
         let only3 = run(Some(&[3]), false);
-        assert_eq!(only3.pairs(), &[(3, 0), (3, 1), (3, 2), (3, 3)]);
         assert_eq!(
-            run(Some(&[3]), true).pairs(),
-            &[(0, 3), (1, 3), (2, 3), (3, 3)]
+            crate::fixtures::pairs(&only3),
+            [(3, 0), (3, 1), (3, 2), (3, 3)]
         );
-        let swapped = full.pairs().iter().map(|&(s, t)| (t, s)).collect();
+        assert_eq!(
+            crate::fixtures::pairs(&run(Some(&[3]), true)),
+            [(0, 3), (1, 3), (2, 3), (3, 3)]
+        );
+        let swapped = full.iter_edges().map(|(s, t)| (t, s)).collect();
         assert_eq!(run(None, true), Relation::from_pairs(swapped));
     }
 
@@ -309,7 +312,7 @@ mod tests {
         let g = graph();
         let ctx = EvalContext::new(&g);
         let run = |cap| eval_rpq(&ctx, &nfa, None, false, &Budget::with_limits(None, cap));
-        assert_eq!(run(6).unwrap().len(), 6);
+        assert_eq!(run(6).unwrap().edge_count(), 6);
         assert_eq!(run(5), Err(EvalError::TooLarge(6)));
     }
 

@@ -6,10 +6,10 @@
 //! server, and the schema-wide precomputation that schema-based query
 //! optimisation exploits:
 //!
-//! * [`EvalContext::relation`] — the sorted, deduplicated binary relation
-//!   of a `Σ±` symbol (forward or inverse), built lazily per
-//!   `(predicate, direction)` by one scan of the view and shared by
-//!   reference. They are the only adjacency any engine reads: `P` joins
+//! * [`EvalContext::relation`] — the binary relation of a `Σ±` symbol
+//!   (forward or inverse), built lazily per `(predicate, direction)` — a
+//!   clone of the in-memory graph's CSR, or one scan of the store's — and
+//!   shared by reference. They are the only adjacency any engine reads: `P` joins
 //!   them, the automaton BFS of `S` and `G` takes its moves from them, and
 //!   they *are* the Datalog EDB — `edge_<p>` is the forward relation of
 //!   `p` — so [`EvalContext::edb`] only warms them all and counts their
@@ -18,8 +18,8 @@
 //!   regular expression;
 //! * [`EvalContext::symbol_stats`] — edge and distinct-source/
 //!   distinct-target counts per `(predicate, direction)`, the planner's
-//!   cardinality and selectivity input, counted once off the predicate's
-//!   two symbol relations and shared.
+//!   cardinality and selectivity input, counted once as the non-empty
+//!   runs of the predicate's two symbol relations and shared.
 //!
 //! The context is `Sync`: lazy slots are [`OnceLock`]s whose values are
 //! pure functions of the graph, and the NFA cache is a mutex around a
@@ -164,7 +164,7 @@ impl ExprCache {
             cache.fills += 1;
             let entry = match resolved {
                 Ok(rel) => {
-                    cache.tuples += rel.len() as u64;
+                    cache.tuples += rel.edge_count() as u64;
                     ExprCacheEntry::Hit(rel)
                 }
                 Err(EvalError::TooLarge(sz)) => ExprCacheEntry::TooLarge(sz),
@@ -180,9 +180,11 @@ impl ExprCache {
     /// error. `None` is a key to compute.
     fn serve(&self, key: &RegularExpr, budget: &Budget) -> Option<Resolved> {
         match *self.map.get(key)? {
-            ExprCacheEntry::Hit(ref rel) => {
-                Some(budget.check_size(rel.len()).map(|()| Arc::clone(rel)))
-            }
+            ExprCacheEntry::Hit(ref rel) => Some(
+                budget
+                    .check_size(rel.edge_count())
+                    .map(|()| Arc::clone(rel)),
+            ),
             ExprCacheEntry::TooLarge(sz) => {
                 (sz > budget.max_tuples).then_some(Err(EvalError::TooLarge(sz)))
             }
@@ -304,13 +306,16 @@ impl<'g> EvalContext<'g> {
     }
 
     /// The distinct-endpoint statistics of one `Σ±` symbol, counted on
-    /// first use for its predicate as the source runs of its forward and
+    /// first use for its predicate as the non-empty runs of its forward and
     /// backward relations, and shared by both directions — the inverse
     /// symbol returns the same counts with source and target swapped.
     pub fn symbol_stats(&self, sym: Symbol) -> SymbolStats {
         let p = sym.predicate.0;
         let &(src, trg) = self.stats[p].get_or_init(|| {
-            let runs = |s: Symbol| self.relation(s).pairs().chunk_by(|a, b| a.0 == b.0).count();
+            let runs = |s: Symbol| {
+                let offsets = self.relation(s).offsets();
+                offsets.windows(2).filter(|w| w[0] < w[1]).count()
+            };
             let fwd = Symbol::forward(sym.predicate);
             (runs(fwd), runs(fwd.flipped()))
         });
@@ -390,7 +395,7 @@ impl<'g> EvalContext<'g> {
             self.resolve(&memo, None, distinct[i], &fresh_budget())
         });
         let lens = distinct.iter().zip(&resolved).filter_map(|(&expr, rel)| {
-            let len = rel.as_ref().ok()?.len() as u64;
+            let len = rel.as_ref().ok()?.edge_count() as u64;
             Some((expr.clone(), len))
         });
         let _ = self.expr_lens.set(lens.collect());
@@ -422,7 +427,7 @@ impl<'g> EvalContext<'g> {
                 None => Ok(Arc::new(Relation::identity(self.view.node_count()))),
                 Some((&last, [])) => {
                     let leaf = self.symbol_relation(last);
-                    budget.check_size(leaf.len())?;
+                    budget.check_size(leaf.edge_count())?;
                     Ok(Arc::clone(leaf))
                 }
                 Some((&last, init)) => {
@@ -475,7 +480,7 @@ impl<'g> EvalContext<'g> {
         match cache.map.get(expr) {
             Some(ExprCacheEntry::Hit(arc)) => {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                budget.check_size(arc.len())?;
+                budget.check_size(arc.edge_count())?;
                 Ok(Some(Arc::clone(arc)))
             }
             _ => {
@@ -548,7 +553,7 @@ impl<'g> EvalContext<'g> {
     /// plus the distinct `p`-edges of every predicate: the `|EDB|` of the
     /// Datalog engine's per-round size check.
     pub fn edb(&self) -> usize {
-        let edges = |p| self.relation(Symbol::forward(PredicateId(p))).len();
+        let edges = |p| self.relation(Symbol::forward(PredicateId(p))).edge_count();
         self.view.node_count() as usize + (0..self.fwd.len()).map(edges).sum::<usize>()
     }
 }
@@ -556,7 +561,7 @@ impl<'g> EvalContext<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{graph4 as graph, sym};
+    use crate::fixtures::{graph4 as graph, pairs, sym};
     use gmark_store::{EdgeSink, GraphBuilder, TypePartition};
 
     #[test]
@@ -567,12 +572,12 @@ mod tests {
         let second = ctx.relation(sym(0)) as *const Relation;
         assert_eq!(first, second, "same OnceLock slot must be returned");
         assert_eq!(
-            ctx.relation(sym(0)).pairs(),
-            &[(0, 1), (1, 2), (2, 0), (3, 1)]
+            pairs(ctx.relation(sym(0))),
+            [(0, 1), (1, 2), (2, 0), (3, 1)]
         );
         assert_eq!(
-            ctx.relation(sym(0).flipped()).pairs(),
-            &[(0, 2), (1, 0), (1, 3), (2, 1)]
+            pairs(ctx.relation(sym(0).flipped())),
+            [(0, 2), (1, 0), (1, 3), (2, 1)]
         );
     }
 

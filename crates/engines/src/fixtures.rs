@@ -2,7 +2,12 @@
 
 use gmark_core::query::{Conjunct, Query, RegularExpr, Rule, Symbol, Var};
 use gmark_core::schema::PredicateId;
-use gmark_store::{EdgeSink, Graph, GraphBuilder, NodeId, TypePartition};
+use gmark_store::{Csr, EdgeSink, Graph, GraphBuilder, NodeId, TypePartition};
+
+/// The pairs of a relation, in source order.
+pub(crate) fn pairs(r: &Csr) -> Vec<(NodeId, NodeId)> {
+    r.iter_edges().collect()
+}
 
 /// The forward symbol of predicate `i` (`0` = `a`, `1` = `b`).
 pub(crate) fn sym(i: usize) -> Symbol {

@@ -8,15 +8,15 @@
 //! of every Datalog rule, with a delta substituted at one position. `P`,
 //! `G` and `S` also share the rule loop ([`union_of_rules`]); `D` has its
 //! own fixpoint.
-//! Conjunct results arrive as borrowed [`Relation`]s — sorted `u32` pair
-//! columns, often straight out of the sub-expression cache — so the kernel
-//! reads each relation's run index, not a hash table: an extension takes a
-//! row's partners as one source run ([`Relation::targets_of`], O(1)), a
-//! semi-join looks up the run and binary-searches inside it
-//! ([`Relation::contains`]). When only the target is bound, the runs are
-//! those of the transposed relation ([`Relation::transpose`], a counting
-//! scatter that comes with its index). No per-conjunct hash index is ever
-//! built.
+//! Conjunct results arrive as borrowed [`Relation`]s — CSRs with sorted
+//! `u32` target runs, often straight out of the sub-expression cache — so
+//! the kernel reads each relation's offsets, not a hash table: an
+//! extension takes a row's partners as one source run ([`Csr::neighbors`],
+//! O(1)), a semi-join looks up the run and binary-searches inside it
+//! ([`Csr::contains`]), and the Cartesian arm walks every pair
+//! ([`Csr::iter_edges`]). When only the target is bound, the runs are
+//! those of the transposed relation ([`Csr::transpose`], a counting
+//! sort). No per-conjunct hash index is ever built.
 //!
 //! # Live columns
 //!
@@ -34,8 +34,8 @@
 //! are live, and the head is live throughout.
 //!
 //! A step that can grow the table counts its rows before it writes one.
-//! A bound arm adds up each input row's run length (O(1) from the run
-//! index), the Cartesian arm adds the relation's length, after the
+//! A bound arm adds up each input row's run length (O(1) from the
+//! offsets), the Cartesian arm adds the relation's length, after the
 //! self-loop filter, once per input row, and the running total is charged
 //! after every input row: the charges a row-at-a-time loop makes. A step
 //! over the cap so fails with the same `TooLarge(n)` without writing a
@@ -48,7 +48,7 @@ use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError};
 use gmark_core::query::{Query, RegularExpr, Rule, Var};
-use gmark_store::NodeId;
+use gmark_store::{Csr, NodeId};
 use std::sync::Arc;
 
 /// Rows over an ordered set of variables, stored row-major in one flat
@@ -164,17 +164,17 @@ impl BindingTable {
                 }
                 // Backward is forward over the transposed relation.
                 let reversed;
-                let rel = if src_col.is_some() {
+                let rel: &Csr = if src_col.is_some() {
                     c.pairs
                 } else {
                     reversed = c.pairs.transpose();
                     &reversed
                 };
-                let len = self.count_output(budget, |row| rel.targets_of(row[col]).len())?;
+                let len = self.count_output(budget, |row| rel.degree(row[col]))?;
                 let mut out = BindingTable::with_capacity(vars, len);
                 let stored = usize::from(new_live);
                 for row in self.rows() {
-                    for &(_, partner) in rel.targets_of(row[col]) {
+                    for &partner in rel.neighbors(row[col]) {
                         out.push(row, &keep, &[partner][..stored]);
                     }
                 }
@@ -189,14 +189,14 @@ impl BindingTable {
                 if trg_live {
                     vars.push(c.trg);
                 }
-                let matches = || c.pairs.pairs().iter().filter(|(s, t)| !self_loop || s == t);
+                let matches = || c.pairs.iter_edges().filter(|(s, t)| !self_loop || s == t);
                 let per_row = matches().count();
                 let len = self.count_output(budget, |_| per_row)?;
                 let mut out = BindingTable::with_capacity(vars, len);
                 // The stored part of each `[s, t]`: both, one or neither.
                 let stored = usize::from(!src_live)..1 + usize::from(trg_live);
                 for row in self.rows() {
-                    for &(s, t) in matches() {
+                    for (s, t) in matches() {
                         out.push(row, &keep, &[s, t][stored.clone()]);
                     }
                 }
@@ -208,7 +208,7 @@ impl BindingTable {
 
 /// One conjunct's materialized relation, tagged with its variables. The
 /// relation is borrowed, so a context relation, a sub-expression cache hit
-/// or a Datalog predicate mounts here without a copy of the pair columns.
+/// or a Datalog predicate mounts here without a copy of its arrays.
 #[derive(Debug)]
 pub(crate) struct ConjunctPairs<'r> {
     pub src: Var,
@@ -510,7 +510,7 @@ mod tests {
             );
             let mut next = Vec::new();
             for row in &rows {
-                for &(s, t) in c.pairs.pairs() {
+                for (s, t) in c.pairs.iter_edges() {
                     let agrees = sc.is_none_or(|i| row[i] == s)
                         && tc.is_none_or(|i| row[i] == t)
                         && (c.src != c.trg || s == t);
@@ -568,7 +568,7 @@ mod tests {
             }
             (Some(col), None) | (None, Some(col)) => {
                 let reversed;
-                let (rel, new_var) = if src_col.is_some() {
+                let (rel, new_var): (&Csr, _) = if src_col.is_some() {
                     (c.pairs, c.trg)
                 } else {
                     reversed = c.pairs.transpose();
@@ -580,7 +580,7 @@ mod tests {
                 }
                 let stored = usize::from(new_live);
                 for row in table.rows() {
-                    for &(_, partner) in rel.targets_of(row[col]) {
+                    for &partner in rel.neighbors(row[col]) {
                         out.push(row, &keep, &[partner][..stored]);
                     }
                     budget.check_size(out.len)?;
@@ -597,7 +597,7 @@ mod tests {
                 }
                 let stored = usize::from(!src_live)..1 + usize::from(trg_live);
                 for row in table.rows() {
-                    for &(s, t) in c.pairs.pairs() {
+                    for (s, t) in c.pairs.iter_edges() {
                         if !self_loop || s == t {
                             out.push(row, &keep, &[s, t][stored.clone()]);
                         }
@@ -791,7 +791,7 @@ mod relational_tests {
         let nfa = crate::compile_nfa(&q.rules[0].body[0].expr);
         let g = graph();
         let bfs = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default()).unwrap();
-        let expected: Vec<[_; 2]> = bfs.pairs().iter().map(|&(s, t)| [s, t]).collect();
+        let expected: Vec<[_; 2]> = bfs.iter_edges().map(|(s, t)| [s, t]).collect();
         assert_eq!(a.rows().collect::<Vec<_>>(), expected);
     }
 

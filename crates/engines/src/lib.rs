@@ -37,7 +37,7 @@
 //! [`QueryPlan::declaration_order`] without one — that every engine
 //! follows: no engine orders conjuncts itself. There is one tuple
 //! representation from the EDB to the answers — binary relations are
-//! [`relations::Relation`]s (sorted `u32` pair columns), wider tuples flat
+//! [`relations::Relation`]s (the store's CSR layout), wider tuples flat
 //! row-major rows — so all four join through one kernel and read their
 //! heads off it through one projection into one flat [`Answers`] buffer.
 //! `P`, `S` and `G` also share the rule loop around them and one cache

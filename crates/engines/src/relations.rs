@@ -1,17 +1,26 @@
 //! Materialized binary relations: the building blocks of the relational
 //! (`P`-style) engine and of its Kleene-star closures.
 //!
-//! A [`Relation`] is a sorted, deduplicated set of compact `u32` node
-//! pairs — the SQL translation's `(s, t)` CTEs made concrete — plus one
-//! lazily built *run index*: `u32` run starts over the source hull, so
-//! the pairs of any source are found in O(1) ([`Relation::targets_of`]).
-//! Every kernel that looks up a source's run reads it there: the BFS moves
-//! of `S` and `G`, the join arms every engine shares, composition's right
-//! side and the star's condensation. The kernels never hash and never
-//! re-sort whole results: composition walks the left side source-run by
-//! source-run and appends each run's deduplicated targets (output is
-//! emitted already sorted), union and difference are linear merges of
-//! sorted inputs, transposition is a counting scatter, and the star
+//! A [`Relation`] is a [`Csr`], the layout the store keeps each predicate
+//! in: per source of the hull, a sorted, deduplicated run of `u32` targets
+//! — the SQL translation's `(s, t)` CTEs made concrete. It adds only the
+//! relational algebra; every read is the CSR's own, through `Deref`: a
+//! source's run in O(1) ([`Csr::neighbors`]), a membership test
+//! ([`Csr::contains`]), a walk in source order ([`Csr::iter_edges`]) and
+//! the converse by a counting sort ([`Csr::transpose`]). The BFS moves of
+//! `S` and `G`, the join arms every engine shares, composition's right
+//! side and the star's condensation all read runs that way.
+//!
+//! Every relation's source hull lies inside the graph's `0..n`: a symbol's
+//! is the store's, a composition's lies inside its left operand's, a
+//! union's spans its operands', a converse takes the target hull, and the
+//! star and the identity span `0..n`. The offsets therefore never outgrow
+//! the node count.
+//!
+//! The kernels never hash and never re-sort whole results; each writes
+//! its offsets and targets in source order. Composition walks the left
+//! side source by source and appends each source's deduplicated targets,
+//! union and difference merge the two runs of each source, and the star
 //! materializes the same closure the paper's footnote-4 linear recursion
 //! defines in three passes: it condenses the relation into its strongly
 //! connected components (Tarjan's algorithm, without recursion), counts
@@ -20,21 +29,12 @@
 //! sorted reach set copied once per member source. Composition's
 //! per-source target buffers live in a per-worker scratch arena
 //! (`thread_local`) so its inner loop allocates nothing in steady state.
-//!
-//! The index is built on the first probe, through a [`OnceLock`], so a
-//! relation nothing probes — most Datalog deltas, union and difference
-//! outputs — never pays for it. It is not part of the value: equality
-//! and [`Clone`] read the pairs alone, so what the sub-expression cache
-//! holds cannot depend on which thread probed a relation first.
 
 use crate::{Budget, EvalError};
 use gmark_core::query::Symbol;
-use gmark_store::{GraphView, NodeId};
+use gmark_store::{Csr, GraphView, NodeId};
 use std::cell::RefCell;
-use std::cmp::Ordering;
-use std::fmt;
-use std::ops::Range;
-use std::sync::OnceLock;
+use std::ops::Deref;
 
 thread_local! {
     /// Per-worker scratch arena: the per-source target buffer reused by
@@ -43,302 +43,158 @@ thread_local! {
     static SCRATCH: RefCell<Vec<NodeId>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Where each key's run of pairs starts: `starts[k]..starts[k + 1]` are the
-/// pairs whose key lies in slot `k`, the `2^shift` ids from
-/// `base + (k << shift)` on. `shift` is 0 — one slot per id of the hull,
-/// so a slot *is* a run — unless the hull is more than twice as wide as
-/// the relation is long (sparse ids, up to `u32::MAX`). Then slots widen
-/// until the index is no larger than the pair column, and a lookup ends
-/// with a binary search inside one slot.
-#[derive(Debug)]
-struct RunIndex {
-    base: NodeId,
-    shift: u32,
-    starts: Vec<u32>,
-}
+/// A binary relation: a [`Csr`] with the relational algebra on top (see
+/// the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Relation(Csr);
 
-impl RunIndex {
-    /// Indexes `len` pairs by `keys`, one key per pair in pair order, over
-    /// the keys' hull `lo..=hi`: one counting pass, then prefix sums.
-    fn count(keys: impl Iterator<Item = NodeId>, lo: NodeId, hi: NodeId, len: usize) -> RunIndex {
-        assert!(
-            u32::try_from(len).is_ok(),
-            "a run index addresses fewer than 2^32 pairs"
-        );
-        let span = u64::from(hi - lo);
-        let max_slots = (2 * len as u64).max(1);
-        let mut shift = 0;
-        while (span >> shift) + 1 > max_slots {
-            shift += 1;
-        }
-        let mut index = RunIndex {
-            base: lo,
-            shift,
-            starts: vec![0; (span >> shift) as usize + 2],
-        };
-        for key in keys {
-            let k = index.slot(key);
-            index.starts[k + 1] += 1;
-        }
-        for k in 1..index.starts.len() {
-            index.starts[k] += index.starts[k - 1];
-        }
-        index
-    }
+impl Deref for Relation {
+    type Target = Csr;
 
-    /// The slot of a key inside the hull.
-    fn slot(&self, key: NodeId) -> usize {
-        ((key - self.base) >> self.shift) as usize
-    }
-
-    /// The range of `pairs`, the indexed relation's, whose key is `s`.
-    fn run(&self, pairs: &[(NodeId, NodeId)], s: NodeId) -> Range<usize> {
-        let Some(off) = s.checked_sub(self.base) else {
-            return 0..0;
-        };
-        let k = (off >> self.shift) as usize;
-        if k + 1 >= self.starts.len() {
-            return 0..0;
-        }
-        let (lo, hi) = (self.starts[k] as usize, self.starts[k + 1] as usize);
-        if self.shift == 0 {
-            return lo..hi;
-        }
-        let slot = &pairs[lo..hi];
-        lo + slot.partition_point(|p| p.0 < s)..lo + slot.partition_point(|p| p.0 <= s)
+    fn deref(&self) -> &Csr {
+        &self.0
     }
 }
 
-/// A sorted, deduplicated set of node pairs, with its run index (see the
-/// module docs).
-#[derive(Default)]
-pub struct Relation {
-    pairs: Vec<(NodeId, NodeId)>,
-    /// The run index over the sources, built on the first probe.
-    index: OnceLock<RunIndex>,
+/// Each source of `r`'s hull with its run of targets, in source order.
+fn runs(r: &Csr) -> impl Iterator<Item = (NodeId, &[NodeId])> {
+    r.offsets().windows(2).enumerate().map(|(i, w)| {
+        (
+            r.base() + i as NodeId,
+            &r.targets()[w[0] as usize..w[1] as usize],
+        )
+    })
 }
 
-impl PartialEq for Relation {
-    fn eq(&self, other: &Relation) -> bool {
-        self.pairs == other.pairs
+/// Appends the sorted union of two ascending runs to `out`.
+fn merge(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let next = a[i].min(b[j]);
+        i += usize::from(a[i] == next);
+        j += usize::from(b[j] == next);
+        out.push(next);
     }
-}
-
-impl Eq for Relation {}
-
-impl Clone for Relation {
-    /// Clones the pairs; the clone builds its own index when first probed.
-    fn clone(&self) -> Relation {
-        Relation::sorted(self.pairs.clone())
-    }
-}
-
-impl fmt::Debug for Relation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Relation")
-            .field("pairs", &self.pairs)
-            .finish_non_exhaustive()
-    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 impl Relation {
-    /// Wraps pairs that are already sorted and deduplicated.
-    fn sorted(pairs: Vec<(NodeId, NodeId)>) -> Relation {
-        debug_assert!(pairs.is_sorted());
-        Relation {
-            pairs,
-            index: OnceLock::new(),
-        }
-    }
-
     /// Builds from arbitrary pairs (sorts + dedups).
     pub fn from_pairs(mut pairs: Vec<(NodeId, NodeId)>) -> Relation {
         pairs.sort_unstable();
-        pairs.dedup();
-        Relation::sorted(pairs)
+        Relation(Csr::from_sorted_pairs(pairs))
     }
 
-    /// The relation of one `Σ±` symbol: all `a`-edges, flipped for `a⁻`.
-    ///
-    /// Both directions come pre-sorted out of the CSR indexes — in memory
-    /// or paged ([`GraphView::pairs`] walks the backward index for `a⁻`),
-    /// so no sort is paid here — only a dedup pass for graphs that keep
-    /// parallel edges.
+    /// The relation of one `Σ±` symbol: all `a`-edges, flipped for `a⁻` —
+    /// the view's CSR of the symbol ([`GraphView::csr`]): a clone of the
+    /// in-memory graph's, or one scan of the store's pages.
     pub fn of_symbol<'g>(graph: impl Into<GraphView<'g>>, sym: Symbol) -> Relation {
-        let mut pairs: Vec<(NodeId, NodeId)> =
-            graph.into().pairs(sym.predicate.0, sym.inverse).collect();
-        pairs.dedup();
-        Relation::sorted(pairs)
-    }
-
-    /// Consumes the relation, yielding its sorted pairs.
-    pub fn into_pairs(self) -> Vec<(NodeId, NodeId)> {
-        self.pairs
+        Relation(graph.into().csr(sym.predicate.0, sym.inverse))
     }
 
     /// The identity relation over all `n` nodes (the ε relation).
     pub fn identity(n: NodeId) -> Relation {
-        Relation::sorted((0..n).map(|v| (v, v)).collect())
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether the relation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// The pairs, sorted.
-    pub fn pairs(&self) -> &[(NodeId, NodeId)] {
-        &self.pairs
-    }
-
-    /// The run index, built on the first call.
-    fn index(&self) -> &RunIndex {
-        self.index.get_or_init(|| {
-            let (lo, hi) = match (self.pairs.first(), self.pairs.last()) {
-                (Some(first), Some(last)) => (first.0, last.0),
-                _ => (0, 0),
-            };
-            RunIndex::count(self.pairs.iter().map(|p| p.0), lo, hi, self.pairs.len())
-        })
+        Relation(Csr::from_parts(
+            0,
+            (0..=u64::from(n)).collect(),
+            (0..n).collect(),
+        ))
     }
 
     /// Composition `self ; other` = `{(s, u) | (s, t) ∈ self, (t, u) ∈
     /// other}`.
     ///
-    /// Walks `self` one source run at a time and reads the run of each of
-    /// its targets `t` out of `other`'s run index. The run's result
-    /// targets are deduplicated in the per-worker scratch buffer and
-    /// appended — the output is sorted by construction, so no final
-    /// re-sort (and no hash set) is ever paid. The tuple budget is charged
-    /// on the *deduplicated* output, not the raw match count.
+    /// Walks `self` one source at a time and reads the run of each of its
+    /// targets `t` out of `other`. The source's result targets are
+    /// deduplicated in the per-worker scratch buffer and appended — the
+    /// output is sorted by construction, so no final re-sort (and no hash
+    /// set) is ever paid. The tuple budget is charged on the
+    /// *deduplicated* output, not the raw match count.
     pub fn compose(&self, other: &Relation, budget: &Budget) -> Result<Relation, EvalError> {
-        if self.pairs.is_empty() || other.pairs.is_empty() {
+        if self.edge_count() == 0 || other.edge_count() == 0 {
             return Ok(Relation::default());
         }
         SCRATCH.with(|cell| {
-            let targets = &mut *cell.borrow_mut();
-            let mut out: Vec<(NodeId, NodeId)> = Vec::new();
-            for (runs, run) in self.pairs.chunk_by(|a, b| a.0 == b.0).enumerate() {
-                if runs.is_multiple_of(1024) {
+            let run = &mut *cell.borrow_mut();
+            let mut offsets = vec![0];
+            let mut targets: Vec<NodeId> = Vec::new();
+            for (i, (_, mids)) in runs(self).enumerate() {
+                if i.is_multiple_of(1024) {
                     budget.check_time()?;
                 }
-                targets.clear();
-                for &(_, t) in run {
-                    targets.extend(other.targets_of(t).iter().map(|&(_, u)| u));
+                run.clear();
+                for &t in mids {
+                    run.extend_from_slice(other.neighbors(t));
                 }
-                targets.sort_unstable();
-                targets.dedup();
-                budget.check_size(out.len() + targets.len())?;
-                out.extend(targets.iter().map(|&u| (run[0].0, u)));
+                run.sort_unstable();
+                run.dedup();
+                budget.check_size(targets.len() + run.len())?;
+                targets.extend_from_slice(run);
+                offsets.push(targets.len() as u64);
             }
-            Ok(Relation::sorted(out))
+            Ok(Relation(Csr::from_parts(self.base(), offsets, targets)))
         })
     }
 
-    /// The converse `{(t, s) | (s, t) ∈ self}`, without a sort: a counting
-    /// pass over the targets, then a scatter in source order, which leaves
-    /// each target's sources ascending. The counts are the converse's run
-    /// index, so it comes built.
-    pub(crate) fn transpose(&self) -> Relation {
-        let targets = || self.pairs.iter().map(|p| p.1);
-        let (Some(lo), Some(hi)) = (targets().min(), targets().max()) else {
-            return Relation::default();
-        };
-        let index = RunIndex::count(targets(), lo, hi, self.pairs.len());
-        let mut next = index.starts.clone();
-        let mut pairs = vec![(0, 0); self.pairs.len()];
-        for &(s, t) in &self.pairs {
-            let at = &mut next[index.slot(t)];
-            pairs[*at as usize] = (t, s);
-            *at += 1;
-        }
-        if index.shift > 0 {
-            // A wide slot holds several targets, each run ascending.
-            for w in index.starts.windows(2) {
-                pairs[w[0] as usize..w[1] as usize].sort_unstable();
-            }
-        }
-        Relation {
-            pairs,
-            index: OnceLock::from(index),
-        }
-    }
-
-    /// Union: a linear merge of two sorted inputs (no re-sort).
+    /// Union: each source's two runs merged, over the span of both hulls
+    /// (no re-sort).
     pub fn union(&self, other: &Relation) -> Relation {
-        let (a, b) = (&self.pairs, &other.pairs);
-        let mut pairs = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                Ordering::Less => {
-                    pairs.push(a[i]);
-                    i += 1;
-                }
-                Ordering::Greater => {
-                    pairs.push(b[j]);
-                    j += 1;
-                }
-                Ordering::Equal => {
-                    pairs.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
+        if other.edge_count() == 0 {
+            return self.clone();
         }
-        pairs.extend_from_slice(&a[i..]);
-        pairs.extend_from_slice(&b[j..]);
-        Relation::sorted(pairs)
+        if self.edge_count() == 0 {
+            return other.clone();
+        }
+        let end = |r: &Csr| u64::from(r.base()) + r.offsets().len() as u64 - 1;
+        let base = self.base().min(other.base());
+        let mut offsets = vec![0];
+        let mut targets = Vec::with_capacity(self.edge_count() + other.edge_count());
+        for s in u64::from(base)..end(self).max(end(other)) {
+            let s = s as NodeId;
+            merge(self.neighbors(s), other.neighbors(s), &mut targets);
+            offsets.push(targets.len() as u64);
+        }
+        Relation(Csr::from_parts(base, offsets, targets))
     }
 
-    /// Set difference `self \ other`: a linear merge of sorted inputs.
+    /// Set difference `self \ other`: each source's run of `self` with
+    /// `other`'s run of the same source merged out.
     pub fn difference(&self, other: &Relation) -> Relation {
-        let (a, b) = (&self.pairs, &other.pairs);
-        let mut pairs = Vec::new();
-        let mut j = 0usize;
-        for &p in a {
-            while j < b.len() && b[j] < p {
-                j += 1;
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        for (s, run) in runs(self) {
+            let gone = other.neighbors(s);
+            let mut j = 0;
+            for &t in run {
+                while j < gone.len() && gone[j] < t {
+                    j += 1;
+                }
+                if gone.get(j) != Some(&t) {
+                    targets.push(t);
+                }
             }
-            if j >= b.len() || b[j] != p {
-                pairs.push(p);
-            }
+            offsets.push(targets.len() as u64);
         }
-        Relation::sorted(pairs)
-    }
-
-    /// Whether the relation contains `(s, t)`: the run of `s` out of the
-    /// index, then a binary search inside it — the semi-join primitive.
-    pub fn contains(&self, s: NodeId, t: NodeId) -> bool {
-        self.targets_of(s).binary_search(&(s, t)).is_ok()
-    }
-
-    /// The contiguous run of pairs whose source is `s` (their targets,
-    /// sorted), read out of the run index in O(1).
-    pub fn targets_of(&self, s: NodeId) -> &[(NodeId, NodeId)] {
-        &self.pairs[self.index().run(&self.pairs, s)]
+        Relation(Csr::from_parts(self.base(), offsets, targets))
     }
 
     /// Reflexive-transitive closure `self*` over the nodes `0..n`, in
     /// three passes:
     ///
-    /// 1. **Condense.** Tarjan's algorithm, run iteratively over the run
-    ///    index, splits the nodes into strongly connected components;
+    /// 1. **Condense.** Tarjan's algorithm, run iteratively over the
+    ///    relation's runs, splits the nodes into strongly connected components;
     ///    the condensation keeps one node per component and the
     ///    deduplicated edges between components.
     /// 2. **Count.** Sources are taken in id order. The first source of
     ///    each component counts the component's reach set once, by a BFS
     ///    over the condensation that weighs each component by its node
-    ///    count. The running total is charged after every source.
+    ///    count. The running total is charged after every source, and the
+    ///    running totals are the closure's offsets.
     /// 3. **Write.** Only a closure that fits the cap gets here. Each
     ///    component's reach set is gathered and sorted once, then copied
-    ///    as the targets of every member source into one output vector of
-    ///    the exact length. The output is sorted and deduplicated by
+    ///    as the run of every member source into one target array of the
+    ///    exact length. The output is sorted and deduplicated by
     ///    construction: no rounds, no hash set, no whole-result re-sort.
     ///
     /// Precondition: every endpoint of `self` is below `n` (callers pass
@@ -358,7 +214,7 @@ impl Relation {
     /// its budget on the paper's hardest recursive queries (Table 4).
     pub fn star(&self, n: NodeId, budget: &Budget) -> Result<Relation, EvalError> {
         debug_assert!(
-            self.pairs.iter().all(|&(s, t)| s < n && t < n),
+            self.iter_edges().all(|(s, t)| s < n && t < n),
             "star over {n} nodes given an endpoint >= {n}"
         );
         let dag = Condensation::of(self, n, budget)?;
@@ -366,8 +222,8 @@ impl Relation {
         // `reach[c]`: nodes reachable from component `c`; 0 until counted
         // (a component reaches at least itself).
         let mut reach: Vec<usize> = vec![0; dag.len()];
-        // `starts[s]`: where source `s`'s targets begin in the output.
-        let mut starts: Vec<usize> = Vec::with_capacity(n as usize);
+        // `offsets[s]`: where source `s`'s targets begin in the output.
+        let mut offsets: Vec<u64> = Vec::with_capacity(n as usize + 1);
         let mut total = 0usize;
         for s in 0..n {
             if s.is_multiple_of(256) {
@@ -378,12 +234,13 @@ impl Relation {
                 let reached = walk.from(&dag, c).iter();
                 reach[c] = reached.map(|&d| dag.members(d as usize).len()).sum();
             }
-            starts.push(total);
+            offsets.push(total as u64);
             total += reach[c];
             budget.check_size(total)?;
         }
+        offsets.push(total as u64);
 
-        let mut out: Vec<(NodeId, NodeId)> = vec![(0, 0); total];
+        let mut out: Vec<NodeId> = vec![0; total];
         let mut targets: Vec<NodeId> = Vec::new();
         // Fresh stamps: counting stamped every component it walked from.
         let mut walk = Walk::new(dag.len());
@@ -397,13 +254,11 @@ impl Relation {
             }
             targets.sort_unstable();
             for &s in dag.members(c) {
-                let at = starts[s as usize];
-                for (slot, &t) in out[at..at + targets.len()].iter_mut().zip(&targets) {
-                    *slot = (s, t);
-                }
+                let at = offsets[s as usize] as usize;
+                out[at..at + targets.len()].copy_from_slice(&targets);
             }
         }
-        Ok(Relation::sorted(out))
+        Ok(Relation(Csr::from_parts(0, offsets, out)))
     }
 }
 
@@ -429,7 +284,7 @@ impl Condensation {
     /// Tarjan's algorithm with an explicit stack of DFS frames, so a path
     /// of any length recurses nowhere. The budget sees the clock every
     /// 256 nodes visited.
-    fn of(r: &Relation, n: NodeId, budget: &Budget) -> Result<Condensation, EvalError> {
+    fn of(r: &Csr, n: NodeId, budget: &Budget) -> Result<Condensation, EvalError> {
         const UNSEEN: u32 = u32::MAX;
         let len = n as usize;
         // `order[v]`: v's DFS preorder number; `low[v]`: the least
@@ -464,7 +319,7 @@ impl Condensation {
                     break;
                 };
                 let v = *v;
-                if let Some(&(_, w)) = r.targets_of(v).get(*followed) {
+                if let Some(&w) = r.neighbors(v).get(*followed) {
                     *followed += 1;
                     if order[w as usize] == UNSEEN {
                         next = Some(w);
@@ -504,7 +359,7 @@ impl Condensation {
         let mut succ_starts: Vec<u32> = vec![0];
         for (c, run) in member_starts.windows(2).enumerate() {
             for &v in &members[run[0] as usize..run[1] as usize] {
-                for &(_, w) in r.targets_of(v) {
+                for &w in r.neighbors(v) {
                     let d = comp[w as usize];
                     if d as usize != c && mark[d as usize] != c as u32 {
                         mark[d as usize] = c as u32;
@@ -580,12 +435,11 @@ impl Walk {
 mod tests {
     use super::*;
     use crate::context::EvalContext;
-    use crate::fixtures::sym;
+    use crate::fixtures::{pairs, sym};
     use gmark_core::query::{PathExpr, RegularExpr};
-    use gmark_store::{ordered_map, EdgeSink, Graph, GraphBuilder, TypePartition};
+    use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
-    use std::sync::Arc;
 
     fn chain_graph() -> Graph {
         // a-edges: 0→1→2→3 (a path).
@@ -600,9 +454,9 @@ mod tests {
     fn symbol_relation_and_inverse() {
         let g = chain_graph();
         let r = Relation::of_symbol(&g, sym(0));
-        assert_eq!(r.pairs(), &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(pairs(&r), [(0, 1), (1, 2), (2, 3)]);
         let ri = Relation::of_symbol(&g, sym(0).flipped());
-        assert_eq!(ri.pairs(), &[(1, 0), (2, 1), (3, 2)]);
+        assert_eq!(pairs(&ri), [(1, 0), (2, 1), (3, 2)]);
     }
 
     #[test]
@@ -610,9 +464,9 @@ mod tests {
         let g = chain_graph();
         let r = Relation::of_symbol(&g, sym(0));
         let rr = r.compose(&r, &Budget::default()).unwrap();
-        assert_eq!(rr.pairs(), &[(0, 2), (1, 3)]);
+        assert_eq!(pairs(&rr), [(0, 2), (1, 3)]);
         let rrr = rr.compose(&r, &Budget::default()).unwrap();
-        assert_eq!(rrr.pairs(), &[(0, 3)]);
+        assert_eq!(pairs(&rrr), [(0, 3)]);
     }
 
     #[test]
@@ -622,26 +476,25 @@ mod tests {
         let a = Relation::from_pairs(vec![(0, 5), (0, 6), (1, 5), (1, 6)]);
         let b = Relation::from_pairs(vec![(5, 7), (5, 8), (6, 7), (6, 8)]);
         let ab = a.compose(&b, &Budget::default()).unwrap();
-        assert_eq!(ab.pairs(), &[(0, 7), (0, 8), (1, 7), (1, 8)]);
-        assert!(ab.pairs().is_sorted());
+        assert_eq!(pairs(&ab), [(0, 7), (0, 8), (1, 7), (1, 8)]);
     }
 
     #[test]
     fn union_dedups() {
         let a = Relation::from_pairs(vec![(0, 1), (1, 2)]);
         let b = Relation::from_pairs(vec![(1, 2), (2, 3)]);
-        assert_eq!(a.union(&b).pairs(), &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(pairs(&a.union(&b)), [(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]
     fn difference_and_contains() {
         let a = Relation::from_pairs(vec![(0, 1), (1, 2), (2, 3)]);
         let b = Relation::from_pairs(vec![(1, 2)]);
-        assert_eq!(a.difference(&b).pairs(), &[(0, 1), (2, 3)]);
+        assert_eq!(pairs(&a.difference(&b)), [(0, 1), (2, 3)]);
         assert!(a.contains(1, 2));
         assert!(!a.contains(2, 1));
-        assert_eq!(a.targets_of(1), &[(1, 2)]);
-        assert!(a.targets_of(7).is_empty());
+        assert_eq!(a.neighbors(1), [2]);
+        assert!(a.neighbors(7).is_empty());
     }
 
     #[test]
@@ -678,10 +531,7 @@ mod tests {
         let g = chain_graph();
         let expr = RegularExpr::union(vec![PathExpr(vec![sym(0)]), PathExpr(vec![sym(0), sym(0)])]);
         let r = EvalContext::new(&g).expr_relation(&expr, &Budget::default());
-        assert_eq!(
-            r.unwrap().pairs(),
-            &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        );
+        assert_eq!(pairs(&r.unwrap()), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]);
     }
 
     #[test]
@@ -745,53 +595,52 @@ mod tests {
 
     #[test]
     fn compose_survives_the_largest_node_id() {
-        // The end of a source run is found by equality, not by searching
-        // for `s + 1`.
-        let a = Relation::from_pairs(vec![(7, 1), (u32::MAX, 1), (u32::MAX, 2)]);
-        let b = Relation::from_pairs(vec![(1, u32::MAX), (2, 0)]);
+        // The end of a source's run is found by its offsets, not by
+        // looking for `s + 1`.
+        const MAX: NodeId = u32::MAX;
+        let a = Relation::from_pairs(vec![(MAX - 2, MAX), (MAX, MAX - 1), (MAX, MAX)]);
+        let b = Relation::from_pairs(vec![(MAX - 1, MAX), (MAX, 0)]);
         let ab = a.compose(&b, &Budget::default()).unwrap();
-        assert_eq!(
-            ab.pairs(),
-            &[(7, u32::MAX), (u32::MAX, 0), (u32::MAX, u32::MAX)]
-        );
+        assert_eq!(pairs(&ab), [(MAX - 2, 0), (MAX, 0), (MAX, MAX)]);
     }
 
     #[test]
     fn compose_on_empty() {
         let a = Relation::default();
         let b = Relation::from_pairs(vec![(0, 1)]);
-        assert!(a.compose(&b, &Budget::default()).unwrap().is_empty());
-        assert!(b.compose(&a, &Budget::default()).unwrap().is_empty());
+        assert_eq!(a.compose(&b, &Budget::default()), Ok(Relation::default()));
+        assert_eq!(b.compose(&a, &Budget::default()), Ok(Relation::default()));
     }
 
-    /// Sorted relations of the shapes the run index must get right: empty,
-    /// one pair, a single source, dense ids from 0 (some hulls twice as
-    /// wide as the pair count, so slots of two or four ids), and sparse
-    /// sources spread over about 2^20 ids (wide slots).
+    /// Sorted relations of the shapes the kernels must get right: empty,
+    /// one pair, a single source, dense ids from 0, sources spread over a
+    /// hull up to eight times as wide as the pair count, and a narrow hull
+    /// at the top of the id space, ending at the largest node id.
     fn relations() -> impl Strategy<Value = Relation> {
         use prop::collection::vec;
-        const WIDE: u32 = 1 << 20;
+        const TOP: u32 = u32::MAX - 40;
         prop_oneof![
             Just(Relation::default()),
-            (0..WIDE, 0..WIDE).prop_map(|p| Relation::from_pairs(vec![p])),
+            prop_oneof![(0u32..24, 0u32..24), (TOP..=u32::MAX, TOP..=u32::MAX)]
+                .prop_map(|p| Relation::from_pairs(vec![p])),
             (0u32..24, vec(0u32..24, 1..12))
                 .prop_map(|(s, ts)| Relation::from_pairs(ts.iter().map(|&t| (s, t)).collect())),
             vec((0u32..24, 0u32..24), 1..80).prop_map(Relation::from_pairs),
             vec((0u32..200, 0u32..24), 1..80).prop_map(Relation::from_pairs),
-            vec((0..WIDE, 0..WIDE), 1..60).prop_map(Relation::from_pairs),
+            vec((TOP..=u32::MAX, TOP..=u32::MAX), 1..60).prop_map(Relation::from_pairs),
         ]
     }
 
-    /// The pairs of `r` with source `s`: a filtering scan.
-    fn scan(r: &Relation, s: NodeId) -> Vec<(NodeId, NodeId)> {
-        r.pairs().iter().copied().filter(|p| p.0 == s).collect()
+    /// The targets of `r` with source `s`: a filtering scan.
+    fn scan(r: &Csr, s: NodeId) -> Vec<NodeId> {
+        r.iter_edges().filter(|p| p.0 == s).map(|p| p.1).collect()
     }
 
     /// Ids worth probing: every endpoint and its neighbours, the ends of
     /// the id space, and a few drawn ones.
     fn probes(r: &Relation, extra: &[NodeId]) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = vec![0, 1, u32::MAX];
-        for &(s, t) in r.pairs() {
+        for (s, t) in r.iter_edges() {
             ids.extend([s, t, s.saturating_sub(1), s.saturating_add(1)]);
         }
         ids.extend_from_slice(extra);
@@ -804,7 +653,7 @@ mod tests {
         loop {
             let step: Vec<(NodeId, NodeId)> = reach
                 .iter()
-                .flat_map(|&(s, m)| scan(r, m).into_iter().map(move |(_, t)| (s, t)))
+                .flat_map(|&(s, m)| scan(r, m).into_iter().map(move |t| (s, t)))
                 .collect();
             let before = reach.len();
             reach.extend(step);
@@ -833,7 +682,7 @@ mod tests {
             while head < reached.len() {
                 let u = reached[head];
                 head += 1;
-                for &(_, v) in r.targets_of(u) {
+                for &v in r.neighbors(u) {
                     if stamp[v as usize] != s + 1 {
                         stamp[v as usize] = s + 1;
                         reached.push(v);
@@ -844,7 +693,7 @@ mod tests {
             budget.check_size(out.len() + reached.len())?;
             out.extend(reached.iter().map(|&t| (s, t)));
         }
-        Ok(Relation::sorted(out))
+        Ok(Relation::from_pairs(out))
     }
 
     /// Appends a path from `from` through `hops` fresh nodes, ending at
@@ -907,69 +756,59 @@ mod tests {
     /// The closure's node count: one past the largest endpoint, and one
     /// isolated node more; `None` when that is too many for the references.
     fn star_nodes(r: &Relation) -> Option<NodeId> {
-        let top = r.pairs().iter().map(|&(s, t)| s.max(t)).max().unwrap_or(0);
-        (top < 200).then_some(top + 2)
+        let top = r.iter_edges().map(|(s, t)| s.max(t)).max().unwrap_or(0);
+        (top < 200).then(|| top + 2)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn run_index_kernels_match_plain_references(
+        fn kernels_match_plain_references(
             r in relations(),
             q in relations(),
             extra in prop::collection::vec(0u32..1 << 21, 0..8),
         ) {
+            let edges = pairs(&r);
             let ids = probes(&r, &extra);
             for &s in &ids {
-                prop_assert_eq!(r.targets_of(s), &scan(&r, s)[..], "targets_of({})", s);
+                prop_assert_eq!(r.neighbors(s), &scan(&r, s)[..], "neighbors({})", s);
                 for t in [0, 1, s, s.wrapping_add(1)] {
-                    prop_assert_eq!(r.contains(s, t), r.pairs().contains(&(s, t)));
+                    prop_assert_eq!(r.contains(s, t), edges.contains(&(s, t)));
                 }
             }
-            for &(s, t) in r.pairs() {
-                prop_assert!(r.contains(s, t));
-            }
 
-            // The converse: the sorted flip, its built index included.
-            let flipped: Vec<(NodeId, NodeId)> = r.pairs().iter().map(|&(s, t)| (t, s)).collect();
-            let converse = r.transpose();
-            prop_assert_eq!(&converse, &Relation::from_pairs(flipped));
-            for &t in &ids {
-                prop_assert_eq!(converse.targets_of(t), &scan(&converse, t)[..]);
-            }
+            // The converse: the sorted flip.
+            let converse = Relation::from_pairs(edges.iter().map(|&(s, t)| (t, s)).collect());
+            prop_assert_eq!(&r.transpose(), &*converse);
 
             // Composition with a random side, with the converse (which
             // always meets) and with itself: a scan per pair, then a sort.
             for other in [&q, &converse, &r] {
                 let mut expected = Vec::new();
-                for &(s, m) in r.pairs() {
-                    expected.extend(scan(other, m).into_iter().map(|(_, u)| (s, u)));
+                for &(s, m) in &edges {
+                    expected.extend(scan(other, m).into_iter().map(|u| (s, u)));
                 }
                 let composed = r.compose(other, &Budget::default()).unwrap();
                 prop_assert_eq!(composed, Relation::from_pairs(expected));
             }
 
+            // Union and difference, against sets, with sides whose hulls
+            // lie near `r`'s: the converse, a composition and `r` itself.
+            let composed = r.compose(&converse, &Budget::default()).unwrap();
+            for other in [&converse, &composed, &r] {
+                let theirs: BTreeSet<(NodeId, NodeId)> = other.iter_edges().collect();
+                let both = edges.iter().chain(&theirs).copied().collect();
+                prop_assert_eq!(r.union(other), Relation::from_pairs(both));
+                let rest = edges.iter().filter(|p| !theirs.contains(p)).copied().collect();
+                prop_assert_eq!(r.difference(other), Relation::from_pairs(rest));
+            }
+
             // The star, over relations small enough for the references.
             if let Some(n) = star_nodes(&r) {
                 let star = r.star(n, &Budget::default()).unwrap();
-                prop_assert_eq!(star.pairs(), &reference_star(&r, n)[..]);
+                prop_assert_eq!(pairs(&star), reference_star(&r, n));
                 prop_assert_eq!(&star, &star_per_source(&r, n, &Budget::default()).unwrap());
-            }
-
-            // Equality, and a clone, read the pairs, not whether an index
-            // was built.
-            let (cold, warm) = (Relation::from_pairs(r.pairs().to_vec()), r.clone());
-            let _ = warm.targets_of(0);
-            prop_assert_eq!(&cold, &warm);
-            prop_assert_eq!(&warm, &cold);
-
-            // One shared relation, its index built by whichever of four
-            // workers probes first.
-            let shared = Arc::new(Relation::from_pairs(r.pairs().to_vec()));
-            let runs = ordered_map(4, ids.len(), |i| shared.targets_of(ids[i]).to_vec());
-            for (&s, run) in ids.iter().zip(&runs) {
-                prop_assert_eq!(run, &scan(&r, s));
             }
         }
 
@@ -983,7 +822,7 @@ mod tests {
             let n = star_nodes(&r);
             prop_assume!(n.is_some());
             let n = n.unwrap();
-            let total = star_per_source(&r, n, &Budget::default()).unwrap().len();
+            let total = star_per_source(&r, n, &Budget::default()).unwrap().edge_count();
             for cap in 0..=total + 1 {
                 let budget = Budget::with_limits(None, cap);
                 prop_assert_eq!(

@@ -66,6 +66,17 @@ fn group_by_key(
     }
 }
 
+impl Default for Csr {
+    /// The CSR without edges: base 0 and the single offset 0.
+    fn default() -> Csr {
+        Csr {
+            base: 0,
+            offsets: vec![0],
+            targets: Vec::new(),
+        }
+    }
+}
+
 impl Csr {
     /// Builds the CSR of an unsorted edge list over `node_count` nodes.
     /// Parallel edges (identical `(src, trg)` pairs) are collapsed.
@@ -81,6 +92,76 @@ impl Csr {
         let mut csr = group_by_key(base, span, edges.len(), edges.iter().copied());
         csr.sort_and_dedup();
         csr
+    }
+
+    /// Builds the CSR of pairs that come in ascending order, without a
+    /// sort: each source's run is opened as its first pair arrives. Repeated
+    /// pairs collapse, so it equals [`Csr::from_edges`] of the same pairs.
+    ///
+    /// Panics if a pair is smaller than the one before it.
+    pub fn from_sorted_pairs(pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Csr {
+        let mut pairs = pairs.into_iter().peekable();
+        let Some(&(base, _)) = pairs.peek() else {
+            return Csr::default();
+        };
+        let mut offsets = Vec::new();
+        let mut targets = Vec::with_capacity(pairs.size_hint().0);
+        let mut last = None;
+        for pair in pairs {
+            assert!(
+                last <= Some(pair),
+                "{pair:?} follows {last:?}: pairs out of order"
+            );
+            if last == Some(pair) {
+                continue;
+            }
+            // Opens the run of `pair.0`, closing every run before it.
+            offsets.resize((pair.0 - base) as usize + 1, targets.len() as u64);
+            targets.push(pair.1);
+            last = Some(pair);
+        }
+        offsets.push(targets.len() as u64);
+        Csr {
+            base,
+            offsets,
+            targets,
+        }
+    }
+
+    /// Assembles a CSR from its two arrays: `offsets` over the sources
+    /// from `base` on, laid out as [`Csr::offsets`] describes, and
+    /// `targets` with every run ascending and duplicate-free. Empty runs at
+    /// either end are cut off the hull, so it equals [`Csr::from_edges`]
+    /// of the same pairs.
+    ///
+    /// Panics if the offsets do not start at 0, fall, or end anywhere but
+    /// `targets.len()`, or if the hull passes the largest node id.
+    pub fn from_parts(base: NodeId, mut offsets: Vec<u64>, targets: Vec<NodeId>) -> Csr {
+        let len = targets.len() as u64;
+        assert!(
+            offsets.first() == Some(&0) && offsets.last() == Some(&len) && offsets.is_sorted(),
+            "offsets must rise from 0 to the target count"
+        );
+        assert!(
+            u64::from(base) + offsets.len() as u64 - 1 <= 1 << NodeId::BITS,
+            "the hull passes the largest node id"
+        );
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| targets[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b)));
+        // The first run that is not empty ends at the first nonzero offset;
+        // the last one at the first offset that reaches `len`.
+        let Some(first) = offsets.iter().position(|&o| o > 0) else {
+            return Csr::default();
+        };
+        let end = offsets.partition_point(|&o| o < len);
+        offsets.truncate(end + 1);
+        offsets.drain(..first - 1);
+        Csr {
+            base: base + (first - 1) as NodeId,
+            offsets,
+            targets,
+        }
     }
 
     /// Sorts every neighbor list and compacts out repeats in place. No
@@ -197,9 +278,7 @@ impl Csr {
 }
 
 /// Concrete iterator behind [`Csr::iter_edges`]: walks the edge index and
-/// advances the source node whenever it crosses an offset boundary —
-/// nameable so [`GraphView::pairs`](crate::GraphView::pairs) can hold it
-/// in an enum without boxing.
+/// advances the source node whenever it crosses an offset boundary.
 #[derive(Debug, Clone)]
 pub struct CsrEdges<'a> {
     base: NodeId,
@@ -411,9 +490,7 @@ impl Graph {
     ///
     /// Both directions come straight out of the corresponding CSR (the
     /// backward index stores flipped pairs already sorted by target), so
-    /// consumers that need a sorted binary relation — the evaluation
-    /// engines' `Relation::of_symbol` in particular — get one without
-    /// collecting and re-sorting the edge list per query.
+    /// the pairs need no sort.
     pub fn pairs(
         &self,
         pred: PredIdx,

@@ -30,7 +30,7 @@
 //!   mentions in RAM, so its memory grows with those relations, not with
 //!   a cache size,
 //! * [`view`] — [`GraphView`], the common read interface over [`Graph`]
-//!   and [`StoreReader`]: counts, `pairs` scans and endpoint statistics,
+//!   and [`StoreReader`]: counts and each symbol's CSR,
 //!   from which the evaluation context builds its symbol relations.
 
 #![warn(missing_docs)]

@@ -4,16 +4,16 @@
 //! Every consumer of graph topology — the evaluation context's symbol
 //! relations, the planner's statistics, the run pipeline — goes through
 //! this enum, so the same query code serves both a fully materialized
-//! graph and a store file. The view offers counts and sequential `pairs`
-//! scans; it has no point lookup, because the engines read adjacency from the sorted relations
-//! those scans build. The facade is infallible like `&Graph` always was:
+//! graph and a store file. The view offers counts and each symbol's
+//! [`Csr`]; it has no point lookup, because the engines read adjacency
+//! from those CSRs. The facade is infallible like `&Graph` always was:
 //! the paged variant validates structure when the store is opened, and a
 //! post-validation I/O failure (disk yanked mid-scan) panics with the
 //! store's error message rather than threading `Result` through every
 //! consumer.
 
 use crate::paged::StoreReader;
-use crate::{Graph, NodeId, PredIdx};
+use crate::{Csr, Graph, NodeId, PredIdx};
 
 /// A borrowed, `Copy` view over graph topology — either the in-memory
 /// CSR or a paged on-disk store.
@@ -37,34 +37,6 @@ impl<'g> From<&'g Graph> for GraphView<'g> {
 impl<'g> From<&'g StoreReader> for GraphView<'g> {
     fn from(r: &'g StoreReader) -> Self {
         GraphView::Paged(r)
-    }
-}
-
-/// `(source, target)` iterator over one `Σ±` symbol of either variant.
-#[derive(Debug)]
-pub enum Pairs<'g> {
-    /// Walking the in-memory CSR.
-    InMemory(crate::graph::CsrEdges<'g>),
-    /// Streaming store pages.
-    Paged(crate::paged::StorePairs<'g>),
-}
-
-impl Iterator for Pairs<'_> {
-    type Item = (NodeId, NodeId);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, NodeId)> {
-        match self {
-            Pairs::InMemory(it) => it.next(),
-            Pairs::Paged(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Pairs::InMemory(it) => it.size_hint(),
-            Pairs::Paged(it) => it.size_hint(),
-        }
     }
 }
 
@@ -105,16 +77,14 @@ impl<'g> GraphView<'g> {
         }
     }
 
-    /// Iterates the `(source, target)` pairs of one `Σ±` symbol in
-    /// lexicographic order.
-    pub fn pairs(&self, pred: PredIdx, inverse: bool) -> Pairs<'g> {
+    /// The CSR of one `Σ±` symbol: the in-memory graph's forward or
+    /// backward CSR, cloned, or one sequential scan of the store's segment,
+    /// whose pairs come in ascending order ([`Csr::from_sorted_pairs`]).
+    pub fn csr(&self, pred: PredIdx, inverse: bool) -> Csr {
         match self {
-            GraphView::InMemory(g) => Pairs::InMemory(if inverse {
-                g.backward(pred).iter_edges()
-            } else {
-                g.forward(pred).iter_edges()
-            }),
-            GraphView::Paged(r) => Pairs::Paged(r.pairs(pred, inverse)),
+            GraphView::InMemory(g) if inverse => g.backward(pred).clone(),
+            GraphView::InMemory(g) => g.forward(pred).clone(),
+            GraphView::Paged(r) => Csr::from_sorted_pairs(r.pairs(pred, inverse)),
         }
     }
 }

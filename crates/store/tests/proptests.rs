@@ -181,6 +181,33 @@ proptest! {
 }
 
 proptest! {
+    // The ascending-pairs constructor builds what `from_edges` builds,
+    // repeats included: on empty input, on one source, and on a hull that
+    // ends at `u32::MAX - 1`, the largest source `from_edges` takes.
+    #[test]
+    fn sorted_pairs_build_what_from_edges_builds(
+        top in any::<bool>(),
+        one_source in any::<bool>(),
+        raw in prop::collection::vec((0u32..40, any::<u32>(), 1usize..3), 0..60),
+    ) {
+        let last = if top { u32::MAX - 1 } else { 39 };
+        let n = last + 1;
+        let mut edges = Vec::new();
+        for (i, &(s, t, reps)) in raw.iter().enumerate() {
+            let s = if one_source || i == 0 { last } else { last - s };
+            edges.extend(std::iter::repeat_n((s, t % n), reps));
+        }
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        let csr = Csr::from_sorted_pairs(sorted);
+        prop_assert_eq!(&csr, &Csr::from_edges(n, &edges));
+        if !edges.is_empty() {
+            prop_assert_eq!(csr.base() + (csr.offsets().len() - 2) as NodeId, last);
+        }
+    }
+}
+
+proptest! {
     // Each case writes and reads back a real file; fewer cases keep the
     // suite fast while still sweeping graph shapes and page layouts.
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -267,6 +294,19 @@ fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
             (csr.base(), csr.offsets().len()),
             (base, entries)
         )
+    })?;
+    let mut sorted = edges.to_vec();
+    sorted.sort_unstable();
+    ensure(Csr::from_sorted_pairs(sorted) == csr, || {
+        "from_sorted_pairs".into()
+    })?;
+    // The same arrays over all of `0..n`, empty runs at both ends kept.
+    let offsets = (0..=n)
+        .map(|v| reference.range(..(v, 0)).count() as u64)
+        .collect();
+    let targets = reference.iter().map(|&(_, t)| t).collect();
+    ensure(Csr::from_parts(0, offsets, targets) == csr, || {
+        "from_parts".into()
     })?;
     let flipped: Vec<_> = edges.iter().map(|&(s, t)| (t, s)).collect();
     let transposed = csr.transpose();
@@ -360,4 +400,19 @@ fn check_store_matches_graph(
     })?;
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
+}
+
+/// The default CSR is the empty one: offsets `[0]`, so every lookup reads
+/// an empty run.
+#[test]
+fn the_default_csr_is_empty() {
+    let empty = Csr::default();
+    assert_eq!(empty, Csr::from_edges(8, &[]));
+    assert_eq!(empty, Csr::from_sorted_pairs([]));
+    assert_eq!(empty, Csr::from_parts(5, vec![0, 0, 0], Vec::new()));
+    assert_eq!((empty.base(), empty.offsets()), (0, &[0][..]));
+    for v in [0, 1, NodeId::MAX] {
+        assert!(empty.neighbors(v).is_empty());
+    }
+    assert_eq!(empty.iter_edges().count(), 0);
 }

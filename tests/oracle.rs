@@ -106,13 +106,13 @@ fn rows(answers: &Answers) -> BTreeSet<Vec<NodeId>> {
 /// matrix has frozen when it kept one.
 fn check_view(
     inst: &Instance,
-    view: GraphView<'_>,
+    (view, store): (GraphView<'_>, &str),
     expected: &[[BTreeSet<Vec<NodeId>>; 2]],
     threads: usize,
     cache_mb: usize,
 ) {
     let at = format!(
-        "{} on {view:?} at {threads} threads, cache_mb {cache_mb}",
+        "{} on {store} at {threads} threads, cache_mb {cache_mb}",
         inst.name
     );
     let ctx = EvalContext::new(view);
@@ -192,20 +192,12 @@ fn every_engine_answers_what_the_definition_answers() {
             let reader = StoreReader::open(&path).expect("the store opens");
             for threads in [1, 4] {
                 for cache_mb in [MatrixOptions::DEFAULT_CACHE_MB, 0] {
-                    check_view(
-                        &inst,
-                        GraphView::from(&inst.graph),
-                        &expected,
-                        threads,
-                        cache_mb,
-                    );
-                    check_view(
-                        &inst,
-                        GraphView::from(&reader),
-                        &expected,
-                        threads,
-                        cache_mb,
-                    );
+                    for view in [
+                        (GraphView::from(&inst.graph), "the graph"),
+                        (GraphView::from(&reader), "the store"),
+                    ] {
+                        check_view(&inst, view, &expected, threads, cache_mb);
+                    }
                 }
             }
         }
