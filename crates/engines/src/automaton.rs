@@ -10,11 +10,12 @@
 //!   disjunct chain looping back into it — which is exactly
 //!   `(P1 + … + Pk)*` including the empty word.
 //!
-//! [`eval_rpq`] evaluates a compiled NFA over the graph by BFS on the
-//! product `G × NFA` from every source node — the textbook RPQ algorithm
-//! (`O(|V| · |E| · |Q|)`) that SPARQL property-path engines implement — or
-//! from a set of seeds only, and hands the result over as a [`Relation`],
-//! the representation every join downstream consumes. Each move reads its
+//! [`eval_rpq`], the one RPQ kernel, compiles an expression that way and
+//! evaluates it by BFS on the product `G × NFA` from every source node —
+//! the textbook RPQ algorithm (`O(|V| · |E| · |Q|)`) that SPARQL
+//! property-path engines implement — or from ascending seeds only. It
+//! writes each seed's run straight into a seed-keyed [`Relation`], the
+//! representation every join downstream consumes. Each move reads its
 //! adjacency from the context's symbol relations ([`EvalContext::relation`]),
 //! the same relations the other engines join: a node's successors are
 //! its source run, read out of the relation's CSR in O(1)
@@ -27,115 +28,78 @@ use crate::{Budget, EvalError};
 use gmark_core::query::{RegularExpr, Symbol};
 use gmark_store::NodeId;
 
-/// An ε-free NFA over `Σ±`.
+/// An ε-free NFA over `Σ±` whose start state is 0.
 #[derive(Debug, Clone)]
-pub struct Nfa {
+struct Nfa {
     /// `transitions[q]` = outgoing `(symbol, target state)` moves.
-    pub transitions: Vec<Vec<(Symbol, u32)>>,
-    /// The unique start state.
-    pub start: u32,
+    transitions: Vec<Vec<(Symbol, u32)>>,
     /// Accepting-state flags.
-    pub accepting: Vec<bool>,
+    accepting: Vec<bool>,
 }
 
-impl Nfa {
-    /// Number of states.
-    pub fn len(&self) -> usize {
-        self.transitions.len()
+/// Compiles an outermost-star regular expression into an ε-free NFA: a
+/// star loops every disjunct chain back into the start state, which
+/// accepts; otherwise every chain ends in accept state 1.
+fn compile_nfa(expr: &RegularExpr) -> Nfa {
+    let accept = u32::from(!expr.starred);
+    let mut transitions: Vec<Vec<(Symbol, u32)>> = vec![Vec::new(); accept as usize + 1];
+    let mut accepting = vec![true; accept as usize + 1];
+    accepting[0] = expr.starred;
+    for path in &expr.disjuncts {
+        if path.is_empty() {
+            accepting[0] = true; // ε
+            continue;
+        }
+        let mut at = 0u32;
+        for (i, &sym) in path.0.iter().enumerate() {
+            let next = if i + 1 == path.len() {
+                accept
+            } else {
+                transitions.push(Vec::new());
+                accepting.push(false);
+                (transitions.len() - 1) as u32
+            };
+            transitions[at as usize].push((sym, next));
+            at = next;
+        }
     }
-
-    /// Whether the automaton has no states (never constructed that way).
-    pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
-    }
-
-    /// Whether the empty word is accepted (start state accepting).
-    pub fn accepts_epsilon(&self) -> bool {
-        self.accepting[self.start as usize]
-    }
-}
-
-/// Compiles an outermost-star regular expression into an ε-free NFA.
-pub fn compile_nfa(expr: &RegularExpr) -> Nfa {
-    if expr.starred {
-        // One looping state.
-        let mut transitions: Vec<Vec<(Symbol, u32)>> = vec![Vec::new()];
-        let mut accepting = vec![true];
-        for path in &expr.disjuncts {
-            if path.is_empty() {
-                continue; // ε already accepted
-            }
-            let mut at = 0u32;
-            for (i, &sym) in path.0.iter().enumerate() {
-                let next = if i + 1 == path.len() {
-                    0
-                } else {
-                    transitions.push(Vec::new());
-                    accepting.push(false);
-                    (transitions.len() - 1) as u32
-                };
-                transitions[at as usize].push((sym, next));
-                at = next;
-            }
-        }
-        Nfa {
-            transitions,
-            start: 0,
-            accepting,
-        }
-    } else {
-        // States 0 = start, 1 = accept.
-        let mut transitions: Vec<Vec<(Symbol, u32)>> = vec![Vec::new(), Vec::new()];
-        let mut accepting = vec![false, true];
-        for path in &expr.disjuncts {
-            if path.is_empty() {
-                accepting[0] = true;
-                continue;
-            }
-            let mut at = 0u32;
-            for (i, &sym) in path.0.iter().enumerate() {
-                let next = if i + 1 == path.len() {
-                    1
-                } else {
-                    transitions.push(Vec::new());
-                    accepting.push(false);
-                    (transitions.len() - 1) as u32
-                };
-                transitions[at as usize].push((sym, next));
-                at = next;
-            }
-        }
-        Nfa {
-            transitions,
-            start: 0,
-            accepting,
-        }
+    Nfa {
+        transitions,
+        accepting,
     }
 }
 
-/// Evaluates the binary RPQ `{(u, v) | u ∈ seeds, u ⟶_L v}` for the NFA's
-/// language `L` by one BFS over the product graph per seed — `seeds: None`
-/// is every node, the whole relation (`S`'s per-conjunct evaluation); a
-/// slice is the navigational engine's seed-driven primitive. With `flip`
-/// the pairs come out as `(v, u)`: a conjunct traversed from its target
-/// side lands in the conjunct's own orientation. A transition on symbol
-/// `a` moves along `ctx.relation(a)`, built on first use if the harness
-/// has not warmed it.
+/// Evaluates the binary RPQ `{(u, v) | u ∈ seeds, u ⟶_L v}` for the
+/// language `L` of `expr` by one BFS over the product graph per seed;
+/// `seeds: None` is every node. A transition on symbol `a` moves along
+/// `ctx.relation(a)`, built on first use if the harness has not warmed it.
 ///
-/// The tuple cap is charged after every seed on the pairs emitted so far
-/// (before deduplication; the ε pair of a seed included).
+/// A seed's run needs only an in-place sort: the BFS stamps each
+/// `(node, state)` once and every accepting move enters the same state,
+/// so no target repeats, and the ε pair is emitted before the search and
+/// skipped in it. The tuple cap is charged after every seed on the pairs
+/// emitted so far, and the runs are sorted only once all of them fit.
+///
+/// # Panics
+///
+/// Panics if `seeds` is not strictly ascending.
 pub fn eval_rpq(
     ctx: &EvalContext<'_>,
-    nfa: &Nfa,
+    expr: &RegularExpr,
     seeds: Option<&[NodeId]>,
-    flip: bool,
     budget: &Budget,
 ) -> Result<Relation, EvalError> {
+    assert!(
+        seeds.is_none_or(|s| s.is_sorted_by(|a, b| a < b)),
+        "eval_rpq: seeds must be strictly ascending"
+    );
+    let nfa = compile_nfa(expr);
+    let epsilon = nfa.accepting[0];
     let n = ctx.view().node_count();
-    let states = nfa.len();
+    let states = nfa.transitions.len();
     let seed_count = seeds.map_or(n as usize, <[NodeId]>::len);
-    let mut out: Vec<(NodeId, NodeId)> = Vec::new();
-    let pair = |src: NodeId, w: NodeId| if flip { (w, src) } else { (src, w) };
+    let base = seeds.and_then(<[NodeId]>::first).copied().unwrap_or(0);
+    let (mut offsets, mut targets) = (vec![0], Vec::new());
     // Each transition's relation, looked up once per call.
     let moves: Vec<Vec<(&Relation, u32)>> = nfa
         .transitions
@@ -157,12 +121,14 @@ pub fn eval_rpq(
         }
         let src = seeds.map_or(si as NodeId, |s| s[si]);
         let stamp = si as u32;
-        if nfa.accepts_epsilon() {
-            out.push(pair(src, src));
+        // The sources since the previous seed have empty runs.
+        offsets.resize((src - base) as usize + 1, targets.len() as u64);
+        if epsilon {
+            targets.push(src);
         }
         queue.clear();
-        queue.push((src, nfa.start));
-        seen[src as usize * states + nfa.start as usize] = stamp;
+        queue.push((src, 0));
+        seen[src as usize * states] = stamp;
         let mut qi = 0;
         while qi < queue.len() {
             let (v, q) = queue[qi];
@@ -172,17 +138,23 @@ pub fn eval_rpq(
                     let slot = w as usize * states + q2 as usize;
                     if seen[slot] != stamp {
                         seen[slot] = stamp;
-                        if nfa.accepting[q2 as usize] && !(nfa.accepts_epsilon() && w == src) {
-                            out.push(pair(src, w));
+                        if nfa.accepting[q2 as usize] && !(epsilon && w == src) {
+                            targets.push(w);
                         }
                         queue.push((w, q2));
                     }
                 }
             }
         }
-        budget.check_size(out.len())?;
+        offsets.push(targets.len() as u64);
+        budget.check_size(targets.len())?;
     }
-    Ok(Relation::from_pairs(out))
+    for run in offsets.windows(2) {
+        targets[run[0] as usize..run[1] as usize].sort_unstable();
+    }
+    // The relation lives through the join: keep no doubling slack in it.
+    targets.shrink_to_fit();
+    Ok(Relation::from_parts(base, offsets, targets))
 }
 
 #[cfg(test)]
@@ -190,11 +162,11 @@ mod tests {
     use super::*;
     use crate::fixtures::{graph4 as graph, sym};
     use gmark_core::query::PathExpr;
+    use gmark_store::Csr;
 
     fn pairs(expr: &RegularExpr) -> Vec<(NodeId, NodeId)> {
-        let nfa = compile_nfa(expr);
         let g = graph();
-        let rel = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default()).unwrap();
+        let rel = eval_rpq(&EvalContext::new(&g), expr, None, &Budget::default()).unwrap();
         crate::fixtures::pairs(&rel)
     }
 
@@ -278,29 +250,52 @@ mod tests {
         assert_eq!(got, expected);
     }
 
+    /// The pairs of `r` whose source is one of `seeds`.
+    fn restricted(r: &Csr, seeds: &[NodeId]) -> Relation {
+        Relation::from_pairs(r.iter_edges().filter(|(s, _)| seeds.contains(s)).collect())
+    }
+
     #[test]
     fn seed_driven_matches_full_eval() {
-        let expr = RegularExpr::star(vec![PathExpr(vec![sym(0)])]);
-        let nfa = compile_nfa(&expr);
         let g = graph();
         let ctx = EvalContext::new(&g);
-        let run = |seeds, flip| eval_rpq(&ctx, &nfa, seeds, flip, &Budget::default()).unwrap();
-        let full = run(None, false);
-        assert_eq!(run(Some(&[0, 1, 2, 3]), false), full);
-        // Seeds need not ascend; 3 cannot be reached, so it is the only
-        // source of its four pairs — the ε pair among them.
-        assert_eq!(run(Some(&[3, 0]), false).edge_count(), 4 + 3);
-        let only3 = run(Some(&[3]), false);
-        assert_eq!(
-            crate::fixtures::pairs(&only3),
-            [(3, 0), (3, 1), (3, 2), (3, 3)]
+        let run =
+            |expr: &RegularExpr, seeds| eval_rpq(&ctx, expr, seeds, &Budget::default()).unwrap();
+        let exprs = [
+            RegularExpr::star(vec![PathExpr(vec![sym(0)])]),
+            RegularExpr::path(PathExpr(vec![sym(0), sym(1)])),
+            RegularExpr::union(vec![PathExpr::epsilon(), PathExpr(vec![sym(1).flipped()])]),
+            RegularExpr::star(vec![PathExpr(vec![sym(1), sym(0).flipped()])]),
+        ];
+        for expr in &exprs {
+            let full = run(expr, None);
+            let reversed = RegularExpr {
+                disjuncts: expr.disjuncts.iter().map(PathExpr::reversed).collect(),
+                starred: expr.starred,
+            };
+            let converse = full.transpose();
+            assert_eq!(run(expr, Some(&[0, 1, 2, 3])), full, "{expr:?}");
+            for seeds in [&[][..], &[3], &[0, 2], &[1, 2, 3]] {
+                // A seeded run is the full relation's runs of its seeds ...
+                assert_eq!(run(expr, Some(seeds)), restricted(&full, seeds), "{expr:?}");
+                // ... and the reversed expression's, the converse's.
+                let back = run(&reversed, Some(seeds));
+                assert_eq!(back, restricted(&converse, seeds), "{expr:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn seeds_out_of_order_panic() {
+        let g = graph();
+        let expr = RegularExpr::symbol(sym(0));
+        let _ = eval_rpq(
+            &EvalContext::new(&g),
+            &expr,
+            Some(&[3, 0]),
+            &Budget::default(),
         );
-        assert_eq!(
-            crate::fixtures::pairs(&run(Some(&[3]), true)),
-            [(0, 3), (1, 3), (2, 3), (3, 3)]
-        );
-        let swapped = full.iter_edges().map(|(s, t)| (t, s)).collect();
-        assert_eq!(run(None, true), Relation::from_pairs(swapped));
     }
 
     #[test]
@@ -308,10 +303,10 @@ mod tests {
         // b*: nodes 0 and 3 have no outgoing b-edge, so they are skipped
         // by the first-move test — after their ε pair was emitted and
         // charged: 4 ε pairs + (1,3), (2,3) = 6.
-        let nfa = compile_nfa(&RegularExpr::star(vec![PathExpr(vec![sym(1)])]));
+        let expr = RegularExpr::star(vec![PathExpr(vec![sym(1)])]);
         let g = graph();
         let ctx = EvalContext::new(&g);
-        let run = |cap| eval_rpq(&ctx, &nfa, None, false, &Budget::with_limits(None, cap));
+        let run = |cap| eval_rpq(&ctx, &expr, None, &Budget::with_limits(None, cap));
         assert_eq!(run(6).unwrap().edge_count(), 6);
         assert_eq!(run(5), Err(EvalError::TooLarge(6)));
     }
@@ -324,20 +319,20 @@ mod tests {
             ..Budget::default()
         };
         let g = graph();
-        let nfa = compile_nfa(&expr);
-        let err = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &budget).unwrap_err();
+        let err = eval_rpq(&EvalContext::new(&g), &expr, None, &budget).unwrap_err();
         assert!(matches!(err, EvalError::TooLarge(_)));
     }
 
     #[test]
     fn nfa_shapes() {
         let starless = compile_nfa(&RegularExpr::union(vec![PathExpr(vec![sym(0), sym(1)])]));
-        assert_eq!(starless.len(), 3); // start, accept, one intermediate
-        assert!(!starless.accepts_epsilon());
+        // Start, accept, one intermediate.
+        assert_eq!(starless.accepting, [false, true, false]);
         let starred = compile_nfa(&RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]));
-        assert_eq!(starred.len(), 2); // loop state + one intermediate
-        assert!(starred.accepts_epsilon());
+        // Loop state, one intermediate.
+        assert_eq!(starred.accepting, [true, false]);
+        assert_eq!(starred.transitions, [vec![(sym(0), 1)], vec![(sym(1), 0)]]);
         let eps = compile_nfa(&RegularExpr::union(vec![PathExpr::epsilon()]));
-        assert!(eps.accepts_epsilon());
+        assert_eq!(eps.accepting, [true, true]);
     }
 }

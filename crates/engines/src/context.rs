@@ -14,17 +14,15 @@
 //!   they *are* the Datalog EDB — `edge_<p>` is the forward relation of
 //!   `p` — so [`EvalContext::edb`] only warms them all and counts their
 //!   facts;
-//! * [`EvalContext::nfa`] — a memoized [`compile_nfa`], keyed by the
-//!   regular expression;
 //! * [`EvalContext::symbol_stats`] — edge and distinct-source/
 //!   distinct-target counts per `(predicate, direction)`, the planner's
 //!   cardinality and selectivity input, counted once as the non-empty
 //!   runs of the predicate's two symbol relations and shared.
 //!
 //! The context is `Sync`: lazy slots are [`OnceLock`]s whose values are
-//! pure functions of the graph, and the NFA cache is a mutex around a
-//! memo table — so concurrent initialization from the matrix harness's
-//! workers is race-free and cannot affect any observable result.
+//! pure functions of the graph, so concurrent initialization from the
+//! matrix harness's workers is race-free and cannot affect any observable
+//! result.
 //!
 //! # The sub-expression result cache
 //!
@@ -77,7 +75,6 @@
 //! to ok, violating the outcome-identity contract above. Its closure-heavy
 //! cells compose the relations the delta loop already holds instead.
 
-use crate::automaton::{compile_nfa, Nfa};
 use crate::relations::Relation;
 use crate::{Budget, EvalError};
 use gmark_core::query::{PathExpr, RegularExpr, Symbol};
@@ -86,7 +83,7 @@ use gmark_store::{ordered_map, GraphView};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Everything the four engines would otherwise re-derive from the graph on
 /// every query, computed at most once and borrowed by every
@@ -104,8 +101,6 @@ pub struct EvalContext<'g> {
     fwd: Vec<OnceLock<Arc<Relation>>>,
     /// Lazy inverse relation per predicate.
     bwd: Vec<OnceLock<Arc<Relation>>>,
-    /// Memoized compiled automata, keyed by expression.
-    nfas: Mutex<FxHashMap<RegularExpr, Arc<Nfa>>>,
     /// Lazy per-predicate `(distinct sources, distinct targets)` counts.
     stats: Vec<OnceLock<(usize, usize)>>,
     /// The sub-expression result cache: the memo of
@@ -274,7 +269,6 @@ impl<'g> EvalContext<'g> {
             view,
             fwd: (0..preds).map(|_| OnceLock::new()).collect(),
             bwd: (0..preds).map(|_| OnceLock::new()).collect(),
-            nfas: Mutex::new(FxHashMap::default()),
             stats: (0..preds).map(|_| OnceLock::new()).collect(),
             expr_cache: OnceLock::new(),
             expr_lens: OnceLock::new(),
@@ -333,17 +327,6 @@ impl<'g> EvalContext<'g> {
                 distinct_trg: trg,
             }
         }
-    }
-
-    /// The compiled NFA of a regular expression, memoized per context.
-    pub fn nfa(&self, expr: &RegularExpr) -> Arc<Nfa> {
-        let mut cache = self.nfas.lock().expect("no panics while compiling NFAs");
-        if let Some(nfa) = cache.get(expr) {
-            return Arc::clone(nfa);
-        }
-        let nfa = Arc::new(compile_nfa(expr));
-        cache.insert(expr.clone(), Arc::clone(&nfa));
-        nfa
     }
 
     /// Fills the sub-expression result cache, once, on one thread. Must be
@@ -619,17 +602,6 @@ mod tests {
                 distinct_trg: 1
             }
         );
-    }
-
-    #[test]
-    fn nfa_cache_returns_the_same_automaton() {
-        let g = graph();
-        let ctx = EvalContext::new(&g);
-        let expr = RegularExpr::symbol(sym(0));
-        let a = ctx.nfa(&expr);
-        let b = ctx.nfa(&expr);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

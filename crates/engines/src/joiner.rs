@@ -16,7 +16,10 @@
 //! ([`Csr::contains`]), and the Cartesian arm walks every pair
 //! ([`Csr::iter_edges`]). When only the target is bound, the runs are
 //! those of the transposed relation ([`Csr::transpose`], a counting
-//! sort). No per-conjunct hash index is ever built.
+//! sort) — an arm only `P`, `S` and `D` take: `G` runs a target-anchored
+//! conjunct backwards from the bound targets and mounts the result keyed
+//! by them, its variables swapped. No per-conjunct hash index is ever
+//! built.
 //!
 //! # Live columns
 //!
@@ -788,9 +791,9 @@ mod relational_tests {
         })
         .unwrap();
         let a = eval(&q, &Budget::default()).unwrap();
-        let nfa = crate::compile_nfa(&q.rules[0].body[0].expr);
         let g = graph();
-        let bfs = eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default()).unwrap();
+        let expr = &q.rules[0].body[0].expr;
+        let bfs = eval_rpq(&EvalContext::new(&g), expr, None, &Budget::default()).unwrap();
         let expected: Vec<[_; 2]> = bfs.iter_edges().map(|(s, t)| [s, t]).collect();
         assert_eq!(a.rows().collect::<Vec<_>>(), expected);
     }

@@ -22,8 +22,10 @@
 //!   product-automaton BFS over the sorted indexes, no intermediate
 //!   relation per step; on a hit, exactly `P`'s code;
 //! * `G` (navigational) — **navigate**: seed-driven BFS from the bindings
-//!   so far, over the *degraded* query an openCypher system would run
-//!   (inverses and concatenations under `*` are dropped per Section 7.1,
+//!   so far — forward from a bound source, backward from a bound target,
+//!   both through the one RPQ kernel [`eval_rpq`] — over the *degraded*
+//!   query an openCypher system would run (inverses and concatenations
+//!   under `*` are dropped per Section 7.1,
 //!   see [`gmark_core::cypher::degrade`]), hence its answer sets
 //!   legitimately differ on such queries;
 //! * `D` (Datalog) — **semi-naive**: the query translated to a positive
@@ -50,9 +52,9 @@
 //! hanging the harness.
 //!
 //! Engines borrow one immutable [`EvalContext`] — per-predicate sorted
-//! relations (which are the Datalog EDB too), symbol statistics, a
-//! compiled-NFA cache — built once per graph instead of re-derived per
-//! query, and the [`evaluate_matrix`] harness
+//! relations (which are the Datalog EDB too) and symbol statistics —
+//! built once per graph instead of re-derived per query, and the
+//! [`evaluate_matrix`] harness
 //! fans the (engine × query) cells of a whole workload over worker threads
 //! with a fresh per-cell [`Budget`], reassembling a deterministic
 //! [`EvalReport`].
@@ -70,7 +72,7 @@ pub mod navigational;
 pub mod planner;
 pub mod relations;
 
-pub use automaton::{compile_nfa, eval_rpq, Nfa};
+pub use automaton::eval_rpq;
 pub use context::{EvalCacheStats, EvalContext, SymbolStats};
 pub use matrix::{
     evaluate_matrix, evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell,

@@ -175,7 +175,7 @@ impl EngineKind {
             }
             EngineKind::Navigational => navigational::evaluate(ctx, query, plan, budget),
             EngineKind::TripleStore => join_materialized(ctx, query, plan, budget, |e| {
-                eval_rpq(ctx, &ctx.nfa(e), None, false, budget).map(Arc::new)
+                eval_rpq(ctx, e, None, budget).map(Arc::new)
             }),
             EngineKind::Datalog => datalog::evaluate(ctx, query, plan, budget),
         }

@@ -14,8 +14,11 @@
 //!    paper reports `G` returning empty/deviating results in Table 4.
 //! 2. **Seed-driven navigation.** Evaluation expands bindings conjunct by
 //!    conjunct from already-bound variables (pattern matching by
-//!    traversal), rather than materializing whole relations. Starting
-//!    seeds are the candidate nodes of the first conjunct's source.
+//!    traversal), rather than materializing whole relations. Each step
+//!    runs [`eval_rpq`] from the values the table binds: at the
+//!    conjunct's source, else over the reversed expression at its target.
+//!    A conjunct bound at neither end is evaluated whole, through the
+//!    sub-expression cache.
 //!
 //! Variable-length patterns in openCypher also bind at least one hop by
 //! default (`*` means `*1..`); gMark's star includes ε. The translator
@@ -29,7 +32,7 @@ use crate::planner::ConjunctStep;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError, QueryPlan};
 use gmark_core::cypher::degrade;
-use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule};
+use gmark_core::query::{PathExpr, Query, RegularExpr, Rule};
 use gmark_store::NodeId;
 use std::sync::Arc;
 
@@ -54,10 +57,9 @@ pub(crate) fn evaluate(
 
 /// Seed-driven evaluation of one rule along the planned steps: each
 /// conjunct's pairs are computed by automaton BFS *from the currently
-/// bound seeds only* — flipped conjuncts traversing their reversed
-/// expression from the target side — and joined into the running table at
-/// once, so the next conjunct sees tight seeds. Each step stores only the
-/// head and the variables of the steps after it, as `join_all` does.
+/// bound seeds only* and joined into the running table at once, so the
+/// next conjunct sees tight seeds. Each step stores only the head and the
+/// variables of the steps after it, as `join_all` does.
 fn navigate_rule(
     ctx: &EvalContext<'_>,
     rule: &Rule,
@@ -70,29 +72,40 @@ fn navigate_rule(
         let c = &rule.body[step.conjunct];
         let later = steps[i + 1..].iter().map(|s| &rule.body[s.conjunct]);
         let live = live_after(&rule.head, later.map(|c| (c.src, c.trg)));
-        let from = if step.flip { c.trg } else { c.src };
-        // Seeds: the bound values of `from` if available, else all nodes.
-        let bound_seeds: Option<Vec<NodeId>> = table.col(from).map(|col| {
-            let mut seeds: Vec<NodeId> = table.rows().map(|row| row[col]).collect();
-            seeds.sort_unstable();
-            seeds.dedup();
-            seeds
-        });
-        // An unbound forward conjunct is a whole-expression evaluation —
+        // An unanchored conjunct is a whole-expression evaluation —
         // exactly the form the shared sub-expression cache holds (BFS
         // from every node produces the full relation, so the hit's
         // cardinality charge matches what navigation would have paid).
-        // Bound or flipped traversals stay seed-driven BFS: there a
-        // cached full relation would be charged where navigation only
-        // explores a subset.
-        let pairs: Arc<Relation> = if !step.flip && bound_seeds.is_none() {
-            ctx.conjunct_relation(&c.expr, budget, || navigate(ctx, c, false, None, budget))?
-        } else {
-            navigate(ctx, c, step.flip, bound_seeds.as_deref(), budget)?
+        // Anchored traversals stay seed-driven BFS: there a cached full
+        // relation would be charged where navigation only explores a
+        // subset. A target anchor runs the reversed expression, whose
+        // seed-keyed pairs are the conjunct's with the variables swapped.
+        let reversed;
+        let (anchor, expr, src, trg) = match (table.col(c.src), table.col(c.trg)) {
+            (Some(col), _) => (Some(col), &c.expr, c.src, c.trg),
+            (None, Some(col)) => {
+                reversed = RegularExpr {
+                    disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
+                    starred: c.expr.starred,
+                };
+                (Some(col), &reversed, c.trg, c.src)
+            }
+            (None, None) => (None, &c.expr, c.src, c.trg),
+        };
+        let pairs: Arc<Relation> = match anchor {
+            None => ctx.conjunct_relation(expr, budget, || {
+                eval_rpq(ctx, expr, None, budget).map(Arc::new)
+            })?,
+            Some(col) => {
+                let mut seeds: Vec<NodeId> = table.rows().map(|row| row[col]).collect();
+                seeds.sort_unstable();
+                seeds.dedup();
+                Arc::new(eval_rpq(ctx, expr, Some(&seeds), budget)?)
+            }
         };
         let conjunct = ConjunctPairs {
-            src: c.src,
-            trg: c.trg,
+            src,
+            trg,
             pairs: &pairs,
         };
         table = table.extend(&conjunct, &live, budget)?;
@@ -100,34 +113,12 @@ fn navigate_rule(
     Ok(table)
 }
 
-/// One conjunct's pairs by automaton BFS from `seeds` (`None` = every
-/// node), flipped conjuncts traversing their reversed expression from
-/// the target side.
-fn navigate(
-    ctx: &EvalContext<'_>,
-    c: &Conjunct,
-    flip: bool,
-    seeds: Option<&[NodeId]>,
-    budget: &Budget,
-) -> Result<Arc<Relation>, EvalError> {
-    let expr = if flip {
-        RegularExpr {
-            disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
-            starred: c.expr.starred,
-        }
-    } else {
-        c.expr.clone()
-    };
-    let nfa = ctx.nfa(&expr);
-    Ok(Arc::new(eval_rpq(ctx, &nfa, seeds, flip, budget)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{chain, graph5 as graph, sym};
     use crate::EngineKind;
-    use gmark_core::query::Var;
+    use gmark_core::query::{Conjunct, Var};
 
     fn eval(kind: EngineKind, q: &Query) -> Answers {
         kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())
@@ -191,5 +182,35 @@ mod tests {
         .unwrap();
         let a = eval(EngineKind::Navigational, &q);
         assert!(a.non_empty());
+    }
+
+    #[test]
+    fn target_anchored_steps_agree_with_the_relational_engine() {
+        // Declared order picks (x1, b, x2) first; (x0, a, x1) is then
+        // bound only at its target, so `G` walks `a` backwards from x1.
+        for a in [
+            RegularExpr::symbol(sym(0)),
+            RegularExpr::star(vec![PathExpr(vec![sym(0)])]),
+        ] {
+            let q = Query::single(Rule {
+                head: vec![Var(0), Var(2)],
+                body: vec![
+                    Conjunct {
+                        src: Var(1),
+                        expr: RegularExpr::symbol(sym(1)),
+                        trg: Var(2),
+                    },
+                    Conjunct {
+                        src: Var(0),
+                        expr: a,
+                        trg: Var(1),
+                    },
+                ],
+            })
+            .unwrap();
+            let nav = eval(EngineKind::Navigational, &q);
+            assert!(nav.non_empty());
+            assert_eq!(nav, eval(EngineKind::Relational, &q), "{q:?}");
+        }
     }
 }

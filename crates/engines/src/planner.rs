@@ -41,9 +41,9 @@
 //! minimizes the estimated size of the joined intermediate (semi-join
 //! when both variables are bound, fan-out division when one is, Cartesian
 //! otherwise), preferring connected conjuncts and breaking every tie by
-//! declaration index. Each step also records whether the conjunct should
-//! be traversed from its target (`flip`) — the seed-driven navigational
-//! engine's anchor choice.
+//! declaration index. A step is only the pick and its estimate: which end
+//! of a conjunct is bound is read off the binding table by whichever
+//! engine needs it.
 //!
 //! # Determinism
 //!
@@ -70,10 +70,6 @@ const STAR_GROWTH: u128 = 8;
 pub struct ConjunctStep {
     /// Index into the rule's body (declaration position).
     pub conjunct: usize,
-    /// Traverse the conjunct from its target variable: the seed-driven
-    /// navigational engine reverses the expression and walks backwards
-    /// when only the target is bound at this point of the order.
-    pub flip: bool,
     /// Estimated pair cardinality of the conjunct's expression.
     pub est_pairs: u64,
 }
@@ -104,10 +100,10 @@ impl QueryPlan {
     /// The plan of a query nobody planned: [`plan_query`]'s own ordering
     /// loop run with every estimate equal, so each pick is the
     /// earliest-declared conjunct sharing a variable with those already
-    /// picked (the earliest-declared of all when none does), flipped when
-    /// only its target is bound. This is what [`crate::EngineKind::evaluate`]
-    /// follows without a plan — `MatrixOptions { plan: false, .. }`, the
-    /// differential reference the planner is tested against.
+    /// picked (the earliest-declared of all when none does). This is what
+    /// [`crate::EngineKind::evaluate`] follows without a plan —
+    /// `MatrixOptions { plan: false, .. }`, the differential reference the
+    /// planner is tested against.
     pub fn declaration_order(query: &Query) -> QueryPlan {
         const EQUAL: ExprEst = ExprEst {
             pairs: 1,
@@ -203,7 +199,7 @@ fn plan_rule(rule: &Rule, ests: &[ExprEst], n: u128) -> RulePlan {
         // engines' own historical heuristics, and keeping seed-driven
         // traversals seeded): an attractive-looking cross product is
         // still a cross product.
-        let mut best: Option<(bool, u128, usize, bool)> = None; // (disconnected, rows, idx, flip)
+        let mut best: Option<(bool, u128, usize)> = None; // (disconnected, rows, idx)
         for (i, est) in ests.iter().enumerate() {
             if used[i] {
                 continue;
@@ -211,27 +207,26 @@ fn plan_rule(rule: &Rule, ests: &[ExprEst], n: u128) -> RulePlan {
             let c = &rule.body[i];
             let sb = bound.contains(&c.src);
             let tb = bound.contains(&c.trg);
-            let (next_rows, flip, connected) = if step == 0 {
-                (est.pairs, false, true)
+            let (next_rows, connected) = if step == 0 {
+                (est.pairs, true)
             } else if sb && tb {
                 // Semi-join: filters the table, never grows it.
                 let sel = rows.saturating_mul(est.pairs) / n2;
-                (sel.min(rows).max(1), false, true)
-            } else if sb {
-                let fan = rows.saturating_mul(est.pairs) / est.dsrc.max(1);
-                (fan.max(1), false, true)
-            } else if tb {
-                let fan = rows.saturating_mul(est.pairs) / est.dtrg.max(1);
-                (fan.max(1), true, true)
+                (sel.min(rows).max(1), true)
+            } else if sb || tb {
+                // Fan-out from the bound end.
+                let distinct = if sb { est.dsrc } else { est.dtrg };
+                let fan = rows.saturating_mul(est.pairs) / distinct.max(1);
+                (fan.max(1), true)
             } else {
-                (rows.saturating_mul(est.pairs).max(1), false, false)
+                (rows.saturating_mul(est.pairs).max(1), false)
             };
-            let key = (!connected, next_rows, i, flip);
+            let key = (!connected, next_rows, i);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
         }
-        let Some((_, next_rows, idx, flip)) = best else {
+        let Some((_, next_rows, idx)) = best else {
             break; // empty body
         };
         used[idx] = true;
@@ -243,7 +238,6 @@ fn plan_rule(rule: &Rule, ests: &[ExprEst], n: u128) -> RulePlan {
         }
         steps.push(ConjunctStep {
             conjunct: idx,
-            flip,
             est_pairs: clamp_u64(ests[idx].pairs),
         });
     }
@@ -395,8 +389,7 @@ mod tests {
     #[test]
     fn selective_conjunct_leads_the_order() {
         // (?x0, p0, ?x1), (?x1, p1, ?x2): the sparse p1 conjunct (2
-        // edges) must be picked first; p0 then anchors at its *target*
-        // (x1 is bound), so it is flipped.
+        // edges) must be picked first; p0 then joins at its target x1.
         let g = graph();
         let ctx = EvalContext::new(&g);
         let q = chain(vec![
@@ -406,9 +399,7 @@ mod tests {
         let plan = plan_query(&ctx, None, &q);
         let steps = &plan.rules[0].steps;
         assert_eq!(steps[0].conjunct, 1, "sparse conjunct first: {steps:?}");
-        assert!(!steps[0].flip);
         assert_eq!(steps[1].conjunct, 0);
-        assert!(steps[1].flip, "dense conjunct anchors at bound target");
     }
 
     #[test]
@@ -501,8 +492,8 @@ mod tests {
     fn declaration_order_is_connected_first_then_earliest_declared() {
         // Body: (x0,x1), (x5,x6), (x2,x1), (x1,x3). After the seed, the
         // disconnected (x5,x6) waits; (x2,x1) is the earliest connected
-        // conjunct and only its target is bound, so it is flipped; then
-        // (x1,x3) forward; the Cartesian component comes last.
+        // conjunct, joined at its target; then (x1,x3); the Cartesian
+        // component comes last.
         let q = Query::single(Rule {
             head: vec![Var(0), Var(6)],
             body: vec![
@@ -514,12 +505,8 @@ mod tests {
         })
         .unwrap();
         let plan = QueryPlan::declaration_order(&q);
-        let order: Vec<(usize, bool)> = plan.rules[0]
-            .steps
-            .iter()
-            .map(|s| (s.conjunct, s.flip))
-            .collect();
-        assert_eq!(order, vec![(0, false), (2, true), (3, false), (1, false)]);
+        let order: Vec<usize> = plan.rules[0].steps.iter().map(|s| s.conjunct).collect();
+        assert_eq!(order, vec![0, 2, 3, 1]);
         assert!(plan.fits(&q));
         // It reads no statistics: the dense/sparse contrast that reorders
         // `selective_conjunct_leads_the_order` leaves a chain as declared.

@@ -86,6 +86,11 @@ impl Relation {
         Relation(Csr::from_sorted_pairs(pairs))
     }
 
+    /// Assembles a relation from its CSR arrays ([`Csr::from_parts`]).
+    pub(crate) fn from_parts(base: NodeId, offsets: Vec<u64>, targets: Vec<NodeId>) -> Relation {
+        Relation(Csr::from_parts(base, offsets, targets))
+    }
+
     /// The relation of one `Σ±` symbol: all `a`-edges, flipped for `a⁻` —
     /// the view's CSR of the symbol ([`GraphView::csr`]): a clone of the
     /// in-memory graph's, or one scan of the store's pages.
@@ -581,13 +586,11 @@ mod tests {
             RegularExpr::union(vec![PathExpr(vec![sym(0), sym(0)]), PathExpr::epsilon()]),
         ];
         for expr in exprs {
-            let nfa = crate::compile_nfa(&expr);
             assert_eq!(
                 *EvalContext::new(&g)
                     .expr_relation(&expr, &Budget::default())
                     .unwrap(),
-                crate::eval_rpq(&EvalContext::new(&g), &nfa, None, false, &Budget::default())
-                    .unwrap(),
+                crate::eval_rpq(&EvalContext::new(&g), &expr, None, &Budget::default()).unwrap(),
                 "{expr:?}"
             );
         }

@@ -181,9 +181,9 @@ proptest! {
 }
 
 proptest! {
-    // The ascending-pairs constructor builds what `from_edges` builds,
-    // repeats included: on empty input, on one source, and on a hull that
-    // ends at `u32::MAX - 1`, the largest source `from_edges` takes.
+    /// The ascending-pairs constructor builds what `from_edges` builds,
+    /// repeats included: on empty input, on one source, and on a hull that
+    /// ends at `u32::MAX - 1`, the largest source `from_edges` takes.
     #[test]
     fn sorted_pairs_build_what_from_edges_builds(
         top in any::<bool>(),
