@@ -326,7 +326,7 @@ pub fn generate_store(
         for idx in (0..constraints.len()).filter(|&i| constraints[i].predicate.0 == pred) {
             generate_constraint(config, opts, idx, &partition, &master, &mut edges);
         }
-        let fwd = Csr::from_edges(partition.node_count(), &edges.0);
+        let fwd = Csr::from_edges(edges.0.iter().copied());
         writer.write_segment(&fwd)?;
         writer.write_segment(&fwd.transpose())?;
     }

@@ -252,7 +252,7 @@ mod tests {
 
     /// The pairs of `r` whose source is one of `seeds`.
     fn restricted(r: &Csr, seeds: &[NodeId]) -> Relation {
-        Relation::from_pairs(r.iter_edges().filter(|(s, _)| seeds.contains(s)).collect())
+        Relation::from_pairs(r.iter_edges().filter(|(s, _)| seeds.contains(s)))
     }
 
     #[test]

@@ -32,9 +32,13 @@
 //!   fails with the same count and derives nothing;
 //! * (b) every delta round starts with the clock and with
 //!   `|EDB| + |IDB|` — `|EDB|` is [`EvalContext::edb`], nodes plus the
-//!   distinct edges of *every* predicate, `|IDB|` every derived fact, `ans`
-//!   included — and a round runs whenever the one before it added a fact to
-//!   any predicate, `ans` included;
+//!   distinct edges of *every* predicate, `|IDB|` every distinct derived
+//!   fact, `ans` included — and a round runs whenever the one before it
+//!   added a fact to any predicate, `ans` included. A rule's projected head
+//!   cells are made a set before they are added, uncharged: an IDB head's
+//!   by [`Relation::from_pairs`], the store's counting scatter, straight
+//!   off the cells (the join table already dropped), and `ans`'s by
+//!   `Answers::from_rows`, the same scatter wherever its scratch fits;
 //! * (c) the facts a rule derives are visible to the rules after it in the
 //!   same round;
 //! * (d) round 0 evaluates every rule as written; in delta rounds the
@@ -127,13 +131,15 @@ impl Fixpoint<'_, '_> {
         let table = join_all(&body, &rule.args, self.budget)?;
         let mut cells = Vec::new();
         let len = project(&table, &rule.args, &mut cells, |_| Ok(()))?;
+        drop(table);
         if len == 0 {
             return Ok(());
         }
         match rule.head {
             Head::Idb(p) => {
-                let pairs = cells.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-                self.add(p, Relation::from_pairs(pairs));
+                let derived = Relation::from_pairs(cells.chunks_exact(2).map(|c| (c[0], c[1])));
+                drop(cells);
+                self.add(p, derived);
             }
             Head::Ans => {
                 let derived = Answers::from_rows(self.answers.arity(), len, cells);

@@ -80,7 +80,7 @@ pub use matrix::{
 };
 pub use planner::{plan_query, ConjunctStep, QueryPlan, RulePlan};
 
-use gmark_store::NodeId;
+use gmark_store::{Csr, NodeId};
 use std::cmp::Ordering;
 use std::time::{Duration, Instant};
 
@@ -184,6 +184,42 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// Whether [`Csr::from_edges`] may deduplicate `len` rows of `arity` cells
+/// whose first column spans a hull of `first` ids and whose last column
+/// spans `last`: its scratch — one `u64` offset per id of `first` plus
+/// one, and a bitset of `u64` words over `last` — takes no more bytes than
+/// the rows' own cells.
+fn scatter_fits(arity: usize, len: usize, first: usize, last: usize) -> bool {
+    8 * (first + 1 + last.div_ceil(64)) <= 4 * arity * len
+}
+
+/// The CSR of `len` rows of one or two cells, built by [`Csr::from_edges`]
+/// when its scratch fits ([`scatter_fits`]): a row of two cells is the
+/// pair it holds, a row of one cell `v` the pair `(0, v)`. `None` at any
+/// other arity, or when the hulls are too wide.
+fn scatter(arity: usize, len: usize, cells: &[NodeId]) -> Option<Csr> {
+    match arity {
+        1 => scatter_pairs(1, len, cells.iter().map(|&v| (0, v))),
+        2 => scatter_pairs(2, len, cells.chunks_exact(2).map(|c| (c[0], c[1]))),
+        _ => None,
+    }
+}
+
+/// [`scatter`] over the rows as pairs.
+fn scatter_pairs(
+    arity: usize,
+    len: usize,
+    pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
+) -> Option<Csr> {
+    let (lo, hi) = pairs
+        .clone()
+        .fold(((NodeId::MAX, NodeId::MAX), (0, 0)), |(lo, hi), (s, t)| {
+            ((lo.0.min(s), lo.1.min(t)), (hi.0.max(s), hi.1.max(t)))
+        });
+    let span = |lo: NodeId, hi: NodeId| (hi as usize + 1).saturating_sub(lo as usize);
+    scatter_fits(arity, len, span(lo.0, hi.0), span(lo.1, hi.1)).then(|| Csr::from_edges(pairs))
+}
+
 /// A set of distinct answer tuples: one row-major buffer, sorted
 /// lexicographically and deduplicated, so two engines' answers compare
 /// with `==`. Only `Answers::from_rows` builds one from raw rows.
@@ -198,14 +234,40 @@ pub struct Answers {
 
 impl Answers {
     /// Builds an answer set from `len` row-major rows of `arity` cells,
-    /// sorting and deduplicating. A row of at most two cells fits one
-    /// machine word, so it is packed into a `u64` key (`row[0] << 32 |
-    /// row[1]`, whose order is the rows' lexicographic order), the
-    /// projected cells are freed, and the keys are sorted, deduplicated
-    /// and unpacked. Wider rows — no generated benchmark query has them,
-    /// but configs may ask — sort an index with a row comparator.
+    /// sorting and deduplicating.
+    ///
+    /// Rows of one or two cells are pairs — `(0, v)` at arity 1 — and go
+    /// through the store's one bag-to-set kernel, [`Csr::from_edges`]: a
+    /// counting scatter by the first cell, each run deduplicated by a
+    /// bitset over the last cell's hull so that only its distinct cells
+    /// are ordered. The CSR is then read back out as row-major cells, in
+    /// lexicographic order. The kernel is taken only when its scratch
+    /// space (offsets over the first column's hull, and the bitset) is no
+    /// larger than the rows themselves ([`scatter_fits`]), so no call
+    /// allocates more than O(rows). Wider hulls pack each row into a `u64` key (`row[0] << 32 |
+    /// row[1]`, whose order is the rows' lexicographic order), free the
+    /// cells, and sort, deduplicate and unpack the keys; so does arity 0.
+    /// Wider rows — no generated benchmark query has them, but configs may
+    /// ask — sort an index with a row comparator.
     pub(crate) fn from_rows(arity: usize, len: usize, cells: Vec<NodeId>) -> Answers {
         debug_assert_eq!(cells.len(), len * arity);
+        if let Some(csr) = scatter(arity, len, &cells) {
+            drop(cells);
+            let cells = if arity == 1 {
+                csr.targets().to_vec()
+            } else {
+                let mut cells = Vec::with_capacity(2 * csr.edge_count());
+                for (s, t) in csr.iter_edges() {
+                    cells.extend([s, t]);
+                }
+                cells
+            };
+            return Answers {
+                arity,
+                len: csr.edge_count(),
+                cells,
+            };
+        }
         let row = |r: usize| &cells[r * arity..(r + 1) * arity];
         if arity <= 2 {
             let pack = |row: &[NodeId]| row.iter().fold(0, |k, &c| k << 32 | u64::from(c));
@@ -317,8 +379,69 @@ mod tests {
         assert_eq!(no.union(&no), no);
     }
 
+    /// `from_rows`' answers against a `BTreeSet` of the same rows.
+    fn check_from_rows(arity: usize, len: usize, cells: Vec<NodeId>) -> Result<(), TestCaseError> {
+        let reference: BTreeSet<Vec<NodeId>> = (0..len)
+            .map(|r| cells[r * arity..(r + 1) * arity].to_vec())
+            .collect();
+        let answers = Answers::from_rows(arity, len, cells);
+        prop_assert_eq!(answers.count(), reference.len() as u64);
+        let rows: Vec<Vec<NodeId>> = answers.rows().map(<[NodeId]>::to_vec).collect();
+        prop_assert_eq!(rows, reference.into_iter().collect::<Vec<_>>());
+        Ok(())
+    }
+
+    #[test]
+    fn the_scatter_arm_ends_where_its_scratch_outgrows_the_rows() {
+        // 40 rows of two cells hold 320 bytes. With the last column in one
+        // bitset word, a first column over 38 ids takes 8 × (38 + 1 + 1) =
+        // 320 bytes of scratch: the last hull the counting scatter takes.
+        // Over 39 ids, and over exactly as many ids as there are rows, the
+        // packed-key sort deduplicates instead.
+        let len = 40;
+        assert!(scatter_fits(2, len, len - 2, 64));
+        assert!(!scatter_fits(2, len, len - 1, 64));
+        assert!(!scatter_fits(2, len, len, 64));
+        for first in [len - 2, len - 1, len] {
+            // Row k is (k mod first, (k mod first) mod 3): the first column
+            // spans 0..first, and rows repeat once it wraps.
+            let cells = (0..len)
+                .flat_map(|k| [k % first, k % first % 3])
+                .map(|c| c as NodeId)
+                .collect();
+            check_from_rows(2, len, cells).unwrap();
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `from_rows` at arity 0–3 is the `BTreeSet` of its rows, whichever
+        /// arm deduplicates them. Narrow cells lie in a hull of 16 ids — at
+        /// 0, at some id below 100 000, or ending at `u32::MAX` — and each
+        /// row is repeated up to three times, so at arity 1 and 2 the
+        /// scratch fits from about 18 rows on and the counting scatter
+        /// runs. With `wide`, cells lie anywhere in the id space, the hulls
+        /// outgrow the rows, and the packed-key sort runs.
+        #[test]
+        fn from_rows_equals_a_btreeset_of_rows(
+            arity in 0usize..=3,
+            low in prop_oneof![Just(0u32), 0u32..100_000, Just(u32::MAX - 15)],
+            wide in any::<bool>(),
+            raw in prop::collection::vec(((any::<u32>(), any::<u32>(), any::<u32>()), 1usize..4), 0..120),
+        ) {
+            let mut cells = Vec::new();
+            let mut len = 0;
+            for &((a, b, c), reps) in &raw {
+                let narrow = |c: NodeId| if wide { c } else { low + c % 16 };
+                let row = [a, b, c].map(narrow);
+                for _ in 0..reps {
+                    cells.extend_from_slice(&row[..arity]);
+                    len += 1;
+                }
+            }
+            check_from_rows(arity, len, cells)?;
+        }
 
         // Arities 0..=4 cross the packed/comparator split; cells drawn
         // from {0, 1, 2, u32::MAX} repeat rows and would let a high

@@ -97,9 +97,8 @@ fn navigate_rule(
                 eval_rpq(ctx, expr, None, budget).map(Arc::new)
             })?,
             Some(col) => {
-                let mut seeds: Vec<NodeId> = table.rows().map(|row| row[col]).collect();
-                seeds.sort_unstable();
-                seeds.dedup();
+                let seeds: Vec<NodeId> = table.rows().map(|row| row[col]).collect();
+                let seeds = Answers::from_rows(1, seeds.len(), seeds).cells;
                 Arc::new(eval_rpq(ctx, expr, Some(&seeds), budget)?)
             }
         };

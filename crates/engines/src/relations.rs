@@ -80,10 +80,17 @@ fn merge(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
 }
 
 impl Relation {
-    /// Builds from arbitrary pairs (sorts + dedups).
-    pub fn from_pairs(mut pairs: Vec<(NodeId, NodeId)>) -> Relation {
-        pairs.sort_unstable();
-        Relation(Csr::from_sorted_pairs(pairs))
+    /// Builds from a bag of pairs in any order, each distinct pair kept
+    /// once: the store's counting scatter ([`Csr::from_edges`]), with no
+    /// comparison sort of the pairs and no copy of them. `pairs` is walked
+    /// three times, so a caller holding the pairs in some other layout (D's
+    /// projected head cells) hands over a view, not a vector.
+    pub fn from_pairs<I>(pairs: I) -> Relation
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        Relation(Csr::from_edges(pairs))
     }
 
     /// Assembles a relation from its CSR arrays ([`Csr::from_parts`]).
@@ -627,7 +634,7 @@ mod tests {
             prop_oneof![(0u32..24, 0u32..24), (TOP..=u32::MAX, TOP..=u32::MAX)]
                 .prop_map(|p| Relation::from_pairs(vec![p])),
             (0u32..24, vec(0u32..24, 1..12))
-                .prop_map(|(s, ts)| Relation::from_pairs(ts.iter().map(|&t| (s, t)).collect())),
+                .prop_map(|(s, ts)| Relation::from_pairs(ts.iter().map(|&t| (s, t)))),
             vec((0u32..24, 0u32..24), 1..80).prop_map(Relation::from_pairs),
             vec((0u32..200, 0u32..24), 1..80).prop_map(Relation::from_pairs),
             vec((TOP..=u32::MAX, TOP..=u32::MAX), 1..60).prop_map(Relation::from_pairs),
@@ -782,7 +789,7 @@ mod tests {
             }
 
             // The converse: the sorted flip.
-            let converse = Relation::from_pairs(edges.iter().map(|&(s, t)| (t, s)).collect());
+            let converse = Relation::from_pairs(edges.iter().map(|&(s, t)| (t, s)));
             prop_assert_eq!(&r.transpose(), &*converse);
 
             // Composition with a random side, with the converse (which
@@ -801,9 +808,9 @@ mod tests {
             let composed = r.compose(&converse, &Budget::default()).unwrap();
             for other in [&converse, &composed, &r] {
                 let theirs: BTreeSet<(NodeId, NodeId)> = other.iter_edges().collect();
-                let both = edges.iter().chain(&theirs).copied().collect();
+                let both = edges.iter().chain(&theirs).copied();
                 prop_assert_eq!(r.union(other), Relation::from_pairs(both));
-                let rest = edges.iter().filter(|p| !theirs.contains(p)).copied().collect();
+                let rest = edges.iter().filter(|p| !theirs.contains(p)).copied();
                 prop_assert_eq!(r.difference(other), Relation::from_pairs(rest));
             }
 

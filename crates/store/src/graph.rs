@@ -23,10 +23,9 @@ pub struct Csr {
     targets: Vec<NodeId>,
 }
 
-/// `(lowest key, span)` of the smallest id range holding every key; `(0, 0)`
-/// when there are none.
-fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
-    let (lo, hi) = keys.fold((NodeId::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
+/// `(lowest id, span)` of the id range `lo..=hi`; `(0, 0)` when it is empty
+/// (`lo > hi`).
+fn hull(lo: NodeId, hi: NodeId) -> (NodeId, usize) {
     if lo > hi {
         (0, 0)
     } else {
@@ -34,14 +33,21 @@ fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
     }
 }
 
-/// Counting sort of `len` `(key, value)` pairs whose keys lie in `[base,
-/// base + span)`: the values grouped by key, each group in input order.
+/// `(lowest key, span)` of the smallest id range holding every key; `(0, 0)`
+/// when there are none.
+fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
+    let (lo, hi) = keys.fold((NodeId::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
+    hull(lo, hi)
+}
+
+/// Counting sort of `(key, value)` pairs whose keys lie in `[base, base +
+/// span)`: the values grouped by key, each group in input order, and the
+/// hull of the values (as [`key_hull`] gives it).
 fn group_by_key(
     base: NodeId,
     span: usize,
-    len: usize,
     pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
-) -> Csr {
+) -> (Csr, (NodeId, usize)) {
     let mut offsets = vec![0u64; span + 1];
     for (k, _) in pairs.clone() {
         offsets[(k - base) as usize + 1] += 1;
@@ -51,19 +57,22 @@ fn group_by_key(
     }
     // The offsets are the cursors: after the scatter, `offsets[i]` is where
     // group `i` ends — where group `i + 1` starts.
-    let mut targets = vec![0 as NodeId; len];
+    let mut targets = vec![0 as NodeId; offsets[span] as usize];
+    let (mut lo, mut hi) = (NodeId::MAX, 0);
     for (k, v) in pairs {
+        (lo, hi) = (lo.min(v), hi.max(v));
         let cursor = &mut offsets[(k - base) as usize];
         targets[*cursor as usize] = v;
         *cursor += 1;
     }
     offsets.copy_within(0..span, 1);
     offsets[0] = 0;
-    Csr {
+    let csr = Csr {
         base,
         offsets,
         targets,
-    }
+    };
+    (csr, hull(lo, hi))
 }
 
 impl Default for Csr {
@@ -78,19 +87,29 @@ impl Default for Csr {
 }
 
 impl Csr {
-    /// Builds the CSR of an unsorted edge list over `node_count` nodes.
-    /// Parallel edges (identical `(src, trg)` pairs) are collapsed.
+    /// Builds the CSR of a bag of pairs in any order, keeping each distinct
+    /// pair once: the one bag-to-set kernel of the workspace. The graph's
+    /// predicates, the engines' relations, their answer rows and their
+    /// seed sets are all deduplicated here.
     ///
-    /// Panics if a source is not below `node_count`.
-    pub fn from_edges(node_count: NodeId, edges: &[(NodeId, NodeId)]) -> Self {
-        let (base, span) = key_hull(edges.iter().map(|&(s, _)| s));
-        assert!(
-            u64::from(base) + span as u64 <= u64::from(node_count),
-            "edge source beyond node_count {node_count}"
-        );
-        debug_assert!(edges.iter().all(|&(_, t)| t < node_count));
-        let mut csr = group_by_key(base, span, edges.len(), edges.iter().copied());
-        csr.sort_and_dedup();
+    /// Three passes over `pairs`, which is why it must be `Clone`: one for
+    /// the hull of the sources, then a counting scatter that groups the
+    /// targets by source (counting, then placing each target and taking
+    /// the hull of the targets), then one over each run. A run keeps a
+    /// target only the first time its bit is set in a bitset over the
+    /// targets' hull, so only its distinct targets are ordered. The bitset
+    /// is the only scratch beyond the result, and exists only when it has
+    /// no more words than there are pairs: under a wider hull each run is
+    /// sorted whole and its adjacent repeats compacted out.
+    pub fn from_edges<I>(pairs: I) -> Csr
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
+        let pairs = pairs.into_iter();
+        let (base, span) = key_hull(pairs.clone().map(|(s, _)| s));
+        let (mut csr, targets) = group_by_key(base, span, pairs);
+        csr.sort_and_dedup(targets);
         csr
     }
 
@@ -164,20 +183,66 @@ impl Csr {
         }
     }
 
-    /// Sorts every neighbor list and compacts out repeats in place. No
-    /// list becomes empty, so the hull stays as it is.
-    fn sort_and_dedup(&mut self) {
+    /// Sorts every neighbor list and compacts out repeats in place, given
+    /// the hull `(lowest target, span)` of every target. No list becomes
+    /// empty, so the hull of the sources stays as it is.
+    ///
+    /// When a bitset over the targets' hull has no more words than there
+    /// are targets, each run keeps a target only the first time its bit is
+    /// set. A run that kept fewer targets than the bitset has words clears
+    /// the bits it set and sorts the targets it kept; one that kept more
+    /// reads its targets back out of the bitset in ascending order,
+    /// clearing each word, which costs less than the sort. Under a wider
+    /// hull the bitset would be the largest array of the build, so then
+    /// each run is sorted whole and its adjacent repeats compacted out.
+    fn sort_and_dedup(&mut self, (low, span): (NodeId, usize)) {
+        let words = span.div_ceil(64);
+        let mut seen = (words <= self.targets.len()).then(|| vec![0u64; words]);
+        let bit = |t: NodeId| ((t - low) as usize / 64, 1u64 << ((t - low) % 64));
         let mut kept = 0;
         let mut start = 0;
         for i in 0..self.offsets.len() - 1 {
             let end = self.offsets[i + 1] as usize;
-            self.targets[start..end].sort_unstable();
             let first = kept;
-            for r in start..end {
-                let t = self.targets[r];
-                if kept == first || self.targets[kept - 1] != t {
-                    self.targets[kept] = t;
-                    kept += 1;
+            match seen.as_mut() {
+                Some(seen) => {
+                    for r in start..end {
+                        let t = self.targets[r];
+                        let (w, mask) = bit(t);
+                        if seen[w] & mask == 0 {
+                            seen[w] |= mask;
+                            self.targets[kept] = t;
+                            kept += 1;
+                        }
+                    }
+                    if kept - first < seen.len() {
+                        for &t in &self.targets[first..kept] {
+                            let (w, mask) = bit(t);
+                            seen[w] &= !mask;
+                        }
+                        self.targets[first..kept].sort_unstable();
+                    } else {
+                        kept = first;
+                        for (w, word) in seen.iter_mut().enumerate() {
+                            let mut bits = std::mem::take(word);
+                            while bits != 0 {
+                                let t = low + (w * 64) as NodeId + bits.trailing_zeros();
+                                self.targets[kept] = t;
+                                kept += 1;
+                                bits &= bits - 1;
+                            }
+                        }
+                    }
+                }
+                None => {
+                    self.targets[start..end].sort_unstable();
+                    for r in start..end {
+                        let t = self.targets[r];
+                        if kept == first || self.targets[kept - 1] != t {
+                            self.targets[kept] = t;
+                            kept += 1;
+                        }
+                    }
                 }
             }
             self.offsets[i + 1] = kept as u64;
@@ -197,7 +262,7 @@ impl Csr {
     pub fn transpose(&self) -> Csr {
         let (base, span) = key_hull(self.targets.iter().copied());
         let flipped = self.iter_edges().map(|(s, t)| (t, s));
-        group_by_key(base, span, self.targets.len(), flipped)
+        group_by_key(base, span, flipped).0
     }
 
     #[inline]
@@ -582,7 +647,10 @@ impl GraphBuilder {
         let fwd = crate::ordered_map(threads, slots.len(), |pred| {
             let edges =
                 std::mem::take(&mut *slots[pred].lock().expect("no unit panics holding its slot"));
-            Csr::from_edges(n, &edges)
+            let csr = Csr::from_edges(edges.iter().copied());
+            let end = u64::from(csr.base()) + csr.offsets().len() as u64 - 1;
+            assert!(end <= u64::from(n), "edge source beyond node_count {n}");
+            csr
         });
         let bwd = crate::ordered_map(threads, fwd.len(), |pred| fwd[pred].transpose());
         let edge_count = fwd.iter().map(Csr::edge_count).sum();
@@ -639,7 +707,7 @@ mod tests {
 
     #[test]
     fn csr_neighbors_are_sorted() {
-        let csr = Csr::from_edges(9, &[(3, 8), (3, 1), (3, 2), (5, 0)]);
+        let csr = Csr::from_edges([(3, 8), (3, 1), (3, 2), (5, 0)]);
         assert_eq!(csr.neighbors(3), &[1, 2, 8]);
         assert_eq!(csr.neighbors(4), &[] as &[NodeId]);
         assert_eq!(csr.neighbors(5), &[0]);
@@ -653,7 +721,7 @@ mod tests {
 
     #[test]
     fn csr_dedup() {
-        let csr = Csr::from_edges(4, &[(2, 3), (1, 3), (2, 3), (2, 3), (2, 0), (1, 3)]);
+        let csr = Csr::from_edges([(2, 3), (1, 3), (2, 3), (2, 3), (2, 0), (1, 3)]);
         assert_eq!(csr.neighbors(1), &[3]);
         assert_eq!(csr.neighbors(2), &[0, 3]);
         assert_eq!(csr.edge_count(), 3);
@@ -664,20 +732,20 @@ mod tests {
     #[test]
     fn csr_transpose_is_the_flipped_build() {
         let edges = [(4, 7), (2, 7), (4, 5), (2, 6), (3, 7)];
-        let csr = Csr::from_edges(8, &edges);
+        let csr = Csr::from_edges(edges);
         let flipped: Vec<_> = edges.iter().map(|&(s, t)| (t, s)).collect();
         let t = csr.transpose();
-        assert_eq!(t, Csr::from_edges(8, &flipped));
+        assert_eq!(t, Csr::from_edges(flipped));
         assert_eq!((t.base(), t.offsets()), (5, &[0, 1, 2, 5][..]));
         assert_eq!(t.neighbors(7), &[2, 3, 4]);
-        let empty = Csr::from_edges(8, &[]);
+        let empty = Csr::from_edges([]);
         assert_eq!((empty.base(), empty.offsets()), (0, &[0][..]));
         assert_eq!(empty.transpose(), empty);
     }
 
     #[test]
     fn csr_contains() {
-        let csr = Csr::from_edges(3, &[(0, 2), (1, 0)]);
+        let csr = Csr::from_edges([(0, 2), (1, 0)]);
         assert!(csr.contains(0, 2));
         assert!(!csr.contains(0, 1));
         assert!(!csr.contains(2, 0));
@@ -766,12 +834,12 @@ mod tests {
                 let flipped: Vec<_> = list.iter().map(|&(s, t)| (t, s)).collect();
                 assert_eq!(
                     g.forward(pred),
-                    &Csr::from_edges(24, list),
+                    &Csr::from_edges(list.iter().copied()),
                     "forward CSR, pred {pred}, {threads} threads"
                 );
                 assert_eq!(
                     g.backward(pred),
-                    &Csr::from_edges(24, &flipped),
+                    &Csr::from_edges(flipped.iter().copied()),
                     "backward CSR, pred {pred}, {threads} threads"
                 );
             }

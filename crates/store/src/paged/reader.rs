@@ -755,10 +755,10 @@ mod tests {
     #[test]
     fn csr_edges_iterator_matches_flat_map() {
         let edges = [(0u32, 5u32), (0, 7), (2, 1), (4, 0), (4, 9)];
-        let csr = Csr::from_edges(10, &edges);
+        let csr = Csr::from_edges(edges);
         let got: Vec<_> = csr.iter_edges().collect();
         assert_eq!(got, edges);
-        let empty = Csr::from_edges(0, &[]);
+        let empty = Csr::from_edges([]);
         assert_eq!(empty.iter_edges().count(), 0);
     }
 }

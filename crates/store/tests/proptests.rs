@@ -17,7 +17,7 @@ proptest! {
     ) {
         let edges: Vec<(NodeId, NodeId)> =
             edges.into_iter().map(|(s, t)| (s % n, t % n)).collect();
-        let csr = Csr::from_edges(n, &edges);
+        let csr = Csr::from_edges(edges.iter().copied());
         let mut naive: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
         for &(s, t) in &edges {
             naive.entry(s).or_default().insert(t);
@@ -183,27 +183,57 @@ proptest! {
 proptest! {
     /// The ascending-pairs constructor builds what `from_edges` builds,
     /// repeats included: on empty input, on one source, and on a hull that
-    /// ends at `u32::MAX - 1`, the largest source `from_edges` takes.
+    /// ends at `u32::MAX`, there with targets anywhere in the id space.
     #[test]
     fn sorted_pairs_build_what_from_edges_builds(
         top in any::<bool>(),
         one_source in any::<bool>(),
         raw in prop::collection::vec((0u32..40, any::<u32>(), 1usize..3), 0..60),
     ) {
-        let last = if top { u32::MAX - 1 } else { 39 };
-        let n = last + 1;
+        let last = if top { u32::MAX } else { 39 };
         let mut edges = Vec::new();
         for (i, &(s, t, reps)) in raw.iter().enumerate() {
             let s = if one_source || i == 0 { last } else { last - s };
-            edges.extend(std::iter::repeat_n((s, t % n), reps));
+            let t = if top { t } else { t % 40 };
+            edges.extend(std::iter::repeat_n((s, t), reps));
         }
         let mut sorted = edges.clone();
         sorted.sort_unstable();
         let csr = Csr::from_sorted_pairs(sorted);
-        prop_assert_eq!(&csr, &Csr::from_edges(n, &edges));
+        prop_assert_eq!(&csr, &Csr::from_edges(edges.iter().copied()));
         if !edges.is_empty() {
             prop_assert_eq!(csr.base() + (csr.offsets().len() - 2) as NodeId, last);
         }
+    }
+
+    /// `from_edges` keeps each distinct pair once, whichever way a run is
+    /// deduplicated. Sources and targets lie in a hull of at most 300 ids,
+    /// at 0, in the low thousands, or ending at `u32::MAX`, and each pair
+    /// is repeated up to five times. The targets' bitset then has one to
+    /// five words (given at least as many pairs): a run with fewer distinct
+    /// targets than words sorts them, a run with more reads them back out
+    /// of the bitset. With `wide`, two
+    /// more pairs put targets at 0 and at `u32::MAX`; a bitset over that
+    /// hull would have 2^26 words, more than there are pairs, so every run
+    /// is sorted and compacted instead.
+    #[test]
+    fn from_edges_equals_a_btreeset_reference(
+        low in prop_oneof![Just(0u32), 0u32..5000, Just(u32::MAX - 299)],
+        width in prop_oneof![1u32..=64, 1u32..=300],
+        raw in prop::collection::vec((0u32..300, 0u32..300, 1usize..6), 0..150),
+        wide in any::<bool>(),
+    ) {
+        let mut edges = Vec::new();
+        for &(s, t, reps) in &raw {
+            edges.extend(std::iter::repeat_n((low + s % width, low + t % width), reps));
+        }
+        if wide {
+            edges.extend([(low, 0), (low + (width - 1), u32::MAX)]);
+        }
+        let reference: BTreeSet<(NodeId, NodeId)> = edges.iter().copied().collect();
+        let csr = Csr::from_edges(edges.iter().copied());
+        prop_assert_eq!(&csr, &Csr::from_sorted_pairs(reference.iter().copied()));
+        prop_assert_eq!(csr.targets().len(), reference.len());
     }
 }
 
@@ -263,7 +293,7 @@ fn hull_of(keys: impl Iterator<Item = NodeId> + Clone) -> (NodeId, usize) {
 /// Compares the CSR of `edges` over `n` nodes, and its transpose, with a
 /// `BTreeSet` of the distinct pairs. Returns the first divergence.
 fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
-    let csr = Csr::from_edges(n, edges);
+    let csr = Csr::from_edges(edges.iter().copied());
     let reference: BTreeSet<(NodeId, NodeId)> = edges.iter().copied().collect();
     let succ = |v: NodeId| -> Vec<NodeId> {
         reference
@@ -310,7 +340,7 @@ fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
     })?;
     let flipped: Vec<_> = edges.iter().map(|&(s, t)| (t, s)).collect();
     let transposed = csr.transpose();
-    ensure(transposed == Csr::from_edges(n, &flipped), || {
+    ensure(transposed == Csr::from_edges(flipped), || {
         "transpose".into()
     })?;
     let (base, entries) = hull_of(reference.iter().map(|&(_, t)| t));
@@ -407,7 +437,7 @@ fn check_store_matches_graph(
 #[test]
 fn the_default_csr_is_empty() {
     let empty = Csr::default();
-    assert_eq!(empty, Csr::from_edges(8, &[]));
+    assert_eq!(empty, Csr::from_edges([]));
     assert_eq!(empty, Csr::from_sorted_pairs([]));
     assert_eq!(empty, Csr::from_parts(5, vec![0, 0, 0], Vec::new()));
     assert_eq!((empty.base(), empty.offsets()), (0, &[0][..]));

@@ -154,7 +154,7 @@ fn star_is_ok_exactly_when_the_closure_fits_the_cap() {
 #[test]
 fn a_long_path_trips_the_cap_after_seven_sources() {
     const N: NodeId = 300_000;
-    let path = Relation::from_pairs((1..N).map(|v| (v - 1, v)).collect());
+    let path = Relation::from_pairs((1..N).map(|v| (v - 1, v)));
     let capped = Budget::with_limits(None, 2_000_000);
     assert_eq!(path.star(N, &capped), Err(EvalError::TooLarge(2_099_979)));
 }
