@@ -8,8 +8,8 @@
 //!
 //! * [`EvalContext::relation`] — the binary relation of a `Σ±` symbol
 //!   (forward or inverse), built lazily per `(predicate, direction)` — a
-//!   clone of the in-memory graph's CSR, or one scan of the store's — and
-//!   shared by reference. They are the only adjacency any engine reads: `P` joins
+//!   clone of the in-memory graph's CSR, or the store's segment loaded
+//!   whole, which is the same CSR — and shared by reference. They are the only adjacency any engine reads: `P` joins
 //!   them, the automaton BFS of `S` and `G` takes its moves from them, and
 //!   they *are* the Datalog EDB — `edge_<p>` is the forward relation of
 //!   `p` — so [`EvalContext::edb`] only warms them all and counts their

@@ -100,7 +100,7 @@ impl Relation {
 
     /// The relation of one `Σ±` symbol: all `a`-edges, flipped for `a⁻` —
     /// the view's CSR of the symbol ([`GraphView::csr`]): a clone of the
-    /// in-memory graph's, or one scan of the store's pages.
+    /// in-memory graph's, or the store's segment, loaded whole.
     pub fn of_symbol<'g>(graph: impl Into<GraphView<'g>>, sym: Symbol) -> Relation {
         Relation(graph.into().csr(sym.predicate.0, sym.inverse))
     }

@@ -113,40 +113,6 @@ impl Csr {
         csr
     }
 
-    /// Builds the CSR of pairs that come in ascending order, without a
-    /// sort: each source's run is opened as its first pair arrives. Repeated
-    /// pairs collapse, so it equals [`Csr::from_edges`] of the same pairs.
-    ///
-    /// Panics if a pair is smaller than the one before it.
-    pub fn from_sorted_pairs(pairs: impl IntoIterator<Item = (NodeId, NodeId)>) -> Csr {
-        let mut pairs = pairs.into_iter().peekable();
-        let Some(&(base, _)) = pairs.peek() else {
-            return Csr::default();
-        };
-        let mut offsets = Vec::new();
-        let mut targets = Vec::with_capacity(pairs.size_hint().0);
-        let mut last = None;
-        for pair in pairs {
-            assert!(
-                last <= Some(pair),
-                "{pair:?} follows {last:?}: pairs out of order"
-            );
-            if last == Some(pair) {
-                continue;
-            }
-            // Opens the run of `pair.0`, closing every run before it.
-            offsets.resize((pair.0 - base) as usize + 1, targets.len() as u64);
-            targets.push(pair.1);
-            last = Some(pair);
-        }
-        offsets.push(targets.len() as u64);
-        Csr {
-            base,
-            offsets,
-            targets,
-        }
-    }
-
     /// Assembles a CSR from its two arrays: `offsets` over the sources
     /// from `base` on, laid out as [`Csr::offsets`] describes, and
     /// `targets` with every run ascending and duplicate-free. Empty runs at
@@ -315,9 +281,8 @@ impl Csr {
     /// offsets()[i + 1] as usize]`. Nodes outside the hull have no entry;
     /// a CSR without edges has the single entry 0.
     ///
-    /// Exposed for bulk consumers — the on-disk store writer expands it to
-    /// one entry per node, and endpoint statistics scan offsets without
-    /// touching targets.
+    /// Exposed for bulk consumers — the on-disk store writes it as it is,
+    /// and endpoint statistics scan offsets without touching targets.
     #[inline]
     pub fn offsets(&self) -> &[u64] {
         &self.offsets

@@ -23,12 +23,10 @@
 //!   the emitter's progress argument and its memory bound are documented
 //!   on the module,
 //! * [`paged`] — the on-disk `gmark-store` binary format ([`StoreWriter`] /
-//!   [`StoreReader`]): the same CSR arrays persisted page-aligned and read
-//!   back by positioned reads — sequential scans for evaluation, and an
-//!   uncached point lookup ([`StoreReader::neighbors`]) for everything
-//!   else. Evaluation from a store holds every symbol relation a query
-//!   mentions in RAM, so its memory grows with those relations, not with
-//!   a cache size,
+//!   [`StoreReader`]): each [`Csr`] persisted as it is, page-aligned, and
+//!   loaded back whole by two positioned reads ([`StoreReader::csr`]).
+//!   Evaluation from a store holds every symbol relation a query mentions
+//!   in RAM, so its memory grows with those relations, not with the file,
 //! * [`view`] — [`GraphView`], the common read interface over [`Graph`]
 //!   and [`StoreReader`]: counts and each symbol's CSR,
 //!   from which the evaluation context builds its symbol relations.

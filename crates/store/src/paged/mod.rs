@@ -1,26 +1,34 @@
-//! The on-disk paged graph store (`gmark-store` format, version 1).
+//! The on-disk paged graph store (`gmark-store` format, version 2).
 //!
-//! The streaming generator (PR 2) produces Table 3-scale graphs in a few
-//! MiB of RSS, but evaluation used to require the fully materialized CSR
+//! The streaming generator produces Table 3-scale graphs in a few MiB of
+//! RSS, but evaluation used to require the fully materialized CSR
 //! [`Graph`](crate::Graph) — generatable graphs were not queryable. This
-//! format persists the exact same per-(predicate, direction) CSR arrays in
-//! a paged binary file, written once by [`StoreWriter`] and served many
-//! times by [`StoreReader`] through positioned reads
-//! ([`std::os::unix::fs::FileExt::read_exact_at`]) and a small pinned-page
-//! cache — no mmap, no dependencies, memory bounded by the cache instead
-//! of the edge count.
+//! format persists each per-(predicate, direction) [`Csr`](crate::Csr) as
+//! it is in RAM — its hull's `base`, its offsets over the hull, its
+//! targets — in a paged binary file, written once by [`StoreWriter`] and
+//! loaded a whole segment at a time by [`StoreReader::csr`]: two
+//! positioned reads ([`std::os::unix::fs::FileExt::read_exact_at`]), no
+//! mmap, no cache, no dependencies.
 //!
 //! # Layout (all integers little-endian)
 //!
 //! | region | contents |
 //! |---|---|
-//! | fixed header (48 B) | magic `GMRKSTR1`, version u32, page_size u32, seed u64, schema_hash u64, node_count u32, predicate_count u32, type_count u32, reserved u32 |
+//! | fixed header (48 B) | magic `GMRKSTR1`, version u32 (= 2), page_size u32, seed u64, schema_hash u64, node_count u32, predicate_count u32, type_count u32, reserved u32 |
 //! | predicate names | per predicate: u32 length + raw UTF-8 bytes (binary-safe, so hostile alphabets round-trip) |
 //! | type partition | (type_count + 1) × u32 cumulative offsets |
 //! | *zero padding to a page boundary* | |
-//! | segments | per predicate, forward then backward: page-aligned offsets array ((node_count + 1) × u64, zero-padded to a page), then page-aligned targets array (edge_count × u32, zero-padded to a page) |
-//! | directory (page-aligned) | total_edges u64, then per segment: offsets_pos u64, targets_pos u64, edge_count u64 |
+//! | segments | per predicate, forward then backward: the CSR's offsets ((span + 1) × u64, [`Csr::offsets`](crate::Csr::offsets) as it is), then its targets (edge_count × u32), each zero-padded to a page |
+//! | directory (page-aligned) | total_edges u64, then per segment: edge_count u64, base u32, span u32 |
 //! | footer (24 B) | dir_pos u64, checksum u64, end magic `GMRKEND1` |
+//!
+//! A segment's hull is the `span` nodes from `base` on, so `base + span ≤
+//! node_count`; a segment without edges has base 0, span 0 and the single
+//! offset 0. The directory fixes every segment's position: each array
+//! starts at the page boundary after the one before it, and the last one
+//! ends on the page before the directory.
+//!
+//! A file of any other version is refused with [`StoreError::Version`].
 //!
 //! The checksum is FNV-1a (64-bit) over every byte from offset 0 up to the
 //! checksum field itself (the directory position included), maintained as a
@@ -31,35 +39,38 @@
 //! # Determinism
 //!
 //! Store bytes are a pure function of `(config, seed)`: the segments
-//! serialize the canonical (sorted, deduplicated) CSR arrays, which are
-//! independent of generation order, so the materialized build and the
-//! streamed one — which generates each predicate's edges a second time,
-//! one predicate at a time (`gmark_core::gen::generate_store`) — produce
-//! byte-identical files at any thread count. CI `cmp`s them, and the
-//! facade's `run` tests pin the guarantee at 1/2/8 threads on every use
-//! case.
+//! serialize the canonical (sorted, deduplicated, hull-tight) CSR arrays,
+//! which are independent of generation order, so the materialized build
+//! and the streamed one — which generates each predicate's edges a second
+//! time, one predicate at a time (`gmark_core::gen::generate_store`) —
+//! produce byte-identical files at any thread count. CI `cmp`s them, and
+//! the facade's `run` tests pin the guarantee at 1/2/8 threads on every
+//! use case.
 
 mod reader;
 mod writer;
 
-pub use reader::{StorePairs, StoreReader};
+pub use reader::StoreReader;
 pub use writer::StoreWriter;
 
 use crate::TypePartition;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Leading file magic: "gMaRK STore Rust, version 1".
+/// Leading file magic: "gMaRK STore Rust". It has not changed since the
+/// first version; the header's version field tells the layouts apart.
 pub const MAGIC: [u8; 8] = *b"GMRKSTR1";
 /// Trailing file magic (truncation canary).
 pub const END_MAGIC: [u8; 8] = *b"GMRKEND1";
 /// Format version this build reads and writes.
-pub const VERSION: u32 = 1;
-/// Default page size: 8 KiB, a middle ground between read amplification
-/// on point lookups and per-page overhead in the cache.
+pub const VERSION: u32 = 2;
+/// Default page size: 8 KiB. Pages only align the arrays and locate
+/// corruption, so the choice costs at most a page of padding per array.
 pub const DEFAULT_PAGE_SIZE: u32 = 8192;
 /// Size of the fixed leading header region.
 pub(crate) const FIXED_HEADER_LEN: u64 = 48;
+/// Size of one directory entry (edge_count u64, base u32, span u32).
+pub(crate) const DIR_ENTRY_LEN: u64 = 16;
 /// Size of the trailing footer (dir_pos + checksum + end magic).
 pub(crate) const FOOTER_LEN: u64 = 24;
 
@@ -160,15 +171,21 @@ pub struct StoreMeta {
     pub partition: TypePartition,
 }
 
-/// One `(predicate, direction)` CSR segment's location in the file.
+/// One `(predicate, direction)` CSR segment: its directory entry and where
+/// its arrays lie in the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentMeta {
+    /// Deduplicated edge count (= length of the targets array).
+    pub edge_count: u64,
+    /// The first node of the hull ([`Csr::base`](crate::Csr::base)).
+    pub base: u32,
+    /// The number of nodes in the hull: the offsets array has `span + 1`
+    /// entries.
+    pub span: u32,
     /// Byte position of the page-aligned offsets array.
     pub offsets_pos: u64,
     /// Byte position of the page-aligned targets array.
     pub targets_pos: u64,
-    /// Deduplicated edge count (= length of the targets array).
-    pub edge_count: u64,
 }
 
 /// What a finished store write produced, for reports and benchmarks.
@@ -198,13 +215,21 @@ pub enum StoreError {
         /// The underlying error.
         source: io::Error,
     },
-    /// The file is not a gmark-store file at all (bad magic, unsupported
-    /// version, or too short to hold the fixed header and footer).
+    /// The file is not a gmark-store file at all (bad magic, or too short
+    /// to hold the fixed header and footer).
     NotAStore {
         /// The offending path.
         path: PathBuf,
         /// What disqualified it.
         what: String,
+    },
+    /// The file is a gmark-store file of a format version this build does
+    /// not read.
+    Version {
+        /// The offending path.
+        path: PathBuf,
+        /// The version its header records.
+        found: u32,
     },
     /// The file has the right framing but its contents are inconsistent.
     Corrupt {
@@ -262,6 +287,12 @@ impl std::fmt::Display for StoreError {
             StoreError::NotAStore { path, what } => {
                 write!(f, "{} is not a gmark-store file: {what}", path.display())
             }
+            StoreError::Version { path, found } => write!(
+                f,
+                "{} is gmark-store version {found}, but this build reads only version \
+                 {VERSION}: write it again with --store",
+                path.display()
+            ),
             StoreError::Corrupt {
                 path,
                 what,

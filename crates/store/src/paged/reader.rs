@@ -1,31 +1,26 @@
-//! Paged store reading: cheap structural validation at open time,
-//! sequential scans with private buffers, uncached point lookups, and a
-//! full-file integrity check ([`StoreReader::verify`]).
+//! Store reading: structural validation at open time, whole-segment
+//! loads ([`StoreReader::csr`]), and a full-file integrity check
+//! ([`StoreReader::verify`]).
 
 use super::{
-    Fnv64, SegmentMeta, StoreError, StoreInfo, END_MAGIC, FIXED_HEADER_LEN, FOOTER_LEN, MAGIC,
-    VERSION,
+    page_align, Fnv64, SegmentMeta, StoreError, StoreInfo, DIR_ENTRY_LEN, END_MAGIC,
+    FIXED_HEADER_LEN, FOOTER_LEN, MAGIC, VERSION,
 };
-use crate::{NodeId, PredIdx, TypePartition};
+use crate::{Csr, NodeId, PredIdx, TypePartition};
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Entries per chunk for sequential offset/target scans (private buffers).
-/// 32Ki entries = 256 KiB of offsets per read: segment-granular readahead
-/// that amortizes the syscall over far more pairs than a store page would,
-/// which is what makes full-relation `pairs` scans cheap.
-const SCAN_CHUNK: usize = 32 * 1024;
-
-/// Serves CSR queries straight from a store file via positioned reads.
+/// Serves a store file's CSRs through positioned reads.
 ///
-/// [`StoreReader::open`] validates framing and bounds (magic, version,
-/// footer, directory, segment positions) without reading the data pages;
-/// [`StoreReader::verify`] additionally checks the checksum and the
-/// offset arrays. Evaluation reads the store only through the bulk scan
-/// [`StoreReader::pairs`], which streams with private buffers; the
-/// engines then hold each symbol relation they mention in RAM. [`StoreReader::neighbors`] is an
-/// uncached point lookup for callers outside evaluation.
+/// [`StoreReader::open`] validates framing and layout (magic, version,
+/// footer, directory, each hull inside the node range) without reading the
+/// segments; [`StoreReader::csr`] loads one segment whole and checks its
+/// arrays; [`StoreReader::verify`] loads every segment and checks the
+/// whole-file checksum. Evaluation reads the store only through
+/// [`StoreReader::csr`] (via [`GraphView::csr`](crate::GraphView::csr)), so
+/// the engines hold each symbol relation they mention in RAM, in the
+/// layout they compute with.
 ///
 /// The reader holds no mutable state, so one reader serves every worker
 /// thread of the evaluation matrix.
@@ -84,10 +79,10 @@ impl StoreReader {
         }
         let version = read_u32(&fixed, 8);
         if version != VERSION {
-            return Err(StoreError::not_a_store(
-                path,
-                format!("unsupported version {version} (this build reads {VERSION})"),
-            ));
+            return Err(StoreError::Version {
+                path: path.to_path_buf(),
+                found: version,
+            });
         }
         let page_size = read_u32(&fixed, 12) as u64;
         if !(64..=1 << 24).contains(&page_size) || !page_size.is_multiple_of(8) {
@@ -186,7 +181,7 @@ impl StoreReader {
         }
 
         // Directory: must sit page-aligned and run exactly up to the footer.
-        let dir_len = 8 + predicate_count as u64 * 2 * 24;
+        let dir_len = 8 + predicate_count as u64 * 2 * DIR_ENTRY_LEN;
         if dir_pos % page_size != 0 || dir_pos.checked_add(dir_len) != Some(data_end) {
             return Err(StoreError::corrupt(
                 path,
@@ -197,38 +192,44 @@ impl StoreReader {
         let mut dir = vec![0u8; dir_len as usize];
         pread(&file, path, dir_pos, &mut dir, "reading directory")?;
         let total_edges = read_u64(&dir, 0);
+        // The segments follow the header region, each array on a fresh
+        // page; `pos` is where the next one starts.
+        let mut pos = page_align(cursor + part_len as u64, page_size);
         let mut segments = Vec::with_capacity(predicate_count * 2);
-        let n_plus_1 = node_count as u64 + 1;
         for i in 0..predicate_count * 2 {
-            let base = 8 + i * 24;
-            let seg = SegmentMeta {
-                offsets_pos: read_u64(&dir, base),
-                targets_pos: read_u64(&dir, base + 8),
-                edge_count: read_u64(&dir, base + 16),
-            };
-            let offsets_ok = seg.offsets_pos.is_multiple_of(page_size)
-                && seg
-                    .offsets_pos
-                    .checked_add(n_plus_1 * 8)
-                    .is_some_and(|end| end <= seg.targets_pos);
-            let targets_ok = seg.targets_pos.is_multiple_of(page_size)
-                && seg
-                    .edge_count
-                    .checked_mul(4)
-                    .and_then(|len| seg.targets_pos.checked_add(len))
-                    .is_some_and(|end| end <= dir_pos);
-            if !offsets_ok || !targets_ok {
+            let at = 8 + i * DIR_ENTRY_LEN as usize;
+            let (edge_count, base, span) = (
+                read_u64(&dir, at),
+                read_u32(&dir, at + 8),
+                read_u32(&dir, at + 12),
+            );
+            let offsets_pos = pos;
+            let offsets_end = offsets_pos + (u64::from(span) + 1) * 8;
+            let targets_pos = page_align(offsets_end, page_size);
+            let in_range = u64::from(base) + u64::from(span) <= u64::from(node_count);
+            let targets_end = edge_count
+                .checked_mul(4)
+                .and_then(|len| targets_pos.checked_add(len))
+                .filter(|&end| in_range && end <= dir_pos);
+            let Some(targets_end) = targets_end else {
                 return Err(StoreError::corrupt(
                     path,
                     format!(
-                        "directory entry for segment {i} (predicate {}, {}) is out of bounds",
-                        i / 2,
-                        if i % 2 == 0 { "forward" } else { "backward" }
+                        "{}: hull {base} + {span} in {node_count} nodes, {edge_count} edges \
+                         do not fit the file",
+                        segment_label(i)
                     ),
-                    Some(dir_pos / page_size),
+                    Some((dir_pos + at as u64) / page_size),
                 ));
-            }
-            segments.push(seg);
+            };
+            pos = page_align(targets_end, page_size);
+            segments.push(SegmentMeta {
+                edge_count,
+                base,
+                span,
+                offsets_pos,
+                targets_pos,
+            });
         }
         let forward_sum: u64 = segments.iter().step_by(2).map(|s| s.edge_count).sum();
         if forward_sum != total_edges {
@@ -255,72 +256,16 @@ impl StoreReader {
         })
     }
 
-    /// Full integrity check: every offsets array must be monotone within
-    /// its segment bounds, every target id in range, and the whole file
-    /// must match its FNV-1a checksum. Structural violations name the bad
-    /// page; a checksum mismatch with intact structure (e.g. a flipped
-    /// padding byte) cannot be localized and reports without one.
+    /// Full integrity check: every segment loads ([`StoreReader::csr`]),
+    /// and the whole file matches its FNV-1a checksum. Structural
+    /// violations name the bad page; a checksum mismatch with intact
+    /// structure (e.g. a flipped padding byte) cannot be localized and
+    /// reports without one.
     pub fn verify(&self) -> Result<(), StoreError> {
-        let mut off_buf = vec![0u64; SCAN_CHUNK];
-        let mut tgt_buf = vec![0 as NodeId; SCAN_CHUNK];
-        for (i, seg) in self.segments.iter().enumerate() {
-            let label = |what: &str| {
-                format!(
-                    "segment {i} (predicate {}, {}): {what}",
-                    i / 2,
-                    if i % 2 == 0 { "forward" } else { "backward" }
-                )
-            };
-            let n_plus_1 = self.node_count as u64 + 1;
-            let mut prev = 0u64;
-            let mut idx = 0u64;
-            while idx < n_plus_1 {
-                let take = ((n_plus_1 - idx) as usize).min(SCAN_CHUNK);
-                self.read_u64s(seg.offsets_pos + idx * 8, &mut off_buf[..take])?;
-                for (j, &o) in off_buf[..take].iter().enumerate() {
-                    let page = (seg.offsets_pos + (idx + j as u64) * 8) / self.page_size;
-                    if (idx + j as u64 == 0 && o != 0) || o < prev || o > seg.edge_count {
-                        return Err(StoreError::corrupt(
-                            &self.path,
-                            label(&format!(
-                                "offset {} = {o} breaks monotonicity",
-                                idx + j as u64
-                            )),
-                            Some(page),
-                        ));
-                    }
-                    prev = o;
-                }
-                idx += take as u64;
-            }
-            if prev != seg.edge_count {
-                return Err(StoreError::corrupt(
-                    &self.path,
-                    label(&format!(
-                        "final offset {prev} != edge count {}",
-                        seg.edge_count
-                    )),
-                    Some((seg.offsets_pos + (n_plus_1 - 1) * 8) / self.page_size),
-                ));
-            }
-            let mut e = 0u64;
-            while e < seg.edge_count {
-                let take = ((seg.edge_count - e) as usize).min(SCAN_CHUNK);
-                self.read_u32s(seg.targets_pos + e * 4, &mut tgt_buf[..take])?;
-                for (j, &t) in tgt_buf[..take].iter().enumerate() {
-                    if t >= self.node_count {
-                        let page = (seg.targets_pos + (e + j as u64) * 4) / self.page_size;
-                        return Err(StoreError::corrupt(
-                            &self.path,
-                            label(&format!("target {} = {t} >= node count", e + j as u64)),
-                            Some(page),
-                        ));
-                    }
-                }
-                e += take as u64;
-            }
+        for pred in 0..self.predicate_count() {
+            self.csr(pred, false)?;
+            self.csr(pred, true)?;
         }
-
         let mut hash = Fnv64::new();
         let hashed_len = self.file_len - 16; // checksum field + end magic excluded
         let mut buf = vec![0u8; 64 * 1024];
@@ -343,6 +288,59 @@ impl StoreReader {
             ));
         }
         Ok(())
+    }
+
+    /// The CSR of one `Σ±` symbol, loaded whole: the one reader of a
+    /// segment's arrays. Two positioned reads fill the offsets and the
+    /// targets; then the offsets must start at 0, never fall and end at
+    /// the edge count, and every run must be strictly ascending with every
+    /// target below the node count. Anything else is
+    /// [`StoreError::Corrupt`], naming the page of the first bad word.
+    pub fn csr(&self, pred: PredIdx, inverse: bool) -> Result<Csr, StoreError> {
+        let seg = self.segment(pred, inverse);
+        let offsets: Vec<u64> = self.read_words(seg.offsets_pos, seg.span as usize + 1)?;
+        let targets: Vec<NodeId> = self.read_words(seg.targets_pos, seg.edge_count as usize)?;
+        let corrupt = |what: String, pos: u64| {
+            StoreError::corrupt(
+                &self.path,
+                format!("{}: {what}", segment_label(pred * 2 + inverse as usize)),
+                Some(pos / self.page_size),
+            )
+        };
+        let mut prev = 0;
+        for (i, &o) in offsets.iter().enumerate() {
+            // Each offset lies between the one before it and the edge
+            // count; the first is 0 and the last the edge count.
+            let lowest = if i + 1 == offsets.len() {
+                seg.edge_count
+            } else {
+                prev
+            };
+            let highest = if i == 0 { 0 } else { seg.edge_count };
+            if !(lowest..=highest).contains(&o) {
+                return Err(corrupt(
+                    format!(
+                        "offset {i} = {o} breaks monotonicity from 0 to {}",
+                        seg.edge_count
+                    ),
+                    seg.offsets_pos + i as u64 * 8,
+                ));
+            }
+            prev = o;
+        }
+        for run in offsets.windows(2) {
+            let (start, end) = (run[0] as usize, run[1] as usize);
+            for e in start..end {
+                let t = targets[e];
+                if t >= self.node_count || (e > start && targets[e - 1] >= t) {
+                    return Err(corrupt(
+                        format!("target {e} = {t} is out of range or out of order"),
+                        seg.targets_pos + e as u64 * 4,
+                    ));
+                }
+            }
+        }
+        Ok(Csr::from_parts(seg.base, offsets, targets))
     }
 
     /// Number of nodes.
@@ -412,24 +410,29 @@ impl StoreReader {
         &self.segments[pred * 2 + inverse as usize]
     }
 
-    /// The sorted neighbor list of `v` along `pred`, forward or backward —
-    /// the paged counterpart of [`Graph::neighbors`](crate::Graph::neighbors).
-    /// Two positioned reads and no cache: `offsets[v]` and `offsets[v + 1]`,
-    /// checked to be monotone and inside the segment, then the targets
-    /// they bound. Offsets that fail the check are
-    /// [`StoreError::Corrupt`], naming the page that holds them.
+    /// The sorted neighbor list of `v` along `pred`, forward or backward.
+    /// Two positioned reads: `v`'s two offsets in the hull, checked to
+    /// rise inside the segment (or [`StoreError::Corrupt`], naming their
+    /// page), then the targets they bound; a node outside the hull has no
+    /// neighbors.
+    ///
+    /// A point lookup for callers that time one, such as the benchmark
+    /// harness; evaluation loads whole segments through
+    /// [`StoreReader::csr`].
     pub fn neighbors(
         &self,
         pred: PredIdx,
         v: NodeId,
         inverse: bool,
     ) -> Result<Vec<NodeId>, StoreError> {
-        debug_assert!(v < self.node_count, "node {v} out of range");
         let seg = self.segment(pred, inverse);
-        let pos = seg.offsets_pos + v as u64 * 8;
-        let mut bounds = [0u64; 2];
-        self.read_u64s(pos, &mut bounds)?;
-        let [lo, hi] = bounds;
+        let i = v.wrapping_sub(seg.base);
+        if i >= seg.span {
+            return Ok(Vec::new());
+        }
+        let pos = seg.offsets_pos + u64::from(i) * 8;
+        let bounds: Vec<u64> = self.read_words(pos, 2)?;
+        let (lo, hi) = (bounds[0], bounds[1]);
         if lo > hi || hi > seg.edge_count {
             return Err(StoreError::corrupt(
                 &self.path,
@@ -437,134 +440,64 @@ impl StoreReader {
                 Some(pos / self.page_size),
             ));
         }
-        let mut out = vec![0; (hi - lo) as usize];
-        self.read_u32s(seg.targets_pos + lo * 4, &mut out)?;
-        Ok(out)
+        self.read_words(seg.targets_pos + lo * 4, (hi - lo) as usize)
     }
 
-    /// Iterates the `(source, target)` pairs of one `Σ±` symbol in
-    /// lexicographic order — the paged counterpart of
-    /// [`Graph::pairs`](crate::Graph::pairs). The scan streams both arrays
-    /// sequentially with private buffers.
+    /// The `(source, target)` pairs of one `Σ±` symbol in lexicographic
+    /// order: the pairs of [`StoreReader::csr`]. Kept for callers that
+    /// count pairs, such as the benchmark harness.
     ///
     /// # Panics
     ///
-    /// On I/O failure mid-scan (the iterator interface is infallible; the
-    /// file's bounds were validated at open time).
-    pub fn pairs(&self, pred: PredIdx, inverse: bool) -> StorePairs<'_> {
-        let seg = *self.segment(pred, inverse);
-        StorePairs {
-            reader: self,
-            seg,
-            m: seg.edge_count,
-            e: 0,
-            node: 0,
-            node_end: 0,
-            off_chunk: Vec::new(),
-            off_start: u64::MAX,
-            tgt_chunk: Vec::new(),
-            tgt_start: u64::MAX,
-            primed: false,
-        }
+    /// When the segment does not load (the iterator interface is
+    /// infallible; [`StoreReader::verify`] checks every segment first).
+    pub fn pairs(&self, pred: PredIdx, inverse: bool) -> impl Iterator<Item = (NodeId, NodeId)> {
+        let csr = self.csr(pred, inverse).unwrap_or_else(|e| panic!("{e}"));
+        csr.iter_edges().collect::<Vec<_>>().into_iter()
     }
 
-    /// Positioned read of little-endian u64s.
-    fn read_u64s(&self, pos: u64, out: &mut [u64]) -> Result<(), StoreError> {
-        let mut bytes = vec![0u8; out.len() * 8];
-        pread(&self.file, &self.path, pos, &mut bytes, "reading offsets")?;
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
-            *o = u64::from_le_bytes(c.try_into().expect("8 bytes"));
+    /// Reads `len` little-endian words at `pos` straight into a vector.
+    fn read_words<W: Word>(&self, pos: u64, len: usize) -> Result<Vec<W>, StoreError> {
+        let mut words = vec![W::default(); len];
+        // SAFETY: `W` is `u32` or `u64` (the trait is private), so the
+        // vector's memory is `len * size_of::<W>()` initialized bytes, any
+        // of which may be overwritten with any value.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                words.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(words.as_slice()),
+            )
+        };
+        pread(&self.file, &self.path, pos, bytes, "reading a segment")?;
+        for w in &mut words {
+            *w = W::from_le(*w);
         }
-        Ok(())
-    }
-
-    /// Positioned read of little-endian u32s.
-    fn read_u32s(&self, pos: u64, out: &mut [NodeId]) -> Result<(), StoreError> {
-        let mut bytes = vec![0u8; out.len() * 4];
-        pread(&self.file, &self.path, pos, &mut bytes, "reading targets")?;
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            *o = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-        }
-        Ok(())
+        Ok(words)
     }
 }
 
-/// Sequential `(source, target)` iterator over one stored segment (see
-/// [`StoreReader::pairs`]).
-#[derive(Debug)]
-pub struct StorePairs<'r> {
-    reader: &'r StoreReader,
-    seg: SegmentMeta,
-    m: u64,
-    e: u64,
-    node: u64,
-    node_end: u64,
-    off_chunk: Vec<u64>,
-    off_start: u64,
-    tgt_chunk: Vec<NodeId>,
-    tgt_start: u64,
-    primed: bool,
+/// The word types a segment holds: offsets (`u64`) and targets (`u32`).
+trait Word: Copy + Default {
+    /// The word read from little-endian bytes.
+    fn from_le(word: Self) -> Self;
 }
 
-impl StorePairs<'_> {
-    /// `offsets[i]`, loading a fresh chunk when `i` runs past the current
-    /// one (the scan only ever moves forward).
-    fn offset_at(&mut self, i: u64) -> u64 {
-        let in_chunk = self.off_start != u64::MAX
-            && i >= self.off_start
-            && i < self.off_start + self.off_chunk.len() as u64;
-        if !in_chunk {
-            let n_plus_1 = self.reader.node_count as u64 + 1;
-            let take = ((n_plus_1 - i) as usize).min(SCAN_CHUNK);
-            self.off_chunk.resize(take, 0);
-            self.reader
-                .read_u64s(self.seg.offsets_pos + i * 8, &mut self.off_chunk)
-                .expect("store offsets vanished mid-scan");
-            self.off_start = i;
-        }
-        self.off_chunk[(i - self.off_start) as usize]
-    }
-
-    fn target_at(&mut self, e: u64) -> NodeId {
-        let in_chunk = self.tgt_start != u64::MAX
-            && e >= self.tgt_start
-            && e < self.tgt_start + self.tgt_chunk.len() as u64;
-        if !in_chunk {
-            let take = ((self.m - e) as usize).min(SCAN_CHUNK * 2);
-            self.tgt_chunk.resize(take, 0);
-            self.reader
-                .read_u32s(self.seg.targets_pos + e * 4, &mut self.tgt_chunk)
-                .expect("store targets vanished mid-scan");
-            self.tgt_start = e;
-        }
-        self.tgt_chunk[(e - self.tgt_start) as usize]
+impl Word for u32 {
+    fn from_le(word: u32) -> u32 {
+        u32::from_le(word)
     }
 }
 
-impl Iterator for StorePairs<'_> {
-    type Item = (NodeId, NodeId);
-
-    fn next(&mut self) -> Option<(NodeId, NodeId)> {
-        if self.e >= self.m {
-            return None;
-        }
-        if !self.primed {
-            self.node_end = self.offset_at(1);
-            self.primed = true;
-        }
-        while self.e >= self.node_end {
-            self.node += 1;
-            self.node_end = self.offset_at(self.node + 1);
-        }
-        let t = self.target_at(self.e);
-        self.e += 1;
-        Some((self.node as NodeId, t))
+impl Word for u64 {
+    fn from_le(word: u64) -> u64 {
+        u64::from_le(word)
     }
+}
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.m - self.e) as usize;
-        (left, Some(left))
-    }
+/// How errors name segment `i`: its predicate and direction.
+fn segment_label(i: usize) -> String {
+    let direction = ["forward", "backward"][i % 2];
+    format!("segment {i} (predicate {}, {direction})", i / 2)
 }
 
 fn pread(
@@ -650,9 +583,18 @@ mod tests {
                         "pred {pred} inverse {inverse} node {v}"
                     );
                 }
-                let paged: Vec<_> = r.pairs(pred, inverse).collect();
-                let in_ram: Vec<_> = g.pairs(pred, inverse).collect();
-                assert_eq!(paged, in_ram, "pred {pred} inverse {inverse}");
+                let in_ram = if inverse {
+                    g.backward(pred)
+                } else {
+                    g.forward(pred)
+                };
+                assert_eq!(
+                    &r.csr(pred, inverse).unwrap(),
+                    in_ram,
+                    "pred {pred} {inverse}"
+                );
+                let pairs: Vec<_> = r.pairs(pred, inverse).collect();
+                assert_eq!(pairs, in_ram.iter_edges().collect::<Vec<_>>());
             }
         }
         std::fs::remove_dir_all(&dir).ok();

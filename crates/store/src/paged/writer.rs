@@ -34,6 +34,23 @@ impl HashingWriter {
         Ok(())
     }
 
+    /// Writes a run of little-endian words through a block buffer.
+    fn put_words<const N: usize>(
+        &mut self,
+        words: impl Iterator<Item = [u8; N]>,
+    ) -> io::Result<()> {
+        const BLOCK: usize = 32 * 1024;
+        let mut buf = Vec::with_capacity(BLOCK);
+        for word in words {
+            buf.extend_from_slice(&word);
+            if buf.len() >= BLOCK {
+                self.put(&buf)?;
+                buf.clear();
+            }
+        }
+        self.put(&buf)
+    }
+
     /// Zero-pads up to the next multiple of `page_size`.
     fn pad_to_page(&mut self, page_size: u64) -> io::Result<()> {
         static ZEROS: [u8; 4096] = [0; 4096];
@@ -126,29 +143,21 @@ impl StoreWriter {
         })
     }
 
-    /// Writes the next `(predicate, direction)` CSR segment: its offsets
-    /// followed by its targets, both page-aligned. Segments must arrive in
-    /// predicate order, forward before backward.
-    ///
-    /// The file keeps the v1 layout of `node_count + 1` offsets, so the
-    /// CSR's hull offsets ([`Csr::offsets`]) are expanded as they stream
-    /// out: 0 for every node below the hull, the edge count for every node
-    /// past it.
+    /// Writes the next `(predicate, direction)` CSR segment as it is: its
+    /// hull offsets ([`Csr::offsets`]), then its targets, each starting on
+    /// a page. Segments must arrive in predicate order, forward before
+    /// backward.
     pub fn write_segment(&mut self, csr: &Csr) -> Result<(), StoreError> {
         assert!(
             self.segments.len() < self.predicate_count * 2,
             "more segments than 2 x predicate count"
         );
-        let (hull, targets) = (csr.offsets(), csr.targets());
-        let below = csr.base() as usize;
-        let Some(above) = (self.node_count as usize + 1).checked_sub(below + hull.len()) else {
-            panic!("CSR hull runs past node_count {}", self.node_count);
-        };
-        let edges = targets.len() as u64;
-        assert_eq!(
-            hull.last().copied(),
-            Some(edges),
-            "last offset must equal the targets length"
+        let (offsets, targets) = (csr.offsets(), csr.targets());
+        let span = offsets.len() as u64 - 1;
+        assert!(
+            u64::from(csr.base()) + span <= u64::from(self.node_count),
+            "CSR hull runs past node_count {}",
+            self.node_count
         );
         let page_size = self.page_size;
         let Self { out, path, .. } = self;
@@ -157,35 +166,20 @@ impl StoreWriter {
 
         let offsets_pos = out.pos;
         debug_assert_eq!(offsets_pos % page_size, 0);
-        let offsets = std::iter::repeat_n(0, below)
-            .chain(hull.iter().copied())
-            .chain(std::iter::repeat_n(edges, above));
-        const BLOCK: usize = 8 * 4096;
-        let mut buf = Vec::with_capacity(BLOCK);
-        for o in offsets {
-            buf.extend_from_slice(&o.to_le_bytes());
-            if buf.len() == BLOCK {
-                out.put(&buf).map_err(io_err)?;
-                buf.clear();
-            }
-        }
-        out.put(&buf).map_err(io_err)?;
+        out.put_words(offsets.iter().map(|o| o.to_le_bytes()))
+            .map_err(io_err)?;
         out.pad_to_page(page_size).map_err(io_err)?;
-
         let targets_pos = out.pos;
-        for chunk in targets.chunks(8192) {
-            buf.clear();
-            for &t in chunk {
-                buf.extend_from_slice(&t.to_le_bytes());
-            }
-            out.put(&buf).map_err(io_err)?;
-        }
+        out.put_words(targets.iter().map(|t| t.to_le_bytes()))
+            .map_err(io_err)?;
         out.pad_to_page(page_size).map_err(io_err)?;
 
         self.segments.push(SegmentMeta {
+            edge_count: targets.len() as u64,
+            base: csr.base(),
+            span: span as u32,
             offsets_pos,
             targets_pos,
-            edge_count: edges,
         });
         Ok(())
     }
@@ -208,9 +202,9 @@ impl StoreWriter {
         let total_edges: u64 = self.segments.iter().step_by(2).map(|s| s.edge_count).sum();
         out.put(&total_edges.to_le_bytes()).map_err(io_err)?;
         for seg in &self.segments {
-            out.put(&seg.offsets_pos.to_le_bytes()).map_err(io_err)?;
-            out.put(&seg.targets_pos.to_le_bytes()).map_err(io_err)?;
             out.put(&seg.edge_count.to_le_bytes()).map_err(io_err)?;
+            out.put(&seg.base.to_le_bytes()).map_err(io_err)?;
+            out.put(&seg.span.to_le_bytes()).map_err(io_err)?;
         }
         out.put(&dir_pos.to_le_bytes()).map_err(io_err)?;
         let checksum = out.hash.finish();

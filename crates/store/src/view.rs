@@ -6,11 +6,12 @@
 //! this enum, so the same query code serves both a fully materialized
 //! graph and a store file. The view offers counts and each symbol's
 //! [`Csr`]; it has no point lookup, because the engines read adjacency
-//! from those CSRs. The facade is infallible like `&Graph` always was:
-//! the paged variant validates structure when the store is opened, and a
-//! post-validation I/O failure (disk yanked mid-scan) panics with the
-//! store's error message rather than threading `Result` through every
-//! consumer.
+//! from those CSRs. The facade is infallible like `&Graph` always was: the
+//! paged variant validates its layout when the store is opened, the run
+//! pipeline verifies every segment before evaluation reads one, and a
+//! segment that fails to load after that (the file changed or vanished)
+//! panics with the store's error message rather than threading `Result`
+//! through every consumer.
 
 use crate::paged::StoreReader;
 use crate::{Csr, Graph, NodeId, PredIdx};
@@ -78,13 +79,13 @@ impl<'g> GraphView<'g> {
     }
 
     /// The CSR of one `Σ±` symbol: the in-memory graph's forward or
-    /// backward CSR, cloned, or one sequential scan of the store's segment,
-    /// whose pairs come in ascending order ([`Csr::from_sorted_pairs`]).
+    /// backward CSR, cloned, or the store's segment, loaded whole
+    /// ([`StoreReader::csr`]).
     pub fn csr(&self, pred: PredIdx, inverse: bool) -> Csr {
         match self {
             GraphView::InMemory(g) if inverse => g.backward(pred).clone(),
             GraphView::InMemory(g) => g.forward(pred).clone(),
-            GraphView::Paged(r) => Csr::from_sorted_pairs(r.pairs(pred, inverse)),
+            GraphView::Paged(r) => r.csr(pred, inverse).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 }

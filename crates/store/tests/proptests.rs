@@ -181,31 +181,6 @@ proptest! {
 }
 
 proptest! {
-    /// The ascending-pairs constructor builds what `from_edges` builds,
-    /// repeats included: on empty input, on one source, and on a hull that
-    /// ends at `u32::MAX`, there with targets anywhere in the id space.
-    #[test]
-    fn sorted_pairs_build_what_from_edges_builds(
-        top in any::<bool>(),
-        one_source in any::<bool>(),
-        raw in prop::collection::vec((0u32..40, any::<u32>(), 1usize..3), 0..60),
-    ) {
-        let last = if top { u32::MAX } else { 39 };
-        let mut edges = Vec::new();
-        for (i, &(s, t, reps)) in raw.iter().enumerate() {
-            let s = if one_source || i == 0 { last } else { last - s };
-            let t = if top { t } else { t % 40 };
-            edges.extend(std::iter::repeat_n((s, t), reps));
-        }
-        let mut sorted = edges.clone();
-        sorted.sort_unstable();
-        let csr = Csr::from_sorted_pairs(sorted);
-        prop_assert_eq!(&csr, &Csr::from_edges(edges.iter().copied()));
-        if !edges.is_empty() {
-            prop_assert_eq!(csr.base() + (csr.offsets().len() - 2) as NodeId, last);
-        }
-    }
-
     /// `from_edges` keeps each distinct pair once, whichever way a run is
     /// deduplicated. Sources and targets lie in a hull of at most 300 ids,
     /// at 0, in the low thousands, or ending at `u32::MAX`, and each pair
@@ -232,8 +207,11 @@ proptest! {
         }
         let reference: BTreeSet<(NodeId, NodeId)> = edges.iter().copied().collect();
         let csr = Csr::from_edges(edges.iter().copied());
-        prop_assert_eq!(&csr, &Csr::from_sorted_pairs(reference.iter().copied()));
-        prop_assert_eq!(csr.targets().len(), reference.len());
+        prop_assert!(csr.iter_edges().eq(reference.iter().copied()));
+        prop_assert_eq!(
+            (csr.base(), csr.offsets().len()),
+            hull_of(reference.iter().map(|&(s, _)| s))
+        );
     }
 }
 
@@ -243,8 +221,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // The paged StoreReader is observationally equivalent to the in-RAM
-    // CSR Graph it was written from: neighbors, degree, has_edge, and
-    // pairs agree in both directions for every predicate — including
+    // CSR Graph it was written from: neighbors and each loaded CSR agree
+    // in both directions for every predicate — including
     // predicates with no edges at all — and hostile percent-encoded
     // predicate names survive the header name table byte-for-byte.
     #[test]
@@ -325,11 +303,6 @@ fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
             (base, entries)
         )
     })?;
-    let mut sorted = edges.to_vec();
-    sorted.sort_unstable();
-    ensure(Csr::from_sorted_pairs(sorted) == csr, || {
-        "from_sorted_pairs".into()
-    })?;
     // The same arrays over all of `0..n`, empty runs at both ends kept.
     let offsets = (0..=n)
         .map(|v| reference.range(..(v, 0)).count() as u64)
@@ -351,8 +324,8 @@ fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
 }
 
 /// Builds the same graph in RAM and on disk, then compares every
-/// observable: neighbors, degree, has_edge, and pairs in both directions
-/// for every predicate. Returns a description of the first divergence.
+/// observable: neighbors, and the whole CSR (base, offsets, targets) in
+/// both directions for every predicate. Returns a description of the first divergence.
 ///
 /// Predicate `p`'s sources and targets are confined to the sub-ranges
 /// `ranges[p]`, so most segments cover an interior run of nodes.
@@ -417,10 +390,15 @@ fn check_store_matches_graph(
                     format!("neighbors pred {pred} inverse {inverse} node {v}")
                 })?;
             }
-            let paged: Vec<_> = r.pairs(pred, inverse).collect();
-            let in_ram: Vec<_> = g.pairs(pred, inverse).collect();
-            ensure(paged == in_ram, || {
-                format!("pairs pred {pred} inverse {inverse}")
+            // Base, offsets and targets: the segment is the CSR as it is.
+            let paged = r.csr(pred, inverse).map_err(|e| e.to_string())?;
+            let in_ram = if inverse {
+                g.backward(pred)
+            } else {
+                g.forward(pred)
+            };
+            ensure(&paged == in_ram, || {
+                format!("csr pred {pred} inverse {inverse}")
             })?;
         }
     }
@@ -438,7 +416,6 @@ fn check_store_matches_graph(
 fn the_default_csr_is_empty() {
     let empty = Csr::default();
     assert_eq!(empty, Csr::from_edges([]));
-    assert_eq!(empty, Csr::from_sorted_pairs([]));
     assert_eq!(empty, Csr::from_parts(5, vec![0, 0, 0], Vec::new()));
     assert_eq!((empty.base(), empty.offsets()), (0, &[0][..]));
     for v in [0, 1, NodeId::MAX] {

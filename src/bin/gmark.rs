@@ -109,7 +109,8 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   the store is written while graph.nt is.\n\
   --from-store F  evaluate against an existing graph.gstore instead of\n\
                   generating a graph (requires --eval; the config must\n\
-                  describe the same schema the store was built from).\n\
+                  describe the same schema the store was built from, and\n\
+                  the store is verified as --verify-store does first).\n\
   --verify-store F  standalone mode: validate an existing store file —\n\
                   structure, offsets, and whole-file checksum — naming\n\
                   the corrupt page on failure, then print its shape.\n\

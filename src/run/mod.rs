@@ -705,7 +705,8 @@ fn store_target<S: Sink + ?Sized>(sink: &S, opts: &RunOptions) -> StoreFile {
 }
 
 /// Opens an existing store for `from_store`, refusing one generated from
-/// a different schema before any engine touches it.
+/// a different schema, or one that fails [`StoreReader::verify`], before
+/// any engine touches it.
 fn open_checked_store(path: &Path, plan: &RunPlan) -> Result<StoreReader, GmarkError> {
     let reader = StoreReader::open(path)?;
     let expected = plan.graph.schema.schema_hash();
@@ -717,6 +718,7 @@ fn open_checked_store(path: &Path, plan: &RunPlan) -> Result<StoreReader, GmarkE
         }
         .into());
     }
+    reader.verify()?;
     Ok(reader)
 }
 
@@ -1145,6 +1147,27 @@ mod tests {
         }
     }
 
+    /// The byte position of the first target of predicate 0's forward
+    /// segment, laid out as `gmark_store::paged` documents, and the page
+    /// size.
+    fn first_target_pos(store: &Path) -> (u64, u64) {
+        let reader = StoreReader::open(store).unwrap();
+        let page = u64::from(reader.info().page_size);
+        let names: u64 = reader
+            .predicate_names()
+            .iter()
+            .map(|n| 4 + n.len() as u64)
+            .sum();
+        let header = 48 + names + (reader.partition().type_count() as u64 + 1) * 4;
+        let forward = reader.csr(0, false).unwrap();
+        assert!(forward.edge_count() > 0);
+        let offsets = forward.offsets().len() as u64 * 8;
+        (
+            header.next_multiple_of(page) + offsets.next_multiple_of(page),
+            page,
+        )
+    }
+
     #[test]
     fn from_store_reproduces_the_in_memory_eval_report() {
         // Build a store on disk with a DirSink (the in-place write path).
@@ -1180,6 +1203,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, GmarkError::Store(_)), "{err}");
+
+        // So is a store whose framing is intact but whose first target
+        // has its top byte flipped out of the node range: the error names
+        // the target's page, and no engine panics on it.
+        let (target, page_size) = first_target_pos(&store_path);
+        let mut bytes = std::fs::read(&store_path).unwrap();
+        bytes[target as usize + 3] ^= 0xFF;
+        std::fs::write(&store_path, &bytes).unwrap();
+        let err = run(&plan, &RunOptions::with_seed(7), &mut MemorySink::new()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                GmarkError::Store(StoreError::Corrupt { page: Some(p), .. })
+                    if *p == target / page_size
+            ),
+            "{err}"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

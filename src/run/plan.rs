@@ -123,11 +123,13 @@ pub struct RunPlan {
     pub eval: Option<EvalSpec>,
     /// Evaluate against an existing on-disk store (the CLI's
     /// `--from-store`) instead of generating a graph: the evaluation
-    /// stage scans this file via
+    /// stage loads this file's segments via
     /// [`StoreReader`](gmark_store::StoreReader). Requires an [`EvalSpec`]
     /// and replaces graph generation (graph and store outputs must be
     /// off). The store's recorded schema hash must match the plan's
-    /// schema.
+    /// schema, and the store must pass
+    /// [`StoreReader::verify`](gmark_store::StoreReader::verify) before
+    /// any engine reads it.
     pub from_store: Option<PathBuf>,
     /// The configuration file this plan came from, when it came from one
     /// (recorded in the report).

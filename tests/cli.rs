@@ -218,6 +218,44 @@ fn text_format_keeps_the_human_banner_and_skips_summary_json() {
 }
 
 #[test]
+fn from_store_refuses_a_corrupt_store_before_any_engine_reads_it() {
+    let scratch = std::env::temp_dir().join(format!("gmark-fstore-{}", std::process::id()));
+    let config = repo_path("examples/configs/bib.xml");
+    let run = |extra: &[&str]| {
+        let base = [
+            "--config",
+            config.to_str().unwrap(),
+            "--output",
+            scratch.to_str().unwrap(),
+            "--nodes",
+            "100",
+            "--seed",
+            "7",
+        ];
+        gmark(&[&base[..], extra].concat())
+    };
+    assert!(run(&["--store"]).status.success());
+    let store = scratch.join("graph.gstore");
+
+    // The header region fits the first page, so the second starts with
+    // the first segment's first offset, which must be 0. Flipping its low
+    // byte leaves the framing intact.
+    let mut bytes = std::fs::read(&store).unwrap();
+    let page = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    assert_eq!(bytes[page..page + 8], [0; 8]);
+    bytes[page] ^= 0xFF;
+    std::fs::write(&store, &bytes).unwrap();
+
+    let bad = run(&["--eval", "--from-store", store.to_str().unwrap()]);
+    assert_eq!(bad.status.code(), Some(1));
+    let stderr = String::from_utf8(bad.stderr).unwrap();
+    assert!(stderr.starts_with("gmark: "), "{stderr}");
+    assert!(stderr.contains("is corrupt at page 1:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
 fn verify_store_accepts_a_good_store_and_rejects_corruption() {
     let scratch = std::env::temp_dir().join(format!("gmark-vstore-{}", std::process::id()));
 
