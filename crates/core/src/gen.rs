@@ -58,11 +58,12 @@
 use crate::schema::{Distribution, GraphConfig};
 use gmark_stats::{DegreeSampler, Prng, Zipf};
 use gmark_store::{
-    ordered_map, resolve_threads, Csr, EdgeSink, EmitStats, Graph, GraphBuilder, Group, Grouped,
-    NTriplesFormat, NTriplesWriter, NodeId, OrderedEmitter, PredIdx, StoreError, StoreInfo,
-    StoreMeta, StoreWriter, TypePartition,
+    check_edge_total, ordered_map, resolve_threads, Csr, EdgeSink, EmitStats, Graph, GraphBuilder,
+    Group, Grouped, NTriplesFormat, NTriplesWriter, NodeId, OrderedEmitter, PredIdx, StoreError,
+    StoreInfo, StoreMeta, StoreWriter, TypePartition,
 };
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Options controlling graph generation.
 #[derive(Debug, Clone)]
@@ -152,15 +153,41 @@ pub fn generate_into<S: EdgeSink>(
 /// CSR is finalized one predicate at a time, forward then transposed
 /// ([`GraphBuilder::build_with_threads`]). The graph and report are
 /// bit-identical for every thread count.
+///
+/// Panics where [`try_generate_graph`] returns an error.
 pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, GenReport) {
+    try_generate_graph(config, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`generate_graph`], refusing a predicate whose edges one CSR cannot
+/// hold ([`check_edge_total`]) with [`StoreError::TooManyEdges`] before the
+/// CSR is built. Each constraint is set up before it draws and adds its
+/// edge count to its predicate's running total; once that total is over
+/// the limit, no constraint of the predicate draws a pair, so the refusal
+/// costs set-ups, not edges.
+pub fn try_generate_graph(
+    config: &GraphConfig,
+    opts: &GeneratorOptions,
+) -> Result<(Graph, GenReport), StoreError> {
     let partition = TypePartition::from_counts(&config.node_counts());
     let pred_count = config.schema.predicate_count();
     let master = Prng::seed_from_u64(opts.seed);
+    let totals: Vec<AtomicU64> = (0..pred_count).map(|_| AtomicU64::new(0)).collect();
     let shards = ordered_map(opts.threads, config.schema.constraints().len(), |idx| {
         let mut builder = GraphBuilder::new(partition.clone(), pred_count);
-        let cr = generate_constraint(config, opts, idx, &partition, &master, &mut builder);
-        (builder, cr)
+        let mut pairs = ConstraintPairs::setup(config, opts, idx, &partition, &master);
+        let edges = pairs.report.edges;
+        // The totals publish nothing else, and are read once every unit
+        // has joined.
+        let so_far = totals[pairs.pred].fetch_add(edges, Ordering::Relaxed) + edges;
+        if check_edge_total(pairs.pred, so_far).is_ok() {
+            pairs.draw(u64::MAX, &mut builder);
+        }
+        (builder, pairs.report)
     });
+    for (pred, total) in totals.into_iter().enumerate() {
+        check_edge_total(pred, total.into_inner())?;
+    }
     let mut root = GraphBuilder::new(partition, pred_count);
     let mut report = GenReport::default();
     for (shard, cr) in shards {
@@ -168,7 +195,7 @@ pub fn generate_graph(config: &GraphConfig, opts: &GeneratorOptions) -> (Graph, 
         report.total_edges += cr.edges;
         report.constraints.push(cr);
     }
-    (root.build_with_threads(opts.threads), report)
+    Ok((root.build_with_threads(opts.threads), report))
 }
 
 /// Options for [`generate_streamed`].
@@ -307,7 +334,9 @@ impl Group for ConstraintPairs {
 /// [`StoreWriter::write_graph`] writes for [`generate_graph`]'s graph — and
 /// both are written and dropped. One thread; the bytes never depend on
 /// `opts.threads`. Peak memory
-/// is bounded by the largest predicate, not the total edge count.
+/// is bounded by the largest predicate, not the total edge count. A
+/// predicate whose edges one CSR cannot hold is refused
+/// ([`check_edge_total`]) before its constraint past the limit draws.
 /// `meta.partition` must be `config`'s partition and
 /// `meta.predicate_names` its alphabet.
 pub fn generate_store(
@@ -323,8 +352,12 @@ pub fn generate_store(
     let mut edges = PairSink(Vec::new());
     for pred in 0..config.schema.predicate_count() {
         edges.0.clear();
+        let mut total = 0;
         for idx in (0..constraints.len()).filter(|&i| constraints[i].predicate.0 == pred) {
-            generate_constraint(config, opts, idx, &partition, &master, &mut edges);
+            let mut pairs = ConstraintPairs::setup(config, opts, idx, &partition, &master);
+            total += pairs.report.edges;
+            check_edge_total(pred, total)?;
+            pairs.draw(u64::MAX, &mut edges);
         }
         let fwd = Csr::from_edges(edges.0.iter().copied());
         writer.write_segment(&fwd)?;
@@ -524,8 +557,8 @@ fn side_plans(
     };
     if let Distribution::Zipfian { s } = c.dout {
         let sampler = Zipf::new(n_trg.max(1), s);
-        let weights: Vec<u64> = (0..n_src).map(|_| sampler.sample(rng)).collect();
-        let natural: u64 = weights.iter().sum();
+        let weights = zipf_weights(&sampler, n_src, rng);
+        let natural: u64 = weights.iter().map(|&w| u64::from(w)).sum();
         let m = zipf_budget(trg_total, natural);
         let v = apportion_slots(&weights, m);
         src_total = Some(v.len() as u64);
@@ -533,8 +566,8 @@ fn side_plans(
     }
     if let Distribution::Zipfian { s } = c.din {
         let sampler = Zipf::new(n_src.max(1), s);
-        let weights: Vec<u64> = (0..n_trg).map(|_| sampler.sample(rng)).collect();
-        let natural: u64 = weights.iter().sum();
+        let weights = zipf_weights(&sampler, n_trg, rng);
+        let natural: u64 = weights.iter().map(|&w| u64::from(w)).sum();
         let m = zipf_budget(src_total, natural);
         let v = apportion_slots(&weights, m);
         trg_total = Some(v.len() as u64);
@@ -592,6 +625,15 @@ fn side_plans(
     (src_plan, trg_plan)
 }
 
+/// One Zipf draw per node of a side of `n` nodes: the weights
+/// [`apportion_slots`] shares the side's slots by. A draw is at most the
+/// opposite type's node count, so it fits a `u32`.
+fn zipf_weights(sampler: &Zipf, n: u64, rng: &mut Prng) -> Vec<u32> {
+    (0..n)
+        .map(|_| u32::try_from(sampler.sample(rng)).expect("a Zipf draw is at most a node count"))
+        .collect()
+}
+
 /// Lines 3–6 of Fig. 5: node `j` (within its type) appears `draw(D)` times.
 fn fill_slots<D: DegreeSampler>(n: u64, dist: &D, rng: &mut Prng) -> Vec<NodeId> {
     let mut v = Vec::with_capacity((n as f64 * dist.mean()).ceil() as usize);
@@ -605,42 +647,72 @@ fn fill_slots<D: DegreeSampler>(n: u64, dist: &D, rng: &mut Prng) -> Vec<NodeId>
 }
 
 /// Distributes exactly `total` slots across nodes proportionally to
-/// `weights` (largest-remainder apportionment), returning the slot vector
-/// in node order (callers shuffle).
-fn apportion_slots(weights: &[u64], total: u64) -> Vec<NodeId> {
-    let w_sum: u64 = weights.iter().sum();
-    if w_sum == 0 || total == 0 {
+/// `weights` (largest-remainder apportionment, [`apportion`]), returning
+/// the slot vector in node order (callers shuffle).
+fn apportion_slots(weights: &[u32], total: u64) -> Vec<NodeId> {
+    let Some(degrees) = apportion(weights, total) else {
         return Vec::new();
-    }
-    let mut degrees: Vec<u64> = Vec::with_capacity(weights.len());
-    let mut remainders: Vec<(f64, usize)> = Vec::with_capacity(weights.len());
-    let mut assigned: u64 = 0;
-    for (i, &w) in weights.iter().enumerate() {
-        let exact = w as f64 * total as f64 / w_sum as f64;
-        let d = exact.floor() as u64;
-        degrees.push(d);
-        remainders.push((exact - d as f64, i));
-        assigned += d;
-    }
-    let mut deficit = total.saturating_sub(assigned) as usize;
-    if deficit > 0 {
-        // Give the remaining slots to the largest fractional remainders.
-        deficit = deficit.min(remainders.len());
-        let nth = remainders.len() - deficit;
-        remainders.select_nth_unstable_by(nth, |a, b| {
-            a.0.partial_cmp(&b.0).expect("remainders are finite")
-        });
-        for &(_, i) in &remainders[nth..] {
-            degrees[i] += 1;
-        }
-    }
+    };
     let mut slots = Vec::with_capacity(total as usize);
-    for (i, &d) in degrees.iter().enumerate() {
-        for _ in 0..d {
-            slots.push(i as NodeId);
-        }
+    for (i, d) in degrees.enumerate() {
+        slots.extend(std::iter::repeat_n(i as NodeId, d as usize));
     }
     slots
+}
+
+/// Largest-remainder apportionment of `total` slots in proportion to
+/// `weights`: node `i`'s degree is the floor of its exact share `w_i ·
+/// total / Σw`, plus one if its fractional remainder is among the
+/// `deficit` largest, `deficit` being what the floors leave of `total`.
+/// `None` when there is nothing to share (`Σw = 0` or `total = 0`).
+///
+/// No share is stored per node: a share depends only on its weight, so it
+/// is worked out from the weight, by that one expression, wherever it is
+/// needed — once per weight below `MEMO` (most Zipf draws are small), on
+/// each use above it. The largest remainders are picked by
+/// `select_nth_unstable_by` over the node indices, comparing remainders
+/// only. Its partition path depends on the comparisons alone, not on the
+/// element type, so among tied remainders it picks the nodes a selection
+/// over `(remainder, index)` pairs picks — the generated graphs depend on
+/// that, and the reference test below pins it. The winners are marked in
+/// a bitset. The scratch is 4 B (the indices) and one bit a node, the
+/// indices only while there is a deficit; the degrees come out lazily, in
+/// node order.
+fn apportion(weights: &[u32], total: u64) -> Option<impl Iterator<Item = u64> + '_> {
+    let w_sum: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+    if w_sum == 0 || total == 0 {
+        return None;
+    }
+    const MEMO: u32 = 1024;
+    let split = move |w: u32| {
+        let share = w as f64 * total as f64 / w_sum as f64;
+        let floor = share.floor() as u64;
+        (floor, share - floor as f64)
+    };
+    let memo: Vec<(u64, f64)> = (0..MEMO).map(split).collect();
+    let parts = move |memo: &[(u64, f64)], i: usize| match memo.get(weights[i] as usize) {
+        Some(&parts) => parts,
+        None => split(weights[i]),
+    };
+    let n = weights.len();
+    let assigned: u64 = (0..n).map(|i| parts(&memo, i).0).sum();
+    let mut up = vec![0u64; n.div_ceil(64)];
+    let deficit = (total.saturating_sub(assigned) as usize).min(n);
+    if deficit > 0 {
+        // Give the remaining slots to the largest fractional remainders.
+        let remainder = |i: u32| parts(&memo, i as usize).1;
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let nth = n - deficit;
+        order.select_nth_unstable_by(nth, |&a, &b| {
+            remainder(a)
+                .partial_cmp(&remainder(b))
+                .expect("remainders are finite")
+        });
+        for &i in &order[nth..] {
+            up[i as usize / 64] |= 1 << (i % 64);
+        }
+    }
+    Some((0..n).map(move |i| parts(&memo, i).0 + (up[i / 64] >> (i % 64) & 1)))
 }
 
 #[cfg(test)]
@@ -1205,6 +1277,193 @@ mod tests {
                     .any(|c| c.source.0 == st && c.target.0 == tt && c.predicate.0 == *pred),
                 "edge ({src},{pred},{trg}) with types ({st},{tt}) matches no constraint"
             );
+        }
+    }
+
+    #[test]
+    fn a_predicate_past_u32_max_edges_is_refused_before_it_draws() {
+        // Both sides non-specified: the predicate's occurrence is the
+        // edge budget, and uniform draws need no slot vector, so the
+        // refusal comes after the set-up, with no edge drawn.
+        let mut b = SchemaBuilder::new();
+        let s = b.node_type("s", Occurrence::Proportion(0.5));
+        let t = b.node_type("t", Occurrence::Proportion(0.5));
+        let small = b.predicate("small", None);
+        let huge = b.predicate("huge", Some(Occurrence::Fixed(1 << 32)));
+        b.edge(
+            s,
+            small,
+            t,
+            Distribution::uniform(1, 2),
+            Distribution::uniform(1, 2),
+        );
+        b.edge(
+            s,
+            huge,
+            t,
+            Distribution::NonSpecified,
+            Distribution::NonSpecified,
+        );
+        let cfg = GraphConfig::new(100, b.build().unwrap());
+        let refused = |err: StoreError| match err {
+            StoreError::TooManyEdges { predicate, edges } => (predicate, edges) == (1, 1 << 32),
+            _ => false,
+        };
+        for threads in [1, 2] {
+            let opts = GeneratorOptions {
+                threads,
+                ..GeneratorOptions::with_seed(3)
+            };
+            let err = try_generate_graph(&cfg, &opts).map(drop).unwrap_err();
+            assert!(refused(err), "{threads} threads");
+        }
+        let dir = std::env::temp_dir().join(format!("gmark-gen-too-many-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = StoreMeta {
+            seed: 3,
+            schema_hash: cfg.schema.schema_hash(),
+            page_size: gmark_store::DEFAULT_PAGE_SIZE,
+            predicate_names: cfg.schema.predicate_names(),
+            partition: TypePartition::from_counts(&cfg.node_counts()),
+        };
+        let opts = GeneratorOptions::with_seed(3);
+        let err = generate_store(&cfg, &opts, &dir.join("g.gstore"), &meta).unwrap_err();
+        assert!(refused(err));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The apportionment as it was first written, kept as the reference:
+    /// every node's degree, in a vector, with a `(remainder, index)` pair
+    /// per node ranked by `select_nth_unstable_by`. `None` where it
+    /// returned no slots at once.
+    fn reference_degrees(weights: &[u64], total: u64) -> Option<Vec<u64>> {
+        let w_sum: u64 = weights.iter().sum();
+        if w_sum == 0 || total == 0 {
+            return None;
+        }
+        let mut degrees: Vec<u64> = Vec::with_capacity(weights.len());
+        let mut remainders: Vec<(f64, usize)> = Vec::with_capacity(weights.len());
+        let mut assigned: u64 = 0;
+        for (i, &w) in weights.iter().enumerate() {
+            let exact = w as f64 * total as f64 / w_sum as f64;
+            let d = exact.floor() as u64;
+            degrees.push(d);
+            remainders.push((exact - d as f64, i));
+            assigned += d;
+        }
+        let mut deficit = total.saturating_sub(assigned) as usize;
+        if deficit > 0 {
+            deficit = deficit.min(remainders.len());
+            let nth = remainders.len() - deficit;
+            remainders.select_nth_unstable_by(nth, |a, b| {
+                a.0.partial_cmp(&b.0).expect("remainders are finite")
+            });
+            for &(_, i) in &remainders[nth..] {
+                degrees[i] += 1;
+            }
+        }
+        Some(degrees)
+    }
+
+    /// The reference's slot vector: node `i` repeated by its degree.
+    fn reference_slots(weights: &[u64], total: u64) -> Vec<NodeId> {
+        let Some(degrees) = reference_degrees(weights, total) else {
+            return Vec::new();
+        };
+        let mut slots = Vec::with_capacity(total as usize);
+        for (i, &d) in degrees.iter().enumerate() {
+            for _ in 0..d {
+                slots.push(i as NodeId);
+            }
+        }
+        slots
+    }
+
+    /// What the floors leave of `total`, as both versions compute it.
+    fn deficit(weights: &[u32], total: u64) -> u64 {
+        let w_sum: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+        let floors: u64 = weights
+            .iter()
+            .map(|&w| (w as f64 * total as f64 / w_sum as f64).floor() as u64)
+            .sum();
+        total.saturating_sub(floors)
+    }
+
+    /// Checks `apportion_slots` against the reference, slot for slot.
+    fn same_slots(weights: &[u32], total: u64) {
+        let wide: Vec<u64> = weights.iter().map(|&w| u64::from(w)).collect();
+        assert_eq!(
+            apportion_slots(weights, total),
+            reference_slots(&wide, total),
+            "{} weights, total {total}",
+            weights.len()
+        );
+    }
+
+    #[test]
+    fn apportionment_gives_the_reference_slots() {
+        let mut rng = Prng::seed_from_u64(51);
+        let mut largest_deficit = (0, 1);
+        // Zipf draws as the generator makes them: small exponents spread
+        // the weights, large ones make nearly every draw 1, so most
+        // remainders tie.
+        for (n, support, s) in [
+            (1usize, 1u64, 1.0),
+            (7, 3, 2.5),
+            (100, 10, 0.8),
+            (1000, 50, 1.5),
+            (1000, 2, 4.0),
+            (5000, 1000, 3.0),
+            (20_000, 200, 1.1),
+        ] {
+            let sampler = Zipf::new(support, s);
+            let weights = zipf_weights(&sampler, n as u64, &mut rng);
+            let natural: u64 = weights.iter().map(|&w| u64::from(w)).sum();
+            for total in [1, 2, n as u64 / 3, n as u64, natural, 3 * n as u64 + 7] {
+                same_slots(&weights, total);
+                let d = deficit(&weights, total);
+                if d * largest_deficit.1 > largest_deficit.0 * n as u64 {
+                    largest_deficit = (d, n as u64);
+                }
+            }
+        }
+        assert!(
+            largest_deficit.0 * 2 > largest_deficit.1,
+            "some case leaves most nodes rounding up: {largest_deficit:?}"
+        );
+        // Heavy ties: every weight equal, every remainder 1/2 or 1/3.
+        same_slots(&[1; 1000], 500);
+        same_slots(&[3; 999], 1000);
+        same_slots(&[7; 64], 96);
+        // Nothing to share.
+        same_slots(&[0; 10], 5);
+        same_slots(&[], 5);
+        same_slots(&[4, 1, 9], 0);
+        assert!(apportion(&[0, 0], 3).is_none() && apportion(&[1, 2], 0).is_none());
+        // Deficit 0: every share an integer.
+        assert_eq!(deficit(&[2, 4, 6], 6), 0);
+        same_slots(&[2, 4, 6], 6);
+        same_slots(&[5; 40], 400);
+    }
+
+    #[test]
+    fn apportionment_gives_the_reference_degrees_when_every_node_rounds_up() {
+        // Shares beyond 2^53 lose their low bits: `total` = 2^54 + 2 is
+        // 2^54 as an f64, so each of two equal weights floors to 2^53
+        // and both nodes round up. The degrees are compared without
+        // drawing the slots.
+        for (weights, total) in [
+            (vec![1u32, 1], (1u64 << 54) + 2),
+            (vec![1, 1, 1, 1], (1 << 55) + 4),
+            (vec![3, 1, 2, 2], (1 << 56) + 7),
+        ] {
+            let n = weights.len() as u64;
+            let wide: Vec<u64> = weights.iter().map(|&w| u64::from(w)).collect();
+            let got: Vec<u64> = apportion(&weights, total).expect("shares").collect();
+            assert_eq!(Some(got), reference_degrees(&wide, total), "{weights:?}");
+            if weights.iter().all(|&w| w == weights[0]) {
+                assert_eq!(deficit(&weights, total), n, "{weights:?}");
+            }
         }
     }
 }

@@ -42,8 +42,8 @@ pub mod workload;
 
 pub use cypher::{CypherCounts, CypherDegradations};
 pub use gen::{
-    generate_graph, generate_into, generate_store, generate_streamed, GenReport, GeneratorOptions,
-    StreamOptions,
+    generate_graph, generate_into, generate_store, generate_streamed, try_generate_graph,
+    GenReport, GeneratorOptions, StreamOptions,
 };
 pub use query::{Conjunct, PathExpr, Query, RegularExpr, Rule, Symbol, Var};
 pub use schema::{

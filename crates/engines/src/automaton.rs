@@ -23,7 +23,7 @@
 //! view itself.
 
 use crate::context::EvalContext;
-use crate::relations::Relation;
+use crate::relations::{offset, Relation};
 use crate::{Budget, EvalError};
 use gmark_core::query::{RegularExpr, Symbol};
 use gmark_store::NodeId;
@@ -122,7 +122,7 @@ pub fn eval_rpq(
         let src = seeds.map_or(si as NodeId, |s| s[si]);
         let stamp = si as u32;
         // The sources since the previous seed have empty runs.
-        offsets.resize((src - base) as usize + 1, targets.len() as u64);
+        offsets.resize((src - base) as usize + 1, offset(targets.len()));
         if epsilon {
             targets.push(src);
         }
@@ -146,8 +146,8 @@ pub fn eval_rpq(
                 }
             }
         }
-        offsets.push(targets.len() as u64);
         budget.check_size(targets.len())?;
+        offsets.push(offset(targets.len()));
     }
     for run in offsets.windows(2) {
         targets[run[0] as usize..run[1] as usize].sort_unstable();

@@ -186,38 +186,26 @@ impl std::error::Error for EvalError {}
 
 /// Whether [`Csr::from_edges`] may deduplicate `len` rows of `arity` cells
 /// whose first column spans a hull of `first` ids and whose last column
-/// spans `last`: its scratch — one `u64` offset per id of `first` plus
+/// spans `last`: its scratch — one `u32` offset per id of `first` plus
 /// one, and a bitset of `u64` words over `last` — takes no more bytes than
-/// the rows' own cells.
+/// the rows' own cells, and its offsets can count the rows.
 fn scatter_fits(arity: usize, len: usize, first: usize, last: usize) -> bool {
-    8 * (first + 1 + last.div_ceil(64)) <= 4 * arity * len
+    len <= Csr::MAX_EDGES && 4 * (first + 1) + 8 * last.div_ceil(64) <= 4 * arity * len
 }
 
 /// The CSR of `len` rows of one or two cells, built by [`Csr::from_edges`]
 /// when its scratch fits ([`scatter_fits`]): a row of two cells is the
 /// pair it holds, a row of one cell `v` the pair `(0, v)`. `None` at any
-/// other arity, or when the hulls are too wide.
+/// other arity, or when the hulls are too wide. The store's kernel takes
+/// the hulls in its first pass and hands them to [`scatter_fits`] before
+/// it builds ([`Csr::try_from_edges`]), so the rows are read no extra time.
 fn scatter(arity: usize, len: usize, cells: &[NodeId]) -> Option<Csr> {
+    let fits = |first, last| scatter_fits(arity, len, first, last);
     match arity {
-        1 => scatter_pairs(1, len, cells.iter().map(|&v| (0, v))),
-        2 => scatter_pairs(2, len, cells.chunks_exact(2).map(|c| (c[0], c[1]))),
+        1 => Csr::try_from_edges(cells.iter().map(|&v| (0, v)), fits),
+        2 => Csr::try_from_edges(cells.chunks_exact(2).map(|c| (c[0], c[1])), fits),
         _ => None,
     }
-}
-
-/// [`scatter`] over the rows as pairs.
-fn scatter_pairs(
-    arity: usize,
-    len: usize,
-    pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
-) -> Option<Csr> {
-    let (lo, hi) = pairs
-        .clone()
-        .fold(((NodeId::MAX, NodeId::MAX), (0, 0)), |(lo, hi), (s, t)| {
-            ((lo.0.min(s), lo.1.min(t)), (hi.0.max(s), hi.1.max(t)))
-        });
-    let span = |lo: NodeId, hi: NodeId| (hi as usize + 1).saturating_sub(lo as usize);
-    scatter_fits(arity, len, span(lo.0, hi.0), span(lo.1, hi.1)).then(|| Csr::from_edges(pairs))
 }
 
 /// A set of distinct answer tuples: one row-major buffer, sorted
@@ -394,19 +382,20 @@ mod tests {
     #[test]
     fn the_scatter_arm_ends_where_its_scratch_outgrows_the_rows() {
         // 40 rows of two cells hold 320 bytes. With the last column in one
-        // bitset word, a first column over 38 ids takes 8 × (38 + 1 + 1) =
+        // bitset word, a first column over 77 ids takes 4 × (77 + 1) + 8 =
         // 320 bytes of scratch: the last hull the counting scatter takes.
-        // Over 39 ids, and over exactly as many ids as there are rows, the
-        // packed-key sort deduplicates instead.
+        // Over 78 and 79 ids the packed-key sort deduplicates instead.
         let len = 40;
-        assert!(scatter_fits(2, len, len - 2, 64));
-        assert!(!scatter_fits(2, len, len - 1, 64));
-        assert!(!scatter_fits(2, len, len, 64));
-        for first in [len - 2, len - 1, len] {
-            // Row k is (k mod first, (k mod first) mod 3): the first column
-            // spans 0..first, and rows repeat once it wraps.
-            let cells = (0..len)
-                .flat_map(|k| [k % first, k % first % 3])
+        assert!(scatter_fits(2, len, 77, 64));
+        assert!(!scatter_fits(2, len, 78, 64));
+        assert!(!scatter_fits(2, len, 77, 65));
+        assert!(scatter_fits(1, len, 1, 64 * 19));
+        for first in [77, 78, 79] {
+            // Row k < 39 is (k mod 20, k mod 3), so rows repeat; the last
+            // row stretches the first column to span 0..first.
+            let cells = (0..len - 1)
+                .flat_map(|k| [k % 20, k % 3])
+                .chain([first - 1, 0])
                 .map(|c| c as NodeId)
                 .collect();
             check_from_rows(2, len, cells).unwrap();
@@ -420,7 +409,7 @@ mod tests {
         /// arm deduplicates them. Narrow cells lie in a hull of 16 ids — at
         /// 0, at some id below 100 000, or ending at `u32::MAX` — and each
         /// row is repeated up to three times, so at arity 1 and 2 the
-        /// scratch fits from about 18 rows on and the counting scatter
+        /// scratch fits from about 10 rows on and the counting scatter
         /// runs. With `wide`, cells lie anywhere in the id space, the hulls
         /// outgrow the rows, and the packed-key sort runs.
         #[test]

@@ -66,6 +66,13 @@ fn runs(r: &Csr) -> impl Iterator<Item = (NodeId, &[NodeId])> {
     })
 }
 
+/// `len` as a CSR offset. Every relation is charged against the tuple cap
+/// as it grows, and the pipeline refuses a cap above [`Csr::MAX_EDGES`],
+/// so this fails only for a library caller with a wider cap.
+pub(crate) fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a relation holds at most u32::MAX pairs")
+}
+
 /// Appends the sorted union of two ascending runs to `out`.
 fn merge(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
     let (mut i, mut j) = (0, 0);
@@ -94,7 +101,7 @@ impl Relation {
     }
 
     /// Assembles a relation from its CSR arrays ([`Csr::from_parts`]).
-    pub(crate) fn from_parts(base: NodeId, offsets: Vec<u64>, targets: Vec<NodeId>) -> Relation {
+    pub(crate) fn from_parts(base: NodeId, offsets: Vec<u32>, targets: Vec<NodeId>) -> Relation {
         Relation(Csr::from_parts(base, offsets, targets))
     }
 
@@ -107,11 +114,7 @@ impl Relation {
 
     /// The identity relation over all `n` nodes (the ε relation).
     pub fn identity(n: NodeId) -> Relation {
-        Relation(Csr::from_parts(
-            0,
-            (0..=u64::from(n)).collect(),
-            (0..n).collect(),
-        ))
+        Relation(Csr::from_parts(0, (0..=n).collect(), (0..n).collect()))
     }
 
     /// Composition `self ; other` = `{(s, u) | (s, t) ∈ self, (t, u) ∈
@@ -143,7 +146,7 @@ impl Relation {
                 run.dedup();
                 budget.check_size(targets.len() + run.len())?;
                 targets.extend_from_slice(run);
-                offsets.push(targets.len() as u64);
+                offsets.push(offset(targets.len()));
             }
             Ok(Relation(Csr::from_parts(self.base(), offsets, targets)))
         })
@@ -165,7 +168,7 @@ impl Relation {
         for s in u64::from(base)..end(self).max(end(other)) {
             let s = s as NodeId;
             merge(self.neighbors(s), other.neighbors(s), &mut targets);
-            offsets.push(targets.len() as u64);
+            offsets.push(offset(targets.len()));
         }
         Relation(Csr::from_parts(base, offsets, targets))
     }
@@ -186,7 +189,7 @@ impl Relation {
                     targets.push(t);
                 }
             }
-            offsets.push(targets.len() as u64);
+            offsets.push(offset(targets.len()));
         }
         Relation(Csr::from_parts(self.base(), offsets, targets))
     }
@@ -235,7 +238,7 @@ impl Relation {
         // (a component reaches at least itself).
         let mut reach: Vec<usize> = vec![0; dag.len()];
         // `offsets[s]`: where source `s`'s targets begin in the output.
-        let mut offsets: Vec<u64> = Vec::with_capacity(n as usize + 1);
+        let mut offsets: Vec<u32> = Vec::with_capacity(n as usize + 1);
         let mut total = 0usize;
         for s in 0..n {
             if s.is_multiple_of(256) {
@@ -246,11 +249,11 @@ impl Relation {
                 let reached = walk.from(&dag, c).iter();
                 reach[c] = reached.map(|&d| dag.members(d as usize).len()).sum();
             }
-            offsets.push(total as u64);
+            offsets.push(offset(total));
             total += reach[c];
             budget.check_size(total)?;
         }
-        offsets.push(total as u64);
+        offsets.push(offset(total));
 
         let mut out: Vec<NodeId> = vec![0; total];
         let mut targets: Vec<NodeId> = Vec::new();

@@ -1,7 +1,7 @@
 //! Immutable CSR graphs and the builder that assembles them.
 
 use crate::sink::EdgeSink;
-use crate::{NodeId, PredIdx};
+use crate::{NodeId, PredIdx, StoreError};
 use std::sync::Mutex;
 
 /// Compressed sparse row adjacency over the *hull* of the nodes that have
@@ -14,13 +14,29 @@ use std::sync::Mutex;
 /// and offsets for every node would be the largest array it holds. The
 /// hull is taken from the edges themselves; no schema is consulted.
 ///
+/// Offsets are `u32`, like the node ids they sit beside, so a CSR holds at
+/// most [`Csr::MAX_EDGES`] pairs. The generator refuses a predicate with
+/// more edges ([`check_edge_total`]) and the pipeline a tuple cap above
+/// it, before anything is built.
+///
 /// Neighbor lists are sorted and duplicate-free, enabling binary-search
 /// membership tests and merge joins in the engines crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     base: NodeId,
-    offsets: Vec<u64>,
+    offsets: Vec<u32>,
     targets: Vec<NodeId>,
+}
+
+/// Refuses a predicate whose `edges` (counted before deduplication) one
+/// [`Csr`] cannot hold: more than [`Csr::MAX_EDGES`]. The generator calls
+/// it as soon as a predicate's constraints are set up, before any pair is
+/// drawn; a predicate that size would need more than 16 GB of targets.
+pub fn check_edge_total(predicate: PredIdx, edges: u64) -> Result<(), StoreError> {
+    if edges > Csr::MAX_EDGES as u64 {
+        return Err(StoreError::TooManyEdges { predicate, edges });
+    }
+    Ok(())
 }
 
 /// `(lowest id, span)` of the id range `lo..=hi`; `(0, 0)` when it is empty
@@ -41,14 +57,14 @@ fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
 }
 
 /// Counting sort of `(key, value)` pairs whose keys lie in `[base, base +
-/// span)`: the values grouped by key, each group in input order, and the
-/// hull of the values (as [`key_hull`] gives it).
+/// span)`: the values grouped by key, each group in input order. There
+/// must be at most [`Csr::MAX_EDGES`] pairs.
 fn group_by_key(
     base: NodeId,
     span: usize,
     pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
-) -> (Csr, (NodeId, usize)) {
-    let mut offsets = vec![0u64; span + 1];
+) -> Csr {
+    let mut offsets = vec![0u32; span + 1];
     for (k, _) in pairs.clone() {
         offsets[(k - base) as usize + 1] += 1;
     }
@@ -58,21 +74,18 @@ fn group_by_key(
     // The offsets are the cursors: after the scatter, `offsets[i]` is where
     // group `i` ends — where group `i + 1` starts.
     let mut targets = vec![0 as NodeId; offsets[span] as usize];
-    let (mut lo, mut hi) = (NodeId::MAX, 0);
     for (k, v) in pairs {
-        (lo, hi) = (lo.min(v), hi.max(v));
         let cursor = &mut offsets[(k - base) as usize];
         targets[*cursor as usize] = v;
         *cursor += 1;
     }
     offsets.copy_within(0..span, 1);
     offsets[0] = 0;
-    let csr = Csr {
+    Csr {
         base,
         offsets,
         targets,
-    };
-    (csr, hull(lo, hi))
+    }
 }
 
 impl Default for Csr {
@@ -87,30 +100,69 @@ impl Default for Csr {
 }
 
 impl Csr {
+    /// The most pairs one CSR holds, deduplicated or not: its offsets are
+    /// `u32`.
+    pub const MAX_EDGES: usize = u32::MAX as usize;
+
     /// Builds the CSR of a bag of pairs in any order, keeping each distinct
     /// pair once: the one bag-to-set kernel of the workspace. The graph's
     /// predicates, the engines' relations, their answer rows and their
-    /// seed sets are all deduplicated here.
+    /// seed sets are all deduplicated here: [`Csr::try_from_edges`] with no
+    /// condition on the hulls.
     ///
-    /// Three passes over `pairs`, which is why it must be `Clone`: one for
-    /// the hull of the sources, then a counting scatter that groups the
-    /// targets by source (counting, then placing each target and taking
-    /// the hull of the targets), then one over each run. A run keeps a
-    /// target only the first time its bit is set in a bitset over the
-    /// targets' hull, so only its distinct targets are ordered. The bitset
-    /// is the only scratch beyond the result, and exists only when it has
-    /// no more words than there are pairs: under a wider hull each run is
-    /// sorted whole and its adjacent repeats compacted out.
+    /// Panics if there are more than [`Csr::MAX_EDGES`] pairs.
     pub fn from_edges<I>(pairs: I) -> Csr
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
         I::IntoIter: Clone,
     {
+        Csr::try_from_edges(pairs, |_, _| true).expect("the build always fits")
+    }
+
+    /// [`Csr::from_edges`] when `fits(source span, target span)` accepts
+    /// the two hulls, else `None`: a caller that weighs the build's
+    /// scratch against the pairs decides on the hulls the build takes
+    /// anyway.
+    ///
+    /// Three passes over `pairs`, which is why it must be `Clone`: one for
+    /// the hulls of the sources and of the targets, then a counting scatter
+    /// that groups the targets by source (counting, then placing each
+    /// target), then one over each run. A run keeps a target only the
+    /// first time its bit is set in a bitset over the targets' hull, so
+    /// only its distinct targets are ordered. The bitset is the only
+    /// scratch beyond the result, and exists only when it has no more
+    /// words than there are pairs: under a wider hull each run is sorted
+    /// whole and its adjacent repeats compacted out.
+    ///
+    /// Panics if there are more than [`Csr::MAX_EDGES`] pairs.
+    pub fn try_from_edges<I>(pairs: I, fits: impl FnOnce(usize, usize) -> bool) -> Option<Csr>
+    where
+        I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
+    {
         let pairs = pairs.into_iter();
-        let (base, span) = key_hull(pairs.clone().map(|(s, _)| s));
-        let (mut csr, targets) = group_by_key(base, span, pairs);
+        let (lo, hi, len) = pairs.clone().fold(
+            ((NodeId::MAX, NodeId::MAX), (0, 0), 0usize),
+            |(lo, hi, len), (s, t)| {
+                (
+                    (lo.0.min(s), lo.1.min(t)),
+                    (hi.0.max(s), hi.1.max(t)),
+                    len + 1,
+                )
+            },
+        );
+        assert!(
+            len <= Csr::MAX_EDGES,
+            "{len} pairs: a CSR holds at most {} (its offsets are u32)",
+            Csr::MAX_EDGES
+        );
+        let (sources, targets) = (hull(lo.0, hi.0), hull(lo.1, hi.1));
+        if !fits(sources.1, targets.1) {
+            return None;
+        }
+        let mut csr = group_by_key(sources.0, sources.1, pairs);
         csr.sort_and_dedup(targets);
-        csr
+        Some(csr)
     }
 
     /// Assembles a CSR from its two arrays: `offsets` over the sources
@@ -121,10 +173,12 @@ impl Csr {
     ///
     /// Panics if the offsets do not start at 0, fall, or end anywhere but
     /// `targets.len()`, or if the hull passes the largest node id.
-    pub fn from_parts(base: NodeId, mut offsets: Vec<u64>, targets: Vec<NodeId>) -> Csr {
-        let len = targets.len() as u64;
+    pub fn from_parts(base: NodeId, mut offsets: Vec<u32>, targets: Vec<NodeId>) -> Csr {
+        let len = targets.len();
         assert!(
-            offsets.first() == Some(&0) && offsets.last() == Some(&len) && offsets.is_sorted(),
+            offsets.first() == Some(&0)
+                && offsets.last().map(|&o| o as usize) == Some(len)
+                && offsets.is_sorted(),
             "offsets must rise from 0 to the target count"
         );
         assert!(
@@ -139,7 +193,7 @@ impl Csr {
         let Some(first) = offsets.iter().position(|&o| o > 0) else {
             return Csr::default();
         };
-        let end = offsets.partition_point(|&o| o < len);
+        let end = offsets.partition_point(|&o| (o as usize) < len);
         offsets.truncate(end + 1);
         offsets.drain(..first - 1);
         Csr {
@@ -211,7 +265,7 @@ impl Csr {
                     }
                 }
             }
-            self.offsets[i + 1] = kept as u64;
+            self.offsets[i + 1] = kept as u32;
             start = end;
         }
         self.targets.truncate(kept);
@@ -228,7 +282,7 @@ impl Csr {
     pub fn transpose(&self) -> Csr {
         let (base, span) = key_hull(self.targets.iter().copied());
         let flipped = self.iter_edges().map(|(s, t)| (t, s));
-        group_by_key(base, span, flipped).0
+        group_by_key(base, span, flipped)
     }
 
     #[inline]
@@ -281,10 +335,11 @@ impl Csr {
     /// offsets()[i + 1] as usize]`. Nodes outside the hull have no entry;
     /// a CSR without edges has the single entry 0.
     ///
+    /// Offsets are `u32`: a CSR holds at most [`Csr::MAX_EDGES`] pairs.
     /// Exposed for bulk consumers — the on-disk store writes it as it is,
     /// and endpoint statistics scan offsets without touching targets.
     #[inline]
-    pub fn offsets(&self) -> &[u64] {
+    pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }
 
@@ -302,7 +357,7 @@ impl Csr {
             targets: &self.targets,
             e: 0,
             v: 0,
-            hi: self.offsets.get(1).copied().unwrap_or(0),
+            hi: self.offsets.get(1).map_or(0, |&o| o as usize),
         }
     }
 }
@@ -312,12 +367,12 @@ impl Csr {
 #[derive(Debug, Clone)]
 pub struct CsrEdges<'a> {
     base: NodeId,
-    offsets: &'a [u64],
+    offsets: &'a [u32],
     targets: &'a [NodeId],
     e: usize,
     /// The current source's position in the hull.
     v: usize,
-    hi: u64,
+    hi: usize,
 }
 
 impl Iterator for CsrEdges<'_> {
@@ -328,9 +383,9 @@ impl Iterator for CsrEdges<'_> {
         if self.e >= self.targets.len() {
             return None;
         }
-        while self.e as u64 >= self.hi {
+        while self.e >= self.hi {
             self.v += 1;
-            self.hi = self.offsets[self.v + 1];
+            self.hi = self.offsets[self.v + 1] as usize;
         }
         let t = self.targets[self.e];
         self.e += 1;
@@ -812,6 +867,41 @@ mod tests {
             assert_eq!(g.backward(1).offsets().len(), 11, "{threads} threads");
             assert_eq!(g.forward(3).offsets(), &[0], "{threads} threads");
         }
+    }
+
+    #[test]
+    fn a_predicate_is_refused_past_u32_max_edges() {
+        assert!(check_edge_total(3, 0).is_ok());
+        assert!(check_edge_total(3, u64::from(u32::MAX)).is_ok());
+        let err = check_edge_total(3, u64::from(u32::MAX) + 1).unwrap_err();
+        assert!(
+            matches!(err, StoreError::TooManyEdges { predicate: 3, edges } if edges == 1 << 32),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "predicate 3 would have 4294967296 edges, but a graph holds at most 4294967295 \
+             per predicate (its CSR offsets are u32)"
+        );
+    }
+
+    #[test]
+    fn try_from_edges_asks_before_it_builds() {
+        let edges = [(9, 40), (7, 2), (9, 2), (7, 2)];
+        let mut asked = None;
+        let csr = Csr::try_from_edges(edges, |sources, targets| {
+            asked = Some((sources, targets));
+            true
+        });
+        assert_eq!(asked, Some((3, 39)), "hulls 7..=9 and 2..=40");
+        assert_eq!(csr, Some(Csr::from_edges(edges)));
+        assert_eq!(Csr::try_from_edges(edges, |_, _| false), None);
+        let mut asked = None;
+        let empty = Csr::try_from_edges([], |s, t| {
+            asked = Some((s, t));
+            true
+        });
+        assert_eq!((asked, empty), (Some((0, 0)), Some(Csr::default())));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The on-disk paged graph store (`gmark-store` format, version 2).
+//! The on-disk paged graph store (`gmark-store` format, version 3).
 //!
 //! The streaming generator produces Table 3-scale graphs in a few MiB of
 //! RSS, but evaluation used to require the fully materialized CSR
@@ -14,11 +14,11 @@
 //!
 //! | region | contents |
 //! |---|---|
-//! | fixed header (48 B) | magic `GMRKSTR1`, version u32 (= 2), page_size u32, seed u64, schema_hash u64, node_count u32, predicate_count u32, type_count u32, reserved u32 |
+//! | fixed header (48 B) | magic `GMRKSTR1`, version u32 (= 3), page_size u32, seed u64, schema_hash u64, node_count u32, predicate_count u32, type_count u32, reserved u32 |
 //! | predicate names | per predicate: u32 length + raw UTF-8 bytes (binary-safe, so hostile alphabets round-trip) |
 //! | type partition | (type_count + 1) × u32 cumulative offsets |
 //! | *zero padding to a page boundary* | |
-//! | segments | per predicate, forward then backward: the CSR's offsets ((span + 1) × u64, [`Csr::offsets`](crate::Csr::offsets) as it is), then its targets (edge_count × u32), each zero-padded to a page |
+//! | segments | per predicate, forward then backward: the CSR's offsets ((span + 1) × u32, [`Csr::offsets`](crate::Csr::offsets) as it is), then its targets (edge_count × u32), each zero-padded to a page |
 //! | directory (page-aligned) | total_edges u64, then per segment: edge_count u64, base u32, span u32 |
 //! | footer (24 B) | dir_pos u64, checksum u64, end magic `GMRKEND1` |
 //!
@@ -28,7 +28,11 @@
 //! starts at the page boundary after the one before it, and the last one
 //! ends on the page before the directory.
 //!
-//! A file of any other version is refused with [`StoreError::Version`].
+//! A file of any other version is refused with [`StoreError::Version`]:
+//! version 1 padded its `u64` offsets out to every node and recorded each
+//! array's position, version 2 wrote the hull's offsets as `u64`. Version
+//! 3's `u32` offsets bound a segment at `u32::MAX` edges, which `open`
+//! checks.
 //!
 //! The checksum is FNV-1a (64-bit) over every byte from offset 0 up to the
 //! checksum field itself (the directory position included), maintained as a
@@ -63,7 +67,7 @@ pub const MAGIC: [u8; 8] = *b"GMRKSTR1";
 /// Trailing file magic (truncation canary).
 pub const END_MAGIC: [u8; 8] = *b"GMRKEND1";
 /// Format version this build reads and writes.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Default page size: 8 KiB. Pages only align the arrays and locate
 /// corruption, so the choice costs at most a page of padding per array.
 pub const DEFAULT_PAGE_SIZE: u32 = 8192;
@@ -82,8 +86,8 @@ pub(crate) const FOOTER_LEN: u64 = 24;
 /// [`Fnv64::update`] reads whole little-endian words: a byte of 0 leaves
 /// the xor step unchanged, so the `k` zero bytes at the top of a word are
 /// one multiply by `PRIME^k`. The value is FNV-1a's, byte for byte; only
-/// the zero bytes get cheaper, and most of a store's bytes are zeros (the
-/// high halves of its offsets, its padding).
+/// the zero bytes get cheaper, and many of a store's bytes are zeros (the
+/// high bytes of its offsets and targets, its padding).
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -199,7 +203,8 @@ pub struct StoreInfo {
     pub edges: u64,
 }
 
-/// Why a store file could not be written, opened, or trusted.
+/// Why a store file could not be written, opened, or trusted, or a graph
+/// could not be built.
 ///
 /// Corruption is reported as a typed error naming the bad page (byte
 /// offset / page size) whenever the failure is page-locatable, never as a
@@ -239,6 +244,14 @@ pub enum StoreError {
         what: String,
         /// The page containing the bad bytes, when locatable.
         page: Option<u64>,
+    },
+    /// A predicate has more edges than one [`Csr`](crate::Csr) holds
+    /// ([`check_edge_total`](crate::graph::check_edge_total)).
+    TooManyEdges {
+        /// The predicate's index.
+        predicate: usize,
+        /// Its edges, counted before deduplication.
+        edges: u64,
     },
     /// The store was generated from a different schema than the caller's.
     SchemaMismatch {
@@ -303,6 +316,12 @@ impl std::fmt::Display for StoreError {
                 what,
                 page: None,
             } => write!(f, "{} is corrupt: {what}", path.display()),
+            StoreError::TooManyEdges { predicate, edges } => write!(
+                f,
+                "predicate {predicate} would have {edges} edges, but a graph holds at most \
+                 {} per predicate (its CSR offsets are u32)",
+                crate::Csr::MAX_EDGES
+            ),
             StoreError::SchemaMismatch {
                 path,
                 expected,

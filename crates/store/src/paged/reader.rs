@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 /// Serves a store file's CSRs through positioned reads.
 ///
 /// [`StoreReader::open`] validates framing and layout (magic, version,
-/// footer, directory, each hull inside the node range) without reading the
-/// segments; [`StoreReader::csr`] loads one segment whole and checks its
+/// footer, directory, each hull inside the node range and each edge count
+/// within [`Csr::MAX_EDGES`]) without reading the segments; [`StoreReader::csr`] loads one segment whole and checks its
 /// arrays; [`StoreReader::verify`] loads every segment and checks the
 /// whole-file checksum. Evaluation reads the store only through
 /// [`StoreReader::csr`] (via [`GraphView::csr`](crate::GraphView::csr)), so
@@ -204,9 +204,10 @@ impl StoreReader {
                 read_u32(&dir, at + 12),
             );
             let offsets_pos = pos;
-            let offsets_end = offsets_pos + (u64::from(span) + 1) * 8;
+            let offsets_end = offsets_pos + (u64::from(span) + 1) * 4;
             let targets_pos = page_align(offsets_end, page_size);
-            let in_range = u64::from(base) + u64::from(span) <= u64::from(node_count);
+            let in_range = u64::from(base) + u64::from(span) <= u64::from(node_count)
+                && edge_count <= Csr::MAX_EDGES as u64;
             let targets_end = edge_count
                 .checked_mul(4)
                 .and_then(|len| targets_pos.checked_add(len))
@@ -298,8 +299,9 @@ impl StoreReader {
     /// [`StoreError::Corrupt`], naming the page of the first bad word.
     pub fn csr(&self, pred: PredIdx, inverse: bool) -> Result<Csr, StoreError> {
         let seg = self.segment(pred, inverse);
-        let offsets: Vec<u64> = self.read_words(seg.offsets_pos, seg.span as usize + 1)?;
-        let targets: Vec<NodeId> = self.read_words(seg.targets_pos, seg.edge_count as usize)?;
+        let offsets = self.read_words(seg.offsets_pos, seg.span as usize + 1)?;
+        let targets = self.read_words(seg.targets_pos, seg.edge_count as usize)?;
+        let edge_count = seg.edge_count as u32;
         let corrupt = |what: String, pos: u64| {
             StoreError::corrupt(
                 &self.path,
@@ -312,18 +314,15 @@ impl StoreReader {
             // Each offset lies between the one before it and the edge
             // count; the first is 0 and the last the edge count.
             let lowest = if i + 1 == offsets.len() {
-                seg.edge_count
+                edge_count
             } else {
                 prev
             };
-            let highest = if i == 0 { 0 } else { seg.edge_count };
+            let highest = if i == 0 { 0 } else { edge_count };
             if !(lowest..=highest).contains(&o) {
                 return Err(corrupt(
-                    format!(
-                        "offset {i} = {o} breaks monotonicity from 0 to {}",
-                        seg.edge_count
-                    ),
-                    seg.offsets_pos + i as u64 * 8,
+                    format!("offset {i} = {o} breaks monotonicity from 0 to {edge_count}"),
+                    seg.offsets_pos + i as u64 * 4,
                 ));
             }
             prev = o;
@@ -430,9 +429,9 @@ impl StoreReader {
         if i >= seg.span {
             return Ok(Vec::new());
         }
-        let pos = seg.offsets_pos + u64::from(i) * 8;
-        let bounds: Vec<u64> = self.read_words(pos, 2)?;
-        let (lo, hi) = (bounds[0], bounds[1]);
+        let pos = seg.offsets_pos + u64::from(i) * 4;
+        let bounds = self.read_words(pos, 2)?;
+        let (lo, hi) = (u64::from(bounds[0]), u64::from(bounds[1]));
         if lo > hi || hi > seg.edge_count {
             return Err(StoreError::corrupt(
                 &self.path,
@@ -456,12 +455,13 @@ impl StoreReader {
         csr.iter_edges().collect::<Vec<_>>().into_iter()
     }
 
-    /// Reads `len` little-endian words at `pos` straight into a vector.
-    fn read_words<W: Word>(&self, pos: u64, len: usize) -> Result<Vec<W>, StoreError> {
-        let mut words = vec![W::default(); len];
-        // SAFETY: `W` is `u32` or `u64` (the trait is private), so the
-        // vector's memory is `len * size_of::<W>()` initialized bytes, any
-        // of which may be overwritten with any value.
+    /// Reads `len` little-endian `u32` words at `pos` straight into a
+    /// vector: a segment's offsets and its targets are both `u32`.
+    fn read_words(&self, pos: u64, len: usize) -> Result<Vec<u32>, StoreError> {
+        let mut words = vec![0u32; len];
+        // SAFETY: the vector's memory is `4 * len` initialized bytes, any
+        // of which may be overwritten with any value, as any four bytes
+        // are a `u32`.
         let bytes = unsafe {
             std::slice::from_raw_parts_mut(
                 words.as_mut_ptr().cast::<u8>(),
@@ -470,27 +470,9 @@ impl StoreReader {
         };
         pread(&self.file, &self.path, pos, bytes, "reading a segment")?;
         for w in &mut words {
-            *w = W::from_le(*w);
+            *w = u32::from_le(*w);
         }
         Ok(words)
-    }
-}
-
-/// The word types a segment holds: offsets (`u64`) and targets (`u32`).
-trait Word: Copy + Default {
-    /// The word read from little-endian bytes.
-    fn from_le(word: Self) -> Self;
-}
-
-impl Word for u32 {
-    fn from_le(word: u32) -> u32 {
-        u32::from_le(word)
-    }
-}
-
-impl Word for u64 {
-    fn from_le(word: u64) -> u64 {
-        u64::from_le(word)
     }
 }
 
@@ -620,13 +602,13 @@ mod tests {
     #[test]
     fn neighbors_matches_the_csr_across_pages() {
         use crate::sink::EdgeSink;
-        // 24 nodes on 64-byte pages: offsets pairs of nodes 7, 15 and 23
-        // (v * 8 % 64 == 56) straddle two pages, and the longer target
-        // lists span several.
-        let mut b = GraphBuilder::new(crate::TypePartition::from_counts(&[24]), 1);
-        for s in 0..24u32 {
+        // 48 nodes on 64-byte pages: the offsets pairs of nodes 15, 31
+        // and 47 (v * 4 % 64 == 60) straddle two pages, and the longer
+        // target lists span several.
+        let mut b = GraphBuilder::new(crate::TypePartition::from_counts(&[48]), 1);
+        for s in 0..48u32 {
             for k in 0..1 + (s % 4) * 9 {
-                b.edge(s, 0, (s * 11 + k * 5) % 24);
+                b.edge(s, 0, (s * 11 + k * 5) % 48);
             }
         }
         let g = b.build();
@@ -636,8 +618,8 @@ mod tests {
         let mut meta = meta_for(&g);
         meta.predicate_names.truncate(1);
         StoreWriter::write_graph(&path, &meta, &g).unwrap();
-        let straddling: Vec<NodeId> = (0..24).filter(|v| v * 8 % 64 == 56).collect();
-        assert_eq!(straddling, [7, 15, 23]);
+        let straddling: Vec<NodeId> = (0..48).filter(|v| v * 4 % 64 == 60).collect();
+        assert_eq!(straddling, [15, 31, 47]);
         assert!(straddling
             .iter()
             .all(|&v| !g.neighbors(0, v, false).is_empty()));
@@ -665,12 +647,12 @@ mod tests {
             .unwrap()
             .segment(0, false)
             .offsets_pos
-            + 8;
+            + 4;
         let mut bytes = std::fs::read(&path).unwrap();
         let at = pos as usize;
-        assert_eq!(read_u64(&bytes, at), 2);
-        assert_eq!(read_u64(&bytes, at + 8), 3);
-        let (lo, hi) = bytes[at..at + 16].split_at_mut(8);
+        assert_eq!(read_u32(&bytes, at), 2);
+        assert_eq!(read_u32(&bytes, at + 4), 3);
+        let (lo, hi) = bytes[at..at + 8].split_at_mut(4);
         lo.swap_with_slice(hi);
         std::fs::write(&path, &bytes).unwrap();
 
@@ -689,7 +671,7 @@ mod tests {
         assert_eq!(r.neighbors(0, 3, true).unwrap(), g.neighbors(0, 3, true));
         assert!(matches!(
             r.verify(),
-            Err(StoreError::Corrupt { page: Some(p), .. }) if p == (pos + 8) / 64
+            Err(StoreError::Corrupt { page: Some(p), .. }) if p == (pos + 4) / 64
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

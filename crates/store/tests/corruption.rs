@@ -64,9 +64,9 @@ fn patch(path: &Path, pos: u64, change: impl FnOnce(u8) -> u8) {
 #[test]
 fn bit_flip_in_an_offsets_page_names_the_page() {
     let (dir, path, first_seg) = build_store("offsets");
-    // offset[1] of the first segment lives at first_seg + 8; making it huge
+    // offset[1] of the first segment lives at first_seg + 4; making it huge
     // breaks monotonicity against the segment's edge count.
-    patch(&path, first_seg + 8, |_| 0xFF);
+    patch(&path, first_seg + 4, |_| 0xFF);
     let r = StoreReader::open(&path).unwrap();
     match r.verify() {
         Err(StoreError::Corrupt { page, what, .. }) => {
@@ -81,7 +81,7 @@ fn bit_flip_in_an_offsets_page_names_the_page() {
 #[test]
 fn bit_flip_in_padding_fails_the_checksum_without_a_page() {
     let (dir, path, first_seg) = build_store("padding");
-    // The offsets array covers the hull of sources 0..=2: 4 × 8 = 32
+    // The offsets array covers the hull of sources 0..=2: 4 × 4 = 16
     // bytes; the tail of its 64-byte page is zero padding — structurally invisible, caught only by the
     // whole-file checksum, which cannot localize it.
     patch(&path, first_seg + 60, |b| b ^ 0x40);
@@ -162,8 +162,8 @@ fn multi_page_store(dir: &Path) -> (PathBuf, gmark_store::Graph, Vec<(String, Ra
     let partition = TypePartition::from_counts(&[40, 40]);
     let mut b = GraphBuilder::new(partition.clone(), names.len());
     for i in 0..60u32 {
-        b.edge(5 + i % 30, 0, 40 + (i * 7) % 33);
-        b.edge(41 + i % 20, 1, (i * 11) % 37);
+        b.edge(5 + i % 35, 0, 40 + (i * 7) % 33);
+        b.edge(41 + i % 36, 1, (i * 11) % 37);
     }
     let g = b.build();
     let meta = StoreMeta {
@@ -187,7 +187,7 @@ fn multi_page_store(dir: &Path) -> (PathBuf, gmark_store::Graph, Vec<(String, Ra
     let mut pos = page(partition_end);
     for pred in 0..2 {
         for (csr, dir) in [(g.forward(pred), "forward"), (g.backward(pred), "backward")] {
-            let offsets_end = pos + csr.offsets().len() as u64 * 8;
+            let offsets_end = pos + csr.offsets().len() as u64 * 4;
             sections.push((format!("{pred} {dir} offsets"), pos..offsets_end));
             let targets = page(offsets_end);
             let targets_end = targets + csr.edge_count() as u64 * 4;
@@ -225,7 +225,7 @@ fn hostile_bytes_in_every_section_are_typed_errors() {
         for inverse in [false, true] {
             let csr = wanted(pred, inverse);
             assert!(
-                csr.offsets().len() * 8 > 2 * PAGE as usize,
+                csr.offsets().len() * 4 > 2 * PAGE as usize,
                 "{pred} {inverse}"
             );
             assert!(csr.edge_count() * 4 > 2 * PAGE as usize, "{pred} {inverse}");
@@ -299,15 +299,20 @@ fn hostile_bytes_in_every_section_are_typed_errors() {
         }
     }
 
-    // A file whose header says version 1 is refused by name.
-    let mut bytes = written.clone();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&damaged, &bytes).unwrap();
-    match StoreReader::open(&damaged) {
-        Err(e @ StoreError::Version { found: 1, .. }) => {
-            assert!(e.to_string().contains("version 1"), "{e}");
+    // A file whose header says version 1 (offsets for every node) or 2
+    // (`u64` offsets over the hull) is refused by name.
+    for old in [1u32, 2] {
+        let mut bytes = written.clone();
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&damaged, &bytes).unwrap();
+        match StoreReader::open(&damaged) {
+            Err(e @ StoreError::Version { found, .. }) if found == old => {
+                let shown = e.to_string();
+                assert!(shown.contains(&format!("version {old}")), "{shown}");
+                assert!(shown.contains("reads only version 3"), "{shown}");
+            }
+            other => panic!("expected a version-{old} refusal, got {other:?}"),
         }
-        other => panic!("expected a version-1 refusal, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -305,7 +305,7 @@ fn check_hull_csr(n: NodeId, edges: &[(NodeId, NodeId)]) -> Result<(), String> {
     })?;
     // The same arrays over all of `0..n`, empty runs at both ends kept.
     let offsets = (0..=n)
-        .map(|v| reference.range(..(v, 0)).count() as u64)
+        .map(|v| reference.range(..(v, 0)).count() as u32)
         .collect();
     let targets = reference.iter().map(|&(_, t)| t).collect();
     ensure(Csr::from_parts(0, offsets, targets) == csr, || {

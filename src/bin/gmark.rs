@@ -90,9 +90,11 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   format blocks of 8192 edges in parallel and set up the\n\
                   next constraints ahead. No temporary files; memory is\n\
                   bounded by one set-up constraint per worker thread\n\
-                  plus a few MiB of blocks (with --store, the store is\n\
-                  built after graph.nt by generating each predicate's\n\
-                  edges again, one predicate in memory at a time).\n\
+                  (its slot vectors, 4 B a slot, and while a Zipf side\n\
+                  is apportioned 8 B more per node of it) plus a few MiB\n\
+                  of blocks (with --store, the store is built after\n\
+                  graph.nt by generating each predicate's edges again,\n\
+                  one predicate in memory at a time).\n\
                   Also byte-identical for every thread count. The\n\
                   streamed serialization keeps generation order and\n\
                   duplicate triples; the default serialization is sorted\n\
@@ -100,8 +102,11 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   with --eval only alongside --store (the engines then\n\
                   read the store instead of an in-memory graph).\n\
   --store         also write the graph as an on-disk paged store\n\
-                  (graph.gstore): a checksummed binary CSR the evaluation\n\
-                  engines can read without materializing the graph.\n\
+                  (graph.gstore, format v3): a checksummed binary CSR,\n\
+                  u32 offsets and targets, the evaluation engines can\n\
+                  read without materializing the graph; older versions\n\
+                  are refused by name. A predicate of more than\n\
+                  4294967295 edges is refused before it is built.\n\
                   Store bytes are identical at every thread count and in\n\
                   both pipelines; with --stream --eval the graph's CSR\n\
                   never exists in RAM, but every relation a query\n\
@@ -132,7 +137,8 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
   --budget-ms N   per-cell wall-clock budget for --eval in milliseconds\n\
                   (default 10000); 0 removes the time limit, making cell\n\
                   outcomes machine-independent.\n\
-  --max-tuples N  per-cell tuple cap for --eval (default 20000000);\n\
+  --max-tuples N  per-cell tuple cap for --eval (default 20000000, at\n\
+                  most 4294967295, the most pairs a relation holds);\n\
                   exceeding it reports the cell as too-large.\n\
   --format F      what to print on stdout: 'text' (default, human-readable\n\
                   banner) or 'json' (the machine-readable RunSummary, also\n\

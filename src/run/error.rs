@@ -47,7 +47,8 @@ pub enum GmarkError {
     /// Evaluating a query on an engine failed or exceeded its budget.
     Eval(EvalError),
     /// Writing, opening, or verifying an on-disk paged graph store failed
-    /// (see [`gmark_store::StoreError`] — corruption names the bad page).
+    /// (see [`gmark_store::StoreError`] — corruption names the bad page),
+    /// or a predicate has more edges than one CSR holds.
     Store(StoreError),
     /// An I/O operation failed.
     Io {

@@ -92,7 +92,7 @@ pub use summary::{
     EvalCellRow, EvalRunSummary, GraphRunSummary, RunSummary, StoreRunSummary, WorkloadRunSummary,
 };
 
-use gmark_core::gen::{generate_graph, generate_store, generate_streamed};
+use gmark_core::gen::{generate_store, generate_streamed, try_generate_graph};
 use gmark_core::workload::{generate_workload_with_threads, Workload};
 use gmark_engines::{
     evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalError, EvalReport, MatrixOptions,
@@ -338,7 +338,7 @@ fn graph_stage<S: Sink + ?Sized>(
             // (deterministic constraint-order merge), then serialize the
             // built graph — sorted, deduplicated, byte-identical for
             // T = 1, 2, 8, ….
-            let (graph, mut report) = generate_graph(&plan.graph, &gen_opts);
+            let (graph, mut report) = try_generate_graph(&plan.graph, &gen_opts)?;
             let written = match &mut outputs {
                 Some(outputs) => {
                     let serialized = serialize_graph(&graph, plan, opts, outputs)?;
@@ -1161,7 +1161,7 @@ mod tests {
         let header = 48 + names + (reader.partition().type_count() as u64 + 1) * 4;
         let forward = reader.csr(0, false).unwrap();
         assert!(forward.edge_count() > 0);
-        let offsets = forward.offsets().len() as u64 * 8;
+        let offsets = forward.offsets().len() as u64 * 4;
         (
             header.next_multiple_of(page) + offsets.next_multiple_of(page),
             page,

@@ -19,6 +19,7 @@ use gmark_config::{parse_config, ParsedConfig};
 use gmark_core::schema::{GraphConfig, Schema};
 use gmark_core::workload::WorkloadConfig;
 use gmark_engines::{CellBudget, EngineKind};
+use gmark_store::Csr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -72,8 +73,20 @@ pub struct EvalSpec {
     /// disables the time limit entirely — the fully deterministic regime
     /// (cell outcomes then cannot depend on machine speed).
     pub budget_ms: u64,
-    /// Maximum tuples any intermediate or final result may hold per cell.
+    /// Maximum tuples any intermediate or final result may hold per cell:
+    /// positive, and at most [`Csr::MAX_EDGES`], the most pairs a relation
+    /// holds ([`RunPlan::validate`] refuses anything else).
     pub max_tuples: usize,
+}
+
+/// Why a tuple cap above [`Csr::MAX_EDGES`] is refused: one message for
+/// both doors and the plan.
+pub(crate) fn too_wide_a_cap(cap: usize) -> String {
+    format!(
+        "the cap must be at most {}, the most pairs one relation holds \
+         (its CSR offsets are u32), not {cap}",
+        Csr::MAX_EDGES
+    )
 }
 
 impl Default for EvalSpec {
@@ -243,6 +256,12 @@ impl RunPlan {
                      non-empty cell)"
                         .to_owned(),
                 ));
+            }
+            if spec.max_tuples > Csr::MAX_EDGES {
+                return Err(GmarkError::Plan(format!(
+                    "evaluation max_tuples: {}",
+                    too_wide_a_cap(spec.max_tuples)
+                )));
             }
         }
         Ok(())
@@ -461,6 +480,11 @@ mod tests {
             // A zero tuple cap would fail every non-empty cell.
             evaluating().eval(EvalSpec {
                 max_tuples: 0,
+                ..EvalSpec::default()
+            }),
+            // Nor can a cap bind above the most pairs a relation holds.
+            evaluating().eval(EvalSpec {
+                max_tuples: Csr::MAX_EDGES + 1,
                 ..EvalSpec::default()
             }),
         ];

@@ -13,8 +13,10 @@
 //! with a [`Door`], so every message exists once and comes out in the
 //! spelling the user typed.
 
+use super::plan::too_wide_a_cap;
 use super::{validate, EvalSpec, GmarkError, RunOptions, RunPlan};
 use gmark_engines::EngineKind;
+use gmark_store::Csr;
 use std::path::PathBuf;
 
 /// Which front door a request came through: decides how parameter names
@@ -161,6 +163,7 @@ impl RunRequest {
             "max_tuples" => {
                 let cap = number(value, "a tuple cap").and_then(|cap| match cap {
                     0 => Err("the cap must be positive: 0 would fail every non-empty cell".into()),
+                    n if n > Csr::MAX_EDGES => Err(too_wide_a_cap(n)),
                     n => Ok(n),
                 });
                 put(&mut self.max_tuples, cap)
@@ -366,6 +369,14 @@ mod tests {
             ("eval budget_ms=soon", Err("expected milliseconds")),
             ("eval max_tuples=0", Err("the cap must be positive")),
             ("eval max_tuples=lots", Err("expected a tuple cap")),
+            (
+                "eval max_tuples=4294967295",
+                Ok("graph+workload eval=PGSD:10000:4294967295"),
+            ),
+            (
+                "eval max_tuples=4294967296",
+                Err("must be at most 4294967295"),
+            ),
             // A parameter may be given once — switches included, whatever
             // the values.
             ("nodes=200 nodes=300", Err("nodes: given twice")),

@@ -137,6 +137,30 @@ fn unknown_and_malformed_arguments_fail_with_usage() {
 }
 
 #[test]
+fn a_tuple_cap_no_relation_can_reach_is_refused_before_the_run() {
+    // A relation's CSR offsets are u32, so no cap above u32::MAX can
+    // bind; the flag is refused before anything is generated.
+    let scratch = std::env::temp_dir().join(format!("gmark-widecap-{}", std::process::id()));
+    let out = gmark(&[
+        "--config",
+        repo_path("examples/configs/bib.xml").to_str().unwrap(),
+        "--output",
+        scratch.to_str().unwrap(),
+        "--eval",
+        "--max-tuples",
+        "4294967296",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        stderr.lines().next().unwrap_or_default(),
+        "gmark: --max-tuples: the cap must be at most 4294967295, the most pairs one \
+         relation holds (its CSR offsets are u32), not 4294967296"
+    );
+    assert!(!scratch.exists(), "the refused run created its output dir");
+}
+
+#[test]
 fn format_json_writes_summary_json_and_pure_json_stdout() {
     let scratch = std::env::temp_dir().join(format!("gmark-json-{}", std::process::id()));
     let out = gmark(&[
@@ -242,7 +266,7 @@ fn from_store_refuses_a_corrupt_store_before_any_engine_reads_it() {
     // byte leaves the framing intact.
     let mut bytes = std::fs::read(&store).unwrap();
     let page = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    assert_eq!(bytes[page..page + 8], [0; 8]);
+    assert_eq!(bytes[page..page + 4], [0; 4]);
     bytes[page] ^= 0xFF;
     std::fs::write(&store, &bytes).unwrap();
 

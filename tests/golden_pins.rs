@@ -60,6 +60,12 @@
 //! its CSR's hull offsets as they are instead of one offset per node. The
 //! store shrank from 811 232 to 303 264 bytes; the summaries carry that
 //! byte count and nothing else moved. No other pin moved.
+//!
+//! Declared re-record: [`STORE`] and both [`STORE_SUMMARY`] pins again, at
+//! the commit that made `.gstore` format version 3, whose segments hold
+//! `u32` offsets instead of `u64`. The store shrank from 303 264 to
+//! 262 304 bytes; the summaries carry that byte count and nothing else
+//! moved. No other pin moved.
 
 use gmark::prelude::*;
 use gmark::store::paged::Fnv64;
@@ -80,8 +86,8 @@ const STREAMED_GRAPH: (u64, u64) = (1_693_259, 0x6eb7_4977_d3b6_8923);
 /// `graph.nt` sorted and deduplicated (the default mode).
 const DEFAULT_GRAPH: (u64, u64) = (1_692_448, 0x2885_ff8d_3a67_7550);
 /// `graph.gstore`: canonical CSR, the same bytes from both pipelines
-/// (format version 2; module docs).
-const STORE: (u64, u64) = (303_264, 0x162c_660d_c0af_f682);
+/// (format version 3; module docs).
+const STORE: (u64, u64) = (262_304, 0x692b_35b0_0726_8fd9);
 
 /// `eval.txt` of `--config examples/configs/bib.xml --nodes 250 --seed 42
 /// --eval --budget-ms 0 --max-tuples 100000` (45 ok / 3 too-large, G
@@ -166,7 +172,7 @@ const USECASE_WORKLOAD_PINS: [(&str, [(u64, u64); 5]); 4] = [
 /// Re-recorded with `workload.datalog` (module docs), as are the three
 /// below.
 const STORE_SUMMARY: [(u64, u64); 2] =
-    [(1061, 0xbf29_98f1_1140_b0bd), (1062, 0x2e1e_1264_2007_82f0)];
+    [(1061, 0xa03e_25eb_e9ca_c914), (1062, 0xcd6c_07c7_c288_24fd)];
 /// Masked `summary.json` of `--queries-only` (`"graph":null`,
 /// `"store":null`, `"eval":null`).
 const QUERIES_ONLY_SUMMARY: (u64, u64) = (693, 0xb832_873b_bfb1_80a8);
