@@ -332,7 +332,8 @@ impl Group for ConstraintPairs {
 /// deduplicated forward CSR is built and its transpose taken — the
 /// canonical sorted form, so the bytes equal those
 /// [`StoreWriter::write_graph`] writes for [`generate_graph`]'s graph — and
-/// both are written and dropped. One thread; the bytes never depend on
+/// both are written and dropped; the raw pairs are dropped as soon as the
+/// forward CSR is built. One thread; the bytes never depend on
 /// `opts.threads`. Peak memory
 /// is bounded by the largest predicate, not the total edge count. A
 /// predicate whose edges one CSR cannot hold is refused
@@ -351,15 +352,21 @@ pub fn generate_store(
     let mut writer = StoreWriter::create(path, meta)?;
     let mut edges = PairSink(Vec::new());
     for pred in 0..config.schema.predicate_count() {
-        edges.0.clear();
         let mut total = 0;
         for idx in (0..constraints.len()).filter(|&i| constraints[i].predicate.0 == pred) {
             let mut pairs = ConstraintPairs::setup(config, opts, idx, &partition, &master);
             total += pairs.report.edges;
             check_edge_total(pred, total)?;
+            // A constraint draws exactly its reported edges: no doubling
+            // slack on the largest buffer of the pass.
+            edges.0.reserve_exact(pairs.report.edges as usize);
             pairs.draw(u64::MAX, &mut edges);
         }
-        let fwd = Csr::from_edges(edges.0.iter().copied());
+        // The raw pairs go as soon as the forward CSR holds them, so they
+        // are never resident beside both CSRs.
+        let raw = std::mem::take(&mut edges.0);
+        let fwd = Csr::from_edges(raw.iter().copied());
+        drop(raw);
         writer.write_segment(&fwd)?;
         writer.write_segment(&fwd.transpose())?;
     }

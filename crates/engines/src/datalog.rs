@@ -15,7 +15,8 @@
 //! identity relation joined as the self-loop `(X, id, X)`; an IDB predicate
 //! grows by sorted difference and union — a rule body is joined left to
 //! right by `join_all`, storing only the columns the head and the later
-//! atoms read, and heads are read off by `project`. What it
+//! atoms read, and its head is read off the last atom as a set by the
+//! join's head kernel. What it
 //! does not share is the strategy: auxiliary predicates per conjunct, and a
 //! delta-driven fixpoint over all rules at once, which re-derives each fact
 //! at most once per rule and body position — the architectural reason `D`
@@ -34,11 +35,12 @@
 //!   `|EDB| + |IDB|` — `|EDB|` is [`EvalContext::edb`], nodes plus the
 //!   distinct edges of *every* predicate, `|IDB|` every distinct derived
 //!   fact, `ans` included — and a round runs whenever the one before it
-//!   added a fact to any predicate, `ans` included. A rule's projected head
-//!   cells are made a set before they are added, uncharged: an IDB head's
-//!   by [`Relation::from_pairs`], the store's counting scatter, straight
-//!   off the cells (the join table already dropped), and `ans`'s by
-//!   `Answers::from_rows`, the same scatter wherever its scratch fits;
+//!   added a fact to any predicate, `ans` included. A rule's head is made
+//!   a set before it is added, uncharged beyond (a): the join's head
+//!   kernel reads it off the last atom as the CSR of its head pairs,
+//!   never writing that atom's rows or their head cells, and an IDB head
+//!   takes the CSR as its [`Relation`] as it is (`p(X, X) :- node(X)` is
+//!   the identity's self-loop diagonal), while `ans`'s becomes answers;
 //! * (c) the facts a rule derives are visible to the rules after it in the
 //!   same round;
 //! * (d) round 0 evaluates every rule as written; in delta rounds the
@@ -52,7 +54,7 @@
 //!   context module docs).
 
 use crate::context::EvalContext;
-use crate::joiner::{join_all, project, ConjunctPairs};
+use crate::joiner::{join_all, ConjunctPairs};
 use crate::planner::QueryPlan;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError};
@@ -128,21 +130,11 @@ impl Fixpoint<'_, '_> {
             },
         };
         let body: Vec<ConjunctPairs<'_>> = rule.body.iter().enumerate().map(mount).collect();
-        let table = join_all(&body, &rule.args, self.budget)?;
-        let mut cells = Vec::new();
-        let len = project(&table, &rule.args, &mut cells, |_| Ok(()))?;
-        drop(table);
-        if len == 0 {
-            return Ok(());
-        }
+        let derived = join_all(&body, &rule.args, self.budget, |_| Ok(()))?;
         match rule.head {
-            Head::Idb(p) => {
-                let derived = Relation::from_pairs(cells.chunks_exact(2).map(|c| (c[0], c[1])));
-                drop(cells);
-                self.add(p, derived);
-            }
+            Head::Idb(p) => self.add(p, derived.into_relation()),
             Head::Ans => {
-                let derived = Answers::from_rows(self.answers.arity(), len, cells);
+                let derived = derived.into_answers(self.answers.arity());
                 let merged = self.answers.union(&derived);
                 self.answers_grew |= merged.count() > self.answers.count();
                 self.answers = merged;

@@ -1,13 +1,13 @@
 //! The one join kernel: binary relations joined over shared variables.
 //!
 //! All four engines grow a [`BindingTable`] through the same
-//! [`BindingTable::extend`] and read their heads off it through the same
-//! [`project`]: `P` and `S` join a whole rule body at once
-//! ([`join_materialized`], one body for both, differing only in the kernel
-//! a cache miss runs), `G` one seed-driven conjunct at a time, `D` the body
-//! of every Datalog rule, with a delta substituted at one position. `P`,
-//! `G` and `S` also share the rule loop ([`union_of_rules`]); `D` has its
-//! own fixpoint.
+//! [`BindingTable::extend`] and read their heads off its last step through
+//! the same head kernel, [`read_head`]: `P` and `S` join a whole rule body
+//! at once ([`join_materialized`], one body for both, differing only in
+//! the kernel a cache miss runs), `G` one seed-driven conjunct at a time,
+//! `D` the body of every Datalog rule, with a delta substituted at one
+//! position. `P`, `G` and `S` also share the rule loop
+//! ([`union_of_rules`]); `D` has its own fixpoint.
 //! Conjunct results arrive as borrowed [`Relation`]s — CSRs with sorted
 //! `u32` target runs, often straight out of the sub-expression cache — so
 //! the kernel reads each relation's offsets, not a hash table: an
@@ -30,11 +30,22 @@
 //! still emits one output row per match, dead columns or not, so every
 //! row count is what it would be with every column kept: each
 //! `check_size` sees the same number, each `TooLarge(n)` carries the same
-//! `n`, and [`project`] reads the same multiset of head tuples. Dropping
-//! a column never merges two rows — rows are only ever deduplicated by
-//! [`Answers::from_rows`], after the head is read. A dropped column is
-//! never needed again: a later step reads only its own variables, which
-//! are live, and the head is live throughout.
+//! `n`. Dropping a column never merges two rows: every step but the last
+//! keeps bag semantics. A dropped column is never needed again: a later
+//! step reads only its own variables, which are live, and the head is
+//! live throughout.
+//!
+//! # The head
+//!
+//! A rule's last step writes no rows. [`read_head`] joins it and returns
+//! the head already a set — a [`Csr`] of head pairs — built from the runs
+//! and rows the step would have written, so the bag of the last step and
+//! its projected head cells never exist. It charges exactly what writing
+//! them would have: the step's raw row count, then the projected row
+//! count. Heads it does not read (arity 3 and up, the new variable twice,
+//! a Cartesian step under a kept column) and builds whose scratch would
+//! outgrow the rows take the bag path: the step written as rows,
+//! [`project`]ed, and made a set by [`Answers::from_rows`].
 //!
 //! A step that can grow the table counts its rows before it writes one.
 //! A bound arm adds up each input row's run length (O(1) from the
@@ -44,14 +55,15 @@
 //! over the cap so fails with the same `TooLarge(n)` without writing a
 //! row, and a step that fits writes into one buffer reserved at its exact
 //! size. [`union_of_rules`] likewise charges a rule's projected rows
-//! before [`project`] copies them.
+//! before its head is built.
 
 use crate::context::EvalContext;
 use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
-use crate::{Answers, Budget, EvalError};
+use crate::{scatter_fits, Answers, Budget, EvalError};
 use gmark_core::query::{Query, RegularExpr, Rule, Var};
 use gmark_store::{Csr, NodeId};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Rows over an ordered set of variables, stored row-major in one flat
@@ -84,7 +96,7 @@ impl BindingTable {
     }
 
     /// The rows, each `vars.len()` wide.
-    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + Clone + '_ {
         let width = self.vars.len();
         (0..self.len).map(move |r| &self.cells[r * width..(r + 1) * width])
     }
@@ -219,20 +231,54 @@ pub(crate) struct ConjunctPairs<'r> {
     pub pairs: &'r Relation,
 }
 
-/// Joins conjuncts in the given order into a table over the `head`
-/// variables the body binds, each step storing only its live columns.
+/// A rule's head as a set, as [`read_head`] reads it.
+#[derive(Debug)]
+pub(crate) enum HeadSet {
+    /// A head of arity 0 to 2 as pairs: `(a, b)` at arity 2, `(0, v)` at
+    /// arity 1, and `(0, 0)` at arity 0 when the body is satisfiable.
+    Pairs(Csr),
+    /// Any other head, off the bag path.
+    Rows(Answers),
+}
+
+impl HeadSet {
+    /// The head as answers of `arity` cells.
+    pub fn into_answers(self, arity: usize) -> Answers {
+        match self {
+            HeadSet::Pairs(csr) => Answers::from_csr(arity, &csr),
+            HeadSet::Rows(answers) => answers,
+        }
+    }
+
+    /// A binary head as a relation.
+    pub fn into_relation(self) -> Relation {
+        match self {
+            HeadSet::Pairs(csr) => Relation::from_csr(csr),
+            HeadSet::Rows(answers) => Relation::from_pairs(answers.rows().map(|r| (r[0], r[1]))),
+        }
+    }
+}
+
+/// Joins conjuncts in the given order, each step but the last storing only
+/// its live columns, and reads the head off the last step as a set
+/// ([`read_head`], which hands `charge` the head's raw row count).
 pub(crate) fn join_all(
     conjuncts: &[ConjunctPairs<'_>],
     head: &[Var],
     budget: &Budget,
-) -> Result<BindingTable, EvalError> {
+    charge: impl FnOnce(usize) -> Result<(), EvalError>,
+) -> Result<HeadSet, EvalError> {
     let mut table = BindingTable::unit();
-    for (i, c) in conjuncts.iter().enumerate() {
+    let Some((last, init)) = conjuncts.split_last() else {
+        return bag_head(&table, None, head, budget, charge);
+    };
+    for (i, c) in init.iter().enumerate() {
         budget.check_time()?;
         let later = conjuncts[i + 1..].iter().map(|c| (c.src, c.trg));
         table = table.extend(c, &live_after(head, later), budget)?;
     }
-    Ok(table)
+    budget.check_time()?;
+    read_head(&table, last, head, budget, charge)
 }
 
 /// The body `P` and `S` share, differing only in `kernel`: each conjunct
@@ -245,7 +291,7 @@ pub(crate) fn join_materialized(
     budget: &Budget,
     kernel: impl Fn(&RegularExpr) -> Result<Arc<Relation>, EvalError>,
 ) -> Result<Answers, EvalError> {
-    union_of_rules(query, plan, budget, |rule, steps| {
+    union_of_rules(query, plan, budget, |rule, steps, charge| {
         let conjunct = |step: &ConjunctStep| &rule.body[step.conjunct];
         let relations = steps
             .iter()
@@ -263,7 +309,7 @@ pub(crate) fn join_materialized(
                 pairs,
             })
             .collect();
-        join_all(&conjuncts, &rule.head, budget)
+        join_all(&conjuncts, &rule.head, budget, charge)
     })
 }
 
@@ -277,39 +323,291 @@ pub(crate) fn live_after(head: &[Var], later: impl Iterator<Item = (Var, Var)>) 
     live
 }
 
+/// What a rule's head charges: handed the head's raw row count before the
+/// head is built.
+pub(crate) type Charge<'a> = &'a dyn Fn(usize) -> Result<(), EvalError>;
+
 /// The rule loop `P`, `G` and `S` share: the union, over the query's
-/// rules, of each rule's joined table projected onto its head, charging
-/// the cumulative raw projected row count after every rule, before that
-/// rule's rows are copied. `table_of` is
-/// the engine — how one rule's conjuncts become a table along the planned
-/// steps. `plan` must fit `query` (the entry point checks).
+/// rules, of each rule's head set, charging the cumulative raw projected
+/// row count after every rule, before that rule's head is built.
+/// `head_of` is the engine — how one rule's conjuncts become a head along
+/// the planned steps, ending in [`read_head`] with the charge it is
+/// handed. `plan` must fit `query` (the entry point checks).
 pub(crate) fn union_of_rules(
     query: &Query,
     plan: &QueryPlan,
     budget: &Budget,
-    mut table_of: impl FnMut(&Rule, &[ConjunctStep]) -> Result<BindingTable, EvalError>,
+    mut head_of: impl FnMut(&Rule, &[ConjunctStep], Charge<'_>) -> Result<HeadSet, EvalError>,
 ) -> Result<Answers, EvalError> {
-    let (mut len, mut cells) = (0, Vec::new());
+    let charged = Cell::new(0);
+    let charge = |rows: usize| {
+        charged.set(charged.get() + rows);
+        budget.check_size(charged.get())
+    };
+    let mut answers: Option<Answers> = None;
     for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
-        let table = table_of(rule, &rule_plan.steps)?;
-        project(&table, &rule.head, &mut cells, |rows| {
-            len += rows;
-            budget.check_size(len)
-        })?;
+        let rule_answers = head_of(rule, &rule_plan.steps, &charge)?.into_answers(query.arity());
+        answers = Some(match answers {
+            Some(so_far) => so_far.union(&rule_answers),
+            None => rule_answers,
+        });
     }
-    Ok(Answers::from_rows(query.arity(), len, cells))
+    Ok(answers.unwrap_or_else(|| Answers::from_rows(query.arity(), 0, Vec::new())))
 }
 
-/// The one head projection: appends the table's rows, projected onto
-/// `head`, to the row-major `out` and returns how many rows that was
-/// (deduplication is [`Answers::from_rows`]' job). `charge` is handed
-/// that count before any row is copied, and an error from it is returned
-/// with `out` untouched. A Boolean head appends no cells and counts one
-/// row iff any row exists.
+/// Where a head variable's value lies at a rule's last step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum At {
+    /// A column of the table the step extends.
+    Kept(usize),
+    /// The conjunct's source, not bound before the step.
+    Src,
+    /// The conjunct's target, not bound before the step.
+    Trg,
+}
+
+/// The one head kernel: joins a rule's last conjunct `c` into `table` and
+/// returns the head as a set, without writing the step's rows or copying
+/// them into head cells. It makes the charges of [`BindingTable::extend`]
+/// then [`project`], in their order: the step's raw row count, charged
+/// after every input row as `extend` charges it; then
+/// [`EvalError::Unsupported`] for a head variable the body never binds;
+/// then `charge`, handed the raw projected row count (one row or none at
+/// arity 0). Only then does it build, so every `TooLarge(n)` is the bag
+/// path's.
 ///
+/// The arm is the step's, and the head's shape picks the build:
+/// - **a kept column and the new partner** (one end bound, the other in
+///   the head): every row's run of partners is copied whole into a
+///   counting scatter keyed by the kept column (a constant at arity 1),
+///   whose offsets come from the run lengths and whose target hull from
+///   each run's ends, and the runs are made sets by [`Csr::from_runs`]. A
+///   partner-first head is built keyed by the kept column and transposed;
+/// - **only kept columns** (the semi-join arm, or the new variable dead):
+///   the head pairs of the rows that match go through
+///   [`Csr::try_from_edges`];
+/// - **a Cartesian step under no kept column**: the head is read off the
+///   relation alone — itself, its transpose, or its sources, targets or
+///   self-loop diagonal through [`Csr::try_from_edges`] — when the table
+///   has a row.
+///
+/// Every other head — arity 3 and up, the new variable twice, a Cartesian
+/// step under a kept column — and a build whose scratch would outgrow the
+/// rows ([`scatter_fits`]) takes the bag path ([`bag_head`]) instead.
+pub(crate) fn read_head(
+    table: &BindingTable,
+    c: &ConjunctPairs<'_>,
+    head: &[Var],
+    budget: &Budget,
+    charge: impl FnOnce(usize) -> Result<(), EvalError>,
+) -> Result<HeadSet, EvalError> {
+    let arity = head.len();
+    let at: Vec<Option<At>> = head
+        .iter()
+        .map(|&v| match table.col(v) {
+            Some(col) => Some(At::Kept(col)),
+            None if v == c.src => Some(At::Src),
+            None if v == c.trg => Some(At::Trg),
+            None => None,
+        })
+        .collect();
+    let kept = at.iter().filter(|a| matches!(a, Some(At::Kept(_)))).count();
+    let partners = at
+        .iter()
+        .filter(|a| matches!(a, Some(At::Src | At::Trg)))
+        .count();
+    let (src_col, trg_col) = (table.col(c.src), table.col(c.trg));
+    let cartesian = src_col.is_none() && trg_col.is_none();
+    let reads = arity <= 2 && if cartesian { kept == 0 } else { partners <= 1 };
+    if !reads {
+        return bag_head(table, Some(c), head, budget, charge);
+    }
+
+    // The step's raw row count, charged as `extend` charges it.
+    let self_loop = c.src == c.trg;
+    let matches = || {
+        c.pairs
+            .iter_edges()
+            .filter(move |(s, t)| !self_loop || s == t)
+    };
+    let reversed;
+    let (len, rel) = match (src_col, trg_col) {
+        (Some(sc), Some(tc)) => {
+            let hit = |row: &&[NodeId]| c.pairs.contains(row[sc], row[tc]);
+            (table.rows().filter(hit).count(), None)
+        }
+        (Some(col), None) | (None, Some(col)) => {
+            let rel: &Csr = if src_col.is_some() || table.len == 0 {
+                c.pairs
+            } else {
+                reversed = c.pairs.transpose();
+                &reversed
+            };
+            let len = table.count_output(budget, |row| rel.degree(row[col]))?;
+            (len, Some((rel, col)))
+        }
+        (None, None) => {
+            let per_row = matches().count();
+            (table.count_output(budget, |_| per_row)?, None)
+        }
+    };
+    let at: Vec<At> = at
+        .into_iter()
+        .zip(head)
+        .map(|(at, v)| at.ok_or_else(|| unbound(*v)))
+        .collect::<Result<_, _>>()?;
+    charge(if arity == 0 {
+        usize::from(len > 0)
+    } else {
+        len
+    })?;
+
+    let fits = |first, last| scatter_fits(arity, len, first, last);
+    let built = if len == 0 {
+        Some(Csr::default())
+    } else if arity == 0 {
+        Some(Csr::from_parts(0, vec![0, 1], vec![0]))
+    } else if let Some((rel, col)) = rel.filter(|_| partners > 0) {
+        // A kept column (or none, at arity 1) and the new partner.
+        let key = at.iter().find_map(|a| match a {
+            At::Kept(k) => Some(*k),
+            _ => None,
+        });
+        let partner_first = arity == 2 && key.is_some() && !matches!(at[0], At::Kept(_));
+        gather_runs(table, rel, col, key, len, arity).map(|csr| {
+            if partner_first {
+                csr.transpose()
+            } else {
+                csr
+            }
+        })
+    } else if !cartesian {
+        // Only kept columns: the pairs of the rows that match.
+        let cols: Vec<usize> = at
+            .iter()
+            .map(|a| match a {
+                At::Kept(k) => *k,
+                _ => unreachable!("a head of kept columns"),
+            })
+            .collect();
+        let pair = |row: &[NodeId]| match cols[..] {
+            [v] => (0, row[v]),
+            [a, b] => (row[a], row[b]),
+            _ => unreachable!("a head of one or two cells"),
+        };
+        let hit = move |row: &&[NodeId]| match (src_col, trg_col) {
+            (Some(sc), Some(tc)) => c.pairs.contains(row[sc], row[tc]),
+            _ => rel.is_some_and(|(rel, col)| rel.degree(row[col]) > 0),
+        };
+        Csr::try_from_edges(table.rows().filter(hit).map(pair), fits)
+    } else {
+        // A Cartesian step, whose head reads only the relation. A
+        // self-loop's one variable reads as `Src`: its head is a diagonal.
+        let end = |a: At, (s, t): (NodeId, NodeId)| if a == At::Src { s } else { t };
+        match at[..] {
+            [At::Src, At::Trg] => Some((**c.pairs).clone()),
+            [At::Trg, At::Src] => Some(c.pairs.transpose()),
+            [a] => Csr::try_from_edges(matches().map(|p| (0, end(a, p))), fits),
+            [a, b] => Csr::try_from_edges(matches().map(|p| (end(a, p), end(b, p))), fits),
+            _ => unreachable!("a head of one or two cells"),
+        }
+    };
+    match built {
+        Some(csr) => Ok(HeadSet::Pairs(csr)),
+        None => bag_head(table, Some(c), head, budget, |_| Ok(())),
+    }
+}
+
+/// The set of `(row[key], partner)` over every row's run of partners in
+/// `rel` at column `col` — `(0, partner)` without a key — built from
+/// whole runs: `len` partners in all. `None` when the scratch would
+/// outgrow the rows ([`scatter_fits`]).
+fn gather_runs(
+    table: &BindingTable,
+    rel: &Csr,
+    col: usize,
+    key: Option<usize>,
+    len: usize,
+    arity: usize,
+) -> Option<Csr> {
+    let key_of = |row: &[NodeId]| key.map_or(0, |k| row[k]);
+    // Rows without partners may lie outside the key hull; they add nothing.
+    let runs = || {
+        let rows = table
+            .rows()
+            .map(|row| (key_of(row), rel.neighbors(row[col])));
+        rows.filter(|(_, run)| !run.is_empty())
+    };
+    let (mut keys, mut targets) = ((NodeId::MAX, 0), (NodeId::MAX, 0));
+    for (k, run) in runs() {
+        keys = (keys.0.min(k), keys.1.max(k));
+        targets = (targets.0.min(run[0]), targets.1.max(run[run.len() - 1]));
+    }
+    let (base, span) = (keys.0, (keys.1 - keys.0) as usize + 1);
+    let target_hull = (targets.0, (targets.1 - targets.0) as usize + 1);
+    if !scatter_fits(arity, len, span, target_hull.1) {
+        return None;
+    }
+    let mut offsets = vec![0u32; span + 1];
+    for (k, run) in runs() {
+        offsets[(k - base) as usize + 1] += run.len() as u32;
+    }
+    for i in 0..span {
+        offsets[i + 1] += offsets[i];
+    }
+    // The offsets are the cursors: after the copies, `offsets[i]` is where
+    // key `i`'s runs end — where key `i + 1`'s start.
+    let mut partners: Vec<NodeId> = vec![0; len];
+    for (k, run) in runs() {
+        let cursor = &mut offsets[(k - base) as usize];
+        let at = *cursor as usize;
+        partners[at..at + run.len()].copy_from_slice(run);
+        *cursor += run.len() as u32;
+    }
+    offsets.copy_within(0..span, 1);
+    offsets[0] = 0;
+    Some(Csr::from_runs(base, offsets, partners, target_hull))
+}
+
+/// The bag path, for the heads [`read_head`] does not read: the last step
+/// (if any) joined into `table` as a table of rows, [`project`]ed with
+/// `charge`, and made a set by [`Answers::from_rows`].
+fn bag_head(
+    table: &BindingTable,
+    last: Option<&ConjunctPairs<'_>>,
+    head: &[Var],
+    budget: &Budget,
+    charge: impl FnOnce(usize) -> Result<(), EvalError>,
+) -> Result<HeadSet, EvalError> {
+    let extended;
+    let table = match last {
+        Some(c) => {
+            extended = table.extend(c, head, budget)?;
+            &extended
+        }
+        None => table,
+    };
+    let mut cells = Vec::new();
+    let len = project(table, head, &mut cells, charge)?;
+    Ok(HeadSet::Rows(Answers::from_rows(head.len(), len, cells)))
+}
+
 /// A head variable that never appears in the body violates rule safety;
 /// it surfaces as a typed [`EvalError`] — one malformed query becomes a
 /// failed matrix cell, not a process abort.
+fn unbound(v: Var) -> EvalError {
+    EvalError::Unsupported(format!(
+        "head variable {v} is not bound in the rule body (rule safety)"
+    ))
+}
+
+/// The bag path's head projection: appends the table's rows, projected
+/// onto `head`, to the row-major `out` and returns how many rows that was
+/// (deduplication is [`Answers::from_rows`]' job). `charge` is handed
+/// that count before any row is copied, and an error from it is returned
+/// with `out` untouched. A Boolean head appends no cells and counts one
+/// row iff any row exists. A head variable the table lacks is
+/// [`unbound`].
 pub(crate) fn project(
     table: &BindingTable,
     head: &[Var],
@@ -318,13 +616,7 @@ pub(crate) fn project(
 ) -> Result<usize, EvalError> {
     let cols: Vec<usize> = head
         .iter()
-        .map(|v| {
-            table.col(*v).ok_or_else(|| {
-                EvalError::Unsupported(format!(
-                    "head variable {v} is not bound in the rule body (rule safety)"
-                ))
-            })
-        })
+        .map(|&v| table.col(v).ok_or_else(|| unbound(v)))
         .collect::<Result<_, _>>()?;
     if cols.is_empty() {
         let len = usize::from(table.len > 0);
@@ -374,10 +666,25 @@ mod tests {
         vars
     }
 
+    /// Every step joined into a table of rows, each storing its live
+    /// columns: what a rule's body leaves on the bag path.
+    fn join_table(
+        conjuncts: &[ConjunctPairs<'_>],
+        head: &[Var],
+        budget: &Budget,
+    ) -> Result<BindingTable, EvalError> {
+        let mut table = BindingTable::unit();
+        for (i, c) in conjuncts.iter().enumerate() {
+            let later = conjuncts[i + 1..].iter().map(|c| (c.src, c.trg));
+            table = table.extend(c, &live_after(head, later), budget)?;
+        }
+        Ok(table)
+    }
+
     /// Joins keeping every column.
     fn join(owned: &[Owned], budget: &Budget) -> Result<BindingTable, EvalError> {
         let conjuncts = borrowed(owned);
-        join_all(&conjuncts, &every_var(&conjuncts), budget)
+        join_table(&conjuncts, &every_var(&conjuncts), budget)
     }
 
     fn sorted_rows(table: &BindingTable) -> Vec<Vec<NodeId>> {
@@ -483,6 +790,69 @@ mod tests {
             matches!(err, EvalError::Unsupported(ref what) if what.contains("?x7")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn each_head_shape_takes_its_arm() {
+        // 40 rows (x0, x1) = (k % 8, k % 5) against x1 → x2 over 5 × 4
+        // pairs: 160 raw rows, enough for every scatter to fit.
+        let table = BindingTable {
+            vars: vec![Var(0), Var(1)],
+            cells: (0..40).flat_map(|k| [k % 8, k % 5]).collect(),
+            len: 40,
+        };
+        let rel = Relation::from_pairs((0..5).flat_map(|m| (0..4).map(move |t| (m, 10 + t))));
+        let forward = ConjunctPairs {
+            src: Var(1),
+            trg: Var(2),
+            pairs: &rel,
+        };
+        let backward = ConjunctPairs {
+            src: Var(2),
+            trg: Var(1),
+            pairs: &rel,
+        };
+        let semi = ConjunctPairs {
+            src: Var(0),
+            trg: Var(1),
+            pairs: &rel,
+        };
+        // Whether the head is read as a set, having checked it against
+        // the bag path's.
+        let arm = |c: &ConjunctPairs<'_>, head: &[u32]| {
+            let head: Vec<Var> = head.iter().copied().map(Var).collect();
+            let budget = Budget::default();
+            let read = read_head(&table, c, &head, &budget, |_| Ok(())).unwrap();
+            let bag = bag_head(&table, Some(c), &head, &budget, |_| Ok(())).unwrap();
+            let set = matches!(read, HeadSet::Pairs(_));
+            assert_eq!(read.into_answers(head.len()), bag.into_answers(head.len()));
+            set
+        };
+        for c in [&forward, &backward] {
+            // Kept-first, partner-first, both kept, one kept, the partner
+            // alone, a repeated kept column, Boolean: read as a set.
+            for head in [&[0, 2][..], &[2, 0], &[0, 1], &[1], &[2], &[0, 0], &[]] {
+                assert!(arm(c, head), "{head:?}");
+            }
+            // The partner twice, and arity 3: the bag path.
+            assert!(!arm(c, &[2, 2]));
+            assert!(!arm(c, &[0, 1, 2]));
+        }
+        assert!(arm(&semi, &[0, 1]) && arm(&semi, &[1]));
+        // A Cartesian step reads the relation alone; under a kept column
+        // it takes the bag path.
+        let unit = BindingTable::unit();
+        let lone = ConjunctPairs {
+            src: Var(3),
+            trg: Var(4),
+            pairs: &rel,
+        };
+        for head in [&[3, 4][..], &[4, 3], &[3], &[4], &[3, 3]] {
+            let head: Vec<Var> = head.iter().copied().map(Var).collect();
+            let read = read_head(&unit, &lone, &head, &Budget::default(), |_| Ok(()));
+            assert!(matches!(read, Ok(HeadSet::Pairs(_))), "{head:?}");
+        }
+        assert!(!arm(&lone, &[0, 3]));
     }
 
     #[test]
@@ -646,11 +1016,23 @@ mod tests {
                 picks.iter().map(|&i| vars[i % vars.len()]).collect()
             };
             let capped = Budget::with_limits(None, cap);
-            let joined = join_all(&conjuncts, &vars, &capped);
+            let joined = join_table(&conjuncts, &vars, &capped);
             // The same cap trips at the same count whatever is live.
             prop_assert_eq!(
-                join_all(&conjuncts, &head, &capped).map(|t| t.len),
+                join_table(&conjuncts, &head, &capped).map(|t| t.len),
                 joined.as_ref().map(|t| t.len).map_err(Clone::clone)
+            );
+            // The head read off the last step is the bag path's set, or
+            // its error, the projected rows charged alike.
+            let charge = |rows| capped.check_size(rows);
+            let bag = join_table(&conjuncts, &head, &capped).and_then(|table| {
+                let mut cells = Vec::new();
+                let len = project(&table, &head, &mut cells, charge)?;
+                Ok(Answers::from_rows(head.len(), len, cells))
+            });
+            prop_assert_eq!(
+                join_all(&conjuncts, &head, &capped, charge).map(|h| h.into_answers(head.len())),
+                bag
             );
             if steps.iter().any(|rows| rows.len() > cap) {
                 prop_assert!(matches!(joined, Err(EvalError::TooLarge(_))), "{joined:?}");
@@ -723,6 +1105,76 @@ mod tests {
                     parts(extend_row_at_a_time(&table, &c, &live, &budget)),
                     "cap {} of {}", cap, total
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        // A random table of 0–3 columns, one random conjunct and a head of
+        // 0–3 variables, each a table column, an end of the conjunct, or
+        // the never-bound `?x5`, reach every arm of the head kernel —
+        // semi-join, source bound, target bound, Cartesian, self-loop —
+        // under every head shape: kept-first, partner-first, both kept,
+        // repeated, unbound, and arity 3. One time in four, ids are spread
+        // so far apart that no scatter fits and the bag path runs. At
+        // every cap from 0 to one past the step's rows, the kernel must
+        // give the row-at-a-time reference's answers, or its
+        // `TooLarge(n)` or `Unsupported`; a binary head read as `D`'s
+        // relation must be `Relation::from_pairs` of the projected cells.
+        #[test]
+        fn head_kernel_matches_the_row_at_a_time_reference(
+            (columns, rotate) in (prop::collection::btree_set(0u32..5, 0..=3), 0usize..3),
+            rows in prop::collection::vec(prop::collection::vec(0u32..6, 3), 0..=40),
+            (src, trg) in (0u32..5, 0u32..5),
+            pairs in prop::collection::vec((0u32..6, 0u32..6), 0..12),
+            head in prop::collection::vec(0usize..8, 0..=3),
+            wide in 0u8..4,
+        ) {
+            let spread = |v: NodeId| if wide == 0 { v * 1_009 } else { v };
+            let mut vars: Vec<Var> = columns.into_iter().map(Var).collect();
+            let width = vars.len();
+            vars.rotate_left(rotate.min(width));
+            let head: Vec<Var> = head
+                .into_iter()
+                .map(|pick| match pick {
+                    0..=2 if width > 0 => vars[pick % width],
+                    3 | 4 => Var(src),
+                    5 | 6 => Var(trg),
+                    _ => Var(5),
+                })
+                .collect();
+            let table = BindingTable {
+                cells: rows.iter().flat_map(|row| row[..width].iter().map(|&v| spread(v))).collect(),
+                len: rows.len(),
+                vars,
+            };
+            let relation = Relation::from_pairs(pairs.iter().map(|&(s, t)| (spread(s), spread(t))));
+            let c = ConjunctPairs { src: Var(src), trg: Var(trg), pairs: &relation };
+            let reference = |budget: &Budget| {
+                let t = extend_row_at_a_time(&table, &c, &head, budget)?;
+                let mut cells = Vec::new();
+                let len = project(&t, &head, &mut cells, |rows| budget.check_size(rows))?;
+                Ok((Answers::from_rows(head.len(), len, cells.clone()), cells))
+            };
+            let uncapped = Budget::with_limits(None, usize::MAX);
+            let total = extend_row_at_a_time(&table, &c, &head, &uncapped).unwrap().len;
+            for cap in 0..=total + 1 {
+                let budget = Budget::with_limits(None, cap);
+                let charge = |rows| budget.check_size(rows);
+                let expected: Result<(Answers, Vec<NodeId>), EvalError> = reference(&budget);
+                let read = read_head(&table, &c, &head, &budget, charge);
+                prop_assert_eq!(
+                    read.map(|h| h.into_answers(head.len())),
+                    expected.clone().map(|(answers, _)| answers),
+                    "cap {} of {}", cap, total
+                );
+                if let (2, Ok((_, cells))) = (head.len(), expected) {
+                    let relation = read_head(&table, &c, &head, &budget, charge).unwrap();
+                    let pairs = cells.chunks_exact(2).map(|p| (p[0], p[1]));
+                    prop_assert_eq!(relation.into_relation(), Relation::from_pairs(pairs));
+                }
             }
         }
     }

@@ -41,7 +41,8 @@
 //! representation from the EDB to the answers — binary relations are
 //! [`relations::Relation`]s (the store's CSR layout), wider tuples flat
 //! row-major rows — so all four join through one kernel and read their
-//! heads off it through one projection into one flat [`Answers`] buffer.
+//! heads off its last step as sets through one head kernel, into one flat
+//! [`Answers`] buffer.
 //! `P`, `S` and `G` also share the rule loop around them and one cache
 //! probe per conjunct, a miss running the engine's own kernel; `P` and `S`
 //! share one rule body too. `D` runs its fixpoint instead. One memoized expression evaluator in [`EvalContext`] serves
@@ -189,7 +190,7 @@ impl std::error::Error for EvalError {}
 /// spans `last`: its scratch — one `u32` offset per id of `first` plus
 /// one, and a bitset of `u64` words over `last` — takes no more bytes than
 /// the rows' own cells, and its offsets can count the rows.
-fn scatter_fits(arity: usize, len: usize, first: usize, last: usize) -> bool {
+pub(crate) fn scatter_fits(arity: usize, len: usize, first: usize, last: usize) -> bool {
     len <= Csr::MAX_EDGES && 4 * (first + 1) + 8 * last.div_ceil(64) <= 4 * arity * len
 }
 
@@ -210,7 +211,10 @@ fn scatter(arity: usize, len: usize, cells: &[NodeId]) -> Option<Csr> {
 
 /// A set of distinct answer tuples: one row-major buffer, sorted
 /// lexicographically and deduplicated, so two engines' answers compare
-/// with `==`. Only `Answers::from_rows` builds one from raw rows.
+/// with `==`. A rule's head normally arrives already a set, as the CSR the
+/// join kernel reads off its last step ([`Answers::from_csr`]); only the
+/// heads that kernel does not read come from raw rows
+/// ([`Answers::from_rows`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answers {
     arity: usize,
@@ -221,15 +225,43 @@ pub struct Answers {
 }
 
 impl Answers {
+    /// The answers of arity 0 to 2 that a CSR of head pairs holds: a pair
+    /// `(a, b)` is the row `[a, b]` at arity 2, a pair `(0, v)` the row
+    /// `[v]` at arity 1, and the pair `(0, 0)` the one Boolean row at
+    /// arity 0. The CSR's order is the rows' lexicographic order.
+    pub(crate) fn from_csr(arity: usize, csr: &Csr) -> Answers {
+        debug_assert!(arity <= 2 && (arity == 2 || csr.iter_edges().all(|(s, _)| s == 0)));
+        let cells = match arity {
+            0 => Vec::new(),
+            1 => csr.targets().to_vec(),
+            _ => {
+                let mut cells = Vec::with_capacity(2 * csr.edge_count());
+                for (s, t) in csr.iter_edges() {
+                    cells.extend([s, t]);
+                }
+                cells
+            }
+        };
+        Answers {
+            arity,
+            len: csr.edge_count(),
+            cells,
+        }
+    }
+
     /// Builds an answer set from `len` row-major rows of `arity` cells,
-    /// sorting and deduplicating.
+    /// sorting and deduplicating. Its callers are the heads the join
+    /// kernel does not read as a set (arity 3 and up, a new variable
+    /// repeated in the head, a Cartesian step under a kept column, hulls
+    /// too wide for its scratch), the empty answers `D` starts from, and
+    /// `G`'s seed sets.
     ///
     /// Rows of one or two cells are pairs — `(0, v)` at arity 1 — and go
     /// through the store's one bag-to-set kernel, [`Csr::from_edges`]: a
     /// counting scatter by the first cell, each run deduplicated by a
     /// bitset over the last cell's hull so that only its distinct cells
-    /// are ordered. The CSR is then read back out as row-major cells, in
-    /// lexicographic order. The kernel is taken only when its scratch
+    /// are ordered. The CSR is then read back out as row-major cells
+    /// ([`Answers::from_csr`]). The kernel is taken only when its scratch
     /// space (offsets over the first column's hull, and the bitset) is no
     /// larger than the rows themselves ([`scatter_fits`]), so no call
     /// allocates more than O(rows). Wider hulls pack each row into a `u64` key (`row[0] << 32 |
@@ -241,20 +273,7 @@ impl Answers {
         debug_assert_eq!(cells.len(), len * arity);
         if let Some(csr) = scatter(arity, len, &cells) {
             drop(cells);
-            let cells = if arity == 1 {
-                csr.targets().to_vec()
-            } else {
-                let mut cells = Vec::with_capacity(2 * csr.edge_count());
-                for (s, t) in csr.iter_edges() {
-                    cells.extend([s, t]);
-                }
-                cells
-            };
-            return Answers {
-                arity,
-                len: csr.edge_count(),
-                cells,
-            };
+            return Answers::from_csr(arity, &csr);
         }
         let row = |r: usize| &cells[r * arity..(r + 1) * arity];
         if arity <= 2 {
@@ -330,7 +349,7 @@ impl Answers {
     }
 
     /// The distinct tuples in ascending order, each `arity` wide.
-    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+    pub fn rows(&self) -> impl Iterator<Item = &[NodeId]> + Clone + '_ {
         (0..self.len).map(move |r| &self.cells[r * self.arity..(r + 1) * self.arity])
     }
 }

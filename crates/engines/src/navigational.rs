@@ -27,7 +27,9 @@
 
 use crate::automaton::eval_rpq;
 use crate::context::EvalContext;
-use crate::joiner::{live_after, union_of_rules, BindingTable, ConjunctPairs};
+use crate::joiner::{
+    join_all, live_after, read_head, union_of_rules, BindingTable, Charge, ConjunctPairs, HeadSet,
+};
 use crate::planner::ConjunctStep;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError, QueryPlan};
@@ -50,8 +52,8 @@ pub(crate) fn evaluate(
     budget: &Budget,
 ) -> Result<Answers, EvalError> {
     let (query, _) = degrade(query);
-    union_of_rules(&query, plan, budget, |rule, steps| {
-        navigate_rule(ctx, rule, steps, budget)
+    union_of_rules(&query, plan, budget, |rule, steps, charge| {
+        navigate_rule(ctx, rule, steps, budget, charge)
     })
 }
 
@@ -59,13 +61,15 @@ pub(crate) fn evaluate(
 /// conjunct's pairs are computed by automaton BFS *from the currently
 /// bound seeds only* and joined into the running table at once, so the
 /// next conjunct sees tight seeds. Each step stores only the head and the
-/// variables of the steps after it, as `join_all` does.
+/// variables of the steps after it, as `join_all` does, and the head is
+/// read off the last step as a set ([`read_head`]).
 fn navigate_rule(
     ctx: &EvalContext<'_>,
     rule: &Rule,
     steps: &[ConjunctStep],
     budget: &Budget,
-) -> Result<BindingTable, EvalError> {
+    charge: Charge<'_>,
+) -> Result<HeadSet, EvalError> {
     let mut table = BindingTable::unit();
     for (i, step) in steps.iter().enumerate() {
         budget.check_time()?;
@@ -107,9 +111,12 @@ fn navigate_rule(
             trg,
             pairs: &pairs,
         };
+        if i + 1 == steps.len() {
+            return read_head(&table, &conjunct, &rule.head, budget, charge);
+        }
         table = table.extend(&conjunct, &live, budget)?;
     }
-    Ok(table)
+    join_all(&[], &rule.head, budget, charge)
 }
 
 #[cfg(test)]

@@ -19,29 +19,21 @@
 //!
 //! The kernels never hash and never re-sort whole results; each writes
 //! its offsets and targets in source order. Composition walks the left
-//! side source by source and appends each source's deduplicated targets,
-//! union and difference merge the two runs of each source, and the star
+//! side source by source and gathers each source's targets straight onto
+//! its output, keeping each only the first time it is reached (the
+//! store's per-run deduplication, [`RunDedup`]), union and difference
+//! merge the two runs of each source, and the star
 //! materializes the same closure the paper's footnote-4 linear recursion
 //! defines in three passes: it condenses the relation into its strongly
 //! connected components (Tarjan's algorithm, without recursion), counts
 //! each component's reach set once, charging the tuple cap source by
 //! source, and only then writes a closure that fits, each component's
-//! sorted reach set copied once per member source. Composition's
-//! per-source target buffers live in a per-worker scratch arena
-//! (`thread_local`) so its inner loop allocates nothing in steady state.
+//! sorted reach set copied once per member source.
 
 use crate::{Budget, EvalError};
 use gmark_core::query::Symbol;
-use gmark_store::{Csr, GraphView, NodeId};
-use std::cell::RefCell;
+use gmark_store::{Csr, GraphView, NodeId, RunDedup};
 use std::ops::Deref;
-
-thread_local! {
-    /// Per-worker scratch arena: the per-source target buffer reused by
-    /// every composition this thread runs. Steady-state compositions
-    /// allocate only their output vector.
-    static SCRATCH: RefCell<Vec<NodeId>> = const { RefCell::new(Vec::new()) };
-}
 
 /// A binary relation: a [`Csr`] with the relational algebra on top (see
 /// the module docs).
@@ -100,6 +92,11 @@ impl Relation {
         Relation(Csr::from_edges(pairs))
     }
 
+    /// The relation a CSR holds: its runs are already sets.
+    pub(crate) fn from_csr(csr: Csr) -> Relation {
+        Relation(csr)
+    }
+
     /// Assembles a relation from its CSR arrays ([`Csr::from_parts`]).
     pub(crate) fn from_parts(base: NodeId, offsets: Vec<u32>, targets: Vec<NodeId>) -> Relation {
         Relation(Csr::from_parts(base, offsets, targets))
@@ -120,36 +117,41 @@ impl Relation {
     /// Composition `self ; other` = `{(s, u) | (s, t) ∈ self, (t, u) ∈
     /// other}`.
     ///
-    /// Walks `self` one source at a time and reads the run of each of its
-    /// targets `t` out of `other`. The source's result targets are
-    /// deduplicated in the per-worker scratch buffer and appended — the
-    /// output is sorted by construction, so no final re-sort (and no hash
-    /// set) is ever paid. The tuple budget is charged on the
-    /// *deduplicated* output, not the raw match count.
+    /// Walks `self` one source at a time and gathers the run of each of
+    /// its targets `t` out of `other` straight onto the output, through the
+    /// store's per-run deduplication ([`RunDedup`]) over `other`'s target
+    /// hull: with its bitset (when it has no more words than `other` has
+    /// pairs) a target is appended only the first time the source reaches
+    /// it, and only the distinct targets are ordered; without it, the
+    /// source's run is sorted and its repeats compacted out. The output is
+    /// sorted by construction, so no final re-sort (and no hash set) is
+    /// ever paid. The tuple budget is charged on the *deduplicated* output,
+    /// after every source.
     pub fn compose(&self, other: &Relation, budget: &Budget) -> Result<Relation, EvalError> {
         if self.edge_count() == 0 || other.edge_count() == 0 {
             return Ok(Relation::default());
         }
-        SCRATCH.with(|cell| {
-            let run = &mut *cell.borrow_mut();
-            let mut offsets = vec![0];
-            let mut targets: Vec<NodeId> = Vec::new();
-            for (i, (_, mids)) in runs(self).enumerate() {
-                if i.is_multiple_of(1024) {
-                    budget.check_time()?;
-                }
-                run.clear();
-                for &t in mids {
-                    run.extend_from_slice(other.neighbors(t));
-                }
-                run.sort_unstable();
-                run.dedup();
-                budget.check_size(targets.len() + run.len())?;
-                targets.extend_from_slice(run);
-                offsets.push(offset(targets.len()));
+        let mut dedup = RunDedup::new(other.target_hull(), other.edge_count());
+        let mut offsets = vec![0];
+        let mut targets: Vec<NodeId> = Vec::new();
+        for (i, (_, mids)) in runs(self).enumerate() {
+            if i.is_multiple_of(1024) {
+                budget.check_time()?;
             }
-            Ok(Relation(Csr::from_parts(self.base(), offsets, targets)))
-        })
+            let first = targets.len();
+            for &t in mids {
+                for &u in other.neighbors(t) {
+                    if dedup.first_time(u) {
+                        targets.push(u);
+                    }
+                }
+            }
+            let kept = dedup.end_run(&mut targets[first..]);
+            targets.truncate(first + kept);
+            budget.check_size(targets.len())?;
+            offsets.push(offset(targets.len()));
+        }
+        Ok(Relation(Csr::from_parts(self.base(), offsets, targets)))
     }
 
     /// Union: each source's two runs merged, over the span of both hulls
@@ -709,6 +711,28 @@ mod tests {
         Ok(Relation::from_pairs(out))
     }
 
+    /// The reference for [`Relation::compose`], gathering before it
+    /// deduplicates: each source's raw matches collected, sorted and
+    /// deduplicated, and the running output charged after every source.
+    fn compose_by_sort(
+        r: &Relation,
+        other: &Relation,
+        budget: &Budget,
+    ) -> Result<Relation, EvalError> {
+        let mut out: Vec<(NodeId, NodeId)> = Vec::new();
+        for (s, mids) in runs(r) {
+            let mut run: Vec<NodeId> = mids
+                .iter()
+                .flat_map(|&m| other.neighbors(m).to_vec())
+                .collect();
+            run.sort_unstable();
+            run.dedup();
+            budget.check_size(out.len() + run.len())?;
+            out.extend(run.iter().map(|&t| (s, t)));
+        }
+        Ok(Relation::from_pairs(out))
+    }
+
     /// Appends a path from `from` through `hops` fresh nodes, ending at
     /// `to` when given.
     fn path(
@@ -822,6 +846,34 @@ mod tests {
                 let star = r.star(n, &Budget::default()).unwrap();
                 prop_assert_eq!(pairs(&star), reference_star(&r, n));
                 prop_assert_eq!(&star, &star_per_source(&r, n, &Budget::default()).unwrap());
+            }
+        }
+
+        // Composition deduplicates each source's targets as it gathers
+        // them, over the right side's target hull: narrow (targets within
+        // 64 ids of `low`, one bitset word, so the bitset runs) or wide
+        // (targets anywhere in the id space, a bitset of more words than
+        // pairs, so each run is sorted). At every cap from 0 to one past
+        // the result, it must give the sorting reference's pairs, or its
+        // `TooLarge(n)`.
+        #[test]
+        fn compose_matches_the_sorting_reference_at_every_cap(
+            left in prop::collection::vec((0u32..30, 0u32..30), 0..60),
+            right in prop::collection::vec((0u32..30, any::<u32>()), 0..60),
+            low in prop_oneof![Just(0u32), 0u32..100_000, Just(u32::MAX - 63)],
+            wide in any::<bool>(),
+        ) {
+            let narrow = |t: u32| if wide { t } else { low + t % 64 };
+            let r = Relation::from_pairs(left);
+            let other = Relation::from_pairs(right.into_iter().map(|(m, t)| (m, narrow(t))));
+            let total = compose_by_sort(&r, &other, &Budget::default()).unwrap().edge_count();
+            for cap in 0..=total + 1 {
+                let budget = Budget::with_limits(None, cap);
+                prop_assert_eq!(
+                    r.compose(&other, &budget),
+                    compose_by_sort(&r, &other, &budget),
+                    "cap {} of {}", cap, total
+                );
             }
         }
 

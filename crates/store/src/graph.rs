@@ -56,6 +56,109 @@ fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
     hull(lo, hi)
 }
 
+/// Panics unless `offsets` rise from 0 to `len` and the hull from `base`
+/// stays inside the id space.
+fn check_offsets(base: NodeId, offsets: &[u32], len: usize) {
+    assert!(
+        offsets.first() == Some(&0)
+            && offsets.last().map(|&o| o as usize) == Some(len)
+            && offsets.is_sorted(),
+        "offsets must rise from 0 to the target count"
+    );
+    assert!(
+        u64::from(base) + offsets.len() as u64 - 1 <= 1 << NodeId::BITS,
+        "the hull passes the largest node id"
+    );
+}
+
+/// The per-run body of every bag-to-set in the workspace: a run's targets,
+/// all inside one hull, made ascending and duplicate-free. [`Csr`]'s builds
+/// ([`Csr::try_from_edges`], [`Csr::from_runs`]) run each scattered run
+/// through it in place; a composition gathers each source's run through it.
+///
+/// When a bitset over the hull has no more words than there are pairs in
+/// all, a run keeps a target only the first time its bit is set
+/// ([`RunDedup::first_time`]), so only its distinct targets are ordered.
+/// A run that kept fewer targets than the bitset has words clears the bits
+/// it set and sorts what it kept; one that kept more reads its targets back
+/// out of the bitset in ascending order, clearing each word, which costs
+/// less than the sort ([`RunDedup::end_run`]). Under a wider hull the
+/// bitset would outgrow the pairs, so then every target is kept and each
+/// run is sorted whole and its adjacent repeats compacted out.
+#[derive(Debug)]
+pub struct RunDedup {
+    low: NodeId,
+    /// One bit per id of the hull, all clear between runs.
+    seen: Option<Vec<u64>>,
+}
+
+impl RunDedup {
+    /// Deduplication of runs whose targets lie in `(lowest target, span)`,
+    /// `pairs` targets in all: with a bitset when its words are no more
+    /// than `pairs`.
+    pub fn new((low, span): (NodeId, usize), pairs: usize) -> RunDedup {
+        let words = span.div_ceil(64);
+        RunDedup {
+            low,
+            seen: (words <= pairs).then(|| vec![0u64; words]),
+        }
+    }
+
+    /// Whether the current run keeps `t`: only the first time with a
+    /// bitset, always without one. `t` must lie in the hull.
+    #[inline]
+    pub fn first_time(&mut self, t: NodeId) -> bool {
+        let Some(seen) = self.seen.as_mut() else {
+            return true;
+        };
+        let i = (t - self.low) as usize;
+        let (word, mask) = (&mut seen[i / 64], 1u64 << (i % 64));
+        let first = *word & mask == 0;
+        *word |= mask;
+        first
+    }
+
+    /// Ends the current run, whose kept targets are `run`: orders them
+    /// ascending without repeats at the front of `run` and returns how
+    /// many there are. The next run starts clean.
+    pub fn end_run(&mut self, run: &mut [NodeId]) -> usize {
+        let low = self.low;
+        match self.seen.as_mut() {
+            Some(seen) if run.len() < seen.len() => {
+                for &t in run.iter() {
+                    let i = (t - low) as usize;
+                    seen[i / 64] &= !(1u64 << (i % 64));
+                }
+                run.sort_unstable();
+                run.len()
+            }
+            Some(seen) => {
+                let mut kept = 0;
+                for (w, word) in seen.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        run[kept] = low + (w * 64) as NodeId + bits.trailing_zeros();
+                        kept += 1;
+                        bits &= bits - 1;
+                    }
+                }
+                kept
+            }
+            None => {
+                run.sort_unstable();
+                let mut kept = 0;
+                for r in 0..run.len() {
+                    if kept == 0 || run[kept - 1] != run[r] {
+                        run[kept] = run[r];
+                        kept += 1;
+                    }
+                }
+                kept
+            }
+        }
+    }
+}
+
 /// Counting sort of `(key, value)` pairs whose keys lie in `[base, base +
 /// span)`: the values grouped by key, each group in input order. There
 /// must be at most [`Csr::MAX_EDGES`] pairs.
@@ -127,12 +230,9 @@ impl Csr {
     /// Three passes over `pairs`, which is why it must be `Clone`: one for
     /// the hulls of the sources and of the targets, then a counting scatter
     /// that groups the targets by source (counting, then placing each
-    /// target), then one over each run. A run keeps a target only the
-    /// first time its bit is set in a bitset over the targets' hull, so
-    /// only its distinct targets are ordered. The bitset is the only
-    /// scratch beyond the result, and exists only when it has no more
-    /// words than there are pairs: under a wider hull each run is sorted
-    /// whole and its adjacent repeats compacted out.
+    /// target), then one over each run, through a [`RunDedup`] over the
+    /// targets' hull. Its bitset is the only scratch beyond the result,
+    /// and exists only when it has no more words than there are pairs.
     ///
     /// Panics if there are more than [`Csr::MAX_EDGES`] pairs.
     pub fn try_from_edges<I>(pairs: I, fits: impl FnOnce(usize, usize) -> bool) -> Option<Csr>
@@ -165,6 +265,36 @@ impl Csr {
         Some(csr)
     }
 
+    /// Builds the CSR of targets already grouped by source, each run not
+    /// yet a set: `offsets` over the sources from `base` on, laid out as
+    /// [`Csr::offsets`] describes, and `targets` whose runs are in any
+    /// order and may repeat, every target inside `target_hull`, `(lowest
+    /// target, span)`. Each run is deduplicated as [`Csr::try_from_edges`]
+    /// deduplicates its scattered runs, and empty runs at either end are
+    /// cut off the hull, so it equals [`Csr::from_edges`] of the same
+    /// pairs. A caller that gathers whole runs — the join kernel copying
+    /// each row's run of partners — hands them over here without ever
+    /// holding them as pairs.
+    ///
+    /// Panics if the offsets do not start at 0, fall, or end anywhere but
+    /// `targets.len()`. A target outside `target_hull` is a caller's bug,
+    /// which may panic.
+    pub fn from_runs(
+        base: NodeId,
+        offsets: Vec<u32>,
+        targets: Vec<NodeId>,
+        target_hull: (NodeId, usize),
+    ) -> Csr {
+        check_offsets(base, &offsets, targets.len());
+        let mut csr = Csr {
+            base,
+            offsets,
+            targets,
+        };
+        csr.sort_and_dedup(target_hull);
+        Csr::from_parts(csr.base, csr.offsets, csr.targets)
+    }
+
     /// Assembles a CSR from its two arrays: `offsets` over the sources
     /// from `base` on, laid out as [`Csr::offsets`] describes, and
     /// `targets` with every run ascending and duplicate-free. Empty runs at
@@ -175,16 +305,7 @@ impl Csr {
     /// `targets.len()`, or if the hull passes the largest node id.
     pub fn from_parts(base: NodeId, mut offsets: Vec<u32>, targets: Vec<NodeId>) -> Csr {
         let len = targets.len();
-        assert!(
-            offsets.first() == Some(&0)
-                && offsets.last().map(|&o| o as usize) == Some(len)
-                && offsets.is_sorted(),
-            "offsets must rise from 0 to the target count"
-        );
-        assert!(
-            u64::from(base) + offsets.len() as u64 - 1 <= 1 << NodeId::BITS,
-            "the hull passes the largest node id"
-        );
+        check_offsets(base, &offsets, len);
         debug_assert!(offsets
             .windows(2)
             .all(|w| targets[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b)));
@@ -204,67 +325,26 @@ impl Csr {
     }
 
     /// Sorts every neighbor list and compacts out repeats in place, given
-    /// the hull `(lowest target, span)` of every target. No list becomes
-    /// empty, so the hull of the sources stays as it is.
-    ///
-    /// When a bitset over the targets' hull has no more words than there
-    /// are targets, each run keeps a target only the first time its bit is
-    /// set. A run that kept fewer targets than the bitset has words clears
-    /// the bits it set and sorts the targets it kept; one that kept more
-    /// reads its targets back out of the bitset in ascending order,
-    /// clearing each word, which costs less than the sort. Under a wider
-    /// hull the bitset would be the largest array of the build, so then
-    /// each run is sorted whole and its adjacent repeats compacted out.
-    fn sort_and_dedup(&mut self, (low, span): (NodeId, usize)) {
-        let words = span.div_ceil(64);
-        let mut seen = (words <= self.targets.len()).then(|| vec![0u64; words]);
-        let bit = |t: NodeId| ((t - low) as usize / 64, 1u64 << ((t - low) % 64));
+    /// the hull `(lowest target, span)` of every target: each run goes
+    /// through one [`RunDedup`] over that hull, which keeps a target only
+    /// the first time it is seen when the hull's bitset has no more words
+    /// than there are targets. No list becomes empty, so the hull of the
+    /// sources stays as it is.
+    fn sort_and_dedup(&mut self, hull: (NodeId, usize)) {
+        let mut dedup = RunDedup::new(hull, self.targets.len());
         let mut kept = 0;
         let mut start = 0;
         for i in 0..self.offsets.len() - 1 {
             let end = self.offsets[i + 1] as usize;
             let first = kept;
-            match seen.as_mut() {
-                Some(seen) => {
-                    for r in start..end {
-                        let t = self.targets[r];
-                        let (w, mask) = bit(t);
-                        if seen[w] & mask == 0 {
-                            seen[w] |= mask;
-                            self.targets[kept] = t;
-                            kept += 1;
-                        }
-                    }
-                    if kept - first < seen.len() {
-                        for &t in &self.targets[first..kept] {
-                            let (w, mask) = bit(t);
-                            seen[w] &= !mask;
-                        }
-                        self.targets[first..kept].sort_unstable();
-                    } else {
-                        kept = first;
-                        for (w, word) in seen.iter_mut().enumerate() {
-                            let mut bits = std::mem::take(word);
-                            while bits != 0 {
-                                let t = low + (w * 64) as NodeId + bits.trailing_zeros();
-                                self.targets[kept] = t;
-                                kept += 1;
-                                bits &= bits - 1;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    self.targets[start..end].sort_unstable();
-                    for r in start..end {
-                        let t = self.targets[r];
-                        if kept == first || self.targets[kept - 1] != t {
-                            self.targets[kept] = t;
-                            kept += 1;
-                        }
-                    }
+            for r in start..end {
+                let t = self.targets[r];
+                if dedup.first_time(t) {
+                    self.targets[kept] = t;
+                    kept += 1;
                 }
             }
+            kept = first + dedup.end_run(&mut self.targets[first..kept]);
             self.offsets[i + 1] = kept as u32;
             start = end;
         }
@@ -347,6 +427,18 @@ impl Csr {
     #[inline]
     pub fn targets(&self) -> &[NodeId] {
         &self.targets
+    }
+
+    /// `(lowest target, span)`: the smallest id range holding every target,
+    /// read off the ends of each run (runs are sorted), so it costs one
+    /// step per source of the hull; `(0, 0)` without edges.
+    pub fn target_hull(&self) -> (NodeId, usize) {
+        let ends = self.offsets.windows(2).filter(|w| w[0] < w[1]);
+        let (lo, hi) = ends.fold((NodeId::MAX, 0), |(lo, hi), w| {
+            let run = &self.targets[w[0] as usize..w[1] as usize];
+            (lo.min(run[0]), hi.max(run[run.len() - 1]))
+        });
+        hull(lo, hi)
     }
 
     /// Iterates all `(source, target)` pairs in source order.

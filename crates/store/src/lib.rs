@@ -44,7 +44,7 @@ pub use emit::{
     ordered_map, resolve_threads, ClaimSource, Counter, EmitStats, Group, Grouped, Lane,
     OrderedEmitter,
 };
-pub use graph::{check_edge_total, Csr, Graph, GraphBuilder, TypePartition};
+pub use graph::{check_edge_total, Csr, Graph, GraphBuilder, RunDedup, TypePartition};
 pub use ntriples::{read_ntriples, NTriplesFormat, NTriplesWriter};
 pub use paged::{StoreError, StoreInfo, StoreMeta, StoreReader, StoreWriter, DEFAULT_PAGE_SIZE};
 pub use sink::{CountingSink, EdgeSink, VecSink};
