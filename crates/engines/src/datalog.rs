@@ -14,9 +14,10 @@
 //! relation of its symbol, in the symbol's own direction; `node(X)` is the
 //! identity relation joined as the self-loop `(X, id, X)`; an IDB predicate
 //! grows by sorted difference and union — a rule body is joined left to
-//! right by `join_all`, storing only the columns the head and the later
-//! atoms read, and its head is read off the last atom as a set by the
-//! join's head kernel. What it
+//! right by the shared join loop, `join_all`, whose mount hands each atom
+//! its relation (the delta at one position, the full relation at the
+//! others), storing only the columns the head and the later atoms read,
+//! and its head is read off the last atom as a set. What it
 //! does not share is the strategy: auxiliary predicates per conjunct, and a
 //! delta-driven fixpoint over all rules at once, which re-derives each fact
 //! at most once per rule and body position — the architectural reason `D`
@@ -28,16 +29,16 @@
 //! of the engine's contract:
 //!
 //! * (a) within a body, the raw (pre-dedup) row count after each atom,
-//!   checked after every input row — what `BindingTable::extend` charges,
-//!   counting an atom's rows before it writes any, so an atom over the cap
-//!   fails with the same count and derives nothing;
+//!   checked after every input row — what every join step charges when it
+//!   is resolved, counting an atom's rows before it writes any, so an atom
+//!   over the cap fails with the same count and derives nothing;
 //! * (b) every delta round starts with the clock and with
 //!   `|EDB| + |IDB|` — `|EDB|` is [`EvalContext::edb`], nodes plus the
 //!   distinct edges of *every* predicate, `|IDB|` every distinct derived
 //!   fact, `ans` included — and a round runs whenever the one before it
 //!   added a fact to any predicate, `ans` included. A rule's head is made
-//!   a set before it is added, uncharged beyond (a): the join's head
-//!   kernel reads it off the last atom as the CSR of its head pairs,
+//!   a set before it is added, uncharged beyond (a): the join loop
+//!   reads it off the last atom's step as the CSR of its head pairs,
 //!   never writing that atom's rows or their head cells, and an IDB head
 //!   takes the CSR as its [`Relation`] as it is (`p(X, X) :- node(X)` is
 //!   the identity's self-loop diagonal), while `ans`'s becomes answers;
@@ -54,12 +55,12 @@
 //!   context module docs).
 
 use crate::context::EvalContext;
-use crate::joiner::{join_all, ConjunctPairs};
+use crate::joiner::{join_all, BindingTable, ConjunctPairs};
 use crate::planner::QueryPlan;
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError};
-use gmark_core::datalog::{Atom, DlRule, Head, Pred, Program};
-use gmark_core::query::{Query, QueryError};
+use gmark_core::datalog::{DlRule, Head, Pred, Program};
+use gmark_core::query::{Query, QueryError, Var};
 
 /// Whether `pred` is complete after round 0: extensional, or defined only
 /// by rules with IDB-free bodies (the step predicates of closure
@@ -113,24 +114,27 @@ impl Fixpoint<'_, '_> {
         }
     }
 
-    /// Evaluates one rule — its body joined left to right, atom `i`
-    /// ranging over `Δ` instead of its full relation when
+    /// Evaluates one rule — its body joined left to right, the mount
+    /// handing atom `i` `Δ` instead of its full relation when
     /// `delta_at = Some((i, Δ))` — and adds what it derives.
     fn apply(
         &mut self,
         rule: &DlRule,
         delta_at: Option<(usize, &Relation)>,
     ) -> Result<(), EvalError> {
-        let mount = |(i, atom): (usize, &Atom)| ConjunctPairs {
-            src: atom.src,
-            trg: atom.trg,
-            pairs: match delta_at {
-                Some((pos, delta)) if pos == i => delta,
-                _ => self.relation(atom.pred),
-            },
+        let ends: Vec<(Var, Var)> = rule.body.iter().map(|a| (a.src, a.trg)).collect();
+        let mount = |i: usize, _: &BindingTable| {
+            let atom = &rule.body[i];
+            Ok(ConjunctPairs {
+                src: atom.src,
+                trg: atom.trg,
+                pairs: match delta_at {
+                    Some((pos, delta)) if pos == i => delta,
+                    _ => self.relation(atom.pred),
+                },
+            })
         };
-        let body: Vec<ConjunctPairs<'_>> = rule.body.iter().enumerate().map(mount).collect();
-        let derived = join_all(&body, &rule.args, self.budget, |_| Ok(()))?;
+        let derived = join_all(&ends, &rule.args, self.budget, mount, |_| Ok(()))?;
         match rule.head {
             Head::Idb(p) => self.add(p, derived.into_relation()),
             Head::Ans => {

@@ -1,69 +1,71 @@
 //! The one join kernel: binary relations joined over shared variables.
 //!
-//! All four engines grow a [`BindingTable`] through the same
-//! [`BindingTable::extend`] and read their heads off its last step through
-//! the same head kernel, [`read_head`]: `P` and `S` join a whole rule body
-//! at once ([`join_materialized`], one body for both, differing only in
-//! the kernel a cache miss runs), `G` one seed-driven conjunct at a time,
-//! `D` the body of every Datalog rule, with a delta substituted at one
-//! position. `P`, `G` and `S` also share the rule loop
-//! ([`union_of_rules`]); `D` has its own fixpoint.
-//! Conjunct results arrive as borrowed [`Relation`]s — CSRs with sorted
-//! `u32` target runs, often straight out of the sub-expression cache — so
-//! the kernel reads each relation's offsets, not a hash table: an
-//! extension takes a row's partners as one source run ([`Csr::neighbors`],
-//! O(1)), a semi-join looks up the run and binary-searches inside it
+//! All four engines join a rule body through one loop, [`join_all`], each
+//! step of it one [`Step`]: a conjunct resolved once against the table so
+//! far — its arm picked, its relation taken in that arm's direction, its
+//! rows counted and charged — then written as the next table
+//! ([`Step::rows`]) or, at a rule's last step, read as the head
+//! ([`Step::head`]). An engine only mounts each step's relation: `P` and
+//! `S` the relations they resolved for the whole body before the first
+//! join ([`join_materialized`], one body for both, differing only in the
+//! kernel a cache miss runs), `G` a seed-driven BFS from the values the
+//! table binds, `D` a delta at one atom and the full relation at the
+//! others. `P`, `G` and `S` also share the rule loop ([`union_of_rules`]);
+//! `D` has its own fixpoint.
+//! Conjunct results arrive as [`Relation`]s — CSRs with sorted `u32`
+//! target runs, often straight out of the sub-expression cache — so the
+//! kernel reads each relation's offsets, not a hash table: an extension
+//! takes a row's partners as one source run ([`Csr::neighbors`], O(1)), a
+//! semi-join looks up the run and binary-searches inside it
 //! ([`Csr::contains`]), and the Cartesian arm walks every pair
 //! ([`Csr::iter_edges`]). When only the target is bound, the runs are
-//! those of the transposed relation ([`Csr::transpose`], a counting
-//! sort) — an arm only `P`, `S` and `D` take: `G` runs a target-anchored
-//! conjunct backwards from the bound targets and mounts the result keyed
-//! by them, its variables swapped. No per-conjunct hash index is ever
-//! built.
+//! those of the transposed relation ([`Csr::transpose`], a counting sort,
+//! once per step) — an arm only `P`, `S` and `D` take: `G` runs a
+//! target-anchored conjunct backwards from the bound targets and mounts
+//! the result keyed by them, its variables swapped. No per-conjunct hash
+//! index is ever built.
 //!
 //! # Live columns
 //!
 //! A row carries only what is still needed. Each step receives its *live*
 //! variables — the head, plus every variable of a later step — and
-//! [`BindingTable::extend`] copies only those columns into its output; a
-//! newly bound variable nobody reads is not stored at all. Every arm
-//! still emits one output row per match, dead columns or not, so every
-//! row count is what it would be with every column kept: each
-//! `check_size` sees the same number, each `TooLarge(n)` carries the same
-//! `n`. Dropping a column never merges two rows: every step but the last
-//! keeps bag semantics. A dropped column is never needed again: a later
-//! step reads only its own variables, which are live, and the head is
-//! live throughout.
+//! [`Step::rows`] copies only those columns into its output; a newly bound
+//! variable nobody reads is not stored at all. Every arm still emits one
+//! output row per match, dead columns or not, so every row count is what
+//! it would be with every column kept: each `check_size` sees the same
+//! number, each `TooLarge(n)` carries the same `n`. Dropping a column
+//! never merges two rows: every step but the last keeps bag semantics. A
+//! dropped column is never needed again: a later step reads only its own
+//! variables, which are live, and the head is live throughout.
 //!
-//! # The head
+//! # Counting, and the head
 //!
-//! A rule's last step writes no rows. [`read_head`] joins it and returns
-//! the head already a set — a [`Csr`] of head pairs — built from the runs
-//! and rows the step would have written, so the bag of the last step and
-//! its projected head cells never exist. It charges exactly what writing
-//! them would have: the step's raw row count, then the projected row
-//! count. Heads it does not read (arity 3 and up, the new variable twice,
-//! a Cartesian step under a kept column) and builds whose scratch would
-//! outgrow the rows take the bag path: the step written as rows,
-//! [`project`]ed, and made a set by [`Answers::from_rows`].
+//! A step counts its rows when it is resolved, before it writes one. A
+//! bound arm adds up each input row's run length (O(1) from the offsets),
+//! the Cartesian arm the relation's length (its diagonal's, for a
+//! self-loop) once per input row, and the running total is charged after
+//! every input row: the charges a row-at-a-time loop makes. A semi-join
+//! only counts. A step over the cap so fails with the same `TooLarge(n)`
+//! without writing a row, and one that fits writes into one buffer of its
+//! exact size.
 //!
-//! A step that can grow the table counts its rows before it writes one.
-//! A bound arm adds up each input row's run length (O(1) from the
-//! offsets), the Cartesian arm adds the relation's length, after the
-//! self-loop filter, once per input row, and the running total is charged
-//! after every input row: the charges a row-at-a-time loop makes. A step
-//! over the cap so fails with the same `TooLarge(n)` without writing a
-//! row, and a step that fits writes into one buffer reserved at its exact
-//! size. [`union_of_rules`] likewise charges a rule's projected rows
-//! before its head is built.
+//! A rule's last step writes no table: [`Step::head`] reads the head off
+//! it already a set — a [`Csr`] of head pairs — so the last step's bag and
+//! its projected head cells never exist, after charging what writing them
+//! would have (the rows when the step was resolved, then the projected
+//! rows). A head shape it does not read as a set, or a build whose scratch
+//! would outgrow the rows, takes the bag path from the same step: its head
+//! cells, written off the same visit of the step's rows that [`Step::rows`]
+//! makes, made a set by [`Answers::from_rows`].
 
 use crate::context::EvalContext;
-use crate::planner::{ConjunctStep, QueryPlan};
 use crate::relations::Relation;
-use crate::{scatter_fits, Answers, Budget, EvalError};
-use gmark_core::query::{Query, RegularExpr, Rule, Var};
+use crate::{scatter_fits, Answers, Budget, EvalError, QueryPlan};
+use gmark_core::query::{Conjunct, Query, RegularExpr, Var};
 use gmark_store::{Csr, NodeId};
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Rows over an ordered set of variables, stored row-major in one flat
@@ -101,22 +103,6 @@ impl BindingTable {
         (0..self.len).map(move |r| &self.cells[r * width..(r + 1) * width])
     }
 
-    /// An empty table over `vars` with room for `rows` rows.
-    fn with_capacity(vars: Vec<Var>, rows: usize) -> BindingTable {
-        BindingTable {
-            cells: Vec::with_capacity(rows * vars.len()),
-            vars,
-            len: 0,
-        }
-    }
-
-    /// Appends one output row: the `keep` columns of `row`, then `new`.
-    fn push(&mut self, row: &[NodeId], keep: &[usize], new: &[NodeId]) {
-        self.cells.extend(keep.iter().map(|&c| row[c]));
-        self.cells.extend_from_slice(new);
-        self.len += 1;
-    }
-
     /// The output row count of a step in which input row `row` yields
     /// `yields(row)` rows, charging the running total against the tuple
     /// cap after every input row.
@@ -132,106 +118,366 @@ impl BindingTable {
         }
         Ok(total)
     }
+}
 
-    /// Joins one conjunct into the table, storing only the `live`
-    /// variables (see the module docs). Which variables are already bound
-    /// picks the arm: both — a semi-join, which can only shrink the
-    /// table; one — each row selects its sorted run of partners; none — a
-    /// Cartesian product (this is also how the first conjunct seeds the
-    /// [`BindingTable::unit`] table). A self-loop conjunct `(?x, r, ?x)`
-    /// keeps only `(v, v)` pairs and binds one column.
-    ///
-    /// Every arm that can grow the table counts its output before it
-    /// writes a row, charging the cumulative row count against the tuple
-    /// cap after every input row: a step over the cap fails with the
-    /// first total that exceeds it and writes nothing, and a step that
-    /// fits writes into one buffer of its exact size.
-    pub fn extend(
-        &self,
-        c: &ConjunctPairs<'_>,
-        live: &[Var],
+/// One conjunct's relation, tagged with its variables, as a mount hands
+/// it to a step: borrowed (`&Relation` — a context relation, a resolved
+/// cache entry, a Datalog predicate) or shared (`Arc<Relation>` — `G`'s
+/// seeded BFS), never copied.
+#[derive(Debug)]
+pub(crate) struct ConjunctPairs<R> {
+    pub src: Var,
+    pub trg: Var,
+    pub pairs: R,
+}
+
+/// Where a variable's value lies in a row a step yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum At {
+    /// A column of the table the step extends.
+    Kept(usize),
+    /// The conjunct's source, not bound before the step.
+    Src,
+    /// The conjunct's target, not bound before the step.
+    Trg,
+}
+
+/// How a step's conjunct meets the table.
+#[derive(Debug)]
+enum Arm<'a> {
+    /// Both ends bound, at these columns: a semi-join, which can only
+    /// shrink the table. A self-loop conjunct bound at its one variable
+    /// is one too.
+    Semi(usize, usize),
+    /// One end bound, at column `col`: each row selects its sorted run of
+    /// partners in `rel`, the relation keyed by the bound end — the
+    /// conjunct's own when that is the source, its transpose when it is
+    /// the target.
+    Bound { col: usize, rel: Cow<'a, Csr> },
+    /// Neither end bound: every row meets every pair of the relation, or
+    /// only its `(v, v)` pairs for a self-loop `(?x, r, ?x)`, which binds
+    /// one column. This is also how the first conjunct seeds the
+    /// [`BindingTable::unit`] table.
+    Cartesian,
+}
+
+/// One join step: a conjunct resolved against the table it extends. This
+/// is the one place that picks the arm, takes the relation in the arm's
+/// direction and counts and charges the step's rows (see the module
+/// docs); [`Step::rows`] and [`Step::head`] only read what it resolved.
+#[derive(Debug)]
+struct Step<'a> {
+    table: &'a BindingTable,
+    src: Var,
+    trg: Var,
+    pairs: &'a Csr,
+    arm: Arm<'a>,
+    /// The number of rows the step yields, as a bag.
+    len: usize,
+}
+
+impl<'a> Step<'a> {
+    /// Resolves conjunct `c` against `table`: the arm its bound variables
+    /// pick, and the step's rows, counted and charged after every input
+    /// row, so a step over the cap fails with the first total that exceeds
+    /// it.
+    fn new<R: Deref<Target = Relation>>(
+        table: &'a BindingTable,
+        c: &'a ConjunctPairs<R>,
         budget: &Budget,
-    ) -> Result<BindingTable, EvalError> {
-        let is_live = |v: &Var| live.contains(v);
-        let keep: Vec<usize> = (0..self.vars.len())
-            .filter(|&i| is_live(&self.vars[i]))
-            .collect();
-        let mut vars: Vec<Var> = keep.iter().map(|&i| self.vars[i]).collect();
-        let (src_col, trg_col) = (self.col(c.src), self.col(c.trg));
-        Ok(match (src_col, trg_col) {
+    ) -> Result<Step<'a>, EvalError> {
+        let pairs: &Csr = &c.pairs;
+        let (src_col, trg_col) = (table.col(c.src), table.col(c.trg));
+        let (arm, len) = match (src_col, trg_col) {
             (Some(sc), Some(tc)) => {
-                let mut out = BindingTable::with_capacity(vars, 0);
-                for row in self.rows() {
-                    if c.pairs.contains(row[sc], row[tc]) {
-                        out.push(row, &keep, &[]);
-                    }
-                }
-                out
+                let hits = table.rows().filter(|row| pairs.contains(row[sc], row[tc]));
+                (Arm::Semi(sc, tc), hits.count())
             }
             (Some(col), None) | (None, Some(col)) => {
-                let new_var = if src_col.is_some() { c.trg } else { c.src };
-                let new_live = is_live(&new_var);
-                if new_live {
-                    vars.push(new_var);
-                }
-                if self.len == 0 {
-                    return Ok(BindingTable::with_capacity(vars, 0));
-                }
                 // Backward is forward over the transposed relation.
-                let reversed;
-                let rel: &Csr = if src_col.is_some() {
-                    c.pairs
+                let rel = if src_col.is_some() || table.len == 0 {
+                    Cow::Borrowed(pairs)
                 } else {
-                    reversed = c.pairs.transpose();
-                    &reversed
+                    Cow::Owned(pairs.transpose())
                 };
-                let len = self.count_output(budget, |row| rel.degree(row[col]))?;
-                let mut out = BindingTable::with_capacity(vars, len);
-                let stored = usize::from(new_live);
-                for row in self.rows() {
-                    for &partner in rel.neighbors(row[col]) {
-                        out.push(row, &keep, &[partner][..stored]);
-                    }
-                }
-                out
+                let keyed: &Csr = &rel;
+                let len = table.count_output(budget, |row| keyed.degree(row[col]))?;
+                (Arm::Bound { col, rel }, len)
             }
             (None, None) => {
-                let self_loop = c.src == c.trg;
-                let (src_live, trg_live) = (is_live(&c.src), !self_loop && is_live(&c.trg));
-                if src_live {
-                    vars.push(c.src);
+                let per_row = if c.src == c.trg {
+                    pairs.iter_edges().filter(|(s, t)| s == t).count()
+                } else {
+                    pairs.edge_count()
+                };
+                (Arm::Cartesian, table.count_output(budget, |_| per_row)?)
+            }
+        };
+        Ok(Step {
+            table,
+            src: c.src,
+            trg: c.trg,
+            pairs,
+            arm,
+            len,
+        })
+    }
+
+    /// The step written as a table, storing only the `live` variables:
+    /// the kept columns in their order, then the newly bound source, then
+    /// the newly bound target. This is the row writer every step but a
+    /// rule's last goes through.
+    fn rows(&self, live: &[Var]) -> BindingTable {
+        let keep: Vec<usize> = (0..self.table.vars.len())
+            .filter(|&k| live.contains(&self.table.vars[k]))
+            .collect();
+        let mut vars: Vec<Var> = keep.iter().map(|&k| self.table.vars[k]).collect();
+        let stored = |v: Var| self.table.col(v).is_none() && live.contains(&v);
+        let (src_new, trg_new) = (stored(self.src), self.trg != self.src && stored(self.trg));
+        vars.extend(src_new.then_some(self.src));
+        vars.extend(trg_new.then_some(self.trg));
+        let mut cells = Vec::with_capacity(self.len * vars.len());
+        // Two pushes, not a copy of a slice of `[s, t]` whose length the
+        // loop cannot see: that costs a `memcpy` call per row.
+        self.each(|row, s, t| {
+            cells.extend(keep.iter().map(|&k| row[k]));
+            if src_new {
+                cells.push(s);
+            }
+            if trg_new {
+                cells.push(t);
+            }
+        });
+        BindingTable {
+            vars,
+            cells,
+            len: self.len,
+        }
+    }
+
+    /// Reads `head` off the step as a set, without writing the step's
+    /// rows or copying them into head cells. After the step's own charge
+    /// it makes the charges of projecting its rows, in their order:
+    /// [`EvalError::Unsupported`] for a head variable the body never
+    /// binds, then `charge`, handed the raw projected row count (one row
+    /// or none at arity 0). Only then does it build, so every
+    /// `TooLarge(n)` is the bag's.
+    ///
+    /// The arm is the step's, and the head's shape picks the build:
+    /// - **a kept column and the new partner** (one end bound, the other
+    ///   in the head): every row's run of partners is copied whole into a
+    ///   counting scatter keyed by the kept column (a constant at arity 1),
+    ///   whose offsets come from the run lengths and whose target hull
+    ///   from each run's ends, and the runs are made sets by
+    ///   [`Csr::from_runs`]. A partner-first head is built keyed by the
+    ///   kept column and transposed;
+    /// - **only kept columns** (the semi-join arm, or the new variable
+    ///   dead): the head pairs of the rows that match go through
+    ///   [`Csr::try_from_edges`];
+    /// - **a Cartesian step under no kept column**: the head is read off
+    ///   the relation alone — itself, its transpose, or its sources,
+    ///   targets or self-loop diagonal through [`Csr::try_from_edges`].
+    ///
+    /// Every other head — arity 3 and up, the new variable twice, a
+    /// Cartesian step under a kept column — and a build whose scratch
+    /// would outgrow the rows ([`scatter_fits`]) takes the bag path: the
+    /// head cells of every row the step yields, made a set by
+    /// [`Answers::from_rows`].
+    fn head(
+        &self,
+        head: &[Var],
+        charge: impl FnOnce(usize) -> Result<(), EvalError>,
+    ) -> Result<HeadSet, EvalError> {
+        let at: Vec<At> = head
+            .iter()
+            .map(|&v| self.at(v).ok_or_else(|| unbound(v)))
+            .collect::<Result<_, _>>()?;
+        let arity = head.len();
+        charge(if arity == 0 {
+            usize::from(self.len > 0)
+        } else {
+            self.len
+        })?;
+        if let Some(csr) = self.build(&at) {
+            return Ok(HeadSet::Pairs(csr));
+        }
+        // The bag path: the head cells of every row the step yields.
+        let mut cells = Vec::with_capacity(self.len * arity);
+        self.each(|row, s, t| {
+            cells.extend(at.iter().map(|&at| match at {
+                At::Kept(k) => row[k],
+                At::Src => s,
+                At::Trg => t,
+            }));
+        });
+        Ok(HeadSet::Rows(Answers::from_rows(arity, self.len, cells)))
+    }
+
+    /// Where variable `v` lies in the rows the step yields; `None` if the
+    /// step leaves it unbound. A self-loop's one variable reads as `Src`.
+    fn at(&self, v: Var) -> Option<At> {
+        match self.table.col(v) {
+            Some(col) => Some(At::Kept(col)),
+            None if v == self.src => Some(At::Src),
+            None if v == self.trg => Some(At::Trg),
+            None => None,
+        }
+    }
+
+    /// The pairs of the relation a Cartesian step meets: all of them, or
+    /// the diagonal for a self-loop.
+    fn matches(&self) -> impl Iterator<Item = (NodeId, NodeId)> + Clone + '_ {
+        let self_loop = self.src == self.trg;
+        self.pairs
+            .iter_edges()
+            .filter(move |(s, t)| !self_loop || s == t)
+    }
+
+    /// Visits every row the step yields, in order: the input row it
+    /// extends, and what its `Src` and `Trg` cells read — the pair the
+    /// conjunct matched it with, except that a bound step hands its new
+    /// partner as both, its bound end being a kept column.
+    fn each(&self, mut visit: impl FnMut(&[NodeId], NodeId, NodeId)) {
+        let rows = self.table.rows();
+        match &self.arm {
+            &Arm::Semi(sc, tc) => {
+                for row in rows.filter(|row| self.pairs.contains(row[sc], row[tc])) {
+                    visit(row, row[sc], row[tc]);
                 }
-                if trg_live {
-                    vars.push(c.trg);
-                }
-                let matches = || c.pairs.iter_edges().filter(|(s, t)| !self_loop || s == t);
-                let per_row = matches().count();
-                let len = self.count_output(budget, |_| per_row)?;
-                let mut out = BindingTable::with_capacity(vars, len);
-                // The stored part of each `[s, t]`: both, one or neither.
-                let stored = usize::from(!src_live)..1 + usize::from(trg_live);
-                for row in self.rows() {
-                    for (s, t) in matches() {
-                        out.push(row, &keep, &[s, t][stored.clone()]);
+            }
+            Arm::Bound { col, rel } => {
+                for row in rows {
+                    for &partner in rel.neighbors(row[*col]) {
+                        visit(row, partner, partner);
                     }
                 }
-                out
             }
-        })
+            Arm::Cartesian => {
+                for row in rows {
+                    for (s, t) in self.matches() {
+                        visit(row, s, t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The head of one or two cells at `at` as a set of pairs, read off
+    /// the arm (see [`Step::head`]); `None` when the head's shape is not
+    /// read as a set or its scratch would outgrow the rows.
+    fn build(&self, at: &[At]) -> Option<Csr> {
+        let arity = at.len();
+        let kept: Vec<usize> = at
+            .iter()
+            .filter_map(|a| match a {
+                At::Kept(k) => Some(*k),
+                _ => None,
+            })
+            .collect();
+        let partners = arity - kept.len();
+        let reads = arity <= 2
+            && match self.arm {
+                Arm::Cartesian => kept.is_empty(),
+                _ => partners <= 1,
+            };
+        if !reads {
+            return None;
+        } else if self.len == 0 {
+            return Some(Csr::default());
+        } else if arity == 0 {
+            return Some(satisfied());
+        }
+        let fits = |first, last| scatter_fits(arity, self.len, first, last);
+        match &self.arm {
+            // A kept column (or none, at arity 1) and the new partner.
+            Arm::Bound { col, rel, .. } if partners == 1 => {
+                let csr = self.gather_runs(rel, *col, kept.first().copied(), arity)?;
+                let partner_first = matches!(at, [At::Src | At::Trg, At::Kept(_)]);
+                Some(if partner_first { csr.transpose() } else { csr })
+            }
+            // A Cartesian step, whose head reads only the relation.
+            Arm::Cartesian => {
+                let end = |a: At, (s, t): (NodeId, NodeId)| if a == At::Src { s } else { t };
+                match *at {
+                    [At::Src, At::Trg] => Some(self.pairs.clone()),
+                    [At::Trg, At::Src] => Some(self.pairs.transpose()),
+                    [a] => Csr::try_from_edges(self.matches().map(|p| (0, end(a, p))), fits),
+                    [a, b] => {
+                        Csr::try_from_edges(self.matches().map(|p| (end(a, p), end(b, p))), fits)
+                    }
+                    _ => unreachable!("a head of one or two cells"),
+                }
+            }
+            // Only kept columns: the pairs of the rows that match.
+            _ => {
+                let hit = |row: &&[NodeId]| match &self.arm {
+                    &Arm::Semi(sc, tc) => self.pairs.contains(row[sc], row[tc]),
+                    Arm::Bound { col, rel, .. } => rel.degree(row[*col]) > 0,
+                    Arm::Cartesian => unreachable!("a bound step"),
+                };
+                let pair = |row: &[NodeId]| match kept[..] {
+                    [v] => (0, row[v]),
+                    [a, b] => (row[a], row[b]),
+                    _ => unreachable!("a head of one or two cells"),
+                };
+                Csr::try_from_edges(self.table.rows().filter(hit).map(pair), fits)
+            }
+        }
+    }
+
+    /// The set of `(row[key], partner)` over every row's run of partners
+    /// in `rel` at column `col` — `(0, partner)` without a key — built
+    /// from whole runs, one partner per row of the step. `None` when the
+    /// scratch would outgrow the rows ([`scatter_fits`]).
+    fn gather_runs(&self, rel: &Csr, col: usize, key: Option<usize>, arity: usize) -> Option<Csr> {
+        let (table, len) = (self.table, self.len);
+        let key_of = |row: &[NodeId]| key.map_or(0, |k| row[k]);
+        // Rows without partners may lie outside the key hull; they add
+        // nothing.
+        let runs = || {
+            let rows = table
+                .rows()
+                .map(|row| (key_of(row), rel.neighbors(row[col])));
+            rows.filter(|(_, run)| !run.is_empty())
+        };
+        let (mut keys, mut targets) = ((NodeId::MAX, 0), (NodeId::MAX, 0));
+        for (k, run) in runs() {
+            keys = (keys.0.min(k), keys.1.max(k));
+            targets = (targets.0.min(run[0]), targets.1.max(run[run.len() - 1]));
+        }
+        let (base, span) = (keys.0, (keys.1 - keys.0) as usize + 1);
+        let target_hull = (targets.0, (targets.1 - targets.0) as usize + 1);
+        if !scatter_fits(arity, len, span, target_hull.1) {
+            return None;
+        }
+        let mut offsets = vec![0u32; span + 1];
+        for (k, run) in runs() {
+            offsets[(k - base) as usize + 1] += run.len() as u32;
+        }
+        for i in 0..span {
+            offsets[i + 1] += offsets[i];
+        }
+        // The offsets are the cursors: after the copies, `offsets[i]` is
+        // where key `i`'s runs end — where key `i + 1`'s start.
+        let mut partners: Vec<NodeId> = vec![0; len];
+        for (k, run) in runs() {
+            let cursor = &mut offsets[(k - base) as usize];
+            let at = *cursor as usize;
+            partners[at..at + run.len()].copy_from_slice(run);
+            *cursor += run.len() as u32;
+        }
+        offsets.copy_within(0..span, 1);
+        offsets[0] = 0;
+        Some(Csr::from_runs(base, offsets, partners, target_hull))
     }
 }
 
-/// One conjunct's materialized relation, tagged with its variables. The
-/// relation is borrowed, so a context relation, a sub-expression cache hit
-/// or a Datalog predicate mounts here without a copy of its arrays.
-#[derive(Debug)]
-pub(crate) struct ConjunctPairs<'r> {
-    pub src: Var,
-    pub trg: Var,
-    pub pairs: &'r Relation,
+/// The set of head pairs of a satisfied Boolean head: `(0, 0)`.
+fn satisfied() -> Csr {
+    Csr::from_parts(0, vec![0, 1], vec![0])
 }
 
-/// A rule's head as a set, as [`read_head`] reads it.
+/// A rule's head as a set, as [`Step::head`] reads it.
 #[derive(Debug)]
 pub(crate) enum HeadSet {
     /// A head of arity 0 to 2 as pairs: `(a, b)` at arity 2, `(0, v)` at
@@ -259,31 +505,42 @@ impl HeadSet {
     }
 }
 
-/// Joins conjuncts in the given order, each step but the last storing only
-/// its live columns, and reads the head off the last step as a set
-/// ([`read_head`], which hands `charge` the head's raw row count).
-pub(crate) fn join_all(
-    conjuncts: &[ConjunctPairs<'_>],
+/// The one join loop: joins the steps whose variables are `ends`, in
+/// order, each [`Step`] but the last written as the next table of its
+/// live columns, and reads the head off the last ([`Step::head`], which
+/// hands `charge` the head's raw row count). `mount(i, table)` is the
+/// engine: it hands over step `i`'s relation, given the table it will
+/// extend; the clock is checked before every mount. A body of no
+/// conjuncts is the join identity, which satisfies only a Boolean head.
+pub(crate) fn join_all<R: Deref<Target = Relation>>(
+    ends: &[(Var, Var)],
     head: &[Var],
     budget: &Budget,
+    mut mount: impl FnMut(usize, &BindingTable) -> Result<ConjunctPairs<R>, EvalError>,
     charge: impl FnOnce(usize) -> Result<(), EvalError>,
 ) -> Result<HeadSet, EvalError> {
     let mut table = BindingTable::unit();
-    let Some((last, init)) = conjuncts.split_last() else {
-        return bag_head(&table, None, head, budget, charge);
-    };
-    for (i, c) in init.iter().enumerate() {
+    for i in 0..ends.len() {
         budget.check_time()?;
-        let later = conjuncts[i + 1..].iter().map(|c| (c.src, c.trg));
-        table = table.extend(c, &live_after(head, later), budget)?;
+        table = {
+            let c = mount(i, &table)?;
+            let step = Step::new(&table, &c, budget)?;
+            if i + 1 == ends.len() {
+                return step.head(head, charge);
+            }
+            step.rows(&live_after(head, ends[i + 1..].iter().copied()))
+        };
     }
-    budget.check_time()?;
-    read_head(&table, last, head, budget, charge)
+    match head.first() {
+        Some(&v) => Err(unbound(v)),
+        None => charge(1).map(|()| HeadSet::Pairs(satisfied())),
+    }
 }
 
 /// The body `P` and `S` share, differing only in `kernel`: each conjunct
 /// of a rule read in plan order through [`EvalContext::conjunct_relation`]
-/// (a miss runs `kernel`), then all joined in that order.
+/// (a miss runs `kernel`), all before the first join, then joined in that
+/// order.
 pub(crate) fn join_materialized(
     ctx: &EvalContext<'_>,
     query: &Query,
@@ -291,31 +548,27 @@ pub(crate) fn join_materialized(
     budget: &Budget,
     kernel: impl Fn(&RegularExpr) -> Result<Arc<Relation>, EvalError>,
 ) -> Result<Answers, EvalError> {
-    union_of_rules(query, plan, budget, |rule, steps, charge| {
-        let conjunct = |step: &ConjunctStep| &rule.body[step.conjunct];
-        let relations = steps
+    union_of_rules(query, plan, budget, |head, body, charge| {
+        let relations = body
             .iter()
-            .map(|step| {
-                let expr = &conjunct(step).expr;
-                ctx.conjunct_relation(expr, budget, || kernel(expr))
-            })
+            .map(|c| ctx.conjunct_relation(&c.expr, budget, || kernel(&c.expr)))
             .collect::<Result<Vec<_>, _>>()?;
-        let conjuncts: Vec<ConjunctPairs<'_>> = steps
-            .iter()
-            .zip(&relations)
-            .map(|(step, pairs)| ConjunctPairs {
-                src: conjunct(step).src,
-                trg: conjunct(step).trg,
-                pairs,
+        let ends: Vec<(Var, Var)> = body.iter().map(|c| (c.src, c.trg)).collect();
+        let mount = |i: usize, _: &BindingTable| {
+            let (src, trg) = ends[i];
+            Ok(ConjunctPairs {
+                src,
+                trg,
+                pairs: &*relations[i],
             })
-            .collect();
-        join_all(&conjuncts, &rule.head, budget, charge)
+        };
+        join_all(&ends, head, budget, mount, charge)
     })
 }
 
 /// The variables a step must store: the head, plus both variables of
 /// every later step.
-pub(crate) fn live_after(head: &[Var], later: impl Iterator<Item = (Var, Var)>) -> Vec<Var> {
+fn live_after(head: &[Var], later: impl Iterator<Item = (Var, Var)>) -> Vec<Var> {
     let mut live = head.to_vec();
     for (src, trg) in later {
         live.extend([src, trg]);
@@ -330,14 +583,14 @@ pub(crate) type Charge<'a> = &'a dyn Fn(usize) -> Result<(), EvalError>;
 /// The rule loop `P`, `G` and `S` share: the union, over the query's
 /// rules, of each rule's head set, charging the cumulative raw projected
 /// row count after every rule, before that rule's head is built.
-/// `head_of` is the engine — how one rule's conjuncts become a head along
-/// the planned steps, ending in [`read_head`] with the charge it is
-/// handed. `plan` must fit `query` (the entry point checks).
+/// `head_of` is the engine — how one rule's head and its conjuncts, in
+/// plan order, become a head set through [`join_all`], with the charge it
+/// is handed. `plan` must fit `query` (the entry point checks).
 pub(crate) fn union_of_rules(
     query: &Query,
     plan: &QueryPlan,
     budget: &Budget,
-    mut head_of: impl FnMut(&Rule, &[ConjunctStep], Charge<'_>) -> Result<HeadSet, EvalError>,
+    mut head_of: impl FnMut(&[Var], &[&Conjunct], Charge<'_>) -> Result<HeadSet, EvalError>,
 ) -> Result<Answers, EvalError> {
     let charged = Cell::new(0);
     let charge = |rows: usize| {
@@ -346,250 +599,18 @@ pub(crate) fn union_of_rules(
     };
     let mut answers: Option<Answers> = None;
     for (rule, rule_plan) in query.rules.iter().zip(&plan.rules) {
-        let rule_answers = head_of(rule, &rule_plan.steps, &charge)?.into_answers(query.arity());
+        let body: Vec<&Conjunct> = rule_plan
+            .steps
+            .iter()
+            .map(|step| &rule.body[step.conjunct])
+            .collect();
+        let rule_answers = head_of(&rule.head, &body, &charge)?.into_answers(query.arity());
         answers = Some(match answers {
             Some(so_far) => so_far.union(&rule_answers),
             None => rule_answers,
         });
     }
     Ok(answers.unwrap_or_else(|| Answers::from_rows(query.arity(), 0, Vec::new())))
-}
-
-/// Where a head variable's value lies at a rule's last step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum At {
-    /// A column of the table the step extends.
-    Kept(usize),
-    /// The conjunct's source, not bound before the step.
-    Src,
-    /// The conjunct's target, not bound before the step.
-    Trg,
-}
-
-/// The one head kernel: joins a rule's last conjunct `c` into `table` and
-/// returns the head as a set, without writing the step's rows or copying
-/// them into head cells. It makes the charges of [`BindingTable::extend`]
-/// then [`project`], in their order: the step's raw row count, charged
-/// after every input row as `extend` charges it; then
-/// [`EvalError::Unsupported`] for a head variable the body never binds;
-/// then `charge`, handed the raw projected row count (one row or none at
-/// arity 0). Only then does it build, so every `TooLarge(n)` is the bag
-/// path's.
-///
-/// The arm is the step's, and the head's shape picks the build:
-/// - **a kept column and the new partner** (one end bound, the other in
-///   the head): every row's run of partners is copied whole into a
-///   counting scatter keyed by the kept column (a constant at arity 1),
-///   whose offsets come from the run lengths and whose target hull from
-///   each run's ends, and the runs are made sets by [`Csr::from_runs`]. A
-///   partner-first head is built keyed by the kept column and transposed;
-/// - **only kept columns** (the semi-join arm, or the new variable dead):
-///   the head pairs of the rows that match go through
-///   [`Csr::try_from_edges`];
-/// - **a Cartesian step under no kept column**: the head is read off the
-///   relation alone — itself, its transpose, or its sources, targets or
-///   self-loop diagonal through [`Csr::try_from_edges`] — when the table
-///   has a row.
-///
-/// Every other head — arity 3 and up, the new variable twice, a Cartesian
-/// step under a kept column — and a build whose scratch would outgrow the
-/// rows ([`scatter_fits`]) takes the bag path ([`bag_head`]) instead.
-pub(crate) fn read_head(
-    table: &BindingTable,
-    c: &ConjunctPairs<'_>,
-    head: &[Var],
-    budget: &Budget,
-    charge: impl FnOnce(usize) -> Result<(), EvalError>,
-) -> Result<HeadSet, EvalError> {
-    let arity = head.len();
-    let at: Vec<Option<At>> = head
-        .iter()
-        .map(|&v| match table.col(v) {
-            Some(col) => Some(At::Kept(col)),
-            None if v == c.src => Some(At::Src),
-            None if v == c.trg => Some(At::Trg),
-            None => None,
-        })
-        .collect();
-    let kept = at.iter().filter(|a| matches!(a, Some(At::Kept(_)))).count();
-    let partners = at
-        .iter()
-        .filter(|a| matches!(a, Some(At::Src | At::Trg)))
-        .count();
-    let (src_col, trg_col) = (table.col(c.src), table.col(c.trg));
-    let cartesian = src_col.is_none() && trg_col.is_none();
-    let reads = arity <= 2 && if cartesian { kept == 0 } else { partners <= 1 };
-    if !reads {
-        return bag_head(table, Some(c), head, budget, charge);
-    }
-
-    // The step's raw row count, charged as `extend` charges it.
-    let self_loop = c.src == c.trg;
-    let matches = || {
-        c.pairs
-            .iter_edges()
-            .filter(move |(s, t)| !self_loop || s == t)
-    };
-    let reversed;
-    let (len, rel) = match (src_col, trg_col) {
-        (Some(sc), Some(tc)) => {
-            let hit = |row: &&[NodeId]| c.pairs.contains(row[sc], row[tc]);
-            (table.rows().filter(hit).count(), None)
-        }
-        (Some(col), None) | (None, Some(col)) => {
-            let rel: &Csr = if src_col.is_some() || table.len == 0 {
-                c.pairs
-            } else {
-                reversed = c.pairs.transpose();
-                &reversed
-            };
-            let len = table.count_output(budget, |row| rel.degree(row[col]))?;
-            (len, Some((rel, col)))
-        }
-        (None, None) => {
-            let per_row = matches().count();
-            (table.count_output(budget, |_| per_row)?, None)
-        }
-    };
-    let at: Vec<At> = at
-        .into_iter()
-        .zip(head)
-        .map(|(at, v)| at.ok_or_else(|| unbound(*v)))
-        .collect::<Result<_, _>>()?;
-    charge(if arity == 0 {
-        usize::from(len > 0)
-    } else {
-        len
-    })?;
-
-    let fits = |first, last| scatter_fits(arity, len, first, last);
-    let built = if len == 0 {
-        Some(Csr::default())
-    } else if arity == 0 {
-        Some(Csr::from_parts(0, vec![0, 1], vec![0]))
-    } else if let Some((rel, col)) = rel.filter(|_| partners > 0) {
-        // A kept column (or none, at arity 1) and the new partner.
-        let key = at.iter().find_map(|a| match a {
-            At::Kept(k) => Some(*k),
-            _ => None,
-        });
-        let partner_first = arity == 2 && key.is_some() && !matches!(at[0], At::Kept(_));
-        gather_runs(table, rel, col, key, len, arity).map(|csr| {
-            if partner_first {
-                csr.transpose()
-            } else {
-                csr
-            }
-        })
-    } else if !cartesian {
-        // Only kept columns: the pairs of the rows that match.
-        let cols: Vec<usize> = at
-            .iter()
-            .map(|a| match a {
-                At::Kept(k) => *k,
-                _ => unreachable!("a head of kept columns"),
-            })
-            .collect();
-        let pair = |row: &[NodeId]| match cols[..] {
-            [v] => (0, row[v]),
-            [a, b] => (row[a], row[b]),
-            _ => unreachable!("a head of one or two cells"),
-        };
-        let hit = move |row: &&[NodeId]| match (src_col, trg_col) {
-            (Some(sc), Some(tc)) => c.pairs.contains(row[sc], row[tc]),
-            _ => rel.is_some_and(|(rel, col)| rel.degree(row[col]) > 0),
-        };
-        Csr::try_from_edges(table.rows().filter(hit).map(pair), fits)
-    } else {
-        // A Cartesian step, whose head reads only the relation. A
-        // self-loop's one variable reads as `Src`: its head is a diagonal.
-        let end = |a: At, (s, t): (NodeId, NodeId)| if a == At::Src { s } else { t };
-        match at[..] {
-            [At::Src, At::Trg] => Some((**c.pairs).clone()),
-            [At::Trg, At::Src] => Some(c.pairs.transpose()),
-            [a] => Csr::try_from_edges(matches().map(|p| (0, end(a, p))), fits),
-            [a, b] => Csr::try_from_edges(matches().map(|p| (end(a, p), end(b, p))), fits),
-            _ => unreachable!("a head of one or two cells"),
-        }
-    };
-    match built {
-        Some(csr) => Ok(HeadSet::Pairs(csr)),
-        None => bag_head(table, Some(c), head, budget, |_| Ok(())),
-    }
-}
-
-/// The set of `(row[key], partner)` over every row's run of partners in
-/// `rel` at column `col` — `(0, partner)` without a key — built from
-/// whole runs: `len` partners in all. `None` when the scratch would
-/// outgrow the rows ([`scatter_fits`]).
-fn gather_runs(
-    table: &BindingTable,
-    rel: &Csr,
-    col: usize,
-    key: Option<usize>,
-    len: usize,
-    arity: usize,
-) -> Option<Csr> {
-    let key_of = |row: &[NodeId]| key.map_or(0, |k| row[k]);
-    // Rows without partners may lie outside the key hull; they add nothing.
-    let runs = || {
-        let rows = table
-            .rows()
-            .map(|row| (key_of(row), rel.neighbors(row[col])));
-        rows.filter(|(_, run)| !run.is_empty())
-    };
-    let (mut keys, mut targets) = ((NodeId::MAX, 0), (NodeId::MAX, 0));
-    for (k, run) in runs() {
-        keys = (keys.0.min(k), keys.1.max(k));
-        targets = (targets.0.min(run[0]), targets.1.max(run[run.len() - 1]));
-    }
-    let (base, span) = (keys.0, (keys.1 - keys.0) as usize + 1);
-    let target_hull = (targets.0, (targets.1 - targets.0) as usize + 1);
-    if !scatter_fits(arity, len, span, target_hull.1) {
-        return None;
-    }
-    let mut offsets = vec![0u32; span + 1];
-    for (k, run) in runs() {
-        offsets[(k - base) as usize + 1] += run.len() as u32;
-    }
-    for i in 0..span {
-        offsets[i + 1] += offsets[i];
-    }
-    // The offsets are the cursors: after the copies, `offsets[i]` is where
-    // key `i`'s runs end — where key `i + 1`'s start.
-    let mut partners: Vec<NodeId> = vec![0; len];
-    for (k, run) in runs() {
-        let cursor = &mut offsets[(k - base) as usize];
-        let at = *cursor as usize;
-        partners[at..at + run.len()].copy_from_slice(run);
-        *cursor += run.len() as u32;
-    }
-    offsets.copy_within(0..span, 1);
-    offsets[0] = 0;
-    Some(Csr::from_runs(base, offsets, partners, target_hull))
-}
-
-/// The bag path, for the heads [`read_head`] does not read: the last step
-/// (if any) joined into `table` as a table of rows, [`project`]ed with
-/// `charge`, and made a set by [`Answers::from_rows`].
-fn bag_head(
-    table: &BindingTable,
-    last: Option<&ConjunctPairs<'_>>,
-    head: &[Var],
-    budget: &Budget,
-    charge: impl FnOnce(usize) -> Result<(), EvalError>,
-) -> Result<HeadSet, EvalError> {
-    let extended;
-    let table = match last {
-        Some(c) => {
-            extended = table.extend(c, head, budget)?;
-            &extended
-        }
-        None => table,
-    };
-    let mut cells = Vec::new();
-    let len = project(table, head, &mut cells, charge)?;
-    Ok(HeadSet::Rows(Answers::from_rows(head.len(), len, cells)))
 }
 
 /// A head variable that never appears in the body violates rule safety;
@@ -601,35 +622,6 @@ fn unbound(v: Var) -> EvalError {
     ))
 }
 
-/// The bag path's head projection: appends the table's rows, projected
-/// onto `head`, to the row-major `out` and returns how many rows that was
-/// (deduplication is [`Answers::from_rows`]' job). `charge` is handed
-/// that count before any row is copied, and an error from it is returned
-/// with `out` untouched. A Boolean head appends no cells and counts one
-/// row iff any row exists. A head variable the table lacks is
-/// [`unbound`].
-pub(crate) fn project(
-    table: &BindingTable,
-    head: &[Var],
-    out: &mut Vec<NodeId>,
-    charge: impl FnOnce(usize) -> Result<(), EvalError>,
-) -> Result<usize, EvalError> {
-    let cols: Vec<usize> = head
-        .iter()
-        .map(|&v| table.col(v).ok_or_else(|| unbound(v)))
-        .collect::<Result<_, _>>()?;
-    if cols.is_empty() {
-        let len = usize::from(table.len > 0);
-        return charge(len).map(|()| len);
-    }
-    charge(table.len)?;
-    out.reserve(table.len * cols.len());
-    for row in table.rows() {
-        out.extend(cols.iter().map(|&c| row[c]));
-    }
-    Ok(table.len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,11 +630,108 @@ mod tests {
     /// A test conjunct owns its relation; [`ConjunctPairs`] borrows it.
     type Owned = (u32, u32, Relation);
 
+    type Borrowed<'r> = ConjunctPairs<&'r Relation>;
+
+    impl BindingTable {
+        /// Joins one conjunct into the table, storing only the `live`
+        /// variables: one [`Step`], written.
+        fn extend(
+            &self,
+            c: &Borrowed<'_>,
+            live: &[Var],
+            budget: &Budget,
+        ) -> Result<BindingTable, EvalError> {
+            Ok(Step::new(self, c, budget)?.rows(live))
+        }
+
+        /// Appends one output row: the `keep` columns of `row`, then `new`.
+        fn push(&mut self, row: &[NodeId], keep: &[usize], new: &[NodeId]) {
+            self.cells.extend(keep.iter().map(|&c| row[c]));
+            self.cells.extend_from_slice(new);
+            self.len += 1;
+        }
+    }
+
+    /// The head read off one [`Step`].
+    fn read_head(
+        table: &BindingTable,
+        c: &Borrowed<'_>,
+        head: &[Var],
+        budget: &Budget,
+        charge: impl FnOnce(usize) -> Result<(), EvalError>,
+    ) -> Result<HeadSet, EvalError> {
+        Step::new(table, c, budget)?.head(head, charge)
+    }
+
+    /// The bag path, written out: the step joined into `table` as a table
+    /// of rows, [`project`]ed with `charge`, and made a set by
+    /// [`Answers::from_rows`].
+    fn bag_head(
+        table: &BindingTable,
+        c: &Borrowed<'_>,
+        head: &[Var],
+        budget: &Budget,
+        charge: impl FnOnce(usize) -> Result<(), EvalError>,
+    ) -> Result<HeadSet, EvalError> {
+        let table = table.extend(c, head, budget)?;
+        let mut cells = Vec::new();
+        let len = project(&table, head, &mut cells, charge)?;
+        Ok(HeadSet::Rows(Answers::from_rows(head.len(), len, cells)))
+    }
+
+    /// [`join_all`] over the conjuncts in order, each mounted as it is.
+    fn join_head(
+        conjuncts: &[Borrowed<'_>],
+        head: &[Var],
+        budget: &Budget,
+        charge: impl FnOnce(usize) -> Result<(), EvalError>,
+    ) -> Result<HeadSet, EvalError> {
+        let ends: Vec<(Var, Var)> = conjuncts.iter().map(|c| (c.src, c.trg)).collect();
+        let mount = |i: usize, _: &BindingTable| {
+            let c = &conjuncts[i];
+            Ok(ConjunctPairs {
+                src: c.src,
+                trg: c.trg,
+                pairs: c.pairs,
+            })
+        };
+        join_all(&ends, head, budget, mount, charge)
+    }
+
+    /// The reference's head projection: appends the table's rows,
+    /// projected onto `head`, to the row-major `out` and returns how many
+    /// rows that was (deduplication is [`Answers::from_rows`]' job).
+    /// `charge` is handed that count before any row is copied, and an
+    /// error from it is returned with `out` untouched. A Boolean head
+    /// appends no cells and counts one row iff any row exists. A head
+    /// variable the table lacks is [`unbound`].
+    fn project(
+        table: &BindingTable,
+        head: &[Var],
+        out: &mut Vec<NodeId>,
+        charge: impl FnOnce(usize) -> Result<(), EvalError>,
+    ) -> Result<usize, EvalError> {
+        let cols: Vec<usize> = head
+            .iter()
+            .map(|&v| table.col(v).ok_or_else(|| unbound(v)))
+            .collect::<Result<_, _>>()?;
+        if cols.is_empty() {
+            let len = usize::from(table.len > 0);
+            return charge(len).map(|()| len);
+        }
+        charge(table.len)?;
+        out.reserve(table.len * cols.len());
+        for row in table.rows() {
+            out.extend(cols.iter().map(|&c| row[c]));
+        }
+        Ok(table.len)
+    }
+
     fn cp(src: u32, trg: u32, pairs: Vec<(NodeId, NodeId)>) -> Owned {
         (src, trg, Relation::from_pairs(pairs))
     }
 
-    fn borrowed(owned: &[Owned]) -> Vec<ConjunctPairs<'_>> {
+    fn borrowed(owned: &[Owned]) -> Vec<Borrowed<'_>> {
         let mut conjuncts = Vec::new();
         for (src, trg, pairs) in owned {
             conjuncts.push(ConjunctPairs {
@@ -656,7 +745,7 @@ mod tests {
 
     /// Every variable of the conjuncts, in first-appearance order: the head
     /// under which no column is dead.
-    fn every_var(conjuncts: &[ConjunctPairs<'_>]) -> Vec<Var> {
+    fn every_var(conjuncts: &[Borrowed<'_>]) -> Vec<Var> {
         let mut vars = Vec::new();
         for v in conjuncts.iter().flat_map(|c| [c.src, c.trg]) {
             if !vars.contains(&v) {
@@ -669,7 +758,7 @@ mod tests {
     /// Every step joined into a table of rows, each storing its live
     /// columns: what a rule's body leaves on the bag path.
     fn join_table(
-        conjuncts: &[ConjunctPairs<'_>],
+        conjuncts: &[Borrowed<'_>],
         head: &[Var],
         budget: &Budget,
     ) -> Result<BindingTable, EvalError> {
@@ -819,11 +908,11 @@ mod tests {
         };
         // Whether the head is read as a set, having checked it against
         // the bag path's.
-        let arm = |c: &ConjunctPairs<'_>, head: &[u32]| {
+        let arm = |c: &Borrowed<'_>, head: &[u32]| {
             let head: Vec<Var> = head.iter().copied().map(Var).collect();
             let budget = Budget::default();
             let read = read_head(&table, c, &head, &budget, |_| Ok(())).unwrap();
-            let bag = bag_head(&table, Some(c), &head, &budget, |_| Ok(())).unwrap();
+            let bag = bag_head(&table, c, &head, &budget, |_| Ok(())).unwrap();
             let set = matches!(read, HeadSet::Pairs(_));
             assert_eq!(read.into_answers(head.len()), bag.into_answers(head.len()));
             set
@@ -872,7 +961,7 @@ mod tests {
 
     /// Nested-loop reference join: the variables in first-appearance order
     /// and, per conjunct joined, the rows of the table so far.
-    fn reference_join(conjuncts: &[ConjunctPairs<'_>]) -> (Vec<Var>, Vec<Vec<Vec<NodeId>>>) {
+    fn reference_join(conjuncts: &[Borrowed<'_>]) -> (Vec<Var>, Vec<Vec<Vec<NodeId>>>) {
         let mut vars: Vec<Var> = Vec::new();
         let mut rows: Vec<Vec<NodeId>> = vec![Vec::new()];
         let mut steps = Vec::new();
@@ -917,7 +1006,7 @@ mod tests {
     /// running row count is charged after every input row.
     fn extend_row_at_a_time(
         table: &BindingTable,
-        c: &ConjunctPairs<'_>,
+        c: &Borrowed<'_>,
         live: &[Var],
         budget: &Budget,
     ) -> Result<BindingTable, EvalError> {
@@ -1031,7 +1120,7 @@ mod tests {
                 Ok(Answers::from_rows(head.len(), len, cells))
             });
             prop_assert_eq!(
-                join_all(&conjuncts, &head, &capped, charge).map(|h| h.into_answers(head.len())),
+                join_head(&conjuncts, &head, &capped, charge).map(|h| h.into_answers(head.len())),
                 bag
             );
             if steps.iter().any(|rows| rows.len() > cap) {
@@ -1388,5 +1477,117 @@ mod triplestore_tests {
         // Node 0: a→1, b→4 contributes (1,4); node 1: a→2, b→3 → (2,3);
         // node 2: a→0, b→3 → (0,3).
         assert_eq!(a.rows().collect::<Vec<_>>(), [[0, 3], [1, 4], [2, 3]]);
+    }
+}
+
+/// Every engine at every tuple cap around a cell's edge, through
+/// [`EngineKind::evaluate`](crate::EngineKind::evaluate).
+#[cfg(test)]
+mod cap_edge_tests {
+    use super::*;
+    use crate::fixtures::{graph5 as graph, sym};
+    use crate::EngineKind;
+    use gmark_core::query::{PathExpr, Rule};
+
+    /// `(head, body)` with variables `?x0`… as numbers.
+    fn rule(head: &[u32], body: &[(u32, &RegularExpr, u32)]) -> Rule {
+        Rule {
+            head: head.iter().copied().map(Var).collect(),
+            body: body
+                .iter()
+                .map(|(src, expr, trg)| Conjunct {
+                    src: Var(*src),
+                    expr: (*expr).clone(),
+                    trg: Var(*trg),
+                })
+                .collect(),
+        }
+    }
+
+    /// Queries that put each arm of a step — semi-join, source bound,
+    /// target bound, Cartesian, self-loop — and a starred conjunct at the
+    /// last step and at an earlier one, under heads of every arity and
+    /// every head shape; the plan is the declaration order.
+    fn queries() -> Vec<Query> {
+        let (a, b) = (RegularExpr::symbol(sym(0)), RegularExpr::symbol(sym(1)));
+        let a_star = RegularExpr::star(vec![PathExpr(vec![sym(0)])]);
+        let aa = RegularExpr::path(PathExpr(vec![sym(0), sym(0)]));
+        // The 3-cycle 0 → 1 → 2 → 0 puts (0, 0), (1, 1), (2, 2) in a·a·a.
+        let aaa = RegularExpr::path(PathExpr(vec![sym(0), sym(0), sym(0)]));
+        let rules = [
+            // Source bound, last and earlier.
+            rule(&[0, 2], &[(0, &a, 1), (1, &b, 2)]),
+            rule(&[0, 3], &[(0, &a, 1), (1, &a, 2), (2, &b, 3)]),
+            rule(&[2, 0], &[(0, &a, 1), (1, &b, 2)]),
+            rule(&[0, 0], &[(0, &a, 1), (1, &b, 2)]),
+            rule(&[], &[(0, &a, 1), (1, &b, 2)]),
+            // Target bound, last and earlier.
+            rule(&[0, 2], &[(1, &b, 2), (0, &a, 1)]),
+            rule(&[3, 2], &[(1, &b, 2), (0, &a, 1), (0, &a, 3)]),
+            // Semi-join, last and earlier.
+            rule(&[0, 1], &[(0, &a, 1), (1, &a, 2), (2, &a, 0)]),
+            rule(&[0, 3], &[(0, &a, 1), (1, &a, 2), (0, &aa, 2), (2, &b, 3)]),
+            // Cartesian, last — under no kept column, under one, at arity
+            // 3 — and earlier.
+            rule(&[2, 3], &[(0, &a, 1), (2, &b, 3)]),
+            rule(&[0, 3], &[(0, &a, 1), (2, &b, 3)]),
+            rule(&[0, 1, 3], &[(0, &a, 1), (2, &b, 3)]),
+            rule(&[0, 3], &[(0, &b, 1), (2, &a, 3), (1, &a, 2)]),
+            // Self-loops: a Cartesian one last, a semi-join one last, and
+            // one first.
+            rule(&[2], &[(0, &b, 1), (2, &aaa, 2)]),
+            rule(&[0], &[(0, &a, 1), (1, &aaa, 1)]),
+            rule(&[0, 1], &[(0, &aaa, 0), (0, &b, 1)]),
+            // Starred conjuncts, first, last, and as a self-loop.
+            rule(&[0, 2], &[(0, &a_star, 1), (1, &b, 2)]),
+            rule(&[0, 2], &[(0, &b, 1), (1, &a_star, 2)]),
+            rule(&[1], &[(0, &a_star, 0), (0, &b, 1)]),
+            // Steps that yield more rows than their relations hold, so
+            // that a join step's own count decides the edge.
+            rule(&[0, 2], &[(0, &a_star, 1), (1, &a_star, 2)]),
+            rule(&[0, 2], &[(1, &a_star, 2), (0, &a_star, 1)]),
+            rule(&[0, 3], &[(0, &a_star, 1), (1, &a_star, 2), (2, &b, 3)]),
+            rule(&[1, 2], &[(0, &a_star, 1), (2, &a_star, 3)]),
+            // The partner twice, off the bag path.
+            rule(&[2, 2, 0], &[(0, &a, 1), (1, &a_star, 2)]),
+        ];
+        let mut queries: Vec<Query> = rules
+            .iter()
+            .cloned()
+            .map(Query::single)
+            .map(Result::unwrap)
+            .collect();
+        // A union of two rules, charged cumulatively.
+        queries.push(Query::new(vec![rules[0].clone(), rules[5].clone()]).unwrap());
+        queries
+    }
+
+    /// With `k` the smallest cap at which a cell is ok: every cap from `k`
+    /// on gives the uncapped answers, every cap `c` below it
+    /// `TooLarge(n)` with `c < n ≤ k`, and `k − 1` exactly `TooLarge(k)`.
+    #[test]
+    fn every_cell_is_ok_from_its_edge_and_too_large_below_it() {
+        let g = graph();
+        let ctx = EvalContext::new(&g);
+        for q in queries() {
+            for kind in EngineKind::ALL {
+                let at = |cap| kind.evaluate(&ctx, &q, None, &Budget::with_limits(None, cap));
+                let uncapped = at(usize::MAX).unwrap();
+                let k = (0..).find(|&cap| at(cap).is_ok()).unwrap();
+                for cap in 0..=k + 1 {
+                    match at(cap) {
+                        Ok(answers) => {
+                            assert!(cap >= k, "{kind:?} {q:?} cap {cap}");
+                            assert_eq!(answers, uncapped, "{kind:?} {q:?} cap {cap}");
+                        }
+                        Err(EvalError::TooLarge(n)) => {
+                            assert!(cap < n && n <= k, "{kind:?} {q:?} cap {cap}: {n} of {k}");
+                            assert!(cap + 1 < k || n == k, "{kind:?} {q:?} cap {cap}: {n}");
+                        }
+                        other => panic!("{kind:?} {q:?} cap {cap}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 }

@@ -40,9 +40,12 @@
 //! follows: no engine orders conjuncts itself. There is one tuple
 //! representation from the EDB to the answers — binary relations are
 //! [`relations::Relation`]s (the store's CSR layout), wider tuples flat
-//! row-major rows — so all four join through one kernel and read their
-//! heads off its last step as sets through one head kernel, into one flat
-//! [`Answers`] buffer.
+//! row-major rows — so all four join through one join loop, in which each
+//! conjunct is one step resolved once (its arm picked, its relation taken
+//! in the arm's direction, its rows counted and charged) and the head is
+//! read off the last step as a set, into one flat [`Answers`] buffer. An
+//! engine only mounts each step's relation: resolved up front (`P`, `S`),
+//! by BFS from the bound values (`G`), or a delta at one atom (`D`).
 //! `P`, `S` and `G` also share the rule loop around them and one cache
 //! probe per conjunct, a miss running the engine's own kernel; `P` and `S`
 //! share one rule body too. `D` runs its fixpoint instead. One memoized expression evaluator in [`EvalContext`] serves
@@ -212,9 +215,9 @@ fn scatter(arity: usize, len: usize, cells: &[NodeId]) -> Option<Csr> {
 /// A set of distinct answer tuples: one row-major buffer, sorted
 /// lexicographically and deduplicated, so two engines' answers compare
 /// with `==`. A rule's head normally arrives already a set, as the CSR the
-/// join kernel reads off its last step ([`Answers::from_csr`]); only the
-/// heads that kernel does not read come from raw rows
-/// ([`Answers::from_rows`]).
+/// join loop reads off its last step (`Answers::from_csr`); only the
+/// heads it does not read as a set come from raw rows, the head cells of
+/// that step (`Answers::from_rows`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answers {
     arity: usize,

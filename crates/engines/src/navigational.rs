@@ -14,8 +14,9 @@
 //!    paper reports `G` returning empty/deviating results in Table 4.
 //! 2. **Seed-driven navigation.** Evaluation expands bindings conjunct by
 //!    conjunct from already-bound variables (pattern matching by
-//!    traversal), rather than materializing whole relations. Each step
-//!    runs [`eval_rpq`] from the values the table binds: at the
+//!    traversal), rather than materializing whole relations. The join
+//!    loop is the one all four engines share; `G` only mounts each step,
+//!    running [`eval_rpq`] from the values the table binds: at the
 //!    conjunct's source, else over the reversed expression at its target.
 //!    A conjunct bound at neither end is evaluated whole, through the
 //!    sub-expression cache.
@@ -27,24 +28,22 @@
 
 use crate::automaton::eval_rpq;
 use crate::context::EvalContext;
-use crate::joiner::{
-    join_all, live_after, read_head, union_of_rules, BindingTable, Charge, ConjunctPairs, HeadSet,
-};
-use crate::planner::ConjunctStep;
+use crate::joiner::{join_all, union_of_rules, BindingTable, ConjunctPairs};
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError, QueryPlan};
 use gmark_core::cypher::degrade;
-use gmark_core::query::{PathExpr, Query, RegularExpr, Rule};
-use gmark_store::NodeId;
+use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Var};
+use gmark_store::Csr;
 use std::sync::Arc;
 
 /// The frozen benchmark harness imports the degradation by this path.
 pub use gmark_core::cypher::degrade as degrade_for_cypher;
 
-/// Evaluates the degraded query by seed-driven navigation along the plan.
-/// Degradation rewrites conjunct *expressions* only — rule and conjunct
-/// positions are preserved, so a plan computed on the original query
-/// orders the degraded one correctly.
+/// Evaluates the degraded query by seed-driven navigation along the plan:
+/// the shared join loop, each step mounted by [`navigate`]. Degradation
+/// rewrites conjunct *expressions* only — rule and conjunct positions are
+/// preserved, so a plan computed on the original query orders the
+/// degraded one correctly.
 pub(crate) fn evaluate(
     ctx: &EvalContext<'_>,
     query: &Query,
@@ -52,71 +51,53 @@ pub(crate) fn evaluate(
     budget: &Budget,
 ) -> Result<Answers, EvalError> {
     let (query, _) = degrade(query);
-    union_of_rules(&query, plan, budget, |rule, steps, charge| {
-        navigate_rule(ctx, rule, steps, budget, charge)
+    union_of_rules(&query, plan, budget, |head, body, charge| {
+        let ends: Vec<(Var, Var)> = body.iter().map(|c| (c.src, c.trg)).collect();
+        let mount = |i: usize, table: &BindingTable| navigate(ctx, body[i], table, budget);
+        join_all(&ends, head, budget, mount, charge)
     })
 }
 
-/// Seed-driven evaluation of one rule along the planned steps: each
-/// conjunct's pairs are computed by automaton BFS *from the currently
-/// bound seeds only* and joined into the running table at once, so the
-/// next conjunct sees tight seeds. Each step stores only the head and the
-/// variables of the steps after it, as `join_all` does, and the head is
-/// read off the last step as a set ([`read_head`]).
-fn navigate_rule(
+/// One seed-driven step: the conjunct's pairs, computed by automaton BFS
+/// *from the values `table` binds* only, so the next conjunct sees tight
+/// seeds. The seeds are a set: the targets of the pairs `(0, v)` over the
+/// anchor column, built by [`Csr::from_edges`].
+///
+/// An unanchored conjunct is a whole-expression evaluation — exactly the
+/// form the shared sub-expression cache holds (BFS from every node
+/// produces the full relation, so the hit's cardinality charge matches
+/// what navigation would have paid). Anchored traversals stay seed-driven
+/// BFS: there a cached full relation would be charged where navigation
+/// only explores a subset. A target anchor runs the reversed expression,
+/// whose seed-keyed pairs are the conjunct's with the variables swapped.
+fn navigate(
     ctx: &EvalContext<'_>,
-    rule: &Rule,
-    steps: &[ConjunctStep],
+    c: &Conjunct,
+    table: &BindingTable,
     budget: &Budget,
-    charge: Charge<'_>,
-) -> Result<HeadSet, EvalError> {
-    let mut table = BindingTable::unit();
-    for (i, step) in steps.iter().enumerate() {
-        budget.check_time()?;
-        let c = &rule.body[step.conjunct];
-        let later = steps[i + 1..].iter().map(|s| &rule.body[s.conjunct]);
-        let live = live_after(&rule.head, later.map(|c| (c.src, c.trg)));
-        // An unanchored conjunct is a whole-expression evaluation —
-        // exactly the form the shared sub-expression cache holds (BFS
-        // from every node produces the full relation, so the hit's
-        // cardinality charge matches what navigation would have paid).
-        // Anchored traversals stay seed-driven BFS: there a cached full
-        // relation would be charged where navigation only explores a
-        // subset. A target anchor runs the reversed expression, whose
-        // seed-keyed pairs are the conjunct's with the variables swapped.
-        let reversed;
-        let (anchor, expr, src, trg) = match (table.col(c.src), table.col(c.trg)) {
-            (Some(col), _) => (Some(col), &c.expr, c.src, c.trg),
-            (None, Some(col)) => {
-                reversed = RegularExpr {
-                    disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
-                    starred: c.expr.starred,
-                };
-                (Some(col), &reversed, c.trg, c.src)
-            }
-            (None, None) => (None, &c.expr, c.src, c.trg),
-        };
-        let pairs: Arc<Relation> = match anchor {
-            None => ctx.conjunct_relation(expr, budget, || {
-                eval_rpq(ctx, expr, None, budget).map(Arc::new)
-            })?,
-            Some(col) => {
-                let seeds: Vec<NodeId> = table.rows().map(|row| row[col]).collect();
-                let seeds = Answers::from_rows(1, seeds.len(), seeds).cells;
-                Arc::new(eval_rpq(ctx, expr, Some(&seeds), budget)?)
-            }
-        };
-        let conjunct = ConjunctPairs {
-            src,
-            trg,
-            pairs: &pairs,
-        };
-        if i + 1 == steps.len() {
-            return read_head(&table, &conjunct, &rule.head, budget, charge);
+) -> Result<ConjunctPairs<Arc<Relation>>, EvalError> {
+    let reversed;
+    let (anchor, expr, src, trg) = match (table.col(c.src), table.col(c.trg)) {
+        (Some(col), _) => (Some(col), &c.expr, c.src, c.trg),
+        (None, Some(col)) => {
+            reversed = RegularExpr {
+                disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
+                starred: c.expr.starred,
+            };
+            (Some(col), &reversed, c.trg, c.src)
         }
-        table = table.extend(&conjunct, &live, budget)?;
-    }
-    join_all(&[], &rule.head, budget, charge)
+        (None, None) => (None, &c.expr, c.src, c.trg),
+    };
+    let pairs = match anchor {
+        None => ctx.conjunct_relation(expr, budget, || {
+            eval_rpq(ctx, expr, None, budget).map(Arc::new)
+        })?,
+        Some(col) => {
+            let seeds = Csr::from_edges(table.rows().map(|row| (0, row[col])));
+            Arc::new(eval_rpq(ctx, expr, Some(seeds.targets()), budget)?)
+        }
+    };
+    Ok(ConjunctPairs { src, trg, pairs })
 }
 
 #[cfg(test)]
@@ -124,7 +105,7 @@ mod tests {
     use super::*;
     use crate::fixtures::{chain, graph5 as graph, sym};
     use crate::EngineKind;
-    use gmark_core::query::{Conjunct, Var};
+    use gmark_core::query::{Rule, Var};
 
     fn eval(kind: EngineKind, q: &Query) -> Answers {
         kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())
