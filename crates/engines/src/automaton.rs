@@ -74,11 +74,13 @@ fn compile_nfa(expr: &RegularExpr) -> Nfa {
 /// `seeds: None` is every node. A transition on symbol `a` moves along
 /// `ctx.relation(a)`, built on first use if the harness has not warmed it.
 ///
-/// A seed's run needs only an in-place sort: the BFS stamps each
+/// A seed's run needs only an in-place sort: the BFS marks each
 /// `(node, state)` once and every accepting move enters the same state,
 /// so no target repeats, and the ε pair is emitted before the search and
 /// skipped in it. The tuple cap is charged after every seed on the pairs
-/// emitted so far, and the runs are sorted only once all of them fit.
+/// emitted so far, and the runs are sorted only once all of them fit:
+/// the charges `charge_seeded` makes from a relation that already holds
+/// the runs.
 ///
 /// # Panics
 ///
@@ -111,16 +113,17 @@ pub fn eval_rpq(
         })
         .collect();
 
-    // `seen` is reused across seeds, stamped with the seed's position, to
-    // avoid clearing or reallocating it.
-    let mut seen = vec![u32::MAX; n as usize * states];
+    // One bit per `(node, state)`, reused across seeds: the queue holds
+    // exactly the pairs a seed's search set, so clearing their words
+    // leaves every bit clear for the next seed.
+    let slot = |v: NodeId, q: u32| v as usize * states + q as usize;
+    let mut seen = vec![0u64; (n as usize * states).div_ceil(64)];
     let mut queue: Vec<(NodeId, u32)> = Vec::new();
     for si in 0..seed_count {
         if si % 256 == 0 {
             budget.check_time()?;
         }
         let src = seeds.map_or(si as NodeId, |s| s[si]);
-        let stamp = si as u32;
         // The sources since the previous seed have empty runs.
         offsets.resize((src - base) as usize + 1, offset(targets.len()));
         if epsilon {
@@ -128,16 +131,17 @@ pub fn eval_rpq(
         }
         queue.clear();
         queue.push((src, 0));
-        seen[src as usize * states] = stamp;
+        seen[slot(src, 0) / 64] |= 1 << (slot(src, 0) % 64);
         let mut qi = 0;
         while qi < queue.len() {
             let (v, q) = queue[qi];
             qi += 1;
             for &(rel, q2) in &moves[q as usize] {
                 for &w in rel.neighbors(v) {
-                    let slot = w as usize * states + q2 as usize;
-                    if seen[slot] != stamp {
-                        seen[slot] = stamp;
+                    let i = slot(w, q2);
+                    let (word, bit) = (i / 64, 1 << (i % 64));
+                    if seen[word] & bit == 0 {
+                        seen[word] |= bit;
                         if nfa.accepting[q2 as usize] && !(epsilon && w == src) {
                             targets.push(w);
                         }
@@ -145,6 +149,11 @@ pub fn eval_rpq(
                     }
                 }
             }
+        }
+        // Every set bit is one of the queue's, so each of their words is
+        // cleared whole.
+        for &(v, q) in &queue {
+            seen[slot(v, q) / 64] = 0;
         }
         budget.check_size(targets.len())?;
         offsets.push(offset(targets.len()));
@@ -155,6 +164,28 @@ pub fn eval_rpq(
     // The relation lives through the join: keep no doubling slack in it.
     targets.shrink_to_fit();
     Ok(Relation::from_parts(base, offsets, targets))
+}
+
+/// The budget checks [`eval_rpq`] makes for the ascending `seeds`, made
+/// from `keyed`, a relation that holds each seed's run as [`eval_rpq`]
+/// would write it: the clock before every 256th seed, and the running
+/// total of the runs after every seed. Only the run lengths are read, so
+/// a cached relation is charged what navigating from the seeds would pay,
+/// never its whole cardinality.
+pub(crate) fn charge_seeded(
+    keyed: &Relation,
+    seeds: &[NodeId],
+    budget: &Budget,
+) -> Result<(), EvalError> {
+    let mut total = 0;
+    for (si, &seed) in seeds.iter().enumerate() {
+        if si % 256 == 0 {
+            budget.check_time()?;
+        }
+        total += keyed.degree(seed);
+        budget.check_size(total)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -267,13 +298,16 @@ mod tests {
             RegularExpr::union(vec![PathExpr::epsilon(), PathExpr(vec![sym(1).flipped()])]),
             RegularExpr::star(vec![PathExpr(vec![sym(1), sym(0).flipped()])]),
         ];
+        let capped = |expr: &RegularExpr, seeds, cap| {
+            eval_rpq(&ctx, expr, Some(seeds), &Budget::with_limits(None, cap)).map(|_| ())
+        };
         for expr in &exprs {
             let full = run(expr, None);
             let reversed = RegularExpr {
                 disjuncts: expr.disjuncts.iter().map(PathExpr::reversed).collect(),
                 starred: expr.starred,
             };
-            let converse = full.transpose();
+            let converse = Relation::from_csr(full.transpose());
             assert_eq!(run(expr, Some(&[0, 1, 2, 3])), full, "{expr:?}");
             for seeds in [&[][..], &[3], &[0, 2], &[1, 2, 3]] {
                 // A seeded run is the full relation's runs of its seeds ...
@@ -281,6 +315,16 @@ mod tests {
                 // ... and the reversed expression's, the converse's.
                 let back = run(&reversed, Some(seeds));
                 assert_eq!(back, restricted(&converse, seeds), "{expr:?}");
+                // So the runs charge what the searches charge, at every cap.
+                for cap in 0..=full.edge_count() + 1 {
+                    let charged = |rel| charge_seeded(rel, seeds, &Budget::with_limits(None, cap));
+                    assert_eq!(charged(&full), capped(expr, seeds, cap), "{expr:?}");
+                    assert_eq!(
+                        charged(&converse),
+                        capped(&reversed, seeds, cap),
+                        "{expr:?}"
+                    );
+                }
             }
         }
     }

@@ -54,17 +54,24 @@
 //! as an entry. Every kernel is pure, so contents are a pure function of
 //! `(graph, fill expression list, tuple cap)` at every thread count. A
 //! hit charges the cached *cardinality check* only —
-//! `Budget::check_size(len)` — never wall time. Failed slots are kept
-//! only for the deterministic failure ([`EvalError::TooLarge`]), as
-//! negative entries, never for a timeout.
+//! `Budget::check_size(len)` — never wall time, except where `G` reads a
+//! conjunct from the values its table binds: there the hit is charged
+//! the checks of the seeded BFS it replaces, the seeds' runs summed in
+//! ascending order (`automaton::charge_seeded`). Failed slots
+//! are kept only for the deterministic failure ([`EvalError::TooLarge`]),
+//! as negative entries, never for a timeout.
 //!
 //! What bounds the cache's memory is the tuple cap, per relation: the fill
 //! holds every candidate and every prefix at once, each at most
 //! `max_tuples` pairs, and keeps them all. There is no byte budget.
 //!
 //! `P`, `S` and `G` read a conjunct the same way: one counted probe of the
-//! whole expression, and on a miss the engine's own kernel. A negative
-//! entry is a miss to the probe: `S`'s automaton BFS and `G`'s navigation
+//! whole expression, a hit mounting the cached relation, and on a miss
+//! the engine's own kernel. `G` probes a conjunct bound at either end
+//! too (`EvalContext::probe_expr`): a hit's runs are the ones its
+//! seeded BFS would write, and the step reads only the seeds' runs, so
+//! only the charge differs from an unanchored read. A negative entry is a
+//! miss to the probe: `S`'s automaton BFS and `G`'s navigation
 //! never materialize the kernels' intermediates, so they may succeed where
 //! the fill blew the cap. `P`'s kernel is the fill's evaluator
 //! ([`EvalContext::expr_relation`]) and fails at the same checks, so to it
@@ -438,8 +445,28 @@ impl<'g> EvalContext<'g> {
         .clone()
     }
 
-    /// Probes the sub-expression cache for a whole expression. The two
-    /// outcomes, under the pinned budget rule:
+    /// Probes the sub-expression cache for a whole expression, counting
+    /// the probe as a hit or a miss, and charges nothing: `G`'s anchored
+    /// steps charge a hit as the seeded BFS it replaces
+    /// ([`crate::automaton::charge_seeded`]). A negative entry, or no
+    /// cache, is `None`; with the cache off no counter moves.
+    pub(crate) fn probe_expr(&self, expr: &RegularExpr) -> Option<Arc<Relation>> {
+        let cache = self.expr_cache.get()?;
+        match cache.map.get(expr) {
+            Some(ExprCacheEntry::Hit(arc)) => {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(arc))
+            }
+            _ => {
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Probes the sub-expression cache for a whole expression
+    /// ([`EvalContext::probe_expr`]). The two outcomes, under the pinned
+    /// budget rule:
     ///
     /// * `Ok(Some(rel))` — hit: the caller is charged exactly
     ///   [`Budget::check_size`] on the cached cardinality (the check any
@@ -457,20 +484,11 @@ impl<'g> EvalContext<'g> {
         expr: &RegularExpr,
         budget: &Budget,
     ) -> Result<Option<Arc<Relation>>, EvalError> {
-        let Some(cache) = self.expr_cache.get() else {
+        let Some(hit) = self.probe_expr(expr) else {
             return Ok(None);
         };
-        match cache.map.get(expr) {
-            Some(ExprCacheEntry::Hit(arc)) => {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                budget.check_size(arc.edge_count())?;
-                Ok(Some(Arc::clone(arc)))
-            }
-            _ => {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-        }
+        budget.check_size(hit.edge_count())?;
+        Ok(Some(hit))
     }
 
     /// One conjunct's relation, the way `P`, `S` and `G` all read it: a

@@ -8,10 +8,10 @@
 //! ([`Step::head`]). An engine only mounts each step's relation: `P` and
 //! `S` the relations they resolved for the whole body before the first
 //! join ([`join_materialized`], one body for both, differing only in the
-//! kernel a cache miss runs), `G` a seed-driven BFS from the values the
-//! table binds, `D` a delta at one atom and the full relation at the
-//! others. `P`, `G` and `S` also share the rule loop ([`union_of_rules`]);
-//! `D` has its own fixpoint.
+//! kernel a cache miss runs), `G` the pairs reached from the values the
+//! table binds (a cache hit, or a seeded BFS on a miss), `D` a delta at
+//! one atom and the full relation at the others. `P`, `G` and `S` also
+//! share the rule loop ([`union_of_rules`]); `D` has its own fixpoint.
 //! Conjunct results arrive as [`Relation`]s — CSRs with sorted `u32`
 //! target runs, often straight out of the sub-expression cache — so the
 //! kernel reads each relation's offsets, not a hash table: an extension
@@ -20,10 +20,10 @@
 //! ([`Csr::contains`]), and the Cartesian arm walks every pair
 //! ([`Csr::iter_edges`]). When only the target is bound, the runs are
 //! those of the transposed relation ([`Csr::transpose`], a counting sort,
-//! once per step) — an arm only `P`, `S` and `D` take: `G` runs a
-//! target-anchored conjunct backwards from the bound targets and mounts
-//! the result keyed by them, its variables swapped. No per-conjunct hash
-//! index is ever built.
+//! once per step) — an arm only `P`, `S` and `D` take: `G` mounts a
+//! target-anchored conjunct already keyed by the bound targets, its
+//! variables swapped (the transpose of a cache hit, or a BFS backwards
+//! from the targets). No per-conjunct hash index is ever built.
 //!
 //! # Live columns
 //!
@@ -1560,6 +1560,109 @@ mod cap_edge_tests {
         // A union of two rules, charged cumulatively.
         queries.push(Query::new(vec![rules[0].clone(), rules[5].clone()]).unwrap());
         queries
+    }
+
+    /// Queries whose anchored steps `G` reads from the sub-expression
+    /// cache: an ε disjunct and stars that `G` degrades — `(a·b)*` and
+    /// `(a⁻)*` both to `a*` — each bound at its source, at its target and
+    /// at both ends, and a step whose seed set is empty (`b·b` has no
+    /// pairs in [`graph`]) at either anchor.
+    fn navigated() -> Vec<Query> {
+        let (a, b) = (RegularExpr::symbol(sym(0)), RegularExpr::symbol(sym(1)));
+        let a_star = RegularExpr::star(vec![PathExpr(vec![sym(0)])]);
+        let ab_star = RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]);
+        let inv_star = RegularExpr::star(vec![PathExpr(vec![sym(0).flipped()])]);
+        let eps_b = RegularExpr::union(vec![PathExpr::epsilon(), PathExpr(vec![sym(1)])]);
+        let bb = RegularExpr::path(PathExpr(vec![sym(1), sym(1)]));
+        [
+            rule(&[0, 2], &[(0, &a, 1), (1, &eps_b, 2)]),
+            rule(&[0, 2], &[(1, &a, 2), (0, &eps_b, 1)]),
+            rule(&[0, 1], &[(0, &a, 1), (1, &eps_b, 0)]),
+            rule(&[0, 2], &[(0, &b, 1), (1, &ab_star, 2)]),
+            rule(&[0, 2], &[(1, &b, 2), (0, &inv_star, 1)]),
+            rule(&[0, 1], &[(0, &a, 1), (1, &ab_star, 0)]),
+            rule(&[2, 1], &[(1, &a_star, 2), (0, &inv_star, 1)]),
+            rule(&[0, 2], &[(0, &bb, 1), (1, &a_star, 2)]),
+            rule(&[0, 2], &[(1, &bb, 2), (0, &ab_star, 1)]),
+        ]
+        .into_iter()
+        .map(Query::single)
+        .map(Result::unwrap)
+        .collect()
+    }
+
+    /// `G` with a filled cache answers exactly as `G` with none, at every
+    /// cell cap from 0 to one past its edge `k` and at fill caps below, at
+    /// and above the cell's: the same `Result`, every `TooLarge(n)` of an
+    /// anchored step included, because an anchored hit is charged as the
+    /// seeded BFS it replaces. The one difference is an unanchored step,
+    /// here only a rule's first: a hit there is charged the relation's
+    /// cardinality at once, where BFS from every node stops at the first
+    /// running total over the cap. An ok cell probes once per conjunct, a
+    /// hit for each expression the fill kept and a miss for each it could
+    /// not.
+    #[test]
+    fn g_answers_from_the_cache_as_it_navigates_without_one() {
+        use crate::matrix::fill_candidates;
+        use gmark_core::cypher::degrade;
+        let g = graph();
+        let nav = EngineKind::Navigational;
+        // One rule, every step after the first bound at an end.
+        let anchored = |q: &Query| {
+            let [rule] = &q.rules[..] else { return false };
+            (1..rule.body.len()).all(|i| {
+                let c = &rule.body[i];
+                let earlier = &rule.body[..i];
+                earlier
+                    .iter()
+                    .any(|e| [e.src, e.trg].iter().any(|v| [c.src, c.trg].contains(v)))
+            })
+        };
+        for q in queries().into_iter().filter(anchored).chain(navigated()) {
+            let at = |ctx: &EvalContext<'_>, cap| {
+                nav.evaluate(ctx, &q, None, &Budget::with_limits(None, cap))
+            };
+            let bare = EvalContext::new(&g);
+            let k = (0..).find(|&cap| at(&bare, cap).is_ok()).unwrap();
+            let exprs = fill_candidates(&[&q], &[nav]);
+            let degraded = degrade(&q).0;
+            let conjuncts: Vec<&RegularExpr> =
+                degraded.rules[0].body.iter().map(|c| &c.expr).collect();
+            for fill_cap in [0, 2, k, usize::MAX] {
+                let ctx = EvalContext::new(&g);
+                ctx.fill_expr_cache(&exprs, 1, || Budget::with_limits(None, fill_cap));
+                let kept = conjuncts.iter().filter(|e| ctx.exact_expr_len(e).is_some());
+                let kept = kept.count() as u64;
+                let probes = conjuncts.len() as u64;
+                let first = ctx.exact_expr_len(conjuncts[0]).map(|len| len as usize);
+                for cap in 0..=k + 1 {
+                    let case = format!("{q:?} fill cap {fill_cap} cell cap {cap}");
+                    let before = ctx.expr_cache_stats().unwrap();
+                    let (cached, uncached) = (at(&ctx, cap), at(&bare, cap));
+                    match first {
+                        Some(len) if len > cap => {
+                            assert_eq!(cached, Err(EvalError::TooLarge(len)), "{case}");
+                            let Err(EvalError::TooLarge(n)) = uncached else {
+                                panic!("{case}: {uncached:?}");
+                            };
+                            assert!(cap < n && n <= len, "{case}: {n} of {len}");
+                        }
+                        _ => assert_eq!(cached, uncached, "{case}"),
+                    }
+                    let after = ctx.expr_cache_stats().unwrap();
+                    let counted = (after.hits - before.hits, after.misses - before.misses);
+                    if cap >= k {
+                        assert_eq!(counted, (kept, probes - kept), "{case}");
+                    } else {
+                        assert!(counted.0 + counted.1 <= probes, "{case}: {counted:?}");
+                    }
+                }
+                if fill_cap == usize::MAX {
+                    assert_eq!(kept, probes, "{q:?}: the fill keeps every conjunct");
+                }
+            }
+            assert_eq!(bare.expr_cache_stats(), None, "{q:?}");
+        }
     }
 
     /// With `k` the smallest cap at which a cell is ok: every cap from `k`

@@ -21,9 +21,11 @@
 //! * `S` (triple store) — **property paths**: on a cache miss,
 //!   product-automaton BFS over the sorted indexes, no intermediate
 //!   relation per step; on a hit, exactly `P`'s code;
-//! * `G` (navigational) — **navigate**: seed-driven BFS from the bindings
-//!   so far — forward from a bound source, backward from a bound target,
-//!   both through the one RPQ kernel [`eval_rpq`] — over the *degraded*
+//! * `G` (navigational) — **navigate**: the pairs reached from the
+//!   bindings so far — forward from a bound source, backward from a bound
+//!   target — read off a cache hit, charged as the seeded traversal, or on
+//!   a miss by seed-driven BFS through the one RPQ kernel [`eval_rpq`] —
+//!   over the *degraded*
 //!   query an openCypher system would run (inverses and concatenations
 //!   under `*` are dropped per Section 7.1,
 //!   see [`gmark_core::cypher::degrade`]), hence its answer sets

@@ -16,17 +16,21 @@
 //!    conjunct from already-bound variables (pattern matching by
 //!    traversal), rather than materializing whole relations. The join
 //!    loop is the one all four engines share; `G` only mounts each step,
-//!    running [`eval_rpq`] from the values the table binds: at the
-//!    conjunct's source, else over the reversed expression at its target.
-//!    A conjunct bound at neither end is evaluated whole, through the
-//!    sub-expression cache.
+//!    the pairs reached from the values the table binds: at the
+//!    conjunct's source, else backwards from its target. Like `P` and
+//!    `S`, it reads every conjunct through the sub-expression cache: a
+//!    hit mounts the cached relation (its transpose, from a bound
+//!    target), charged as navigation from the seeds would be charged, and
+//!    a miss runs [`eval_rpq`] from the seeds, over the reversed
+//!    expression from a bound target. A conjunct bound at neither end is
+//!    evaluated whole.
 //!
 //! Variable-length patterns in openCypher also bind at least one hop by
 //! default (`*` means `*1..`); gMark's star includes ε. The translator
 //! emits `*0..` so this engine keeps ε — the degradation above is the only
 //! semantic difference retained, keeping the comparison interpretable.
 
-use crate::automaton::eval_rpq;
+use crate::automaton::{charge_seeded, eval_rpq};
 use crate::context::EvalContext;
 use crate::joiner::{join_all, union_of_rules, BindingTable, ConjunctPairs};
 use crate::relations::Relation;
@@ -58,44 +62,65 @@ pub(crate) fn evaluate(
     })
 }
 
-/// One seed-driven step: the conjunct's pairs, computed by automaton BFS
-/// *from the values `table` binds* only, so the next conjunct sees tight
-/// seeds. The seeds are a set: the targets of the pairs `(0, v)` over the
-/// anchor column, built by [`Csr::from_edges`].
+/// One seed-driven step: the conjunct's pairs from the values `table`
+/// binds, so the next conjunct sees tight seeds. The seeds are a set: the
+/// targets of the pairs `(0, v)` over the anchor column, built by
+/// [`Csr::from_edges`]. A source anchor reads the conjunct's pairs keyed
+/// by their sources; a target anchor reads its converse keyed by the
+/// targets, mounted with the variables swapped.
 ///
-/// An unanchored conjunct is a whole-expression evaluation — exactly the
-/// form the shared sub-expression cache holds (BFS from every node
-/// produces the full relation, so the hit's cardinality charge matches
-/// what navigation would have paid). Anchored traversals stay seed-driven
-/// BFS: there a cached full relation would be charged where navigation
-/// only explores a subset. A target anchor runs the reversed expression,
-/// whose seed-keyed pairs are the conjunct's with the variables swapped.
+/// Every conjunct probes the sub-expression cache for its own (degraded)
+/// expression. An unanchored conjunct is a whole-expression evaluation:
+/// a hit is charged its cardinality, what BFS from every node would pay.
+/// An anchored hit is charged as its seeded BFS ([`charge_seeded`]): the
+/// runs of the seeds in the cached relation — in its transpose, for a
+/// target anchor — so every `TooLarge(n)` is the BFS's. A source anchor
+/// then mounts the cached relation itself, a target anchor that transpose:
+/// the step reads only the seeds' runs. A miss (no cache, or a negative
+/// entry) runs [`eval_rpq`], from the seeds, or over the reversed
+/// expression from the targets.
 fn navigate(
     ctx: &EvalContext<'_>,
     c: &Conjunct,
     table: &BindingTable,
     budget: &Budget,
 ) -> Result<ConjunctPairs<Arc<Relation>>, EvalError> {
-    let reversed;
-    let (anchor, expr, src, trg) = match (table.col(c.src), table.col(c.trg)) {
-        (Some(col), _) => (Some(col), &c.expr, c.src, c.trg),
-        (None, Some(col)) => {
-            reversed = RegularExpr {
+    let (col, forward) = match (table.col(c.src), table.col(c.trg)) {
+        (Some(col), _) => (col, true),
+        (None, Some(col)) => (col, false),
+        (None, None) => {
+            let pairs = ctx.conjunct_relation(&c.expr, budget, || {
+                eval_rpq(ctx, &c.expr, None, budget).map(Arc::new)
+            })?;
+            let (src, trg) = (c.src, c.trg);
+            return Ok(ConjunctPairs { src, trg, pairs });
+        }
+    };
+    let seeds = Csr::from_edges(table.rows().map(|row| (0, row[col])));
+    let seeds = seeds.targets();
+    let pairs = match ctx.probe_expr(&c.expr) {
+        Some(hit) => {
+            let keyed = if forward {
+                hit
+            } else {
+                Arc::new(Relation::from_csr(hit.transpose()))
+            };
+            charge_seeded(&keyed, seeds, budget)?;
+            keyed
+        }
+        None if forward => Arc::new(eval_rpq(ctx, &c.expr, Some(seeds), budget)?),
+        None => {
+            let reversed = RegularExpr {
                 disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
                 starred: c.expr.starred,
             };
-            (Some(col), &reversed, c.trg, c.src)
+            Arc::new(eval_rpq(ctx, &reversed, Some(seeds), budget)?)
         }
-        (None, None) => (None, &c.expr, c.src, c.trg),
     };
-    let pairs = match anchor {
-        None => ctx.conjunct_relation(expr, budget, || {
-            eval_rpq(ctx, expr, None, budget).map(Arc::new)
-        })?,
-        Some(col) => {
-            let seeds = Csr::from_edges(table.rows().map(|row| (0, row[col])));
-            Arc::new(eval_rpq(ctx, expr, Some(seeds.targets()), budget)?)
-        }
+    let (src, trg) = if forward {
+        (c.src, c.trg)
+    } else {
+        (c.trg, c.src)
     };
     Ok(ConjunctPairs { src, trg, pairs })
 }

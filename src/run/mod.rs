@@ -95,7 +95,8 @@ pub use summary::{
 use gmark_core::gen::{generate_store, generate_streamed, try_generate_graph};
 use gmark_core::workload::{generate_workload_with_threads, Workload};
 use gmark_engines::{
-    evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalError, EvalReport, MatrixOptions,
+    evaluate_matrix_with_schema, CellOutcome, EvalCell, EvalContext, EvalError, EvalReport,
+    MatrixOptions,
 };
 use gmark_store::{
     ordered_map, EdgeSink as _, EmitStats, Graph, GraphView, NTriplesFormat, NTriplesWriter,
@@ -528,8 +529,8 @@ fn eval_stage<S: Sink + ?Sized>(
             estimate: cell.estimate,
         })
         .collect();
-    let cell_seconds = |of: fn(&CellOutcome) -> bool| -> f64 {
-        let cells = report.cells.iter().filter(|cell| of(&cell.outcome));
+    let cell_seconds = |of: &dyn Fn(&EvalCell) -> bool| -> f64 {
+        let cells = report.cells.iter().filter(|cell| of(cell));
         cells.map(|cell| cell.seconds).sum()
     };
     let summary = EvalRunSummary {
@@ -549,10 +550,15 @@ fn eval_stage<S: Sink + ?Sized>(
         seconds: start.elapsed().as_secs_f64(),
         fill_seconds: report.fill_seconds,
         cells_seconds: report.cells_seconds,
-        ok_seconds: cell_seconds(|o| matches!(o, CellOutcome::Answers { .. })),
-        too_large_seconds: cell_seconds(|o| {
-            matches!(o, CellOutcome::Failed(EvalError::TooLarge(_)))
+        ok_seconds: cell_seconds(&|c| matches!(c.outcome, CellOutcome::Answers { .. })),
+        too_large_seconds: cell_seconds(&|c| {
+            matches!(c.outcome, CellOutcome::Failed(EvalError::TooLarge(_)))
         }),
+        engine_seconds: spec
+            .engines
+            .iter()
+            .map(|&kind| cell_seconds(&|c| c.engine == kind))
+            .collect(),
     };
     Ok((summary, report))
 }
@@ -876,6 +882,7 @@ mod tests {
             let eval = summary.eval.as_mut().unwrap();
             (eval.seconds, eval.fill_seconds, eval.cells_seconds) = (0.0, 0.0, 0.0);
             (eval.ok_seconds, eval.too_large_seconds) = (0.0, 0.0);
+            eval.engine_seconds.fill(0.0);
             format!("{summary:?}")
         }
         for threads in [1usize, 2] {

@@ -176,6 +176,9 @@ pub struct EvalRunSummary {
     pub ok_seconds: f64,
     /// The summed wall time of the cells over the tuple cap (report only).
     pub too_large_seconds: f64,
+    /// The summed wall time of each engine's cells, whatever their
+    /// outcome, in [`EvalRunSummary::engines`] order (report only).
+    pub engine_seconds: Vec<f64>,
 }
 
 /// One deterministic cell row of an [`EvalRunSummary`].
@@ -284,6 +287,11 @@ impl RunSummary {
                 e.ok_seconds,
                 e.too_large_seconds
             );
+            let _ = write!(rep, "cell-seconds by engine:");
+            for (letter, seconds) in e.engines.chars().zip(&e.engine_seconds) {
+                let _ = write!(rep, " {letter} {seconds:.3}");
+            }
+            let _ = writeln!(rep);
             let _ = writeln!(
                 rep,
                 "evaluation outcomes: {} ok, {} timeout, {} too-large, {} unsupported, {} error",
@@ -597,6 +605,7 @@ mod tests {
                 cells_seconds: 0.25,
                 ok_seconds: 0.375,
                 too_large_seconds: 0.07,
+                engine_seconds: vec![0.094, 0.217, 0.115, 0.019],
             }),
         }
     }
@@ -736,6 +745,10 @@ mod tests {
                 "8 cells in 0.500s (0.125s cache fill, 0.250s cells: \
                  0.375s ok, 0.070s too-large cell-seconds)"
             ),
+            "{rep}"
+        );
+        assert!(
+            rep.contains("cell-seconds by engine: P 0.094 G 0.217 S 0.115 D 0.019\n"),
             "{rep}"
         );
         assert!(rep.contains("1 timeout"), "{rep}");
