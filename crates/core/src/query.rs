@@ -109,6 +109,15 @@ pub struct RegularExpr {
 }
 
 impl RegularExpr {
+    /// The reverse expression: every disjunct [`PathExpr::reversed`], so
+    /// that `e.reversed()` matches `y → x` whenever `e` matches `x → y`.
+    pub fn reversed(&self) -> RegularExpr {
+        RegularExpr {
+            disjuncts: self.disjuncts.iter().map(PathExpr::reversed).collect(),
+            starred: self.starred,
+        }
+    }
+
     /// A plain (non-starred) disjunction of paths.
     pub fn union(disjuncts: Vec<PathExpr>) -> Self {
         RegularExpr {

@@ -385,11 +385,7 @@ impl<'a> Estimator<'a> {
         for (conjunct_idx, reversed) in chain {
             let expr = &rule.body[conjunct_idx].expr;
             let classes = if reversed {
-                let rev = RegularExpr {
-                    disjuncts: expr.disjuncts.iter().map(PathExpr::reversed).collect(),
-                    starred: expr.starred,
-                };
-                self.expr_classes(&rev)
+                self.expr_classes(&expr.reversed())
             } else {
                 self.expr_classes(expr)
             };

@@ -236,25 +236,24 @@ impl Workload {
     pub fn of_class(&self, class: SelectivityClass) -> impl Iterator<Item = &GeneratedQuery> {
         self.queries.iter().filter(move |q| q.target == Some(class))
     }
-
-    /// Diversity summary of the workload — the paper's Section 1 design
-    /// goal ("controlled instance and workload diversity"), made
-    /// inspectable: how the generated queries distribute over shapes,
-    /// selectivity classes, arities, and recursion, plus size extremes.
-    pub fn diversity(&self) -> DiversitySummary {
-        let mut s = DiversitySummary::default();
-        for gq in &self.queries {
-            s.add(gq);
-        }
-        s
-    }
 }
 
-/// See [`Workload::diversity`].
-#[derive(Debug, Clone, Default)]
-pub struct DiversitySummary {
-    /// Total queries.
-    pub total: usize,
+/// Summary of a workload generation run: its counters, and its diversity
+/// — the paper's Section 1 design goal ("controlled instance and workload
+/// diversity"), made inspectable: how the generated queries distribute
+/// over shapes, selectivity classes, arities, and recursion, plus size
+/// extremes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WorkloadReport {
+    /// Queries produced.
+    pub produced: usize,
+    /// Queries whose selectivity target had to be abandoned (the class was
+    /// unreachable in this schema even after relaxation).
+    pub unsatisfied_selectivity: usize,
+    /// Total relaxation steps applied across the workload.
+    pub relaxations: u32,
+    /// openCypher degradations (Section 7.1) summed over the workload.
+    pub cypher: CypherCounts,
     /// Count per skeleton shape.
     pub by_shape: std::collections::BTreeMap<Shape, usize>,
     /// Count per honored selectivity class.
@@ -273,11 +272,19 @@ pub struct DiversitySummary {
     pub max_path_length: usize,
 }
 
-impl DiversitySummary {
-    /// Folds one query into the summary (streaming counterpart of
-    /// [`Workload::diversity`]).
-    pub fn add(&mut self, gq: &GeneratedQuery) {
-        self.total += 1;
+impl WorkloadReport {
+    /// Folds one generated query into the report. Every counter is derived
+    /// from the query itself (the requested-vs-satisfied target, the
+    /// structural cypher degradations, the shape and sizes), so folding in
+    /// any order — or merging per-worker partial reports — produces
+    /// identical totals.
+    pub fn absorb(&mut self, gq: &GeneratedQuery) {
+        self.produced += 1;
+        if gq.requested.is_some() && gq.target.is_none() {
+            self.unsatisfied_selectivity += 1;
+        }
+        self.relaxations += gq.relaxations;
+        self.cypher.add(&degrade(&gq.query).1);
         *self.by_shape.entry(gq.shape).or_insert(0) += 1;
         if let Some(t) = gq.target {
             *self.by_class.entry(t).or_insert(0) += 1;
@@ -293,11 +300,14 @@ impl DiversitySummary {
         self.max_path_length = self.max_path_length.max(length);
     }
 
-    /// Merges another summary in. Counts add and maxima combine, so merging
-    /// per-worker partial summaries yields the same result in any grouping —
-    /// what keeps the parallel streaming pipeline's summary deterministic.
-    pub fn merge(&mut self, other: &DiversitySummary) {
-        self.total += other.total;
+    /// Merges another report in (see [`WorkloadReport::absorb`]): counts
+    /// add and maxima combine, so any grouping gives the same result.
+    pub fn merge(&mut self, other: &WorkloadReport) {
+        self.produced += other.produced;
+        self.unsatisfied_selectivity += other.unsatisfied_selectivity;
+        self.relaxations += other.relaxations;
+        self.cypher.star_concat += other.cypher.star_concat;
+        self.cypher.star_inverse += other.cypher.star_inverse;
         for (&k, &v) in &other.by_shape {
             *self.by_shape.entry(k).or_insert(0) += v;
         }
@@ -315,9 +325,15 @@ impl DiversitySummary {
     }
 }
 
-impl std::fmt::Display for DiversitySummary {
+impl std::fmt::Display for WorkloadReport {
+    /// The diversity block of `report.txt`: totals, then the distribution
+    /// over shapes, classes and arities, then the size maxima.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{} queries ({} recursive)", self.total, self.recursive)?;
+        writeln!(
+            f,
+            "{} queries ({} recursive)",
+            self.produced, self.recursive
+        )?;
         write!(f, "shapes:")?;
         for (shape, n) in &self.by_shape {
             write!(f, " {shape}={n}")?;
@@ -338,44 +354,6 @@ impl std::fmt::Display for DiversitySummary {
             "size maxima: rules={} conjuncts={} disjuncts={} path-length={}",
             self.max_rules, self.max_conjuncts, self.max_disjuncts, self.max_path_length
         )
-    }
-}
-
-/// Summary of a workload generation run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkloadReport {
-    /// Queries produced.
-    pub produced: usize,
-    /// Queries whose selectivity target had to be abandoned (the class was
-    /// unreachable in this schema even after relaxation).
-    pub unsatisfied_selectivity: usize,
-    /// Total relaxation steps applied across the workload.
-    pub relaxations: u32,
-    /// openCypher degradations (Section 7.1) summed over the workload.
-    pub cypher: CypherCounts,
-}
-
-impl WorkloadReport {
-    /// Folds one generated query into the report. Every counter is derived
-    /// from the query itself (the requested-vs-satisfied target and the
-    /// structural cypher degradations), so folding in any order — or
-    /// merging per-worker partial reports — produces identical totals.
-    pub fn absorb(&mut self, gq: &GeneratedQuery) {
-        self.produced += 1;
-        if gq.requested.is_some() && gq.target.is_none() {
-            self.unsatisfied_selectivity += 1;
-        }
-        self.relaxations += gq.relaxations;
-        self.cypher.add(&degrade(&gq.query).1);
-    }
-
-    /// Merges another report in (see [`WorkloadReport::absorb`]).
-    pub fn merge(&mut self, other: &WorkloadReport) {
-        self.produced += other.produced;
-        self.unsatisfied_selectivity += other.unsatisfied_selectivity;
-        self.relaxations += other.relaxations;
-        self.cypher.star_concat += other.cypher.star_concat;
-        self.cypher.star_inverse += other.cypher.star_inverse;
     }
 }
 
@@ -702,7 +680,7 @@ impl<'a> WorkloadContext<'a> {
                 (!paths.is_empty()).then(|| RegularExpr::union(paths))?
             };
             // Orient the expression with the conjunct's declared direction.
-            exprs[ci] = Some(if reversed { reverse_expr(&expr) } else { expr });
+            exprs[ci] = Some(if reversed { expr.reversed() } else { expr });
         }
 
         // Branch conjuncts (star/star-chain arms): type-graph walks anchored
@@ -721,7 +699,7 @@ impl<'a> WorkloadContext<'a> {
                 var_types[other as usize] = Some(end);
                 e
             };
-            exprs[ci] = Some(if reversed { reverse_expr(&expr) } else { expr });
+            exprs[ci] = Some(if reversed { expr.reversed() } else { expr });
         }
 
         Some(Rule {
@@ -822,7 +800,7 @@ impl<'a> WorkloadContext<'a> {
                     }
                 }
             };
-            exprs[ci] = Some(if reversed { reverse_expr(&expr) } else { expr });
+            exprs[ci] = Some(if reversed { expr.reversed() } else { expr });
         }
         let body = skeleton
             .body(exprs)
@@ -895,15 +873,6 @@ fn effective_lengths(base: (usize, usize), relax: usize) -> (usize, usize) {
     let lmin = if relax == 0 { base.0.max(1) } else { 1 };
     let lmax = base.1.max(base.0.max(1)) + relax;
     (lmin, lmax)
-}
-
-/// Reverses an expression's direction (used when a conjunct is traversed
-/// against its declared orientation).
-fn reverse_expr(e: &RegularExpr) -> RegularExpr {
-    RegularExpr {
-        disjuncts: e.disjuncts.iter().map(PathExpr::reversed).collect(),
-        starred: e.starred,
-    }
 }
 
 /// A query skeleton (Fig. 6, line 2): conjuncts over numbered variables,
@@ -1250,9 +1219,8 @@ mod tests {
         let mut cfg = WorkloadConfig::new(12).with_seed(20);
         cfg.shapes = vec![Shape::Chain, Shape::Star];
         cfg.recursion_probability = 0.4;
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
-        let d = w.diversity();
-        assert_eq!(d.total, 12);
+        let (_, d) = generate_workload(&schema, &cfg).unwrap();
+        assert_eq!(d.produced, 12);
         assert_eq!(d.by_shape.values().sum::<usize>(), 12);
         assert_eq!(d.by_shape.get(&Shape::Chain), Some(&6));
         assert_eq!(d.by_shape.get(&Shape::Star), Some(&6));

@@ -166,23 +166,30 @@ pub fn eval_rpq(
     Ok(Relation::from_parts(base, offsets, targets))
 }
 
-/// The budget checks [`eval_rpq`] makes for the ascending `seeds`, made
-/// from `keyed`, a relation that holds each seed's run as [`eval_rpq`]
-/// would write it: the clock before every 256th seed, and the running
-/// total of the runs after every seed. Only the run lengths are read, so
-/// a cached relation is charged what navigating from the seeds would pay,
-/// never its whole cardinality.
+/// The budget checks [`eval_rpq`] makes for the ascending `seeds` (`None`
+/// is every node), made from `keyed`, a relation that holds each seed's
+/// run as [`eval_rpq`] would write it: the clock before every 256th seed,
+/// and the running total of the runs after every seed. Only the run
+/// lengths are read — for every node, straight off the offsets — so a
+/// cached relation is charged what navigating from the seeds would pay,
+/// never its whole cardinality at once.
 pub(crate) fn charge_seeded(
     keyed: &Relation,
-    seeds: &[NodeId],
+    seeds: Option<&[NodeId]>,
     budget: &Budget,
 ) -> Result<(), EvalError> {
-    let mut total = 0;
-    for (si, &seed) in seeds.iter().enumerate() {
+    let totals: Box<dyn Iterator<Item = usize>> = match seeds {
+        Some(seeds) => Box::new(seeds.iter().scan(0, |total, &seed| {
+            *total += keyed.degree(seed);
+            Some(*total)
+        })),
+        // Nodes below the hull have empty runs: their totals are 0.
+        None => Box::new(keyed.offsets()[1..].iter().map(|&end| end as usize)),
+    };
+    for (si, total) in totals.enumerate() {
         if si % 256 == 0 {
             budget.check_time()?;
         }
-        total += keyed.degree(seed);
         budget.check_size(total)?;
     }
     Ok(())
@@ -303,11 +310,16 @@ mod tests {
         };
         for expr in &exprs {
             let full = run(expr, None);
-            let reversed = RegularExpr {
-                disjuncts: expr.disjuncts.iter().map(PathExpr::reversed).collect(),
-                starred: expr.starred,
-            };
+            let reversed = expr.reversed();
             let converse = Relation::from_csr(full.transpose());
+            // Unseeded, the charges are the running totals over every node.
+            for cap in 0..=full.edge_count() + 1 {
+                let budget = Budget::with_limits(None, cap);
+                let whole = eval_rpq(&ctx, expr, None, &budget).map(|_| ());
+                assert_eq!(charge_seeded(&full, None, &budget), whole, "{expr:?}");
+                let back = eval_rpq(&ctx, &reversed, None, &budget).map(|_| ());
+                assert_eq!(charge_seeded(&converse, None, &budget), back, "{expr:?}");
+            }
             assert_eq!(run(expr, Some(&[0, 1, 2, 3])), full, "{expr:?}");
             for seeds in [&[][..], &[3], &[0, 2], &[1, 2, 3]] {
                 // A seeded run is the full relation's runs of its seeds ...
@@ -317,7 +329,8 @@ mod tests {
                 assert_eq!(back, restricted(&converse, seeds), "{expr:?}");
                 // So the runs charge what the searches charge, at every cap.
                 for cap in 0..=full.edge_count() + 1 {
-                    let charged = |rel| charge_seeded(rel, seeds, &Budget::with_limits(None, cap));
+                    let budget = Budget::with_limits(None, cap);
+                    let charged = |rel| charge_seeded(rel, Some(seeds), &budget);
                     assert_eq!(charged(&full), capped(expr, seeds, cap), "{expr:?}");
                     assert_eq!(
                         charged(&converse),

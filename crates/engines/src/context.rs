@@ -55,9 +55,9 @@
 //! `(graph, fill expression list, tuple cap)` at every thread count. A
 //! hit charges the cached *cardinality check* only —
 //! `Budget::check_size(len)` — never wall time, except where `G` reads a
-//! conjunct from the values its table binds: there the hit is charged
-//! the checks of the seeded BFS it replaces, the seeds' runs summed in
-//! ascending order (`automaton::charge_seeded`). Failed slots
+//! conjunct: there the hit is charged the checks of the BFS it replaces,
+//! the runs of its seeds, or of every node, summed in ascending order
+//! (`automaton::charge_seeded`). Failed slots
 //! are kept only for the deterministic failure ([`EvalError::TooLarge`]),
 //! as negative entries, never for a timeout.
 //!
@@ -67,10 +67,10 @@
 //!
 //! `P`, `S` and `G` read a conjunct the same way: one counted probe of the
 //! whole expression, a hit mounting the cached relation, and on a miss
-//! the engine's own kernel. `G` probes a conjunct bound at either end
-//! too (`EvalContext::probe_expr`): a hit's runs are the ones its
-//! seeded BFS would write, and the step reads only the seeds' runs, so
-//! only the charge differs from an unanchored read. A negative entry is a
+//! the engine's own kernel. For `G` (`EvalContext::probe_expr`) a hit's
+//! runs are the ones its BFS would write, from the seeds a step is bound
+//! at or from every node, and only the charge differs from `P`'s and
+//! `S`'s read. A negative entry is a
 //! miss to the probe: `S`'s automaton BFS and `G`'s navigation
 //! never materialize the kernels' intermediates, so they may succeed where
 //! the fill blew the cap. `P`'s kernel is the fill's evaluator
@@ -446,8 +446,8 @@ impl<'g> EvalContext<'g> {
     }
 
     /// Probes the sub-expression cache for a whole expression, counting
-    /// the probe as a hit or a miss, and charges nothing: `G`'s anchored
-    /// steps charge a hit as the seeded BFS it replaces
+    /// the probe as a hit or a miss, and charges nothing: `G` charges a
+    /// hit as the BFS it replaces
     /// ([`crate::automaton::charge_seeded`]). A negative entry, or no
     /// cache, is `None`; with the cache off no counter moves.
     pub(crate) fn probe_expr(&self, expr: &RegularExpr) -> Option<Arc<Relation>> {
@@ -491,7 +491,7 @@ impl<'g> EvalContext<'g> {
         Ok(Some(hit))
     }
 
-    /// One conjunct's relation, the way `P`, `S` and `G` all read it: a
+    /// One conjunct's relation, the way `P` and `S` read it: a
     /// cache hit when the probe finds one, otherwise `miss()` — the
     /// engine's own kernel.
     pub(crate) fn conjunct_relation(

@@ -82,7 +82,7 @@ pub use automaton::eval_rpq;
 pub use context::{EvalCacheStats, EvalContext, SymbolStats};
 pub use matrix::{
     evaluate_matrix, evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell,
-    EvalReport, EvalTotals, MatrixOptions, PlanQuality,
+    EvalReport, EvalTotals, MatrixOptions, PlanQuality, OUTCOMES,
 };
 pub use planner::{plan_query, ConjunctStep, QueryPlan, RulePlan};
 

@@ -279,16 +279,42 @@ pub enum CellOutcome {
     Failed(EvalError),
 }
 
+/// The outcome words, in the order every report lists them: a completed
+/// cell, then each [`EvalError`]. `eval.txt`, `report.txt`, the CLI banner
+/// and `summary.json` all read them from here.
+pub const OUTCOMES: [&str; 5] = ["ok", "timeout", "too-large", "unsupported", "error"];
+
 impl CellOutcome {
-    /// The deterministic cell label for reports: the tuple count, or a
-    /// short failure word.
-    pub fn label(&self) -> String {
+    /// This outcome's position in [`OUTCOMES`].
+    pub fn index(&self) -> usize {
         match self {
-            CellOutcome::Answers { count, .. } => count.to_string(),
-            CellOutcome::Failed(EvalError::Timeout) => "timeout".to_owned(),
-            CellOutcome::Failed(EvalError::TooLarge(_)) => "too-large".to_owned(),
-            CellOutcome::Failed(EvalError::Unsupported(_)) => "unsupported".to_owned(),
-            CellOutcome::Failed(EvalError::Internal(_)) => "error".to_owned(),
+            CellOutcome::Answers { .. } => 0,
+            CellOutcome::Failed(EvalError::Timeout) => 1,
+            CellOutcome::Failed(EvalError::TooLarge(_)) => 2,
+            CellOutcome::Failed(EvalError::Unsupported(_)) => 3,
+            CellOutcome::Failed(EvalError::Internal(_)) => 4,
+        }
+    }
+
+    /// This outcome's word in [`OUTCOMES`].
+    pub fn word(&self) -> &'static str {
+        OUTCOMES[self.index()]
+    }
+
+    /// The distinct answer tuples of a completed cell.
+    pub fn count(&self) -> Option<u64> {
+        match self {
+            CellOutcome::Answers { count, .. } => Some(*count),
+            CellOutcome::Failed(_) => None,
+        }
+    }
+
+    /// The deterministic cell label for reports: the tuple count, or the
+    /// failure's word.
+    pub fn label(&self) -> String {
+        match self.count() {
+            Some(count) => count.to_string(),
+            None => self.word().to_owned(),
         }
     }
 }
@@ -342,6 +368,31 @@ pub struct EvalTotals {
     pub internal: usize,
 }
 
+impl EvalTotals {
+    /// The counts in [`OUTCOMES`] order.
+    pub fn counts(&self) -> [usize; OUTCOMES.len()] {
+        [
+            self.ok,
+            self.timeout,
+            self.too_large,
+            self.unsupported,
+            self.internal,
+        ]
+    }
+}
+
+impl std::fmt::Display for EvalTotals {
+    /// Every outcome word with its count: `45 ok, 0 timeout, 3 too-large,
+    /// 0 unsupported, 0 error`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (word, n)) in OUTCOMES.iter().zip(self.counts()).enumerate() {
+            let comma = if i == 0 { "" } else { ", " };
+            write!(f, "{comma}{n} {word}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Estimated-vs-actual planner accounting over a report's completed
 /// cells — see [`EvalReport::plan_quality`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -367,6 +418,9 @@ pub struct EvalReport {
     pub queries: usize,
     /// All cells, row-major: `cells[q * engines.len() + e]`.
     pub cells: Vec<EvalCell>,
+    /// Whether the statistics planner ordered the engines' joins
+    /// ([`MatrixOptions::plan`]).
+    pub planned: bool,
     /// Contents and hit accounting of the sub-expression cache, when one
     /// was enabled for this run (`None` with `cache_mb: 0`). Deterministic
     /// at every thread count — see [`crate::context::EvalCacheStats`].
@@ -390,20 +444,19 @@ impl EvalReport {
 
     /// Aggregated outcomes.
     pub fn totals(&self) -> EvalTotals {
-        let mut t = EvalTotals {
-            cells: self.cells.len(),
-            ..EvalTotals::default()
-        };
+        let mut counts = [0; OUTCOMES.len()];
         for cell in &self.cells {
-            match &cell.outcome {
-                CellOutcome::Answers { .. } => t.ok += 1,
-                CellOutcome::Failed(EvalError::Timeout) => t.timeout += 1,
-                CellOutcome::Failed(EvalError::TooLarge(_)) => t.too_large += 1,
-                CellOutcome::Failed(EvalError::Unsupported(_)) => t.unsupported += 1,
-                CellOutcome::Failed(EvalError::Internal(_)) => t.internal += 1,
-            }
+            counts[cell.outcome.index()] += 1;
         }
-        t
+        let [ok, timeout, too_large, unsupported, internal] = counts;
+        EvalTotals {
+            cells: self.cells.len(),
+            ok,
+            timeout,
+            too_large,
+            unsupported,
+            internal,
+        }
     }
 
     /// Renders the deterministic outcome matrix: one row per query, one
@@ -438,11 +491,7 @@ impl EvalReport {
             out.push('\n');
         }
         let t = self.totals();
-        let _ = writeln!(
-            out,
-            "cells: {} ok, {} timeout, {} too-large, {} unsupported, {} error ({} total)",
-            t.ok, t.timeout, t.too_large, t.unsupported, t.internal, t.cells
-        );
+        let _ = writeln!(out, "cells: {t} ({} total)", t.cells);
         if let Some(q) = self.plan_quality() {
             let _ = writeln!(
                 out,
@@ -530,6 +579,7 @@ pub fn evaluate_matrix_with_schema(
         engines: engines.to_vec(),
         queries: queries.len(),
         cells,
+        planned: options.plan,
         cache: ctx.expr_cache_stats(),
         fill_seconds,
         cells_seconds,

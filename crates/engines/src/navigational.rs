@@ -22,8 +22,8 @@
 //!    hit mounts the cached relation (its transpose, from a bound
 //!    target), charged as navigation from the seeds would be charged, and
 //!    a miss runs [`eval_rpq`] from the seeds, over the reversed
-//!    expression from a bound target. A conjunct bound at neither end is
-//!    evaluated whole.
+//!    expression from a bound target. A conjunct bound at neither end
+//!    takes every node as a seed.
 //!
 //! Variable-length patterns in openCypher also bind at least one hop by
 //! default (`*` means `*1..`); gMark's star includes ε. The translator
@@ -36,7 +36,7 @@ use crate::joiner::{join_all, union_of_rules, BindingTable, ConjunctPairs};
 use crate::relations::Relation;
 use crate::{Answers, Budget, EvalError, QueryPlan};
 use gmark_core::cypher::degrade;
-use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Var};
+use gmark_core::query::{Conjunct, Query, Var};
 use gmark_store::Csr;
 use std::sync::Arc;
 
@@ -67,37 +67,31 @@ pub(crate) fn evaluate(
 /// targets of the pairs `(0, v)` over the anchor column, built by
 /// [`Csr::from_edges`]. A source anchor reads the conjunct's pairs keyed
 /// by their sources; a target anchor reads its converse keyed by the
-/// targets, mounted with the variables swapped.
+/// targets, mounted with the variables swapped. A conjunct bound at
+/// neither end reads its pairs from every node.
 ///
 /// Every conjunct probes the sub-expression cache for its own (degraded)
-/// expression. An unanchored conjunct is a whole-expression evaluation:
-/// a hit is charged its cardinality, what BFS from every node would pay.
-/// An anchored hit is charged as its seeded BFS ([`charge_seeded`]): the
-/// runs of the seeds in the cached relation — in its transpose, for a
-/// target anchor — so every `TooLarge(n)` is the BFS's. A source anchor
-/// then mounts the cached relation itself, a target anchor that transpose:
-/// the step reads only the seeds' runs. A miss (no cache, or a negative
-/// entry) runs [`eval_rpq`], from the seeds, or over the reversed
-/// expression from the targets.
+/// expression. A hit is charged as the BFS it replaces
+/// ([`charge_seeded`]): the running totals of the seeds' runs in the
+/// cached relation — in its transpose, for a target anchor; of every
+/// node's, read off the offsets, unanchored — so every `TooLarge(n)` is
+/// the BFS's. A source anchor or none then mounts the cached relation
+/// itself, a target anchor that transpose: the step reads only the
+/// seeds' runs. A miss (no cache, or a negative entry) runs [`eval_rpq`],
+/// from the seeds, or over the reversed expression from the targets.
 fn navigate(
     ctx: &EvalContext<'_>,
     c: &Conjunct,
     table: &BindingTable,
     budget: &Budget,
 ) -> Result<ConjunctPairs<Arc<Relation>>, EvalError> {
-    let (col, forward) = match (table.col(c.src), table.col(c.trg)) {
-        (Some(col), _) => (col, true),
-        (None, Some(col)) => (col, false),
-        (None, None) => {
-            let pairs = ctx.conjunct_relation(&c.expr, budget, || {
-                eval_rpq(ctx, &c.expr, None, budget).map(Arc::new)
-            })?;
-            let (src, trg) = (c.src, c.trg);
-            return Ok(ConjunctPairs { src, trg, pairs });
-        }
+    let (anchor, forward) = match (table.col(c.src), table.col(c.trg)) {
+        (Some(col), _) => (Some(col), true),
+        (None, Some(col)) => (Some(col), false),
+        (None, None) => (None, true),
     };
-    let seeds = Csr::from_edges(table.rows().map(|row| (0, row[col])));
-    let seeds = seeds.targets();
+    let seeds = anchor.map(|col| Csr::from_edges(table.rows().map(|row| (0, row[col]))));
+    let seeds = seeds.as_ref().map(Csr::targets);
     let pairs = match ctx.probe_expr(&c.expr) {
         Some(hit) => {
             let keyed = if forward {
@@ -108,14 +102,8 @@ fn navigate(
             charge_seeded(&keyed, seeds, budget)?;
             keyed
         }
-        None if forward => Arc::new(eval_rpq(ctx, &c.expr, Some(seeds), budget)?),
-        None => {
-            let reversed = RegularExpr {
-                disjuncts: c.expr.disjuncts.iter().map(PathExpr::reversed).collect(),
-                starred: c.expr.starred,
-            };
-            Arc::new(eval_rpq(ctx, &reversed, Some(seeds), budget)?)
-        }
+        None if forward => Arc::new(eval_rpq(ctx, &c.expr, seeds, budget)?),
+        None => Arc::new(eval_rpq(ctx, &c.expr.reversed(), seeds, budget)?),
     };
     let (src, trg) = if forward {
         (c.src, c.trg)
@@ -130,7 +118,7 @@ mod tests {
     use super::*;
     use crate::fixtures::{chain, graph5 as graph, sym};
     use crate::EngineKind;
-    use gmark_core::query::{Rule, Var};
+    use gmark_core::query::{PathExpr, RegularExpr, Rule};
 
     fn eval(kind: EngineKind, q: &Query) -> Answers {
         kind.evaluate(&EvalContext::new(&graph()), q, None, &Budget::default())

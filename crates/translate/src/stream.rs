@@ -21,8 +21,8 @@
 //! every thread count — the argument is made once, at the fan-out
 //! ([`gmark_store::emit`]), and pinned by `tests/workload_determinism.rs`
 //! and the CI `cmp` smoke step. Per-worker partial [`WorkloadReport`]s
-//! and [`DiversitySummary`]s are merged commutatively, so the summary is
-//! scheduling-independent too.
+//! are merged commutatively, so the summary is scheduling-independent
+//! too.
 //!
 //! This module is the workload half of the pipeline; the `gmark` facade
 //! crate's `run` module orchestrates it (plan → options → sink) behind
@@ -32,8 +32,7 @@
 use crate::{translate, Syntax, TranslateError};
 use gmark_core::schema::Schema;
 use gmark_core::workload::{
-    DiversitySummary, GeneratedQuery, WorkloadConfig, WorkloadContext, WorkloadError,
-    WorkloadReport,
+    GeneratedQuery, WorkloadConfig, WorkloadContext, WorkloadError, WorkloadReport,
 };
 use gmark_store::{resolve_threads, EmitStats, OrderedEmitter};
 use std::io::{self, Write};
@@ -150,11 +149,8 @@ impl From<WorkloadError> for WorkloadStreamError {
 #[derive(Debug, Clone, Default)]
 pub struct StreamSummary {
     /// The generation report (produced / unsatisfied / relaxations /
-    /// cypher degradations).
+    /// cypher degradations / diversity).
     pub report: WorkloadReport,
-    /// Workload diversity, as [`gmark_core::workload::Workload::diversity`]
-    /// would compute it.
-    pub diversity: DiversitySummary,
     /// Bytes written per document, in document order.
     pub bytes: [u64; DOC_COUNT],
     /// Worker threads actually used after resolving `0 = auto-detect` and
@@ -230,7 +226,6 @@ pub fn write_workload<W: Write>(
 #[derive(Default)]
 struct Partial {
     report: WorkloadReport,
-    diversity: DiversitySummary,
     bytes: [u64; DOC_COUNT],
 }
 
@@ -260,7 +255,6 @@ pub fn stream_workload<W: Write + Send>(
                 partial.bytes[d] += text.len() as u64;
             }
             partial.report.absorb(&gq);
-            partial.diversity.add(&gq);
             Ok(())
         },
     )?;
@@ -272,7 +266,6 @@ pub fn stream_workload<W: Write + Send>(
     };
     for partial in partials {
         summary.report.merge(&partial.report);
-        summary.diversity.merge(&partial.diversity);
         for (total, bytes) in summary.bytes.iter_mut().zip(partial.bytes) {
             *total += bytes;
         }
@@ -337,8 +330,6 @@ mod tests {
             );
             assert_eq!(summary.report, base_summary.report);
             assert_eq!(summary.bytes, base_summary.bytes);
-            assert_eq!(summary.diversity.total, base_summary.diversity.total);
-            assert_eq!(summary.diversity.by_shape, base_summary.diversity.by_shape);
         }
     }
 

@@ -92,7 +92,7 @@ fn main() -> Result<(), GmarkError> {
     println!(
         "generated {} nodes / {} edges",
         graph.node_count(),
-        arts.summary.graph.as_ref().unwrap().edges_generated
+        arts.summary.graph.as_ref().unwrap().report.total_edges
     );
 
     // Check the Fig. 2(c) intent on the instance.

@@ -50,17 +50,19 @@ fn main() -> Result<(), GmarkError> {
         println!("consistency check: {issue}");
     }
     let g = summary.graph.as_ref().expect("plan generates a graph");
+    let constraints = &g.report.constraints;
     println!(
         "graph: {} nodes, {} edges ({} per constraint: {:?})",
         g.nodes_realized,
-        g.edges_generated,
-        g.constraints.len(),
-        g.constraints.iter().map(|c| c.edges).collect::<Vec<_>>()
+        g.report.total_edges,
+        constraints.len(),
+        constraints.iter().map(|c| c.edges).collect::<Vec<_>>()
     );
-    let w = summary
+    let w = &summary
         .workload
         .as_ref()
-        .expect("plan generates a workload");
+        .expect("plan generates a workload")
+        .report;
     println!(
         "workload: {} queries ({} selectivity targets missed)",
         w.produced, w.unsatisfied_selectivity

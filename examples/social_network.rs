@@ -43,7 +43,7 @@ fn main() -> Result<(), GmarkError> {
     println!(
         "LSN instance: {} nodes, {} edges",
         graph.node_count(),
-        arts.summary.graph.as_ref().unwrap().edges_generated
+        arts.summary.graph.as_ref().unwrap().report.total_edges
     );
 
     let knows = schema.predicate_by_name("knows").expect("LSN has knows");

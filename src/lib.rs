@@ -33,7 +33,7 @@
 //! let mut sink = MemorySink::new();
 //! let summary = run(&plan, &RunOptions::with_seed(42), &mut sink)?;
 //! assert!(summary.graph.as_ref().unwrap().edges_written > 0);
-//! assert_eq!(summary.workload.as_ref().unwrap().produced, 9);
+//! assert_eq!(summary.workload.as_ref().unwrap().report.produced, 9);
 //! assert!(!sink.bytes(Artifact::Sparql).unwrap().is_empty());
 //!
 //! // Embedding? The same stages without a sink keep the built values.
@@ -62,10 +62,11 @@
 //! | `generate_graph(&config, &GeneratorOptions { .. })` | [`run::run_in_memory`] — [`run::run`]'s stages without a sink — (graph in [`run::RunArtifacts::graph`]) |
 //! | `generate_into(&config, &opts, &mut writer)` | [`run::run`] with a custom [`run::Sink`] |
 //! | `generate_streamed(&config, &opts, &stream_opts, &mut out)` | [`run::run`] with [`run::RunOptions::stream`] |
-//! | `generate_workload[_with_threads](&schema, &cfg, ..)` | [`run::run_in_memory`] (workload in [`run::RunArtifacts::workload`]) |
+//! | `generate_workload[_with_threads](&schema, &cfg, ..)` | [`run::run_in_memory`] (workload in [`run::RunArtifacts::workload`], its [`core::workload::WorkloadReport`] — counters and diversity — in [`run::WorkloadRunSummary::report`]) |
+//! | `evaluate_matrix_with_schema(&ctx, ..)` over a hand-built graph and workload | [`run::RunPlan`] with an [`run::EvalSpec`] (the matrix in [`run::EvalRunSummary::report`]) |
 //! | `stream_workload(&schema, &cfg, &opts, &mut outs)` | [`run::run`] (the five workload artifacts) |
 //! | `gmark_store::{ShardSet, ShardWriter, TextShardWriter}` (removed: no pipeline keeps temp files) | [`store::OrderedEmitter`] — or just [`run::run`] |
-//! | `ConfigError` / `WorkloadError` / `TranslateError` / `EvalError` / `io::Error` juggling | [`run::GmarkError`] |
+//! | `ConfigError` / `WorkloadError` / `TranslateError` / `StoreError` / `io::Error` juggling | [`run::GmarkError`] (a cell an engine fails is an outcome in the report, not an error) |
 //! | scraping `report.txt` | [`run::RunSummary::to_json`] (`--format json`) |
 //! | `EvalContext::new(&graph)` over a `&Graph` only | `EvalContext::new(view)` over a [`store::GraphView`] — `&Graph` still converts via `Into`, and [`store::StoreReader`] plugs in the on-disk paged store |
 //! | `RelationalEngine.evaluate(&graph, &q, &budget)` and the other unit-struct engines behind the `Engine` trait (removed: one entry point) | `EngineKind::Relational.evaluate(&ctx, &q, None, &budget)` with `ctx = EvalContext::new(&graph)`; pass `Some(&plan)` from [`engines::plan_query`] to order the joins; iterate [`engines::EngineKind::ALL`] |

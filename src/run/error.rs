@@ -1,23 +1,23 @@
 //! The one error type of the unified pipeline.
 //!
-//! PRs 1–3 left the workspace with four unrelated error enums
-//! ([`ConfigError`], [`WorkloadError`], [`TranslateError`], [`EvalError`])
-//! plus raw [`std::io::Error`]s, and every caller — the CLI first among
-//! them — stitched them together with ad-hoc `format!` strings.
-//! [`GmarkError`] wraps them all behind one `Display`/`Error` surface with
-//! enough context (paths, query indices, what was being written) that the
-//! CLI can print any failure verbatim.
+//! Each stage's crate has its own error enum ([`ConfigError`],
+//! [`WorkloadError`], [`TranslateError`], [`StoreError`]), and writing
+//! artifacts adds raw [`std::io::Error`]s. [`GmarkError`] wraps them all
+//! behind one `Display`/`Error` surface with enough context (paths, query
+//! indices, what was being written) that the CLI can print any failure
+//! verbatim. An engine failing a cell is not among them: that is the
+//! cell's [`CellOutcome`](gmark_engines::CellOutcome) in the evaluation
+//! report, and the run goes on.
 
 use gmark_config::ConfigError;
 use gmark_core::workload::WorkloadError;
-use gmark_engines::EvalError;
 use gmark_store::StoreError;
 use gmark_translate::{TranslateError, WorkloadStreamError};
 use std::io;
 use std::path::PathBuf;
 
 /// Any failure of the gMark pipeline — configuration, planning, query
-/// generation, translation, evaluation, or I/O.
+/// generation, translation, the on-disk store, or I/O.
 ///
 /// Hand-rolled in the `thiserror` style (no derive macros are available
 /// offline): every variant implements `Display` with its context and
@@ -44,8 +44,6 @@ pub enum GmarkError {
         /// The underlying translation error.
         source: TranslateError,
     },
-    /// Evaluating a query on an engine failed or exceeded its budget.
-    Eval(EvalError),
     /// Writing, opening, or verifying an on-disk paged graph store failed
     /// (see [`gmark_store::StoreError`] — corruption names the bad page),
     /// or a predicate has more edges than one CSR holds.
@@ -94,7 +92,6 @@ impl std::fmt::Display for GmarkError {
             GmarkError::Translate { index, source } => {
                 write!(f, "translating query {index}: {source}")
             }
-            GmarkError::Eval(e) => write!(f, "evaluation: {e}"),
             GmarkError::Store(e) => write!(f, "store: {e}"),
             GmarkError::Io { context, source } => write!(f, "{context}: {source}"),
         }
@@ -108,7 +105,6 @@ impl std::error::Error for GmarkError {
             GmarkError::Plan(_) => None,
             GmarkError::Workload(e) => Some(e),
             GmarkError::Translate { source, .. } => Some(source),
-            GmarkError::Eval(e) => Some(e),
             GmarkError::Store(e) => Some(e),
             GmarkError::Io { source, .. } => Some(source),
         }
@@ -124,12 +120,6 @@ impl From<ConfigError> for GmarkError {
 impl From<WorkloadError> for GmarkError {
     fn from(e: WorkloadError) -> Self {
         GmarkError::Workload(e)
-    }
-}
-
-impl From<EvalError> for GmarkError {
-    fn from(e: EvalError) -> Self {
-        GmarkError::Eval(e)
     }
 }
 

@@ -30,7 +30,13 @@
 //!   request and a parsed plan to `(RunPlan, RunOptions)`.
 //!
 //! A run has one body of three stages — graph (+ store), workload,
-//! evaluation — each building its half of the summary in one place.
+//! evaluation — and each half of the summary is what its stage returned:
+//! the generator's [`GenReport`](gmark_core::gen::GenReport), the store's
+//! [`StoreInfo`](gmark_store::StoreInfo), the workload's
+//! [`WorkloadReport`](gmark_core::workload::WorkloadReport), the
+//! [`EvalSpec`] and the [`EvalReport`] of the matrix, beside the few
+//! values only the run knows (node counts, triples written, seed,
+//! document bytes, stage seconds).
 //! [`run`] gives them a sink and streams artifacts through it without
 //! materializing them; [`run_in_memory`] is the same stages without a
 //! sink, returning the built [`Graph`] and [`Workload`] values for direct
@@ -89,18 +95,15 @@ pub use plan::{EvalSpec, OutputSelection, RunPlan, RunPlanBuilder};
 pub use request::{Door, Param, RunRequest, PARAMS};
 pub use sink::{Artifact, DirSink, MemorySink, NullSink, Sink};
 pub use summary::{
-    EvalCellRow, EvalRunSummary, GraphRunSummary, RunSummary, StoreRunSummary, WorkloadRunSummary,
+    EvalRunSummary, GraphRunSummary, RunSummary, StoreRunSummary, WorkloadRunSummary,
 };
 
 use gmark_core::gen::{generate_store, generate_streamed, try_generate_graph};
 use gmark_core::workload::{generate_workload_with_threads, Workload};
-use gmark_engines::{
-    evaluate_matrix_with_schema, CellOutcome, EvalCell, EvalContext, EvalError, EvalReport,
-    MatrixOptions,
-};
+use gmark_engines::{evaluate_matrix_with_schema, EvalContext, EvalReport, MatrixOptions};
 use gmark_store::{
     ordered_map, EdgeSink as _, EmitStats, Graph, GraphView, NTriplesFormat, NTriplesWriter,
-    OrderedEmitter, StoreError, StoreInfo, StoreMeta, StoreReader, StoreWriter, TypePartition,
+    OrderedEmitter, StoreError, StoreMeta, StoreReader, StoreWriter, TypePartition,
     DEFAULT_PAGE_SIZE,
 };
 use gmark_translate::{stream_workload, write_workload, WorkloadOutputs};
@@ -154,12 +157,10 @@ pub struct RunArtifacts {
     pub graph: Option<Graph>,
     /// The generated workload, when the plan produced one.
     pub workload: Option<Workload>,
-    /// The full evaluation matrix (cells with measured wall times), when
-    /// the plan had an [`EvalSpec`]. The deterministic digest also lands
-    /// in [`RunSummary::eval`].
-    pub eval: Option<EvalReport>,
-    /// The run summary (per-constraint reports, workload counters,
-    /// diversity; document byte counts are zero — nothing was rendered).
+    /// The run summary (per-constraint reports, workload counters and
+    /// diversity, the full evaluation matrix with its measured wall times
+    /// when the plan had an [`EvalSpec`]; document byte counts are zero —
+    /// nothing was rendered).
     pub summary: RunSummary,
 }
 
@@ -185,7 +186,7 @@ pub fn run_in_memory(plan: &RunPlan, opts: &RunOptions) -> Result<RunArtifacts, 
 }
 
 /// The one body of a run: graph (+ store), workload, evaluation, each
-/// stage building its half of the summary. With a sink every artifact is
+/// stage returning its half of the summary. With a sink every artifact is
 /// serialized into it and only what a later stage needs stays in memory;
 /// without one nothing is rendered and every built value is kept.
 fn run_stages<S: Sink + ?Sized>(
@@ -198,16 +199,21 @@ fn run_stages<S: Sink + ?Sized>(
 
     let mut graph = graph_stage(plan, opts, sink.as_deref_mut())?;
     let (workload_summary, workload) = workload_stage(plan, opts, sink.as_deref_mut())?;
-    let (eval_summary, eval) = match &plan.eval {
+    let eval = match &plan.eval {
         Some(spec) => {
             let workload = workload
                 .as_ref()
                 .expect("validated: eval runs imply a workload");
-            let (summary, report) =
-                eval_stage(plan, spec, opts, &graph, workload, sink.as_deref_mut())?;
-            (Some(summary), Some(report))
+            Some(eval_stage(
+                plan,
+                spec,
+                opts,
+                &graph,
+                workload,
+                sink.as_deref_mut(),
+            )?)
         }
-        None => (None, None),
+        None => None,
     };
 
     let summary = RunSummary {
@@ -220,7 +226,7 @@ fn run_stages<S: Sink + ?Sized>(
         from_store: plan.from_store.clone(),
         store: graph.store,
         workload: workload_summary,
-        eval: eval_summary,
+        eval,
     };
     if let Some(sink) = sink {
         // Sinks without real files receive the finished store bytes now
@@ -243,7 +249,6 @@ fn run_stages<S: Sink + ?Sized>(
     Ok(RunArtifacts {
         graph: graph.graph,
         workload,
-        eval,
         summary,
     })
 }
@@ -313,7 +318,7 @@ fn graph_stage<S: Sink + ?Sized>(
     };
     let start = Instant::now();
     let mut store = None;
-    let (report, written) = match &mut outputs {
+    let (mut report, written) = match &mut outputs {
         Some(outputs) if opts.stream => {
             let generated = generate_streamed(
                 &plan.graph,
@@ -330,7 +335,10 @@ fn graph_stage<S: Sink + ?Sized>(
             if let Some(StoreFile { path, .. }) = &outputs.store_file {
                 let store_start = Instant::now();
                 let info = generate_store(&plan.graph, &gen_opts, path, &store_meta(plan, opts))?;
-                store = Some((info, store_start.elapsed().as_secs_f64()));
+                store = Some(StoreRunSummary {
+                    info,
+                    seconds: store_start.elapsed().as_secs_f64(),
+                });
             }
             generated
         }
@@ -361,22 +369,16 @@ fn graph_stage<S: Sink + ?Sized>(
             .flush()
             .map_err(|e| GmarkError::io("flushing graph.nt", e))?;
     }
+    // A store-only run formats into a null writer: nothing to report.
+    report.emit = report.emit.filter(|_| plan.outputs.graph);
     stage.summary = Some(GraphRunSummary {
         nodes_requested: plan.graph.n,
         nodes_realized: plan.graph.realized_nodes(),
         edges_written: written,
-        edges_generated: report.total_edges,
-        constraints: report.constraints,
+        report,
         seconds: start.elapsed().as_secs_f64(),
-        // A store-only run formats into a null writer: nothing to report.
-        emit: report.emit.filter(|_| plan.outputs.graph),
     });
-    stage.store = store.map(|(info, seconds)| StoreRunSummary {
-        bytes: info.bytes,
-        page_size: info.page_size,
-        edges: info.edges,
-        seconds,
-    });
+    stage.store = store;
     stage.store_file = outputs.and_then(|o| o.store_file);
     Ok(stage)
 }
@@ -415,11 +417,11 @@ fn workload_stage<S: Sink + ?Sized>(
     };
     let start = Instant::now();
     let mut kept = None;
-    let (report, bytes, diversity, emit) = match &mut outs {
+    let (report, bytes, emit) = match &mut outs {
         Some(outs) if plan.eval.is_none() => {
             let stream_opts = opts.workload_stream_options();
             let s = stream_workload(&plan.graph.schema, &wcfg, &stream_opts, outs)?;
-            (s.report, s.bytes, s.diversity, Some(s.emit))
+            (s.report, s.bytes, Some(s.emit))
         }
         outs => {
             // Generate once (parallel); with a sink, render the documents
@@ -432,20 +434,14 @@ fn workload_stage<S: Sink + ?Sized>(
                 Some(outs) => write_workload(&plan.graph.schema, &w.queries, outs)?,
                 None => [0; 5],
             };
-            let diversity = w.diversity();
             kept = Some(w);
-            (report, bytes, diversity, None)
+            (report, bytes, None)
         }
     };
     let summary = WorkloadRunSummary {
         seed: wcfg.seed,
-        produced: report.produced,
-        unsatisfied_selectivity: report.unsatisfied_selectivity,
-        relaxations: report.relaxations,
-        cypher_star_concat: report.cypher.star_concat,
-        cypher_star_inverse: report.cypher.star_inverse,
+        report,
         bytes,
-        diversity,
         seconds: start.elapsed().as_secs_f64(),
         emit,
     };
@@ -464,7 +460,7 @@ fn eval_stage<S: Sink + ?Sized>(
     graph: &GraphStage,
     workload: &Workload,
     sink: Option<&mut S>,
-) -> Result<(EvalRunSummary, EvalReport), GmarkError> {
+) -> Result<EvalRunSummary, GmarkError> {
     // The engines read a store whenever no materialized graph
     // exists: either the one this run just built (streamed --store) or
     // the one the plan points at (--from-store).
@@ -483,20 +479,19 @@ fn eval_stage<S: Sink + ?Sized>(
     let ctx = EvalContext::new(view);
     let queries: Vec<&gmark_core::query::Query> =
         workload.queries.iter().map(|gq| &gq.query).collect();
-    let options = MatrixOptions {
-        threads: opts.threads,
-        ..MatrixOptions::default()
-    };
     let report = evaluate_matrix_with_schema(
         &ctx,
         Some(&plan.graph.schema),
         &queries,
         &spec.engines,
         &spec.cell_budget(),
-        &options,
+        &MatrixOptions {
+            threads: opts.threads,
+            ..MatrixOptions::default()
+        },
     );
     if let Some(sink) = sink {
-        let rendered = render_eval_report(plan, spec, options.plan, view, workload, &report);
+        let rendered = render_eval_report(plan, spec, view, workload, &report);
         let mut out = sink
             .open(Artifact::EvalReport)
             .map_err(|e| GmarkError::io("opening eval.txt", e))?;
@@ -505,62 +500,11 @@ fn eval_stage<S: Sink + ?Sized>(
         out.flush()
             .map_err(|e| GmarkError::io("flushing eval.txt", e))?;
     }
-    // The summary's digest: deterministic rows plus the stage wall time
-    // (report/banner only).
-    let totals = report.totals();
-    let rows = report
-        .cells
-        .iter()
-        .map(|cell| EvalCellRow {
-            query: cell.query,
-            engine: cell.engine.letter(),
-            outcome: match &cell.outcome {
-                CellOutcome::Answers { .. } => "ok",
-                CellOutcome::Failed(EvalError::Timeout) => "timeout",
-                CellOutcome::Failed(EvalError::TooLarge(_)) => "too-large",
-                CellOutcome::Failed(EvalError::Unsupported(_)) => "unsupported",
-                CellOutcome::Failed(EvalError::Internal(_)) => "error",
-            }
-            .to_owned(),
-            count: match &cell.outcome {
-                CellOutcome::Answers { count, .. } => Some(*count),
-                CellOutcome::Failed(_) => None,
-            },
-            estimate: cell.estimate,
-        })
-        .collect();
-    let cell_seconds = |of: &dyn Fn(&EvalCell) -> bool| -> f64 {
-        let cells = report.cells.iter().filter(|cell| of(cell));
-        cells.map(|cell| cell.seconds).sum()
-    };
-    let summary = EvalRunSummary {
-        engines: spec.letters(),
-        budget_ms: spec.budget_ms,
-        max_tuples: spec.max_tuples,
-        plan: options.plan,
-        cache: report.cache,
-        queries: report.queries,
-        cells: report.cells.len(),
-        ok: totals.ok,
-        timeout: totals.timeout,
-        too_large: totals.too_large,
-        unsupported: totals.unsupported,
-        internal: totals.internal,
-        rows,
+    Ok(EvalRunSummary {
+        spec: spec.clone(),
+        report,
         seconds: start.elapsed().as_secs_f64(),
-        fill_seconds: report.fill_seconds,
-        cells_seconds: report.cells_seconds,
-        ok_seconds: cell_seconds(&|c| matches!(c.outcome, CellOutcome::Answers { .. })),
-        too_large_seconds: cell_seconds(&|c| {
-            matches!(c.outcome, CellOutcome::Failed(EvalError::TooLarge(_)))
-        }),
-        engine_seconds: spec
-            .engines
-            .iter()
-            .map(|&kind| cell_seconds(&|c| c.engine == kind))
-            .collect(),
-    };
-    Ok((summary, report))
+    })
 }
 
 /// What [`serialize_graph`] wrote.
@@ -570,7 +514,7 @@ struct Serialized {
     written: u64,
     emit: Option<EmitStats>,
     /// The store written and the seconds it took.
-    store: Option<(StoreInfo, f64)>,
+    store: Option<StoreRunSummary>,
 }
 
 /// One serialization of a built graph.
@@ -622,7 +566,10 @@ fn serialize_graph(
                 let start = Instant::now();
                 let info = StoreWriter::write_graph(target, &store_meta(plan, opts), graph)?;
                 Serialized {
-                    store: Some((info, start.elapsed().as_secs_f64())),
+                    store: Some(StoreRunSummary {
+                        info,
+                        seconds: start.elapsed().as_secs_f64(),
+                    }),
                     ..Serialized::default()
                 }
             }
@@ -736,7 +683,6 @@ fn open_checked_store(path: &Path, plan: &RunPlan) -> Result<StoreReader, GmarkE
 fn render_eval_report(
     plan: &RunPlan,
     spec: &EvalSpec,
-    planned: bool,
     view: GraphView<'_>,
     workload: &Workload,
     report: &EvalReport,
@@ -769,7 +715,11 @@ fn render_eval_report(
         },
         spec.max_tuples
     );
-    let _ = writeln!(rendered, "planner: {}", if planned { "on" } else { "off" });
+    let _ = writeln!(
+        rendered,
+        "planner: {}",
+        if report.planned { "on" } else { "off" }
+    );
     match &report.cache {
         Some(stats) => {
             let _ = writeln!(
@@ -856,7 +806,7 @@ mod tests {
             graph_lines.iter().filter(|&&b| b == b'\n').count() as u64
         );
         let w = summary.workload.as_ref().unwrap();
-        assert_eq!(w.produced, 5);
+        assert_eq!(w.report.produced, 5);
         for (artifact, &bytes) in Artifact::WORKLOAD.iter().zip(&w.bytes) {
             assert_eq!(
                 sink.bytes(*artifact).unwrap().len() as u64,
@@ -876,13 +826,15 @@ mod tests {
         let plan = eval_plan(|plan| plan);
         fn comparable(mut summary: RunSummary) -> String {
             let graph = summary.graph.as_mut().unwrap();
-            (graph.seconds, graph.emit) = (0.0, None);
+            (graph.seconds, graph.report.emit) = (0.0, None);
             let workload = summary.workload.as_mut().unwrap();
             (workload.seconds, workload.emit, workload.bytes) = (0.0, None, [0; 5]);
             let eval = summary.eval.as_mut().unwrap();
-            (eval.seconds, eval.fill_seconds, eval.cells_seconds) = (0.0, 0.0, 0.0);
-            (eval.ok_seconds, eval.too_large_seconds) = (0.0, 0.0);
-            eval.engine_seconds.fill(0.0);
+            let report = &mut eval.report;
+            (eval.seconds, report.fill_seconds, report.cells_seconds) = (0.0, 0.0, 0.0);
+            for cell in &mut report.cells {
+                cell.seconds = 0.0;
+            }
             format!("{summary:?}")
         }
         for threads in [1usize, 2] {
@@ -891,10 +843,10 @@ mod tests {
             assert!(through_sink.workload.as_ref().unwrap().bytes[0] > 0);
             let mem = run_in_memory(&plan, &opts).unwrap();
             assert_eq!(mem.summary.workload.as_ref().unwrap().bytes, [0; 5]);
-            assert!(mem.summary.graph.as_ref().unwrap().emit.is_none());
+            assert!(mem.summary.graph.as_ref().unwrap().report.emit.is_none());
             assert!(mem.graph.unwrap().edge_count() > 0);
             assert_eq!(mem.workload.unwrap().queries.len(), 3);
-            assert_eq!(mem.eval.unwrap().cells.len(), 12);
+            assert_eq!(mem.summary.eval.as_ref().unwrap().report.cells.len(), 12);
             assert_eq!(
                 comparable(mem.summary),
                 comparable(through_sink),
@@ -919,14 +871,10 @@ mod tests {
             &mut sink,
         )
         .unwrap();
-        let eval = summary.eval.as_ref().expect("eval stage ran");
+        let eval = &summary.eval.as_ref().expect("eval stage ran").report;
         assert_eq!(eval.queries, 3);
-        assert_eq!(eval.cells, 12);
-        assert_eq!(eval.rows.len(), 12);
-        assert_eq!(
-            eval.ok + eval.timeout + eval.too_large + eval.unsupported + eval.internal,
-            12
-        );
+        assert_eq!(eval.cells.len(), 12);
+        assert_eq!(eval.totals().counts().iter().sum::<usize>(), 12);
         let text = String::from_utf8(sink.bytes(Artifact::EvalReport).unwrap()).unwrap();
         assert!(text.starts_with("gMark evaluation report"), "{text}");
         assert!(text.contains("engines: P/relational"), "{text}");
@@ -969,8 +917,8 @@ mod tests {
                 let summary = run(&plan, &RunOptions::with_seed(11).threads(1), &mut sink).unwrap();
                 let s = summary.store.as_ref().expect("store summary present");
                 let bytes = sink.bytes(Artifact::Store).unwrap();
-                assert_eq!(bytes.len() as u64, s.bytes, "{name}");
-                assert!(s.edges > 0, "{name}");
+                assert_eq!(bytes.len() as u64, s.info.bytes, "{name}");
+                assert!(s.info.edges > 0, "{name}");
                 bytes
             };
             // …and the streamed (regenerating) pipeline must reproduce it
@@ -1242,8 +1190,8 @@ mod tests {
         let mut b = MemorySink::new();
         let sb = run(&plan, &RunOptions::with_seed(9).stream(true), &mut b).unwrap();
         assert_eq!(
-            sa.graph.as_ref().unwrap().edges_generated,
-            sb.graph.as_ref().unwrap().edges_generated
+            sa.graph.as_ref().unwrap().report.total_edges,
+            sb.graph.as_ref().unwrap().report.total_edges
         );
         assert!(sb.streamed && !sa.streamed);
         // Streamed keeps duplicates, default dedups: written counts may

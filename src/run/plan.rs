@@ -282,7 +282,7 @@ impl RunPlan {
 ///     .unwrap();
 /// let mut sink = MemorySink::new();
 /// let summary = run(&plan, &RunOptions::with_seed(42), &mut sink).unwrap();
-/// assert_eq!(summary.workload.as_ref().unwrap().produced, 4);
+/// assert_eq!(summary.workload.as_ref().unwrap().report.produced, 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunPlanBuilder {

@@ -6,11 +6,19 @@
 //! ([`RunSummary::to_json`], through the workspace's one
 //! [`JsonWriter`]: no serde offline) so harnesses stop scraping the
 //! human-readable report.
+//!
+//! Each half holds the report its stage returned — [`GenReport`],
+//! [`StoreInfo`], [`WorkloadReport`], the [`EvalSpec`] that ran and its
+//! [`EvalReport`] — and beside it only what the run alone knows: node
+//! counts, triples written, the seed, document bytes and stage seconds.
+//! The report, the banner and the JSON are all rendered from those.
 
-use gmark_core::gen::ConstraintReport;
-use gmark_core::workload::DiversitySummary;
+use crate::run::EvalSpec;
+use gmark_core::gen::GenReport;
+use gmark_core::workload::WorkloadReport;
+use gmark_engines::{EvalCell, EvalReport, OUTCOMES};
 use gmark_stats::JsonWriter;
-use gmark_store::EmitStats;
+use gmark_store::{EmitStats, StoreInfo};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -57,20 +65,16 @@ pub struct GraphRunSummary {
     /// Triples written to the [`Artifact::Graph`](crate::run::Artifact)
     /// output.
     pub edges_written: u64,
-    /// Edges generated before deduplication.
-    pub edges_generated: u64,
-    /// Per-constraint generation outcomes, in declaration order.
-    pub constraints: Vec<ConstraintReport>,
+    /// What the generator returned: per-constraint outcomes, the edges
+    /// generated before deduplication, and where the `graph.nt` output
+    /// time went (`None` when no N-Triples were written; report and
+    /// banner only — never serialized to JSON).
+    pub report: GenReport,
     /// Wall-clock generation + serialization time. A materialized run
     /// with a store writes `graph.nt` and the store side by side, so this
     /// covers both, and [`StoreRunSummary::seconds`] overlaps it rather
     /// than adding to it.
     pub seconds: f64,
-    /// Where the `graph.nt` output time went: blocks and bytes written,
-    /// seconds inside `write`, seconds workers waited their turn. `None`
-    /// when no N-Triples were written. Report and banner only — never
-    /// serialized to JSON.
-    pub emit: Option<EmitStats>,
 }
 
 /// The on-disk paged store's slice of a [`RunSummary`] (the `--store`
@@ -78,12 +82,8 @@ pub struct GraphRunSummary {
 /// configuration and seed.
 #[derive(Debug, Clone)]
 pub struct StoreRunSummary {
-    /// Total store file size in bytes.
-    pub bytes: u64,
-    /// Page size of the store file.
-    pub page_size: u32,
-    /// Deduplicated edges recorded in the store.
-    pub edges: u64,
+    /// What the store writer returned: bytes, page size, edges.
+    pub info: StoreInfo,
     /// Wall-clock store build time (report/banner only). Part of
     /// [`GraphRunSummary::seconds`], not in addition to it: a materialized
     /// run writes the store while it writes `graph.nt`, a streamed one
@@ -97,105 +97,41 @@ pub struct StoreRunSummary {
 pub struct WorkloadRunSummary {
     /// The workload pipeline's resolved seed.
     pub seed: u64,
-    /// Queries produced.
-    pub produced: usize,
-    /// Queries whose selectivity target had to be abandoned.
-    pub unsatisfied_selectivity: usize,
-    /// Total relaxation steps applied across the workload.
-    pub relaxations: u32,
-    /// Starred concatenations the openCypher translator degrades
-    /// (Section 7.1).
-    pub cypher_star_concat: u64,
-    /// Starred inverses the openCypher translator degrades (Section 7.1).
-    pub cypher_star_inverse: u64,
+    /// What the workload generator returned: counters, cypher
+    /// degradations, diversity.
+    pub report: WorkloadReport,
     /// Bytes written per workload document, in
     /// [`Artifact::WORKLOAD`](crate::run::Artifact::WORKLOAD) order.
     /// All zeros when the run materialized queries without rendering them
     /// ([`run_in_memory`](crate::run::run_in_memory)).
     pub bytes: [u64; 5],
-    /// Workload diversity (shapes, classes, arities, size maxima).
-    pub diversity: DiversitySummary,
     /// Wall-clock generation + translation time.
     pub seconds: f64,
     /// Where the five documents' output time went (see
-    /// [`GraphRunSummary::emit`]). `None` when the run rendered them from
-    /// a materialized workload or not at all.
+    /// [`GenReport::emit`]). `None` when the run rendered them from a
+    /// materialized workload or not at all.
     pub emit: Option<EmitStats>,
 }
 
-/// The evaluation half of a [`RunSummary`] — the outcome of the
-/// (engine × query) matrix the `--eval` stage ran.
+/// The evaluation half of a [`RunSummary`]: the (engine × query) matrix
+/// the `--eval` stage ran.
 ///
 /// Everything serialized by [`RunSummary::to_json`] from this struct is a
 /// pure function of the plan and the seed (outcomes, cardinalities,
 /// counts): the `eval` section of `summary.json` is byte-identical at
-/// every thread count. The stage's wall time is recorded in
-/// [`EvalRunSummary::seconds`] for the report and the CLI banner but
-/// deliberately kept **out** of the JSON, preserving that guarantee.
+/// every thread count. The wall times — the stage's, the report's fill
+/// and cell seconds, each cell's — go to the report and the CLI banner
+/// but deliberately stay **out** of the JSON, preserving that guarantee.
 #[derive(Debug, Clone)]
 pub struct EvalRunSummary {
-    /// Engine letters in column order, e.g. `"PGSD"`.
-    pub engines: String,
-    /// Per-cell wall-clock budget in milliseconds (`0` = unlimited).
-    pub budget_ms: u64,
-    /// Per-cell tuple cap.
-    pub max_tuples: usize,
-    /// Whether the schema-statistics planner ordered the engines' joins.
-    pub plan: bool,
-    /// Sub-expression cache contents and hit accounting; `None` when the
-    /// cache was disabled. Deterministic: fill contents are a pure
-    /// function of graph and query set, and hit/miss totals are sums of
-    /// per-cell counts independent of thread schedule.
-    pub cache: Option<gmark_engines::EvalCacheStats>,
-    /// Number of evaluated queries (matrix rows).
-    pub queries: usize,
-    /// Number of evaluated cells (`queries × engines`).
-    pub cells: usize,
-    /// Cells that completed.
-    pub ok: usize,
-    /// Cells that exhausted the wall-clock budget.
-    pub timeout: usize,
-    /// Cells that exceeded the tuple budget.
-    pub too_large: usize,
-    /// Cells the engine could not express.
-    pub unsupported: usize,
-    /// Cells that hit an engine invariant violation.
-    pub internal: usize,
-    /// Per-cell rows in ascending `(query, engine position)` order.
-    pub rows: Vec<EvalCellRow>,
-    /// Stage wall time (report/banner only — not serialized to JSON).
+    /// The engines, budget and tuple cap the matrix ran with.
+    pub spec: EvalSpec,
+    /// The matrix: every cell in ascending `(query, engine position)`
+    /// order, the cache's contents and hit accounting, the fill and cell
+    /// seconds.
+    pub report: EvalReport,
+    /// Stage wall time.
     pub seconds: f64,
-    /// Of [`EvalRunSummary::seconds`], the sub-expression cache fill
-    /// (report only).
-    pub fill_seconds: f64,
-    /// Of [`EvalRunSummary::seconds`], the cell matrix (report only).
-    pub cells_seconds: f64,
-    /// The summed wall time of the cells that completed (report only).
-    /// Cells run on `threads` workers, so these cell-seconds can add up to
-    /// more than [`EvalRunSummary::cells_seconds`].
-    pub ok_seconds: f64,
-    /// The summed wall time of the cells over the tuple cap (report only).
-    pub too_large_seconds: f64,
-    /// The summed wall time of each engine's cells, whatever their
-    /// outcome, in [`EvalRunSummary::engines`] order (report only).
-    pub engine_seconds: Vec<f64>,
-}
-
-/// One deterministic cell row of an [`EvalRunSummary`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalCellRow {
-    /// Query index (generation order).
-    pub query: usize,
-    /// Engine letter (`P`/`G`/`S`/`D`).
-    pub engine: char,
-    /// Outcome word: `ok`, `timeout`, `too-large`, `unsupported`, or
-    /// `error`.
-    pub outcome: String,
-    /// Distinct answer tuples for completed cells, `None` otherwise.
-    pub count: Option<u64>,
-    /// The planner's estimated answer cardinality for the cell's query;
-    /// `None` when the run had the planner off.
-    pub estimate: Option<u64>,
 }
 
 impl RunSummary {
@@ -221,12 +157,12 @@ impl RunSummary {
                 let _ = writeln!(
                     rep,
                     "edges: {} written ({} generated before dedup) in {:.3}s",
-                    g.edges_written, g.edges_generated, g.seconds
+                    g.edges_written, g.report.total_edges, g.seconds
                 );
-                if let Some(emit) = &g.emit {
+                if let Some(emit) = &g.report.emit {
                     let _ = writeln!(rep, "graph output: {emit}");
                 }
-                for (i, cr) in g.constraints.iter().enumerate() {
+                for (i, cr) in g.report.constraints.iter().enumerate() {
                     let _ = writeln!(
                         rep,
                         "constraint {i}: src_slots={} trg_slots={} edges={}",
@@ -247,7 +183,7 @@ impl RunSummary {
             let _ = writeln!(
                 rep,
                 "store: {} edges, {} bytes (page size {}) in {:.3}s",
-                s.edges, s.bytes, s.page_size, s.seconds
+                s.info.edges, s.info.bytes, s.info.page_size, s.seconds
             );
         }
         if self.consistency.is_empty() {
@@ -257,46 +193,50 @@ impl RunSummary {
             let _ = writeln!(rep, "consistency check: {issue}");
         }
         if let Some(w) = &self.workload {
+            let r = &w.report;
             let _ = writeln!(
                 rep,
                 "workload: {} queries, {} relaxation steps, {} unmet selectivity targets",
-                w.produced, w.relaxations, w.unsatisfied_selectivity
+                r.produced, r.relaxations, r.unsatisfied_selectivity
             );
             let _ = writeln!(
                 rep,
                 "cypher degradations: {} concatenation-under-star, {} inverse-under-star",
-                w.cypher_star_concat, w.cypher_star_inverse
+                r.cypher.star_concat, r.cypher.star_inverse
             );
             if let Some(emit) = &w.emit {
                 let _ = writeln!(rep, "workload output: {emit}");
             }
-            let _ = writeln!(rep, "diversity:\n{}", w.diversity);
+            let _ = writeln!(rep, "diversity:\n{r}");
         }
         if let Some(e) = &self.eval {
+            let report = &e.report;
+            let letters = e.spec.letters();
+            // The cells' own seconds of the first and third outcomes, ok
+            // and too-large.
+            let of_outcome = |i| cell_seconds(report, |cell| cell.outcome.index() == i);
             let _ = writeln!(
                 rep,
-                "evaluation: {} queries x {} engines ({}) = {} cells in {:.3}s \
-                 ({:.3}s cache fill, {:.3}s cells: {:.3}s ok, {:.3}s too-large cell-seconds)",
-                e.queries,
-                e.engines.len(),
-                e.engines,
-                e.cells,
+                "evaluation: {} queries x {} engines ({letters}) = {} cells in {:.3}s \
+                 ({:.3}s cache fill, {:.3}s cells: {:.3}s {}, {:.3}s {} cell-seconds)",
+                report.queries,
+                letters.len(),
+                report.cells.len(),
                 e.seconds,
-                e.fill_seconds,
-                e.cells_seconds,
-                e.ok_seconds,
-                e.too_large_seconds
+                report.fill_seconds,
+                report.cells_seconds,
+                of_outcome(0),
+                OUTCOMES[0],
+                of_outcome(2),
+                OUTCOMES[2],
             );
             let _ = write!(rep, "cell-seconds by engine:");
-            for (letter, seconds) in e.engines.chars().zip(&e.engine_seconds) {
-                let _ = write!(rep, " {letter} {seconds:.3}");
+            for &kind in &e.spec.engines {
+                let seconds = cell_seconds(report, |cell| cell.engine == kind);
+                let _ = write!(rep, " {} {seconds:.3}", kind.letter());
             }
             let _ = writeln!(rep);
-            let _ = writeln!(
-                rep,
-                "evaluation outcomes: {} ok, {} timeout, {} too-large, {} unsupported, {} error",
-                e.ok, e.timeout, e.too_large, e.unsupported, e.internal
-            );
+            let _ = writeln!(rep, "evaluation outcomes: {}", report.totals());
         }
         rep
     }
@@ -333,18 +273,18 @@ impl RunSummary {
 impl std::fmt::Display for RunSummary {
     /// The CLI's human-readable banner (one line per pipeline that ran).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let plural = if self.threads > 1 { "s" } else { "" };
         if let Some(g) = &self.graph {
             writeln!(
                 f,
-                "graph: {} nodes requested, {} edges -> graph.nt ({:.3}s, {} thread{}{})",
+                "graph: {} nodes requested, {} edges -> graph.nt ({:.3}s, {} thread{plural}{})",
                 g.nodes_requested,
                 g.edges_written,
                 g.seconds,
                 self.threads,
-                if self.threads > 1 { "s" } else { "" },
                 if self.streamed { ", streamed" } else { "" }
             )?;
-            if let Some(emit) = &g.emit {
+            if let Some(emit) = &g.report.emit {
                 writeln!(f, "graph output: {emit}")?;
             }
         }
@@ -352,39 +292,38 @@ impl std::fmt::Display for RunSummary {
             writeln!(
                 f,
                 "store: {} edges -> graph.gstore ({} bytes, page size {}, {:.3}s)",
-                s.edges, s.bytes, s.page_size, s.seconds
+                s.info.edges, s.info.bytes, s.info.page_size, s.seconds
             )?;
         }
         if let Some(w) = &self.workload {
             writeln!(
                 f,
                 "workload: {} queries -> workload.{{txt,sparql,cypher,sql,datalog}} \
-                 ({:.3}s, {} thread{}; cypher degradations: {} concatenation, {} inverse)",
-                w.produced,
+                 ({:.3}s, {} thread{plural}; cypher degradations: {} concatenation, {} inverse)",
+                w.report.produced,
                 w.seconds,
                 self.threads,
-                if self.threads > 1 { "s" } else { "" },
-                w.cypher_star_concat,
-                w.cypher_star_inverse,
+                w.report.cypher.star_concat,
+                w.report.cypher.star_inverse,
             )?;
             if let Some(emit) = &w.emit {
                 writeln!(f, "workload output: {emit}")?;
             }
         }
         if let Some(e) = &self.eval {
+            // The first three outcomes: ok, timeout, too-large.
+            let counts = OUTCOMES.iter().zip(e.report.totals().counts());
+            let outcomes: Vec<String> = counts.take(3).map(|(w, n)| format!("{n} {w}")).collect();
             writeln!(
                 f,
                 "eval: {} cells ({} queries x {} engines) -> eval.txt \
-                 ({:.3}s, {} thread{}; {} ok, {} timeout, {} too-large)",
-                e.cells,
-                e.queries,
-                e.engines,
+                 ({:.3}s, {} thread{plural}; {})",
+                e.report.cells.len(),
+                e.report.queries,
+                e.spec.letters(),
                 e.seconds,
                 self.threads,
-                if self.threads > 1 { "s" } else { "" },
-                e.ok,
-                e.timeout,
-                e.too_large,
+                outcomes.join(", "),
             )?;
         }
         Ok(())
@@ -412,15 +351,22 @@ fn write_counts<K: ToString>(w: &mut JsonWriter, key: &str, counts: &BTreeMap<K,
     w.end_object();
 }
 
+/// The summed wall time of the cells `of` selects: an empty selection
+/// sums to `-0.0`, as [`Iterator::sum`] does.
+fn cell_seconds(report: &EvalReport, of: impl Fn(&EvalCell) -> bool) -> f64 {
+    let cells = report.cells.iter().filter(|&cell| of(cell));
+    cells.map(|cell| cell.seconds).sum()
+}
+
 fn write_graph_json(g: &GraphRunSummary, w: &mut JsonWriter) {
     w.begin_object();
     w.key("nodes_requested").uint(g.nodes_requested);
     w.key("nodes_realized").uint(g.nodes_realized);
     w.key("edges_written").uint(g.edges_written);
-    w.key("edges_generated").uint(g.edges_generated);
+    w.key("edges_generated").uint(g.report.total_edges);
     w.key("seconds").fixed(g.seconds, 6);
     w.key("constraints").begin_array();
-    for cr in &g.constraints {
+    for cr in &g.report.constraints {
         w.begin_object();
         w.key("src_slots").uint(cr.src_slots);
         w.key("trg_slots").uint(cr.trg_slots);
@@ -433,23 +379,24 @@ fn write_graph_json(g: &GraphRunSummary, w: &mut JsonWriter) {
 
 fn write_store_json(s: &StoreRunSummary, w: &mut JsonWriter) {
     w.begin_object();
-    w.key("bytes").uint(s.bytes);
-    w.key("page_size").uint(u64::from(s.page_size));
-    w.key("edges").uint(s.edges);
+    w.key("bytes").uint(s.info.bytes);
+    w.key("page_size").uint(u64::from(s.info.page_size));
+    w.key("edges").uint(s.info.edges);
     w.key("seconds").fixed(s.seconds, 6);
     w.end_object();
 }
 
 fn write_workload_json(wl: &WorkloadRunSummary, w: &mut JsonWriter) {
+    let r = &wl.report;
     w.begin_object();
     w.key("seed").uint(wl.seed);
-    w.key("produced").uint(wl.produced as u64);
+    w.key("produced").uint(r.produced as u64);
     w.key("unsatisfied_selectivity")
-        .uint(wl.unsatisfied_selectivity as u64);
-    w.key("relaxations").uint(u64::from(wl.relaxations));
+        .uint(r.unsatisfied_selectivity as u64);
+    w.key("relaxations").uint(u64::from(r.relaxations));
     w.key("cypher_degradations").begin_object();
-    w.key("star_concat").uint(wl.cypher_star_concat);
-    w.key("star_inverse").uint(wl.cypher_star_inverse);
+    w.key("star_concat").uint(r.cypher.star_concat);
+    w.key("star_inverse").uint(r.cypher.star_inverse);
     w.end_object();
     w.key("bytes").begin_object();
     for (name, bytes) in ["rules", "sparql", "cypher", "sql", "datalog"]
@@ -460,33 +407,33 @@ fn write_workload_json(wl: &WorkloadRunSummary, w: &mut JsonWriter) {
     }
     w.end_object();
     w.key("seconds").fixed(wl.seconds, 6);
-    let d = &wl.diversity;
     w.key("diversity").begin_object();
-    w.key("total").uint(d.total as u64);
-    w.key("recursive").uint(d.recursive as u64);
-    write_counts(w, "by_shape", &d.by_shape);
-    write_counts(w, "by_class", &d.by_class);
-    write_counts(w, "by_arity", &d.by_arity);
-    w.key("max_rules").uint(d.max_rules as u64);
-    w.key("max_conjuncts").uint(d.max_conjuncts as u64);
-    w.key("max_disjuncts").uint(d.max_disjuncts as u64);
-    w.key("max_path_length").uint(d.max_path_length as u64);
+    w.key("total").uint(r.produced as u64);
+    w.key("recursive").uint(r.recursive as u64);
+    write_counts(w, "by_shape", &r.by_shape);
+    write_counts(w, "by_class", &r.by_class);
+    write_counts(w, "by_arity", &r.by_arity);
+    w.key("max_rules").uint(r.max_rules as u64);
+    w.key("max_conjuncts").uint(r.max_conjuncts as u64);
+    w.key("max_disjuncts").uint(r.max_disjuncts as u64);
+    w.key("max_path_length").uint(r.max_path_length as u64);
     w.end_object();
     w.end_object();
 }
 
-/// The deterministic evaluation fields. The stage's wall time is
-/// intentionally absent: the `eval` JSON object is a pure function of the
-/// plan and seed (see [`EvalRunSummary`]).
+/// The deterministic evaluation fields. Wall times are intentionally
+/// absent: the `eval` JSON object is a pure function of the plan and seed
+/// (see [`EvalRunSummary`]).
 fn write_eval_json(e: &EvalRunSummary, w: &mut JsonWriter) {
+    let report = &e.report;
     w.begin_object();
-    w.key("engines").string(&e.engines);
-    w.key("budget_ms").uint(e.budget_ms);
-    w.key("max_tuples").uint(e.max_tuples as u64);
-    w.key("plan").bool(e.plan);
+    w.key("engines").string(&e.spec.letters());
+    w.key("budget_ms").uint(e.spec.budget_ms);
+    w.key("max_tuples").uint(e.spec.max_tuples as u64);
+    w.key("plan").bool(report.planned);
     w.key("cache").begin_object();
-    w.key("enabled").bool(e.cache.is_some());
-    if let Some(c) = &e.cache {
+    w.key("enabled").bool(report.cache.is_some());
+    if let Some(c) = &report.cache {
         w.key("entries").uint(c.entries as u64);
         w.key("tuples").uint(c.tuples);
         w.key("fills").uint(c.fills);
@@ -494,23 +441,22 @@ fn write_eval_json(e: &EvalRunSummary, w: &mut JsonWriter) {
         w.key("misses").uint(c.misses);
     }
     w.end_object();
-    w.key("queries").uint(e.queries as u64);
-    w.key("cells").uint(e.cells as u64);
+    w.key("queries").uint(report.queries as u64);
+    w.key("cells").uint(report.cells.len() as u64);
     w.key("outcomes").begin_object();
-    w.key("ok").uint(e.ok as u64);
-    w.key("timeout").uint(e.timeout as u64);
-    w.key("too_large").uint(e.too_large as u64);
-    w.key("unsupported").uint(e.unsupported as u64);
-    w.key("error").uint(e.internal as u64);
+    for (word, n) in OUTCOMES.iter().zip(report.totals().counts()) {
+        w.key(&word.replace('-', "_")).uint(n as u64);
+    }
     w.end_object();
     w.key("rows").begin_array();
-    for row in &e.rows {
+    for cell in &report.cells {
         w.begin_object();
-        w.key("query").uint(row.query as u64);
-        w.key("engine").string(row.engine.encode_utf8(&mut [0; 4]));
-        w.key("outcome").string(&row.outcome);
-        w.key("count").opt_uint(row.count);
-        w.key("estimate").opt_uint(row.estimate);
+        w.key("query").uint(cell.query as u64);
+        w.key("engine")
+            .string(cell.engine.letter().encode_utf8(&mut [0; 4]));
+        w.key("outcome").string(cell.outcome.word());
+        w.key("count").opt_uint(cell.outcome.count());
+        w.key("estimate").opt_uint(cell.estimate);
         w.end_object();
     }
     w.end_array();
@@ -520,8 +466,41 @@ fn write_eval_json(e: &EvalRunSummary, w: &mut JsonWriter) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmark_core::cypher::CypherCounts;
+    use gmark_core::gen::ConstraintReport;
+    use gmark_engines::{CellOutcome, EngineKind, EvalError};
 
     fn sample() -> RunSummary {
+        // Two queries on four engines: six cells ok, one timeout, one too
+        // large, each with its own seconds.
+        let cell = |query, engine, outcome, seconds| EvalCell {
+            query,
+            engine,
+            outcome,
+            estimate: Some([10, 4][query]),
+            seconds,
+        };
+        let ok = |count| CellOutcome::Answers { arity: 2, count };
+        let cells = vec![
+            cell(0, EngineKind::Relational, ok(12), 0.05),
+            cell(
+                0,
+                EngineKind::Navigational,
+                CellOutcome::Failed(EvalError::Timeout),
+                0.2,
+            ),
+            cell(0, EngineKind::TripleStore, ok(12), 0.1),
+            cell(0, EngineKind::Datalog, ok(12), 0.015),
+            cell(1, EngineKind::Relational, ok(3), 0.044),
+            cell(1, EngineKind::Navigational, ok(3), 0.017),
+            cell(
+                1,
+                EngineKind::TripleStore,
+                CellOutcome::Failed(EvalError::TooLarge(7)),
+                0.015,
+            ),
+            cell(1, EngineKind::Datalog, ok(3), 0.004),
+        ];
         RunSummary {
             config: Some(PathBuf::from("bib.xml")),
             seed: 42,
@@ -532,80 +511,68 @@ mod tests {
                 nodes_requested: 100,
                 nodes_realized: 120,
                 edges_written: 300,
-                edges_generated: 310,
-                constraints: vec![ConstraintReport {
-                    src_slots: 10,
-                    trg_slots: 20,
-                    edges: 10,
-                }],
+                report: GenReport {
+                    constraints: vec![ConstraintReport {
+                        src_slots: 10,
+                        trg_slots: 20,
+                        edges: 10,
+                    }],
+                    total_edges: 310,
+                    emit: Some(EmitStats {
+                        blocks: 3,
+                        bytes: 34_567,
+                        write_seconds: 0.01,
+                        parked_seconds: 0.02,
+                    }),
+                },
                 seconds: 0.25,
-                emit: Some(EmitStats {
-                    blocks: 3,
-                    bytes: 34_567,
-                    write_seconds: 0.01,
-                    parked_seconds: 0.02,
-                }),
             }),
             from_store: None,
             store: Some(StoreRunSummary {
-                bytes: 65_536,
-                page_size: 8192,
-                edges: 300,
+                info: StoreInfo {
+                    bytes: 65_536,
+                    page_size: 8192,
+                    edges: 300,
+                },
                 seconds: 0.05,
             }),
             workload: Some(WorkloadRunSummary {
                 seed: 42,
-                produced: 12,
-                unsatisfied_selectivity: 0,
-                relaxations: 3,
-                cypher_star_concat: 1,
-                cypher_star_inverse: 2,
+                report: WorkloadReport {
+                    produced: 12,
+                    relaxations: 3,
+                    cypher: CypherCounts {
+                        star_concat: 1,
+                        star_inverse: 2,
+                    },
+                    ..WorkloadReport::default()
+                },
                 bytes: [10, 20, 30, 40, 50],
-                diversity: DiversitySummary::default(),
                 seconds: 0.1,
                 emit: None,
             }),
             eval: Some(EvalRunSummary {
-                engines: "PGSD".to_owned(),
-                budget_ms: 10_000,
-                max_tuples: 1_000_000,
-                plan: true,
-                cache: Some(gmark_engines::EvalCacheStats {
-                    entries: 5,
-                    tuples: 1000,
-                    hits: 9,
-                    misses: 3,
-                    fills: 4,
-                }),
-                queries: 2,
-                cells: 8,
-                ok: 7,
-                timeout: 1,
-                too_large: 0,
-                unsupported: 0,
-                internal: 0,
-                rows: vec![
-                    EvalCellRow {
-                        query: 0,
-                        engine: 'P',
-                        outcome: "ok".to_owned(),
-                        count: Some(12),
-                        estimate: Some(10),
-                    },
-                    EvalCellRow {
-                        query: 0,
-                        engine: 'G',
-                        outcome: "timeout".to_owned(),
-                        count: None,
-                        estimate: Some(10),
-                    },
-                ],
+                spec: EvalSpec {
+                    engines: EngineKind::ALL.to_vec(),
+                    budget_ms: 10_000,
+                    max_tuples: 1_000_000,
+                },
+                report: EvalReport {
+                    engines: EngineKind::ALL.to_vec(),
+                    queries: 2,
+                    cells,
+                    planned: true,
+                    cache: Some(gmark_engines::EvalCacheStats {
+                        entries: 5,
+                        tuples: 1000,
+                        hits: 9,
+                        misses: 3,
+                        fills: 4,
+                    }),
+                    fill_seconds: 0.125,
+                    cells_seconds: 0.25,
+                },
                 seconds: 0.5,
-                fill_seconds: 0.125,
-                cells_seconds: 0.25,
-                ok_seconds: 0.375,
-                too_large_seconds: 0.07,
-                engine_seconds: vec![0.094, 0.217, 0.115, 0.019],
             }),
         }
     }
@@ -715,7 +682,7 @@ mod tests {
             "{json}"
         );
         let mut off = sample();
-        off.eval.as_mut().unwrap().cache = None;
+        off.eval.as_mut().unwrap().report.cache = None;
         assert!(
             off.to_json().contains("\"cache\":{\"enabled\":false}"),
             "{}",
@@ -734,6 +701,13 @@ mod tests {
         );
         assert!(eval.contains("\"count\":12"), "{eval}");
         assert!(
+            eval.contains(
+                "\"outcomes\":{\"ok\":6,\"timeout\":1,\"too_large\":1,\
+                 \"unsupported\":0,\"error\":0}"
+            ),
+            "{eval}"
+        );
+        assert!(
             !eval.contains("seconds"),
             "eval JSON must not carry wall-clock content: {eval}"
         );
@@ -743,7 +717,7 @@ mod tests {
         assert!(
             rep.contains(
                 "8 cells in 0.500s (0.125s cache fill, 0.250s cells: \
-                 0.375s ok, 0.070s too-large cell-seconds)"
+                 0.230s ok, 0.015s too-large cell-seconds)"
             ),
             "{rep}"
         );
@@ -752,5 +726,16 @@ mod tests {
             "{rep}"
         );
         assert!(rep.contains("1 timeout"), "{rep}");
+        assert!(
+            rep.contains(
+                "evaluation outcomes: 6 ok, 1 timeout, 1 too-large, 0 unsupported, 0 error\n"
+            ),
+            "{rep}"
+        );
+        let banner = sample().to_string();
+        assert!(
+            banner.contains("(0.500s, 2 threads; 6 ok, 1 timeout, 1 too-large)\n"),
+            "{banner}"
+        );
     }
 }

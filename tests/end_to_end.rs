@@ -54,9 +54,9 @@ fn xml_to_graph_to_workload_to_answers() {
     let arts = run_in_memory(&plan, &RunOptions::with_seed(5)).expect("pipeline runs");
     let gsum = arts.summary.graph.as_ref().expect("graph generated");
     assert!(
-        gsum.edges_generated > 100,
+        gsum.report.total_edges > 100,
         "edges: {}",
-        gsum.edges_generated
+        gsum.report.total_edges
     );
     let graph = arts.graph.expect("graph materialized");
     assert_eq!(graph.node_count(), 820); // 0.5+0.3+0.2 of 800 + 20 fixed
@@ -67,7 +67,7 @@ fn xml_to_graph_to_workload_to_answers() {
     assert_eq!(workload.queries.len(), 12);
     // --seed 5 overrides the XML's seed=11 in the plan's options…
     assert_eq!(wsum.seed, 5);
-    assert_eq!(wsum.unsatisfied_selectivity, 0);
+    assert_eq!(wsum.report.unsatisfied_selectivity, 0);
     let schema = &plan.graph.schema;
 
     // Every query translates to all four syntaxes and evaluates on at

@@ -132,7 +132,7 @@ fn in_memory_eval_outcomes_are_thread_count_invariant() {
     let digest = |threads: usize| {
         let arts = run_in_memory(&plan, &RunOptions::with_seed(5).threads(threads))
             .expect("pipeline runs");
-        let report = arts.eval.expect("eval matrix ran");
+        let report = arts.summary.eval.expect("eval matrix ran").report;
         report
             .cells
             .iter()
@@ -158,9 +158,9 @@ fn tuple_budget_exhaustion_is_deterministic_across_thread_counts() {
     let render_at = |threads: usize| {
         let arts = run_in_memory(&plan, &RunOptions::with_seed(3).threads(threads))
             .expect("pipeline runs");
-        let summary = arts.summary.eval.expect("eval ran");
-        assert!(summary.too_large > 0, "the cap must bite");
-        arts.eval.expect("matrix kept").render()
+        let report = arts.summary.eval.expect("eval ran").report;
+        assert!(report.totals().too_large > 0, "the cap must bite");
+        report.render()
     };
     let base = render_at(1);
     assert_eq!(render_at(2), base);

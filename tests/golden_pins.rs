@@ -77,6 +77,13 @@
 //! store. Nothing else moved: every outcome, count and estimate is the
 //! same, and [`MIXED_OUTCOMES`], which pins every `TooLarge(n)`, passes
 //! as recorded.
+//!
+//! The `report.txt` pins ([`STORE_REPORT`], [`QUERIES_ONLY_REPORT`],
+//! [`CLI_EVAL_REPORT`], [`MIXED_EVAL_REPORT`]) cover the runs of the masked
+//! `summary.json` pins. They were recorded from the commit before each half
+//! of the run summary came to hold the report its stage returns, with only
+//! the wall-clock numbers masked ([`masked_report`]), and must pass at 1, 2
+//! and 8 threads.
 
 use gmark::prelude::*;
 use gmark::store::paged::Fnv64;
@@ -195,6 +202,19 @@ const CLI_EVAL_SUMMARY: [(u64, u64); 2] =
 const MIXED_EVAL_SUMMARY: [(u64, u64); 2] =
     [(9297, 0xd007_c1ee_efba_46a6), (9012, 0xe5a4_de75_419c_8a68)];
 
+/// Masked `report.txt` ([`masked_report`]) of [`STORE_SUMMARY`]'s two
+/// `--store` runs, `--stream` then the default mode (module docs).
+const STORE_REPORT: [(u64, u64); 2] =
+    [(1002, 0xf106_dbee_7ac4_a172), (1002, 0x915d_34ee_de58_5196)];
+/// Masked `report.txt` of the `--queries-only` run.
+const QUERIES_ONLY_REPORT: (u64, u64) = (593, 0x6bf0_d019_5a9a_2d35);
+/// Masked `report.txt` of the [`CLI_EVAL`] runs, `[in RAM, --from-store]`.
+const CLI_EVAL_REPORT: [(u64, u64); 2] =
+    [(1083, 0xa84d_54a0_da19_6f0b), (758, 0xf974_b2b0_1719_ea3d)];
+/// Masked `report.txt` of the [`MIXED_EVAL`] runs, same layout.
+const MIXED_EVAL_REPORT: [(u64, u64); 2] =
+    [(1109, 0xd3bd_d28b_ced5_3037), (784, 0x7d64_5b23_f7f8_805d)];
+
 fn fingerprint_bytes(bytes: &[u8]) -> (u64, u64) {
     let mut hash = Fnv64::new();
     hash.update(bytes);
@@ -226,6 +246,51 @@ fn masked_summary(json: &[u8], threads: usize) -> Vec<u8> {
     masked.into_bytes()
 }
 
+/// `report.txt` with its wall-clock numbers masked: every `{:.3}` value
+/// followed by `s` (stage, write and parked seconds) and the numbers of
+/// the `cell-seconds by engine:` line. The path of a `--from-store` run's
+/// store, which lives in a per-process temporary directory, reads `STORE`.
+fn masked_report(report: &[u8], store: Option<&Path>) -> Vec<u8> {
+    let mut report = std::str::from_utf8(report)
+        .expect("report.txt is UTF-8")
+        .to_owned();
+    if let Some(store) = store {
+        let path = store.to_str().expect("a UTF-8 temp dir");
+        assert!(report.contains(path), "{path} in {report}");
+        report = report.replace(path, "STORE");
+    }
+    let mut masked = String::with_capacity(report.len());
+    for line in report.split_inclusive('\n') {
+        let by_engine = line.starts_with("cell-seconds by engine:");
+        let mut words = line.split(' ').peekable();
+        while let Some(word) = words.next() {
+            let (number, rest) = word.split_at(
+                word.find(|c: char| !c.is_ascii_digit() && c != '.' && c != '(')
+                    .unwrap_or(word.len()),
+            );
+            let digits = number.trim_start_matches('(');
+            let three = digits
+                .split_once('.')
+                .is_some_and(|(int, frac)| !int.is_empty() && frac.len() == 3);
+            if three && (by_engine || rest.starts_with('s')) {
+                masked.push_str(&number[..number.len() - digits.len()]);
+                masked.push('S');
+                masked.push_str(rest);
+            } else {
+                masked.push_str(word);
+            }
+            if words.peek().is_some() {
+                masked.push(' ');
+            }
+        }
+    }
+    masked.into_bytes()
+}
+
+fn report_fingerprint(report: &[u8], store: Option<&Path>) -> (u64, u64) {
+    fingerprint_bytes(&masked_report(report, store))
+}
+
 fn summary_fingerprint(json: &[u8], threads: usize) -> (u64, u64) {
     fingerprint_bytes(&masked_summary(json, threads))
 }
@@ -234,6 +299,12 @@ fn summary_fingerprint(json: &[u8], threads: usize) -> (u64, u64) {
 fn summary_in(out: &Path, threads: &str) -> (u64, u64) {
     let json = std::fs::read(out.join("summary.json")).expect("summary.json");
     summary_fingerprint(&json, threads.parse().expect("a thread count"))
+}
+
+/// The fingerprint of the masked `report.txt` a run left in `out`.
+fn report_in(out: &Path, store: Option<&Path>) -> (u64, u64) {
+    let report = std::fs::read(out.join("report.txt")).expect("report.txt");
+    report_fingerprint(&report, store)
 }
 
 /// Runs the CLI on `examples/configs/bib.xml` at seed 42, from the
@@ -278,6 +349,8 @@ fn parent_commit_artifacts_are_reproduced_at_1_2_8_threads_in_both_modes() {
             }
             let pin = STORE_SUMMARY[usize::from(!stream)];
             assert_eq!(summary_in(&out, threads), pin, "summary.json {what}");
+            let pin = STORE_REPORT[usize::from(!stream)];
+            assert_eq!(report_in(&out, None), pin, "report.txt {what}");
         }
     }
     for threads in ["1", "2", "8"] {
@@ -285,6 +358,7 @@ fn parent_commit_artifacts_are_reproduced_at_1_2_8_threads_in_both_modes() {
         let flags = ["--queries-only", "--threads", threads, "--format", "json"];
         gmark(&out, &flags);
         assert_eq!(summary_in(&out, threads), QUERIES_ONLY_SUMMARY, "{flags:?}");
+        assert_eq!(report_in(&out, None), QUERIES_ONLY_REPORT, "{flags:?}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
@@ -294,8 +368,8 @@ fn parent_commit_cli_eval_report_is_reproduced_in_every_regime() {
     let scratch: PathBuf =
         std::env::temp_dir().join(format!("gmark-golden-eval-{}", std::process::id()));
     gmark(&scratch.join("store"), &["--nodes", "250", "--store"]);
-    let store = scratch.join("store/graph.gstore");
-    let store = store.to_str().expect("a UTF-8 temp dir");
+    let store_path = scratch.join("store/graph.gstore");
+    let store = store_path.to_str().expect("a UTF-8 temp dir");
     for threads in ["1", "2", "8"] {
         for from_store in [false, true] {
             let mut flags = vec!["--nodes", "250", "--eval", "--budget-ms", "0"];
@@ -309,6 +383,9 @@ fn parent_commit_cli_eval_report_is_reproduced_in_every_regime() {
             assert_eq!(fingerprint(&out.join("eval.txt")), CLI_EVAL, "{flags:?}");
             let pin = CLI_EVAL_SUMMARY[usize::from(from_store)];
             assert_eq!(summary_in(&out, threads), pin, "summary.json {flags:?}");
+            let store = from_store.then_some(store_path.as_path());
+            let pin = CLI_EVAL_REPORT[usize::from(from_store)];
+            assert_eq!(report_in(&out, store), pin, "report.txt {flags:?}");
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
@@ -369,6 +446,12 @@ fn parent_commit_mixed_eval_report_is_reproduced_in_every_regime() {
                 summary_fingerprint(&summary, threads),
                 MIXED_EVAL_SUMMARY[usize::from(from_store.is_some())],
                 "summary.json {what}"
+            );
+            let report = sink.bytes(Artifact::Report).expect("a report");
+            assert_eq!(
+                report_fingerprint(&report, from_store),
+                MIXED_EVAL_REPORT[usize::from(from_store.is_some())],
+                "report.txt {what}"
             );
         }
     }

@@ -117,12 +117,12 @@ fn xml_plan_and_builder_plan_produce_bit_identical_artifacts() {
     let sa = a.summary().expect("summary stored");
     let sb = b.summary().expect("summary stored");
     assert_eq!(
-        sa.graph.as_ref().unwrap().constraints,
-        sb.graph.as_ref().unwrap().constraints
+        sa.graph.as_ref().unwrap().report.constraints,
+        sb.graph.as_ref().unwrap().report.constraints
     );
     assert_eq!(
-        sa.workload.as_ref().unwrap().produced,
-        sb.workload.as_ref().unwrap().produced
+        sa.workload.as_ref().unwrap().report.produced,
+        sb.workload.as_ref().unwrap().report.produced
     );
 }
 

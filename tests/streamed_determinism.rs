@@ -122,7 +122,7 @@ fn streamed_run_without_a_store_never_touches_its_scratch_dir() {
         .build()
         .expect("plan builds");
     let summary = run(&store_plan, &opts, &mut sink).expect("a store needs no scratch either");
-    assert!(summary.store.unwrap().edges > 0);
+    assert!(summary.store.unwrap().info.edges > 0);
     assert!(root.join("out/graph.gstore").is_file());
     let names = file_names(&root.join("out"));
     assert!(!names.iter().any(|n| n.starts_with(".gmark")), "{names:?}");
