@@ -53,10 +53,16 @@
 //! it already a set — a [`Csr`] of head pairs — so the last step's bag and
 //! its projected head cells never exist, after charging what writing them
 //! would have (the rows when the step was resolved, then the projected
-//! rows). A head shape it does not read as a set, or a build whose scratch
-//! would outgrow the rows, takes the bag path from the same step: its head
-//! cells, written off the same visit of the step's rows that [`Step::rows`]
-//! makes, made a set by [`Answers::from_rows`].
+//! rows). When one end is bound and the head is a kept column and the new
+//! partner, the head is a composition: the distinct (key, anchor) pairs of
+//! the rows, composed with the step's relation by [`Relation::compose`],
+//! the kernel of the fill, of `P`'s misses and of `D`'s rule (d). The
+//! composition charges only deduplicated pairs, never more than the rows
+//! already charged, so it can fail only on the clock. A head shape it does
+//! not read as a set, or a build whose scratch would outgrow the rows,
+//! takes the bag path from the same step: its head cells, written off the
+//! same visit of the step's rows that [`Step::rows`] makes, made a set by
+//! [`Answers::from_rows`].
 
 use crate::context::EvalContext;
 use crate::relations::Relation;
@@ -161,13 +167,14 @@ enum Arm<'a> {
     Cartesian,
 }
 
-/// One join step: a conjunct resolved against the table it extends. This
-/// is the one place that picks the arm, takes the relation in the arm's
-/// direction and counts and charges the step's rows (see the module
-/// docs); [`Step::rows`] and [`Step::head`] only read what it resolved.
+/// One join step: a conjunct resolved against the table it extends, which
+/// it owns. This is the one place that picks the arm, takes the relation
+/// in the arm's direction and counts and charges the step's rows (see the
+/// module docs); [`Step::rows`] and [`Step::head`] only read what it
+/// resolved.
 #[derive(Debug)]
 struct Step<'a> {
-    table: &'a BindingTable,
+    table: BindingTable,
     src: Var,
     trg: Var,
     pairs: &'a Csr,
@@ -182,7 +189,7 @@ impl<'a> Step<'a> {
     /// row, so a step over the cap fails with the first total that exceeds
     /// it.
     fn new<R: Deref<Target = Relation>>(
-        table: &'a BindingTable,
+        table: BindingTable,
         c: &'a ConjunctPairs<R>,
         budget: &Budget,
     ) -> Result<Step<'a>, EvalError> {
@@ -265,12 +272,13 @@ impl<'a> Step<'a> {
     ///
     /// The arm is the step's, and the head's shape picks the build:
     /// - **a kept column and the new partner** (one end bound, the other
-    ///   in the head): every row's run of partners is copied whole into a
-    ///   counting scatter keyed by the kept column (a constant at arity 1),
-    ///   whose offsets come from the run lengths and whose target hull
-    ///   from each run's ends, and the runs are made sets by
-    ///   [`Csr::from_runs`]. A partner-first head is built keyed by the
-    ///   kept column and transposed;
+    ///   in the head): the rows' (key, anchor) pairs — the key is the kept
+    ///   column, a constant at arity 1 — made a set by
+    ///   [`Csr::try_from_edges`], then the table's cells are freed and that
+    ///   set is composed with the relation keyed by the anchor
+    ///   ([`Relation::compose`], whose clock check fails the cell, not over
+    ///   to the bag path). A partner-first head is built keyed by the kept
+    ///   column and transposed;
     /// - **only kept columns** (the semi-join arm, or the new variable
     ///   dead): the head pairs of the rows that match go through
     ///   [`Csr::try_from_edges`];
@@ -284,8 +292,9 @@ impl<'a> Step<'a> {
     /// head cells of every row the step yields, made a set by
     /// [`Answers::from_rows`].
     fn head(
-        &self,
+        mut self,
         head: &[Var],
+        budget: &Budget,
         charge: impl FnOnce(usize) -> Result<(), EvalError>,
     ) -> Result<HeadSet, EvalError> {
         let at: Vec<At> = head
@@ -298,7 +307,7 @@ impl<'a> Step<'a> {
         } else {
             self.len
         })?;
-        if let Some(csr) = self.build(&at) {
+        if let Some(csr) = self.build(&at, budget)? {
             return Ok(HeadSet::Pairs(csr));
         }
         // The bag path: the head cells of every row the step yields.
@@ -364,8 +373,9 @@ impl<'a> Step<'a> {
 
     /// The head of one or two cells at `at` as a set of pairs, read off
     /// the arm (see [`Step::head`]); `None` when the head's shape is not
-    /// read as a set or its scratch would outgrow the rows.
-    fn build(&self, at: &[At]) -> Option<Csr> {
+    /// read as a set or its scratch would outgrow the rows. Only the
+    /// composition a bound step's head is read through checks the clock.
+    fn build(&mut self, at: &[At], budget: &Budget) -> Result<Option<Csr>, EvalError> {
         let arity = at.len();
         let kept: Vec<usize> = at
             .iter()
@@ -381,19 +391,33 @@ impl<'a> Step<'a> {
                 _ => partners <= 1,
             };
         if !reads {
-            return None;
+            return Ok(None);
         } else if self.len == 0 {
-            return Some(Csr::default());
+            return Ok(Some(Csr::default()));
         } else if arity == 0 {
-            return Some(satisfied());
+            return Ok(Some(satisfied()));
         }
         let fits = |first, last| scatter_fits(arity, self.len, first, last);
-        match &self.arm {
-            // A kept column (or none, at arity 1) and the new partner.
+        Ok(match &self.arm {
+            // A kept column (or none, at arity 1) and the new partner: the
+            // distinct (key, anchor) pairs of the rows, composed with the
+            // relation keyed by the anchor.
             Arm::Bound { col, rel, .. } if partners == 1 => {
-                let csr = self.gather_runs(rel, *col, kept.first().copied(), arity)?;
-                let partner_first = matches!(at, [At::Src | At::Trg, At::Kept(_)]);
-                Some(if partner_first { csr.transpose() } else { csr })
+                let key = |row: &[NodeId]| kept.first().map_or(0, |&k| row[k]);
+                // Every row's pair, partners or not: a lookup per row per
+                // pass costs more than the anchors without partners, which
+                // the composition skips.
+                let pairs = self.table.rows().map(|row| (key(row), row[*col]));
+                let Some(anchors) = Csr::try_from_edges(pairs, fits) else {
+                    return Ok(None);
+                };
+                // The rows are read: free them before the head is written, so
+                // the two never take memory at once.
+                self.table.cells = Vec::new();
+                let head = Relation::from_csr(anchors).compose(rel, budget)?.into_csr();
+                // A partner-first head, built keyed by the kept column.
+                let flip = matches!(at, [At::Src | At::Trg, At::Kept(_)]);
+                Some(if flip { head.transpose() } else { head })
             }
             // A Cartesian step, whose head reads only the relation.
             Arm::Cartesian => {
@@ -422,53 +446,7 @@ impl<'a> Step<'a> {
                 };
                 Csr::try_from_edges(self.table.rows().filter(hit).map(pair), fits)
             }
-        }
-    }
-
-    /// The set of `(row[key], partner)` over every row's run of partners
-    /// in `rel` at column `col` — `(0, partner)` without a key — built
-    /// from whole runs, one partner per row of the step. `None` when the
-    /// scratch would outgrow the rows ([`scatter_fits`]).
-    fn gather_runs(&self, rel: &Csr, col: usize, key: Option<usize>, arity: usize) -> Option<Csr> {
-        let (table, len) = (self.table, self.len);
-        let key_of = |row: &[NodeId]| key.map_or(0, |k| row[k]);
-        // Rows without partners may lie outside the key hull; they add
-        // nothing.
-        let runs = || {
-            let rows = table
-                .rows()
-                .map(|row| (key_of(row), rel.neighbors(row[col])));
-            rows.filter(|(_, run)| !run.is_empty())
-        };
-        let (mut keys, mut targets) = ((NodeId::MAX, 0), (NodeId::MAX, 0));
-        for (k, run) in runs() {
-            keys = (keys.0.min(k), keys.1.max(k));
-            targets = (targets.0.min(run[0]), targets.1.max(run[run.len() - 1]));
-        }
-        let (base, span) = (keys.0, (keys.1 - keys.0) as usize + 1);
-        let target_hull = (targets.0, (targets.1 - targets.0) as usize + 1);
-        if !scatter_fits(arity, len, span, target_hull.1) {
-            return None;
-        }
-        let mut offsets = vec![0u32; span + 1];
-        for (k, run) in runs() {
-            offsets[(k - base) as usize + 1] += run.len() as u32;
-        }
-        for i in 0..span {
-            offsets[i + 1] += offsets[i];
-        }
-        // The offsets are the cursors: after the copies, `offsets[i]` is
-        // where key `i`'s runs end — where key `i + 1`'s start.
-        let mut partners: Vec<NodeId> = vec![0; len];
-        for (k, run) in runs() {
-            let cursor = &mut offsets[(k - base) as usize];
-            let at = *cursor as usize;
-            partners[at..at + run.len()].copy_from_slice(run);
-            *cursor += run.len() as u32;
-        }
-        offsets.copy_within(0..span, 1);
-        offsets[0] = 0;
-        Some(Csr::from_runs(base, offsets, partners, target_hull))
+        })
     }
 }
 
@@ -522,14 +500,12 @@ pub(crate) fn join_all<R: Deref<Target = Relation>>(
     let mut table = BindingTable::unit();
     for i in 0..ends.len() {
         budget.check_time()?;
-        table = {
-            let c = mount(i, &table)?;
-            let step = Step::new(&table, &c, budget)?;
-            if i + 1 == ends.len() {
-                return step.head(head, charge);
-            }
-            step.rows(&live_after(head, ends[i + 1..].iter().copied()))
-        };
+        let c = mount(i, &table)?;
+        let step = Step::new(table, &c, budget)?;
+        if i + 1 == ends.len() {
+            return step.head(head, budget, charge);
+        }
+        table = step.rows(&live_after(head, ends[i + 1..].iter().copied()));
     }
     match head.first() {
         Some(&v) => Err(unbound(v)),
@@ -641,7 +617,7 @@ mod tests {
             live: &[Var],
             budget: &Budget,
         ) -> Result<BindingTable, EvalError> {
-            Ok(Step::new(self, c, budget)?.rows(live))
+            Ok(Step::new(self.clone(), c, budget)?.rows(live))
         }
 
         /// Appends one output row: the `keep` columns of `row`, then `new`.
@@ -660,7 +636,7 @@ mod tests {
         budget: &Budget,
         charge: impl FnOnce(usize) -> Result<(), EvalError>,
     ) -> Result<HeadSet, EvalError> {
-        Step::new(table, c, budget)?.head(head, charge)
+        Step::new(table.clone(), c, budget)?.head(head, budget, charge)
     }
 
     /// The bag path, written out: the step joined into `table` as a table
@@ -883,14 +859,24 @@ mod tests {
 
     #[test]
     fn each_head_shape_takes_its_arm() {
-        // 40 rows (x0, x1) = (k % 8, k % 5) against x1 → x2 over 5 × 4
-        // pairs: 160 raw rows, enough for every scatter to fit.
-        let table = BindingTable {
+        // 40 rows (x0, x1) against x1 → x2 over 5 × 4 pairs, or x2 → x1
+        // over their converse: 160 raw rows. The rows (k % 8, k % 5) are
+        // all distinct, and every scatter fits; the rows (k % 2, k % 3)
+        // repeat each (key, anchor) pair six or seven times; under the
+        // keys k · 100 000 no scatter keyed by x0 fits.
+        let table = |x0: fn(NodeId) -> NodeId, x1: fn(NodeId) -> NodeId| BindingTable {
             vars: vec![Var(0), Var(1)],
-            cells: (0..40).flat_map(|k| [k % 8, k % 5]).collect(),
+            cells: (0..40).flat_map(|k| [x0(k), x1(k)]).collect(),
             len: 40,
         };
+        let distinct = table(|k| k % 8, |k| k % 5);
+        let repeated = table(|k| k % 2, |k| k % 3);
+        let wide = table(|k| k * 100_000, |k| k % 5);
         let rel = Relation::from_pairs((0..5).flat_map(|m| (0..4).map(move |t| (m, 10 + t))));
+        let converse = Relation::from_csr(rel.transpose());
+        // Half of the distinct rows are pairs of `even`.
+        let grid = (0..8).flat_map(|a| (0..5).map(move |b| (a, b)));
+        let even = Relation::from_pairs(grid.filter(|(a, b)| (a + b) % 2 == 0));
         let forward = ConjunctPairs {
             src: Var(1),
             trg: Var(2),
@@ -899,20 +885,20 @@ mod tests {
         let backward = ConjunctPairs {
             src: Var(2),
             trg: Var(1),
-            pairs: &rel,
+            pairs: &converse,
         };
         let semi = ConjunctPairs {
             src: Var(0),
             trg: Var(1),
-            pairs: &rel,
+            pairs: &even,
         };
         // Whether the head is read as a set, having checked it against
         // the bag path's.
-        let arm = |c: &Borrowed<'_>, head: &[u32]| {
+        let arm = |table: &BindingTable, c: &Borrowed<'_>, head: &[u32]| {
             let head: Vec<Var> = head.iter().copied().map(Var).collect();
             let budget = Budget::default();
-            let read = read_head(&table, c, &head, &budget, |_| Ok(())).unwrap();
-            let bag = bag_head(&table, c, &head, &budget, |_| Ok(())).unwrap();
+            let read = read_head(table, c, &head, &budget, |_| Ok(())).unwrap();
+            let bag = bag_head(table, c, &head, &budget, |_| Ok(())).unwrap();
             let set = matches!(read, HeadSet::Pairs(_));
             assert_eq!(read.into_answers(head.len()), bag.into_answers(head.len()));
             set
@@ -921,13 +907,17 @@ mod tests {
             // Kept-first, partner-first, both kept, one kept, the partner
             // alone, a repeated kept column, Boolean: read as a set.
             for head in [&[0, 2][..], &[2, 0], &[0, 1], &[1], &[2], &[0, 0], &[]] {
-                assert!(arm(c, head), "{head:?}");
+                assert!(arm(&distinct, c, head), "{head:?}");
+                assert!(arm(&repeated, c, head), "{head:?}");
             }
             // The partner twice, and arity 3: the bag path.
-            assert!(!arm(c, &[2, 2]));
-            assert!(!arm(c, &[0, 1, 2]));
+            assert!(!arm(&distinct, c, &[2, 2]));
+            assert!(!arm(&distinct, c, &[0, 1, 2]));
+            // Keys too far apart: the bag path; the partner alone: a set.
+            assert!(!arm(&wide, c, &[0, 2]) && !arm(&wide, c, &[2, 0]));
+            assert!(arm(&wide, c, &[2]));
         }
-        assert!(arm(&semi, &[0, 1]) && arm(&semi, &[1]));
+        assert!(arm(&distinct, &semi, &[0, 1]) && arm(&distinct, &semi, &[1]));
         // A Cartesian step reads the relation alone; under a kept column
         // it takes the bag path.
         let unit = BindingTable::unit();
@@ -941,7 +931,33 @@ mod tests {
             let read = read_head(&unit, &lone, &head, &Budget::default(), |_| Ok(()));
             assert!(matches!(read, Ok(HeadSet::Pairs(_))), "{head:?}");
         }
-        assert!(!arm(&lone, &[0, 3]));
+        assert!(!arm(&distinct, &lone, &[0, 3]));
+    }
+
+    #[test]
+    fn a_timeout_in_the_heads_composition_fails_the_step() {
+        // 40 rows against one partner each: enough for the scatter to fit.
+        let table = BindingTable {
+            vars: vec![Var(0)],
+            cells: (0..40).map(|k| k % 4).collect(),
+            len: 40,
+        };
+        let rel = Relation::from_pairs((0..4).map(|m| (m, 10 + m)));
+        let c = ConjunctPairs {
+            src: Var(0),
+            trg: Var(1),
+            pairs: &rel,
+        };
+        let expired = Budget::with_limits(Some(std::time::Duration::ZERO), usize::MAX);
+        let read = |head: &[u32]| {
+            let head: Vec<Var> = head.iter().copied().map(Var).collect();
+            read_head(&table, &c, &head, &expired, |_| Ok(()))
+        };
+        // The composition checks the clock, and its timeout fails the step
+        // instead of falling back to the bag path, which never checks it.
+        assert!(matches!(read(&[0, 1]), Err(EvalError::Timeout)));
+        assert!(matches!(read(&[1, 0]), Err(EvalError::Timeout)));
+        assert!(matches!(read(&[1, 1]), Ok(HeadSet::Rows(_))));
     }
 
     #[test]

@@ -97,6 +97,11 @@ impl Relation {
         Relation(csr)
     }
 
+    /// The CSR the relation is.
+    pub(crate) fn into_csr(self) -> Csr {
+        self.0
+    }
+
     /// Assembles a relation from its CSR arrays ([`Csr::from_parts`]).
     pub(crate) fn from_parts(base: NodeId, offsets: Vec<u32>, targets: Vec<NodeId>) -> Relation {
         Relation(Csr::from_parts(base, offsets, targets))
@@ -115,7 +120,10 @@ impl Relation {
     }
 
     /// Composition `self ; other` = `{(s, u) | (s, t) ∈ self, (t, u) ∈
-    /// other}`.
+    /// other}`: the fill's compositions, `P`'s misses and `D`'s rule (d),
+    /// and the head a join step with one bound end reads off its rows
+    /// (the distinct (key, anchor) pairs composed with the step's
+    /// relation).
     ///
     /// Walks `self` one source at a time and gathers the run of each of
     /// its targets `t` out of `other` straight onto the output, through the
@@ -125,15 +133,19 @@ impl Relation {
     /// it, and only the distinct targets are ordered; without it, the
     /// source's run is sorted and its repeats compacted out. The output is
     /// sorted by construction, so no final re-sort (and no hash set) is
-    /// ever paid. The tuple budget is charged on the *deduplicated* output,
+    /// ever paid. It is sized up front for every gathered target, at most
+    /// the tuple cap, and shrunk to what was kept, so it never grows by
+    /// copying. The tuple budget is charged on the *deduplicated* output,
     /// after every source.
-    pub fn compose(&self, other: &Relation, budget: &Budget) -> Result<Relation, EvalError> {
+    pub fn compose(&self, other: &Csr, budget: &Budget) -> Result<Relation, EvalError> {
         if self.edge_count() == 0 || other.edge_count() == 0 {
             return Ok(Relation::default());
         }
         let mut dedup = RunDedup::new(other.target_hull(), other.edge_count());
-        let mut offsets = vec![0];
-        let mut targets: Vec<NodeId> = Vec::new();
+        let gathered: usize = self.targets().iter().map(|&t| other.degree(t)).sum();
+        let mut offsets = Vec::with_capacity(self.offsets().len());
+        offsets.push(0);
+        let mut targets: Vec<NodeId> = Vec::with_capacity(gathered.min(budget.max_tuples));
         for (i, (_, mids)) in runs(self).enumerate() {
             if i.is_multiple_of(1024) {
                 budget.check_time()?;
@@ -151,6 +163,7 @@ impl Relation {
             budget.check_size(targets.len())?;
             offsets.push(offset(targets.len()));
         }
+        targets.shrink_to_fit();
         Ok(Relation(Csr::from_parts(self.base(), offsets, targets)))
     }
 

@@ -56,25 +56,10 @@ fn key_hull(keys: impl Iterator<Item = NodeId>) -> (NodeId, usize) {
     hull(lo, hi)
 }
 
-/// Panics unless `offsets` rise from 0 to `len` and the hull from `base`
-/// stays inside the id space.
-fn check_offsets(base: NodeId, offsets: &[u32], len: usize) {
-    assert!(
-        offsets.first() == Some(&0)
-            && offsets.last().map(|&o| o as usize) == Some(len)
-            && offsets.is_sorted(),
-        "offsets must rise from 0 to the target count"
-    );
-    assert!(
-        u64::from(base) + offsets.len() as u64 - 1 <= 1 << NodeId::BITS,
-        "the hull passes the largest node id"
-    );
-}
-
 /// The per-run body of every bag-to-set in the workspace: a run's targets,
-/// all inside one hull, made ascending and duplicate-free. [`Csr`]'s builds
-/// ([`Csr::try_from_edges`], [`Csr::from_runs`]) run each scattered run
-/// through it in place; a composition gathers each source's run through it.
+/// all inside one hull, made ascending and duplicate-free. [`Csr`]'s build
+/// ([`Csr::try_from_edges`]) runs each scattered run through it in place; a
+/// composition gathers each source's run through it.
 ///
 /// When a bitset over the hull has no more words than there are pairs in
 /// all, a run keeps a target only the first time its bit is set
@@ -265,36 +250,6 @@ impl Csr {
         Some(csr)
     }
 
-    /// Builds the CSR of targets already grouped by source, each run not
-    /// yet a set: `offsets` over the sources from `base` on, laid out as
-    /// [`Csr::offsets`] describes, and `targets` whose runs are in any
-    /// order and may repeat, every target inside `target_hull`, `(lowest
-    /// target, span)`. Each run is deduplicated as [`Csr::try_from_edges`]
-    /// deduplicates its scattered runs, and empty runs at either end are
-    /// cut off the hull, so it equals [`Csr::from_edges`] of the same
-    /// pairs. A caller that gathers whole runs — the join kernel copying
-    /// each row's run of partners — hands them over here without ever
-    /// holding them as pairs.
-    ///
-    /// Panics if the offsets do not start at 0, fall, or end anywhere but
-    /// `targets.len()`. A target outside `target_hull` is a caller's bug,
-    /// which may panic.
-    pub fn from_runs(
-        base: NodeId,
-        offsets: Vec<u32>,
-        targets: Vec<NodeId>,
-        target_hull: (NodeId, usize),
-    ) -> Csr {
-        check_offsets(base, &offsets, targets.len());
-        let mut csr = Csr {
-            base,
-            offsets,
-            targets,
-        };
-        csr.sort_and_dedup(target_hull);
-        Csr::from_parts(csr.base, csr.offsets, csr.targets)
-    }
-
     /// Assembles a CSR from its two arrays: `offsets` over the sources
     /// from `base` on, laid out as [`Csr::offsets`] describes, and
     /// `targets` with every run ascending and duplicate-free. Empty runs at
@@ -305,7 +260,16 @@ impl Csr {
     /// `targets.len()`, or if the hull passes the largest node id.
     pub fn from_parts(base: NodeId, mut offsets: Vec<u32>, targets: Vec<NodeId>) -> Csr {
         let len = targets.len();
-        check_offsets(base, &offsets, len);
+        assert!(
+            offsets.first() == Some(&0)
+                && offsets.last().map(|&o| o as usize) == Some(len)
+                && offsets.is_sorted(),
+            "offsets must rise from 0 to the target count"
+        );
+        assert!(
+            u64::from(base) + offsets.len() as u64 - 1 <= 1 << NodeId::BITS,
+            "the hull passes the largest node id"
+        );
         debug_assert!(offsets
             .windows(2)
             .all(|w| targets[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b)));

@@ -153,9 +153,6 @@ pub struct StreamSummary {
     pub report: WorkloadReport,
     /// Bytes written per document, in document order.
     pub bytes: [u64; DOC_COUNT],
-    /// Worker threads actually used after resolving `0 = auto-detect` and
-    /// clamping to the workload size (what the CLI reports).
-    pub threads: usize,
     /// Where the output time went (report and banner only).
     pub emit: EmitStats,
 }
@@ -243,10 +240,9 @@ pub fn stream_workload<W: Write + Send>(
     outs: &mut WorkloadOutputs<W>,
 ) -> Result<StreamSummary, WorkloadStreamError> {
     let ctx = WorkloadContext::new(schema, config);
-    let threads = resolve_threads(opts.threads, config.size);
     let emitter = OrderedEmitter::new(outs.as_array_mut().into(), config.size);
     let (partials, emit) = emitter.run(
-        threads,
+        resolve_threads(opts.threads, config.size),
         |partial: &mut Partial, i, lanes| -> Result<(), WorkloadStreamError> {
             let gq = ctx.generate(i)?;
             let docs = render_query(i, &gq, schema)?;
@@ -260,7 +256,6 @@ pub fn stream_workload<W: Write + Send>(
     )?;
 
     let mut summary = StreamSummary {
-        threads,
         emit,
         ..StreamSummary::default()
     };

@@ -351,11 +351,12 @@ fn write_counts<K: ToString>(w: &mut JsonWriter, key: &str, counts: &BTreeMap<K,
     w.end_object();
 }
 
-/// The summed wall time of the cells `of` selects: an empty selection
-/// sums to `-0.0`, as [`Iterator::sum`] does.
+/// The summed wall time of the cells `of` selects. The sum starts at
+/// `0.0`: an empty selection summed by [`Iterator::sum`] is `-0.0`, which
+/// prints as `-0.000s`.
 fn cell_seconds(report: &EvalReport, of: impl Fn(&EvalCell) -> bool) -> f64 {
     let cells = report.cells.iter().filter(|&cell| of(cell));
-    cells.map(|cell| cell.seconds).sum()
+    cells.fold(0.0, |sum, cell| sum + cell.seconds)
 }
 
 fn write_graph_json(g: &GraphRunSummary, w: &mut JsonWriter) {
@@ -688,6 +689,20 @@ mod tests {
             "{}",
             off.to_json()
         );
+    }
+
+    #[test]
+    fn an_outcome_class_without_cells_prints_zero_seconds() {
+        let mut summary = sample();
+        let report = &mut summary.eval.as_mut().unwrap().report;
+        report.cells.retain(|cell| cell.outcome.index() == 0);
+        assert!(cell_seconds(report, |_| false).is_sign_positive());
+        let rep = summary.render_report();
+        assert!(
+            rep.contains("0.230s ok, 0.000s too-large cell-seconds"),
+            "{rep}"
+        );
+        assert!(!rep.contains("-0.000"), "{rep}");
     }
 
     #[test]
