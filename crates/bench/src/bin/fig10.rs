@@ -19,7 +19,7 @@ use gmark_bench::{build_graph, fmt_matrix_cell_with_count, HarnessOptions, Workl
 use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule, Symbol, Var};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{evaluate_matrix, EngineKind, EvalContext};
+use gmark_engines::{evaluate_matrix_with_schema, EngineKind, EvalContext};
 
 /// Hand-written fixed queries mirroring SP²Bench's Q-set character:
 /// a journal–journal lookup (constant), an author-of-article listing
@@ -113,8 +113,9 @@ fn main() {
         .iter()
         .map(|graph| {
             let ctx = EvalContext::new(graph);
-            evaluate_matrix(
+            evaluate_matrix_with_schema(
                 &ctx,
+                None,
                 &queries,
                 &[EngineKind::TripleStore],
                 &opts.cell_budget(),

@@ -15,7 +15,9 @@
 use gmark_bench::{build_graph, HarnessOptions, WorkloadKind};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{evaluate_matrix, CellOutcome, EngineKind, EvalContext, MatrixOptions};
+use gmark_engines::{
+    evaluate_matrix_with_schema, CellOutcome, EngineKind, EvalContext, MatrixOptions,
+};
 use gmark_stats::log_log_alpha;
 
 fn main() {
@@ -55,8 +57,9 @@ fn main() {
             let mut observations: Vec<(u64, u64)> = Vec::new();
             let mut failed = false;
             for ((n, _), ctx) in graphs.iter().zip(&contexts) {
-                let report = evaluate_matrix(
+                let report = evaluate_matrix_with_schema(
                     ctx,
+                    None,
                     &[&gq.query],
                     &[EngineKind::TripleStore],
                     &opts.cell_budget(),

@@ -9,7 +9,7 @@
 //! by skipping failed queries).
 //!
 //! Runs on the shared evaluation harness: per (family, graph size), one
-//! `EvalContext` and one `evaluate_matrix` call cover every
+//! `EvalContext` and one `evaluate_matrix_with_schema` call cover every
 //! (query × engine) cell; panel averages are folded from the cells.
 //!
 //! ```sh
@@ -20,7 +20,9 @@ use gmark_bench::{build_graph, HarnessOptions, WorkloadKind};
 use gmark_core::query::Query;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{evaluate_matrix, CellOutcome, EngineKind, EvalContext, EvalReport};
+use gmark_engines::{
+    evaluate_matrix_with_schema, CellOutcome, EngineKind, EvalContext, EvalReport,
+};
 use gmark_stats::Summary;
 
 fn main() {
@@ -65,8 +67,9 @@ fn main() {
             let reports = contexts
                 .iter()
                 .map(|ctx| {
-                    evaluate_matrix(
+                    evaluate_matrix_with_schema(
                         ctx,
+                        None,
                         &queries,
                         &EngineKind::ALL,
                         &opts.cell_budget(),

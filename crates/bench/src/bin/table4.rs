@@ -15,14 +15,14 @@
 //!
 //! Runs on the shared evaluation harness: per graph size, one
 //! [`EvalContext`] is built and every (engine × query) cell goes through
-//! [`evaluate_matrix`] with a fresh per-cell budget and the Section 7.1
+//! [`evaluate_matrix_with_schema`] with a fresh per-cell budget and the Section 7.1
 //! warm-run protocol.
 
 use gmark_bench::{build_graph, fmt_matrix_cell, HarnessOptions, WorkloadKind};
 use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule, Symbol, Var};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{evaluate_matrix, EngineKind, EvalContext, EvalReport};
+use gmark_engines::{evaluate_matrix_with_schema, EngineKind, EvalContext, EvalReport};
 
 /// Picks the first *recursive* query of the given class from the Rec
 /// workload (the paper's "small case analysis" selected its two queries
@@ -74,8 +74,9 @@ fn main() {
         .iter()
         .map(|(_, graph)| {
             let ctx = EvalContext::new(graph);
-            evaluate_matrix(
+            evaluate_matrix_with_schema(
                 &ctx,
+                None,
                 &[&q1, &q2],
                 &EngineKind::ALL,
                 &opts.cell_budget(),

@@ -226,7 +226,7 @@ impl HarnessOptions {
         }
     }
 
-    /// Matrix options for [`gmark_engines::evaluate_matrix`], carrying the
+    /// Matrix options for [`gmark_engines::evaluate_matrix_with_schema`], carrying the
     /// harness thread count and the Section 7.1 warm-run protocol.
     pub fn matrix_options(&self) -> MatrixOptions {
         MatrixOptions {
@@ -359,8 +359,9 @@ mod tests {
         let options = opts.matrix_options();
         assert_eq!(options.warm_runs, 3);
         let query = &w.queries[0].query;
-        let report = gmark_engines::evaluate_matrix(
+        let report = gmark_engines::evaluate_matrix_with_schema(
             &ctx,
+            None,
             &[query],
             &[engine],
             &CellBudget::default(),

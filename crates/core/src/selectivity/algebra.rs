@@ -425,82 +425,6 @@ impl<'a> Estimator<'a> {
         }
         best
     }
-
-    /// The possible node types of each variable of a rule, inferred by
-    /// intersecting the endpoint types its conjuncts admit.
-    pub fn variable_types(&self, rule: &Rule) -> FxHashMap<Var, Vec<TypeId>> {
-        let all: Vec<TypeId> = self.schema.types().collect();
-        let mut possible: FxHashMap<Var, Vec<TypeId>> = FxHashMap::default();
-        for v in rule.body_vars() {
-            possible.insert(v, all.clone());
-        }
-        for c in &rule.body {
-            let classes = self.expr_classes(&c.expr);
-            let mut srcs: Vec<TypeId> = classes.keys().map(|&(a, _)| a).collect();
-            let mut trgs: Vec<TypeId> = classes.keys().map(|&(_, b)| b).collect();
-            srcs.sort_unstable();
-            srcs.dedup();
-            trgs.sort_unstable();
-            trgs.dedup();
-            if let Some(p) = possible.get_mut(&c.src) {
-                p.retain(|t| srcs.contains(t));
-            }
-            if let Some(p) = possible.get_mut(&c.trg) {
-                p.retain(|t| trgs.contains(t));
-            }
-        }
-        possible
-    }
-
-    /// A conservative upper bound on the selectivity exponent of an
-    /// **n-ary** rule — the extension the paper lists as future work
-    /// ("extending the selectivity estimation to n-ary queries").
-    ///
-    /// Soundness argument: a projection variable whose possible types are
-    /// all fixed (`Type = 1`) ranges over `O(1)` values, contributing 0 to
-    /// the exponent; any other variable contributes at most 1 (it ranges
-    /// over `O(n)` nodes). The result size is bounded by the product of
-    /// per-variable ranges, so `α ≤ Σ contributions`. When two adjacent
-    /// head variables are the endpoints of a chain whose binary class is
-    /// not `×`, their joint contribution is at most 1 and the bound
-    /// tightens accordingly.
-    pub fn alpha_nary_bound(&self, rule: &Rule) -> u8 {
-        let possible = self.variable_types(rule);
-        let grows = |v: Var| -> u8 {
-            match possible.get(&v) {
-                Some(types) if !types.is_empty() => {
-                    u8::from(types.iter().any(|&t| self.schema.type_grows(t)))
-                }
-                // Unconstrained or unrealizable: assume it can grow.
-                _ => 1,
-            }
-        };
-        let mut total: u8 = 0;
-        let mut i = 0;
-        while i < rule.head.len() {
-            let v = rule.head[i];
-            // Pairwise tightening: if this and the next head variable form
-            // a non-× binary chain, they jointly contribute ≤ max(1, …).
-            if i + 1 < rule.head.len() {
-                let w = rule.head[i + 1];
-                let pair_rule = Rule {
-                    head: vec![v, w],
-                    body: rule.body.clone(),
-                };
-                if let Some(classes) = self.rule_classes(&pair_rule) {
-                    let pair_alpha = classes.values().map(|t| t.alpha()).max().unwrap_or(2);
-                    if pair_alpha < grows(v) + grows(w) {
-                        total = total.saturating_add(pair_alpha);
-                        i += 2;
-                        continue;
-                    }
-                }
-            }
-            total = total.saturating_add(grows(v));
-            i += 1;
-        }
-        total
-    }
 }
 
 /// Orders a binary rule's body as a chain from `from` to `to`; each element
@@ -985,100 +909,6 @@ mod tests {
             ],
         };
         assert!(est.rule_classes(&rule).is_none());
-    }
-
-    #[test]
-    fn variable_types_are_inferred() {
-        let schema = example_5_1_schema();
-        let est = Estimator::new(&schema);
-        let a = Symbol::forward(PredicateId(0));
-        // (?x0, a, ?x1): both ends can only be T1.
-        let rule = chain_rule(vec![RegularExpr::symbol(a)]);
-        let types = est.variable_types(&rule);
-        assert_eq!(types[&Var(0)], vec![TypeId(0)]);
-        assert_eq!(types[&Var(1)], vec![TypeId(0)]);
-        // (?x0, b, ?x1): sources are T1 or T2, targets T2 or T3.
-        let b = Symbol::forward(PredicateId(1));
-        let rule = chain_rule(vec![RegularExpr::symbol(b)]);
-        let types = est.variable_types(&rule);
-        assert_eq!(types[&Var(0)], vec![TypeId(0), TypeId(1)]);
-        assert_eq!(types[&Var(1)], vec![TypeId(1), TypeId(2)]);
-    }
-
-    #[test]
-    fn nary_bound_counts_growing_variables() {
-        let schema = example_5_1_schema();
-        let est = Estimator::new(&schema);
-        let a = Symbol::forward(PredicateId(0));
-        // Ternary head (?x0, ?x1, ?x2) over a 2-conjunct a-chain: all three
-        // variables range over the growing T1 — bound 3, tightened to ≤ 2+1
-        // by the pairwise chain refinement when applicable.
-        let rule = Rule {
-            head: vec![Var(0), Var(1), Var(2)],
-            body: vec![
-                Conjunct {
-                    src: Var(0),
-                    expr: RegularExpr::symbol(a),
-                    trg: Var(1),
-                },
-                Conjunct {
-                    src: Var(1),
-                    expr: RegularExpr::symbol(a),
-                    trg: Var(2),
-                },
-            ],
-        };
-        let bound = est.alpha_nary_bound(&rule);
-        assert!((1..=3).contains(&bound), "bound {bound}");
-        // The bound must dominate the true binary alpha of any projection
-        // pair: (x0, x2) via a·a is (N,<,N)·(N,<,N) = < (alpha 1).
-        assert!(bound >= 1);
-    }
-
-    #[test]
-    fn nary_bound_zero_for_all_fixed_heads() {
-        // All head variables over fixed types: bound 0.
-        let mut b = SchemaBuilder::new();
-        let c1 = b.node_type("c1", Occurrence::Fixed(5));
-        let c2 = b.node_type("c2", Occurrence::Fixed(5));
-        let p = b.predicate("p", None);
-        b.edge(
-            c1,
-            p,
-            c2,
-            Distribution::uniform(0, 2),
-            Distribution::uniform(0, 2),
-        );
-        let schema = b.build().unwrap();
-        let est = Estimator::new(&schema);
-        let rule = Rule {
-            head: vec![Var(0), Var(1)],
-            body: vec![Conjunct {
-                src: Var(0),
-                expr: RegularExpr::symbol(Symbol::forward(PredicateId(0))),
-                trg: Var(1),
-            }],
-        };
-        assert_eq!(est.alpha_nary_bound(&rule), 0);
-    }
-
-    #[test]
-    fn nary_bound_dominates_binary_alpha() {
-        let schema = example_5_1_schema();
-        let est = Estimator::new(&schema);
-        let a = Symbol::forward(PredicateId(0));
-        let rule = chain_rule(vec![
-            RegularExpr::symbol(a.flipped()),
-            RegularExpr::symbol(a),
-        ]);
-        let binary = est
-            .rule_classes(&rule)
-            .unwrap()
-            .values()
-            .map(|t| t.alpha())
-            .max()
-            .unwrap();
-        assert!(est.alpha_nary_bound(&rule) >= binary);
     }
 
     #[test]

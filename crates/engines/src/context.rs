@@ -12,8 +12,8 @@
 //!   whole, which is the same CSR — and shared by reference. They are the only adjacency any engine reads: `P` joins
 //!   them, the automaton BFS of `S` and `G` takes its moves from them, and
 //!   they *are* the Datalog EDB — `edge_<p>` is the forward relation of
-//!   `p` — so [`EvalContext::edb`] only warms them all and counts their
-//!   facts;
+//!   `p` — so [`EvalContext::edb`] builds none of them: it reads the
+//!   EDB's fact count, nodes plus distinct edges, off the graph view;
 //! * [`EvalContext::symbol_stats`] — edge and distinct-source/
 //!   distinct-target counts per `(predicate, direction)`, the planner's
 //!   cardinality and selectivity input, counted once as the non-empty
@@ -85,7 +85,6 @@
 use crate::relations::Relation;
 use crate::{Budget, EvalError};
 use gmark_core::query::{PathExpr, RegularExpr, Symbol};
-use gmark_core::schema::PredicateId;
 use gmark_store::{ordered_map, GraphView};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::slice;
@@ -464,46 +463,28 @@ impl<'g> EvalContext<'g> {
         }
     }
 
-    /// Probes the sub-expression cache for a whole expression
-    /// ([`EvalContext::probe_expr`]). The two outcomes, under the pinned
-    /// budget rule:
+    /// One conjunct's relation, the way `P` and `S` read it: one counted
+    /// probe of the whole expression ([`EvalContext::probe_expr`]), under
+    /// the pinned budget rule:
     ///
-    /// * `Ok(Some(rel))` — hit: the caller is charged exactly
-    ///   [`Budget::check_size`] on the cached cardinality (the check any
-    ///   computation of the result would have ended with) and **no wall
-    ///   time**;
-    /// * `Ok(None)` — miss (or cache disabled). Negative entries also land
-    ///   here: only `P`'s kernel treats them as authoritative (see the
-    ///   module docs).
-    ///
-    /// An `Err(TooLarge)` is the hit's own cardinality check failing —
-    /// the caller's cap is below the cached result size, exactly as
-    /// finishing the computation would have ended.
-    pub(crate) fn cached_expr(
-        &self,
-        expr: &RegularExpr,
-        budget: &Budget,
-    ) -> Result<Option<Arc<Relation>>, EvalError> {
-        let Some(hit) = self.probe_expr(expr) else {
-            return Ok(None);
-        };
-        budget.check_size(hit.edge_count())?;
-        Ok(Some(hit))
-    }
-
-    /// One conjunct's relation, the way `P` and `S` read it: a
-    /// cache hit when the probe finds one, otherwise `miss()` — the
-    /// engine's own kernel.
+    /// * a hit is charged exactly [`Budget::check_size`] on the cached
+    ///   cardinality (the check any computation of the result would have
+    ///   ended with) and **no wall time** — a cap below the cached size is
+    ///   its `TooLarge`, as finishing the computation would have ended;
+    /// * a miss (or no cache) is `miss()`, the engine's own kernel.
+    ///   Negative entries also land here: only `P`'s kernel treats them as
+    ///   authoritative (see the module docs).
     pub(crate) fn conjunct_relation(
         &self,
         expr: &RegularExpr,
         budget: &Budget,
         miss: impl FnOnce() -> Resolved,
     ) -> Resolved {
-        match self.cached_expr(expr, budget)? {
-            Some(hit) => Ok(hit),
-            None => miss(),
-        }
+        let Some(hit) = self.probe_expr(expr) else {
+            return miss();
+        };
+        budget.check_size(hit.edge_count())?;
+        Ok(hit)
     }
 
     /// `P`'s miss kernel: the fill's evaluator over the frozen cache, so a
@@ -548,14 +529,13 @@ impl<'g> EvalContext<'g> {
         })
     }
 
-    /// The Datalog EDB: warms the forward relation of every predicate —
-    /// `edge_<p>`, which inverse symbols read through the backward relation
-    /// of the same edges — and returns the fact count, `node(v)` per node
-    /// plus the distinct `p`-edges of every predicate: the `|EDB|` of the
-    /// Datalog engine's per-round size check.
+    /// The fact count of the Datalog EDB — `node(v)` per node plus the
+    /// distinct `p`-edges of every predicate, `edge_<p>` being the forward
+    /// relation of `p` — the `|EDB|` of the Datalog engine's per-round size
+    /// check. Read off the view (the graph's cached edge total, or the
+    /// store's verified directory): no relation is built.
     pub fn edb(&self) -> usize {
-        let edges = |p| self.relation(Symbol::forward(PredicateId(p))).edge_count();
-        self.view.node_count() as usize + (0..self.fwd.len()).map(edges).sum::<usize>()
+        self.view.node_count() as usize + self.view.edge_count()
     }
 }
 
@@ -624,20 +604,68 @@ mod tests {
 
     #[test]
     fn edb_is_built_once_and_covers_the_graph() {
-        // A parallel a-edge 0→1 is one EDB fact.
+        // A parallel a-edge 0→1 is one EDB fact: 4 nodes, 2 + 1 distinct
+        // edges, in RAM and read back from a store of the same graph.
+        use gmark_store::paged::{StoreMeta, StoreReader, StoreWriter};
         let mut b = GraphBuilder::new(TypePartition::from_counts(&[4]), 2);
         for (s, p, t) in [(0, 0, 1), (0, 0, 1), (1, 0, 2), (1, 1, 3)] {
             b.edge(s, p, t);
         }
         let g = b.build();
+        let dir = std::env::temp_dir().join(format!("gmark-engines-edb-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("g.gstore");
+        let meta = StoreMeta {
+            seed: 1,
+            schema_hash: 0,
+            page_size: 64,
+            predicate_names: vec!["a".into(), "b".into()],
+            partition: g.partition().clone(),
+        };
+        StoreWriter::write_graph(&path, &meta, &g).unwrap();
+        let reader = StoreReader::open(&path).unwrap();
+        for view in [GraphView::from(&g), GraphView::from(&reader)] {
+            let ctx = EvalContext::new(view);
+            assert_eq!(ctx.edb(), 4 + 2 + 1);
+            assert_eq!(ctx.edb(), 7, "a second call counts the same facts");
+            // The count is the view's: no symbol slot was built for it.
+            assert!(ctx.fwd.iter().chain(&ctx.bwd).all(|s| s.get().is_none()));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_datalog_only_warm_up_builds_only_the_mentioned_predicates() {
+        // Three predicates; the queries mention only `b`, so a `D`-only
+        // matrix warms both directions of `b` and leaves `a` and `c` cold.
+        use crate::fixtures::chain;
+        use crate::{evaluate_matrix_with_schema, CellBudget, EngineKind, MatrixOptions};
+        let mut b = GraphBuilder::new(TypePartition::from_counts(&[4]), 3);
+        for (s, p, t) in [(0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 2, 0)] {
+            b.edge(s, p, t);
+        }
+        let g = b.build();
         let ctx = EvalContext::new(&g);
-        let a = ctx.relation(sym(0)) as *const Relation;
-        assert_eq!(ctx.edb(), 4 + 2 + 1);
-        assert_eq!(ctx.edb(), 7, "a second call counts the same relations");
-        assert_eq!(ctx.relation(sym(0)) as *const Relation, a);
-        // Every forward slot is warm afterwards, no backward one.
-        assert!(ctx.fwd.iter().all(|slot| slot.get().is_some()));
-        assert!(ctx.bwd.iter().all(|slot| slot.get().is_none()));
+        let q = chain(vec![
+            RegularExpr::symbol(sym(1)),
+            RegularExpr::star(vec![PathExpr(vec![sym(1).flipped()])]),
+        ]);
+        let report = evaluate_matrix_with_schema(
+            &ctx,
+            None,
+            &[&q],
+            &[EngineKind::Datalog],
+            &CellBudget::default(),
+            &MatrixOptions::default(),
+        );
+        assert_eq!(report.totals().ok, 1, "{}", report.render());
+        for p in [0, 2] {
+            assert!(
+                ctx.fwd[p].get().is_none() && ctx.bwd[p].get().is_none(),
+                "{p}"
+            );
+        }
+        assert!(ctx.fwd[1].get().is_some() && ctx.bwd[1].get().is_some());
     }
 
     #[test]
@@ -650,6 +678,21 @@ mod tests {
         RegularExpr::path(PathExpr(vec![sym(0), sym(1)]))
     }
 
+    /// A conjunct read that must hit the cache: its miss kernel panics.
+    fn hit(ctx: &EvalContext<'_>, expr: &RegularExpr, budget: &Budget) -> Resolved {
+        ctx.conjunct_relation(expr, budget, || panic!("{expr:?} missed the cache"))
+    }
+
+    /// Whether a conjunct read of `expr` ran its miss kernel.
+    fn misses(ctx: &EvalContext<'_>, expr: &RegularExpr, budget: &Budget) -> bool {
+        let mut missed = false;
+        let _ = ctx.conjunct_relation(expr, budget, || {
+            missed = true;
+            Err(EvalError::Timeout)
+        });
+        missed
+    }
+
     #[test]
     fn expr_cache_serves_filled_expressions_and_their_prefixes() {
         let g = graph();
@@ -657,13 +700,12 @@ mod tests {
         let expr = two_step_expr();
         ctx.fill_expr_cache(std::slice::from_ref(&expr), 16, Budget::default);
         let budget = Budget::default();
-        let hit = ctx.cached_expr(&expr, &budget).unwrap().expect("hit");
         let direct = EvalContext::new(&g).expr_relation(&expr, &budget).unwrap();
-        assert_eq!(hit, direct);
+        assert_eq!(hit(&ctx, &expr, &budget).unwrap(), direct);
         // The length-1 prefix was kept under its canonical key, which
         // is exactly what `RegularExpr::symbol` builds.
         let prefix = RegularExpr::symbol(sym(0));
-        let prefix_hit = ctx.cached_expr(&prefix, &budget).unwrap().expect("hit");
+        let prefix_hit = hit(&ctx, &prefix, &budget).unwrap();
         assert_eq!(prefix_hit.as_ref(), ctx.relation(sym(0)));
         let stats = ctx.expr_cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses), (2, 0));
@@ -687,16 +729,16 @@ mod tests {
         let len = ctx.exact_expr_len(&expr).expect("cached") as usize;
         assert!(len > 0);
         let expired = Budget::with_limits(Some(std::time::Duration::ZERO), usize::MAX);
-        assert!(ctx.cached_expr(&expr, &expired).unwrap().is_some());
+        assert!(hit(&ctx, &expr, &expired).is_ok());
         // ... while a tuple cap below the cached cardinality fails the
         // size check, exactly as finishing the computation would have.
         let tight = Budget::with_limits(None, len - 1);
         assert!(matches!(
-            ctx.cached_expr(&expr, &tight),
+            hit(&ctx, &expr, &tight),
             Err(EvalError::TooLarge(_))
         ));
         let roomy = Budget::with_limits(None, len);
-        assert!(ctx.cached_expr(&expr, &roomy).unwrap().is_some());
+        assert!(hit(&ctx, &expr, &roomy).is_ok());
     }
 
     #[test]
@@ -717,12 +759,8 @@ mod tests {
         ));
         // ...while a probe is a plain miss (negative entries bind only
         // the kernel path), and a roomier kernel caller recomputes.
-        assert_eq!(
-            ctx.cached_expr(&expr, &Budget::with_limits(None, 1))
-                .unwrap(),
-            None
-        );
-        assert_eq!(ctx.cached_expr(&expr, &Budget::default()).unwrap(), None);
+        assert!(misses(&ctx, &expr, &Budget::with_limits(None, 1)));
+        assert!(misses(&ctx, &expr, &Budget::default()));
         let rel = ctx.expr_relation(&expr, &Budget::default()).unwrap();
         let uncached = EvalContext::new(&g).expr_relation(&expr, &Budget::default());
         assert_eq!(rel, uncached.unwrap());
@@ -735,7 +773,7 @@ mod tests {
         let expr = two_step_expr();
         ctx.fill_expr_cache(std::slice::from_ref(&expr), 0, Budget::default);
         assert!(ctx.expr_cache_stats().is_none());
-        assert_eq!(ctx.cached_expr(&expr, &Budget::default()).unwrap(), None);
+        assert!(misses(&ctx, &expr, &Budget::default()));
         // With the cache off, probes keep the counters untouched and
         // expr_relation computes directly.
         let rel = ctx.expr_relation(&expr, &Budget::default()).unwrap();

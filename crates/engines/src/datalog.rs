@@ -34,9 +34,10 @@
 //!   over the cap fails with the same count and derives nothing;
 //! * (b) every delta round starts with the clock and with
 //!   `|EDB| + |IDB|` — `|EDB|` is [`EvalContext::edb`], nodes plus the
-//!   distinct edges of *every* predicate, `|IDB|` every distinct derived
-//!   fact, `ans` included — and a round runs whenever the one before it
-//!   added a fact to any predicate, `ans` included. A rule's head is made
+//!   distinct edges of *every* predicate, read off the graph view (no
+//!   relation is built for it), `|IDB|` every distinct derived fact, `ans`
+//!   included — and a round runs whenever the one before it added a fact
+//!   to any predicate, `ans` included. A rule's head is made
 //!   a set before it is added, uncharged beyond (a): the join loop
 //!   reads it off the last atom's step as the CSR of its head pairs,
 //!   never writing that atom's rows or their head cells, and an IDB head

@@ -60,7 +60,7 @@
 //! Engines borrow one immutable [`EvalContext`] — per-predicate sorted
 //! relations (which are the Datalog EDB too) and symbol statistics —
 //! built once per graph instead of re-derived per query, and the
-//! [`evaluate_matrix`] harness
+//! [`evaluate_matrix_with_schema`] harness
 //! fans the (engine × query) cells of a whole workload over worker threads
 //! with a fresh per-cell [`Budget`], reassembling a deterministic
 //! [`EvalReport`].
@@ -81,8 +81,8 @@ pub mod relations;
 pub use automaton::eval_rpq;
 pub use context::{EvalCacheStats, EvalContext, SymbolStats};
 pub use matrix::{
-    evaluate_matrix, evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell,
-    EvalReport, EvalTotals, MatrixOptions, PlanQuality, OUTCOMES,
+    evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell, EvalReport,
+    EvalTotals, MatrixOptions, PlanQuality, OUTCOMES,
 };
 pub use planner::{plan_query, ConjunctStep, QueryPlan, RulePlan};
 

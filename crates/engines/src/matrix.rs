@@ -2,8 +2,8 @@
 //! Section 7 experiment, fanned over worker threads, reassembled into a
 //! deterministic report.
 //!
-//! [`evaluate_matrix`] runs the cells through the same fan-out as the
-//! graph and workload stages, [`gmark_store::ordered_map`]: each cell
+//! [`evaluate_matrix_with_schema`] runs the cells through the same fan-out
+//! as the graph and workload stages, [`gmark_store::ordered_map`]: each cell
 //! evaluates one query on one engine under a **fresh per-cell [`Budget`]**
 //! (late cells are not charged for early ones) and comes back in
 //! ascending `(query index, engine position)` order. Every engine is a
@@ -218,7 +218,7 @@ impl CellBudget {
     }
 }
 
-/// Execution knobs of [`evaluate_matrix`].
+/// Execution knobs of [`evaluate_matrix_with_schema`].
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixOptions {
     /// Worker threads; `0` means every core
@@ -322,7 +322,8 @@ impl CellOutcome {
 /// One evaluated cell of the matrix.
 #[derive(Debug, Clone)]
 pub struct EvalCell {
-    /// Query index (position in the slice passed to [`evaluate_matrix`]).
+    /// Query index (position in the slice passed to
+    /// [`evaluate_matrix_with_schema`]).
     pub query: usize,
     /// The engine that evaluated it.
     pub engine: EngineKind,
@@ -408,8 +409,8 @@ pub struct PlanQuality {
     pub actual_total: u128,
 }
 
-/// The assembled result of one [`evaluate_matrix`] run: cells in ascending
-/// `(query index, engine position)` order.
+/// The assembled result of one [`evaluate_matrix_with_schema`] run: cells
+/// in ascending `(query index, engine position)` order.
 #[derive(Debug, Clone)]
 pub struct EvalReport {
     /// The engine columns, in selection order.
@@ -535,21 +536,11 @@ impl EvalReport {
 /// against the shared context (optionally repeated `warm_runs` times for
 /// the Section 7.1 timing protocol); cells come back in ascending
 /// `(query index, engine position)` order whatever the scheduling.
-pub fn evaluate_matrix(
-    ctx: &EvalContext<'_>,
-    queries: &[&Query],
-    engines: &[EngineKind],
-    budget: &CellBudget,
-    options: &MatrixOptions,
-) -> EvalReport {
-    evaluate_matrix_with_schema(ctx, None, queries, engines, budget, options)
-}
-
-/// [`evaluate_matrix`] with the generating schema available to the
-/// planner. The schema sharpens the cost model's star estimates (the
-/// selectivity algebra decides which transitive closures are quadratic);
-/// without it the planner still runs on graph statistics alone. When
-/// `options.plan` is false the schema is unused.
+///
+/// `schema`, the generating schema, sharpens the planner's star estimates
+/// (the selectivity algebra decides which transitive closures are
+/// quadratic); with `None` the planner runs on graph statistics alone.
+/// When `options.plan` is false the schema is unused.
 pub fn evaluate_matrix_with_schema(
     ctx: &EvalContext<'_>,
     schema: Option<&Schema>,
@@ -593,8 +584,9 @@ pub fn evaluate_matrix_with_schema(
 /// scheduling. Every engine reads adjacency from the symbol relations, so
 /// both directions of every predicate a conjunct mentions are built for
 /// every engine selection (a flipped or degraded conjunct may walk the
-/// other one); `D` also gets its EDB, and a planned run the planner's
-/// statistics. Warming is idempotent.
+/// other one) — `D`'s atoms included, whose `|EDB|` the view already
+/// counts — and a planned run gets the planner's statistics. Warming is
+/// idempotent.
 ///
 /// This is also where the sub-expression result cache is filled on
 /// `options.threads` workers, over the candidates of [`fill_candidates`],
@@ -612,9 +604,6 @@ fn warm_context(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) -> f64 {
-    if engines.contains(&EngineKind::Datalog) {
-        let _ = ctx.edb();
-    }
     for sym in conjuncts(queries).flat_map(|c| c.expr.symbols()) {
         let _ = ctx.relation(sym);
         let _ = ctx.relation(sym.flipped());
@@ -760,8 +749,9 @@ mod tests {
         let qs = queries();
         let q_refs: Vec<&Query> = qs.iter().collect();
         let budget = CellBudget::default();
-        let base = evaluate_matrix(
+        let base = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &budget,
@@ -769,8 +759,9 @@ mod tests {
         );
         assert_eq!(base.cells.len(), 12);
         for threads in [2, 8] {
-            let report = evaluate_matrix(
+            let report = evaluate_matrix_with_schema(
                 &ctx,
+                None,
                 &q_refs,
                 &EngineKind::ALL,
                 &budget,
@@ -794,8 +785,9 @@ mod tests {
         let qs = queries();
         let q_refs: Vec<&Query> = qs.iter().collect();
         let engines = [EngineKind::TripleStore, EngineKind::Datalog];
-        let report = evaluate_matrix(
+        let report = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &engines,
             &CellBudget::default(),
@@ -816,8 +808,9 @@ mod tests {
         let ctx = EvalContext::new(&g);
         let qs = queries();
         let q_refs: Vec<&Query> = qs.iter().collect();
-        let report = evaluate_matrix(
+        let report = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &CellBudget::default(),
@@ -845,15 +838,17 @@ mod tests {
             timeout: None,
             max_tuples: 1,
         };
-        let a = evaluate_matrix(
+        let a = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &tight,
             &MatrixOptions::default(),
         );
-        let b = evaluate_matrix(
+        let b = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &tight,
@@ -898,8 +893,9 @@ mod tests {
             threads: 2,
             ..MatrixOptions::default()
         };
-        let report = evaluate_matrix(
+        let report = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &[&unsafe_head, &two_arities, &no_rules],
             &EngineKind::ALL,
             &CellBudget::default(),
@@ -920,8 +916,9 @@ mod tests {
             timeout: Some(Duration::ZERO),
             max_tuples: usize::MAX,
         };
-        let report = evaluate_matrix(
+        let report = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &expired,
@@ -937,8 +934,9 @@ mod tests {
         let ctx = EvalContext::new(&g);
         let qs = queries();
         let q_refs: Vec<&Query> = qs.iter().collect();
-        let report = evaluate_matrix(
+        let report = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &[EngineKind::Relational],
             &CellBudget::default(),
@@ -963,15 +961,17 @@ mod tests {
         let qs = queries();
         let q_refs: Vec<&Query> = qs.iter().collect();
         let budget = CellBudget::default();
-        let planned = evaluate_matrix(
+        let planned = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &budget,
             &MatrixOptions::default(),
         );
-        let unplanned = evaluate_matrix(
+        let unplanned = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &budget,
@@ -1026,7 +1026,8 @@ mod tests {
                 cache_mb,
                 ..MatrixOptions::default()
             };
-            let report = evaluate_matrix(&ctx, &[&q], &engines, &budget, &options);
+            let report =
+                evaluate_matrix_with_schema(&ctx, None, &[&q], &engines, &budget, &options);
             let outcome = |kind| &report.cell(0, kind).unwrap().outcome;
             assert!(
                 matches!(
@@ -1102,7 +1103,8 @@ mod tests {
                 threads,
                 ..MatrixOptions::default()
             };
-            evaluate_matrix(ctx, &q_refs, &EngineKind::ALL, &budget, &options).render()
+            evaluate_matrix_with_schema(ctx, None, &q_refs, &EngineKind::ALL, &budget, &options)
+                .render()
         };
         let in_ram = run(&EvalContext::new(&g), 1);
         assert!(

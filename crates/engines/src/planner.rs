@@ -3,8 +3,8 @@
 //! gMark's generator knows everything a cost-based optimizer needs — the
 //! schema, per-predicate cardinalities, and the selectivity algebra of
 //! Section 5.2. [`plan_query`] turns them into one plan per query,
-//! computed **once** in [`crate::matrix::evaluate_matrix`] and followed by
-//! every engine cell; no engine orders conjuncts on its own. A query
+//! computed **once** in [`crate::matrix::evaluate_matrix_with_schema`] and
+//! followed by every engine cell; no engine orders conjuncts on its own. A query
 //! evaluated without a plan follows [`QueryPlan::declaration_order`] —
 //! the same ordering loop with every estimate equal.
 //!

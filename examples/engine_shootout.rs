@@ -3,9 +3,10 @@
 //! (Fig. 12 in small).
 //!
 //! Built on the evaluation harness: per graph size one shared
-//! `EvalContext` feeds every engine, and `evaluate_matrix` fans the
-//! (engine × query) cells over `--threads` workers with a fresh per-cell
-//! budget — the same machinery behind the CLI's `--eval`.
+//! `EvalContext` feeds every engine, and `evaluate_matrix_with_schema`
+//! fans the (engine × query) cells over `--threads` workers with a fresh
+//! per-cell budget — the same machinery behind the CLI's `--eval`, here
+//! given no schema, so the planner runs on graph statistics alone.
 //!
 //! ```sh
 //! cargo run --release --example engine_shootout [-- --threads N]
@@ -71,7 +72,14 @@ fn main() {
             .expect("plan generates a graph");
         let ctx = EvalContext::new(&graph);
         let queries: Vec<&Query> = workload.queries.iter().map(|gq| &gq.query).collect();
-        let report = evaluate_matrix(&ctx, &queries, &EngineKind::ALL, &budget, &matrix_opts);
+        let report = evaluate_matrix_with_schema(
+            &ctx,
+            None,
+            &queries,
+            &EngineKind::ALL,
+            &budget,
+            &matrix_opts,
+        );
 
         for class in SelectivityClass::ALL {
             let rows: Vec<usize> = workload

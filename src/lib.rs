@@ -133,9 +133,8 @@ pub mod prelude {
         WorkloadConfig, WorkloadError,
     };
     pub use gmark_engines::{
-        evaluate_matrix, evaluate_matrix_with_schema, plan_query, Answers, Budget, CellBudget,
-        CellOutcome, EngineKind, EvalContext, EvalError, EvalReport, MatrixOptions, PlanQuality,
-        QueryPlan,
+        evaluate_matrix_with_schema, plan_query, Answers, Budget, CellBudget, CellOutcome,
+        EngineKind, EvalContext, EvalError, EvalReport, MatrixOptions, PlanQuality, QueryPlan,
     };
     pub use gmark_store::{EdgeSink, Graph, GraphBuilder, NodeId, TypePartition};
 }

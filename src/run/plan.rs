@@ -19,7 +19,7 @@ use gmark_config::{parse_config, ParsedConfig};
 use gmark_core::schema::{GraphConfig, Schema};
 use gmark_core::workload::WorkloadConfig;
 use gmark_engines::{CellBudget, EngineKind};
-use gmark_store::Csr;
+use gmark_store::{Csr, NodeId};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -201,7 +201,8 @@ impl RunPlan {
     }
 
     /// Checks the plan for internal consistency; called by
-    /// [`run`](crate::run::run) before any output is opened.
+    /// [`run`](crate::run::run) before any output is opened. A plan that
+    /// generates a graph must realize at most [`NodeId::MAX`] nodes.
     pub fn validate(&self) -> Result<(), GmarkError> {
         if self.outputs.workload && self.workload.is_none() {
             return Err(GmarkError::Plan(
@@ -222,6 +223,18 @@ impl RunPlan {
                 return Err(GmarkError::Plan(
                     "from_store is only consumed by the evaluation stage (add --eval)".to_owned(),
                 ));
+            }
+        }
+        if self.outputs.graph || self.outputs.store {
+            // Summed wide: a u64 sum of the counts of a huge `n` wraps.
+            let realized: u128 = self.graph.node_counts().into_iter().map(u128::from).sum();
+            if realized > u128::from(NodeId::MAX) {
+                return Err(GmarkError::Plan(format!(
+                    "nodes: n = {} realizes {realized} nodes, more than the {} a graph \
+                     holds (node ids are u32)",
+                    self.graph.n,
+                    NodeId::MAX
+                )));
             }
         }
         if !self.outputs.graph

@@ -161,6 +161,48 @@ fn a_tuple_cap_no_relation_can_reach_is_refused_before_the_run() {
 }
 
 #[test]
+fn a_node_count_past_node_id_capacity_is_refused_before_the_run() {
+    // Node ids are u32: a realized total above u32::MAX is a plan error,
+    // also where the per-type counts of `n` would wrap a u64 sum. Without
+    // a graph to generate, the node count is no error.
+    let scratch = std::env::temp_dir().join(format!("gmark-bignodes-{}", std::process::id()));
+    let bib = repo_path("examples/configs/bib.xml");
+    let run = |nodes: &str, extra: &[&str]| {
+        let mut args = vec![
+            "--config",
+            bib.to_str().unwrap(),
+            "--output",
+            scratch.to_str().unwrap(),
+            "--nodes",
+            nodes,
+        ];
+        args.extend_from_slice(extra);
+        gmark(&args)
+    };
+    for nodes in ["4294967296", "5000000000", "18446744073709551615"] {
+        for extra in [&[][..], &["--stream", "--store"]] {
+            let out = run(nodes, extra);
+            assert_eq!(out.status.code(), Some(1), "--nodes {nodes} {extra:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(
+                stderr.contains(&format!("n = {nodes} realizes "))
+                    && stderr.contains("more than the 4294967295 a graph holds"),
+                "{stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+    let out = run("18446744073709551615", &["--queries-only"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(scratch.join("workload.txt").exists());
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
 fn format_json_writes_summary_json_and_pure_json_stdout() {
     let scratch = std::env::temp_dir().join(format!("gmark-json-{}", std::process::id()));
     let out = gmark(&[

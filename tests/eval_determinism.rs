@@ -191,8 +191,9 @@ fn expired_clock_budget_times_out_every_cell_at_every_thread_count() {
         max_tuples: usize::MAX,
     };
     let render_at = |threads: usize| {
-        let report = evaluate_matrix(
+        let report = evaluate_matrix_with_schema(
             &ctx,
+            None,
             &queries,
             &EngineKind::ALL,
             &expired,

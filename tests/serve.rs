@@ -523,3 +523,26 @@ fn a_predicate_name_outside_the_name_rule_is_a_400() {
     assert!(text.contains("\"builds\":0"), "{text}");
     server.shutdown();
 }
+
+/// Node ids are u32, so a node count whose realized total passes
+/// `u32::MAX` is a plan error: a 400 naming the count and the limit, no
+/// build, and the daemon serves the next request.
+#[test]
+fn a_node_count_past_node_id_capacity_is_a_400_and_the_daemon_serves_on() {
+    let server = start(1, 64, 64);
+    let resp = post_run(server.local_addr(), "?nodes=5000000000");
+    assert_eq!(resp.status, 400);
+    let body = String::from_utf8(resp.body).unwrap();
+    assert!(
+        body.contains("realizes 5000000100 nodes, more than the 4294967295"),
+        "{body}"
+    );
+    let next = post_run(server.local_addr(), "?nodes=200&seed=3&artifact=graph.nt");
+    assert_eq!(next.status, 200);
+    assert_eq!(
+        next.body,
+        reference_artifact(200, 3, Artifact::Graph),
+        "the next request's bytes"
+    );
+    server.shutdown();
+}
