@@ -15,11 +15,11 @@
 //! cargo run -p gmark-bench --release --bin fig10 [--full]
 //! ```
 
-use gmark_bench::{build_graph, fmt_matrix_cell_with_count, HarnessOptions, WorkloadKind};
+use gmark_bench::{fmt_matrix_cell_with_count, HarnessOptions, Sweep, WorkloadKind};
 use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule, Symbol, Var};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{evaluate_matrix_with_schema, EngineKind, EvalContext};
+use gmark_engines::EngineKind;
 
 /// Hand-written fixed queries mirroring SP²Bench's Q-set character:
 /// a journal–journal lookup (constant), an author-of-article listing
@@ -95,13 +95,8 @@ fn main() {
     let header: Vec<String> = sizes.iter().map(|n| format!("{}K", n / 1000)).collect();
     gmark_bench::print_row("series", &header, 12);
 
-    let graphs: Vec<gmark_store::Graph> = sizes
-        .iter()
-        .map(|&n| build_graph(&schema, n, opts.seed, opts.threads))
-        .collect();
-
-    // Both series through the shared harness: per graph, one context and
-    // one matrix over all six queries on the triple-store engine.
+    // Both series through the shared sweep: per graph, one matrix over
+    // all six queries on the triple-store engine.
     let org = org_queries(&schema);
     let series: Vec<(&str, &[(SelectivityClass, Query)])> =
         vec![("org", &org), ("gMark", &gmark_queries)];
@@ -109,26 +104,18 @@ fn main() {
         .iter()
         .flat_map(|(_, qs)| qs.iter().map(|(_, q)| q))
         .collect();
-    let reports: Vec<_> = graphs
-        .iter()
-        .map(|graph| {
-            let ctx = EvalContext::new(graph);
-            evaluate_matrix_with_schema(
-                &ctx,
-                None,
-                &queries,
-                &[EngineKind::TripleStore],
-                &opts.cell_budget(),
-                &opts.matrix_options(),
-            )
-        })
-        .collect();
+    let reports = Sweep::new(&schema, &sizes, opts.seed, opts.threads).matrices(
+        &queries,
+        &[EngineKind::TripleStore],
+        &opts.cell_budget(),
+        &opts.matrix_options(),
+    );
 
     let mut row = 0usize;
     for (label, qs) in &series {
         for (class, _) in qs.iter() {
             let mut cells = Vec::new();
-            for report in &reports {
+            for (_, report) in &reports {
                 let cell = report
                     .cell(row, EngineKind::TripleStore)
                     .expect("matrix covers every cell");

@@ -12,28 +12,19 @@
 //! cargo run -p gmark-bench --release --bin fig11 [--full]
 //! ```
 
-use gmark_bench::{build_graph, HarnessOptions, WorkloadKind};
+use gmark_bench::{row_counts, HarnessOptions, Sweep, WorkloadKind};
+use gmark_core::query::Query;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{
-    evaluate_matrix_with_schema, CellOutcome, EngineKind, EvalContext, MatrixOptions,
-};
+use gmark_engines::{EngineKind, MatrixOptions};
 use gmark_stats::log_log_alpha;
 
 fn main() {
     let opts = HarnessOptions::from_args();
     let sizes = opts.selectivity_sizes();
     let schema = usecases::bib();
-    let graphs: Vec<(u64, gmark_store::Graph)> = sizes
-        .iter()
-        .map(|&n| (n, build_graph(&schema, n, opts.seed, opts.threads)))
-        .collect();
-    // One shared context per graph size, reused across all four panels —
-    // this experiment only needs counts, so no warm runs.
-    let contexts: Vec<EvalContext<'_>> = graphs
-        .iter()
-        .map(|(_, graph)| EvalContext::new(graph))
-        .collect();
+    let sweep = Sweep::new(&schema, &sizes, opts.seed, opts.threads);
+    // This experiment only needs counts, so no warm runs.
     let matrix_opts = MatrixOptions {
         threads: opts.threads,
         warm_runs: 0,
@@ -49,38 +40,35 @@ fn main() {
     ] {
         println!("\n--- panel Bib-{} ---", kind.name());
         let workload = kind.workload(&schema, opts.seed ^ 0xF16);
-        for (qi, class) in SelectivityClass::ALL.iter().enumerate() {
-            let Some(gq) = workload.of_class(*class).next() else {
+        // One panel, one matrix per size: the first query of each class.
+        let picks: Vec<Option<&Query>> = SelectivityClass::ALL
+            .iter()
+            .map(|&class| workload.of_class(class).next().map(|gq| &gq.query))
+            .collect();
+        let queries: Vec<&Query> = picks.iter().flatten().copied().collect();
+        let matrices = sweep.matrices(
+            &queries,
+            &[EngineKind::TripleStore],
+            &opts.cell_budget(),
+            &matrix_opts,
+        );
+        for (qi, (class, pick)) in SelectivityClass::ALL.iter().zip(&picks).enumerate() {
+            if pick.is_none() {
                 println!("Q{} ({class}): no query generated", qi + 1);
                 continue;
-            };
-            let mut observations: Vec<(u64, u64)> = Vec::new();
-            let mut failed = false;
-            for ((n, _), ctx) in graphs.iter().zip(&contexts) {
-                let report = evaluate_matrix_with_schema(
-                    ctx,
-                    None,
-                    &[&gq.query],
-                    &[EngineKind::TripleStore],
-                    &opts.cell_budget(),
-                    &matrix_opts,
-                );
-                match &report.cells[0].outcome {
-                    CellOutcome::Answers { count, .. } => observations.push((*n, *count)),
-                    CellOutcome::Failed(_) => {
-                        failed = true;
-                        break;
-                    }
+            }
+            let row = picks[..qi].iter().flatten().count();
+            let observations = match row_counts(&matrices, row, EngineKind::TripleStore) {
+                Ok(observations) => observations,
+                Err((n, e)) => {
+                    println!(
+                        "Q{} ({class}): evaluation failed at {n} nodes: {e} (the paper \
+                         hit the same wall on recursive workloads)",
+                        qi + 1
+                    );
+                    continue;
                 }
-            }
-            if failed || observations.len() < 2 {
-                println!(
-                    "Q{} ({class}): evaluation exceeded budget (the paper hit \
-                     the same wall on recursive workloads)",
-                    qi + 1
-                );
-                continue;
-            }
+            };
             let (alpha, beta) = log_log_alpha(&observations).expect("≥2 points");
             print!("Q{} ({class}) alpha={alpha:.2}:", qi + 1);
             let mut max_rel_err: f64 = 0.0;

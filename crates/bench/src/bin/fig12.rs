@@ -8,101 +8,54 @@
 //! two most deviant query averages per cell discarded, here approximated
 //! by skipping failed queries).
 //!
-//! Runs on the shared evaluation harness: per (family, graph size), one
-//! `EvalContext` and one `evaluate_matrix_with_schema` call cover every
-//! (query × engine) cell; panel averages are folded from the cells.
+//! Runs through the shared `Sweep`: per (family, graph size), one matrix
+//! on a fresh context covers every (query × engine) cell; panel averages
+//! are folded from the cells.
 //!
 //! ```sh
 //! cargo run -p gmark-bench --release --bin fig12 [--full]
 //! ```
 
-use gmark_bench::{build_graph, HarnessOptions, WorkloadKind};
+use gmark_bench::{HarnessOptions, Sweep, WorkloadKind};
 use gmark_core::query::Query;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{
-    evaluate_matrix_with_schema, CellOutcome, EngineKind, EvalContext, EvalReport,
-};
+use gmark_engines::{CellOutcome, EngineKind};
 use gmark_stats::Summary;
 
 fn main() {
     let opts = HarnessOptions::from_args();
     let sizes = opts.engine_sizes();
     let schema = usecases::bib();
-    let graphs: Vec<(u64, gmark_store::Graph)> = sizes
-        .iter()
-        .map(|&n| (n, build_graph(&schema, n, opts.seed, opts.threads)))
-        .collect();
-    // One shared context per graph size, reused by every workload family
-    // — the per-graph indexes (relations, EDB) are built once, not once
-    // per family.
-    let contexts: Vec<EvalContext<'_>> = graphs
-        .iter()
-        .map(|(_, graph)| EvalContext::new(graph))
-        .collect();
+    let sweep = Sweep::new(&schema, &sizes, opts.seed, opts.threads);
 
     // Evaluate every (family × size) matrix once, then print the three
-    // class panels from the cached cells. Queries are laid out per family
-    // as [class0 queries..., class1 queries..., class2 queries...] with
-    // recorded (class, row range) offsets.
-    struct FamilyRun {
-        kind: WorkloadKind,
-        /// Per class: the matrix row indices of its queries.
-        class_rows: Vec<(SelectivityClass, Vec<usize>)>,
-        /// One report per graph size.
-        reports: Vec<EvalReport>,
+    // class panels from its cells. A family's rows are its queries class
+    // by class, each row's class recorded beside it.
+    let mut runs = Vec::new();
+    for kind in WorkloadKind::NON_RECURSIVE {
+        let workload = kind.workload(&schema, opts.seed ^ 0xF12);
+        let (classes, queries): (Vec<SelectivityClass>, Vec<&Query>) = SelectivityClass::ALL
+            .iter()
+            .flat_map(|&class| workload.of_class(class).map(move |gq| (class, &gq.query)))
+            .unzip();
+        let budget = opts.cell_budget();
+        let reports = sweep.matrices(&queries, &EngineKind::ALL, &budget, &opts.matrix_options());
+        runs.push((kind, classes, reports));
     }
-
-    let runs: Vec<FamilyRun> = WorkloadKind::NON_RECURSIVE
-        .iter()
-        .map(|&kind| {
-            let workload = kind.workload(&schema, opts.seed ^ 0xF12);
-            let mut queries: Vec<&Query> = Vec::new();
-            let mut class_rows = Vec::new();
-            for class in SelectivityClass::ALL {
-                let start = queries.len();
-                queries.extend(workload.of_class(class).map(|gq| &gq.query));
-                class_rows.push((class, (start..queries.len()).collect()));
-            }
-            let reports = contexts
-                .iter()
-                .map(|ctx| {
-                    evaluate_matrix_with_schema(
-                        ctx,
-                        None,
-                        &queries,
-                        &EngineKind::ALL,
-                        &opts.cell_budget(),
-                        &opts.matrix_options(),
-                    )
-                })
-                .collect();
-            FamilyRun {
-                kind,
-                class_rows,
-                reports,
-            }
-        })
-        .collect();
 
     println!("Fig. 12: average query time per (workload, engine) cell, Bib scenario");
     for class in SelectivityClass::ALL {
         println!("\n--- panel: {class} queries ---");
         let header: Vec<String> = sizes.iter().map(|n| format!("{}K", n / 1000)).collect();
         gmark_bench::print_row("workload/engine", &header, 12);
-        for run in &runs {
-            let rows = &run
-                .class_rows
-                .iter()
-                .find(|(c, _)| *c == class)
-                .expect("all classes recorded")
-                .1;
+        for (family, classes, reports) in &runs {
             for kind in EngineKind::ALL {
                 let mut cells = Vec::new();
-                for report in &run.reports {
+                for (_, report) in reports {
                     let mut summary = Summary::new();
                     let mut failures = 0;
-                    for &row in rows.iter() {
+                    for row in (0..classes.len()).filter(|&row| classes[row] == class) {
                         let cell = report.cell(row, kind).expect("matrix covers every cell");
                         match &cell.outcome {
                             CellOutcome::Answers { .. } => summary.push(cell.seconds),
@@ -117,7 +70,7 @@ fn main() {
                         cells.push(format!("{:.3}s", summary.mean()));
                     }
                 }
-                gmark_bench::print_row(&format!("{}/{}", run.kind.name(), kind.name()), &cells, 12);
+                gmark_bench::print_row(&format!("{}/{}", family.name(), kind.name()), &cells, 12);
             }
         }
     }

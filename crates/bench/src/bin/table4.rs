@@ -13,16 +13,15 @@
 //! cargo run -p gmark-bench --release --bin table4 [--full]
 //! ```
 //!
-//! Runs on the shared evaluation harness: per graph size, one
-//! [`EvalContext`] is built and every (engine × query) cell goes through
-//! [`evaluate_matrix_with_schema`] with a fresh per-cell budget and the Section 7.1
+//! Runs through the shared [`Sweep`]: per graph size, one (engine ×
+//! query) matrix with a fresh per-cell budget and the Section 7.1
 //! warm-run protocol.
 
-use gmark_bench::{build_graph, fmt_matrix_cell, HarnessOptions, WorkloadKind};
+use gmark_bench::{fmt_matrix_cell, HarnessOptions, Sweep, WorkloadKind};
 use gmark_core::query::{Conjunct, PathExpr, Query, RegularExpr, Rule, Symbol, Var};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{evaluate_matrix_with_schema, EngineKind, EvalContext, EvalReport};
+use gmark_engines::EngineKind;
 
 /// Picks the first *recursive* query of the given class from the Rec
 /// workload (the paper's "small case analysis" selected its two queries
@@ -64,26 +63,12 @@ fn main() {
     println!("Query 2 (quadratic): {}", q2.display(&schema));
     println!();
 
-    let graphs: Vec<(u64, gmark_store::Graph)> = sizes
-        .iter()
-        .map(|&n| (n, build_graph(&schema, n, opts.seed, opts.threads)))
-        .collect();
-
-    // One shared context and one (engine × query) matrix per graph size.
-    let reports: Vec<EvalReport> = graphs
-        .iter()
-        .map(|(_, graph)| {
-            let ctx = EvalContext::new(graph);
-            evaluate_matrix_with_schema(
-                &ctx,
-                None,
-                &[&q1, &q2],
-                &EngineKind::ALL,
-                &opts.cell_budget(),
-                &opts.matrix_options(),
-            )
-        })
-        .collect();
+    let reports = Sweep::new(&schema, &sizes, opts.seed, opts.threads).matrices(
+        &[&q1, &q2],
+        &EngineKind::ALL,
+        &opts.cell_budget(),
+        &opts.matrix_options(),
+    );
 
     let header: Vec<String> = {
         let mut h: Vec<String> = sizes.iter().map(|n| format!("Q1 {}K", n / 1000)).collect();
@@ -95,7 +80,7 @@ fn main() {
     for kind in EngineKind::ALL {
         let mut cells = Vec::new();
         for q in 0..2 {
-            for report in &reports {
+            for (_, report) in &reports {
                 let cell = report.cell(q, kind).expect("matrix covers every cell");
                 cells.push(fmt_matrix_cell(cell));
             }

@@ -19,14 +19,19 @@
 //! definitions (Len / Dis / Con / Rec), the budgets and warm-run count of
 //! the Section 7.1 measurement protocol (which
 //! [`MatrixOptions::warm_runs`] runs: cold run discarded, warm runs
-//! averaged after dropping the fastest and slowest), and small
-//! table-printing helpers.
+//! averaged after dropping the fastest and slowest), the [`Sweep`] every
+//! evaluating binary runs its matrices through, and small table-printing
+//! helpers.
 
 use gmark::run::{run_in_memory, RunOptions, RunPlan};
+use gmark_core::query::Query;
 use gmark_core::schema::Schema;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::workload::{QuerySize, Workload, WorkloadConfig};
-use gmark_engines::{Budget, CellBudget, CellOutcome, EvalCell, MatrixOptions};
+use gmark_engines::{
+    evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell, EvalContext,
+    EvalError, EvalReport, MatrixOptions,
+};
 use gmark_store::Graph;
 use std::time::Duration;
 
@@ -194,12 +199,6 @@ impl HarnessOptions {
         }
     }
 
-    /// The per-query evaluation budget.
-    pub fn budget(&self) -> Budget {
-        let cb = self.cell_budget();
-        Budget::with_limits(cb.timeout, cb.max_tuples)
-    }
-
     /// The per-cell budget recipe for the evaluation matrix harness: each
     /// (engine × query) cell starts a fresh clock, so late cells are not
     /// charged for earlier ones.
@@ -253,7 +252,7 @@ fn flag_value<T: std::str::FromStr>(
 /// Generates a graph for an experiment (shared seed discipline), through
 /// the unified pipeline API — bit-identical to the historical
 /// `generate_graph` call at every thread count.
-pub fn build_graph(schema: &Schema, n: u64, seed: u64, threads: usize) -> Graph {
+fn build_graph(schema: &Schema, n: u64, seed: u64, threads: usize) -> Graph {
     let plan = RunPlan::builder(schema.clone())
         .nodes(n)
         .build()
@@ -262,6 +261,63 @@ pub fn build_graph(schema: &Schema, n: u64, seed: u64, threads: usize) -> Graph 
         .expect("experiment graphs generate")
         .graph
         .expect("graph plans materialize a graph")
+}
+
+/// The instances of one experiment: one graph per size, each built once
+/// by [`build_graph`].
+pub struct Sweep {
+    graphs: Vec<(u64, Graph)>,
+}
+
+impl Sweep {
+    /// Builds `schema`'s graph at every size, in order.
+    pub fn new(schema: &Schema, sizes: &[u64], seed: u64, threads: usize) -> Sweep {
+        let graphs = sizes
+            .iter()
+            .map(|&n| (n, build_graph(schema, n, seed, threads)))
+            .collect();
+        Sweep { graphs }
+    }
+
+    /// Runs one (query × engine) matrix per size, each on a fresh
+    /// [`EvalContext`] (a context fills its sub-expression cache once, for
+    /// its first matrix), and returns each size with its report.
+    pub fn matrices(
+        &self,
+        queries: &[&Query],
+        engines: &[EngineKind],
+        budget: &CellBudget,
+        options: &MatrixOptions,
+    ) -> Vec<(u64, EvalReport)> {
+        self.graphs
+            .iter()
+            .map(|(n, graph)| {
+                let ctx = EvalContext::new(graph);
+                let report =
+                    evaluate_matrix_with_schema(&ctx, None, queries, engines, budget, options);
+                (*n, report)
+            })
+            .collect()
+    }
+}
+
+/// One matrix row's answer count in `engine`'s column at every size of
+/// [`Sweep::matrices`], or the first size whose cell failed and how.
+pub fn row_counts(
+    matrices: &[(u64, EvalReport)],
+    row: usize,
+    engine: EngineKind,
+) -> Result<Vec<(u64, u64)>, (u64, EvalError)> {
+    matrices
+        .iter()
+        .map(|(n, report)| {
+            let cell = report.cell(row, engine).expect("matrix covers every cell");
+            match &cell.outcome {
+                CellOutcome::Answers { count, .. } => Ok((*n, *count)),
+                CellOutcome::Failed(e) => Err((*n, e.clone())),
+            }
+        })
+        .collect()
 }
 
 /// Formats a duration like the paper's Table 3 (`1m28.725s` / `0m0.057s`).
@@ -347,10 +403,9 @@ mod tests {
     #[test]
     fn measure_protocol_runs() {
         let bib = gmark_core::usecases::bib();
-        let graph = build_graph(&bib, 500, 3, 2);
+        let sweep = Sweep::new(&bib, &[500], 3, 2);
         let w = WorkloadKind::Len.workload(&bib, 4);
-        let ctx = gmark_engines::EvalContext::new(&graph);
-        let engine = gmark_engines::EngineKind::TripleStore;
+        let engine = EngineKind::TripleStore;
         let opts = HarnessOptions {
             full: false,
             seed: 1,
@@ -359,20 +414,140 @@ mod tests {
         let options = opts.matrix_options();
         assert_eq!(options.warm_runs, 3);
         let query = &w.queries[0].query;
-        let report = gmark_engines::evaluate_matrix_with_schema(
-            &ctx,
-            None,
-            &[query],
-            &[engine],
-            &CellBudget::default(),
-            &options,
+        let matrices = sweep.matrices(&[query], &[engine], &CellBudget::default(), &options);
+        assert!(matrices[0].1.cells[0].seconds >= 0.0);
+        let ctx = EvalContext::new(&sweep.graphs[0].1);
+        let direct = engine.evaluate(&ctx, query, None, &gmark_engines::Budget::default());
+        assert_eq!(
+            row_counts(&matrices, 0, engine),
+            Ok(vec![(500, direct.unwrap().count())])
         );
-        let cell = &report.cells[0];
-        assert!(cell.seconds >= 0.0);
-        let direct = engine.evaluate(&ctx, query, None, &Budget::default());
-        match &cell.outcome {
-            CellOutcome::Answers { count, .. } => assert_eq!(*count, direct.unwrap().count()),
-            CellOutcome::Failed(e) => panic!("a small query fits the budget: {e}"),
+    }
+
+    /// What a matrix decides, timings aside: every cell label (planner
+    /// estimates included), the cache's contents and counters, and the
+    /// plan-quality totals.
+    fn decided(
+        report: &EvalReport,
+    ) -> (
+        Vec<String>,
+        Option<gmark_engines::EvalCacheStats>,
+        Option<gmark_engines::PlanQuality>,
+    ) {
+        let labels = report.cells.iter().map(EvalCell::label).collect();
+        (labels, report.cache, report.plan_quality())
+    }
+
+    /// Bib at 1 000 nodes and its Len and Dis workloads, in that order.
+    fn len_then_dis() -> (Sweep, Vec<Workload>) {
+        let bib = gmark_core::usecases::bib();
+        let sweep = Sweep::new(&bib, &[1_000], 5, 2);
+        let workloads = [WorkloadKind::Len, WorkloadKind::Dis]
+            .map(|kind| kind.workload(&bib, 6))
+            .to_vec();
+        (sweep, workloads)
+    }
+
+    const CAPPED: CellBudget = CellBudget {
+        timeout: None,
+        max_tuples: 1_000_000,
+    };
+
+    fn options() -> MatrixOptions {
+        MatrixOptions {
+            threads: 2,
+            ..MatrixOptions::default()
+        }
+    }
+
+    fn queries(workload: &Workload) -> Vec<&Query> {
+        workload.queries.iter().map(|gq| &gq.query).collect()
+    }
+
+    /// Each matrix a sweep returns, the second workload's included, decides
+    /// what the same matrix decides run alone on a fresh context.
+    #[test]
+    fn a_sweep_matrix_decides_what_it_decides_alone() {
+        let (sweep, workloads) = len_then_dis();
+        for workload in &workloads {
+            let queries = queries(workload);
+            let swept = sweep.matrices(&queries, &EngineKind::ALL, &CAPPED, &options());
+            let ctx = EvalContext::new(&sweep.graphs[0].1);
+            let alone = evaluate_matrix_with_schema(
+                &ctx,
+                None,
+                &queries,
+                &EngineKind::ALL,
+                &CAPPED,
+                &options(),
+            );
+            assert_eq!(decided(&swept[0].1), decided(&alone));
+        }
+    }
+
+    /// The same comparison over one context shared by both matrices fails:
+    /// the second matrix gets no fill of its own, so its estimates, its
+    /// cache stats and its plan quality are not the ones it gets alone.
+    #[test]
+    fn a_shared_context_changes_the_second_matrix() {
+        let (sweep, workloads) = len_then_dis();
+        let [len, dis] = [&workloads[0], &workloads[1]].map(queries);
+        let shared = EvalContext::new(&sweep.graphs[0].1);
+        let run = |ctx: &EvalContext<'_>, queries: &[&Query]| {
+            evaluate_matrix_with_schema(ctx, None, queries, &EngineKind::ALL, &CAPPED, &options())
+        };
+        run(&shared, &len);
+        let after_len = run(&shared, &dis);
+        let alone = sweep.matrices(&dis, &EngineKind::ALL, &CAPPED, &options());
+        let (shared, alone) = (decided(&after_len), decided(&alone[0].1));
+        assert_ne!(shared.0, alone.0, "the estimates in the labels");
+        assert_ne!(shared.1, alone.1, "the cache's entries and counters");
+        assert_ne!(shared.2, alone.2, "the plan-quality totals");
+    }
+
+    /// The row reader returns a row's count at every size, or the first
+    /// size whose cell failed under a cap that the row exceeds there.
+    #[test]
+    fn the_row_reader_reports_the_first_failed_size() {
+        let bib = gmark_core::usecases::bib();
+        let sweep = Sweep::new(&bib, &[500, 1_000], 5, 2);
+        let workload = WorkloadKind::Len.workload(&bib, 6);
+        let queries = queries(&workload);
+        let engines = [EngineKind::TripleStore];
+        let bare = MatrixOptions {
+            plan: false,
+            cache_mb: 0,
+            ..options()
+        };
+        let counts = |budget: &CellBudget| {
+            let matrices = sweep.matrices(&queries, &engines, budget, &bare);
+            (0..queries.len())
+                .map(|row| row_counts(&matrices, row, EngineKind::TripleStore))
+                .collect::<Vec<_>>()
+        };
+        let uncapped = counts(&CellBudget::default());
+        let largest = |row: usize| uncapped[row].as_ref().expect("every row fits")[1].1;
+        let row = (0..queries.len()).max_by_key(|&r| largest(r)).unwrap();
+        let cap = largest(row) - 1;
+        let at_500 = uncapped[row].as_ref().unwrap()[0].1;
+        assert!(
+            at_500 <= cap as u64,
+            "the row must fit the cap at 500 nodes"
+        );
+
+        let capped = counts(&CellBudget {
+            timeout: None,
+            max_tuples: cap as usize,
+        });
+        assert!(
+            matches!(capped[row], Err((1_000, EvalError::TooLarge(_)))),
+            "{:?}",
+            capped[row]
+        );
+        for (r, result) in capped.iter().enumerate() {
+            if largest(r) <= cap {
+                assert_eq!(result, &uncapped[r], "row {r} fits the cap");
+            }
         }
     }
 

@@ -338,7 +338,11 @@ impl<'g> EvalContext<'g> {
     /// Fills the sub-expression result cache, once, on one thread. Must be
     /// called **before** any matrix cell runs (the harness does this in
     /// its warm-up phase); later calls are no-ops, so the cache never
-    /// mutates under concurrent readers.
+    /// mutates under concurrent readers. A context is therefore filled
+    /// for its first matrix only: a later matrix on it plans without its
+    /// own candidates' exact lengths, probes the first matrix's entries,
+    /// and adds its hits and misses to the first one's counters. Run one
+    /// matrix per context.
     ///
     /// `exprs` is the deterministic enumeration of candidate
     /// sub-expressions (the harness walks queries in order); each is

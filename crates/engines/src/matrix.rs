@@ -541,6 +541,12 @@ impl EvalReport {
 /// (the selectivity algebra decides which transitive closures are
 /// quadratic); with `None` the planner runs on graph statistics alone.
 /// When `options.plan` is false the schema is unused.
+///
+/// The context is filled for its first matrix only
+/// ([`EvalContext::fill_expr_cache`]), and its cache's hit and miss
+/// counters, which [`EvalReport::cache`] reads, add up across every matrix
+/// run on it. So run one matrix per context: a second matrix on the same
+/// context gets neither its own fill nor its own counts.
 pub fn evaluate_matrix_with_schema(
     ctx: &EvalContext<'_>,
     schema: Option<&Schema>,

@@ -133,19 +133,18 @@ impl Relation {
     /// it, and only the distinct targets are ordered; without it, the
     /// source's run is sorted and its repeats compacted out. The output is
     /// sorted by construction, so no final re-sort (and no hash set) is
-    /// ever paid. It is sized up front for every gathered target, at most
-    /// the tuple cap, and shrunk to what was kept, so it never grows by
-    /// copying. The tuple budget is charged on the *deduplicated* output,
-    /// after every source.
+    /// ever paid. It starts empty, grows with what is kept, and is shrunk
+    /// to fit at the end; nothing is reserved for the raw matches, which
+    /// can outnumber the output many times over. The tuple budget is
+    /// charged on the *deduplicated* output, after every source.
     pub fn compose(&self, other: &Csr, budget: &Budget) -> Result<Relation, EvalError> {
         if self.edge_count() == 0 || other.edge_count() == 0 {
             return Ok(Relation::default());
         }
         let mut dedup = RunDedup::new(other.target_hull(), other.edge_count());
-        let gathered: usize = self.targets().iter().map(|&t| other.degree(t)).sum();
         let mut offsets = Vec::with_capacity(self.offsets().len());
         offsets.push(0);
-        let mut targets: Vec<NodeId> = Vec::with_capacity(gathered.min(budget.max_tuples));
+        let mut targets: Vec<NodeId> = Vec::new();
         for (i, (_, mids)) in runs(self).enumerate() {
             if i.is_multiple_of(1024) {
                 budget.check_time()?;

@@ -77,31 +77,52 @@ fn main() {
     .expect("workload generates")
     .workload
     .expect("plan generates a workload");
-    println!("\nempirical α (|Q(G)| = β·|G|^α, Section 6.2):");
-    for gq in &workload.queries {
-        let mut observations = Vec::new();
-        for n in [1_000u64, 2_000, 4_000, 8_000] {
+    // One graph per size, shared by every query.
+    let sizes = [1_000u64, 2_000, 4_000, 8_000];
+    let graphs: Vec<_> = sizes
+        .iter()
+        .map(|&n| {
             let plan = RunPlan::builder(schema.clone())
                 .nodes(n)
                 .build()
                 .expect("plan builds");
             let opts = RunOptions::with_seed(8).threads(threads_from_args());
-            let graph = run_in_memory(&plan, &opts)
+            run_in_memory(&plan, &opts)
                 .expect("graph generates")
                 .graph
-                .expect("plan generates a graph");
-            let ctx = EvalContext::new(&graph);
-            let count = EngineKind::TripleStore
-                .evaluate(&ctx, &gq.query, None, &Budget::default())
-                .map(|a| a.count())
-                .unwrap_or(0);
-            observations.push((n, count));
+                .expect("plan generates a graph")
+        })
+        .collect();
+    println!("\nempirical α (|Q(G)| = β·|G|^α, Section 6.2):");
+    for gq in &workload.queries {
+        let target = gq.target.map_or("-".into(), |t| t.to_string());
+        let observations: Result<Vec<(u64, u64)>, (u64, EvalError)> = sizes
+            .iter()
+            .zip(&graphs)
+            .map(|(&n, graph)| {
+                EngineKind::TripleStore
+                    .evaluate(
+                        &EvalContext::new(graph),
+                        &gq.query,
+                        None,
+                        &Budget::default(),
+                    )
+                    .map(|a| (n, a.count()))
+                    .map_err(|e| (n, e))
+            })
+            .collect();
+        match observations {
+            Ok(observations) => {
+                let (alpha, beta) = log_log_alpha(&observations).unwrap_or((f64::NAN, f64::NAN));
+                println!(
+                    "  target {target:<10} measured α = {alpha:>5.2} (β = {beta:.2e})  {}",
+                    gq.query.display(&schema)
+                );
+            }
+            Err((n, e)) => println!(
+                "  target {target:<10} not measured: {e} at {n} nodes  {}",
+                gq.query.display(&schema)
+            ),
         }
-        let (alpha, beta) = log_log_alpha(&observations).unwrap_or((f64::NAN, f64::NAN));
-        println!(
-            "  target {:<10} measured α = {alpha:>5.2} (β = {beta:.2e})  {}",
-            gq.target.map_or("-".into(), |t| t.to_string()),
-            gq.query.display(&schema)
-        );
     }
 }
