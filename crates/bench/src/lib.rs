@@ -112,7 +112,7 @@ impl WorkloadKind {
 
     /// Generates the family's workload for a schema (through the unified
     /// pipeline API; output is identical to the historical
-    /// `generate_workload` call).
+    /// `generate_workload_with_threads` call).
     pub fn workload(self, schema: &Schema, seed: u64) -> Workload {
         let plan = RunPlan::builder(schema.clone())
             .workload(self.config(seed))
@@ -264,7 +264,7 @@ fn build_graph(schema: &Schema, n: u64, seed: u64, threads: usize) -> Graph {
 }
 
 /// The instances of one experiment: one graph per size, each built once
-/// by [`build_graph`].
+/// by `build_graph`.
 pub struct Sweep {
     graphs: Vec<(u64, Graph)>,
 }

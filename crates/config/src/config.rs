@@ -462,8 +462,12 @@ mod tests {
         // Proportions sum to 0.9 plus 100 fixed city nodes: 4600 realized.
         assert_eq!(graph.node_count(), 4_600);
         assert!(report.total_edges > 0);
-        let (w, _) =
-            gmark_core::generate_workload(&cfg.graph.schema, &cfg.workload.unwrap()).unwrap();
+        let (w, _) = gmark_core::generate_workload_with_threads(
+            &cfg.graph.schema,
+            &cfg.workload.unwrap(),
+            1,
+        )
+        .unwrap();
         assert_eq!(w.queries.len(), 30);
     }
 

@@ -169,13 +169,13 @@ mod tests {
     #[test]
     fn report_counters_sum_the_degradations() {
         use crate::usecases;
-        use crate::workload::{generate_workload, WorkloadConfig};
+        use crate::workload::{generate_workload_with_threads, WorkloadConfig};
         let schema = usecases::bib();
         let mut cfg = WorkloadConfig::new(40).with_seed(0xC1FE);
         cfg.recursion_probability = 0.6;
         cfg.query_size.length = (1, 3);
         cfg.query_size.disjuncts = (1, 2);
-        let (workload, report) = generate_workload(&schema, &cfg).unwrap();
+        let (workload, report) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         let mut summed = CypherCounts::default();
         for gq in &workload.queries {
             summed.add(&degrade(&gq.query).1);

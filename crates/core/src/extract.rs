@@ -6,7 +6,7 @@
 //! graph model: given a typed graph, it recovers a [`GraphConfig`] —
 //! occurrence constraints per type and fitted degree distributions per
 //! `(source type, predicate, target type)` — which can then drive
-//! [`crate::workload::generate_workload`] or regenerate similar synthetic
+//! [`crate::workload::generate_workload_with_threads`] or regenerate similar synthetic
 //! graphs.
 //!
 //! Distribution fitting is a heuristic classifier (uniform / Gaussian /

@@ -276,10 +276,10 @@ pub fn generate_streamed<W: std::io::Write + Send>(
         reports.lock().expect("held only to record a report")[idx] = Some(pairs.report.clone());
         pairs
     });
-    let (written, emit) = OrderedEmitter::with_claims(vec![out], blocks).run(
+    let (written, emit) = OrderedEmitter::with_claims(out, blocks).run(
         threads,
-        |written: &mut u64, block: Block, lanes| -> std::io::Result<()> {
-            let mut sink = NTriplesWriter::with_format(&mut lanes[0], format.clone());
+        |written: &mut u64, block: Block, lane| -> std::io::Result<()> {
+            let mut sink = NTriplesWriter::with_format(lane, format.clone());
             for (src, trg) in block.pairs {
                 sink.edge(src, block.pred, trg);
             }

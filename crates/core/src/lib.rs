@@ -52,6 +52,6 @@ pub use schema::{
 };
 pub use selectivity::{Card, SelOp, SelTriple, SelectivityClass};
 pub use workload::{
-    generate_workload, generate_workload_with_threads, QuerySize, Shape, Workload, WorkloadConfig,
-    WorkloadContext, WorkloadError, WorkloadReport,
+    generate_workload_with_threads, QuerySize, Shape, Workload, WorkloadConfig, WorkloadError,
+    WorkloadReport,
 };

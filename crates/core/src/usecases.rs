@@ -390,7 +390,7 @@ mod tests {
     use crate::schema::GraphConfig;
     use crate::selectivity::graph::{ChainSampler, SchemaGraph, SelectivityGraph};
     use crate::selectivity::SelectivityClass;
-    use crate::workload::{generate_workload, WorkloadConfig};
+    use crate::workload::{generate_workload_with_threads, WorkloadConfig};
 
     #[test]
     fn bib_matches_fig_2() {
@@ -469,7 +469,8 @@ mod tests {
     fn workloads_generate_for_each_usecase() {
         for (name, schema) in all() {
             let cfg = WorkloadConfig::new(12).with_seed(7);
-            let (w, report) = generate_workload(&schema, &cfg).expect("workload generates");
+            let (w, report) =
+                generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
             assert_eq!(w.queries.len(), 12, "{name}");
             assert_eq!(
                 report.unsatisfied_selectivity, 0,

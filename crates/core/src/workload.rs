@@ -25,15 +25,14 @@
 //!
 //! The shared selectivity context — schema graph `G_S`, type graph, and per
 //! relaxation level one `G_sel` with a `ChainSampler` per class — is built
-//! **once** as an immutable [`WorkloadContext`]. Query `i` then draws from
-//! an RNG stream split off the master seed by `i`
-//! ([`gmark_stats::Prng::split2`], domain-separated from the graph
-//! generator's constraint streams), so it is a pure function of
-//! `(schema, config, i)`. [`WorkloadContext::generate_all`] hands the
-//! indices to [`gmark_store::ordered_map`], the streaming pipeline in
-//! `gmark-translate` to an `OrderedEmitter`; both put the queries back in
-//! index order, which makes the workload bit-identical at every thread
-//! count (the argument is made once, in [`gmark_store::emit`]) —
+//! **once** as an immutable snapshot. Query `i` then draws from an RNG
+//! stream split off the master seed by `i` ([`gmark_stats::Prng::split2`],
+//! domain-separated from the graph generator's constraint streams), so it
+//! is a pure function of `(schema, config, i)`.
+//! [`generate_workload_with_threads`], the one entry point, hands the
+//! indices to [`gmark_store::ordered_map`], which puts the queries back in
+//! index order: the workload is bit-identical at every thread count (the
+//! argument is made once, in [`gmark_store::emit`]) —
 //! `tests/workload_determinism.rs` pins it.
 
 use crate::cypher::{degrade, CypherCounts};
@@ -114,7 +113,7 @@ impl Default for QuerySize {
 
 /// A query workload configuration `Q = (G, #q, ar, f, e, p_r, t)`
 /// (Definition 3.5). The graph configuration `G` is supplied separately as
-/// the schema when calling [`generate_workload`].
+/// the schema when calling [`generate_workload_with_threads`].
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Workload size `#q`.
@@ -275,9 +274,7 @@ pub struct WorkloadReport {
 impl WorkloadReport {
     /// Folds one generated query into the report. Every counter is derived
     /// from the query itself (the requested-vs-satisfied target, the
-    /// structural cypher degradations, the shape and sizes), so folding in
-    /// any order — or merging per-worker partial reports — produces
-    /// identical totals.
+    /// structural cypher degradations, the shape and sizes).
     pub fn absorb(&mut self, gq: &GeneratedQuery) {
         self.produced += 1;
         if gq.requested.is_some() && gq.target.is_none() {
@@ -298,30 +295,6 @@ impl WorkloadReport {
         self.max_conjuncts = self.max_conjuncts.max(conjuncts);
         self.max_disjuncts = self.max_disjuncts.max(disjuncts);
         self.max_path_length = self.max_path_length.max(length);
-    }
-
-    /// Merges another report in (see [`WorkloadReport::absorb`]): counts
-    /// add and maxima combine, so any grouping gives the same result.
-    pub fn merge(&mut self, other: &WorkloadReport) {
-        self.produced += other.produced;
-        self.unsatisfied_selectivity += other.unsatisfied_selectivity;
-        self.relaxations += other.relaxations;
-        self.cypher.star_concat += other.cypher.star_concat;
-        self.cypher.star_inverse += other.cypher.star_inverse;
-        for (&k, &v) in &other.by_shape {
-            *self.by_shape.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.by_class {
-            *self.by_class.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.by_arity {
-            *self.by_arity.entry(k).or_insert(0) += v;
-        }
-        self.recursive += other.recursive;
-        self.max_rules = self.max_rules.max(other.max_rules);
-        self.max_conjuncts = self.max_conjuncts.max(other.max_conjuncts);
-        self.max_disjuncts = self.max_disjuncts.max(other.max_disjuncts);
-        self.max_path_length = self.max_path_length.max(other.max_path_length);
     }
 }
 
@@ -367,31 +340,31 @@ const MAX_RELAX: usize = 4;
 /// same child stream.
 const RNG_DOMAIN_WORKLOAD: u64 = 0x574B_4C44; // "WKLD"
 
-/// Generates a query workload from a schema (Fig. 6), single-threaded:
-/// [`generate_workload_with_threads`] with one thread.
-pub fn generate_workload(
-    schema: &Schema,
-    config: &WorkloadConfig,
-) -> Result<(Workload, WorkloadReport), WorkloadError> {
-    WorkloadContext::new(schema, config).generate_all(1)
-}
-
 /// Generates a query workload on `threads` worker threads (Fig. 6, the
 /// parallel pipeline of the module docs; `0` = every core). Output is
-/// **bit-identical for every thread count**.
+/// **bit-identical for every thread count**. Collected in index order, so
+/// the error reported is the lowest failing index's.
 pub fn generate_workload_with_threads(
     schema: &Schema,
     config: &WorkloadConfig,
     threads: usize,
 ) -> Result<(Workload, WorkloadReport), WorkloadError> {
-    WorkloadContext::new(schema, config).generate_all(threads)
+    let ctx = WorkloadContext::new(schema, config);
+    let queries = ordered_map(threads, config.size, |i| ctx.generate(i))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut report = WorkloadReport::default();
+    for gq in &queries {
+        report.absorb(gq);
+    }
+    Ok((Workload { queries }, report))
 }
 
 /// The immutable shared snapshot of the workload pipeline: schema graph
 /// `G_S`, type graph, and per relaxation level `G_sel` with its
 /// `ChainSampler`s — built once, then read concurrently by worker threads
 /// ([`WorkloadContext::generate`] takes `&self`).
-pub struct WorkloadContext<'a> {
+struct WorkloadContext<'a> {
     schema: &'a Schema,
     config: &'a WorkloadConfig,
     master: Prng,
@@ -404,7 +377,7 @@ pub struct WorkloadContext<'a> {
 
 impl<'a> WorkloadContext<'a> {
     /// Builds the shared selectivity context for `(schema, config)`.
-    pub fn new(schema: &'a Schema, config: &'a WorkloadConfig) -> Self {
+    fn new(schema: &'a Schema, config: &'a WorkloadConfig) -> Self {
         let gs = SchemaGraph::build(schema);
         let max_conj = config.query_size.conjuncts.1.max(1);
         let levels = if config.selectivities.is_empty() {
@@ -435,7 +408,7 @@ impl<'a> WorkloadContext<'a> {
     /// The selectivity class requested for query slot `i` (round-robin over
     /// the configuration's classes, which yields the balanced workloads the
     /// experiments need — e.g. 10/10/10 in Section 6.2).
-    pub fn requested_target(&self, i: usize) -> Option<SelectivityClass> {
+    fn requested_target(&self, i: usize) -> Option<SelectivityClass> {
         if self.config.selectivities.is_empty() {
             None
         } else {
@@ -447,30 +420,13 @@ impl<'a> WorkloadContext<'a> {
     /// the RNG stream is split off the master seed by query index, so the
     /// result is independent of which thread runs the call and in what
     /// order.
-    pub fn generate(&self, i: usize) -> Result<GeneratedQuery, WorkloadError> {
+    fn generate(&self, i: usize) -> Result<GeneratedQuery, WorkloadError> {
         let mut rng = self.master.split2(RNG_DOMAIN_WORKLOAD, i as u64);
         let target = self.requested_target(i);
         let shape = self.config.shapes[i % self.config.shapes.len()];
         let arity = self.config.arity[i % self.config.arity.len()];
         self.generate_query(&mut rng, shape, arity, target)
             .map_err(|source| WorkloadError { index: i, source })
-    }
-
-    /// Generates the whole workload on `threads` workers (see
-    /// [`generate_workload_with_threads`]). Collected in index order, so
-    /// the error reported is the lowest failing index's.
-    pub fn generate_all(
-        &self,
-        threads: usize,
-    ) -> Result<(Workload, WorkloadReport), WorkloadError> {
-        let queries = ordered_map(threads, self.config.size, |i| self.generate(i))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut report = WorkloadReport::default();
-        for gq in &queries {
-            report.absorb(gq);
-        }
-        Ok((Workload { queries }, report))
     }
 
     fn generate_query(
@@ -1100,8 +1056,8 @@ mod tests {
     fn workload_is_deterministic() {
         let schema = test_schema();
         let cfg = WorkloadConfig::new(12).with_seed(99);
-        let (w1, _) = generate_workload(&schema, &cfg).unwrap();
-        let (w2, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w1, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
+        let (w2, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         assert_eq!(w1.queries.len(), 12);
         for (a, b) in w1.queries.iter().zip(&w2.queries) {
             assert_eq!(a.query, b.query);
@@ -1112,7 +1068,7 @@ mod tests {
     fn workload_balances_selectivity_classes() {
         let schema = test_schema();
         let cfg = WorkloadConfig::new(30).with_seed(1);
-        let (w, report) = generate_workload(&schema, &cfg).unwrap();
+        let (w, report) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         assert_eq!(report.produced, 30);
         let constant = w.of_class(SelectivityClass::Constant).count();
         let linear = w.of_class(SelectivityClass::Linear).count();
@@ -1130,7 +1086,7 @@ mod tests {
     fn generated_alpha_matches_target() {
         let schema = test_schema();
         let cfg = WorkloadConfig::new(30).with_seed(3);
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         for gq in &w.queries {
             if let (Some(target), Some(alpha)) = (gq.target, gq.estimated_alpha) {
                 assert_eq!(
@@ -1152,7 +1108,7 @@ mod tests {
             disjuncts: (1, 2),
             length: (1, 2),
         };
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         for gq in &w.queries {
             let (_, conjuncts, disjuncts, length) = gq.query.size();
             assert!((2..=3).contains(&conjuncts), "conjuncts {conjuncts}");
@@ -1168,7 +1124,7 @@ mod tests {
         let mut cfg = WorkloadConfig::new(10).with_seed(5);
         cfg.recursion_probability = 1.0;
         cfg.selectivities = vec![SelectivityClass::Linear];
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         for gq in &w.queries {
             assert!(gq.query.is_recursive(), "{}", gq.query.display(&schema));
         }
@@ -1178,7 +1134,7 @@ mod tests {
     fn recursion_probability_zero_stars_nothing() {
         let schema = test_schema();
         let cfg = WorkloadConfig::new(10).with_seed(6);
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         assert!(w.queries.iter().all(|gq| !gq.query.is_recursive()));
     }
 
@@ -1189,7 +1145,7 @@ mod tests {
         cfg.arity = vec![0, 1, 3];
         cfg.selectivities = Vec::new(); // arity != 2: no selectivity control
         cfg.query_size.conjuncts = (3, 3);
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         let arities: Vec<usize> = w.queries.iter().map(|g| g.query.arity()).collect();
         assert!(arities.contains(&0));
         assert!(arities.contains(&1));
@@ -1202,7 +1158,7 @@ mod tests {
         let mut cfg = WorkloadConfig::new(16).with_seed(8);
         cfg.shapes = Shape::ALL.to_vec();
         cfg.query_size.conjuncts = (3, 4);
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         assert_eq!(w.queries.len(), 16);
         let mut seen = std::collections::HashSet::new();
         for gq in &w.queries {
@@ -1219,7 +1175,7 @@ mod tests {
         let mut cfg = WorkloadConfig::new(12).with_seed(20);
         cfg.shapes = vec![Shape::Chain, Shape::Star];
         cfg.recursion_probability = 0.4;
-        let (_, d) = generate_workload(&schema, &cfg).unwrap();
+        let (_, d) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         assert_eq!(d.produced, 12);
         assert_eq!(d.by_shape.values().sum::<usize>(), 12);
         assert_eq!(d.by_shape.get(&Shape::Chain), Some(&6));
@@ -1236,7 +1192,7 @@ mod tests {
         let schema = test_schema();
         let mut cfg = WorkloadConfig::new(6).with_seed(9);
         cfg.rules = (2, 3);
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         for gq in &w.queries {
             assert!(gq.query.rules.len() >= 2);
             assert!(gq.query.rules.len() <= 3);
@@ -1247,7 +1203,7 @@ mod tests {
     fn symbols_reference_real_predicates() {
         let schema = test_schema();
         let cfg = WorkloadConfig::new(20).with_seed(10);
-        let (w, _) = generate_workload(&schema, &cfg).unwrap();
+        let (w, _) = generate_workload_with_threads(&schema, &cfg, 1).unwrap();
         for gq in &w.queries {
             for rule in &gq.query.rules {
                 for c in &rule.body {

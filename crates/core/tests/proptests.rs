@@ -6,7 +6,7 @@ use gmark_core::schema::{
     Distribution, GraphConfig, Occurrence, PredicateId, Schema, SchemaBuilder, TypeId,
 };
 use gmark_core::selectivity::{Card, SelOp, SelTriple};
-use gmark_core::workload::{generate_workload, QuerySize, Shape, WorkloadConfig};
+use gmark_core::workload::{generate_workload_with_threads, QuerySize, Shape, WorkloadConfig};
 use gmark_store::{TypePartition, VecSink};
 use proptest::prelude::*;
 
@@ -165,7 +165,7 @@ proptest! {
         cfg.recursion_probability = pr;
         cfg.shapes = vec![Shape::ALL[shape_idx]];
         cfg.query_size = QuerySize { conjuncts: (1, 3), disjuncts: (1, 2), length: (1, 3) };
-        let (workload, _) = generate_workload(&schema, &cfg).expect("workload generates");
+        let (workload, _) = generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
         prop_assert_eq!(workload.queries.len(), 6);
         for gq in &workload.queries {
             for rule in &gq.query.rules {
@@ -212,7 +212,7 @@ proptest! {
     #[test]
     fn estimated_alpha_matches_declared_target(schema in arb_schema(), seed in any::<u64>()) {
         let cfg = WorkloadConfig::new(6).with_seed(seed);
-        let (workload, _) = generate_workload(&schema, &cfg).expect("workload generates");
+        let (workload, _) = generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
         let est = gmark_core::selectivity::Estimator::new(&schema);
         for gq in &workload.queries {
             // The generator statically verifies non-recursive chains (and

@@ -856,7 +856,7 @@ mod tests {
     fn bib_fill(seed: u64) -> (gmark_store::Graph, Vec<RegularExpr>) {
         use crate::matrix::fill_candidates;
         use crate::EngineKind;
-        use gmark_core::{generate_graph, generate_workload, usecases};
+        use gmark_core::{generate_graph, generate_workload_with_threads, usecases};
         use gmark_core::{GeneratorOptions, GraphConfig, WorkloadConfig};
 
         let schema = usecases::bib();
@@ -864,7 +864,8 @@ mod tests {
         let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
         let mut wcfg = WorkloadConfig::new(12).with_seed(seed);
         wcfg.recursion_probability = 0.5;
-        let (workload, _) = generate_workload(&schema, &wcfg).expect("the workload generates");
+        let (workload, _) =
+            generate_workload_with_threads(&schema, &wcfg, 1).expect("the workload generates");
         let queries: Vec<_> = workload.queries.iter().map(|gq| &gq.query).collect();
         (graph, fill_candidates(&queries, &EngineKind::ALL))
     }

@@ -17,9 +17,9 @@
 //!
 //! * [`ordered_map`] — ordered *values*: `map(i)` for every unit, returned
 //!   as a `Vec` in index order;
-//! * [`OrderedEmitter`] — ordered *bytes*: units write blocks to shared
-//!   outputs, and the emitter writes them in unit order, in one pass,
-//!   without temp files.
+//! * [`OrderedEmitter`] — ordered *bytes*: units write blocks to one
+//!   shared output, and the emitter writes them in unit order, in one
+//!   pass, without temp files.
 //!
 //! An emitter's units come from a [`ClaimSource`]. Where the unit count
 //! is known up front the source is a [`Counter`]; where it is known only
@@ -338,11 +338,11 @@ impl<G: Group, S: Fn(usize) -> G + Sync> ClaimSource for Grouped<G, S> {
 /// formatting-bound run from a write-bound one.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EmitStats {
-    /// `write_all` calls made on the outputs.
+    /// `write_all` calls made on the output.
     pub blocks: u64,
-    /// Bytes written to the outputs.
+    /// Bytes written to the output.
     pub bytes: u64,
-    /// Seconds spent inside the outputs' `write_all`.
+    /// Seconds spent inside the output's `write_all`.
     pub write_seconds: f64,
     /// Seconds workers spent waiting for their unit to become the head,
     /// summed over workers.
@@ -367,15 +367,13 @@ struct Cancelled;
 /// What a unit ahead of the head has handed over so far.
 #[derive(Default)]
 struct Parked {
-    /// `(lane, bytes)` in hand-over order.
-    blocks: Vec<(usize, Vec<u8>)>,
+    /// Blocks in hand-over order.
+    blocks: Vec<Vec<u8>>,
     /// The unit's worker is done with it.
     finished: bool,
 }
 
-struct State<W> {
-    /// Empty while a worker writes to them outside the lock.
-    outs: Vec<W>,
+struct State {
     /// The lowest unit not yet finished.
     head: usize,
     /// A finished head's owner is writing out the parked units behind it:
@@ -388,28 +386,25 @@ struct State<W> {
     stats: EmitStats,
 }
 
-/// Writes the blocks of numbered units to `outs` in ascending unit order,
+/// Writes the blocks of numbered units to `out` in ascending unit order,
 /// whichever worker produces them and whenever (see the module docs).
 /// The units come from a [`ClaimSource`] `C`: a [`Counter`] for
 /// [`OrderedEmitter::new`]'s fixed count.
-///
-/// A unit may write to several outputs (*lanes*): the workload pipeline
-/// renders each query into five documents.
 pub struct OrderedEmitter<W, C = Counter> {
-    state: Mutex<State<W>>,
+    state: Mutex<State>,
+    /// Locked only by the worker holding the turn, outside `state`'s lock.
+    out: Mutex<W>,
     /// Signalled when the head moves and when the emitter is cancelled.
     turn: Condvar,
     claims: C,
     cancelled: AtomicBool,
-    lanes: usize,
 }
 
-/// One output of the unit a worker is on; everything written to it lands
-/// in that output after the bytes of every lower unit.
+/// The output as the unit a worker is on sees it; everything written to
+/// it lands after the bytes of every lower unit.
 pub struct Lane<'a, W, C> {
     emitter: &'a OrderedEmitter<W, C>,
     unit: usize,
-    lane: usize,
     /// A write was refused: whatever the unit reports from here on is a
     /// consequence of the failure that cancelled the emitter.
     cut: bool,
@@ -417,7 +412,7 @@ pub struct Lane<'a, W, C> {
 
 impl<W: Write, C> Write for Lane<'_, W, C> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self.emitter.emit(self.unit, self.lane, buf) {
+        match self.emitter.emit(self.unit, buf) {
             Ok(()) => Ok(buf.len()),
             Err(Cancelled) => {
                 self.cut = true;
@@ -428,7 +423,7 @@ impl<W: Write, C> Write for Lane<'_, W, C> {
         }
     }
 
-    /// The outputs are flushed once, when the run ends.
+    /// The output is flushed once, when the run ends.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
@@ -447,20 +442,18 @@ impl<W, C> Drop for CancelOnPanic<'_, W, C> {
 }
 
 impl<W> OrderedEmitter<W> {
-    /// An emitter for `units` units writing to `outs`, one per lane.
-    pub fn new(outs: Vec<W>, units: usize) -> Self {
-        Self::with_claims(outs, Counter::new(units))
+    /// An emitter for `units` units writing to `out`.
+    pub fn new(out: W, units: usize) -> Self {
+        Self::with_claims(out, Counter::new(units))
     }
 }
 
 impl<W, C> OrderedEmitter<W, C> {
-    /// An emitter for the units `claims` hands out, writing to `outs`, one
-    /// per lane.
-    pub fn with_claims(outs: Vec<W>, claims: C) -> Self {
+    /// An emitter for the units `claims` hands out, writing to `out`.
+    pub fn with_claims(out: W, claims: C) -> Self {
         OrderedEmitter {
-            lanes: outs.len(),
+            out: Mutex::new(out),
             state: Mutex::new(State {
-                outs,
                 head: 0,
                 draining: false,
                 parked: BTreeMap::new(),
@@ -474,17 +467,17 @@ impl<W, C> OrderedEmitter<W, C> {
         }
     }
 
-    /// A poisoned lock means an output panicked inside `write_all`: the
-    /// document is void and the run is about to unwind. Cancelling here
-    /// makes every method refuse before it reads the abandoned state.
-    fn recover<'a>(&self, guard: LockResult<MutexGuard<'a, State<W>>>) -> MutexGuard<'a, State<W>> {
+    /// A poisoned lock means a worker panicked holding it: the run is
+    /// about to unwind. Cancelling here makes every method refuse before
+    /// it reads the abandoned state.
+    fn recover<'a>(&self, guard: LockResult<MutexGuard<'a, State>>) -> MutexGuard<'a, State> {
         guard.unwrap_or_else(|poisoned| {
             self.cancelled.store(true, Ordering::SeqCst);
             poisoned.into_inner()
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<W>> {
+    fn lock(&self) -> MutexGuard<'_, State> {
         self.recover(self.state.lock())
     }
 
@@ -514,24 +507,27 @@ impl<W, C> OrderedEmitter<W, C> {
 }
 
 impl<W: Write, C> OrderedEmitter<W, C> {
-    /// Writes blocks of `unit` — `(lane, bytes)` — to their outputs. The
-    /// caller holds the turn: it owns the head, or drains the parked units
-    /// behind a head it just finished, so no other worker writes until it
-    /// gives the turn up. That makes the outputs its to check out of the
-    /// state for the duration, and the lock free for workers parking
-    /// meanwhile. Returns the lock re-taken.
+    /// Writes blocks of `unit` to the output. The caller holds the turn:
+    /// it owns the head, or drains the parked units behind a head it just
+    /// finished, so no other worker writes until it gives the turn up.
+    /// That lets it write with the state's lock released, free for workers
+    /// parking meanwhile. Returns the lock re-taken.
     fn write<'a, 'b>(
         &'a self,
-        mut st: MutexGuard<'a, State<W>>,
+        st: MutexGuard<'a, State>,
         unit: usize,
-        blocks: impl IntoIterator<Item = (usize, &'b [u8])>,
-    ) -> Result<MutexGuard<'a, State<W>>, Cancelled> {
-        let mut outs = std::mem::take(&mut st.outs);
+        blocks: impl IntoIterator<Item = &'b [u8]>,
+    ) -> Result<MutexGuard<'a, State>, Cancelled> {
         drop(st);
+        let Ok(mut out) = self.out.lock() else {
+            // The output panicked in an earlier write: the run is unwinding.
+            self.cancelled.store(true, Ordering::SeqCst);
+            return Err(Cancelled);
+        };
         let since = Instant::now();
         let (mut count, mut bytes, mut result) = (0, 0, Ok(()));
-        for (lane, block) in blocks {
-            result = outs[lane].write_all(block);
+        for block in blocks {
+            result = out.write_all(block);
             if result.is_err() {
                 break;
             }
@@ -539,8 +535,8 @@ impl<W: Write, C> OrderedEmitter<W, C> {
             bytes += block.len() as u64;
         }
         let seconds = since.elapsed().as_secs_f64();
+        drop(out);
         let mut st = self.lock();
-        st.outs = outs;
         st.stats.write_seconds += seconds;
         st.stats.blocks += count;
         st.stats.bytes += bytes;
@@ -556,7 +552,7 @@ impl<W: Write, C> OrderedEmitter<W, C> {
     /// Hands over one block of `unit`: written through when the unit is
     /// the head, parked while the budget lasts, and otherwise held back
     /// until the unit becomes the head.
-    fn emit(&self, unit: usize, lane: usize, bytes: &[u8]) -> Result<(), Cancelled> {
+    fn emit(&self, unit: usize, bytes: &[u8]) -> Result<(), Cancelled> {
         if bytes.is_empty() {
             return Ok(());
         }
@@ -566,12 +562,12 @@ impl<W: Write, C> OrderedEmitter<W, C> {
                 return Err(Cancelled);
             }
             if unit == st.head && !st.draining {
-                return self.write(st, unit, [(lane, bytes)]).map(drop);
+                return self.write(st, unit, [bytes]).map(drop);
             }
             if st.parked_bytes + bytes.len() <= PARK_BUDGET {
                 st.parked_bytes += bytes.len();
                 let parked = st.parked.entry(unit).or_default();
-                parked.blocks.push((lane, bytes.to_vec()));
+                parked.blocks.push(bytes.to_vec());
                 return Ok(());
             }
             let since = Instant::now();
@@ -600,12 +596,8 @@ impl<W: Write, C> OrderedEmitter<W, C> {
             let Some(parked) = st.parked.remove(&head) else {
                 break;
             };
-            let blocks = parked
-                .blocks
-                .iter()
-                .map(|(lane, block)| (*lane, &block[..]));
-            st = self.write(st, head, blocks)?;
-            st.parked_bytes -= parked.blocks.iter().map(|(_, b)| b.len()).sum::<usize>();
+            st = self.write(st, head, parked.blocks.iter().map(Vec::as_slice))?;
+            st.parked_bytes -= parked.blocks.iter().map(Vec::len).sum::<usize>();
             if parked.finished {
                 st.head += 1;
             }
@@ -618,11 +610,11 @@ impl<W: Write, C> OrderedEmitter<W, C> {
     /// Runs `work` once per unit on `threads` workers as resolved by
     /// [`resolve_threads`] (the caller is one of them) and returns each
     /// worker's folded state — in no particular order — with the stage's
-    /// [`EmitStats`], after flushing the outputs.
+    /// [`EmitStats`], after flushing the output.
     ///
-    /// `work(state, claim, lanes)` produces the unit it was handed (for a
+    /// `work(state, claim, lane)` produces the unit it was handed (for a
     /// [`Counter`], `claim` is the unit's number), writing its bytes to
-    /// `lanes` and folding whatever it wants to keep into its worker's
+    /// `lane` and folding whatever it wants to keep into its worker's
     /// `state`. If any unit fails, the error of the **lowest** failed unit
     /// is returned, whatever the scheduling: units are claimed in
     /// ascending order and a claimed unit always runs to its own verdict,
@@ -636,25 +628,21 @@ impl<W: Write, C> OrderedEmitter<W, C> {
         C: ClaimSource,
         S: Default + Send,
         E: From<io::Error> + Send,
-        F: Fn(&mut S, C::Claim, &mut [Lane<'_, W, C>]) -> Result<(), E> + Sync,
+        F: Fn(&mut S, C::Claim, &mut Lane<'_, W, C>) -> Result<(), E> + Sync,
     {
         let worker = || -> (S, Option<(usize, E)>) {
             let _wake_the_others = CancelOnPanic(&self);
             let mut state = S::default();
             while let Some((unit, claim)) = self.claim() {
-                let mut lanes: Vec<Lane<'_, W, C>> = (0..self.lanes)
-                    .map(|lane| Lane {
-                        emitter: &self,
-                        unit,
-                        lane,
-                        cut: false,
-                    })
-                    .collect();
-                let result = work(&mut state, claim, &mut lanes);
-                let cut = lanes.iter().any(|lane| lane.cut);
+                let mut lane = Lane {
+                    emitter: &self,
+                    unit,
+                    cut: false,
+                };
+                let result = work(&mut state, claim, &mut lane);
                 match result {
-                    Ok(()) if !cut && self.finish(unit).is_ok() => {}
-                    Err(e) if !cut => {
+                    Ok(()) if !lane.cut && self.finish(unit).is_ok() => {}
+                    Err(e) if !lane.cut => {
                         self.cancel();
                         return (state, Some((unit, e)));
                     }
@@ -667,12 +655,7 @@ impl<W: Write, C> OrderedEmitter<W, C> {
             worker()
         });
 
-        let State {
-            mut outs,
-            failure,
-            stats,
-            ..
-        } = self
+        let State { failure, stats, .. } = self
             .state
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -689,9 +672,10 @@ impl<W: Write, C> OrderedEmitter<W, C> {
         if let Some((_, e)) = failure {
             return Err(e);
         }
-        for out in &mut outs {
-            out.flush()?;
-        }
+        self.out
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .flush()?;
         Ok((states, stats))
     }
 }
@@ -720,7 +704,7 @@ mod tests {
     }
 
     /// Spins until `ready` holds for the emitter's state.
-    fn wait_until<W>(emitter: &OrderedEmitter<W>, ready: impl Fn(&State<W>) -> bool) {
+    fn wait_until<W>(emitter: &OrderedEmitter<W>, ready: impl Fn(&State) -> bool) {
         while !ready(&emitter.lock()) {
             std::thread::yield_now();
         }
@@ -793,52 +777,49 @@ mod tests {
     fn blocks_handed_over_out_of_order_are_written_in_unit_order() {
         // The protocol step by step, on one thread.
         let mut out = Vec::new();
-        let emitter = OrderedEmitter::new(vec![&mut out], 3);
-        emitter.emit(2, 0, b"c").unwrap();
+        let emitter = OrderedEmitter::new(&mut out, 3);
+        emitter.emit(2, b"c").unwrap();
         emitter.finish(2).unwrap();
-        emitter.emit(1, 0, b"b1").unwrap();
-        assert!(emitter.lock().outs[0].is_empty(), "nothing before unit 0");
-        emitter.emit(0, 0, b"a").unwrap();
-        assert_eq!(*emitter.lock().outs[0], b"a", "the head writes through");
+        emitter.emit(1, b"b1").unwrap();
+        assert!(
+            emitter.out.lock().unwrap().is_empty(),
+            "nothing before unit 0"
+        );
+        emitter.emit(0, b"a").unwrap();
+        assert_eq!(
+            **emitter.out.lock().unwrap(),
+            b"a",
+            "the head writes through"
+        );
         emitter.finish(0).unwrap();
-        assert_eq!(*emitter.lock().outs[0], b"ab1", "unit 1 is the head now");
-        emitter.emit(1, 0, b"b2").unwrap();
+        assert_eq!(
+            **emitter.out.lock().unwrap(),
+            b"ab1",
+            "unit 1 is the head now"
+        );
+        emitter.emit(1, b"b2").unwrap();
         emitter.finish(1).unwrap();
+        assert_eq!(**emitter.out.lock().unwrap(), b"ab1b2c");
         let st = emitter.lock();
-        assert_eq!(*st.outs[0], b"ab1b2c");
         assert_eq!((st.head, st.parked_bytes, st.parked.len()), (3, 0, 0));
         assert_eq!((st.stats.blocks, st.stats.bytes), (4, 6));
     }
 
     #[test]
-    fn lanes_are_independent_outputs() {
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let emitter = OrderedEmitter::new(vec![&mut a, &mut b], 2);
-        let (_, stats) = emitter
-            .run(2, |_: &mut (), unit, lanes| -> io::Result<()> {
-                lanes[1].write_all(format!("b{unit}").as_bytes())?;
-                lanes[0].write_all(format!("a{unit}").as_bytes())
-            })
-            .unwrap();
-        assert_eq!((a, b), (b"a0a1".to_vec(), b"b0b1".to_vec()));
-        assert_eq!(stats.bytes, 8);
-    }
-
-    #[test]
     fn units_finishing_before_the_head_starts_drain_behind_it() {
         let mut out = Vec::new();
-        let emitter = OrderedEmitter::new(vec![&mut out], 3);
+        let emitter = OrderedEmitter::new(&mut out, 3);
         emitter
-            .run(3, |_: &mut (), unit, lanes| -> io::Result<()> {
+            .run(3, |_: &mut (), unit, lane| -> io::Result<()> {
                 if unit == 0 {
                     // Hold the head back until both later units are done.
-                    wait_until(lanes[0].emitter, |st| {
+                    wait_until(lane.emitter, |st| {
                         [1, 2]
                             .iter()
                             .all(|u| st.parked.get(u).is_some_and(|p| p.finished))
                     });
                 }
-                lanes[0].write_all(format!("<{unit}>").as_bytes())
+                lane.write_all(format!("<{unit}>").as_bytes())
             })
             .unwrap();
         assert_eq!(out, b"<0><1><2>");
@@ -849,15 +830,12 @@ mod tests {
         let expected: String = (0..1000).map(unit_text).collect();
         for threads in [1usize, 2, 8] {
             let mut out = Vec::new();
-            let emitter = OrderedEmitter::new(vec![&mut out], 1000);
+            let emitter = OrderedEmitter::new(&mut out, 1000);
             let (folded, stats) = emitter
-                .run(
-                    threads,
-                    |units: &mut usize, unit, lanes| -> io::Result<()> {
-                        *units += 1;
-                        lanes[0].write_all(unit_text(unit).as_bytes())
-                    },
-                )
+                .run(threads, |units: &mut usize, unit, lane| -> io::Result<()> {
+                    *units += 1;
+                    lane.write_all(unit_text(unit).as_bytes())
+                })
                 .unwrap();
             assert_eq!(
                 String::from_utf8(out).unwrap(),
@@ -874,7 +852,7 @@ mod tests {
         }
         // No units at all: the caller alone, nothing spawned.
         let mut out = Vec::new();
-        let (folded, stats) = OrderedEmitter::new(vec![&mut out], 0)
+        let (folded, stats) = OrderedEmitter::new(&mut out, 0)
             .run(4, |_: &mut (), _, _| -> io::Result<()> { unreachable!() })
             .unwrap();
         assert_eq!((folded.len(), stats), (1, EmitStats::default()));
@@ -896,9 +874,9 @@ mod tests {
         assert_eq!(reference.len(), 3 * 2 * 256 * 1024);
         for threads in [1usize, 3] {
             let mut out = Vec::new();
-            let (_, stats) = OrderedEmitter::new(vec![&mut out], 3)
-                .run(threads, |_: &mut (), unit, lanes| -> io::Result<()> {
-                    let mut writer = NTriplesWriter::with_format(&mut lanes[0], format.clone());
+            let (_, stats) = OrderedEmitter::new(&mut out, 3)
+                .run(threads, |_: &mut (), unit, lane| -> io::Result<()> {
+                    let mut writer = NTriplesWriter::with_format(lane, format.clone());
                     for i in lines.clone() {
                         writer.edge(i, 0, 9999 - unit as u32);
                     }
@@ -915,19 +893,19 @@ mod tests {
         let block = vec![b'x'; 64 * 1024];
         let blocks = 5 * PARK_BUDGET / block.len();
         let mut out = Vec::new();
-        let emitter = OrderedEmitter::new(vec![&mut out], 2);
+        let emitter = OrderedEmitter::new(&mut out, 2);
         let (_, stats) = emitter
-            .run(2, |_: &mut (), unit, lanes| -> io::Result<()> {
+            .run(2, |_: &mut (), unit, lane| -> io::Result<()> {
                 if unit == 0 {
                     // The head stays silent until unit 1 has parked all the
                     // budget allows; unit 1's next block has to wait.
-                    let emitter = lanes[0].emitter;
+                    let emitter = lane.emitter;
                     wait_until(emitter, |st| st.parked_bytes + block.len() > PARK_BUDGET);
                     assert!(emitter.lock().parked_bytes <= PARK_BUDGET);
-                    return lanes[0].write_all(b"head");
+                    return lane.write_all(b"head");
                 }
                 for _ in 0..blocks {
-                    lanes[0].write_all(&block)?;
+                    lane.write_all(&block)?;
                 }
                 Ok(())
             })
@@ -961,10 +939,10 @@ mod tests {
             let (err, claimed) = within_a_minute(move || {
                 let claimed = AtomicUsize::new(0);
                 let out = FailsAfter { room: 10_000 };
-                let err = OrderedEmitter::new(vec![out], 100_000)
-                    .run(threads, |_: &mut (), _, lanes| -> io::Result<()> {
+                let err = OrderedEmitter::new(out, 100_000)
+                    .run(threads, |_: &mut (), _, lane| -> io::Result<()> {
                         claimed.fetch_add(1, Ordering::Relaxed);
-                        lanes[0].write_all(&[b'x'; 100])
+                        lane.write_all(&[b'x'; 100])
                     })
                     .unwrap_err();
                 (err, claimed.into_inner())
@@ -987,20 +965,20 @@ mod tests {
     #[test]
     fn the_lowest_failed_unit_is_reported_whatever_the_order() {
         let err = within_a_minute(|| {
-            OrderedEmitter::new(vec![Vec::new()], 8)
-                .run(8, |_: &mut (), unit, lanes| -> io::Result<()> {
+            OrderedEmitter::new(Vec::new(), 8)
+                .run(8, |_: &mut (), unit, lane| -> io::Result<()> {
                     match unit {
                         // Unit 5 fails first and cancels the emitter; unit
                         // 2, claimed before it, fails only afterwards.
                         5 => Err(io::Error::other("unit 5")),
                         2 => {
-                            let emitter = lanes[0].emitter;
+                            let emitter = lane.emitter;
                             while !emitter.is_cancelled() {
                                 std::thread::yield_now();
                             }
                             Err(io::Error::other("unit 2"))
                         }
-                        _ => lanes[0].write_all(b"fine"),
+                        _ => lane.write_all(b"fine"),
                     }
                 })
                 .unwrap_err()
@@ -1014,20 +992,20 @@ mod tests {
             let panic = within_a_minute(move || {
                 std::panic::catch_unwind(|| {
                     let block = vec![b'x'; PARK_BUDGET];
-                    OrderedEmitter::new(vec![Vec::new()], 8).run(
+                    OrderedEmitter::new(Vec::new(), 8).run(
                         threads,
-                        |_: &mut (), unit, lanes| -> io::Result<()> {
+                        |_: &mut (), unit, lane| -> io::Result<()> {
                             if unit == 0 {
                                 if threads > 1 {
                                     // Let a later unit exhaust the budget
                                     // first, so some worker is (about to
                                     // be) parked when the head dies.
-                                    wait_until(lanes[0].emitter, |st| st.parked_bytes > 0);
+                                    wait_until(lane.emitter, |st| st.parked_bytes > 0);
                                 }
                                 panic!("unit 0 blew up");
                             }
-                            lanes[0].write_all(&block)?;
-                            lanes[0].write_all(&block)
+                            lane.write_all(&block)?;
+                            lane.write_all(&block)
                         },
                     )
                 })
@@ -1052,14 +1030,14 @@ mod tests {
         let panic = within_a_minute(|| {
             std::panic::catch_unwind(|| {
                 let block = vec![b'x'; PARK_BUDGET];
-                OrderedEmitter::new(vec![Explodes], 4).run(
+                OrderedEmitter::new(Explodes, 4).run(
                     4,
-                    |_: &mut (), unit, lanes| -> io::Result<()> {
+                    |_: &mut (), unit, lane| -> io::Result<()> {
                         if unit == 0 {
-                            wait_until(lanes[0].emitter, |st| st.parked_bytes > 0);
+                            wait_until(lane.emitter, |st| st.parked_bytes > 0);
                         }
-                        lanes[0].write_all(&block)?;
-                        lanes[0].write_all(&block)
+                        lane.write_all(&block)?;
+                        lane.write_all(&block)
                     },
                 )
             })
@@ -1113,15 +1091,15 @@ mod tests {
                 }
                 countdown(g, len(g))
             });
-            let (folded, stats) = OrderedEmitter::with_claims(vec![&mut out], source)
+            let (folded, stats) = OrderedEmitter::with_claims(&mut out, source)
                 .run(
                     threads,
-                    |units: &mut usize, (g, k), lanes| -> io::Result<()> {
+                    |units: &mut usize, (g, k), lane| -> io::Result<()> {
                         if g < 4 {
                             std::thread::sleep(Duration::from_millis(5));
                         }
                         *units += 1;
-                        lanes[0].write_all(format!("{g}.{k};").as_bytes())
+                        lane.write_all(format!("{g}.{k};").as_bytes())
                     },
                 )
                 .unwrap();
@@ -1141,7 +1119,7 @@ mod tests {
         for groups in [0usize, 6] {
             let mut out = Vec::new();
             let source = Grouped::new(groups, 4, |g| countdown(g, 0));
-            let (folded, stats) = OrderedEmitter::with_claims(vec![&mut out], source)
+            let (folded, stats) = OrderedEmitter::with_claims(&mut out, source)
                 .run(4, |_: &mut (), _, _| -> io::Result<()> { unreachable!() })
                 .unwrap();
             assert_eq!(stats, EmitStats::default(), "{groups} groups");
@@ -1156,20 +1134,20 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             let err = within_a_minute(move || {
                 let source = Grouped::new(12, threads, |g| countdown(g, 3));
-                OrderedEmitter::with_claims(vec![Vec::new()], source)
-                    .run(threads, |_: &mut (), (g, k), lanes| -> io::Result<()> {
+                OrderedEmitter::with_claims(Vec::new(), source)
+                    .run(threads, |_: &mut (), (g, k), lane| -> io::Result<()> {
                         match (g, k) {
                             // Unit (2, 1) fails only once (7, 0), handed out
                             // after it, has failed and cancelled the run.
                             (2, 1) => {
-                                let emitter = lanes[0].emitter;
+                                let emitter = lane.emitter;
                                 while threads > 1 && !emitter.is_cancelled() {
                                     std::thread::yield_now();
                                 }
                                 Err(io::Error::other("unit (2, 1)"))
                             }
                             (7, 0) => Err(io::Error::other("unit (7, 0)")),
-                            _ => lanes[0].write_all(b"fine"),
+                            _ => lane.write_all(b"fine"),
                         }
                     })
                     .unwrap_err()
@@ -1208,10 +1186,10 @@ mod tests {
                             }
                             Fragile(None)
                         });
-                        OrderedEmitter::with_claims(vec![Vec::new()], source).run(
+                        OrderedEmitter::with_claims(Vec::new(), source).run(
                             threads,
-                            |_: &mut (), (g, k), lanes| -> io::Result<()> {
-                                lanes[0].write_all(format!("{g}.{k};").as_bytes())
+                            |_: &mut (), (g, k), lane| -> io::Result<()> {
+                                lane.write_all(format!("{g}.{k};").as_bytes())
                             },
                         )
                     })

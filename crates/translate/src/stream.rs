@@ -1,47 +1,32 @@
-//! The streaming workload pipeline: generation → translation → output
-//! without materializing the workload's text in memory.
+//! The workload's way out: a generated workload rendered into its five
+//! documents — the paper's rule notation plus SPARQL, openCypher, SQL and
+//! Datalog.
 //!
-//! The gMark CLI historically accumulated every query's rule notation and
-//! all four translated syntaxes as `String`s before writing them, which
-//! caps workload size at available RAM. This module instead drives the
-//! whole path incrementally, mirroring the graph pipeline's architecture
-//! (`gmark_core::gen::generate_streamed`):
+//! [`write_workload`] renders the queries in index order, one at a time,
+//! into five per-query texts and writes each to its document, so no more
+//! than one query's text is held at once. Query `i`'s text in document `d`
+//! is a pure function of `(schema, query i)`, and the queries themselves
+//! are bit-identical at every thread count (`gmark_core::workload`), so
+//! all five documents are too — pinned by `tests/workload_determinism.rs`
+//! and the CI `cmp` smoke step.
 //!
-//! * the shared selectivity context is built once as an immutable
-//!   [`WorkloadContext`] snapshot;
-//! * workers claim query indices in ascending order, generate query `i`,
-//!   render its five documents — rule notation plus SPARQL, openCypher,
-//!   SQL, Datalog — and hand the five texts to one
-//!   [`gmark_store::OrderedEmitter`] with a lane per document, which
-//!   writes query `i`'s texts after those of every query below `i`, in
-//!   one pass, without a temporary file.
-//!
-//! Query `i`'s text in document `d` is a pure function of
-//! `(schema, config, i)`, so all five documents are byte-identical at
-//! every thread count — the argument is made once, at the fan-out
-//! ([`gmark_store::emit`]), and pinned by `tests/workload_determinism.rs`
-//! and the CI `cmp` smoke step. Per-worker partial [`WorkloadReport`]s
-//! are merged commutatively, so the summary is scheduling-independent
-//! too.
-//!
-//! This module is the workload half of the pipeline; the `gmark` facade
-//! crate's `run` module orchestrates it (plan → options → sink) behind
-//! one API, and maps [`WorkloadStreamError`] into the unified
-//! `GmarkError` variant for variant.
+//! The `gmark` facade crate's `run` module generates the workload with
+//! [`generate_workload_with_threads`], writes it here when the run has a
+//! sink, and maps [`WorkloadStreamError`] into the unified `GmarkError`
+//! variant for variant. [`stream_workload`] is the same two calls in one.
 
 use crate::{translate, Syntax, TranslateError};
 use gmark_core::schema::Schema;
 use gmark_core::workload::{
-    GeneratedQuery, WorkloadConfig, WorkloadContext, WorkloadError, WorkloadReport,
+    generate_workload_with_threads, GeneratedQuery, WorkloadConfig, WorkloadError, WorkloadReport,
 };
-use gmark_store::{resolve_threads, EmitStats, OrderedEmitter};
 use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// Number of output documents: the rule notation plus the four syntaxes.
 pub const DOC_COUNT: usize = 5;
 
-/// The five destinations of a streamed workload, in document order: rule
+/// The five destinations of a workload, in document order: rule
 /// notation (`workload.txt`), then SPARQL, openCypher, SQL, Datalog.
 #[derive(Debug)]
 pub struct WorkloadOutputs<W> {
@@ -73,7 +58,7 @@ impl<W: Write> WorkloadOutputs<W> {
 /// Options for [`stream_workload`].
 #[derive(Debug, Clone)]
 pub struct WorkloadStreamOptions {
-    /// Worker threads; `0` means every core ([`resolve_threads`]).
+    /// Worker threads for generating the queries; `0` means every core.
     /// Output never depends on this value.
     pub threads: usize,
     /// Unused: the workload pipeline keeps no temporary files. The field
@@ -91,7 +76,7 @@ impl Default for WorkloadStreamOptions {
     }
 }
 
-/// An error from the streaming workload pipeline. Generation and
+/// An error from generating or writing a workload. Generation and
 /// translation failures carry the failing query index; in a parallel run
 /// the **lowest** failing index is reported, independent of scheduling.
 #[derive(Debug)]
@@ -143,9 +128,8 @@ impl From<WorkloadError> for WorkloadStreamError {
     }
 }
 
-/// Summary of a streamed workload run (the streaming counterpart of the
-/// `(Workload, WorkloadReport)` pair — the queries themselves were written
-/// out, not kept).
+/// What [`stream_workload`] returns: the `(Workload, WorkloadReport)` pair
+/// without the queries, which were written out, not kept.
 #[derive(Debug, Clone, Default)]
 pub struct StreamSummary {
     /// The generation report (produced / unsatisfied / relaxations /
@@ -153,8 +137,6 @@ pub struct StreamSummary {
     pub report: WorkloadReport,
     /// Bytes written per document, in document order.
     pub bytes: [u64; DOC_COUNT],
-    /// Where the output time went (report and banner only).
-    pub emit: EmitStats,
 }
 
 /// Renders query `i`'s five documents. Each document gets a per-query
@@ -187,17 +169,10 @@ fn render_query(
     Ok(docs)
 }
 
-/// Renders an **already-materialized** workload's five documents in
-/// index order — byte-for-byte what [`stream_workload`] produces for the
-/// same queries (both funnel through the same per-query renderer; pinned
-/// by this module's materialize-then-translate test). Returns the bytes
-/// written per document, in document order.
-///
-/// This is the path for callers that must hold the [`GeneratedQuery`]s
-/// in memory anyway (the evaluation pipeline, notably): generate once,
-/// render from the materialized workload, instead of paying query
-/// generation a second time inside [`stream_workload`]. Rendering is
-/// sequential — translation is cheap next to generation and evaluation.
+/// Renders a generated workload's five documents in index order, one
+/// query at a time, and flushes them. Returns the bytes written per
+/// document, in document order. Rendering is sequential: translation is
+/// cheap next to generation and evaluation.
 pub fn write_workload<W: Write>(
     schema: &Schema,
     queries: &[GeneratedQuery],
@@ -218,54 +193,22 @@ pub fn write_workload<W: Write>(
     Ok(bytes)
 }
 
-/// What one worker folds over the queries it produced; merged
-/// commutatively, so the totals are scheduling-independent.
-#[derive(Default)]
-struct Partial {
-    report: WorkloadReport,
-    bytes: [u64; DOC_COUNT],
-}
-
-/// Generates, translates, and writes a whole workload without holding more
-/// than one query's text in memory per worker, plus the emitter's fixed
-/// parking budget (see the module docs). All five documents are
-/// byte-identical for every thread count. The first failure stops the run
-/// — no further query is claimed, parked workers wake — and the error of
-/// the lowest failing query index is returned. Since the outputs are
-/// written from worker threads they must be `Send`.
+/// Generates a whole workload on `opts.threads` workers, then writes its
+/// five documents: [`generate_workload_with_threads`] followed by
+/// [`write_workload`], the way in and the way out every run takes. The
+/// benchmark harness imports it by this name, so it stays; new code calls
+/// the two in turn. All five documents are byte-identical for every
+/// thread count, and the error of the lowest failing query index is
+/// returned.
 pub fn stream_workload<W: Write + Send>(
     schema: &Schema,
     config: &WorkloadConfig,
     opts: &WorkloadStreamOptions,
     outs: &mut WorkloadOutputs<W>,
 ) -> Result<StreamSummary, WorkloadStreamError> {
-    let ctx = WorkloadContext::new(schema, config);
-    let emitter = OrderedEmitter::new(outs.as_array_mut().into(), config.size);
-    let (partials, emit) = emitter.run(
-        resolve_threads(opts.threads, config.size),
-        |partial: &mut Partial, i, lanes| -> Result<(), WorkloadStreamError> {
-            let gq = ctx.generate(i)?;
-            let docs = render_query(i, &gq, schema)?;
-            for (d, text) in docs.iter().enumerate() {
-                lanes[d].write_all(text.as_bytes())?;
-                partial.bytes[d] += text.len() as u64;
-            }
-            partial.report.absorb(&gq);
-            Ok(())
-        },
-    )?;
-
-    let mut summary = StreamSummary {
-        emit,
-        ..StreamSummary::default()
-    };
-    for partial in partials {
-        summary.report.merge(&partial.report);
-        for (total, bytes) in summary.bytes.iter_mut().zip(partial.bytes) {
-            *total += bytes;
-        }
-    }
-    Ok(summary)
+    let (workload, report) = generate_workload_with_threads(schema, config, opts.threads)?;
+    let bytes = write_workload(schema, &workload.queries, outs)?;
+    Ok(StreamSummary { report, bytes })
 }
 
 #[cfg(test)]
@@ -335,7 +278,8 @@ mod tests {
         let schema = usecases::bib();
         let cfg = config();
         let (workload, report) =
-            gmark_core::workload::generate_workload(&schema, &cfg).expect("generates");
+            gmark_core::workload::generate_workload_with_threads(&schema, &cfg, 1)
+                .expect("generates");
         let mut expected = outputs();
         let destinations = expected.as_array_mut();
         for (i, gq) in workload.queries.iter().enumerate() {
@@ -357,8 +301,8 @@ mod tests {
     fn write_workload_matches_stream_workload_bytes() {
         let schema = usecases::bib();
         let cfg = config();
-        let (workload, _) =
-            gmark_core::workload::generate_workload(&schema, &cfg).expect("generates");
+        let (workload, _) = gmark_core::workload::generate_workload_with_threads(&schema, &cfg, 1)
+            .expect("generates");
         let mut rendered = outputs();
         let bytes = write_workload(&schema, &workload.queries, &mut rendered).expect("renders");
         let (summary, streamed) = run(4);

@@ -30,9 +30,10 @@
 //! workers — and every output file is byte-identical at every thread
 //! count, including 1.
 
-use gmark::run::{run, DirSink, Door, GmarkError, RunPlan, RunRequest};
+use gmark::run::{run, DirSink, Door, GmarkError, RunPlan, RunRequest, MAX_THREADS};
 use gmark::serve::{ServeConfig, Server};
 use gmark::store::StoreReader;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -277,6 +278,12 @@ fn parse_serve_args(argv: &[String]) -> Result<Parsed, String> {
             "--workers" => {
                 let zero = Some("the pool needs at least one thread");
                 config.workers = take_count(argv, i, "a positive thread count", zero)?;
+                if config.workers > MAX_THREADS {
+                    return Err(format!(
+                        "--workers: at most {MAX_THREADS} worker threads, not {}",
+                        config.workers
+                    ));
+                }
             }
             "--cache-mb" => {
                 config.cache_mb = take_count(argv, i, "a budget in MiB (0 = no retention)", None)?;
@@ -306,10 +313,10 @@ fn serve_daemon(config: ServeConfig) -> Result<(), GmarkError> {
     let stop = gmark::serve::request_shutdown_on_signals();
     let server =
         Server::start(config).map_err(|e| GmarkError::io("binding the serve listener", e))?;
-    println!(
-        "gmark serve: listening on http://{} (POST /v1/run; SIGTERM drains and exits)",
+    print(&format!(
+        "gmark serve: listening on http://{} (POST /v1/run; SIGTERM drains and exits)\n",
         server.local_addr()
-    );
+    ))?;
     while !stop.load(std::sync::atomic::Ordering::SeqCst) {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
@@ -328,14 +335,22 @@ fn execute(args: Args) -> Result<(), GmarkError> {
     let mut sink = DirSink::new(&args.output)?.with_summary_json(args.format == Format::Json);
     let summary = run(&plan, &opts, &mut sink)?;
 
-    match args.format {
-        Format::Json => println!("{}", summary.to_json()),
-        Format::Text => {
-            print!("{summary}");
-            println!("report -> {}/report.txt", args.output.display());
-        }
+    print(&match args.format {
+        Format::Json => format!("{}\n", summary.to_json()),
+        Format::Text => format!("{summary}report -> {}/report.txt\n", args.output.display()),
+    })
+}
+
+/// Writes `text` to stdout: the one way the CLI prints. A reader that has
+/// gone away (`gmark … | head -1`) is no error — every artifact is on disk
+/// by the time anything is printed — so a broken pipe ends the print
+/// quietly; any other failure is an I/O error.
+fn print(text: &str) -> Result<(), GmarkError> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| GmarkError::io("writing to stdout", e)),
     }
-    Ok(())
 }
 
 /// The `--verify-store` mode: structural validation (offsets, bounds,
@@ -359,11 +374,10 @@ fn verify_store(path: &Path) -> Result<String, GmarkError> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match parse_args(&argv) {
-        Ok(Parsed::EarlyExit(text)) => {
-            println!("{text}");
-            Ok(())
+        Ok(Parsed::EarlyExit(text)) => print(&format!("{text}\n")),
+        Ok(Parsed::VerifyStore(path)) => {
+            verify_store(&path).and_then(|line| print(&format!("{line}\n")))
         }
-        Ok(Parsed::VerifyStore(path)) => verify_store(&path).map(|line| println!("{line}")),
         Ok(Parsed::Run(args)) => execute(*args),
         Ok(Parsed::Serve(config)) => serve_daemon(config),
         Err(e) => {
@@ -533,6 +547,16 @@ mod tests {
     fn serve_rejects_degenerate_and_unknown_flags() {
         assert!(parse("serve --workers 0").is_err());
         assert!(parse("serve --queue-depth 0").is_err());
+        assert!(parse("serve --workers 1024").is_ok());
+        for workers in ["1025", "18446744073709551615"] {
+            match parse(&format!("serve --workers {workers}")) {
+                Err(e) => assert_eq!(
+                    e,
+                    format!("--workers: at most 1024 worker threads, not {workers}")
+                ),
+                Ok(other) => panic!("--workers {workers} accepted: {other:?}"),
+            }
+        }
         assert!(parse("serve --addr").is_err(), "missing value");
         assert!(parse("serve --config c.xml").is_err());
         // `serve --help` is an early exit like the batch mode's.

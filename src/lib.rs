@@ -62,9 +62,9 @@
 //! | `generate_graph(&config, &GeneratorOptions { .. })` | [`run::run_in_memory`] — [`run::run`]'s stages without a sink — (graph in [`run::RunArtifacts::graph`]) |
 //! | `generate_into(&config, &opts, &mut writer)` | [`run::run`] with a custom [`run::Sink`] |
 //! | `generate_streamed(&config, &opts, &stream_opts, &mut out)` | [`run::run`] with [`run::RunOptions::stream`] |
-//! | `generate_workload[_with_threads](&schema, &cfg, ..)` | [`run::run_in_memory`] (workload in [`run::RunArtifacts::workload`], its [`core::workload::WorkloadReport`] — counters and diversity — in [`run::WorkloadRunSummary::report`]) |
+//! | `generate_workload(&schema, &cfg)` (removed: pass one thread) / `generate_workload_with_threads(&schema, &cfg, threads)` | [`run::run_in_memory`] (workload in [`run::RunArtifacts::workload`], its [`core::workload::WorkloadReport`] — counters and diversity — in [`run::WorkloadRunSummary::report`]) |
 //! | `evaluate_matrix_with_schema(&ctx, ..)` over a hand-built graph and workload | [`run::RunPlan`] with an [`run::EvalSpec`] (the matrix in [`run::EvalRunSummary::report`]) |
-//! | `stream_workload(&schema, &cfg, &opts, &mut outs)` | [`run::run`] (the five workload artifacts) |
+//! | `stream_workload(&schema, &cfg, &opts, &mut outs)` (kept for the benchmark harness: generates the workload, then writes it) | [`run::run`] (the five workload artifacts, rendered from the generated queries by `write_workload`) |
 //! | `gmark_store::{ShardSet, ShardWriter, TextShardWriter}` (removed: no pipeline keeps temp files) | [`store::OrderedEmitter`] — or just [`run::run`] |
 //! | `ConfigError` / `WorkloadError` / `TranslateError` / `StoreError` / `io::Error` juggling | [`run::GmarkError`] (a cell an engine fails is an outcome in the report, not an error) |
 //! | scraping `report.txt` | [`run::RunSummary::to_json`] (`--format json`) |
@@ -129,8 +129,7 @@ pub mod prelude {
     };
     pub use gmark_core::selectivity::SelectivityClass;
     pub use gmark_core::workload::{
-        generate_workload, generate_workload_with_threads, QuerySize, Shape, Workload,
-        WorkloadConfig, WorkloadError,
+        generate_workload_with_threads, QuerySize, Shape, Workload, WorkloadConfig, WorkloadError,
     };
     pub use gmark_engines::{
         evaluate_matrix_with_schema, plan_query, Answers, Budget, CellBudget, CellOutcome,

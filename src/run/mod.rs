@@ -37,10 +37,13 @@
 //! [`EvalSpec`] and the [`EvalReport`] of the matrix, beside the few
 //! values only the run knows (node counts, triples written, seed,
 //! document bytes, stage seconds).
-//! [`run`] gives them a sink and streams artifacts through it without
-//! materializing them; [`run_in_memory`] is the same stages without a
-//! sink, returning the built [`Graph`] and [`Workload`] values for direct
-//! use (evaluation engines, experiments).
+//! [`run`] gives them a sink and writes each artifact into it as its
+//! stage produces it, keeping only what a later stage reads;
+//! [`run_in_memory`] is the same stages without a sink, returning the
+//! built [`Graph`] and [`Workload`] values for direct use (evaluation
+//! engines, experiments). Every run generates its whole workload before
+//! writing it — about 0.6–1 KB a query — and renders the five documents
+//! one query at a time.
 //!
 //! # Determinism
 //!
@@ -48,11 +51,13 @@
 //! and the seed: thread count, streaming mode, and sink choice never
 //! change workload bytes, and within one graph serialization mode the
 //! graph bytes are identical at every thread count — **including one**:
-//! every artifact written by several workers goes through one
+//! the graph written by several workers goes through one
 //! [`gmark_store::OrderedEmitter`], which writes numbered units (blocks
-//! of constraints' edges, predicates, queries) in ascending order
-//! whoever produces them, and a single worker runs the same code with a
-//! head that never waits. Streamed
+//! of constraints' edges, or predicates) in ascending order whoever
+//! produces them, and a single worker runs the same code with a head
+//! that never waits; the workload's queries come back from
+//! [`gmark_store::ordered_map`] in index order and one writer renders
+//! them. Streamed
 //! and non-streamed graph output remain distinct serializations of the
 //! same data: generation order with duplicates vs. sorted and
 //! deduplicated.
@@ -106,7 +111,7 @@ use gmark_store::{
     OrderedEmitter, StoreError, StoreMeta, StoreReader, StoreWriter, TypePartition,
     DEFAULT_PAGE_SIZE,
 };
-use gmark_translate::{stream_workload, write_workload, WorkloadOutputs};
+use gmark_translate::{write_workload, WorkloadOutputs};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
@@ -119,10 +124,10 @@ use std::time::Instant;
 ///
 /// The graph is written as N-Triples (memory-bounded when
 /// [`RunOptions::stream`] is set, materialized-then-serialized otherwise);
-/// the workload streams through the parallel per-query pipeline. Both go
-/// to their artifacts in one ordered pass — the only temporary file a run
-/// ever creates is the staged store of a sink without real files
-/// ([`RunOptions::scratch_dir`]).
+/// the workload is generated on the run's threads, then rendered into its
+/// five documents. Both go to their artifacts in one ordered pass — the
+/// only temporary file a run ever creates is the staged store of a sink
+/// without real files ([`RunOptions::scratch_dir`]).
 /// Returns the [`RunSummary`] after [`Sink::finish`] has run.
 pub fn run<S: Sink + ?Sized>(
     plan: &RunPlan,
@@ -133,12 +138,24 @@ pub fn run<S: Sink + ?Sized>(
     Ok(run_stages(plan, opts, Some(sink))?.summary)
 }
 
+/// The most worker threads a run takes ([`RunOptions::threads`]). Most
+/// stages start no more workers than they have units, but a streamed
+/// graph learns its unit count only as it goes, so it would start as many
+/// as it is asked for.
+pub const MAX_THREADS: usize = 1024;
+
 /// Everything [`run`] checks before any output is opened: the plan's own
-/// consistency, plus the one rule that needs the options too. The request
+/// consistency, plus the rules that need the options too. The request
 /// doors call it as well ([`RunRequest::apply`]), so a library caller, the
 /// CLI and the daemon get the same answer from the same line.
 pub(crate) fn validate(plan: &RunPlan, opts: &RunOptions) -> Result<(), GmarkError> {
     plan.validate()?;
+    if opts.threads > MAX_THREADS {
+        return Err(GmarkError::Plan(format!(
+            "a run takes at most {MAX_THREADS} worker threads (0 = every core), not {}",
+            opts.threads
+        )));
+    }
     if plan.eval.is_some() && opts.stream && !plan.outputs.store && plan.from_store.is_none() {
         return Err(GmarkError::Plan(
             "evaluation of a streamed run needs the on-disk store: add the store output \
@@ -383,10 +400,10 @@ fn graph_stage<S: Sink + ?Sized>(
     Ok(stage)
 }
 
-/// Stage two: generate the workload and render its five documents. The
-/// queries are materialized only when someone will read them — the
-/// evaluation stage, or the caller of [`run_in_memory`]; otherwise they
-/// stream straight through the per-query pipeline into the sink.
+/// Stage two: generate the workload and, with a sink, render its five
+/// documents one query at a time. The queries are kept only when someone
+/// will read them — the evaluation stage, or the caller of
+/// [`run_in_memory`].
 fn workload_stage<S: Sink + ?Sized>(
     plan: &RunPlan,
     opts: &RunOptions,
@@ -416,35 +433,19 @@ fn workload_stage<S: Sink + ?Sized>(
         None => None,
     };
     let start = Instant::now();
-    let mut kept = None;
-    let (report, bytes, emit) = match &mut outs {
-        Some(outs) if plan.eval.is_none() => {
-            let stream_opts = opts.workload_stream_options();
-            let s = stream_workload(&plan.graph.schema, &wcfg, &stream_opts, outs)?;
-            (s.report, s.bytes, Some(s.emit))
-        }
-        outs => {
-            // Generate once (parallel); with a sink, render the documents
-            // from the materialized workload — byte-identical to the
-            // streamed path, which funnels through the same per-query
-            // renderer.
-            let (w, report) =
-                generate_workload_with_threads(&plan.graph.schema, &wcfg, opts.threads)?;
-            let bytes = match outs {
-                Some(outs) => write_workload(&plan.graph.schema, &w.queries, outs)?,
-                None => [0; 5],
-            };
-            kept = Some(w);
-            (report, bytes, None)
-        }
+    let (workload, report) =
+        generate_workload_with_threads(&plan.graph.schema, &wcfg, opts.threads)?;
+    let bytes = match &mut outs {
+        Some(outs) => write_workload(&plan.graph.schema, &workload.queries, outs)?,
+        None => [0; 5],
     };
     let summary = WorkloadRunSummary {
         seed: wcfg.seed,
         report,
         bytes,
         seconds: start.elapsed().as_secs_f64(),
-        emit,
     };
+    let kept = (outs.is_none() || plan.eval.is_some()).then_some(workload);
     Ok((Some(summary), kept))
 }
 
@@ -602,10 +603,10 @@ fn write_ntriples<W: std::io::Write + Send>(
         &opts.base_iri,
     ));
     let predicates = graph.predicate_count();
-    let (written, emit) = OrderedEmitter::new(vec![out], predicates).run(
+    let (written, emit) = OrderedEmitter::new(out, predicates).run(
         threads,
-        |written: &mut u64, pred, lanes| -> std::io::Result<()> {
-            let mut writer = NTriplesWriter::with_format(&mut lanes[0], format.clone());
+        |written: &mut u64, pred, lane| -> std::io::Result<()> {
+            let mut writer = NTriplesWriter::with_format(lane, format.clone());
             for (src, trg) in graph.edges(pred) {
                 writer.edge(src, pred, trg);
             }
@@ -828,7 +829,7 @@ mod tests {
             let graph = summary.graph.as_mut().unwrap();
             (graph.seconds, graph.report.emit) = (0.0, None);
             let workload = summary.workload.as_mut().unwrap();
-            (workload.seconds, workload.emit, workload.bytes) = (0.0, None, [0; 5]);
+            (workload.seconds, workload.bytes) = (0.0, [0; 5]);
             let eval = summary.eval.as_mut().unwrap();
             let report = &mut eval.report;
             (eval.seconds, report.fill_seconds, report.cells_seconds) = (0.0, 0.0, 0.0);

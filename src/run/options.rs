@@ -1,14 +1,14 @@
-//! Execution options, collapsed from the three per-crate option structs.
+//! Execution options, collapsed from the per-crate option structs.
 //!
-//! PRs 1–3 grew three overlapping option types — `GeneratorOptions` (seed,
+//! The crates grew overlapping option types — `GeneratorOptions` (seed,
 //! threads, Gaussian fast path), `StreamOptions` (base IRI, scratch dir),
 //! and `WorkloadStreamOptions` (threads, scratch dir) — that every caller
 //! had to assemble consistently by hand. [`RunOptions`] is the single
 //! knob set of the unified pipeline; [`run`](crate::run::run) derives the
-//! per-crate structs from it internally.
+//! graph generator's structs from it internally and hands the workload
+//! generator its thread count.
 
 use gmark_core::gen::{GeneratorOptions, StreamOptions};
-use gmark_translate::WorkloadStreamOptions;
 use std::path::PathBuf;
 
 /// How to execute a [`RunPlan`](crate::run::RunPlan): seed, parallelism,
@@ -24,8 +24,10 @@ pub struct RunOptions {
     /// `Some(s)` pins both pipelines to `s`.
     pub seed: Option<u64>,
     /// Worker threads for every stage (graph constraints, CSR items,
-    /// workload queries, evaluation cells). `0` means every available core.
-    /// Every output is byte-identical at every thread count.
+    /// workload queries, evaluation cells). `0` means every available core;
+    /// [`run`](crate::run::run) refuses more than
+    /// [`MAX_THREADS`](crate::run::MAX_THREADS). Every output is
+    /// byte-identical at every thread count.
     pub threads: usize,
     /// Memory-bounded graph pipeline: format the edges as N-Triples while
     /// they are generated, in blocks of one constraint's edges, and write
@@ -109,14 +111,6 @@ impl RunOptions {
         StreamOptions {
             base: self.base_iri.clone(),
             ..StreamOptions::default()
-        }
-    }
-
-    /// The streaming workload pipeline's option struct.
-    pub(crate) fn workload_stream_options(&self) -> WorkloadStreamOptions {
-        WorkloadStreamOptions {
-            threads: self.threads,
-            ..WorkloadStreamOptions::default()
         }
     }
 }

@@ -363,6 +363,12 @@ mod tests {
             ("seed=-1", Err("expected an unsigned 64-bit integer")),
             ("nodes=many", Err("expected a node count")),
             ("threads=two", Err("expected a thread count")),
+            ("threads=1024", Ok("graph+workload t=1024")),
+            ("threads=1025", Err("at most 1024 worker threads")),
+            (
+                "threads=18446744073709551615",
+                Err("at most 1024 worker threads"),
+            ),
             ("stream=maybe", Err("expected a boolean")),
             ("eval engines=P,X", Err("unknown engine letter")),
             ("eval engines=P,P", Err("selected twice")),

@@ -18,7 +18,7 @@ use gmark_core::gen::GenReport;
 use gmark_core::workload::WorkloadReport;
 use gmark_engines::{EvalCell, EvalReport, OUTCOMES};
 use gmark_stats::JsonWriter;
-use gmark_store::{EmitStats, StoreInfo};
+use gmark_store::StoreInfo;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -107,10 +107,6 @@ pub struct WorkloadRunSummary {
     pub bytes: [u64; 5],
     /// Wall-clock generation + translation time.
     pub seconds: f64,
-    /// Where the five documents' output time went (see
-    /// [`GenReport::emit`]). `None` when the run rendered them from a
-    /// materialized workload or not at all.
-    pub emit: Option<EmitStats>,
 }
 
 /// The evaluation half of a [`RunSummary`]: the (engine × query) matrix
@@ -204,9 +200,6 @@ impl RunSummary {
                 "cypher degradations: {} concatenation-under-star, {} inverse-under-star",
                 r.cypher.star_concat, r.cypher.star_inverse
             );
-            if let Some(emit) = &w.emit {
-                let _ = writeln!(rep, "workload output: {emit}");
-            }
             let _ = writeln!(rep, "diversity:\n{r}");
         }
         if let Some(e) = &self.eval {
@@ -306,9 +299,6 @@ impl std::fmt::Display for RunSummary {
                 w.report.cypher.star_concat,
                 w.report.cypher.star_inverse,
             )?;
-            if let Some(emit) = &w.emit {
-                writeln!(f, "workload output: {emit}")?;
-            }
         }
         if let Some(e) = &self.eval {
             // The first three outcomes: ok, timeout, too-large.
@@ -470,6 +460,7 @@ mod tests {
     use gmark_core::cypher::CypherCounts;
     use gmark_core::gen::ConstraintReport;
     use gmark_engines::{CellOutcome, EngineKind, EvalError};
+    use gmark_store::EmitStats;
 
     fn sample() -> RunSummary {
         // Two queries on four engines: six cells ok, one timeout, one too
@@ -550,7 +541,6 @@ mod tests {
                 },
                 bytes: [10, 20, 30, 40, 50],
                 seconds: 0.1,
-                emit: None,
             }),
             eval: Some(EvalRunSummary {
                 spec: EvalSpec {

@@ -408,6 +408,34 @@ mod tests {
     }
 
     #[test]
+    fn a_thread_count_past_the_limit_is_a_400_and_the_worker_serves_on() {
+        // The refusal comes before any stage, so the request starts no
+        // thread; the one worker then answers the next request.
+        let server = start(1);
+        let addr = server.local_addr();
+        for threads in ["1025", "18446744073709551615"] {
+            let refused = post_run(addr, &format!("?nodes=40&threads={threads}"));
+            assert_eq!(refused.status, 400, "threads={threads}");
+            let body = String::from_utf8(refused.body).unwrap();
+            assert_eq!(
+                body,
+                format!(
+                    "gmark: invalid plan: a run takes at most 1024 worker threads \
+                     (0 = every core), not {threads}\n"
+                )
+            );
+        }
+        let next = post_run(addr, "?nodes=40&threads=2");
+        assert_eq!(
+            next.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&next.body)
+        );
+        server.shutdown();
+    }
+
+    #[test]
     fn artifact_selector_reaches_every_produced_artifact() {
         let server = start(1);
         let addr = server.local_addr();

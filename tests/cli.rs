@@ -7,7 +7,7 @@
 //! observable contract (exit status 0, expected text, no output files).
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -199,6 +199,70 @@ fn a_node_count_past_node_id_capacity_is_refused_before_the_run() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(scratch.join("workload.txt").exists());
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+#[test]
+fn a_thread_count_past_the_limit_is_refused_before_the_run() {
+    // Refused before any stage, so no thread is started for it.
+    let scratch = std::env::temp_dir().join(format!("gmark-threads-{}", std::process::id()));
+    let bib = repo_path("examples/configs/bib.xml");
+    for threads in ["1025", "18446744073709551615"] {
+        let out = gmark(&[
+            "--config",
+            bib.to_str().unwrap(),
+            "--output",
+            scratch.to_str().unwrap(),
+            "--threads",
+            threads,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "--threads {threads}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(
+            stderr,
+            format!(
+                "gmark: invalid plan: a run takes at most 1024 worker threads \
+                 (0 = every core), not {threads}\n"
+            )
+        );
+        assert!(!scratch.exists(), "the refused run created its output dir");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_a_finished_run_quietly() {
+    // `gmark … | true`: the reader is gone before the banner is printed.
+    // Every artifact is written by then, so the run exits 0, unpanicked.
+    let scratch = std::env::temp_dir().join(format!("gmark-epipe-{}", std::process::id()));
+    let bib = repo_path("examples/configs/bib.xml");
+    for format in ["text", "json"] {
+        let _ = std::fs::remove_dir_all(&scratch);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_gmark"))
+            .args(["--config", bib.to_str().unwrap()])
+            .args(["--output", scratch.to_str().unwrap()])
+            .args(["--seed", "42", "--format", format])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawning the gmark binary");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("waiting for gmark");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(0), "--format {format}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--format {format}: {stderr}");
+        let graph = std::fs::read_to_string(scratch.join("graph.nt")).expect("graph.nt");
+        let report = std::fs::read_to_string(scratch.join("report.txt")).expect("report.txt");
+        let written = report
+            .lines()
+            .find_map(|line| line.strip_prefix("edges: "))
+            .and_then(|rest| rest.split(' ').next())
+            .expect("the report's edge count");
+        assert_eq!(
+            graph.lines().count().to_string(),
+            written,
+            "graph.nt is whole"
+        );
+    }
     let _ = std::fs::remove_dir_all(&scratch);
 }
 

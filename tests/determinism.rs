@@ -130,14 +130,14 @@ fn workloads_are_seed_deterministic() {
     let mut cfg = WorkloadConfig::new(20).with_seed(123);
     cfg.recursion_probability = 0.2;
     cfg.shapes = vec![Shape::Chain, Shape::Star, Shape::Cycle, Shape::StarChain];
-    let (w1, _) = generate_workload(&schema, &cfg).expect("workload generates");
-    let (w2, _) = generate_workload(&schema, &cfg).expect("workload generates");
+    let (w1, _) = generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
+    let (w2, _) = generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
     for (a, b) in w1.queries.iter().zip(&w2.queries) {
         assert_eq!(a.query, b.query);
         assert_eq!(a.target, b.target);
     }
-    let (w3, _) =
-        generate_workload(&schema, &cfg.clone().with_seed(124)).expect("workload generates");
+    let (w3, _) = generate_workload_with_threads(&schema, &cfg.clone().with_seed(124), 1)
+        .expect("workload generates");
     let all_same = w1
         .queries
         .iter()
@@ -154,10 +154,12 @@ fn query_order_is_independent_of_workload_size() {
     // Per-query RNG splitting: the i-th query is identical no matter how
     // many queries follow it.
     let schema = gmark::core::usecases::bib();
-    let (small, _) = generate_workload(&schema, &WorkloadConfig::new(5).with_seed(55))
-        .expect("workload generates");
-    let (large, _) = generate_workload(&schema, &WorkloadConfig::new(25).with_seed(55))
-        .expect("workload generates");
+    let (small, _) =
+        generate_workload_with_threads(&schema, &WorkloadConfig::new(5).with_seed(55), 1)
+            .expect("workload generates");
+    let (large, _) =
+        generate_workload_with_threads(&schema, &WorkloadConfig::new(25).with_seed(55), 1)
+            .expect("workload generates");
     for (a, b) in small.queries.iter().zip(&large.queries) {
         assert_eq!(a.query, b.query);
     }
@@ -168,8 +170,9 @@ fn evaluation_is_deterministic() {
     let schema = gmark::core::usecases::bib();
     let config = GraphConfig::new(1_000, schema.clone());
     let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(5));
-    let (workload, _) = generate_workload(&schema, &WorkloadConfig::new(6).with_seed(6))
-        .expect("workload generates");
+    let (workload, _) =
+        generate_workload_with_threads(&schema, &WorkloadConfig::new(6).with_seed(6), 1)
+            .expect("workload generates");
     for gq in &workload.queries {
         // A fresh context per run: nothing shared but the graph.
         let run = || {

@@ -128,9 +128,12 @@ fn ntriples_round_trip_through_store() {
 #[test]
 fn translations_are_deterministic() {
     let parsed = parse_config(CONFIG).expect("config parses");
-    let (workload, _) =
-        generate_workload(&parsed.graph.schema, &parsed.workload.expect("workload"))
-            .expect("workload generates");
+    let (workload, _) = generate_workload_with_threads(
+        &parsed.graph.schema,
+        &parsed.workload.expect("workload"),
+        1,
+    )
+    .expect("workload generates");
     for gq in &workload.queries {
         for syntax in Syntax::ALL {
             let a = gmark::translate::translate(&gq.query, &parsed.graph.schema, syntax);

@@ -206,7 +206,7 @@ proptest! {
         let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
         let mut wcfg = WorkloadConfig::new(6).with_seed(seed ^ 0xD1FF);
         wcfg.recursion_probability = 0.0; // non-recursive ⇒ non-degraded
-        let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
+        let (workload, _) = generate_workload_with_threads(&schema, &wcfg, 1).expect("workload generates");
         let ctx = EvalContext::new(&graph);
         for gq in &workload.queries {
             prop_assert!(!gq.query.is_recursive());
@@ -228,7 +228,8 @@ fn shared_context_matches_per_call_contexts() {
     let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(21));
     let mut wcfg = WorkloadConfig::new(8).with_seed(22);
     wcfg.recursion_probability = 0.3;
-    let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
+    let (workload, _) =
+        generate_workload_with_threads(&schema, &wcfg, 1).expect("workload generates");
     let ctx = EvalContext::new(&graph);
     let budget = Budget::with_limits(None, 200_000);
     for gq in &workload.queries {
@@ -248,7 +249,8 @@ fn engines_agree_on_generated_workloads() {
     let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(13));
     let mut wcfg = WorkloadConfig::new(15).with_seed(17);
     wcfg.recursion_probability = 0.3;
-    let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
+    let (workload, _) =
+        generate_workload_with_threads(&schema, &wcfg, 1).expect("workload generates");
     for gq in &workload.queries {
         let a = eval(EngineKind::Relational, &graph, &gq.query);
         let b = eval(EngineKind::TripleStore, &graph, &gq.query);

@@ -263,7 +263,7 @@ proptest! {
         let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(seed));
         let mut wcfg = WorkloadConfig::new(6).with_seed(seed ^ 0xCAC4E);
         wcfg.recursion_probability = 0.5;
-        let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
+        let (workload, _) = generate_workload_with_threads(&schema, &wcfg, 1).expect("workload generates");
         let queries: Vec<&Query> = workload.queries.iter().map(|gq| &gq.query).collect();
         let (cached, plain) = matrix_pair(&graph, Some(&schema), &queries, 100_000, true);
         assert_cells_match(&cached, &plain)?;

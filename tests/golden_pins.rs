@@ -84,6 +84,15 @@
 //! of the run summary came to hold the report its stage returns, with only
 //! the wall-clock numbers masked ([`masked_report`]), and must pass at 1, 2
 //! and 8 threads.
+//!
+//! Declared re-record: [`STORE_REPORT`] (both entries) and
+//! [`QUERIES_ONLY_REPORT`], at the commit that made every run write its
+//! workload from the generated queries, where the five-lane emitter that
+//! timed the workload's output went. Their `report.txt` lost its one
+//! `workload output:` line (blocks, bytes, seconds in write and parked)
+//! and nothing else: each new pin is the fingerprint of the previous
+//! commit's masked `report.txt`, at 1, 2 and 8 threads, with that line
+//! deleted. No other pin moved.
 
 use gmark::prelude::*;
 use gmark::store::paged::Fnv64;
@@ -204,10 +213,9 @@ const MIXED_EVAL_SUMMARY: [(u64, u64); 2] =
 
 /// Masked `report.txt` ([`masked_report`]) of [`STORE_SUMMARY`]'s two
 /// `--store` runs, `--stream` then the default mode (module docs).
-const STORE_REPORT: [(u64, u64); 2] =
-    [(1002, 0xf106_dbee_7ac4_a172), (1002, 0x915d_34ee_de58_5196)];
+const STORE_REPORT: [(u64, u64); 2] = [(938, 0x2ffb_49da_0dee_df49), (938, 0xa372_6d35_cfa9_56a5)];
 /// Masked `report.txt` of the `--queries-only` run.
-const QUERIES_ONLY_REPORT: (u64, u64) = (593, 0x6bf0_d019_5a9a_2d35);
+const QUERIES_ONLY_REPORT: (u64, u64) = (529, 0x2a29_4fe8_8fbd_778a);
 /// Masked `report.txt` of the [`CLI_EVAL`] runs, `[in RAM, --from-store]`.
 const CLI_EVAL_REPORT: [(u64, u64); 2] =
     [(1083, 0xa84d_54a0_da19_6f0b), (758, 0xf974_b2b0_1719_ea3d)];

@@ -66,7 +66,8 @@ fn instance(name: &'static str, seed: u64) -> Instance {
         disjuncts: (1, 3),
         length: (1, 3),
     };
-    let (generated, _) = generate_workload(&schema, &workload).expect("the workload generates");
+    let (generated, _) =
+        generate_workload_with_threads(&schema, &workload, 1).expect("the workload generates");
     let shapes = generated.queries.iter().map(|g| g.shape).collect();
     Instance {
         name,

@@ -40,7 +40,8 @@ fn bib_selectivity_classes_hold_empirically() {
         .collect();
     let mut wcfg = WorkloadConfig::new(9).with_seed(23);
     wcfg.query_size.conjuncts = (1, 2);
-    let (workload, report) = generate_workload(&schema, &wcfg).expect("workload generates");
+    let (workload, report) =
+        generate_workload_with_threads(&schema, &wcfg, 1).expect("workload generates");
     assert_eq!(report.unsatisfied_selectivity, 0);
 
     // Table 2 reports class *means* (individual queries scatter — the
@@ -105,8 +106,9 @@ fn estimator_alpha_matches_generated_targets_across_usecases() {
     // The static estimate α̂ (no graphs involved) must equal the target
     // class for every selectivity-controlled query on every use case.
     for (name, schema) in gmark::core::usecases::all() {
-        let (workload, _) = generate_workload(&schema, &WorkloadConfig::new(12).with_seed(31))
-            .expect("workload generates");
+        let (workload, _) =
+            generate_workload_with_threads(&schema, &WorkloadConfig::new(12).with_seed(31), 1)
+                .expect("workload generates");
         for gq in &workload.queries {
             if let (Some(target), Some(alpha)) = (gq.target, gq.estimated_alpha) {
                 assert_eq!(
@@ -127,25 +129,30 @@ fn quadratic_queries_return_more_results_than_constant() {
     let schema = gmark::core::usecases::bib();
     let config = GraphConfig::new(4_000, schema.clone());
     let (graph, _) = generate_graph(&config, &GeneratorOptions::with_seed(7));
-    let (workload, _) = generate_workload(&schema, &WorkloadConfig::new(9).with_seed(37))
-        .expect("workload generates");
+    let (workload, _) =
+        generate_workload_with_threads(&schema, &WorkloadConfig::new(9).with_seed(37), 1)
+            .expect("workload generates");
     let ctx = EvalContext::new(&graph);
-    let mean_count = |class: SelectivityClass| -> f64 {
-        let counts: Vec<u64> = workload
-            .of_class(class)
-            .filter_map(|gq| {
-                EngineKind::TripleStore
-                    .evaluate(&ctx, &gq.query, None, &Budget::default())
-                    .ok()
-                    .map(|a| a.count())
-            })
-            .collect();
+    // A query whose evaluation fails is dropped from its class's mean, and
+    // the message names how many were, per class, and why.
+    let mut dropped = Vec::new();
+    let mut mean_count = |class: SelectivityClass| -> f64 {
+        let mut counts = Vec::new();
+        let mut failed = Vec::new();
+        for gq in workload.of_class(class) {
+            match EngineKind::TripleStore.evaluate(&ctx, &gq.query, None, &Budget::default()) {
+                Ok(answers) => counts.push(answers.count()),
+                Err(e) => failed.push(e.to_string()),
+            }
+        }
+        dropped.push(format!("{class}: {} dropped {failed:?}", failed.len()));
         counts.iter().sum::<u64>() as f64 / counts.len().max(1) as f64
     };
     let c = mean_count(SelectivityClass::Constant);
     let q = mean_count(SelectivityClass::Quadratic);
     assert!(
         q > 10.0 * (c + 1.0),
-        "quadratic mean {q:.0} should dwarf constant mean {c:.0}"
+        "quadratic mean {q:.0} should dwarf constant mean {c:.0}; {}",
+        dropped.join(", ")
     );
 }

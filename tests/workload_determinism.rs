@@ -107,7 +107,8 @@ fn library_workload_is_bit_identical_across_thread_counts() {
         generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
     assert_eq!(base.queries.len(), 30);
     // The sequential entry point is the 1-thread pipeline.
-    let (seq, seq_report) = generate_workload(&schema, &cfg).expect("workload generates");
+    let (seq, seq_report) =
+        generate_workload_with_threads(&schema, &cfg, 1).expect("workload generates");
     assert_eq!(seq_report, base_report);
     for (a, b) in seq.queries.iter().zip(&base.queries) {
         assert_eq!(a.query, b.query);
